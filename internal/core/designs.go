@@ -10,85 +10,110 @@ import (
 	"scaffe/internal/topology"
 )
 
-// Each training design is a graph-construction policy: one iteration
-// becomes a sched.Graph whose edges encode where communication is
+// Each training design is a plan-construction policy: one iteration
+// becomes a sched.Plan whose edges encode where communication is
 // posted and waited relative to per-layer compute — the only axis
 // along which the paper's designs differ. The node actions reuse the
 // runState/workload context; the scheduler supplies ordering, waiting,
 // and trace emission.
 
-// buildIteration constructs rank r's iteration graph under the
-// configured design. The graph is iteration-independent — anything
-// per-iteration reaches the node actions through sched.Ctx.It — so
-// fault-free runs build it once per rank and re-execute it every
-// iteration. ModelParallel keeps its pipeline loop (see
+// A design has one plan per role: the ranks of a role run the same
+// nodes in the same order.
+const (
+	roleRoot   = iota // the updating solver (the PS design's server)
+	roleWorker        // everyone else
+	numRoles
+)
+
+// buildPlan constructs the iteration plan of one role under the
+// configured design. run() calls it once per role, before the ranks
+// spawn; every rank of the role then executes the same plan through its
+// own sched.Graph. A plan therefore captures only the role: the actions
+// find the rank's workload, reader and solver through x.R.ID, the
+// communicator, reducer and worker count through st, and the iteration
+// through x.It — all at execution time, so the plan outlives every
+// rebuild(). ModelParallel keeps its pipeline loop (see
 // modelparallel.go): its ranks run different layer ranges, not
 // different overlap policies.
-func (st *runState) buildIteration(r *mpi.Rank) *sched.Graph {
-	g := sched.New(r)
+func (st *runState) buildPlan(root bool) *sched.Plan {
+	p := sched.NewPlan()
 	switch st.cfg.Design {
 	case SCB, CaffeMT:
-		st.buildSCB(g, r)
+		st.buildSCB(p, root)
 	case SCOB:
-		st.buildSCOB(g, r)
+		st.buildSCOB(p, root)
 	case SCOBR, SCOBRF:
-		st.buildSCOBR(g, r)
+		st.buildSCOBR(p, root)
 	case CNTKLike:
-		st.buildCNTK(g, r)
+		st.buildCNTK(p, root)
 	case ParamServer:
-		st.buildPS(g, r)
+		st.buildPS(p, root)
 	}
-	return g
+	p.Seal()
+	return p
+}
+
+// graph returns the instance rank r executes this iteration: its own
+// binding of the plan of the role it currently plays. A rank binds a
+// role's plan the first time it plays the role and keeps the instance
+// for the rest of the run; only a rank that becomes the root after a
+// shrink (or stops being it after a grow) ever holds two.
+func (st *runState) graph(r *mpi.Rank) *sched.Graph {
+	role := roleWorker
+	if st.isRoot(r) {
+		role = roleRoot
+	}
+	g := &st.graphs[r.ID][role]
+	if *g == nil {
+		*g = st.plans[role].Bind(r)
+	}
+	return *g
 }
 
 // buildSCB is the S-Caffe Basic policy (Section 4.1): blocking
 // CUDA-aware broadcast of the packed parameters, sequential
 // forward/backward, blocking reduce of the packed gradients. CaffeMT
-// shares this graph (its transfers resolve to intra-node IPC and its
+// shares this plan (its transfers resolve to intra-node IPC and its
 // data plane is the single shared reader).
-func (st *runState) buildSCB(g *sched.Graph, r *mpi.Rank) {
-	w := st.wl[r.ID]
-	root := st.isRoot(r)
-	st.addDataWait(g, r, w)
-	g.Add(0, sched.Pack, "propagation", "pack-params", func(x *sched.Ctx) {
+func (st *runState) buildSCB(p *sched.Plan, root bool) {
+	st.addDataWait(p)
+	p.Add(0, sched.Pack, "propagation", "pack-params", func(x *sched.Ctx) {
 		if root {
-			w.packParams()
+			st.wl[x.R.ID].packParams()
 		}
 	})
-	g.Add(0, sched.WaitBcast, "propagation", "bcast-params", func(x *sched.Ctx) {
-		x.R.Bcast(st.comm, 0, w.packedParams, topology.ModeAuto)
+	p.Add(0, sched.WaitBcast, "propagation", "bcast-params", func(x *sched.Ctx) {
+		x.R.Bcast(st.comm, 0, st.wl[x.R.ID].packedParams, topology.ModeAuto)
 	})
-	g.Add(0, sched.Unpack, "propagation", "unpack-params", func(x *sched.Ctx) {
+	p.Add(0, sched.Unpack, "propagation", "unpack-params", func(x *sched.Ctx) {
 		if !root {
-			w.unpackParams()
+			st.wl[x.R.ID].unpackParams()
 		}
 	})
-	st.addForward(g, w)
-	st.addBackward(g, w)
-	g.Add(0, sched.Reduce, "aggregation", "reduce-grads", func(x *sched.Ctx) {
-		st.red.Reduce(x.R, w.packedGrads, tagPackedReduce)
+	st.addForward(p)
+	st.addBackward(p)
+	p.Add(0, sched.Reduce, "aggregation", "reduce-grads", func(x *sched.Ctx) {
+		st.red.Reduce(x.R, st.wl[x.R.ID].packedGrads, tagPackedReduce)
 	})
 	if root {
-		st.addUpdate(g, w, st.workerCount())
+		st.addUpdate(p)
 	}
 }
 
 // buildSCOB is SC-B plus the overlapped multi-stage data propagation
 // (Section 4.2): every layer's Ibcast is posted up front and each wait
 // sits immediately before the layer that consumes the data.
-func (st *runState) buildSCOB(g *sched.Graph, r *mpi.Rank) {
-	w := st.wl[r.ID]
-	root := st.isRoot(r)
-	st.addDataWait(g, r, w)
-	slots, drain := st.addPostPropagation(g, r, w)
-	st.addOverlappedForward(g, w, slots, root)
-	st.addBackward(g, w)
-	g.Add(0, sched.Reduce, "aggregation", "reduce-grads", func(x *sched.Ctx) {
-		st.red.Reduce(x.R, w.packedGrads, tagPackedReduce)
+func (st *runState) buildSCOB(p *sched.Plan, root bool) {
+	st.addDataWait(p)
+	slots, drain := st.addPostPropagation(p, root)
+	st.addOverlappedForward(p, slots, root)
+	st.addBackward(p)
+	p.Add(0, sched.Reduce, "aggregation", "reduce-grads", func(x *sched.Ctx) {
+		st.red.Reduce(x.R, st.wl[x.R.ID].packedGrads, tagPackedReduce)
 	})
 	if root {
-		st.addDrainSends(g, drain)
-		st.addUpdate(g, w, st.workerCount())
+		st.addDrainSends(p, drain)
+		st.addUpdate(p)
 	}
 }
 
@@ -98,51 +123,51 @@ func (st *runState) buildSCOB(g *sched.Graph, r *mpi.Rank) {
 // depends on the helper node that produced its gradients, so layer n's
 // reduce overlaps layer n−1's backward compute. SC-OBR-F shares this
 // builder — normalization guarantees it always has buckets.
-func (st *runState) buildSCOBR(g *sched.Graph, r *mpi.Rank) {
-	w := st.wl[r.ID]
-	root := st.isRoot(r)
-	nLayers := len(st.cfg.Spec.Layers)
-	st.addDataWait(g, r, w)
-	slots, drain := st.addPostPropagation(g, r, w)
-	st.addOverlappedForward(g, w, slots, root)
+func (st *runState) buildSCOBR(p *sched.Plan, root bool) {
+	layers := st.cfg.Spec.Layers
+	st.addDataWait(p)
+	slots, drain := st.addPostPropagation(p, root)
+	st.addOverlappedForward(p, slots, root)
 
-	begin := g.Add(0, sched.Generic, "", "begin-backward", func(x *sched.Ctx) { w.beginBackward() })
-	helper := g.Lane("helper")
-	bwd := make([]*sched.Node, nLayers)
-	for l := nLayers - 1; l >= 0; l-- {
-		bwd[l] = st.addBackwardLayer(g, helper, w, l)
+	begin := p.Add(0, sched.Generic, "", "begin-backward", func(x *sched.Ctx) { st.wl[x.R.ID].beginBackward() })
+	helper := p.Lane("helper")
+	bwd := make([]*sched.Node, len(layers))
+	for l := len(layers) - 1; l >= 0; l-- {
+		bwd[l] = st.addBackwardLayer(p, helper, l)
 	}
-	bwd[nLayers-1].After(begin)
+	bwd[len(layers)-1].After(begin)
 
-	if len(w.buckets) > 0 {
+	// Every workload of a run has the same bucket layout (it follows
+	// from the spec); only the buffers are per rank.
+	if buckets := st.wl[0].buckets; len(buckets) > 0 {
 		// Fused aggregation: a bucket's gradients are complete once its
 		// lowest layer's backward finishes.
-		for bi, b := range w.buckets {
-			bi, bucket := bi, b
-			g.Add(0, sched.Generic, "", st.labels().gradsReadyB[bi], nil).
-				After(bwd[bucket.lo]).WaitingIn("backward")
-			g.Add(0, sched.Reduce, "aggregation", st.labels().reduceB[bi], func(x *sched.Ctx) {
-				st.red.Reduce(x.R, bucket.buf, tagLayerReduce+4*bi)
+		for bi, b := range buckets {
+			bi := bi
+			p.Add(0, sched.Generic, "", st.lbl.gradsReadyB[bi], nil).
+				After(bwd[b.lo]).WaitingIn("backward")
+			p.Add(0, sched.Reduce, "aggregation", st.lbl.reduceB[bi], func(x *sched.Ctx) {
+				st.red.Reduce(x.R, st.wl[x.R.ID].buckets[bi].buf, tagLayerReduce+4*bi)
 			})
 		}
 	} else {
-		for l := nLayers - 1; l >= 0; l-- {
-			if w.layerGrad[l] == nil {
+		for l := len(layers) - 1; l >= 0; l-- {
+			if layers[l].ParamElems == 0 {
 				continue
 			}
 			l := l
-			g.Add(0, sched.Generic, "", st.labels().gradsReady[l], nil).
+			p.Add(0, sched.Generic, "", st.lbl.gradsReady[l], nil).
 				After(bwd[l]).WaitingIn("backward")
-			g.Add(0, sched.Reduce, "aggregation", st.labels().reduce[l], func(x *sched.Ctx) {
-				st.red.Reduce(x.R, w.layerGrad[l], tagLayerReduce+4*l)
+			p.Add(0, sched.Reduce, "aggregation", st.lbl.reduce[l], func(x *sched.Ctx) {
+				st.red.Reduce(x.R, st.wl[x.R.ID].layerGrad[l], tagLayerReduce+4*l)
 			})
 		}
 	}
-	g.Add(0, sched.Generic, "", "join-backward", nil).After(bwd[0]).WaitingIn("backward")
+	p.Add(0, sched.Generic, "", "join-backward", nil).After(bwd[0]).WaitingIn("backward")
 
 	if root {
-		st.addDrainSends(g, drain)
-		st.addUpdate(g, w, st.workerCount())
+		st.addDrainSends(p, drain)
+		st.addUpdate(p)
 	}
 }
 
@@ -152,89 +177,78 @@ func (st *runState) buildSCOBR(g *sched.Graph, r *mpi.Rank) {
 // gradients are staged to the host, ring-allreduced there, staged
 // back, and every rank applies the update locally — the design axes of
 // Table 1.
-func (st *runState) buildCNTK(g *sched.Graph, r *mpi.Rank) {
-	w := st.wl[r.ID]
+func (st *runState) buildCNTK(p *sched.Plan, root bool) {
 	hostOpts := coll.Options{OnGPU: false, HostReduceBW: 20e9, Mode: topology.ModeHost}
-	host := topology.HostOf(r.Dev.ID.Node)
-	st.addDataWait(g, r, w)
-	st.addForward(g, w)
-	st.addBackward(g, w)
-	g.Add(0, sched.Reduce, "aggregation", "host-allreduce", func(x *sched.Ctx) {
+	st.addDataWait(p)
+	st.addForward(p)
+	st.addBackward(p)
+	p.Add(0, sched.Reduce, "aggregation", "host-allreduce", func(x *sched.Ctx) {
 		// Direct cluster transfers reserve the node's shared PCIe/host
 		// links, outside this rank's group: serialize the segment first.
 		x.P.Exclusive()
-		gradBytes := w.packedGrads.Bytes
-		_, end := st.cluster.Transfer(x.P.Now(), r.Dev.ID, host, gradBytes, topology.ModeAuto)
+		grads, dev := st.wl[x.R.ID].packedGrads, x.R.Dev.ID
+		host := topology.HostOf(dev.Node)
+		_, end := st.cluster.Transfer(x.P.Now(), dev, host, grads.Bytes, topology.ModeAuto)
 		x.P.WaitUntil(end)
 		if st.comm.Size() > 1 {
-			coll.RingAllreduce(st.comm, x.R, w.packedGrads, tagPackedReduce, hostOpts)
+			coll.RingAllreduce(st.comm, x.R, grads, tagPackedReduce, hostOpts)
 		}
-		_, end = st.cluster.Transfer(x.P.Now(), host, r.Dev.ID, gradBytes, topology.ModeAuto)
+		_, end = st.cluster.Transfer(x.P.Now(), host, dev, grads.Bytes, topology.ModeAuto)
 		x.P.WaitUntil(end)
 	})
-	st.addLocalUpdate(g, r, w)
+	st.addLocalUpdate(p, root)
 }
 
-// buildPS models the Inspur-style parameter server: rank 0 serves
-// parameters and aggregates gradients sequentially; ranks 1..N−1
-// train. The single server's links and reduce kernels serialize all
-// workers — the scalability argument of Section 3.1.
-func (st *runState) buildPS(g *sched.Graph, r *mpi.Rank) {
-	w := st.wl[r.ID]
+// buildPS models the Inspur-style parameter server: rank 0 (the root
+// role) serves parameters and aggregates gradients sequentially; ranks
+// 1..N−1 train. The single server's links and reduce kernels serialize
+// all workers — the scalability argument of Section 3.1.
+func (st *runState) buildPS(p *sched.Plan, server bool) {
 	workers := st.cfg.GPUs - 1
-	if r.ID == 0 {
-		g.Add(0, sched.PostBcast, "propagation", "serve-params", func(x *sched.Ctx) {
+	if server {
+		p.Add(0, sched.PostBcast, "propagation", "serve-params", func(x *sched.Ctx) {
 			for wk := 1; wk <= workers; wk++ {
-				x.R.Send(st.comm, wk, tagPS, w.packedParams, topology.ModeAuto)
+				x.R.Send(st.comm, wk, tagPS, st.wl[x.R.ID].packedParams, topology.ModeAuto)
 			}
 		})
-		g.Add(0, sched.Reduce, "aggregation", "collect-grads", func(x *sched.Ctx) {
+		p.Add(0, sched.Reduce, "aggregation", "collect-grads", func(x *sched.Ctx) {
 			for wk := 1; wk <= workers; wk++ {
 				x.R.Recv(st.comm, wk, tagPS+1, st.psScratch)
 				_, end := x.R.Dev.LaunchReduce(x.P.Now(), st.psScratch.Bytes)
 				x.P.WaitUntil(end)
 			}
 		})
-		st.addUpdate(g, w, workers)
+		st.addUpdate(p)
 		return
 	}
-	st.addDataWait(g, r, w)
-	g.Add(0, sched.WaitBcast, "propagation", "recv-params", func(x *sched.Ctx) {
-		x.R.Recv(st.comm, 0, tagPS, w.packedParams)
+	st.addDataWait(p)
+	p.Add(0, sched.WaitBcast, "propagation", "recv-params", func(x *sched.Ctx) {
+		x.R.Recv(st.comm, 0, tagPS, st.wl[x.R.ID].packedParams)
 	})
-	st.addForward(g, w)
-	st.addBackward(g, w)
-	g.Add(0, sched.Reduce, "aggregation", "send-grads", func(x *sched.Ctx) {
-		x.R.Send(st.comm, 0, tagPS+1, w.packedGrads, topology.ModeAuto)
+	st.addForward(p)
+	st.addBackward(p)
+	p.Add(0, sched.Reduce, "aggregation", "send-grads", func(x *sched.Ctx) {
+		x.R.Send(st.comm, 0, tagPS+1, st.wl[x.R.ID].packedGrads, topology.ModeAuto)
 	})
 }
 
 // --- shared node factories ------------------------------------------------
 
 // labelTable interns the per-layer (and per-bucket) node labels once
-// per run: every rank's graph uses the same strings, so building 1024
-// rank graphs costs 1024 label constructions instead of ~140k Sprintf
-// calls.
+// per run, before the plans that use them are built.
 type labelTable struct {
 	fwd, bwd, waitBcast, bcastWire, gradsReady, reduce []string
 	gradsReadyB, reduceB                               []string
 }
 
-// labels returns the run's interned label table, building it on first
-// use. First use happens during graph construction — either eagerly in
-// run() or on the cooperatively-scheduled rank procs — so no locking
-// is needed.
-//
-//scaffe:coldpath first-use label interning, cached in st.lbl; every later call returns the table
-func (st *runState) labels() *labelTable {
-	if st.lbl != nil {
-		return st.lbl
-	}
-	n := len(st.cfg.Spec.Layers)
+// newLabelTable builds the labels of an n-layer model with nb gradient
+// buckets.
+func newLabelTable(n, nb int) *labelTable {
 	t := &labelTable{
 		fwd: make([]string, n), bwd: make([]string, n),
 		waitBcast: make([]string, n), bcastWire: make([]string, n),
 		gradsReady: make([]string, n), reduce: make([]string, n),
+		gradsReadyB: make([]string, nb), reduceB: make([]string, nb),
 	}
 	for l := 0; l < n; l++ {
 		d := strconv.Itoa(l)
@@ -245,36 +259,27 @@ func (st *runState) labels() *labelTable {
 		t.gradsReady[l] = "grads-ready:" + d
 		t.reduce[l] = "reduce:" + d
 	}
-	nb := 0
-	for _, w := range st.wl {
-		if len(w.buckets) > nb {
-			nb = len(w.buckets)
-		}
-	}
-	t.gradsReadyB = make([]string, nb)
-	t.reduceB = make([]string, nb)
 	for b := 0; b < nb; b++ {
 		d := strconv.Itoa(b)
 		t.gradsReadyB[b] = "grads-ready:b" + d
 		t.reduceB[b] = "reduce:b" + d
 	}
-	st.lbl = t
 	return t
 }
 
 // addDataWait starts an iteration: the framework's fixed per-iteration
 // overhead (untraced, as in the original accounting), then the blocking
 // read from this rank's reader queue plus the real-mode batch load.
-func (st *runState) addDataWait(g *sched.Graph, r *mpi.Rank, w *workload) {
-	g.Add(0, sched.Generic, "", "iter-overhead", func(x *sched.Ctx) {
+func (st *runState) addDataWait(p *sched.Plan) {
+	p.Add(0, sched.Generic, "", "iter-overhead", func(x *sched.Ctx) {
 		x.P.Sleep(st.cluster.P.IterOverhead)
 	})
-	g.Add(0, sched.DataWait, "data", "data-wait", func(x *sched.Ctx) {
-		if rd := st.readers[r.ID]; rd != nil {
+	p.Add(0, sched.DataWait, "data", "data-wait", func(x *sched.Ctx) {
+		if rd := st.readers[x.R.ID]; rd != nil {
 			rd.Next(x.P)
 		}
-		if w.real() {
-			rankOffset := st.workerIndex(r) * w.localBatch
+		if w := st.wl[x.R.ID]; w.real() {
+			rankOffset := st.workerIndex(x.R) * w.localBatch
 			w.loadBatch(st.cfg.Dataset, x.It, w.localBatch*st.workerCount(), rankOffset)
 		}
 	})
@@ -283,17 +288,21 @@ func (st *runState) addDataWait(g *sched.Graph, r *mpi.Rank, w *workload) {
 // addPostPropagation posts every parameter layer's Ibcast up front
 // (Figure 5's multi-stage on-demand design). It returns per-layer
 // slots (for the consuming layers' waits) and a drain slot holding all
-// requests (for the root's send completion). When tracing, each
-// request's completion hook records the wire-level span of the
-// offloaded broadcast — the overlap Summary measures.
-func (st *runState) addPostPropagation(g *sched.Graph, r *mpi.Rank, w *workload) ([]*sched.Slot, *sched.Slot) {
-	slots := make([]*sched.Slot, len(st.cfg.Spec.Layers))
+// requests (for the root's send completion). Each request is waited
+// exactly where it is consumed — the root gates its update on the drain
+// slot, non-roots gate each layer's forward on that layer's slot — and
+// only a slot some node of the plan is gated on keeps what is put into
+// it. When tracing, each request's completion hook records the
+// wire-level span of the offloaded broadcast — the overlap Summary
+// measures.
+func (st *runState) addPostPropagation(p *sched.Plan, root bool) (slots []*sched.Slot, drain *sched.Slot) {
+	slots = make([]*sched.Slot, len(st.cfg.Spec.Layers))
 	for l := range slots {
 		slots[l] = sched.NewSlot()
 	}
-	drain := sched.NewSlot()
-	g.Add(0, sched.PostBcast, "", "post-bcasts", func(x *sched.Ctx) {
-		root := st.isRoot(r)
+	drain = sched.NewSlot()
+	p.Add(0, sched.PostBcast, "", "post-bcasts", func(x *sched.Ctx) {
+		w := st.wl[x.R.ID]
 		if root {
 			w.packParams()
 		}
@@ -302,18 +311,10 @@ func (st *runState) addPostPropagation(g *sched.Graph, r *mpi.Rank, w *workload)
 				continue
 			}
 			req := x.R.Ibcast(st.comm, 0, buf, topology.ModeAuto)
-			// Each request is waited exactly where it is consumed: the
-			// root gates its update on the drain slot, non-roots gate
-			// each layer's forward on that layer's slot. Filling only
-			// the gated slot keeps re-executed (cached) graphs from
-			// accumulating requests in slots nobody resets.
-			if root {
-				drain.Put(req)
-			} else {
-				slots[l].Put(req)
-			}
+			x.Put(slots[l], req)
+			x.Put(drain, req)
 			if st.cfg.Trace != nil {
-				post, label, rank := x.P.Now(), st.labels().bcastWire[l], r.ID
+				post, label, r := x.P.Now(), st.lbl.bcastWire[l], x.R
 				//scaffe:nolint hotpath trace-only completion hook; timing runs (nil Trace) never build it
 				req.OnComplete(func() {
 					// The hook runs in kernel context at completion
@@ -321,7 +322,7 @@ func (st *runState) addPostPropagation(g *sched.Graph, r *mpi.Rank, w *workload)
 					// completion time — and unlike req.CompletedAt()
 					// it stays correct after the pooled request is
 					// recycled by a later operation.
-					st.cfg.Trace.AddNode(rank, "bcast-wire", label, post, r.Now())
+					st.cfg.Trace.AddNode(r.ID, "bcast-wire", label, post, r.Now())
 				})
 			}
 		}
@@ -332,30 +333,32 @@ func (st *runState) addPostPropagation(g *sched.Graph, r *mpi.Rank, w *workload)
 // addOverlappedForward places each layer's broadcast wait immediately
 // before the layer that consumes the data — too early wastes overlap,
 // too late stalls compute (Section 4.2).
-func (st *runState) addOverlappedForward(g *sched.Graph, w *workload, slots []*sched.Slot, root bool) {
-	g.Add(0, sched.Generic, "", "begin-forward", func(x *sched.Ctx) { w.beginForward() })
-	for l := range st.cfg.Spec.Layers {
-		if w.layerParam[l] != nil && !root {
+func (st *runState) addOverlappedForward(p *sched.Plan, slots []*sched.Slot, root bool) {
+	layers := st.cfg.Spec.Layers
+	p.Add(0, sched.Generic, "", "begin-forward", func(x *sched.Ctx) { st.wl[x.R.ID].beginForward() })
+	for l := range layers {
+		if layers[l].ParamElems != 0 && !root {
 			l := l
-			g.Add(0, sched.WaitBcast, "propagation", st.labels().waitBcast[l], func(x *sched.Ctx) {
-				w.unpackLayerParams(l)
+			p.Add(0, sched.WaitBcast, "propagation", st.lbl.waitBcast[l], func(x *sched.Ctx) {
+				st.wl[x.R.ID].unpackLayerParams(l)
 			}).Gated(slots[l])
 		}
-		st.addForwardLayer(g, w, l)
+		st.addForwardLayer(p, l)
 	}
 }
 
 // addForward runs the full forward pass sequentially.
-func (st *runState) addForward(g *sched.Graph, w *workload) {
-	g.Add(0, sched.Generic, "", "begin-forward", func(x *sched.Ctx) { w.beginForward() })
+func (st *runState) addForward(p *sched.Plan) {
+	p.Add(0, sched.Generic, "", "begin-forward", func(x *sched.Ctx) { st.wl[x.R.ID].beginForward() })
 	for l := range st.cfg.Spec.Layers {
-		st.addForwardLayer(g, w, l)
+		st.addForwardLayer(p, l)
 	}
 }
 
 // addForwardLayer runs one layer's forward kernel (and real math).
-func (st *runState) addForwardLayer(g *sched.Graph, w *workload, l int) *sched.Node {
-	return g.Add(0, sched.ComputeForward, "forward", st.labels().fwd[l], func(x *sched.Ctx) {
+func (st *runState) addForwardLayer(p *sched.Plan, l int) *sched.Node {
+	return p.Add(0, sched.ComputeForward, "forward", st.lbl.fwd[l], func(x *sched.Ctx) {
+		w := st.wl[x.R.ID]
 		flops := st.cfg.Spec.Layers[l].FwdFLOPs * float64(w.localBatch)
 		_, end := x.R.Dev.LaunchCompute(x.P.Now(), flops)
 		w.forwardLayer(l)
@@ -365,18 +368,18 @@ func (st *runState) addForwardLayer(g *sched.Graph, w *workload, l int) *sched.N
 
 // addBackward runs the full backward pass serially on lane 0 (SC-B /
 // SC-OB / the baselines).
-func (st *runState) addBackward(g *sched.Graph, w *workload) {
-	g.Add(0, sched.Generic, "", "begin-backward", func(x *sched.Ctx) { w.beginBackward() })
+func (st *runState) addBackward(p *sched.Plan) {
+	p.Add(0, sched.Generic, "", "begin-backward", func(x *sched.Ctx) { st.wl[x.R.ID].beginBackward() })
 	for l := len(st.cfg.Spec.Layers) - 1; l >= 0; l-- {
-		st.addBackwardLayer(g, 0, w, l)
+		st.addBackwardLayer(p, 0, l)
 	}
 }
 
 // addBackwardLayer runs one layer's backward kernel (and real math) on
 // the given lane.
-func (st *runState) addBackwardLayer(g *sched.Graph, lane int, w *workload, l int) *sched.Node {
-	phase := "backward"
-	return g.Add(lane, sched.ComputeBackward, phase, st.labels().bwd[l], func(x *sched.Ctx) {
+func (st *runState) addBackwardLayer(p *sched.Plan, lane, l int) *sched.Node {
+	return p.Add(lane, sched.ComputeBackward, "backward", st.lbl.bwd[l], func(x *sched.Ctx) {
+		w := st.wl[x.R.ID]
 		flops := st.cfg.Spec.Layers[l].BwdFLOPs * float64(w.localBatch)
 		_, end := x.R.Dev.LaunchCompute(x.P.Now(), flops)
 		w.backwardLayer(l)
@@ -387,31 +390,32 @@ func (st *runState) addBackwardLayer(g *sched.Graph, lane int, w *workload, l in
 // addDrainSends completes the root's outstanding broadcast sends; the
 // root must not modify parameters (ApplyUpdate) while the network may
 // still be reading them.
-func (st *runState) addDrainSends(g *sched.Graph, drain *sched.Slot) {
-	g.Add(0, sched.DrainSends, "propagation", "drain-bcasts", nil).Gated(drain)
+func (st *runState) addDrainSends(p *sched.Plan, drain *sched.Slot) {
+	p.Add(0, sched.DrainSends, "propagation", "drain-bcasts", nil).Gated(drain)
 }
 
 // addUpdate performs the root solver's ApplyUpdate — unpack the
 // reduced gradients, run the SGD arithmetic (scaled to average the
 // per-solver mean gradients), charge the kernel time — followed by the
 // untimed bookkeeping (loss recording, testing, snapshotting).
-func (st *runState) addUpdate(g *sched.Graph, w *workload, workers int) {
-	g.Add(0, sched.Update, "update", "update", func(x *sched.Ctx) {
+func (st *runState) addUpdate(p *sched.Plan) {
+	p.Add(0, sched.Update, "update", "update", func(x *sched.Ctx) {
 		_, end := x.R.Dev.LaunchCompute(x.P.Now(), updateFLOPs(st.cfg.Spec.TotalParams()))
-		if w.real() {
+		if w := st.wl[x.R.ID]; w.real() {
 			w.unpackGrads()
 			// The health gate runs before the step, so poisoned
 			// gradients never reach the parameters (recover mode
 			// unwinds here into a micro-rollback); a quarantined
 			// batch skips its update entirely.
 			if st.integrityCheck(w, x.It) {
-				st.sgds[x.R.ID].Step(w.net, x.It, 1/float32(workers))
+				st.sgds[x.R.ID].Step(w.net, x.It, 1/float32(st.workerCount()))
 				st.noteLastGood(w)
 			}
 		}
 		x.P.WaitUntil(end)
 	})
-	g.Add(0, sched.Generic, "", "post-update", func(x *sched.Ctx) {
+	p.Add(0, sched.Generic, "", "post-update", func(x *sched.Ctx) {
+		w := st.wl[x.R.ID]
 		if w.real() {
 			//scaffe:nolint hotpath losses is pre-sized to cfg.Iterations in run(); append never regrows
 			st.losses = append(st.losses, w.loss())
@@ -425,20 +429,21 @@ func (st *runState) addUpdate(g *sched.Graph, w *workload, workers int) {
 // addLocalUpdate applies the update on this rank (designs whose
 // replicas all hold the averaged gradient); only the root records
 // losses and runs the testing phase.
-func (st *runState) addLocalUpdate(g *sched.Graph, r *mpi.Rank, w *workload) {
-	g.Add(0, sched.Update, "update", "local-update", func(x *sched.Ctx) {
+func (st *runState) addLocalUpdate(p *sched.Plan, root bool) {
+	p.Add(0, sched.Update, "update", "local-update", func(x *sched.Ctx) {
 		_, end := x.R.Dev.LaunchCompute(x.P.Now(), updateFLOPs(st.cfg.Spec.TotalParams()))
-		if w.real() {
+		if w := st.wl[x.R.ID]; w.real() {
 			w.unpackGrads()
-			st.sgds[r.ID].Step(w.net, x.It, 1/float32(st.workerCount()))
+			st.sgds[x.R.ID].Step(w.net, x.It, 1/float32(st.workerCount()))
 		}
 		x.P.WaitUntil(end)
 	})
 	// (No health gate here: integrity in real-compute mode is
 	// restricted to the root-broadcast designs, whose parameter
 	// broadcast is what heals replicas after a rollback.)
-	g.Add(0, sched.Generic, "", "post-update", func(x *sched.Ctx) {
-		if st.isRoot(r) {
+	p.Add(0, sched.Generic, "", "post-update", func(x *sched.Ctx) {
+		if root {
+			w := st.wl[x.R.ID]
 			if w.real() {
 				//scaffe:nolint hotpath losses is pre-sized to cfg.Iterations in run(); append never regrows
 				st.losses = append(st.losses, w.loss())

@@ -45,12 +45,13 @@ type runState struct {
 	// allocated once for the whole run.
 	psScratch *gpu.Buffer
 
-	// graphs caches one iteration graph per rank in fault-free runs
-	// (graph shape depends on comm membership, which only changes when
-	// the fault plane is armed — armed runs rebuild per iteration and
-	// leave this nil). lbl interns the node labels shared by every
-	// rank's graph.
-	graphs []*sched.Graph
+	// plans holds the run's iteration plans, one per role, built once
+	// before the ranks spawn and never rebuilt; graphs[rank][role] is the
+	// rank's instance of a plan, bound the first time the rank plays the
+	// role and kept across iterations and across rebuild() (see
+	// runState.graph). lbl interns the node labels the plans share.
+	plans  [numRoles]*sched.Plan
+	graphs [][numRoles]*sched.Graph
 	lbl    *labelTable
 
 	accuracies []float64
@@ -207,11 +208,7 @@ func run(cfg Config) (*Result, *runState, error) {
 			st.wl = append(st.wl, newWorkload(&cfg, 0)) // server holds buffers only
 			continue
 		}
-		w := newWorkload(&cfg, localBatch)
-		if cfg.BucketBytes > 0 && (cfg.Design == SCOBR || cfg.Design == SCOBRF) {
-			w.buildBuckets(cfg.Spec, cfg.BucketBytes)
-		}
-		st.wl = append(st.wl, w)
+		st.wl = append(st.wl, newWorkload(&cfg, localBatch))
 	}
 	if cfg.Design == ParamServer {
 		st.psScratch = gpu.NewBuffer(st.wl[0].packedGrads.Bytes)
@@ -235,11 +232,13 @@ func run(cfg Config) (*Result, *runState, error) {
 		}
 	}
 	st.buildReaders(k, localBatch)
-	if st.ft == nil && cfg.Design != ModelParallel {
-		st.graphs = make([]*sched.Graph, cfg.GPUs)
-		// Intern the node labels before the rank procs build their
-		// graphs (possibly concurrently under the parallel kernel).
-		st.labels()
+	if cfg.Design != ModelParallel {
+		// The whole run's graph construction: every rank, fault-free or
+		// armed, executes one of these two plans.
+		st.lbl = newLabelTable(len(cfg.Spec.Layers), len(st.wl[0].buckets))
+		st.plans[roleRoot] = st.buildPlan(true)
+		st.plans[roleWorker] = st.buildPlan(false)
+		st.graphs = make([][numRoles]*sched.Graph, cfg.GPUs)
 	}
 
 	mainFn := func(r *mpi.Rank) {
@@ -262,12 +261,10 @@ func run(cfg Config) (*Result, *runState, error) {
 		if k.Parallel() > 0 {
 			r.Proc.SetGroup(r.ID)
 		}
-		// Fault-free membership never changes, so the rank's graph is
-		// built once and re-executed with the iteration threaded through
-		// sched.Ctx.It. Each rank writes only its own slot, so the cache
-		// is safe under the parallel kernel too.
-		g := st.buildIteration(r)
-		st.graphs[r.ID] = g
+		// Fault-free membership never changes, so neither does the
+		// rank's role. Each rank writes only its own st.graphs entry, so
+		// binding is safe under the parallel kernel too.
+		g := st.graph(r)
 		for it := cfg.StartIteration; it < cfg.Iterations; it++ {
 			g.Execute(sink, it)
 		}

@@ -129,12 +129,36 @@ func TestCrashOfRootRank(t *testing.T) {
 	// Rank 0 is the root solver: its death must hand the update role
 	// to the shrunken communicator's new rank 0.
 	cfg.Faults = fault.Schedule{{At: mid, Kind: fault.Crash, Rank: 0}}
-	res, err := Run(cfg)
+	res, st, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Fault.Survivors != 7 || len(res.Fault.Recoveries) != 1 {
 		t.Fatalf("report = %v", res.Fault)
+	}
+	// Golden: the total the per-iteration graph rebuild produced for
+	// this drill, before iterations ran from shared plans.
+	if golden := sim.Time(69307424); res.TotalTime != golden {
+		t.Errorf("total time = %d, golden %d", res.TotalTime, golden)
+	}
+	// The run built one plan per role and nothing rebuilt them: every
+	// instance any rank ever bound — before the rebuild or after — points
+	// at the run's plan for its role. Rank 1 trained as a worker, took
+	// the root role over in the rebuild and bound the root plan then;
+	// nobody else changed roles.
+	if st.rootRank() != 1 {
+		t.Fatalf("root moved to rank %d, want 1", st.rootRank())
+	}
+	for id, byRole := range st.graphs {
+		for role, g := range byRole {
+			played := role == roleWorker && id != 0 || role == roleRoot && id <= 1
+			switch {
+			case (g != nil) != played:
+				t.Errorf("rank %d role %d: instance bound = %v, want %v", id, role, g != nil, played)
+			case g != nil && g.Plan() != st.plans[role]:
+				t.Errorf("rank %d role %d runs a plan of its own, not the run's", id, role)
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"scaffe/internal/coll"
 	"scaffe/internal/data"
@@ -213,7 +214,7 @@ func (st *runState) tryCatchup(r *mpi.Rank) (ok bool) {
 			w.packParams()
 			st.catchupHist = st.sgds[r.ID].PackHistory(w.net, st.catchupHist)
 		}
-	} else if intsContain(st.lastAdmitted, r.ID) {
+	} else if slices.Contains(st.lastAdmitted, r.ID) {
 		r.Wait(r.IjoinAck(st.comm, tagJoinAck, gpu.NewBuffer(8)))
 	}
 	// Parameters + momentum in one payload, from the root's group rank 0
@@ -321,16 +322,6 @@ func (st *runState) evictStraggler(factor float64) {
 	}
 }
 
-// intsContain reports whether s contains v (tiny membership lists).
-func intsContain(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 // tryIteration runs one iteration graph, converting a revocation
 // panic into a false return. Any other panic (including a kill, which
 // must unwind the whole proc) propagates.
@@ -344,7 +335,7 @@ func (st *runState) tryIteration(r *mpi.Rank, sink *nodeSink, it int) (ok bool) 
 			panic(rec)
 		}
 	}()
-	st.buildIteration(r).Execute(sink, it)
+	st.graph(r).Execute(sink, it)
 	return true
 }
 
@@ -416,11 +407,7 @@ func (st *runState) rebuild() int {
 	// Re-shard: the global batch redistributes over the survivors.
 	newLocal := cfg.localBatch(len(alive))
 	for _, id := range alive {
-		w := newWorkload(cfg, newLocal)
-		if cfg.BucketBytes > 0 && (cfg.Design == SCOBR || cfg.Design == SCOBRF) {
-			w.buildBuckets(cfg.Spec, cfg.BucketBytes)
-		}
-		st.wl[id] = w
+		st.wl[id] = newWorkload(cfg, newLocal)
 	}
 
 	// Restore. Real mode rolls back to the latest on-disk snapshot

@@ -31,6 +31,8 @@ type workload struct {
 	// buckets optionally coalesce consecutive layers' gradients into
 	// fused reduction units (Config.BucketBytes).
 	buckets []gradBucket
+	// bufs is the arena the timing-mode buffers above are carved from.
+	bufs []gpu.Buffer
 
 	// Real-mode activation threading. input and labels are persistent
 	// batch buffers refilled in place each iteration.
@@ -41,11 +43,18 @@ type workload struct {
 }
 
 // newWorkload builds the buffers (and, in real mode, the network) for
-// one rank. All ranks use the same seed so replicas start identical,
-// as Caffe's root-broadcast initialization guarantees.
+// one rank, gradient buckets included when the design fuses reductions.
+// All ranks use the same seed so replicas start identical, as Caffe's
+// root-broadcast initialization guarantees.
 func newWorkload(cfg *Config, localBatch int) *workload {
-	w := &workload{spec: cfg.Spec, localBatch: localBatch}
+	layers := cfg.Spec.Layers
+	w := &workload{
+		spec: cfg.Spec, localBatch: localBatch,
+		layerParam: make([]*gpu.Buffer, len(layers)),
+		layerGrad:  make([]*gpu.Buffer, len(layers)),
+	}
 	total := cfg.Spec.TotalParams()
+	bucketed := cfg.BucketBytes > 0 && (cfg.Design == SCOBR || cfg.Design == SCOBRF)
 	if cfg.RealNet != nil {
 		w.net = cfg.RealNet(localBatch, cfg.Seed)
 		w.paramData = make([]float32, total)
@@ -53,26 +62,48 @@ func newWorkload(cfg *Config, localBatch int) *workload {
 		w.packedParams = gpu.WrapData(w.paramData)
 		w.packedGrads = gpu.WrapData(w.gradData)
 	} else {
-		w.packedParams = gpu.NewBuffer(int64(total) * 4)
-		w.packedGrads = gpu.NewBuffer(int64(total) * 4)
+		// Two packed buffers, two per parameter layer, and at most one
+		// bucket per parameter layer.
+		n, perLayer := 2, 2
+		if bucketed {
+			perLayer = 3
+		}
+		for _, l := range layers {
+			if l.ParamElems != 0 {
+				n += perLayer
+			}
+		}
+		w.bufs = make([]gpu.Buffer, 0, n)
+		w.packedParams = w.carve(total)
+		w.packedGrads = w.carve(total)
 	}
 	off := 0
-	for _, l := range cfg.Spec.Layers {
+	for i, l := range layers {
 		if l.ParamElems == 0 {
-			w.layerParam = append(w.layerParam, nil)
-			w.layerGrad = append(w.layerGrad, nil)
 			continue
 		}
-		if cfg.RealNet != nil {
-			w.layerParam = append(w.layerParam, w.packedParams.Slice(off, off+l.ParamElems))
-			w.layerGrad = append(w.layerGrad, w.packedGrads.Slice(off, off+l.ParamElems))
+		if w.real() {
+			w.layerParam[i] = w.packedParams.Slice(off, off+l.ParamElems)
+			w.layerGrad[i] = w.packedGrads.Slice(off, off+l.ParamElems)
 		} else {
-			w.layerParam = append(w.layerParam, gpu.NewBuffer(int64(l.ParamElems)*4))
-			w.layerGrad = append(w.layerGrad, gpu.NewBuffer(int64(l.ParamElems)*4))
+			w.layerParam[i] = w.carve(l.ParamElems)
+			w.layerGrad[i] = w.carve(l.ParamElems)
 		}
 		off += l.ParamElems
 	}
+	if bucketed {
+		w.buildBuckets(cfg.Spec, cfg.BucketBytes)
+	}
 	return w
+}
+
+// carve returns a payload-free buffer of the given element count from
+// the rank's arena (timing mode), so a rank's buffers cost one
+// allocation instead of one each. Buffers are immutable descriptors, so
+// an arena that outgrows its capacity merely costs one more allocation.
+func (w *workload) carve(elems int) *gpu.Buffer {
+	w.bufs = append(w.bufs, gpu.Buffer{Bytes: int64(elems) * 4})
+	return &w.bufs[len(w.bufs)-1]
 }
 
 // gradBucket is one fused reduction unit: the gradients of layers
@@ -85,7 +116,7 @@ type gradBucket struct {
 // buildBuckets groups consecutive parameter layers until each bucket
 // holds at least bucketBytes of gradients. Real-mode buckets are views
 // into the contiguous packed gradient buffer; timing-mode buckets are
-// fresh logical buffers of the combined size.
+// logical buffers of the combined size.
 func (w *workload) buildBuckets(spec *models.Spec, bucketBytes int64) {
 	w.buckets = nil
 	offsets := make([]int, len(spec.Layers)+1)
@@ -102,7 +133,7 @@ func (w *workload) buildBuckets(spec *models.Spec, bucketBytes int64) {
 		if w.real() {
 			b.buf = w.packedGrads.Slice(offsets[lo], offsets[hi+1])
 		} else {
-			b.buf = gpu.NewBuffer(int64(elems) * 4)
+			b.buf = w.carve(elems)
 		}
 		w.buckets = append(w.buckets, b)
 		lo, elems = -1, 0

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 
 	"scaffe/internal/sim"
 )
@@ -468,7 +469,7 @@ func (pl *Plane) announce(rank int) *sim.Completion {
 	if pl.admitDone == nil {
 		pl.admitDone = pl.k.NewCompletion()
 	}
-	if !intsContain(pl.pending, rank) && !intsContain(pl.admitting, rank) {
+	if !slices.Contains(pl.pending, rank) && !slices.Contains(pl.admitting, rank) {
 		pl.pending = append(pl.pending, rank)
 	}
 	return pl.admitDone
@@ -478,7 +479,7 @@ func (pl *Plane) announce(rank int) *sim.Completion {
 // whether it was withdrawable. Announces locked in by BeginGrow are
 // not — their admission commits with the round.
 func (pl *Plane) withdraw(rank int) bool {
-	if intsContain(pl.admitting, rank) {
+	if slices.Contains(pl.admitting, rank) {
 		return false
 	}
 	for i, r := range pl.pending {
@@ -553,15 +554,6 @@ func (pl *Plane) Admitted() []int { return pl.admitted }
 // AnnouncedAt returns the announce time of rank's current join record
 // (valid inside the rebuild hook for admitted ranks).
 func (pl *Plane) AnnouncedAt(rank int) sim.Time { return pl.joinRec[rank].AnnouncedAt }
-
-func intsContain(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
 
 // Revoke revokes the communicator without a dead rank behind it — the
 // integrity plane's escalation path when a chunk stays corrupted past
@@ -682,7 +674,7 @@ func (pl *Plane) checkRelease() {
 	pl.takeJoins(pl.pending)
 	pl.admitting = pl.admitting[:0]
 	pl.pending = pl.pending[:0]
-	sortInts(pl.admitted)
+	slices.Sort(pl.admitted)
 	pl.revoked = false
 	// A committed round restores consistency (rollback or rebuild), so
 	// earlier payload loss no longer dooms in-flight waits.
@@ -731,16 +723,6 @@ func (pl *Plane) takeJoins(list []int) {
 		pl.evicted[r] = false
 		pl.departed[r] = false
 		pl.admitted = append(pl.admitted, r)
-	}
-}
-
-// sortInts is an allocation-free insertion sort for the tiny admitted
-// slice (a handful of ranks at most).
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
 	}
 }
 

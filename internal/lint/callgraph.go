@@ -18,7 +18,7 @@ import (
 //   - calls through function-typed struct fields, edged to every
 //     function value ever stored into that field anywhere in the load —
 //     including values that flow through one parameter into a field
-//     store (sched.Graph.Add storing its action argument into
+//     store (sched.Plan.Add storing its action argument into
 //     Node.action is the motivating case);
 //   - bare references (method values, callback registrations, function
 //     arguments): mentioning a module function without calling it is

@@ -6,7 +6,13 @@
 // communication is posted and waited relative to per-layer compute —
 // the axis along which the paper's designs differ (Sections 4.1–4.3).
 //
-// A graph holds one or more lanes. Lane 0 runs inline on the rank's
+// A graph is two things. The Plan is the immutable part — nodes,
+// lanes, labels, dependency and gate indices, actions — built once and
+// shared by every rank that plays the same role; the Graph is one
+// rank's small mutable instance of it (gate requests, node completions)
+// and is what Execute runs, iteration after iteration.
+//
+// A plan holds one or more lanes. Lane 0 runs inline on the rank's
 // main proc; every additional lane becomes a simulated thread inside
 // the rank (SC-OBR's backward helper). Within a lane, nodes run in
 // insertion order; cross-lane edges (Node.After) and request gates
@@ -82,33 +88,40 @@ func (k Kind) String() string {
 // Ctx is what a node's action receives: the rank the graph runs on,
 // the proc executing this node (the rank's main proc for lane 0, the
 // lane's own thread otherwise), and the iteration the graph is being
-// executed for. Graphs are built once and executed per iteration, so
-// anything iteration-dependent must come from It, not from values
-// captured at construction time.
+// executed for. A plan is built once and executed by many ranks for
+// many iterations, so an action may capture only what every rank and
+// iteration of its plan share: anything per-rank is looked up through
+// R, anything per-iteration comes from It.
 type Ctx struct {
 	R  *mpi.Rank
 	P  *sim.Proc
 	It int
+
+	g *Graph
+}
+
+// Put hands a request to the nodes gated on slot s. Nil requests are
+// ignored, and so is a slot no node of the executing plan is gated on:
+// nobody would wait for its requests or reset them.
+func (x *Ctx) Put(s *Slot, req *mpi.Request) {
+	if req != nil && s.p == x.g.plan {
+		//scaffe:nolint hotpath request lists reset to [:0] each Execute; append reuses high-water capacity
+		x.g.reqs[s.id] = append(x.g.reqs[s.id], req)
+	}
 }
 
 // Slot carries MPI requests from the node that creates them to the
 // nodes gated on their completion. Requests exist only once the
 // producing node has executed, so edges reference the slot, not the
-// request.
+// request. The slot itself is a plan-level name; the requests live in
+// each executing Graph.
 type Slot struct {
-	reqs []*mpi.Request
+	p  *Plan // the plan whose nodes are gated on the slot; nil until one is
+	id int   // index into the Graph.reqs of p's instances
 }
 
-// NewSlot returns an empty slot.
+// NewSlot returns a slot no node is gated on yet.
 func NewSlot() *Slot { return &Slot{} }
-
-// Put appends a request; nil requests are ignored.
-func (s *Slot) Put(req *mpi.Request) {
-	if req != nil {
-		//scaffe:nolint hotpath slots reset to [:0] each Execute; append reuses high-water capacity
-		s.reqs = append(s.reqs, req)
-	}
-}
 
 // Tracer receives one span per node execution: the action span under
 // the node's phase, and a separate "<label>/wait" span for time spent
@@ -117,26 +130,28 @@ type Tracer interface {
 	NodeSpan(lane int, kind Kind, phase, label string, start, end sim.Time)
 }
 
-// Node is one step of the iteration graph.
+// Node is one step of a plan. Nodes are written only while the plan is
+// being built; execution reads them from many ranks at once.
 type Node struct {
-	g         *Graph
+	p         *Plan
 	kind      Kind
 	label     string
-	waitLabel string // label + "/wait", built lazily on first emission
+	waitLabel string // label + "/wait"
 	phase     string // phase charged for action time; "" = untraced
 	waitPhase string // phase charged for dependency-wait time
 	lane      int
-	index     int
+	index     int // position within the lane
+	id        int // position within the plan: the node's completion in Graph.done
 	action    func(*Ctx)
-	deps      []*Node
-	gates     []*Slot
-	done      *sim.Completion
+	deps      []int // ids of the cross-lane nodes this one waits for
+	gates     []int // ids of the slots this one waits for
 }
 
 // After adds dependency edges. Same-lane edges to earlier nodes are
 // implicit (lanes run in insertion order) and ignored; a same-lane edge
 // to a later node would deadlock the lane and panics immediately.
 func (n *Node) After(deps ...*Node) *Node {
+	n.p.building(n.label)
 	for _, d := range deps {
 		if d == nil {
 			continue
@@ -147,7 +162,7 @@ func (n *Node) After(deps ...*Node) *Node {
 			}
 			continue
 		}
-		n.deps = append(n.deps, d)
+		n.deps = append(n.deps, d.id)
 	}
 	return n
 }
@@ -156,11 +171,21 @@ func (n *Node) After(deps ...*Node) *Node {
 // action runs. Gates use Rank.Wait (which progresses CPU-deferred
 // requests), so they are lane-0 only.
 func (n *Node) Gated(slots ...*Slot) *Node {
+	n.p.building(n.label)
 	if n.lane != 0 {
 		panic(fmt.Sprintf("sched: node %q gated on lane %d; request gates need the rank's main proc", n.label, n.lane))
 	}
-	n.gates = append(n.gates, slots...)
-	n.g.slots = append(n.g.slots, slots...)
+	for _, s := range slots {
+		switch s.p {
+		case nil:
+			s.p, s.id = n.p, n.p.slots
+			n.p.slots++
+		case n.p:
+		default:
+			panic(fmt.Sprintf("sched: node %q gated on a slot of another plan", n.label))
+		}
+		n.gates = append(n.gates, s.id)
+	}
 	return n
 }
 
@@ -168,65 +193,113 @@ func (n *Node) Gated(slots ...*Slot) *Node {
 // phase than its action (SC-OBR waits for a backward layer in
 // "backward", then reduces in "aggregation").
 func (n *Node) WaitingIn(phase string) *Node {
+	n.p.building(n.label)
 	n.waitPhase = phase
 	return n
 }
 
-// Graph is one iteration's dependency graph for one rank. Building a
-// graph is pure construction — it can be reused across iterations by
-// calling Execute repeatedly with different iteration numbers.
-type Graph struct {
-	r         *mpi.Rank
+// Plan is the immutable description of one iteration: what runs, on
+// which lane, after what. Build it, Seal it, then Bind it to any number
+// of ranks: they may execute it concurrently (the parallel kernel does)
+// because neither Bind nor Execute writes a sealed plan.
+type Plan struct {
 	lanes     [][]*Node
 	laneNames []string
-	joins     []*sim.Completion // per-Execute scratch
-	// slots lists every gated slot once per Gated registration, so
-	// Execute's per-iteration reset touches only the slots instead of
-	// walking every node.
-	slots []*Slot
+	nodes     int // nodes added, across lanes
+	slots     int // gated slots
+	sealed    bool
 	// slab is the node arena: nodes are carved from fixed-size chunks
-	// instead of allocated individually, so a built graph is a handful
-	// of contiguous blocks — cheaper to allocate, cheaper for the
-	// collector to scan, and laid out in execution order for the
-	// per-iteration walk.
+	// instead of allocated individually, so a built plan is a handful
+	// of contiguous blocks laid out in execution order.
 	slab []Node
 }
 
 // nodeSlab is the arena chunk size; chunks must never grow in place
-// (returned *Node pointers are stable for the graph's lifetime).
+// (returned *Node pointers are stable for the plan's lifetime).
 const nodeSlab = 128
 
-// New returns an empty graph for rank r with lane 0 (the rank's main
-// proc) ready.
-func New(r *mpi.Rank) *Graph {
-	return &Graph{r: r, lanes: make([][]*Node, 1), laneNames: []string{"main"}}
+// NewPlan returns an empty plan with lane 0 (the rank's main proc)
+// ready.
+func NewPlan() *Plan {
+	return &Plan{lanes: make([][]*Node, 1), laneNames: []string{"main"}}
+}
+
+// building panics when the plan can no longer change.
+func (p *Plan) building(what string) {
+	if p.sealed {
+		panic(fmt.Sprintf("sched: %q changes a sealed plan", what))
+	}
 }
 
 // Lane allocates an additional lane, executed as a simulated thread
 // inside the rank (mpi.Rank.SpawnThread), and returns its index.
-func (g *Graph) Lane(name string) int {
-	g.lanes = append(g.lanes, nil)
-	g.laneNames = append(g.laneNames, name)
-	return len(g.lanes) - 1
+func (p *Plan) Lane(name string) int {
+	p.building(name)
+	p.lanes = append(p.lanes, nil)
+	p.laneNames = append(p.laneNames, name)
+	return len(p.lanes) - 1
 }
 
 // Add appends a node to the lane. The action may be nil (a pure
 // synchronization point). The wait phase defaults to the action phase;
 // override with WaitingIn.
-func (g *Graph) Add(lane int, kind Kind, phase, label string, action func(*Ctx)) *Node {
-	if lane < 0 || lane >= len(g.lanes) {
+func (p *Plan) Add(lane int, kind Kind, phase, label string, action func(*Ctx)) *Node {
+	p.building(label)
+	if lane < 0 || lane >= len(p.lanes) {
 		panic(fmt.Sprintf("sched: node %q on unknown lane %d", label, lane))
 	}
-	if len(g.slab) == cap(g.slab) {
-		g.slab = make([]Node, 0, nodeSlab)
+	if len(p.slab) == cap(p.slab) {
+		p.slab = make([]Node, 0, nodeSlab)
 	}
-	g.slab = append(g.slab, Node{
-		g: g, kind: kind, label: label, phase: phase, waitPhase: phase,
-		lane: lane, index: len(g.lanes[lane]), action: action,
+	p.slab = append(p.slab, Node{
+		p: p, kind: kind, label: label, waitLabel: label + "/wait", phase: phase, waitPhase: phase,
+		lane: lane, index: len(p.lanes[lane]), id: p.nodes, action: action,
 	})
-	n := &g.slab[len(g.slab)-1]
-	g.lanes[lane] = append(g.lanes[lane], n)
+	p.nodes++
+	n := &p.slab[len(p.slab)-1]
+	p.lanes[lane] = append(p.lanes[lane], n)
 	return n
+}
+
+// Seal ends construction: every later Lane, Add, After, Gated or
+// WaitingIn panics.
+func (p *Plan) Seal() { p.sealed = true }
+
+// Bind returns rank r's instance of the sealed plan.
+func (p *Plan) Bind(r *mpi.Rank) *Graph {
+	if !p.sealed {
+		panic("sched: Bind on a plan still under construction")
+	}
+	return &Graph{plan: p, r: r}
+}
+
+// Graph is one rank's instance of a plan: the per-rank state an
+// execution writes. It is reused across iterations by calling Execute
+// repeatedly with different iteration numbers.
+type Graph struct {
+	plan  *Plan
+	r     *mpi.Rank
+	reqs  [][]*mpi.Request  // per slot, filled by Ctx.Put; nil until the first Execute
+	done  []sim.Completion  // per node; nil on single-lane plans
+	joins []*sim.Completion // per-Execute scratch
+}
+
+// New returns an empty private plan together with rank r's instance of
+// it, with lane 0 (the rank's main proc) ready: build it through Lane
+// and Add. The first Execute seals the plan.
+func New(r *mpi.Rank) *Graph {
+	return &Graph{plan: NewPlan(), r: r}
+}
+
+// Plan returns the plan the graph is an instance of.
+func (g *Graph) Plan() *Plan { return g.plan }
+
+// Lane is Plan.Lane on a New graph's private plan.
+func (g *Graph) Lane(name string) int { return g.plan.Lane(name) }
+
+// Add is Plan.Add on a New graph's private plan.
+func (g *Graph) Add(lane int, kind Kind, phase, label string, action func(*Ctx)) *Node {
+	return g.plan.Add(lane, kind, phase, label, action)
 }
 
 // Execute runs the graph to completion on the rank's procs for
@@ -234,37 +307,45 @@ func (g *Graph) Add(lane int, kind Kind, phase, label string, action func(*Ctx))
 // inline on the calling rank's main proc, and Execute returns only
 // after every lane's last node has finished. tracer may be nil.
 //
-// A graph may be executed repeatedly (the engine caches one graph per
-// rank and re-runs it every iteration): each Execute resets the gate
-// slots, and — on multi-lane graphs — re-initializes the per-node
-// completions, whose generation bump dissolves any reference left over
-// from an abandoned (Revoked-unwound) previous execution. Single-lane
-// graphs have no cross-lane edges and skip completions entirely.
+// Each Execute starts clean: it empties the gate slots and
+// re-initializes the node completions, whose generation bump dissolves
+// any reference left over from an abandoned (Revoked-unwound) previous
+// execution.
 func (g *Graph) Execute(tracer Tracer, it int) {
-	k := g.r.W.K
-	multiLane := len(g.lanes) > 1
-	for _, s := range g.slots {
-		s.reqs = s.reqs[:0]
-	}
-	if multiLane {
-		for _, lane := range g.lanes {
-			for _, n := range lane {
-				if n.done == nil {
-					n.done = k.NewCompletion()
-				} else {
-					n.done.Init(k)
-				}
-			}
+	pl := g.plan
+	if g.reqs == nil {
+		// First execution: the plan is complete (Bind demands a sealed
+		// one, a New graph's is sealed here — a shared plan must not be
+		// written), so size the instance. Single-lane plans have no
+		// cross-lane edges and skip completions entirely.
+		if !pl.sealed {
+			pl.Seal()
+		}
+		g.reqs = make([][]*mpi.Request, pl.slots)
+		if len(pl.lanes) > 1 {
+			g.done = make([]sim.Completion, pl.nodes)
 		}
 	}
+	k := g.r.W.K
+	for i := range g.reqs {
+		g.reqs[i] = g.reqs[i][:0]
+	}
+	for i := range g.done {
+		g.done[i].Init(k)
+	}
 	joins := g.joins[:0]
-	for li := 1; li < len(g.lanes); li++ {
-		nodes := g.lanes[li]
+	if len(pl.lanes) > 1 {
+		// Spawning a thread writes the kernel's proc table and event
+		// queue, outside every group.
+		g.r.Proc.Exclusive()
+	}
+	for li := 1; li < len(pl.lanes); li++ {
+		nodes := pl.lanes[li]
 		if len(nodes) == 0 {
 			continue
 		}
-		joins = append(joins, nodes[len(nodes)-1].done)
-		g.r.SpawnThread(g.laneNames[li], func(p *sim.Proc) {
+		joins = append(joins, &g.done[nodes[len(nodes)-1].id])
+		g.r.SpawnThread(pl.laneNames[li], func(p *sim.Proc) {
 			// A revoked communicator unwinds helper lanes quietly:
 			// recovery belongs to the main lane, which observes the
 			// same revocation through its own waits.
@@ -273,15 +354,15 @@ func (g *Graph) Execute(tracer Tracer, it int) {
 					panic(rec)
 				}
 			}()
-			ctx := Ctx{R: g.r, P: p, It: it}
+			ctx := Ctx{R: g.r, P: p, It: it, g: g}
 			for _, n := range nodes {
 				g.runNode(n, &ctx, tracer)
 			}
 		})
 	}
 	g.joins = joins
-	ctx := Ctx{R: g.r, P: g.r.Proc, It: it}
-	for _, n := range g.lanes[0] {
+	ctx := Ctx{R: g.r, P: g.r.Proc, It: it, g: g}
+	for _, n := range pl.lanes[0] {
 		g.runNode(n, &ctx, tracer)
 	}
 	// Safety net: a well-formed graph orders lane 0 after its helpers
@@ -296,7 +377,7 @@ func (g *Graph) Execute(tracer Tracer, it int) {
 // all timestamp bookkeeping — it exists only to position spans.
 //
 // runNode is the steady-state iteration's root: every node action the
-// engine registers (Graph.Add stores the callback into Node.action)
+// engine registers (Plan.Add stores the callback into Node.action)
 // runs under it once per iteration, so the hotpath obligation declared
 // here propagates through the call graph into those closures and
 // everything they reach.
@@ -308,31 +389,31 @@ func (g *Graph) runNode(n *Node, ctx *Ctx, tracer Tracer) {
 		for _, d := range n.deps {
 			// Lane-0 predecessors have almost always fired already;
 			// checking inline skips two call frames per satisfied edge.
-			if !d.done.Fired() {
-				g.r.WaitDep(p, d.done)
+			if done := &g.done[d]; !done.Fired() {
+				g.r.WaitDep(p, done)
 			}
 		}
 		for _, s := range n.gates {
-			for _, req := range s.reqs {
+			for _, req := range g.reqs[s] {
 				g.r.Wait(req)
 			}
 		}
 		if n.action != nil {
 			n.action(ctx)
 		}
-		if n.done != nil {
-			n.done.FireFrom(p)
+		if g.done != nil {
+			g.done[n.id].FireFrom(p)
 		}
 		return
 	}
 	start := p.Now()
 	for _, d := range n.deps {
-		if !d.done.Fired() {
-			g.r.WaitDep(p, d.done)
+		if done := &g.done[d]; !done.Fired() {
+			g.r.WaitDep(p, done)
 		}
 	}
 	for _, s := range n.gates {
-		for _, req := range s.reqs {
+		for _, req := range g.reqs[s] {
 			g.r.Wait(req)
 		}
 	}
@@ -340,10 +421,6 @@ func (g *Graph) runNode(n *Node, ctx *Ctx, tracer Tracer) {
 		// The shared trace sink is outside every group: a batched
 		// segment serializes before emitting.
 		p.Exclusive()
-		if n.waitLabel == "" {
-			//scaffe:nolint hotpath built once per node on the first traced wait, then cached
-			n.waitLabel = n.label + "/wait"
-		}
 		tracer.NodeSpan(n.lane, n.kind, n.waitPhase, n.waitLabel, start, waited)
 	}
 	at := p.Now()
@@ -354,7 +431,7 @@ func (g *Graph) runNode(n *Node, ctx *Ctx, tracer Tracer) {
 		p.Exclusive()
 		tracer.NodeSpan(n.lane, n.kind, n.phase, n.label, at, end)
 	}
-	if n.done != nil {
-		n.done.FireFrom(p)
+	if g.done != nil {
+		g.done[n.id].FireFrom(p)
 	}
 }

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"scaffe/internal/gpu"
@@ -147,7 +149,7 @@ func TestRequestGateWaitsTransfer(t *testing.T) {
 		g := New(r)
 		slot := NewSlot()
 		g.Add(0, PostBcast, "", "post", func(x *Ctx) {
-			slot.Put(x.R.Isend(comm, 1, 9, gpu.NewBuffer(bytes), topology.ModeAuto))
+			x.Put(slot, x.R.Isend(comm, 1, 9, gpu.NewBuffer(bytes), topology.ModeAuto))
 		})
 		g.Add(0, DrainSends, "propagation", "drain", nil).Gated(slot)
 		g.Execute(tr, 0)
@@ -164,12 +166,52 @@ func TestRequestGateWaitsTransfer(t *testing.T) {
 	}
 }
 
-func TestSlotIgnoresNilRequests(t *testing.T) {
-	s := NewSlot()
-	s.Put(nil)
-	if len(s.reqs) != 0 {
-		t.Error("nil request stored")
+// TestPutIgnoresNilAndUngatedSlots pins what Ctx.Put drops: a nil
+// request, and any request for a slot no node of the executing plan
+// waits on — never gated at all, or gated by another plan.
+func TestPutIgnoresNilAndUngatedSlots(t *testing.T) {
+	w := newWorld(2)
+	comm := w.WorldComm()
+	_, err := w.Run(func(r *mpi.Rank) {
+		if r.ID == 1 {
+			for i := 0; i < 3; i++ {
+				r.Recv(comm, 0, 9, gpu.NewBuffer(8))
+			}
+			return
+		}
+		other := NewPlan()
+		foreign := NewSlot()
+		other.Add(0, DrainSends, "", "drain", nil).Gated(foreign)
+
+		g := New(r)
+		slot, ungated := NewSlot(), NewSlot()
+		g.Add(0, PostBcast, "", "post", func(x *Ctx) {
+			send := func() *mpi.Request { return x.R.Isend(comm, 1, 9, gpu.NewBuffer(8), topology.ModeAuto) }
+			x.Put(slot, nil)
+			x.Put(slot, send())
+			x.Put(ungated, send())
+			x.Put(foreign, send())
+		})
+		g.Add(0, DrainSends, "propagation", "drain", nil).Gated(slot)
+		g.Execute(nil, 0)
+		if len(g.reqs) != 1 || len(g.reqs[slot.id]) != 1 {
+			t.Errorf("instance holds %d slots, %d requests in the gated one; want 1 and 1", len(g.reqs), len(g.reqs[slot.id]))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+}
+
+func TestGatingAnotherPlansSlotPanics(t *testing.T) {
+	slot := NewSlot()
+	NewPlan().Add(0, Generic, "", "a", nil).Gated(slot)
+	defer func() {
+		if recover() == nil {
+			t.Error("gating a slot another plan owns should panic")
+		}
+	}()
+	NewPlan().Add(0, Generic, "", "b", nil).Gated(slot)
 }
 
 func TestForwardSameLaneDependencyPanics(t *testing.T) {
@@ -221,5 +263,206 @@ func TestKindStrings(t *testing.T) {
 	}
 	if Kind(99).String() != "unknown" {
 		t.Error("out-of-range kind should stringify as unknown")
+	}
+}
+
+// obrShape builds SC-OBR's shape on p: a ring exchange posted up front
+// and drained at the end through a slot, backward layers on a helper
+// lane, and one main-lane reduce per layer waiting for its layer in
+// another phase. Every duration depends on the executing rank and the
+// iteration, so a plan that leaked one rank's or one iteration's state
+// into another would move a span.
+func obrShape(p *Plan, comm *mpi.Comm, ranks int) {
+	const layers, bytes = 3, 1 << 20
+	slot := NewSlot()
+	p.Add(0, PostBcast, "", "post", func(x *Ctx) {
+		x.Put(slot, x.R.Isend(comm, (x.R.ID+1)%ranks, x.It, gpu.NewBuffer(bytes), topology.ModeAuto))
+		x.Put(slot, x.R.Irecv(comm, (x.R.ID+ranks-1)%ranks, x.It, gpu.NewBuffer(bytes)))
+	})
+	begin := p.Add(0, Generic, "", "begin", nil)
+	helper := p.Lane("helper")
+	bwd := make([]*Node, layers)
+	for l := layers - 1; l >= 0; l-- {
+		l := l
+		bwd[l] = p.Add(helper, ComputeBackward, "backward", fmt.Sprint("bwd:", l), func(x *Ctx) {
+			x.P.Sleep(sim.Duration(10*(l+1)+x.R.ID+x.It) * sim.Microsecond)
+		})
+	}
+	bwd[layers-1].After(begin)
+	for l := layers - 1; l >= 0; l-- {
+		p.Add(0, Reduce, "aggregation", fmt.Sprint("reduce:", l), func(x *Ctx) {
+			x.P.Sleep(sim.Duration(2+x.R.ID) * sim.Microsecond)
+		}).After(bwd[l]).WaitingIn("backward")
+	}
+	p.Add(0, DrainSends, "propagation", "drain", nil).Gated(slot)
+}
+
+// runShape executes obrShape on every rank of a fresh world for iters
+// iterations — through one shared plan, or through one sched.New graph
+// per rank — with the kernel sequential (workers <= 1) or armed for
+// parallel lookahead with one group per rank, like the engine's group
+// policy. It returns each rank's spans.
+func runShape(t *testing.T, shared bool, workers, ranks, iters int) [][]spanRec {
+	t.Helper()
+	k := sim.New()
+	cl := topology.New(k, "t", 2, (ranks+1)/2, topology.DefaultParams())
+	w := mpi.NewWorld(cl, ranks)
+	if workers > 1 {
+		k.SetParallel(workers, cl.MinLookahead())
+	}
+	comm := w.WorldComm()
+	var plan *Plan
+	if shared {
+		plan = NewPlan()
+		obrShape(plan, comm, ranks)
+		plan.Seal()
+	}
+	tracers := make([]recTracer, ranks)
+	w.Spawn(func(r *mpi.Rank) {
+		var g *Graph
+		if shared {
+			g = plan.Bind(r)
+		} else {
+			g = New(r)
+			obrShape(g.Plan(), comm, ranks)
+		}
+		for it := 0; it < iters; it++ {
+			g.Execute(&tracers[r.ID], it)
+		}
+	})
+	if workers > 1 {
+		for _, r := range w.Ranks {
+			r.Proc.SetGroup(r.ID)
+		}
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if batches, segments := k.Batches(); workers > 1 && segments <= batches {
+		t.Fatalf("parallel kernel formed %d batches of %d segments: no ranks ran concurrently", batches, segments)
+	}
+	spans := make([][]spanRec, ranks)
+	for i := range tracers {
+		spans[i] = tracers[i].spans
+	}
+	return spans
+}
+
+// TestSharedPlanParallelRanks pins the plan/instance split: one plan
+// executed by several ranks for several iterations emits exactly the
+// spans of private per-rank graphs, on the sequential kernel and with
+// the ranks' segments running concurrently. Run by scripts/check.sh
+// under -race, the parallel case also has the detector watch many
+// ranks reading one plan.
+func TestSharedPlanParallelRanks(t *testing.T) {
+	const ranks, iters = 8, 4
+	want := runShape(t, false, 1, ranks, iters)
+	if len(want[0]) == 0 {
+		t.Fatal("private graphs emitted no spans")
+	}
+	for _, workers := range []int{1, ranks} {
+		got := runShape(t, true, workers, ranks, iters)
+		for r := range want {
+			if !reflect.DeepEqual(got[r], want[r]) {
+				t.Errorf("workers=%d rank %d: shared plan spans\n%+v\nprivate graph spans\n%+v", workers, r, got[r], want[r])
+			}
+		}
+	}
+}
+
+func TestSealedPlanRejectsChanges(t *testing.T) {
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s should panic", what)
+			}
+		}()
+		fn()
+	}
+	w := newWorld(1)
+	_, err := w.Run(func(r *mpi.Rank) {
+		p := NewPlan()
+		n := p.Add(0, Generic, "", "a", nil)
+		mustPanic("Bind on an open plan", func() { p.Bind(r) })
+		p.Seal()
+		g := p.Bind(r)
+		mustPanic("Plan.Add", func() { p.Add(0, Generic, "", "b", nil) })
+		mustPanic("Graph.Add", func() { g.Add(0, Generic, "", "b", nil) })
+		mustPanic("Lane", func() { p.Lane("helper") })
+		mustPanic("After", func() { n.After(n) })
+		mustPanic("Gated", func() { n.Gated(NewSlot()) })
+		mustPanic("WaitingIn", func() { n.WaitingIn("backward") })
+
+		// A private graph is open until its first Execute.
+		own := New(r)
+		own.Add(0, Generic, "", "a", nil)
+		own.Execute(nil, 0)
+		mustPanic("Add after Execute", func() { own.Add(0, Generic, "", "b", nil) })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestExecuteAfterRevokedUnwindStartsClean abandons an execution the
+// way a revoked communicator does — the main lane panics mid-graph with
+// requests in a slot, one helper node fired and another parked on a
+// main-lane node that never ran — and executes the same instance again.
+func TestExecuteAfterRevokedUnwindStartsClean(t *testing.T) {
+	w := newWorld(2)
+	comm := w.WorldComm()
+	tr := &recTracer{}
+	_, err := w.Run(func(r *mpi.Rank) {
+		if r.ID == 1 {
+			for it := 0; it < 2; it++ {
+				r.Recv(comm, 0, it, gpu.NewBuffer(8))
+			}
+			return
+		}
+		g := New(r)
+		slot := NewSlot()
+		helper := g.Lane("helper")
+		g.Add(0, PostBcast, "", "post", func(x *Ctx) {
+			x.Put(slot, x.R.Isend(comm, 1, x.It, gpu.NewBuffer(8), topology.ModeAuto))
+		})
+		h := g.Add(helper, ComputeBackward, "backward", "bwd", func(x *Ctx) { x.P.Sleep(10) })
+		g.Add(0, Generic, "", "trip", func(x *Ctx) {
+			if x.It == 0 {
+				x.P.Sleep(20)
+				panic(mpi.Revoked{})
+			}
+		})
+		late := g.Add(0, Reduce, "aggregation", "reduce", nil).After(h).WaitingIn("backward")
+		g.Add(helper, Generic, "", "parked", nil).After(late)
+		g.Add(0, DrainSends, "propagation", "drain", nil).Gated(slot)
+
+		func() {
+			defer func() {
+				if rec := recover(); !mpi.IsRevoked(rec) {
+					t.Errorf("first Execute unwound with %v, want Revoked", rec)
+				}
+			}()
+			g.Execute(tr, 0)
+		}()
+		if !g.done[h.id].Fired() || len(g.reqs[slot.id]) != 1 {
+			t.Fatalf("abandoned execution left fired=%v, %d requests; the drill needs both stale",
+				g.done[h.id].Fired(), len(g.reqs[slot.id]))
+		}
+		r.KillThreads() // what recovery does to lanes of the abandoned iteration
+		tr.spans = nil
+		g.Execute(tr, 1)
+		if n := len(g.reqs[slot.id]); n != 1 {
+			t.Errorf("slot holds %d requests after the second Execute, want 1", n)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The second execution starts at 20; "reduce" must wait for the new
+	// helper node (fires at 30), not see the abandoned one's completion.
+	wait := tr.find("reduce/wait")
+	if wait == nil || wait.start != 20 || wait.end != 30 {
+		t.Errorf("reduce wait span = %+v, want [20,30] (spans %+v)", wait, tr.spans)
 	}
 }

@@ -48,11 +48,12 @@ go test -run '^TestSimKernelZeroAllocSteadyState$|^TestSimKernelParallelZeroAllo
 echo "== parallel-kernel race gate =="
 # The sharded kernel's speculative segments only run concurrently when
 # batches form, and the host may have too few cores for the engine's
-# auto policy to arm them — so run the sim and mpi parallel suites
-# race-instrumented with batching forced explicitly. These tests pin
-# bit-identity against the sequential kernel while the race detector
-# watches the speculation, staging, and commit paths.
-go test -race -run 'Parallel' -count=1 ./internal/sim ./internal/mpi
+# auto policy to arm them — so run the sim, mpi and sched parallel
+# suites race-instrumented with batching forced explicitly. These tests
+# pin bit-identity against the sequential kernel while the race detector
+# watches the speculation, staging, and commit paths — and, in sched,
+# many ranks in distinct groups executing one shared iteration plan.
+go test -race -run 'Parallel' -count=1 ./internal/sim ./internal/mpi ./internal/sched
 
 echo "== elastic churn drill =="
 # The elastic membership acceptance bar (DESIGN.md §14): the 32-rank
