@@ -93,10 +93,6 @@ func NewRing(c *mpi.Comm, o Options) *Ring { return &Ring{c: c, o: o} }
 // Allreduce performs this rank's part of the ring allreduce. Tags
 // tag..tag+2P are reserved.
 func (g *Ring) Allreduce(r *mpi.Rank, buf *gpu.Buffer, tag int) {
-	// Collective entry: the reducer's shared per-rank state table and
-	// the cross-rank traffic below are outside any one group, so a
-	// batched segment serializes here (no-op in sequential mode).
-	r.Proc.Exclusive()
 	st := g.states.acquire(g.c.Size(), g.c.Rank(r))
 	defer st.release()
 	ringAllreduce(g.c, r, buf, tag, g.o, st)

@@ -20,10 +20,6 @@ type mv2Reducer struct {
 func (m *mv2Reducer) Name() string { return "MV2" }
 
 func (m *mv2Reducer) Reduce(r *mpi.Rank, buf *gpu.Buffer, tag int) {
-	// Collective entry: the reducer's shared per-rank state table and
-	// the cross-rank traffic below are outside any one group, so a
-	// batched segment serializes here (no-op in sequential mode).
-	r.Proc.Exclusive()
 	me := m.c.Rank(r)
 	size := m.c.Size()
 	if size == 1 {
@@ -85,10 +81,6 @@ type ompiReducer struct {
 func (o *ompiReducer) Name() string { return "OpenMPI" }
 
 func (o *ompiReducer) Reduce(r *mpi.Rank, buf *gpu.Buffer, tag int) {
-	// Collective entry: the reducer's shared per-rank state table and
-	// the cross-rank traffic below are outside any one group, so a
-	// batched segment serializes here (no-op in sequential mode).
-	r.Proc.Exclusive()
 	me := o.c.Rank(r)
 	size := o.c.Size()
 	if size == 1 {

@@ -160,21 +160,28 @@ func newLike(b *gpu.Buffer) *gpu.Buffer {
 	return gpu.NewBuffer(b.Bytes)
 }
 
-// localReduce performs acc += operand, charging the reduction to the
-// rank's GPU comm stream or its CPU, and blocks the rank until the
-// reduction completes (the next algorithm step depends on the result).
-func localReduce(r *mpi.Rank, acc, operand *gpu.Buffer, o Options) {
+// reduceEnd performs acc += operand, charging the reduction to the
+// rank's GPU comm stream or its CPU, and returns the time the reduction
+// completes: the next algorithm step depends on the result, so the rank
+// waits until then.
+//
+//scaffe:hotpath
+func reduceEnd(r *mpi.Rank, acc, operand *gpu.Buffer, o Options) sim.Time {
 	acc.Accumulate(operand)
 	if o.OnGPU {
 		_, end := r.Dev.LaunchReduce(r.Now(), acc.Bytes)
-		r.Proc.WaitUntil(end)
-		return
+		return end
 	}
 	if o.HostReduceBW > 0 {
-		r.Sleep(sim.Duration(float64(acc.Bytes) / o.HostReduceBW * float64(sim.Second)))
-		return
+		return r.Now() + sim.Duration(float64(acc.Bytes)/o.HostReduceBW*float64(sim.Second))
 	}
-	r.Sleep(r.W.Cluster.ReduceTime(acc.Bytes, false))
+	return r.Now() + r.W.Cluster.ReduceTime(acc.Bytes, false)
+}
+
+// localReduce is reduceEnd for blocking callers: it parks the rank
+// until the reduction completes.
+func localReduce(r *mpi.Rank, acc, operand *gpu.Buffer, o Options) {
+	r.Proc.WaitUntil(reduceEnd(r, acc, operand, o))
 }
 
 // defaultChunks picks a pipeline depth: enough chunks to fill the

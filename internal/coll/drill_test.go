@@ -1,0 +1,109 @@
+package coll
+
+import (
+	"fmt"
+	"testing"
+
+	"scaffe/internal/fault"
+	"scaffe/internal/gpu"
+	"scaffe/internal/mpi"
+	"scaffe/internal/sim"
+)
+
+// The two drills below take a 32-rank chunked chain through what its
+// steps cannot do on the event loop: unwind with Revoked, and wait out a
+// retransmission. Their expected values were recorded from the blocking
+// chain they replace.
+
+type killApplier struct{ w *mpi.World }
+
+func (a killApplier) KillRank(rank int, _ fault.Kind) { a.w.Ranks[rank].KillAll() }
+func (a killApplier) SetCompute(int, float64)         {}
+
+// TestChainReduceRankKilledMidPipeline crashes rank 17 of a 32-rank
+// chain while chunks are in flight on both sides of it. Every survivor's
+// Reduce must unwind with Revoked on its own goroutine — downstream
+// ranks out of a receive that never completes, upstream ranks out of a
+// forward nobody takes — at the virtual times the deadline ladder gives.
+func TestChainReduceRankKilledMidPipeline(t *testing.T) {
+	const ranks, victim = 32, 17
+	w := newWorld(t, 8, 4, ranks)
+	c := w.WorldComm()
+	pl := fault.NewPlane(w.K, ranks, 200*sim.Microsecond)
+	w.Fault = pl
+	pl.Arm(fault.Schedule{{At: 2 * sim.Millisecond, Kind: fault.Crash, Rank: victim}}, killApplier{w})
+	o := DefaultOptions()
+	o.Chunks = 16
+	red := NewReducer(c, Chain, o)
+
+	outcome := make([]string, ranks)
+	end, err := w.Run(func(r *mpi.Rank) {
+		defer func() {
+			rec := recover()
+			if rec != nil && !mpi.IsRevoked(rec) {
+				panic(rec)
+			}
+			outcome[r.ID] = fmt.Sprint(rec != nil, "@", r.Now())
+		}()
+		red.Reduce(r, gpu.NewBuffer(8<<20), 10)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outcome[victim] != "" {
+		t.Errorf("the killed rank ran its recover: %s", outcome[victim])
+	}
+	got := fmt.Sprint(end, " ", pl.Report().Retries, " ", outcome)
+	// Ranks 23..31 had drained their part of the pipeline before the
+	// crash; 67 deadlines expired on a healthy pipeline before it.
+	const want = "3.000ms 67 [true@3.000ms true@3.000ms true@3.000ms true@2.349ms true@2.349ms true@2.472ms true@2.299ms true@2.326ms true@2.326ms true@2.449ms true@2.276ms true@2.303ms true@2.303ms true@2.331ms true@2.454ms true@2.376ms true@2.272ms  true@2.335ms true@2.362ms true@2.458ms true@2.285ms true@2.313ms false@2.293ms false@2.216ms false@2.111ms false@2.034ms false@1.957ms false@1.880ms false@1.368ms false@1.291ms false@1.214ms]"
+	if got != want {
+		t.Errorf("drill ended\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestChainReduceRetransmitMidPipeline corrupts the wire once on two
+// links of a 32-rank chain with the integrity plane in recover mode.
+// Each hit hands its stage back to the rank's goroutine for the
+// retransmission and the pipeline resumes: the root still holds the
+// exact sum, at the time the blocking chain produced it.
+func TestChainReduceRetransmitMidPipeline(t *testing.T) {
+	const ranks, elems = 32, 1 << 16
+	w := newWorld(t, 8, 4, ranks)
+	c := w.WorldComm()
+	hits := map[[2]int]int{{20, 19}: 3, {1, 0}: 1} // link -> which delivery on it is damaged
+	w.Integrity = &mpi.Integrity{
+		Mode:        mpi.IntegrityRecover,
+		RetryBudget: 2,
+		WireCorrupt: func(src, dst int) bool {
+			n, ok := hits[[2]int{src, dst}]
+			if !ok {
+				return false
+			}
+			hits[[2]int{src, dst}] = n - 1
+			return n == 1
+		},
+	}
+	o := DefaultOptions()
+	o.Chunks = 8
+	red := NewReducer(c, Chain, o)
+	var result []float32
+	end, err := w.Run(func(r *mpi.Rank) {
+		buf := gpu.NewDataBuffer(elems)
+		buf.Fill(float32(r.ID + 1))
+		red.Reduce(r, buf, 10)
+		if r.ID == 0 {
+			result = buf.Data
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectSum(t, result, ranks)
+	integ := w.Integrity
+	got := fmt.Sprint(end, " ", integ.Verified, integ.Detected, integ.Retransmits, integ.Escalations)
+	const want = "734.297us 248 2 2 0"
+	if got != want {
+		t.Errorf("drill ended %s, want %s", got, want)
+	}
+}

@@ -125,10 +125,6 @@ func newRSGReducer(c *mpi.Comm, o Options) *rsgReducer {
 func (x *rsgReducer) Name() string { return "RSG" }
 
 func (x *rsgReducer) Reduce(r *mpi.Rank, buf *gpu.Buffer, tag int) {
-	// Collective entry: the reducer's shared per-rank state table and
-	// the cross-rank traffic below are outside any one group, so a
-	// batched segment serializes here (no-op in sequential mode).
-	r.Proc.Exclusive()
 	st := x.states.acquire(x.c.Size(), x.c.Rank(r))
 	defer st.release()
 	reduceScatterGather(x.c, r, buf, tag, x.o, st, x.fallback)

@@ -5,7 +5,77 @@ import (
 
 	"scaffe/internal/gpu"
 	"scaffe/internal/mpi"
+	"scaffe/internal/sim"
 )
+
+// recvStage is the unit the chain and binomial reducers repeat: receive
+// a checksummed operand, verify it, reduce it into the accumulator. It
+// is written for a sim.Stepper: step never parks, and names what its
+// caller's Step must do next.
+type recvStage struct {
+	req     *mpi.Request
+	sum     *mpi.Summed
+	acc, op *gpu.Buffer // acc += op once op has arrived
+	w       mpi.Waiter  // of the stepper's one wait in flight: the stage's, or a send's between stages
+	at      stageAt
+}
+
+type stageAt uint8
+
+const (
+	stageIdle   stageAt = iota
+	stageRecv           // the receive is posted and not yet complete
+	stageVerify         // the checksum mismatched: Verify must run on the goroutine
+	stageReduce         // the reduction is charged and not yet finished
+)
+
+type stageNext uint8
+
+const (
+	stageDone  stageNext = iota // acc holds the sum: go on
+	stagePark                   // a wait is armed: Step returns false
+	stageStack                  // Verify needs a stack: Step returns true
+)
+
+// post starts a stage: acc += what `from` sends under tag, received
+// into op.
+func (g *recvStage) post(r *mpi.Rank, c *mpi.Comm, from, tag int, acc, op *gpu.Buffer) {
+	g.req, g.sum = r.IrecvSummed(c, from, tag, op)
+	g.acc, g.op, g.at = acc, op, stageRecv
+}
+
+// step advances a posted stage as far as it goes without parking.
+//
+//scaffe:hotpath
+func (g *recvStage) step(p *sim.Proc, r *mpi.Rank, o Options) stageNext {
+	switch g.at {
+	case stageRecv:
+		if !r.PollRequest(&g.w, g.req) {
+			return stagePark
+		}
+		if !g.sum.TryVerify() {
+			g.at = stageVerify
+			return stageStack
+		}
+		fallthrough
+	case stageVerify: // run has settled the handle
+		g.at = stageReduce
+		p.ArmUntil(reduceEnd(r, g.acc, g.op, o))
+		return stagePark
+	}
+	g.at = stageIdle
+	return stageDone
+}
+
+// run drives stepper s, whose receives go through g, to its end on the
+// rank's main proc: the steps on the event loop, and a mismatched
+// checksum's retransmission — which waits on the wire, and may unwind
+// with Revoked — here, on the goroutine.
+func (g *recvStage) run(p *sim.Proc, s sim.Stepper) {
+	for p.RunSteps(s); g.at == stageVerify; p.RunSteps(s) {
+		g.sum.Verify()
+	}
+}
 
 // binomialReducer implements the flat binomial-tree reduce of Eq. (1):
 // log2(P) rounds, each moving and reducing the full buffer.
@@ -19,10 +89,6 @@ func (b *binomialReducer) Name() string { return "binomial" }
 
 //scaffe:hotpath
 func (b *binomialReducer) Reduce(r *mpi.Rank, buf *gpu.Buffer, tag int) {
-	// Collective entry: the reducer's shared per-rank state table and
-	// the cross-rank traffic below are outside any one group, so a
-	// batched segment serializes here (no-op in sequential mode).
-	r.Proc.Exclusive()
 	me := b.c.Rank(r)
 	size := b.c.Size()
 	if size == 1 {
@@ -30,27 +96,80 @@ func (b *binomialReducer) Reduce(r *mpi.Rank, buf *gpu.Buffer, tag int) {
 	}
 	st := b.states.acquire(size, me)
 	defer st.release()
-	var scratch *gpu.Buffer
-	for mask := 1; mask < size; mask <<= 1 {
-		if me&mask != 0 {
-			if scratch != nil {
-				st.putScratch(scratch)
+	st.step = stepState{r: r, c: b.c, o: &b.o, st: st, buf: buf, tag: tag, me: me, size: size, mask: 1}
+	s := (*binomialStep)(&st.step)
+	s.recv.run(r.Proc, s)
+}
+
+// stepState is the storage of a rank's walk through one reduction on
+// one reducer instance. An instance is a binomial tree or a chain,
+// never both, so the two steppers are two views of the one record a
+// rankState holds.
+type stepState struct {
+	r    *mpi.Rank
+	c    *mpi.Comm
+	o    *Options
+	st   *rankState
+	buf  *gpu.Buffer
+	tag  int
+	recv recvStage
+
+	// binomialStep
+	me, size int
+	mask     int // the round being walked
+	scratch  *gpu.Buffer
+	send     *mpi.Request // the final send to the parent, once posted
+
+	// chainStep
+	from, to int // neighbours' group ranks; -1 for the tail's from and the root's to
+	n        int // chunks
+	j        int // the chunk being worked on
+	drained  int // forwards (st.sreqs) already waited
+}
+
+// binomialStep is one rank's walk up the tree: receive and reduce from
+// the peer of every round its bit is clear in, then send the partial
+// sum to the parent and leave.
+type binomialStep stepState
+
+//scaffe:hotpath
+func (s *binomialStep) Step(p *sim.Proc) bool {
+	r := s.r
+	for {
+		if s.send != nil {
+			return r.PollRequest(&s.recv.w, s.send)
+		}
+		if s.recv.at != stageIdle {
+			switch s.recv.step(p, r, *s.o) {
+			case stagePark:
+				return false
+			case stageStack:
+				return true
 			}
-			r.Send(b.c, me-mask, tag, buf, b.o.Mode)
-			return
+			s.mask <<= 1
 		}
-		peer := me + mask
-		if peer >= size {
-			continue
+		switch {
+		case s.mask >= s.size: // the root, past its last round
+			s.putScratch()
+			return true
+		case s.me&s.mask != 0:
+			s.putScratch()
+			s.send = r.Isend(s.c, s.me-s.mask, s.tag, s.buf, s.o.Mode)
+		case s.me+s.mask >= s.size:
+			s.mask <<= 1
+		default:
+			if s.scratch == nil {
+				s.scratch = s.st.getScratch(s.buf)
+			}
+			s.recv.post(r, s.c, s.me+s.mask, s.tag, s.buf, s.scratch)
 		}
-		if scratch == nil {
-			scratch = st.getScratch(buf)
-		}
-		r.RecvSummed(b.c, peer, tag, scratch).Verify()
-		localReduce(r, buf, scratch, b.o)
 	}
-	if scratch != nil {
-		st.putScratch(scratch)
+}
+
+func (s *binomialStep) putScratch() {
+	if s.scratch != nil {
+		s.st.putScratch(s.scratch)
+		s.scratch = nil
 	}
 }
 
@@ -67,10 +186,6 @@ type chainReducer struct {
 func (cr *chainReducer) Name() string { return "chain" }
 
 func (cr *chainReducer) Reduce(r *mpi.Rank, buf *gpu.Buffer, tag int) {
-	// Collective entry: the reducer's shared per-rank state table and
-	// the cross-rank traffic below are outside any one group, so a
-	// batched segment serializes here (no-op in sequential mode).
-	r.Proc.Exclusive()
 	me := cr.c.Rank(r)
 	size := cr.c.Size()
 	if size == 1 {
@@ -78,57 +193,77 @@ func (cr *chainReducer) Reduce(r *mpi.Rank, buf *gpu.Buffer, tag int) {
 	}
 	st := cr.states.acquire(size, me)
 	defer st.release()
-	n := defaultChunks(buf.Bytes, cr.o.Chunks)
-	elems := buf.Elems()
-
-	switch {
-	case me == size-1: // tail: source of the pipeline
-		sreqs := st.takeReqs()
-		for j := 0; j < n; j++ {
-			lo, hi := chunkBounds(elems, n, j)
-			if lo >= hi {
-				continue
-			}
-			//scaffe:nolint hotpath request slice is pooled via takeReqs/storeReqs; append reuses high-water capacity
-			sreqs = append(sreqs, r.Isend(cr.c, me-1, tag, st.view(buf, lo, hi), cr.o.Mode))
-		}
-		r.WaitAll(sreqs...)
-		st.storeReqs(sreqs)
-
-	case me == 0: // root: sink of the pipeline
-		for j := 0; j < n; j++ {
-			lo, hi := chunkBounds(elems, n, j)
-			if lo >= hi {
-				continue
-			}
-			tmp := st.view(buf, lo, hi)
-			scratch := st.getScratch(tmp)
-			r.RecvSummed(cr.c, 1, tag, scratch).Verify()
-			localReduce(r, tmp, scratch, cr.o)
-			st.putScratch(scratch)
-		}
-
-	default: // interior: receive, reduce, forward
-		sreqs := st.takeReqs()
-		for j := 0; j < n; j++ {
-			lo, hi := chunkBounds(elems, n, j)
-			if lo >= hi {
-				continue
-			}
-			mine := st.view(buf, lo, hi)
-			scratch := st.getScratch(mine)
-			r.RecvSummed(cr.c, me+1, tag, scratch).Verify()
-			localReduce(r, mine, scratch, cr.o)
-			// The scratch is free for the next chunk right away: the
-			// in-flight forward below sends `mine` (a view of buf),
-			// never the scratch.
-			st.putScratch(scratch)
-			//scaffe:nolint hotpath request slice is pooled via takeReqs/storeReqs; append reuses high-water capacity
-			sreqs = append(sreqs, r.Isend(cr.c, me-1, tag, mine, cr.o.Mode))
-		}
-		r.WaitAll(sreqs...)
-		st.storeReqs(sreqs)
+	st.sreqs = st.sreqs[:0] // an unwound call may have left its forwards behind
+	st.step = stepState{
+		r: r, c: cr.c, o: &cr.o, st: st, buf: buf, tag: tag,
+		from: me + 1, to: me - 1, n: defaultChunks(buf.Bytes, cr.o.Chunks),
 	}
+	if me == size-1 {
+		st.step.from = -1
+	}
+	s := (*chainStep)(&st.step)
+	s.recv.run(r.Proc, s)
+	// The forwards have been waited: drop the dead handles, keep the
+	// list's capacity for the next call.
+	clear(st.sreqs)
+}
+
+// chainStep is one rank's stage of the pipeline. Per chunk: receive it
+// from the right neighbour, reduce it into this rank's copy, forward
+// the sum left; then wait out the forwards. The tail (nobody to its
+// right) only sends, the root (nobody to its left) only receives.
+type chainStep stepState
+
+//scaffe:hotpath
+func (s *chainStep) Step(p *sim.Proc) bool {
+	r, st := s.r, s.st
+	for {
+		if s.recv.at != stageIdle {
+			switch s.recv.step(p, r, *s.o) {
+			case stagePark:
+				return false
+			case stageStack:
+				return true
+			}
+			// The scratch is free for the next chunk right away: the
+			// forward below sends `mine` (a view of buf), never the
+			// scratch.
+			st.putScratch(s.recv.op)
+			s.forward(s.recv.acc)
+		}
+		if s.j == s.n {
+			for ; s.drained < len(st.sreqs); s.drained++ {
+				if !r.PollRequest(&s.recv.w, st.sreqs[s.drained]) {
+					return false
+				}
+			}
+			return true
+		}
+		lo, hi := chunkBounds(s.buf.Elems(), s.n, s.j)
+		if lo >= hi {
+			s.j++
+			continue
+		}
+		mine := st.view(s.buf, lo, hi)
+		if s.from < 0 {
+			s.forward(mine)
+			continue
+		}
+		s.recv.post(r, s.c, s.from, s.tag, mine, st.getScratch(mine))
+	}
+}
+
+// forward sends chunk j's sum — mine, this rank's view of the chunk —
+// on to the left neighbour, if there is one, and moves to the next
+// chunk.
+//
+//scaffe:hotpath
+func (s *chainStep) forward(mine *gpu.Buffer) {
+	if s.to >= 0 {
+		//scaffe:nolint hotpath the rank state's request list is reset to [:0] after each call; append reuses high-water capacity
+		s.st.sreqs = append(s.st.sreqs, s.r.Isend(s.c, s.to, s.tag, mine, s.o.Mode))
+	}
+	s.j++
 }
 
 // hierarchical is the two-level design of Section 5: lower-level

@@ -46,7 +46,11 @@ type rankState struct {
 	busy    bool
 	scratch map[scratchKey][]*gpu.Buffer
 	views   map[viewKey]*gpu.Buffer
-	sreqs   []*mpi.Request
+	sreqs   []*mpi.Request // the chain's forwards in flight
+
+	// step is the rank's walk through the current call, for the reducers
+	// that run as steps on the event loop (chain, binomial).
+	step stepState
 }
 
 // newRankState is acquire's first-call path for a rank.
@@ -136,26 +140,6 @@ func (st *rankState) view(buf *gpu.Buffer, lo, hi int) *gpu.Buffer {
 	v := buf.Slice(lo, hi)
 	st.views[key] = v
 	return v
-}
-
-// takeReqs returns the reusable request list, emptied.
-func (st *rankState) takeReqs() []*mpi.Request {
-	if st == nil {
-		return nil
-	}
-	return st.sreqs[:0]
-}
-
-// storeReqs hands the (possibly regrown) request list back after the
-// requests have been waited, dropping the dead handles.
-func (st *rankState) storeReqs(reqs []*mpi.Request) {
-	if st == nil {
-		return
-	}
-	for i := range reqs {
-		reqs[i] = nil
-	}
-	st.sreqs = reqs[:0]
 }
 
 // chunkBounds returns the element extents of pipeline chunk j of n

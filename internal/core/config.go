@@ -257,15 +257,11 @@ type Config struct {
 	// — ~240 MB for AlexNet — that pure throughput runs never read.
 	CaptureFinalParams bool
 
-	// SimParallel selects the simulation kernel's execution mode: 0
-	// (the default) auto-sizes to the host's cores (runtime.NumCPU), 1
-	// forces the sequential event loop, and N >= 2 arms conservative
-	// parallel lookahead with up to N concurrent per-rank segments
-	// (sim.Kernel.SetParallel; DESIGN.md §13). Either mode produces
-	// bit-identical traces, totals, and losses; negative values are
-	// rejected. Parallel execution engages only for the fault-free MPI
-	// data-parallel designs — fault- or integrity-armed runs and the
-	// shared-state baselines always use the sequential loop.
+	// SimParallel is ignored beyond being validated (negative values
+	// are rejected). It sized the parallel-lookahead kernel mode, which
+	// is gone (DESIGN.md §13): every run uses the one sequential event
+	// kernel. The field stays only because bench/ladder.go, which a
+	// change may not edit, still sets it; it goes with that rung.
 	SimParallel int
 
 	// Seed makes parameter init and data order deterministic.
@@ -414,7 +410,7 @@ func (c *Config) normalize() error {
 	case c.DivergeFactor < 0:
 		return fmt.Errorf("core: divergence factor must be positive, got %g", c.DivergeFactor)
 	case c.SimParallel < 0:
-		return fmt.Errorf("core: simulation worker count must be non-negative (0 = auto, 1 = sequential), got %d", c.SimParallel)
+		return fmt.Errorf("core: simulation worker count must be non-negative, got %d", c.SimParallel)
 	case c.EvictWindow < 0:
 		return fmt.Errorf("core: eviction window must be positive, got %d", c.EvictWindow)
 	case c.JoinRetries < 0:
@@ -569,6 +565,12 @@ type Result struct {
 	HCAUtilization float64
 	// PCIeUtilization is the same for the GPUs' PCIe links.
 	PCIeUtilization float64
+
+	// Resumes counts how the event kernel delivered the run's proc
+	// resumes: only Switches cost a goroutine switch. It describes the
+	// simulation's host-side work, not its virtual outcome: an armed
+	// fault plane's deadline expiries show up here and nowhere else.
+	Resumes sim.Resumes
 }
 
 // TimePerIter returns the mean iteration time.

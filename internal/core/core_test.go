@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -69,6 +70,29 @@ func TestValidation(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: expected error, got nil", tc.name)
 		}
+	}
+}
+
+// TestSimParallelValidation pins what is left of the option: a negative
+// value is ErrConfig, any other is accepted and changes nothing.
+func TestSimParallelValidation(t *testing.T) {
+	spec, _ := models.ByName("tiny")
+	cfg := timingConfig(spec, 4, 16, 2)
+	cfg.SimParallel = -1
+	if _, err := Run(cfg); !errors.Is(err, ErrConfig) {
+		t.Fatalf("negative SimParallel: got %v, want ErrConfig", err)
+	}
+	want, err := Run(timingConfig(spec, 4, 16, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.SimParallel = 8
+	got, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("SimParallel=8: %v", err)
+	}
+	if got.TotalTime != want.TotalTime || got.Resumes != want.Resumes {
+		t.Errorf("SimParallel=8 ran %v with %+v, unset ran %v with %+v", got.TotalTime, got.Resumes, want.TotalTime, want.Resumes)
 	}
 }
 

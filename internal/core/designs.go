@@ -77,19 +77,19 @@ func (st *runState) graph(r *mpi.Rank) *sched.Graph {
 // data plane is the single shared reader).
 func (st *runState) buildSCB(p *sched.Plan, root bool) {
 	st.addDataWait(p)
-	p.Add(0, sched.Pack, "propagation", "pack-params", func(x *sched.Ctx) {
+	p.Add(0, sched.Pack, "propagation", "pack-params", st.realOnly(func(x *sched.Ctx) {
 		if root {
 			st.wl[x.R.ID].packParams()
 		}
-	})
+	}))
 	p.Add(0, sched.WaitBcast, "propagation", "bcast-params", func(x *sched.Ctx) {
 		x.R.Bcast(st.comm, 0, st.wl[x.R.ID].packedParams, topology.ModeAuto)
 	})
-	p.Add(0, sched.Unpack, "propagation", "unpack-params", func(x *sched.Ctx) {
+	p.Add(0, sched.Unpack, "propagation", "unpack-params", st.realOnly(func(x *sched.Ctx) {
 		if !root {
 			st.wl[x.R.ID].unpackParams()
 		}
-	})
+	}))
 	st.addForward(p)
 	st.addBackward(p)
 	p.Add(0, sched.Reduce, "aggregation", "reduce-grads", func(x *sched.Ctx) {
@@ -129,7 +129,7 @@ func (st *runState) buildSCOBR(p *sched.Plan, root bool) {
 	slots, drain := st.addPostPropagation(p, root)
 	st.addOverlappedForward(p, slots, root)
 
-	begin := p.Add(0, sched.Generic, "", "begin-backward", func(x *sched.Ctx) { st.wl[x.R.ID].beginBackward() })
+	begin := p.Add(0, sched.Generic, "", "begin-backward", st.realOnly(func(x *sched.Ctx) { st.wl[x.R.ID].beginBackward() }))
 	helper := p.Lane("helper")
 	bwd := make([]*sched.Node, len(layers))
 	for l := len(layers) - 1; l >= 0; l-- {
@@ -183,9 +183,6 @@ func (st *runState) buildCNTK(p *sched.Plan, root bool) {
 	st.addForward(p)
 	st.addBackward(p)
 	p.Add(0, sched.Reduce, "aggregation", "host-allreduce", func(x *sched.Ctx) {
-		// Direct cluster transfers reserve the node's shared PCIe/host
-		// links, outside this rank's group: serialize the segment first.
-		x.P.Exclusive()
 		grads, dev := st.wl[x.R.ID].packedGrads, x.R.Dev.ID
 		host := topology.HostOf(dev.Node)
 		_, end := st.cluster.Transfer(x.P.Now(), dev, host, grads.Bytes, topology.ModeAuto)
@@ -234,6 +231,22 @@ func (st *runState) buildPS(p *sched.Plan, server bool) {
 
 // --- shared node factories ------------------------------------------------
 
+// realOnly is fn in a real-compute run and nil in a timing run, for the
+// actions that only move real parameter or activation data and have
+// nothing to do without a net. It matters because of who runs a node: an
+// action may block, so the lane takes it to its goroutine, while a node
+// without one — a pure synchronization point — never leaves the event
+// loop. The spans are the same either way: these actions take no
+// virtual time. (scaffe-lint does not follow a callback through this
+// call into Node.action, so the workload methods these actions call
+// carry //scaffe:hotpath themselves.)
+func (st *runState) realOnly(fn func(*sched.Ctx)) func(*sched.Ctx) {
+	if st.cfg.RealNet == nil {
+		return nil
+	}
+	return fn
+}
+
 // labelTable interns the per-layer (and per-bucket) node labels once
 // per run, before the plans that use them are built.
 type labelTable struct {
@@ -271,8 +284,8 @@ func newLabelTable(n, nb int) *labelTable {
 // overhead (untraced, as in the original accounting), then the blocking
 // read from this rank's reader queue plus the real-mode batch load.
 func (st *runState) addDataWait(p *sched.Plan) {
-	p.Add(0, sched.Generic, "", "iter-overhead", func(x *sched.Ctx) {
-		x.P.Sleep(st.cluster.P.IterOverhead)
+	p.AddTimed(0, sched.Generic, "", "iter-overhead", func(x *sched.Ctx) sim.Time {
+		return x.P.Now() + st.cluster.P.IterOverhead
 	})
 	p.Add(0, sched.DataWait, "data", "data-wait", func(x *sched.Ctx) {
 		if rd := st.readers[x.R.ID]; rd != nil {
@@ -335,13 +348,13 @@ func (st *runState) addPostPropagation(p *sched.Plan, root bool) (slots []*sched
 // too late stalls compute (Section 4.2).
 func (st *runState) addOverlappedForward(p *sched.Plan, slots []*sched.Slot, root bool) {
 	layers := st.cfg.Spec.Layers
-	p.Add(0, sched.Generic, "", "begin-forward", func(x *sched.Ctx) { st.wl[x.R.ID].beginForward() })
+	p.Add(0, sched.Generic, "", "begin-forward", st.realOnly(func(x *sched.Ctx) { st.wl[x.R.ID].beginForward() }))
 	for l := range layers {
 		if layers[l].ParamElems != 0 && !root {
 			l := l
-			p.Add(0, sched.WaitBcast, "propagation", st.lbl.waitBcast[l], func(x *sched.Ctx) {
+			p.Add(0, sched.WaitBcast, "propagation", st.lbl.waitBcast[l], st.realOnly(func(x *sched.Ctx) {
 				st.wl[x.R.ID].unpackLayerParams(l)
-			}).Gated(slots[l])
+			})).Gated(slots[l])
 		}
 		st.addForwardLayer(p, l)
 	}
@@ -349,7 +362,7 @@ func (st *runState) addOverlappedForward(p *sched.Plan, slots []*sched.Slot, roo
 
 // addForward runs the full forward pass sequentially.
 func (st *runState) addForward(p *sched.Plan) {
-	p.Add(0, sched.Generic, "", "begin-forward", func(x *sched.Ctx) { st.wl[x.R.ID].beginForward() })
+	p.Add(0, sched.Generic, "", "begin-forward", st.realOnly(func(x *sched.Ctx) { st.wl[x.R.ID].beginForward() }))
 	for l := range st.cfg.Spec.Layers {
 		st.addForwardLayer(p, l)
 	}
@@ -357,19 +370,19 @@ func (st *runState) addForward(p *sched.Plan) {
 
 // addForwardLayer runs one layer's forward kernel (and real math).
 func (st *runState) addForwardLayer(p *sched.Plan, l int) *sched.Node {
-	return p.Add(0, sched.ComputeForward, "forward", st.lbl.fwd[l], func(x *sched.Ctx) {
+	return p.AddTimed(0, sched.ComputeForward, "forward", st.lbl.fwd[l], func(x *sched.Ctx) sim.Time {
 		w := st.wl[x.R.ID]
 		flops := st.cfg.Spec.Layers[l].FwdFLOPs * float64(w.localBatch)
 		_, end := x.R.Dev.LaunchCompute(x.P.Now(), flops)
 		w.forwardLayer(l)
-		x.P.WaitUntil(end)
+		return end
 	})
 }
 
 // addBackward runs the full backward pass serially on lane 0 (SC-B /
 // SC-OB / the baselines).
 func (st *runState) addBackward(p *sched.Plan) {
-	p.Add(0, sched.Generic, "", "begin-backward", func(x *sched.Ctx) { st.wl[x.R.ID].beginBackward() })
+	p.Add(0, sched.Generic, "", "begin-backward", st.realOnly(func(x *sched.Ctx) { st.wl[x.R.ID].beginBackward() }))
 	for l := len(st.cfg.Spec.Layers) - 1; l >= 0; l-- {
 		st.addBackwardLayer(p, 0, l)
 	}
@@ -378,12 +391,12 @@ func (st *runState) addBackward(p *sched.Plan) {
 // addBackwardLayer runs one layer's backward kernel (and real math) on
 // the given lane.
 func (st *runState) addBackwardLayer(p *sched.Plan, lane, l int) *sched.Node {
-	return p.Add(lane, sched.ComputeBackward, "backward", st.lbl.bwd[l], func(x *sched.Ctx) {
+	return p.AddTimed(lane, sched.ComputeBackward, "backward", st.lbl.bwd[l], func(x *sched.Ctx) sim.Time {
 		w := st.wl[x.R.ID]
 		flops := st.cfg.Spec.Layers[l].BwdFLOPs * float64(w.localBatch)
 		_, end := x.R.Dev.LaunchCompute(x.P.Now(), flops)
 		w.backwardLayer(l)
-		x.P.WaitUntil(end)
+		return end
 	})
 }
 
@@ -399,7 +412,7 @@ func (st *runState) addDrainSends(p *sched.Plan, drain *sched.Slot) {
 // per-solver mean gradients), charge the kernel time — followed by the
 // untimed bookkeeping (loss recording, testing, snapshotting).
 func (st *runState) addUpdate(p *sched.Plan) {
-	p.Add(0, sched.Update, "update", "update", func(x *sched.Ctx) {
+	p.AddTimed(0, sched.Update, "update", "update", func(x *sched.Ctx) sim.Time {
 		_, end := x.R.Dev.LaunchCompute(x.P.Now(), updateFLOPs(st.cfg.Spec.TotalParams()))
 		if w := st.wl[x.R.ID]; w.real() {
 			w.unpackGrads()
@@ -412,7 +425,7 @@ func (st *runState) addUpdate(p *sched.Plan) {
 				st.noteLastGood(w)
 			}
 		}
-		x.P.WaitUntil(end)
+		return end
 	})
 	p.Add(0, sched.Generic, "", "post-update", func(x *sched.Ctx) {
 		w := st.wl[x.R.ID]
@@ -430,13 +443,13 @@ func (st *runState) addUpdate(p *sched.Plan) {
 // replicas all hold the averaged gradient); only the root records
 // losses and runs the testing phase.
 func (st *runState) addLocalUpdate(p *sched.Plan, root bool) {
-	p.Add(0, sched.Update, "update", "local-update", func(x *sched.Ctx) {
+	p.AddTimed(0, sched.Update, "update", "local-update", func(x *sched.Ctx) sim.Time {
 		_, end := x.R.Dev.LaunchCompute(x.P.Now(), updateFLOPs(st.cfg.Spec.TotalParams()))
 		if w := st.wl[x.R.ID]; w.real() {
 			w.unpackGrads()
 			st.sgds[x.R.ID].Step(w.net, x.It, 1/float32(st.workerCount()))
 		}
-		x.P.WaitUntil(end)
+		return end
 	})
 	// (No health gate here: integrity in real-compute mode is
 	// restricted to the root-broadcast designs, whose parameter

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 
 	"scaffe/internal/coll"
 	"scaffe/internal/data"
@@ -102,20 +101,6 @@ type runState struct {
 // parameters.
 func updateFLOPs(n int) float64 { return solver.UpdateFLOPs(n) }
 
-// parallelDesign reports whether the design's ranks are isolated
-// enough for per-rank lookahead groups: the MPI data-parallel designs,
-// whose cross-rank interactions all pass through the Exclusive-guarded
-// entry points. The intra-node baselines (shared reader, IPC
-// reduction tree, the PS server's serialized links) and the
-// model-parallel pipeline stay sequential.
-func parallelDesign(d Design) bool {
-	switch d {
-	case SCB, SCOB, SCOBR, SCOBRF, CNTKLike:
-		return true
-	}
-	return false
-}
-
 // Run executes one training configuration and reports its results.
 func Run(cfg Config) (*Result, error) {
 	res, _, err := run(cfg)
@@ -174,20 +159,6 @@ func run(cfg Config) (*Result, *runState, error) {
 	}
 	if cfg.MaxVirtualTime > 0 {
 		k.SetDeadline(sim.Time(cfg.MaxVirtualTime))
-	}
-	// Conservative parallel lookahead (DESIGN.md §13): fault-free MPI
-	// data-parallel runs may shard same-instant per-rank segments across
-	// cores, bounded by the cluster's minimum cross-rank horizon. Armed
-	// or not, every observable output is bit-identical; fault- and
-	// integrity-armed runs stay sequential (revocation unwinds and
-	// rollbacks are whole-world serial protocols), as do the baselines
-	// whose ranks share state (CaffeMT's reader, the PS server's links).
-	if pl == nil && parallelDesign(cfg.Design) {
-		workers := cfg.SimParallel
-		if workers == 0 {
-			workers = runtime.NumCPU()
-		}
-		k.SetParallel(workers, cluster.MinLookahead())
 	}
 	if cfg.Integrity != IntegrityOff {
 		st.integ = &IntegrityReport{Mode: cfg.Integrity}
@@ -254,16 +225,8 @@ func run(cfg Config) (*Result, *runState, error) {
 			st.runRankFT(r, sink)
 			return
 		}
-		// Under the parallel kernel each rank's main proc is its own
-		// lookahead group; everything it touches outside the group
-		// (mailboxes, shared links, the trace sink) serializes through
-		// Proc.Exclusive at the entry points.
-		if k.Parallel() > 0 {
-			r.Proc.SetGroup(r.ID)
-		}
 		// Fault-free membership never changes, so neither does the
-		// rank's role. Each rank writes only its own st.graphs entry, so
-		// binding is safe under the parallel kernel too.
+		// rank's role.
 		g := st.graph(r)
 		for it := cfg.StartIteration; it < cfg.Iterations; it++ {
 			g.Execute(sink, it)
@@ -312,6 +275,7 @@ func run(cfg Config) (*Result, *runState, error) {
 		Losses:        st.losses,
 		Accuracies:    st.accuracies,
 		SnapshotFiles: st.snapshots,
+		Resumes:       k.Resumes(),
 	}
 	if pl != nil {
 		res.Fault = pl.Report()

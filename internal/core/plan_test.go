@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"scaffe/internal/coll"
 	"scaffe/internal/fault"
 	"scaffe/internal/models"
 	"scaffe/internal/sim"
@@ -37,7 +38,6 @@ func TestSteadyStateIterationAllocBudget(t *testing.T) {
 		mk := func(iters int) Config {
 			cfg := timingConfig(spec, ranks, 64, iters)
 			cfg.Design = SCOBR
-			cfg.SimParallel = 1
 			if armed {
 				// Armed but never tripped: the event lies far past the end.
 				cfg.Faults = fault.Schedule{{At: 3600 * sim.Second, Kind: fault.StragglerOff, Rank: 0}}
@@ -53,5 +53,51 @@ func TestSteadyStateIterationAllocBudget(t *testing.T) {
 			t.Errorf("armed=%v: %.1f objects per rank-iteration in steady state, budget %d: is the graph rebuilt per iteration?",
 				armed, perRankIter, budget)
 		}
+	}
+}
+
+// TestSteadyStateIterationSwitchBudget is the alloc budget's twin for
+// the cost this design optimises: goroutine switches. An SC-OBR + HR
+// iteration parks each rank a few hundred times — per-layer kernels on
+// two lanes, a broadcast wait per parameter layer, chunked reduces —
+// and almost all of those resumes must be steps on the event loop. What
+// still takes the rank's goroutine is the node whose action may block
+// (the data wait, posting the broadcasts, a reduce) and the helper
+// lane's start and exit. The counts are exact and repeat, so the budget is
+// too; and an armed fault plane that never trips must add nothing:
+// its deadline expiries are steps.
+func TestSteadyStateIterationSwitchBudget(t *testing.T) {
+	const ranks, n, budget = 8, 8, 14 // measured: 12.00
+	spec, _ := models.ByName("cifar10-quick")
+	perRankIter := func(armed bool) float64 {
+		var res [2]*Result
+		for i, iters := range []int{n, 2 * n} {
+			cfg := timingConfig(spec, ranks, 64, iters)
+			cfg.Design = SCOBR
+			cfg.Reduce = coll.Tuned
+			if armed {
+				cfg.Faults = fault.Schedule{{At: 3600 * sim.Second, Kind: fault.StragglerOff, Rank: 0}}
+			}
+			r, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res[i] = r
+		}
+		short, long := res[0].Resumes, res[1].Resumes
+		per := float64(long.Switches-short.Switches) / (ranks * n)
+		t.Logf("armed=%v: %+v at %d iterations, %+v at %d: %.2f switches per rank-iteration",
+			armed, short, n, long, 2*n, per)
+		if long.Steps <= long.Switches {
+			t.Errorf("armed=%v: %d steps to %d switches: the iteration is not running as steps", armed, long.Steps, long.Switches)
+		}
+		return per
+	}
+	free, armed := perRankIter(false), perRankIter(true)
+	if free > budget {
+		t.Errorf("%.2f goroutine switches per rank-iteration, budget %d: which wait went back to blocking?", free, budget)
+	}
+	if armed != free {
+		t.Errorf("armed-untripped run switches %.2f times per rank-iteration, fault-free %.2f: an untripped deadline must cost a step, not a switch", armed, free)
 	}
 }

@@ -169,9 +169,9 @@ func TestWireReorderAndDelayEveryReducer(t *testing.T) {
 }
 
 // TestWireDropDeterministicAcrossProcs pins GOMAXPROCS-invariance of
-// a loss-escalated run: wire faults arm the plane, which forces the
-// sequential kernel, so the whole fate/escalate/recover history must
-// be bit-identical whatever the host parallelism.
+// a loss-escalated run: one goroutine at a time drives the event
+// loop, so the whole fate/escalate/recover history must be
+// bit-identical whatever the host parallelism.
 func TestWireDropDeterministicAcrossProcs(t *testing.T) {
 	cfg := wireCfg(t, SCB, coll.Binomial)
 	base := midRun(t, cfg, 0.45)

@@ -162,6 +162,8 @@ func (w *workload) real() bool { return w.net != nil }
 
 // packParams flattens the net's parameters into the packed buffer
 // (root, before propagation).
+//
+//scaffe:hotpath
 func (w *workload) packParams() {
 	if !w.real() {
 		return
@@ -171,6 +173,8 @@ func (w *workload) packParams() {
 
 // unpackParams writes broadcast parameters back into the net
 // (non-root, after propagation).
+//
+//scaffe:hotpath
 func (w *workload) unpackParams() {
 	if !w.real() {
 		return
@@ -204,6 +208,8 @@ func (w *workload) initInput(ds data.Dataset) {
 }
 
 // beginForward resets activation threading.
+//
+//scaffe:hotpath
 func (w *workload) beginForward() {
 	if w.real() {
 		w.act = w.input
@@ -218,6 +224,8 @@ func (w *workload) forwardLayer(l int) {
 }
 
 // beginBackward resets gradient threading.
+//
+//scaffe:hotpath
 func (w *workload) beginBackward() {
 	if w.real() {
 		w.grad = nil
@@ -244,6 +252,8 @@ func (w *workload) backwardLayer(l int) {
 
 // unpackLayerParams writes one layer's broadcast parameters back into
 // the net (SC-OB's per-layer waits).
+//
+//scaffe:hotpath
 func (w *workload) unpackLayerParams(l int) {
 	if !w.real() || w.layerParam[l] == nil {
 		return

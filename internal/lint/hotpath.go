@@ -32,7 +32,7 @@ func runHotpath(prog *Program, pkg *Pkg, report func(pos token.Pos, msg string))
 		if !ok {
 			continue
 		}
-		checkHotBody(pkg, n, chainSuffix("hotpath", chain, n.Hot), coldGuard(pkg, n, report))
+		checkHotBody(pkg, n, chainSuffix(chain, n.Hot), coldGuard(pkg, n, report))
 	}
 }
 

@@ -4,9 +4,7 @@
 //
 //   - determinism: the simulator-facing packages must not consult wall
 //     clocks or global randomness, and must not feed unordered map
-//     iteration into ordered outputs (trace spans, wire sends); code
-//     annotated `//scaffe:parallel` (speculative batch segments) must
-//     not touch package-level variables or non-mailbox channels.
+//     iteration into ordered outputs (trace spans, wire sends).
 //   - hotpath: functions annotated `//scaffe:hotpath` must stay
 //     allocation-free (no composite-literal/make/new allocation, no
 //     append growth, no fmt, no closures, no interface boxing).
@@ -18,16 +16,11 @@
 //     at all.
 //   - trace: a span opened with Recorder.Begin must be ended on every
 //     return path.
-//   - exclusive: code holding a parallel obligation must route
-//     kernel-visible effects (Kernel scheduling sinks, Completion
-//     firing) through the parSegment staging API unless it is in
-//     serial context, and segment state may only be mutated by the
-//     staging machinery itself.
 //
-// Since PR 9 the hotpath, parallel, and exclusive obligations are
-// interprocedural (DESIGN.md §15): Analyze builds a module-wide call
-// graph and floods each annotation over it, so a diagnostic fires in
-// an unannotated callee with the annotated root named in the message.
+// The hotpath obligation is interprocedural (DESIGN.md §15): Analyze
+// builds a module-wide call graph and floods the annotation over it, so
+// a diagnostic fires in an unannotated callee with the annotated root
+// named in the message.
 //
 // The analyzer is pure stdlib (go/parser + go/types with a
 // module-aware source importer), so it runs offline with no
@@ -39,13 +32,6 @@
 //	    On a function's doc comment: the function body — and
 //	    everything it may reach through the call graph — is subject to
 //	    the hotpath allocation rules.
-//
-//	//scaffe:parallel
-//	    On a function's doc comment: the function runs inside the
-//	    speculative part of a parallel-lookahead batch; it and its
-//	    non-stage-guarded callees are subject to the determinism
-//	    pass's shared-state rules and the exclusive pass's staging
-//	    discipline.
 //
 //	//scaffe:coldpath <reason>
 //	    In a function's doc comment: the function is a declared slow
@@ -119,7 +105,7 @@ func Passes() []*Pass {
 	return []*Pass{
 		{
 			Name:    "determinism",
-			Doc:     "no wall clocks, global math/rand, map-order-dependent ordered outputs, or shared state in //scaffe:parallel sections",
+			Doc:     "no wall clocks, global math/rand, or map-order-dependent ordered outputs",
 			Applies: inDeterministicScope,
 			Run:     runDeterminism,
 		},
@@ -137,12 +123,6 @@ func Passes() []*Pass {
 			Name: "trace",
 			Doc:  "spans opened by Begin are ended on all return paths",
 			Run:  runTrace,
-		},
-		{
-			Name:    "exclusive",
-			Doc:     "parallel-reachable code stages kernel effects through parSegment; segment state mutates only via the staging API",
-			Applies: inDeterministicScope,
-			Run:     runExclusive,
 		},
 	}
 }

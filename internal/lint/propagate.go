@@ -7,13 +7,13 @@ import (
 	"strings"
 )
 
-// Contract propagation (DESIGN.md §15): `//scaffe:hotpath` and
-// `//scaffe:parallel` are obligations on everything the annotated
-// function may reach, not just on its own frame. NewProgram builds the
-// module call graph once and floods both obligations over it; the
-// passes then check every obligated node, naming the annotated root in
-// the diagnostic ("[hotpath via sched.Graph.runNode → coll.Ring.Reduce]")
-// so a finding three calls deep is still actionable.
+// Contract propagation (DESIGN.md §15): `//scaffe:hotpath` is an
+// obligation on everything the annotated function may reach, not just
+// on its own frame. NewProgram builds the module call graph once and
+// floods the obligation over it; the hotpath pass then checks every
+// obligated node, naming the annotated root in the diagnostic
+// ("[hotpath via sched.laneRun.Step → coll.Ring.Reduce]") so a finding
+// three calls deep is still actionable.
 //
 // The escape hatch is `//scaffe:coldpath <reason>`:
 //
@@ -37,11 +37,10 @@ type Program struct {
 	Pkgs  []*Pkg
 	Graph *CallGraph
 
-	// Hot and Par map every node holding the obligation to the call
+	// Hot maps every node holding the hotpath obligation to the call
 	// chain from an annotated root to the node, inclusive. Directly
 	// annotated nodes map to their own name.
 	Hot map[*FuncNode]string
-	Par map[*FuncNode]string
 
 	// hygiene collects directive-grammar violations (coldpath without a
 	// reason), reported under the nolint pass.
@@ -54,29 +53,25 @@ type hygieneIssue struct {
 	msg string
 }
 
-// NewProgram builds the call graph and floods the contracts.
+// NewProgram builds the call graph and floods the contract.
 func NewProgram(pkgs []*Pkg) *Program {
 	p := &Program{
 		Pkgs:  pkgs,
 		Graph: buildCallGraph(pkgs),
 		Hot:   make(map[*FuncNode]string),
-		Par:   make(map[*FuncNode]string),
 	}
-	// hotpath flows through every non-cold edge: a stage guard affects
-	// who runs the code, not how hot it is. parallel stops at serial
-	// edges — a stage-guarded or post-Exclusive call site cannot run
-	// speculatively.
-	p.propagate(p.Hot, func(n *FuncNode) bool { return n.Hot }, true)
-	p.propagate(p.Par, func(n *FuncNode) bool { return n.Par }, false)
+	p.propagate()
 	p.collectHygiene()
 	return p
 }
 
-// propagate floods one obligation from its directly annotated roots.
-func (p *Program) propagate(out map[*FuncNode]string, direct func(*FuncNode) bool, followSerial bool) {
+// propagate floods the hotpath obligation from its directly annotated
+// roots through every non-cold edge.
+func (p *Program) propagate() {
+	out := p.Hot
 	var queue []*FuncNode
 	for _, n := range p.Graph.Nodes {
-		if direct(n) && n.ColdReason == "" {
+		if n.Hot && n.ColdReason == "" {
 			out[n] = n.Name
 			queue = append(queue, n)
 		}
@@ -85,7 +80,7 @@ func (p *Program) propagate(out map[*FuncNode]string, direct func(*FuncNode) boo
 		n := queue[0]
 		queue = queue[1:]
 		for _, e := range n.edges {
-			if e.cold || (e.serial && !followSerial) {
+			if e.cold {
 				continue
 			}
 			t := e.to
@@ -103,11 +98,11 @@ func (p *Program) propagate(out map[*FuncNode]string, direct func(*FuncNode) boo
 
 // chainSuffix renders the "via" suffix for a propagated (not directly
 // annotated) obligation, or "".
-func chainSuffix(kind, chain string, direct bool) string {
+func chainSuffix(chain string, direct bool) string {
 	if direct || chain == "" {
 		return ""
 	}
-	return " [" + kind + " via " + chain + "]"
+	return " [hotpath via " + chain + "]"
 }
 
 // coldpathReason extracts a declaration-level coldpath reason from fd's

@@ -108,18 +108,3 @@ func (chainRed) reduce(b *buf) {
 func hotDispatch(r reducer, b *buf) {
 	r.reduce(b)
 }
-
-// totalTicks and the spec pair pin parallel propagation: the
-// determinism pass's shared-state rule fires in the unannotated helper
-// with the annotated root named.
-var totalTicks int
-
-//scaffe:parallel
-func specRoot(b *buf) {
-	specHelper(b)
-}
-
-func specHelper(b *buf) {
-	totalTicks++ // want `package-level variable totalTicks.*via xprofix\.specRoot → xprofix\.specHelper`
-	b.data[0] = 0
-}

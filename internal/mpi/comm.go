@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"scaffe/internal/gpu"
+	"scaffe/internal/sim"
 	"scaffe/internal/topology"
 )
 
@@ -129,20 +130,52 @@ var barrierBuf = gpu.NewBuffer(0)
 // (ceil(log2 P) rounds of zero-byte exchanges). Every member must call
 // it.
 func (c *Comm) Barrier(r *Rank) {
-	me := c.Rank(r)
 	size := c.Size()
 	if size == 1 {
 		return
 	}
-	round := 0
-	for dist := 1; dist < size; dist <<= 1 {
-		to := (me + dist) % size
-		from := (me - dist + size) % size
-		tag := tagBarrier + round
-		rreq := r.Irecv(c, from, tag, barrierBuf)
-		sreq := r.Isend(c, to, tag, barrierBuf, topology.ModeHost)
-		r.Wait(rreq)
-		r.Wait(sreq)
-		round++
+	r.barrier = barrierStep{r: r, c: c, me: c.Rank(r), size: size, dist: 1}
+	r.Proc.RunSteps(&r.barrier)
+}
+
+// barrierStep walks the barrier's rounds as steps: post the round's
+// receive and send, wait the receive, wait the send, double the
+// distance.
+type barrierStep struct {
+	r          *Rank
+	c          *Comm
+	me, size   int
+	dist       int      // this round's distance; the barrier is over at size
+	round      int      // rounds posted so far: the next round's tag offset
+	rreq, sreq *Request // this round's exchange; nil once waited
+	w          Waiter
+}
+
+//scaffe:hotpath
+func (s *barrierStep) Step(*sim.Proc) bool {
+	r := s.r
+	for {
+		if s.sreq == nil {
+			if s.dist >= s.size {
+				return true
+			}
+			to := (s.me + s.dist) % s.size
+			from := (s.me - s.dist + s.size) % s.size
+			tag := tagBarrier + s.round
+			s.rreq = r.Irecv(s.c, from, tag, barrierBuf)
+			s.sreq = r.Isend(s.c, to, tag, barrierBuf, topology.ModeHost)
+			s.dist <<= 1
+			s.round++
+		}
+		if s.rreq != nil {
+			if !r.PollRequest(&s.w, s.rreq) {
+				return false
+			}
+			s.rreq = nil
+		}
+		if !r.PollRequest(&s.w, s.sreq) {
+			return false
+		}
+		s.sreq = nil
 	}
 }

@@ -7,13 +7,13 @@ import (
 )
 
 // ULFM-style fault tolerance: when the world carries a fault plane
-// (World.Fault non-nil), every blocking wait runs in deadline slices.
-// A deadline that expires without progress consults the plane — if a
-// rank is dead the communicator is revoked and the wait panics with
-// Revoked{}, which the engine catches to enter recovery; otherwise
-// the wait retries with exponential backoff, riding out transient
-// slowness (stragglers, degraded links). Without a plane every code
-// path below is byte-for-byte the pre-fault behavior.
+// (World.Fault non-nil), every wait runs in deadline slices. A deadline
+// that expires without progress consults the plane — if a rank is dead
+// the communicator is revoked and the wait panics with Revoked{}, which
+// the engine catches to enter recovery; otherwise the wait retries with
+// exponential backoff, riding out transient slowness (stragglers,
+// degraded links). An expiry that finds nothing wrong is a step on the
+// event loop (PollWait), not a resume of the waiting proc.
 
 // Revoked is the panic value thrown by fault-aware MPI operations
 // once the communicator has been revoked. It unwinds the current
@@ -38,30 +38,93 @@ func (r *Rank) ftCheck() {
 	}
 }
 
-// waitFT waits for c on proc p in deadline slices (see the package
-// comment above). p is the calling proc — the rank's main thread or
-// one of its helper threads.
-func (r *Rank) waitFT(p *sim.Proc, c *sim.Completion) {
-	pl := r.W.Fault
-	if pl.Revoked() {
-		panic(Revoked{})
-	}
-	for attempt := 0; !p.WaitTimeout(c, pl.Timeout(attempt)); attempt++ {
-		if pl.OnTimeout(r.ID, attempt, r.Now()) {
-			panic(Revoked{})
-		}
-	}
+// Waiter is the state of one wait between the steps of a sim.Stepper:
+// whether the wait is armed, and which deadline slice it is on. The zero
+// value is ready; a stepper abandoned mid-wait (a Revoked unwind) must
+// zero its Waiter before the next use.
+type Waiter struct {
+	armed   bool
+	attempt int32
 }
 
-// WaitDep blocks p until c fires: a plain wait without a fault plane,
-// a deadline-sliced one with it. The iteration scheduler uses it for
-// dependency edges so helper lanes also observe revocations.
-func (r *Rank) WaitDep(p *sim.Proc, c *sim.Completion) {
-	if r.W.Fault == nil {
-		p.Wait(c)
-		return
+// Armed reports whether a PollWait on w has armed a wait that is not
+// over yet.
+func (w *Waiter) Armed() bool { return w.armed }
+
+// PollWait is the non-parking wait for c on proc p — the rank's main
+// proc or one of its helper threads — for use inside a sim.Stepper's
+// Step. It reports whether the wait is over. While it reports false, p
+// is armed to be resumed, the Step must return false, and the next Step
+// must call PollWait again with the same arguments: that call either
+// finds c fired, or finds a deadline slice expired, consults the fault
+// plane (panicking with Revoked{} on a detected failure, as ftCheck
+// does up front) and arms the next, longer slice. Without a fault plane
+// the wait has no deadline.
+//
+//scaffe:hotpath
+func (r *Rank) PollWait(p *sim.Proc, w *Waiter, c *sim.Completion) (done bool) {
+	pl := r.W.Fault
+	if !w.armed {
+		if pl == nil {
+			if p.ArmWait(c) {
+				return true
+			}
+		} else {
+			if pl.Revoked() {
+				panic(Revoked{})
+			}
+			w.attempt = 0
+			if p.ArmWaitTimeout(c, pl.Timeout(0)) {
+				return true
+			}
+		}
+		w.armed = true
+		return false
 	}
-	r.waitFT(p, c)
+	if c.Fired() {
+		w.armed = false
+		return true
+	}
+	// Only a deadline resumes a proc whose completion has not fired.
+	if pl.OnTimeout(r.ID, int(w.attempt), r.Now()) {
+		panic(Revoked{})
+	}
+	w.attempt++
+	p.ArmWaitTimeout(c, pl.Timeout(int(w.attempt)))
+	return false
+}
+
+// PollRequest is PollWait for Wait(req): when the request completes it
+// is released, as Wait releases it, and must not be used again. A
+// deferred request does its work inside Wait and needs the proc's
+// stack: those go to Wait (see Request.Deferred); polled, one never
+// completes.
+//
+//scaffe:hotpath
+func (r *Rank) PollRequest(w *Waiter, req *Request) (done bool) {
+	if !r.PollWait(r.Proc, w, req.Done) {
+		return false
+	}
+	r.putRequest(req)
+	return true
+}
+
+// waitStep is the stepper behind the blocking Wait: one PollWait per
+// resume.
+type waitStep struct {
+	r *Rank
+	c *sim.Completion
+	w Waiter
+}
+
+//scaffe:hotpath
+func (s *waitStep) Step(p *sim.Proc) bool { return s.r.PollWait(p, &s.w, s.c) }
+
+// wait blocks the rank's main proc until c fires (or the communicator
+// is revoked).
+func (r *Rank) wait(c *sim.Completion) {
+	r.waiting = waitStep{r: r, c: c}
+	r.Proc.RunSteps(&r.waiting)
 }
 
 // KillThreads kills the rank's live helper threads (stale lanes of an

@@ -113,10 +113,6 @@ func (w *World) putBcastOp(op *bcastOp) {
 //
 //scaffe:hotpath
 func (r *Rank) Ibcast(c *Comm, root int, buf *gpu.Buffer, mode topology.TransferMode) *Request {
-	// Cross-rank entry: the world's broadcast-op table and the comm's
-	// per-rank sequence counters are shared across every participant,
-	// so a batched segment serializes here (see Isend).
-	r.Proc.Exclusive()
 	r.ftCheck()
 	me := c.Rank(r)
 	key := bcastKey{comm: c.id, seq: c.bcastSeq[me]}

@@ -68,13 +68,21 @@ type Summed struct {
 // Revoked. The handle is pooled: Verify settling it releases it, so it
 // must not be used afterwards.
 func (r *Rank) RecvSummed(c *Comm, from, tag int, buf *gpu.Buffer) *Summed {
+	req, s := r.IrecvSummed(c, from, tag, buf)
+	r.Wait(req)
+	return s
+}
+
+// IrecvSummed posts RecvSummed's receive and returns its request with
+// the checksum handle: the non-blocking form, for a sim.Stepper that
+// polls the request itself. Once the request has completed the handle
+// must reach Verify (or a TryVerify that reports true).
+func (r *Rank) IrecvSummed(c *Comm, from, tag int, buf *gpu.Buffer) (*Request, *Summed) {
 	var s *Summed
 	if r.W.integrityArmed() {
 		s = r.getSummed(buf)
 	}
-	req := r.irecv(c, from, tag, buf, s)
-	r.Wait(req)
-	return s
+	return r.irecv(c, from, tag, buf, s), s
 }
 
 // getSummed draws a checksummed-chunk header from the rank's free
@@ -145,6 +153,26 @@ func (s *Summed) corrupt() {
 	s.buf.Data[0] = math.Float32frombits(math.Float32bits(s.buf.Data[0]) ^ 1<<30)
 }
 
+// TryVerify is the part of Verify that never blocks: it settles a
+// receive whose checksum matches (and the inert nil handle) and reports
+// true. It reports false, having counted nothing, on a mismatch, which
+// only Verify can handle — a retransmit waits on the wire. A
+// sim.Stepper calls TryVerify in its Step and falls back to Verify on
+// the proc's goroutine.
+//
+//scaffe:hotpath
+func (s *Summed) TryVerify() bool {
+	if s == nil {
+		return true
+	}
+	if s.poisoned || (s.buf.Data != nil && s.buf.Checksum() != s.sum) {
+		return false
+	}
+	s.r.W.Integrity.Verified++
+	s.release()
+	return true
+}
+
 // Verify settles the checksummed receive. On mismatch it counts a
 // detection; detect mode stops there (the corrupted payload flows on),
 // recover mode retransmits the chunk and re-verifies until it is clean
@@ -152,18 +180,9 @@ func (s *Summed) corrupt() {
 // revoked and the wait unwinds with Revoked for the fault plane's
 // recovery rendezvous.
 func (s *Summed) Verify() {
-	if s == nil {
-		return
-	}
-	w := s.r.W
-	integ := w.Integrity
-	for try := 0; ; try++ {
-		bad := s.poisoned || (s.buf.Data != nil && s.buf.Checksum() != s.sum)
-		if !bad {
-			integ.Verified++
-			s.release()
-			return
-		}
+	for try := 0; !s.TryVerify(); try++ {
+		w := s.r.W
+		integ := w.Integrity
 		integ.Detected++
 		if integ.Mode == IntegrityDetect {
 			s.release()
@@ -202,10 +221,6 @@ func (s *Summed) retransmit() {
 		}
 		done.Fire()
 	})
-	if w.Fault != nil {
-		r.waitFT(r.Proc, done)
-	} else {
-		r.Proc.Wait(done)
-	}
+	r.wait(done)
 	w.K.PutCompletion(done)
 }

@@ -213,7 +213,8 @@ func (r *Rank) pushUnexpected(key matchKey, ps *pendingSend) {
 // happens. With a fault plane armed the wait is deadline-sliced and
 // may panic with Revoked{} if a rank failure is detected (see
 // fault.go) — an unwound request is abandoned to the collector, never
-// recycled.
+// recycled. Like every blocking MPI call it belongs to the rank's main
+// proc.
 func (r *Rank) Wait(req *Request) {
 	if req.deferred != nil {
 		fn := req.deferred
@@ -223,11 +224,7 @@ func (r *Rank) Wait(req *Request) {
 		r.putRequest(req)
 		return
 	}
-	if r.W.Fault == nil {
-		r.Proc.Wait(req.Done)
-	} else {
-		r.waitFT(r.Proc, req.Done)
-	}
+	r.wait(req.Done)
 	r.putRequest(req)
 }
 
@@ -243,6 +240,10 @@ func (r *Rank) WaitAll(reqs ...*Request) {
 // requires Wait), which is exactly the paper's complaint about NBC
 // reductions.
 func (req *Request) Test() bool { return req.deferred == nil && req.Done.Fired() }
+
+// Deferred reports whether the request is CPU-progressed: its work runs
+// inside Wait, on the waiting proc's stack, so a Stepper cannot poll it.
+func (req *Request) Deferred() bool { return req.deferred != nil }
 
 // OnComplete registers fn to run (in kernel context) when the request
 // completes; if it already completed, fn is scheduled immediately.
@@ -271,11 +272,6 @@ func (r *Rank) NewDeferredRequest(fn func()) *Request {
 //
 //scaffe:hotpath
 func (r *Rank) Isend(c *Comm, to, tag int, buf *gpu.Buffer, mode topology.TransferMode) *Request {
-	// Cross-rank entry: the destination's match queues and the shared
-	// links are outside this rank's group, so a batched segment
-	// serializes here (no-op in sequential mode). Lane-0 discipline
-	// makes r.Proc the executing proc at every MPI entry.
-	r.Proc.Exclusive()
 	r.ftCheck()
 	dst := c.rankAt(to)
 	if dst == r {
@@ -308,9 +304,6 @@ func (r *Rank) Irecv(c *Comm, from, tag int, buf *gpu.Buffer) *Request {
 
 //scaffe:hotpath
 func (r *Rank) irecv(c *Comm, from, tag int, buf *gpu.Buffer, s *Summed) *Request {
-	// Cross-rank entry: posting touches this rank's match queues, which
-	// the sender's Isend also touches (see Isend).
-	r.Proc.Exclusive()
 	r.ftCheck()
 	src := c.rankAt(from)
 	req := r.getRequest(buf)

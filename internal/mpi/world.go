@@ -178,8 +178,17 @@ type Rank struct {
 	sumPool []*Summed
 
 	// threads tracks live helper procs so a crash (or recovery) can
-	// fail-stop the whole rank, not just its main thread.
-	threads []*sim.Proc
+	// fail-stop the whole rank, not just its main thread. threadNames
+	// keeps the proc name of every helper lane spawned so far: SC-OBR
+	// respawns the same lane every iteration.
+	threads     []*sim.Proc
+	threadNames []threadName
+
+	// waiting and barrier are the steppers behind the blocking Wait and
+	// Barrier; a rank's main proc runs at most one blocking call at a
+	// time, so one record of each serves every call.
+	waiting waitStep
+	barrier barrierStep
 
 	// lives counts RespawnRank rebirths, keeping respawned proc names
 	// unique for traces and diagnostics.
@@ -196,7 +205,7 @@ func (r *Rank) Sleep(d sim.Duration) { r.Proc.Sleep(d) }
 // process (the helper thread of SC-OBR). The thread shares the rank's
 // state and synchronizes with the main thread via sim.Flag.
 func (r *Rank) SpawnThread(name string, fn func(p *sim.Proc)) *sim.Proc {
-	p := r.W.K.Spawn(fmt.Sprintf("rank%d.%s", r.ID, name), fn)
+	p := r.W.K.Spawn(r.threadName(name), fn)
 	// Prune finished threads so the tracking list stays bounded over
 	// many iterations.
 	live := r.threads[:0]
@@ -207,4 +216,20 @@ func (r *Rank) SpawnThread(name string, fn func(p *sim.Proc)) *sim.Proc {
 	}
 	r.threads = append(live, p)
 	return p
+}
+
+// threadName is the proc name of one of the rank's helper lanes.
+type threadName struct{ lane, proc string }
+
+// threadName returns the proc name of the rank's helper lane, built the
+// first time the lane is spawned.
+func (r *Rank) threadName(lane string) string {
+	for _, t := range r.threadNames {
+		if t.lane == lane {
+			return t.proc
+		}
+	}
+	name := fmt.Sprintf("rank%d.%s", r.ID, lane)
+	r.threadNames = append(r.threadNames, threadName{lane, name})
+	return name
 }

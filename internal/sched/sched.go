@@ -20,6 +20,13 @@
 // span for its action and, separately, for any time it spent blocked on
 // dependencies, so the timeline a graph produces is exactly the
 // timeline the equivalent hand-written loop produced.
+//
+// A lane is not a loop on a goroutine but a walk over the plan's node
+// table done in steps on the simulator's event loop (sim.Stepper): a
+// dependency that fires, a request that completes, a kernel that ends
+// each resume the walk where it stopped, on whichever goroutine is
+// running the loop. Only a node whose action may block takes the lane's
+// own goroutine, for that node.
 package sched
 
 import (
@@ -140,11 +147,12 @@ type Node struct {
 	phase     string // phase charged for action time; "" = untraced
 	waitPhase string // phase charged for dependency-wait time
 	lane      int
-	index     int // position within the lane
-	id        int // position within the plan: the node's completion in Graph.done
-	action    func(*Ctx)
-	deps      []int // ids of the cross-lane nodes this one waits for
-	gates     []int // ids of the slots this one waits for
+	index     int                 // position within the lane
+	id        int                 // position within the plan: the node's completion in Graph.done
+	action    func(*Ctx)          // may block: runs on the lane's goroutine
+	timed     func(*Ctx) sim.Time // never blocks: the lane resumes at the time it returns
+	deps      []int               // ids of the cross-lane nodes this one waits for
+	gates     []int               // ids of the slots this one waits for
 }
 
 // After adds dependency edges. Same-lane edges to earlier nodes are
@@ -200,8 +208,7 @@ func (n *Node) WaitingIn(phase string) *Node {
 
 // Plan is the immutable description of one iteration: what runs, on
 // which lane, after what. Build it, Seal it, then Bind it to any number
-// of ranks: they may execute it concurrently (the parallel kernel does)
-// because neither Bind nor Execute writes a sealed plan.
+// of ranks: neither Bind nor Execute writes a sealed plan.
 type Plan struct {
 	lanes     [][]*Node
 	laneNames []string
@@ -241,9 +248,30 @@ func (p *Plan) Lane(name string) int {
 }
 
 // Add appends a node to the lane. The action may be nil (a pure
-// synchronization point). The wait phase defaults to the action phase;
+// synchronization point); one that is not may block, so the lane hands
+// it to its goroutine. The wait phase defaults to the action phase;
 // override with WaitingIn.
 func (p *Plan) Add(lane int, kind Kind, phase, label string, action func(*Ctx)) *Node {
+	n := p.add(lane, kind, phase, label)
+	n.action = action
+	return n
+}
+
+// AddTimed appends a node that occupies its lane until a time it
+// computes and does nothing else that blocks — a device kernel, a fixed
+// overhead. until runs when the node's dependencies and gates are
+// satisfied, does the node's work (launching the kernel, the real
+// arithmetic) and returns when the lane may go on; the lane sleeps
+// until then. It is the blocking action "work; WaitUntil(end)" with the
+// wait left to the scheduler, which takes it as a step on the event
+// loop: until must not park the proc.
+func (p *Plan) AddTimed(lane int, kind Kind, phase, label string, until func(*Ctx) sim.Time) *Node {
+	n := p.add(lane, kind, phase, label)
+	n.timed = until
+	return n
+}
+
+func (p *Plan) add(lane int, kind Kind, phase, label string) *Node {
 	p.building(label)
 	if lane < 0 || lane >= len(p.lanes) {
 		panic(fmt.Sprintf("sched: node %q on unknown lane %d", label, lane))
@@ -253,7 +281,7 @@ func (p *Plan) Add(lane int, kind Kind, phase, label string, action func(*Ctx)) 
 	}
 	p.slab = append(p.slab, Node{
 		p: p, kind: kind, label: label, waitLabel: label + "/wait", phase: phase, waitPhase: phase,
-		lane: lane, index: len(p.lanes[lane]), id: p.nodes, action: action,
+		lane: lane, index: len(p.lanes[lane]), id: p.nodes,
 	})
 	p.nodes++
 	n := &p.slab[len(p.slab)-1]
@@ -279,9 +307,9 @@ func (p *Plan) Bind(r *mpi.Rank) *Graph {
 type Graph struct {
 	plan  *Plan
 	r     *mpi.Rank
-	reqs  [][]*mpi.Request  // per slot, filled by Ctx.Put; nil until the first Execute
-	done  []sim.Completion  // per node; nil on single-lane plans
-	joins []*sim.Completion // per-Execute scratch
+	reqs  [][]*mpi.Request // per slot, filled by Ctx.Put; nil until the first Execute
+	done  []sim.Completion // per node; nil on single-lane plans
+	lanes []laneRun        // per lane: its walk's state
 }
 
 // New returns an empty private plan together with rank r's instance of
@@ -304,13 +332,15 @@ func (g *Graph) Add(lane int, kind Kind, phase, label string, action func(*Ctx))
 
 // Execute runs the graph to completion on the rank's procs for
 // iteration it: helper lanes are spawned as rank threads, lane 0 runs
-// inline on the calling rank's main proc, and Execute returns only
-// after every lane's last node has finished. tracer may be nil.
+// on the calling rank's main proc, and Execute returns only after every
+// lane's last node has finished. tracer may be nil.
 //
 // Each Execute starts clean: it empties the gate slots and
 // re-initializes the node completions, whose generation bump dissolves
 // any reference left over from an abandoned (Revoked-unwound) previous
-// execution.
+// execution. The helper threads of an abandoned execution must be dead
+// (mpi.Rank.KillThreads, as recovery does) before the next: a lane's
+// walk state is the instance's, not the thread's.
 func (g *Graph) Execute(tracer Tracer, it int) {
 	pl := g.plan
 	if g.reqs == nil {
@@ -325,6 +355,11 @@ func (g *Graph) Execute(tracer Tracer, it int) {
 		if len(pl.lanes) > 1 {
 			g.done = make([]sim.Completion, pl.nodes)
 		}
+		g.lanes = make([]laneRun, len(pl.lanes))
+		for li := range g.lanes {
+			l := &g.lanes[li]
+			l.g, l.nodes, l.thread = g, pl.lanes[li], l.runThread
+		}
 	}
 	k := g.r.W.K
 	for i := range g.reqs {
@@ -333,105 +368,181 @@ func (g *Graph) Execute(tracer Tracer, it int) {
 	for i := range g.done {
 		g.done[i].Init(k)
 	}
-	joins := g.joins[:0]
-	if len(pl.lanes) > 1 {
-		// Spawning a thread writes the kernel's proc table and event
-		// queue, outside every group.
-		g.r.Proc.Exclusive()
-	}
-	for li := 1; li < len(pl.lanes); li++ {
-		nodes := pl.lanes[li]
-		if len(nodes) == 0 {
-			continue
+	for li := 1; li < len(g.lanes); li++ {
+		if l := &g.lanes[li]; len(l.nodes) > 0 {
+			l.reset(tracer, it)
+			g.r.SpawnThread(pl.laneNames[li], l.thread)
 		}
-		joins = append(joins, &g.done[nodes[len(nodes)-1].id])
-		g.r.SpawnThread(pl.laneNames[li], func(p *sim.Proc) {
-			// A revoked communicator unwinds helper lanes quietly:
-			// recovery belongs to the main lane, which observes the
-			// same revocation through its own waits.
-			defer func() {
-				if rec := recover(); rec != nil && !mpi.IsRevoked(rec) {
-					panic(rec)
-				}
-			}()
-			ctx := Ctx{R: g.r, P: p, It: it, g: g}
-			for _, n := range nodes {
-				g.runNode(n, &ctx, tracer)
-			}
-		})
 	}
-	g.joins = joins
-	ctx := Ctx{R: g.r, P: g.r.Proc, It: it, g: g}
-	for _, n := range pl.lanes[0] {
-		g.runNode(n, &ctx, tracer)
-	}
-	// Safety net: a well-formed graph orders lane 0 after its helpers
-	// (SC-OBR's join node), making these waits free.
-	for _, j := range joins {
-		g.r.WaitDep(g.r.Proc, j)
+	g.lanes[0].reset(tracer, it)
+	g.lanes[0].run(g.r.Proc)
+}
+
+// laneRun is the state of one lane's walk over its nodes. The walk is a
+// sim.Stepper: Step takes the current node through its dependencies,
+// its gates, its action and its completion, and moves to the next,
+// until a wait has to be armed or an action needs the goroutine.
+type laneRun struct {
+	g      *Graph
+	nodes  []*Node
+	thread func(*sim.Proc) // runThread, bound once: a helper lane's proc body
+	ctx    Ctx
+	tracer Tracer
+
+	i    int    // the node being walked
+	at   laneAt // how far into it
+	d    int    // dependencies already satisfied
+	s, q int    // gate slots already drained, and requests of slot s
+	join int    // lane 0, past its last node: the next helper lane to join
+	w    mpi.Waiter
+
+	entered, began sim.Time // when the node was entered / its action began (traced runs)
+}
+
+type laneAt uint8
+
+const (
+	atEnter     laneAt = iota // nothing of the node done yet
+	atDeps                    // waiting out its dependencies
+	atGates                   // waiting out its gates
+	atGateWait                // a deferred request's Wait needs the goroutine
+	atAction                  // its action is due
+	atActionRun               // its blocking action needs the goroutine
+	atFinish                  // its action is over: span, completion, next node
+)
+
+// reset points the walk at the lane's first node for iteration it.
+func (l *laneRun) reset(tracer Tracer, it int) {
+	l.ctx = Ctx{R: l.g.r, It: it, g: l.g}
+	l.tracer = tracer
+	l.i, l.at, l.join = 0, atEnter, 1
+	l.w = mpi.Waiter{}
+}
+
+// runThread is a helper lane's proc.
+func (l *laneRun) runThread(p *sim.Proc) {
+	// A revoked communicator unwinds helper lanes quietly: recovery
+	// belongs to the main lane, which observes the same revocation
+	// through its own waits.
+	defer func() {
+		if rec := recover(); rec != nil && !mpi.IsRevoked(rec) {
+			panic(rec)
+		}
+	}()
+	l.run(p)
+}
+
+// run walks the lane to its end on proc p, the lane's own: the steps on
+// the event loop, and what a step cannot do — a blocking action, the
+// Wait of a CPU-progressed request — here, on the goroutine.
+//
+//scaffe:hotpath
+func (l *laneRun) run(p *sim.Proc) {
+	l.ctx.P = p
+	for {
+		p.RunSteps(l)
+		switch l.at {
+		case atGateWait:
+			n := l.nodes[l.i]
+			l.g.r.Wait(l.g.reqs[n.gates[l.s]][l.q])
+			l.q++
+			l.at = atGates
+		case atActionRun:
+			l.nodes[l.i].action(&l.ctx)
+			l.at = atFinish
+		default:
+			return
+		}
 	}
 }
 
-// runNode waits the node's dependencies and gates, runs its action,
-// emits trace spans, and fires its completion. The untraced path skips
-// all timestamp bookkeeping — it exists only to position spans.
+// Step waits the node's dependencies and gates, runs its action, emits
+// trace spans, fires its completion, and goes on to the next node.
+// Untraced runs skip the timestamp bookkeeping — it exists only to
+// position spans.
 //
-// runNode is the steady-state iteration's root: every node action the
-// engine registers (Plan.Add stores the callback into Node.action)
-// runs under it once per iteration, so the hotpath obligation declared
-// here propagates through the call graph into those closures and
-// everything they reach.
+// Step is the steady-state iteration's root: every node action the
+// engine registers (Plan.Add and Plan.AddTimed store the callback into
+// the Node) runs under it or under run once per iteration, so the
+// hotpath obligation declared on the two propagates through the call
+// graph into those closures and everything they reach.
 //
 //scaffe:hotpath
-func (g *Graph) runNode(n *Node, ctx *Ctx, tracer Tracer) {
-	p := ctx.P
-	if tracer == nil {
-		for _, d := range n.deps {
-			// Lane-0 predecessors have almost always fired already;
-			// checking inline skips two call frames per satisfied edge.
-			if done := &g.done[d]; !done.Fired() {
-				g.r.WaitDep(p, done)
+func (l *laneRun) Step(p *sim.Proc) bool {
+	g, r := l.g, l.g.r
+	for l.i < len(l.nodes) {
+		n := l.nodes[l.i]
+		switch l.at {
+		case atEnter:
+			l.d, l.s, l.q = 0, 0, 0
+			if l.tracer != nil {
+				l.entered = p.Now()
+			}
+			l.at = atDeps
+		case atDeps:
+			for ; l.d < len(n.deps); l.d++ {
+				// Lane-0 predecessors have almost always fired already,
+				// and a fired one costs no wait at all.
+				if done := &g.done[n.deps[l.d]]; l.w.Armed() || !done.Fired() {
+					if !r.PollWait(p, &l.w, done) {
+						return false
+					}
+				}
+			}
+			l.at = atGates
+		case atGates:
+			for ; l.s < len(n.gates); l.s, l.q = l.s+1, 0 {
+				for reqs := g.reqs[n.gates[l.s]]; l.q < len(reqs); l.q++ {
+					if reqs[l.q].Deferred() {
+						l.at = atGateWait
+						return true
+					}
+					if !r.PollRequest(&l.w, reqs[l.q]) {
+						return false
+					}
+				}
+			}
+			if l.tracer != nil {
+				l.began = p.Now()
+				if l.began > l.entered && n.waitPhase != "" {
+					l.tracer.NodeSpan(n.lane, n.kind, n.waitPhase, n.waitLabel, l.entered, l.began)
+				}
+			}
+			l.at = atAction
+		case atAction:
+			l.at = atFinish
+			if n.timed != nil {
+				p.ArmUntil(n.timed(&l.ctx))
+				return false
+			}
+			if n.action != nil {
+				l.at = atActionRun
+				return true
+			}
+		case atFinish:
+			if l.tracer != nil {
+				if end := p.Now(); end > l.began && n.phase != "" {
+					l.tracer.NodeSpan(n.lane, n.kind, n.phase, n.label, l.began, end)
+				}
+			}
+			if g.done != nil {
+				g.done[n.id].Fire()
+			}
+			l.i++
+			l.at = atEnter
+		}
+	}
+	if l != &g.lanes[0] {
+		return true
+	}
+	// Lane 0 outlasts its helpers. A well-formed graph orders it after
+	// them (SC-OBR's join node), making these waits free.
+	for ; l.join < len(g.lanes); l.join++ {
+		if h := g.lanes[l.join].nodes; len(h) > 0 {
+			if !r.PollWait(p, &l.w, &g.done[h[len(h)-1].id]) {
+				return false
 			}
 		}
-		for _, s := range n.gates {
-			for _, req := range g.reqs[s] {
-				g.r.Wait(req)
-			}
-		}
-		if n.action != nil {
-			n.action(ctx)
-		}
-		if g.done != nil {
-			g.done[n.id].FireFrom(p)
-		}
-		return
 	}
-	start := p.Now()
-	for _, d := range n.deps {
-		if done := &g.done[d]; !done.Fired() {
-			g.r.WaitDep(p, done)
-		}
-	}
-	for _, s := range n.gates {
-		for _, req := range g.reqs[s] {
-			g.r.Wait(req)
-		}
-	}
-	if waited := p.Now(); waited > start && n.waitPhase != "" {
-		// The shared trace sink is outside every group: a batched
-		// segment serializes before emitting.
-		p.Exclusive()
-		tracer.NodeSpan(n.lane, n.kind, n.waitPhase, n.waitLabel, start, waited)
-	}
-	at := p.Now()
-	if n.action != nil {
-		n.action(ctx)
-	}
-	if end := p.Now(); end > at && n.phase != "" {
-		p.Exclusive()
-		tracer.NodeSpan(n.lane, n.kind, n.phase, n.label, at, end)
-	}
-	if g.done != nil {
-		g.done[n.id].FireFrom(p)
-	}
+	return true
 }

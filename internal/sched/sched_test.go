@@ -80,6 +80,92 @@ func TestLaneZeroRunsInInsertionOrder(t *testing.T) {
 	}
 }
 
+// TestTimedNodeMatchesBlockingAction: a node added with AddTimed is the
+// blocking action "work; WaitUntil(end)" in everything but who waits —
+// same order, same spans, same end time — and its waits are steps, not
+// goroutine switches.
+func TestTimedNodeMatchesBlockingAction(t *testing.T) {
+	const layers = 20
+	run := func(timed bool) ([]spanRec, sim.Time, sim.Resumes) {
+		w := newWorld(2)
+		tracers := make([]recTracer, 2)
+		_, err := w.Run(func(r *mpi.Rank) {
+			g := New(r)
+			g.Lane("helper")
+			var last *Node
+			for l := 0; l < layers; l++ {
+				for lane, phase := range []string{"forward", "backward"} { // lane 0, then the helper
+					d := sim.Duration(3*l + lane + r.ID + 1)
+					if timed {
+						last = g.Plan().AddTimed(lane, ComputeForward, phase, fmt.Sprint(phase, l), func(x *Ctx) sim.Time {
+							return x.P.Now() + d
+						})
+					} else {
+						last = g.Add(lane, ComputeForward, phase, fmt.Sprint(phase, l), func(x *Ctx) {
+							x.P.WaitUntil(x.P.Now() + d)
+						})
+					}
+				}
+			}
+			g.Add(0, Generic, "", "join", nil).After(last).WaitingIn("backward")
+			g.Execute(&tracers[r.ID], 0)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(tracers[0].spans, tracers[1].spans...), w.K.Now(), w.K.Resumes()
+	}
+	wantSpans, wantEnd, blocking := run(false)
+	gotSpans, gotEnd, stepped := run(true)
+	if len(wantSpans) < 4*layers {
+		t.Fatalf("blocking graphs emitted %d spans", len(wantSpans))
+	}
+	if gotEnd != wantEnd || !reflect.DeepEqual(gotSpans, wantSpans) {
+		t.Errorf("timed nodes ended at %v with %d spans, blocking actions at %v with %d; first difference at span %d",
+			gotEnd, len(gotSpans), wantEnd, len(wantSpans), firstDiff(gotSpans, wantSpans))
+	}
+	if blocking.Switches < 4*layers || stepped.Switches > 12 {
+		t.Errorf("switches: blocking %+v, timed %+v; want one per layer and lane against a handful", blocking, stepped)
+	}
+}
+
+func firstDiff(a, b []spanRec) int {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
+}
+
+// TestGateOnDeferredRequest: a CPU-progressed request does its work
+// inside Wait, which a step cannot run; the lane takes it to its
+// goroutine and goes on.
+func TestGateOnDeferredRequest(t *testing.T) {
+	w := newWorld(1)
+	tr := &recTracer{}
+	ran := false
+	_, err := w.Run(func(r *mpi.Rank) {
+		g := New(r)
+		slot := NewSlot()
+		g.Add(0, Generic, "", "post", func(x *Ctx) {
+			x.Put(slot, x.R.NewDeferredRequest(func() {
+				x.P.Sleep(30)
+				ran = true
+			}))
+		})
+		g.Plan().AddTimed(0, Reduce, "aggregation", "after", func(x *Ctx) sim.Time { return x.P.Now() + 5 }).Gated(slot)
+		g.Execute(tr, 0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait, after := tr.find("after/wait"), tr.find("after")
+	if !ran || wait == nil || wait.end != 30 || after == nil || after.start != 30 || after.end != 35 {
+		t.Errorf("deferred request ran=%v; spans %+v", ran, tr.spans)
+	}
+}
+
 func TestCrossLaneDependencyAndWaitPhase(t *testing.T) {
 	w := newWorld(1)
 	tr := &recTracer{}
@@ -284,8 +370,8 @@ func obrShape(p *Plan, comm *mpi.Comm, ranks int) {
 	bwd := make([]*Node, layers)
 	for l := layers - 1; l >= 0; l-- {
 		l := l
-		bwd[l] = p.Add(helper, ComputeBackward, "backward", fmt.Sprint("bwd:", l), func(x *Ctx) {
-			x.P.Sleep(sim.Duration(10*(l+1)+x.R.ID+x.It) * sim.Microsecond)
+		bwd[l] = p.AddTimed(helper, ComputeBackward, "backward", fmt.Sprint("bwd:", l), func(x *Ctx) sim.Time {
+			return x.P.Now() + sim.Duration(10*(l+1)+x.R.ID+x.It)*sim.Microsecond
 		})
 	}
 	bwd[layers-1].After(begin)
@@ -299,17 +385,12 @@ func obrShape(p *Plan, comm *mpi.Comm, ranks int) {
 
 // runShape executes obrShape on every rank of a fresh world for iters
 // iterations — through one shared plan, or through one sched.New graph
-// per rank — with the kernel sequential (workers <= 1) or armed for
-// parallel lookahead with one group per rank, like the engine's group
-// policy. It returns each rank's spans.
-func runShape(t *testing.T, shared bool, workers, ranks, iters int) [][]spanRec {
+// per rank — and returns each rank's spans.
+func runShape(t *testing.T, shared bool, ranks, iters int) [][]spanRec {
 	t.Helper()
 	k := sim.New()
 	cl := topology.New(k, "t", 2, (ranks+1)/2, topology.DefaultParams())
 	w := mpi.NewWorld(cl, ranks)
-	if workers > 1 {
-		k.SetParallel(workers, cl.MinLookahead())
-	}
 	comm := w.WorldComm()
 	var plan *Plan
 	if shared {
@@ -330,16 +411,8 @@ func runShape(t *testing.T, shared bool, workers, ranks, iters int) [][]spanRec 
 			g.Execute(&tracers[r.ID], it)
 		}
 	})
-	if workers > 1 {
-		for _, r := range w.Ranks {
-			r.Proc.SetGroup(r.ID)
-		}
-	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
-	}
-	if batches, segments := k.Batches(); workers > 1 && segments <= batches {
-		t.Fatalf("parallel kernel formed %d batches of %d segments: no ranks ran concurrently", batches, segments)
 	}
 	spans := make([][]spanRec, ranks)
 	for i := range tracers {
@@ -350,22 +423,17 @@ func runShape(t *testing.T, shared bool, workers, ranks, iters int) [][]spanRec 
 
 // TestSharedPlanParallelRanks pins the plan/instance split: one plan
 // executed by several ranks for several iterations emits exactly the
-// spans of private per-rank graphs, on the sequential kernel and with
-// the ranks' segments running concurrently. Run by scripts/check.sh
-// under -race, the parallel case also has the detector watch many
-// ranks reading one plan.
+// spans of private per-rank graphs.
 func TestSharedPlanParallelRanks(t *testing.T) {
 	const ranks, iters = 8, 4
-	want := runShape(t, false, 1, ranks, iters)
+	want := runShape(t, false, ranks, iters)
 	if len(want[0]) == 0 {
 		t.Fatal("private graphs emitted no spans")
 	}
-	for _, workers := range []int{1, ranks} {
-		got := runShape(t, true, workers, ranks, iters)
-		for r := range want {
-			if !reflect.DeepEqual(got[r], want[r]) {
-				t.Errorf("workers=%d rank %d: shared plan spans\n%+v\nprivate graph spans\n%+v", workers, r, got[r], want[r])
-			}
+	got := runShape(t, true, ranks, iters)
+	for r := range want {
+		if !reflect.DeepEqual(got[r], want[r]) {
+			t.Errorf("rank %d: shared plan spans\n%+v\nprivate graph spans\n%+v", r, got[r], want[r])
 		}
 	}
 }
@@ -388,6 +456,9 @@ func TestSealedPlanRejectsChanges(t *testing.T) {
 		p.Seal()
 		g := p.Bind(r)
 		mustPanic("Plan.Add", func() { p.Add(0, Generic, "", "b", nil) })
+		mustPanic("Plan.AddTimed", func() {
+			p.AddTimed(0, Generic, "", "b", func(x *Ctx) sim.Time { return x.P.Now() })
+		})
 		mustPanic("Graph.Add", func() { g.Add(0, Generic, "", "b", nil) })
 		mustPanic("Lane", func() { p.Lane("helper") })
 		mustPanic("After", func() { n.After(n) })

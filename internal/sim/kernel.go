@@ -15,6 +15,7 @@ package sim
 import (
 	"fmt"
 	"runtime/debug"
+	"sort"
 )
 
 // Time is a point in virtual time, in nanoseconds since the start of
@@ -62,8 +63,8 @@ type Kernel struct {
 	seq      uint64
 	nowQ     nowRing
 	cal      calendarQueue
-	procs    []*Proc
-	live     int // procs spawned but not yet finished
+	procs    []*Proc // spawned and not yet finished; see dropProc
+	spawned  uint64  // procs ever spawned; the newest proc's id
 	maxTime  Time
 	stopped  bool
 	failure  error
@@ -74,15 +75,32 @@ type Kernel struct {
 	// terminal state on one of them.
 	home chan struct{}
 
-	// serialResume switches parking procs back to the classic
-	// yield-to-resumer protocol: set while the parallel kernel's commit
-	// loop (or a worker) drives procs with resume(), when a parking proc
-	// must hand control back to its resumer instead of running the event
-	// loop itself.
-	serialResume bool
+	resumes Resumes
 
-	par *parKernel // parallel-lookahead state; nil in sequential mode
+	// tracePop, when set (tests), sees every event the loop pops.
+	tracePop func(event)
 }
+
+// Resumes counts how the event loop delivered proc resumes, by kind. It
+// is the scoreboard of the handoff cost: only Switches pay for a
+// goroutine switch.
+type Resumes struct {
+	// Switches are resumes handed to another goroutine over its wake
+	// channel.
+	Switches uint64
+	// Steps are resumes run inline as a Stepper call on whichever
+	// goroutine was driving the loop (see Proc.RunSteps).
+	Steps uint64
+	// SelfContinues are resumes of the proc that was driving the loop
+	// itself: it just keeps running.
+	SelfContinues uint64
+	// StaleWakes are guarded resumes that dissolved: the proc had timed
+	// out of that wait, or moved on, or finished.
+	StaleWakes uint64
+}
+
+// Resumes returns the kernel's resume counters so far.
+func (k *Kernel) Resumes() Resumes { return k.resumes }
 
 // New returns a fresh kernel at virtual time zero.
 func New() *Kernel {
@@ -199,6 +217,10 @@ const (
 // when called from Run or a finishing proc) and enables the zero-switch
 // fast path when the next event resumes the caller.
 //
+// A resume of a proc parked in RunSteps does not leave the loop at all:
+// its step runs right here, and only a step that reports done hands the
+// baton to the proc's goroutine.
+//
 // Exactly one goroutine executes loopFrom at any moment — control
 // passes through an unbroken chain of channel operations — so kernel
 // state needs no locking and event order is identical to the classic
@@ -217,35 +239,27 @@ func (k *Kernel) loopFrom(self *Proc) loopState {
 			return loopTerminal
 		}
 		k.now = ev.at
+		if k.tracePop != nil {
+			k.tracePop(ev)
+		}
 		switch ev.kind {
 		case evResume:
-			p := ev.p
-			if p.finished {
+			if ev.p.finished {
 				continue
 			}
-			if p == self {
-				return loopSelf
+			if st, left := k.deliver(ev.p, self); left {
+				return st
 			}
-			if k.par != nil && k.par.batchable(ev) {
-				k.par.runBatch(ev, self)
-				continue
-			}
-			p.wake <- struct{}{}
-			return loopHanded
 		case evResumeIf:
 			p := ev.p
 			if p.finished || !p.waitArmed || p.waitSeq != ev.aux {
+				k.resumes.StaleWakes++
 				continue // stale wake: the proc timed out or moved on
 			}
-			if p == self {
-				return loopSelf
+			p.waitArmed = false
+			if st, left := k.deliver(p, self); left {
+				return st
 			}
-			if k.par != nil && k.par.batchable(ev) {
-				k.par.runBatch(ev, self)
-				continue
-			}
-			p.wake <- struct{}{}
-			return loopHanded
 		case evFunc:
 			ev.fn()
 		case evFire:
@@ -254,6 +268,48 @@ func (k *Kernel) loopFrom(self *Proc) loopState {
 			ev.run.RunEvent(k)
 		}
 	}
+}
+
+// deliver resumes the live parked proc p. While p has a stepper
+// installed the resume is a call to its Step on this goroutine, and the
+// loop goes on (left false) unless the step reports done. Otherwise —
+// and for a killed proc, which is never stepped — control leaves the
+// loop: back into self when p is the proc driving it, over p's wake
+// channel when it is another.
+//
+//scaffe:hotpath
+func (k *Kernel) deliver(p, self *Proc) (st loopState, left bool) {
+	if p.stepper != nil {
+		if !p.killed && !k.step(p) {
+			k.resumes.Steps++
+			return 0, false
+		}
+		p.stepper = nil
+	}
+	if p == self {
+		k.resumes.SelfContinues++
+		return loopSelf, true
+	}
+	k.resumes.Switches++
+	p.wake <- struct{}{}
+	return loopHanded, true
+}
+
+// step runs one step of p's installed stepper. A panic in it must not
+// unwind the loop — it would take down whichever proc happens to be
+// driving it — so it is kept on p, the step counts as done, and
+// RunSteps raises it again on p's own goroutine.
+//
+//scaffe:hotpath
+func (k *Kernel) step(p *Proc) (done bool) {
+	//scaffe:nolint hotpath the deferred literal is open-coded on this frame, not a heap closure; TestSimKernelZeroAllocSteadyState steps through it
+	defer func() {
+		if rec := recover(); rec != nil {
+			p.failStep(rec)
+			done = true
+		}
+	}()
+	return p.stepper.Step(p)
 }
 
 // Run executes the event loop until no events remain, then verifies
@@ -272,14 +328,16 @@ func (k *Kernel) Run() error {
 	if k.failure != nil {
 		return k.failure
 	}
-	if k.live > 0 {
-		var stuck []string
-		for _, p := range k.procs {
-			if !p.finished {
-				stuck = append(stuck, p.name)
-			}
+	if len(k.procs) > 0 {
+		// The table holds exactly the unfinished procs, in an order
+		// finished ones disturbed: report them in spawn order.
+		sort.Slice(k.procs, func(i, j int) bool { return k.procs[i].id < k.procs[j].id })
+		stuck := make([]string, len(k.procs))
+		for i, p := range k.procs {
+			p.slot = i
+			stuck[i] = p.name
 		}
-		return fmt.Errorf("sim: deadlock at %v: %d proc(s) parked: %v", k.now, k.live, stuck)
+		return fmt.Errorf("sim: deadlock at %v: %d proc(s) parked: %v", k.now, len(stuck), stuck)
 	}
 	return nil
 }
@@ -293,15 +351,15 @@ func (k *Kernel) Stop() { k.stopped = true }
 // start at the current virtual time. It may be called before Run or
 // from within any proc or event callback.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
+	k.spawned++
 	p := &Proc{
-		k:     k,
-		name:  name,
-		wake:  make(chan struct{}),
-		yield: make(chan struct{}),
-		group: -1,
+		k:    k,
+		name: name,
+		wake: make(chan struct{}),
+		id:   k.spawned,
+		slot: len(k.procs),
 	}
 	k.procs = append(k.procs, p)
-	k.live++
 	go func() {
 		defer func() {
 			// A panicking proc fails the whole simulation rather than
@@ -309,29 +367,15 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 			// sentinel is the exception — a killed proc is a normal
 			// (if abrupt) exit.
 			rec := recover()
-			var fail error
-			if rec != nil && !IsKilled(rec) {
-				fail = fmt.Errorf("sim: proc %q panicked at %v: %v\n%s", p.name, k.now, rec, debug.Stack())
+			if rec != nil && !IsKilled(rec) && k.failure == nil {
+				stack := debug.Stack()
+				if p.stepFail != nil {
+					stack = p.stepFail.stack // the panic happened in a step, not here
+				}
+				k.failure = fmt.Errorf("sim: proc %q panicked at %v: %v\n%s", p.name, k.now, rec, stack)
 			}
 			p.finished = true
-			if s := p.stage; s != nil {
-				// Finishing inside a batch's concurrent part: stage the
-				// bookkeeping for the commit loop (which applies it in
-				// exact global order) and hand the baton to the batch
-				// driver.
-				s.finishing = true
-				s.failure = fail
-				p.yield <- struct{}{}
-				return
-			}
-			if fail != nil && k.failure == nil {
-				k.failure = fail
-			}
-			k.live--
-			if k.serialResume {
-				p.yield <- struct{}{} // the commit loop's resume is waiting
-				return
-			}
+			k.dropProc(p)
 			// The finishing proc owns the baton: keep driving the event
 			// loop here, exactly as park does.
 			if k.loopFrom(nil) == loopTerminal {
@@ -348,14 +392,16 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// resume transfers control to p and blocks until p parks or finishes.
-// Must only be called from kernel context (inside an event callback).
-func (k *Kernel) resume(p *Proc) {
-	if p.finished {
-		return
-	}
-	p.wake <- struct{}{}
-	<-p.yield
+// dropProc takes a finished proc out of the table of live procs, which
+// only the deadlock check reads: a run that spawns a helper per rank per
+// iteration must not keep every one of them (and what their closures
+// hold) for the kernel's lifetime.
+func (k *Kernel) dropProc(p *Proc) {
+	last := len(k.procs) - 1
+	moved := k.procs[last]
+	k.procs[p.slot], moved.slot = moved, p.slot
+	k.procs[last] = nil
+	k.procs = k.procs[:last]
 }
 
 // wakeAt schedules p to be resumed at time t.
@@ -365,12 +411,11 @@ func (k *Kernel) wakeAt(p *Proc, t Time) {
 	k.atResume(t, p)
 }
 
-// resumeIf resumes p only if it is still parked on the guarded wait
-// armed with seq. Stale wake events — a completion that fired after
-// its waiter timed out, or a timeout that lost the race with Fire —
-// dissolve here instead of double-resuming the proc.
-func (k *Kernel) resumeIf(p *Proc, seq uint64) {
-	if !p.finished && p.waitArmed && p.waitSeq == seq {
-		k.resume(p)
-	}
-}
+// SetParallel does nothing and Batches reports none: they armed and
+// counted the parallel-lookahead kernel mode, which is gone (DESIGN.md
+// §13). They stay only because bench/ladder.go, which a change may not
+// edit, still calls them; they go with that rung.
+func (k *Kernel) SetParallel(int, Duration) {}
+
+// Batches: see SetParallel.
+func (k *Kernel) Batches() (batches, segments uint64) { return 0, 0 }

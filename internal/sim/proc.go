@@ -1,5 +1,7 @@
 package sim
 
+import "runtime/debug"
+
 // Proc is a simulated process: a goroutine scheduled cooperatively by
 // the kernel. At most one proc runs at any instant, so proc code may
 // touch shared simulation state without locks.
@@ -7,31 +9,42 @@ type Proc struct {
 	k        *Kernel
 	name     string
 	wake     chan struct{}
-	yield    chan struct{}
 	finished bool
 	killed   bool
+	id       uint64 // spawn order, for the deadlock report
+	slot     int    // index in Kernel.procs while unfinished
 
 	// waitSeq/waitArmed guard completion wake-ups: every Wait arms a
 	// fresh sequence number, and a wake event only delivers if the proc
 	// is still parked on that same wait. This lets a completion and a
 	// timeout race for the same parked proc without ever resuming it
-	// twice (a double resume would block the kernel goroutine).
+	// twice (a double resume would block the kernel goroutine). The
+	// event loop disarms the guard when it delivers the wake.
 	waitSeq   uint64
 	waitArmed bool
 
-	// group is the proc's shard for parallel-lookahead execution: procs
-	// in distinct non-negative groups may run concurrently within one
-	// same-instant batch (see parallel.go). Group -1 (the default) marks
-	// the proc serial-only; it never joins a batch.
-	group int
+	// stepper, while non-nil, receives the proc's resumes as Step calls
+	// on the event loop instead of goroutine handoffs (see RunSteps).
+	// stepFail is a panic a step raised there, kept until RunSteps raises
+	// it again on this proc's own goroutine.
+	stepper  Stepper
+	stepFail *stepFailure
+}
 
-	// stage, when non-nil, marks the proc as running the concurrent part
-	// of a batch segment: kernel-visible side effects (schedules, fires)
-	// are recorded here and replayed by the commit loop in exact global
-	// order. seg is the embedded backing record so staging never
-	// allocates.
-	stage *parSegment
-	seg   parSegment
+// stepFailure is a panic raised by a step on the event loop: its value,
+// and where it happened, for the failure report should nobody recover
+// it.
+type stepFailure struct {
+	rec   any
+	stack []byte
+}
+
+// failStep keeps a panic that p's step raised on the event loop.
+//
+//scaffe:coldpath a panicking step ends the proc's stepping
+//go:noinline
+func (p *Proc) failStep(rec any) {
+	p.stepFail = &stepFailure{rec: rec, stack: debug.Stack()}
 }
 
 // procKilled is the panic value a killed proc unwinds with; Spawn's
@@ -69,99 +82,41 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// SetGroup assigns the proc's parallel-execution shard. Groups must
-// partition all mutable state the procs touch outside Exclusive
-// sections; callers (the engine's group policy) are responsible for
-// that discipline. Negative groups mark the proc serial-only.
-func (p *Proc) SetGroup(g int) { p.group = g }
-
-// Group returns the proc's parallel-execution shard (-1 = serial).
-func (p *Proc) Group() int { return p.group }
-
-// Exclusive demotes the rest of the proc's current segment to the
-// serialized commit lane. Code that touches state outside the proc's
-// own group — MPI mailboxes, shared link resources, the trace sink —
-// must call it first: the proc blocks until every concurrent segment
-// of the batch has finished its speculative part, then continues in
-// exact global order with full state visibility. Outside a batch it
-// is a no-op, so sequential hot paths pay one nil check.
-//
-//scaffe:hotpath
-//scaffe:parallel
-func (p *Proc) Exclusive() {
-	s := p.stage
-	if s == nil {
-		return
-	}
-	s.tail = true
-	p.yield <- struct{}{}
-	<-p.wake
-	if p.killed {
-		panic(procKilled{})
-	}
-}
+// SetGroup does nothing: it assigned the proc's shard under the
+// parallel-lookahead kernel mode, which is gone (DESIGN.md §13). It
+// stays only because bench/ladder.go, which a change may not edit,
+// still calls it; it goes with that rung.
+func (p *Proc) SetGroup(int) {}
 
 // park yields control to the kernel and blocks until some event
 // resumes this proc. A killed proc unwinds here instead of returning.
 //
-// In the sequential daisy-chain, the parking proc runs the event loop
-// itself (loopFrom) and hands the baton directly to the next proc —
-// one goroutine switch per segment instead of two — or keeps running
-// with no switch at all when the next event resumes this same proc.
-// Inside a parallel batch (stage set) or a serialized commit lane
-// (serialResume), the proc instead yields back to whoever resumed it.
-//
-//scaffe:parallel
+// The parking proc runs the event loop itself (loopFrom) and hands the
+// baton directly to the next proc — one goroutine switch per segment
+// instead of two — or keeps running with no switch at all when the
+// next event resumes this same proc.
 func (p *Proc) park() {
 	k := p.k
-	if p.stage != nil || k.serialResume {
-		p.yield <- struct{}{}
+	p.stepFail = nil // of a step panic the proc recovered from: not the next panic's
+	// The loopFrom call is a context switch, not a subroutine: the
+	// parking proc's hot frame ends here and the event loop runs
+	// other procs' events under its own gates (the kernel's
+	// //scaffe:hotpath annotations and the zero-alloc steady-state
+	// test), so the caller's obligations must not flood into it.
+	//
+	//scaffe:coldpath control transfer into the event loop; the kernel's own hotpath gates cover it
+	switch k.loopFrom(p) {
+	case loopSelf:
+		// The next event resumes this proc: keep running.
+	case loopTerminal:
+		k.home <- struct{}{}
 		<-p.wake
-	} else {
-		// The loopFrom call is a context switch, not a subroutine: the
-		// parking proc's hot frame ends here and the event loop runs
-		// other procs' events under its own gates (the kernel's
-		// //scaffe:hotpath annotations and the zero-alloc steady-state
-		// test), so the caller's obligations must not flood into it.
-		//
-		//scaffe:coldpath control transfer into the event loop; the kernel's own hotpath gates cover it
-		switch k.loopFrom(p) {
-		case loopSelf:
-			// The next event resumes this proc: keep running.
-		case loopTerminal:
-			k.home <- struct{}{}
-			<-p.wake
-		case loopHanded:
-			<-p.wake
-		}
+	case loopHanded:
+		<-p.wake
 	}
 	if p.killed {
 		panic(procKilled{})
 	}
-}
-
-// selfWakeAt schedules (or stages) an unconditional self-resume at t.
-//
-//scaffe:hotpath
-//scaffe:parallel
-func (p *Proc) selfWakeAt(t Time) {
-	if s := p.stage; s != nil {
-		s.add(event{kind: evResume, p: p, at: t})
-		return
-	}
-	p.k.atResume(t, p)
-}
-
-// selfResumeIfAt schedules (or stages) a guarded self-resume at t.
-//
-//scaffe:hotpath
-//scaffe:parallel
-func (p *Proc) selfResumeIfAt(t Time, seq uint64) {
-	if s := p.stage; s != nil {
-		s.add(event{kind: evResumeIf, p: p, aux: seq, at: t})
-		return
-	}
-	p.k.atResumeIf(t, p, seq)
 }
 
 // armWait returns a fresh wait sequence number and marks the proc as
@@ -179,46 +134,30 @@ func (p *Proc) Sleep(d Duration) {
 		p.Yield()
 		return
 	}
-	p.selfWakeAt(p.k.now + d)
+	p.k.atResume(p.k.now+d, p)
 	p.park()
 }
 
 // WaitUntil blocks until virtual time t (no-op if t is in the past,
 // beyond a yield).
 func (p *Proc) WaitUntil(t Time) {
-	p.selfWakeAt(t)
+	p.k.atResume(t, p)
 	p.park()
 }
 
 // Yield gives other events scheduled for the current instant a chance
 // to run before this proc continues.
 func (p *Proc) Yield() {
-	p.selfWakeAt(p.k.now)
+	p.k.atResume(p.k.now, p)
 	p.park()
 }
 
 // Wait blocks until c fires. If c has already fired it returns
 // immediately without yielding.
-//
-// Inside a parallel batch, an un-fired completion demotes the segment
-// to the serialized commit lane before parking: an earlier batch
-// member's serialized tail may be about to fire c, and sequential
-// execution would then not have parked here at all. Serializing first
-// makes the fired check exact, so a batched proc only ever parks where
-// the sequential kernel parks too.
 func (p *Proc) Wait(c *Completion) {
-	if c.fired {
-		return
+	if !p.ArmWait(c) {
+		p.park()
 	}
-	if p.stage != nil {
-		p.Exclusive()
-		if c.fired {
-			return
-		}
-	}
-	c.addWaiter(waiter{p, p.armWait()})
-	p.park()
-	p.waitArmed = false
 }
 
 // WaitTimeout blocks until c fires or d virtual time elapses,
@@ -227,22 +166,9 @@ func (p *Proc) Wait(c *Completion) {
 // without progress lets the caller consult the fault plane instead of
 // blocking forever on a dead peer.
 func (p *Proc) WaitTimeout(c *Completion, d Duration) bool {
-	if c.fired {
-		return true
+	if !p.ArmWaitTimeout(c, d) {
+		p.park()
 	}
-	if p.stage != nil {
-		// Same staleness rule as Wait: only park where the sequential
-		// kernel provably parks.
-		p.Exclusive()
-		if c.fired {
-			return true
-		}
-	}
-	seq := p.armWait()
-	c.addWaiter(waiter{p, seq})
-	p.selfResumeIfAt(p.k.now+d, seq)
-	p.park()
-	p.waitArmed = false
 	return c.fired
 }
 
@@ -251,4 +177,79 @@ func (p *Proc) WaitAll(cs ...*Completion) {
 	for _, c := range cs {
 		p.Wait(c)
 	}
+}
+
+// Stepper is a run-to-completion continuation of a parked proc: the
+// work between two of its waits, written as a function that returns
+// instead of blocking.
+type Stepper interface {
+	// Step runs the proc's work up to its next wait. It returns false
+	// after arming exactly one wait with ArmUntil, ArmWait or
+	// ArmWaitTimeout: the proc stays parked and the next resume calls
+	// Step again. It returns true, with no wait armed, to give control
+	// back to the proc's goroutine, which returns from RunSteps.
+	//
+	// Step runs on whichever goroutine is driving the event loop, in the
+	// queue position of the resume it stands for. It may do anything an
+	// event callback may — schedule, fire, spawn — but must not park:
+	// no Wait, WaitUntil, Sleep, Yield, queue, flag or semaphore call,
+	// and no nested RunSteps. Work that needs the proc's stack returns
+	// true and does it after RunSteps. A panic raised in Step surfaces
+	// from RunSteps on the proc's own goroutine.
+	Step(p *Proc) (done bool)
+}
+
+// RunSteps runs s until a step reports done. The first step runs right
+// here; if it arms a wait the proc parks with s installed, and from
+// then on every event that would have resumed the proc calls s.Step on
+// the event loop's goroutine instead of switching to this one. Because
+// a step takes the queue position of the resume it replaces and arms
+// its next wait with the same kernel calls the blocking forms make, the
+// order of events is the one the blocking code produces. A killed proc
+// is not stepped: it unwinds from here like from any park.
+func (p *Proc) RunSteps(s Stepper) {
+	if s.Step(p) {
+		return
+	}
+	p.stepper = s
+	p.park()
+	if f := p.stepFail; f != nil {
+		panic(f.rec) // kept for the failure report until the proc parks again
+	}
+}
+
+// ArmUntil is WaitUntil without the park, for a Step: the proc is
+// resumed at t (at the current instant, behind everything already
+// scheduled for it, when t is past).
+//
+//scaffe:hotpath
+func (p *Proc) ArmUntil(t Time) { p.k.atResume(t, p) }
+
+// ArmWait is Wait without the park, for a Step. It reports whether c
+// has already fired, in which case nothing is armed; otherwise the proc
+// is resumed when c fires.
+//
+//scaffe:hotpath
+func (p *Proc) ArmWait(c *Completion) (fired bool) {
+	if c.fired {
+		return true
+	}
+	c.addWaiter(waiter{p, p.armWait()})
+	return false
+}
+
+// ArmWaitTimeout is WaitTimeout without the park, for a Step. It
+// reports whether c has already fired, in which case nothing is armed;
+// otherwise the proc is resumed when c fires or d from now, whichever
+// is first, and c.Fired tells the two apart.
+//
+//scaffe:hotpath
+func (p *Proc) ArmWaitTimeout(c *Completion, d Duration) (fired bool) {
+	if c.fired {
+		return true
+	}
+	seq := p.armWait()
+	c.addWaiter(waiter{p, seq})
+	p.k.atResumeIf(p.k.now+d, p, seq)
+	return false
 }

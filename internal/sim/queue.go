@@ -112,10 +112,6 @@ func (r *nowRing) pop() event {
 	return e
 }
 
-// peek returns the oldest event without removing it. The ring must be
-// non-empty.
-func (r *nowRing) peek() event { return r.buf[r.head] }
-
 // grow doubles the ring (cold path: runs O(log n) times ever).
 //
 //scaffe:coldpath capacity doubling runs O(log n) times ever; amortized out of steady state
@@ -259,13 +255,6 @@ func (q *calendarQueue) pop() event {
 		q.resize(len(q.buckets) / 2)
 	}
 	return e
-}
-
-// peek returns the minimum event without removing it. The queue must
-// be non-empty.
-func (q *calendarQueue) peek() event {
-	q.locate()
-	return q.buckets[q.cacheBucket][q.heads[q.cacheBucket]]
 }
 
 // minTime reports the (time) of the minimum event, if any.

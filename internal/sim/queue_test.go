@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // lcg is a tiny deterministic generator for the differential tests
 // (the simulator forbids wall-clock randomness; a fixed-seed LCG keeps
@@ -203,6 +206,52 @@ func TestSimKernelZeroAllocSteadyState(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("event kernel steady state allocates %.2f allocs per 1024-event round; want 0", avg)
 	}
+
+	// The same for a stepping proc: once parked in RunSteps, a round of
+	// its waits of every kind — a sleep, a completion another event
+	// fires, a deadline that expires — through deliver, step and the Arm
+	// calls must allocate nothing either.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := &allocStepper{c: k.GetCompletion(), warm: 64, measured: 1024}
+	k.Spawn("stepper", func(p *Proc) { p.RunSteps(s) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.after.Mallocs - s.before.Mallocs; n != 0 || k.Resumes().Steps < uint64(s.measured) {
+		t.Fatalf("a stepping proc allocates %d objects over %d steps (%+v); want 0", n, s.measured, k.Resumes())
+	}
+}
+
+// allocStepper cycles through the three armed waits and reads the
+// allocator's counters before and after its measured steps.
+type allocStepper struct {
+	c              *Completion
+	n              int
+	warm, measured int
+	before, after  runtime.MemStats
+}
+
+func (s *allocStepper) Step(p *Proc) bool {
+	switch s.n {
+	case s.warm:
+		runtime.ReadMemStats(&s.before)
+	case s.warm + s.measured:
+		runtime.ReadMemStats(&s.after)
+		return true
+	}
+	s.n++
+	switch s.n % 3 {
+	case 0:
+		p.ArmUntil(p.Now() + 5)
+	case 1:
+		s.c.Init(p.k)
+		s.c.FireAt(p.Now() + 5)
+		p.ArmWait(s.c)
+	case 2:
+		s.c.Init(p.k)
+		p.ArmWaitTimeout(s.c, 5)
+	}
+	return false
 }
 
 // BenchmarkSimKernel measures the event kernel's per-event cost on the

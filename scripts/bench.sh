@@ -28,7 +28,7 @@ go test -run '^$' -bench "$filter" -benchtime "$benchtime" -benchmem $pkgs | tee
 # error, skipped) would otherwise leave a hole in the perf trajectory.
 if [ "$filter" = "." ] && [ "$pkgs" = "./..." ]; then
     missing=0
-    for want in BenchmarkFigure11FullScale160 BenchmarkSimKernel BenchmarkSimKernelParallel BenchmarkScaleSweep BenchmarkExtElastic; do
+    for want in BenchmarkFigure11FullScale160 BenchmarkSimKernel BenchmarkScaleSweep BenchmarkExtElastic; do
         if ! grep -q "^$want" "$raw"; then
             echo "bench.sh: required benchmark $want missing from output" >&2
             missing=1
