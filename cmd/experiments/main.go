@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	experiments [-run id] [-iters n] [-maxgpus n] [-o file]
+//	experiments [-run id] [-iters n] [-maxgpus n] [-o file] [-cpuprofile file] [-memprofile file]
 //
 // With no -run flag it executes every experiment in order and writes a
 // combined markdown report.
@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"scaffe/internal/experiments"
+	"scaffe/internal/prof"
 )
 
 func main() {
@@ -24,6 +25,7 @@ func main() {
 	maxGPUs := flag.Int("maxgpus", 0, "cap the GPU sweep (0 = paper scale, 160)")
 	out := flag.String("o", "", "write the markdown report to this file as well as stdout")
 	list := flag.Bool("list", false, "list experiment ids and exit")
+	profiles := prof.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -46,6 +48,11 @@ func main() {
 		runners = []experiments.Runner{r}
 	}
 
+	stopProfiles, err := profiles.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	var report strings.Builder
 	report.WriteString("# S-Caffe reproduction — regenerated evaluation\n\n")
 	for _, r := range runners {
@@ -56,6 +63,10 @@ func main() {
 			os.Exit(1)
 		}
 		report.WriteString(table.Markdown())
+	}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	fmt.Print(report.String())
 	if *out != "" {

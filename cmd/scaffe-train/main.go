@@ -12,6 +12,10 @@
 //	scaffe-train -model tiny -gpus 4 -real -integrity recover -faults sdc.txt
 //	scaffe-train -chaos configs/chaos_demo.txt
 //	scaffe-train -chaos-seed 7
+//	scaffe-train -model googlenet -gpus 160 -batch 1280 -iters 10 -summary -memprofile mem.pb.gz -memprofilerate 512
+//
+// -cpuprofile and -memprofile write runtime/pprof profiles of the run
+// (training or chaos); they observe only.
 //
 // Exit codes: 0 success, 1 runtime failure, 2 invalid configuration,
 // 3 unrecovered failure (every rank lost to injected faults),
@@ -30,10 +34,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 
 	"scaffe"
 	"scaffe/internal/chaos"
+	"scaffe/internal/prof"
 	"scaffe/internal/proto"
 )
 
@@ -69,10 +75,15 @@ func main() {
 	flag.Int("sim-parallel", -1, "accepted and ignored: it sized the parallel event-kernel mode, which was measured slower and removed; every run uses the one sequential kernel")
 	chaosFile := flag.String("chaos", "", "run the seeded chaos harness from a spec file (see configs/chaos_demo.txt) instead of a training run; prints one invariant summary line")
 	chaosSeed := flag.Int64("chaos-seed", 0, "run the chaos harness on the default spec with this seed (shorthand for a -chaos file setting only seed)")
+	profiles := prof.Register(flag.CommandLine)
 	flag.Parse()
 
+	stopProfiles, err := profiles.Start()
+	if err != nil {
+		fatal(err)
+	}
 	if *chaosFile != "" || *chaosSeed != 0 {
-		runChaos(*chaosFile, *chaosSeed)
+		runChaos(*chaosFile, *chaosSeed, stopProfiles)
 		return
 	}
 
@@ -187,14 +198,19 @@ func main() {
 	}
 	cfg.Integrity = mode
 
-	// The flag speaks operator language (0 = sequential, default auto);
 	var rec *scaffe.Trace
 	if *traceFile != "" || *gantt || *summary {
 		rec = scaffe.NewTrace()
 		cfg.Trace = rec
 	}
 
+	var before, after runtime.MemStats // the run's host cost, for -summary
+	runtime.ReadMemStats(&before)
 	res, err := scaffe.Train(cfg)
+	runtime.ReadMemStats(&after)
+	if perr := stopProfiles(); perr != nil {
+		fatal(perr)
+	}
 	if err != nil {
 		switch {
 		case errors.Is(err, scaffe.ErrConfig):
@@ -261,6 +277,8 @@ func main() {
 		rs := res.Resumes
 		fmt.Printf("kernel resumes: %d goroutine switches, %d inline steps, %d self-continues, %d stale wakes\n",
 			rs.Switches, rs.Steps, rs.SelfContinues, rs.StaleWakes)
+		fmt.Printf("host cost: %.1f MB allocated in %d objects, %d GC cycles\n",
+			float64(after.TotalAlloc-before.TotalAlloc)/1e6, after.Mallocs-before.Mallocs, after.NumGC-before.NumGC)
 	}
 	if *gantt {
 		fmt.Print(rec.Gantt(100))
@@ -291,7 +309,7 @@ func main() {
 // finished-or-unrecovered inside the virtual-time ceiling, counters
 // consistent with the schedule; only a wedge or a counter mismatch
 // fails.
-func runChaos(file string, seed int64) {
+func runChaos(file string, seed int64, stopProfiles func() error) {
 	var spec chaos.Spec
 	if file != "" {
 		text, err := os.ReadFile(file)
@@ -309,6 +327,9 @@ func runChaos(file string, seed int64) {
 		spec = chaos.Default(seed)
 	}
 	r, err := chaos.Verify(spec)
+	if perr := stopProfiles(); perr != nil {
+		fatal(perr)
+	}
 	if r != nil {
 		fmt.Println(r.Summary())
 	}

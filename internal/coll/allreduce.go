@@ -20,7 +20,8 @@ func Allreduce(red Reducer, c *mpi.Comm, r *mpi.Rank, buf *gpu.Buffer, tag int, 
 // anticipates and as an ablation baseline. Tags tag..tag+2P are
 // reserved.
 func RingAllreduce(c *mpi.Comm, r *mpi.Rank, buf *gpu.Buffer, tag int, o Options) {
-	ringAllreduce(c, r, buf, tag, o, nil)
+	//scaffe:coldpath the one-shot entry point makes its state per call by documented design; Ring keeps one
+	ringAllreduce(c, r, buf, tag, o, new(rankState))
 }
 
 // ringSegOf returns the element extents of ring segment j (taken
@@ -39,8 +40,8 @@ func ringSegOf(size, elems, j int) (lo, hi int) {
 	return
 }
 
-// ringAllreduce is the state-threaded implementation; a nil state
-// falls back to transient allocation (the exported entry point).
+// ringAllreduce is the implementation, on the caller's state: Ring's,
+// which lasts, or the exported entry point's, which does not.
 func ringAllreduce(c *mpi.Comm, r *mpi.Rank, buf *gpu.Buffer, tag int, o Options, st *rankState) {
 	me := c.Rank(r)
 	size := c.Size()

@@ -6,6 +6,10 @@ import (
 	"scaffe/internal/topology"
 )
 
+// bsagBoundary returns the starting element of contiguous segment i
+// when elems elements are split across size ranks.
+func bsagBoundary(size, elems, i int) int { return i * elems / size }
+
 // BcastScatterAllgather is van de Geijn's large-message broadcast: a
 // binomial scatter of contiguous segments followed by a ring
 // allgather. Total traffic per rank is ~2b(P−1)/P versus the binomial
@@ -14,20 +18,11 @@ import (
 // as the paper's chained reduce, applied to propagation. Works for any
 // communicator size and root. Tags tag..tag+P are reserved.
 func BcastScatterAllgather(c *mpi.Comm, r *mpi.Rank, root int, buf *gpu.Buffer, tag int, mode topology.TransferMode) {
-	bcastScatterAllgather(c, r, root, buf, tag, mode, nil)
-}
-
-// bsagBoundary returns the starting element of contiguous segment i
-// when elems elements are split across size ranks.
-func bsagBoundary(size, elems, i int) int { return i * elems / size }
-
-// bcastScatterAllgather is the state-threaded implementation; a nil
-// state falls back to transient view allocation.
-func bcastScatterAllgather(c *mpi.Comm, r *mpi.Rank, root int, buf *gpu.Buffer, tag int, mode topology.TransferMode, st *rankState) {
 	size := c.Size()
 	if size == 1 {
 		return
 	}
+	st := new(rankState) // views for the length of the call
 	me := c.Rank(r)
 	rel := (me - root + size) % size
 	elems := buf.Elems()

@@ -15,11 +15,11 @@ import (
 //
 // Tags tag..tag+1 are reserved.
 func ReduceScatterGather(c *mpi.Comm, r *mpi.Rank, buf *gpu.Buffer, tag int, o Options) {
-	reduceScatterGather(c, r, buf, tag, o, nil, nil)
+	reduceScatterGather(c, r, buf, tag, o, new(rankState), nil)
 }
 
 // reduceScatterGather is the state-threaded implementation behind both
-// the exported one-shot entry point (nil state: transient allocations)
+// the exported one-shot entry point (a state for the one call)
 // and rsgReducer (per-rank reusable state). fallback handles
 // non-power-of-two sizes; when nil a transient chain reducer is built.
 func reduceScatterGather(c *mpi.Comm, r *mpi.Rank, buf *gpu.Buffer, tag int, o Options, st *rankState, fallback Reducer) {

@@ -193,10 +193,14 @@ func (cr *chainReducer) Reduce(r *mpi.Rank, buf *gpu.Buffer, tag int) {
 	}
 	st := cr.states.acquire(size, me)
 	defer st.release()
+	n := defaultChunks(buf.Bytes, cr.o.Chunks)
 	st.sreqs = st.sreqs[:0] // an unwound call may have left its forwards behind
+	if me > 0 && cap(st.sreqs) < n {
+		st.roomForForwards(n)
+	}
 	st.step = stepState{
 		r: r, c: cr.c, o: &cr.o, st: st, buf: buf, tag: tag,
-		from: me + 1, to: me - 1, n: defaultChunks(buf.Bytes, cr.o.Chunks),
+		from: me + 1, to: me - 1, n: n,
 	}
 	if me == size-1 {
 		st.step.from = -1

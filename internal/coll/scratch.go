@@ -6,37 +6,31 @@ import (
 )
 
 // Per-call scratch reuse. Every reducer instance owns a stateTable:
-// one rankState per member group rank, created on that rank's first
-// Reduce and reused for every call after it. The state carries the
-// three per-invocation resources the algorithms used to allocate every
-// time — receive scratch buffers, chunk/segment descriptor views, and
-// the in-flight send-request list — so a steady-state reduction
-// allocates nothing.
+// one rankState per member group rank, made when the first rank calls
+// and reused for every call after it. The state carries the three
+// per-invocation resources the algorithms used to allocate every time —
+// receive scratch buffers, chunk/segment descriptor views, and the
+// in-flight send-request list — so a steady-state reduction allocates
+// nothing.
 //
 // Reuse never changes observable behavior: scratch buffers are only
 // ever receive destinations (fully overwritten by the delivery copy
 // before they are read), views are immutable headers over the caller's
-// buffer and are cached by exact (buffer, lo, hi) extents, and the
-// request slice is reset before each use. Virtual timing is untouched,
-// so golden traces and losses stay bit-identical.
+// buffer, and the request slice is reset before each use. Virtual
+// timing is untouched, so golden traces and losses stay bit-identical.
 //
-// All methods tolerate a nil receiver by falling back to transient
-// allocation — the stateless exported entry points (RingAllreduce,
-// ReduceScatterGather, BcastScatterAllgather) pass nil.
-
-// scratchKey identifies a scratch shape: exact logical size plus
-// whether it carries a real payload.
-type scratchKey struct {
-	bytes   int64
-	payload bool
-}
-
-// viewKey identifies a cached sub-buffer view by parent identity and
-// exact element extents.
-type viewKey struct {
-	buf    *gpu.Buffer
-	lo, hi int
-}
+// Nothing here is found by hashing. A collective asks for the same
+// views of a buffer in the same order every time it is called on it —
+// the chain's chunk 0, 1, 2, … of n; a ring's segments step by step — so
+// a buffer's views are remembered in the order the first call asked for
+// them and a later call reads them off by position, checking the
+// extents; the few buffers a rank reduces are told apart by pointer, and
+// the one or two scratch shapes a call uses by looking at the free
+// buffers themselves.
+//
+// The zero rankState is ready to use: the stateless exported entry
+// points (RingAllreduce, ReduceScatterGather, BcastScatterAllgather) run
+// on one of their own that lasts for the call.
 
 // rankState is one group rank's reusable per-call resources for one
 // reducer instance. Procs of different ranks interleave inside one
@@ -44,28 +38,36 @@ type viewKey struct {
 // sequential (busy guards the unexpected re-entrant case).
 type rankState struct {
 	busy    bool
-	scratch map[scratchKey][]*gpu.Buffer
-	views   map[viewKey]*gpu.Buffer
+	scratch []*gpu.Buffer  // free scratch buffers, the last released on top
 	sreqs   []*mpi.Request // the chain's forwards in flight
+
+	bufs   []bufViews   // the views of every buffer the rank has reduced here
+	cur    *bufViews    // the buffer the call in progress takes views of; nil before its first
+	k      int          // views of it the call has taken
+	next   int          // where the search for a call's buffer starts: after the last one's
+	block  []gpu.Buffer // what is left of the block new views are carved from
+	carved int          // views carved so far
 
 	// step is the rank's walk through the current call, for the reducers
 	// that run as steps on the event loop (chain, binomial).
 	step stepState
 }
 
-// newRankState is acquire's first-call path for a rank.
-//
-//scaffe:coldpath first-call construction of a rank's reusable state; steady state reuses it
-func newRankState() *rankState {
-	return &rankState{
-		scratch: make(map[scratchKey][]*gpu.Buffer),
-		views:   make(map[viewKey]*gpu.Buffer),
-	}
+// bufViews remembers the views one call after another takes of a buffer,
+// in the order they are taken.
+type bufViews struct {
+	buf   *gpu.Buffer
+	views []memoView
+}
+
+type memoView struct {
+	lo, hi int
+	v      *gpu.Buffer
 }
 
 // stateTable lazily holds one rankState per group rank.
 type stateTable struct {
-	sts []*rankState
+	sts []rankState
 }
 
 // acquire returns the calling rank's state, marking it busy for the
@@ -75,70 +77,114 @@ type stateTable struct {
 func (t *stateTable) acquire(size, me int) *rankState {
 	if t.sts == nil {
 		//scaffe:nolint hotpath first-call table construction; steady state takes the filled-slot path
-		t.sts = make([]*rankState, size)
+		t.sts = make([]rankState, size)
 	}
-	st := t.sts[me]
-	if st == nil {
-		st = newRankState()
-		t.sts[me] = st
-	}
+	st := &t.sts[me]
 	if st.busy {
-		return newRankState()
+		//scaffe:coldpath a re-entrant call, which no shipped algorithm makes
+		st = &rankState{}
 	}
 	st.busy = true
+	st.cur = nil
 	return st
 }
 
 func (st *rankState) release() { st.busy = false }
 
+// roomForForwards sizes the chain's request list for a call of n chunks,
+// every one of whose forwards is in flight before the first is waited.
+//
+//scaffe:coldpath the rank's first call with this many chunks
+//go:noinline
+func (st *rankState) roomForForwards(n int) { st.sreqs = make([]*mpi.Request, 0, n) }
+
 // getScratch returns a scratch buffer shaped like `like` (payload
-// present iff it has one) from the free stack, or allocates on miss.
+// present iff it has one) from the free ones, or allocates on miss. A
+// call asks for one or two shapes over and over, so the fit is almost
+// always the buffer released last.
 //
 //scaffe:hotpath
 func (st *rankState) getScratch(like *gpu.Buffer) *gpu.Buffer {
-	if st == nil {
-		return newLike(like)
+	free := st.scratch
+	for i := len(free) - 1; i >= 0; i-- {
+		if b := free[i]; b.Bytes == like.Bytes && (b.Data != nil) == (like.Data != nil) {
+			last := len(free) - 1
+			free[i], free[last] = free[last], nil
+			st.scratch = free[:last]
+			return b
+		}
 	}
-	key := scratchKey{bytes: like.Bytes, payload: like.Data != nil}
-	stack := st.scratch[key]
-	n := len(stack)
-	if n == 0 {
-		return newLike(like)
-	}
-	b := stack[n-1]
-	stack[n-1] = nil
-	st.scratch[key] = stack[:n-1]
-	return b
+	return newLike(like)
 }
 
-// putScratch returns a scratch buffer to its free stack. The buffer
+// putScratch returns a scratch buffer to the free ones. The buffer
 // must not be a receive destination of any still-in-flight operation.
 func (st *rankState) putScratch(b *gpu.Buffer) {
-	if st == nil {
-		return
-	}
-	key := scratchKey{bytes: b.Bytes, payload: b.Data != nil}
 	//scaffe:nolint hotpath pool release; append reuses capacity freed by the matching getScratch
-	st.scratch[key] = append(st.scratch[key], b)
+	st.scratch = append(st.scratch, b)
 }
 
-// view returns the cached immutable view of buf[lo:hi), creating it on
-// first use. Views are shared freely: the header is never mutated, so
-// identical extents across iterations reuse one record.
+// view returns the immutable view of buf[lo:hi): the one an earlier call
+// took at this point of its walk over buf, or a new one that later calls
+// will find here. Views are shared freely: the header is never mutated.
 //
 //scaffe:hotpath
 func (st *rankState) view(buf *gpu.Buffer, lo, hi int) *gpu.Buffer {
-	if st == nil {
-		//scaffe:coldpath stateless fallback allocates transiently by documented design
-		return buf.Slice(lo, hi)
+	if st.cur == nil || st.cur.buf != buf {
+		st.open(buf)
 	}
-	key := viewKey{buf: buf, lo: lo, hi: hi}
-	if v := st.views[key]; v != nil {
-		return v
+	k := st.k
+	st.k++
+	if vs := st.cur.views; k < len(vs) && vs[k].lo == lo && vs[k].hi == hi {
+		return vs[k].v
 	}
-	//scaffe:coldpath first-use view creation; the views cache serves every later call
-	v := buf.Slice(lo, hi)
-	st.views[key] = v
+	return st.newView(k, lo, hi)
+}
+
+// open points the call at buf's views. A rank reduces the same buffers
+// in the same order iteration after iteration, so the search starts
+// behind the buffer of the call before and nearly always ends there.
+//
+//scaffe:hotpath
+func (st *rankState) open(buf *gpu.Buffer) {
+	n := len(st.bufs)
+	for i, j := 0, st.next; i < n; i, j = i+1, j+1 {
+		if j >= n {
+			j = 0
+		}
+		if st.bufs[j].buf == buf {
+			st.cur, st.k, st.next = &st.bufs[j], 0, j+1
+			return
+		}
+	}
+	//scaffe:coldpath the rank's first call on this buffer
+	st.bufs = append(st.bufs, bufViews{buf: buf})
+	st.cur, st.k, st.next = &st.bufs[n], 0, 0
+}
+
+// newView makes the view the call takes k-th of its buffer and remembers
+// it there. Views are carved from blocks, each as large as all before it
+// (within bounds). A view already handed out is never written again: if
+// a call asks for other extents than the one before it did, the place
+// gets a fresh view.
+//
+//scaffe:coldpath first-use view creation; later calls read it off by position
+//go:noinline
+func (st *rankState) newView(k, lo, hi int) *gpu.Buffer {
+	if len(st.block) == 0 {
+		n := min(max(st.carved, 4), 64)
+		st.carved += n
+		st.block = make([]gpu.Buffer, n)
+	}
+	v := &st.block[0]
+	st.block = st.block[1:]
+	m := st.cur
+	*v = m.buf.View(lo, hi)
+	if k < len(m.views) {
+		m.views[k] = memoView{lo, hi, v}
+	} else {
+		m.views = append(m.views, memoView{lo, hi, v})
+	}
 	return v
 }
 

@@ -10,8 +10,8 @@ import (
 	"scaffe/internal/sim"
 )
 
-// runMallocs returns the heap objects one Run of cfg allocates.
-func runMallocs(t *testing.T, cfg Config) uint64 {
+// runCost returns the heap objects and bytes one Run of cfg allocates.
+func runCost(t *testing.T, cfg Config) (objects, bytes float64) {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -20,7 +20,7 @@ func runMallocs(t *testing.T, cfg Config) uint64 {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
 }
 
 // TestSteadyStateIterationAllocBudget keeps graph construction out of
@@ -30,9 +30,14 @@ func runMallocs(t *testing.T, cfg Config) uint64 {
 // objects (a helper-lane thread and its closure, reader batches). A run
 // that rebuilt a rank's graph every iteration, as the fault-armed loop
 // did, adds a few hundred objects per rank-iteration and fails this by
-// an order of magnitude.
+// an order of magnitude. The bytes have a budget too: storage that grows
+// with the iterations a run has been through, not with what it has in
+// flight — an event queue that sizes every bucket time passes through to
+// the largest wave, a match table that keeps every tag it has seen —
+// shows here as kilobytes per rank-iteration where the loop's own objects
+// are a few hundred bytes.
 func TestSteadyStateIterationAllocBudget(t *testing.T) {
-	const ranks, n, budget = 8, 8, 25
+	const ranks, n, budget, byteBudget = 8, 8, 25, 1024 // measured: 3.0 objects, ~240 bytes
 	spec, _ := models.ByName("cifar10-quick")
 	for _, armed := range []bool{false, true} {
 		mk := func(iters int) Config {
@@ -44,15 +49,41 @@ func TestSteadyStateIterationAllocBudget(t *testing.T) {
 			}
 			return cfg
 		}
-		runMallocs(t, mk(n)) // warm the runtime's own pools
-		short, long := runMallocs(t, mk(n)), runMallocs(t, mk(2*n))
-		perRankIter := (float64(long) - float64(short)) / (ranks * n)
-		t.Logf("armed=%v: %d objects at %d iterations, %d at %d: %.1f per rank-iteration",
-			armed, short, n, long, 2*n, perRankIter)
+		runCost(t, mk(n)) // warm the runtime's own pools
+		short, shortBytes := runCost(t, mk(n))
+		long, longBytes := runCost(t, mk(2*n))
+		perRankIter, bytesPerRankIter := (long-short)/(ranks*n), (longBytes-shortBytes)/(ranks*n)
+		t.Logf("armed=%v: %.0f objects, %.0f bytes at %d iterations, %.0f, %.0f at %d: %.1f objects, %.0f bytes per rank-iteration",
+			armed, short, shortBytes, n, long, longBytes, 2*n, perRankIter, bytesPerRankIter)
 		if perRankIter > budget {
 			t.Errorf("armed=%v: %.1f objects per rank-iteration in steady state, budget %d: is the graph rebuilt per iteration?",
 				armed, perRankIter, budget)
 		}
+		if bytesPerRankIter > byteBudget {
+			t.Errorf("armed=%v: %.0f bytes per rank-iteration in steady state, budget %d: which store grows with history instead of live work?",
+				armed, bytesPerRankIter, byteBudget)
+		}
+	}
+}
+
+// TestWholeRunAllocBudget bounds what a run costs to set up, which the
+// steady-state budget subtracts away: a 64-rank GoogLeNet SC-OB run of two
+// iterations — every layer's broadcast posted up front, so requests,
+// graph instances, views and event storage are all at their peak — by
+// bytes per rank. At the commit before this test the same run took
+// 72 KB and 346 objects per rank, the difference mostly event-queue
+// buckets regrown as time moved on and a completion per plan node.
+func TestWholeRunAllocBudget(t *testing.T) {
+	const ranks, budget = 64, 48 << 10 // measured: 41.6 KB, 147 objects
+	spec, _ := models.ByName("googlenet")
+	cfg := timingConfig(spec, ranks, 256, 2)
+	cfg.Design = SCOB
+	cfg.Reduce = coll.Tuned
+	runCost(t, cfg) // warm the runtime's own pools
+	objects, bytes := runCost(t, cfg)
+	t.Logf("%d ranks: %.0f objects, %.0f bytes: %.0f objects, %.0f bytes per rank", ranks, objects, bytes, objects/ranks, bytes/ranks)
+	if bytes/ranks > budget {
+		t.Errorf("%.0f bytes per rank for a 2-iteration run, budget %d: set-up or event storage has crept up", bytes/ranks, budget)
 	}
 }
 

@@ -44,10 +44,17 @@ func (b *Buffer) Clone() *Buffer {
 // Slice returns a view of elements [lo, hi) of the buffer. Views share
 // payload storage with the parent.
 func (b *Buffer) Slice(lo, hi int) *Buffer {
+	v := b.View(lo, hi)
+	return &v
+}
+
+// View is Slice by value, for callers that keep views in storage of
+// their own.
+func (b *Buffer) View(lo, hi int) Buffer {
 	if lo < 0 || hi < lo || int64(hi)*4 > b.Bytes {
 		panic(fmt.Sprintf("gpu: buffer slice [%d,%d) out of range (%d elems)", lo, hi, b.Elems()))
 	}
-	v := &Buffer{Bytes: int64(hi-lo) * 4}
+	v := Buffer{Bytes: int64(hi-lo) * 4}
 	if b.Data != nil {
 		v.Data = b.Data[lo:hi]
 	}

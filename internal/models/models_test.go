@@ -3,8 +3,11 @@ package models
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
+	"scaffe/internal/layers"
 	"scaffe/internal/tensor"
 )
 
@@ -154,6 +157,33 @@ func TestSpecFromNetConsistency(t *testing.T) {
 	}
 	if s.Classes != 10 {
 		t.Errorf("classes = %d", s.Classes)
+	}
+}
+
+// TestByNameWalksGeometryWithoutANet: the small models' specs come from
+// the layer list alone, equal field for field to the spec of the built
+// net, at a cost that cannot include one (cifar10-quick set up at batch 1
+// is ~1.5 MB of blobs, im2col scratch and weights).
+func TestByNameWalksGeometryWithoutANet(t *testing.T) {
+	for name, build := range map[string]func(int, int64) *layers.Net{
+		"lenet": BuildLeNet, "cifar10-quick": BuildCIFAR10Quick, "tiny": BuildTinyNet,
+	} {
+		got, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := SpecFromNet(build(1, 1)); !reflect.DeepEqual(got, want) {
+			t.Errorf("ByName(%q) =\n%+v\nSpecFromNet of the built net =\n%+v", name, got, want)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := ByName(name); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if b := after.TotalAlloc - before.TotalAlloc; b >= 64<<10 {
+			t.Errorf("ByName(%q) allocated %d bytes; a spec needs no net and should stay under 64 KB", name, b)
+		}
 	}
 }
 

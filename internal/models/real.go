@@ -2,11 +2,14 @@ package models
 
 import "scaffe/internal/layers"
 
-// BuildLeNet constructs the classic LeNet for 1×28×28 (MNIST-shaped)
-// inputs: ~431k parameters.
-func BuildLeNet(batch int, seed int64) *layers.Net {
-	in := layers.Shape{C: 1, H: 28, W: 28}
-	return layers.NewNet("lenet", in, batch, seed,
+// The small models are defined once, as a name, an input shape and a
+// list of layers not yet set up. Build* hands the list to layers.NewNet,
+// which allocates and initializes it; ByName only walks its geometry.
+
+// leNet is the classic LeNet for 1×28×28 (MNIST-shaped) inputs: ~431k
+// parameters.
+func leNet() (string, layers.Shape, []layers.Layer) {
+	return "lenet", layers.Shape{C: 1, H: 28, W: 28}, []layers.Layer{
 		layers.NewConv("conv1", 20, 5, 1, 0),
 		layers.NewMaxPool("pool1", 2, 2),
 		layers.NewConv("conv2", 50, 5, 1, 0),
@@ -15,15 +18,14 @@ func BuildLeNet(batch int, seed int64) *layers.Net {
 		layers.NewReLU("relu1"),
 		layers.NewInnerProduct("ip2", 10),
 		layers.NewSoftmaxLoss("loss"),
-	)
+	}
 }
 
-// BuildCIFAR10Quick constructs the CIFAR-10 "quick" reference model
-// from the Caffe repository (the Figure 9 workload): ~145k parameters
-// over 3 conv + 2 fc layers on 3×32×32 inputs.
-func BuildCIFAR10Quick(batch int, seed int64) *layers.Net {
-	in := layers.Shape{C: 3, H: 32, W: 32}
-	return layers.NewNet("cifar10-quick", in, batch, seed,
+// cifar10Quick is the CIFAR-10 "quick" reference model from the Caffe
+// repository (the Figure 9 workload): ~145k parameters over 3 conv + 2
+// fc layers on 3×32×32 inputs.
+func cifar10Quick() (string, layers.Shape, []layers.Layer) {
+	return "cifar10-quick", layers.Shape{C: 3, H: 32, W: 32}, []layers.Layer{
 		layers.NewConv("conv1", 32, 5, 1, 2),
 		layers.NewMaxPool("pool1", 3, 2),
 		layers.NewReLU("relu1"),
@@ -36,14 +38,13 @@ func BuildCIFAR10Quick(batch int, seed int64) *layers.Net {
 		layers.NewInnerProduct("ip1", 64),
 		layers.NewInnerProduct("ip2", 10),
 		layers.NewSoftmaxLoss("loss"),
-	)
+	}
 }
 
-// BuildTinyNet constructs a deliberately small convolutional net on
-// 3×8×8 inputs for fast unit and integration tests.
-func BuildTinyNet(batch int, seed int64) *layers.Net {
-	in := layers.Shape{C: 3, H: 8, W: 8}
-	return layers.NewNet("tiny", in, batch, seed,
+// tinyNet is a deliberately small convolutional net on 3×8×8 inputs for
+// fast unit and integration tests.
+func tinyNet() (string, layers.Shape, []layers.Layer) {
+	return "tiny", layers.Shape{C: 3, H: 8, W: 8}, []layers.Layer{
 		layers.NewConv("conv1", 4, 3, 1, 1),
 		layers.NewReLU("relu1"),
 		layers.NewMaxPool("pool1", 2, 2),
@@ -51,7 +52,26 @@ func BuildTinyNet(batch int, seed int64) *layers.Net {
 		layers.NewReLU("relu2"),
 		layers.NewInnerProduct("ip2", 4),
 		layers.NewSoftmaxLoss("loss"),
-	)
+	}
+}
+
+// BuildLeNet constructs LeNet as a real-compute network.
+func BuildLeNet(batch int, seed int64) *layers.Net {
+	name, in, ls := leNet()
+	return layers.NewNet(name, in, batch, seed, ls...)
+}
+
+// BuildCIFAR10Quick constructs the CIFAR-10 "quick" model as a
+// real-compute network.
+func BuildCIFAR10Quick(batch int, seed int64) *layers.Net {
+	name, in, ls := cifar10Quick()
+	return layers.NewNet(name, in, batch, seed, ls...)
+}
+
+// BuildTinyNet constructs the tiny test net as a real-compute network.
+func BuildTinyNet(batch int, seed int64) *layers.Net {
+	name, in, ls := tinyNet()
+	return layers.NewNet(name, in, batch, seed, ls...)
 }
 
 // BuildAlexNet constructs the full AlexNet as a real-compute network —

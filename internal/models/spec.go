@@ -98,9 +98,9 @@ func (s *Spec) BwdFLOPs() float64 {
 func ByName(name string) (*Spec, error) {
 	switch name {
 	case "lenet":
-		return SpecFromNet(BuildLeNet(1, 1)), nil
+		return specOf(leNet()), nil
 	case "cifar10-quick", "cifar10":
-		return SpecFromNet(BuildCIFAR10Quick(1, 1)), nil
+		return specOf(cifar10Quick()), nil
 	case "alexnet":
 		return AlexNet(), nil
 	case "caffenet":
@@ -112,21 +112,27 @@ func ByName(name string) (*Spec, error) {
 	case "nin":
 		return NetworkInNetwork(), nil
 	case "tiny":
-		return SpecFromNet(BuildTinyNet(1, 1)), nil
+		return specOf(tinyNet()), nil
 	}
 	return nil, fmt.Errorf("models: unknown model %q", name)
 }
 
 // SpecFromNet derives a cost-model Spec from a real network, so the
 // two execution modes always agree on geometry.
-func SpecFromNet(n *layers.Net) *Spec {
+func SpecFromNet(n *layers.Net) *Spec { return specOf(n.Name, n.In, n.Layers) }
+
+// specOf walks a layer list's geometry from the input shape on. It reads
+// only what a layer knows from its constructor, so the list need not be
+// set up: a spec costs no blobs, scratch or weights.
+func specOf(name string, in layers.Shape, ls []layers.Layer) *Spec {
 	s := &Spec{
-		Name:           n.Name,
-		Input:          n.In,
-		PerSampleBytes: int64(n.In.Elems()) + 4,
+		Name:           name,
+		Input:          in,
+		PerSampleBytes: int64(in.Elems()) + 4,
+		Layers:         make([]LayerSpec, 0, len(ls)),
 	}
-	shape := n.In
-	for _, l := range n.Layers {
+	shape := in
+	for _, l := range ls {
 		out := l.OutShape(shape)
 		s.Layers = append(s.Layers, LayerSpec{
 			Name:       l.Name(),

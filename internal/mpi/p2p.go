@@ -13,15 +13,9 @@ import (
 // use rendezvous and complete only when the transfer finishes.
 const EagerLimit = 64 << 10
 
-type matchKey struct {
-	comm int
-	src  int // world rank of the sender
-	tag  int
-}
-
 // pendingSend is one unexpected message: the sender arrived before the
 // matching receive was posted. Records are pooled on the receiving
-// rank and linked into its unexpected-queue per match key. reqGen
+// rank and linked into its match table (match.go). reqGen
 // snapshots the send request's completion generation at post time: an
 // eager send fires (and may be recycled by the sender's Wait) long
 // before the receiver arrives, so the delivery fires the send side
@@ -63,13 +57,6 @@ type Request struct {
 	pooled bool
 }
 
-// reqQueue and psQueue are intrusive FIFO lists: match queues chain
-// pooled records through their next pointers, so posting and matching
-// never allocate.
-type reqQueue struct{ head, tail *Request }
-
-type psQueue struct{ head, tail *pendingSend }
-
 // getRequest returns a fresh un-fired request from the rank's free
 // list; the cold miss path lives in newRequest.
 //
@@ -88,11 +75,22 @@ func (r *Rank) getRequest(buf *gpu.Buffer) *Request {
 	return req
 }
 
-// newRequest is getRequest's pool-miss path.
+// newRequest is getRequest's pool-miss path. Records are carved from
+// blocks, each as large as all the rank made before it (within bounds):
+// a rank that posts every layer's broadcast up front takes a handful of
+// allocations to get there, not one per request.
 //
 //scaffe:coldpath pool-miss construction; steady state hits the free list
+//go:noinline
 func (r *Rank) newRequest(buf *gpu.Buffer) *Request {
-	req := &Request{buf: buf}
+	if len(r.reqBlock) == 0 {
+		n := min(max(r.reqsMade, 4), 16)
+		r.reqsMade += n
+		r.reqBlock = make([]Request, n)
+	}
+	req := &r.reqBlock[0]
+	r.reqBlock = r.reqBlock[1:]
+	req.buf = buf
 	req.Done = &req.done
 	req.done.Init(r.W.K)
 	return req
@@ -137,72 +135,6 @@ func (r *Rank) putPendingSend(ps *pendingSend) {
 	*ps = pendingSend{}
 	//scaffe:nolint hotpath pool release; append reuses capacity freed by the matching get
 	r.psPool = append(r.psPool, ps)
-}
-
-// popPosted removes the oldest posted receive for key, or nil.
-//
-//scaffe:hotpath
-func (r *Rank) popPosted(key matchKey) *Request {
-	q := r.posted[key]
-	req := q.head
-	if req == nil {
-		return nil
-	}
-	q.head = req.next
-	if q.head == nil {
-		q.tail = nil
-	}
-	r.posted[key] = q
-	req.next = nil
-	return req
-}
-
-// pushPosted appends a posted receive for key.
-//
-//scaffe:hotpath
-func (r *Rank) pushPosted(key matchKey, req *Request) {
-	q := r.posted[key]
-	req.next = nil
-	if q.tail == nil {
-		q.head, q.tail = req, req
-	} else {
-		q.tail.next = req
-		q.tail = req
-	}
-	r.posted[key] = q
-}
-
-// popUnexpected removes the oldest unexpected send for key, or nil.
-//
-//scaffe:hotpath
-func (r *Rank) popUnexpected(key matchKey) *pendingSend {
-	q := r.unexpected[key]
-	ps := q.head
-	if ps == nil {
-		return nil
-	}
-	q.head = ps.next
-	if q.head == nil {
-		q.tail = nil
-	}
-	r.unexpected[key] = q
-	ps.next = nil
-	return ps
-}
-
-// pushUnexpected appends an unexpected send for key.
-//
-//scaffe:hotpath
-func (r *Rank) pushUnexpected(key matchKey, ps *pendingSend) {
-	q := r.unexpected[key]
-	ps.next = nil
-	if q.tail == nil {
-		q.head, q.tail = ps, ps
-	} else {
-		q.tail.next = ps
-		q.tail = ps
-	}
-	r.unexpected[key] = q
 }
 
 // Wait blocks the rank until the request completes, then releases the
@@ -278,16 +210,15 @@ func (r *Rank) Isend(c *Comm, to, tag int, buf *gpu.Buffer, mode topology.Transf
 		panic(fmt.Sprintf("mpi: rank %d sending to itself (comm %d tag %d)", r.ID, c.id, tag))
 	}
 	req := r.getRequest(buf)
-	key := matchKey{comm: c.id, src: r.ID, tag: tag}
-
-	if recvReq := dst.popPosted(key); recvReq != nil {
+	at := dst.match.find(c.id, r.ID, tag)
+	if recvReq := dst.match.popRecv(at); recvReq != nil {
 		r.startTransfer(r.Now(), dst, buf, recvReq, req, req.done.Gen(), mode)
 		return req
 	}
 	ps := dst.getPendingSend()
 	ps.from, ps.buf, ps.mode, ps.sentAt = r, buf, mode, r.Now()
 	ps.req, ps.reqGen = req, req.done.Gen()
-	dst.pushUnexpected(key, ps)
+	dst.match.pushSend(at, ps)
 	if buf.Bytes <= EagerLimit {
 		// Eager: the payload leaves the sender immediately; the send
 		// buffer is reusable right away.
@@ -308,9 +239,8 @@ func (r *Rank) irecv(c *Comm, from, tag int, buf *gpu.Buffer, s *Summed) *Reques
 	src := c.rankAt(from)
 	req := r.getRequest(buf)
 	req.summed = s
-	key := matchKey{comm: c.id, src: src.ID, tag: tag}
-
-	if ps := r.popUnexpected(key); ps != nil {
+	at := r.match.find(c.id, src.ID, tag)
+	if ps := r.match.popSend(at); ps != nil {
 		// Eager data was already in flight since sentAt; rendezvous
 		// starts now that the receiver arrived.
 		start := r.Now()
@@ -321,7 +251,7 @@ func (r *Rank) irecv(c *Comm, from, tag int, buf *gpu.Buffer, s *Summed) *Reques
 		r.putPendingSend(ps)
 		return req
 	}
-	r.pushPosted(key, req)
+	r.match.pushRecv(at, req)
 	return req
 }
 

@@ -69,11 +69,9 @@ func NewWorld(c *topology.Cluster, n int) *World {
 	w := &World{K: c.K, Cluster: c, bcastOps: make(map[bcastKey]*bcastOp)}
 	for i := 0; i < n; i++ {
 		w.Ranks = append(w.Ranks, &Rank{
-			W:          w,
-			ID:         i,
-			Dev:        gpu.NewDevice(c, c.DeviceForRank(i)),
-			posted:     make(map[matchKey]reqQueue),
-			unexpected: make(map[matchKey]psQueue),
+			W:   w,
+			ID:  i,
+			Dev: gpu.NewDevice(c, c.DeviceForRank(i)),
 		})
 	}
 	return w
@@ -144,8 +142,7 @@ func (w *World) Spawn(main func(r *Rank)) {
 func (w *World) RespawnRank(id int, main func(r *Rank)) {
 	rank := w.Ranks[id]
 	rank.KillThreads()
-	rank.posted = make(map[matchKey]reqQueue)
-	rank.unexpected = make(map[matchKey]psQueue)
+	rank.match = matchTable{}
 	rank.lives++
 	rank.Proc = w.K.Spawn(fmt.Sprintf("rank%d.j%d", rank.ID, rank.lives), func(p *sim.Proc) {
 		main(rank)
@@ -169,13 +166,16 @@ type Rank struct {
 	Dev  *gpu.Device
 	Proc *sim.Proc
 
-	posted     map[matchKey]reqQueue
-	unexpected map[matchKey]psQueue
+	match matchTable // posted receives and unexpected sends, by (comm, sender, tag)
 
-	// Free lists for the rank's pooled hot-path records.
-	reqPool []*Request
-	psPool  []*pendingSend
-	sumPool []*Summed
+	// Free lists for the rank's pooled hot-path records. reqBlock is what
+	// is left of the block new requests are carved from, reqsMade how many
+	// were carved so far.
+	reqPool  []*Request
+	reqBlock []Request
+	reqsMade int
+	psPool   []*pendingSend
+	sumPool  []*Summed
 
 	// threads tracks live helper procs so a crash (or recovery) can
 	// fail-stop the whole rank, not just its main thread. threadNames

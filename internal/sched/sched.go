@@ -148,10 +148,10 @@ type Node struct {
 	waitPhase string // phase charged for dependency-wait time
 	lane      int
 	index     int                 // position within the lane
-	id        int                 // position within the plan: the node's completion in Graph.done
+	done      int                 // the node's completion in Graph.done; -1 when no lane waits for it (set by Seal)
 	action    func(*Ctx)          // may block: runs on the lane's goroutine
 	timed     func(*Ctx) sim.Time // never blocks: the lane resumes at the time it returns
-	deps      []int               // ids of the cross-lane nodes this one waits for
+	deps      []*Node             // the cross-lane nodes this one waits for
 	gates     []int               // ids of the slots this one waits for
 }
 
@@ -170,7 +170,7 @@ func (n *Node) After(deps ...*Node) *Node {
 			}
 			continue
 		}
-		n.deps = append(n.deps, d.id)
+		n.deps = append(n.deps, d)
 	}
 	return n
 }
@@ -212,8 +212,8 @@ func (n *Node) WaitingIn(phase string) *Node {
 type Plan struct {
 	lanes     [][]*Node
 	laneNames []string
-	nodes     int // nodes added, across lanes
 	slots     int // gated slots
+	waited    int // nodes some lane waits for: completions an instance holds (set by Seal)
 	sealed    bool
 	// slab is the node arena: nodes are carved from fixed-size chunks
 	// instead of allocated individually, so a built plan is a handful
@@ -281,17 +281,41 @@ func (p *Plan) add(lane int, kind Kind, phase, label string) *Node {
 	}
 	p.slab = append(p.slab, Node{
 		p: p, kind: kind, label: label, waitLabel: label + "/wait", phase: phase, waitPhase: phase,
-		lane: lane, index: len(p.lanes[lane]), id: p.nodes,
+		lane: lane, index: len(p.lanes[lane]), done: -1,
 	})
-	p.nodes++
 	n := &p.slab[len(p.slab)-1]
 	p.lanes[lane] = append(p.lanes[lane], n)
 	return n
 }
 
 // Seal ends construction: every later Lane, Add, After, Gated or
-// WaitingIn panics.
-func (p *Plan) Seal() { p.sealed = true }
+// WaitingIn panics. The plan now knows which of its nodes cross lanes —
+// the ones another lane's node comes After, and each helper lane's last,
+// which lane 0 joins — and numbers those: they are the only nodes whose
+// finishing anybody waits for, so the only ones an instance keeps a
+// completion for.
+func (p *Plan) Seal() {
+	if p.sealed {
+		return
+	}
+	p.sealed = true
+	wait := func(n *Node) {
+		if n.done < 0 {
+			n.done = p.waited
+			p.waited++
+		}
+	}
+	for li, lane := range p.lanes {
+		for _, n := range lane {
+			for _, d := range n.deps {
+				wait(d)
+			}
+		}
+		if li > 0 && len(lane) > 0 {
+			wait(lane[len(lane)-1])
+		}
+	}
+}
 
 // Bind returns rank r's instance of the sealed plan.
 func (p *Plan) Bind(r *mpi.Rank) *Graph {
@@ -308,7 +332,7 @@ type Graph struct {
 	plan  *Plan
 	r     *mpi.Rank
 	reqs  [][]*mpi.Request // per slot, filled by Ctx.Put; nil until the first Execute
-	done  []sim.Completion // per node; nil on single-lane plans
+	done  []sim.Completion // per node another lane waits for, by Node.done
 	lanes []laneRun        // per lane: its walk's state
 }
 
@@ -336,7 +360,7 @@ func (g *Graph) Add(lane int, kind Kind, phase, label string, action func(*Ctx))
 // lane's last node has finished. tracer may be nil.
 //
 // Each Execute starts clean: it empties the gate slots and
-// re-initializes the node completions, whose generation bump dissolves
+// re-initializes the completions, whose generation bump dissolves
 // any reference left over from an abandoned (Revoked-unwound) previous
 // execution. The helper threads of an abandoned execution must be dead
 // (mpi.Rank.KillThreads, as recovery does) before the next: a lane's
@@ -346,15 +370,16 @@ func (g *Graph) Execute(tracer Tracer, it int) {
 	if g.reqs == nil {
 		// First execution: the plan is complete (Bind demands a sealed
 		// one, a New graph's is sealed here — a shared plan must not be
-		// written), so size the instance. Single-lane plans have no
-		// cross-lane edges and skip completions entirely.
-		if !pl.sealed {
-			pl.Seal()
-		}
+		// written), so size the instance. Most slots only ever hold one
+		// request: each starts as a one-element window of a shared array
+		// and gets a list of its own only if it outgrows that.
+		pl.Seal()
 		g.reqs = make([][]*mpi.Request, pl.slots)
-		if len(pl.lanes) > 1 {
-			g.done = make([]sim.Completion, pl.nodes)
+		first := make([]*mpi.Request, pl.slots)
+		for i := range g.reqs {
+			g.reqs[i] = first[i : i : i+1]
 		}
+		g.done = make([]sim.Completion, pl.waited)
 		g.lanes = make([]laneRun, len(pl.lanes))
 		for li := range g.lanes {
 			l := &g.lanes[li]
@@ -483,7 +508,7 @@ func (l *laneRun) Step(p *sim.Proc) bool {
 			for ; l.d < len(n.deps); l.d++ {
 				// Lane-0 predecessors have almost always fired already,
 				// and a fired one costs no wait at all.
-				if done := &g.done[n.deps[l.d]]; l.w.Armed() || !done.Fired() {
+				if done := &g.done[n.deps[l.d].done]; l.w.Armed() || !done.Fired() {
 					if !r.PollWait(p, &l.w, done) {
 						return false
 					}
@@ -525,8 +550,8 @@ func (l *laneRun) Step(p *sim.Proc) bool {
 					l.tracer.NodeSpan(n.lane, n.kind, n.phase, n.label, l.began, end)
 				}
 			}
-			if g.done != nil {
-				g.done[n.id].Fire()
+			if n.done >= 0 {
+				g.done[n.done].Fire()
 			}
 			l.i++
 			l.at = atEnter
@@ -539,7 +564,7 @@ func (l *laneRun) Step(p *sim.Proc) bool {
 	// them (SC-OBR's join node), making these waits free.
 	for ; l.join < len(g.lanes); l.join++ {
 		if h := g.lanes[l.join].nodes; len(h) > 0 {
-			if !r.PollWait(p, &l.w, &g.done[h[len(h)-1].id]) {
+			if !r.PollWait(p, &l.w, &g.done[h[len(h)-1].done]) {
 				return false
 			}
 		}

@@ -421,6 +421,58 @@ func runShape(t *testing.T, shared bool, ranks, iters int) [][]spanRec {
 	return spans
 }
 
+// TestInstanceHoldsCompletionsOnlyWhereALaneWaits: a sealed plan numbers
+// the nodes another lane comes After plus each helper lane's last node,
+// and an instance holds a completion for those and no other.
+func TestInstanceHoldsCompletionsOnlyWhereALaneWaits(t *testing.T) {
+	w := newWorld(2)
+	// obrShape: "begin" (waited by the helper's first node) and the three
+	// backward nodes (each waited by its reduce; the last of them is also
+	// the helper lane's tail) of 9 nodes in all.
+	two := NewPlan()
+	obrShape(two, w.WorldComm(), 2)
+	two.Seal()
+	nodes := len(two.lanes[0]) + len(two.lanes[1])
+	_, err := w.Run(func(r *mpi.Rank) {
+		g := two.Bind(r)
+		g.Execute(nil, 0)
+		if nodes != 9 || two.waited != 4 || len(g.done) != 4 {
+			t.Errorf("two-lane plan of %d nodes: %d waited, instance holds %d completions; want 9, 4, 4", nodes, two.waited, len(g.done))
+		}
+		for li, lane := range two.lanes {
+			for _, n := range lane {
+				waited := n.label == "begin" || li == 1
+				if (n.done >= 0) != waited {
+					t.Errorf("node %q: completion index %d, waited by another lane: %v", n.label, n.done, waited)
+				}
+			}
+		}
+
+		// A helper lane nobody depends on still ends in a completion: lane 0
+		// joins it.
+		tail := New(r)
+		helper := tail.Lane("helper")
+		tail.Add(helper, Generic, "", "a", nil)
+		tail.Add(helper, Generic, "", "b", nil)
+		tail.Add(0, Generic, "", "c", nil)
+		tail.Execute(nil, 0)
+		if len(tail.done) != 1 {
+			t.Errorf("unreferenced helper lane: instance holds %d completions, want 1 (its tail)", len(tail.done))
+		}
+
+		one := New(r)
+		one.Add(0, Generic, "", "a", nil)
+		one.Add(0, Generic, "", "b", nil).After(one.Plan().lanes[0][0])
+		one.Execute(nil, 0)
+		if len(one.done) != 0 {
+			t.Errorf("single-lane plan: instance holds %d completions, want 0", len(one.done))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSharedPlanParallelRanks pins the plan/instance split: one plan
 // executed by several ranks for several iterations emits exactly the
 // spans of private per-rank graphs.
@@ -516,9 +568,9 @@ func TestExecuteAfterRevokedUnwindStartsClean(t *testing.T) {
 			}()
 			g.Execute(tr, 0)
 		}()
-		if !g.done[h.id].Fired() || len(g.reqs[slot.id]) != 1 {
+		if !g.done[h.done].Fired() || len(g.reqs[slot.id]) != 1 {
 			t.Fatalf("abandoned execution left fired=%v, %d requests; the drill needs both stale",
-				g.done[h.id].Fired(), len(g.reqs[slot.id]))
+				g.done[h.done].Fired(), len(g.reqs[slot.id]))
 		}
 		r.KillThreads() // what recovery does to lanes of the abandoned iteration
 		tr.spans = nil

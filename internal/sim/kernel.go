@@ -368,9 +368,11 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 			// (if abrupt) exit.
 			rec := recover()
 			if rec != nil && !IsKilled(rec) && k.failure == nil {
-				stack := debug.Stack()
+				var stack string
 				if p.stepFail != nil {
-					stack = p.stepFail.stack // the panic happened in a step, not here
+					stack = p.stepFail.stack() // the panic happened in a step, not here
+				} else {
+					stack = string(debug.Stack())
 				}
 				k.failure = fmt.Errorf("sim: proc %q panicked at %v: %v\n%s", p.name, k.now, rec, stack)
 			}

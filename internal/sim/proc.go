@@ -1,6 +1,10 @@
 package sim
 
-import "runtime/debug"
+import (
+	"fmt"
+	"runtime"
+	"strings"
+)
 
 // Proc is a simulated process: a goroutine scheduled cooperatively by
 // the kernel. At most one proc runs at any instant, so proc code may
@@ -33,10 +37,15 @@ type Proc struct {
 
 // stepFailure is a panic raised by a step on the event loop: its value,
 // and where it happened, for the failure report should nobody recover
-// it.
+// it. Almost every one is recovered — mpi.Revoked{} is how a rank leaves
+// a collective — so the place is kept as return addresses and becomes
+// text only in that report. The record hangs off the proc rather than
+// lying in it: a run spawns a proc per helper lane per iteration, and
+// few of them ever panic.
 type stepFailure struct {
-	rec   any
-	stack []byte
+	rec any
+	pcs [24]uintptr
+	n   int
 }
 
 // failStep keeps a panic that p's step raised on the event loop.
@@ -44,7 +53,21 @@ type stepFailure struct {
 //scaffe:coldpath a panicking step ends the proc's stepping
 //go:noinline
 func (p *Proc) failStep(rec any) {
-	p.stepFail = &stepFailure{rec: rec, stack: debug.Stack()}
+	f := &stepFailure{rec: rec}
+	f.n = runtime.Callers(3, f.pcs[:]) // from the frame under Kernel.step's recover: the panic, then who raised it
+	p.stepFail = f
+}
+
+// stack renders where the step panicked, innermost frame first.
+func (f *stepFailure) stack() string {
+	var b strings.Builder
+	for frames := runtime.CallersFrames(f.pcs[:f.n]); ; {
+		fr, more := frames.Next()
+		fmt.Fprintf(&b, "%s\n\t%s:%d\n", fr.Function, fr.File, fr.Line)
+		if !more {
+			return b.String()
+		}
+	}
 }
 
 // procKilled is the panic value a killed proc unwinds with; Spawn's

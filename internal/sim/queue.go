@@ -10,14 +10,17 @@ package sim
 //     IS (time, seq) order, so a ring append/pop is exact.
 //
 //   - calendarQueue: a Brown-style calendar queue for future events
-//     (t > now), with power-of-two bucket counts, sorted buckets, and
-//     a cached minimum. Events map to bucket (t/width) & mask and each
-//     bucket stays sorted by (at, seq), so the queue as a whole pops
-//     in exact (time, seq) order.
+//     (t > now), with power-of-two bucket counts and a cached minimum.
+//     Events map to bucket (t/width) & mask; a bucket lists the
+//     instants due in it in ascending time, and an instant holds its
+//     events in the order they were scheduled, which is seq order, so
+//     the queue as a whole pops in exact (time, seq) order.
 //
-// Events are small by-value records; the ring and bucket storage act
-// as the kernel-owned free list — slots are recycled in place and the
-// steady state allocates nothing per event.
+// Events are small by-value records. The calendar keeps them in slots
+// it owns: a drained slot returns to the queue's free list and the next
+// instant that needs room takes it from there, wherever in the table it
+// lies, so the storage ever allocated follows the most events that were
+// pending at once and the steady state allocates nothing per event.
 //
 // Ordering proof for the two-tier split (see DESIGN.md §12): a
 // calendar event with at == now was necessarily inserted while
@@ -73,13 +76,6 @@ type event struct {
 	kind evKind
 }
 
-func eventLess(a, b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
 // nowRing is a FIFO ring of events due at the current instant.
 type nowRing struct {
 	buf  []event // power-of-two length
@@ -130,128 +126,152 @@ func (r *nowRing) grow() {
 
 const minBuckets = 16
 
+// slotEvents is how many events a slot holds. Most instants hold one
+// event, and a run's peak of pending instants is what its calendar
+// allocates, so slots are small: three events make one 256 bytes. A
+// same-instant wave of a thousand resumes chains slots.
+const slotEvents = 3
+
+// slot is the calendar's unit of storage: up to slotEvents events due at
+// one instant, in the order they were inserted. An instant with more
+// events is a chain of slots through more; its head slot also carries
+// the instant's place in its bucket. Slots belong to the queue, not to a
+// bucket: a drained one goes to the free list with every event in it
+// already zeroed by the pop that took it.
+type slot struct {
+	at   Time
+	next *slot // head slot: the bucket's next instant, later in time; free slot: the free list
+	more *slot // the instant's next slot
+	last *slot // head slot: the instant's last slot, where insert appends
+	h, n int32 // ev[h:n] are pending
+	ev   [slotEvents]event
+}
+
 // calendarQueue holds future events bucketed by time. count/width
 // resize keeps O(1) amortized operations; the cached minimum makes
 // the peek in the kernel's pop rule free in the common case.
 //
-// Each bucket is consumed through a head cursor (heads[i]) instead of
-// shifting the slice on every pop: with a same-instant wave of many
-// events landing in one bucket (a 1024-rank compute phase), shifting
-// would make draining the bucket quadratic. The live window of bucket
-// i is buckets[i][heads[i]:]; the dead prefix is compacted away when
-// an insert needs room.
+// A bucket is a list of instants in ascending time, and an instant is a
+// FIFO of the events due at it: events of one instant arrive in seq
+// order (the kernel stamps seq as it schedules), so appending keeps
+// (at, seq) order and a same-instant wave of many events (a 1024-rank
+// compute phase) costs O(1) per insert and per pop. The table is sized
+// by instants, not events: a wave is one entry of one bucket.
 type calendarQueue struct {
-	buckets [][]event
-	heads   []int
-	mask    int
-	width   Time
-	count   int
+	buckets  []*slot
+	mask     int
+	width    Time
+	count    int // pending events
+	instants int // distinct times they are due at
 	// lastAt is a lower bound on the queue minimum; the year-scan in
 	// locate starts from its bucket.
 	lastAt Time
-	// Cached location of the global minimum (always index 0 of
-	// cacheBucket). Invalidated by pop and resize; maintained by
+	// Cached location of the global minimum (always the first instant
+	// of cacheBucket). Invalidated by pop and resize; maintained by
 	// insert.
 	cacheOK     bool
 	cacheBucket int
 	cacheAt     Time
-	cacheSeq    uint64
-	spill       []event // scratch for resize
+
+	free   *slot // drained slots, linked through next
+	carved int   // slots allocated so far
 }
 
-// insert places e into its bucket, keeping the bucket sorted by
-// (at, seq). Bucket growth and table resize live in cold helpers.
+// find returns the link in at's bucket that holds at's instant, or the
+// place it belongs: the first instant not earlier than at.
+//
+//scaffe:hotpath
+func (q *calendarQueue) find(at Time) **slot {
+	pp := &q.buckets[int(at/q.width)&q.mask]
+	for s := *pp; s != nil && s.at < at; s = *pp {
+		pp = &s.next
+	}
+	return pp
+}
+
+// insert appends e to the instant it is due at, opening the instant if
+// e is the first. e.seq must exceed that of every event already pending
+// at e.at. Table resize and slot allocation live in cold helpers.
 //
 //scaffe:hotpath
 func (q *calendarQueue) insert(e event) {
 	if len(q.buckets) == 0 {
-		q.reinit(minBuckets, 1)
+		q.retable(minBuckets, 1)
 	}
 	if e.at < q.lastAt {
 		q.lastAt = e.at
 	}
-	b := int(e.at/q.width) & q.mask
-	bk := q.buckets[b]
-	h := q.heads[b]
-	n := len(bk)
-	if n == cap(bk) {
-		if h > 0 {
-			// Reclaim the dead prefix before growing: slide the live
-			// window to the front.
-			n = copy(bk, bk[h:])
-			for i := n; i < len(bk); i++ {
-				bk[i] = event{}
-			}
-			bk = bk[:n]
-			h = 0
-			q.heads[b] = 0
-		} else {
-			bk = growEvents(bk)
+	pp := q.find(e.at)
+	s := *pp
+	if s == nil || s.at != e.at {
+		s = q.getSlot()
+		s.at, s.next, s.last = e.at, *pp, s
+		*pp = s
+		q.instants++
+		if q.cacheOK && e.at < q.cacheAt {
+			// A new global minimum is the first instant of its bucket.
+			q.cacheBucket, q.cacheAt = int(e.at/q.width)&q.mask, e.at
 		}
 	}
-	// Binary search for the insertion point within the live window.
-	lo, hi := h, n
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if eventLess(e, bk[m]) {
-			hi = m
-		} else {
-			lo = m + 1
-		}
+	t := s.last
+	if t.n == slotEvents {
+		t.more = q.getSlot()
+		t = t.more
+		t.at = e.at
+		s.last = t
+	} else if t.n > 0 && t.ev[t.n-1].seq >= e.seq {
+		outOfSeq()
 	}
-	if h > 0 && lo-h <= n-lo {
-		// Shifting the (shorter) left side into the dead prefix avoids
-		// touching the tail; the window grows one slot leftward.
-		copy(bk[h-1:], bk[h:lo])
-		bk[lo-1] = e
-		q.heads[b] = h - 1
-	} else {
-		bk = bk[: n+1 : cap(bk)]
-		copy(bk[lo+1:], bk[lo:n])
-		bk[lo] = e
-	}
-	q.buckets[b] = bk
+	t.ev[t.n] = e
+	t.n++
 	q.count++
-	if q.cacheOK && (e.at < q.cacheAt || (e.at == q.cacheAt && e.seq < q.cacheSeq)) {
-		// A new global minimum always lands at the head of its bucket.
-		q.cacheBucket, q.cacheAt, q.cacheSeq = b, e.at, e.seq
-	}
-	if q.count > 2*len(q.buckets) {
+	if q.instants > 2*len(q.buckets) {
 		q.resize(2 * len(q.buckets))
 	}
 }
 
-// pop removes and returns the minimum event. Removal advances the
-// bucket's head cursor (O(1)); when the next event in the same bucket
-// still lies inside the popped event's calendar month, it is provably
-// the new global minimum (same argument as locate's year scan), so the
-// cache survives the pop and draining a same-month wave of n events
-// costs O(n) total.
+// outOfSeq reports an insert that would break an instant's FIFO order.
+//
+//scaffe:coldpath a kernel bug, not a state a run can reach
+//go:noinline
+func outOfSeq() { panic("sim: calendar insert out of seq order") }
+
+// pop removes and returns the minimum event: the oldest of the first
+// instant of the minimum's bucket. While that instant has more events
+// the cache stays as it is; when it is drained and the bucket's next
+// instant still lies inside the popped event's calendar month, that one
+// is provably the new global minimum (same argument as locate's year
+// scan), so the cache survives then too.
 //
 //scaffe:hotpath
 func (q *calendarQueue) pop() event {
 	q.locate()
 	b := q.cacheBucket
-	bk := q.buckets[b]
-	h := q.heads[b]
-	e := bk[h]
-	bk[h] = event{}
-	h++
-	if h == len(bk) {
-		q.buckets[b] = bk[:0]
-		q.heads[b] = 0
-		h = len(bk) // empty window below
-	} else {
-		q.heads[b] = h
-	}
+	s := q.buckets[b]
+	e := s.ev[s.h]
+	s.ev[s.h] = event{}
+	s.h++
 	q.count--
-	if h < len(bk) && bk[h].at < (e.at/q.width+1)*q.width {
-		q.cacheAt, q.cacheSeq = bk[h].at, bk[h].seq
-		q.lastAt = bk[h].at
+	if s.h < s.n {
+		return e
+	}
+	if m := s.more; m != nil {
+		// The instant goes on in its next slot, which takes over as head.
+		m.next, m.last = s.next, s.last
+		q.buckets[b] = m
+		q.putSlot(s)
+		return e
+	}
+	nx := s.next
+	q.buckets[b] = nx
+	q.putSlot(s)
+	q.instants--
+	if nx != nil && nx.at < (e.at/q.width+1)*q.width {
+		q.cacheAt, q.lastAt = nx.at, nx.at
 	} else {
 		q.cacheOK = false
 	}
-	if q.count < len(q.buckets)/4 && len(q.buckets) > minBuckets {
+	if q.instants < len(q.buckets)/4 && len(q.buckets) > minBuckets {
 		q.resize(len(q.buckets) / 2)
 	}
 	return e
@@ -270,7 +290,7 @@ func (q *calendarQueue) minTime() (Time, bool) {
 
 // locate finds the global minimum and caches its bucket. The scan
 // visits buckets in year order starting from lastAt's bucket: the
-// first head event lying inside the bucket's current year is the
+// first head instant lying inside the bucket's current year is the
 // global minimum (all later buckets' events are provably later; see
 // file comment). If a whole year holds nothing, fall back to a direct
 // scan of bucket heads.
@@ -285,178 +305,114 @@ func (q *calendarQueue) locate() {
 	i := int(year) & q.mask
 	top := (year + 1) * w
 	for range q.buckets {
-		bk := q.buckets[i]
-		if h := q.heads[i]; h < len(bk) && bk[h].at < top {
-			q.cacheOK, q.cacheBucket, q.cacheAt, q.cacheSeq = true, i, bk[h].at, bk[h].seq
-			q.lastAt = bk[h].at
+		if s := q.buckets[i]; s != nil && s.at < top {
+			q.cacheOK, q.cacheBucket, q.cacheAt = true, i, s.at
+			q.lastAt = s.at
 			return
 		}
 		i = (i + 1) & q.mask
 		top += w
 	}
 	best := -1
-	for bi := range q.buckets {
-		h := q.heads[bi]
-		bk := q.buckets[bi]
-		if h >= len(bk) {
-			continue
-		}
-		if best < 0 || eventLess(bk[h], q.buckets[best][q.heads[best]]) {
+	for bi, s := range q.buckets {
+		if s != nil && (best < 0 || s.at < q.buckets[best].at) {
 			best = bi
 		}
 	}
-	h := q.heads[best]
-	bk := q.buckets[best]
-	q.cacheOK, q.cacheBucket, q.cacheAt, q.cacheSeq = true, best, bk[h].at, bk[h].seq
-	q.lastAt = bk[h].at
+	q.cacheOK, q.cacheBucket, q.cacheAt = true, best, q.buckets[best].at
+	q.lastAt = q.cacheAt
 }
 
-// reinit replaces the bucket table (cold path). Bucket backing arrays
-// are recycled across resizes: a same-instant wave repeatedly grows one
-// bucket to the wave size, and reallocating every bucket from scratch
-// on each resize made that growth a dominant allocation source. The
-// recycled arrays keep their high-water capacity; stale values beyond
-// the emptied length are never read (the live window is [head:len)) and
-// are overwritten or zeroed by pops as the slots are reused.
+// getSlot takes a zeroed slot off the free list.
+//
+//scaffe:hotpath
+func (q *calendarQueue) getSlot() *slot {
+	s := q.free
+	if s == nil {
+		s = q.carve()
+	}
+	q.free, s.next = s.next, nil
+	return s
+}
+
+// putSlot gives a drained slot back. Its events are zero already: pop
+// cleared each as it took it, and nothing beyond n was ever written.
+//
+//scaffe:hotpath
+func (q *calendarQueue) putSlot(s *slot) {
+	s.more, s.last, s.h, s.n = nil, nil, 0, 0
+	s.next, q.free = q.free, s
+}
+
+// carve allocates slots a block at a time, each block as large as all
+// before it together (within bounds), and returns them as a free list.
+//
+//scaffe:coldpath runs when more events are pending than ever before; amortized out of steady state
+//go:noinline
+func (q *calendarQueue) carve() *slot {
+	n := min(max(q.carved, 8), 256)
+	q.carved += n
+	block := make([]slot, n)
+	for i := range block[:n-1] {
+		block[i].next = &block[i+1]
+	}
+	return &block[0]
+}
+
+// retable sizes the bucket table, whose buckets are all empty (cold
+// path). The backing array is kept across resizes.
 //
 //scaffe:coldpath table rebuild is a resize event, amortized out of steady state
-func (q *calendarQueue) reinit(nbuckets int, width Time) {
-	old := q.buckets
-	if cap(old) >= nbuckets {
-		if len(old) > nbuckets {
-			// Shrinking: empty the dropped tail headers in place, so a
-			// later regrow through the shared backing array can never
-			// resurrect stale contents (headers beyond the table length
-			// are always length-zero).
-			tail := old[nbuckets:]
-			for i := range tail {
-				tail[i] = tail[i][:0]
-			}
-		}
-		q.buckets = old[:nbuckets]
+//go:noinline
+func (q *calendarQueue) retable(nbuckets int, width Time) {
+	if cap(q.buckets) >= nbuckets {
+		q.buckets = q.buckets[:nbuckets]
 	} else {
-		nb := make([][]event, nbuckets)
-		copy(nb, old)
-		q.buckets = nb
-	}
-	for i := range q.buckets {
-		q.buckets[i] = q.buckets[i][:0]
-	}
-	if cap(q.heads) >= nbuckets {
-		q.heads = q.heads[:nbuckets]
-		for i := range q.heads {
-			q.heads[i] = 0
-		}
-	} else {
-		q.heads = make([]int, nbuckets)
+		q.buckets = make([]*slot, nbuckets)
 	}
 	q.mask = nbuckets - 1
 	q.width = width
-	q.count = 0
 	q.cacheOK = false
 }
 
 // resize rebuilds the table with nb buckets, recomputing the bucket
-// width from the current spread so occupancy stays near-uniform. The
+// width from the current spread so occupancy stays near-uniform. Only
+// the instants' places change; their events stay in their slots. The
 // choice is a deterministic function of queue contents, so replays
 // resize identically.
 //
-//scaffe:coldpath resize runs O(log n) times for n events; amortized out of steady state
+//scaffe:coldpath resize runs O(log n) times for n instants; amortized out of steady state
 func (q *calendarQueue) resize(nb int) {
-	all := q.spill[:0]
-	for bi, bk := range q.buckets {
-		all = append(all, bk[q.heads[bi]:]...)
-	}
+	var all *slot
 	var minAt, maxAt Time
-	for i, e := range all {
-		if i == 0 || e.at < minAt {
-			minAt = e.at
+	n := 0
+	for bi, s := range q.buckets {
+		for s != nil {
+			if n == 0 || s.at < minAt {
+				minAt = s.at
+			}
+			if n == 0 || s.at > maxAt {
+				maxAt = s.at
+			}
+			n++
+			nx := s.next
+			s.next, all = all, s
+			s = nx
 		}
-		if i == 0 || e.at > maxAt {
-			maxAt = e.at
-		}
+		q.buckets[bi] = nil
 	}
 	width := Time(1)
-	if len(all) > 1 {
-		width = (maxAt - minAt) / Time(len(all))
+	if n > 1 {
+		width = (maxAt - minAt) / Time(n)
 		if width < 1 {
 			width = 1
 		}
 	}
-	lastAt := q.lastAt
-	q.reinit(nb, width)
-	for _, e := range all {
-		q.insert(e)
+	q.retable(nb, width)
+	for s := all; s != nil; {
+		nx := s.next
+		pp := q.find(s.at)
+		s.next, *pp = *pp, s
+		s = nx
 	}
-	q.lastAt = lastAt
-	for i := range all {
-		all[i] = event{}
-	}
-	q.spill = all[:0]
-}
-
-// growEvents returns a copy of bk with doubled capacity (cold path).
-//
-//scaffe:coldpath bucket doubling is amortized out of steady state
-func growEvents(bk []event) []event {
-	size := 2 * cap(bk)
-	if size < 8 {
-		size = 8
-	}
-	nb := make([]event, len(bk), size)
-	copy(nb, bk)
-	return nb
-}
-
-// eventHeap is the original binary-heap event queue. The kernel no
-// longer uses it — it survives as the reference ordering oracle for
-// the calendar queue's differential tests. The sift routines are
-// hand-rolled and monomorphic: the old container/heap implementation
-// boxed every event through `any` on Push and Pop, allocating on each
-// queue operation.
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) peek() event { return h[0] }
-
-func (h *eventHeap) pushEvent(e event) {
-	*h = append(*h, e)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventLess(s[i], s[parent]) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) popEvent() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = event{}
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		min := left
-		if right := left + 1; right < n && eventLess(s[right], s[left]) {
-			min = right
-		}
-		if !eventLess(s[min], s[i]) {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	return top
 }

@@ -15,23 +15,89 @@ func (g *lcg) next() uint64 {
 	return uint64(*g) >> 11
 }
 
+// eventHeap is the original binary-heap event queue, kept as the
+// reference ordering oracle for the calendar queue's differential
+// tests.
+type eventHeap []event
+
+func (h eventHeap) Len() int { return len(h) }
+
+func (h eventHeap) peek() event { return h[0] }
+
+func eventLess(a, b event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+func (h *eventHeap) pushEvent(e event) {
+	*h = append(*h, e)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !eventLess(s[i], s[parent]) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+func (h *eventHeap) popEvent() event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s[n] = event{}
+	s = s[:n]
+	*h = s
+	i := 0
+	for {
+		left := 2*i + 1
+		if left >= n {
+			break
+		}
+		min := left
+		if right := left + 1; right < n && eventLess(s[right], s[left]) {
+			min = right
+		}
+		if !eventLess(s[min], s[i]) {
+			break
+		}
+		s[i], s[min] = s[min], s[i]
+		i = min
+	}
+	return top
+}
+
 // TestCalendarHeapDifferential drives the calendar queue and the
 // legacy binary heap with identical randomized insert/pop schedules
-// and requires identical pop order. The profiles cover the regimes the
-// kernel produces: dense same-instant clusters, mixed near-future
-// timers, and wide spreads that force table resizes and the year-scan
-// fallback.
+// and requires identical pop order, every event out exactly once. The
+// profiles cover the regimes the kernel produces: dense same-instant
+// clusters, mixed near-future timers, and wide spreads that force table
+// resizes and the year-scan fallback. The last profile is about what the
+// calendar does with its storage: rounds that flood the queue past
+// several table doublings — scattered times plus same-instant waves long
+// enough to chain slots — and drain it back through the halvings, so
+// that every round runs on the slots and table entries the round before
+// gave back, and nothing that was popped may come back.
 func TestCalendarHeapDifferential(t *testing.T) {
 	profiles := []struct {
 		name   string
 		spread uint64 // max distance of an insert above current time
 		burst  uint64 // probability (%) of inserting at exactly now+1
-		ops    int
+		wave   uint64 // probability (%) of inserting 3..42 events at one time
+		ops    int    // per round
+		rounds int    // each ends in a drain: to nothing, or to a remnant on odd rounds
+		tables int    // the table must have been this many times minBuckets, and back
 	}{
-		{"dense-near", 64, 50, 30000},
-		{"mixed", 4096, 10, 30000},
-		{"wide-resize", 1 << 40, 0, 20000},
-		{"clustered-jumps", 1 << 20, 70, 30000},
+		{"dense-near", 64, 50, 0, 30000, 1, 1},
+		{"mixed", 4096, 10, 0, 30000, 1, 1},
+		{"wide-resize", 1 << 40, 0, 0, 20000, 1, 1},
+		{"clustered-jumps", 1 << 20, 70, 0, 30000, 1, 1},
+		{"recycle-across-resizes", 1 << 8, 0, 8, 1500, 12, 8},
 	}
 	for _, pf := range profiles {
 		t.Run(pf.name, func(t *testing.T) {
@@ -40,43 +106,86 @@ func TestCalendarHeapDifferential(t *testing.T) {
 			g := lcg(0x5caffe + len(pf.name))
 			var seq uint64
 			now := Time(0)
-			pending := 0
-			for i := 0; i < pf.ops; i++ {
-				r := g.next()
-				if pending == 0 || r%100 < 60 {
-					at := now + 1 + Time(g.next()%pf.spread)
-					if g.next()%100 < pf.burst {
-						at = now + 1
-					}
-					seq++
-					e := event{at: at, seq: seq}
-					cal.insert(e)
-					heap.pushEvent(e)
-					pending++
-					continue
+			popped := []bool{true} // by seq; seq 0 is never issued
+			minTable, maxTable := 1<<30, 0
+			push := func(at Time) {
+				seq++
+				popped = append(popped, false)
+				e := event{at: at, seq: seq, aux: seq}
+				cal.insert(e)
+				heap.pushEvent(e)
+			}
+			pop := func(what string) {
+				a, b := cal.pop(), heap.popEvent()
+				if a.at != b.at || a.seq != b.seq || a.aux != a.seq {
+					t.Fatalf("%s: calendar popped (at=%d seq=%d aux=%d), heap popped (at=%d seq=%d)",
+						what, a.at, a.seq, a.aux, b.at, b.seq)
 				}
-				a := cal.pop()
-				b := heap.popEvent()
-				if a.at != b.at || a.seq != b.seq {
-					t.Fatalf("op %d: calendar popped (at=%d seq=%d), heap popped (at=%d seq=%d)",
-						i, a.at, a.seq, b.at, b.seq)
+				if a.seq >= uint64(len(popped)) || popped[a.seq] {
+					t.Fatalf("%s: calendar popped seq %d, which was never pending or already popped", what, a.seq)
 				}
+				popped[a.seq] = true
 				// Pops advance virtual time monotonically, exactly as
 				// the kernel's event loop does.
 				now = a.at
-				pending--
+				minTable, maxTable = min(minTable, len(cal.buckets)), max(maxTable, len(cal.buckets))
 			}
-			for pending > 0 {
-				a := cal.pop()
-				b := heap.popEvent()
-				if a.at != b.at || a.seq != b.seq {
-					t.Fatalf("drain: calendar popped (at=%d seq=%d), heap popped (at=%d seq=%d)",
-						a.at, a.seq, b.at, b.seq)
+			for round := 0; round < pf.rounds; round++ {
+				spread := pf.spread << (3 * uint(round%5)) // the width changes from round to round
+				for i := 0; i < pf.ops; i++ {
+					if r := g.next() % 100; heap.Len() > 0 && r >= 60 {
+						pop("ops")
+						continue
+					}
+					at := now + 1 + Time(g.next()%spread)
+					if g.next()%100 < pf.burst {
+						at = now + 1
+					}
+					n := uint64(1)
+					if g.next()%100 < pf.wave {
+						n = 3 + g.next()%40
+					}
+					for ; n > 0; n-- {
+						push(at)
+					}
 				}
-				pending--
+				keep := 5 * (round % 2)
+				for heap.Len() > keep {
+					pop("drain")
+				}
+				if cal.count != heap.Len() {
+					t.Fatalf("round %d: calendar holds %d events, heap %d", round, cal.count, heap.Len())
+				}
 			}
-			if cal.count != 0 || heap.Len() != 0 {
-				t.Fatalf("queues not empty after drain: calendar %d, heap %d", cal.count, heap.Len())
+			for heap.Len() > 0 {
+				pop("final drain")
+			}
+			if cal.count != 0 || cal.instants != 0 {
+				t.Fatalf("drained calendar reports %d events at %d instants", cal.count, cal.instants)
+			}
+			for s, ok := range popped {
+				if !ok {
+					t.Fatalf("seq %d was inserted and never popped", s)
+				}
+			}
+			if minTable != minBuckets || maxTable < pf.tables*minBuckets {
+				t.Errorf("table ranged over %d..%d buckets; want %d and at least %d", minTable, maxTable, minBuckets, pf.tables*minBuckets)
+			}
+			// Everything the queue ever carved is on the free list again,
+			// with nothing of its last use left in it.
+			free := 0
+			for s := cal.free; s != nil; s = s.next {
+				free++
+				clean := s.h == 0 && s.n == 0 && s.more == nil && s.last == nil
+				for _, e := range s.ev {
+					clean = clean && e.at == 0 && e.seq == 0 && e.aux == 0
+				}
+				if !clean {
+					t.Fatalf("free slot %d is not clean: %+v", free, *s)
+				}
+			}
+			if free != cal.carved {
+				t.Errorf("%d of %d carved slots are on the free list of an empty queue", free, cal.carved)
 			}
 		})
 	}
@@ -219,6 +328,85 @@ func TestSimKernelZeroAllocSteadyState(t *testing.T) {
 	}
 	if n := s.after.Mallocs - s.before.Mallocs; n != 0 || k.Resumes().Steps < uint64(s.measured) {
 		t.Fatalf("a stepping proc allocates %d objects over %d steps (%+v); want 0", n, s.measured, k.Resumes())
+	}
+}
+
+// waveDriver is the marching-wave load: every wave is waveSize events due
+// at one instant, the instants an irregular distance apart so that wave
+// after wave lands in a bucket no wave has used, while a few hundred
+// background tickers at scattered periods keep the bucket table wide.
+type waveDriver struct {
+	g              lcg
+	tick           nopTick
+	wave           int
+	warm, measured int
+	landed         []bool // by bucket: a measured wave fell in it
+	before, after  runtime.MemStats
+}
+
+const waveSize = 512
+
+type nopTick struct{ n int }
+
+func (t *nopTick) RunEvent(*Kernel) { t.n++ }
+
+// RunEvent runs at a wave's instant, behind the wave: it schedules the
+// next one.
+func (d *waveDriver) RunEvent(k *Kernel) {
+	switch d.wave {
+	case d.warm:
+		runtime.ReadMemStats(&d.before)
+	case d.warm + d.measured:
+		runtime.ReadMemStats(&d.after)
+		k.Stop()
+		return
+	}
+	d.wave++
+	at := k.now + 500 + Time(d.g.next()%20000)
+	for i := 0; i < waveSize; i++ {
+		k.AtRun(at, &d.tick)
+	}
+	k.AtRun(at, d)
+	if d.wave > d.warm {
+		d.landed[int(at/k.cal.width)&k.cal.mask] = true
+	}
+}
+
+// TestSimKernelMarchingWavesZeroAlloc pins the calendar's storage rule,
+// which the steady-state test above cannot see because its eight tickers
+// come back to the same buckets: capacity belongs to the queue, not to
+// the bucket an event happens to fall in. Once three waves have sized the
+// pool, a wave allocates nothing wherever in the table it lands. Part of
+// the scripts/check.sh zero-alloc gate.
+func TestSimKernelMarchingWavesZeroAlloc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	k := New()
+	ts := make([]*benchTicker, 300)
+	for i := range ts {
+		ts[i] = &benchTicker{period: Duration(40000 + 977*i), remaining: 1 << 30, c: k.GetCompletion()}
+		k.AtRun(ts[i].period, ts[i])
+	}
+	d := &waveDriver{g: 0x3a7e, warm: 3, measured: 200, landed: make([]bool, 1<<12)}
+	k.AtRun(ts[len(ts)-1].period+1, d) // every ticker has fired once: the table is as wide as it gets
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := (d.warm + d.measured) * waveSize; d.tick.n != want {
+		t.Fatalf("%d wave events ran, want %d", d.tick.n, want)
+	}
+	distinct := 0
+	for _, hit := range d.landed {
+		if hit {
+			distinct++
+		}
+	}
+	if len(k.cal.buckets) < 128 || distinct < d.measured/2 {
+		t.Fatalf("%d waves landed in %d distinct buckets of %d; the test needs a wide table and marching waves",
+			d.measured, distinct, len(k.cal.buckets))
+	}
+	if n := d.after.Mallocs - d.before.Mallocs; n != 0 {
+		t.Fatalf("%d waves of %d same-instant events allocated %d objects (%d bytes) after warm-up; want 0",
+			d.measured, waveSize, n, d.after.TotalAlloc-d.before.TotalAlloc)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -308,6 +309,66 @@ func TestQueueTryPut(t *testing.T) {
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQueueKeepsItsBacking: a queue's lists are consumed through a head
+// index, so a long exchange runs on the arrays its first few items sized
+// and allocates next to nothing — whether the queue drains between items
+// (the waiting-getter list churns), stays full (the waiting-putter list
+// does) or holds a steady backlog and never empties — in FIFO order, and
+// a waiter killed while it waited is still skipped, not woken in a live
+// one's place.
+func TestQueueKeepsItsBacking(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const items = 2000
+	for _, tc := range []struct {
+		name             string
+		capacity, ahead  int // ahead: items put back to back before the producer paces itself
+		produce, consume Duration
+	}{
+		{"drains", 0, 0, 3, 2},
+		{"stays-full", 2, 0, 0, 3},
+		{"never-empties", 0, 3, 3, 3},
+	} {
+		k := New()
+		q := k.NewQueue(tc.capacity)
+		ghost := k.Spawn("ghost", func(p *Proc) { q.Get(p) }) // first in line, on an empty queue
+		k.At(2, ghost.Kill)
+		k.Spawn("producer", func(p *Proc) {
+			p.Sleep(5)
+			for i := 0; i < items; i++ {
+				q.Put(p, i%100) // small integers box without allocating
+				if i >= tc.ahead && tc.produce > 0 {
+					p.Sleep(tc.produce)
+				}
+			}
+		})
+		next := 0
+		var before, after runtime.MemStats
+		k.Spawn("consumer", func(p *Proc) {
+			p.Sleep(1) // in line behind the ghost
+			for ; next < items; next++ {
+				if next == 100 {
+					runtime.ReadMemStats(&before)
+				}
+				if v := q.Get(p).(int); v != next%100 {
+					t.Errorf("%s: item %d carries %d", tc.name, next, v)
+					return
+				}
+				p.Sleep(tc.consume)
+			}
+			runtime.ReadMemStats(&after)
+		})
+		if err := k.Run(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if next != items {
+			t.Fatalf("%s: consumer stopped at item %d", tc.name, next)
+		}
+		if n := after.Mallocs - before.Mallocs; n > 8 {
+			t.Errorf("%s: %d objects allocated over the last %d items; the lists should be running in place", tc.name, n, items-100)
+		}
 	}
 }
 

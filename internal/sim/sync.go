@@ -206,10 +206,40 @@ func (f *Flag) WaitSet(p *Proc) {
 // means unbounded.
 type Queue struct {
 	k       *Kernel
-	items   []any
+	items   fifo[any]
 	cap     int
-	getters []*Proc
-	putters []*Proc
+	getters fifo[*Proc]
+	putters fifo[*Proc]
+}
+
+// fifo is a slice consumed through a head index, so that popping keeps
+// the backing array: it is rewound when the last element leaves, and a
+// list that never empties slides down over its consumed part before it
+// would grow.
+type fifo[T any] struct {
+	s    []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.s) - f.head }
+
+func (f *fifo[T]) push(v T) {
+	if f.head > 0 && len(f.s) == cap(f.s) {
+		n := copy(f.s, f.s[f.head:])
+		clear(f.s[n:])
+		f.s, f.head = f.s[:n], 0
+	}
+	f.s = append(f.s, v)
+}
+
+func (f *fifo[T]) pop() T {
+	var zero T
+	v := f.s[f.head]
+	f.s[f.head] = zero
+	if f.head++; f.head == len(f.s) {
+		f.s, f.head = f.s[:0], 0
+	}
+	return v
 }
 
 // NewQueue returns a queue with the given capacity (0 = unbounded).
@@ -218,60 +248,47 @@ func (k *Kernel) NewQueue(capacity int) *Queue {
 }
 
 // Len returns the number of queued items.
-func (q *Queue) Len() int { return len(q.items) }
+func (q *Queue) Len() int { return q.items.len() }
 
 // Put appends v, blocking p while the queue is at capacity.
 func (q *Queue) Put(p *Proc, v any) {
-	for q.cap > 0 && len(q.items) >= q.cap {
-		q.putters = append(q.putters, p)
+	for q.cap > 0 && q.items.len() >= q.cap {
+		q.putters.push(p)
 		p.park()
 	}
-	q.items = append(q.items, v)
-	q.wakeOneGetter()
+	q.items.push(v)
+	q.wakeOne(&q.getters)
 }
 
 // TryPut appends v without blocking; it reports false if the queue is
 // full.
 func (q *Queue) TryPut(v any) bool {
-	if q.cap > 0 && len(q.items) >= q.cap {
+	if q.cap > 0 && q.items.len() >= q.cap {
 		return false
 	}
-	q.items = append(q.items, v)
-	q.wakeOneGetter()
+	q.items.push(v)
+	q.wakeOne(&q.getters)
 	return true
 }
 
 // Get removes and returns the oldest item, blocking p while empty.
 func (q *Queue) Get(p *Proc) any {
-	for len(q.items) == 0 {
-		//scaffe:nolint hotpath waiting-getter list reuses its high-water backing across iterations
-		q.getters = append(q.getters, p)
+	for q.items.len() == 0 {
+		//scaffe:nolint hotpath waiting-getter list reuses its backing across iterations
+		q.getters.push(p)
 		p.park()
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	q.wakeOnePutter()
+	v := q.items.pop()
+	q.wakeOne(&q.putters)
 	return v
 }
 
-func (q *Queue) wakeOneGetter() {
-	// Killed procs leave stale entries behind; skip them so a real
-	// waiter is not starved of its wake-up.
-	for len(q.getters) > 0 {
-		p := q.getters[0]
-		q.getters = q.getters[1:]
-		if !p.finished {
-			q.k.wakeAt(p, q.k.now)
-			return
-		}
-	}
-}
-
-func (q *Queue) wakeOnePutter() {
-	for len(q.putters) > 0 {
-		p := q.putters[0]
-		q.putters = q.putters[1:]
-		if !p.finished {
+// wakeOne wakes the longest-waiting proc of the list. Killed procs leave
+// stale entries behind; they are skipped so a real waiter is not starved
+// of its wake-up.
+func (q *Queue) wakeOne(waiting *fifo[*Proc]) {
+	for waiting.len() > 0 {
+		if p := waiting.pop(); !p.finished {
 			q.k.wakeAt(p, q.k.now)
 			return
 		}

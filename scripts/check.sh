@@ -39,10 +39,12 @@ go build ./...
 
 echo "== event-kernel zero-alloc gate =="
 # The pooled event kernel must not allocate in steady state (DESIGN.md
-# §12), for plain events and for a proc that waits as steps on the
-# event loop alike. Run un-instrumented first, since race
-# instrumentation itself allocates and would mask a regression.
-go test -run '^TestSimKernelZeroAllocSteadyState$' -count=1 ./internal/sim
+# §12): for plain events, for a proc that waits as steps on the event
+# loop, and for same-instant waves that march through buckets no wave
+# has used before (capacity belongs to the queue, not to a bucket).
+# Run un-instrumented first, since race instrumentation itself
+# allocates and would mask a regression.
+go test -run '^TestSimKernel(ZeroAllocSteadyState|MarchingWavesZeroAlloc)$' -count=1 ./internal/sim
 
 echo "== elastic churn drill =="
 # The elastic membership acceptance bar (DESIGN.md §14): the 32-rank
