@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench fmt vet lint lint-escape check
+.PHONY: all build test race fmt vet lint lint-escape check
 
 all: build
 
@@ -16,12 +16,6 @@ test:
 
 race:
 	$(GO) test -race -timeout 45m ./...
-
-# `make bench` runs every benchmark once with -benchmem and writes a
-# BENCH_<date>.json summary; see scripts/bench.sh for the BENCH_*
-# environment overrides (filter, benchtime, packages, output file).
-bench:
-	sh scripts/bench.sh
 
 fmt:
 	gofmt -w .

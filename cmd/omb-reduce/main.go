@@ -21,31 +21,20 @@ func main() {
 	ranks := flag.Int("ranks", 160, "number of GPU processes")
 	nodes := flag.Int("nodes", 0, "cluster nodes (0 = auto)")
 	perNode := flag.Int("gpus-per-node", 16, "GPUs per node")
-	algsFlag := flag.String("algs", "mv2,cc,cb,hr", "comma-separated: binomial, chain, cc, cb, ccb, hr, mv2, openmpi, rsg")
+	algsFlag := flag.String("algs", "mv2,cc,cb,hr", "comma-separated: binomial, chain, cc, cb, ccb, hr (or tuned), mv2, openmpi, rsg (or rabenseifner)")
 	chain := flag.Int("chain", 8, "chain size for hierarchical designs")
 	minSize := flag.Int64("min", 2<<20, "minimum message size in bytes")
 	maxSize := flag.Int64("max", 256<<20, "maximum message size in bytes")
 	trials := flag.Int("trials", 3, "timed trials per point")
 	flag.Parse()
 
-	algs := map[string]scaffe.ReduceAlgorithm{
-		"binomial": scaffe.ReduceBinomial,
-		"chain":    scaffe.ReduceChain,
-		"cc":       scaffe.ReduceCC,
-		"cb":       scaffe.ReduceCB,
-		"ccb":      scaffe.ReduceCCB,
-		"hr":       scaffe.ReduceHR,
-		"mv2":      scaffe.ReduceMV2,
-		"openmpi":  scaffe.ReduceOpenMPI,
-		"rsg":      scaffe.ReduceRabenseifner,
-	}
 	var names []string
 	var selected []scaffe.ReduceAlgorithm
 	for _, name := range strings.Split(*algsFlag, ",") {
 		name = strings.TrimSpace(strings.ToLower(name))
-		alg, ok := algs[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "omb-reduce: unknown algorithm %q\n", name)
+		alg, err := scaffe.ParseReduceAlgorithm(name)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "omb-reduce:", err)
 			os.Exit(1)
 		}
 		names = append(names, name)

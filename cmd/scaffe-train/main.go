@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 
 	"scaffe"
 	"scaffe/internal/chaos"
@@ -60,9 +59,9 @@ func main() {
 	batch := flag.Int("batch", 256, "effective batch size")
 	scal := flag.String("scal", "strong", "scaling mode: strong (batch divided across GPUs) or weak (batch per GPU)")
 	iters := flag.Int("iters", 20, "training iterations")
-	design := flag.String("design", "scobr", "pipeline: scb, scob, scobr, scobrf, caffe, cntk, ps, mp")
+	design := flag.String("design", "scobr", "pipeline: scb, scob, scobr, scobrf, caffe, cntk, ps (or inspur), mp")
 	bucketBytes := flag.Int64("bucket-bytes", 0, "gradient bucket size in bytes for scobr/scobrf (0 = per-layer for scobr, 4MiB default for scobrf)")
-	reduce := flag.String("reduce", "hr", "gradient aggregation: binomial, chain, cc, cb, ccb, hr, mv2, openmpi, rsg")
+	reduce := flag.String("reduce", "hr", "gradient aggregation: binomial, chain, cc, cb, ccb, hr (or tuned), mv2, openmpi, rsg (or rabenseifner)")
 	chain := flag.Int("chain", 8, "chain size for hierarchical reductions")
 	source := flag.String("data", "imagedata", "data backend: memory, lmdb, imagedata")
 	real := flag.Bool("real", false, "real-compute mode (actual float32 training; small models only)")
@@ -112,60 +111,14 @@ func main() {
 		}
 		cfg.ReduceOpts.ChainSize = *chain
 		cfg.ReduceOpts.OnGPU = true
-	}
-
-	if *solverFile == "" {
-		switch strings.ToLower(*design) {
-		case "scb":
-			cfg.Design = scaffe.SCB
-		case "scob":
-			cfg.Design = scaffe.SCOB
-		case "scobr":
-			cfg.Design = scaffe.SCOBR
-		case "scobrf":
-			cfg.Design = scaffe.SCOBRF
-		case "caffe":
-			cfg.Design = scaffe.Caffe
-		case "cntk":
-			cfg.Design = scaffe.CNTK
-		case "ps", "inspur":
-			cfg.Design = scaffe.InspurPS
-		case "mp":
-			cfg.Design = scaffe.MPICaffe
-		default:
-			fatalConfig(fmt.Errorf("unknown design %q", *design))
+		if cfg.Design, err = scaffe.ParseDesign(*design); err != nil {
+			fatalConfig(err)
 		}
-		switch strings.ToLower(*reduce) {
-		case "binomial":
-			cfg.Reduce = scaffe.ReduceBinomial
-		case "chain":
-			cfg.Reduce = scaffe.ReduceChain
-		case "cc":
-			cfg.Reduce = scaffe.ReduceCC
-		case "cb":
-			cfg.Reduce = scaffe.ReduceCB
-		case "ccb":
-			cfg.Reduce = scaffe.ReduceCCB
-		case "rsg":
-			cfg.Reduce = scaffe.ReduceRabenseifner
-		case "hr", "tuned":
-			cfg.Reduce = scaffe.ReduceHR
-		case "mv2":
-			cfg.Reduce = scaffe.ReduceMV2
-		case "openmpi":
-			cfg.Reduce = scaffe.ReduceOpenMPI
-		default:
-			fatalConfig(fmt.Errorf("unknown reduce algorithm %q", *reduce))
+		if cfg.Reduce, err = scaffe.ParseReduceAlgorithm(*reduce); err != nil {
+			fatalConfig(err)
 		}
-		switch strings.ToLower(*source) {
-		case "memory":
-			cfg.Source = scaffe.InMemory
-		case "lmdb":
-			cfg.Source = scaffe.LMDB
-		case "imagedata":
-			cfg.Source = scaffe.ImageData
-		default:
-			fatalConfig(fmt.Errorf("unknown data backend %q", *source))
+		if cfg.Source, err = scaffe.ParseSource(*source); err != nil {
+			fatalConfig(err)
 		}
 	}
 	if *bucketBytes > 0 {

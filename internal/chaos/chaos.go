@@ -343,6 +343,11 @@ func Run(s Spec) (*RunResult, error) {
 	cfg.FaultTimeout = quantumFor(horizon)
 	cfg.MaxVirtualTime = ceilingFor(horizon, len(sched))
 	res, err := core.Run(cfg)
+	if errors.Is(err, core.ErrConfig) {
+		// E.g. a design no fault schedule may run on: the spec parser
+		// takes every design name, Config validation decides.
+		return nil, fmt.Errorf("chaos: %w", err)
+	}
 
 	r := &RunResult{Spec: s, Schedule: sched, Res: res}
 	switch {

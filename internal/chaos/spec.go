@@ -19,8 +19,9 @@ import (
 //	iters = 8          # training iterations
 //	events = 6         # weighted event draws
 //	mode = timing      # timing | real
-//	design = scb       # scb | scob | scobr | scobrf | cntk
-//	reduce = binomial  # binomial | chain | cc | cb | rabenseifner | tuned
+//	design = scb       # as scaffe-train -design; a fault schedule
+//	                   # runs on scb | scob | scobr | scobrf | cntk
+//	reduce = binomial  # as scaffe-train -reduce
 //	weight.drop = 2    # per-family mix weight (crash, hang, straggle,
 //	                   # drop, dup, reorder, delay, partition)
 func ParseSpec(text string) (Spec, error) {
@@ -77,37 +78,17 @@ func ParseSpec(text string) (Spec, error) {
 				return bad(fmt.Errorf("want timing or real, got %q", val))
 			}
 		case key == "design":
-			switch val {
-			case "scb":
-				s.Design = core.SCB
-			case "scob":
-				s.Design = core.SCOB
-			case "scobr":
-				s.Design = core.SCOBR
-			case "scobrf":
-				s.Design = core.SCOBRF
-			case "cntk":
-				s.Design = core.CNTKLike
-			default:
-				return bad(fmt.Errorf("unknown design %q", val))
+			d, err := core.ParseDesign(val)
+			if err != nil {
+				return bad(err)
 			}
+			s.Design = d
 		case key == "reduce":
-			switch val {
-			case "binomial":
-				s.Reduce = coll.Binomial
-			case "chain":
-				s.Reduce = coll.Chain
-			case "cc":
-				s.Reduce = coll.ChainChain
-			case "cb":
-				s.Reduce = coll.ChainBinomial
-			case "rabenseifner":
-				s.Reduce = coll.Rabenseifner
-			case "tuned":
-				s.Reduce = coll.Tuned
-			default:
-				return bad(fmt.Errorf("unknown reducer %q", val))
+			a, err := coll.ParseAlgorithm(val)
+			if err != nil {
+				return bad(err)
 			}
+			s.Reduce = a
 		case strings.HasPrefix(key, "weight."):
 			f, err := strconv.ParseFloat(val, 64)
 			if err != nil {

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -57,8 +58,8 @@ func TestParseSpecRejects(t *testing.T) {
 		{"seed = 1\nbogus = 2\n", "unknown key"},
 		{"seed = 1\nranks = 0\n", "must be positive"},
 		{"seed = 1\nmode = sideways\n", "want timing or real"},
-		{"seed = 1\ndesign = mp\n", "unknown design"},
-		{"seed = 1\nreduce = ring\n", "unknown reducer"},
+		{"seed = 1\ndesign = hybrid\n", "unknown design"},
+		{"seed = 1\nreduce = ring\n", "unknown reduce algorithm"},
 		{"seed = 1\nweight.sdc = 1\n", "unknown weight family"},
 		{"seed = 1\nweight.drop = -1\n", "non-negative"},
 		{"seed = 1\njust words\n", "want key = value"},
@@ -67,6 +68,31 @@ func TestParseSpecRejects(t *testing.T) {
 		if _, err := ParseSpec(tc.text); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("ParseSpec(%q) err = %v, want containing %q", tc.text, err, tc.want)
 		}
+	}
+}
+
+// TestSpecDesignIsConfigValidationsDecision: the spec parser reads the
+// design and reducer names every front end reads, so `reduce = hr` is a
+// spec (it used to be rejected) and so is `design = mp`; that no fault
+// schedule runs on a model-parallel pipeline is what Config validation
+// says when the harness arms one.
+func TestSpecDesignIsConfigValidationsDecision(t *testing.T) {
+	s, err := ParseSpec("seed = 3\nranks = 4\niters = 2\nreduce = hr\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Reduce != coll.Tuned {
+		t.Errorf("reduce = hr parsed as %v", s.Reduce)
+	}
+	if _, err := Verify(s); err != nil {
+		t.Errorf("reduce = hr: %v", err)
+	}
+	s, err = ParseSpec("seed = 3\nranks = 4\niters = 2\ndesign = mp\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := Run(s); !errors.Is(err, core.ErrConfig) {
+		t.Errorf("design = mp under a fault schedule: result %v, err %v; want a configuration error", r, err)
 	}
 }
 

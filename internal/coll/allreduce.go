@@ -14,16 +14,6 @@ func Allreduce(red Reducer, c *mpi.Comm, r *mpi.Rank, buf *gpu.Buffer, tag int, 
 	r.Bcast(c, 0, buf, mode)
 }
 
-// RingAllreduce is the bandwidth-optimal ring algorithm (reduce-
-// scatter + allgather over 2(P−1) steps) that later frameworks (NCCL,
-// Horovod) adopted — included as the "future work" extension the paper
-// anticipates and as an ablation baseline. Tags tag..tag+2P are
-// reserved.
-func RingAllreduce(c *mpi.Comm, r *mpi.Rank, buf *gpu.Buffer, tag int, o Options) {
-	//scaffe:coldpath the one-shot entry point makes its state per call by documented design; Ring keeps one
-	ringAllreduce(c, r, buf, tag, o, new(rankState))
-}
-
 // ringSegOf returns the element extents of ring segment j (taken
 // modulo the group size).
 func ringSegOf(size, elems, j int) (lo, hi int) {
@@ -40,9 +30,25 @@ func ringSegOf(size, elems, j int) (lo, hi int) {
 	return
 }
 
-// ringAllreduce is the implementation, on the caller's state: Ring's,
-// which lasts, or the exported entry point's, which does not.
-func ringAllreduce(c *mpi.Comm, r *mpi.Rank, buf *gpu.Buffer, tag int, o Options, st *rankState) {
+// Ring is the bandwidth-optimal ring allreduce (reduce-scatter +
+// allgather over 2(P−1) steps) that later frameworks (NCCL, Horovod)
+// adopted — included as the "future work" extension the paper
+// anticipates, as an ablation baseline, and as the CNTK-like design's
+// host-side collective. It carries per-rank reusable scratch state;
+// build it once per communicator.
+type Ring struct {
+	c      *mpi.Comm
+	o      Options
+	states stateTable
+}
+
+// NewRing builds a reusable ring-allreduce over c.
+func NewRing(c *mpi.Comm, o Options) *Ring { return &Ring{c: c, o: o} }
+
+// Allreduce performs this rank's part of the ring allreduce. Tags
+// tag..tag+2P are reserved.
+func (g *Ring) Allreduce(r *mpi.Rank, buf *gpu.Buffer, tag int) {
+	c, o := g.c, g.o
 	me := c.Rank(r)
 	size := c.Size()
 	if size == 1 {
@@ -51,6 +57,8 @@ func ringAllreduce(c *mpi.Comm, r *mpi.Rank, buf *gpu.Buffer, tag int, o Options
 	elems := buf.Elems()
 	left := (me - 1 + size) % size
 	right := (me + 1) % size
+	st := g.states.acquire(size, me)
+	defer st.release()
 
 	// Reduce-scatter: after P-1 steps, rank i holds the fully reduced
 	// segment (i+1) mod P.
@@ -77,24 +85,4 @@ func ringAllreduce(c *mpi.Comm, r *mpi.Rank, buf *gpu.Buffer, tag int, o Options
 		r.RecvSummed(c, left, tag+size+step, st.view(buf, rlo, rhi)).Verify()
 		r.Wait(sreq)
 	}
-}
-
-// Ring wraps RingAllreduce with per-rank reusable scratch state for
-// callers that allreduce every iteration (the parameter-server and
-// ablation designs); build it once per communicator.
-type Ring struct {
-	c      *mpi.Comm
-	o      Options
-	states stateTable
-}
-
-// NewRing builds a reusable ring-allreduce over c.
-func NewRing(c *mpi.Comm, o Options) *Ring { return &Ring{c: c, o: o} }
-
-// Allreduce performs this rank's part of the ring allreduce. Tags
-// tag..tag+2P are reserved.
-func (g *Ring) Allreduce(r *mpi.Rank, buf *gpu.Buffer, tag int) {
-	st := g.states.acquire(g.c.Size(), g.c.Rank(r))
-	defer st.release()
-	ringAllreduce(g.c, r, buf, tag, g.o, st)
 }

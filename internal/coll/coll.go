@@ -14,6 +14,7 @@ package coll
 
 import (
 	"fmt"
+	"strings"
 
 	"scaffe/internal/gpu"
 	"scaffe/internal/mpi"
@@ -78,6 +79,24 @@ func (a Algorithm) String() string {
 		return "RSG"
 	}
 	return "unknown"
+}
+
+// algorithmNames is the one table of algorithm spellings: scaffe-train's
+// -reduce, omb-reduce's -algs, the solver prototxt's scaffe_reduce and a
+// chaos spec's reduce all read it through ParseAlgorithm.
+var algorithmNames = map[string]Algorithm{
+	"binomial": Binomial, "chain": Chain, "cc": ChainChain, "cb": ChainBinomial, "ccb": ChainChainBinomial,
+	"hr": Tuned, "tuned": Tuned, "mv2": MV2Baseline, "openmpi": OpenMPIBaseline,
+	"rsg": Rabenseifner, "rabenseifner": Rabenseifner,
+}
+
+// ParseAlgorithm parses an algorithm name as the front ends spell it,
+// in any case.
+func ParseAlgorithm(s string) (Algorithm, error) {
+	if a, ok := algorithmNames[strings.ToLower(s)]; ok {
+		return a, nil
+	}
+	return 0, fmt.Errorf("unknown reduce algorithm %q (want binomial, chain, cc, cb, ccb, hr or tuned, mv2, openmpi, or rsg or rabenseifner)", s)
 }
 
 // Options configures a Reducer.

@@ -242,10 +242,11 @@ func TestRingAllreduceCorrect(t *testing.T) {
 		w := newWorld(t, 2, 4, ranks)
 		c := w.WorldComm()
 		results := make([][]float32, ranks)
+		ring := NewRing(c, DefaultOptions())
 		_, err := w.Run(func(r *mpi.Rank) {
 			buf := gpu.NewDataBuffer(53)
 			buf.Fill(float32(c.Rank(r) + 1))
-			RingAllreduce(c, r, buf, 100, DefaultOptions())
+			ring.Allreduce(r, buf, 100)
 			results[c.Rank(r)] = append([]float32(nil), buf.Data...)
 		})
 		if err != nil {
@@ -465,10 +466,11 @@ func TestRabenseifnerReduceCorrect(t *testing.T) {
 			w := newWorld(t, (ranks+3)/4, 4, ranks)
 			c := w.WorldComm()
 			var got []float32
+			red := NewReducer(c, Rabenseifner, DefaultOptions())
 			_, err := w.Run(func(r *mpi.Rank) {
 				buf := gpu.NewDataBuffer(elems)
 				buf.Fill(float32(c.Rank(r) + 1))
-				ReduceScatterGather(c, r, buf, 40, DefaultOptions())
+				red.Reduce(r, buf, 40)
 				if c.Rank(r) == 0 {
 					got = append([]float32(nil), buf.Data...)
 				}
@@ -491,10 +493,11 @@ func TestRabenseifnerNonPowerOfTwoFallsBack(t *testing.T) {
 	w := newWorld(t, 2, 4, ranks)
 	c := w.WorldComm()
 	var got []float32
+	red := NewReducer(c, Rabenseifner, DefaultOptions())
 	_, err := w.Run(func(r *mpi.Rank) {
 		buf := gpu.NewDataBuffer(19)
 		buf.Fill(float32(c.Rank(r) + 1))
-		ReduceScatterGather(c, r, buf, 40, DefaultOptions())
+		red.Reduce(r, buf, 40)
 		if c.Rank(r) == 0 {
 			got = append([]float32(nil), buf.Data...)
 		}
@@ -510,10 +513,9 @@ func TestRabenseifnerBandwidthAdvantage(t *testing.T) {
 	// b·log2(P) for large buffers.
 	const ranks, elems = 16, 32 << 20 / 4
 	w := newWorld(t, 4, 4, ranks)
-	c := w.WorldComm()
+	red := NewReducer(w.WorldComm(), Rabenseifner, DefaultOptions())
 	rsg, err := w.Run(func(r *mpi.Rank) {
-		buf := gpu.NewBuffer(elems * 4)
-		ReduceScatterGather(c, r, buf, 40, DefaultOptions())
+		red.Reduce(r, gpu.NewBuffer(elems*4), 40)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -521,65 +523,5 @@ func TestRabenseifnerBandwidthAdvantage(t *testing.T) {
 	_, bin := runReduce(t, Binomial, DefaultOptions(), ranks, elems)
 	if rsg >= bin {
 		t.Errorf("32MB/16 ranks: Rabenseifner (%v) should beat binomial (%v)", rsg, bin)
-	}
-}
-
-func TestBcastScatterAllgatherCorrect(t *testing.T) {
-	for _, ranks := range []int{2, 3, 4, 7, 8, 16, 24, 32} {
-		for _, root := range []int{0, ranks - 1} {
-			for _, elems := range []int{5, 64, 257} {
-				w := newWorld(t, (ranks+3)/4, 4, ranks)
-				c := w.WorldComm()
-				ok := true
-				_, err := w.Run(func(r *mpi.Rank) {
-					buf := gpu.NewDataBuffer(elems)
-					if c.Rank(r) == root {
-						for i := range buf.Data {
-							buf.Data[i] = float32(i + 1)
-						}
-					}
-					BcastScatterAllgather(c, r, root, buf, 300, topology.ModeAuto)
-					for i, v := range buf.Data {
-						if v != float32(i+1) {
-							ok = false
-						}
-					}
-				})
-				if err != nil {
-					t.Fatalf("ranks=%d root=%d elems=%d: %v", ranks, root, elems, err)
-				}
-				if !ok {
-					t.Fatalf("ranks=%d root=%d elems=%d: wrong payload delivered", ranks, root, elems)
-				}
-			}
-		}
-	}
-}
-
-func TestBcastScatterAllgatherBeatsBinomialForLarge(t *testing.T) {
-	// van de Geijn's bandwidth argument: ~2b vs b·log2(P) for 32 ranks
-	// at 64 MB.
-	const ranks = 32
-	const bytes = 64 << 20
-	w := newWorld(t, 8, 4, ranks)
-	c := w.WorldComm()
-	vdg, err := w.Run(func(r *mpi.Rank) {
-		buf := gpu.NewBuffer(bytes)
-		BcastScatterAllgather(c, r, 0, buf, 300, topology.ModeAuto)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2 := newWorld(t, 8, 4, ranks)
-	c2 := w2.WorldComm()
-	bin, err := w2.Run(func(r *mpi.Rank) {
-		buf := gpu.NewBuffer(bytes)
-		r.Bcast(c2, 0, buf, topology.ModeAuto)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vdg >= bin {
-		t.Errorf("64MB/32 ranks: scatter-allgather bcast (%v) should beat binomial (%v)", vdg, bin)
 	}
 }

@@ -15,10 +15,12 @@ import (
 // retransmission. Their expected values were recorded from the blocking
 // chain they replace.
 
-type killApplier struct{ w *mpi.World }
+type killApplier struct {
+	fault.NopApplier
+	w *mpi.World
+}
 
 func (a killApplier) KillRank(rank int, _ fault.Kind) { a.w.Ranks[rank].KillAll() }
-func (a killApplier) SetCompute(int, float64)         {}
 
 // TestChainReduceRankKilledMidPipeline crashes rank 17 of a 32-rank
 // chain while chunks are in flight on both sides of it. Every survivor's
@@ -31,7 +33,7 @@ func TestChainReduceRankKilledMidPipeline(t *testing.T) {
 	c := w.WorldComm()
 	pl := fault.NewPlane(w.K, ranks, 200*sim.Microsecond)
 	w.Fault = pl
-	pl.Arm(fault.Schedule{{At: 2 * sim.Millisecond, Kind: fault.Crash, Rank: victim}}, killApplier{w})
+	pl.Arm(fault.Schedule{{At: 2 * sim.Millisecond, Kind: fault.Crash, Rank: victim}}, killApplier{w: w})
 	o := DefaultOptions()
 	o.Chunks = 16
 	red := NewReducer(c, Chain, o)

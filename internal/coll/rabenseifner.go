@@ -5,34 +5,17 @@ import (
 	"scaffe/internal/mpi"
 )
 
-// ReduceScatterGather implements Rabenseifner's reduce algorithm for
+// reduceScatterGather implements Rabenseifner's reduce algorithm for
 // power-of-two communicators: recursive-halving reduce-scatter
 // followed by a binomial gather to root (group rank 0). It is the
 // classic bandwidth-optimal alternative to both Eq. (1) and Eq. (2)
 // — total traffic 2·b·(P−1)/P per rank versus the binomial tree's
 // b·log2(P) — included for the algorithm-comparison experiments.
-// Non-power-of-two sizes fall back to the chunked chain.
 //
 // Tags tag..tag+1 are reserved.
-func ReduceScatterGather(c *mpi.Comm, r *mpi.Rank, buf *gpu.Buffer, tag int, o Options) {
-	reduceScatterGather(c, r, buf, tag, o, new(rankState), nil)
-}
-
-// reduceScatterGather is the state-threaded implementation behind both
-// the exported one-shot entry point (a state for the one call)
-// and rsgReducer (per-rank reusable state). fallback handles
-// non-power-of-two sizes; when nil a transient chain reducer is built.
-func reduceScatterGather(c *mpi.Comm, r *mpi.Rank, buf *gpu.Buffer, tag int, o Options, st *rankState, fallback Reducer) {
+func reduceScatterGather(c *mpi.Comm, r *mpi.Rank, buf *gpu.Buffer, tag int, o Options, st *rankState) {
 	size := c.Size()
 	if size == 1 {
-		return
-	}
-	if size&(size-1) != 0 {
-		if fallback == nil {
-			//scaffe:coldpath transient fallback for the stateless one-shot entry; rsgReducer supplies a pooled fallback
-			fallback = &chainReducer{c: c, o: o}
-		}
-		fallback.Reduce(r, buf, tag)
 		return
 	}
 	me := c.Rank(r)
@@ -104,9 +87,9 @@ func rsgSegStart(size, elems, p int) int {
 	return slo
 }
 
-// rsgReducer adapts ReduceScatterGather to the Reducer interface,
-// carrying per-rank scratch state and a construction-time chain
-// fallback for non-power-of-two communicators.
+// rsgReducer is reduceScatterGather as a Reducer, carrying per-rank
+// scratch state. Non-power-of-two communicators fall back to the
+// chunked chain, built with the reducer.
 type rsgReducer struct {
 	c        *mpi.Comm
 	o        Options
@@ -125,7 +108,11 @@ func newRSGReducer(c *mpi.Comm, o Options) *rsgReducer {
 func (x *rsgReducer) Name() string { return "RSG" }
 
 func (x *rsgReducer) Reduce(r *mpi.Rank, buf *gpu.Buffer, tag int) {
+	if x.fallback != nil {
+		x.fallback.Reduce(r, buf, tag)
+		return
+	}
 	st := x.states.acquire(x.c.Size(), x.c.Rank(r))
 	defer st.release()
-	reduceScatterGather(x.c, r, buf, tag, x.o, st, x.fallback)
+	reduceScatterGather(x.c, r, buf, tag, x.o, st)
 }

@@ -27,10 +27,6 @@ import (
 // extents; the few buffers a rank reduces are told apart by pointer, and
 // the one or two scratch shapes a call uses by looking at the free
 // buffers themselves.
-//
-// The zero rankState is ready to use: the stateless exported entry
-// points (RingAllreduce, ReduceScatterGather, BcastScatterAllgather) run
-// on one of their own that lasts for the call.
 
 // rankState is one group rank's reusable per-call resources for one
 // reducer instance. Procs of different ranks interleave inside one
@@ -76,8 +72,7 @@ type stateTable struct {
 // state rather than corrupting in-flight scratch.
 func (t *stateTable) acquire(size, me int) *rankState {
 	if t.sts == nil {
-		//scaffe:nolint hotpath first-call table construction; steady state takes the filled-slot path
-		t.sts = make([]rankState, size)
+		t.sts = newStates(size)
 	}
 	st := &t.sts[me]
 	if st.busy {
@@ -88,6 +83,12 @@ func (t *stateTable) acquire(size, me int) *rankState {
 	st.cur = nil
 	return st
 }
+
+// newStates is a table's storage, made when the first rank calls.
+//
+//scaffe:coldpath first-call table construction; steady state takes the filled-slot path
+//go:noinline
+func newStates(size int) []rankState { return make([]rankState, size) }
 
 func (st *rankState) release() { st.busy = false }
 

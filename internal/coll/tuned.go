@@ -1,8 +1,6 @@
 package coll
 
 import (
-	"fmt"
-
 	"scaffe/internal/gpu"
 	"scaffe/internal/mpi"
 )
@@ -49,12 +47,6 @@ func (t *tunedReducer) Select(bytes int64) Reducer {
 	default:
 		return t.cb
 	}
-}
-
-// SelectName reports which configuration Select would use (for the
-// tuning-table report in cmd/experiments).
-func (t *tunedReducer) SelectName(bytes int64) string {
-	return fmt.Sprintf("%s", t.Select(bytes).Name())
 }
 
 func (t *tunedReducer) Reduce(r *mpi.Rank, buf *gpu.Buffer, tag int) {

@@ -12,6 +12,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"scaffe/internal/coll"
 	"scaffe/internal/data"
@@ -94,6 +95,25 @@ func (d Design) String() string {
 	return "unknown"
 }
 
+// designNames is the one table of design spellings: scaffe-train's
+// -design, the solver prototxt's scaffe_design and a chaos spec's design
+// all read it through ParseDesign.
+var designNames = map[string]Design{
+	"scb": SCB, "scob": SCOB, "scobr": SCOBR, "scobrf": SCOBRF,
+	"caffe": CaffeMT, "cntk": CNTKLike, "ps": ParamServer, "inspur": ParamServer, "mp": ModelParallel,
+}
+
+// ParseDesign parses a design name as the front ends spell it, in any
+// case. Whether the rest of a configuration allows the design (a fault
+// schedule, real-compute mode) is Config validation's decision, not the
+// parser's.
+func ParseDesign(s string) (Design, error) {
+	if d, ok := designNames[strings.ToLower(s)]; ok {
+		return d, nil
+	}
+	return 0, fmt.Errorf("%w: unknown design %q (want scb, scob, scobr, scobrf, caffe, cntk, ps or inspur, or mp)", ErrConfig, s)
+}
+
 // SourceKind selects the storage backend for training data.
 type SourceKind int
 
@@ -118,6 +138,20 @@ func (s SourceKind) String() string {
 		return "imagedata"
 	}
 	return "unknown"
+}
+
+// ParseSource parses a data-backend name as the front ends spell it, in
+// any case.
+func ParseSource(s string) (SourceKind, error) {
+	switch strings.ToLower(s) {
+	case "memory":
+		return MemorySource, nil
+	case "lmdb":
+		return LMDBSource, nil
+	case "imagedata":
+		return ImageDataSource, nil
+	}
+	return 0, fmt.Errorf("%w: unknown data backend %q (want memory, lmdb, or imagedata)", ErrConfig, s)
 }
 
 // Config describes one training run.
@@ -197,10 +231,12 @@ type Config struct {
 	StartIteration int
 
 	// Faults scripts deterministic fault injection (see
-	// internal/fault). An empty schedule runs the standard fault-free
-	// code paths byte-for-byte; a non-empty one arms failure
-	// detection, elastic shrink/restore recovery, and the fault
-	// report in Result.
+	// internal/fault). Every run executes the same per-rank loop on a
+	// fault plane; a non-empty schedule (like Integrity or EvictFactor)
+	// wires the plane into the MPI waits and the links — failure
+	// detection, elastic shrink/restore recovery — and puts the fault
+	// report in Result. A wired plane that never trips leaves virtual
+	// time where an unwired one does.
 	Faults fault.Schedule
 	// FaultTimeout overrides the failure-detection deadline quantum
 	// (default fault.DefaultTimeout).
@@ -376,11 +412,11 @@ func (c *Config) validate() error {
 
 // normalize fills defaulted fields in place: reader queue depth,
 // cluster geometry (Cluster-A: 16-GPU nodes, as many as the ranks
-// need), and SC-OBR-F's bucket size. Nonsense values — fields that
-// zero-defaulting would otherwise silently accept and that panic or
-// hang far downstream — are rejected with descriptive errors. Every
-// entry point goes through validateAndDefault, so code after it sees
-// only concrete, sane values.
+// need), SC-OBR-F's bucket size, and the reducer options. Nonsense
+// values — fields that zero-defaulting would otherwise silently accept
+// and that panic or hang far downstream — are rejected with descriptive
+// errors. Every entry point goes through validateAndDefault, so code
+// after it sees only concrete, sane values.
 func (c *Config) normalize() error {
 	switch {
 	case c.QueueDepth < 0:
@@ -443,6 +479,9 @@ func (c *Config) normalize() error {
 	if c.JoinRetries == 0 {
 		c.JoinRetries = fault.DefaultJoinRetries
 	}
+	if c.ReduceOpts == (coll.Options{}) {
+		c.ReduceOpts = coll.DefaultOptions()
+	}
 	return nil
 }
 
@@ -467,6 +506,20 @@ func (c *Config) validateAndDefault() error {
 		return fmt.Errorf("core: %w", err)
 	}
 	return nil
+}
+
+// workers returns the number of solvers the global batch is divided
+// over: every rank, except that the parameter server does not train and
+// model parallelism pipelines the whole batch through every stage (one
+// logical worker).
+func (c *Config) workers() int {
+	switch c.Design {
+	case ParamServer:
+		return c.GPUs - 1
+	case ModelParallel:
+		return 1
+	}
+	return c.GPUs
 }
 
 // localBatch returns the per-GPU batch for worker count n.

@@ -96,18 +96,25 @@ func TestSimParallelValidation(t *testing.T) {
 	}
 }
 
+// TestTimingModeAllDesignsRun runs every design through the one per-rank
+// loop on a configuration that cannot trip (no schedule, no integrity
+// plane, no eviction policy). Such a run has a plane nothing is wired
+// to: it reports no fault outcome, and since its readers stop when their
+// iterations are read, the kernel drains at the instant the last rank
+// leaves the loop, which is the run's total.
 func TestTimingModeAllDesignsRun(t *testing.T) {
 	spec, err := models.ByName("cifar10-quick")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range []Design{SCB, SCOB, SCOBR, CNTKLike, ParamServer} {
+	for _, d := range []Design{SCB, SCOB, SCOBR, SCOBRF, CaffeMT, CNTKLike, ParamServer, ModelParallel} {
 		cfg := timingConfig(spec, 8, 64, 3)
 		cfg.Design = d
+		cfg.Source = LMDBSource
 		if d == ParamServer {
 			cfg.GlobalBatch = 63 // 7 workers
 		}
-		res, err := Run(cfg)
+		res, st, err := run(cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)
 		}
@@ -116,6 +123,13 @@ func TestTimingModeAllDesignsRun(t *testing.T) {
 		}
 		if res.SamplesPerSec <= 0 {
 			t.Errorf("%v: zero throughput", d)
+		}
+		if now := st.k.Now(); st.doneAt != now || res.TotalTime != now || st.ranksLive != 0 {
+			t.Errorf("%v: last rank left at %d (%d still in the loop), total %d, kernel drained at %d",
+				d, st.doneAt, st.ranksLive, res.TotalTime, now)
+		}
+		if res.Fault != nil {
+			t.Errorf("%v: a run that cannot trip reports a fault outcome: %v", d, res.Fault)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"strconv"
 
-	"scaffe/internal/coll"
 	"scaffe/internal/mpi"
 	"scaffe/internal/sched"
 	"scaffe/internal/sim"
@@ -18,25 +17,49 @@ import (
 // and trace emission.
 
 // A design has one plan per role: the ranks of a role run the same
-// nodes in the same order.
+// nodes in the same order. The data-parallel designs have the two roles
+// below; ModelParallel has one per pipeline stage and, when there are
+// more ranks than layers, one more for the ranks left idle (see
+// runState.role).
 const (
 	roleRoot   = iota // the updating solver (the PS design's server)
 	roleWorker        // everyone else
-	numRoles
 )
 
-// buildPlan constructs the iteration plan of one role under the
-// configured design. run() calls it once per role, before the ranks
-// spawn; every rank of the role then executes the same plan through its
-// own sched.Graph. A plan therefore captures only the role: the actions
-// find the rank's workload, reader and solver through x.R.ID, the
-// communicator, reducer and worker count through st, and the iteration
-// through x.It — all at execution time, so the plan outlives every
-// rebuild(). ModelParallel keeps its pipeline loop (see
-// modelparallel.go): its ranks run different layer ranges, not
-// different overlap policies.
-func (st *runState) buildPlan(root bool) *sched.Plan {
+// buildPlans constructs the run's iteration plans, one per role under
+// the configured design, and the table of per-rank instances. run()
+// calls it once, before the ranks spawn; every rank of a role then
+// executes the same plan through its own sched.Graph. A plan therefore
+// captures only the role: the actions find the rank's workload, reader
+// and solver through x.R.ID, the communicator, reducer and worker count
+// through st, and the iteration through x.It — all at execution time,
+// so the plan outlives every rebuild().
+func (st *runState) buildPlans() {
+	cfg := st.cfg
+	st.lbl = newLabelTable(len(cfg.Spec.Layers), len(st.wl[0].buckets))
+	roles := 2
+	if cfg.Design == ModelParallel {
+		st.mpStages = mpPartition(cfg, cfg.GPUs)
+		roles = len(st.mpStages)
+		if cfg.GPUs > roles {
+			roles++ // more ranks than layers: the surplus ranks idle
+		}
+	}
+	st.plans = make([]*sched.Plan, roles)
+	for role := range st.plans {
+		st.plans[role] = st.buildPlan(role)
+	}
+	bound := make([]*sched.Graph, cfg.GPUs*roles)
+	st.graphs = make([][]*sched.Graph, cfg.GPUs)
+	for i := range st.graphs {
+		st.graphs[i] = bound[i*roles : (i+1)*roles]
+	}
+}
+
+// buildPlan builds and seals the plan of one role.
+func (st *runState) buildPlan(role int) *sched.Plan {
 	p := sched.NewPlan()
+	root := role == roleRoot
 	switch st.cfg.Design {
 	case SCB, CaffeMT:
 		st.buildSCB(p, root)
@@ -48,9 +71,24 @@ func (st *runState) buildPlan(root bool) *sched.Plan {
 		st.buildCNTK(p, root)
 	case ParamServer:
 		st.buildPS(p, root)
+	case ModelParallel:
+		st.buildMP(p, role)
 	}
 	p.Seal()
 	return p
+}
+
+// role is the role rank r plays this iteration. A data-parallel rank's
+// changes only when a shrink moves the root to it (or a grow moves it
+// away); a pipeline stage is a rank's for the whole run.
+func (st *runState) role(r *mpi.Rank) int {
+	switch {
+	case st.cfg.Design == ModelParallel:
+		return min(r.ID, len(st.plans)-1)
+	case st.isRoot(r):
+		return roleRoot
+	}
+	return roleWorker
 }
 
 // graph returns the instance rank r executes this iteration: its own
@@ -59,10 +97,7 @@ func (st *runState) buildPlan(root bool) *sched.Plan {
 // for the rest of the run; only a rank that becomes the root after a
 // shrink (or stops being it after a grow) ever holds two.
 func (st *runState) graph(r *mpi.Rank) *sched.Graph {
-	role := roleWorker
-	if st.isRoot(r) {
-		role = roleRoot
-	}
+	role := st.role(r)
 	g := &st.graphs[r.ID][role]
 	if *g == nil {
 		*g = st.plans[role].Bind(r)
@@ -178,7 +213,6 @@ func (st *runState) buildSCOBR(p *sched.Plan, root bool) {
 // back, and every rank applies the update locally — the design axes of
 // Table 1.
 func (st *runState) buildCNTK(p *sched.Plan, root bool) {
-	hostOpts := coll.Options{OnGPU: false, HostReduceBW: 20e9, Mode: topology.ModeHost}
 	st.addDataWait(p)
 	st.addForward(p)
 	st.addBackward(p)
@@ -187,9 +221,7 @@ func (st *runState) buildCNTK(p *sched.Plan, root bool) {
 		host := topology.HostOf(dev.Node)
 		_, end := st.cluster.Transfer(x.P.Now(), dev, host, grads.Bytes, topology.ModeAuto)
 		x.P.WaitUntil(end)
-		if st.comm.Size() > 1 {
-			coll.RingAllreduce(st.comm, x.R, grads, tagPackedReduce, hostOpts)
-		}
+		st.ring.Allreduce(x.R, grads, tagPackedReduce)
 		_, end = st.cluster.Transfer(x.P.Now(), host, dev, grads.Bytes, topology.ModeAuto)
 		x.P.WaitUntil(end)
 	})

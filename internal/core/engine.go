@@ -23,6 +23,8 @@ const (
 	tagPS           = 50
 	tagJoinAck      = 60 // join handshake: admitted rank -> root
 	tagCatchup      = 61 // catch-up broadcast of params + momentum
+	tagMPFwd        = 70 // model parallelism: activations to the next stage
+	tagMPBwd        = 71 // and their gradients back
 )
 
 // runState is the shared state of one Run: everything the per-rank
@@ -34,6 +36,7 @@ type runState struct {
 	world   *mpi.World
 	comm    *mpi.Comm
 	red     coll.Reducer
+	ring    *coll.Ring // CNTKLike's host-side allreduce; nil otherwise
 	readers []*data.Reader
 	wl      []*workload
 	phases  []Phases
@@ -44,22 +47,24 @@ type runState struct {
 	// allocated once for the whole run.
 	psScratch *gpu.Buffer
 
-	// plans holds the run's iteration plans, one per role, built once
-	// before the ranks spawn and never rebuilt; graphs[rank][role] is the
-	// rank's instance of a plan, bound the first time the rank plays the
-	// role and kept across iterations and across rebuild() (see
-	// runState.graph). lbl interns the node labels the plans share.
-	plans  [numRoles]*sched.Plan
-	graphs [][numRoles]*sched.Graph
-	lbl    *labelTable
+	// plans holds the run's iteration plans, one per role (see
+	// buildPlans), built once before the ranks spawn and never rebuilt;
+	// graphs[rank][role] is the rank's instance of a plan, bound the first
+	// time the rank plays the role and kept across iterations and across
+	// rebuild() (see runState.graph). lbl interns the node labels the
+	// plans share.
+	plans    []*sched.Plan
+	graphs   [][]*sched.Graph
+	lbl      *labelTable
+	mpStages [][2]int // ModelParallel: each stage's first and last layer
 
 	accuracies []float64
 	snapshots  []string
 	snapIters  []int // 0-based iteration of each entry in snapshots
 	fileErr    error
 
-	// Fault-tolerance state (nil/zero in fault-free runs; see
-	// recovery.go).
+	// Membership and recovery state (see recovery.go). The plane always
+	// exists; a run that cannot trip never hears from it.
 	k            *sim.Kernel
 	ft           *fault.Plane
 	dataSrc      data.Source
@@ -119,15 +124,7 @@ func run(cfg Config) (*Result, *runState, error) {
 	}
 	cluster := topology.New(k, "run", cfg.Nodes, cfg.GPUsPerNode, params)
 
-	workers := cfg.GPUs
-	switch cfg.Design {
-	case ParamServer:
-		workers = cfg.GPUs - 1
-	case ModelParallel:
-		// Model parallelism pipelines the whole batch through every
-		// stage: one logical worker.
-		workers = 1
-	}
+	workers := cfg.workers()
 	localBatch := cfg.localBatch(workers)
 
 	// Device-memory check: parameters + gradients + double activation
@@ -140,22 +137,28 @@ func run(cfg Config) (*Result, *runState, error) {
 	st := &runState{cfg: &cfg, cluster: cluster, k: k}
 	st.losses = make([]float32, 0, cfg.Iterations)
 	st.world = mpi.NewWorld(cluster, cfg.GPUs)
-	st.comm = st.world.WorldComm()
-	var pl *fault.Plane
-	if len(cfg.Faults) > 0 || cfg.Integrity != IntegrityOff || cfg.EvictFactor > 0 {
-		pl = fault.NewPlane(k, cfg.GPUs, cfg.FaultTimeout)
-		pl.SetJoinRetries(cfg.JoinRetries)
-		st.ft = pl
+	st.setComm(st.world.WorldComm())
+
+	// Every run has a fault plane and the membership state it drives, and
+	// every rank runs the one loop that listens to it (ftLoop). What a
+	// run that cannot trip leaves out is the wiring below mpi: its waits
+	// carry no deadline and its links no fault hook, so the plane never
+	// hears of anything.
+	pl := fault.NewPlane(k, cfg.GPUs, cfg.FaultTimeout)
+	pl.SetJoinRetries(cfg.JoinRetries)
+	st.ft = pl
+	st.ranksLive = cfg.GPUs
+	st.lastGoodIter = cfg.StartIteration - 1
+	st.growEpoch = -1
+	st.catchupSeen = make([]int, cfg.GPUs)
+	st.iterEWMA = make([]float64, cfg.GPUs)
+	st.slowStreak = make([]int, cfg.GPUs)
+	st.ewmaScratch = make([]float64, 0, cfg.GPUs)
+	pl.SetRoot(st.rootRank())
+	canTrip := len(cfg.Faults) > 0 || cfg.Integrity != IntegrityOff || cfg.EvictFactor > 0
+	if canTrip {
 		st.world.Fault = pl
-		st.ranksLive = cfg.GPUs
-		st.lastGoodIter = cfg.StartIteration - 1
-		st.growEpoch = -1
-		st.catchupSeen = make([]int, cfg.GPUs)
-		st.iterEWMA = make([]float64, cfg.GPUs)
-		st.slowStreak = make([]int, cfg.GPUs)
-		st.ewmaScratch = make([]float64, 0, cfg.GPUs)
 		cluster.SetLinkFault(pl.LinkFactor)
-		pl.SetRoot(st.rootRank())
 	}
 	if cfg.MaxVirtualTime > 0 {
 		k.SetDeadline(sim.Time(cfg.MaxVirtualTime))
@@ -168,11 +171,6 @@ func run(cfg Config) (*Result, *runState, error) {
 			WireCorrupt: pl.WireCorrupt,
 		}
 	}
-	opts := cfg.ReduceOpts
-	if opts == (coll.Options{}) {
-		opts = coll.DefaultOptions()
-	}
-	st.red = coll.NewReducer(st.comm, cfg.Reduce, opts)
 	st.phases = make([]Phases, cfg.GPUs)
 	for i := 0; i < cfg.GPUs; i++ {
 		if cfg.Design == ParamServer && i == 0 {
@@ -202,65 +200,33 @@ func run(cfg Config) (*Result, *runState, error) {
 			st.initLastGood()
 		}
 	}
-	st.buildReaders(k, localBatch)
-	if cfg.Design != ModelParallel {
-		// The whole run's graph construction: every rank, fault-free or
-		// armed, executes one of these two plans.
-		st.lbl = newLabelTable(len(cfg.Spec.Layers), len(st.wl[0].buckets))
-		st.plans[roleRoot] = st.buildPlan(true)
-		st.plans[roleWorker] = st.buildPlan(false)
-		st.graphs = make([][numRoles]*sched.Graph, cfg.GPUs)
-	}
+	st.buildReaders(k, localBatch, canTrip)
+	st.buildPlans()
 
-	mainFn := func(r *mpi.Rank) {
+	// The plane's events must be armed after the ranks spawn and before
+	// time advances, so the run drives the kernel itself.
+	st.world.Spawn(func(r *mpi.Rank) {
 		if cfg.DeviceMemory > 0 {
 			r.Dev.SetMemCapacity(cfg.DeviceMemory)
 		}
-		if cfg.Design == ModelParallel {
-			st.runMP(r)
-			return
-		}
-		sink := &nodeSink{st: st, rank: r.ID, ph: &st.phases[r.ID]}
-		if st.ft != nil {
-			st.runRankFT(r, sink)
-			return
-		}
-		// Fault-free membership never changes, so neither does the
-		// rank's role.
-		g := st.graph(r)
-		for it := cfg.StartIteration; it < cfg.Iterations; it++ {
-			g.Execute(sink, it)
-		}
-	}
-	var err error
-	if pl != nil {
-		// The fault path drives the kernel directly: the plane's
-		// events must be armed after the ranks spawn and before time
-		// advances.
-		st.world.Spawn(mainFn)
-		pl.OnRebuild(st.rebuild)
-		pl.Arm(cfg.Faults, &applier{st})
-		err = k.Run()
-	} else {
-		_, err = st.world.Run(mainFn)
-	}
-	if err != nil {
+		defer st.rankDone(r.ID)
+		st.ftLoop(r, cfg.StartIteration)
+	})
+	pl.OnRebuild(st.rebuild)
+	pl.Arm(cfg.Faults, &applier{st})
+	if err := k.Run(); err != nil {
 		return nil, nil, fmt.Errorf("core: simulation failed: %w", err)
 	}
 	if st.fileErr != nil {
 		return nil, nil, fmt.Errorf("core: snapshot failed: %w", st.fileErr)
 	}
-	if pl != nil && pl.AliveCount() == 0 {
+	if pl.AliveCount() == 0 {
 		return nil, nil, fmt.Errorf("%w: all %d ranks failed", ErrUnrecovered, cfg.GPUs)
 	}
 
-	total := st.world.K.Now()
-	if pl != nil && st.doneAt > 0 {
-		// Elastic readers outlive the last rank by design; the run
-		// ends when the last rank finishes, not when the kernel
-		// drains.
-		total = st.doneAt
-	}
+	// The run ends when the last rank finishes, not when the kernel
+	// drains: elastic readers outlive the last rank by design.
+	total := st.doneAt
 	res := &Result{
 		Design:        cfg.Design.String(),
 		Model:         cfg.Spec.Name,
@@ -277,7 +243,7 @@ func run(cfg Config) (*Result, *runState, error) {
 		SnapshotFiles: st.snapshots,
 		Resumes:       k.Resumes(),
 	}
-	if pl != nil {
+	if canTrip {
 		res.Fault = pl.Report()
 	}
 	if st.integ != nil {
@@ -367,7 +333,7 @@ func perRankMemory(cfg *Config, localBatch int) int64 {
 // buildReaders wires the data plane: one reader per solver (Figure 3)
 // for the distributed designs, one shared reader for multi-threaded
 // Caffe, and none for the server rank of the PS design.
-func (st *runState) buildReaders(k *sim.Kernel, localBatch int) {
+func (st *runState) buildReaders(k *sim.Kernel, localBatch int, elastic bool) {
 	cfg := st.cfg
 	var src data.Source
 	switch cfg.Source {
@@ -384,8 +350,8 @@ func (st *runState) buildReaders(k *sim.Kernel, localBatch int) {
 	}
 
 	st.readers = make([]*data.Reader, cfg.GPUs)
-	if st.ft != nil {
-		// Fault-tolerant runs use elastic readers: the consumption
+	if elastic {
+		// Runs that can trip use elastic readers: the consumption
 		// count is unknowable up front (rollbacks re-read iterations,
 		// shrinks change the batch size), so readers prefetch forever,
 		// bounded by the queue, until stopped. Config validation
@@ -419,33 +385,6 @@ func (st *runState) buildReaders(k *sim.Kernel, localBatch int) {
 	}
 }
 
-// --- shared phase helpers -------------------------------------------------
-
-// timed runs fn, adds the elapsed virtual time to *acc, and records
-// the span on the run's trace recorder under the given phase name.
-func (st *runState) timed(r *mpi.Rank, acc *sim.Duration, phase string, fn func()) {
-	span := st.cfg.Trace.Begin(r.ID, phase, "", r.Now())
-	before := r.Now()
-	fn()
-	*acc += r.Now() - before
-	span.End(r.Now())
-}
-
-// dataWait starts an iteration: it charges the framework's fixed
-// per-iteration overhead, then blocks on this rank's reader queue.
-func (st *runState) dataWait(r *mpi.Rank, w *workload, ph *Phases, iter int) {
-	r.Sleep(st.cluster.P.IterOverhead)
-	st.timed(r, &ph.DataWait, "data", func() {
-		if rd := st.readers[r.ID]; rd != nil {
-			rd.Next(r.Proc)
-		}
-	})
-	if w.real() {
-		rankOffset := st.workerIndex(r) * w.localBatch
-		w.loadBatch(st.cfg.Dataset, iter, w.localBatch*st.workerCount(), rankOffset)
-	}
-}
-
 // workerIndex returns this rank's position among training workers —
 // its group rank in the (possibly shrunken) training comm, so a
 // recovery automatically re-shards the batch across survivors.
@@ -462,14 +401,4 @@ func (st *runState) workerCount() int {
 		return st.cfg.GPUs - 1
 	}
 	return st.comm.Size()
-}
-
-// RunDebug is Run plus the full per-rank phase table (diagnostics and
-// tests).
-func RunDebug(cfg Config) (*Result, []Phases, error) {
-	res, st, err := run(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, st.phases, nil
 }

@@ -85,7 +85,7 @@ func (st *runState) maybeEvaluate(r *mpi.Rank, w *workload, iter int) {
 		st.testPass(r, w, iter)
 	}
 	if cfg.SnapshotEvery > 0 && (iter+1)%cfg.SnapshotEvery == 0 {
-		if st.ft != nil && st.ft.SnapshotFailing(r.Now()) {
+		if st.ft.SnapshotFailing(r.Now()) {
 			// An injected snapshot-write failure: the write is skipped
 			// (and counted); the previous snapshot stays the rollback
 			// point, exactly as the crash-safe rename guarantees for a

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"scaffe/internal/coll"
 	"scaffe/internal/mpi"
 )
 
@@ -221,37 +220,20 @@ func (st *runState) noteLastGood(w *workload) {
 // streaming; batch tokens are fungible). Replicas heal through the
 // retried iteration's parameter broadcast.
 func (st *runState) rebuildMicro() int {
-	cfg := st.cfg
-	pl := st.ft
-	alive := pl.AliveRanks()
-	for _, id := range alive {
-		st.world.Ranks[id].KillThreads()
-	}
-	st.comm = st.world.ShrinkComm(alive)
-	opts := cfg.ReduceOpts
-	if opts == (coll.Options{}) {
-		opts = coll.DefaultOptions()
-	}
-	st.red = coll.NewReducer(st.comm, cfg.Reduce, opts)
+	alive := st.ft.AliveRanks()
+	st.regroup(alive)
 
 	restart := st.integIter
-	if cfg.RealNet != nil && st.lastGoodParams != nil {
+	if st.cfg.RealNet != nil && st.lastGoodParams != nil {
 		root := st.rootRank()
 		w := st.wl[root]
 		w.net.UnpackParams(st.lastGoodParams)
 		st.sgds[root].Reset()
 		st.sgds[root].LoadHistory(w.net, st.lastGoodHistory)
 		// The tripped iteration never recorded its loss (the panic
-		// fires before post-update), so these are defensive no-ops
+		// fires before post-update), so this is a defensive no-op
 		// unless an escalation unwound mid-record.
-		if keep := restart - cfg.StartIteration; keep >= 0 && keep < len(st.losses) {
-			st.losses = st.losses[:keep]
-		}
-		if ti := cfg.TestInterval; ti > 0 {
-			if keep := restart/ti - cfg.StartIteration/ti; keep >= 0 && keep < len(st.accuracies) {
-				st.accuracies = st.accuracies[:keep]
-			}
-		}
+		st.unrecord(restart)
 	}
 	st.integ.Rollbacks++
 	for _, id := range alive {

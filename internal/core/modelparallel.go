@@ -2,8 +2,8 @@ package core
 
 import (
 	"scaffe/internal/gpu"
-	"scaffe/internal/mpi"
-	"scaffe/internal/solver"
+	"scaffe/internal/sched"
+	"scaffe/internal/sim"
 	"scaffe/internal/topology"
 )
 
@@ -50,70 +50,71 @@ func mpBoundaryBytes(cfg *Config, l, batch int) int64 {
 	return int64(cfg.Spec.Layers[l].OutElems) * 4 * int64(batch)
 }
 
-// runMP executes the model-parallel pipeline. Every rank processes the
-// full global batch for its own layer range; stage outputs move to the
-// next rank with CUDA-aware transfers.
-func (st *runState) runMP(r *mpi.Rank) {
+// mpStage is what one pipeline stage's plan knows: its neighbours by
+// number, what crosses its upper and lower boundary (activations one
+// way, their gradients the other, so one buffer each), and the
+// parameters it owns. The node actions are its methods.
+type mpStage struct {
+	st           *runState
+	stage        int
+	above, below *gpu.Buffer
+	ownParams    int
+}
+
+func (s *mpStage) recvActs(x *sched.Ctx) { x.R.Recv(s.st.comm, s.stage-1, tagMPFwd, s.above) }
+func (s *mpStage) sendActs(x *sched.Ctx) {
+	x.R.Send(s.st.comm, s.stage+1, tagMPFwd, s.below, topology.ModeAuto)
+}
+func (s *mpStage) recvGrads(x *sched.Ctx) { x.R.Recv(s.st.comm, s.stage+1, tagMPBwd, s.below) }
+func (s *mpStage) sendGrads(x *sched.Ctx) {
+	x.R.Send(s.st.comm, s.stage-1, tagMPBwd, s.above, topology.ModeAuto)
+}
+
+// update is the local update of the owned layer range.
+func (s *mpStage) update(x *sched.Ctx) sim.Time {
+	_, end := x.R.Dev.LaunchCompute(x.P.Now(), updateFLOPs(s.ownParams))
+	return end
+}
+
+// buildMP is the plan of one pipeline stage (the rank of the same
+// number runs it). Every stage processes the full global batch for its
+// own layer range: activations arrive from the stage above and leave for
+// the stage below with CUDA-aware transfers, gradients come back the
+// same way, and the stage updates the layers it owns — no aggregation.
+// A stage past the last (more ranks than layers) gets no nodes.
+func (st *runState) buildMP(p *sched.Plan, stage int) {
 	cfg := st.cfg
-	ph := &st.phases[r.ID]
-	parts := mpPartition(cfg, cfg.GPUs)
-	if r.ID >= len(parts) {
-		return // more ranks than layers: surplus ranks idle
+	if stage >= len(st.mpStages) {
+		return
 	}
-	lo, hi := parts[r.ID][0], parts[r.ID][1]
-	first := r.ID == 0
-	last := r.ID == len(parts)-1
-	batch := cfg.GlobalBatch
+	lo, hi := st.mpStages[stage][0], st.mpStages[stage][1]
+	first, last := stage == 0, stage == len(st.mpStages)-1
+	s := &mpStage{st: st, stage: stage}
+	if !first {
+		s.above = gpu.NewBuffer(mpBoundaryBytes(cfg, lo-1, cfg.GlobalBatch))
+	}
+	if !last {
+		s.below = gpu.NewBuffer(mpBoundaryBytes(cfg, hi, cfg.GlobalBatch))
+	}
 
-	var ownParams int
+	if first {
+		st.addDataWait(p)
+	} else {
+		p.Add(0, sched.Generic, "forward", "recv-acts", s.recvActs)
+	}
 	for l := lo; l <= hi; l++ {
-		ownParams += cfg.Spec.Layers[l].ParamElems
+		st.addForwardLayer(p, l)
+		s.ownParams += cfg.Spec.Layers[l].ParamElems
 	}
-
-	const tagFwd, tagBwd = 70, 71
-	for it := cfg.StartIteration; it < cfg.Iterations; it++ {
-		if first {
-			st.dataWait(r, st.wl[r.ID], ph, it)
-		}
-		// Forward: receive upstream activations, compute my stage,
-		// forward downstream.
-		if !first {
-			st.timed(r, &ph.Forward, "forward", func() {
-				r.Recv(st.comm, r.ID-1, tagFwd, gpu.NewBuffer(mpBoundaryBytes(cfg, lo-1, batch)))
-			})
-		}
-		for l := lo; l <= hi; l++ {
-			st.timed(r, &ph.Forward, "forward", func() {
-				_, end := r.Dev.LaunchCompute(r.Now(), cfg.Spec.Layers[l].FwdFLOPs*float64(batch))
-				r.Proc.WaitUntil(end)
-			})
-		}
-		if !last {
-			st.timed(r, &ph.Forward, "forward", func() {
-				r.Send(st.comm, r.ID+1, tagFwd, gpu.NewBuffer(mpBoundaryBytes(cfg, hi, batch)), topology.ModeAuto)
-			})
-		}
-		// Backward: mirror image.
-		if !last {
-			st.timed(r, &ph.Backward, "backward", func() {
-				r.Recv(st.comm, r.ID+1, tagBwd, gpu.NewBuffer(mpBoundaryBytes(cfg, hi, batch)))
-			})
-		}
-		for l := hi; l >= lo; l-- {
-			st.timed(r, &ph.Backward, "backward", func() {
-				_, end := r.Dev.LaunchCompute(r.Now(), cfg.Spec.Layers[l].BwdFLOPs*float64(batch))
-				r.Proc.WaitUntil(end)
-			})
-		}
-		if !first {
-			st.timed(r, &ph.Backward, "backward", func() {
-				r.Send(st.comm, r.ID-1, tagBwd, gpu.NewBuffer(mpBoundaryBytes(cfg, lo-1, batch)), topology.ModeAuto)
-			})
-		}
-		// Local update of the owned layer range — no aggregation.
-		st.timed(r, &ph.Update, "update", func() {
-			_, end := r.Dev.LaunchCompute(r.Now(), solver.UpdateFLOPs(ownParams))
-			r.Proc.WaitUntil(end)
-		})
+	if !last {
+		p.Add(0, sched.Generic, "forward", "send-acts", s.sendActs)
+		p.Add(0, sched.Generic, "backward", "recv-grads", s.recvGrads)
 	}
+	for l := hi; l >= lo; l-- {
+		st.addBackwardLayer(p, 0, l)
+	}
+	if !first {
+		p.Add(0, sched.Generic, "backward", "send-grads", s.sendGrads)
+	}
+	p.AddTimed(0, sched.Update, "update", "update", s.update)
 }

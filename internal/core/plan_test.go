@@ -132,3 +132,38 @@ func TestSteadyStateIterationSwitchBudget(t *testing.T) {
 		t.Errorf("armed-untripped run switches %.2f times per rank-iteration, fault-free %.2f: an untripped deadline must cost a step, not a switch", armed, free)
 	}
 }
+
+// TestModelParallelPhasesWithinTotal: a pipeline stage's phase spans
+// come from the scheduler like every other design's, so per rank they
+// are disjoint intervals of the run — their sum cannot exceed it — and
+// every stage that has layers accounts compute.
+func TestModelParallelPhasesWithinTotal(t *testing.T) {
+	tiny, _ := models.ByName("tiny") // 7 layers: five of twelve ranks idle
+	for _, tc := range []struct {
+		spec   *models.Spec
+		gpus   int
+		stages int
+	}{{models.AlexNet(), 8, 8}, {tiny, 12, 7}} {
+		cfg := timingConfig(tc.spec, tc.gpus, 2*tc.gpus, 3)
+		cfg.Design = ModelParallel
+		cfg.Nodes, cfg.GPUsPerNode = 1, 16
+		res, st, err := run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.mpStages) != tc.stages {
+			t.Fatalf("%s: %d stages, want %d", tc.spec.Name, len(st.mpStages), tc.stages)
+		}
+		for rank, ph := range st.phases {
+			if ph.Total() > res.TotalTime {
+				t.Errorf("%s rank %d: phases sum to %v, the run took %v", tc.spec.Name, rank, ph.Total(), res.TotalTime)
+			}
+			if staged := rank < tc.stages; (ph.Forward > 0 && ph.Backward > 0 && ph.Update > 0) != staged {
+				t.Errorf("%s rank %d: phases %+v, stage = %v", tc.spec.Name, rank, ph, staged)
+			}
+			if ph.Propagation != 0 || ph.Aggregation != 0 || (ph.DataWait > 0 && rank != 0) {
+				t.Errorf("%s rank %d: a pipeline stage broadcasts and reduces nothing and only stage 0 reads data: %+v", tc.spec.Name, rank, ph)
+			}
+		}
+	}
+}

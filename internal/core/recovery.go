@@ -25,9 +25,9 @@ import (
 // applier carries out injected events on the engine's objects.
 type applier struct{ st *runState }
 
-// KillRank implements fault.Applier: fail-stop the rank's procs and
-// its data reader. Hangs are modeled fail-stop too — the rank stops
-// participating; only the report distinguishes the kinds.
+// KillRank fail-stops the rank's procs and its data reader. Hangs are
+// modeled fail-stop too — the rank stops participating; only the report
+// distinguishes the kinds.
 func (a *applier) KillRank(rank int, kind fault.Kind) {
 	st := a.st
 	st.world.Ranks[rank].KillAll()
@@ -37,15 +37,15 @@ func (a *applier) KillRank(rank int, kind fault.Kind) {
 	}
 }
 
-// SetCompute implements fault.Applier: straggler on/off.
+// SetCompute turns a straggler on or off.
 func (a *applier) SetCompute(rank int, factor float64) {
 	a.st.world.Ranks[rank].Dev.SetSlowdown(factor)
 }
 
-// FlipBit implements fault.BitFlipper: flip one bit of one resident
-// network parameter — silent in-memory corruption that no checksum on
-// the wire can see, only the numeric-health watchdog. The word index
-// wraps, so schedules stay valid across models.
+// FlipBit flips one bit of one resident network parameter — silent
+// in-memory corruption that no checksum on the wire can see, only the
+// numeric-health watchdog. The word index wraps, so schedules stay valid
+// across models.
 func (a *applier) FlipBit(rank, word, bit int) {
 	w := a.st.wl[rank]
 	if w == nil || !w.real() {
@@ -72,10 +72,9 @@ func (a *applier) FlipBit(rank, word, bit int) {
 	}
 }
 
-// ReviveRank implements fault.Joiner: give a previously excluded rank
-// a fresh main proc that announces itself at the join desk, waits for
-// admission, and — once a grow round commits — runs the catch-up
-// protocol and rejoins training.
+// ReviveRank gives a previously excluded rank a fresh main proc that
+// announces itself at the join desk, waits for admission, and — once a
+// grow round commits — runs the catch-up protocol and rejoins training.
 func (a *applier) ReviveRank(rank int) {
 	st := a.st
 	st.ranksLive++
@@ -106,18 +105,9 @@ func (s stalledSource) ReadBatch(p *sim.Proc, n int, bytesPer int64) {
 // node): the restart point for timing-mode recovery, which has no
 // snapshots to roll back to.
 func (st *runState) noteCompleted(it int) {
-	if st.ft != nil && it > st.lastGoodIter {
+	if it > st.lastGoodIter {
 		st.lastGoodIter = it
 	}
-}
-
-// runRankFT is one rank's training loop under an armed fault plane:
-// iterations run speculatively; a revoked communicator unwinds the
-// iteration, gathers the survivors, and resumes from the rebuilt
-// world's restart point.
-func (st *runState) runRankFT(r *mpi.Rank, sink *nodeSink) {
-	defer st.rankDone(r.ID)
-	st.ftLoop(r, sink, st.cfg.StartIteration)
 }
 
 // runJoined is the main function of a revived rank: wait at the join
@@ -129,20 +119,25 @@ func (st *runState) runJoined(r *mpi.Rank) {
 	if !st.ft.AwaitAdmission(r.ID, r.Proc) {
 		return
 	}
-	sink := &nodeSink{st: st, rank: r.ID, ph: &st.phases[r.ID]}
-	st.ftLoop(r, sink, st.restartIter)
+	st.ftLoop(r, st.restartIter)
 }
 
-// ftLoop is the shared fault-tolerant training loop of original and
-// readmitted ranks. The grow-epoch catch-up check runs before the
+// ftLoop is the training loop of every rank of every design, original
+// or readmitted, starting at iteration it. Iterations run speculatively:
+// a revoked communicator unwinds the iteration, gathers the survivors,
+// and resumes from the rebuilt world's restart point. In a run that
+// cannot trip nothing ever revokes, and the loop is a for loop over the
+// rank's graph. The grow-epoch catch-up check runs before the
 // termination test on purpose: a survivor released with a restart
 // iteration at or past the end must still serve the catch-up protocol,
 // or the joiner's collectives would wait on members that already left.
-func (st *runState) ftLoop(r *mpi.Rank, sink *nodeSink, it int) {
+func (st *runState) ftLoop(r *mpi.Rank, it int) {
 	cfg := st.cfg
+	ph := &st.phases[r.ID]
+	sink := &nodeSink{st: st, rank: r.ID, ph: ph}
 	for {
 		if st.catchupPending(r.ID) {
-			if !st.tryCatchup(r) {
+			if !unlessRevoked(func() { st.catchup(r) }) {
 				st.ft.EnterRecovery(r.ID, r.Proc)
 				it = st.restartIter
 				continue
@@ -151,9 +146,8 @@ func (st *runState) ftLoop(r *mpi.Rank, sink *nodeSink, it int) {
 		if it >= cfg.Iterations {
 			return
 		}
-		ph := &st.phases[r.ID]
 		before := ph.Forward + ph.Backward
-		if st.tryIteration(r, sink, it) {
+		if unlessRevoked(func() { st.graph(r).Execute(sink, it) }) {
 			st.noteIterTime(r.ID, ph.Forward+ph.Backward-before)
 			it++
 			continue
@@ -166,6 +160,20 @@ func (st *runState) ftLoop(r *mpi.Rank, sink *nodeSink, it int) {
 	}
 }
 
+// unlessRevoked runs fn and reports whether it ran to its end: a
+// revocation panic (an iteration or a catch-up under fire) unwinds into
+// a false return and the caller enters recovery. Any other panic
+// (including a kill, which must unwind the whole proc) propagates.
+func unlessRevoked(fn func()) (ok bool) {
+	defer func() {
+		if rec := recover(); rec != nil && !mpi.IsRevoked(rec) {
+			panic(rec)
+		}
+	}()
+	fn()
+	return true
+}
+
 // catchupPending reports whether rank still owes the current epoch's
 // catch-up protocol: the last rebuild admitted joiners (growEpoch) and
 // this rank has not run the protocol for that epoch yet.
@@ -173,7 +181,7 @@ func (st *runState) catchupPending(rank int) bool {
 	return st.growEpoch == st.epoch && st.catchupSeen[rank] != st.epoch
 }
 
-// tryCatchup runs one member's side of the catch-up protocol after a
+// catchup runs one member's side of the catch-up protocol after a
 // grow round: the post-admission handshake (each admitted rank Isends
 // an ack to the root), then a tree broadcast of the root's current
 // parameters and momentum — checksummed end to end when the integrity
@@ -184,18 +192,9 @@ func (st *runState) catchupPending(rank int) bool {
 // cost and integrity coverage of shipping params+momentum to the
 // joiners, and the explicit copy below keeps real-mode members defined
 // by the root even if the restore paths ever diverge. A revocation
-// mid-protocol (join under fire) unwinds into a false return; the
-// caller re-enters recovery.
-func (st *runState) tryCatchup(r *mpi.Rank) (ok bool) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			if mpi.IsRevoked(rec) {
-				ok = false
-				return
-			}
-			panic(rec)
-		}
-	}()
+// mid-protocol (join under fire) unwinds out of it; the caller
+// re-enters recovery.
+func (st *runState) catchup(r *mpi.Rank) {
 	span := st.cfg.Trace.Begin(r.ID, "catchup", "", r.Now())
 	w := st.wl[r.ID]
 	root := st.isRoot(r)
@@ -233,7 +232,6 @@ func (st *runState) tryCatchup(r *mpi.Rank) (ok bool) {
 	st.comm.Barrier(r)
 	st.catchupSeen[r.ID] = st.epoch
 	span.End(r.Now())
-	return true
 }
 
 // noteIterTime folds one completed iteration's compute time (forward +
@@ -242,9 +240,6 @@ func (st *runState) tryCatchup(r *mpi.Rank) (ok bool) {
 // straggler inflates everyone's iteration latency but only its own
 // compute time.
 func (st *runState) noteIterTime(rank int, d sim.Duration) {
-	if st.iterEWMA == nil {
-		return
-	}
 	v := float64(d)
 	if e := st.iterEWMA[rank]; e != 0 {
 		v = e + ewmaAlpha*(v-e)
@@ -262,7 +257,7 @@ const ewmaAlpha = 0.25
 // at clean iteration boundaries.
 func (st *runState) membershipTick(r *mpi.Rank) {
 	pl := st.ft
-	if pl == nil || !st.isRoot(r) || pl.Revoked() {
+	if !st.isRoot(r) || pl.Revoked() {
 		return
 	}
 	if f := st.cfg.EvictFactor; f > 0 && st.comm.Size() > 1 {
@@ -322,26 +317,10 @@ func (st *runState) evictStraggler(factor float64) {
 	}
 }
 
-// tryIteration runs one iteration graph, converting a revocation
-// panic into a false return. Any other panic (including a kill, which
-// must unwind the whole proc) propagates.
-func (st *runState) tryIteration(r *mpi.Rank, sink *nodeSink, it int) (ok bool) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			if mpi.IsRevoked(rec) {
-				ok = false
-				return
-			}
-			panic(rec)
-		}
-	}()
-	st.graph(r).Execute(sink, it)
-	return true
-}
-
 // rankDone runs as each rank's proc unwinds (normal completion or
 // kill): it tells the plane the rank left training, and the last one
-// out stamps the run's end time and stops the elastic readers.
+// out stamps the run's end time and stops the readers (elastic ones
+// would prefetch forever).
 func (st *runState) rankDone(rank int) {
 	st.ranksLive--
 	st.ft.Depart(rank)
@@ -351,6 +330,42 @@ func (st *runState) rankDone(rank int) {
 			if rd != nil {
 				rd.Stop()
 			}
+		}
+	}
+}
+
+// setComm makes c the training communicator and builds what lasts as
+// long as one does: the gradient reducer, and the CNTK-like design's
+// allreduce — host buffers, its own multi-threaded reduction loops.
+func (st *runState) setComm(c *mpi.Comm) {
+	st.comm = c
+	st.red = coll.NewReducer(c, st.cfg.Reduce, st.cfg.ReduceOpts)
+	if st.cfg.Design == CNTKLike {
+		st.ring = coll.NewRing(c, coll.Options{OnGPU: false, HostReduceBW: 20e9, Mode: topology.ModeHost})
+	}
+}
+
+// regroup is the step both flavors of rebuild start with: fail-stop any
+// helper lanes still unwinding from the revoked iteration (the resumed
+// main lanes spawn fresh ones), then open a membership epoch over the
+// members. The fresh communicator's id guarantees stale traffic from
+// the abandoned iteration never matches.
+func (st *runState) regroup(members []int) {
+	for _, id := range members {
+		st.world.Ranks[id].KillThreads()
+	}
+	st.setComm(st.world.EpochComm(members))
+}
+
+// unrecord drops the losses and accuracies recorded from iteration
+// restart on: the replay re-records the rolled-back span.
+func (st *runState) unrecord(restart int) {
+	if keep := restart - st.cfg.StartIteration; keep >= 0 && keep < len(st.losses) {
+		st.losses = st.losses[:keep]
+	}
+	if ti := st.cfg.TestInterval; ti > 0 {
+		if keep := restart/ti - st.cfg.StartIteration/ti; keep >= 0 && keep < len(st.accuracies) {
+			st.accuracies = st.accuracies[:keep]
 		}
 	}
 }
@@ -382,24 +397,7 @@ func (st *runState) rebuild() int {
 	admitted := pl.Admitted()
 	grew := len(admitted) > 0
 
-	// Fail-stop any helper lanes still unwinding from the revoked
-	// iteration; the resumed main lanes spawn fresh ones.
-	for _, id := range alive {
-		st.world.Ranks[id].KillThreads()
-	}
-
-	// Shrink (or grow): a fresh communicator over the members. Its new
-	// id guarantees stale traffic from the failed epoch never matches.
-	if grew {
-		st.comm = st.world.GrowComm(alive)
-	} else {
-		st.comm = st.world.ShrinkComm(alive)
-	}
-	opts := cfg.ReduceOpts
-	if opts == (coll.Options{}) {
-		opts = coll.DefaultOptions()
-	}
-	st.red = coll.NewReducer(st.comm, cfg.Reduce, opts)
+	st.regroup(alive)
 	// The root can move when a shrink removes the old one; the quorum
 	// rule must track it.
 	pl.SetRoot(st.rootRank())
@@ -449,15 +447,7 @@ func (st *runState) rebuild() int {
 				}
 			}
 		}
-		// Un-record the rolled-back span: the replay re-records it.
-		if keep := restart - cfg.StartIteration; keep >= 0 && keep < len(st.losses) {
-			st.losses = st.losses[:keep]
-		}
-		if ti := cfg.TestInterval; ti > 0 {
-			if keep := restart/ti - cfg.StartIteration/ti; keep >= 0 && keep < len(st.accuracies) {
-				st.accuracies = st.accuracies[:keep]
-			}
-		}
+		st.unrecord(restart)
 	} else {
 		restart = st.lastGoodIter + 1
 	}

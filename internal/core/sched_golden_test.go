@@ -119,6 +119,33 @@ func TestSchedulerGoldenTimingBaselines(t *testing.T) {
 			cfg.Source = LMDBSource
 			return cfg
 		}},
+		// Model parallelism, captured from the hand-written pipeline loop
+		// immediately before it became a plan per stage.
+		{"mp-alexnet8", 2703100338, func() Config {
+			cfg := timingConfig(models.AlexNet(), 8, 256, 3)
+			cfg.Design = ModelParallel
+			cfg.Nodes, cfg.GPUsPerNode = 1, 16
+			return cfg
+		}},
+		{"mp-tiny12", 10385102, func() Config { // 7 layers: five ranks idle
+			tiny, _ := models.ByName("tiny")
+			cfg := timingConfig(tiny, 12, 24, 2)
+			cfg.Design = ModelParallel
+			cfg.Nodes, cfg.GPUsPerNode = 1, 16
+			return cfg
+		}},
+		{"mp-googlenet16-imagedata", 1595288772, func() Config {
+			cfg := timingConfig(models.GoogLeNet(), 16, 64, 3)
+			cfg.Design = ModelParallel
+			cfg.Source = ImageDataSource
+			return cfg
+		}},
+		{"mp-googlenet40-lmdb", 1396307900, func() Config {
+			cfg := timingConfig(models.GoogLeNet(), 40, 80, 2)
+			cfg.Design = ModelParallel
+			cfg.Source = LMDBSource
+			return cfg
+		}},
 	}
 	for _, g := range golden {
 		res, err := Run(g.mk())

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -12,14 +13,10 @@ import (
 // parameter vector, like Caffe's solver snapshots, so long trainings
 // can resume. The format is a small binary container with a CRC-free
 // but length-checked layout (corruption surfaces as a decode error).
-// Version 2 adds the packed momentum vector, so a resumed run
-// continues bit-identically to one that never stopped; version 1
-// files still load (with cold momentum).
+// It carries the packed momentum vector, so a resumed run continues
+// bit-identically to one that never stopped.
 
-var (
-	snapshotMagicV1 = []byte("SCAFFESNAP1\n")
-	snapshotMagic   = []byte("SCAFFESNAP2\n")
-)
+var snapshotMagic = []byte("SCAFFESNAP2\n")
 
 // Snapshot is a serialized solver state.
 type Snapshot struct {
@@ -30,8 +27,7 @@ type Snapshot struct {
 	// Params is the packed parameter vector.
 	Params []float32
 	// History is the packed momentum vector (same length and order as
-	// Params). Empty means cold momentum — a v1 snapshot, or a solver
-	// that never stepped.
+	// Params). Empty means cold momentum: a solver that never stepped.
 	History []float32
 }
 
@@ -89,14 +85,12 @@ func ReadSnapshot(path string) (*Snapshot, error) {
 	return decodeSnapshot(path, raw)
 }
 
-// decodeSnapshot parses snapshot bytes (either format version). Every
-// length is validated before the corresponding allocation, so
-// arbitrarily corrupt input yields an error, never a panic or an
-// absurd allocation (the fuzz target drives this directly).
+// decodeSnapshot parses snapshot bytes. Every length is validated
+// before the corresponding allocation, so arbitrarily corrupt input
+// yields an error, never a panic or an absurd allocation (the fuzz
+// target drives this directly).
 func decodeSnapshot(path string, raw []byte) (*Snapshot, error) {
-	v2 := len(raw) >= len(snapshotMagic) && string(raw[:len(snapshotMagic)]) == string(snapshotMagic)
-	v1 := len(raw) >= len(snapshotMagicV1) && string(raw[:len(snapshotMagicV1)]) == string(snapshotMagicV1)
-	if !v1 && !v2 {
+	if !bytes.HasPrefix(raw, snapshotMagic) {
 		return nil, fmt.Errorf("core: %s is not a snapshot file", path)
 	}
 	p := len(snapshotMagic)
@@ -140,12 +134,6 @@ func decodeSnapshot(path string, raw []byte) (*Snapshot, error) {
 			p += 4
 		}
 		return vec, nil
-	}
-	if v1 {
-		if s.Params, err = readVector("params", true); err != nil {
-			return nil, err
-		}
-		return s, nil
 	}
 	if s.Params, err = readVector("params", false); err != nil {
 		return nil, err

@@ -63,63 +63,48 @@ func TestSnapshotWriteLeavesNoTemp(t *testing.T) {
 	}
 }
 
-// encodeV1 builds a version-1 snapshot byte stream (no momentum
-// section) by hand, as the pre-momentum code wrote it.
-func encodeV1(model string, iter int, params []float32) []byte {
-	buf := append([]byte{}, snapshotMagicV1...)
-	u32 := func(v uint32) {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		buf = append(buf, b[:]...)
-	}
-	u32(uint32(len(model)))
-	buf = append(buf, model...)
-	u32(uint32(iter))
-	u32(uint32(len(params)))
-	for _, v := range params {
-		u32(math.Float32bits(v))
-	}
-	return buf
-}
-
-// TestSnapshotV1Compat checks that old-format snapshots still load,
-// with cold (nil) momentum.
-func TestSnapshotV1Compat(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.scaffemodel")
-	params := []float32{3, 1, 4, 1, 5}
-	if err := os.WriteFile(path, encodeV1("lenet", 9, params), 0o644); err != nil {
+// encodeSnapshot returns the bytes WriteSnapshot writes for s.
+func encodeSnapshot(t testing.TB, s *Snapshot) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "enc.scaffemodel")
+	if err := WriteSnapshot(path, s); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshot(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Model != "lenet" || got.Iteration != 9 || !reflect.DeepEqual(got.Params, params) {
-		t.Errorf("v1 load = %+v", got)
-	}
-	if got.History != nil {
-		t.Errorf("v1 load history = %v, want nil (cold momentum)", got.History)
-	}
+	return raw
 }
 
 // TestSnapshotDecodeRejectsCorruption feeds decodeSnapshot a gallery of
-// malformed inputs; each must error, never panic or over-allocate.
+// malformed inputs; each must error, never panic or over-allocate. A
+// version-1 file (no momentum section; nothing has written one since
+// version 2 existed) is one of them: it is not a snapshot file.
 func TestSnapshotDecodeRejectsCorruption(t *testing.T) {
-	valid := encodeV1("m", 1, []float32{1, 2})
+	// magic, name length, "m", iteration, 2 params, 2 history values.
+	valid := encodeSnapshot(t, &Snapshot{Model: "m", Iteration: 1, Params: []float32{1, 2}, History: []float32{3, 4}})
+	if _, err := decodeSnapshot("valid", valid); err != nil {
+		t.Fatalf("the gallery's starting point does not decode: %v", err)
+	}
+	paramCount := len(snapshotMagic) + 4 + 1 + 4
 	cases := map[string][]byte{
 		"empty":          nil,
 		"bad magic":      []byte("SCAFFESNAP9\nxxxx"),
+		"version 1":      append([]byte("SCAFFESNAP1\n"), valid[len(snapshotMagic):paramCount+4+8]...),
 		"magic only":     append([]byte{}, snapshotMagic...),
-		"truncated name": valid[:len(snapshotMagicV1)+4],
-		"huge name len":  append(append([]byte{}, snapshotMagicV1...), 0xff, 0xff, 0xff, 0xff),
+		"truncated name": valid[:len(snapshotMagic)+4],
+		"huge name len":  append(append([]byte{}, snapshotMagic...), 0xff, 0xff, 0xff, 0xff),
 		"truncated vec":  valid[:len(valid)-3],
+		"no history":     valid[:paramCount+4+8],
 		"trailing bytes": append(append([]byte{}, valid...), 0, 0, 0, 0),
 		"huge vec count": func() []byte {
 			b := append([]byte{}, valid...)
-			binary.LittleEndian.PutUint32(b[len(b)-12:], 1<<31)
+			binary.LittleEndian.PutUint32(b[paramCount:], 1<<31)
 			return b
 		}(),
-		"misaligned tail": append(append([]byte{}, valid...), 1),
+		"history shorter than params": encodeSnapshot(t, &Snapshot{Model: "m", Params: []float32{1, 2}, History: []float32{3}}),
+		"misaligned tail":             append(append([]byte{}, valid...), 1),
 	}
 	for name, raw := range cases {
 		if _, err := decodeSnapshot(name, raw); err == nil {
@@ -134,23 +119,12 @@ func TestSnapshotDecodeRejectsCorruption(t *testing.T) {
 // WriteSnapshot + ReadSnapshot.
 func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(encodeV1("tiny", 3, []float32{1, -2, 0.5}))
-	v2 := func() []byte {
-		path := filepath.Join(f.TempDir(), "seed.scaffemodel")
-		s := &Snapshot{Model: "tiny", Iteration: 7, Params: []float32{1, 2}, History: []float32{3, 4}}
-		if err := WriteSnapshot(path, s); err != nil {
-			f.Fatal(err)
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return raw
-	}()
-	f.Add(v2)
-	f.Add(v2[:len(v2)-2])
+	f.Add(encodeSnapshot(f, &Snapshot{Model: "tiny", Iteration: 3, Params: []float32{1, -2, 0.5}})) // cold momentum
+	warm := encodeSnapshot(f, &Snapshot{Model: "tiny", Iteration: 7, Params: []float32{1, 2}, History: []float32{3, 4}})
+	f.Add(warm)
+	f.Add(warm[:len(warm)-2])
 	f.Add(append([]byte{}, snapshotMagic...))
-	f.Add([]byte("SCAFFESNAP1\n\x04\x00\x00\x00"))
+	f.Add([]byte("SCAFFESNAP2\n\x04\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		s, err := decodeSnapshot("fuzz", raw)
 		if err != nil {

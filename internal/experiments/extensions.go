@@ -246,6 +246,7 @@ func syncLatency(ranks int, bytes int64, ring bool) (sim.Duration, error) {
 	world := mpi.NewWorld(cluster, ranks)
 	comm := world.WorldComm()
 	red := coll.NewReducer(comm, coll.Tuned, coll.DefaultOptions())
+	ringRed := coll.NewRing(comm, coll.DefaultOptions())
 	var start, done sim.Time
 	_, err := world.Run(func(r *mpi.Rank) {
 		buf := gpu.NewBuffer(bytes)
@@ -254,7 +255,7 @@ func syncLatency(ranks int, bytes int64, ring bool) (sim.Duration, error) {
 			start = r.Now()
 		}
 		if ring {
-			coll.RingAllreduce(comm, r, buf, benchTag, coll.DefaultOptions())
+			ringRed.Allreduce(r, buf, benchTag)
 		} else {
 			coll.Allreduce(red, comm, r, buf, benchTag, topology.ModeAuto)
 		}

@@ -59,17 +59,15 @@ func TestParseScheduleJoinEvictErrors(t *testing.T) {
 	}
 }
 
-// elasticApplier is a minimal Joiner for plane-level tests: ReviveRank
+// elasticApplier is a minimal joiner for plane-level tests: ReviveRank
 // spawns a proc that waits at the join desk and records the outcome.
 type elasticApplier struct {
+	NopApplier
 	k        *sim.Kernel
 	pl       *Plane
 	admitted []int
 	refused  []int
 }
-
-func (a *elasticApplier) KillRank(rank int, kind Kind)        {}
-func (a *elasticApplier) SetCompute(rank int, factor float64) {}
 
 func (a *elasticApplier) ReviveRank(rank int) {
 	a.k.Spawn(fmt.Sprintf("joiner%d", rank), func(p *sim.Proc) {

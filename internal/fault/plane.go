@@ -35,30 +35,32 @@ const escalateAttempts = maxBackoffShift + 2
 const DefaultJoinRetries = 6
 
 // Applier carries out the physical side of injected events on the
-// training engine: killing a rank's procs and slowing its device. The
-// plane keeps the bookkeeping; the engine owns the objects.
+// training engine. The plane keeps the bookkeeping; the engine owns the
+// objects. Test doubles that care about one kind of event embed
+// NopApplier for the rest.
 type Applier interface {
-	// KillRank fail-stops a rank (Crash and Hang events).
+	// KillRank fail-stops a rank (Crash, Hang, Evict and partition
+	// fencing).
 	KillRank(rank int, kind Kind)
 	// SetCompute sets a rank's GPU slowdown factor (1 = full speed).
 	SetCompute(rank int, factor float64)
-}
-
-// BitFlipper is the optional Applier extension for BitFlip events:
-// flip bit `bit` of 32-bit word `word` of the rank's resident network
-// parameters. Appliers that do not implement it simply never see the
-// corruption (the event still counts as injected).
-type BitFlipper interface {
+	// FlipBit flips bit `bit` of 32-bit word `word` of the rank's
+	// resident network parameters (BitFlip events).
 	FlipBit(rank, word, bit int)
-}
-
-// Joiner is the optional Applier extension for the elastic grow path:
-// ReviveRank gives a previously excluded rank a fresh process that
-// announces itself and waits for admission (AwaitAdmission). Appliers
-// that do not implement it leave Join events inert.
-type Joiner interface {
+	// ReviveRank gives a previously excluded rank a fresh process that
+	// announces itself and waits for admission (AwaitAdmission): the
+	// elastic grow path.
 	ReviveRank(rank int)
 }
+
+// NopApplier is the Applier under which no event has a physical side:
+// the plane still counts every one as injected.
+type NopApplier struct{}
+
+func (NopApplier) KillRank(int, Kind)      {}
+func (NopApplier) SetCompute(int, float64) {}
+func (NopApplier) FlipBit(int, int, int)   {}
+func (NopApplier) ReviveRank(int)          {}
 
 // Recovery describes one detected failure and the shrink that
 // absorbed it.
@@ -373,9 +375,7 @@ func (pl *Plane) apply(ev Event) {
 		}
 		pl.report.Injected++
 		pl.report.BitFlips++
-		if fb, ok := pl.applier.(BitFlipper); ok {
-			fb.FlipBit(ev.Rank, ev.Word, ev.Bit)
-		}
+		pl.applier.FlipBit(ev.Rank, ev.Word, ev.Bit)
 	case CorruptWire:
 		pl.report.Injected++
 		pl.report.WireCorruptions++
@@ -453,14 +453,10 @@ func (pl *Plane) startJoin(rank int) {
 	if !pl.excluded[rank] || pl.joining[rank] {
 		return
 	}
-	j, ok := pl.applier.(Joiner)
-	if !ok {
-		return
-	}
 	pl.joining[rank] = true
 	pl.departed[rank] = false
 	pl.joinRec[rank] = JoinRecord{Rank: rank, AnnouncedAt: pl.k.Now()}
-	j.ReviveRank(rank)
+	pl.applier.ReviveRank(rank)
 }
 
 // announce registers rank at the join desk (idempotent) and returns

@@ -66,9 +66,6 @@ func (d *Device) scale(t sim.Duration) sim.Duration {
 // MemUsed returns the bytes currently allocated on the device.
 func (d *Device) MemUsed() int64 { return d.memUsed }
 
-// MemCapacity returns the device-memory capacity in bytes.
-func (d *Device) MemCapacity() int64 { return d.memCap }
-
 // Launches returns the number of kernels launched so far (for tests
 // and utilization reports).
 func (d *Device) Launches() int64 { return d.launches }

@@ -108,7 +108,7 @@ func orderedSink(pkg *Pkg, call *ast.CallExpr) string {
 		return "Tracer.NodeSpan"
 	case funcFrom(fn, "scaffe/internal/mpi", "Isend", "Send", "SendHost", "Ibcast", "Bcast"):
 		return "mpi." + fn.Name()
-	case funcFrom(fn, "scaffe/internal/coll", "Reduce", "Allreduce", "RingAllreduce", "ReduceScatterGather", "BcastScatterAllgather", "Ireduce"):
+	case funcFrom(fn, "scaffe/internal/coll", "Reduce", "Allreduce", "Ireduce"):
 		return "coll." + fn.Name()
 	}
 	return ""

@@ -208,7 +208,7 @@ func checkHelperThread(pkg *Pkg, call *ast.CallExpr, report func(pos token.Pos, 
 			switch {
 			case funcFrom(ifn, "scaffe/internal/mpi", "Bcast"):
 				report(inner.Pos(), "blocking mpi.Bcast inside a SpawnThread helper; it deadlocks against the main thread's collectives — use Ibcast")
-			case funcFrom(ifn, "scaffe/internal/coll", "Reduce", "Allreduce", "RingAllreduce", "ReduceScatterGather", "BcastScatterAllgather"):
+			case funcFrom(ifn, "scaffe/internal/coll", "Reduce", "Allreduce"):
 				report(inner.Pos(), fmt.Sprintf(
 					"blocking collective coll.%s inside a SpawnThread helper; it deadlocks against the main thread's collectives — use coll.Ireduce", ifn.Name()))
 			}

@@ -38,7 +38,7 @@ func literalAckTag(r *mpi.Rank, c *mpi.Comm, buf *gpu.Buffer) {
 }
 
 func wellBehavedCatchup(w *mpi.World, r *mpi.Rank, buf *gpu.Buffer, members, admitted []int) {
-	grown := w.GrowComm(members)
+	grown := w.EpochComm(members)
 	if grown.Rank(r) == 0 {
 		for range admitted {
 			r.Wait(r.IjoinAckRecv(grown, 1, ackTag, buf))

@@ -35,30 +35,6 @@ func (it *iterationNet) step() {
 	it.net.Backward()
 }
 
-// BenchmarkRealLeNetIteration measures one steady-state real-compute
-// training iteration (forward + backward, batch 64) on LeNet.
-func BenchmarkRealLeNetIteration(b *testing.B) {
-	it := newIterationNet(BuildLeNet, data.SyntheticMNIST(1024, 1), 64)
-	it.step() // warm up blobs and the workspace pool
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it.step()
-	}
-}
-
-// BenchmarkRealCIFAR10QuickIteration is the same for the CIFAR-10
-// quick model (the Figure 9 workload).
-func BenchmarkRealCIFAR10QuickIteration(b *testing.B) {
-	it := newIterationNet(BuildCIFAR10Quick, data.SyntheticCIFAR10(1024, 1), 64)
-	it.step()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it.step()
-	}
-}
-
 // TestNetForwardBackwardZeroSteadyStateAllocs is the tentpole's
 // regression gate: after one warm-up iteration, a full forward+backward
 // pass over LeNet and CIFAR-10-quick must not allocate at all —

@@ -10,11 +10,11 @@ import (
 
 func TestGrowCommMembership(t *testing.T) {
 	w := newWorld(t, 2, 2, 4)
-	shrunk := w.ShrinkComm([]int{0, 1, 3})
+	shrunk := w.EpochComm([]int{0, 1, 3})
 	if shrunk.Size() != 3 || shrunk.GroupRank(2) != -1 {
 		t.Fatalf("shrunk comm: size %d, rank2 group %d", shrunk.Size(), shrunk.GroupRank(2))
 	}
-	grown := w.GrowComm([]int{0, 1, 2, 3})
+	grown := w.EpochComm([]int{0, 1, 2, 3})
 	if grown.Size() != 4 {
 		t.Fatalf("grown comm size = %d, want 4", grown.Size())
 	}
@@ -25,7 +25,7 @@ func TestGrowCommMembership(t *testing.T) {
 	}
 	// The member list is copied, not aliased.
 	members := []int{0, 2}
-	g2 := w.GrowComm(members)
+	g2 := w.EpochComm(members)
 	members[0] = 99
 	if g2.WorldRank(0) != 0 || g2.WorldRank(1) != 2 {
 		t.Errorf("grow comm aliased its input: world ranks %d, %d", g2.WorldRank(0), g2.WorldRank(1))
@@ -38,7 +38,7 @@ func TestGrowCommMembership(t *testing.T) {
 func TestRespawnRankFreshLife(t *testing.T) {
 	w := newWorld(t, 2, 1, 2)
 	k := w.K
-	grown := w.GrowComm([]int{0, 1})
+	grown := w.EpochComm([]int{0, 1})
 	var got float32
 	var secondLife bool
 	w.Spawn(func(r *Rank) {

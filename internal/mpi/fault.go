@@ -145,21 +145,13 @@ func (r *Rank) KillAll() {
 	}
 }
 
-// ShrinkComm builds a fresh communicator over the given ascending
-// world ranks — MPI_Comm_shrink over the survivors. The new comm has
-// its own id, so stale point-to-point and broadcast state of the
-// revoked comm can never match against it.
-func (w *World) ShrinkComm(alive []int) *Comm {
-	w.bumpEpoch()
-	return w.newComm(append([]int(nil), alive...))
-}
-
-// GrowComm builds a fresh communicator over the given ascending world
-// ranks, including ranks readmitted through the join path — the
-// grow-side counterpart of ShrinkComm. The fresh id guarantees that
-// traffic from any earlier epoch, including a member's pre-failure
-// life, can never match against the grown communicator.
-func (w *World) GrowComm(members []int) *Comm {
+// EpochComm opens a new membership epoch: a fresh communicator over the
+// given ascending world ranks, whether the survivors of a failure
+// (MPI_Comm_shrink) or a world grown by ranks readmitted through the
+// join path. The new comm has its own id, so stale point-to-point and
+// broadcast state of any earlier epoch, a member's pre-failure life
+// included, can never match against it.
+func (w *World) EpochComm(members []int) *Comm {
 	w.bumpEpoch()
 	return w.newComm(append([]int(nil), members...))
 }

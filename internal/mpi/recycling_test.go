@@ -124,10 +124,12 @@ func TestRecyclingDrillCorruptionEscalation(t *testing.T) {
 // drillApplier is the minimal physical side of the fault plane for the
 // kill drill: crashes fail-stop the rank's procs, stragglers are not
 // modeled.
-type drillApplier struct{ w *World }
+type drillApplier struct {
+	fault.NopApplier
+	w *World
+}
 
 func (a *drillApplier) KillRank(rank int, _ fault.Kind) { a.w.Ranks[rank].KillAll() }
-func (a *drillApplier) SetCompute(int, float64)         {}
 
 // TestRecyclingDrillKillMidFlight kills a sender while the receiver is
 // parked on the matching request. The fault-aware wait unwinds with

@@ -140,13 +140,13 @@ func TestSpawnThreadSharesVirtualTime(t *testing.T) {
 	w := newWorld(t, 1, 1, 1)
 	var mainSaw, helperSaw sim.Time
 	_, err := w.Run(func(r *Rank) {
-		f := r.W.K.NewFlag()
+		done := r.W.K.NewCompletion()
 		r.SpawnThread("helper", func(p *sim.Proc) {
 			p.Sleep(7 * sim.Millisecond)
 			helperSaw = p.Now()
-			f.Set()
+			done.Fire()
 		})
-		f.WaitSet(r.Proc)
+		r.Proc.Wait(done)
 		mainSaw = r.Now()
 	})
 	if err != nil {

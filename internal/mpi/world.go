@@ -30,7 +30,9 @@ type World struct {
 
 	// Fault, when non-nil, arms failure detection: every blocking
 	// wait becomes deadline-sliced and can revoke the communicator
-	// (see fault.go). Nil runs the exact fault-free code paths.
+	// (see fault.go). Nil is the one place that knows nothing can trip:
+	// waits carry no deadline and landings no fate check. The callers
+	// above run the same code either way.
 	Fault *fault.Plane
 
 	// Integrity, when non-nil with a mode other than IntegrityOff,
@@ -41,7 +43,7 @@ type World struct {
 	nextCommID int
 	bcastOps   map[bcastKey]*bcastOp
 
-	// epoch is the membership epoch: bumped by ShrinkComm/GrowComm
+	// epoch is the membership epoch: bumped by EpochComm
 	// (never by plain sub-communicator construction). Every delivery
 	// and broadcast op is stamped with the epoch of its creation, and
 	// a landing whose stamp is stale dissolves instead of touching
@@ -106,15 +108,12 @@ func (w *World) putDelivery(d *delivery) {
 // Size returns the number of ranks.
 func (w *World) Size() int { return len(w.Ranks) }
 
-// Epoch returns the current membership epoch (see the epoch field).
-func (w *World) Epoch() int { return w.epoch }
-
-// bumpEpoch advances the membership epoch at a ShrinkComm/GrowComm
-// boundary. Pre-rebuild broadcast ops are dropped from the match table
-// WITHOUT pooling their records: in-flight edges (held, delayed, or
-// simply late) may still reference them, and will dissolve against the
-// stale epoch when they land. Leaking a handful of op records per
-// recovery is the price of never recycling one under a live reference.
+// bumpEpoch advances the membership epoch at an EpochComm boundary.
+// Pre-rebuild broadcast ops are dropped from the match table WITHOUT
+// pooling their records: in-flight edges (held, delayed, or simply late)
+// may still reference them, and will dissolve against the stale epoch
+// when they land. Leaking a handful of op records per recovery is the
+// price of never recycling one under a live reference.
 func (w *World) bumpEpoch() {
 	w.epoch++
 	for k := range w.bcastOps {
@@ -203,7 +202,8 @@ func (r *Rank) Sleep(d sim.Duration) { r.Proc.Sleep(d) }
 
 // SpawnThread starts an additional simulated thread inside this rank's
 // process (the helper thread of SC-OBR). The thread shares the rank's
-// state and synchronizes with the main thread via sim.Flag.
+// state and synchronizes with the main thread through the completions
+// of the iteration graph's cross-lane nodes (sched.Node.After).
 func (r *Rank) SpawnThread(name string, fn func(p *sim.Proc)) *sim.Proc {
 	p := r.W.K.Spawn(r.threadName(name), fn)
 	// Prune finished threads so the tracking list stays bounded over

@@ -30,7 +30,7 @@ import (
 //	snapshot: 50
 //	snapshot_prefix: "snap/run"
 //	# --- S-Caffe extensions ---
-//	scaffe_design: "scobr"      # scb | scob | scobr | scobrf | caffe | cntk | ps
+//	scaffe_design: "scobr"      # scb | scob | scobr | scobrf | caffe | cntk | ps | mp
 //	scaffe_reduce: "hr"         # binomial | chain | cc | cb | ccb | hr | mv2 | openmpi | rsg
 //	scaffe_chain_size: 8
 //	scaffe_bucket_bytes: 4194304  # gradient fusion bucket (scobr/scobrf)
@@ -40,25 +40,6 @@ import (
 //	scaffe_gpus_per_node: 16
 //	scaffe_scal: "strong"       # strong | weak
 const SolverFields = "see package documentation"
-
-// designNames maps prototxt design names to pipelines.
-var designNames = map[string]core.Design{
-	"scb": core.SCB, "scob": core.SCOB, "scobr": core.SCOBR, "scobrf": core.SCOBRF,
-	"caffe": core.CaffeMT, "cntk": core.CNTKLike, "ps": core.ParamServer, "mp": core.ModelParallel,
-}
-
-// reduceNames maps prototxt reduce names to algorithms.
-var reduceNames = map[string]coll.Algorithm{
-	"binomial": coll.Binomial, "chain": coll.Chain,
-	"cc": coll.ChainChain, "cb": coll.ChainBinomial, "ccb": coll.ChainChainBinomial,
-	"hr": coll.Tuned, "tuned": coll.Tuned,
-	"mv2": coll.MV2Baseline, "openmpi": coll.OpenMPIBaseline, "rsg": coll.Rabenseifner,
-}
-
-// sourceNames maps prototxt data names to backends.
-var sourceNames = map[string]core.SourceKind{
-	"memory": core.MemorySource, "lmdb": core.LMDBSource, "imagedata": core.ImageDataSource,
-}
 
 // LoadSolver reads and parses a solver prototxt file into a training
 // config.
@@ -125,24 +106,15 @@ func ParseSolver(text string) (core.Config, error) {
 	}
 	cfg.SnapshotPrefix = d.String("snapshot_prefix", "")
 
-	design := strings.ToLower(d.String("scaffe_design", "scobr"))
-	dv, ok := designNames[design]
-	if !ok {
-		return cfg, fmt.Errorf("proto: unknown scaffe_design %q", design)
+	if cfg.Design, err = core.ParseDesign(d.String("scaffe_design", "scobr")); err != nil {
+		return cfg, fmt.Errorf("proto: scaffe_design: %w", err)
 	}
-	cfg.Design = dv
-	reduce := strings.ToLower(d.String("scaffe_reduce", "hr"))
-	rv, ok := reduceNames[reduce]
-	if !ok {
-		return cfg, fmt.Errorf("proto: unknown scaffe_reduce %q", reduce)
+	if cfg.Reduce, err = coll.ParseAlgorithm(d.String("scaffe_reduce", "hr")); err != nil {
+		return cfg, fmt.Errorf("proto: scaffe_reduce: %w", err)
 	}
-	cfg.Reduce = rv
-	src := strings.ToLower(d.String("scaffe_data", "imagedata"))
-	sv, ok := sourceNames[src]
-	if !ok {
-		return cfg, fmt.Errorf("proto: unknown scaffe_data %q", src)
+	if cfg.Source, err = core.ParseSource(d.String("scaffe_data", "imagedata")); err != nil {
+		return cfg, fmt.Errorf("proto: scaffe_data: %w", err)
 	}
-	cfg.Source = sv
 	if cfg.GPUs, err = d.Int("scaffe_gpus", 16); err != nil {
 		return cfg, err
 	}

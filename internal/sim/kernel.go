@@ -164,14 +164,6 @@ func (k *Kernel) atResumeIf(t Time, p *Proc, seq uint64) {
 	k.schedule(t, event{kind: evResumeIf, p: p, aux: seq})
 }
 
-// atFire schedules c to fire at time t, guarded by c's current
-// generation: if c is recycled before t, the event dissolves.
-//
-//scaffe:hotpath
-func (k *Kernel) atFire(t Time, c *Completion) {
-	k.schedule(t, event{kind: evFire, c: c, aux: c.gen})
-}
-
 // popEvent removes the globally-minimum event under the two-tier pop
 // rule: a calendar event due at or before now always precedes every
 // ring event (it was scheduled strictly earlier — smaller seq); an
@@ -262,8 +254,6 @@ func (k *Kernel) loopFrom(self *Proc) loopState {
 			}
 		case evFunc:
 			ev.fn()
-		case evFire:
-			ev.c.FireIf(ev.aux)
 		case evRun:
 			ev.run.RunEvent(k)
 		}

@@ -195,13 +195,6 @@ func (p *Proc) WaitTimeout(c *Completion, d Duration) bool {
 	return c.fired
 }
 
-// WaitAll blocks until every completion in cs has fired.
-func (p *Proc) WaitAll(cs ...*Completion) {
-	for _, c := range cs {
-		p.Wait(c)
-	}
-}
-
 // Stepper is a run-to-completion continuation of a parked proc: the
 // work between two of its waits, written as a function that returns
 // instead of blocking.

@@ -45,9 +45,6 @@ const (
 	// evResumeIf resumes a proc only if it is still parked on the
 	// guarded wait armed with aux (see Kernel.resumeIf).
 	evResumeIf
-	// evFire fires a completion if its generation still equals aux;
-	// a recycled completion dissolves the event.
-	evFire
 	// evRun invokes a Runnable payload — a pooled record scheduled by
 	// a higher layer (e.g. an MPI transfer delivery) in place of a
 	// closure.
@@ -68,9 +65,8 @@ type Runnable interface {
 type event struct {
 	at   Time
 	seq  uint64
-	aux  uint64 // evResumeIf: armed wait seq; evFire: completion generation
+	aux  uint64 // evResumeIf: armed wait seq
 	p    *Proc
-	c    *Completion
 	fn   func()
 	run  Runnable
 	kind evKind

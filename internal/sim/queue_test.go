@@ -221,6 +221,22 @@ func TestCalendarMinTimeMatchesHeap(t *testing.T) {
 	}
 }
 
+// guardedFire is how a pooled owner fires its completion later: a
+// Runnable scheduled with the generation it saw, so that recycling the
+// completion in between dissolves the fire (Completion.FireIf).
+type guardedFire struct {
+	c   *Completion
+	gen uint64
+}
+
+func (f *guardedFire) RunEvent(*Kernel) { f.c.FireIf(f.gen) }
+
+// at schedules c to fire at t unless it is recycled first.
+func (f *guardedFire) at(k *Kernel, t Time, c *Completion) {
+	f.c, f.gen = c, c.Gen()
+	k.AtRun(t, f)
+}
+
 // TestPooledCompletionStaleFireDissolves is the sim half of the
 // recycling drill: a fire scheduled against one life of a pooled
 // completion must dissolve once the completion is recycled, not
@@ -229,7 +245,7 @@ func TestPooledCompletionStaleFireDissolves(t *testing.T) {
 	k := New()
 	c := k.GetCompletion()
 	staleGen := c.Gen()
-	c.FireAt(100) // scheduled against the current generation
+	new(guardedFire).at(k, 100, c) // scheduled against the current generation
 	k.PutCompletion(c)
 
 	c2 := k.GetCompletion()
@@ -250,7 +266,7 @@ func TestPooledCompletionStaleFireDissolves(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fired {
-		t.Fatalf("stale FireAt from a previous life completed the recycled completion")
+		t.Fatalf("stale fire from a previous life completed the recycled completion")
 	}
 	// Direct stale FireIf must be a no-op too.
 	c2.FireIf(staleGen)
@@ -271,11 +287,12 @@ type benchTicker struct {
 	period    Duration
 	remaining int
 	c         *Completion
+	fire      guardedFire
 }
 
 func (bt *benchTicker) RunEvent(k *Kernel) {
-	bt.c.Init(k)       // new generation, as a pooled owner would
-	bt.c.FireAt(k.now) // same-instant guarded fire through the ring
+	bt.c.Init(k)               // new generation, as a pooled owner would
+	bt.fire.at(k, k.now, bt.c) // same-instant guarded fire through the ring
 	if bt.remaining > 0 {
 		bt.remaining--
 		k.AtRun(k.now+bt.period, bt)
@@ -414,6 +431,7 @@ func TestSimKernelMarchingWavesZeroAlloc(t *testing.T) {
 // allocator's counters before and after its measured steps.
 type allocStepper struct {
 	c              *Completion
+	fire           guardedFire
 	n              int
 	warm, measured int
 	before, after  runtime.MemStats
@@ -433,31 +451,11 @@ func (s *allocStepper) Step(p *Proc) bool {
 		p.ArmUntil(p.Now() + 5)
 	case 1:
 		s.c.Init(p.k)
-		s.c.FireAt(p.Now() + 5)
+		s.fire.at(p.k, p.Now()+5, s.c)
 		p.ArmWait(s.c)
 	case 2:
 		s.c.Init(p.k)
 		p.ArmWaitTimeout(s.c, 5)
 	}
 	return false
-}
-
-// BenchmarkSimKernel measures the event kernel's per-event cost on the
-// pooled steady state: one op is one ticker firing (one calendar
-// insert + reschedule, one generation recycle, one same-instant fire).
-func BenchmarkSimKernel(b *testing.B) {
-	k := New()
-	ts := newBenchTickers(k, 8)
-	simKernelRound(b, k, ts, 64) // warm: rings, buckets, pools
-	b.ReportAllocs()
-	b.ResetTimer()
-	done := 0
-	for done < b.N {
-		per := (b.N - done + len(ts) - 1) / len(ts)
-		if per > 4096 {
-			per = 4096
-		}
-		simKernelRound(b, k, ts, per)
-		done += per * len(ts)
-	}
 }

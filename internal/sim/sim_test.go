@@ -204,50 +204,6 @@ func TestDeadline(t *testing.T) {
 	}
 }
 
-func TestFlagHandshake(t *testing.T) {
-	k := New()
-	f := k.NewFlag()
-	var got Time
-	k.Spawn("main", func(p *Proc) {
-		f.WaitSet(p)
-		got = p.Now()
-	})
-	k.Spawn("helper", func(p *Proc) {
-		p.Sleep(77)
-		f.Set()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got != 77 {
-		t.Errorf("flag observed at %v, want 77", got)
-	}
-	if !f.IsSet() {
-		t.Error("flag should remain set")
-	}
-	f.Clear()
-	if f.IsSet() {
-		t.Error("flag should be cleared")
-	}
-}
-
-func TestFlagAlreadySet(t *testing.T) {
-	k := New()
-	f := k.NewFlag()
-	f.Set()
-	done := false
-	k.Spawn("w", func(p *Proc) {
-		f.WaitSet(p) // returns immediately
-		done = true
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !done {
-		t.Error("WaitSet on a set flag should not block")
-	}
-}
-
 func TestQueueFIFO(t *testing.T) {
 	k := New()
 	q := k.NewQueue(0)
@@ -292,23 +248,6 @@ func TestQueueBounded(t *testing.T) {
 	}
 	if putDone != 50 {
 		t.Errorf("bounded Put completed at %v, want 50", putDone)
-	}
-}
-
-func TestQueueTryPut(t *testing.T) {
-	k := New()
-	q := k.NewQueue(1)
-	if !q.TryPut(1) {
-		t.Fatal("first TryPut should succeed")
-	}
-	if q.TryPut(2) {
-		t.Fatal("second TryPut should fail on a full queue")
-	}
-	if q.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", q.Len())
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -398,30 +337,6 @@ func TestResourceFIFO(t *testing.T) {
 	}
 }
 
-func TestSemaphore(t *testing.T) {
-	k := New()
-	s := k.NewSemaphore(2)
-	active, maxActive := 0, 0
-	for i := 0; i < 5; i++ {
-		k.Spawn("worker", func(p *Proc) {
-			s.Acquire(p)
-			active++
-			if active > maxActive {
-				maxActive = active
-			}
-			p.Sleep(10)
-			active--
-			s.Release()
-		})
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if maxActive != 2 {
-		t.Errorf("max concurrent holders = %d, want 2", maxActive)
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	run := func() []Time {
 		k := New()
@@ -496,24 +411,6 @@ func TestSpawnFromEventCallback(t *testing.T) {
 	}
 	if killedAt != 5 {
 		t.Errorf("victim's deferred cleanup ran at %v, want 5 (kill must unwind defers)", killedAt)
-	}
-}
-
-func TestWaitAll(t *testing.T) {
-	k := New()
-	c1, c2 := k.NewCompletion(), k.NewCompletion()
-	k.At(10, c1.Fire)
-	k.At(30, c2.Fire)
-	var at Time
-	k.Spawn("w", func(p *Proc) {
-		p.WaitAll(c1, c2)
-		at = p.Now()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != 30 {
-		t.Errorf("WaitAll returned at %v, want 30", at)
 	}
 }
 

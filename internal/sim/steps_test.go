@@ -124,13 +124,13 @@ func runScript(t *testing.T, stepped bool, kill Time, killEarly bool) scriptRun 
 	fired, late := k.NewCompletion(), k.NewCompletion()
 	fireFirst, deadlineFirst, never := k.NewCompletion(), k.NewCompletion(), k.NewCompletion()
 	fired.Fire()
-	late.FireAt(10)
+	k.At(10, late.Fire)
 	// The subject reaches the two races at t=30 and t=50 (see ops) with
 	// a 10-tick deadline each. fireFirst's fire is scheduled now, ahead
 	// of the deadline event the wait will schedule; deadlineFirst's only
 	// at t=51, behind it.
-	fireFirst.FireAt(40)
-	k.At(51, func() { deadlineFirst.FireAt(60) })
+	k.At(40, fireFirst.Fire)
+	k.At(51, func() { k.At(60, deadlineFirst.Fire) })
 	ops := []waitOp{
 		{kind: opWait, c: fired},                    // already fired: no park
 		{kind: opWait, c: late},                     // parks until 10

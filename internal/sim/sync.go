@@ -14,9 +14,8 @@ type waiter struct {
 //
 // Completions may be pooled (GetCompletion/PutCompletion, or embedded
 // in a pooled owner that calls reset). Every recycle bumps the
-// generation counter, so scheduled fires and other references taken
-// against an earlier life (FireAt events, FireIf callers) dissolve
-// instead of acting on the reused object. Together with the proc-side
+// generation counter, so references taken against an earlier life
+// (FireIf callers) dissolve instead of acting on the reused object. Together with the proc-side
 // waitSeq guard this makes reuse safe under kills and timeouts.
 type Completion struct {
 	k       *Kernel
@@ -60,8 +59,8 @@ func (k *Kernel) GetCompletion() *Completion {
 }
 
 // PutCompletion recycles c into the kernel's free list. The caller
-// must own the only live handle; stale scheduled fires are harmless
-// (the generation bump dissolves them).
+// must own the only live handle; a stale FireIf is harmless (the
+// generation bump dissolves it).
 func (k *Kernel) PutCompletion(c *Completion) {
 	c.reset(k)
 	//scaffe:nolint hotpath free-list release; append reuses capacity freed by the matching Get
@@ -147,13 +146,6 @@ func (c *Completion) FireIf(gen uint64) {
 	}
 }
 
-// FireAt schedules the completion to fire at virtual time t. The
-// scheduled event is guarded by the current generation: recycling the
-// completion before t dissolves it.
-func (c *Completion) FireAt(t Time) {
-	c.k.atFire(t, c)
-}
-
 // OnFire registers fn to run (in kernel context) when the completion
 // fires. If it has already fired, fn is scheduled immediately.
 func (c *Completion) OnFire(fn func()) {
@@ -163,42 +155,6 @@ func (c *Completion) OnFire(fn func()) {
 	}
 	//scaffe:nolint hotpath callback backing is kept by reset(); pooled completions reuse its capacity
 	c.cbs = append(c.cbs, fn)
-}
-
-// Flag is a reusable binary condition used for intra-rank thread
-// synchronization (the helper-thread/main-thread handshake of
-// SC-OBR). Set wakes all waiters; the flag stays set until Clear.
-type Flag struct {
-	k       *Kernel
-	set     bool
-	waiters []*Proc
-}
-
-// NewFlag returns a cleared flag.
-func (k *Kernel) NewFlag() *Flag { return &Flag{k: k} }
-
-// Set raises the flag and wakes all waiting procs.
-func (f *Flag) Set() {
-	f.set = true
-	for _, p := range f.waiters {
-		f.k.wakeAt(p, f.k.now)
-	}
-	f.waiters = f.waiters[:0]
-}
-
-// Clear lowers the flag.
-func (f *Flag) Clear() { f.set = false }
-
-// IsSet reports the flag state.
-func (f *Flag) IsSet() bool { return f.set }
-
-// WaitSet blocks p until the flag is set (returns immediately if
-// already set).
-func (f *Flag) WaitSet(p *Proc) {
-	for !f.set {
-		f.waiters = append(f.waiters, p)
-		p.park()
-	}
 }
 
 // Queue is an unbounded-or-bounded FIFO of values passed between
@@ -258,17 +214,6 @@ func (q *Queue) Put(p *Proc, v any) {
 	}
 	q.items.push(v)
 	q.wakeOne(&q.getters)
-}
-
-// TryPut appends v without blocking; it reports false if the queue is
-// full.
-func (q *Queue) TryPut(v any) bool {
-	if q.cap > 0 && q.items.len() >= q.cap {
-		return false
-	}
-	q.items.push(v)
-	q.wakeOne(&q.getters)
-	return true
 }
 
 // Get removes and returns the oldest item, blocking p while empty.
@@ -341,38 +286,3 @@ func (r *Resource) FreeAt(from Time) Time {
 // BusyTotal returns the cumulative reserved time, for utilization
 // reporting.
 func (r *Resource) BusyTotal() Duration { return r.busyTotal }
-
-// Semaphore is a counting semaphore for procs.
-type Semaphore struct {
-	k       *Kernel
-	permits int
-	waiters []*Proc
-}
-
-// NewSemaphore returns a semaphore with n initial permits.
-func (k *Kernel) NewSemaphore(n int) *Semaphore {
-	return &Semaphore{k: k, permits: n}
-}
-
-// Acquire takes one permit, blocking p until one is available.
-func (s *Semaphore) Acquire(p *Proc) {
-	for s.permits == 0 {
-		s.waiters = append(s.waiters, p)
-		p.park()
-	}
-	s.permits--
-}
-
-// Release returns one permit and wakes a waiter if any (skipping
-// waiters that have since been killed).
-func (s *Semaphore) Release() {
-	s.permits++
-	for len(s.waiters) > 0 {
-		p := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		if !p.finished {
-			s.k.wakeAt(p, s.k.now)
-			return
-		}
-	}
-}

@@ -2,160 +2,8 @@ package tensor
 
 import (
 	"math/rand"
-	"runtime"
-	"sync"
 	"testing"
 )
-
-// baselineGemm is the pre-blocking kernel, kept verbatim as the
-// speedup baseline for BenchmarkGemmShapes: per-row axpy/dot loops with
-// per-call goroutine fan-out.
-func baselineGemm(transA, transB bool, m, n, k int, alpha float32, a []float32, b []float32, beta float32, c []float32) {
-	if len(c) < m*n {
-		panic("tensor: gemm C too small")
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if m*n < gemmParallelThreshold || workers < 2 {
-		baselineGemmRows(transA, transB, m, n, k, alpha, a, b, beta, c, 0, m)
-		return
-	}
-	if workers > m {
-		workers = m
-	}
-	var wg sync.WaitGroup
-	per := (m + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			baselineGemmRows(transA, transB, m, n, k, alpha, a, b, beta, c, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-func baselineGemmRows(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		ci := c[i*n : (i+1)*n]
-		if beta == 0 {
-			for j := range ci {
-				ci[j] = 0
-			}
-		} else if beta != 1 {
-			for j := range ci {
-				ci[j] *= beta
-			}
-		}
-		switch {
-		case !transA && !transB:
-			ai := a[i*k : (i+1)*k]
-			for p, av := range ai {
-				if av == 0 {
-					continue
-				}
-				s := alpha * av
-				bp := b[p*n : (p+1)*n]
-				for j, bv := range bp {
-					ci[j] += s * bv
-				}
-			}
-		case !transA && transB:
-			ai := a[i*k : (i+1)*k]
-			for j := 0; j < n; j++ {
-				bj := b[j*k : (j+1)*k]
-				var acc float32
-				for p := range ai {
-					acc += ai[p] * bj[p]
-				}
-				ci[j] += alpha * acc
-			}
-		case transA && !transB:
-			for p := 0; p < k; p++ {
-				av := a[p*m+i]
-				if av == 0 {
-					continue
-				}
-				s := alpha * av
-				bp := b[p*n : (p+1)*n]
-				for j, bv := range bp {
-					ci[j] += s * bv
-				}
-			}
-		default:
-			for j := 0; j < n; j++ {
-				var acc float32
-				for p := 0; p < k; p++ {
-					acc += a[p*m+i] * b[j*k+p]
-				}
-				ci[j] += alpha * acc
-			}
-		}
-	}
-}
-
-// gemmShape is one layer-sized multiply from the paper's models, as
-// lowered by im2col (conv: M=outC/G, N=outH·outW, K=inC/G·kh·kw) or
-// the fully-connected layers (M=batch, N=outN, K=inElems).
-type gemmShape struct {
-	name           string
-	transA, transB bool
-	m, n, k        int
-}
-
-var gemmShapes = []gemmShape{
-	{"alexnet-conv1-fwd", false, false, 96, 3025, 363},
-	{"alexnet-conv2-fwd", false, false, 128, 729, 1200},
-	{"alexnet-conv3-fwd", false, false, 384, 169, 2304},
-	{"alexnet-conv2-dw", false, true, 128, 1200, 729},
-	{"alexnet-conv2-din", true, false, 1200, 729, 128},
-	{"alexnet-fc6-fwd", false, true, 32, 4096, 9216},
-	{"googlenet-3a3x3-fwd", false, false, 128, 784, 864},
-}
-
-// BenchmarkGemmShapes times the blocked kernel and the pre-PR baseline
-// over AlexNet/GoogLeNet layer shapes; the gflops metric makes the
-// comparison scale-free.
-func BenchmarkGemmShapes(b *testing.B) {
-	kernels := []struct {
-		name string
-		fn   func(bool, bool, int, int, int, float32, []float32, []float32, float32, []float32)
-	}{
-		{"blocked", Gemm},
-		{"baseline", baselineGemm},
-	}
-	for _, sh := range gemmShapes {
-		rng := rand.New(rand.NewSource(1))
-		am, ak := sh.m, sh.k
-		if sh.transA {
-			am, ak = sh.k, sh.m
-		}
-		bk, bn := sh.k, sh.n
-		if sh.transB {
-			bk, bn = sh.n, sh.k
-		}
-		a := randSlice(rng, am*ak)
-		bb := randSlice(rng, bk*bn)
-		c := make([]float32, sh.m*sh.n)
-		flops := 2 * float64(sh.m) * float64(sh.n) * float64(sh.k)
-		for _, kr := range kernels {
-			b.Run(sh.name+"/"+kr.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					kr.fn(sh.transA, sh.transB, sh.m, sh.n, sh.k, 1, a, bb, 0, c)
-				}
-				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
-			})
-		}
-	}
-}
 
 // BenchmarkGemv times the dedicated matrix-vector path against routing
 // the same shape through Gemm with n=1 (what the code used to do).

@@ -197,6 +197,21 @@ func ParseFaultSchedule(text string) (FaultSchedule, error) { return fault.Parse
 // "off" (or empty), "detect", or "recover".
 func ParseIntegrityMode(s string) (IntegrityMode, error) { return core.ParseIntegrityMode(s) }
 
+// ParseDesign, ParseReduceAlgorithm and ParseSource parse the names
+// every front end uses (command-line flags, solver prototxt, chaos
+// specs), in any case. A name they do not know is an ErrConfig.
+func ParseDesign(s string) (Design, error) { return core.ParseDesign(s) }
+
+func ParseReduceAlgorithm(s string) (ReduceAlgorithm, error) {
+	a, err := coll.ParseAlgorithm(s)
+	if err != nil {
+		return a, fmt.Errorf("%w: %w", ErrConfig, err)
+	}
+	return a, nil
+}
+
+func ParseSource(s string) (SourceKind, error) { return core.ParseSource(s) }
+
 // NewTrace returns an empty timeline recorder.
 func NewTrace() *Trace { return trace.New() }
 

@@ -1,6 +1,7 @@
 package scaffe
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -51,5 +52,35 @@ func TestScaleOut1024GoogLeNet(t *testing.T) {
 	}
 	if deadline := sim.Time(sim.Second); a.TotalTime > deadline {
 		t.Fatalf("1024-rank run took %d virtual ns, over the %d deadline", a.TotalTime, deadline)
+	}
+}
+
+// BenchmarkScaleSweep measures wall-clock cost and allocations of
+// GoogLeNet training as the rank count grows past the paper's 160-GPU
+// testbed. It is the one go-test benchmark kept beside the repository's
+// benchmark (bench/run.sh): no bench/ladder.go rung times these shapes,
+// and they regenerate EXPERIMENTS.md `scale`. scripts/check.sh runs it
+// once so it cannot rot. Each point reports its rank count as a metric
+// so a recorded run carries the scale alongside ns/op and allocs/op.
+func BenchmarkScaleSweep(b *testing.B) {
+	for _, ranks := range []int{160, 512, 1024, 4096} {
+		b.Run(fmt.Sprintf("ranks-%d", ranks), func(b *testing.B) {
+			var total sim.Time
+			for i := 0; i < b.N; i++ {
+				res, err := Train(Config{
+					Spec: MustModel("googlenet"), GPUs: ranks,
+					Nodes: (ranks + 15) / 16, GPUsPerNode: 16,
+					GlobalBatch: 4 * ranks, Iterations: 2,
+					Design: SCOB, Reduce: ReduceHR, Source: InMemory, Seed: 1,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				total = res.TotalTime
+			}
+			b.ReportAllocs()
+			b.ReportMetric(float64(ranks), "ranks")
+			b.ReportMetric(total.Milliseconds(), "virtual-ms/op")
+		})
 	}
 }

@@ -82,7 +82,12 @@ echo "== fuzz smoke =="
 # -fuzztime as needed.
 go test -run '^$' -fuzz FuzzSnapshotDecode -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz FuzzParse -fuzztime 5s ./internal/proto
-go test -run '^$' -fuzz FuzzChunkChecksum -fuzztime 5s ./internal/mpi
 go test -run '^$' -fuzz FuzzParseSchedule -fuzztime 5s ./internal/fault
+
+echo "== tracked benchmark =="
+# The one go-test benchmark kept beside bench/run.sh: its 256-4096-rank
+# shapes regenerate EXPERIMENTS.md `scale` and no bench/ladder.go rung
+# times them. One pass, so it cannot vanish or stop running unnoticed.
+go test -run '^$' -bench BenchmarkScaleSweep -benchtime 1x .
 
 echo "== OK =="
