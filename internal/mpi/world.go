@@ -177,11 +177,8 @@ type Rank struct {
 	sumPool  []*Summed
 
 	// threads tracks live helper procs so a crash (or recovery) can
-	// fail-stop the whole rank, not just its main thread. threadNames
-	// keeps the proc name of every helper lane spawned so far: SC-OBR
-	// respawns the same lane every iteration.
-	threads     []*sim.Proc
-	threadNames []threadName
+	// fail-stop the whole rank, not just its main thread.
+	threads []*sim.Proc
 
 	// waiting and barrier are the steppers behind the blocking Wait and
 	// Barrier; a rank's main proc runs at most one blocking call at a
@@ -205,9 +202,9 @@ func (r *Rank) Sleep(d sim.Duration) { r.Proc.Sleep(d) }
 // state and synchronizes with the main thread through the completions
 // of the iteration graph's cross-lane nodes (sched.Node.After).
 func (r *Rank) SpawnThread(name string, fn func(p *sim.Proc)) *sim.Proc {
-	p := r.W.K.Spawn(r.threadName(name), fn)
-	// Prune finished threads so the tracking list stays bounded over
-	// many iterations.
+	p := r.W.K.Spawn(fmt.Sprintf("rank%d.%s", r.ID, name), fn)
+	// Prune finished threads so the tracking list stays bounded however
+	// many the rank's lives spawn.
 	live := r.threads[:0]
 	for _, t := range r.threads {
 		if !t.Finished() {
@@ -216,20 +213,4 @@ func (r *Rank) SpawnThread(name string, fn func(p *sim.Proc)) *sim.Proc {
 	}
 	r.threads = append(live, p)
 	return p
-}
-
-// threadName is the proc name of one of the rank's helper lanes.
-type threadName struct{ lane, proc string }
-
-// threadName returns the proc name of the rank's helper lane, built the
-// first time the lane is spawned.
-func (r *Rank) threadName(lane string) string {
-	for _, t := range r.threadNames {
-		if t.lane == lane {
-			return t.proc
-		}
-	}
-	name := fmt.Sprintf("rank%d.%s", r.ID, lane)
-	r.threadNames = append(r.threadNames, threadName{lane, name})
-	return name
 }

@@ -355,9 +355,16 @@ func (g *Graph) Add(lane int, kind Kind, phase, label string, action func(*Ctx))
 }
 
 // Execute runs the graph to completion on the rank's procs for
-// iteration it: helper lanes are spawned as rank threads, lane 0 runs
-// on the calling rank's main proc, and Execute returns only after every
+// iteration it: lane 0 runs on the calling rank's main proc, each helper
+// lane on its own rank thread, and Execute returns only after every
 // lane's last node has finished. tracer may be nil.
+//
+// A helper lane's thread is spawned by the first Execute and lives as
+// long as the instance: at the end of its walk it parks idle
+// (sim.Proc.ArmIdle), and the next Execute wakes it with the same resume
+// a spawn would have scheduled, so a lane whose nodes are all steps runs
+// a whole iteration on the event loop. A thread that was killed or
+// unwound is replaced by a fresh one.
 //
 // Each Execute starts clean: it empties the gate slots and
 // re-initializes the completions, whose generation bump dissolves
@@ -383,7 +390,8 @@ func (g *Graph) Execute(tracer Tracer, it int) {
 		g.lanes = make([]laneRun, len(pl.lanes))
 		for li := range g.lanes {
 			l := &g.lanes[li]
-			l.g, l.nodes, l.thread = g, pl.lanes[li], l.runThread
+			l.g, l.nodes = g, pl.lanes[li]
+			l.ctx = Ctx{R: g.r, g: g}
 		}
 	}
 	k := g.r.W.K
@@ -396,7 +404,9 @@ func (g *Graph) Execute(tracer Tracer, it int) {
 	for li := 1; li < len(g.lanes); li++ {
 		if l := &g.lanes[li]; len(l.nodes) > 0 {
 			l.reset(tracer, it)
-			g.r.SpawnThread(pl.laneNames[li], l.thread)
+			if l.proc == nil || !l.proc.Wake() {
+				l.proc = g.r.SpawnThread(pl.laneNames[li], l.runThread)
+			}
 		}
 	}
 	g.lanes[0].reset(tracer, it)
@@ -410,7 +420,7 @@ func (g *Graph) Execute(tracer Tracer, it int) {
 type laneRun struct {
 	g      *Graph
 	nodes  []*Node
-	thread func(*sim.Proc) // runThread, bound once: a helper lane's proc body
+	proc   *sim.Proc // a helper lane's thread, idle between executions
 	ctx    Ctx
 	tracer Tracer
 
@@ -438,13 +448,14 @@ const (
 
 // reset points the walk at the lane's first node for iteration it.
 func (l *laneRun) reset(tracer Tracer, it int) {
-	l.ctx = Ctx{R: l.g.r, It: it, g: l.g}
+	l.ctx.It = it
 	l.tracer = tracer
 	l.i, l.at, l.join = 0, atEnter, 1
 	l.w = mpi.Waiter{}
 }
 
-// runThread is a helper lane's proc.
+// runThread is a helper lane's proc. It walks one iteration after
+// another, idle in between, and ends only by a kill or an unwind.
 func (l *laneRun) runThread(p *sim.Proc) {
 	// A revoked communicator unwinds helper lanes quietly: recovery
 	// belongs to the main lane, which observes the same revocation
@@ -457,9 +468,11 @@ func (l *laneRun) runThread(p *sim.Proc) {
 	l.run(p)
 }
 
-// run walks the lane to its end on proc p, the lane's own: the steps on
-// the event loop, and what a step cannot do — a blocking action, the
-// Wait of a CPU-progressed request — here, on the goroutine.
+// run walks the lane on proc p, the lane's own: the steps on the event
+// loop, and what a step cannot do — a blocking action, the Wait of a
+// CPU-progressed request — here, on the goroutine. Lane 0 returns at its
+// end; a helper lane's walk ends idle, parked inside RunSteps, and the
+// next Execute's wake goes on from there.
 //
 //scaffe:hotpath
 func (l *laneRun) run(p *sim.Proc) {
@@ -558,7 +571,8 @@ func (l *laneRun) Step(p *sim.Proc) bool {
 		}
 	}
 	if l != &g.lanes[0] {
-		return true
+		p.ArmIdle() // until the next Execute
+		return false
 	}
 	// Lane 0 outlasts its helpers. A well-formed graph orders it after
 	// them (SC-OBR's join node), making these waits free.

@@ -3,7 +3,9 @@ package sched
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"scaffe/internal/gpu"
 	"scaffe/internal/mpi"
@@ -588,4 +590,92 @@ func TestExecuteAfterRevokedUnwindStartsClean(t *testing.T) {
 	if wait == nil || wait.start != 20 || wait.end != 30 {
 		t.Errorf("reduce wait span = %+v, want [20,30] (spans %+v)", wait, tr.spans)
 	}
+}
+
+// TestHelperLaneThreadPersists: a helper lane runs on one proc for the
+// life of its instance, idle between executions and woken by the next,
+// so an iteration whose nodes are all steps takes no goroutine switch.
+// A proc killed while idle, or unwound mid-lane by a revocation, is
+// replaced by a fresh one at the next Execute. A run that ends with the
+// lane idle retires it: no deadlock, and no goroutine outlives Run.
+func TestHelperLaneThreadPersists(t *testing.T) {
+	const killIdleAfter, trip, iters = 2, 5, 8
+	before := runtime.NumGoroutine()
+	w := newWorld(1)
+	var procs []*sim.Proc
+	var switches []uint64
+	_, err := w.Run(func(r *mpi.Rank) {
+		g := New(r)
+		helper := g.Lane("helper")
+		begin := g.Add(0, Generic, "", "begin", nil)
+		// The helper reaches its revocation at once; lane 0 notices 20 later.
+		bwd := g.plan.AddTimed(helper, ComputeBackward, "backward", "bwd", func(x *Ctx) sim.Time {
+			if x.It == trip {
+				panic(mpi.Revoked{})
+			}
+			return x.P.Now() + 5
+		}).After(begin)
+		g.plan.AddTimed(0, ComputeForward, "forward", "fwd", func(x *Ctx) sim.Time { return x.P.Now() + 20 })
+		g.plan.AddTimed(0, Generic, "", "check", func(x *Ctx) sim.Time {
+			if x.It == trip {
+				panic(mpi.Revoked{})
+			}
+			return x.P.Now()
+		})
+		g.plan.AddTimed(0, Update, "update", "update", func(x *Ctx) sim.Time { return x.P.Now() + 1 }).After(bwd)
+		for it := 0; it < iters; it++ {
+			sw := w.K.Resumes().Switches
+			if unwound := executeUnlessRevoked(g, it); unwound != (it == trip) {
+				t.Fatalf("iteration %d: Execute unwound = %v", it, unwound)
+			}
+			procs = append(procs, g.lanes[helper].proc)
+			switches = append(switches, w.K.Resumes().Switches-sw)
+			if it == killIdleAfter {
+				r.KillThreads()
+			}
+		}
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	t.Logf("goroutine switches per iteration: %v", switches)
+	for it := 1; it < iters; it++ {
+		fresh := it == killIdleAfter+1 || it == trip+1
+		if (procs[it] != procs[it-1]) != fresh {
+			t.Errorf("iteration %d ran the helper lane on proc %p, the one before on %p; want a fresh proc: %v", it, procs[it], procs[it-1], fresh)
+		}
+	}
+	for _, it := range []int{1, 2, killIdleAfter + 2, iters - 1} {
+		if switches[it] != 0 {
+			t.Errorf("iteration %d took %d goroutine switches, want none (all switches: %v)", it, switches[it], switches)
+		}
+	}
+	for _, p := range procs {
+		if !p.Finished() {
+			t.Errorf("helper proc %q outlived the run", p.Name())
+		}
+	}
+	// A finished proc's goroutine returns right after handing the baton
+	// on; give the last ones a moment to exit.
+	for i := 0; runtime.NumGoroutine() > before && i < 100; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after Run, %d before", n, before)
+	}
+}
+
+// executeUnlessRevoked runs one iteration and reports whether a
+// revocation unwound it.
+func executeUnlessRevoked(g *Graph, it int) (unwound bool) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			if !mpi.IsRevoked(rec) {
+				panic(rec)
+			}
+			unwound = true
+		}
+	}()
+	g.Execute(nil, it)
+	return false
 }

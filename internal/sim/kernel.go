@@ -94,8 +94,11 @@ type Resumes struct {
 	// SelfContinues are resumes of the proc that was driving the loop
 	// itself: it just keeps running.
 	SelfContinues uint64
-	// StaleWakes are guarded resumes that dissolved: the proc had timed
-	// out of that wait, or moved on, or finished.
+	// StaleWakes are resumes that dissolved: a completion's wake for a
+	// wait the proc had timed out of, and deadline timers that found
+	// their proc no longer in a wait with a deadline, or finished, or
+	// were overtaken by a shorter deadline. A timer that finds the
+	// deadline moved later and carries itself there is not one.
 	StaleWakes uint64
 }
 
@@ -252,6 +255,12 @@ func (k *Kernel) loopFrom(self *Proc) loopState {
 			if st, left := k.deliver(p, self); left {
 				return st
 			}
+		case evTimer:
+			if k.fireTimer(ev) {
+				if st, left := k.deliver(ev.p, self); left {
+					return st
+				}
+			}
 		case evFunc:
 			ev.fn()
 		case evRun:
@@ -285,6 +294,42 @@ func (k *Kernel) deliver(p, self *Proc) (st loopState, left bool) {
 	return loopHanded, true
 }
 
+// fireTimer handles a popped deadline timer and reports whether it
+// expires its proc's wait, which the caller then delivers. The live
+// timer never pops later than the deadline of the wait the proc is in
+// (Proc.armDeadline), so when it pops the proc is either in the wait
+// whose deadline this is — an expiry, at exactly the key a per-wait
+// deadline event would have had — or in a later wait with a later
+// deadline, to which the timer carries itself, or in no wait with a
+// deadline at all. The carried event keeps the deadline's reserved
+// sequence number, older than anything scheduled since, so the calendar
+// places it among the events already due at that instant
+// (calendarQueue.insert); the ring never receives one, since a deadline
+// whose time has come when its timer pops was reserved before the
+// clock reached it.
+//
+//scaffe:hotpath
+func (k *Kernel) fireTimer(ev event) (expired bool) {
+	p := ev.p
+	tm := p.timer
+	if p.finished || tm.liveSeq != ev.seq {
+		k.resumes.StaleWakes++ // overtaken by a shorter deadline, or the proc is gone
+		return false
+	}
+	tm.liveSeq = 0
+	if !p.waitArmed || tm.seq == 0 {
+		k.resumes.StaleWakes++ // the wait ended; the proc armed no deadline since
+		return false
+	}
+	if tm.seq == ev.seq {
+		p.waitArmed = false
+		return true
+	}
+	tm.liveAt, tm.liveSeq = tm.at, tm.seq
+	k.cal.insert(event{at: tm.at, seq: tm.seq, kind: evTimer, p: p})
+	return false
+}
+
 // step runs one step of p's installed stepper. A panic in it must not
 // unwind the loop — it would take down whichever proc happens to be
 // driving it — so it is kept on p, the step counts as done, and
@@ -303,20 +348,27 @@ func (k *Kernel) step(p *Proc) (done bool) {
 }
 
 // Run executes the event loop until no events remain, then verifies
-// that every spawned proc has finished. It returns an error on
-// deadlock (procs remain parked with no pending events) or if the
-// deadline set by SetDeadline is exceeded.
+// that every spawned proc has finished. Procs left idle by their steps
+// (Stepper, ArmIdle) are not stuck, only unemployed: they are killed at
+// the instant the queue drains, and the loop runs again to unwind them.
+// It returns an error on deadlock (procs remain parked in a wait with no
+// pending events) or if the deadline set by SetDeadline is exceeded.
 func (k *Kernel) Run() error {
 	if k.home == nil {
 		k.home = make(chan struct{})
 	}
-	if k.loopFrom(nil) == loopHanded {
-		// The loop migrated onto proc goroutines; whichever one reaches
-		// a terminal state sends the baton home.
-		<-k.home
-	}
-	if k.failure != nil {
-		return k.failure
+	for {
+		if k.loopFrom(nil) == loopHanded {
+			// The loop migrated onto proc goroutines; whichever one
+			// reaches a terminal state sends the baton home.
+			<-k.home
+		}
+		if k.failure != nil {
+			return k.failure
+		}
+		if k.stopped || !k.retireIdle() {
+			break
+		}
 	}
 	if len(k.procs) > 0 {
 		// The table holds exactly the unfinished procs, in an order
@@ -330,6 +382,17 @@ func (k *Kernel) Run() error {
 		return fmt.Errorf("sim: deadlock at %v: %d proc(s) parked: %v", k.now, len(stuck), stuck)
 	}
 	return nil
+}
+
+// retireIdle kills every idle proc and reports whether there was one.
+func (k *Kernel) retireIdle() (retired bool) {
+	for _, p := range k.procs {
+		if p.idle && !p.killed {
+			p.Kill()
+			retired = true
+		}
+	}
+	return retired
 }
 
 // Stop aborts the event loop after the current event completes.
@@ -385,9 +448,9 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 }
 
 // dropProc takes a finished proc out of the table of live procs, which
-// only the deadlock check reads: a run that spawns a helper per rank per
-// iteration must not keep every one of them (and what their closures
-// hold) for the kernel's lifetime.
+// only the deadlock check and idle retirement read: a run that spawns
+// procs as it goes must not keep every one of them (and what their
+// closures hold) for the kernel's lifetime.
 func (k *Kernel) dropProc(p *Proc) {
 	last := len(k.procs) - 1
 	moved := k.procs[last]

@@ -10,13 +10,17 @@ import (
 // the kernel. At most one proc runs at any instant, so proc code may
 // touch shared simulation state without locks.
 type Proc struct {
-	k        *Kernel
-	name     string
-	wake     chan struct{}
+	k    *Kernel
+	name string
+	wake chan struct{}
+	id   uint64 // spawn order, for the deadlock report
+	slot int    // index in Kernel.procs while unfinished
+
 	finished bool
 	killed   bool
-	id       uint64 // spawn order, for the deadlock report
-	slot     int    // index in Kernel.procs while unfinished
+	// idle: parked by a step that armed nothing (ArmIdle); only Wake, a
+	// kill, or the end of the run resumes it.
+	idle bool
 
 	// waitSeq/waitArmed guard completion wake-ups: every Wait arms a
 	// fresh sequence number, and a wake event only delivers if the proc
@@ -24,8 +28,12 @@ type Proc struct {
 	// timeout race for the same parked proc without ever resuming it
 	// twice (a double resume would block the kernel goroutine). The
 	// event loop disarms the guard when it delivers the wake.
-	waitSeq   uint64
 	waitArmed bool
+	waitSeq   uint64
+
+	// timer is the proc's deadline state, made by its first
+	// ArmWaitTimeout: most procs never arm one.
+	timer *procTimer
 
 	// stepper, while non-nil, receives the proc's resumes as Step calls
 	// on the event loop instead of goroutine handoffs (see RunSteps).
@@ -35,13 +43,28 @@ type Proc struct {
 	stepFail *stepFailure
 }
 
+// procTimer is one proc's deadline: the wait it is parked on may have
+// one, and at most one timer event of the proc's is live in the queue at
+// a time, however many waits it arms (see ArmWaitTimeout).
+type procTimer struct {
+	// at, seq key the current wait's deadline exactly as the event a
+	// per-wait deadline would have been; seq is 0 while the current wait
+	// has none.
+	at  Time
+	seq uint64
+	// liveAt, liveSeq key the live timer event; liveSeq is 0 when there
+	// is none. Any other timer event of the proc's that pops is an orphan
+	// left by a shorter deadline, and lapses.
+	liveAt  Time
+	liveSeq uint64
+}
+
 // stepFailure is a panic raised by a step on the event loop: its value,
 // and where it happened, for the failure report should nobody recover
 // it. Almost every one is recovered — mpi.Revoked{} is how a rank leaves
 // a collective — so the place is kept as return addresses and becomes
 // text only in that report. The record hangs off the proc rather than
-// lying in it: a run spawns a proc per helper lane per iteration, and
-// few of them ever panic.
+// lying in it: few procs ever panic.
 type stepFailure struct {
 	rec any
 	pcs [24]uintptr
@@ -143,10 +166,13 @@ func (p *Proc) park() {
 }
 
 // armWait returns a fresh wait sequence number and marks the proc as
-// parked on a guarded wait (see Proc.waitSeq).
+// parked on a guarded wait (see Proc.waitSeq) that has no deadline yet.
 func (p *Proc) armWait() uint64 {
 	p.waitSeq++
 	p.waitArmed = true
+	if t := p.timer; t != nil {
+		t.seq = 0
+	}
 	return p.waitSeq
 }
 
@@ -204,6 +230,13 @@ type Stepper interface {
 	// ArmWaitTimeout: the proc stays parked and the next resume calls
 	// Step again. It returns true, with no wait armed, to give control
 	// back to the proc's goroutine, which returns from RunSteps.
+	//
+	// The one other return is idle: false after ArmIdle, which arms
+	// nothing. The proc stays parked with its stepper until Wake calls
+	// Step again, and a run whose queue drains while it is idle unwinds it
+	// as if killed instead of reporting a deadlock — the shape of a
+	// long-lived helper that has nothing to do until someone hands it
+	// work.
 	//
 	// Step runs on whichever goroutine is driving the event loop, in the
 	// queue position of the resume it stands for. It may do anything an
@@ -264,8 +297,70 @@ func (p *Proc) ArmWaitTimeout(c *Completion, d Duration) (fired bool) {
 	if c.fired {
 		return true
 	}
-	seq := p.armWait()
-	c.addWaiter(waiter{p, seq})
-	p.k.atResumeIf(p.k.now+d, p, seq)
+	c.addWaiter(waiter{p, p.armWait()})
+	p.armDeadline(p.k.now + d)
 	return false
+}
+
+// armDeadline gives the wait just armed a deadline at t. The deadline
+// is keyed (t, seq) with the sequence number a deadline event scheduled
+// right now would take, and that number is used up whether or not an
+// event is scheduled, so no other event's key moves. An event is
+// scheduled only when the proc has no live timer due at or before t:
+// otherwise the live one pops first and carries itself to the deadline
+// (Kernel.fireTimer), so that an expiry always pops at its own key. A
+// deadline already due goes behind everything due now, as any event
+// scheduled for the past does.
+//
+//scaffe:hotpath
+func (p *Proc) armDeadline(t Time) {
+	k, tm := p.k, p.timer
+	if tm == nil {
+		tm = p.newTimer()
+	}
+	if t <= k.now {
+		k.schedule(t, event{kind: evTimer, p: p})
+		tm.at, tm.seq = k.now, k.seq
+		tm.liveAt, tm.liveSeq = k.now, k.seq
+		return
+	}
+	k.seq++
+	tm.at, tm.seq = t, k.seq
+	if tm.liveSeq != 0 && tm.liveAt <= t {
+		return
+	}
+	tm.liveAt, tm.liveSeq = t, k.seq
+	k.cal.insert(event{at: t, seq: k.seq, kind: evTimer, p: p})
+}
+
+// newTimer gives the proc its deadline state.
+//
+//scaffe:coldpath once per proc that ever arms a deadline
+//go:noinline
+func (p *Proc) newTimer() *procTimer {
+	p.timer = &procTimer{}
+	return p.timer
+}
+
+// ArmIdle is a Step's idle return (see Stepper): the proc arms nothing
+// and stays parked until Wake.
+//
+//scaffe:hotpath
+func (p *Proc) ArmIdle() { p.idle = true }
+
+// Wake resumes a proc that a step left idle, with the event Spawn
+// schedules for a new proc: a resume at the current instant, behind
+// everything already due. It reports false, and does nothing, for a
+// proc that has finished or been killed; waking a live proc that is not
+// idle is a bug and panics.
+func (p *Proc) Wake() bool {
+	if p.finished || p.killed {
+		return false
+	}
+	if !p.idle {
+		panic(fmt.Sprintf("sim: Wake of proc %q, which is not idle", p.name))
+	}
+	p.idle = false
+	p.k.atResume(p.k.now, p)
+	return true
 }

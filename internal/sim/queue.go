@@ -13,8 +13,9 @@ package sim
 //     (t > now), with power-of-two bucket counts and a cached minimum.
 //     Events map to bucket (t/width) & mask; a bucket lists the
 //     instants due in it in ascending time, and an instant holds its
-//     events in the order they were scheduled, which is seq order, so
-//     the queue as a whole pops in exact (time, seq) order.
+//     events in seq order (almost always the order they were
+//     scheduled), so the queue as a whole pops in exact (time, seq)
+//     order.
 //
 // Events are small by-value records. The calendar keeps them in slots
 // it owns: a drained slot returns to the queue's free list and the next
@@ -23,11 +24,14 @@ package sim
 // pending at once and the steady state allocates nothing per event.
 //
 // Ordering proof for the two-tier split (see DESIGN.md §12): a
-// calendar event with at == now was necessarily inserted while
-// now < at (insertions at the current instant go to the ring), hence
-// strictly earlier, hence with a smaller seq than every ring event.
-// So popping the calendar while its minimum is <= now, then the ring,
-// then advancing to the calendar minimum reproduces the exact global
+// calendar event with at == now got its seq while now < at (a seq
+// drawn at the current instant for the current instant goes to the
+// ring), hence strictly earlier, hence smaller than every ring event's.
+// That holds for the one kind of event inserted with a seq drawn
+// before the insert, a deadline timer carried to its reserved key,
+// which may arrive at an instant the clock has already reached. So
+// popping the calendar while its minimum is <= now, then the ring, then
+// advancing to the calendar minimum reproduces the exact global
 // (at, seq) order of a single heap.
 
 // evKind discriminates the typed event payloads. A small closed enum
@@ -43,8 +47,11 @@ const (
 	// evResume unconditionally resumes a parked proc.
 	evResume
 	// evResumeIf resumes a proc only if it is still parked on the
-	// guarded wait armed with aux (see Kernel.resumeIf).
+	// guarded wait armed with aux (see Kernel.atResumeIf).
 	evResumeIf
+	// evTimer is a proc's deadline timer (see Proc.armDeadline and
+	// Kernel.fireTimer).
+	evTimer
 	// evRun invokes a Runnable payload — a pooled record scheduled by
 	// a higher layer (e.g. an MPI transfer delivery) in place of a
 	// closure.
@@ -143,9 +150,10 @@ type slot struct {
 	ev   [slotEvents]event
 }
 
-// calendarQueue holds future events bucketed by time. count/width
-// resize keeps O(1) amortized operations; the cached minimum makes
-// the peek in the kernel's pop rule free in the common case.
+// calendarQueue holds future events bucketed by time. Resizing with
+// the instant count, and reading the width off the instants about to
+// pop, keep operations O(1) amortized; the cached minimum makes the
+// peek in the kernel's pop rule free in the common case.
 //
 // A bucket is a list of instants in ascending time, and an instant is a
 // FIFO of the events due at it: events of one instant arrive in seq
@@ -171,23 +179,38 @@ type calendarQueue struct {
 
 	free   *slot // drained slots, linked through next
 	carved int   // slots allocated so far
+
+	// links counts the instants find has stepped past, ever: the
+	// walk-length gate of the tests reads it. walkDebt is the walk that
+	// inserts made beyond walkFree links each since the width was last
+	// read: a table's worth of it reads the width again (see insert).
+	links    uint64
+	walkDebt int
 }
+
+// walkFree is the walk an insert may make without running up debt.
+const walkFree = 2
 
 // find returns the link in at's bucket that holds at's instant, or the
-// place it belongs: the first instant not earlier than at.
+// place it belongs: the first instant not earlier than at; and how many
+// instants it stepped past to get there.
 //
 //scaffe:hotpath
-func (q *calendarQueue) find(at Time) **slot {
-	pp := &q.buckets[int(at/q.width)&q.mask]
+func (q *calendarQueue) find(at Time) (pp **slot, walked int) {
+	pp = &q.buckets[int(at/q.width)&q.mask]
 	for s := *pp; s != nil && s.at < at; s = *pp {
 		pp = &s.next
+		walked++
 	}
-	return pp
+	return pp, walked
 }
 
-// insert appends e to the instant it is due at, opening the instant if
-// e is the first. e.seq must exceed that of every event already pending
-// at e.at. Table resize and slot allocation live in cold helpers.
+// insert adds e to the instant it is due at, opening the instant if e
+// is the first. Almost always e.seq exceeds that of every event already
+// pending at e.at and e is appended; a deadline timer carried to its
+// reserved key (Kernel.fireTimer) is the one event that may have to go
+// in front of some of them. Table resize, slot allocation and that
+// placement live in cold helpers.
 //
 //scaffe:hotpath
 func (q *calendarQueue) insert(e event) {
@@ -197,7 +220,9 @@ func (q *calendarQueue) insert(e event) {
 	if e.at < q.lastAt {
 		q.lastAt = e.at
 	}
-	pp := q.find(e.at)
+	pp, walked := q.find(e.at)
+	q.links += uint64(walked)
+	q.walkDebt = max(q.walkDebt+walked-walkFree, 0)
 	s := *pp
 	if s == nil || s.at != e.at {
 		s = q.getSlot()
@@ -210,27 +235,51 @@ func (q *calendarQueue) insert(e event) {
 		}
 	}
 	t := s.last
+	if t.n > 0 && t.ev[t.n-1].seq >= e.seq {
+		e = placeInSeq(s, e)
+	}
 	if t.n == slotEvents {
 		t.more = q.getSlot()
 		t = t.more
 		t.at = e.at
 		s.last = t
-	} else if t.n > 0 && t.ev[t.n-1].seq >= e.seq {
-		outOfSeq()
 	}
 	t.ev[t.n] = e
 	t.n++
 	q.count++
 	if q.instants > 2*len(q.buckets) {
 		q.resize(2 * len(q.buckets))
+	} else if q.walkDebt > len(q.buckets) {
+		// The instants no longer spread over the table the way they did
+		// when the width was read: the near ones have grown denser (a
+		// phase of many short kernels after one of few long ones). Read
+		// it again, at the same size.
+		q.resize(len(q.buckets))
 	}
 }
 
-// outOfSeq reports an insert that would break an instant's FIFO order.
+// placeInSeq puts e where its seq belongs among the pending events of
+// the instant headed by s and returns the instant's last event, which
+// the caller appends: walking the instant in order, e trades places with
+// every event of a larger seq, so each moves one position back. It is
+// linear in the instant's events, and runs once per timer carried into
+// an instant that already holds later events.
 //
-//scaffe:coldpath a kernel bug, not a state a run can reach
+//scaffe:coldpath a carried deadline timer's placement, once per timeout window per proc
 //go:noinline
-func outOfSeq() { panic("sim: calendar insert out of seq order") }
+func placeInSeq(s *slot, e event) event {
+	for ; s != nil; s = s.more {
+		for i := s.h; i < s.n; i++ {
+			switch ev := &s.ev[i]; {
+			case ev.seq == e.seq:
+				panic("sim: calendar insert of a seq already pending")
+			case ev.seq > e.seq:
+				*ev, e = e, *ev
+			}
+		}
+	}
+	return e
+}
 
 // pop removes and returns the minimum event: the oldest of the first
 // instant of the minimum's bucket. While that instant has more events
@@ -369,26 +418,56 @@ func (q *calendarQueue) retable(nbuckets int, width Time) {
 	q.mask = nbuckets - 1
 	q.width = width
 	q.cacheOK = false
+	q.walkDebt = 0
 }
 
-// resize rebuilds the table with nb buckets, recomputing the bucket
-// width from the current spread so occupancy stays near-uniform. Only
-// the instants' places change; their events stay in their slots. The
-// choice is a deterministic function of queue contents, so replays
-// resize identically.
+// headSample is how many of the earliest pending instants the bucket
+// width is read from.
+const headSample = 25
+
+// headWidth is the bucket width for a queue whose earliest instants are
+// head, ascending: three times their mean separation, leaving out
+// separations more than twice the mean (Brown's estimate). It is the
+// spacing of the instants about to be popped, which is what the queue
+// spends its time on, whatever lies further out: a cloud of events far
+// ahead wraps around the table and spreads over every bucket, while a
+// width from the whole spread would crowd the near instants into a few
+// buckets and make every insert there walk past them.
+func headWidth(head []Time) Time {
+	if len(head) < 2 {
+		return 1
+	}
+	mean := (head[len(head)-1] - head[0]) / Time(len(head)-1)
+	var sum Time
+	k := 0
+	for i := 1; i < len(head); i++ {
+		if d := head[i] - head[i-1]; d <= 2*mean {
+			sum += d
+			k++
+		}
+	}
+	return max(3*sum/Time(k), 1)
+}
+
+// resize rebuilds the table with nb buckets and the width headWidth
+// reads off the earliest instants pending. Only the instants' places
+// change; their events stay in their slots. The choice is a
+// deterministic function of queue contents, so replays resize
+// identically.
 //
-//scaffe:coldpath resize runs O(log n) times for n instants; amortized out of steady state
+//scaffe:coldpath resize runs when the instants double or quarter, or inserts have walked a table's worth too far; amortized out of steady state
 func (q *calendarQueue) resize(nb int) {
 	var all *slot
-	var minAt, maxAt Time
+	var head [headSample]Time // the earliest instants, ascending
 	n := 0
 	for bi, s := range q.buckets {
 		for s != nil {
-			if n == 0 || s.at < minAt {
-				minAt = s.at
-			}
-			if n == 0 || s.at > maxAt {
-				maxAt = s.at
+			if n < headSample || s.at < head[headSample-1] {
+				i := min(n, headSample-1)
+				for ; i > 0 && head[i-1] > s.at; i-- {
+					head[i] = head[i-1]
+				}
+				head[i] = s.at
 			}
 			n++
 			nx := s.next
@@ -397,17 +476,11 @@ func (q *calendarQueue) resize(nb int) {
 		}
 		q.buckets[bi] = nil
 	}
-	width := Time(1)
-	if n > 1 {
-		width = (maxAt - minAt) / Time(n)
-		if width < 1 {
-			width = 1
-		}
-	}
-	q.retable(nb, width)
+	q.retable(nb, headWidth(head[:min(n, headSample)]))
 	for s := all; s != nil; {
 		nx := s.next
-		pp := q.find(s.at)
+		pp, walked := q.find(s.at)
+		q.links += uint64(walked)
 		s.next, *pp = *pp, s
 		s = nx
 	}

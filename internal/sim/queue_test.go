@@ -77,45 +77,91 @@ func (h *eventHeap) popEvent() event {
 // and requires identical pop order, every event out exactly once. The
 // profiles cover the regimes the kernel produces: dense same-instant
 // clusters, mixed near-future timers, and wide spreads that force table
-// resizes and the year-scan fallback. The last profile is about what the
+// resizes and the year-scan fallback. One profile is about what the
 // calendar does with its storage: rounds that flood the queue past
 // several table doublings — scattered times plus same-instant waves long
 // enough to chain slots — and drain it back through the halvings, so
 // that every round runs on the slots and table entries the round before
 // gave back, and nothing that was popped may come back.
+//
+// Some profiles hold events back the way the kernel carries a deadline
+// timer to its reserved key: the event's seq is drawn when it is pushed,
+// and it reaches the queue only later — at the latest just before the
+// pop that would pass its key — so it goes in front of later-seq events
+// already due at its instant, the current one included.
+//
+// The bimodal profile is the shape of a run whose waits carry deadlines:
+// a dense cluster of events just ahead and a sparse cloud one timeout
+// further, both advancing with the clock. The phases profile switches
+// between near events spread wide and near events packed tight without
+// the number pending changing much, which no resize by count notices.
+// On both the calendar must keep its walk short: the mean number of
+// instants find steps past per insert, resizes included, is gated
+// (walk). The heap pays about 2 log n comparisons per operation; the
+// calendar is allowed four links.
 func TestCalendarHeapDifferential(t *testing.T) {
 	profiles := []struct {
 		name   string
-		spread uint64 // max distance of an insert above current time
-		burst  uint64 // probability (%) of inserting at exactly now+1
-		wave   uint64 // probability (%) of inserting 3..42 events at one time
-		ops    int    // per round
-		rounds int    // each ends in a drain: to nothing, or to a remnant on odd rounds
-		tables int    // the table must have been this many times minBuckets, and back
+		spread uint64  // max distance of an insert above current time
+		burst  uint64  // probability (%) of inserting at exactly now+1
+		wave   uint64  // probability (%) of inserting 3..42 events at one time
+		cloud  uint64  // probability (%) of inserting one timeout (1<<20, plus up to 1/16 of it) ahead instead
+		carry  uint64  // probability (%) that an insert is held back, to go in by seq order later
+		phase  int     // every phase ops, the spread switches between spread and spread<<12
+		ops    int     // per round
+		rounds int     // each ends in a drain: to nothing, or to a remnant on odd rounds
+		tables int     // the table must have been this many times minBuckets, and back
+		walk   float64 // when positive, the most links per insert allowed
 	}{
-		{"dense-near", 64, 50, 0, 30000, 1, 1},
-		{"mixed", 4096, 10, 0, 30000, 1, 1},
-		{"wide-resize", 1 << 40, 0, 0, 20000, 1, 1},
-		{"clustered-jumps", 1 << 20, 70, 0, 30000, 1, 1},
-		{"recycle-across-resizes", 1 << 8, 0, 8, 1500, 12, 8},
+		{name: "dense-near", spread: 64, burst: 50, ops: 30000, rounds: 1, tables: 1},
+		{name: "mixed", spread: 4096, burst: 10, carry: 5, ops: 30000, rounds: 1, tables: 1},
+		{name: "wide-resize", spread: 1 << 40, ops: 20000, rounds: 1, tables: 1},
+		{name: "clustered-jumps", spread: 1 << 20, burst: 70, carry: 5, ops: 30000, rounds: 1, tables: 1},
+		{name: "recycle-across-resizes", spread: 1 << 8, wave: 8, carry: 3, ops: 1500, rounds: 12, tables: 8},
+		{name: "bimodal", spread: 1 << 8, burst: 10, cloud: 30, carry: 10, ops: 60000, rounds: 1, tables: 1, walk: 4},
+		{name: "phases", spread: 1 << 6, phase: 3000, ops: 60000, rounds: 1, tables: 1, walk: 4},
 	}
 	for _, pf := range profiles {
 		t.Run(pf.name, func(t *testing.T) {
 			var cal calendarQueue
 			var heap eventHeap
+			var held []event // pushed, not yet inserted
 			g := lcg(0x5caffe + len(pf.name))
 			var seq uint64
 			now := Time(0)
 			popped := []bool{true} // by seq; seq 0 is never issued
 			minTable, maxTable := 1<<30, 0
+			inserts := 0
+			insert := func(e event) {
+				cal.insert(e)
+				heap.pushEvent(e)
+				inserts++
+			}
 			push := func(at Time) {
 				seq++
 				popped = append(popped, false)
 				e := event{at: at, seq: seq, aux: seq}
-				cal.insert(e)
-				heap.pushEvent(e)
+				if g.next()%100 < pf.carry {
+					held = append(held, e)
+					return
+				}
+				insert(e)
+			}
+			// release inserts the held events that must go in now: every
+			// one ahead of the next pop, and a few at random before that.
+			release := func() {
+				kept := held[:0]
+				for _, e := range held {
+					if heap.Len() == 0 || eventLess(e, heap.peek()) || g.next()%8 == 0 {
+						insert(e)
+					} else {
+						kept = append(kept, e)
+					}
+				}
+				held = kept
 			}
 			pop := func(what string) {
+				release()
 				a, b := cal.pop(), heap.popEvent()
 				if a.at != b.at || a.seq != b.seq || a.aux != a.seq {
 					t.Fatalf("%s: calendar popped (at=%d seq=%d aux=%d), heap popped (at=%d seq=%d)",
@@ -130,16 +176,23 @@ func TestCalendarHeapDifferential(t *testing.T) {
 				now = a.at
 				minTable, maxTable = min(minTable, len(cal.buckets)), max(maxTable, len(cal.buckets))
 			}
+			pending := func() int { return heap.Len() + len(held) }
 			for round := 0; round < pf.rounds; round++ {
 				spread := pf.spread << (3 * uint(round%5)) // the width changes from round to round
 				for i := 0; i < pf.ops; i++ {
-					if r := g.next() % 100; heap.Len() > 0 && r >= 60 {
+					if r := g.next() % 100; pending() > 0 && r >= 60 {
 						pop("ops")
 						continue
 					}
 					at := now + 1 + Time(g.next()%spread)
+					if pf.phase > 0 && i/pf.phase%2 == 1 {
+						at = now + 1 + Time(g.next()%(spread<<12))
+					}
 					if g.next()%100 < pf.burst {
 						at = now + 1
+					}
+					if g.next()%100 < pf.cloud {
+						at = now + 1<<20 + Time(g.next()%(1<<16))
 					}
 					n := uint64(1)
 					if g.next()%100 < pf.wave {
@@ -150,14 +203,14 @@ func TestCalendarHeapDifferential(t *testing.T) {
 					}
 				}
 				keep := 5 * (round % 2)
-				for heap.Len() > keep {
+				for pending() > keep {
 					pop("drain")
 				}
 				if cal.count != heap.Len() {
 					t.Fatalf("round %d: calendar holds %d events, heap %d", round, cal.count, heap.Len())
 				}
 			}
-			for heap.Len() > 0 {
+			for pending() > 0 {
 				pop("final drain")
 			}
 			if cal.count != 0 || cal.instants != 0 {
@@ -170,6 +223,11 @@ func TestCalendarHeapDifferential(t *testing.T) {
 			}
 			if minTable != minBuckets || maxTable < pf.tables*minBuckets {
 				t.Errorf("table ranged over %d..%d buckets; want %d and at least %d", minTable, maxTable, minBuckets, pf.tables*minBuckets)
+			}
+			walk := float64(cal.links) / float64(inserts)
+			t.Logf("%d inserts, %.2f links per insert", inserts, walk)
+			if pf.walk > 0 && walk > pf.walk {
+				t.Errorf("inserts walked %.2f instants each on average, at most %.0f allowed", walk, pf.walk)
 			}
 			// Everything the queue ever carved is on the free list again,
 			// with nothing of its last use left in it.
