@@ -139,12 +139,12 @@ func run(cfg Config) (*Result, *runState, error) {
 	st.world = mpi.NewWorld(cluster, cfg.GPUs)
 	st.setComm(st.world.WorldComm())
 
-	// Every run has a fault plane and the membership state it drives, and
-	// every rank runs the one loop that listens to it (ftLoop). What a
-	// run that cannot trip leaves out is the wiring below mpi: its waits
-	// carry no deadline and its links no fault hook, so the plane never
-	// hears of anything.
-	pl := fault.NewPlane(k, cfg.GPUs, cfg.FaultTimeout)
+	// Every run drives the world's fault plane and the membership state
+	// it keeps, and every rank runs the one loop that listens to it
+	// (ftLoop). A run that cannot trip keeps the plane's quantum at
+	// sim.Never, so its waits carry no deadline and nothing ever consults
+	// the plane.
+	pl := st.world.Fault
 	pl.SetJoinRetries(cfg.JoinRetries)
 	st.ft = pl
 	st.ranksLive = cfg.GPUs
@@ -157,9 +157,9 @@ func run(cfg Config) (*Result, *runState, error) {
 	pl.SetRoot(st.rootRank())
 	canTrip := len(cfg.Faults) > 0 || cfg.Integrity != IntegrityOff || cfg.EvictFactor > 0
 	if canTrip {
-		st.world.Fault = pl
-		cluster.SetLinkFault(pl.LinkFactor)
+		pl.SetQuantum(cfg.FaultTimeout)
 	}
+	cluster.SetLinkFault(pl.LinkFactor)
 	if cfg.MaxVirtualTime > 0 {
 		k.SetDeadline(sim.Time(cfg.MaxVirtualTime))
 	}

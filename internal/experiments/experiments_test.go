@@ -65,12 +65,19 @@ func TestFigure12SpeedupShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every row's OpenMPI column must exceed MV2, which must exceed HR
-	// — the paper's ordering at every size.
+	// — the paper's ordering at every size: HR's speedup over MV2 is
+	// above 1 and below its speedup over OpenMPI.
+	speedup := func(cell string) float64 {
+		var x float64
+		if _, err := fmt.Sscanf(cell, "%fx", &x); err != nil {
+			t.Fatalf("speedup cell malformed: %q", cell)
+		}
+		return x
+	}
 	for _, row := range tb.Rows {
-		mv2 := row[4]
-		ompi := row[5]
-		if !strings.HasSuffix(mv2, "x") || !strings.HasSuffix(ompi, "x") {
-			t.Fatalf("speedup cells malformed: %q %q", mv2, ompi)
+		mv2, ompi := speedup(row[4]), speedup(row[5])
+		if !(1 < mv2 && mv2 < ompi) {
+			t.Errorf("%s: HR vs MV2 %.1fx, HR vs OpenMPI %.1fx; want 1 < HR-vs-MV2 < HR-vs-OpenMPI", row[0], mv2, ompi)
 		}
 	}
 	if len(tb.Notes) == 0 {

@@ -22,8 +22,12 @@ type Backoff struct {
 }
 
 // Step returns the deadline for the given retry attempt (attempt 0 is
-// the first wait). Negative attempts clamp to 0.
+// the first wait). Negative attempts clamp to 0. The ladder of a
+// sim.Never quantum is sim.Never at every attempt.
 func (b Backoff) Step(attempt int) sim.Duration {
+	if b.Quantum == sim.Never {
+		return sim.Never
+	}
 	if attempt < 0 {
 		attempt = 0
 	}

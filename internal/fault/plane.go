@@ -196,7 +196,6 @@ type linkWindow struct {
 // so there is no locking.
 type Plane struct {
 	k       *sim.Kernel
-	quantum sim.Duration
 	total   int
 	applier Applier
 	rebuild func() int
@@ -254,15 +253,11 @@ type Plane struct {
 	report Report
 }
 
-// NewPlane returns an un-armed plane for a world of `ranks` ranks.
-// A zero quantum uses DefaultTimeout.
+// NewPlane returns an un-armed plane for a world of `ranks` ranks, with
+// the deadline quantum SetQuantum takes.
 func NewPlane(k *sim.Kernel, ranks int, quantum sim.Duration) *Plane {
-	if quantum <= 0 {
-		quantum = DefaultTimeout
-	}
-	return &Plane{
+	pl := &Plane{
 		k:            k,
-		quantum:      quantum,
 		total:        ranks,
 		excluded:     make([]bool, ranks),
 		failed:       make([]bool, ranks),
@@ -274,8 +269,21 @@ func NewPlane(k *sim.Kernel, ranks int, quantum sim.Duration) *Plane {
 		rejoinQueued: make([]bool, ranks),
 		joinRec:      make([]JoinRecord, ranks),
 		joinBudget:   DefaultJoinRetries,
-		backoff:      Backoff{Quantum: quantum, MaxShift: maxBackoffShift},
 	}
+	pl.SetQuantum(quantum)
+	return pl
+}
+
+// SetQuantum sets the base deadline the backoff ladder grows from; zero
+// or negative uses DefaultTimeout. The quantum is the one place that
+// knows whether a run can trip: a plane whose quantum is sim.Never hands
+// out Never at every attempt, so its waits carry no deadline and never
+// consult it.
+func (pl *Plane) SetQuantum(quantum sim.Duration) {
+	if quantum <= 0 {
+		quantum = DefaultTimeout
+	}
+	pl.backoff = Backoff{Quantum: quantum, MaxShift: maxBackoffShift}
 }
 
 // SetRoot tells the plane which rank anchors the partition quorum

@@ -6,14 +6,17 @@ import (
 	"scaffe/internal/topology"
 )
 
-// ULFM-style fault tolerance: when the world carries a fault plane
-// (World.Fault non-nil), every wait runs in deadline slices. A deadline
-// that expires without progress consults the plane — if a rank is dead
-// the communicator is revoked and the wait panics with Revoked{}, which
-// the engine catches to enter recovery; otherwise the wait retries with
-// exponential backoff, riding out transient slowness (stragglers,
-// degraded links). An expiry that finds nothing wrong is a step on the
-// event loop (PollWait), not a resume of the waiting proc.
+// ULFM-style fault tolerance: every world carries a fault plane
+// (World.Fault), and every wait runs in the deadline slices of its
+// backoff ladder. A deadline that expires without progress consults the
+// plane — if a rank is dead the communicator is revoked and the wait
+// panics with Revoked{}, which the engine catches to enter recovery;
+// otherwise the wait retries with exponential backoff, riding out
+// transient slowness (stragglers, degraded links). An expiry that finds
+// nothing wrong is a step on the event loop (PollWait), not a resume of
+// the waiting proc. A plane that cannot trip has the quantum sim.Never:
+// its slices never end, so its waits cost what a wait without a
+// deadline costs, and a world that deadlocks still reports it.
 
 // Revoked is the panic value thrown by fault-aware MPI operations
 // once the communicator has been revoked. It unwinds the current
@@ -33,7 +36,7 @@ func IsRevoked(rec any) bool {
 // communicator is already revoked, so a rank cannot start new traffic
 // against a dead world.
 func (r *Rank) ftCheck() {
-	if pl := r.W.Fault; pl != nil && pl.Revoked() {
+	if r.W.Fault.Revoked() {
 		panic(Revoked{})
 	}
 }
@@ -58,25 +61,18 @@ func (w *Waiter) Armed() bool { return w.armed }
 // must call PollWait again with the same arguments: that call either
 // finds c fired, or finds a deadline slice expired, consults the fault
 // plane (panicking with Revoked{} on a detected failure, as ftCheck
-// does up front) and arms the next, longer slice. Without a fault plane
-// the wait has no deadline.
+// does up front) and arms the next, longer slice.
 //
 //scaffe:hotpath
 func (r *Rank) PollWait(p *sim.Proc, w *Waiter, c *sim.Completion) (done bool) {
 	pl := r.W.Fault
 	if !w.armed {
-		if pl == nil {
-			if p.ArmWait(c) {
-				return true
-			}
-		} else {
-			if pl.Revoked() {
-				panic(Revoked{})
-			}
-			w.attempt = 0
-			if p.ArmWaitTimeout(c, pl.Timeout(0)) {
-				return true
-			}
+		if pl.Revoked() {
+			panic(Revoked{})
+		}
+		w.attempt = 0
+		if p.ArmWaitTimeout(c, pl.Timeout(0)) {
+			return true
 		}
 		w.armed = true
 		return false

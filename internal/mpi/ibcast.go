@@ -305,31 +305,28 @@ func (w *World) putBcastEdge(e *bcastEdge) {
 //
 //scaffe:hotpath
 func (e *bcastEdge) RunEvent(k *sim.Kernel) {
-	if pl := e.w.Fault; pl != nil {
-		w := e.w
-		if e.ghost {
-			// A duplicate landing after the original committed: re-copy
-			// only while the op is still live under its key, and never
-			// commit — the original already did.
-			if op := w.bcastOps[e.ghostKey]; op == e.op {
-				if src, dst := op.postBuf[e.parent], op.postBuf[e.child]; src != nil && dst != nil {
-					dst.CopyFrom(src)
-				}
+	w := e.w
+	if e.ghost {
+		// A duplicate landing after the original committed: re-copy only
+		// while the op is still live under its key, and never commit —
+		// the original already did.
+		if op := w.bcastOps[e.ghostKey]; op == e.op {
+			if src, dst := op.postBuf[e.parent], op.postBuf[e.child]; src != nil && dst != nil {
+				dst.CopyFrom(src)
 			}
-			w.putBcastEdge(e)
-			return
 		}
-		if e.op.epoch != w.epoch {
-			pl.NoteStaleDissolved()
-			w.putBcastEdge(e)
-			return
-		}
-		if pl.WireArmed() && !e.replay && !w.perturbEdge(e, k.Now()) {
-			return
-		}
+		w.putBcastEdge(e)
+		return
+	}
+	if e.op.epoch != w.epoch {
+		w.Fault.NoteStaleDissolved()
+		w.putBcastEdge(e)
+		return
+	}
+	if w.Fault.WireArmed() && !e.replay && !w.perturbEdge(e, k.Now()) {
+		return
 	}
 	op, parent, child, try, isRootEdge := e.op, e.parent, e.child, e.try, e.isRootEdge
-	w := e.w
 	w.putBcastEdge(e)
 	if src, dst := op.postBuf[parent], op.postBuf[child]; src != nil && dst != nil {
 		dst.CopyFrom(src)
@@ -411,17 +408,13 @@ func (op *bcastOp) verifyEdge(w *World, parent, child, try int, isRootEdge bool)
 		return
 	}
 	if try >= integ.RetryBudget {
+		// Leave the edge uncommitted: every rank blocked on this broadcast
+		// finds the plane revoked at its next deadline and unwinds into
+		// the recovery rendezvous. A plane that cannot trip has no
+		// deadline to find it with, and the run ends in a deadlock rather
+		// than commit the damaged payload.
 		integ.Escalations++
-		if pl := w.Fault; pl != nil {
-			// Leave the edge uncommitted: every rank blocked on this
-			// broadcast times out against the revoked plane and
-			// unwinds into the recovery rendezvous.
-			pl.Revoke()
-			return
-		}
-		// No fault plane to escalate to; deliver the damaged payload
-		// rather than deadlock the world.
-		op.commitEdge(w, child, isRootEdge)
+		w.Fault.Revoke()
 		return
 	}
 	integ.Retransmits++

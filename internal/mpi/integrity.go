@@ -190,9 +190,7 @@ func (s *Summed) Verify() {
 		}
 		if try >= integ.RetryBudget {
 			integ.Escalations++
-			if pl := w.Fault; pl != nil {
-				pl.Revoke()
-			}
+			w.Fault.Revoke()
 			panic(Revoked{})
 		}
 		integ.Retransmits++

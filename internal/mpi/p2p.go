@@ -285,30 +285,28 @@ type delivery struct {
 //
 //scaffe:hotpath
 func (d *delivery) RunEvent(k *sim.Kernel) {
-	if pl := d.sender.W.Fault; pl != nil {
-		w := d.sender.W
-		if d.epoch != w.epoch {
-			pl.NoteStaleDissolved()
-			w.putDelivery(d)
-			return
+	w := d.sender.W
+	if d.epoch != w.epoch {
+		w.Fault.NoteStaleDissolved()
+		w.putDelivery(d)
+		return
+	}
+	if d.ghost {
+		// A duplicate landing: the original has already delivered at this
+		// instant, so the waiter's generations are still valid and the
+		// re-copy is a harmless overwrite with identical bytes. The
+		// integrity handle is NOT re-settled — the payload arrived once as
+		// far as checksumming is concerned.
+		if d.recvReq.done.Gen() == d.recvGen {
+			d.recvReq.buf.CopyFrom(d.src)
 		}
-		if d.ghost {
-			// A duplicate landing: the original has already delivered at
-			// this instant, so the waiter's generations are still valid
-			// and the re-copy is a harmless overwrite with identical
-			// bytes. The integrity handle is NOT re-settled — the payload
-			// arrived once as far as checksumming is concerned.
-			if d.recvReq.done.Gen() == d.recvGen {
-				d.recvReq.buf.CopyFrom(d.src)
-			}
-			d.recvReq.Done.FireIf(d.recvGen)
-			d.sendReq.Done.FireIf(d.sendGen)
-			w.putDelivery(d)
-			return
-		}
-		if pl.WireArmed() && !d.replay && !w.perturbDelivery(d, k.Now()) {
-			return
-		}
+		d.recvReq.Done.FireIf(d.recvGen)
+		d.sendReq.Done.FireIf(d.sendGen)
+		w.putDelivery(d)
+		return
+	}
+	if w.Fault.WireArmed() && !d.replay && !w.perturbDelivery(d, k.Now()) {
+		return
 	}
 	d.recvReq.buf.CopyFrom(d.src)
 	if s := d.summed; s != nil {
@@ -316,7 +314,7 @@ func (d *delivery) RunEvent(k *sim.Kernel) {
 	}
 	d.recvReq.Done.FireIf(d.recvGen)
 	d.sendReq.Done.FireIf(d.sendGen)
-	d.sender.W.putDelivery(d)
+	w.putDelivery(d)
 }
 
 // startTransfer books the wire time and schedules delivery: at the end

@@ -28,11 +28,12 @@ type World struct {
 	Cluster *topology.Cluster
 	Ranks   []*Rank
 
-	// Fault, when non-nil, arms failure detection: every blocking
-	// wait becomes deadline-sliced and can revoke the communicator
-	// (see fault.go). Nil is the one place that knows nothing can trip:
-	// waits carry no deadline and landings no fate check. The callers
-	// above run the same code either way.
+	// Fault is the world's fault plane, never nil: every blocking wait
+	// runs in the deadline slices its backoff ladder hands out and can
+	// revoke the communicator (see fault.go). NewWorld installs an idle
+	// plane whose quantum is sim.Never, so its waits carry no deadline;
+	// a run that can trip gives that plane a finite quantum or installs
+	// its own.
 	Fault *fault.Plane
 
 	// Integrity, when non-nil with a mode other than IntegrityOff,
@@ -63,12 +64,12 @@ type World struct {
 }
 
 // NewWorld creates an n-rank world on cluster c, one rank per CUDA
-// device in block placement order.
+// device in block placement order, with an idle fault plane.
 func NewWorld(c *topology.Cluster, n int) *World {
 	if n > c.TotalGPUs() {
 		panic(fmt.Sprintf("mpi: %d ranks requested but cluster has %d GPUs", n, c.TotalGPUs()))
 	}
-	w := &World{K: c.K, Cluster: c, bcastOps: make(map[bcastKey]*bcastOp)}
+	w := &World{K: c.K, Cluster: c, Fault: fault.NewPlane(c.K, n, sim.Never), bcastOps: make(map[bcastKey]*bcastOp)}
 	for i := 0; i < n; i++ {
 		w.Ranks = append(w.Ranks, &Rank{
 			W:   w,

@@ -34,6 +34,11 @@ const (
 	Second      Duration = 1000 * Millisecond
 )
 
+// Never is the deadline that never comes: a wait armed with it
+// (ArmWaitTimeout) ends only when its completion fires, exactly as one
+// armed with no deadline at all.
+const Never Duration = 1<<63 - 1
+
 // Seconds returns the time as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 

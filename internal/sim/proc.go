@@ -204,7 +204,7 @@ func (p *Proc) Yield() {
 // Wait blocks until c fires. If c has already fired it returns
 // immediately without yielding.
 func (p *Proc) Wait(c *Completion) {
-	if !p.ArmWait(c) {
+	if !p.ArmWaitTimeout(c, Never) {
 		p.park()
 	}
 }
@@ -226,8 +226,8 @@ func (p *Proc) WaitTimeout(c *Completion, d Duration) bool {
 // instead of blocking.
 type Stepper interface {
 	// Step runs the proc's work up to its next wait. It returns false
-	// after arming exactly one wait with ArmUntil, ArmWait or
-	// ArmWaitTimeout: the proc stays parked and the next resume calls
+	// after arming exactly one wait with ArmUntil or ArmWaitTimeout: the
+	// proc stays parked and the next resume calls
 	// Step again. It returns true, with no wait armed, to give control
 	// back to the proc's goroutine, which returns from RunSteps.
 	//
@@ -274,23 +274,12 @@ func (p *Proc) RunSteps(s Stepper) {
 //scaffe:hotpath
 func (p *Proc) ArmUntil(t Time) { p.k.atResume(t, p) }
 
-// ArmWait is Wait without the park, for a Step. It reports whether c
-// has already fired, in which case nothing is armed; otherwise the proc
-// is resumed when c fires.
-//
-//scaffe:hotpath
-func (p *Proc) ArmWait(c *Completion) (fired bool) {
-	if c.fired {
-		return true
-	}
-	c.addWaiter(waiter{p, p.armWait()})
-	return false
-}
-
 // ArmWaitTimeout is WaitTimeout without the park, for a Step. It
 // reports whether c has already fired, in which case nothing is armed;
 // otherwise the proc is resumed when c fires or d from now, whichever
-// is first, and c.Fired tells the two apart.
+// is first, and c.Fired tells the two apart. A wait whose d is Never
+// has no deadline: it reserves no sequence number and makes no timer,
+// so it adds nothing to the event stream but c's wake.
 //
 //scaffe:hotpath
 func (p *Proc) ArmWaitTimeout(c *Completion, d Duration) (fired bool) {
@@ -298,7 +287,9 @@ func (p *Proc) ArmWaitTimeout(c *Completion, d Duration) (fired bool) {
 		return true
 	}
 	c.addWaiter(waiter{p, p.armWait()})
-	p.armDeadline(p.k.now + d)
+	if d != Never {
+		p.armDeadline(p.k.now + d)
+	}
 	return false
 }
 

@@ -510,7 +510,7 @@ func (s *allocStepper) Step(p *Proc) bool {
 	case 1:
 		s.c.Init(p.k)
 		s.fire.at(p.k, p.Now()+5, s.c)
-		p.ArmWait(s.c)
+		p.ArmWaitTimeout(s.c, Never)
 	case 2:
 		s.c.Init(p.k)
 		p.ArmWaitTimeout(s.c, 5)

@@ -70,7 +70,7 @@ func (s *scriptStepper) Step(p *Proc) bool {
 		fired := false
 		switch op := s.ops[s.i]; op.kind {
 		case opWait:
-			fired = p.ArmWait(op.c)
+			fired = p.ArmWaitTimeout(op.c, Never)
 		case opUntil:
 			p.ArmUntil(op.t)
 		case opTimeout:
@@ -177,7 +177,7 @@ func runScript(t *testing.T, stepped bool, kill Time, killEarly bool) scriptRun 
 }
 
 // TestStepsMatchBlockingWaits is the differential test of the step
-// contract: a Stepper arming its waits with ArmUntil, ArmWait and
+// contract: a Stepper arming its waits with ArmUntil and
 // ArmWaitTimeout makes the kernel pop exactly the events, with exactly
 // the sequence numbers, that the blocking calls make it pop — through
 // fired and unfired waits, past and future deadlines, a completion and

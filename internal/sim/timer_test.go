@@ -152,7 +152,7 @@ func (s *tProc) begin(p *Proc) bool {
 		}
 		fired = s.run.arm(p, c, op.d)
 	} else {
-		fired = p.ArmWait(c)
+		fired = p.ArmWaitTimeout(c, Never)
 	}
 	if fired {
 		s.finish(p, false)

@@ -167,12 +167,15 @@ type Cluster struct {
 	perNode int
 	name    string
 
-	// linkFault, when set, returns a duration multiplier (>= 1) for
-	// inter-node transfers leaving srcNode at virtual time `at` — the
-	// fault plane's transient link-degradation hook. Nil means every
-	// link is healthy.
+	// linkFault returns a duration multiplier (>= 1) for inter-node
+	// transfers leaving srcNode at virtual time `at` — the fault plane's
+	// transient link-degradation hook. New starts it at healthyLink.
 	linkFault func(at sim.Time, srcNode, dstNode int) float64
 }
+
+// healthyLink is the link hook of a cluster no fault plane drives:
+// every link runs at full speed.
+func healthyLink(sim.Time, int, int) float64 { return 1 }
 
 // SetLinkFault installs the inter-node link-degradation hook.
 func (c *Cluster) SetLinkFault(f func(at sim.Time, srcNode, dstNode int) float64) {
@@ -180,12 +183,9 @@ func (c *Cluster) SetLinkFault(f func(at sim.Time, srcNode, dstNode int) float64
 }
 
 // scaleWire stretches an inter-node transfer duration by the link
-// fault factor in effect at `at`; with no hook (or factor 1) the
-// duration is returned untouched.
+// fault factor in effect at `at`; at factor 1 the duration is returned
+// untouched.
 func (c *Cluster) scaleWire(at sim.Time, srcNode, dstNode int, d sim.Duration) sim.Duration {
-	if c.linkFault == nil {
-		return d
-	}
 	if f := c.linkFault(at, srcNode, dstNode); f > 1 {
 		return sim.Duration(float64(d) * f)
 	}
@@ -198,7 +198,7 @@ func New(k *sim.Kernel, name string, nodes, gpusPerNode int, p Params) *Cluster 
 	if nodes <= 0 || gpusPerNode <= 0 {
 		panic("topology: cluster dimensions must be positive")
 	}
-	c := &Cluster{K: k, P: p, perNode: gpusPerNode, name: name}
+	c := &Cluster{K: k, P: p, perNode: gpusPerNode, name: name, linkFault: healthyLink}
 	newLink := func(name string) Link {
 		return Link{In: k.NewResource(name + ".in"), Out: k.NewResource(name + ".out")}
 	}
