@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -220,20 +221,24 @@ func hasGoFiles(dir string) bool {
 		return false
 	}
 	for _, e := range entries {
-		if !e.IsDir() && isAnalyzedFile(e.Name()) {
+		if !e.IsDir() && isAnalyzedFile(dir, e.Name()) {
 			return true
 		}
 	}
 	return false
 }
 
-// isAnalyzedFile reports whether a file name belongs to the analyzed
-// (non-test) part of a package.
-func isAnalyzedFile(name string) bool {
-	return strings.HasSuffix(name, ".go") &&
-		!strings.HasSuffix(name, "_test.go") &&
-		!strings.HasPrefix(name, ".") &&
-		!strings.HasPrefix(name, "_")
+// isAnalyzedFile reports whether a file in dir belongs to the analyzed
+// (non-test) part of its package as go build would compile it for the
+// host: build constraints and _GOOS/_GOARCH suffixes are honoured, so
+// per-architecture files of one package do not collide. A file whose
+// constraint cannot be read is kept, and the parser reports it.
+func isAnalyzedFile(dir, name string) bool {
+	if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		return false
+	}
+	match, err := build.Default.MatchFile(dir, name)
+	return match || err != nil
 }
 
 // LoadDir parses and type-checks the package in dir under the given
@@ -249,7 +254,7 @@ func (l *Loader) LoadDir(dir, path string) (*Pkg, error) {
 	}
 	var names []string
 	for _, e := range entries {
-		if !e.IsDir() && isAnalyzedFile(e.Name()) {
+		if !e.IsDir() && isAnalyzedFile(dir, e.Name()) {
 			names = append(names, e.Name())
 		}
 	}

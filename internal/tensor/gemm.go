@@ -11,16 +11,11 @@ import (
 const gemmParallelThreshold = 64 * 64
 
 const (
-	// gemmMR is the micro-kernel row tile: the blocked kernels compute
-	// gemmMR rows of C per pass over B, quartering B traffic.
+	// gemmMR and gemmNR are the micro-kernel's tile: gemmMR rows of C
+	// (one A panel) by gemmNR columns (one B strip, two 8-float AVX
+	// vectors), which keeps the eight accumulators in registers.
 	gemmMR = 4
-	// gemmNB is the packed-panel width: B columns are processed in
-	// blocks of gemmNB so one packed panel (k×gemmNB floats) stays
-	// cache-resident across every row tile that consumes it.
-	gemmNB = 512
-	// gemmPackMin is the minimum k*width of a column block worth
-	// packing; smaller panels are streamed directly.
-	gemmPackMin = 32 * 1024
+	gemmNR = 16
 )
 
 // Gemm computes C = alpha*op(A)*op(B) + beta*C for row-major matrices,
@@ -28,17 +23,21 @@ const (
 // (K×M if transA), B is K×N (N×K if transB), C is M×N.
 //
 // Determinism contract: every element of C is accumulated by exactly
-// one worker, in ascending-p order, regardless of how the output is
-// partitioned — so results are bit-identical run-to-run and across any
-// GOMAXPROCS setting. Parallel dispatch goes through a persistent
-// worker pool and a pooled call descriptor, so steady-state calls do
-// not allocate.
+// one worker, in ascending-p order, with one rounded multiply and one
+// rounded add per term, regardless of how the output is partitioned or
+// which micro-kernel runs — so results are bit-identical run-to-run,
+// across any GOMAXPROCS setting and across GOARCH. Parallel dispatch
+// goes through a persistent worker pool and a pooled call descriptor,
+// so steady-state calls do not allocate.
 //
 //scaffe:hotpath
 func Gemm(transA, transB bool, m, n, k int, alpha float32, a []float32, b []float32, beta float32, c []float32) {
 	if len(c) < m*n {
 		panic("tensor: gemm C too small")
 	}
+	// The assembly micro-kernel reads A and B without bounds checks;
+	// capping each at its length panics here if it is short.
+	a, b = a[:m*k:len(a)], b[:k*n:len(b)]
 	workers := runtime.GOMAXPROCS(0)
 	if m*n < gemmParallelThreshold || workers < 2 {
 		scaleCSpan(n, beta, c, 0, m, 0, n)
@@ -88,59 +87,6 @@ func Gemm(transA, transB bool, m, n, k int, alpha float32, a []float32, b []floa
 	g.runSpan(0, hi0)
 	g.wg.Wait()
 	putGemmCall(g)
-}
-
-// Gemv computes y = alpha*op(A)*x + beta*y for a row-major M×K matrix.
-// Matrix-vector work is memory-bound and its output is only m (or k)
-// elements, so the GEMM path's m*n parallel threshold and per-row
-// partitioning are mis-sized for it; plain dot (no-trans) and axpy
-// (trans) loops beat goroutine fan-out for every shape the models use.
-//
-//scaffe:hotpath
-func Gemv(transA bool, m, k int, alpha float32, a, x []float32, beta float32, y []float32) {
-	if transA {
-		// y (len k) = beta*y + alpha * A^T x, accumulated row by row.
-		if len(y) < k {
-			panic("tensor: gemv y too small")
-		}
-		yk := y[:k]
-		if beta == 0 {
-			for i := range yk {
-				yk[i] = 0
-			}
-		} else if beta != 1 {
-			for i := range yk {
-				yk[i] *= beta
-			}
-		}
-		for p := 0; p < m; p++ {
-			s := alpha * x[p]
-			if s == 0 {
-				continue
-			}
-			ap := a[p*k : p*k+k]
-			for i, av := range ap {
-				yk[i] += s * av
-			}
-		}
-		return
-	}
-	if len(y) < m {
-		panic("tensor: gemv y too small")
-	}
-	xk := x[:k]
-	for i := 0; i < m; i++ {
-		ai := a[i*k : i*k+k]
-		var acc float32
-		for p, av := range ai {
-			acc += av * xk[p]
-		}
-		if beta == 0 {
-			y[i] = alpha * acc
-		} else {
-			y[i] = beta*y[i] + alpha*acc
-		}
-	}
 }
 
 // --- persistent worker pool ----------------------------------------------
@@ -230,7 +176,7 @@ func (g *gemmCall) runSpan(lo, hi int) {
 // --- kernels --------------------------------------------------------------
 
 // scaleCSpan applies the beta prologue to C[ilo:ihi, jlo:jhi]; the
-// kernels below are pure accumulators.
+// kernel below is a pure accumulator.
 func scaleCSpan(n int, beta float32, c []float32, ilo, ihi, jlo, jhi int) {
 	if beta == 1 {
 		return
@@ -249,208 +195,170 @@ func scaleCSpan(n int, beta float32, c []float32, ilo, ihi, jlo, jhi int) {
 	}
 }
 
-// gemmKernel accumulates alpha*op(A)*op(B) into C[ilo:ihi, jlo:jhi].
+// gemmKernel accumulates alpha*op(A)*op(B) into C[ilo:ihi, jlo:jhi],
+// one gemmMR×gemmNR tile at a time. Each tile is refGemm's contract for
+// its transpose case: without transB, alpha is folded into A and the
+// terms are added onto C itself; with transB, the dot products start
+// from a zero tile and C += alpha*acc finishes them.
+//
+// The micro-kernel takes strides, so it reads full A panels and full,
+// untransposed B strips where they lie. Only what it cannot stream is
+// packed into workspace scratch: A panels that need alpha folded in or
+// run past ihi, B strips that are transposed or run past jhi, and both
+// when k == 0 leaves no element to point at.
 func gemmKernel(transA, transB bool, m, n, k int, alpha float32, a, b, c []float32, ilo, ihi, jlo, jhi int) {
-	switch {
-	case !transA && !transB:
-		gemmNN(n, k, alpha, a, b, c, ilo, ihi, jlo, jhi)
-	case !transA && transB:
-		gemmNT(n, k, alpha, a, b, c, ilo, ihi, jlo, jhi)
-	case transA && !transB:
-		gemmTN(m, n, k, alpha, a, b, c, ilo, ihi, jlo, jhi)
-	default:
-		gemmTT(m, n, k, alpha, a, b, c, ilo, ihi, jlo, jhi)
+	// Element (i, p) of op(A) is a[i*ars + p*aps].
+	ars, aps := k, 1
+	if transA {
+		ars, aps = 1, m
 	}
-}
-
-// gemmNN handles C += alpha*A*B. B columns are processed in gemmNB-wide
-// blocks; blocks large enough to pay for it are packed into a
-// contiguous panel from the workspace pool, so every row tile after the
-// first streams the panel out of cache instead of re-reading B from
-// memory. Per C element the accumulation runs in ascending-p order —
-// identical to the unblocked kernel.
-func gemmNN(n, k int, alpha float32, a, b, c []float32, ilo, ihi, jlo, jhi int) {
-	pack := ihi-ilo >= 2*gemmMR && k*min(gemmNB, jhi-jlo) >= gemmPackMin
-	var buf *[]float32
-	var panel []float32
-	if pack {
-		buf = GetScratch(k * min(gemmNB, jhi-jlo))
-		panel = *buf
+	fold := !transB
+	streamed := ilo + (ihi-ilo)/gemmMR*gemmMR // A panels before this row are read in place
+	if (fold && alpha != 1) || k == 0 {
+		streamed = ilo
 	}
-	for jb := jlo; jb < jhi; jb += gemmNB {
-		w := min(gemmNB, jhi-jb)
-		bp := b
-		boff, bstride := jb, n
-		if pack {
+	packed := (ihi - streamed + gemmMR - 1) / gemmMR * gemmMR
+	buf := GetScratch((packed + gemmNR) * k)
+	ap, bp := (*buf)[:packed*k], (*buf)[packed*k:]
+	for i := streamed; i < ihi; i += gemmMR {
+		panel := ap[(i-streamed)*k : (i-streamed+gemmMR)*k]
+		for r := 0; r < gemmMR; r++ {
 			for p := 0; p < k; p++ {
-				copy(panel[p*w:(p+1)*w], b[p*n+jb:p*n+jb+w])
+				var v float32
+				if i+r < ihi {
+					v = a[(i+r)*ars+p*aps]
+					if fold {
+						v = alpha * v
+					}
+				}
+				panel[p*gemmMR+r] = v
 			}
-			bp, boff, bstride = panel, 0, w
 		}
-		i := ilo
-		for ; i+gemmMR <= ihi; i += gemmMR {
-			c0 := c[i*n+jb : i*n+jb+w]
-			c1 := c[(i+1)*n+jb : (i+1)*n+jb+w]
-			c2 := c[(i+2)*n+jb : (i+2)*n+jb+w]
-			c3 := c[(i+3)*n+jb : (i+3)*n+jb+w]
-			a0 := a[i*k : i*k+k]
-			a1 := a[(i+1)*k : (i+1)*k+k]
-			a2 := a[(i+2)*k : (i+2)*k+k]
-			a3 := a[(i+3)*k : (i+3)*k+k]
+	}
+
+	var tile [gemmMR * gemmNR]float32
+	for jb := jlo; jb < jhi; jb += gemmNR {
+		w := min(gemmNR, jhi-jb)
+		bsrc, bs := bp, gemmNR
+		switch {
+		case !transB && w == gemmNR && k > 0:
+			bsrc, bs = b[jb:], n
+		case transB:
+			if w < gemmNR {
+				clear(bp)
+			}
+			packTransposed(bp, b[jb*k:], k, w)
+		default:
+			clear(bp)
 			for p := 0; p < k; p++ {
-				s0 := alpha * a0[p]
-				s1 := alpha * a1[p]
-				s2 := alpha * a2[p]
-				s3 := alpha * a3[p]
-				if s0 == 0 && s1 == 0 && s2 == 0 && s3 == 0 {
+				copy(bp[p*gemmNR:p*gemmNR+w], b[p*n+jb:p*n+jb+w])
+			}
+		}
+		for i := ilo; i < ihi; i += gemmMR {
+			h := min(gemmMR, ihi-i)
+			asrc, rs, ps := a, ars, aps
+			if i < streamed {
+				asrc = a[i*ars:]
+			} else {
+				asrc, rs, ps = ap[(i-streamed)*k:], 1, gemmMR
+			}
+			if fold && h == gemmMR && w == gemmNR {
+				microKernel(k, asrc, rs, ps, bsrc, bs, c[i*n+jb:], n)
+				continue
+			}
+			tile = [gemmMR * gemmNR]float32{}
+			if fold {
+				for r := 0; r < h; r++ {
+					copy(tile[r*gemmNR:r*gemmNR+w], c[(i+r)*n+jb:])
+				}
+			}
+			microKernel(k, asrc, rs, ps, bsrc, bs, tile[:], gemmNR)
+			for r := 0; r < h; r++ {
+				ci := c[(i+r)*n+jb : (i+r)*n+jb+w]
+				if fold {
+					copy(ci, tile[r*gemmNR:])
 					continue
 				}
-				row := bp[p*bstride+boff : p*bstride+boff+w]
-				for j, bv := range row {
-					c0[j] += s0 * bv
-					c1[j] += s1 * bv
-					c2[j] += s2 * bv
-					c3[j] += s3 * bv
-				}
-			}
-		}
-		for ; i < ihi; i++ {
-			ci := c[i*n+jb : i*n+jb+w]
-			ai := a[i*k : i*k+k]
-			for p, av := range ai {
-				if av == 0 {
-					continue
-				}
-				s := alpha * av
-				row := bp[p*bstride+boff : p*bstride+boff+w]
-				for j, bv := range row {
-					ci[j] += s * bv
+				for j := range ci {
+					ci[j] += float32(alpha * tile[r*gemmNR+j])
 				}
 			}
 		}
 	}
-	if pack {
-		PutScratch(buf)
-	}
+	PutScratch(buf)
 }
 
-// gemmNT handles C += alpha*A*B^T: each C element is a dot product of
-// an A row and a B row. The row tile computes four dots per B-row pass,
-// each with its own sequential accumulator, so per-element rounding
-// matches the unblocked kernel exactly.
-func gemmNT(n, k int, alpha float32, a, b, c []float32, ilo, ihi, jlo, jhi int) {
-	i := ilo
-	for ; i+gemmMR <= ihi; i += gemmMR {
-		a0 := a[i*k : i*k+k]
-		a1 := a[(i+1)*k : (i+1)*k+k]
-		a2 := a[(i+2)*k : (i+2)*k+k]
-		a3 := a[(i+3)*k : (i+3)*k+k]
-		for j := jlo; j < jhi; j++ {
-			bj := b[j*k : j*k+k]
-			var acc0, acc1, acc2, acc3 float32
-			for p, bv := range bj {
-				acc0 += a0[p] * bv
-				acc1 += a1[p] * bv
-				acc2 += a2[p] * bv
-				acc3 += a3[p] * bv
+// packTransposed writes the first w rows of b, each k long, as the
+// columns of the k×gemmNR strip dst. It walks p in blocks whose strip
+// lines stay in L1, reading four rows of b at a time.
+func packTransposed(dst, b []float32, k, w int) {
+	for pb := 0; pb < k; pb += 64 {
+		pe := min(pb+64, k)
+		j := 0
+		for ; j+4 <= w; j += 4 {
+			r0 := b[j*k+pb : j*k+pe]
+			r1 := b[(j+1)*k+pb:][:len(r0)]
+			r2 := b[(j+2)*k+pb:][:len(r0)]
+			r3 := b[(j+3)*k+pb:][:len(r0)]
+			for p := range r0 {
+				d := dst[(pb+p)*gemmNR+j:][:4]
+				d[0], d[1], d[2], d[3] = r0[p], r1[p], r2[p], r3[p]
 			}
-			c[i*n+j] += alpha * acc0
-			c[(i+1)*n+j] += alpha * acc1
-			c[(i+2)*n+j] += alpha * acc2
-			c[(i+3)*n+j] += alpha * acc3
 		}
-	}
-	for ; i < ihi; i++ {
-		ai := a[i*k : i*k+k]
-		ci := c[i*n : i*n+n]
-		for j := jlo; j < jhi; j++ {
-			bj := b[j*k : j*k+k]
-			var acc float32
-			for p := range ai {
-				acc += ai[p] * bj[p]
+		for ; j < w; j++ {
+			for p, v := range b[j*k+pb : j*k+pe] {
+				dst[(pb+p)*gemmNR+j] = v
 			}
-			ci[j] += alpha * acc
 		}
 	}
 }
 
-// gemmTN handles C += alpha*A^T*B with A stored K×M: the row tile reads
-// four adjacent A columns per p (contiguous in memory) and shares each
-// B-row pass across them, with the same packed-panel blocking as
-// gemmNN.
-func gemmTN(m, n, k int, alpha float32, a, b, c []float32, ilo, ihi, jlo, jhi int) {
-	pack := ihi-ilo >= 2*gemmMR && k*min(gemmNB, jhi-jlo) >= gemmPackMin
-	var buf *[]float32
-	var panel []float32
-	if pack {
-		buf = GetScratch(k * min(gemmNB, jhi-jlo))
-		panel = *buf
+// microKernel adds A·B into a gemmMR×gemmNR tile of C: element (r, p)
+// of the A panel is a[r*ars + p*aps], B row p is b[p*bs:], C row r is
+// c[r*cs:]. Every kernel it selects computes
+//
+//	c[r][j] = c[r][j] + float32(a[r][p]*b[p][j])   for p = 0, 1, …, k-1
+//
+// with no fused multiply-add, so all of them agree bit for bit.
+func microKernel(k int, a []float32, ars, aps int, b []float32, bs int, c []float32, cs int) {
+	if useAVX2 {
+		microKernelAVX2(k, a, ars, aps, b, bs, c, cs)
+		return
 	}
-	for jb := jlo; jb < jhi; jb += gemmNB {
-		w := min(gemmNB, jhi-jb)
-		bp := b
-		boff, bstride := jb, n
-		if pack {
-			for p := 0; p < k; p++ {
-				copy(panel[p*w:(p+1)*w], b[p*n+jb:p*n+jb+w])
-			}
-			bp, boff, bstride = panel, 0, w
-		}
-		i := ilo
-		for ; i+gemmMR <= ihi; i += gemmMR {
-			c0 := c[i*n+jb : i*n+jb+w]
-			c1 := c[(i+1)*n+jb : (i+1)*n+jb+w]
-			c2 := c[(i+2)*n+jb : (i+2)*n+jb+w]
-			c3 := c[(i+3)*n+jb : (i+3)*n+jb+w]
-			for p := 0; p < k; p++ {
-				ap := a[p*m+i : p*m+i+gemmMR]
-				s0 := alpha * ap[0]
-				s1 := alpha * ap[1]
-				s2 := alpha * ap[2]
-				s3 := alpha * ap[3]
-				if s0 == 0 && s1 == 0 && s2 == 0 && s3 == 0 {
-					continue
-				}
-				row := bp[p*bstride+boff : p*bstride+boff+w]
-				for j, bv := range row {
-					c0[j] += s0 * bv
-					c1[j] += s1 * bv
-					c2[j] += s2 * bv
-					c3[j] += s3 * bv
-				}
-			}
-		}
-		for ; i < ihi; i++ {
-			ci := c[i*n+jb : i*n+jb+w]
-			for p := 0; p < k; p++ {
-				av := a[p*m+i]
-				if av == 0 {
-					continue
-				}
-				s := alpha * av
-				row := bp[p*bstride+boff : p*bstride+boff+w]
-				for j, bv := range row {
-					ci[j] += s * bv
-				}
-			}
-		}
-	}
-	if pack {
-		PutScratch(buf)
-	}
+	microKernelGo(k, a, ars, aps, b, bs, c, cs)
 }
 
-// gemmTT handles the doubly-transposed case. No model layer lowers onto
-// it, so it stays a plain dot loop.
-func gemmTT(m, n, k int, alpha float32, a, b, c []float32, ilo, ihi, jlo, jhi int) {
-	for i := ilo; i < ihi; i++ {
-		ci := c[i*n : i*n+n]
-		for j := jlo; j < jhi; j++ {
-			var acc float32
-			for p := 0; p < k; p++ {
-				acc += a[p*m+i] * b[j*k+p]
-			}
-			ci[j] += alpha * acc
+// useAVX2 selects the assembly micro-kernel. It is set once, from what
+// the CPU reports; tests flip it to run both kernels.
+var useAVX2 = cpuHasAVX2()
+
+// microKernelGo is the portable micro-kernel, and the oracle the
+// assembly one is tested against.
+func microKernelGo(k int, a []float32, ars, aps int, b []float32, bs int, c []float32, cs int) {
+	// Four rows by two columns of accumulators stay in registers; each
+	// still sums its terms in ascending p.
+	for j := 0; j < gemmNR; j += 2 {
+		c00, c01 := c[j], c[j+1]
+		c10, c11 := c[cs+j], c[cs+j+1]
+		c20, c21 := c[2*cs+j], c[2*cs+j+1]
+		c30, c31 := c[3*cs+j], c[3*cs+j+1]
+		for p := 0; p < k; p++ {
+			b0, b1 := b[p*bs+j], b[p*bs+j+1]
+			a0, a1, a2, a3 := a[p*aps], a[ars+p*aps], a[2*ars+p*aps], a[3*ars+p*aps]
+			// The conversions forbid fusing a multiply into its add
+			// (Go spec, "Arithmetic operators").
+			c00 += float32(a0 * b0)
+			c01 += float32(a0 * b1)
+			c10 += float32(a1 * b0)
+			c11 += float32(a1 * b1)
+			c20 += float32(a2 * b0)
+			c21 += float32(a2 * b1)
+			c30 += float32(a3 * b0)
+			c31 += float32(a3 * b1)
 		}
+		c[j], c[j+1] = c00, c01
+		c[cs+j], c[cs+j+1] = c10, c11
+		c[2*cs+j], c[2*cs+j+1] = c20, c21
+		c[3*cs+j], c[3*cs+j+1] = c30, c31
 	}
 }

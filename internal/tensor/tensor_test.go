@@ -57,68 +57,6 @@ func TestSameShape(t *testing.T) {
 	}
 }
 
-// naiveGemm is the O(mnk) reference implementation.
-func naiveGemm(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var acc float32
-			for p := 0; p < k; p++ {
-				var av, bv float32
-				if transA {
-					av = a[p*m+i]
-				} else {
-					av = a[i*k+p]
-				}
-				if transB {
-					bv = b[j*k+p]
-				} else {
-					bv = b[p*n+j]
-				}
-				acc += av * bv
-			}
-			c[i*n+j] = beta*c[i*n+j] + alpha*acc
-		}
-	}
-}
-
-func TestGemmMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, tc := range []struct {
-		ta, tb  bool
-		m, n, k int
-	}{
-		{false, false, 3, 4, 5},
-		{false, true, 4, 3, 6},
-		{true, false, 5, 2, 3},
-		{true, true, 2, 5, 4},
-		{false, false, 65, 70, 33}, // crosses the parallel threshold
-		{false, true, 128, 64, 32},
-		{true, false, 64, 128, 16},
-	} {
-		a := make([]float32, tc.m*tc.k)
-		b := make([]float32, tc.k*tc.n)
-		for i := range a {
-			a[i] = rng.Float32()*2 - 1
-		}
-		for i := range b {
-			b[i] = rng.Float32()*2 - 1
-		}
-		c1 := make([]float32, tc.m*tc.n)
-		c2 := make([]float32, tc.m*tc.n)
-		for i := range c1 {
-			c1[i] = rng.Float32()
-			c2[i] = c1[i]
-		}
-		Gemm(tc.ta, tc.tb, tc.m, tc.n, tc.k, 0.7, a, b, 0.3, c1)
-		naiveGemm(tc.ta, tc.tb, tc.m, tc.n, tc.k, 0.7, a, b, 0.3, c2)
-		for i := range c1 {
-			if d := math.Abs(float64(c1[i] - c2[i])); d > 2e-4 {
-				t.Fatalf("case %+v: element %d differs by %g", tc, i, d)
-			}
-		}
-	}
-}
-
 func TestGemmProperty(t *testing.T) {
 	// Property: Gemm with beta=0, alpha=1 is linear in A.
 	rng := rand.New(rand.NewSource(9))
@@ -153,22 +91,6 @@ func TestGemmProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rng}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestGemv(t *testing.T) {
-	a := []float32{1, 2, 3, 4, 5, 6} // 2x3
-	x := []float32{1, 1, 1}
-	y := make([]float32, 2)
-	Gemv(false, 2, 3, 1, a, x, 0, y)
-	if y[0] != 6 || y[1] != 15 {
-		t.Errorf("Gemv = %v", y)
-	}
-	yt := make([]float32, 3)
-	xt := []float32{1, 1}
-	Gemv(true, 2, 3, 1, a, xt, 0, yt)
-	if yt[0] != 5 || yt[1] != 7 || yt[2] != 9 {
-		t.Errorf("Gemv^T = %v", yt)
 	}
 }
 
@@ -230,6 +152,85 @@ func TestIm2colCol2imAdjoint(t *testing.T) {
 		}
 		if math.Abs(lhs-rhs) > 1e-3*(1+math.Abs(lhs)) {
 			t.Fatalf("geom %+v: adjoint mismatch %v vs %v", g, lhs, rhs)
+		}
+	}
+}
+
+// TestIm2colCol2imMatchReference checks both functions bit for bit
+// against per-element references over random geometries: strides 1–3,
+// pads 0–2, non-square kernels and images. Col2im accumulates into a
+// non-zero image, so its order of additions is checked too.
+func TestIm2colCol2imMatchReference(t *testing.T) {
+	refIm2col := func(g ConvGeom, img, col []float32) {
+		idx := 0
+		for c := 0; c < g.InC; c++ {
+			for kh := 0; kh < g.KernelH; kh++ {
+				for kw := 0; kw < g.KernelW; kw++ {
+					for oh := 0; oh < g.OutH(); oh++ {
+						for ow := 0; ow < g.OutW(); ow++ {
+							ih, iw := oh*g.StrideH-g.PadH+kh, ow*g.StrideW-g.PadW+kw
+							col[idx] = 0
+							if ih >= 0 && ih < g.InH && iw >= 0 && iw < g.InW {
+								col[idx] = img[(c*g.InH+ih)*g.InW+iw]
+							}
+							idx++
+						}
+					}
+				}
+			}
+		}
+	}
+	refCol2im := func(g ConvGeom, col, img []float32) {
+		idx := 0
+		for c := 0; c < g.InC; c++ {
+			for kh := 0; kh < g.KernelH; kh++ {
+				for kw := 0; kw < g.KernelW; kw++ {
+					for oh := 0; oh < g.OutH(); oh++ {
+						for ow := 0; ow < g.OutW(); ow++ {
+							ih, iw := oh*g.StrideH-g.PadH+kh, ow*g.StrideW-g.PadW+kw
+							if ih >= 0 && ih < g.InH && iw >= 0 && iw < g.InW {
+								img[(c*g.InH+ih)*g.InW+iw] += col[idx]
+							}
+							idx++
+						}
+					}
+				}
+			}
+		}
+	}
+	same := func(got, want []float32) int {
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				return i
+			}
+		}
+		return -1
+	}
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 300; trial++ {
+		g := ConvGeom{
+			InC: 1 + rng.Intn(3), InH: 1 + rng.Intn(12), InW: 1 + rng.Intn(12),
+			KernelH: 1 + rng.Intn(5), KernelW: 1 + rng.Intn(5),
+			StrideH: 1 + rng.Intn(3), StrideW: 1 + rng.Intn(3),
+			PadH: rng.Intn(3), PadW: rng.Intn(3),
+		}
+		if g.InH+2*g.PadH < g.KernelH || g.InW+2*g.PadW < g.KernelW {
+			continue
+		}
+		img := randSlice(rng, g.InC*g.InH*g.InW)
+		nCol := g.InC * g.KernelH * g.KernelW * g.OutH() * g.OutW()
+		got, want := randSlice(rng, nCol), make([]float32, nCol)
+		Im2col(g, img, got)
+		refIm2col(g, img, want)
+		if i := same(got, want); i >= 0 {
+			t.Fatalf("Im2col %+v: col[%d] = %g, reference %g", g, i, got[i], want[i])
+		}
+		col := randSlice(rng, nCol)
+		back := append([]float32(nil), img...)
+		Col2im(g, col, img)
+		refCol2im(g, col, back)
+		if i := same(img, back); i >= 0 {
+			t.Fatalf("Col2im %+v: img[%d] = %g, reference %g", g, i, img[i], back[i])
 		}
 	}
 }
