@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fmt vet lint lint-escape check
+.PHONY: all build test race fmt vet lint check
 
 all: build
 
@@ -23,18 +23,11 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# scaffe-lint enforces the repo-specific invariants (determinism,
-# hot-path allocation, MPI request discipline, trace-span balance);
-# see internal/lint and DESIGN.md §10.
+# scaffe-lint enforces the repo-specific invariants (determinism, MPI
+# request discipline, trace-span balance); see internal/lint and
+# DESIGN.md §10.
 lint:
 	$(GO) run ./cmd/scaffe-lint ./...
-
-# The compiler-verified escape gate: heap escapes inside propagated
-# //scaffe:hotpath functions, diffed against lint.baseline (DESIGN.md
-# §15). Regenerate the baseline with
-# `go run ./cmd/scaffe-lint -escape -write-baseline`.
-lint-escape:
-	$(GO) run ./cmd/scaffe-lint -escape ./...
 
 check:
 	sh scripts/check.sh

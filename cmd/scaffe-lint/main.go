@@ -3,25 +3,15 @@
 //
 //	file:line:col: [pass] message
 //
-// -json switches either mode to a JSON array. -diff suppresses
-// diagnostics already present in a saved run, so a dirty tree can be
-// gated on "no new findings". -escape runs the compiler-verified
-// escape gate (internal/lint/escape.go) instead of the AST passes,
-// diffing against the checked-in lint.baseline; -write-baseline
-// regenerates that file.
-//
 // Exit status: 0 clean, 1 diagnostics found, 2 usage or load error.
 // See internal/lint for the pass catalogue and annotation grammar.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
-	"strings"
 
 	"scaffe/internal/lint"
 )
@@ -29,13 +19,8 @@ import (
 func main() {
 	mod := flag.String("mod", "", "module root directory (default: nearest go.mod above the working directory)")
 	list := flag.Bool("passes", false, "list the analysis passes and exit")
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array instead of text lines")
-	diff := flag.String("diff", "", "suppress diagnostics present in this saved-output file (text mode positions are normalized, so line drift does not mask or invent findings)")
-	escape := flag.Bool("escape", false, "run the compiler-verified escape gate instead of the AST passes")
-	baseline := flag.String("baseline", "lint.baseline", "escape-gate baseline file, relative to the module root")
-	writeBaseline := flag.Bool("write-baseline", false, "regenerate the escape baseline from the current findings and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: scaffe-lint [-mod dir] [-json] [-diff file] [-escape [-baseline file] [-write-baseline]] [pattern ...]\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: scaffe-lint [-mod dir] [-passes] [pattern ...]\n\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "Patterns are package directories relative to the module root\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "(\"./...\", \"./internal/core\") or module import paths. Default: ./...\n\n")
 		flag.PrintDefaults()
@@ -62,136 +47,16 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	if *escape {
-		runEscape(moduleDir, patterns, *baseline, *writeBaseline, *jsonOut)
-		return
-	}
-
 	diags, err := lint.Analyze(moduleDir, patterns)
 	if err != nil {
 		fatal(err)
 	}
-	if *diff != "" {
-		diags, err = diffDiags(diags, *diff)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	if *jsonOut {
-		printJSON(diagsJSON(diags))
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "scaffe-lint: %d diagnostic(s)\n", len(diags))
 		os.Exit(1)
-	}
-}
-
-// runEscape drives the compiler-verified escape gate: compute the
-// hot-set escapes, then either rewrite the baseline or diff against
-// it. New escapes exit 1; stale baseline entries exit 1 too, so the
-// checked-in file always matches what the compiler reports.
-func runEscape(moduleDir string, patterns []string, baselinePath string, write, jsonOut bool) {
-	findings, err := lint.EscapeCheck(moduleDir, patterns)
-	if err != nil {
-		fatal(err)
-	}
-	if !filepath.IsAbs(baselinePath) {
-		baselinePath = filepath.Join(moduleDir, baselinePath)
-	}
-	if write {
-		if err := os.WriteFile(baselinePath, []byte(lint.FormatBaseline(findings)), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "scaffe-lint: wrote %d escape(s) to %s\n", len(findings), baselinePath)
-		return
-	}
-	content, err := os.ReadFile(baselinePath)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "scaffe-lint: no baseline at %s (treating as empty; -write-baseline creates it)\n", baselinePath)
-	}
-	fresh, stale := lint.DiffBaseline(findings, lint.ParseBaseline(string(content)))
-	if jsonOut {
-		if fresh == nil {
-			fresh = []lint.EscapeFinding{}
-		}
-		printJSON(fresh)
-	} else {
-		for _, f := range fresh {
-			fmt.Println(f)
-		}
-	}
-	for _, k := range stale {
-		fmt.Fprintf(os.Stderr, "scaffe-lint: stale baseline entry (compiler no longer reports it): %s\n", k)
-	}
-	if len(fresh) > 0 || len(stale) > 0 {
-		fmt.Fprintf(os.Stderr, "scaffe-lint: %d new escape(s), %d stale baseline entr(ies); regenerate with -escape -write-baseline if intended\n",
-			len(fresh), len(stale))
-		os.Exit(1)
-	}
-}
-
-// posPrefix strips "path:line:col: " so -diff matches a diagnostic by
-// file, pass, and message even after unrelated edits shift lines.
-var posPrefix = regexp.MustCompile(`^(.*?):\d+:\d+: `)
-
-func normalizeDiag(line string) string {
-	return posPrefix.ReplaceAllString(strings.TrimSpace(line), "$1: ")
-}
-
-// diffDiags drops diagnostics whose normalized form appears in the
-// saved-output file at path (one scaffe-lint text line per line).
-func diffDiags(diags []lint.Diagnostic, path string) ([]lint.Diagnostic, error) {
-	content, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	old := map[string]bool{}
-	for _, line := range strings.Split(string(content), "\n") {
-		if s := normalizeDiag(line); s != "" && !strings.HasPrefix(s, "#") {
-			old[s] = true
-		}
-	}
-	var fresh []lint.Diagnostic
-	for _, d := range diags {
-		if !old[normalizeDiag(d.String())] {
-			fresh = append(fresh, d)
-		}
-	}
-	return fresh, nil
-}
-
-type diagJSON struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Pass    string `json:"pass"`
-	Message string `json:"message"`
-}
-
-func diagsJSON(diags []lint.Diagnostic) []diagJSON {
-	out := make([]diagJSON, len(diags))
-	for i, d := range diags {
-		out[i] = diagJSON{File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column, Pass: d.Pass, Message: d.Message}
-	}
-	return out
-}
-
-func printJSON(v any) {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if v == nil {
-		fmt.Println("[]")
-		return
-	}
-	if err := enc.Encode(v); err != nil {
-		fatal(err)
 	}
 }
 

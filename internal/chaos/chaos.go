@@ -230,21 +230,21 @@ func (s Spec) Schedule(horizon sim.Duration) fault.Schedule {
 			sched = append(sched, fault.Event{At: t, Kind: kind, Rank: rank})
 			if rng.Float64() < 0.5 {
 				// Half the fail-stops come back through the join desk.
-				rejoin := t + sim.Time(float64(horizon)*(0.1+0.3*rng.Float64()))
+				rejoin := t + sim.Time(float64(horizon)*(0.1+float64(0.3*rng.Float64())))
 				sched = append(sched, fault.Event{At: rejoin, Kind: fault.Join, Rank: rank})
 				failStopped[rank] = false
 			}
 			continue
 		case fault.StragglerOn:
 			rank := pickRank()
-			factor := 2 + 6*rng.Float64()
-			off := t + sim.Time(float64(horizon)*(0.05+0.2*rng.Float64()))
+			factor := 2 + float64(6*rng.Float64())
+			off := t + sim.Time(float64(horizon)*(0.05+float64(0.2*rng.Float64())))
 			sched = append(sched,
 				fault.Event{At: t, Kind: fault.StragglerOn, Rank: rank, Factor: factor},
 				fault.Event{At: off, Kind: fault.StragglerOff, Rank: rank})
 			continue
 		case fault.Partition:
-			window := sim.Duration(float64(horizon) * (0.05 + 0.2*rng.Float64()))
+			window := sim.Duration(float64(horizon) * (0.05 + float64(0.2*rng.Float64())))
 			if t < partCursor {
 				t = partCursor + 1
 			}
@@ -256,7 +256,7 @@ func (s Spec) Schedule(horizon sim.Duration) fault.Schedule {
 		src, dst := pickLink()
 		ev := fault.Event{At: t, Kind: kind, Src: src, Dst: dst, N: 1 + rng.Intn(3)}
 		if kind == fault.Delay {
-			ev.For = sim.Duration(float64(horizon) * (0.01 + 0.05*rng.Float64()))
+			ev.For = sim.Duration(float64(horizon) * (0.01 + float64(0.05*rng.Float64())))
 		}
 		sched = append(sched, ev)
 	}

@@ -170,8 +170,6 @@ func NewReducer(c *mpi.Comm, alg Algorithm, o Options) Reducer {
 
 // newLike allocates a scratch buffer shaped like b (payload present
 // iff b has one).
-//
-//scaffe:coldpath pool-miss scratch creation; steady state draws from the rank's free stack
 func newLike(b *gpu.Buffer) *gpu.Buffer {
 	if b.Data != nil {
 		return gpu.NewDataBuffer(b.Elems())
@@ -183,8 +181,6 @@ func newLike(b *gpu.Buffer) *gpu.Buffer {
 // rank's GPU comm stream or its CPU, and returns the time the reduction
 // completes: the next algorithm step depends on the result, so the rank
 // waits until then.
-//
-//scaffe:hotpath
 func reduceEnd(r *mpi.Rank, acc, operand *gpu.Buffer, o Options) sim.Time {
 	acc.Accumulate(operand)
 	if o.OnGPU {

@@ -45,8 +45,6 @@ func (g *recvStage) post(r *mpi.Rank, c *mpi.Comm, from, tag int, acc, op *gpu.B
 }
 
 // step advances a posted stage as far as it goes without parking.
-//
-//scaffe:hotpath
 func (g *recvStage) step(p *sim.Proc, r *mpi.Rank, o Options) stageNext {
 	switch g.at {
 	case stageRecv:
@@ -87,7 +85,6 @@ type binomialReducer struct {
 
 func (b *binomialReducer) Name() string { return "binomial" }
 
-//scaffe:hotpath
 func (b *binomialReducer) Reduce(r *mpi.Rank, buf *gpu.Buffer, tag int) {
 	me := b.c.Rank(r)
 	size := b.c.Size()
@@ -132,7 +129,6 @@ type stepState struct {
 // sum to the parent and leave.
 type binomialStep stepState
 
-//scaffe:hotpath
 func (s *binomialStep) Step(p *sim.Proc) bool {
 	r := s.r
 	for {
@@ -218,7 +214,6 @@ func (cr *chainReducer) Reduce(r *mpi.Rank, buf *gpu.Buffer, tag int) {
 // right) only sends, the root (nobody to its left) only receives.
 type chainStep stepState
 
-//scaffe:hotpath
 func (s *chainStep) Step(p *sim.Proc) bool {
 	r, st := s.r, s.st
 	for {
@@ -260,11 +255,8 @@ func (s *chainStep) Step(p *sim.Proc) bool {
 // forward sends chunk j's sum — mine, this rank's view of the chunk —
 // on to the left neighbour, if there is one, and moves to the next
 // chunk.
-//
-//scaffe:hotpath
 func (s *chainStep) forward(mine *gpu.Buffer) {
 	if s.to >= 0 {
-		//scaffe:nolint hotpath the rank state's request list is reset to [:0] after each call; append reuses high-water capacity
 		s.st.sreqs = append(s.st.sreqs, s.r.Isend(s.c, s.to, s.tag, mine, s.o.Mode))
 	}
 	s.j++

@@ -76,7 +76,6 @@ func (t *stateTable) acquire(size, me int) *rankState {
 	}
 	st := &t.sts[me]
 	if st.busy {
-		//scaffe:coldpath a re-entrant call, which no shipped algorithm makes
 		st = &rankState{}
 	}
 	st.busy = true
@@ -86,7 +85,6 @@ func (t *stateTable) acquire(size, me int) *rankState {
 
 // newStates is a table's storage, made when the first rank calls.
 //
-//scaffe:coldpath first-call table construction; steady state takes the filled-slot path
 //go:noinline
 func newStates(size int) []rankState { return make([]rankState, size) }
 
@@ -95,7 +93,6 @@ func (st *rankState) release() { st.busy = false }
 // roomForForwards sizes the chain's request list for a call of n chunks,
 // every one of whose forwards is in flight before the first is waited.
 //
-//scaffe:coldpath the rank's first call with this many chunks
 //go:noinline
 func (st *rankState) roomForForwards(n int) { st.sreqs = make([]*mpi.Request, 0, n) }
 
@@ -103,8 +100,6 @@ func (st *rankState) roomForForwards(n int) { st.sreqs = make([]*mpi.Request, 0,
 // present iff it has one) from the free ones, or allocates on miss. A
 // call asks for one or two shapes over and over, so the fit is almost
 // always the buffer released last.
-//
-//scaffe:hotpath
 func (st *rankState) getScratch(like *gpu.Buffer) *gpu.Buffer {
 	free := st.scratch
 	for i := len(free) - 1; i >= 0; i-- {
@@ -121,15 +116,12 @@ func (st *rankState) getScratch(like *gpu.Buffer) *gpu.Buffer {
 // putScratch returns a scratch buffer to the free ones. The buffer
 // must not be a receive destination of any still-in-flight operation.
 func (st *rankState) putScratch(b *gpu.Buffer) {
-	//scaffe:nolint hotpath pool release; append reuses capacity freed by the matching getScratch
 	st.scratch = append(st.scratch, b)
 }
 
 // view returns the immutable view of buf[lo:hi): the one an earlier call
 // took at this point of its walk over buf, or a new one that later calls
 // will find here. Views are shared freely: the header is never mutated.
-//
-//scaffe:hotpath
 func (st *rankState) view(buf *gpu.Buffer, lo, hi int) *gpu.Buffer {
 	if st.cur == nil || st.cur.buf != buf {
 		st.open(buf)
@@ -145,8 +137,6 @@ func (st *rankState) view(buf *gpu.Buffer, lo, hi int) *gpu.Buffer {
 // open points the call at buf's views. A rank reduces the same buffers
 // in the same order iteration after iteration, so the search starts
 // behind the buffer of the call before and nearly always ends there.
-//
-//scaffe:hotpath
 func (st *rankState) open(buf *gpu.Buffer) {
 	n := len(st.bufs)
 	for i, j := 0, st.next; i < n; i, j = i+1, j+1 {
@@ -158,7 +148,6 @@ func (st *rankState) open(buf *gpu.Buffer) {
 			return
 		}
 	}
-	//scaffe:coldpath the rank's first call on this buffer
 	st.bufs = append(st.bufs, bufViews{buf: buf})
 	st.cur, st.k, st.next = &st.bufs[n], 0, 0
 }
@@ -169,7 +158,6 @@ func (st *rankState) open(buf *gpu.Buffer) {
 // a call asks for other extents than the one before it did, the place
 // gets a fresh view.
 //
-//scaffe:coldpath first-use view creation; later calls read it off by position
 //go:noinline
 func (st *rankState) newView(k, lo, hi int) *gpu.Buffer {
 	if len(st.block) == 0 {

@@ -269,9 +269,8 @@ func (st *runState) buildPS(p *sched.Plan, server bool) {
 // action may block, so the lane takes it to its goroutine, while a node
 // without one — a pure synchronization point — never leaves the event
 // loop. The spans are the same either way: these actions take no
-// virtual time. (scaffe-lint does not follow a callback through this
-// call into Node.action, so the workload methods these actions call
-// carry //scaffe:hotpath themselves.)
+// virtual time. What the workload methods these actions call allocate
+// is measured by TestSteadyStateIterationAllocBudget's real-mode rows.
 func (st *runState) realOnly(fn func(*sched.Ctx)) func(*sched.Ctx) {
 	if st.cfg.RealNet == nil {
 		return nil
@@ -360,7 +359,6 @@ func (st *runState) addPostPropagation(p *sched.Plan, root bool) (slots []*sched
 			x.Put(drain, req)
 			if st.cfg.Trace != nil {
 				post, label, r := x.P.Now(), st.lbl.bcastWire[l], x.R
-				//scaffe:nolint hotpath trace-only completion hook; timing runs (nil Trace) never build it
 				req.OnComplete(func() {
 					// The hook runs in kernel context at completion
 					// time, so the current virtual time IS the
@@ -462,7 +460,6 @@ func (st *runState) addUpdate(p *sched.Plan) {
 	p.Add(0, sched.Generic, "", "post-update", func(x *sched.Ctx) {
 		w := st.wl[x.R.ID]
 		if w.real() {
-			//scaffe:nolint hotpath losses is pre-sized to cfg.Iterations in run(); append never regrows
 			st.losses = append(st.losses, w.loss())
 		}
 		st.maybeEvaluate(x.R, w, x.It)
@@ -490,7 +487,6 @@ func (st *runState) addLocalUpdate(p *sched.Plan, root bool) {
 		if root {
 			w := st.wl[x.R.ID]
 			if w.real() {
-				//scaffe:nolint hotpath losses is pre-sized to cfg.Iterations in run(); append never regrows
 				st.losses = append(st.losses, w.loss())
 			}
 			st.maybeEvaluate(x.R, w, x.It)

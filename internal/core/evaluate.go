@@ -74,8 +74,6 @@ func (st *runState) testPass(r *mpi.Rank, w *workload, iter int) {
 
 // maybeEvaluate runs the testing phase and snapshotting at their
 // configured intervals (root solver, after ApplyUpdate).
-//
-//scaffe:coldpath interval-gated testing and snapshotting (TestInterval/SnapshotEvery); off the per-iteration budget
 func (st *runState) maybeEvaluate(r *mpi.Rank, w *workload, iter int) {
 	cfg := st.cfg
 	if !w.real() {

@@ -137,7 +137,7 @@ func (st *runState) integrityCheck(w *workload, it int) bool {
 	loss := float64(w.loss())
 	var norm2 float64
 	for _, g := range w.gradData {
-		norm2 += float64(g) * float64(g)
+		norm2 += float64(float64(g) * float64(g))
 	}
 	healthy := !math.IsNaN(loss) && !math.IsInf(loss, 0) &&
 		!math.IsNaN(norm2) && !math.IsInf(norm2, 0) &&
@@ -155,12 +155,12 @@ func (st *runState) integrityCheck(w *workload, it int) bool {
 		if st.lossEWMA == 0 {
 			st.lossEWMA = loss
 		} else {
-			st.lossEWMA += a * (loss - st.lossEWMA)
+			st.lossEWMA += float64(a * (loss - st.lossEWMA))
 		}
 		if st.normEWMA == 0 {
 			st.normEWMA = norm2
 		} else {
-			st.normEWMA += a * (norm2 - st.normEWMA)
+			st.normEWMA += float64(a * (norm2 - st.normEWMA))
 		}
 		return true
 	}

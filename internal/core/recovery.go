@@ -242,7 +242,7 @@ func (st *runState) catchup(r *mpi.Rank) {
 func (st *runState) noteIterTime(rank int, d sim.Duration) {
 	v := float64(d)
 	if e := st.iterEWMA[rank]; e != 0 {
-		v = e + ewmaAlpha*(v-e)
+		v = e + float64(ewmaAlpha*(v-e))
 	}
 	st.iterEWMA[rank] = v
 }
@@ -279,7 +279,6 @@ func (st *runState) evictStraggler(factor float64) {
 	n := st.comm.Size()
 	for g := 0; g < n; g++ {
 		if e := st.iterEWMA[st.comm.WorldRank(g)]; e > 0 {
-			//scaffe:nolint hotpath scratch is preallocated to world size; [:0] reuse never regrows
 			s = append(s, e)
 		}
 	}

@@ -162,8 +162,6 @@ func (w *workload) real() bool { return w.net != nil }
 
 // packParams flattens the net's parameters into the packed buffer
 // (root, before propagation).
-//
-//scaffe:hotpath
 func (w *workload) packParams() {
 	if !w.real() {
 		return
@@ -173,8 +171,6 @@ func (w *workload) packParams() {
 
 // unpackParams writes broadcast parameters back into the net
 // (non-root, after propagation).
-//
-//scaffe:hotpath
 func (w *workload) unpackParams() {
 	if !w.real() {
 		return
@@ -199,8 +195,6 @@ func (w *workload) loadBatch(ds data.Dataset, iter, globalBatch, rankOffset int)
 
 // initInput allocates the rank's input tensor and label buffer on
 // first use; every later iteration loads into the same buffers.
-//
-//scaffe:coldpath first-use input/label allocation, reused across iterations
 func (w *workload) initInput(ds data.Dataset) {
 	sh := ds.Shape()
 	w.input = tensor.New(w.localBatch, sh.C, sh.H, sh.W)
@@ -208,8 +202,6 @@ func (w *workload) initInput(ds data.Dataset) {
 }
 
 // beginForward resets activation threading.
-//
-//scaffe:hotpath
 func (w *workload) beginForward() {
 	if w.real() {
 		w.act = w.input
@@ -224,8 +216,6 @@ func (w *workload) forwardLayer(l int) {
 }
 
 // beginBackward resets gradient threading.
-//
-//scaffe:hotpath
 func (w *workload) beginBackward() {
 	if w.real() {
 		w.grad = nil
@@ -252,8 +242,6 @@ func (w *workload) backwardLayer(l int) {
 
 // unpackLayerParams writes one layer's broadcast parameters back into
 // the net (SC-OB's per-layer waits).
-//
-//scaffe:hotpath
 func (w *workload) unpackLayerParams(l int) {
 	if !w.real() || w.layerParam[l] == nil {
 		return

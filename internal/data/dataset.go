@@ -94,8 +94,6 @@ func (d *Synthetic) Classes() int { return d.classes }
 
 // At implements Dataset. Sample i is derived from (seed, i) only, so
 // every rank sees the same dataset.
-//
-//scaffe:coldpath stateless convenience accessor; the batch path uses ReadInto (Filler), which fills the caller's buffer
 func (d *Synthetic) At(i int) Sample {
 	img := make([]float32, d.shape.Elems())
 	label := d.ReadInto(i, img)
@@ -117,7 +115,7 @@ func (d *Synthetic) ReadInto(i int, img []float32) int {
 	label := int(d.rng.Int31n(int32(d.classes)))
 	tpl := d.templates[label]
 	for j := range img {
-		img[j] = tpl[j] + (d.rng.Float32()*2-1)*d.noise
+		img[j] = tpl[j] + float32((d.rng.Float32()*2-1)*d.noise)
 	}
 	return label
 }

@@ -105,8 +105,6 @@ func (d *StoreDataset) Classes() int { return d.classes }
 
 // At implements Dataset. Decode failures panic: a corrupt training
 // database is not recoverable mid-run (Caffe aborts likewise).
-//
-//scaffe:coldpath store-backed decode copies each record out of the file by design; the zero-alloc contract covers the synthetic/timing path
 func (d *StoreDataset) At(i int) Sample {
 	raw, err := d.r.Get(d.r.KeyAt(i))
 	if err != nil {

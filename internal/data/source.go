@@ -80,7 +80,7 @@ func (s *LMDBSource) Penalty() float64 {
 		return 1
 	}
 	over := float64(s.Readers-s.SlotLimit) / 8.0
-	return 1 + over*over
+	return 1 + float64(over*over)
 }
 
 // Name implements Source.

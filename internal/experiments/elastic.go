@@ -82,8 +82,8 @@ func Elastic(o Options) (*Table, error) {
 	for _, cycles := range []int{1, 2} {
 		var churn, shrinkOnly fault.Schedule
 		for i := 0; i < cycles; i++ {
-			crash := at(0.2 + 0.35*float64(i))
-			rejoin := at(0.35 + 0.35*float64(i))
+			crash := at(0.2 + float64(0.35*float64(i)))
+			rejoin := at(0.35 + float64(0.35*float64(i)))
 			churn = append(churn,
 				fault.Event{At: crash, Kind: fault.Crash, Rank: crashRanks[i]},
 				fault.Event{At: rejoin, Kind: fault.Join, Rank: crashRanks[i]})

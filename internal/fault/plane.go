@@ -440,8 +440,6 @@ func (pl *Plane) evict(rank int) {
 // EvictRank is the engine's straggler-policy entry point: proactively
 // remove an alive rank through the shrink path. A no-op when the rank
 // is not alive.
-//
-//scaffe:coldpath an eviction commits a membership change and triggers a full communicator rebuild; a rare fault event, not steady state
 func (pl *Plane) EvictRank(rank int) {
 	if !pl.Alive(rank) {
 		return
@@ -540,8 +538,6 @@ func (pl *Plane) JoinPending() bool { return len(pl.pending) > 0 }
 // revoked so every member unwinds into the grow round's rendezvous.
 // The root calls it; a no-op while nothing is pending or a round is
 // already converging.
-//
-//scaffe:coldpath elastic-join admission runs only when a join is pending at an iteration boundary
 func (pl *Plane) BeginGrow() {
 	if len(pl.pending) == 0 || pl.revoked {
 		return

@@ -79,8 +79,6 @@ func sideIn(groups [][]int, rank int) int {
 // has armed. The mpi delivery hot path gates its per-landing fate
 // check behind this single branch, so fault-free runs and runs with
 // only rank-level faults pay nothing.
-//
-//scaffe:hotpath one branch per payload landing
 func (pl *Plane) WireArmed() bool { return pl.wireOn }
 
 // WireFate decides the fate of one payload landing on the directed
@@ -88,8 +86,6 @@ func (pl *Plane) WireArmed() bool { return pl.wireOn }
 // hold it. Partition windows are consulted first — a cut link
 // blackholes regardless of per-link rules — then armed rules consume
 // their landing counts in arming order.
-//
-//scaffe:coldpath runs only while a wire perturbation is armed; fault-free runs never reach it (gated by WireArmed)
 func (pl *Plane) WireFate(src, dst int, now sim.Time) (WireVerdict, sim.Duration) {
 	for _, pw := range pl.parts {
 		if now >= pw.from && now < pw.until && pw.cuts(src, dst) {
@@ -145,8 +141,6 @@ func (pl *Plane) activePartition(now sim.Time) *partitionWindow {
 // scheduled into kernel context rather than run inline: it kills
 // ranks, and the revocation often originates inside one of their own
 // deadline waits.
-//
-//scaffe:coldpath runs once per revocation, a rare fault event, not steady state
 func (pl *Plane) scheduleQuorum(now sim.Time) {
 	pw := pl.activePartition(now)
 	if pw == nil || pw.fenced {
@@ -163,8 +157,6 @@ func (pl *Plane) scheduleQuorum(now sim.Time) {
 // quorate side no rank may continue (two sides could otherwise commit
 // diverging parameter histories), so everyone is fenced and the run
 // ends ErrUnrecovered.
-//
-//scaffe:coldpath the quorum decision runs at most once per partition window, on a revocation inside it
 func (pl *Plane) enforceQuorum() {
 	now := pl.k.Now()
 	pw := pl.activePartition(now)

@@ -110,8 +110,6 @@ func (c *Conv) Setup(in Shape, batch int, rng *rand.Rand) {
 }
 
 // Forward implements Layer.
-//
-//scaffe:hotpath
 func (c *Conv) Forward(in *tensor.Tensor) *tensor.Tensor {
 	c.checkIn(in)
 	c.lastIn = in
@@ -144,8 +142,6 @@ func (c *Conv) Forward(in *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-//
-//scaffe:hotpath
 func (c *Conv) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	out := c.OutShape(c.in)
 	spatial := out.H * out.W

@@ -56,8 +56,6 @@ func (l *InnerProduct) Setup(in Shape, batch int, rng *rand.Rand) {
 }
 
 // Forward implements Layer.
-//
-//scaffe:hotpath
 func (l *InnerProduct) Forward(in *tensor.Tensor) *tensor.Tensor {
 	l.checkIn(in)
 	l.lastIn = in
@@ -75,8 +73,6 @@ func (l *InnerProduct) Forward(in *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-//
-//scaffe:hotpath
 func (l *InnerProduct) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	k := l.in.Elems()
 	// dW (OutN×k) += g^T (OutN×batch) · in (batch×k)

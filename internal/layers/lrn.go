@@ -60,8 +60,6 @@ func (l *LRN) window(c int) (lo, hi int) {
 }
 
 // Forward implements Layer.
-//
-//scaffe:hotpath
 func (l *LRN) Forward(in *tensor.Tensor) *tensor.Tensor {
 	l.checkIn(in)
 	l.lastIn = in
@@ -76,9 +74,9 @@ func (l *LRN) Forward(in *tensor.Tensor) *tensor.Tensor {
 				var ss float32
 				for cc := lo; cc <= hi; cc++ {
 					v := in.Data[off+cc*hw+i]
-					ss += v * v
+					ss += float32(v * v)
 				}
-				s := float32(l.K) + an*ss
+				s := float32(l.K) + float32(an*ss)
 				idx := off + c*hw + i
 				l.scale[idx] = s
 				out.Data[idx] = in.Data[idx] * float32(math.Pow(float64(s), -l.Beta))
@@ -90,8 +88,6 @@ func (l *LRN) Forward(in *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-//
-//scaffe:hotpath
 func (l *LRN) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	gradIn := l.gradIn
 	gradIn.Zero() // direct and cross terms accumulate below
@@ -107,7 +103,7 @@ func (l *LRN) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 				s := l.scale[idx]
 				pw := float32(math.Pow(float64(s), -l.Beta))
 				// Direct term.
-				gradIn.Data[idx] += gradOut.Data[idx] * pw
+				gradIn.Data[idx] += float32(gradOut.Data[idx] * pw)
 				// Cross terms: d out[c'] / d in[c] for c in the window
 				// of c'. Iterate the symmetric window.
 				for cc := lo; cc <= hi; cc++ {
@@ -115,8 +111,8 @@ func (l *LRN) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 					kdx := off + cc*hw + i
 					scc := l.scale[kdx]
 					pwc := float32(math.Pow(float64(scc), -l.Beta))
-					gradIn.Data[jdx] += gradOut.Data[kdx] *
-						(-2 * beta * an * l.lastIn.Data[kdx] * l.lastIn.Data[jdx] * pwc / scc)
+					gradIn.Data[jdx] += float32(gradOut.Data[kdx] *
+						(-2 * beta * an * l.lastIn.Data[kdx] * l.lastIn.Data[jdx] * pwc / scc))
 				}
 			}
 		}

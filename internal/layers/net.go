@@ -47,8 +47,6 @@ func NewNet(name string, in Shape, batch int, seed int64, ls ...Layer) *Net {
 func (n *Net) LossLayer() *SoftmaxLoss { return n.loss }
 
 // Forward runs the full forward pass and returns the loss.
-//
-//scaffe:hotpath
 func (n *Net) Forward(input *tensor.Tensor, labels []int) float32 {
 	n.loss.SetLabels(labels)
 	act := input
@@ -62,8 +60,6 @@ func (n *Net) Forward(input *tensor.Tensor, labels []int) float32 {
 // ForwardLayer runs a single layer (used by the distributed engine to
 // interleave communication between layers). The caller threads the
 // activation through.
-//
-//scaffe:hotpath
 func (n *Net) ForwardLayer(i int, act *tensor.Tensor, labels []int) *tensor.Tensor {
 	if i == len(n.Layers)-1 {
 		n.loss.SetLabels(labels)
@@ -77,8 +73,6 @@ func (n *Net) ForwardLayer(i int, act *tensor.Tensor, labels []int) *tensor.Tens
 
 // Backward runs the full backward pass, accumulating parameter
 // gradients.
-//
-//scaffe:hotpath
 func (n *Net) Backward() {
 	var grad *tensor.Tensor
 	for i := len(n.Layers) - 1; i >= 0; i-- {
@@ -88,8 +82,6 @@ func (n *Net) Backward() {
 
 // BackwardLayer runs a single layer's backward pass, threading the
 // gradient.
-//
-//scaffe:hotpath
 func (n *Net) BackwardLayer(i int, grad *tensor.Tensor) *tensor.Tensor {
 	return n.Layers[i].Backward(grad)
 }
@@ -137,7 +129,6 @@ func (n *Net) PackParams(dst []float32) []float32 {
 	dst = dst[:0]
 	for _, l := range n.Layers {
 		for _, p := range l.Params() {
-			//scaffe:nolint hotpath appends into the caller's reused dst[:0] buffer; steady state stays at high-water capacity
 			dst = append(dst, p.Data...)
 		}
 	}

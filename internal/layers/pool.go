@@ -80,8 +80,6 @@ func (p *Pool) Setup(in Shape, batch int, _ *rand.Rand) {
 }
 
 // Forward implements Layer.
-//
-//scaffe:hotpath
 func (p *Pool) Forward(in *tensor.Tensor) *tensor.Tensor {
 	p.checkIn(in)
 	p.lastIn = in
@@ -152,8 +150,6 @@ func (p *Pool) Forward(in *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-//
-//scaffe:hotpath
 func (p *Pool) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	out := p.OutShape(p.in)
 	gradIn := p.gradIn

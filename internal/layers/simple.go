@@ -37,8 +37,6 @@ func (l *ReLU) Setup(in Shape, batch int, _ *rand.Rand) {
 }
 
 // Forward implements Layer.
-//
-//scaffe:hotpath
 func (l *ReLU) Forward(in *tensor.Tensor) *tensor.Tensor {
 	l.checkIn(in)
 	l.lastIn = in
@@ -47,8 +45,6 @@ func (l *ReLU) Forward(in *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-//
-//scaffe:hotpath
 func (l *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	tensor.ReLUBackward(l.lastIn.Data, gradOut.Data, l.gradIn.Data)
 	return l.gradIn
@@ -92,8 +88,6 @@ func (l *Dropout) Setup(in Shape, batch int, rng *rand.Rand) {
 }
 
 // Forward implements Layer.
-//
-//scaffe:hotpath
 func (l *Dropout) Forward(in *tensor.Tensor) *tensor.Tensor {
 	l.checkIn(in)
 	out := l.out
@@ -111,8 +105,6 @@ func (l *Dropout) Forward(in *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-//
-//scaffe:hotpath
 func (l *Dropout) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	gradIn := l.gradIn
 	scale := float32(1 / (1 - l.Ratio))

@@ -53,8 +53,6 @@ func (l *SoftmaxLoss) Loss() float32 { return l.loss }
 func (l *SoftmaxLoss) Probs() *tensor.Tensor { return l.probs }
 
 // Forward implements Layer.
-//
-//scaffe:hotpath
 func (l *SoftmaxLoss) Forward(in *tensor.Tensor) *tensor.Tensor {
 	l.checkIn(in)
 	classes := l.in.Elems()
@@ -69,8 +67,6 @@ func (l *SoftmaxLoss) Forward(in *tensor.Tensor) *tensor.Tensor {
 // Backward implements Layer: it returns (prob − onehot)/batch, the
 // gradient of the mean cross-entropy loss. The incoming gradient is
 // ignored (this is the terminal layer).
-//
-//scaffe:hotpath
 func (l *SoftmaxLoss) Backward(_ *tensor.Tensor) *tensor.Tensor {
 	out := l.gradIn
 	inv := 1 / float32(l.batch)

@@ -27,7 +27,7 @@ import (
 // constructors and therefore deterministic to call.
 var globalRandAllowed = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
 
-func runDeterminism(prog *Program, pkg *Pkg, report func(pos token.Pos, msg string)) {
+func runDeterminism(pkg *Pkg, report func(pos token.Pos, msg string)) {
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch node := n.(type) {

@@ -5,9 +5,6 @@
 //   - determinism: the simulator-facing packages must not consult wall
 //     clocks or global randomness, and must not feed unordered map
 //     iteration into ordered outputs (trace spans, wire sends).
-//   - hotpath: functions annotated `//scaffe:hotpath` must stay
-//     allocation-free (no composite-literal/make/new allocation, no
-//     append growth, no fmt, no closures, no interface boxing).
 //   - mpi: every non-blocking request must reach a Wait/Test on every
 //     return path, tags must be named constants, helper-thread
 //     closures must not issue blocking MPI calls, and kernel-context
@@ -17,27 +14,16 @@
 //   - trace: a span opened with Recorder.Begin must be ended on every
 //     return path.
 //
-// The hotpath obligation is interprocedural (DESIGN.md §15): Analyze
-// builds a module-wide call graph and floods the annotation over it, so
-// a diagnostic fires in an unannotated callee with the annotated root
-// named in the message.
+// Every pass reads one function body at a time. That the iteration
+// allocates nothing is measured at run time instead, by
+// core.TestSteadyStateIterationAllocBudget over every design and
+// reducer (DESIGN.md §10 records which gate catches what).
 //
 // The analyzer is pure stdlib (go/parser + go/types with a
 // module-aware source importer), so it runs offline with no
 // third-party dependencies.
 //
 // Annotation grammar:
-//
-//	//scaffe:hotpath
-//	    On a function's doc comment: the function body — and
-//	    everything it may reach through the call graph — is subject to
-//	    the hotpath allocation rules.
-//
-//	//scaffe:coldpath <reason>
-//	    In a function's doc comment: the function is a declared slow
-//	    path; propagated obligations stop at its boundary. On its own
-//	    line inside a body: the calls on that line and the next are a
-//	    deliberate slow-path departure. The reason is mandatory.
 //
 //	//scaffe:nolint <pass> <reason>
 //	    On (or immediately above) the offending line: suppresses that
@@ -75,9 +61,8 @@ type Pass struct {
 	// every analyzed package.
 	Applies func(pkgPath string) bool
 	// Run reports findings for one package via report (positions
-	// inside pkg.Fset); prog carries the module-wide call graph and
-	// the propagated obligation sets.
-	Run func(prog *Program, pkg *Pkg, report func(token.Pos, string))
+	// inside pkg.Fset).
+	Run func(pkg *Pkg, report func(token.Pos, string))
 }
 
 // deterministicScope lists the import-path prefixes whose determinism
@@ -110,11 +95,6 @@ func Passes() []*Pass {
 			Run:     runDeterminism,
 		},
 		{
-			Name: "hotpath",
-			Doc:  "//scaffe:hotpath functions must not allocate (composite lits, append, make/new, fmt, closures, boxing)",
-			Run:  runHotpath,
-		},
-		{
 			Name: "mpi",
 			Doc:  "requests reach Wait/Test on all paths, tags are named constants, helpers issue no blocking MPI, kernel-context hooks (RunEvent, Kernel.At) post no requests",
 			Run:  runMPI,
@@ -138,29 +118,10 @@ func passNames() map[string]bool {
 
 // Analyze loads the packages matched by patterns under moduleDir
 // (through the process-wide shared loader, so repeated invocations
-// reuse the type-checked load), builds the interprocedural Program
-// over them, runs every applicable pass, applies //scaffe:nolint
-// suppressions, and returns the surviving diagnostics sorted by
-// position.
+// reuse the type-checked load), runs every applicable pass, applies
+// //scaffe:nolint suppressions, and returns the surviving diagnostics
+// sorted by position.
 func Analyze(moduleDir string, patterns []string) ([]Diagnostic, error) {
-	prog, err := LoadProgram(moduleDir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	var diags []Diagnostic
-	for _, pkg := range prog.Pkgs {
-		diags = append(diags, analyzePackage(prog, pkg)...)
-	}
-	for _, h := range prog.hygiene {
-		diags = append(diags, Diagnostic{Pos: h.pkg.Fset.Position(h.pos), Pass: "nolint", Message: h.msg})
-	}
-	sortDiagnostics(diags)
-	return diags, nil
-}
-
-// LoadProgram loads the matched packages and builds the call graph and
-// propagated obligation sets over them.
-func LoadProgram(moduleDir string, patterns []string) (*Program, error) {
 	loader, err := SharedLoader(moduleDir)
 	if err != nil {
 		return nil, err
@@ -169,19 +130,24 @@ func LoadProgram(moduleDir string, patterns []string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewProgram(pkgs), nil
+	var diags []Diagnostic
+	for _, pkg := range pkgs {
+		diags = append(diags, analyzePackage(pkg)...)
+	}
+	sortDiagnostics(diags)
+	return diags, nil
 }
 
 // analyzePackage runs every applicable pass over one loaded package
 // and post-processes nolint suppressions.
-func analyzePackage(prog *Program, pkg *Pkg) []Diagnostic {
+func analyzePackage(pkg *Pkg) []Diagnostic {
 	var diags []Diagnostic
 	for _, pass := range Passes() {
 		if pass.Applies != nil && !pass.Applies(pkg.Path) {
 			continue
 		}
 		p := pass
-		p.Run(prog, pkg, func(pos token.Pos, msg string) {
+		p.Run(pkg, func(pos token.Pos, msg string) {
 			diags = append(diags, Diagnostic{Pos: pkg.Fset.Position(pos), Pass: p.Name, Message: msg})
 		})
 	}
@@ -292,23 +258,4 @@ func applyNolint(pkg *Pkg, diags []Diagnostic) []Diagnostic {
 		out = append(out, d)
 	}
 	return out
-}
-
-// --- //scaffe:hotpath ------------------------------------------------------
-
-const hotpathDirective = "//scaffe:hotpath"
-
-// isHotpath reports whether a function declaration carries the
-// //scaffe:hotpath annotation in its doc comment.
-func isHotpath(fn *ast.FuncDecl) bool {
-	if fn.Doc == nil {
-		return false
-	}
-	for _, c := range fn.Doc.List {
-		if text := strings.TrimSpace(c.Text); text == hotpathDirective ||
-			strings.HasPrefix(text, hotpathDirective+" ") {
-			return true
-		}
-	}
-	return false
 }

@@ -83,7 +83,7 @@ func moduleRoot(t *testing.T) string {
 
 func TestGoldenFixtures(t *testing.T) {
 	root := moduleRoot(t)
-	for _, fixture := range []string{"determ", "hotfix", "simhotfix", "mpifix", "tracefix", "nolintfix", "sdcfix", "growfix", "xprofix", "chaosfix"} {
+	for _, fixture := range []string{"determ", "mpifix", "tracefix", "nolintfix", "sdcfix", "growfix", "chaosfix"} {
 		t.Run(fixture, func(t *testing.T) {
 			rel := "internal/lint/testdata/src/" + fixture
 			diags, err := Analyze(root, []string{"./" + rel})

@@ -31,7 +31,7 @@ import (
 //     a leak, even if the result is stored. A wire-fault hook must
 //     reschedule or re-land traffic, never post new requests.
 
-func runMPI(_ *Program, pkg *Pkg, report func(pos token.Pos, msg string)) {
+func runMPI(pkg *Pkg, report func(pos token.Pos, msg string)) {
 	runFlow(pkg, flowSpec{
 		creator: requestCreator,
 		discardMsg: func(c string) string {

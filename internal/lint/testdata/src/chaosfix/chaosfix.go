@@ -71,5 +71,6 @@ func (h *wellBehavedHook) RunEvent(k *sim.Kernel) {
 func wellBehaved(r *mpi.Rank, c *mpi.Comm, buf *gpu.Buffer) {
 	sreq := r.Isend(c, 1, fixTag, buf, topology.ModeAuto)
 	rreq := r.Irecv(c, 1, fixTag+1, buf)
-	r.WaitAll(sreq, rreq)
+	r.Wait(sreq)
+	r.Wait(rreq)
 }

@@ -49,7 +49,8 @@ func blockingInHelper(red coll.Reducer, r *mpi.Rank, c *mpi.Comm, buf *gpu.Buffe
 func wellBehaved(red coll.Reducer, r *mpi.Rank, c *mpi.Comm, buf *gpu.Buffer) {
 	sreq := r.Isend(c, 1, fixTag, buf, topology.ModeAuto)
 	rreq := r.Irecv(c, 1, fixTag+1, buf)
-	r.WaitAll(sreq, rreq)
+	r.Wait(sreq)
+	r.Wait(rreq)
 
 	var late *mpi.Request
 	if buf.Bytes > 0 {

@@ -10,7 +10,7 @@ import (
 // trace stream records an open interval and the golden comparisons
 // drift. Same optimistic dataflow as the mpi request check.
 
-func runTrace(_ *Program, pkg *Pkg, report func(pos token.Pos, msg string)) {
+func runTrace(pkg *Pkg, report func(pos token.Pos, msg string)) {
 	runFlow(pkg, flowSpec{
 		creator: spanCreator,
 		discardMsg: func(string) string {

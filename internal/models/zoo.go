@@ -36,7 +36,7 @@ func (b *specBuilder) add(name, kind string, params int, fwd, bwd float64, outEl
 func (b *specBuilder) conv(name string, outC, k, stride, pad, groups int) {
 	outH := (b.h+2*pad-k)/stride + 1
 	outW := (b.w+2*pad-k)/stride + 1
-	macs := 2 * float64(outC*outH*outW) * float64(b.c/groups*k*k)
+	macs := float64(2 * float64(outC*outH*outW) * float64(b.c/groups*k*k))
 	params := outC*(b.c/groups)*k*k + outC
 	b.add(name, "Convolution", params, macs, 2*macs, outC*outH*outW)
 	b.c, b.h, b.w = outC, outH, outW
@@ -158,7 +158,7 @@ func (b *specBuilder) inception(name string, b1, b3r, b3, b5r, b5, bp int) {
 		c := inC
 		for i, cv := range convs {
 			outC, k, _ := cv[0], cv[1], cv[2]
-			macs := 2 * float64(outC*h*w) * float64(c*k*k)
+			macs := float64(2 * float64(outC*h*w) * float64(c*k*k))
 			params := outC*c*k*k + outC
 			b.add(fmt.Sprintf("%s/%s_%d", name, tag, i+1), "Convolution", params, macs, 2*macs, outC*h*w)
 			e := float64(outC * h * w)
@@ -187,7 +187,7 @@ func (b *specBuilder) auxClassifier(name string) {
 	ph := (h-5)/3 + 1
 	pw := (w-5)/3 + 1
 	b.add(name+"/ave_pool", "Pooling(ave)", 0, float64(inC*ph*pw*25), float64(inC*ph*pw*25), inC*ph*pw)
-	macs := 2 * float64(128*ph*pw) * float64(inC)
+	macs := float64(2 * float64(128*ph*pw) * float64(inC))
 	b.add(name+"/conv", "Convolution", 128*inC+128, macs, 2*macs, 128*ph*pw)
 	b.add(name+"/relu_conv", "ReLU", 0, float64(128*ph*pw), float64(128*ph*pw), 128*ph*pw)
 	in1 := 128 * ph * pw

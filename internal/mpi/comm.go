@@ -151,7 +151,6 @@ type barrierStep struct {
 	w          Waiter
 }
 
-//scaffe:hotpath
 func (s *barrierStep) Step(*sim.Proc) bool {
 	r := s.r
 	for {

@@ -62,8 +62,6 @@ func (w *Waiter) Armed() bool { return w.armed }
 // finds c fired, or finds a deadline slice expired, consults the fault
 // plane (panicking with Revoked{} on a detected failure, as ftCheck
 // does up front) and arms the next, longer slice.
-//
-//scaffe:hotpath
 func (r *Rank) PollWait(p *sim.Proc, w *Waiter, c *sim.Completion) (done bool) {
 	pl := r.W.Fault
 	if !w.armed {
@@ -95,8 +93,6 @@ func (r *Rank) PollWait(p *sim.Proc, w *Waiter, c *sim.Completion) (done bool) {
 // deferred request does its work inside Wait and needs the proc's
 // stack: those go to Wait (see Request.Deferred); polled, one never
 // completes.
-//
-//scaffe:hotpath
 func (r *Rank) PollRequest(w *Waiter, req *Request) (done bool) {
 	if !r.PollWait(r.Proc, w, req.Done) {
 		return false
@@ -113,7 +109,6 @@ type waitStep struct {
 	w Waiter
 }
 
-//scaffe:hotpath
 func (s *waitStep) Step(p *sim.Proc) bool { return s.r.PollWait(p, &s.w, s.c) }
 
 // wait blocks the rank's main proc until c fires (or the communicator

@@ -56,8 +56,6 @@ type bcastOp struct {
 // getBcastOp draws an n-rank operation record from the world free
 // list, clearing recycled per-rank state; the miss/regrow path lives
 // in growBcastOp.
-//
-//scaffe:hotpath
 func (w *World) getBcastOp(n int) *bcastOp {
 	var op *bcastOp
 	if m := len(w.bcastPool); m > 0 {
@@ -85,8 +83,6 @@ func (w *World) getBcastOp(n int) *bcastOp {
 }
 
 // growBcastOp allocates the per-rank slices for an n-rank op.
-//
-//scaffe:coldpath pool-miss/regrow path; steady state reuses pooled ops of the right size
 func growBcastOp(op *bcastOp, n int) *bcastOp {
 	if op == nil {
 		op = &bcastOp{}
@@ -101,7 +97,6 @@ func growBcastOp(op *bcastOp, n int) *bcastOp {
 
 func (w *World) putBcastOp(op *bcastOp) {
 	op.c = nil
-	//scaffe:nolint hotpath pool release; append reuses capacity freed by the matching get
 	w.bcastPool = append(w.bcastPool, op)
 }
 
@@ -110,8 +105,6 @@ func (w *World) putBcastOp(op *bcastOp) {
 // data; elsewhere it receives it. The returned request completes when
 // this rank's buffer is ready for reuse (root: all its tree sends
 // done; non-root: data arrived).
-//
-//scaffe:hotpath
 func (r *Rank) Ibcast(c *Comm, root int, buf *gpu.Buffer, mode topology.TransferMode) *Request {
 	r.ftCheck()
 	me := c.Rank(r)
@@ -215,8 +208,6 @@ func (op *bcastOp) countChildren(groupRank int) int {
 // fireReq fires group rank i's request exactly once and drops the
 // reference: the request belongs to its rank, which may recycle it the
 // moment its waiter resumes, so the op must never touch it again.
-//
-//scaffe:hotpath
 func (op *bcastOp) fireReq(i int) {
 	req := op.reqs[i]
 	if req == nil {
@@ -229,8 +220,6 @@ func (op *bcastOp) fireReq(i int) {
 
 // maybeComplete reclaims the op record once every rank has posted and
 // every request has fired.
-//
-//scaffe:hotpath
 func (op *bcastOp) maybeComplete(w *World) {
 	if op.postedCount == len(op.posted) && op.firedCount == len(op.posted) {
 		delete(w.bcastOps, op.key)
@@ -241,8 +230,6 @@ func (op *bcastOp) maybeComplete(w *World) {
 // markReady records that a rank's buffer holds the data as of time t
 // and schedules edges to every already-posted child, largest subtree
 // first (the send order MPI uses).
-//
-//scaffe:hotpath
 func (op *bcastOp) markReady(w *World, groupRank int, t sim.Time) {
 	op.ready[groupRank] = true
 	op.readyAt[groupRank] = t
@@ -276,7 +263,6 @@ type bcastEdge struct {
 	ghostKey bcastKey
 }
 
-//scaffe:hotpath
 func (w *World) getBcastEdge() *bcastEdge {
 	n := len(w.edgePool)
 	if n == 0 {
@@ -289,21 +275,16 @@ func (w *World) getBcastEdge() *bcastEdge {
 }
 
 // newBcastEdge is getBcastEdge's pool-miss path.
-//
-//scaffe:coldpath pool-miss construction; steady state hits the free list
 func newBcastEdge() *bcastEdge { return &bcastEdge{} }
 
 func (w *World) putBcastEdge(e *bcastEdge) {
 	*e = bcastEdge{}
-	//scaffe:nolint hotpath pool release; append reuses capacity freed by the matching get
 	w.edgePool = append(w.edgePool, e)
 }
 
 // RunEvent implements sim.Runnable: the edge's transfer has landed.
 // The record is released before committing, because committing the
 // final edge can reclaim the whole op.
-//
-//scaffe:hotpath
 func (e *bcastEdge) RunEvent(k *sim.Kernel) {
 	w := e.w
 	if e.ghost {
@@ -340,8 +321,6 @@ func (e *bcastEdge) RunEvent(k *sim.Kernel) {
 
 // scheduleEdge books the parent->child transfer (parent data and child
 // buffer are both available) and wires up delivery.
-//
-//scaffe:hotpath
 func (op *bcastOp) scheduleEdge(w *World, parent, child int) {
 	from := op.c.rankAt(parent)
 	to := op.c.rankAt(child)
@@ -359,8 +338,6 @@ func (op *bcastOp) scheduleEdge(w *World, parent, child int) {
 // commitEdge records a delivered parent->child edge: the child's
 // request fires, its buffer becomes a source for its own children, and
 // the root's request fires once its last child edge lands.
-//
-//scaffe:hotpath
 func (op *bcastOp) commitEdge(w *World, child int, isRootEdge bool) {
 	op.fireReq(child)
 	op.markReady(w, child, w.K.Now())

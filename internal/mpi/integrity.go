@@ -87,8 +87,6 @@ func (r *Rank) IrecvSummed(c *Comm, from, tag int, buf *gpu.Buffer) (*Request, *
 
 // getSummed draws a checksummed-chunk header from the rank's free
 // list; the cold miss path allocates.
-//
-//scaffe:hotpath
 func (r *Rank) getSummed(buf *gpu.Buffer) *Summed {
 	n := len(r.sumPool)
 	if n == 0 {
@@ -102,8 +100,6 @@ func (r *Rank) getSummed(buf *gpu.Buffer) *Summed {
 }
 
 // newSummed is getSummed's pool-miss path.
-//
-//scaffe:coldpath pool-miss construction; steady state hits the free list
 func newSummed(r *Rank, buf *gpu.Buffer) *Summed { return &Summed{r: r, buf: buf} }
 
 // release returns a settled header to its rank's free list, keeping
@@ -113,7 +109,6 @@ func (s *Summed) release() {
 	s.r, s.buf, s.src = nil, nil, nil
 	s.sum, s.mode, s.poisoned = 0, 0, false
 	s.clean = s.clean[:0]
-	//scaffe:nolint hotpath pool release; append reuses capacity freed by the matching get
 	r.sumPool = append(r.sumPool, s)
 }
 
@@ -140,8 +135,6 @@ func (s *Summed) deliver(sender *Rank, mode topology.TransferMode) {
 // rounding away — after snapshotting the clean bytes so a retransmit
 // can restore them; timing-mode payloads carry no values, so
 // corruption is a poison marker.
-//
-//scaffe:coldpath fault-injection path; wire corruption is off the fault-free steady state
 func (s *Summed) corrupt() {
 	if len(s.buf.Data) == 0 {
 		s.poisoned = true
@@ -159,8 +152,6 @@ func (s *Summed) corrupt() {
 // only Verify can handle — a retransmit waits on the wire. A
 // sim.Stepper calls TryVerify in its Step and falls back to Verify on
 // the proc's goroutine.
-//
-//scaffe:hotpath
 func (s *Summed) TryVerify() bool {
 	if s == nil {
 		return true
@@ -201,8 +192,6 @@ func (s *Summed) Verify() {
 // retransmit books a fresh wire transfer of the chunk from its sender
 // and blocks until it lands; the corruption hook is consulted again so
 // a persistently bad link keeps failing toward escalation.
-//
-//scaffe:coldpath integrity-failure recovery; retransmission only runs after a detected corruption
 func (s *Summed) retransmit() {
 	r := s.r
 	w := r.W

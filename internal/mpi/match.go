@@ -37,8 +37,6 @@ type psQueue struct{ head, tail *pendingSend }
 func (e *matchSlot) free() bool { return e.recvs.head == nil && e.sends.head == nil }
 
 // home is where a key's probe sequence starts.
-//
-//scaffe:hotpath
 func (t *matchTable) home(comm, src int32, tag int) int {
 	h := uint64(uint32(comm))<<32 | uint64(uint32(src))
 	h = (h ^ uint64(tag)*0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
@@ -48,8 +46,6 @@ func (t *matchTable) home(comm, src int32, tag int) int {
 // find returns the index of the key's entry: the one holding its queue,
 // or a free one, stamped with the key, where its queue would start. The
 // index is good until the next find.
-//
-//scaffe:hotpath
 func (t *matchTable) find(comm, src, tag int) int {
 	if 2*(t.used+1) > len(t.slots) {
 		t.grow()
@@ -69,7 +65,6 @@ func (t *matchTable) find(comm, src, tag int) int {
 
 // grow doubles the table and puts every entry where it now belongs.
 //
-//scaffe:coldpath runs when more keys are outstanding at once than ever before
 //go:noinline
 func (t *matchTable) grow() {
 	old := t.slots
@@ -87,8 +82,6 @@ func (t *matchTable) grow() {
 
 // remove deletes the entry at gap, whose queue has just emptied, and
 // closes the hole it would leave in the probe sequences running over it.
-//
-//scaffe:hotpath
 func (t *matchTable) remove(gap int) {
 	t.used--
 	mask := len(t.slots) - 1
@@ -106,8 +99,6 @@ func (t *matchTable) remove(gap int) {
 
 // popRecv removes the oldest receive posted for the entry's key, or
 // returns nil.
-//
-//scaffe:hotpath
 func (t *matchTable) popRecv(i int) *Request {
 	q := &t.slots[i].recvs
 	req := q.head
@@ -122,8 +113,6 @@ func (t *matchTable) popRecv(i int) *Request {
 }
 
 // pushRecv appends a posted receive to the entry.
-//
-//scaffe:hotpath
 func (t *matchTable) pushRecv(i int, req *Request) {
 	q := &t.slots[i].recvs
 	req.next = nil
@@ -138,8 +127,6 @@ func (t *matchTable) pushRecv(i int, req *Request) {
 
 // popSend removes the oldest unexpected send for the entry's key, or
 // returns nil.
-//
-//scaffe:hotpath
 func (t *matchTable) popSend(i int) *pendingSend {
 	q := &t.slots[i].sends
 	ps := q.head
@@ -154,8 +141,6 @@ func (t *matchTable) popSend(i int) *pendingSend {
 }
 
 // pushSend appends an unexpected send to the entry.
-//
-//scaffe:hotpath
 func (t *matchTable) pushSend(i int, ps *pendingSend) {
 	q := &t.slots[i].sends
 	ps.next = nil

@@ -107,7 +107,9 @@ func TestMatchingAgainstReferenceMatcher(t *testing.T) {
 					reqs = append(reqs, r.Irecv(comms[op.comm], op.peer, op.tag, buf))
 				}
 			}
-			r.WaitAll(reqs...)
+			for _, req := range reqs {
+				r.Wait(req)
+			}
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -153,7 +155,9 @@ func TestMatchTableFollowsOutstandingKeys(t *testing.T) {
 					reqs = append(reqs, r.Irecv(c, 0, tag, buf))
 				}
 			}
-			r.WaitAll(reqs...)
+			for _, req := range reqs {
+				r.Wait(req)
+			}
 			c.Barrier(r)
 			if i == 9 {
 				after10[r.ID] = len(r.match.slots)

@@ -330,12 +330,14 @@ func TestIbcastMatchingBySequence(t *testing.T) {
 			b2.Fill(2)
 			q1 := r.Ibcast(c, 0, b1, topology.ModeAuto)
 			q2 := r.Ibcast(c, 0, b2, topology.ModeAuto)
-			r.WaitAll(q1, q2)
+			r.Wait(q1)
+			r.Wait(q2)
 		} else {
 			r.Sleep(5 * sim.Millisecond)
 			q1 := r.Ibcast(c, 0, b1, topology.ModeAuto)
 			q2 := r.Ibcast(c, 0, b2, topology.ModeAuto)
-			r.WaitAll(q1, q2)
+			r.Wait(q1)
+			r.Wait(q2)
 			first, second = b1.Data[0], b2.Data[0]
 		}
 	})

@@ -59,8 +59,6 @@ type Request struct {
 
 // getRequest returns a fresh un-fired request from the rank's free
 // list; the cold miss path lives in newRequest.
-//
-//scaffe:hotpath
 func (r *Rank) getRequest(buf *gpu.Buffer) *Request {
 	n := len(r.reqPool)
 	if n == 0 {
@@ -80,7 +78,6 @@ func (r *Rank) getRequest(buf *gpu.Buffer) *Request {
 // a rank that posts every layer's broadcast up front takes a handful of
 // allocations to get there, not one per request.
 //
-//scaffe:coldpath pool-miss construction; steady state hits the free list
 //go:noinline
 func (r *Rank) newRequest(buf *gpu.Buffer) *Request {
 	if len(r.reqBlock) == 0 {
@@ -107,14 +104,11 @@ func (r *Rank) putRequest(req *Request) {
 	req.deferred = nil
 	req.summed = nil
 	req.next = nil
-	//scaffe:nolint hotpath pool release; append reuses capacity freed by the matching get
 	r.reqPool = append(r.reqPool, req)
 }
 
 // getPendingSend draws an unexpected-message record from the rank's
 // free list; the cold miss path allocates.
-//
-//scaffe:hotpath
 func (r *Rank) getPendingSend() *pendingSend {
 	n := len(r.psPool)
 	if n == 0 {
@@ -127,13 +121,10 @@ func (r *Rank) getPendingSend() *pendingSend {
 }
 
 // newPendingSend is getPendingSend's pool-miss path.
-//
-//scaffe:coldpath pool-miss construction; steady state hits the free list
 func newPendingSend() *pendingSend { return &pendingSend{} }
 
 func (r *Rank) putPendingSend(ps *pendingSend) {
 	*ps = pendingSend{}
-	//scaffe:nolint hotpath pool release; append reuses capacity freed by the matching get
 	r.psPool = append(r.psPool, ps)
 }
 
@@ -158,13 +149,6 @@ func (r *Rank) Wait(req *Request) {
 	}
 	r.wait(req.Done)
 	r.putRequest(req)
-}
-
-// WaitAll waits for every request in order.
-func (r *Rank) WaitAll(reqs ...*Request) {
-	for _, req := range reqs {
-		r.Wait(req)
-	}
 }
 
 // Test reports whether the request has completed without blocking.
@@ -201,8 +185,6 @@ func (r *Rank) NewDeferredRequest(fn func()) *Request {
 
 // Isend starts a non-blocking send of buf to group rank `to` of comm c
 // with the given tag.
-//
-//scaffe:hotpath
 func (r *Rank) Isend(c *Comm, to, tag int, buf *gpu.Buffer, mode topology.TransferMode) *Request {
 	r.ftCheck()
 	dst := c.rankAt(to)
@@ -233,7 +215,6 @@ func (r *Rank) Irecv(c *Comm, from, tag int, buf *gpu.Buffer) *Request {
 	return r.irecv(c, from, tag, buf, nil)
 }
 
-//scaffe:hotpath
 func (r *Rank) irecv(c *Comm, from, tag int, buf *gpu.Buffer, s *Summed) *Request {
 	r.ftCheck()
 	src := c.rankAt(from)
@@ -282,8 +263,6 @@ type delivery struct {
 }
 
 // RunEvent implements sim.Runnable.
-//
-//scaffe:hotpath
 func (d *delivery) RunEvent(k *sim.Kernel) {
 	w := d.sender.W
 	if d.epoch != w.epoch {
@@ -322,8 +301,6 @@ func (d *delivery) RunEvent(k *sim.Kernel) {
 // sendGen is the send completion's generation snapshotted at post
 // time; the receive side snapshots here (it cannot be recycled before
 // delivery fires it).
-//
-//scaffe:hotpath
 func (r *Rank) startTransfer(at sim.Time, dst *Rank, src *gpu.Buffer, recvReq, sendReq *Request, sendGen uint64, mode topology.TransferMode) {
 	if recvReq.buf.Bytes != src.Bytes {
 		panic(fmt.Sprintf("mpi: message size mismatch: send %d bytes, recv %d bytes", src.Bytes, recvReq.buf.Bytes))

@@ -32,8 +32,6 @@ type heldRec = sim.Runnable
 // now. Any stashed landing on the link is released first (behind the
 // current one — that is the swap), so a stash can never starve even
 // when its follow-up is itself dropped or held.
-//
-//scaffe:coldpath wire perturbation runs only while a drop/dup/reorder/delay/partition is armed (gated by WireArmed)
 func (w *World) perturbDelivery(d *delivery, now sim.Time) bool {
 	key := linkKey{src: d.sender.ID, dst: d.recv.ID}
 	w.releaseHeld(key, now)
@@ -60,8 +58,6 @@ func (w *World) perturbDelivery(d *delivery, now sim.Time) bool {
 }
 
 // perturbEdge is perturbDelivery for broadcast tree edges.
-//
-//scaffe:coldpath wire perturbation runs only while a drop/dup/reorder/delay/partition is armed (gated by WireArmed)
 func (w *World) perturbEdge(e *bcastEdge, now sim.Time) bool {
 	from, to := e.op.c.rankAt(e.parent), e.op.c.rankAt(e.child)
 	key := linkKey{src: from.ID, dst: to.ID}

@@ -82,8 +82,6 @@ func NewWorld(c *topology.Cluster, n int) *World {
 
 // getDelivery draws a transfer-landing record from the world free
 // list; the cold miss path allocates.
-//
-//scaffe:hotpath
 func (w *World) getDelivery() *delivery {
 	n := len(w.delPool)
 	if n == 0 {
@@ -96,13 +94,10 @@ func (w *World) getDelivery() *delivery {
 }
 
 // newDelivery is getDelivery's pool-miss path.
-//
-//scaffe:coldpath pool-miss construction; steady state hits the free list
 func newDelivery() *delivery { return &delivery{} }
 
 func (w *World) putDelivery(d *delivery) {
 	*d = delivery{}
-	//scaffe:nolint hotpath pool release; append reuses capacity freed by the matching get
 	w.delPool = append(w.delPool, d)
 }
 

@@ -112,7 +112,6 @@ type Ctx struct {
 // nobody would wait for its requests or reset them.
 func (x *Ctx) Put(s *Slot, req *mpi.Request) {
 	if req != nil && s.p == x.g.plan {
-		//scaffe:nolint hotpath request lists reset to [:0] each Execute; append reuses high-water capacity
 		x.g.reqs[s.id] = append(x.g.reqs[s.id], req)
 	}
 }
@@ -473,8 +472,6 @@ func (l *laneRun) runThread(p *sim.Proc) {
 // CPU-progressed request — here, on the goroutine. Lane 0 returns at its
 // end; a helper lane's walk ends idle, parked inside RunSteps, and the
 // next Execute's wake goes on from there.
-//
-//scaffe:hotpath
 func (l *laneRun) run(p *sim.Proc) {
 	l.ctx.P = p
 	for {
@@ -498,14 +495,6 @@ func (l *laneRun) run(p *sim.Proc) {
 // trace spans, fires its completion, and goes on to the next node.
 // Untraced runs skip the timestamp bookkeeping — it exists only to
 // position spans.
-//
-// Step is the steady-state iteration's root: every node action the
-// engine registers (Plan.Add and Plan.AddTimed store the callback into
-// the Node) runs under it or under run once per iteration, so the
-// hotpath obligation declared on the two propagates through the call
-// graph into those closures and everything they reach.
-//
-//scaffe:hotpath
 func (l *laneRun) Step(p *sim.Proc) bool {
 	g, r := l.g, l.g.r
 	for l.i < len(l.nodes) {

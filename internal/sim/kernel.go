@@ -126,8 +126,6 @@ func (k *Kernel) SetDeadline(t Time) { k.maxTime = t }
 // it to the same-instant ring or the calendar. Past times clamp to
 // now, so the event runs at the current instant but strictly after
 // everything already scheduled for it.
-//
-//scaffe:hotpath
 func (k *Kernel) schedule(t Time, e event) {
 	if t <= k.now {
 		k.seq++
@@ -158,16 +156,12 @@ func (k *Kernel) AtRun(t Time, r Runnable) {
 }
 
 // atResume schedules an unconditional resume of p at time t.
-//
-//scaffe:hotpath
 func (k *Kernel) atResume(t Time, p *Proc) {
 	k.schedule(t, event{kind: evResume, p: p})
 }
 
 // atResumeIf schedules a guarded resume of p at time t, delivered
 // only if p is still parked on the wait armed with seq.
-//
-//scaffe:hotpath
 func (k *Kernel) atResumeIf(t Time, p *Proc, seq uint64) {
 	k.schedule(t, event{kind: evResumeIf, p: p, aux: seq})
 }
@@ -176,8 +170,6 @@ func (k *Kernel) atResumeIf(t Time, p *Proc, seq uint64) {
 // rule: a calendar event due at or before now always precedes every
 // ring event (it was scheduled strictly earlier — smaller seq); an
 // empty ring lets the calendar minimum advance virtual time.
-//
-//scaffe:hotpath
 func (k *Kernel) popEvent() event {
 	if t, ok := k.cal.minTime(); ok && t <= k.now {
 		return k.cal.pop()
@@ -280,8 +272,6 @@ func (k *Kernel) loopFrom(self *Proc) loopState {
 // and for a killed proc, which is never stepped — control leaves the
 // loop: back into self when p is the proc driving it, over p's wake
 // channel when it is another.
-//
-//scaffe:hotpath
 func (k *Kernel) deliver(p, self *Proc) (st loopState, left bool) {
 	if p.stepper != nil {
 		if !p.killed && !k.step(p) {
@@ -312,8 +302,6 @@ func (k *Kernel) deliver(p, self *Proc) (st loopState, left bool) {
 // (calendarQueue.insert); the ring never receives one, since a deadline
 // whose time has come when its timer pops was reserved before the
 // clock reached it.
-//
-//scaffe:hotpath
 func (k *Kernel) fireTimer(ev event) (expired bool) {
 	p := ev.p
 	tm := p.timer
@@ -339,10 +327,7 @@ func (k *Kernel) fireTimer(ev event) (expired bool) {
 // unwind the loop — it would take down whichever proc happens to be
 // driving it — so it is kept on p, the step counts as done, and
 // RunSteps raises it again on p's own goroutine.
-//
-//scaffe:hotpath
 func (k *Kernel) step(p *Proc) (done bool) {
-	//scaffe:nolint hotpath the deferred literal is open-coded on this frame, not a heap closure; TestSimKernelZeroAllocSteadyState steps through it
 	defer func() {
 		if rec := recover(); rec != nil {
 			p.failStep(rec)
@@ -465,8 +450,6 @@ func (k *Kernel) dropProc(p *Proc) {
 }
 
 // wakeAt schedules p to be resumed at time t.
-//
-//scaffe:hotpath
 func (k *Kernel) wakeAt(p *Proc, t Time) {
 	k.atResume(t, p)
 }

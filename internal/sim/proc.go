@@ -73,7 +73,6 @@ type stepFailure struct {
 
 // failStep keeps a panic that p's step raised on the event loop.
 //
-//scaffe:coldpath a panicking step ends the proc's stepping
 //go:noinline
 func (p *Proc) failStep(rec any) {
 	f := &stepFailure{rec: rec}
@@ -144,13 +143,6 @@ func (p *Proc) SetGroup(int) {}
 func (p *Proc) park() {
 	k := p.k
 	p.stepFail = nil // of a step panic the proc recovered from: not the next panic's
-	// The loopFrom call is a context switch, not a subroutine: the
-	// parking proc's hot frame ends here and the event loop runs
-	// other procs' events under its own gates (the kernel's
-	// //scaffe:hotpath annotations and the zero-alloc steady-state
-	// test), so the caller's obligations must not flood into it.
-	//
-	//scaffe:coldpath control transfer into the event loop; the kernel's own hotpath gates cover it
 	switch k.loopFrom(p) {
 	case loopSelf:
 		// The next event resumes this proc: keep running.
@@ -270,8 +262,6 @@ func (p *Proc) RunSteps(s Stepper) {
 // ArmUntil is WaitUntil without the park, for a Step: the proc is
 // resumed at t (at the current instant, behind everything already
 // scheduled for it, when t is past).
-//
-//scaffe:hotpath
 func (p *Proc) ArmUntil(t Time) { p.k.atResume(t, p) }
 
 // ArmWaitTimeout is WaitTimeout without the park, for a Step. It
@@ -280,8 +270,6 @@ func (p *Proc) ArmUntil(t Time) { p.k.atResume(t, p) }
 // is first, and c.Fired tells the two apart. A wait whose d is Never
 // has no deadline: it reserves no sequence number and makes no timer,
 // so it adds nothing to the event stream but c's wake.
-//
-//scaffe:hotpath
 func (p *Proc) ArmWaitTimeout(c *Completion, d Duration) (fired bool) {
 	if c.fired {
 		return true
@@ -302,8 +290,6 @@ func (p *Proc) ArmWaitTimeout(c *Completion, d Duration) (fired bool) {
 // (Kernel.fireTimer), so that an expiry always pops at its own key. A
 // deadline already due goes behind everything due now, as any event
 // scheduled for the past does.
-//
-//scaffe:hotpath
 func (p *Proc) armDeadline(t Time) {
 	k, tm := p.k, p.timer
 	if tm == nil {
@@ -326,7 +312,6 @@ func (p *Proc) armDeadline(t Time) {
 
 // newTimer gives the proc its deadline state.
 //
-//scaffe:coldpath once per proc that ever arms a deadline
 //go:noinline
 func (p *Proc) newTimer() *procTimer {
 	p.timer = &procTimer{}
@@ -335,8 +320,6 @@ func (p *Proc) newTimer() *procTimer {
 
 // ArmIdle is a Step's idle return (see Stepper): the proc arms nothing
 // and stays parked until Wake.
-//
-//scaffe:hotpath
 func (p *Proc) ArmIdle() { p.idle = true }
 
 // Wake resumes a proc that a step left idle, with the event Spawn

@@ -89,8 +89,6 @@ type nowRing struct {
 func (r *nowRing) len() int { return r.n }
 
 // push appends e; steady state touches only an existing slot.
-//
-//scaffe:hotpath
 func (r *nowRing) push(e event) {
 	if r.n == len(r.buf) {
 		r.grow()
@@ -101,8 +99,6 @@ func (r *nowRing) push(e event) {
 
 // pop removes and returns the oldest event, zeroing the slot so the
 // ring does not pin dead payloads.
-//
-//scaffe:hotpath
 func (r *nowRing) pop() event {
 	e := r.buf[r.head]
 	r.buf[r.head] = event{}
@@ -112,8 +108,6 @@ func (r *nowRing) pop() event {
 }
 
 // grow doubles the ring (cold path: runs O(log n) times ever).
-//
-//scaffe:coldpath capacity doubling runs O(log n) times ever; amortized out of steady state
 func (r *nowRing) grow() {
 	size := 2 * len(r.buf)
 	if size < 64 {
@@ -194,8 +188,6 @@ const walkFree = 2
 // find returns the link in at's bucket that holds at's instant, or the
 // place it belongs: the first instant not earlier than at; and how many
 // instants it stepped past to get there.
-//
-//scaffe:hotpath
 func (q *calendarQueue) find(at Time) (pp **slot, walked int) {
 	pp = &q.buckets[int(at/q.width)&q.mask]
 	for s := *pp; s != nil && s.at < at; s = *pp {
@@ -211,8 +203,6 @@ func (q *calendarQueue) find(at Time) (pp **slot, walked int) {
 // reserved key (Kernel.fireTimer) is the one event that may have to go
 // in front of some of them. Table resize, slot allocation and that
 // placement live in cold helpers.
-//
-//scaffe:hotpath
 func (q *calendarQueue) insert(e event) {
 	if len(q.buckets) == 0 {
 		q.retable(minBuckets, 1)
@@ -265,7 +255,6 @@ func (q *calendarQueue) insert(e event) {
 // linear in the instant's events, and runs once per timer carried into
 // an instant that already holds later events.
 //
-//scaffe:coldpath a carried deadline timer's placement, once per timeout window per proc
 //go:noinline
 func placeInSeq(s *slot, e event) event {
 	for ; s != nil; s = s.more {
@@ -287,8 +276,6 @@ func placeInSeq(s *slot, e event) event {
 // instant still lies inside the popped event's calendar month, that one
 // is provably the new global minimum (same argument as locate's year
 // scan), so the cache survives then too.
-//
-//scaffe:hotpath
 func (q *calendarQueue) pop() event {
 	q.locate()
 	b := q.cacheBucket
@@ -323,8 +310,6 @@ func (q *calendarQueue) pop() event {
 }
 
 // minTime reports the (time) of the minimum event, if any.
-//
-//scaffe:hotpath
 func (q *calendarQueue) minTime() (Time, bool) {
 	if q.count == 0 {
 		return 0, false
@@ -339,8 +324,6 @@ func (q *calendarQueue) minTime() (Time, bool) {
 // global minimum (all later buckets' events are provably later; see
 // file comment). If a whole year holds nothing, fall back to a direct
 // scan of bucket heads.
-//
-//scaffe:hotpath
 func (q *calendarQueue) locate() {
 	if q.cacheOK || q.count == 0 {
 		return
@@ -369,8 +352,6 @@ func (q *calendarQueue) locate() {
 }
 
 // getSlot takes a zeroed slot off the free list.
-//
-//scaffe:hotpath
 func (q *calendarQueue) getSlot() *slot {
 	s := q.free
 	if s == nil {
@@ -382,8 +363,6 @@ func (q *calendarQueue) getSlot() *slot {
 
 // putSlot gives a drained slot back. Its events are zero already: pop
 // cleared each as it took it, and nothing beyond n was ever written.
-//
-//scaffe:hotpath
 func (q *calendarQueue) putSlot(s *slot) {
 	s.more, s.last, s.h, s.n = nil, nil, 0, 0
 	s.next, q.free = q.free, s
@@ -392,7 +371,6 @@ func (q *calendarQueue) putSlot(s *slot) {
 // carve allocates slots a block at a time, each block as large as all
 // before it together (within bounds), and returns them as a free list.
 //
-//scaffe:coldpath runs when more events are pending than ever before; amortized out of steady state
 //go:noinline
 func (q *calendarQueue) carve() *slot {
 	n := min(max(q.carved, 8), 256)
@@ -407,7 +385,6 @@ func (q *calendarQueue) carve() *slot {
 // retable sizes the bucket table, whose buckets are all empty (cold
 // path). The backing array is kept across resizes.
 //
-//scaffe:coldpath table rebuild is a resize event, amortized out of steady state
 //go:noinline
 func (q *calendarQueue) retable(nbuckets int, width Time) {
 	if cap(q.buckets) >= nbuckets {
@@ -454,8 +431,6 @@ func headWidth(head []Time) Time {
 // change; their events stay in their slots. The choice is a
 // deterministic function of queue contents, so replays resize
 // identically.
-//
-//scaffe:coldpath resize runs when the instants double or quarter, or inserts have walked a table's worth too far; amortized out of steady state
 func (q *calendarQueue) resize(nb int) {
 	var all *slot
 	var head [headSample]Time // the earliest instants, ascending

@@ -37,7 +37,6 @@ func (c *Completion) addWaiter(w waiter) {
 	if c.waiters == nil {
 		c.waiters = c.w0[:0]
 	}
-	//scaffe:nolint hotpath append lands in the inline w0 backing array in the common case
 	c.waiters = append(c.waiters, w)
 }
 
@@ -54,7 +53,6 @@ func (k *Kernel) GetCompletion() *Completion {
 		k.compPool = k.compPool[:n-1]
 		return c
 	}
-	//scaffe:nolint hotpath pool-miss construction; steady state hits the free list
 	return &Completion{k: k}
 }
 
@@ -63,7 +61,6 @@ func (k *Kernel) GetCompletion() *Completion {
 // generation bump dissolves it).
 func (k *Kernel) PutCompletion(c *Completion) {
 	c.reset(k)
-	//scaffe:nolint hotpath free-list release; append reuses capacity freed by the matching Get
 	k.compPool = append(k.compPool, c)
 }
 
@@ -107,8 +104,6 @@ func (c *Completion) Gen() uint64 { return c.gen }
 // Fire marks the completion done at the current virtual time, wakes
 // all waiters, and runs registered callbacks in kernel context. Firing
 // twice is a no-op.
-//
-//scaffe:hotpath
 func (c *Completion) Fire() {
 	if c.fired {
 		return
@@ -138,8 +133,6 @@ func (c *Completion) FireFrom(*Proc) { c.Fire() }
 // FireIf fires the completion only if its generation still equals
 // gen: a reference that survived a recycle becomes a no-op instead of
 // spuriously completing the object's next life.
-//
-//scaffe:hotpath
 func (c *Completion) FireIf(gen uint64) {
 	if c.gen == gen {
 		c.Fire()
@@ -153,7 +146,6 @@ func (c *Completion) OnFire(fn func()) {
 		c.k.At(c.k.now, fn)
 		return
 	}
-	//scaffe:nolint hotpath callback backing is kept by reset(); pooled completions reuse its capacity
 	c.cbs = append(c.cbs, fn)
 }
 
@@ -219,7 +211,6 @@ func (q *Queue) Put(p *Proc, v any) {
 // Get removes and returns the oldest item, blocking p while empty.
 func (q *Queue) Get(p *Proc) any {
 	for q.items.len() == 0 {
-		//scaffe:nolint hotpath waiting-getter list reuses its backing across iterations
 		q.getters.push(p)
 		p.park()
 	}

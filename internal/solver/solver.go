@@ -44,7 +44,7 @@ type Inv struct {
 
 // LR implements LRPolicy.
 func (p Inv) LR(iter int) float64 {
-	return p.Base * math.Pow(1+p.Gamma*float64(iter), -p.Power)
+	return p.Base * math.Pow(1+float64(p.Gamma*float64(iter)), -p.Power)
 }
 
 // Poly is Caffe's "poly" policy: base · (1 − iter/max)^power.
@@ -95,7 +95,7 @@ func (s *SGD) Step(net *layers.Net, iter int, scale float32) {
 				panic(fmt.Sprintf("solver: layer %d param %d shape drift", li, pi))
 			}
 			for i := range p.Data {
-				v.Data[i] = mu*v.Data[i] - lr*(scale*g.Data[i]+wd*p.Data[i])
+				v.Data[i] = float32(mu*v.Data[i]) - float32(lr*(float32(scale*g.Data[i])+float32(wd*p.Data[i])))
 				p.Data[i] += v.Data[i]
 			}
 		}
@@ -105,8 +105,6 @@ func (s *SGD) Step(net *layers.Net, iter int, scale float32) {
 // ensureHistory lazily allocates the momentum buffers in net layer
 // order (the same order as layers.Net.PackParams, so the packed forms
 // below line up with packed parameter vectors).
-//
-//scaffe:coldpath lazy first-use momentum allocation, guarded by s.history != nil
 func (s *SGD) ensureHistory(net *layers.Net) {
 	if s.history != nil {
 		return
@@ -128,7 +126,6 @@ func (s *SGD) PackHistory(net *layers.Net, dst []float32) []float32 {
 	dst = dst[:0]
 	for li := range net.Layers {
 		for _, v := range s.history[li] {
-			//scaffe:nolint hotpath appends into the caller's reused dst[:0] buffer; steady state stays at high-water capacity
 			dst = append(dst, v.Data...)
 		}
 	}

@@ -29,8 +29,6 @@ const (
 // across any GOMAXPROCS setting and across GOARCH. Parallel dispatch
 // goes through a persistent worker pool and a pooled call descriptor,
 // so steady-state calls do not allocate.
-//
-//scaffe:hotpath
 func Gemm(transA, transB bool, m, n, k int, alpha float32, a []float32, b []float32, beta float32, c []float32) {
 	if len(c) < m*n {
 		panic("tensor: gemm C too small")
@@ -119,8 +117,6 @@ var (
 // startGemmWorkers spins up the persistent compute workers. Workers
 // block on the task queue when idle; the pool is sized to the machine
 // since per-call parallelism is capped by GOMAXPROCS anyway.
-//
-//scaffe:coldpath one-time lazy worker-pool spawn behind gemmOnce
 func startGemmWorkers() {
 	n := runtime.NumCPU()
 	if n < 1 {
@@ -146,7 +142,6 @@ func getGemmCall() *gemmCall {
 	}
 	gemmCallMu.Unlock()
 	if g == nil {
-		//scaffe:nolint hotpath pool-miss construction; steady state hits the free list
 		g = new(gemmCall)
 	}
 	return g
@@ -155,7 +150,6 @@ func getGemmCall() *gemmCall {
 func putGemmCall(g *gemmCall) {
 	g.a, g.b, g.c = nil, nil, nil
 	gemmCallMu.Lock()
-	//scaffe:nolint hotpath pool release; append reuses capacity freed by the matching get
 	gemmCallFree = append(gemmCallFree, g)
 	gemmCallMu.Unlock()
 }

@@ -2,12 +2,13 @@ package tensor
 
 import "testing"
 
-// These tests back the //scaffe:hotpath annotations with a runtime
-// gate: every annotated kernel must be allocation-free in steady state
-// (after warm-up spins up the persistent GEMM worker pool). The static
-// hotpath lint catches allocating constructs at compile time; this
-// catches anything the AST rules cannot see (e.g. escape-analysis
-// regressions).
+// These tests are the allocation gate for the real-compute kernels:
+// GEMM, im2col/col2im and the element-wise ops a layer runs per
+// iteration must be allocation-free in steady state (after warm-up
+// spins up the persistent GEMM worker pool). Measuring the calls
+// catches whatever makes them allocate — a construct in the body or an
+// escape-analysis decision alike; core.TestSteadyStateIterationAllocBudget
+// does the same for whole training iterations.
 
 func requireZeroAllocs(t *testing.T, name string, fn func()) {
 	t.Helper()

@@ -17,8 +17,6 @@ func (g ConvGeom) OutW() int { return (g.InW+2*g.PadW-g.KernelW)/g.StrideW + 1 }
 // Im2col expands one image (C×H×W, flattened) into the column matrix
 // used to lower convolution onto GEMM: (C·kh·kw) rows × (outH·outW)
 // columns. col must have length C*kh*kw*outH*outW.
-//
-//scaffe:hotpath
 func Im2col(g ConvGeom, img []float32, col []float32) {
 	outH, outW := g.OutH(), g.OutW()
 	idx := 0
@@ -49,8 +47,6 @@ func Im2col(g ConvGeom, img []float32, col []float32) {
 // overlapping contributions (the adjoint of Im2col, used for the
 // convolution input gradient). img must be zeroed by the caller. Each
 // pixel receives its contributions in column-matrix order.
-//
-//scaffe:hotpath
 func Col2im(g ConvGeom, col []float32, img []float32) {
 	outH, outW := g.OutH(), g.OutW()
 	idx := 0

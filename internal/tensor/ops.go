@@ -3,8 +3,6 @@ package tensor
 import "math"
 
 // ReLUForward writes max(0, in) into out (may alias in).
-//
-//scaffe:hotpath
 func ReLUForward(in, out []float32) {
 	for i, v := range in {
 		if v > 0 {
@@ -17,8 +15,6 @@ func ReLUForward(in, out []float32) {
 
 // ReLUBackward writes gradOut gated by the forward input's sign into
 // gradIn (may alias gradOut).
-//
-//scaffe:hotpath
 func ReLUBackward(in, gradOut, gradIn []float32) {
 	for i := range gradOut {
 		if in[i] > 0 {
@@ -31,8 +27,6 @@ func ReLUBackward(in, gradOut, gradIn []float32) {
 
 // SoftmaxRow computes an in-place numerically stable softmax over one
 // row.
-//
-//scaffe:hotpath
 func SoftmaxRow(row []float32) {
 	maxv := row[0]
 	for _, v := range row[1:] {
@@ -58,8 +52,6 @@ func SoftmaxRow(row []float32) {
 // labels, and writes the unnormalized gradient (prob − onehot) into
 // grad (same shape; may alias logits only if the caller no longer
 // needs the probabilities).
-//
-//scaffe:hotpath
 func SoftmaxCrossEntropy(logits []float32, batch, classes int, labels []int, grad []float32) float32 {
 	var loss float64
 	for b := 0; b < batch; b++ {

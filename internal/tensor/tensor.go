@@ -105,7 +105,7 @@ func (t *Tensor) Axpy(alpha float32, x *Tensor) {
 		panic("tensor: Axpy length mismatch")
 	}
 	for i, v := range x.Data {
-		t.Data[i] += alpha * v
+		t.Data[i] += float32(alpha * v)
 	}
 }
 

@@ -29,12 +29,10 @@ func GetScratch(n int) *[]float32 {
 	}
 	scratchMu.Unlock()
 	if p == nil {
-		//scaffe:nolint hotpath pool-miss construction; steady state hits the free list
 		s := make([]float32, n)
 		return &s
 	}
 	if cap(*p) < n {
-		//scaffe:nolint hotpath regrow on a larger request; the pool converges on the high-water size
 		*p = make([]float32, n)
 	}
 	*p = (*p)[:n]
@@ -44,7 +42,6 @@ func GetScratch(n int) *[]float32 {
 // PutScratch returns a buffer obtained from GetScratch to the pool.
 func PutScratch(p *[]float32) {
 	scratchMu.Lock()
-	//scaffe:nolint hotpath pool release; append reuses capacity freed by the matching get
 	scratchFree = append(scratchFree, p)
 	scratchMu.Unlock()
 }

@@ -111,8 +111,8 @@ func (c *Cluster) intraNode(at sim.Time, from, to DeviceID, bytes int64, mode Tr
 // reserveWirePath books duration d on the HCA pair plus whichever PCIe
 // endpoints the device-resident sides cross. The four explicit cases
 // (instead of appending into a links slice) keep the variadic argument
-// slices stack-allocated: Transfer sits on the propagated hotpath of
-// every send, so building the path must not touch the heap.
+// slices stack-allocated: Transfer prices every send, so building the
+// path must not touch the heap.
 func reserveWirePath(at sim.Time, d sim.Duration, src, dst *Node, from, to DeviceID) (start, end sim.Time) {
 	switch {
 	case !from.IsHost() && !to.IsHost():

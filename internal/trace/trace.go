@@ -50,7 +50,6 @@ func (t *Recorder) AddNode(rank int, phase, label string, start, end sim.Time) {
 	if t == nil || end <= start {
 		return
 	}
-	//scaffe:nolint hotpath the recorder's event log grows for the run's lifetime by design; doubling amortizes
 	t.events = append(t.events, Event{Rank: rank, Phase: phase, Label: label, Start: start, End: end})
 }
 

@@ -1,6 +1,7 @@
 #!/bin/sh
 # check.sh — the repository's pre-merge gate: formatting, vet,
-# scaffe-lint, build, and the full test suite under the race detector.
+# scaffe-lint, the FMA-free listing, build, the zero-alloc gates, and
+# the full test suite under the race detector.
 # Run from anywhere; it always operates on the repository root.
 set -eu
 
@@ -22,33 +23,41 @@ go vet ./...
 GOARCH=arm64 go vet ./internal/tensor
 
 echo "== scaffe-lint =="
-# The repo-specific static gate (determinism, hot-path allocation, MPI
-# request discipline, trace-span balance); cheap, so it runs before the
-# race-instrumented test phase. See internal/lint and DESIGN.md §10.
+# The repo-specific static gate (determinism, MPI request discipline,
+# trace-span balance); cheap, so it runs before the race-instrumented
+# test phase. See internal/lint and DESIGN.md §10.
 go run ./cmd/scaffe-lint ./...
 
-echo "== scaffe-lint -escape =="
-# The compiler-verified escape gate (DESIGN.md §15): go build
-# -gcflags=-m=1 over the propagated-hotpath packages, diffed against
-# the checked-in lint.baseline. A new heap escape in a hot function —
-# or a stale baseline entry — fails here, with the annotated root
-# named; regenerate the file with
-#   go run ./cmd/scaffe-lint -escape -write-baseline
-# after auditing the diff. Unrecognized compiler output fails loudly
-# rather than silently disabling the gate.
-go run ./cmd/scaffe-lint -escape ./...
+echo "== FMA-free products =="
+# Real-mode losses must be the same bits on every GOARCH. arm64 fuses a
+# product into the add or subtract it feeds unless an explicit
+# float32(x*y)/float64(x*y) conversion rounds it first; amd64 never
+# fuses. The compiler's listing must therefore show no fused
+# multiply-add anywhere in the simulator.
+listing=$(mktemp)
+GOARCH=arm64 go build -gcflags=-S ./internal/... > "$listing" 2>&1
+fused=$(grep -Ew '(FMADD|FMSUB|FNMADD|FNMSUB)[SD]?' "$listing" || true)
+rm -f "$listing"
+if [ -n "$fused" ]; then
+    echo "fused multiply-adds in the arm64 build (wrap the product in an explicit conversion):" >&2
+    echo "$fused" >&2
+    exit 1
+fi
 
 echo "== go build =="
 go build ./...
 
-echo "== event-kernel zero-alloc gate =="
-# The pooled event kernel must not allocate in steady state (DESIGN.md
-# §12): for plain events, for a proc that waits as steps on the event
+echo "== zero-alloc gate =="
+# Steady state allocates nothing (DESIGN.md §10, §12): the pooled event
+# kernel for plain events, for a proc that waits as steps on the event
 # loop, and for same-instant waves that march through buckets no wave
-# has used before (capacity belongs to the queue, not to a bucket).
-# Run un-instrumented first, since race instrumentation itself
-# allocates and would mask a regression.
+# has used before (capacity belongs to the queue, not to a bucket); and
+# the training iteration of every design on every reducer, armed or
+# not, timing and real mode. Run un-instrumented, since race
+# instrumentation itself allocates and would mask a regression (the
+# iteration budget skips itself under -race).
 go test -run '^TestSimKernel(ZeroAllocSteadyState|MarchingWavesZeroAlloc)$' -count=1 ./internal/sim
+go test -run '^TestSteadyStateIterationAllocBudget$' -count=1 ./internal/core
 
 echo "== elastic churn drill =="
 # The elastic membership acceptance bar (DESIGN.md §14): the 32-rank
