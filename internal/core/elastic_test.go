@@ -111,6 +111,58 @@ func TestRealJoinAfterCrashBitExact(t *testing.T) {
 	}
 }
 
+// TestWatchdogRoundAdmittingJoinGrows is TestRealJoinAfterCrashBitExact's
+// schedule plus a root parameter flip right after the join: the
+// watchdog's round commits the pending admission, so it must take the
+// full grow (re-shard, snapshot restore, catch-up), not the
+// micro-rollback that would keep the joiner's pre-crash batch share.
+// From the restart iteration on, the run must equal the 4-rank run
+// resumed from the restart snapshot.
+func TestWatchdogRoundAdmittingJoinGrows(t *testing.T) {
+	dir := t.TempDir()
+	const iters, every = 24, 4
+	cfg := tinyRealConfig(4, 32, iters)
+	cfg.SnapshotEvery = every
+	cfg.SnapshotPrefix = filepath.Join(dir, "calib")
+	total := midRun(t, cfg, 1.0)
+	mid := sim.Time(float64(total) * 0.45)
+	join := sim.Time(float64(mid) * 1.6)
+
+	cfg.SnapshotPrefix = filepath.Join(dir, "elastic")
+	cfg.Integrity = IntegrityRecover
+	cfg.Faults = fault.Schedule{
+		{At: mid, Kind: fault.Crash, Rank: 3},
+		{At: join, Kind: fault.Join, Rank: 3},
+		{At: join + sim.Time(float64(total)*0.002), Kind: fault.BitFlip, Rank: 0, Word: 64, Bit: 30},
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := res.Fault
+	if rep.Crashes != 1 || len(rep.Joins) != 1 || res.Integrity.WatchdogTrips != 1 {
+		t.Fatalf("report = %v, integrity = %v", rep, res.Integrity)
+	}
+	j := rep.Joins[0]
+	if j.Rank != 3 || j.WorldSize != 4 || rep.Survivors != 4 || j.RestartIter <= 0 || j.RestartIter%every != 0 {
+		t.Fatalf("join = %+v, survivors = %d", j, rep.Survivors)
+	}
+
+	golden := tinyRealConfig(4, 32, iters)
+	golden.ResumeFrom = snapshotPath(cfg.SnapshotPrefix, j.RestartIter-1)
+	golden.StartIteration = j.RestartIter
+	gres, err := Run(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tail := res.Losses[j.RestartIter:]; !reflect.DeepEqual(tail, gres.Losses) {
+		t.Errorf("losses after the grow %v, golden %v", tail, gres.Losses)
+	}
+	if !reflect.DeepEqual(res.FinalParams, gres.FinalParams) {
+		t.Error("final parameters differ from the golden 4-rank run")
+	}
+}
+
 // TestJoinUnderFire lands a second crash in the same admit window as a
 // join: the admission rides whichever recovery round commits, and the
 // run still converges to the right membership.

@@ -22,7 +22,6 @@ const (
 	tagLayerReduce  = 1000 // + 2*layer
 	tagPS           = 50
 	tagJoinAck      = 60 // join handshake: admitted rank -> root
-	tagCatchup      = 61 // catch-up broadcast of params + momentum
 	tagMPFwd        = 70 // model parallelism: activations to the next stage
 	tagMPBwd        = 71 // and their gradients back
 )
@@ -73,7 +72,6 @@ type runState struct {
 	restartIter  int
 	lastGoodIter int
 	epoch        int // recovery epochs, for reader proc naming
-	recSeen      int // fault.Recovery records already processed
 
 	// Elastic-membership state (see recovery.go). growEpoch is the
 	// epoch whose rebuild admitted joiners (-1 = none yet);
@@ -209,7 +207,7 @@ func run(cfg Config) (*Result, *runState, error) {
 		if cfg.DeviceMemory > 0 {
 			r.Dev.SetMemCapacity(cfg.DeviceMemory)
 		}
-		defer st.rankDone(r.ID)
+		defer st.rankDone()
 		st.ftLoop(r, cfg.StartIteration)
 	})
 	pl.OnRebuild(st.rebuild)

@@ -212,17 +212,14 @@ func (st *runState) noteLastGood(w *workload) {
 	st.lastGoodHistory = st.sgds[st.rootRank()].PackHistory(w.net, st.lastGoodHistory)
 }
 
-// rebuildMicro is the micro-rollback flavor of the recovery hook: same
-// membership, fresh communicator (stale traffic from the abandoned
-// iteration can never match the replay's), root parameters and
-// momentum restored from the in-memory last-good copy — no snapshot
-// read, no re-sharding, no reader restart (the elastic readers keep
-// streaming; batch tokens are fungible). Replicas heal through the
-// retried iteration's parameter broadcast.
-func (st *runState) rebuildMicro() int {
-	alive := st.ft.AliveRanks()
-	st.regroup(alive)
-
+// rebuildMicro is the micro-rollback flavor of the recovery hook, on
+// the communicator rebuild already re-formed over the same members
+// (stale traffic from the abandoned iteration can never match the
+// replay's): root parameters and momentum restored from the in-memory
+// last-good copy — no snapshot read, no re-sharding, no reader restart
+// (the elastic readers keep streaming; batch tokens are fungible).
+// Replicas heal through the retried iteration's parameter broadcast.
+func (st *runState) rebuildMicro(members []int) int {
 	restart := st.integIter
 	if st.cfg.RealNet != nil && st.lastGoodParams != nil {
 		root := st.rootRank()
@@ -236,7 +233,7 @@ func (st *runState) rebuildMicro() int {
 		st.unrecord(restart)
 	}
 	st.integ.Rollbacks++
-	for _, id := range alive {
+	for _, id := range members {
 		st.cfg.Trace.Add(id, "rollback", st.integTripAt, st.k.Now())
 	}
 	st.restartIter = restart

@@ -163,6 +163,41 @@ func TestSDCDrillRecoversBitIdentically(t *testing.T) {
 	}
 }
 
+// TestWatchdogTripInLastIterationFinishes flips a root parameter inside
+// the last iteration, after the other ranks' training loops have ended:
+// the micro-rollback must resume those finished ranks for the replay
+// (a world rebuilt without them is the root alone, and one rebuilt with
+// them while they stay gone waits forever). Every root-broadcast design
+// must end bit-identical to its fault-free golden.
+func TestWatchdogTripInLastIterationFinishes(t *testing.T) {
+	for _, d := range []Design{SCB, SCOB, SCOBR} {
+		cfg := tinyRealConfig(4, 32, 6)
+		cfg.Design = d
+		golden, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Integrity = IntegrityRecover
+		cfg.MaxVirtualTime = 4 * sim.Duration(golden.TotalTime)
+		cfg.Faults = fault.Schedule{
+			{At: sim.Time(float64(golden.TotalTime) * 0.95), Kind: fault.BitFlip, Rank: 0, Word: 64, Bit: 30},
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%v: %v", d, err)
+		}
+		if ir := res.Integrity; ir.WatchdogTrips != 1 || ir.Rollbacks != 1 {
+			t.Errorf("%v: the flip did not take one micro-rollback: %v", d, ir)
+		}
+		if !reflect.DeepEqual(res.Losses, golden.Losses) {
+			t.Errorf("%v: losses %v, golden %v", d, res.Losses, golden.Losses)
+		}
+		if !reflect.DeepEqual(res.FinalParams, golden.FinalParams) {
+			t.Errorf("%v: final parameters differ from the fault-free golden run", d)
+		}
+	}
+}
+
 // TestSDCDetectModeObservesOnly pins detect-only semantics: corruption
 // is counted but flows on — no retransmits, no rollbacks — and the run
 // still completes. This is the behavior behind scaffe-train's exit

@@ -115,7 +115,7 @@ func (st *runState) noteCompleted(it int) {
 // AwaitAdmission returns false only when nobody is left to admit the
 // joiner (training already ended), in which case the proc just exits.
 func (st *runState) runJoined(r *mpi.Rank) {
-	defer st.rankDone(r.ID)
+	defer st.rankDone()
 	if !st.ft.AwaitAdmission(r.ID, r.Proc) {
 		return
 	}
@@ -131,31 +131,38 @@ func (st *runState) runJoined(r *mpi.Rank) {
 // termination test on purpose: a survivor released with a restart
 // iteration at or past the end must still serve the catch-up protocol,
 // or the joiner's collectives would wait on members that already left.
+// A rank whose loop has ended is finished, not gone: until the root has
+// run its final commit, a round (a watchdog trip in the last iteration,
+// say) still counts it and resumes it from the round's restart point.
 func (st *runState) ftLoop(r *mpi.Rank, it int) {
 	cfg := st.cfg
 	ph := &st.phases[r.ID]
 	sink := &nodeSink{st: st, rank: r.ID, ph: ph}
 	for {
-		if st.catchupPending(r.ID) {
-			if !unlessRevoked(func() { st.catchup(r) }) {
-				st.ft.EnterRecovery(r.ID, r.Proc)
-				it = st.restartIter
+		switch {
+		case st.growEpoch == st.epoch && st.catchupSeen[r.ID] != st.epoch:
+			// The last rebuild admitted joiners, and this rank still owes
+			// that epoch's catch-up protocol.
+			if unlessRevoked(func() { st.catchup(r) }) {
+				continue
+			}
+		case it >= cfg.Iterations:
+			st.ft.Depart(r.ID)
+		default:
+			before := ph.Forward + ph.Backward
+			if unlessRevoked(func() { st.graph(r).Execute(sink, it) }) {
+				st.noteIterTime(r.ID, ph.Forward+ph.Backward-before)
+				it++
 				continue
 			}
 		}
-		if it >= cfg.Iterations {
+		// A revocation unwound the step, or the loop ended: rendezvous
+		// with the survivors. The last arrival triggers rebuild() and
+		// releases everyone; training resumes from the restart point it
+		// chose. A finished rank the run is done with leaves instead.
+		if !st.ft.EnterRecovery(r.ID, r.Proc) {
 			return
 		}
-		before := ph.Forward + ph.Backward
-		if unlessRevoked(func() { st.graph(r).Execute(sink, it) }) {
-			st.noteIterTime(r.ID, ph.Forward+ph.Backward-before)
-			it++
-			continue
-		}
-		// Revocation observed: rendezvous with every surviving rank.
-		// The last arrival triggers rebuild() and releases everyone;
-		// training resumes from the restart point it chose.
-		st.ft.EnterRecovery(r.ID, r.Proc)
 		it = st.restartIter
 	}
 }
@@ -172,13 +179,6 @@ func unlessRevoked(fn func()) (ok bool) {
 	}()
 	fn()
 	return true
-}
-
-// catchupPending reports whether rank still owes the current epoch's
-// catch-up protocol: the last rebuild admitted joiners (growEpoch) and
-// this rank has not run the protocol for that epoch yet.
-func (st *runState) catchupPending(rank int) bool {
-	return st.growEpoch == st.epoch && st.catchupSeen[rank] != st.epoch
 }
 
 // catchup runs one member's side of the catch-up protocol after a
@@ -263,9 +263,7 @@ func (st *runState) membershipTick(r *mpi.Rank) {
 	if f := st.cfg.EvictFactor; f > 0 && st.comm.Size() > 1 {
 		st.evictStraggler(f)
 	}
-	if pl.JoinPending() && !pl.Revoked() {
-		pl.BeginGrow()
-	}
+	pl.BeginGrow()
 }
 
 // evictStraggler evicts at most one rank per tick: the slowest member
@@ -316,13 +314,11 @@ func (st *runState) evictStraggler(factor float64) {
 	}
 }
 
-// rankDone runs as each rank's proc unwinds (normal completion or
-// kill): it tells the plane the rank left training, and the last one
-// out stamps the run's end time and stops the readers (elastic ones
-// would prefetch forever).
-func (st *runState) rankDone(rank int) {
+// rankDone runs as each rank's proc unwinds (the plane is done with it,
+// or a kill): the last one out stamps the run's end time and stops the
+// readers (elastic ones would prefetch forever).
+func (st *runState) rankDone() {
 	st.ranksLive--
-	st.ft.Depart(rank)
 	if st.ranksLive == 0 {
 		st.doneAt = st.k.Now()
 		for _, rd := range st.readers {
@@ -370,40 +366,33 @@ func (st *runState) unrecord(restart int) {
 }
 
 // rebuild is the plane's recovery hook, run exactly once per round
-// with every survivor parked: shrink the communicator to the
-// survivors, rebuild their training state at the new batch geometry,
-// restore solver state, restart the data plane, and return the
-// iteration training resumes from.
-func (st *runState) rebuild() int {
+// with every member of the rebuilt world parked: shrink or grow the
+// communicator to the round's members, rebuild their training state at
+// the new batch geometry, restore solver state, restart the data plane,
+// and return the iteration training resumes from and whether the
+// members rolled back.
+func (st *runState) rebuild(round fault.Round) (int, bool) {
 	cfg := st.cfg
 	pl := st.ft
+	members := round.Members
+	st.regroup(members)
 
 	// A watchdog trip revokes with zero failed ranks and takes the
-	// micro-rollback path — unless a real failure landed in the same
-	// round, in which case the full rebuild below handles both.
-	micro := st.integRetry
+	// micro-rollback path — unless the round also excluded or admitted
+	// a rank, in which case the full rebuild below handles both.
+	micro := st.integRetry && len(round.Excluded) == 0 && len(round.Admitted) == 0
 	st.integRetry = false
-	if micro && len(pl.Report().Recoveries) == st.recSeen {
-		return st.rebuildMicro()
+	if micro {
+		return st.rebuildMicro(members), false
 	}
 
-	// Membership is the ACTIVE set — alive and still training. A rank
-	// that already finished every iteration departed the loop; wiring
-	// it into the new communicator would wedge every collective on a
-	// member that never posts again (a late-run revocation races the
-	// finishers). Its solver state stays untouched.
-	alive := pl.ActiveRanks()
-	admitted := pl.Admitted()
-	grew := len(admitted) > 0
-
-	st.regroup(alive)
 	// The root can move when a shrink removes the old one; the quorum
 	// rule must track it.
 	pl.SetRoot(st.rootRank())
 
-	// Re-shard: the global batch redistributes over the survivors.
-	newLocal := cfg.localBatch(len(alive))
-	for _, id := range alive {
+	// Re-shard: the global batch redistributes over the members.
+	newLocal := cfg.localBatch(len(members))
+	for _, id := range members {
 		st.wl[id] = newWorkload(cfg, newLocal)
 	}
 
@@ -425,7 +414,7 @@ func (st *runState) rebuild() int {
 		if snap != nil {
 			restart = snap.Iteration + 1
 			rolledBack = true
-			for _, id := range alive {
+			for _, id := range members {
 				st.wl[id].net.UnpackParams(snap.Params)
 				st.sgds[id].Reset()
 				if len(snap.History) > 0 {
@@ -437,7 +426,7 @@ func (st *runState) rebuild() int {
 			// the seed; drop the momentum to match, and re-apply an
 			// explicit resume checkpoint if the run started from one.
 			restart = cfg.StartIteration
-			for _, id := range alive {
+			for _, id := range members {
 				st.sgds[id].Reset()
 			}
 			if cfg.ResumeFrom != "" {
@@ -451,21 +440,22 @@ func (st *runState) rebuild() int {
 		restart = st.lastGoodIter + 1
 	}
 
-	// Restart the surviving data plane at the new batch size.
+	// Restart the members' data plane at the new batch size.
 	st.epoch++
-	if grew {
+	if len(round.Admitted) > 0 {
 		// Flag this epoch for the catch-up protocol: every member —
 		// joiners included — runs it before its first iteration on the
-		// grown world (see tryCatchup). Fresh members start the straggler
+		// grown world (see catchup). Fresh members start the straggler
 		// policy with an unseeded EWMA.
 		st.growEpoch = st.epoch
-		st.lastAdmitted = append(st.lastAdmitted[:0], admitted...)
-		for _, id := range admitted {
-			st.iterEWMA[id] = 0
-			st.slowStreak[id] = 0
+		st.lastAdmitted = st.lastAdmitted[:0]
+		for _, j := range round.Admitted {
+			st.lastAdmitted = append(st.lastAdmitted, j.Rank)
+			st.iterEWMA[j.Rank] = 0
+			st.slowStreak[j.Rank] = 0
 		}
 	}
-	for _, id := range alive {
+	for _, id := range members {
 		if rd := st.readers[id]; rd != nil {
 			rd.Stop()
 		}
@@ -473,28 +463,17 @@ func (st *runState) rebuild() int {
 			stalledSource{inner: st.dataSrc, pl: pl, rank: id}, newLocal, cfg.Spec.PerSampleBytes, cfg.QueueDepth)
 	}
 
-	// Observability: stamp the rollback flag on this round's records
-	// and emit one recovery span per survivor.
-	recs := pl.Report().Recoveries
-	if n := len(recs); n > st.recSeen {
-		if rolledBack {
-			pl.NoteRollback(n - st.recSeen)
+	// Observability: one recovery span per member, one join span per
+	// admitted rank.
+	if len(round.Excluded) > 0 {
+		for _, id := range members {
+			st.cfg.Trace.Add(id, "recovery", round.DetectedAt, st.k.Now())
 		}
-		detect := recs[st.recSeen].DetectedAt
-		for i := st.recSeen + 1; i < n; i++ {
-			if recs[i].DetectedAt < detect {
-				detect = recs[i].DetectedAt
-			}
-		}
-		for _, id := range alive {
-			st.cfg.Trace.Add(id, "recovery", detect, st.k.Now())
-		}
-		st.recSeen = n
 	}
-	for _, id := range admitted {
-		st.cfg.Trace.Add(id, "join", pl.AnnouncedAt(id), st.k.Now())
+	for _, j := range round.Admitted {
+		st.cfg.Trace.Add(j.Rank, "join", j.AnnouncedAt, st.k.Now())
 	}
 
 	st.restartIter = restart
-	return restart
+	return restart, rolledBack
 }

@@ -88,7 +88,7 @@ func runJoinDesk(t *testing.T, retries int, open sim.Time) (*Report, []int) {
 	k := sim.New()
 	pl := NewPlane(k, 4, sim.Millisecond)
 	pl.SetJoinRetries(retries)
-	pl.OnRebuild(func() int { return 0 })
+	pl.OnRebuild(func(Round) (int, bool) { return 0, false })
 	ap := &elasticApplier{k: k, pl: pl}
 	pl.Arm(Schedule{
 		{At: 2 * sim.Time(sim.Millisecond), Kind: Crash, Rank: 3},
@@ -161,7 +161,7 @@ func TestJoinDeskImmediateAdmission(t *testing.T) {
 func TestJoinAbandonedWhenNobodyLeft(t *testing.T) {
 	k := sim.New()
 	pl := NewPlane(k, 2, sim.Millisecond)
-	pl.OnRebuild(func() int { return 0 })
+	pl.OnRebuild(func(Round) (int, bool) { return 0, false })
 	ap := &elasticApplier{k: k, pl: pl}
 	pl.Arm(Schedule{
 		{At: sim.Time(sim.Millisecond), Kind: Crash, Rank: 1},
@@ -190,7 +190,7 @@ func TestJoinAbandonedWhenNobodyLeft(t *testing.T) {
 func TestEvictIsInstantlyDetected(t *testing.T) {
 	k := sim.New()
 	pl := NewPlane(k, 4, sim.Millisecond)
-	pl.OnRebuild(func() int { return 7 })
+	pl.OnRebuild(func(Round) (int, bool) { return 7, false })
 	ap := &elasticApplier{k: k, pl: pl}
 	at := 5 * sim.Time(sim.Millisecond)
 	pl.Arm(Schedule{{At: at, Kind: Evict, Rank: 2}}, ap)

@@ -2,7 +2,6 @@ package fault
 
 import (
 	"fmt"
-	"slices"
 
 	"scaffe/internal/sim"
 )
@@ -67,7 +66,7 @@ func (NopApplier) ReviveRank(int)          {}
 type Recovery struct {
 	// Rank is the rank that failed.
 	Rank int
-	// Kind is Crash or Hang.
+	// Kind is Crash, Hang, Evict or Partitioned.
 	Kind Kind
 	// FailedAt is the injection time.
 	FailedAt sim.Time
@@ -167,16 +166,6 @@ func (r *Report) String() string {
 	return s
 }
 
-// recoveryRound is one leaderless all-survivor rendezvous: every
-// surviving rank that observes the revocation enters, and the round
-// releases — running the engine's rebuild hook first — once every
-// rank currently alive has arrived.
-type recoveryRound struct {
-	arrived []bool
-	count   int
-	done    *sim.Completion
-}
-
 // wireCorruption is one armed CorruptWire event: a countdown of
 // checksummed transfers on a directed link, consumed exactly once.
 type wireCorruption struct {
@@ -196,38 +185,22 @@ type linkWindow struct {
 // so there is no locking.
 type Plane struct {
 	k       *sim.Kernel
-	total   int
 	applier Applier
-	rebuild func() int
+	rebuild func(Round) (restart int, rolledBack bool)
 
-	// excluded ranks have been shrunk out of the world; failed ranks
-	// are dead but not yet absorbed by a shrink; departed ranks
-	// finished (or died) and will never join a recovery rendezvous.
-	excluded []bool
-	failed   []bool
-	departed []bool
-	failRec  []Recovery // partial record per failed rank
-	revoked  bool
+	// m is every rank's membership state (membership.go). failRec and
+	// joinRec are the partial records of failed and joining ranks.
+	m       membership
+	failRec []Recovery
+	joinRec []JoinRecord
+	revoked bool
 
-	round *recoveryRound
-
-	// The join desk. pending holds announced ranks waiting for a grow
-	// round; admitting holds the pending set locked in by BeginGrow (a
-	// locked joiner can no longer withdraw — its admission commits with
-	// the round). joining marks ranks with a live joiner proc; evicted
-	// marks ranks removed by the evict path (a later recover event
-	// readmits them); rejoinQueued defers a join that arrived while the
-	// rank was failed-but-not-yet-excluded. admitted is the last
-	// committed round's admissions, for the rebuild hook.
-	pending      []int
-	admitting    []int
-	joining      []bool
-	evicted      []bool
-	rejoinQueued []bool
-	joinRec      []JoinRecord // partial record per joining rank
-	admitted     []int
-	admitDone    *sim.Completion
-	joinBudget   int
+	// parked wakes the ranks parked in EnterRecovery, admitDone the
+	// joiners a round admits; round is what a release hands the hook.
+	parked     *sim.Completion
+	round      Round
+	admitDone  *sim.Completion
+	joinBudget int
 
 	stallUntil    []sim.Time
 	links         []linkWindow
@@ -240,8 +213,7 @@ type Plane struct {
 	// behind a single branch; trafficLost records that at least one
 	// payload has been permanently discarded since the last committed
 	// recovery round, arming the loss-aware timeout escalation.
-	// rootRank is the engine's parameter root — the anchor of the
-	// partition quorum rule.
+	// rootRank is the engine's parameter root (see SetRoot).
 	wireRules   []*wireRule
 	parts       []*partitionWindow
 	wireOn      bool
@@ -257,18 +229,12 @@ type Plane struct {
 // the deadline quantum SetQuantum takes.
 func NewPlane(k *sim.Kernel, ranks int, quantum sim.Duration) *Plane {
 	pl := &Plane{
-		k:            k,
-		total:        ranks,
-		excluded:     make([]bool, ranks),
-		failed:       make([]bool, ranks),
-		departed:     make([]bool, ranks),
-		failRec:      make([]Recovery, ranks),
-		stallUntil:   make([]sim.Time, ranks),
-		joining:      make([]bool, ranks),
-		evicted:      make([]bool, ranks),
-		rejoinQueued: make([]bool, ranks),
-		joinRec:      make([]JoinRecord, ranks),
-		joinBudget:   DefaultJoinRetries,
+		k:          k,
+		m:          newMembership(ranks),
+		failRec:    make([]Recovery, ranks),
+		joinRec:    make([]JoinRecord, ranks),
+		stallUntil: make([]sim.Time, ranks),
+		joinBudget: DefaultJoinRetries,
 	}
 	pl.SetQuantum(quantum)
 	return pl
@@ -286,9 +252,10 @@ func (pl *Plane) SetQuantum(quantum sim.Duration) {
 	pl.backoff = Backoff{Quantum: quantum, MaxShift: maxBackoffShift}
 }
 
-// SetRoot tells the plane which rank anchors the partition quorum
-// rule (the engine's parameter root). Re-set after every rebuild —
-// the root can move when the world shrinks.
+// SetRoot tells the plane which rank is the engine's parameter root: it
+// anchors the partition quorum rule, and its loop ending is the run's
+// final commit, after which finished ranks depart. Re-set after every
+// rebuild — the root can move when the world shrinks.
 func (pl *Plane) SetRoot(rank int) { pl.rootRank = rank }
 
 // SetJoinRetries overrides the per-announce admission-wait budget
@@ -303,18 +270,17 @@ func (pl *Plane) SetJoinRetries(n int) {
 // after the world's ranks are spawned and before the kernel runs.
 func (pl *Plane) Arm(sched Schedule, ap Applier) {
 	pl.applier = ap
-	pl.report.Survivors = pl.total
+	pl.report.Survivors = len(pl.m.state)
 	for _, ev := range sched {
-		ev := ev
 		pl.k.At(ev.At, func() { pl.apply(ev) })
 	}
 }
 
 // OnRebuild registers the engine's shrink-and-restore hook. It runs
-// exactly once per recovery round, at release time, with every
-// surviving rank parked in EnterRecovery; it returns the iteration
-// training resumes from.
-func (pl *Plane) OnRebuild(fn func() int) { pl.rebuild = fn }
+// exactly once per round, at release, with every member parked in
+// EnterRecovery, and returns the iteration training resumes from and
+// whether the members rolled back rather than continuing in place.
+func (pl *Plane) OnRebuild(fn func(Round) (restart int, rolledBack bool)) { pl.rebuild = fn }
 
 // apply executes one scheduled event in kernel context.
 func (pl *Plane) apply(ev Event) {
@@ -330,16 +296,7 @@ func (pl *Plane) apply(ev Event) {
 		} else {
 			pl.report.Hangs++
 		}
-		pl.failed[ev.Rank] = true
-		pl.failRec[ev.Rank] = Recovery{Rank: ev.Rank, Kind: ev.Kind, FailedAt: now}
-		pl.applier.KillRank(ev.Rank, ev.Kind)
-		// If the dead rank had already reached a recovery rendezvous,
-		// un-count it and re-check: the survivors must not wait for a
-		// corpse.
-		if pl.round != nil && pl.round.arrived[ev.Rank] {
-			pl.round.arrived[ev.Rank] = false
-			pl.round.count--
-		}
+		pl.kill(evKill, Recovery{Rank: ev.Rank, Kind: ev.Kind, FailedAt: now})
 		pl.checkRelease()
 	case StragglerOn:
 		pl.report.Injected++
@@ -350,18 +307,15 @@ func (pl *Plane) apply(ev Event) {
 		// A recovered rank that the evict path removed is readmitted
 		// through the join path: the recover event is the self-healing
 		// loop's re-entry point.
-		if pl.evicted[ev.Rank] {
-			pl.startJoin(ev.Rank)
-		}
+		pl.startJoin(ev.Rank, evRecover)
 	case Evict:
-		if !pl.Alive(ev.Rank) {
-			return // already out; nothing to evict
+		if pl.Alive(ev.Rank) { // else already out; nothing to evict
+			pl.report.Injected++
+			pl.EvictRank(ev.Rank)
 		}
-		pl.report.Injected++
-		pl.evict(ev.Rank)
 	case Join:
 		pl.report.Injected++
-		pl.startJoin(ev.Rank)
+		pl.startJoin(ev.Rank, evJoin)
 	case LinkDegrade:
 		pl.report.Injected++
 		pl.links = append(pl.links, linkWindow{node: ev.Node, factor: ev.Factor, from: now, until: now + ev.For})
@@ -399,6 +353,15 @@ func (pl *Plane) apply(ev Event) {
 	}
 }
 
+// kill fail-stops an alive rank (crash, hang, eviction, quorum fence);
+// the one transition also takes it out of the open round it may have
+// arrived in — the survivors must not wait for a corpse.
+func (pl *Plane) kill(e event, rec Recovery) {
+	pl.m.to(rec.Rank, e)
+	pl.failRec[rec.Rank] = rec
+	pl.applier.KillRank(rec.Rank, rec.Kind)
+}
+
 // WireCorrupt is the integrity plane's injection hook: called once per
 // checksummed transfer on the directed link src->dst, it counts down
 // every armed corruption on that link and reports whether this
@@ -418,103 +381,61 @@ func (pl *Plane) WireCorrupt(src, dst int) bool {
 	return hit
 }
 
-// evict removes an alive rank through the shrink path: a controlled,
-// instantly detected departure. Unlike a crash, no deadline has to
-// expire for the revocation to be discovered — the evictor initiated
-// it, so detection stamps at the same instant.
-func (pl *Plane) evict(rank int) {
-	now := pl.k.Now()
-	pl.report.Evictions++
-	pl.failed[rank] = true
-	pl.evicted[rank] = true
-	pl.failRec[rank] = Recovery{Rank: rank, Kind: Evict, FailedAt: now, DetectedAt: now}
-	pl.applier.KillRank(rank, Evict)
-	pl.setRevoked(now)
-	if pl.round != nil && pl.round.arrived[rank] {
-		pl.round.arrived[rank] = false
-		pl.round.count--
-	}
-	pl.checkRelease()
-}
-
-// EvictRank is the engine's straggler-policy entry point: proactively
-// remove an alive rank through the shrink path. A no-op when the rank
-// is not alive.
+// EvictRank removes an alive rank through the shrink path (an Evict
+// event, or the engine's straggler policy): a controlled, instantly
+// detected departure. Unlike a crash, no deadline has to expire for the
+// revocation to be discovered — the evictor initiated it, so detection
+// stamps at the same instant. A no-op when the rank is not alive.
 func (pl *Plane) EvictRank(rank int) {
 	if !pl.Alive(rank) {
 		return
 	}
-	pl.evict(rank)
+	now := pl.k.Now()
+	pl.report.Evictions++
+	pl.kill(evEvict, Recovery{Rank: rank, Kind: Evict, FailedAt: now, DetectedAt: now})
+	pl.setRevoked(now)
+	pl.checkRelease()
 }
 
-// startJoin revives an excluded rank's joiner process. A join landing
-// on a failed-but-not-yet-excluded rank is deferred until the round
-// that excludes it commits; alive or already-joining ranks are left
-// alone.
-func (pl *Plane) startJoin(rank int) {
-	if pl.failed[rank] {
-		pl.rejoinQueued[rank] = true
-		return
+// startJoin applies a join or recover event, reviving the rank when the
+// table moves it from excluded to joining (a failed rank's join waits
+// for the round that excludes it).
+func (pl *Plane) startJoin(rank int, e event) {
+	if pl.m.to(rank, e).phase == excluded && pl.m.state[rank].phase == joining {
+		pl.revive(rank)
 	}
-	if !pl.excluded[rank] || pl.joining[rank] {
-		return
-	}
-	pl.joining[rank] = true
-	pl.departed[rank] = false
+}
+
+// revive opens a joining rank's join record and gives it a fresh proc.
+func (pl *Plane) revive(rank int) {
 	pl.joinRec[rank] = JoinRecord{Rank: rank, AnnouncedAt: pl.k.Now()}
 	pl.applier.ReviveRank(rank)
-}
-
-// announce registers rank at the join desk (idempotent) and returns
-// the completion the next committed grow round fires.
-func (pl *Plane) announce(rank int) *sim.Completion {
-	if pl.admitDone == nil {
-		pl.admitDone = pl.k.NewCompletion()
-	}
-	if !slices.Contains(pl.pending, rank) && !slices.Contains(pl.admitting, rank) {
-		pl.pending = append(pl.pending, rank)
-	}
-	return pl.admitDone
-}
-
-// withdraw removes rank's announce from the pending queue, reporting
-// whether it was withdrawable. Announces locked in by BeginGrow are
-// not — their admission commits with the round.
-func (pl *Plane) withdraw(rank int) bool {
-	if slices.Contains(pl.admitting, rank) {
-		return false
-	}
-	for i, r := range pl.pending {
-		if r == rank {
-			pl.pending = append(pl.pending[:i], pl.pending[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
 
 // AwaitAdmission parks a revived rank's proc until a grow round admits
 // it, riding out busy admit windows with the same capped exponential
 // backoff as failure detection. A wait that exhausts its retry budget
 // withdraws the announce, cools down, and re-queues it — bounded
-// retries, graceful degradation, and it can never wedge training. It
-// reports false (giving up entirely) only when no participant is left
-// to admit the joiner.
+// retries, graceful degradation, and it can never wedge training. An
+// announce locked in by BeginGrow cannot be withdrawn: its admission
+// commits with the round. It reports false (giving up entirely) only
+// when no member is left to admit the joiner.
 func (pl *Plane) AwaitAdmission(rank int, p *sim.Proc) bool {
 	rec := &pl.joinRec[rank]
 	attempt := 0
 	for {
-		c := pl.announce(rank)
+		c := pl.next(&pl.admitDone)
+		pl.m.to(rank, evAnnounce)
 		rec.Attempts++
 		if p.WaitTimeout(c, pl.Timeout(attempt)) {
 			return true
 		}
-		if pl.participants() == 0 {
-			pl.abandonJoin(rank)
+		if pl.m.live() == 0 {
+			pl.m.to(rank, evAbandon)
 			return false
 		}
 		attempt++
-		if attempt >= pl.joinBudget && pl.withdraw(rank) {
+		if attempt >= pl.joinBudget && pl.m.to(rank, evWithdraw).phase == announced {
 			rec.Requeues++
 			pl.report.JoinRequeues++
 			attempt = 0
@@ -523,15 +444,9 @@ func (pl *Plane) AwaitAdmission(rank int, p *sim.Proc) bool {
 	}
 }
 
-// abandonJoin cancels a joiner that found nobody left to admit it.
-func (pl *Plane) abandonJoin(rank int) {
-	pl.withdraw(rank)
-	pl.joining[rank] = false
-}
-
 // JoinPending reports whether any announced joiner is waiting for an
 // admit window.
-func (pl *Plane) JoinPending() bool { return len(pl.pending) > 0 }
+func (pl *Plane) JoinPending() bool { return pl.m.n[announced] > 0 }
 
 // BeginGrow opens the admit window at an iteration boundary: pending
 // announces lock in (no longer withdrawable) and the communicator is
@@ -539,21 +454,14 @@ func (pl *Plane) JoinPending() bool { return len(pl.pending) > 0 }
 // The root calls it; a no-op while nothing is pending or a round is
 // already converging.
 func (pl *Plane) BeginGrow() {
-	if len(pl.pending) == 0 || pl.revoked {
+	if !pl.JoinPending() || pl.revoked {
 		return
 	}
-	pl.admitting = append(pl.admitting, pl.pending...)
-	pl.pending = pl.pending[:0]
+	for i := range pl.m.state {
+		pl.m.to(i, evLock)
+	}
 	pl.revoked = true
 }
-
-// Admitted returns the ranks the committing round admitted; valid
-// inside the rebuild hook (the slice is reused across rounds).
-func (pl *Plane) Admitted() []int { return pl.admitted }
-
-// AnnouncedAt returns the announce time of rank's current join record
-// (valid inside the rebuild hook for admitted ranks).
-func (pl *Plane) AnnouncedAt(rank int) sim.Time { return pl.joinRec[rank].AnnouncedAt }
 
 // Revoke revokes the communicator without a dead rank behind it — the
 // integrity plane's escalation path when a chunk stays corrupted past
@@ -600,18 +508,16 @@ func (pl *Plane) OnTimeout(rank, attempt int, now sim.Time) bool {
 	if pl.revoked {
 		return true
 	}
-	for i := range pl.failed {
-		if pl.failed[i] {
-			pl.setRevoked(now)
-			// Stamp detection on every pending failure: this one
-			// deadline discovered them all.
-			for j := range pl.failed {
-				if pl.failed[j] && pl.failRec[j].DetectedAt == 0 {
-					pl.failRec[j].DetectedAt = now
-				}
+	if pl.m.n[failed] > 0 {
+		pl.setRevoked(now)
+		// Stamp detection on every pending failure: this one deadline
+		// discovered them all.
+		for i, s := range pl.m.state {
+			if s.phase == failed && pl.failRec[i].DetectedAt == 0 {
+				pl.failRec[i].DetectedAt = now
 			}
-			return true
 		}
+		return true
 	}
 	if pl.trafficLost && attempt >= escalateAttempts {
 		pl.report.WireRevokes++
@@ -622,180 +528,126 @@ func (pl *Plane) OnTimeout(rank, attempt int, now sim.Time) bool {
 	return false
 }
 
-// EnterRecovery parks rank's main proc until every surviving rank has
-// arrived and the shrink/rebuild has run. Ranks call it after
-// observing a revocation.
-func (pl *Plane) EnterRecovery(rank int, p *sim.Proc) {
-	if pl.round == nil {
-		pl.round = &recoveryRound{arrived: make([]bool, pl.total), done: pl.k.NewCompletion()}
+// EnterRecovery parks rank's main proc in the recovery rendezvous and
+// reports whether it trains on: a member that observed a revocation
+// arrives and resumes when the round releases; a finished rank (see
+// Depart) resumes if a round releases first, and gets false once the
+// run is done with it.
+func (pl *Plane) EnterRecovery(rank int, p *sim.Proc) bool {
+	if pl.m.state[rank].phase == member {
+		pl.m.to(rank, evArrive)
 	}
-	rd := pl.round
-	if !rd.arrived[rank] {
-		rd.arrived[rank] = true
-		rd.count++
+	for s := pl.m.state[rank]; s.phase == arrived || s.phase == finished; s = pl.m.state[rank] {
+		c := pl.next(&pl.parked)
+		pl.checkRelease()
+		p.Wait(c) // returns at once if checkRelease fired it
 	}
-	pl.checkRelease()
-	p.Wait(rd.done) // returns immediately if checkRelease fired it
+	return pl.m.state[rank].phase == member
 }
 
-// checkRelease releases the current recovery round once every alive
-// rank has arrived: it commits the membership change (failed →
-// excluded, announced joiners → members, clears the revocation), runs
-// the engine's rebuild hook, stamps the new recovery and join records,
-// and wakes everyone — survivors and admitted joiners together. Safe
-// to call any time; it is a no-op until the round is complete.
+// Depart reports that rank's training loop has ended: the rank is
+// finished (for a rank outside the world, only its proc left).
+func (pl *Plane) Depart(rank int) {
+	pl.m.to(rank, evFinish)
+	pl.checkRelease()
+}
+
+// checkRelease settles the membership after any change. Finished ranks
+// depart once the run is done with them. Once every member arrived the
+// round commits: arrived and finished ranks train on, failed ones are
+// shrunk out, and announced joiners are admitted (a join rides whatever
+// round commits first); the rebuild hook runs, the records are stamped,
+// and members and admitted joiners wake together.
 func (pl *Plane) checkRelease() {
-	rd := pl.round
-	if rd == nil || rd.count == 0 || rd.count != pl.participants() {
+	m := &pl.m
+	if m.done(pl.rootRank) {
+		for i := range m.state {
+			m.to(i, evLeave)
+		}
+		fire(&pl.parked)
+	}
+	if !m.releasable() {
 		return
 	}
-	pl.round = nil
 	now := pl.k.Now()
+	r := &pl.round
+	r.Members, r.Excluded, r.Admitted, r.DetectedAt = r.Members[:0], r.Excluded[:0], r.Admitted[:0], 0
 	first := len(pl.report.Recoveries)
-	for i := range pl.failed {
-		if !pl.failed[i] {
-			continue
+	for i := range m.state {
+		switch m.to(i, evRelease).phase {
+		case failed:
+			rec := pl.failRec[i]
+			if rec.DetectedAt == 0 {
+				rec.DetectedAt = now
+			}
+			rec.ResumedAt = now
+			pl.report.Recoveries = append(pl.report.Recoveries, rec)
+			if len(r.Excluded) == 0 || rec.DetectedAt < r.DetectedAt {
+				r.DetectedAt = rec.DetectedAt
+			}
+			r.Excluded = append(r.Excluded, i)
+		case announced, admitting:
+			rec := pl.joinRec[i]
+			rec.AdmittedAt = now
+			r.Admitted = append(r.Admitted, rec)
 		}
-		pl.failed[i] = false
-		pl.excluded[i] = true
-		rec := pl.failRec[i]
-		if rec.DetectedAt == 0 {
-			rec.DetectedAt = now
+		if m.state[i].phase == member {
+			r.Members = append(r.Members, i)
 		}
-		rec.ResumedAt = now
-		pl.report.Recoveries = append(pl.report.Recoveries, rec)
 	}
-	// Admit every announced joiner: excluded → member. Admissions ride
-	// whatever round commits first — the grow round the root opened, or
-	// a shrink round that happened to converge in the same admit window
-	// (a join under fire).
-	pl.admitted = pl.admitted[:0]
-	pl.takeJoins(pl.admitting)
-	pl.takeJoins(pl.pending)
-	pl.admitting = pl.admitting[:0]
-	pl.pending = pl.pending[:0]
-	slices.Sort(pl.admitted)
 	pl.revoked = false
 	// A committed round restores consistency (rollback or rebuild), so
 	// earlier payload loss no longer dooms in-flight waits.
 	pl.trafficLost = false
 	pl.report.Survivors = pl.AliveCount()
-	restart := 0
+	restart, rolledBack := 0, false
 	if pl.rebuild != nil {
-		restart = pl.rebuild()
+		restart, rolledBack = pl.rebuild(*r)
 	}
 	for i := first; i < len(pl.report.Recoveries); i++ {
-		pl.report.Recoveries[i].RestartIter = restart
-		pl.report.Recoveries[i].Survivors = pl.report.Survivors
+		rec := &pl.report.Recoveries[i]
+		rec.RestartIter, rec.Survivors, rec.RolledBack = restart, pl.report.Survivors, rolledBack
 	}
-	for _, r := range pl.admitted {
-		rec := pl.joinRec[r]
-		rec.AdmittedAt = now
-		rec.RestartIter = restart
-		rec.WorldSize = pl.report.Survivors
+	for _, rec := range r.Admitted {
+		rec.RestartIter, rec.WorldSize = restart, pl.report.Survivors
 		pl.report.Joins = append(pl.report.Joins, rec)
 	}
-	if len(pl.admitted) > 0 && pl.admitDone != nil {
-		done := pl.admitDone
-		pl.admitDone = nil // the next announce gets a fresh round
+	if len(r.Admitted) > 0 {
+		fire(&pl.admitDone)
+	}
+	// A join that landed while its rank was failed starts now that the
+	// round excluded it (a recover event racing an eviction).
+	for _, i := range r.Excluded {
+		if m.state[i].phase == joining {
+			pl.revive(i)
+		}
+	}
+	fire(&pl.parked)
+}
+
+// next returns *c, making a fresh completion if the last one fired.
+func (pl *Plane) next(c **sim.Completion) *sim.Completion {
+	if *c == nil {
+		*c = pl.k.NewCompletion()
+	}
+	return *c
+}
+
+// fire fires *c, if any; the next waiter gets a fresh one.
+func fire(c **sim.Completion) {
+	if done := *c; done != nil {
+		*c = nil
 		done.Fire()
 	}
-	// Joins that arrived while their rank was still failed start now
-	// that the round excluded it (a recover event racing an eviction).
-	for i := range pl.rejoinQueued {
-		if pl.rejoinQueued[i] && pl.excluded[i] {
-			pl.rejoinQueued[i] = false
-			pl.startJoin(i)
-		}
-	}
-	rd.done.Fire()
 }
 
-// takeJoins admits the announced ranks in list (skipping any that are
-// no longer excluded) into pl.admitted.
-func (pl *Plane) takeJoins(list []int) {
-	for _, r := range list {
-		if !pl.excluded[r] {
-			continue
-		}
-		pl.excluded[r] = false
-		pl.joining[r] = false
-		pl.evicted[r] = false
-		pl.departed[r] = false
-		pl.admitted = append(pl.admitted, r)
-	}
-}
-
-// NoteRollback marks the latest batch of recovery records as having
-// restored state from a snapshot rather than continuing in place.
-func (pl *Plane) NoteRollback(n int) {
-	for i := len(pl.report.Recoveries) - n; i < len(pl.report.Recoveries); i++ {
-		if i >= 0 {
-			pl.report.Recoveries[i].RolledBack = true
-		}
-	}
-}
-
-// Depart marks a rank as finished with training (normally or by
-// dying): recovery rendezvous must not wait for it. Re-checks the
-// current round, since the departure may be what completes it.
-func (pl *Plane) Depart(rank int) {
-	pl.departed[rank] = true
-	pl.checkRelease()
-}
-
-// participants counts the ranks a recovery rendezvous must gather:
-// alive and still training.
-func (pl *Plane) participants() int {
-	n := 0
-	for i := 0; i < pl.total; i++ {
-		if pl.Alive(i) && !pl.departed[i] {
-			n++
-		}
-	}
-	return n
-}
-
-// Alive reports whether a rank is neither failed nor excluded.
-func (pl *Plane) Alive(rank int) bool { return !pl.failed[rank] && !pl.excluded[rank] }
+// Alive reports whether a rank is neither failed nor shrunk out.
+func (pl *Plane) Alive(rank int) bool { return pl.m.state[rank].alive() }
 
 // AliveCount returns the number of alive ranks.
 func (pl *Plane) AliveCount() int {
-	n := 0
-	for i := 0; i < pl.total; i++ {
-		if pl.Alive(i) {
-			n++
-		}
-	}
-	return n
-}
-
-// AliveRanks returns the alive ranks in ascending order.
-func (pl *Plane) AliveRanks() []int {
-	var out []int
-	for i := 0; i < pl.total; i++ {
-		if pl.Alive(i) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// ActiveRanks returns the ranks still training — alive and not
-// departed — in ascending order. This is the membership a recovery
-// rebuild must hand the new communicator: a departed rank is alive
-// (it finished normally, it did not fail) but its training loop has
-// returned, so a collective that includes it waits forever. The
-// rendezvous gathers exactly these ranks (see participants), and the
-// rebuilt world must match.
-func (pl *Plane) ActiveRanks() []int {
-	var out []int
-	for i := 0; i < pl.total; i++ {
-		if pl.Alive(i) && !pl.departed[i] {
-			out = append(out, i)
-		}
-	}
-	return out
+	n := &pl.m.n
+	return n[member] + n[arrived] + n[finished] + n[departed]
 }
 
 // StallUntil returns the time until which rank's reader is frozen

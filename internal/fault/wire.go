@@ -151,12 +151,12 @@ func (pl *Plane) scheduleQuorum(now sim.Time) {
 
 // enforceQuorum applies the split-brain rule to the partition window
 // active at the current instant: only the side holding the root AND at
-// least half the previous world continues; every other listed, alive
-// rank is fenced — killed with a Partitioned recovery record and
-// re-entered through the join desk once the window heals. Without a
-// quorate side no rank may continue (two sides could otherwise commit
-// diverging parameter histories), so everyone is fenced and the run
-// ends ErrUnrecovered.
+// least half the previous world continues; every other listed rank a
+// round would gather is fenced — killed with a Partitioned recovery
+// record and re-entered through the join desk once the window heals.
+// Without a quorate side no rank may continue (two sides could
+// otherwise commit diverging parameter histories), so everyone is
+// fenced and the run ends ErrUnrecovered.
 func (pl *Plane) enforceQuorum() {
 	now := pl.k.Now()
 	pw := pl.activePartition(now)
@@ -173,27 +173,21 @@ func (pl *Plane) enforceQuorum() {
 	// The previous world is everyone not yet shrunk out; the continuing
 	// side is the root's group plus unlisted ranks (they reach both
 	// sides, and follow the root).
-	prev, cont := 0, 0
-	for i := 0; i < pl.total; i++ {
-		if !pl.excluded[i] {
-			prev++
-		}
-		if pl.Alive(i) && !pl.departed[i] {
-			if s := sideIn(pw.groups, i); s == rootSide || s < 0 {
-				cont++
-			}
+	follows := func(rank int) bool {
+		s := sideIn(pw.groups, rank)
+		return s == rootSide || s < 0
+	}
+	prev, cont := pl.AliveCount()+pl.m.n[failed], 0
+	for i, s := range pl.m.state {
+		if s.phase <= finished && follows(i) { // a round waits for it or counts it
+			cont++
 		}
 	}
 	quorate := pl.Alive(pl.rootRank) && 2*cont >= prev
-	for i := 0; i < pl.total; i++ {
-		if !pl.Alive(i) || pl.departed[i] {
-			continue
+	for i, s := range pl.m.state {
+		if s.phase <= finished && !(quorate && follows(i)) {
+			pl.fence(i, now, pw.until)
 		}
-		s := sideIn(pw.groups, i)
-		if quorate && (s == rootSide || s < 0) {
-			continue
-		}
-		pl.fence(i, now, pw.until)
 	}
 	pl.checkRelease()
 }
@@ -201,16 +195,10 @@ func (pl *Plane) enforceQuorum() {
 // fence parks one rank cut off by the quorum rule: it is killed like a
 // crash (the surviving side's deadline waits detect it instantly — the
 // record is pre-stamped), and its re-entry through the join desk is
-// scheduled for the heal instant. A fence landing before the current
-// recovery round commits is deferred by startJoin's rejoinQueued path.
+// scheduled for the heal instant. A heal landing before the round that
+// excludes it commits is deferred by the table (a failed rank's join).
 func (pl *Plane) fence(rank int, now, healAt sim.Time) {
 	pl.report.Fenced++
-	pl.failed[rank] = true
-	pl.failRec[rank] = Recovery{Rank: rank, Kind: Partitioned, FailedAt: now, DetectedAt: now}
-	pl.applier.KillRank(rank, Partitioned)
-	if pl.round != nil && pl.round.arrived[rank] {
-		pl.round.arrived[rank] = false
-		pl.round.count--
-	}
-	pl.k.At(healAt, func() { pl.startJoin(rank) })
+	pl.kill(evKill, Recovery{Rank: rank, Kind: Partitioned, FailedAt: now, DetectedAt: now})
+	pl.k.At(healAt, func() { pl.startJoin(rank, evJoin) })
 }

@@ -60,15 +60,16 @@ go test -run '^TestSimKernel(ZeroAllocSteadyState|MarchingWavesZeroAlloc)$' -cou
 go test -run '^TestSteadyStateIterationAllocBudget$' -count=1 ./internal/core
 
 echo "== elastic churn drill =="
-# The elastic membership acceptance bar (DESIGN.md §14): the 32-rank
-# crash→recover→join run must produce an identical fault report and
-# total time at every GOMAXPROCS, and the catch-up replay must be
-# bit-exact against a golden run. Race-instrumented so the detector
-# watches the join desk and catch-up collectives under real
-# parallelism.
+# The elastic membership acceptance bar (DESIGN.md §9, §14): the
+# 32-rank crash→recover→join run must produce an identical fault report
+# and total time at every GOMAXPROCS, the catch-up replay must be
+# bit-exact against a golden run, and so must a watchdog round that
+# admits a joiner or resumes ranks whose loops had ended.
+# Race-instrumented so the detector watches the join desk and catch-up
+# collectives under real parallelism.
 for procs in 1 4 16; do
     GOMAXPROCS=$procs go test -race -timeout 20m \
-        -run '^TestGoogLeNet32CrashRecoverJoinDeterministic$|^TestRealJoinAfterCrashBitExact$|^TestJoinUnderFire$' \
+        -run '^TestGoogLeNet32CrashRecoverJoinDeterministic$|^TestRealJoinAfterCrashBitExact$|^TestJoinUnderFire$|^TestWatchdogRoundAdmittingJoinGrows$|^TestWatchdogTripInLastIterationFinishes$' \
         -count=1 ./internal/core
 done
 
@@ -90,12 +91,13 @@ echo "== go test -race =="
 go test -race -timeout 45m ./...
 
 echo "== fuzz smoke =="
-# A few seconds per target keeps the parsers honest without turning the
-# gate into a fuzzing campaign; run longer sessions by hand with
-# -fuzztime as needed.
+# A few seconds per target keeps the parsers and the membership table
+# honest without turning the gate into a fuzzing campaign; run longer
+# sessions by hand with -fuzztime as needed.
 go test -run '^$' -fuzz FuzzSnapshotDecode -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz FuzzParse -fuzztime 5s ./internal/proto
 go test -run '^$' -fuzz FuzzParseSchedule -fuzztime 5s ./internal/fault
+go test -run '^$' -fuzz FuzzMembership -fuzztime 5s ./internal/fault
 
 echo "== tracked benchmark =="
 # The one go-test benchmark kept beside bench/run.sh: its 256-4096-rank
