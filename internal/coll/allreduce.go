@@ -3,6 +3,7 @@ package coll
 import (
 	"scaffe/internal/gpu"
 	"scaffe/internal/mpi"
+	"scaffe/internal/sched"
 	"scaffe/internal/topology"
 )
 
@@ -34,55 +35,42 @@ func ringSegOf(size, elems, j int) (lo, hi int) {
 // allgather over 2(P−1) steps) that later frameworks (NCCL, Horovod)
 // adopted — included as the "future work" extension the paper
 // anticipates, as an ablation baseline, and as the CNTK-like design's
-// host-side collective. It carries per-rank reusable scratch state;
-// build it once per communicator.
-type Ring struct {
-	c      *mpi.Comm
-	o      Options
-	states stateTable
-}
+// host-side collective. Every rank plays the same role, so it compiles
+// one fragment; build it once per communicator.
+type Ring struct{ x *reducer }
 
 // NewRing builds a reusable ring-allreduce over c.
-func NewRing(c *mpi.Comm, o Options) *Ring { return &Ring{c: c, o: o} }
+func NewRing(c *mpi.Comm, o Options) *Ring { return &Ring{flat(ringAllreduce, o, &stateTable{}, c)} }
 
 // Allreduce performs this rank's part of the ring allreduce. Tags
 // tag..tag+2P are reserved.
-func (g *Ring) Allreduce(r *mpi.Rank, buf *gpu.Buffer, tag int) {
-	c, o := g.c, g.o
-	me := c.Rank(r)
-	size := c.Size()
-	if size == 1 {
-		return
-	}
-	elems := buf.Elems()
-	left := (me - 1 + size) % size
-	right := (me + 1) % size
-	st := g.states.acquire(size, me)
-	defer st.release()
+func (g *Ring) Allreduce(r *mpi.Rank, buf *gpu.Buffer, tag int) { g.x.Reduce(r, buf, tag) }
 
-	// Reduce-scatter: after P-1 steps, rank i holds the fully reduced
-	// segment (i+1) mod P.
-	for step := 0; step < size-1; step++ {
-		sendSeg := me - step
-		recvSeg := me - step - 1
-		slo, shi := ringSegOf(size, elems, sendSeg)
-		rlo, rhi := ringSegOf(size, elems, recvSeg)
-		acc := st.view(buf, rlo, rhi)
-		scratch := st.getScratch(acc)
-		sreq := r.Isend(c, right, tag+step, st.view(buf, slo, shi), o.Mode)
-		r.RecvSummed(c, left, tag+step, scratch).Verify()
-		localReduce(r, acc, scratch, o)
-		st.putScratch(scratch)
-		r.Wait(sreq)
+// ring is the Ring's fragment over size ranks: each step sends a
+// segment right and receives the one before it from the left, reducing
+// it during the reduce-scatter — after which rank i holds the fully
+// reduced segment (i+1) mod P — and keeping it during the allgather.
+func (b *builder) ring(size int) {
+	t := b.t
+	step := func(x *sched.Ctx) {
+		st := t.state(x)
+		s := st.begin()
+		tag, gather := x.Tag+s, s >= size-1
+		if gather {
+			tag++
+		}
+		rlo, rhi := ringSegOf(size, x.Buf.Elems(), st.me-s-1)
+		slo, shi := ringSegOf(size, x.Buf.Elems(), st.me-s)
+		into := st.view(x.Buf, rlo, rhi)
+		if !gather {
+			st.acc, st.op = into, st.getScratch(into)
+			into = st.op
+		}
+		st.req[1] = x.R.Isend(st.c, (st.me+1)%size, tag, st.view(x.Buf, slo, shi), t.o.Mode)
+		st.recv(x, (st.me-1+size)%size, tag, into)
 	}
-	// Allgather: circulate the reduced segments.
-	for step := 0; step < size-1; step++ {
-		sendSeg := me + 1 - step
-		recvSeg := me - step
-		slo, shi := ringSegOf(size, elems, sendSeg)
-		rlo, rhi := ringSegOf(size, elems, recvSeg)
-		sreq := r.Isend(c, right, tag+size+step, st.view(buf, slo, shi), o.Mode)
-		r.RecvSummed(c, left, tag+size+step, st.view(buf, rlo, rhi)).Verify()
-		r.Wait(sreq)
+	for s := 0; s < 2*(size-1); s++ {
+		b.stage(step, s < size-1)
+		b.join(b.sent)
 	}
 }

@@ -10,6 +10,11 @@
 // reduce element-wise float32 sums. When buffers carry payloads the
 // arithmetic is performed for real, so the algorithms are verified
 // numerically; payload-free buffers exercise identical timing.
+//
+// Every algorithm is compiled, per rank role, into a sealed sched.Plan
+// fragment of posts, awaited reductions and drains (reduce.go), which an
+// iteration plan splices in as steps on the event loop and Reduce walks
+// on its own.
 package coll
 
 import (
@@ -18,6 +23,7 @@ import (
 
 	"scaffe/internal/gpu"
 	"scaffe/internal/mpi"
+	"scaffe/internal/sched"
 	"scaffe/internal/sim"
 	"scaffe/internal/topology"
 )
@@ -57,26 +63,11 @@ const (
 	Rabenseifner
 )
 
+var algorithmStrings = [...]string{"binomial", "chain", "CC", "CB", "CCB", "HR(tuned)", "MV2", "OpenMPI", "RSG"}
+
 func (a Algorithm) String() string {
-	switch a {
-	case Binomial:
-		return "binomial"
-	case Chain:
-		return "chain"
-	case ChainChain:
-		return "CC"
-	case ChainBinomial:
-		return "CB"
-	case ChainChainBinomial:
-		return "CCB"
-	case Tuned:
-		return "HR(tuned)"
-	case MV2Baseline:
-		return "MV2"
-	case OpenMPIBaseline:
-		return "OpenMPI"
-	case Rabenseifner:
-		return "RSG"
+	if a >= 0 && int(a) < len(algorithmStrings) {
+		return algorithmStrings[a]
 	}
 	return "unknown"
 }
@@ -129,13 +120,18 @@ func DefaultOptions() Options {
 // Reducer reduces a buffer of equal size from every rank of a fixed
 // communicator to group rank 0. A Reducer is built once (it owns any
 // sub-communicators) and then invoked concurrently by every member
-// rank's proc. Contents of non-root buffers are clobbered.
+// rank's proc. Contents of non-root buffers are clobbered. Tags
+// tag..tag+3 are reserved for a call (multi-level designs use one tag
+// per level); concurrent reduces on one communicator must space their
+// tags accordingly.
 type Reducer interface {
-	// Reduce performs this rank's part of the collective. Tags
-	// tag..tag+3 are reserved for the call (multi-level designs use
-	// one tag per level); concurrent reduces on one communicator must
-	// space their tags accordingly.
+	// Reduce performs this rank's part of the collective: it walks the
+	// rank's fragment on the rank's main proc and returns when it is done.
 	Reduce(r *mpi.Rank, buf *gpu.Buffer, tag int)
+	// Fragment readies r's state to reduce buf and returns the fragment
+	// to splice for it (sched.Plan.AddSplice), or nil if r has nothing
+	// to do; its nodes read the buffer and tag from sched.Ctx.
+	Fragment(r *mpi.Rank, buf *gpu.Buffer) *sched.Plan
 	// Name identifies the algorithm configuration (for reports).
 	Name() string
 }
@@ -145,36 +141,22 @@ func NewReducer(c *mpi.Comm, alg Algorithm, o Options) Reducer {
 	if o.ChainSize <= 0 {
 		o.ChainSize = 8
 	}
+	tab := &stateTable{}
 	switch alg {
-	case Binomial:
-		return &binomialReducer{c: c, o: o}
-	case Chain:
-		return &chainReducer{c: c, o: o}
-	case ChainChain:
-		return newHierarchical(c, o, Chain)
-	case ChainBinomial:
-		return newHierarchical(c, o, Binomial)
-	case ChainChainBinomial:
-		return newThreeLevel(c, o)
+	case Binomial, Chain, MV2Baseline, OpenMPIBaseline:
+		return flat(alg, o, tab, c)
+	case ChainChain, ChainBinomial, ChainChainBinomial:
+		return newHierarchical(c, o, alg, tab)
 	case Tuned:
 		return newTuned(c, o)
-	case MV2Baseline:
-		return &mv2Reducer{c: c}
-	case OpenMPIBaseline:
-		return &ompiReducer{c: c}
 	case Rabenseifner:
-		return newRSGReducer(c, o)
+		x := flat(alg, o, tab, c)
+		if s := c.Size(); s&(s-1) != 0 { // recursive halving needs a power of two
+			x.frag = (&tier{Chain, o, c, c.Size(), tab}).fragment
+		}
+		return x
 	}
 	panic(fmt.Sprintf("coll: unknown algorithm %d", int(alg)))
-}
-
-// newLike allocates a scratch buffer shaped like b (payload present
-// iff b has one).
-func newLike(b *gpu.Buffer) *gpu.Buffer {
-	if b.Data != nil {
-		return gpu.NewDataBuffer(b.Elems())
-	}
-	return gpu.NewBuffer(b.Bytes)
 }
 
 // reduceEnd performs acc += operand, charging the reduction to the
@@ -193,30 +175,15 @@ func reduceEnd(r *mpi.Rank, acc, operand *gpu.Buffer, o Options) sim.Time {
 	return r.Now() + r.W.Cluster.ReduceTime(acc.Bytes, false)
 }
 
-// localReduce is reduceEnd for blocking callers: it parks the rank
-// until the reduction completes.
-func localReduce(r *mpi.Rank, acc, operand *gpu.Buffer, o Options) {
-	r.Proc.WaitUntil(reduceEnd(r, acc, operand, o))
-}
-
 // defaultChunks picks a pipeline depth: enough chunks to fill the
 // chain but no chunk smaller than 256 KiB.
 func defaultChunks(bytes int64, requested int) int {
 	if requested > 0 {
 		return requested
 	}
-	n := int(bytes / (1 << 20)) // ~1 MiB chunks
-	if n < 4 {
-		n = 4
-	}
-	if n > 64 {
-		n = 64
-	}
+	n := min(max(int(bytes/(1<<20)), 4), 64) // ~1 MiB chunks
 	for int64(n) > bytes/(256<<10) && n > 1 {
 		n /= 2
-	}
-	if n < 1 {
-		n = 1
 	}
 	return n
 }

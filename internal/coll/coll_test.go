@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"scaffe/internal/gpu"
 	"scaffe/internal/mpi"
@@ -145,29 +144,95 @@ func TestBaselinesCorrect(t *testing.T) {
 	}
 }
 
-func TestReducePropertyRandomShapes(t *testing.T) {
-	// Property: for random (algorithm, ranks, elems, chain size) the
-	// root always holds the exact element-wise sum.
-	algs := []Algorithm{Binomial, Chain, ChainChain, ChainBinomial, Tuned}
-	f := func(algSeed, ranksSeed, elemSeed, chainSeed uint8) bool {
-		alg := algs[int(algSeed)%len(algs)]
-		ranks := 1 + int(ranksSeed)%16
-		elems := 1 + int(elemSeed)%200
-		o := DefaultOptions()
-		o.ChainSize = 1 + int(chainSeed)%8
-		got, _ := runReduce(t, alg, o, ranks, elems)
-		want := float32(ranks * (ranks + 1) / 2)
-		for _, v := range got {
+// checkReduce runs family f with options o over p ranks of a world that
+// has `holes` more, dropped from the communicator as a shrink would drop
+// them (an EpochComm over the rest, picked by seed). It runs once with
+// payloads — group rank g contributing g+1 to every element, so the root
+// (for the ring, every rank) must hold exactly p(p+1)/2 — and once
+// payload-free, which must take the same virtual time.
+func checkReduce(t *testing.T, f family, p, holes, elems int, o Options, seed int64) {
+	t.Helper()
+	w := p + holes
+	dropped := map[int]bool{}
+	for _, id := range rand.New(rand.NewSource(seed)).Perm(w)[:holes] {
+		dropped[id] = true
+	}
+	var members []int
+	for id := 0; id < w; id++ {
+		if !dropped[id] {
+			members = append(members, id)
+		}
+	}
+	run := func(payload bool) (sim.Time, [][]float32) {
+		world := newWorld(t, (w+3)/4, 4, w)
+		c := world.EpochComm(members)
+		call := f.call(c, o)
+		got := make([][]float32, p)
+		end, err := world.Run(func(r *mpi.Rank) {
+			me := c.GroupRank(r.ID)
+			if me < 0 {
+				return
+			}
+			buf := gpu.NewBuffer(int64(4 * elems))
+			if payload {
+				buf = gpu.NewDataBuffer(elems)
+				buf.Fill(float32(me + 1))
+			}
+			call(r, buf)
+			got[me] = buf.Data
+		})
+		if err != nil {
+			t.Fatalf("%s P=%d holes=%d elems=%d %+v: %v", f.name, p, holes, elems, o, err)
+		}
+		return end, got
+	}
+	withData, got := run(true)
+	if noData, _ := run(false); noData != withData {
+		t.Errorf("%s P=%d holes=%d elems=%d %+v: payload changed timing: %v vs %v", f.name, p, holes, elems, o, withData, noData)
+	}
+	want := float32(p * (p + 1) / 2)
+	for me, res := range got {
+		if me > 0 && f.name != "ring" {
+			break
+		}
+		for i, v := range res {
 			if v != want {
-				return false
+				t.Fatalf("%s P=%d holes=%d elems=%d %+v: rank %d element %d = %v, want %v", f.name, p, holes, elems, o, me, i, v, want)
 			}
 		}
-		return true
 	}
-	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(7))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
+}
+
+// reduceShape draws one case of the property harness from raw inputs: a
+// family, up to 160 ranks (a power of two one time in four), up to 7
+// holes, a buffer from one element to a few pipeline chunks of them, a
+// chain size and a chunk count (0 for the size-dependent default).
+func reduceShape(t *testing.T, fam, ranks, holes uint8, elems uint16, chain, chunks uint8, seed int64) {
+	fams := families()
+	p := 1 + int(ranks)%160
+	if ranks%4 == 0 {
+		p = 1 << (ranks / 4 % 8)
 	}
+	o := DefaultOptions()
+	o.ChainSize = 1 + int(chain)%12
+	o.Chunks = int(chunks) % 17
+	checkReduce(t, fams[int(fam)%len(fams)], p, int(holes)%8, 1+int(elems)%4096, o, seed)
+}
+
+// TestReducePropertyRandomShapes: for random shapes of every family, the
+// root holds the exact sum, and payloads do not move virtual time.
+func TestReducePropertyRandomShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 100; i++ {
+		reduceShape(t, uint8(i), uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint16(rng.Intn(1<<16)), uint8(rng.Intn(256)), uint8(rng.Intn(256)), rng.Int63())
+	}
+}
+
+// FuzzReduce is TestReducePropertyRandomShapes' property over fuzzed shapes.
+func FuzzReduce(f *testing.F) {
+	f.Add(uint8(2), uint8(13), uint8(3), uint16(100), uint8(4), uint8(0), int64(1))
+	f.Add(uint8(9), uint8(159), uint8(1), uint16(4095), uint8(7), uint8(16), int64(2))
+	f.Fuzz(reduceShape)
 }
 
 func TestChainBeatsBinomialForLargeBuffers(t *testing.T) {
@@ -441,22 +506,10 @@ func TestReduceDeterministicTiming(t *testing.T) {
 }
 
 func TestPayloadFreeMatchesPayloadTiming(t *testing.T) {
-	// Timing must not depend on whether buffers carry real payloads.
-	const ranks, elems = 8, 1 << 18
-	_, withData := runReduce(t, ChainBinomial, DefaultOptions(), ranks, elems)
-
-	w := newWorld(t, 2, 4, ranks)
-	c := w.WorldComm()
-	red := NewReducer(c, ChainBinomial, DefaultOptions())
-	noData, err := w.Run(func(r *mpi.Rank) {
-		buf := gpu.NewBuffer(int64(elems) * 4)
-		red.Reduce(r, buf, 10)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if withData != noData {
-		t.Errorf("payload changed timing: %v vs %v", withData, noData)
+	// Timing must not depend on whether buffers carry real payloads, for
+	// any family.
+	for _, f := range families() {
+		checkReduce(t, f, 8, 0, 1<<18, DefaultOptions(), 0)
 	}
 }
 
@@ -523,5 +576,40 @@ func TestRabenseifnerBandwidthAdvantage(t *testing.T) {
 	_, bin := runReduce(t, Binomial, DefaultOptions(), ranks, elems)
 	if rsg >= bin {
 		t.Errorf("32MB/16 ranks: Rabenseifner (%v) should beat binomial (%v)", rsg, bin)
+	}
+}
+
+// TestEveryReducerRunsAsSteps: every family's waits are steps on the
+// event loop, so a rank's call costs at most one goroutine switch — its
+// return from RunSteps — at any size, checksums armed or not (a
+// mismatch's retransmission would add one more). A return finds the rank
+// driving the loop itself now and then, a self-continue rather than a
+// switch, so the two are counted together.
+func TestEveryReducerRunsAsSteps(t *testing.T) {
+	for _, f := range families() {
+		for _, p := range []int{2, 13, 160} {
+			for _, armed := range []bool{false, true} {
+				switches := func(calls int) uint64 {
+					w := newWorld(t, (p+3)/4, 4, p)
+					if armed {
+						w.Integrity = &mpi.Integrity{Mode: mpi.IntegrityRecover, RetryBudget: 2}
+					}
+					call := f.call(w.WorldComm(), DefaultOptions())
+					if _, err := w.Run(func(r *mpi.Rank) {
+						buf := gpu.NewDataBuffer(1 << 12)
+						for i := 0; i < calls; i++ {
+							call(r, buf)
+						}
+					}); err != nil {
+						t.Fatal(err)
+					}
+					res := w.K.Resumes()
+					return res.Switches + res.SelfContinues
+				}
+				if per := float64(switches(4)-switches(2)) / float64(2*p); per > 1 {
+					t.Errorf("%s P=%d armed=%v: %.2f goroutine switches per rank per call, want at most 1", f.name, p, armed, per)
+				}
+			}
+		}
 	}
 }

@@ -71,7 +71,7 @@ func HierarchicalTime(p CostParams, procs, chainSize, chunks int, bytes float64,
 		chainSize = 1
 	}
 	leaders := (procs + chainSize - 1) / chainSize
-	lower := ChainTime(p, minInt(chainSize, procs), chunks, bytes)
+	lower := ChainTime(p, min(chainSize, procs), chunks, bytes)
 	var upper float64
 	if upperChain {
 		upper = ChainTime(p, leaders, chunks, bytes)
@@ -93,11 +93,4 @@ func CrossoverProcs(p CostParams, chunks int, bytes float64, maxProcs int) int {
 		}
 	}
 	return 2
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,71 +1,73 @@
 package coll
 
 import (
-	"scaffe/internal/gpu"
-	"scaffe/internal/mpi"
+	"math/bits"
+
+	"scaffe/internal/sched"
 )
 
-// reduceScatterGather implements Rabenseifner's reduce algorithm for
-// power-of-two communicators: recursive-halving reduce-scatter
-// followed by a binomial gather to root (group rank 0). It is the
-// classic bandwidth-optimal alternative to both Eq. (1) and Eq. (2)
-// — total traffic 2·b·(P−1)/P per rank versus the binomial tree's
-// b·log2(P) — included for the algorithm-comparison experiments.
+// rsg is Rabenseifner's reduce for power-of-two communicators:
+// recursive-halving reduce-scatter followed by a binomial gather to root
+// (group rank 0). It is the classic bandwidth-optimal alternative to
+// both Eq. (1) and Eq. (2) — total traffic 2·b·(P−1)/P per rank versus
+// the binomial tree's b·log2(P) — included for the algorithm-comparison
+// experiments. Other communicators get the chunked chain (NewReducer).
 //
 // Tags tag..tag+1 are reserved.
-func reduceScatterGather(c *mpi.Comm, r *mpi.Rank, buf *gpu.Buffer, tag int, o Options, st *rankState) {
-	size := c.Size()
-	if size == 1 {
-		return
-	}
-	me := c.Rank(r)
-	elems := buf.Elems()
-
-	// Recursive halving: at step k (distance d = size>>k+...), each
-	// pair exchanges the half of the current segment the peer is
-	// responsible for and reduces the half it keeps.
-	lo, hi := 0, elems
-	for dist := size / 2; dist >= 1; dist /= 2 {
-		peer := me ^ dist
-		mid := lo + (hi-lo)/2
-		mineFirst := me&dist == 0 // keep the first half if our bit is 0
-		var keepLo, keepHi, sendLo, sendHi int
-		if mineFirst {
-			keepLo, keepHi, sendLo, sendHi = lo, mid, mid, hi
-		} else {
-			keepLo, keepHi, sendLo, sendHi = mid, hi, lo, mid
+func (b *builder) rsg(ro role) {
+	t, size := b.t, ro.size
+	// Recursive halving: at each step, each pair exchanges the half of
+	// the current segment the peer is responsible for and reduces the
+	// half it keeps.
+	halve := func(x *sched.Ctx) {
+		st := t.state(x)
+		dist := size >> (st.begin() + 1)
+		if dist == size/2 {
+			st.lo, st.hi = 0, x.Buf.Elems()
 		}
-		keep := st.view(buf, keepLo, keepHi)
-		scratch := st.getScratch(keep)
-		sreq := r.Isend(c, peer, tag, st.view(buf, sendLo, sendHi), o.Mode)
-		r.RecvSummed(c, peer, tag, scratch).Verify()
-		localReduce(r, keep, scratch, o)
-		st.putScratch(scratch)
-		r.Wait(sreq)
-		lo, hi = keepLo, keepHi
+		mid := st.lo + (st.hi-st.lo)/2
+		keepLo, keepHi, sendLo, sendHi := st.lo, mid, mid, st.hi
+		if st.me&dist != 0 { // keep the upper half if our bit is set
+			keepLo, keepHi, sendLo, sendHi = mid, st.hi, st.lo, mid
+		}
+		st.acc = st.view(x.Buf, keepLo, keepHi)
+		st.op = st.getScratch(st.acc)
+		st.req[1] = x.R.Isend(st.c, st.me^dist, x.Tag, st.view(x.Buf, sendLo, sendHi), t.o.Mode)
+		st.recv(x, st.me^dist, x.Tag, st.op)
+		st.lo, st.hi = keepLo, keepHi
+	}
+	rounds := bits.Len(uint(size)) - 1
+	for i := 0; i < rounds; i++ {
+		b.stage(halve, true)
+		b.join(b.sent)
 	}
 
 	// Binomial gather of the scattered segments to root. Segment
-	// ownership after halving is contiguous by rank; rsgSegStart
-	// replays the split sequence so both sides of every transfer agree
-	// on the exact (possibly uneven) extents. At gather round `mask`, a
-	// rank with (me & mask) != 0 sends everything it has collected —
-	// segments [me, me+mask) — to me-mask.
-	for mask := 1; mask < size; mask <<= 1 {
-		if me&mask != 0 {
-			slo, shi := rsgSegStart(size, elems, me), rsgSegStart(size, elems, me+mask)
-			r.Send(c, me-mask, tag+1, st.view(buf, slo, shi), o.Mode)
-			return
+	// ownership after halving is contiguous by rank; rsgSegStart replays
+	// the split sequence so both sides of every transfer agree on the
+	// exact (possibly uneven) extents. At gather round `mask` a rank
+	// receives the segments [peer, peer+mask) its peer me+mask collected,
+	// unless they are empty; at the round of its lowest set bit it sends
+	// everything it has collected — segments [me, me+mask) — to me-mask.
+	gather := func(x *sched.Ctx) {
+		st := t.state(x)
+		mask := 1 << (st.begin() - rounds)
+		lo, hi := rsgSegStart(size, x.Buf.Elems(), st.me+mask), rsgSegStart(size, x.Buf.Elems(), st.me+2*mask)
+		st.req[0], st.sum = nil, nil
+		if lo < hi {
+			st.recv(x, st.me+mask, x.Tag+1, st.view(x.Buf, lo, hi))
 		}
-		peer := me + mask
-		if peer >= size {
-			continue
-		}
-		peerLo, peerHi := rsgSegStart(size, elems, peer), rsgSegStart(size, elems, peer+mask)
-		if peerLo >= peerHi {
-			continue
-		}
-		r.RecvSummed(c, peer, tag+1, st.view(buf, peerLo, peerHi)).Verify()
+	}
+	for i := 0; i < ro.n; i++ {
+		b.stage(gather, false)
+	}
+	if ro.send {
+		b.post(func(x *sched.Ctx) {
+			st := t.state(x)
+			lo, hi := rsgSegStart(size, x.Buf.Elems(), st.me), rsgSegStart(size, x.Buf.Elems(), st.me+1<<ro.n)
+			st.req[1] = x.R.Isend(st.c, parent(st.me), x.Tag+1, st.view(x.Buf, lo, hi), t.o.Mode)
+		})
+		b.join(b.sent)
 	}
 }
 
@@ -85,34 +87,4 @@ func rsgSegStart(size, elems, p int) int {
 		}
 	}
 	return slo
-}
-
-// rsgReducer is reduceScatterGather as a Reducer, carrying per-rank
-// scratch state. Non-power-of-two communicators fall back to the
-// chunked chain, built with the reducer.
-type rsgReducer struct {
-	c        *mpi.Comm
-	o        Options
-	states   stateTable
-	fallback Reducer
-}
-
-func newRSGReducer(c *mpi.Comm, o Options) *rsgReducer {
-	x := &rsgReducer{c: c, o: o}
-	if s := c.Size(); s > 1 && s&(s-1) != 0 {
-		x.fallback = &chainReducer{c: c, o: o}
-	}
-	return x
-}
-
-func (x *rsgReducer) Name() string { return "RSG" }
-
-func (x *rsgReducer) Reduce(r *mpi.Rank, buf *gpu.Buffer, tag int) {
-	if x.fallback != nil {
-		x.fallback.Reduce(r, buf, tag)
-		return
-	}
-	st := x.states.acquire(x.c.Size(), x.c.Rank(r))
-	defer st.release()
-	reduceScatterGather(x.c, r, buf, tag, x.o, st)
 }

@@ -5,327 +5,305 @@ import (
 
 	"scaffe/internal/gpu"
 	"scaffe/internal/mpi"
+	"scaffe/internal/sched"
 	"scaffe/internal/sim"
+	"scaffe/internal/topology"
 )
 
-// recvStage is the unit the chain and binomial reducers repeat: receive
-// a checksummed operand, verify it, reduce it into the accumulator. It
-// is written for a sim.Stepper: step never parks, and names what its
-// caller's Step must do next.
-type recvStage struct {
-	req     *mpi.Request
-	sum     *mpi.Summed
-	acc, op *gpu.Buffer // acc += op once op has arrived
-	w       mpi.Waiter  // of the stepper's one wait in flight: the stage's, or a send's between stages
-	at      stageAt
+// A reducer is compiled, not walked by hand. Each flat algorithm is a
+// tier over one communicator, where what a rank does depends only on its
+// role, so a reducer compiles one sealed sched.Plan fragment per role,
+// when a rank of it first calls: O(log P) fragments for P ranks. Nodes
+// find the rank's place and state, and a stage its number, at run time.
+// A receive stage is two nodes: the post of its checksummed receive and
+// whatever it sends, then, the receive in, its checksum settled and the
+// reduction, which occupies the lane until its kernel ends. The nodes
+// make the calls the blocking algorithm made, in its order, so the
+// events are the blocking reducer's (TestReduceFamiliesPinned).
+
+// reducer is every Reducer: a name, a state table, a fragment finder.
+type reducer struct {
+	name string
+	tab  *stateTable
+	frag func(r *mpi.Rank, buf *gpu.Buffer) *sched.Plan
 }
 
-type stageAt uint8
+func (x *reducer) Name() string { return x.name }
 
-const (
-	stageIdle   stageAt = iota
-	stageRecv           // the receive is posted and not yet complete
-	stageVerify         // the checksum mismatched: Verify must run on the goroutine
-	stageReduce         // the reduction is charged and not yet finished
-)
+func (x *reducer) Fragment(r *mpi.Rank, buf *gpu.Buffer) *sched.Plan { return x.frag(r, buf) }
 
-type stageNext uint8
-
-const (
-	stageDone  stageNext = iota // acc holds the sum: go on
-	stagePark                   // a wait is armed: Step returns false
-	stageStack                  // Verify needs a stack: Step returns true
-)
-
-// post starts a stage: acc += what `from` sends under tag, received
-// into op.
-func (g *recvStage) post(r *mpi.Rank, c *mpi.Comm, from, tag int, acc, op *gpu.Buffer) {
-	g.req, g.sum = r.IrecvSummed(c, from, tag, op)
-	g.acc, g.op, g.at = acc, op, stageRecv
-}
-
-// step advances a posted stage as far as it goes without parking.
-func (g *recvStage) step(p *sim.Proc, r *mpi.Rank, o Options) stageNext {
-	switch g.at {
-	case stageRecv:
-		if !r.PollRequest(&g.w, g.req) {
-			return stagePark
-		}
-		if !g.sum.TryVerify() {
-			g.at = stageVerify
-			return stageStack
-		}
-		fallthrough
-	case stageVerify: // run has settled the handle
-		g.at = stageReduce
-		p.ArmUntil(reduceEnd(r, g.acc, g.op, o))
-		return stagePark
-	}
-	g.at = stageIdle
-	return stageDone
-}
-
-// run drives stepper s, whose receives go through g, to its end on the
-// rank's main proc: the steps on the event loop, and a mismatched
-// checksum's retransmission — which waits on the wire, and may unwind
-// with Revoked — here, on the goroutine.
-func (g *recvStage) run(p *sim.Proc, s sim.Stepper) {
-	for p.RunSteps(s); g.at == stageVerify; p.RunSteps(s) {
-		g.sum.Verify()
+func (x *reducer) Reduce(r *mpi.Rank, buf *gpu.Buffer, tag int) {
+	if frag := x.frag(r, buf); frag != nil {
+		x.tab.acquire(r.W.Size(), r.ID).steps.Run(r, frag, buf, tag)
 	}
 }
 
-// binomialReducer implements the flat binomial-tree reduce of Eq. (1):
-// log2(P) rounds, each moving and reducing the full buffer.
-type binomialReducer struct {
-	c      *mpi.Comm
-	o      Options
-	states stateTable
+// role is all a rank's fragment depends on: algorithm, size (but a
+// chain's), receive rounds n (a chain's chunks), neighbours to and from.
+type role struct {
+	alg        Algorithm
+	size, n    int
+	recv, send bool
 }
 
-func (b *binomialReducer) Name() string { return "binomial" }
+// ringAllreduce is the Ring's tier algorithm.
+const ringAllreduce Algorithm = -1
 
-func (b *binomialReducer) Reduce(r *mpi.Rank, buf *gpu.Buffer, tag int) {
-	me := b.c.Rank(r)
-	size := b.c.Size()
+// tier is one flat algorithm — binomial, chain, MV2, OpenMPI,
+// Rabenseifner or the ring — over a communicator (for a hierarchical
+// design's lower level: chains over segments of seg consecutive ranks).
+type tier struct {
+	alg Algorithm
+	o   Options
+	c   *mpi.Comm
+	seg int
+	tab *stateTable
+}
+
+// flat is the reducer of algorithm alg over c alone.
+func flat(alg Algorithm, o Options, tab *stateTable, c *mpi.Comm) *reducer {
+	return &reducer{alg.String(), tab, (&tier{alg, o, c, c.Size(), tab}).fragment}
+}
+
+func (t *tier) fragment(r *mpi.Rank, buf *gpu.Buffer) *sched.Plan {
+	me := t.c.GroupRank(r.ID)
+	if me < 0 {
+		return nil
+	}
+	root := me - me%t.seg
+	size := min(t.seg, t.c.Size()-root)
 	if size == 1 {
-		return
+		return nil
 	}
-	st := b.states.acquire(size, me)
-	defer st.release()
-	st.step = stepState{r: r, c: b.c, o: &b.o, st: st, buf: buf, tag: tag, me: me, size: size, mask: 1}
-	s := (*binomialStep)(&st.step)
-	s.recv.run(r.Proc, s)
+	st := t.tab.acquire(r.W.Size(), r.ID)
+	st.c, st.me, st.root = t.c, me, root
+	ro := t.role(me-root, size, buf)
+	if t.tab.frags[ro] == nil {
+		t.tab.frags[ro] = t.compile(ro)
+	}
+	return t.tab.frags[ro]
 }
 
-// stepState is the storage of a rank's walk through one reduction on
-// one reducer instance. An instance is a binomial tree or a chain,
-// never both, so the two steppers are two views of the one record a
-// rankState holds.
-type stepState struct {
-	r    *mpi.Rank
-	c    *mpi.Comm
-	o    *Options
-	st   *rankState
-	buf  *gpu.Buffer
-	tag  int
-	recv recvStage
-
-	// binomialStep
-	me, size int
-	mask     int // the round being walked
-	scratch  *gpu.Buffer
-	send     *mpi.Request // the final send to the parent, once posted
-
-	// chainStep
-	from, to int // neighbours' group ranks; -1 for the tail's from and the root's to
-	n        int // chunks
-	j        int // the chunk being worked on
-	drained  int // forwards (st.sreqs) already waited
-}
-
-// binomialStep is one rank's walk up the tree: receive and reduce from
-// the peer of every round its bit is clear in, then send the partial
-// sum to the parent and leave.
-type binomialStep stepState
-
-func (s *binomialStep) Step(p *sim.Proc) bool {
-	r := s.r
-	for {
-		if s.send != nil {
-			return r.PollRequest(&s.recv.w, s.send)
+// role is the role of the rank me places from its reduction's root, in
+// a reduction of buf over size ranks.
+func (t *tier) role(me, size int, buf *gpu.Buffer) role {
+	switch t.alg {
+	case Chain: // whether it sends, its root's role answers too
+		elems, n := buf.Elems(), defaultChunks(buf.Bytes, t.o.Chunks)
+		used := 0 // the chunks holding elements: a prefix
+		if per := (elems + n - 1) / n; per > 0 {
+			used = (elems + per - 1) / per
 		}
-		if s.recv.at != stageIdle {
-			switch s.recv.step(p, r, *s.o) {
-			case stagePark:
-				return false
-			case stageStack:
-				return true
+		return role{alg: Chain, n: used, recv: me < size-1}
+	case OpenMPIBaseline, ringAllreduce:
+		return role{alg: t.alg, size: size, send: me > 0 && t.alg == OpenMPIBaseline}
+	}
+	// A tree: a round for every bit below the rank's lowest set one that
+	// has a peer past it, then a send to the parent.
+	ro := role{alg: t.alg, size: size, send: me > 0}
+	for mask := 1; mask < size && me&mask == 0 && me+mask < size; mask <<= 1 {
+		ro.n++
+	}
+	return ro
+}
+
+// state is the executing rank's state.
+func (t *tier) state(x *sched.Ctx) *rankState { return &t.tab.sts[x.R.ID] }
+
+// builder appends a fragment's nodes, with callbacks all stages share.
+type builder struct {
+	t                 *tier
+	p                 *sched.Plan
+	recvd, sent, fwds func(*sched.Ctx) []*mpi.Request // the rank's requests a node awaits
+	verify            func(*sched.Ctx)                // the receive's checksum settled
+	reduce            func(*sched.Ctx) sim.Time       // that, then st.acc += st.op on the GPU or CPU
+	host              func(*sched.Ctx) sim.Time       // a baseline's: buf += st.op on the host
+}
+
+// compile builds the fragment of role ro.
+func (t *tier) compile(ro role) *sched.Plan {
+	b := t.tab.b
+	if b == nil {
+		b = &builder{t: t}
+		b.recvd = func(x *sched.Ctx) []*mpi.Request { return t.state(x).req[:1] }
+		b.sent = func(x *sched.Ctx) []*mpi.Request { return t.state(x).req[1:] }
+		b.fwds = func(x *sched.Ctx) []*mpi.Request { return t.state(x).fwds }
+		b.verify = func(x *sched.Ctx) { t.state(x).settled(x) }
+		b.reduce = func(x *sched.Ctx) sim.Time {
+			st := t.state(x)
+			if !st.settled(x) {
+				return 0
 			}
-			s.mask <<= 1
+			end := reduceEnd(x.R, st.acc, st.op, t.o)
+			st.putScratch(st.op)
+			return end
 		}
-		switch {
-		case s.mask >= s.size: // the root, past its last round
-			s.putScratch()
-			return true
-		case s.me&s.mask != 0:
-			s.putScratch()
-			s.send = r.Isend(s.c, s.me-s.mask, s.tag, s.buf, s.o.Mode)
-		case s.me+s.mask >= s.size:
-			s.mask <<= 1
-		default:
-			if s.scratch == nil {
-				s.scratch = s.st.getScratch(s.buf)
-			}
-			s.recv.post(r, s.c, s.me+s.mask, s.tag, s.buf, s.scratch)
+		b.host = func(x *sched.Ctx) sim.Time {
+			st := t.state(x)
+			x.Buf.Accumulate(st.op)
+			st.putScratch(st.op)
+			return x.R.Now() + x.R.W.Cluster.ReduceTime(x.Buf.Bytes, false)
 		}
+		t.tab.b = b
 	}
-}
-
-func (s *binomialStep) putScratch() {
-	if s.scratch != nil {
-		s.st.putScratch(s.scratch)
-		s.scratch = nil
-	}
-}
-
-// chainReducer implements the chunked-chain pipelined reduce of
-// Eq. (2): the tail splits the buffer into n chunks; each interior
-// rank receives a chunk from its right neighbour, reduces it into its
-// own copy, and forwards it left; the pipeline drains at the root.
-type chainReducer struct {
-	c      *mpi.Comm
-	o      Options
-	states stateTable
-}
-
-func (cr *chainReducer) Name() string { return "chain" }
-
-func (cr *chainReducer) Reduce(r *mpi.Rank, buf *gpu.Buffer, tag int) {
-	me := cr.c.Rank(r)
-	size := cr.c.Size()
-	if size == 1 {
-		return
-	}
-	st := cr.states.acquire(size, me)
-	defer st.release()
-	n := defaultChunks(buf.Bytes, cr.o.Chunks)
-	st.sreqs = st.sreqs[:0] // an unwound call may have left its forwards behind
-	if me > 0 && cap(st.sreqs) < n {
-		st.roomForForwards(n)
-	}
-	st.step = stepState{
-		r: r, c: cr.c, o: &cr.o, st: st, buf: buf, tag: tag,
-		from: me + 1, to: me - 1, n: n,
-	}
-	if me == size-1 {
-		st.step.from = -1
-	}
-	s := (*chainStep)(&st.step)
-	s.recv.run(r.Proc, s)
-	// The forwards have been waited: drop the dead handles, keep the
-	// list's capacity for the next call.
-	clear(st.sreqs)
-}
-
-// chainStep is one rank's stage of the pipeline. Per chunk: receive it
-// from the right neighbour, reduce it into this rank's copy, forward
-// the sum left; then wait out the forwards. The tail (nobody to its
-// right) only sends, the root (nobody to its left) only receives.
-type chainStep stepState
-
-func (s *chainStep) Step(p *sim.Proc) bool {
-	r, st := s.r, s.st
-	for {
-		if s.recv.at != stageIdle {
-			switch s.recv.step(p, r, *s.o) {
-			case stagePark:
-				return false
-			case stageStack:
-				return true
-			}
-			// The scratch is free for the next chunk right away: the
-			// forward below sends `mine` (a view of buf), never the
-			// scratch.
-			st.putScratch(s.recv.op)
-			s.forward(s.recv.acc)
-		}
-		if s.j == s.n {
-			for ; s.drained < len(st.sreqs); s.drained++ {
-				if !r.PollRequest(&s.recv.w, st.sreqs[s.drained]) {
-					return false
-				}
-			}
-			return true
-		}
-		lo, hi := chunkBounds(s.buf.Elems(), s.n, s.j)
-		if lo >= hi {
-			s.j++
-			continue
-		}
-		mine := st.view(s.buf, lo, hi)
-		if s.from < 0 {
-			s.forward(mine)
-			continue
-		}
-		s.recv.post(r, s.c, s.from, s.tag, mine, st.getScratch(mine))
-	}
-}
-
-// forward sends chunk j's sum — mine, this rank's view of the chunk —
-// on to the left neighbour, if there is one, and moves to the next
-// chunk.
-func (s *chainStep) forward(mine *gpu.Buffer) {
-	if s.to >= 0 {
-		s.st.sreqs = append(s.st.sreqs, s.r.Isend(s.c, s.to, s.tag, mine, s.o.Mode))
-	}
-	s.j++
-}
-
-// hierarchical is the two-level design of Section 5: lower-level
-// chunked chains over consecutive (locality-aligned) ranks, then an
-// upper-level reduce among chain leaders using `upper` (Chain for CC,
-// Binomial for CB).
-type hierarchical struct {
-	base     *mpi.Comm
-	o        Options
-	upperAlg Algorithm
-	chains   []*mpi.Comm
-	leaders  *mpi.Comm
-	lower    []Reducer
-	upper    Reducer
-	name     string
-}
-
-func newHierarchical(c *mpi.Comm, o Options, upperAlg Algorithm) *hierarchical {
-	chains, leaders := c.SplitChains(o.ChainSize)
-	h := &hierarchical{base: c, o: o, upperAlg: upperAlg, chains: chains, leaders: leaders}
-	for _, ch := range chains {
-		h.lower = append(h.lower, &chainReducer{c: ch, o: o})
-	}
-	switch upperAlg {
-	case Chain:
-		h.upper = &chainReducer{c: leaders, o: o}
-		h.name = fmt.Sprintf("CC-%d", o.ChainSize)
+	b.p = sched.NewPlan()
+	switch ro.alg {
 	case Binomial:
-		h.upper = &binomialReducer{c: leaders, o: o}
-		h.name = fmt.Sprintf("CB-%d", o.ChainSize)
-	default:
-		panic("coll: hierarchical upper level must be Chain or Binomial")
+		b.binomial(ro)
+	case Chain:
+		b.chain(ro)
+	case MV2Baseline:
+		b.mv2(ro)
+	case OpenMPIBaseline:
+		b.openMPI(ro)
+	case Rabenseifner:
+		b.rsg(ro)
+	case ringAllreduce:
+		b.ring(ro.size)
 	}
-	return h
+	b.p.Seal()
+	return b.p
 }
 
-func (h *hierarchical) Name() string { return h.name }
-
-func (h *hierarchical) Reduce(r *mpi.Rank, buf *gpu.Buffer, tag int) {
-	me := h.base.Rank(r)
-	ci := me / h.o.ChainSize
-	h.lower[ci].Reduce(r, buf, tag)
-	if me%h.o.ChainSize == 0 {
-		h.upper.Reduce(r, buf, tag+1)
-	}
+func (b *builder) post(fn func(*sched.Ctx)) *sched.Node {
+	return b.p.AddPost(0, sched.Reduce, "", "", fn)
 }
 
-// newThreeLevel builds the chain-of-chain-plus-binomial design the
-// paper proposes for very large scales ("in future, we can exploit
-// multi-level combinations like chain-of-chain combined with a top
-// level binomial", Section 5): level-0 chains over consecutive ranks,
-// level-1 chains over the level-0 leaders, binomial tree over the
-// level-1 leaders.
-func newThreeLevel(c *mpi.Comm, o Options) *hierarchical {
-	chains, leaders := c.SplitChains(o.ChainSize)
-	h := &hierarchical{base: c, o: o, upperAlg: ChainChainBinomial, chains: chains, leaders: leaders}
-	for _, ch := range chains {
-		h.lower = append(h.lower, &chainReducer{c: ch, o: o})
-	}
-	if leaders.Size() > o.ChainSize {
-		h.upper = newHierarchical(leaders, o, Binomial)
+func (b *builder) timed(fn func(*sched.Ctx) sim.Time) *sched.Node {
+	return b.p.AddTimed(0, sched.Reduce, "", "", fn)
+}
+
+func (b *builder) join(reqs func(*sched.Ctx) []*mpi.Request) {
+	b.p.Add(0, sched.Reduce, "", "", nil).Awaiting(reqs)
+}
+
+// stage appends a receive stage: post, then its checksum settled and,
+// if reduce, its reduction.
+func (b *builder) stage(post func(*sched.Ctx), reduce bool) {
+	b.post(post)
+	if reduce {
+		b.timed(b.reduce).Awaiting(b.recvd)
 	} else {
-		// Too few leaders for another level: degrade to a single
-		// binomial, i.e. plain CB.
-		h.upper = &binomialReducer{c: leaders, o: o}
+		b.post(b.verify).Awaiting(b.recvd)
 	}
-	h.name = fmt.Sprintf("CCB-%d", o.ChainSize)
-	return h
+}
+
+// sendTo appends the send of the buffer to group rank to(me), and its wait.
+func (b *builder) sendTo(to func(me int) int, mode topology.TransferMode) {
+	t := b.t
+	b.post(func(x *sched.Ctx) {
+		st := t.state(x)
+		st.req[1] = x.R.Isend(st.c, to(st.me), x.Tag, x.Buf, mode)
+	})
+	b.join(b.sent)
+}
+
+// parent is a tree rank's parent: itself less its lowest set bit.
+func parent(me int) int { return me & (me - 1) }
+
+// binomial is the flat binomial-tree reduce of Eq. (1): log2(P) rounds,
+// each moving and reducing the full buffer. A rank receives and reduces
+// from the peer of every round its bit is clear in, then sends the
+// partial sum to its parent.
+func (b *builder) binomial(ro role) {
+	t := b.t
+	recv := func(x *sched.Ctx) {
+		st := t.state(x)
+		st.acc, st.op = x.Buf, st.getScratch(x.Buf)
+		st.recv(x, st.me+1<<st.begin(), x.Tag, st.op)
+	}
+	for i := 0; i < ro.n; i++ {
+		b.stage(recv, true)
+	}
+	if ro.send {
+		b.sendTo(parent, t.o.Mode)
+	}
+}
+
+// chain is the chunked-chain pipelined reduce of Eq. (2): the tail
+// splits the buffer into n chunks; each interior rank receives a chunk
+// from its right neighbour, reduces it into its own copy, and forwards
+// it left; the pipeline drains at the root. The fragment walks only the
+// ro.n chunks that hold elements, and serves the root and the interior
+// ranks both: only the latter forward.
+func (b *builder) chain(ro role) {
+	t := b.t
+	// chunk is the rank's view of its buffer's chunk j.
+	chunk := func(x *sched.Ctx, st *rankState, j int) *gpu.Buffer {
+		lo, hi := chunkBounds(x.Buf.Elems(), defaultChunks(x.Buf.Bytes, t.o.Chunks), j)
+		return st.view(x.Buf, lo, hi)
+	}
+	// forward sends a chunk's sum, mine, on to the left neighbour.
+	forward := func(x *sched.Ctx, st *rankState, mine *gpu.Buffer) {
+		if st.me == st.root {
+			return
+		}
+		if len(st.fwds) == 0 && cap(st.fwds) < ro.n {
+			st.fwds = make([]*mpi.Request, 0, ro.n) // every forward is in flight before the first is waited
+		}
+		st.fwds = append(st.fwds, x.R.Isend(st.c, st.me-1, x.Tag, mine, t.o.Mode))
+	}
+	if !ro.recv { // the tail sends every chunk as it is
+		b.post(func(x *sched.Ctx) {
+			st := t.state(x)
+			for j := 0; j < ro.n; j++ {
+				forward(x, st, chunk(x, st, j))
+			}
+		})
+	} else {
+		recv := func(x *sched.Ctx) { // forward the last chunk's sum, receive the next chunk
+			st := t.state(x)
+			j := st.begin()
+			if j > 0 {
+				forward(x, st, st.acc)
+			}
+			if j < ro.n {
+				st.acc = chunk(x, st, j)
+				st.op = st.getScratch(st.acc)
+				st.recv(x, st.me+1, x.Tag, st.op)
+			}
+		}
+		for j := 0; j < ro.n; j++ {
+			b.stage(recv, true)
+		}
+		b.post(recv)
+	}
+	b.join(b.fwds)
+}
+
+// newHierarchical builds the two-level design of Section 5 over c:
+// lower-level chunked chains over consecutive (locality-aligned) ranks,
+// then an upper-level reduce among the chain leaders at the next tag — a
+// chain for CC, a binomial tree for CB, and for CCB CB over the leaders:
+// the chain-of-chain plus binomial design the paper proposes for very
+// large scales ("in future, we can exploit multi-level combinations like
+// chain-of-chain combined with a top level binomial", Section 5). Every
+// rank's fragment is the same: it splices the rank's lower fragment,
+// then its upper one, which is nil off the leaders.
+func newHierarchical(c *mpi.Comm, o Options, alg Algorithm, tab *stateTable) *reducer {
+	_, leaders := c.SplitChains(o.ChainSize)
+	var upper Reducer
+	switch {
+	case alg == ChainChain:
+		upper = flat(Chain, o, tab, leaders)
+	case alg == ChainChainBinomial && leaders.Size() > o.ChainSize:
+		upper = newHierarchical(leaders, o, ChainBinomial, tab)
+	default: // CB, and CCB with too few leaders for a third level: plain CB
+		upper = flat(Binomial, o, tab, leaders)
+	}
+	lower := &tier{Chain, o, c, o.ChainSize, tab}
+	frag := sched.NewPlan()
+	frag.AddSplice(sched.Reduce, "", "", func(x *sched.Ctx) (*sched.Plan, *gpu.Buffer, int) {
+		return lower.fragment(x.R, x.Buf), x.Buf, x.Tag
+	})
+	frag.AddSplice(sched.Reduce, "", "", func(x *sched.Ctx) (*sched.Plan, *gpu.Buffer, int) {
+		return upper.Fragment(x.R, x.Buf), x.Buf, x.Tag + 1
+	})
+	frag.Seal()
+	return &reducer{fmt.Sprintf("%s-%d", alg, o.ChainSize), tab, func(r *mpi.Rank, _ *gpu.Buffer) *sched.Plan {
+		if c.GroupRank(r.ID) < 0 {
+			return nil
+		}
+		return frag
+	}}
 }

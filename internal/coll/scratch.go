@@ -3,21 +3,17 @@ package coll
 import (
 	"scaffe/internal/gpu"
 	"scaffe/internal/mpi"
+	"scaffe/internal/sched"
 )
 
-// Per-call scratch reuse. Every reducer instance owns a stateTable:
-// one rankState per member group rank, made when the first rank calls
-// and reused for every call after it. The state carries the three
-// per-invocation resources the algorithms used to allocate every time —
-// receive scratch buffers, chunk/segment descriptor views, and the
-// in-flight send-request list — so a steady-state reduction allocates
-// nothing.
-//
-// Reuse never changes observable behavior: scratch buffers are only
-// ever receive destinations (fully overwritten by the delivery copy
-// before they are read), views are immutable headers over the caller's
-// buffer, and the request slice is reset before each use. Virtual
-// timing is untouched, so golden traces and losses stay bit-identical.
+// Per-call scratch reuse. Every reducer owns a stateTable — one for all
+// its levels and candidates — with one rankState per world rank, made
+// when the first rank calls and reused by every call after it: receive
+// scratch buffers, chunk/segment views, the walk through the fragment,
+// so a steady-state reduction allocates nothing. Reuse never changes
+// observable behavior: scratch buffers are only ever receive
+// destinations (fully overwritten by the delivery copy before they are
+// read), and views are immutable headers over the caller's buffer.
 //
 // Nothing here is found by hashing. A collective asks for the same
 // views of a buffer in the same order every time it is called on it —
@@ -28,14 +24,11 @@ import (
 // the one or two scratch shapes a call uses by looking at the free
 // buffers themselves.
 
-// rankState is one group rank's reusable per-call resources for one
-// reducer instance. Procs of different ranks interleave inside one
-// reducer, so state is held per rank; within a rank, calls are
-// sequential (busy guards the unexpected re-entrant case).
+// rankState is one rank's reusable per-call resources for one reducer.
+// Procs of different ranks interleave inside a reducer, so state is held
+// per rank; within a rank, calls — and a call's levels — are sequential.
 type rankState struct {
-	busy    bool
-	scratch []*gpu.Buffer  // free scratch buffers, the last released on top
-	sreqs   []*mpi.Request // the chain's forwards in flight
+	scratch []*gpu.Buffer // free scratch buffers, the last released on top
 
 	bufs   []bufViews   // the views of every buffer the rank has reduced here
 	cur    *bufViews    // the buffer the call in progress takes views of; nil before its first
@@ -44,9 +37,21 @@ type rankState struct {
 	block  []gpu.Buffer // what is left of the block new views are carved from
 	carved int          // views carved so far
 
-	// step is the rank's walk through the current call, for the reducers
-	// that run as steps on the event loop (chain, binomial).
-	step stepState
+	// The walk at the tier in progress: its communicator, the rank's and
+	// its root's group ranks, stages begun, the stage's accumulator,
+	// received operand and checksum, Rabenseifner's segment, and the
+	// requests nodes await: the stage's receive and send, chain forwards.
+	c        *mpi.Comm
+	me, root int
+	j        int
+	acc, op  *gpu.Buffer
+	sum      *mpi.Summed
+	lo, hi   int
+	req      [2]*mpi.Request
+	fwds     []*mpi.Request
+	verify   func() // sum.Verify, made at the first mismatch
+
+	steps sched.Steps // Reduce's walk through the rank's fragment
 }
 
 // bufViews remembers the views one call after another takes of a buffer,
@@ -61,25 +66,22 @@ type memoView struct {
 	v      *gpu.Buffer
 }
 
-// stateTable lazily holds one rankState per group rank.
+// stateTable lazily holds one rankState per rank, and the fragments the
+// reducer has compiled and what compiles them.
 type stateTable struct {
-	sts []rankState
+	sts   []rankState
+	frags map[role]*sched.Plan
+	b     *builder // what compiles them
 }
 
-// acquire returns the calling rank's state, marking it busy for the
-// duration of the collective. A re-entrant call on the same rank
-// (never produced by the shipped algorithms) degrades to a transient
-// state rather than corrupting in-flight scratch.
+// acquire returns rank me's state, of a table for size ranks, with the
+// call's views and walk starting over.
 func (t *stateTable) acquire(size, me int) *rankState {
 	if t.sts == nil {
-		t.sts = newStates(size)
+		t.sts, t.frags = newStates(size), map[role]*sched.Plan{}
 	}
 	st := &t.sts[me]
-	if st.busy {
-		st = &rankState{}
-	}
-	st.busy = true
-	st.cur = nil
+	st.cur, st.j, st.req, st.fwds = nil, 0, [2]*mpi.Request{}, st.fwds[:0]
 	return st
 }
 
@@ -88,13 +90,33 @@ func (t *stateTable) acquire(size, me int) *rankState {
 //go:noinline
 func newStates(size int) []rankState { return make([]rankState, size) }
 
-func (st *rankState) release() { st.busy = false }
+// begin starts the call's next stage and returns its number.
+func (st *rankState) begin() int {
+	st.j++
+	return st.j - 1
+}
 
-// roomForForwards sizes the chain's request list for a call of n chunks,
-// every one of whose forwards is in flight before the first is waited.
-//
-//go:noinline
-func (st *rankState) roomForForwards(n int) { st.sreqs = make([]*mpi.Request, 0, n) }
+// recv posts the stage's checksummed receive into buf.
+func (st *rankState) recv(x *sched.Ctx, from, tag int, buf *gpu.Buffer) {
+	st.req[0], st.sum = x.R.IrecvSummed(st.c, from, tag, buf)
+}
+
+// settled reports whether the stage's receive checksum is settled; on a
+// mismatch it hands Summed.Verify, which waits on the wire, to the lane's
+// goroutine, and the node asks again.
+func (st *rankState) settled(x *sched.Ctx) bool {
+	if st.sum.TryVerify() {
+		return true
+	}
+	if st.verify == nil {
+		st.verify = func() {
+			st.sum.Verify()
+			st.sum = nil
+		}
+	}
+	x.HandBack(st.verify)
+	return false
+}
 
 // getScratch returns a scratch buffer shaped like `like` (payload
 // present iff it has one) from the free ones, or allocates on miss. A
@@ -110,7 +132,10 @@ func (st *rankState) getScratch(like *gpu.Buffer) *gpu.Buffer {
 			return b
 		}
 	}
-	return newLike(like)
+	if like.Data != nil {
+		return gpu.NewDataBuffer(like.Elems())
+	}
+	return gpu.NewBuffer(like.Bytes)
 }
 
 // putScratch returns a scratch buffer to the free ones. The buffer

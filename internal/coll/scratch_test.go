@@ -21,7 +21,6 @@ func TestViewsAreReadOffByPosition(t *testing.T) {
 	extents := [][2]int{{0, 10}, {10, 20}, {20, 25}}
 	call := func(buf *gpu.Buffer, ext [][2]int) []*gpu.Buffer {
 		st := tab.acquire(4, 2)
-		defer st.release()
 		var vs []*gpu.Buffer
 		for _, e := range ext {
 			vs = append(vs, st.view(buf, e[0], e[1]))

@@ -3,13 +3,16 @@ package coll
 import (
 	"scaffe/internal/gpu"
 	"scaffe/internal/mpi"
+	"scaffe/internal/sched"
 )
 
 // tunedReducer is HR (Tuned): it carries the full set of candidate
-// configurations and dispatches each call to the combination the
-// tuning table selects for (message size, process count). This mirrors
-// the MVAPICH2-GDR 2.2 tuning infrastructure described in Section 5.
+// configurations and hands each call the fragment of the combination
+// the tuning table selects for (message size, process count). This
+// mirrors the MVAPICH2-GDR 2.2 tuning infrastructure described in
+// Section 5. The candidates share a state table.
 type tunedReducer struct {
+	*reducer
 	c        *mpi.Comm
 	binomial Reducer
 	chain    Reducer
@@ -18,17 +21,17 @@ type tunedReducer struct {
 }
 
 func newTuned(c *mpi.Comm, o Options) *tunedReducer {
-	t := &tunedReducer{c: c}
-	t.binomial = &binomialReducer{c: c, o: o}
-	t.chain = &chainReducer{c: c, o: o}
+	tab := &stateTable{}
+	t := &tunedReducer{c: c, binomial: flat(Binomial, o, tab, c), chain: flat(Chain, o, tab, c)}
 	if c.Size() > o.ChainSize {
-		t.cc = newHierarchical(c, o, Chain)
-		t.cb = newHierarchical(c, o, Binomial)
+		t.cc = newHierarchical(c, o, ChainChain, tab)
+		t.cb = newHierarchical(c, o, ChainBinomial, tab)
 	}
+	t.reducer = &reducer{Tuned.String(), tab, func(r *mpi.Rank, buf *gpu.Buffer) *sched.Plan {
+		return t.Select(buf.Bytes).Fragment(r, buf)
+	}}
 	return t
 }
-
-func (t *tunedReducer) Name() string { return "HR(tuned)" }
 
 // Select returns the algorithm the tuning table picks for a message of
 // the given size on this communicator. The rules encode the paper's
@@ -47,8 +50,4 @@ func (t *tunedReducer) Select(bytes int64) Reducer {
 	default:
 		return t.cb
 	}
-}
-
-func (t *tunedReducer) Reduce(r *mpi.Rank, buf *gpu.Buffer, tag int) {
-	t.Select(buf.Bytes).Reduce(r, buf, tag)
 }

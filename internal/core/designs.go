@@ -3,6 +3,7 @@ package core
 import (
 	"strconv"
 
+	"scaffe/internal/gpu"
 	"scaffe/internal/mpi"
 	"scaffe/internal/sched"
 	"scaffe/internal/sim"
@@ -127,9 +128,7 @@ func (st *runState) buildSCB(p *sched.Plan, root bool) {
 	}))
 	st.addForward(p)
 	st.addBackward(p)
-	p.Add(0, sched.Reduce, "aggregation", "reduce-grads", func(x *sched.Ctx) {
-		st.red.Reduce(x.R, st.wl[x.R.ID].packedGrads, tagPackedReduce)
-	})
+	st.addReduce(p, "reduce-grads", tagPackedReduce, func(w *workload) *gpu.Buffer { return w.packedGrads })
 	if root {
 		st.addUpdate(p)
 	}
@@ -143,9 +142,7 @@ func (st *runState) buildSCOB(p *sched.Plan, root bool) {
 	slots, drain := st.addPostPropagation(p, root)
 	st.addOverlappedForward(p, slots, root)
 	st.addBackward(p)
-	p.Add(0, sched.Reduce, "aggregation", "reduce-grads", func(x *sched.Ctx) {
-		st.red.Reduce(x.R, st.wl[x.R.ID].packedGrads, tagPackedReduce)
-	})
+	st.addReduce(p, "reduce-grads", tagPackedReduce, func(w *workload) *gpu.Buffer { return w.packedGrads })
 	if root {
 		st.addDrainSends(p, drain)
 		st.addUpdate(p)
@@ -178,24 +175,18 @@ func (st *runState) buildSCOBR(p *sched.Plan, root bool) {
 		// Fused aggregation: a bucket's gradients are complete once its
 		// lowest layer's backward finishes.
 		for bi, b := range buckets {
-			bi := bi
 			p.Add(0, sched.Generic, "", st.lbl.gradsReadyB[bi], nil).
 				After(bwd[b.lo]).WaitingIn("backward")
-			p.Add(0, sched.Reduce, "aggregation", st.lbl.reduceB[bi], func(x *sched.Ctx) {
-				st.red.Reduce(x.R, st.wl[x.R.ID].buckets[bi].buf, tagLayerReduce+4*bi)
-			})
+			st.addReduce(p, st.lbl.reduceB[bi], tagLayerReduce+4*bi, func(w *workload) *gpu.Buffer { return w.buckets[bi].buf })
 		}
 	} else {
 		for l := len(layers) - 1; l >= 0; l-- {
 			if layers[l].ParamElems == 0 {
 				continue
 			}
-			l := l
 			p.Add(0, sched.Generic, "", st.lbl.gradsReady[l], nil).
 				After(bwd[l]).WaitingIn("backward")
-			p.Add(0, sched.Reduce, "aggregation", st.lbl.reduce[l], func(x *sched.Ctx) {
-				st.red.Reduce(x.R, st.wl[x.R.ID].layerGrad[l], tagLayerReduce+4*l)
-			})
+			st.addReduce(p, st.lbl.reduce[l], tagLayerReduce+4*l, func(w *workload) *gpu.Buffer { return w.layerGrad[l] })
 		}
 	}
 	p.Add(0, sched.Generic, "", "join-backward", nil).After(bwd[0]).WaitingIn("backward")
@@ -262,6 +253,15 @@ func (st *runState) buildPS(p *sched.Plan, server bool) {
 }
 
 // --- shared node factories ------------------------------------------------
+
+// addReduce splices in st.red's fragment for the rank's gradients
+// grads(w): the reduction runs as steps of lane 0, with the iteration.
+func (st *runState) addReduce(p *sched.Plan, label string, tag int, grads func(w *workload) *gpu.Buffer) {
+	p.AddSplice(sched.Reduce, "aggregation", label, func(x *sched.Ctx) (*sched.Plan, *gpu.Buffer, int) {
+		buf := grads(st.wl[x.R.ID])
+		return st.red.Fragment(x.R, buf), buf, tag
+	})
+}
 
 // realOnly is fn in a real-compute run and nil in a timing run, for the
 // actions that only move real parameter or activation data and have

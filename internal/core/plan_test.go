@@ -151,16 +151,19 @@ func TestWholeRunAllocBudget(t *testing.T) {
 // TestSteadyStateIterationSwitchBudget is the alloc budget's twin for
 // the cost this design optimises: goroutine switches. An SC-OBR + HR
 // iteration parks each rank a few hundred times — per-layer kernels on
-// two lanes, a broadcast wait per parameter layer, chunked reduces —
-// and almost all of those resumes must be steps on the event loop. What
-// still takes the rank's goroutine is the node whose action may block
-// (the data wait, posting the broadcasts, a reduce); the helper lane's
-// thread lives across iterations, so its start and end are steps too.
-// The counts are exact and repeat, so the budget is too; and an armed
-// fault plane that never trips must add nothing: its deadline expiries
-// are steps.
+// two lanes, a broadcast wait per parameter layer, every reduction's
+// receives, kernels and forwards — and all but three of those resumes
+// per rank are steps on the event loop: the helper lane's thread lives
+// across iterations, and the per-layer reduces are fragments spliced
+// into lane 0. The three, measured per proc: the data-wait node, whose
+// action may block; the rank's data reader, a goroutine that wakes to
+// produce the next batch; and lane 0's end, which returns from Execute —
+// or on the root the post-update node, after which the lane ends on the
+// goroutine already. The counts are exact and repeat, so the budget is
+// too; and an armed fault plane that never trips must add nothing: its
+// deadline expiries are steps.
 func TestSteadyStateIterationSwitchBudget(t *testing.T) {
-	const ranks, n, budget = 8, 8, 10 // measured: 9.88 (12.00 with a helper thread spawned per iteration)
+	const ranks, n, budget = 8, 8, 3 // measured: 3.00 (9.88 with each reduce a blocking action, 12.00 with a helper thread spawned per iteration)
 	spec, _ := models.ByName("cifar10-quick")
 	perRankIter := func(armed bool) float64 {
 		var res [2]*Result

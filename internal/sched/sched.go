@@ -27,11 +27,17 @@
 // each resume the walk where it stopped, on whichever goroutine is
 // running the loop. Only a node whose action may block takes the lane's
 // own goroutine, for that node.
+//
+// A plan may also be a fragment — a collective's posts, waits and
+// kernels, as package coll compiles them — walked by a splice node in its
+// place, or on its own by Steps.
 package sched
 
 import (
 	"fmt"
+	"slices"
 
+	"scaffe/internal/gpu"
 	"scaffe/internal/mpi"
 	"scaffe/internal/sim"
 )
@@ -64,30 +70,11 @@ const (
 	Update
 )
 
+var kindNames = [...]string{"generic", "data-wait", "pack", "unpack", "post-bcast", "wait-bcast", "fwd", "bwd", "reduce", "drain-sends", "update"}
+
 func (k Kind) String() string {
-	switch k {
-	case Generic:
-		return "generic"
-	case DataWait:
-		return "data-wait"
-	case Pack:
-		return "pack"
-	case Unpack:
-		return "unpack"
-	case PostBcast:
-		return "post-bcast"
-	case WaitBcast:
-		return "wait-bcast"
-	case ComputeForward:
-		return "fwd"
-	case ComputeBackward:
-		return "bwd"
-	case Reduce:
-		return "reduce"
-	case DrainSends:
-		return "drain-sends"
-	case Update:
-		return "update"
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return "unknown"
 }
@@ -95,16 +82,20 @@ func (k Kind) String() string {
 // Ctx is what a node's action receives: the rank the graph runs on,
 // the proc executing this node (the rank's main proc for lane 0, the
 // lane's own thread otherwise), and the iteration the graph is being
-// executed for. A plan is built once and executed by many ranks for
+// executed for; a fragment's nodes also get the buffer and tag their
+// splice picked. A plan is built once and executed by many ranks for
 // many iterations, so an action may capture only what every rank and
 // iteration of its plan share: anything per-rank is looked up through
-// R, anything per-iteration comes from It.
+// R, anything per-iteration comes from It, Buf and Tag.
 type Ctx struct {
-	R  *mpi.Rank
-	P  *sim.Proc
-	It int
+	R   *mpi.Rank
+	P   *sim.Proc
+	It  int
+	Buf *gpu.Buffer
+	Tag int
 
-	g *Graph
+	g    *Graph
+	back func() // handed back by the running callback: see HandBack
 }
 
 // Put hands a request to the nodes gated on slot s. Nil requests are
@@ -115,6 +106,11 @@ func (x *Ctx) Put(s *Slot, req *mpi.Request) {
 		x.g.reqs[s.id] = append(x.g.reqs[s.id], req)
 	}
 }
+
+// HandBack, from a post or timed node's callback, has the lane run fn —
+// which may park — on its goroutine, then the callback again; a timed
+// callback's time is ignored meanwhile.
+func (x *Ctx) HandBack(fn func()) { x.back = fn }
 
 // Slot carries MPI requests from the node that creates them to the
 // nodes gated on their completion. Requests exist only once the
@@ -145,13 +141,16 @@ type Node struct {
 	waitLabel string // label + "/wait"
 	phase     string // phase charged for action time; "" = untraced
 	waitPhase string // phase charged for dependency-wait time
-	lane      int
-	index     int                 // position within the lane
-	done      int                 // the node's completion in Graph.done; -1 when no lane waits for it (set by Seal)
-	action    func(*Ctx)          // may block: runs on the lane's goroutine
-	timed     func(*Ctx) sim.Time // never blocks: the lane resumes at the time it returns
-	deps      []*Node             // the cross-lane nodes this one waits for
-	gates     []int               // ids of the slots this one waits for
+	lane      int32
+	index     int32                                // position within the lane
+	done      int32                                // the node's completion in Graph.done; -1 when no lane waits for it (set by Seal)
+	inline    bool                                 // the action only posts: it runs in the step
+	action    func(*Ctx)                           // may block: runs on the lane's goroutine, unless inline
+	timed     func(*Ctx) sim.Time                  // never blocks: the lane resumes at the time it returns
+	splice    func(*Ctx) (*Plan, *gpu.Buffer, int) // the fragment to walk in the node's place
+	deps      []*Node                              // the cross-lane nodes this one waits for
+	gates     []int                                // ids of the slots this one waits for
+	awaits    func(*Ctx) []*mpi.Request            // requests the executing rank keeps, waited after the gates
 }
 
 // After adds dependency edges. Same-lane edges to earlier nodes are
@@ -178,10 +177,7 @@ func (n *Node) After(deps ...*Node) *Node {
 // action runs. Gates use Rank.Wait (which progresses CPU-deferred
 // requests), so they are lane-0 only.
 func (n *Node) Gated(slots ...*Slot) *Node {
-	n.p.building(n.label)
-	if n.lane != 0 {
-		panic(fmt.Sprintf("sched: node %q gated on lane %d; request gates need the rank's main proc", n.label, n.lane))
-	}
+	n.onMain()
 	for _, s := range slots {
 		switch s.p {
 		case nil:
@@ -194,6 +190,22 @@ func (n *Node) Gated(slots ...*Slot) *Node {
 		n.gates = append(n.gates, s.id)
 	}
 	return n
+}
+
+// Awaiting makes the node wait, after its gates, for the requests reqs
+// returns — kept by the rank rather than filed in slots, as a fragment's
+// are; nil ones are ignored. Lane-0 only, like gates.
+func (n *Node) Awaiting(reqs func(*Ctx) []*mpi.Request) *Node {
+	n.onMain()
+	n.awaits = reqs
+	return n
+}
+
+func (n *Node) onMain() {
+	n.p.building(n.label)
+	if n.lane != 0 {
+		panic(fmt.Sprintf("sched: node %q waits for requests on lane %d; request waits need the rank's main proc", n.label, n.lane))
+	}
 }
 
 // WaitingIn charges the node's dependency-wait time to a different
@@ -214,13 +226,13 @@ type Plan struct {
 	slots     int // gated slots
 	waited    int // nodes some lane waits for: completions an instance holds (set by Seal)
 	sealed    bool
-	// slab is the node arena: nodes are carved from fixed-size chunks
-	// instead of allocated individually, so a built plan is a handful
-	// of contiguous blocks laid out in execution order.
+	// slab is the node arena: nodes are carved from chunks, each as large
+	// as all before it up to nodeSlab, so a built plan is a handful of
+	// contiguous blocks laid out in execution order.
 	slab []Node
 }
 
-// nodeSlab is the arena chunk size; chunks must never grow in place
+// nodeSlab is the largest arena chunk; chunks must never grow in place
 // (returned *Node pointers are stable for the plan's lifetime).
 const nodeSlab = 128
 
@@ -270,17 +282,36 @@ func (p *Plan) AddTimed(lane int, kind Kind, phase, label string, until func(*Ct
 	return n
 }
 
+// AddPost appends a node whose action only posts non-blocking operations
+// and takes no virtual time: the lane runs it in its step and goes on.
+func (p *Plan) AddPost(lane int, kind Kind, phase, label string, post func(*Ctx)) *Node {
+	n := p.Add(lane, kind, phase, label, post)
+	n.inline = true
+	return n
+}
+
+// AddSplice appends a lane-0 node that walks in its place the fragment
+// frag names, if any: a sealed single-lane plan without slots, whose
+// nodes see the buffer and tag named with it as Ctx.Buf and Ctx.Tag. They
+// run like the lane's own but emit no spans, and may splice fragments.
+func (p *Plan) AddSplice(kind Kind, phase, label string, frag func(*Ctx) (*Plan, *gpu.Buffer, int)) *Node {
+	n := p.add(0, kind, phase, label)
+	n.splice = frag
+	return n
+}
+
 func (p *Plan) add(lane int, kind Kind, phase, label string) *Node {
 	p.building(label)
 	if lane < 0 || lane >= len(p.lanes) {
 		panic(fmt.Sprintf("sched: node %q on unknown lane %d", label, lane))
 	}
 	if len(p.slab) == cap(p.slab) {
-		p.slab = make([]Node, 0, nodeSlab)
+		p.slab = make([]Node, 0, min(max(2*cap(p.slab), 4), nodeSlab))
+		p.lanes[lane] = slices.Grow(p.lanes[lane], cap(p.slab))
 	}
 	p.slab = append(p.slab, Node{
 		p: p, kind: kind, label: label, waitLabel: label + "/wait", phase: phase, waitPhase: phase,
-		lane: lane, index: len(p.lanes[lane]), done: -1,
+		lane: int32(lane), index: int32(len(p.lanes[lane])), done: -1,
 	})
 	n := &p.slab[len(p.slab)-1]
 	p.lanes[lane] = append(p.lanes[lane], n)
@@ -300,7 +331,7 @@ func (p *Plan) Seal() {
 	p.sealed = true
 	wait := func(n *Node) {
 		if n.done < 0 {
-			n.done = p.waited
+			n.done = int32(p.waited)
 			p.waited++
 		}
 	}
@@ -412,12 +443,33 @@ func (g *Graph) Execute(tracer Tracer, it int) {
 	g.lanes[0].run(g.r.Proc)
 }
 
+// Steps walks fragments on a rank's main proc, for a splice or on its
+// own. The zero value is ready.
+type Steps struct{ laneRun }
+
+// Run walks fragment frag, if any, for (buf, tag) on rank r's main proc.
+func (s *Steps) Run(r *mpi.Rank, frag *Plan, buf *gpu.Buffer, tag int) {
+	if frag != nil {
+		s.start(r, 0, frag, buf, tag)
+		s.run(r.Proc)
+	}
+}
+
+// start points the walk at the first node of frag, for (buf, tag).
+func (s *Steps) start(r *mpi.Rank, it int, frag *Plan, buf *gpu.Buffer, tag int) {
+	if !frag.sealed || len(frag.lanes) != 1 || frag.slots > 0 {
+		panic("sched: a fragment must be a sealed single-lane plan without slots")
+	}
+	s.nodes, s.ctx = frag.lanes[0], Ctx{R: r, P: r.Proc, It: it, Buf: buf, Tag: tag}
+	s.i, s.at, s.w = 0, atEnter, mpi.Waiter{}
+}
+
 // laneRun is the state of one lane's walk over its nodes. The walk is a
 // sim.Stepper: Step takes the current node through its dependencies,
 // its gates, its action and its completion, and moves to the next,
 // until a wait has to be armed or an action needs the goroutine.
 type laneRun struct {
-	g      *Graph
+	g      *Graph // nil for a fragment's walk
 	nodes  []*Node
 	proc   *sim.Proc // a helper lane's thread, idle between executions
 	ctx    Ctx
@@ -429,6 +481,9 @@ type laneRun struct {
 	s, q int    // gate slots already drained, and requests of slot s
 	join int    // lane 0, past its last node: the next helper lane to join
 	w    mpi.Waiter
+	sub  *Steps // the walk of the fragment a splice node runs; kept for the next
+
+	deferred *mpi.Request // a CPU-progressed request at a gate, for the goroutine to Wait
 
 	entered, began sim.Time // when the node was entered / its action began (traced runs)
 }
@@ -442,6 +497,8 @@ const (
 	atGateWait                // a deferred request's Wait needs the goroutine
 	atAction                  // its action is due
 	atActionRun               // its blocking action needs the goroutine
+	atBack                    // its callback handed work to the goroutine
+	atSplice                  // its fragment is being walked (sub)
 	atFinish                  // its action is over: span, completion, next node
 )
 
@@ -469,26 +526,51 @@ func (l *laneRun) runThread(p *sim.Proc) {
 
 // run walks the lane on proc p, the lane's own: the steps on the event
 // loop, and what a step cannot do — a blocking action, the Wait of a
-// CPU-progressed request — here, on the goroutine. Lane 0 returns at its
-// end; a helper lane's walk ends idle, parked inside RunSteps, and the
-// next Execute's wake goes on from there.
+// CPU-progressed request — here, on the goroutine, for the lane or the
+// fragment it splices. Lane 0 and a fragment's walk return at their end;
+// a helper lane's walk ends idle, parked inside RunSteps, and the next
+// Execute's wake goes on from there.
 func (l *laneRun) run(p *sim.Proc) {
 	l.ctx.P = p
 	for {
 		p.RunSteps(l)
-		switch l.at {
+		f := l
+		for f.at == atSplice {
+			f = &f.sub.laneRun
+		}
+		switch f.at {
 		case atGateWait:
-			n := l.nodes[l.i]
-			l.g.r.Wait(l.g.reqs[n.gates[l.s]][l.q])
-			l.q++
-			l.at = atGates
+			f.ctx.R.Wait(f.deferred)
+			f.q++
+			f.at = atGates
 		case atActionRun:
-			l.nodes[l.i].action(&l.ctx)
-			l.at = atFinish
+			f.nodes[f.i].action(&f.ctx)
+			f.at = atFinish
+		case atBack:
+			back := f.ctx.back
+			f.ctx.back = nil
+			back()
+			f.at = atAction
 		default:
 			return
 		}
 	}
+}
+
+// poll waits out reqs from l.q on: false while a wait is armed, or while
+// a deferred request needs the goroutine (l.at says so).
+func (l *laneRun) poll(reqs []*mpi.Request) bool {
+	for ; l.q < len(reqs); l.q++ {
+		switch req := reqs[l.q]; {
+		case req == nil:
+		case req.Deferred():
+			l.deferred, l.at = req, atGateWait
+			return false
+		case !l.ctx.R.PollRequest(&l.w, req):
+			return false
+		}
+	}
+	return true
 }
 
 // Step waits the node's dependencies and gates, runs its action, emits
@@ -496,7 +578,7 @@ func (l *laneRun) run(p *sim.Proc) {
 // Untraced runs skip the timestamp bookkeeping — it exists only to
 // position spans.
 func (l *laneRun) Step(p *sim.Proc) bool {
-	g, r := l.g, l.g.r
+	g, r := l.g, l.ctx.R
 	for l.i < len(l.nodes) {
 		n := l.nodes[l.i]
 		switch l.at {
@@ -506,6 +588,7 @@ func (l *laneRun) Step(p *sim.Proc) bool {
 				l.entered = p.Now()
 			}
 			l.at = atDeps
+			fallthrough
 		case atDeps:
 			for ; l.d < len(n.deps); l.d++ {
 				// Lane-0 predecessors have almost always fired already,
@@ -517,39 +600,56 @@ func (l *laneRun) Step(p *sim.Proc) bool {
 				}
 			}
 			l.at = atGates
+			fallthrough
 		case atGates:
 			for ; l.s < len(n.gates); l.s, l.q = l.s+1, 0 {
-				for reqs := g.reqs[n.gates[l.s]]; l.q < len(reqs); l.q++ {
-					if reqs[l.q].Deferred() {
-						l.at = atGateWait
-						return true
-					}
-					if !r.PollRequest(&l.w, reqs[l.q]) {
-						return false
-					}
+				if !l.poll(g.reqs[n.gates[l.s]]) {
+					return l.at == atGateWait
 				}
+			}
+			if n.awaits != nil && !l.poll(n.awaits(&l.ctx)) {
+				return l.at == atGateWait
 			}
 			if l.tracer != nil {
 				l.began = p.Now()
 				if l.began > l.entered && n.waitPhase != "" {
-					l.tracer.NodeSpan(n.lane, n.kind, n.waitPhase, n.waitLabel, l.entered, l.began)
+					l.tracer.NodeSpan(int(n.lane), n.kind, n.waitPhase, n.waitLabel, l.entered, l.began)
 				}
 			}
 			l.at = atAction
+			fallthrough
 		case atAction:
 			l.at = atFinish
-			if n.timed != nil {
-				p.ArmUntil(n.timed(&l.ctx))
-				return false
-			}
-			if n.action != nil {
+			switch {
+			case n.timed != nil:
+				if until := n.timed(&l.ctx); l.ctx.back == nil {
+					p.ArmUntil(until)
+					return false
+				}
+			case n.splice != nil:
+				if frag, buf, tag := n.splice(&l.ctx); frag != nil {
+					if l.sub == nil {
+						l.sub = &Steps{}
+					}
+					l.sub.start(r, l.ctx.It, frag, buf, tag)
+					l.at = atSplice
+					continue
+				}
+			case n.inline:
+				n.action(&l.ctx)
+			case n.action != nil:
 				l.at = atActionRun
 				return true
 			}
+			if l.ctx.back != nil {
+				l.at = atBack
+				return true
+			}
+			fallthrough
 		case atFinish:
 			if l.tracer != nil {
 				if end := p.Now(); end > l.began && n.phase != "" {
-					l.tracer.NodeSpan(n.lane, n.kind, n.phase, n.label, l.began, end)
+					l.tracer.NodeSpan(int(n.lane), n.kind, n.phase, n.label, l.began, end)
 				}
 			}
 			if n.done >= 0 {
@@ -557,7 +657,15 @@ func (l *laneRun) Step(p *sim.Proc) bool {
 			}
 			l.i++
 			l.at = atEnter
+		case atSplice: // done before its end is a hand-back: run serves the fragment
+			if done := l.sub.Step(p); !done || l.sub.i < len(l.sub.nodes) {
+				return done
+			}
+			l.at = atFinish
 		}
+	}
+	if g == nil {
+		return true // a fragment's walk: its splice goes on
 	}
 	if l != &g.lanes[0] {
 		p.ArmIdle() // until the next Execute

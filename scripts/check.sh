@@ -73,6 +73,19 @@ for procs in 1 4 16; do
         -count=1 ./internal/core
 done
 
+echo "== collective fragments =="
+# Every reducer runs as plan fragments on the event loop (DESIGN.md §6,
+# §17): the two chain drills (a rank killed mid-pipeline, a
+# retransmission mid-pipeline), the event-timing pin of every family and
+# the one-switch-per-call bound must hold at every GOMAXPROCS,
+# race-instrumented so the detector watches the fragment walks and the
+# goroutine hand-backs.
+for procs in 1 16; do
+    GOMAXPROCS=$procs go test -race \
+        -run '^TestChainReduceRankKilledMidPipeline$|^TestChainReduceRetransmitMidPipeline$|^TestReduceFamiliesPinned$|^TestEveryReducerRunsAsSteps$' \
+        -count=1 ./internal/coll
+done
+
 echo "== chaos smoke =="
 # The seeded chaos plane (DESIGN.md §16): 25 randomized fault
 # schedules — crash/hang/straggle/join plus the lossy-wire family —
@@ -98,6 +111,7 @@ go test -run '^$' -fuzz FuzzSnapshotDecode -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz FuzzParse -fuzztime 5s ./internal/proto
 go test -run '^$' -fuzz FuzzParseSchedule -fuzztime 5s ./internal/fault
 go test -run '^$' -fuzz FuzzMembership -fuzztime 5s ./internal/fault
+go test -run '^$' -fuzz FuzzReduce -fuzztime 5s ./internal/coll
 
 echo "== tracked benchmark =="
 # The one go-test benchmark kept beside bench/run.sh: its 256-4096-rank
