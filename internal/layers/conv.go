@@ -20,14 +20,15 @@ type Conv struct {
 	PadH, PadW       int
 	Groups           int
 
-	geom    tensor.ConvGeom // per-group geometry
-	weights *tensor.Tensor  // OutC x (InC/G*kh*kw)
-	bias    *tensor.Tensor  // OutC
-	wGrad   *tensor.Tensor
-	bGrad   *tensor.Tensor
-	col     []float32 // im2col scratch for one sample, one group
-	colGrad []float32 // column-space gradient scratch, same shape as col
-	lastIn  *tensor.Tensor
+	geom       tensor.ConvGeom // per-group geometry
+	k, spatial int             // one group's column matrix is k × spatial
+	weights    *tensor.Tensor  // OutC x (InC/G*kh*kw)
+	bias       *tensor.Tensor  // OutC
+	wGrad      *tensor.Tensor
+	bGrad      *tensor.Tensor
+	lastIn     *tensor.Tensor
+	gradOut    *tensor.Tensor
+	pass       pass // what Range computes
 
 	params []*tensor.Tensor // cached Params/Grads results so the
 	grads  []*tensor.Tensor // per-iteration accessors don't allocate
@@ -96,90 +97,125 @@ func (c *Conv) Setup(in Shape, batch int, rng *rand.Rand) {
 	}
 	c.setup(in, batch)
 	c.geom = c.geomFor(in)
-	k := (in.C / c.Groups) * c.KernelH * c.KernelW
-	c.weights = tensor.New(c.OutC, k)
-	c.weights.XavierInit(rng, k)
+	c.k = (in.C / c.Groups) * c.KernelH * c.KernelW
+	c.spatial = c.geom.OutH() * c.geom.OutW()
+	c.weights = tensor.New(c.OutC, c.k)
+	c.weights.XavierInit(rng, c.k)
 	c.bias = tensor.New(c.OutC)
-	c.wGrad = tensor.New(c.OutC, k)
+	c.wGrad = tensor.New(c.OutC, c.k)
 	c.bGrad = tensor.New(c.OutC)
-	c.col = make([]float32, k*c.geom.OutH()*c.geom.OutW())
-	c.colGrad = make([]float32, k*c.geom.OutH()*c.geom.OutW())
 	c.allocBlobs(c.OutShape(in))
 	c.params = []*tensor.Tensor{c.weights, c.bias}
 	c.grads = []*tensor.Tensor{c.wGrad, c.bGrad}
 }
 
-// Forward implements Layer.
+// Range implements tensor.Ranger: it is the body of Conv's fan-outs,
+// run by Forward and Backward. Each range gets a column matrix of
+// scratch.
+func (c *Conv) Range(lo, hi int, col []float32) {
+	switch c.pass {
+	case forwardPass:
+		c.forwardSamples(lo, hi, col)
+	case weightGradPass:
+		c.weightGradCols(lo, hi, col)
+	case inputGradPass:
+		c.inputGradSamples(lo, hi, col)
+	}
+}
+
+// Forward implements Layer. The batch is split over tensor.ParallelFor
+// by samples, each computed whole by one worker.
 func (c *Conv) Forward(in *tensor.Tensor) *tensor.Tensor {
 	c.checkIn(in)
 	c.lastIn = in
-	out := c.OutShape(c.in)
-	spatial := out.H * out.W
-	k := (c.in.C / c.Groups) * c.KernelH * c.KernelW
-	outCg := c.OutC / c.Groups
-	inCg := c.in.C / c.Groups
-	res := c.out
-	inSz := c.in.Elems()
-	outSz := out.Elems()
-	for b := 0; b < c.batch; b++ {
-		sample := in.Data[b*inSz : (b+1)*inSz]
-		dstAll := res.Data[b*outSz : (b+1)*outSz]
+	c.pass = forwardPass
+	tensor.ParallelFor(c.batch, c.k*c.spatial, c)
+	return c.out
+}
+
+// forwardSamples computes the output of samples [lo, hi): per group,
+// im2col and out = W·col, then the bias.
+func (c *Conv) forwardSamples(lo, hi int, col []float32) {
+	outCg, grpIn := c.OutC/c.Groups, c.in.Elems()/c.Groups
+	inSz, outSz := c.in.Elems(), c.OutC*c.spatial
+	for b := lo; b < hi; b++ {
+		sample := c.lastIn.Data[b*inSz : (b+1)*inSz]
+		dstAll := c.out.Data[b*outSz : (b+1)*outSz]
 		for g := 0; g < c.Groups; g++ {
-			tensor.Im2col(c.geom, sample[g*inCg*c.in.H*c.in.W:], c.col)
-			dst := dstAll[g*outCg*spatial : (g+1)*outCg*spatial]
-			w := c.weights.Data[g*outCg*k : (g+1)*outCg*k]
-			tensor.Gemm(false, false, outCg, spatial, k, 1, w, c.col, 0, dst)
+			tensor.Im2col(c.geom, sample[g*grpIn:], col)
+			dst := dstAll[g*outCg*c.spatial : (g+1)*outCg*c.spatial]
+			w := c.weights.Data[g*outCg*c.k : (g+1)*outCg*c.k]
+			tensor.GemmCols(false, false, outCg, c.spatial, c.k, 1, w, col, 0, dst, 0, c.spatial)
 		}
-		for oc := 0; oc < out.C; oc++ {
+		for oc := 0; oc < c.OutC; oc++ {
 			bv := c.bias.Data[oc]
-			row := dstAll[oc*spatial : (oc+1)*spatial]
+			row := dstAll[oc*c.spatial : (oc+1)*c.spatial]
 			for i := range row {
 				row[i] += bv
 			}
 		}
 	}
-	return res
 }
 
-// Backward implements Layer.
+// Backward implements Layer. The bias gradient is summed serially, in
+// sample order; the weight gradient is split over tensor.ParallelFor by
+// columns of dW and the input gradient by samples, so every output
+// element is written by one worker in the serial order.
 func (c *Conv) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	out := c.OutShape(c.in)
-	spatial := out.H * out.W
-	k := (c.in.C / c.Groups) * c.KernelH * c.KernelW
-	outCg := c.OutC / c.Groups
-	inCg := c.in.C / c.Groups
-	gradIn := c.gradIn
-	gradIn.Zero() // Col2im accumulates into its target
-	inSz := c.in.Elems()
-	outSz := out.Elems()
-	colGrad := c.colGrad[:k*spatial]
+	c.gradOut = gradOut
+	outSz := c.OutC * c.spatial
 	for b := 0; b < c.batch; b++ {
 		gAll := gradOut.Data[b*outSz : (b+1)*outSz]
-		// Bias gradient: sum over spatial positions.
-		for oc := 0; oc < out.C; oc++ {
-			row := gAll[oc*spatial : (oc+1)*spatial]
+		for oc := 0; oc < c.OutC; oc++ {
 			var s float32
-			for _, v := range row {
+			for _, v := range gAll[oc*c.spatial : (oc+1)*c.spatial] {
 				s += v
 			}
 			c.bGrad.Data[oc] += s
 		}
+	}
+	c.pass = weightGradPass
+	tensor.ParallelFor(c.k, c.k*c.spatial, c)
+	c.pass = inputGradPass
+	tensor.ParallelFor(c.batch, c.k*c.spatial, c)
+	return c.gradIn
+}
+
+// weightGradCols accumulates columns [lo, hi) of every group's dW: for
+// each sample in order, dW[:, lo:hi] += g·colᵀ, with only rows [lo, hi)
+// of the column matrix lowered.
+func (c *Conv) weightGradCols(lo, hi int, col []float32) {
+	outCg, grpIn := c.OutC/c.Groups, c.in.Elems()/c.Groups
+	inSz, outSz := c.in.Elems(), c.OutC*c.spatial
+	for b := 0; b < c.batch; b++ {
 		sample := c.lastIn.Data[b*inSz : (b+1)*inSz]
-		giSample := gradIn.Data[b*inSz : (b+1)*inSz]
+		gAll := c.gradOut.Data[b*outSz : (b+1)*outSz]
 		for grp := 0; grp < c.Groups; grp++ {
-			g := gAll[grp*outCg*spatial : (grp+1)*outCg*spatial]
-			w := c.weights.Data[grp*outCg*k : (grp+1)*outCg*k]
-			wg := c.wGrad.Data[grp*outCg*k : (grp+1)*outCg*k]
-			// Weight gradient: dW += g (outCg×spatial) · col^T (spatial×k).
-			tensor.Im2col(c.geom, sample[grp*inCg*c.in.H*c.in.W:], c.col)
-			tensor.Gemm(false, true, outCg, k, spatial, 1, g, c.col, 1, wg)
-			// Input gradient: colGrad = W^T (k×outCg) · g, scattered
-			// back by col2im into the group's input channels.
-			tensor.Gemm(true, false, k, spatial, outCg, 1, w, g, 0, colGrad)
-			tensor.Col2im(c.geom, colGrad, giSample[grp*inCg*c.in.H*c.in.W:])
+			g := gAll[grp*outCg*c.spatial : (grp+1)*outCg*c.spatial]
+			wg := c.wGrad.Data[grp*outCg*c.k : (grp+1)*outCg*c.k]
+			tensor.Im2colRows(c.geom, sample[grp*grpIn:], col, lo, hi)
+			tensor.GemmCols(false, true, outCg, c.k, c.spatial, 1, g, col, 1, wg, lo, hi)
 		}
 	}
-	return gradIn
+}
+
+// inputGradSamples writes the input gradient of samples [lo, hi): per
+// group, colGrad = Wᵀ·g, scattered back by col2im into the group's
+// input channels.
+func (c *Conv) inputGradSamples(lo, hi int, colGrad []float32) {
+	outCg, grpIn := c.OutC/c.Groups, c.in.Elems()/c.Groups
+	inSz, outSz := c.in.Elems(), c.OutC*c.spatial
+	for b := lo; b < hi; b++ {
+		gAll := c.gradOut.Data[b*outSz : (b+1)*outSz]
+		giSample := c.gradIn.Data[b*inSz : (b+1)*inSz]
+		clear(giSample) // Col2im accumulates into its target
+		for grp := 0; grp < c.Groups; grp++ {
+			g := gAll[grp*outCg*c.spatial : (grp+1)*outCg*c.spatial]
+			w := c.weights.Data[grp*outCg*c.k : (grp+1)*outCg*c.k]
+			tensor.GemmCols(true, false, c.k, c.spatial, outCg, 1, w, g, 0, colGrad, 0, c.spatial)
+			tensor.Col2im(c.geom, colGrad, giSample[grp*grpIn:])
+		}
+	}
 }
 
 // Params implements Layer.

@@ -99,6 +99,17 @@ func (b *base) checkIn(t *tensor.Tensor) {
 	}
 }
 
+// pass names the part of a Forward or Backward that a layer's Range,
+// its tensor.ParallelFor body, is computing; the layer sets it before
+// each fan-out.
+type pass uint8
+
+const (
+	forwardPass pass = iota
+	weightGradPass
+	inputGradPass
+)
+
 // noParams is embedded by parameter-free layers.
 type noParams struct{}
 

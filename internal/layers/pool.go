@@ -27,8 +27,10 @@ type Pool struct {
 	Kernel, Stride int
 	Pad            int
 
-	argmax []int32 // winner index per output element (max pooling)
-	lastIn *tensor.Tensor
+	argmax  []int32 // winner index per output element (max pooling)
+	lastIn  *tensor.Tensor
+	gradOut *tensor.Tensor
+	pass    pass // what Range computes
 }
 
 // NewMaxPool creates a max-pooling layer.
@@ -79,17 +81,34 @@ func (p *Pool) Setup(in Shape, batch int, _ *rand.Rand) {
 	p.allocBlobs(out)
 }
 
-// Forward implements Layer.
+// Range implements tensor.Ranger: it is the body of Pool's fan-outs
+// over samples, run by Forward and Backward.
+func (p *Pool) Range(lo, hi int, _ []float32) {
+	if p.pass == forwardPass {
+		p.forwardSamples(lo, hi)
+	} else {
+		p.backwardSamples(lo, hi)
+	}
+}
+
+// Forward implements Layer. The batch is split over tensor.ParallelFor
+// by samples.
 func (p *Pool) Forward(in *tensor.Tensor) *tensor.Tensor {
 	p.checkIn(in)
 	p.lastIn = in
+	p.pass = forwardPass
+	tensor.ParallelFor(p.batch, 0, p)
+	return p.out
+}
+
+// forwardSamples scans the windows of samples [lo, hi).
+func (p *Pool) forwardSamples(lo, hi int) {
 	out := p.OutShape(p.in)
-	res := p.out
 	inSz := p.in.Elems()
 	outSz := out.Elems()
-	for b := 0; b < p.batch; b++ {
-		src := in.Data[b*inSz : (b+1)*inSz]
-		dst := res.Data[b*outSz : (b+1)*outSz]
+	for b := lo; b < hi; b++ {
+		src := p.lastIn.Data[b*inSz : (b+1)*inSz]
+		dst := p.out.Data[b*outSz : (b+1)*outSz]
 		am := p.argmax[b*outSz : (b+1)*outSz]
 		for c := 0; c < p.in.C; c++ {
 			chn := src[c*p.in.H*p.in.W:]
@@ -146,19 +165,27 @@ func (p *Pool) Forward(in *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	return res
 }
 
-// Backward implements Layer.
+// Backward implements Layer. The batch is split over tensor.ParallelFor
+// by samples; a sample's gradient stays inside its own region.
 func (p *Pool) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	p.gradOut = gradOut
+	p.pass = inputGradPass
+	tensor.ParallelFor(p.batch, 0, p)
+	return p.gradIn
+}
+
+// backwardSamples scatters the gradient of samples [lo, hi) back onto
+// the argmax (max) or the whole window (average).
+func (p *Pool) backwardSamples(lo, hi int) {
 	out := p.OutShape(p.in)
-	gradIn := p.gradIn
-	gradIn.Zero() // windows overlap, gradients accumulate
 	inSz := p.in.Elems()
 	outSz := out.Elems()
-	for b := 0; b < p.batch; b++ {
-		g := gradOut.Data[b*outSz : (b+1)*outSz]
-		gi := gradIn.Data[b*inSz : (b+1)*inSz]
+	for b := lo; b < hi; b++ {
+		g := p.gradOut.Data[b*outSz : (b+1)*outSz]
+		gi := p.gradIn.Data[b*inSz : (b+1)*inSz]
+		clear(gi) // windows overlap, gradients accumulate
 		am := p.argmax[b*outSz : (b+1)*outSz]
 		for c := 0; c < p.in.C; c++ {
 			chGrad := gi[c*p.in.H*p.in.W:]
@@ -191,5 +218,4 @@ func (p *Pool) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	return gradIn
 }

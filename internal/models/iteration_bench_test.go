@@ -38,8 +38,8 @@ func (it *iterationNet) step() {
 // TestNetForwardBackwardZeroSteadyStateAllocs is the tentpole's
 // regression gate: after one warm-up iteration, a full forward+backward
 // pass over LeNet and CIFAR-10-quick must not allocate at all —
-// activations, gradients, im2col scratch, and batch buffers are all
-// preallocated or pooled.
+// activations, gradients and batch buffers are preallocated, and the
+// im2col scratch is the worker pool's per-range storage.
 func TestNetForwardBackwardZeroSteadyStateAllocs(t *testing.T) {
 	cases := []struct {
 		name  string

@@ -163,7 +163,7 @@ func TestSpecFromNetConsistency(t *testing.T) {
 // TestByNameWalksGeometryWithoutANet: the small models' specs come from
 // the layer list alone, equal field for field to the spec of the built
 // net, at a cost that cannot include one (cifar10-quick set up at batch 1
-// is ~1.5 MB of blobs, im2col scratch and weights).
+// is ~1.9 MB of blobs and weights).
 func TestByNameWalksGeometryWithoutANet(t *testing.T) {
 	for name, build := range map[string]func(int, int64) *layers.Net{
 		"lenet": BuildLeNet, "cifar10-quick": BuildCIFAR10Quick, "tiny": BuildTinyNet,

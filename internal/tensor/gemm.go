@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"runtime"
-	"sync"
-)
+import "runtime"
 
 // gemmParallelThreshold is the output size (M*N) above which GEMM
 // fans out across CPU cores; small multiplies stay single-threaded to
@@ -26,137 +23,69 @@ const (
 // one worker, in ascending-p order, with one rounded multiply and one
 // rounded add per term, regardless of how the output is partitioned or
 // which micro-kernel runs — so results are bit-identical run-to-run,
-// across any GOMAXPROCS setting and across GOARCH. Parallel dispatch
-// goes through a persistent worker pool and a pooled call descriptor,
-// so steady-state calls do not allocate.
+// across any GOMAXPROCS setting and across GOARCH. Above
+// gemmParallelThreshold the output is split over ParallelFor, so
+// steady-state calls do not allocate. A ParallelFor body calls GemmCols
+// instead.
 func Gemm(transA, transB bool, m, n, k int, alpha float32, a []float32, b []float32, beta float32, c []float32) {
+	workers := runtime.GOMAXPROCS(0)
+	if m*n < gemmParallelThreshold || workers < 2 {
+		GemmCols(transA, transB, m, n, k, alpha, a, b, beta, c, 0, n)
+		return
+	}
+	a, b = gemmOperands(m, n, k, a, b, c)
+
+	// Partition whichever output dimension offers enough granularity:
+	// rows when there are at least gemmMR rows per worker (in whole row
+	// tiles), columns otherwise (e.g. a batch-32 fully-connected forward
+	// pass, where m is tiny but n is thousands wide).
+	byCols := m < workers*gemmMR && n >= workers
+	f := getFanCall()
+	f.gemm = gemmArgs{transA, transB, m, n, k, alpha, beta, a, b, c, byCols}
+	f.body, f.scratchLen = &f.gemm, 0
+	if byCols {
+		f.run(n, 1)
+	} else {
+		f.run(m, gemmMR)
+	}
+	putFanCall(f)
+}
+
+// GemmCols computes columns [jlo, jhi) of Gemm's C on the calling
+// goroutine, each element exactly as Gemm computes it. It is Gemm's
+// serial path and the multiply a ParallelFor body runs.
+func GemmCols(transA, transB bool, m, n, k int, alpha float32, a []float32, b []float32, beta float32, c []float32, jlo, jhi int) {
+	if jlo < 0 || jhi > n || jlo > jhi {
+		panic("tensor: gemm column range outside C")
+	}
+	a, b = gemmOperands(m, n, k, a, b, c)
+	scaleCSpan(n, beta, c, 0, m, jlo, jhi)
+	gemmKernel(transA, transB, m, n, k, alpha, a, b, c, 0, m, jlo, jhi)
+}
+
+// gemmOperands checks C's length and caps A and B at theirs: the
+// assembly micro-kernel reads them without bounds checks, so a short
+// operand panics here instead.
+func gemmOperands(m, n, k int, a, b, c []float32) ([]float32, []float32) {
 	if len(c) < m*n {
 		panic("tensor: gemm C too small")
 	}
-	// The assembly micro-kernel reads A and B without bounds checks;
-	// capping each at its length panics here if it is short.
-	a, b = a[:m*k:len(a)], b[:k*n:len(b)]
-	workers := runtime.GOMAXPROCS(0)
-	if m*n < gemmParallelThreshold || workers < 2 {
-		scaleCSpan(n, beta, c, 0, m, 0, n)
-		gemmKernel(transA, transB, m, n, k, alpha, a, b, c, 0, m, 0, n)
-		return
-	}
-	gemmOnce.Do(startGemmWorkers)
-
-	// Partition whichever output dimension offers enough granularity:
-	// rows when there are at least gemmMR rows per worker (keeps the
-	// micro-kernel's row tiles intact), columns otherwise (e.g. a
-	// batch-32 fully-connected forward pass, where m is tiny but n is
-	// thousands wide).
-	byCols := m < workers*gemmMR && n >= workers
-	span := m
-	if byCols {
-		span = n
-	}
-	if workers > span {
-		workers = span
-	}
-	per := (span + workers - 1) / workers
-	if !byCols {
-		per = (per + gemmMR - 1) / gemmMR * gemmMR // align chunks to row tiles
-	}
-	parts := (span + per - 1) / per
-
-	g := getGemmCall()
-	g.transA, g.transB = transA, transB
-	g.m, g.n, g.k = m, n, k
-	g.alpha, g.beta = alpha, beta
-	g.a, g.b, g.c = a, b, c
-	g.byCols = byCols
-	g.wg.Add(parts - 1)
-	for w := 1; w < parts; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > span {
-			hi = span
-		}
-		gemmTaskQ <- gemmTask{call: g, lo: lo, hi: hi}
-	}
-	hi0 := per
-	if hi0 > span {
-		hi0 = span
-	}
-	g.runSpan(0, hi0)
-	g.wg.Wait()
-	putGemmCall(g)
+	return a[: m*k : len(a)], b[: k*n : len(b)]
 }
 
-// --- persistent worker pool ----------------------------------------------
-
-// gemmTask is one partition of a parallel GEMM call.
-type gemmTask struct {
-	call   *gemmCall
-	lo, hi int
-}
-
-// gemmCall is a pooled parallel-call descriptor; pooling it (and the
-// WaitGroup inside) keeps the parallel dispatch path allocation-free.
-type gemmCall struct {
+// gemmArgs are one Gemm call's operands, held by its fanCall, and the
+// body of its fan-out.
+type gemmArgs struct {
 	transA, transB bool
 	m, n, k        int
 	alpha, beta    float32
 	a, b, c        []float32
 	byCols         bool
-	wg             sync.WaitGroup
 }
 
-var (
-	gemmOnce  sync.Once
-	gemmTaskQ chan gemmTask
-
-	gemmCallMu   sync.Mutex
-	gemmCallFree []*gemmCall
-)
-
-// startGemmWorkers spins up the persistent compute workers. Workers
-// block on the task queue when idle; the pool is sized to the machine
-// since per-call parallelism is capped by GOMAXPROCS anyway.
-func startGemmWorkers() {
-	n := runtime.NumCPU()
-	if n < 1 {
-		n = 1
-	}
-	gemmTaskQ = make(chan gemmTask, 4*n)
-	for i := 0; i < n; i++ {
-		go func() {
-			for t := range gemmTaskQ {
-				t.call.runSpan(t.lo, t.hi)
-				t.call.wg.Done()
-			}
-		}()
-	}
-}
-
-func getGemmCall() *gemmCall {
-	gemmCallMu.Lock()
-	var g *gemmCall
-	if n := len(gemmCallFree); n > 0 {
-		g = gemmCallFree[n-1]
-		gemmCallFree = gemmCallFree[:n-1]
-	}
-	gemmCallMu.Unlock()
-	if g == nil {
-		g = new(gemmCall)
-	}
-	return g
-}
-
-func putGemmCall(g *gemmCall) {
-	g.a, g.b, g.c = nil, nil, nil
-	gemmCallMu.Lock()
-	gemmCallFree = append(gemmCallFree, g)
-	gemmCallMu.Unlock()
-}
-
-// runSpan executes one partition: [lo,hi) rows of C, or [lo,hi)
-// columns when the call is column-partitioned.
-func (g *gemmCall) runSpan(lo, hi int) {
+// Range computes [lo,hi) rows of C, or [lo,hi) columns when the call
+// is column-partitioned.
+func (g *gemmArgs) Range(lo, hi int, _ []float32) {
 	ilo, ihi, jlo, jhi := 0, g.m, 0, g.n
 	if g.byCols {
 		jlo, jhi = lo, hi

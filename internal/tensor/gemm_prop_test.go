@@ -263,6 +263,33 @@ func TestGemmDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestGemmColsSplitMatchesGemm: GemmCols over any split of C's columns
+// into ranges, with each micro-kernel, gives Gemm's bits — the column
+// range a weight-gradient fan-out body multiplies.
+func TestGemmColsSplitMatchesGemm(t *testing.T) {
+	cases := append(modelGemmCases(), gemmCase{false, true, 5, 37, 9}, gemmCase{true, true, 7, 70, 3})
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(3))
+		for _, tc := range cases {
+			alpha, beta := []float32{1, 0.5}[rng.Intn(2)], []float32{0, 1, -2}[rng.Intn(3)]
+			a, b := randSlice(rng, tc.m*tc.k), randSlice(rng, tc.k*tc.n)
+			want := randSlice(rng, tc.m*tc.n)
+			got := append([]float32(nil), want...)
+			Gemm(tc.transA, tc.transB, tc.m, tc.n, tc.k, alpha, a, b, beta, want)
+			for lo := 0; lo < tc.n; {
+				hi := lo + 1 + rng.Intn(tc.n-lo)
+				GemmCols(tc.transA, tc.transB, tc.m, tc.n, tc.k, alpha, a, b, beta, got, lo, hi)
+				lo = hi
+			}
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%+v α=%g β=%g: c[%d] = %#x, Gemm %#x", tc, alpha, beta, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+				}
+			}
+		}
+	})
+}
+
 // TestGetScratchReuse checks the workspace pool's contract: capacity
 // grows to the requested size and buffers round-trip through the pool.
 func TestGetScratchReuse(t *testing.T) {

@@ -1,11 +1,19 @@
-package tensor
+package tensor_test
 
-import "testing"
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"scaffe/internal/layers"
+	"scaffe/internal/tensor"
+)
 
 // These tests are the allocation gate for the real-compute kernels:
-// GEMM, im2col/col2im and the element-wise ops a layer runs per
-// iteration must be allocation-free in steady state (after warm-up
-// spins up the persistent GEMM worker pool). Measuring the calls
+// GEMM, im2col/col2im, the element-wise ops a layer runs per iteration
+// and the Conv and Pool passes that fan out over tensor.ParallelFor
+// must be allocation-free in steady state (after warm-up spins up the
+// persistent worker pool and grows its scratch). Measuring the calls
 // catches whatever makes them allocate — a construct in the body or an
 // escape-analysis decision alike; core.TestSteadyStateIterationAllocBudget
 // does the same for whole training iterations.
@@ -31,25 +39,25 @@ func TestHotpathKernelsZeroAllocs(t *testing.T) {
 	}
 
 	requireZeroAllocs(t, "Gemm(parallel)", func() {
-		Gemm(false, false, m, n, k, 1, a, b, 0, c)
+		tensor.Gemm(false, false, m, n, k, 1, a, b, 0, c)
 	})
 	requireZeroAllocs(t, "Gemm(serial)", func() {
-		Gemm(true, false, 8, 8, k, 1, a[:8*k], b[:k*8], 0.5, c[:64])
+		tensor.Gemm(true, false, 8, 8, k, 1, a[:8*k], b[:k*8], 0.5, c[:64])
 	})
 
-	g := ConvGeom{InC: 3, InH: 16, InW: 16, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	g := tensor.ConvGeom{InC: 3, InH: 16, InW: 16, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	img := make([]float32, 3*16*16)
 	col := make([]float32, 3*3*3*g.OutH()*g.OutW())
-	requireZeroAllocs(t, "Im2col", func() { Im2col(g, img, col) })
-	requireZeroAllocs(t, "Col2im", func() { Col2im(g, col, img) })
+	requireZeroAllocs(t, "Im2col", func() { tensor.Im2col(g, img, col) })
+	requireZeroAllocs(t, "Col2im", func() { tensor.Col2im(g, col, img) })
 
 	in := make([]float32, 1024)
 	out := make([]float32, 1024)
 	for i := range in {
 		in[i] = float32(i%9) - 4
 	}
-	requireZeroAllocs(t, "ReLUForward", func() { ReLUForward(in, out) })
-	requireZeroAllocs(t, "ReLUBackward", func() { ReLUBackward(in, out, out) })
+	requireZeroAllocs(t, "ReLUForward", func() { tensor.ReLUForward(in, out) })
+	requireZeroAllocs(t, "ReLUBackward", func() { tensor.ReLUBackward(in, out, out) })
 
 	const batch, classes = 16, 10
 	logits := make([]float32, batch*classes)
@@ -58,8 +66,26 @@ func TestHotpathKernelsZeroAllocs(t *testing.T) {
 	for i := range logits {
 		logits[i] = float32(i%11) * 0.1
 	}
-	requireZeroAllocs(t, "SoftmaxRow", func() { SoftmaxRow(logits[:classes]) })
+	requireZeroAllocs(t, "SoftmaxRow", func() { tensor.SoftmaxRow(logits[:classes]) })
 	requireZeroAllocs(t, "SoftmaxCrossEntropy", func() {
-		SoftmaxCrossEntropy(logits, batch, classes, labels, grad)
+		tensor.SoftmaxCrossEntropy(logits, batch, classes, labels, grad)
+	})
+
+	// Conv and Pool split their batch over the worker pool; four
+	// workers exercise the fan-out whatever the machine's core count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	rng := rand.New(rand.NewSource(1))
+	shape := layers.Shape{C: 3, H: 16, W: 16}
+	conv := layers.NewConv("conv", 8, 5, 1, 2)
+	conv.Setup(shape, batch, rng)
+	pool := layers.NewMaxPool("pool", 3, 2)
+	pool.Setup(conv.OutShape(shape), batch, rng)
+	x := tensor.New(batch, shape.C, shape.H, shape.W)
+	for i := range x.Data {
+		x.Data[i] = rng.Float32() - 0.5
+	}
+	requireZeroAllocs(t, "Conv+Pool forward/backward", func() {
+		y := pool.Forward(conv.Forward(x))
+		conv.Backward(pool.Backward(y))
 	})
 }

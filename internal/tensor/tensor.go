@@ -1,8 +1,13 @@
 // Package tensor provides the dense float32 math the real-compute
 // training path uses: NCHW tensors, a parallel blocked GEMM, im2col
 // convolution lowering, and the elementwise/softmax kernels Caffe's
-// layers need. Everything is deterministic: parallel loops partition
-// work statically and each partition writes disjoint outputs.
+// layers need. ParallelFor is the one fan-out, over a persistent worker
+// pool; Gemm's parallel path and the layers' batch splits run on it.
+// Everything is deterministic: each range of a fan-out writes outputs
+// no other range writes, computing each with the serial kernel in the
+// serial order, so results are the same bits at any GOMAXPROCS. A
+// fan-out body runs serial kernels only (GemmCols, not Gemm): the
+// fan-out never nests.
 package tensor
 
 import (

@@ -158,8 +158,9 @@ func TestIm2colCol2imAdjoint(t *testing.T) {
 
 // TestIm2colCol2imMatchReference checks both functions bit for bit
 // against per-element references over random geometries: strides 1–3,
-// pads 0–2, non-square kernels and images. Col2im accumulates into a
-// non-zero image, so its order of additions is checked too.
+// pads 0–2, non-square kernels and images. Im2colRows over a random
+// split of the rows must rebuild the same matrix. Col2im accumulates
+// into a non-zero image, so its order of additions is checked too.
 func TestIm2colCol2imMatchReference(t *testing.T) {
 	refIm2col := func(g ConvGeom, img, col []float32) {
 		idx := 0
@@ -224,6 +225,17 @@ func TestIm2colCol2imMatchReference(t *testing.T) {
 		refIm2col(g, img, want)
 		if i := same(got, want); i >= 0 {
 			t.Fatalf("Im2col %+v: col[%d] = %g, reference %g", g, i, got[i], want[i])
+		}
+		// Any split of the rows into ranges rebuilds the whole matrix.
+		rows := g.InC * g.KernelH * g.KernelW
+		split := randSlice(rng, nCol)
+		for lo := 0; lo < rows; {
+			hi := lo + 1 + rng.Intn(rows-lo)
+			Im2colRows(g, img, split, lo, hi)
+			lo = hi
+		}
+		if i := same(split, want); i >= 0 {
+			t.Fatalf("Im2colRows %+v: col[%d] = %g, reference %g", g, i, split[i], want[i])
 		}
 		col := randSlice(rng, nCol)
 		back := append([]float32(nil), img...)

@@ -86,6 +86,18 @@ for procs in 1 16; do
         -count=1 ./internal/coll
 done
 
+echo "== batch fan-out =="
+# Conv and Pool split the batch, and Conv's weight gradient its columns,
+# over tensor's one worker pool (DESIGN.md §7): every layer output, loss
+# and gradient must be the same bits at any GOMAXPROCS. Race-instrumented
+# at up to 16 workers on any core count, so the detector watches the
+# disjoint-write partitions with more workers than cores.
+for procs in 1 4 16; do
+    GOMAXPROCS=$procs go test -race -count=3 \
+        -run '^TestForwardBackwardBitIdenticalAcrossGOMAXPROCS$' ./internal/models
+    GOMAXPROCS=$procs go test -race -count=3 ./internal/tensor ./internal/layers
+done
+
 echo "== chaos smoke =="
 # The seeded chaos plane (DESIGN.md §16): 25 randomized fault
 # schedules — crash/hang/straggle/join plus the lossy-wire family —
