@@ -24,8 +24,7 @@ vet:
 	$(GO) vet ./...
 
 # scaffe-lint enforces the repo-specific invariants (determinism, MPI
-# request discipline, trace-span balance); see internal/lint and
-# DESIGN.md §10.
+# request discipline); see internal/lint and DESIGN.md §10.
 lint:
 	$(GO) run ./cmd/scaffe-lint ./...
 

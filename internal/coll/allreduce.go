@@ -46,6 +46,11 @@ func NewRing(c *mpi.Comm, o Options) *Ring { return &Ring{flat(ringAllreduce, o,
 // tag..tag+2P are reserved.
 func (g *Ring) Allreduce(r *mpi.Rank, buf *gpu.Buffer, tag int) { g.x.Reduce(r, buf, tag) }
 
+// Fragment readies r's state to allreduce buf and returns the fragment
+// to splice for it, or nil if r has nothing to do: Reducer.Fragment for
+// the ring.
+func (g *Ring) Fragment(r *mpi.Rank, buf *gpu.Buffer) *sched.Plan { return g.x.Fragment(r, buf) }
+
 // ring is the Ring's fragment over size ranks: each step sends a
 // segment right and receives the one before it from the left, reducing
 // it during the reduce-scatter — after which rank i holds the fully

@@ -2,9 +2,9 @@
 // algorithms studied by the paper: flat binomial trees, the
 // chunked-chain pipeline, the two-level hierarchical designs
 // (chain-of-chain CC and chain-binomial CB), the tuned selector (HR),
-// the MVAPICH2- and OpenMPI-era baselines of Figures 11–12, the
-// CPU-progressed Ireduce shim of Section 4.2, and a ring allreduce
-// extension. It also carries the analytic cost model of Eq. (1)/(2).
+// the MVAPICH2- and OpenMPI-era baselines of Figures 11–12, and a ring
+// allreduce extension. It also carries the analytic cost model of
+// Eq. (1)/(2).
 //
 // All reductions are rooted at group rank 0 of their communicator and
 // reduce element-wise float32 sums. When buffers carry payloads the
@@ -14,7 +14,10 @@
 // Every algorithm is compiled, per rank role, into a sealed sched.Plan
 // fragment of posts, awaited reductions and drains (reduce.go), which an
 // iteration plan splices in as steps on the event loop and Reduce walks
-// on its own.
+// on its own. The runtime's CPU-progressed Ireduce (Section 4.2), which
+// does all its work inside Wait, is exactly such a fragment spliced where
+// the rank waits — a blocking reduce at the wait point — so no request
+// type models it here.
 package coll
 
 import (

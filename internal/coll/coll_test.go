@@ -328,33 +328,6 @@ func TestRingAllreduceCorrect(t *testing.T) {
 	}
 }
 
-func TestIreduceNoProgressUntilWait(t *testing.T) {
-	// The paper's Section 4.2 semantics: Ireduce does all its work in
-	// Wait, so posting it and computing yields no overlap.
-	const ranks = 4
-	w := newWorld(t, 1, 4, ranks)
-	c := w.WorldComm()
-	red := NewReducer(c, Binomial, DefaultOptions())
-	var waitCost sim.Duration
-	_, err := w.Run(func(r *mpi.Rank) {
-		buf := gpu.NewDataBuffer(1 << 20)
-		buf.Fill(1)
-		req := Ireduce(red, r, buf, 10)
-		r.Sleep(50 * sim.Millisecond) // "overlapped" compute
-		before := r.Now()
-		r.Wait(req)
-		if r.ID == 0 {
-			waitCost = r.Now() - before
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if waitCost == 0 {
-		t.Error("Ireduce Wait cost zero; it must carry the whole reduction (CPU-progressed)")
-	}
-}
-
 func TestReducerNames(t *testing.T) {
 	w := newWorld(t, 4, 4, 16)
 	c := w.WorldComm()

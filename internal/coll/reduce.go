@@ -166,7 +166,7 @@ func (t *tier) compile(ro role) *sched.Plan {
 }
 
 func (b *builder) post(fn func(*sched.Ctx)) *sched.Node {
-	return b.p.AddPost(0, sched.Reduce, "", "", fn)
+	return b.p.Add(0, sched.Reduce, "", "", fn)
 }
 
 func (b *builder) timed(fn func(*sched.Ctx) sim.Time) *sched.Node {

@@ -553,8 +553,9 @@ func (p Phases) Total() sim.Duration {
 }
 
 // add accumulates a span into the named phase's bucket; unknown phase
-// names (wire spans and other diagnostics) are not part of the
-// blocked-time breakdown and are ignored.
+// names (wire spans, the catch-up protocol's "catchup" and other
+// diagnostics) are not part of the blocked-time breakdown and are
+// ignored.
 func (p *Phases) add(phase string, d sim.Duration) {
 	switch phase {
 	case "data":

@@ -15,7 +15,8 @@ import (
 // posted and waited relative to per-layer compute — the only axis
 // along which the paper's designs differ. The node actions reuse the
 // runState/workload context; the scheduler supplies ordering, waiting,
-// and trace emission.
+// and trace emission. No node parks: a blocking call is its post and its
+// await, spliced in as a fragment so the node's span is the call's.
 
 // A design has one plan per role: the ranks of a role run the same
 // nodes in the same order. The data-parallel designs have the two roles
@@ -45,6 +46,9 @@ func (st *runState) buildPlans() {
 		if cfg.GPUs > roles {
 			roles++ // more ranks than layers: the surplus ranks idle
 		}
+	}
+	if cfg.RealNet != nil && cfg.TestInterval > 0 {
+		st.testPass = st.buildTestPass()
 	}
 	st.plans = make([]*sched.Plan, roles)
 	for role := range st.plans {
@@ -113,19 +117,19 @@ func (st *runState) graph(r *mpi.Rank) *sched.Graph {
 // data plane is the single shared reader).
 func (st *runState) buildSCB(p *sched.Plan, root bool) {
 	st.addDataWait(p)
-	p.Add(0, sched.Pack, "propagation", "pack-params", st.realOnly(func(x *sched.Ctx) {
+	p.Add(0, sched.Pack, "propagation", "pack-params", func(x *sched.Ctx) {
 		if root {
 			st.wl[x.R.ID].packParams()
 		}
-	}))
-	p.Add(0, sched.WaitBcast, "propagation", "bcast-params", func(x *sched.Ctx) {
-		x.R.Bcast(st.comm, 0, st.wl[x.R.ID].packedParams, topology.ModeAuto)
 	})
-	p.Add(0, sched.Unpack, "propagation", "unpack-params", st.realOnly(func(x *sched.Ctx) {
+	st.addBlocking(p, sched.WaitBcast, "propagation", "bcast-params", func(x *sched.Ctx) *mpi.Request {
+		return x.R.Ibcast(st.comm, 0, st.wl[x.R.ID].packedParams, topology.ModeAuto)
+	})
+	p.Add(0, sched.Unpack, "propagation", "unpack-params", func(x *sched.Ctx) {
 		if !root {
 			st.wl[x.R.ID].unpackParams()
 		}
-	}))
+	})
 	st.addForward(p)
 	st.addBackward(p)
 	st.addReduce(p, "reduce-grads", tagPackedReduce, func(w *workload) *gpu.Buffer { return w.packedGrads })
@@ -139,12 +143,12 @@ func (st *runState) buildSCB(p *sched.Plan, root bool) {
 // sits immediately before the layer that consumes the data.
 func (st *runState) buildSCOB(p *sched.Plan, root bool) {
 	st.addDataWait(p)
-	slots, drain := st.addPostPropagation(p, root)
-	st.addOverlappedForward(p, slots, root)
+	st.addPostPropagation(p, root)
+	st.addOverlappedForward(p, root)
 	st.addBackward(p)
 	st.addReduce(p, "reduce-grads", tagPackedReduce, func(w *workload) *gpu.Buffer { return w.packedGrads })
 	if root {
-		st.addDrainSends(p, drain)
+		st.addDrainSends(p)
 		st.addUpdate(p)
 	}
 }
@@ -158,10 +162,10 @@ func (st *runState) buildSCOB(p *sched.Plan, root bool) {
 func (st *runState) buildSCOBR(p *sched.Plan, root bool) {
 	layers := st.cfg.Spec.Layers
 	st.addDataWait(p)
-	slots, drain := st.addPostPropagation(p, root)
-	st.addOverlappedForward(p, slots, root)
+	st.addPostPropagation(p, root)
+	st.addOverlappedForward(p, root)
 
-	begin := p.Add(0, sched.Generic, "", "begin-backward", st.realOnly(func(x *sched.Ctx) { st.wl[x.R.ID].beginBackward() }))
+	begin := p.Add(0, sched.Generic, "", "begin-backward", func(x *sched.Ctx) { st.wl[x.R.ID].beginBackward() })
 	helper := p.Lane("helper")
 	bwd := make([]*sched.Node, len(layers))
 	for l := len(layers) - 1; l >= 0; l-- {
@@ -192,7 +196,7 @@ func (st *runState) buildSCOBR(p *sched.Plan, root bool) {
 	p.Add(0, sched.Generic, "", "join-backward", nil).After(bwd[0]).WaitingIn("backward")
 
 	if root {
-		st.addDrainSends(p, drain)
+		st.addDrainSends(p)
 		st.addUpdate(p)
 	}
 }
@@ -202,19 +206,27 @@ func (st *runState) buildSCOBR(p *sched.Plan, root bool) {
 // lineage used MPI allreduce with its own multi-threaded reduction):
 // gradients are staged to the host, ring-allreduced there, staged
 // back, and every rank applies the update locally — the design axes of
-// Table 1.
+// Table 1. The exchange is one node: a fragment of the device-to-host
+// copy, the ring's own fragment, and the copy back.
 func (st *runState) buildCNTK(p *sched.Plan, root bool) {
 	st.addDataWait(p)
 	st.addForward(p)
 	st.addBackward(p)
-	p.Add(0, sched.Reduce, "aggregation", "host-allreduce", func(x *sched.Ctx) {
-		grads, dev := st.wl[x.R.ID].packedGrads, x.R.Dev.ID
-		host := topology.HostOf(dev.Node)
-		_, end := st.cluster.Transfer(x.P.Now(), dev, host, grads.Bytes, topology.ModeAuto)
-		x.P.WaitUntil(end)
-		st.ring.Allreduce(x.R, grads, tagPackedReduce)
-		_, end = st.cluster.Transfer(x.P.Now(), host, dev, grads.Bytes, topology.ModeAuto)
-		x.P.WaitUntil(end)
+	host := sched.NewPlan()
+	host.AddTimed(0, sched.Reduce, "", "", func(x *sched.Ctx) sim.Time {
+		_, end := st.cluster.Transfer(x.P.Now(), x.R.Dev.ID, topology.HostOf(x.R.Dev.ID.Node), x.Buf.Bytes, topology.ModeAuto)
+		return end
+	})
+	host.AddSplice(sched.Reduce, "", "", func(x *sched.Ctx) (*sched.Plan, *gpu.Buffer, int) {
+		return st.ring.Fragment(x.R, x.Buf), x.Buf, x.Tag
+	})
+	host.AddTimed(0, sched.Reduce, "", "", func(x *sched.Ctx) sim.Time {
+		_, end := st.cluster.Transfer(x.P.Now(), topology.HostOf(x.R.Dev.ID.Node), x.R.Dev.ID, x.Buf.Bytes, topology.ModeAuto)
+		return end
+	})
+	host.Seal()
+	p.AddSplice(sched.Reduce, "aggregation", "host-allreduce", func(x *sched.Ctx) (*sched.Plan, *gpu.Buffer, int) {
+		return host, st.wl[x.R.ID].packedGrads, tagPackedReduce
 	})
 	st.addLocalUpdate(p, root)
 }
@@ -222,33 +234,37 @@ func (st *runState) buildCNTK(p *sched.Plan, root bool) {
 // buildPS models the Inspur-style parameter server: rank 0 (the root
 // role) serves parameters and aggregates gradients sequentially; ranks
 // 1..N−1 train. The single server's links and reduce kernels serialize
-// all workers — the scalability argument of Section 3.1.
+// all workers — the scalability argument of Section 3.1: each send or
+// receive is posted only once the one before it is complete.
 func (st *runState) buildPS(p *sched.Plan, server bool) {
 	workers := st.cfg.GPUs - 1
 	if server {
-		p.Add(0, sched.PostBcast, "propagation", "serve-params", func(x *sched.Ctx) {
-			for wk := 1; wk <= workers; wk++ {
-				x.R.Send(st.comm, wk, tagPS, st.wl[x.R.ID].packedParams, topology.ModeAuto)
-			}
-		})
-		p.Add(0, sched.Reduce, "aggregation", "collect-grads", func(x *sched.Ctx) {
-			for wk := 1; wk <= workers; wk++ {
-				x.R.Recv(st.comm, wk, tagPS+1, st.psScratch)
+		serve, collect := sched.NewPlan(), sched.NewPlan()
+		for wk := 1; wk <= workers; wk++ {
+			st.postAwait(serve, func(x *sched.Ctx) *mpi.Request {
+				return x.R.Isend(st.comm, wk, tagPS, st.wl[x.R.ID].packedParams, topology.ModeAuto)
+			})
+			collect.Add(0, sched.Reduce, "", "", func(x *sched.Ctx) {
+				st.wl[x.R.ID].req[0] = x.R.Irecv(st.comm, wk, tagPS+1, st.psScratch)
+			})
+			collect.AddTimed(0, sched.Reduce, "", "", func(x *sched.Ctx) sim.Time {
 				_, end := x.R.Dev.LaunchReduce(x.P.Now(), st.psScratch.Bytes)
-				x.P.WaitUntil(end)
-			}
-		})
+				return end
+			}).Awaiting(st.awaitReq)
+		}
+		addFragment(p, sched.PostBcast, "propagation", "serve-params", serve)
+		addFragment(p, sched.Reduce, "aggregation", "collect-grads", collect)
 		st.addUpdate(p)
 		return
 	}
 	st.addDataWait(p)
-	p.Add(0, sched.WaitBcast, "propagation", "recv-params", func(x *sched.Ctx) {
-		x.R.Recv(st.comm, 0, tagPS, st.wl[x.R.ID].packedParams)
+	st.addBlocking(p, sched.WaitBcast, "propagation", "recv-params", func(x *sched.Ctx) *mpi.Request {
+		return x.R.Irecv(st.comm, 0, tagPS, st.wl[x.R.ID].packedParams)
 	})
 	st.addForward(p)
 	st.addBackward(p)
-	p.Add(0, sched.Reduce, "aggregation", "send-grads", func(x *sched.Ctx) {
-		x.R.Send(st.comm, 0, tagPS+1, st.wl[x.R.ID].packedGrads, topology.ModeAuto)
+	st.addBlocking(p, sched.Reduce, "aggregation", "send-grads", func(x *sched.Ctx) *mpi.Request {
+		return x.R.Isend(st.comm, 0, tagPS+1, st.wl[x.R.ID].packedGrads, topology.ModeAuto)
 	})
 }
 
@@ -263,20 +279,30 @@ func (st *runState) addReduce(p *sched.Plan, label string, tag int, grads func(w
 	})
 }
 
-// realOnly is fn in a real-compute run and nil in a timing run, for the
-// actions that only move real parameter or activation data and have
-// nothing to do without a net. It matters because of who runs a node: an
-// action may block, so the lane takes it to its goroutine, while a node
-// without one — a pure synchronization point — never leaves the event
-// loop. The spans are the same either way: these actions take no
-// virtual time. What the workload methods these actions call allocate
-// is measured by TestSteadyStateIterationAllocBudget's real-mode rows.
-func (st *runState) realOnly(fn func(*sched.Ctx)) func(*sched.Ctx) {
-	if st.cfg.RealNet == nil {
-		return nil
-	}
-	return fn
+// addFragment seals frag and appends a node that walks it in its place,
+// so the node's span covers the whole walk.
+func addFragment(p *sched.Plan, kind sched.Kind, phase, label string, frag *sched.Plan) {
+	frag.Seal()
+	p.AddSplice(kind, phase, label, func(*sched.Ctx) (*sched.Plan, *gpu.Buffer, int) { return frag, nil, 0 })
 }
+
+// addBlocking appends a node that is the blocking call whose operation
+// post starts: a fragment of the post and its await.
+func (st *runState) addBlocking(p *sched.Plan, kind sched.Kind, phase, label string, post func(*sched.Ctx) *mpi.Request) {
+	f := sched.NewPlan()
+	st.postAwait(f, post)
+	addFragment(p, kind, phase, label, f)
+}
+
+// postAwait appends to f the post of an operation, whose request (if
+// any) the rank keeps in workload.req, and the node that awaits it.
+func (st *runState) postAwait(f *sched.Plan, post func(*sched.Ctx) *mpi.Request) {
+	f.Add(0, sched.Generic, "", "", func(x *sched.Ctx) { st.wl[x.R.ID].req[0] = post(x) })
+	f.Add(0, sched.Generic, "", "", nil).Awaiting(st.awaitReq)
+}
+
+// awaitReq is the request of the rank's blocking operation in flight.
+func (st *runState) awaitReq(x *sched.Ctx) []*mpi.Request { return st.wl[x.R.ID].req[:] }
 
 // labelTable interns the per-layer (and per-bucket) node labels once
 // per run, before the plans that use them are built.
@@ -312,15 +338,17 @@ func newLabelTable(n, nb int) *labelTable {
 }
 
 // addDataWait starts an iteration: the framework's fixed per-iteration
-// overhead (untraced, as in the original accounting), then the blocking
-// read from this rank's reader queue plus the real-mode batch load.
+// overhead (untraced, as in the original accounting), then the read from
+// this rank's reader queue — again at the reader's next Put while the
+// queue is empty — plus the real-mode batch load.
 func (st *runState) addDataWait(p *sched.Plan) {
 	p.AddTimed(0, sched.Generic, "", "iter-overhead", func(x *sched.Ctx) sim.Time {
 		return x.P.Now() + st.cluster.P.IterOverhead
 	})
 	p.Add(0, sched.DataWait, "data", "data-wait", func(x *sched.Ctx) {
-		if rd := st.readers[x.R.ID]; rd != nil {
-			rd.Next(x.P)
+		if rd := st.readers[x.R.ID]; rd != nil && !rd.TryNext(x.P) {
+			x.Again()
+			return
 		}
 		if w := st.wl[x.R.ID]; w.real() {
 			rankOffset := st.workerIndex(x.R) * w.localBatch
@@ -330,21 +358,13 @@ func (st *runState) addDataWait(p *sched.Plan) {
 }
 
 // addPostPropagation posts every parameter layer's Ibcast up front
-// (Figure 5's multi-stage on-demand design). It returns per-layer
-// slots (for the consuming layers' waits) and a drain slot holding all
-// requests (for the root's send completion). Each request is waited
-// exactly where it is consumed — the root gates its update on the drain
-// slot, non-roots gate each layer's forward on that layer's slot — and
-// only a slot some node of the plan is gated on keeps what is put into
-// it. When tracing, each request's completion hook records the
-// wire-level span of the offloaded broadcast — the overlap Summary
-// measures.
-func (st *runState) addPostPropagation(p *sched.Plan, root bool) (slots []*sched.Slot, drain *sched.Slot) {
-	slots = make([]*sched.Slot, len(st.cfg.Spec.Layers))
-	for l := range slots {
-		slots[l] = sched.NewSlot()
-	}
-	drain = sched.NewSlot()
+// (Figure 5's multi-stage on-demand design), keeping the requests in the
+// rank's workload (workload.bcast). Each request is waited exactly
+// where it is consumed: non-roots await each layer's before its forward,
+// the root awaits them all before its update. When tracing, each
+// request's completion hook records the wire-level span of the offloaded
+// broadcast — the overlap Summary measures.
+func (st *runState) addPostPropagation(p *sched.Plan, root bool) {
 	p.Add(0, sched.PostBcast, "", "post-bcasts", func(x *sched.Ctx) {
 		w := st.wl[x.R.ID]
 		if root {
@@ -355,8 +375,7 @@ func (st *runState) addPostPropagation(p *sched.Plan, root bool) (slots []*sched
 				continue
 			}
 			req := x.R.Ibcast(st.comm, 0, buf, topology.ModeAuto)
-			x.Put(slots[l], req)
-			x.Put(drain, req)
+			w.bcast[l] = req
 			if st.cfg.Trace != nil {
 				post, label, r := x.P.Now(), st.lbl.bcastWire[l], x.R
 				req.OnComplete(func() {
@@ -370,21 +389,19 @@ func (st *runState) addPostPropagation(p *sched.Plan, root bool) (slots []*sched
 			}
 		}
 	})
-	return slots, drain
 }
 
 // addOverlappedForward places each layer's broadcast wait immediately
 // before the layer that consumes the data — too early wastes overlap,
 // too late stalls compute (Section 4.2).
-func (st *runState) addOverlappedForward(p *sched.Plan, slots []*sched.Slot, root bool) {
+func (st *runState) addOverlappedForward(p *sched.Plan, root bool) {
 	layers := st.cfg.Spec.Layers
-	p.Add(0, sched.Generic, "", "begin-forward", st.realOnly(func(x *sched.Ctx) { st.wl[x.R.ID].beginForward() }))
+	p.Add(0, sched.Generic, "", "begin-forward", func(x *sched.Ctx) { st.wl[x.R.ID].beginForward() })
 	for l := range layers {
 		if layers[l].ParamElems != 0 && !root {
-			l := l
-			p.Add(0, sched.WaitBcast, "propagation", st.lbl.waitBcast[l], st.realOnly(func(x *sched.Ctx) {
+			p.Add(0, sched.WaitBcast, "propagation", st.lbl.waitBcast[l], func(x *sched.Ctx) {
 				st.wl[x.R.ID].unpackLayerParams(l)
-			})).Gated(slots[l])
+			}).Awaiting(func(x *sched.Ctx) []*mpi.Request { return st.wl[x.R.ID].bcast[l : l+1] })
 		}
 		st.addForwardLayer(p, l)
 	}
@@ -392,7 +409,7 @@ func (st *runState) addOverlappedForward(p *sched.Plan, slots []*sched.Slot, roo
 
 // addForward runs the full forward pass sequentially.
 func (st *runState) addForward(p *sched.Plan) {
-	p.Add(0, sched.Generic, "", "begin-forward", st.realOnly(func(x *sched.Ctx) { st.wl[x.R.ID].beginForward() }))
+	p.Add(0, sched.Generic, "", "begin-forward", func(x *sched.Ctx) { st.wl[x.R.ID].beginForward() })
 	for l := range st.cfg.Spec.Layers {
 		st.addForwardLayer(p, l)
 	}
@@ -412,7 +429,7 @@ func (st *runState) addForwardLayer(p *sched.Plan, l int) *sched.Node {
 // addBackward runs the full backward pass serially on lane 0 (SC-B /
 // SC-OB / the baselines).
 func (st *runState) addBackward(p *sched.Plan) {
-	p.Add(0, sched.Generic, "", "begin-backward", st.realOnly(func(x *sched.Ctx) { st.wl[x.R.ID].beginBackward() }))
+	p.Add(0, sched.Generic, "", "begin-backward", func(x *sched.Ctx) { st.wl[x.R.ID].beginBackward() })
 	for l := len(st.cfg.Spec.Layers) - 1; l >= 0; l-- {
 		st.addBackwardLayer(p, 0, l)
 	}
@@ -433,14 +450,16 @@ func (st *runState) addBackwardLayer(p *sched.Plan, lane, l int) *sched.Node {
 // addDrainSends completes the root's outstanding broadcast sends; the
 // root must not modify parameters (ApplyUpdate) while the network may
 // still be reading them.
-func (st *runState) addDrainSends(p *sched.Plan, drain *sched.Slot) {
-	p.Add(0, sched.DrainSends, "propagation", "drain-bcasts", nil).Gated(drain)
+func (st *runState) addDrainSends(p *sched.Plan) {
+	p.Add(0, sched.DrainSends, "propagation", "drain-bcasts", nil).
+		Awaiting(func(x *sched.Ctx) []*mpi.Request { return st.wl[x.R.ID].bcast })
 }
 
 // addUpdate performs the root solver's ApplyUpdate — unpack the
 // reduced gradients, run the SGD arithmetic (scaled to average the
 // per-solver mean gradients), charge the kernel time — followed by the
-// untimed bookkeeping (loss recording, testing, snapshotting).
+// untimed bookkeeping (loss recording, testing, snapshotting: see
+// addPostUpdate).
 func (st *runState) addUpdate(p *sched.Plan) {
 	p.AddTimed(0, sched.Update, "update", "update", func(x *sched.Ctx) sim.Time {
 		_, end := x.R.Dev.LaunchCompute(x.P.Now(), updateFLOPs(st.cfg.Spec.TotalParams()))
@@ -457,15 +476,7 @@ func (st *runState) addUpdate(p *sched.Plan) {
 		}
 		return end
 	})
-	p.Add(0, sched.Generic, "", "post-update", func(x *sched.Ctx) {
-		w := st.wl[x.R.ID]
-		if w.real() {
-			st.losses = append(st.losses, w.loss())
-		}
-		st.maybeEvaluate(x.R, w, x.It)
-		st.noteCompleted(x.It)
-		st.membershipTick(x.R)
-	})
+	st.addPostUpdate(p, true)
 }
 
 // addLocalUpdate applies the update on this rank (designs whose
@@ -483,13 +494,31 @@ func (st *runState) addLocalUpdate(p *sched.Plan, root bool) {
 	// (No health gate here: integrity in real-compute mode is
 	// restricted to the root-broadcast designs, whose parameter
 	// broadcast is what heals replicas after a rollback.)
-	p.Add(0, sched.Generic, "", "post-update", func(x *sched.Ctx) {
-		if root {
-			w := st.wl[x.R.ID]
-			if w.real() {
+	st.addPostUpdate(p, root)
+}
+
+// addPostUpdate appends the untimed bookkeeping after an update: the
+// root records the loss, then runs the testing phase on a testing
+// iteration and writes a snapshot on a snapshot one (real mode); every
+// rank notes the progress, and the root ticks membership, at the virtual
+// time the testing phase ends.
+func (st *runState) addPostUpdate(p *sched.Plan, root bool) {
+	if root {
+		p.Add(0, sched.Generic, "", "record-loss", func(x *sched.Ctx) {
+			if w := st.wl[x.R.ID]; w.real() {
 				st.losses = append(st.losses, w.loss())
 			}
-			st.maybeEvaluate(x.R, w, x.It)
+		})
+		p.AddSplice(sched.Generic, "", "test", func(x *sched.Ctx) (*sched.Plan, *gpu.Buffer, int) {
+			if ti := st.cfg.TestInterval; st.wl[x.R.ID].real() && ti > 0 && (x.It+1)%ti == 0 {
+				return st.testPass, nil, 0
+			}
+			return nil, nil, 0
+		})
+	}
+	p.Add(0, sched.Generic, "", "post-update", func(x *sched.Ctx) {
+		if w := st.wl[x.R.ID]; root && w.real() {
+			st.maybeSnapshot(x.R, w, x.It)
 		}
 		st.noteCompleted(x.It)
 		st.membershipTick(x.R)

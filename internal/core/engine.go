@@ -57,10 +57,12 @@ type runState struct {
 	lbl      *labelTable
 	mpStages [][2]int // ModelParallel: each stage's first and last layer
 
-	accuracies []float64
-	snapshots  []string
-	snapIters  []int // 0-based iteration of each entry in snapshots
-	fileErr    error
+	accuracies  []float64
+	testPass    *sched.Plan // the root's testing phase (real mode)
+	testCorrect float64     // its accuracy so far
+	snapshots   []string
+	snapIters   []int // 0-based iteration of each entry in snapshots
+	fileErr     error
 
 	// Membership and recovery state (see recovery.go). The plane always
 	// exists; a run that cannot trip never hears from it.
@@ -82,6 +84,12 @@ type runState struct {
 	lastAdmitted []int
 	catchupSeen  []int
 	catchupHist  []float32 // root momentum packed for the catch-up bcast
+	// catchupPlans are the catch-up protocol's plans by role, catchups
+	// each rank's instances (see catchupGraph); acked counts the admitted
+	// ranks whose acks the root has received or skipped.
+	catchupPlans [2]*sched.Plan
+	catchups     [][2]*sched.Graph
+	acked        int
 	iterEWMA     []float64
 	slowStreak   []int
 	ewmaScratch  []float64

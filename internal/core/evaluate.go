@@ -5,6 +5,8 @@ import (
 
 	"scaffe/internal/data"
 	"scaffe/internal/mpi"
+	"scaffe/internal/sched"
+	"scaffe/internal/sim"
 	"scaffe/internal/solver"
 	"scaffe/internal/tensor"
 )
@@ -40,48 +42,45 @@ func buildPolicy(cfg *Config) (solver.LRPolicy, error) {
 	return nil, fmt.Errorf("core: unknown LR policy %q", cfg.LRPolicy)
 }
 
-// testPass runs the root solver's evaluation: forward passes over a
-// held-out slice of the dataset (the tail region, which the training
-// index order only reaches after wrapping), recording mean accuracy.
-// The kernel time of the forward passes is charged to the device.
-func (st *runState) testPass(r *mpi.Rank, w *workload, iter int) {
+// buildTestPass builds the root solver's testing phase (real mode): one
+// timed node per test batch, each a forward pass over a held-out slice of
+// the dataset (the tail region, which the training index order only
+// reaches after wrapping) whose kernels are charged to the device, then
+// the mean accuracy recorded.
+func (st *runState) buildTestPass() *sched.Plan {
 	cfg := st.cfg
 	batches := cfg.TestBatches
 	if batches <= 0 {
 		batches = 2
 	}
-	ds := cfg.Dataset
-	classes := ds.Classes()
-	span := batches * w.localBatch
-	testStart := ds.Len() - span
-	if testStart < 0 {
-		testStart = 0
-	}
-	var correct float64
+	f := sched.NewPlan()
 	for tb := 0; tb < batches; tb++ {
-		img, labels := data.BatchTensor(ds, testStart+tb*w.localBatch, w.localBatch)
-		sh := ds.Shape()
-		input := tensor.FromSlice(img, w.localBatch, sh.C, sh.H, sh.W)
-		w.net.Forward(input, labels)
-		correct += tensor.Accuracy(w.net.Probs().Data, w.localBatch, classes, labels)
-		// Charge the evaluation's forward kernels.
-		flops := cfg.Spec.FwdFLOPs() * float64(w.localBatch)
-		_, end := r.Dev.LaunchCompute(r.Now(), flops)
-		r.Proc.WaitUntil(end)
+		f.AddTimed(0, sched.ComputeForward, "", "", func(x *sched.Ctx) sim.Time {
+			w := st.wl[x.R.ID]
+			if tb == 0 {
+				st.testCorrect = 0
+			}
+			ds := cfg.Dataset
+			testStart := max(ds.Len()-batches*w.localBatch, 0)
+			img, labels := data.BatchTensor(ds, testStart+tb*w.localBatch, w.localBatch)
+			sh := ds.Shape()
+			w.net.Forward(tensor.FromSlice(img, w.localBatch, sh.C, sh.H, sh.W), labels)
+			st.testCorrect += tensor.Accuracy(w.net.Probs().Data, w.localBatch, ds.Classes(), labels)
+			_, end := x.R.Dev.LaunchCompute(x.P.Now(), cfg.Spec.FwdFLOPs()*float64(w.localBatch))
+			return end
+		})
 	}
-	st.accuracies = append(st.accuracies, correct/float64(batches))
+	f.Add(0, sched.Generic, "", "", func(*sched.Ctx) {
+		st.accuracies = append(st.accuracies, st.testCorrect/float64(batches))
+	})
+	f.Seal()
+	return f
 }
 
-// maybeEvaluate runs the testing phase and snapshotting at their
-// configured intervals (root solver, after ApplyUpdate).
-func (st *runState) maybeEvaluate(r *mpi.Rank, w *workload, iter int) {
+// maybeSnapshot writes the root solver's snapshot at its configured
+// interval (real mode, after ApplyUpdate and any testing phase).
+func (st *runState) maybeSnapshot(r *mpi.Rank, w *workload, iter int) {
 	cfg := st.cfg
-	if !w.real() {
-		return
-	}
-	if cfg.TestInterval > 0 && (iter+1)%cfg.TestInterval == 0 {
-		st.testPass(r, w, iter)
-	}
 	if cfg.SnapshotEvery > 0 && (iter+1)%cfg.SnapshotEvery == 0 {
 		if st.ft.SnapshotFailing(r.Now()) {
 			// An injected snapshot-write failure: the write is skipped

@@ -2,6 +2,7 @@ package core
 
 import (
 	"scaffe/internal/gpu"
+	"scaffe/internal/mpi"
 	"scaffe/internal/sched"
 	"scaffe/internal/sim"
 	"scaffe/internal/topology"
@@ -53,7 +54,8 @@ func mpBoundaryBytes(cfg *Config, l, batch int) int64 {
 // mpStage is what one pipeline stage's plan knows: its neighbours by
 // number, what crosses its upper and lower boundary (activations one
 // way, their gradients the other, so one buffer each), and the
-// parameters it owns. The node actions are its methods.
+// parameters it owns. The node actions are its methods; each boundary
+// transfer posts the operation its blocking node awaits.
 type mpStage struct {
 	st           *runState
 	stage        int
@@ -61,13 +63,17 @@ type mpStage struct {
 	ownParams    int
 }
 
-func (s *mpStage) recvActs(x *sched.Ctx) { x.R.Recv(s.st.comm, s.stage-1, tagMPFwd, s.above) }
-func (s *mpStage) sendActs(x *sched.Ctx) {
-	x.R.Send(s.st.comm, s.stage+1, tagMPFwd, s.below, topology.ModeAuto)
+func (s *mpStage) recvActs(x *sched.Ctx) *mpi.Request {
+	return x.R.Irecv(s.st.comm, s.stage-1, tagMPFwd, s.above)
 }
-func (s *mpStage) recvGrads(x *sched.Ctx) { x.R.Recv(s.st.comm, s.stage+1, tagMPBwd, s.below) }
-func (s *mpStage) sendGrads(x *sched.Ctx) {
-	x.R.Send(s.st.comm, s.stage-1, tagMPBwd, s.above, topology.ModeAuto)
+func (s *mpStage) sendActs(x *sched.Ctx) *mpi.Request {
+	return x.R.Isend(s.st.comm, s.stage+1, tagMPFwd, s.below, topology.ModeAuto)
+}
+func (s *mpStage) recvGrads(x *sched.Ctx) *mpi.Request {
+	return x.R.Irecv(s.st.comm, s.stage+1, tagMPBwd, s.below)
+}
+func (s *mpStage) sendGrads(x *sched.Ctx) *mpi.Request {
+	return x.R.Isend(s.st.comm, s.stage-1, tagMPBwd, s.above, topology.ModeAuto)
 }
 
 // update is the local update of the owned layer range.
@@ -100,21 +106,21 @@ func (st *runState) buildMP(p *sched.Plan, stage int) {
 	if first {
 		st.addDataWait(p)
 	} else {
-		p.Add(0, sched.Generic, "forward", "recv-acts", s.recvActs)
+		st.addBlocking(p, sched.Generic, "forward", "recv-acts", s.recvActs)
 	}
 	for l := lo; l <= hi; l++ {
 		st.addForwardLayer(p, l)
 		s.ownParams += cfg.Spec.Layers[l].ParamElems
 	}
 	if !last {
-		p.Add(0, sched.Generic, "forward", "send-acts", s.sendActs)
-		p.Add(0, sched.Generic, "backward", "recv-grads", s.recvGrads)
+		st.addBlocking(p, sched.Generic, "forward", "send-acts", s.sendActs)
+		st.addBlocking(p, sched.Generic, "backward", "recv-grads", s.recvGrads)
 	}
 	for l := hi; l >= lo; l-- {
 		st.addBackwardLayer(p, 0, l)
 	}
 	if !first {
-		p.Add(0, sched.Generic, "backward", "send-grads", s.sendGrads)
+		st.addBlocking(p, sched.Generic, "backward", "send-grads", s.sendGrads)
 	}
 	p.AddTimed(0, sched.Update, "update", "update", s.update)
 }

@@ -10,6 +10,7 @@ import (
 	"scaffe/internal/fault"
 	"scaffe/internal/gpu"
 	"scaffe/internal/mpi"
+	"scaffe/internal/sched"
 	"scaffe/internal/sim"
 	"scaffe/internal/topology"
 )
@@ -123,7 +124,9 @@ func (st *runState) runJoined(r *mpi.Rank) {
 }
 
 // ftLoop is the training loop of every rank of every design, original
-// or readmitted, starting at iteration it. Iterations run speculatively:
+// or readmitted, starting at iteration it: it executes the rank's graph
+// for each iteration, and the catch-up protocol's after a grow round.
+// Iterations run speculatively:
 // a revoked communicator unwinds the iteration, gathers the survivors,
 // and resumes from the rebuilt world's restart point. In a run that
 // cannot trip nothing ever revokes, and the loop is a for loop over the
@@ -143,14 +146,14 @@ func (st *runState) ftLoop(r *mpi.Rank, it int) {
 		case st.growEpoch == st.epoch && st.catchupSeen[r.ID] != st.epoch:
 			// The last rebuild admitted joiners, and this rank still owes
 			// that epoch's catch-up protocol.
-			if unlessRevoked(func() { st.catchup(r) }) {
+			if execute(st.catchupGraph(r), sink, it) {
 				continue
 			}
 		case it >= cfg.Iterations:
 			st.ft.Depart(r.ID)
 		default:
 			before := ph.Forward + ph.Backward
-			if unlessRevoked(func() { st.graph(r).Execute(sink, it) }) {
+			if execute(st.graph(r), sink, it) {
 				st.noteIterTime(r.ID, ph.Forward+ph.Backward-before)
 				it++
 				continue
@@ -167,71 +170,127 @@ func (st *runState) ftLoop(r *mpi.Rank, it int) {
 	}
 }
 
-// unlessRevoked runs fn and reports whether it ran to its end: a
-// revocation panic (an iteration or a catch-up under fire) unwinds into
-// a false return and the caller enters recovery. Any other panic
-// (including a kill, which must unwind the whole proc) propagates.
-func unlessRevoked(fn func()) (ok bool) {
+// execute runs g for iteration it and reports whether it ran to its
+// end: a revocation panic (an iteration or a catch-up under fire)
+// unwinds into a false return and the caller enters recovery. Any other
+// panic (including a kill, which must unwind the whole proc) propagates.
+func execute(g *sched.Graph, sink *nodeSink, it int) (ok bool) {
 	defer func() {
 		if rec := recover(); rec != nil && !mpi.IsRevoked(rec) {
 			panic(rec)
 		}
 	}()
-	fn()
+	g.Execute(sink, it)
 	return true
 }
 
-// catchup runs one member's side of the catch-up protocol after a
-// grow round: the post-admission handshake (each admitted rank Isends
-// an ack to the root), then a tree broadcast of the root's current
+// catchupGraph returns rank r's instance of the catch-up protocol's plan
+// for the role it plays: the root's, or every other member's. The plans
+// are built by the first catch-up of the run, and each rank keeps its
+// instances, as it keeps its iteration graphs.
+func (st *runState) catchupGraph(r *mpi.Rank) *sched.Graph {
+	if st.catchups == nil {
+		st.buildCatchup()
+	}
+	role := st.role(r) // a data-parallel design's: root or worker
+	g := &st.catchups[r.ID][role]
+	if *g == nil {
+		*g = st.catchupPlans[role].Bind(r)
+	}
+	return *g
+}
+
+// buildCatchup builds the catch-up protocol every member runs after a
+// grow round, one plan per role: the post-admission handshake (each
+// admitted rank acks the root), then a tree broadcast of the root's
 // parameters and momentum — checksummed end to end when the integrity
 // plane is armed — and a closing barrier so no member resumes training
 // while a joiner is still receiving. State equality is already
-// guaranteed by rebuild's snapshot rollback (every member, joiners
-// included, restored the same snapshot); the broadcast carries the wire
-// cost and integrity coverage of shipping params+momentum to the
-// joiners, and the explicit copy below keeps real-mode members defined
-// by the root even if the restore paths ever diverge. A revocation
-// mid-protocol (join under fire) unwinds out of it; the caller
-// re-enters recovery.
-func (st *runState) catchup(r *mpi.Rank) {
-	span := st.cfg.Trace.Begin(r.ID, "catchup", "", r.Now())
-	w := st.wl[r.ID]
-	root := st.isRoot(r)
-	if root {
-		for _, id := range st.lastAdmitted {
-			// A grow round can hand the root role to an admitted rank
-			// (rank 0 rejoining moves the root back to it); it owes no
-			// ack to itself, and waiting for one would deadlock the
-			// whole catch-up.
-			if id == r.ID {
-				continue
+// guaranteed by rebuild's snapshot rollback; the broadcast carries the
+// wire cost and integrity coverage of shipping the state to the joiners,
+// and the copy out of it keeps real-mode members defined by the root even
+// if the restore paths ever diverge. Which ranks were admitted is read
+// when the protocol runs. A plan is one span, phase "catchup", over its
+// fragment. The messages carry no payload, so every rank posts the same
+// two buffers.
+func (st *runState) buildCatchup() {
+	st.catchups = make([][2]*sched.Graph, st.cfg.GPUs)
+	ack, state := gpu.NewBuffer(8), gpu.NewBuffer(2*st.cfg.Spec.ParamBytes())
+	// The root receives the acks one after another: the next one's
+	// receive and await, then the same again while admitted ranks remain.
+	// A grow round can hand the root role to an admitted rank (rank 0
+	// rejoining moves the root back to it); it owes no ack to itself, and
+	// waiting for one would deadlock the whole catch-up.
+	acks := sched.NewPlan()
+	st.postAwait(acks, func(x *sched.Ctx) *mpi.Request {
+		for st.acked < len(st.lastAdmitted) {
+			id := st.lastAdmitted[st.acked]
+			if st.acked++; id != x.R.ID {
+				return x.R.IjoinAckRecv(st.comm, st.comm.GroupRank(id), tagJoinAck, ack)
 			}
-			r.Wait(r.IjoinAckRecv(st.comm, st.comm.GroupRank(id), tagJoinAck, gpu.NewBuffer(8)))
 		}
-		if w.real() {
-			w.packParams()
-			st.catchupHist = st.sgds[r.ID].PackHistory(w.net, st.catchupHist)
+		return nil
+	})
+	acks.AddSplice(sched.Generic, "", "", func(*sched.Ctx) (*sched.Plan, *gpu.Buffer, int) {
+		if st.acked < len(st.lastAdmitted) {
+			return acks, nil, 0
 		}
-	} else if slices.Contains(st.lastAdmitted, r.ID) {
-		r.Wait(r.IjoinAck(st.comm, tagJoinAck, gpu.NewBuffer(8)))
+		return nil, nil, 0
+	})
+	acks.Seal()
+
+	for role := range st.catchupPlans {
+		f := sched.NewPlan()
+		if role == roleRoot {
+			f.AddSplice(sched.Generic, "", "", func(*sched.Ctx) (*sched.Plan, *gpu.Buffer, int) {
+				st.acked = 0
+				return acks, nil, 0
+			})
+			f.Add(0, sched.Generic, "", "", func(x *sched.Ctx) {
+				if w := st.wl[x.R.ID]; w.real() {
+					w.packParams()
+					st.catchupHist = st.sgds[x.R.ID].PackHistory(w.net, st.catchupHist)
+				}
+			})
+		} else {
+			st.postAwait(f, func(x *sched.Ctx) *mpi.Request {
+				if slices.Contains(st.lastAdmitted, x.R.ID) {
+					return x.R.IjoinAck(st.comm, tagJoinAck, ack)
+				}
+				return nil
+			})
+		}
+		// Parameters + momentum in one payload, from the root's group rank
+		// 0 down the binomial tree.
+		st.postAwait(f, func(x *sched.Ctx) *mpi.Request {
+			return x.R.Ibcast(st.comm, 0, state, topology.ModeAuto)
+		})
+		if role != roleRoot {
+			f.Add(0, sched.Generic, "", "", func(x *sched.Ctx) {
+				if w := st.wl[x.R.ID]; w.real() {
+					w.net.UnpackParams(st.wl[st.rootRank()].paramData)
+					st.sgds[x.R.ID].Reset()
+					if len(st.catchupHist) > 0 {
+						st.sgds[x.R.ID].LoadHistory(w.net, st.catchupHist)
+					}
+				}
+			})
+		}
+		// No member trains on the grown world until every member finished
+		// catching up (the root must not repack parameters mid-replay).
+		f.Add(0, sched.Generic, "", "", func(x *sched.Ctx) { st.comm.StartBarrier(x.R) })
+		f.Add(0, sched.Generic, "", "", func(x *sched.Ctx) {
+			if !x.R.PollBarrier() {
+				x.Again()
+				return
+			}
+			st.catchupSeen[x.R.ID] = st.epoch
+		})
+		p := sched.NewPlan()
+		addFragment(p, sched.Generic, "catchup", "", f)
+		p.Seal()
+		st.catchupPlans[role] = p
 	}
-	// Parameters + momentum in one payload, from the root's group rank 0
-	// down the binomial tree.
-	r.Bcast(st.comm, 0, gpu.NewBuffer(2*w.packedParams.Bytes), topology.ModeAuto)
-	if w.real() && !root {
-		rw := st.wl[st.rootRank()]
-		w.net.UnpackParams(rw.paramData)
-		st.sgds[r.ID].Reset()
-		if len(st.catchupHist) > 0 {
-			st.sgds[r.ID].LoadHistory(w.net, st.catchupHist)
-		}
-	}
-	// No member trains on the grown world until every member finished
-	// catching up (the root must not repack parameters mid-replay).
-	st.comm.Barrier(r)
-	st.catchupSeen[r.ID] = st.epoch
-	span.End(r.Now())
 }
 
 // noteIterTime folds one completed iteration's compute time (forward +

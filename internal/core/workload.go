@@ -5,6 +5,7 @@ import (
 	"scaffe/internal/gpu"
 	"scaffe/internal/layers"
 	"scaffe/internal/models"
+	"scaffe/internal/mpi"
 	"scaffe/internal/tensor"
 )
 
@@ -34,6 +35,12 @@ type workload struct {
 	// bufs is the arena the timing-mode buffers above are carved from.
 	bufs []gpu.Buffer
 
+	// bcast holds each parameter layer's broadcast request from its post
+	// until the node that awaits it (SC-OB and SC-OBR); req holds the
+	// request of the blocking operation in flight (runState.blocking).
+	bcast []*mpi.Request
+	req   [1]*mpi.Request
+
 	// Real-mode activation threading. input and labels are persistent
 	// batch buffers refilled in place each iteration.
 	act    *tensor.Tensor
@@ -55,6 +62,9 @@ func newWorkload(cfg *Config, localBatch int) *workload {
 	}
 	total := cfg.Spec.TotalParams()
 	bucketed := cfg.BucketBytes > 0 && (cfg.Design == SCOBR || cfg.Design == SCOBRF)
+	if cfg.Design == SCOB || cfg.Design == SCOBR || cfg.Design == SCOBRF {
+		w.bcast = make([]*mpi.Request, len(layers))
+	}
 	if cfg.RealNet != nil {
 		w.net = cfg.RealNet(localBatch, cfg.Seed)
 		w.paramData = make([]float32, total)

@@ -184,7 +184,7 @@ func TestImageDataSourceScales(t *testing.T) {
 }
 
 func TestReaderPrefetchHidesIO(t *testing.T) {
-	// With queue depth 2, the solver's second Next should find data
+	// With queue depth 2, the solver's second read should find data
 	// already buffered when compute is slower than I/O.
 	k := sim.New()
 	src := &fixedCostSource{cost: 10 * sim.Millisecond}
@@ -193,7 +193,7 @@ func TestReaderPrefetchHidesIO(t *testing.T) {
 	k.Spawn("solver", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
 			before := p.Now()
-			r.Next(p)
+			r.q.Get(p)
 			waits = append(waits, p.Now()-before)
 			p.Sleep(50 * sim.Millisecond) // compute longer than I/O
 		}
@@ -219,7 +219,7 @@ func TestSharedReaderFeedsAllConsumers(t *testing.T) {
 	for c := 0; c < 4; c++ {
 		k.Spawn("solver", func(p *sim.Proc) {
 			for i := 0; i < 3; i++ {
-				r.Next(p)
+				r.q.Get(p)
 			}
 			finished++
 		})

@@ -180,8 +180,11 @@ func StartSharedReader(k *sim.Kernel, name string, src Source, batchPerIter int,
 	return r
 }
 
-// Next blocks the solver until the next batch is buffered and consumes
-// it.
-func (r *Reader) Next(p *sim.Proc) {
-	r.q.Get(p)
+// TryNext consumes the next batch if one is buffered and reports true;
+// otherwise it reports false with the solver's proc p registered to be
+// resumed when the reader buffers one, without parking it: the solver
+// waits as a step (sim.Stepper) and tries again then.
+func (r *Reader) TryNext(p *sim.Proc) bool {
+	_, ok := r.q.TryGet(p)
+	return ok
 }

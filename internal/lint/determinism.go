@@ -102,13 +102,13 @@ func orderedSink(pkg *Pkg, call *ast.CallExpr) string {
 		return ""
 	}
 	switch {
-	case funcFrom(fn, "scaffe/internal/trace", "Add", "AddNode", "Begin"):
+	case funcFrom(fn, "scaffe/internal/trace", "Add", "AddNode"):
 		return "trace." + fn.Name()
 	case funcFrom(fn, "scaffe/internal/sched", "NodeSpan"):
 		return "Tracer.NodeSpan"
-	case funcFrom(fn, "scaffe/internal/mpi", "Isend", "Send", "SendHost", "Ibcast", "Bcast"):
+	case funcFrom(fn, "scaffe/internal/mpi", "Isend", "Send", "Ibcast", "Bcast"):
 		return "mpi." + fn.Name()
-	case funcFrom(fn, "scaffe/internal/coll", "Reduce", "Allreduce", "Ireduce"):
+	case funcFrom(fn, "scaffe/internal/coll", "Reduce", "Allreduce"):
 		return "coll." + fn.Name()
 	}
 	return ""

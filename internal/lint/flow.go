@@ -6,11 +6,11 @@ import (
 	"go/types"
 )
 
-// The flow engine is a small AST-level dataflow used by the mpi and
-// trace passes: certain calls *create* a tracked value (a non-blocking
-// request, an open span) that must be *used* again before the function
+// The flow engine is a small AST-level dataflow used by the mpi pass:
+// certain calls *create* a tracked value (a non-blocking request, a
+// checksummed receive) that must be *used* again before the function
 // can return. Any later mention of the variable counts as reaching its
-// Wait/End or escaping (returned, stored, appended, passed on) — the
+// Wait/Verify or escaping (returned, stored, appended, passed on) — the
 // analysis is deliberately optimistic so real code patterns like
 // conditional waits never false-positive. What it does catch, on every
 // lexical path:

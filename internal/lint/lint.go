@@ -11,8 +11,6 @@
 //     code (RunEvent hooks, Kernel.At callbacks — where the
 //     delivery-perturbation plane runs) must not construct requests
 //     at all.
-//   - trace: a span opened with Recorder.Begin must be ended on every
-//     return path.
 //
 // Every pass reads one function body at a time. That the iteration
 // allocates nothing is measured at run time instead, by
@@ -98,11 +96,6 @@ func Passes() []*Pass {
 			Name: "mpi",
 			Doc:  "requests reach Wait/Test on all paths, tags are named constants, helpers issue no blocking MPI, kernel-context hooks (RunEvent, Kernel.At) post no requests",
 			Run:  runMPI,
-		},
-		{
-			Name: "trace",
-			Doc:  "spans opened by Begin are ended on all return paths",
-			Run:  runTrace,
 		},
 	}
 }

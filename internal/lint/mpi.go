@@ -10,7 +10,7 @@ import (
 // The mpi pass enforces five pieces of request discipline:
 //
 //  1. lifecycle — every non-blocking call (Isend, Irecv, Ibcast,
-//     Ireduce, NewDeferredRequest) returns a *Request that must reach a
+//     IjoinAck, IjoinAckRecv) returns a *Request that must reach a
 //     Wait/Test (any later use counts) on every path; discarding the
 //     result or letting the variable die unexamined leaks the request
 //     and, under ULFM-style revocation, strands the completion;
@@ -70,11 +70,8 @@ func runMPI(pkg *Pkg, report func(pos token.Pos, msg string)) {
 // requestCreator names non-blocking request constructors.
 func requestCreator(pkg *Pkg, call *ast.CallExpr) string {
 	fn := calleeFunc(pkg, call)
-	switch {
-	case funcFrom(fn, "scaffe/internal/mpi", "Isend", "Irecv", "Ibcast", "NewDeferredRequest", "IjoinAck", "IjoinAckRecv"):
+	if funcFrom(fn, "scaffe/internal/mpi", "Isend", "Irecv", "Ibcast", "IjoinAck", "IjoinAckRecv") {
 		return "mpi." + fn.Name()
-	case funcFrom(fn, "scaffe/internal/coll", "Ireduce"):
-		return "coll.Ireduce"
 	}
 	return ""
 }
@@ -210,7 +207,7 @@ func checkHelperThread(pkg *Pkg, call *ast.CallExpr, report func(pos token.Pos, 
 				report(inner.Pos(), "blocking mpi.Bcast inside a SpawnThread helper; it deadlocks against the main thread's collectives — use Ibcast")
 			case funcFrom(ifn, "scaffe/internal/coll", "Reduce", "Allreduce"):
 				report(inner.Pos(), fmt.Sprintf(
-					"blocking collective coll.%s inside a SpawnThread helper; it deadlocks against the main thread's collectives — use coll.Ireduce", ifn.Name()))
+					"blocking collective coll.%s inside a SpawnThread helper; it deadlocks against the main thread's collectives — reduce on the main thread, as SC-OBR's lane 0 splices Reducer.Fragment", ifn.Name()))
 			}
 			return true
 		})

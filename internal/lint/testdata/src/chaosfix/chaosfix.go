@@ -8,7 +8,6 @@
 package chaosfix
 
 import (
-	"scaffe/internal/coll"
 	"scaffe/internal/gpu"
 	"scaffe/internal/mpi"
 	"scaffe/internal/sim"
@@ -30,20 +29,6 @@ type perturbHook struct {
 func (h *perturbHook) RunEvent(k *sim.Kernel) {
 	h.pending = h.r.Isend(h.c, 1, fixTag, h.buf, topology.ModeAuto) // want `mpi.Isend inside a RunEvent kernel hook`
 	h.pending = h.r.Irecv(h.c, 1, fixTag, h.buf)                    // want `mpi.Irecv inside a RunEvent kernel hook`
-}
-
-// retryHook reaches for the deferred-request and collective
-// constructors instead; same context, same leak.
-type retryHook struct {
-	red  coll.Reducer
-	r    *mpi.Rank
-	buf  *gpu.Buffer
-	reqs []*mpi.Request
-}
-
-func (h *retryHook) RunEvent(k *sim.Kernel) {
-	h.reqs = append(h.reqs, h.r.NewDeferredRequest(func() {}))       // want `mpi.NewDeferredRequest inside a RunEvent kernel hook`
-	h.reqs = append(h.reqs, coll.Ireduce(h.red, h.r, h.buf, fixTag)) // want `coll.Ireduce inside a RunEvent kernel hook`
 }
 
 // failsafeFromCallback mimics the reorder-stash failsafe shape from

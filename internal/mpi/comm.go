@@ -130,17 +130,25 @@ var barrierBuf = gpu.NewBuffer(0)
 // (ceil(log2 P) rounds of zero-byte exchanges). Every member must call
 // it.
 func (c *Comm) Barrier(r *Rank) {
-	size := c.Size()
-	if size == 1 {
-		return
-	}
-	r.barrier = barrierStep{r: r, c: c, me: c.Rank(r), size: size, dist: 1}
+	c.StartBarrier(r)
 	r.Proc.RunSteps(&r.barrier)
 }
 
+// StartBarrier begins r's part of a Barrier on c without waiting for it:
+// PollBarrier then takes it to its end. It is Barrier for a sim.Stepper,
+// which must not park.
+func (c *Comm) StartBarrier(r *Rank) {
+	r.barrier = barrierStep{r: r, c: c, me: c.Rank(r), size: c.Size(), dist: 1}
+}
+
+// PollBarrier is PollWait for the barrier StartBarrier began on r's main
+// proc: it reports whether the barrier is over, and while it is not, the
+// proc is armed and the caller's step must return false.
+func (r *Rank) PollBarrier() bool { return r.barrier.Step(r.Proc) }
+
 // barrierStep walks the barrier's rounds as steps: post the round's
 // receive and send, wait the receive, wait the send, double the
-// distance.
+// distance. A barrier of one rank has no rounds.
 type barrierStep struct {
 	r          *Rank
 	c          *Comm

@@ -89,10 +89,7 @@ func (r *Rank) PollWait(p *sim.Proc, w *Waiter, c *sim.Completion) (done bool) {
 }
 
 // PollRequest is PollWait for Wait(req): when the request completes it
-// is released, as Wait releases it, and must not be used again. A
-// deferred request does its work inside Wait and needs the proc's
-// stack: those go to Wait (see Request.Deferred); polled, one never
-// completes.
+// is released, as Wait releases it, and must not be used again.
 func (r *Rank) PollRequest(w *Waiter, req *Request) (done bool) {
 	if !r.PollWait(r.Proc, w, req.Done) {
 		return false

@@ -373,34 +373,6 @@ func TestBcastLargeComm(t *testing.T) {
 	}
 }
 
-func TestDeferredRequestRunsInWait(t *testing.T) {
-	w := newWorld(t, 1, 1, 1)
-	ran := false
-	_, err := w.Run(func(r *Rank) {
-		req := r.NewDeferredRequest(func() {
-			ran = true
-			r.Sleep(sim.Millisecond)
-		})
-		if req.Test() {
-			t.Error("deferred request must not complete under Test")
-		}
-		r.Sleep(10 * sim.Millisecond)
-		if ran {
-			t.Error("deferred work ran before Wait")
-		}
-		r.Wait(req)
-		if !ran || r.Now() != 11*sim.Millisecond {
-			t.Errorf("deferred work: ran=%v now=%v", ran, r.Now())
-		}
-		if !req.Test() {
-			t.Error("request should be complete after Wait")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSendToSelfFailsRun(t *testing.T) {
 	w := newWorld(t, 1, 2, 2)
 	c := w.WorldComm()

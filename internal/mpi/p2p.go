@@ -47,9 +47,6 @@ type Request struct {
 	Done *sim.Completion
 	done sim.Completion
 	buf  *gpu.Buffer
-	// deferred, when non-nil, is executed inside Wait — used for
-	// CPU-progressed operations like Ireduce.
-	deferred func()
 	// summed, when non-nil, records the delivered payload's checksum
 	// for the integrity plane (see RecvSummed).
 	summed *Summed
@@ -101,7 +98,6 @@ func (r *Rank) putRequest(req *Request) {
 	}
 	req.pooled = true
 	req.buf = nil
-	req.deferred = nil
 	req.summed = nil
 	req.next = nil
 	r.reqPool = append(r.reqPool, req)
@@ -131,42 +127,24 @@ func (r *Rank) putPendingSend(ps *pendingSend) {
 // Wait blocks the rank until the request completes, then releases the
 // request record back to the rank's free list: as in MPI_Wait, the
 // handle must not be used after Wait returns (Test/CompletedAt remain
-// readable only until the rank issues its next operation). For
-// deferred (CPU-progressed) requests this is where all the work
-// happens. With a fault plane armed the wait is deadline-sliced and
+// readable only until the rank issues its next operation). With a
+// fault plane armed the wait is deadline-sliced and
 // may panic with Revoked{} if a rank failure is detected (see
 // fault.go) — an unwound request is abandoned to the collector, never
 // recycled. Like every blocking MPI call it belongs to the rank's main
 // proc.
 func (r *Rank) Wait(req *Request) {
-	if req.deferred != nil {
-		fn := req.deferred
-		req.deferred = nil
-		fn()
-		req.Done.Fire()
-		r.putRequest(req)
-		return
-	}
 	r.wait(req.Done)
 	r.putRequest(req)
 }
 
 // Test reports whether the request has completed without blocking.
-// Deferred requests never complete under Test (CPU progression
-// requires Wait), which is exactly the paper's complaint about NBC
-// reductions.
-func (req *Request) Test() bool { return req.deferred == nil && req.Done.Fired() }
-
-// Deferred reports whether the request is CPU-progressed: its work runs
-// inside Wait, on the waiting proc's stack, so a Stepper cannot poll it.
-func (req *Request) Deferred() bool { return req.deferred != nil }
+func (req *Request) Test() bool { return req.Done.Fired() }
 
 // OnComplete registers fn to run (in kernel context) when the request
 // completes; if it already completed, fn is scheduled immediately.
-// Deferred (CPU-progressed) requests complete only inside Wait, so
-// their hooks fire there — the same asymmetry the rest of the runtime
-// models. The scheduler uses these hooks for node readiness and for
-// recording wire-level spans of offloaded operations. The hook runs at
+// The engine uses these hooks for recording wire-level spans of
+// offloaded operations. The hook runs at
 // the completion instant but possibly after the waiter has released
 // the request, so it must not touch the request handle.
 func (req *Request) OnComplete(fn func()) { req.Done.OnFire(fn) }
@@ -174,14 +152,6 @@ func (req *Request) OnComplete(fn func()) { req.Done.OnFire(fn) }
 // CompletedAt returns the virtual time at which the request completed;
 // only meaningful once Test (or a hook) reports completion.
 func (req *Request) CompletedAt() sim.Time { return req.Done.FiredAt() }
-
-// NewDeferredRequest creates a request whose work runs inside Wait.
-// Exposed for package coll's CPU-progressed Ireduce.
-func (r *Rank) NewDeferredRequest(fn func()) *Request {
-	req := r.getRequest(nil)
-	req.deferred = fn
-	return req
-}
 
 // Isend starts a non-blocking send of buf to group rank `to` of comm c
 // with the given tag.
@@ -326,15 +296,4 @@ func (r *Rank) Send(c *Comm, to, tag int, buf *gpu.Buffer, mode topology.Transfe
 // Recv is a blocking receive (Irecv + Wait).
 func (r *Rank) Recv(c *Comm, from, tag int, buf *gpu.Buffer) {
 	r.Wait(r.Irecv(c, from, tag, buf))
-}
-
-// SendHost / RecvHost move host-resident buffers (no GPU endpoints);
-// used by the non-CUDA-aware baselines.
-func (r *Rank) SendHost(c *Comm, to, tag int, buf *gpu.Buffer) {
-	r.Send(c, to, tag, buf, topology.ModeHost)
-}
-
-// RecvHost is the receiving half of SendHost.
-func (r *Rank) RecvHost(c *Comm, from, tag int, buf *gpu.Buffer) {
-	r.Recv(c, from, tag, buf)
 }

@@ -4,13 +4,15 @@
 // non-blocking), communicators with sub-grouping, and a
 // hardware-offloaded non-blocking broadcast engine (MPI_Ibcast).
 //
-// Two runtime asymmetries from the paper are reproduced faithfully:
+// Ibcast progresses asynchronously (network-offloaded) without the
+// rank's thread, so it genuinely overlaps with compute. A reduction is
+// CPU-progressed in the paper's runtime — an Ireduce does all its work
+// inside Wait (Section 4.2) — which is a reducer's fragment spliced where
+// the rank waits (package coll), so no request type here models it.
 //
-//   - Ibcast progresses asynchronously (network-offloaded) without the
-//     rank's thread, so it genuinely overlaps with compute.
-//   - Ireduce is CPU-progressed: it makes no progress until Wait, so a
-//     naive non-blocking reduce pipeline yields no overlap (Section
-//     4.2 of the paper). See package coll for the Ireduce shim.
+// Every blocking call has a non-parking form for a sim.Stepper:
+// PollWait and PollRequest for Wait, StartBarrier and PollBarrier for
+// Barrier. The blocking forms run those as steps of the rank's main proc.
 package mpi
 
 import (

@@ -7,30 +7,32 @@
 // the axis along which the paper's designs differ (Sections 4.1–4.3).
 //
 // A graph is two things. The Plan is the immutable part — nodes,
-// lanes, labels, dependency and gate indices, actions — built once and
-// shared by every rank that plays the same role; the Graph is one
-// rank's small mutable instance of it (gate requests, node completions)
-// and is what Execute runs, iteration after iteration.
+// lanes, labels, dependency indices, actions — built once and shared by
+// every rank that plays the same role; the Graph is one rank's small
+// mutable instance of it (node completions, lane walks) and is what
+// Execute runs, iteration after iteration.
 //
 // A plan holds one or more lanes. Lane 0 runs inline on the rank's
 // main proc; every additional lane becomes a simulated thread inside
 // the rank (SC-OBR's backward helper). Within a lane, nodes run in
-// insertion order; cross-lane edges (Node.After) and request gates
-// (Node.Gated) add the explicit dependencies. Every node emits a trace
-// span for its action and, separately, for any time it spent blocked on
-// dependencies, so the timeline a graph produces is exactly the
-// timeline the equivalent hand-written loop produced.
+// insertion order; cross-lane edges (Node.After) and request awaits
+// (Node.Awaiting) add the explicit dependencies. Every node emits a
+// trace span for its action and, separately, for any time it spent
+// blocked on dependencies, so the timeline a graph produces is exactly
+// the timeline the equivalent hand-written loop produced.
 //
 // A lane is not a loop on a goroutine but a walk over the plan's node
 // table done in steps on the simulator's event loop (sim.Stepper): a
 // dependency that fires, a request that completes, a kernel that ends
 // each resume the walk where it stopped, on whichever goroutine is
-// running the loop. Only a node whose action may block takes the lane's
-// own goroutine, for that node.
+// running the loop. Nothing a node does parks — a park inside a step
+// panics — and the one way back to the lane's own goroutine is
+// Ctx.HandBack.
 //
 // A plan may also be a fragment — a collective's posts, waits and
-// kernels, as package coll compiles them — walked by a splice node in its
-// place, or on its own by Steps.
+// kernels, as package coll compiles them, or any blocking call's post
+// and await — walked by a splice node in its place, or on its own by
+// Steps.
 package sched
 
 import (
@@ -48,7 +50,7 @@ type Kind int
 const (
 	// Generic is control flow or zero-cost bookkeeping.
 	Generic Kind = iota
-	// DataWait blocks on the rank's data-reader queue.
+	// DataWait waits on the rank's data-reader queue.
 	DataWait
 	// Pack flattens parameters or gradients into a packed buffer.
 	Pack
@@ -94,40 +96,25 @@ type Ctx struct {
 	Buf *gpu.Buffer
 	Tag int
 
-	g    *Graph
-	back func() // handed back by the running callback: see HandBack
+	back  func() // handed back by the running callback: see HandBack
+	again bool   // the running action armed its own resume: see Again
 }
 
-// Put hands a request to the nodes gated on slot s. Nil requests are
-// ignored, and so is a slot no node of the executing plan is gated on:
-// nobody would wait for its requests or reset them.
-func (x *Ctx) Put(s *Slot, req *mpi.Request) {
-	if req != nil && s.p == x.g.plan {
-		x.g.reqs[s.id] = append(x.g.reqs[s.id], req)
-	}
-}
-
-// HandBack, from a post or timed node's callback, has the lane run fn —
-// which may park — on its goroutine, then the callback again; a timed
-// callback's time is ignored meanwhile.
+// HandBack, from an action or a timed node's callback, has the lane run
+// fn — which may park — on its goroutine, then the callback again; a
+// timed callback's time is ignored meanwhile. It is the only way a node
+// reaches the goroutine.
 func (x *Ctx) HandBack(fn func()) { x.back = fn }
 
-// Slot carries MPI requests from the node that creates them to the
-// nodes gated on their completion. Requests exist only once the
-// producing node has executed, so edges reference the slot, not the
-// request. The slot itself is a plan-level name; the requests live in
-// each executing Graph.
-type Slot struct {
-	p  *Plan // the plan whose nodes are gated on the slot; nil until one is
-	id int   // index into the Graph.reqs of p's instances
-}
-
-// NewSlot returns a slot no node is gated on yet.
-func NewSlot() *Slot { return &Slot{} }
+// Again, from an action that found its work not ready and armed the
+// proc's resume for when it will be — sim.Queue.TryGet registering a
+// getter, mpi.Rank.PollBarrier arming a round's wait — has the lane run
+// the action again at that resume instead of going on.
+func (x *Ctx) Again() { x.again = true }
 
 // Tracer receives one span per node execution: the action span under
 // the node's phase, and a separate "<label>/wait" span for time spent
-// blocked on dependencies or gates. Zero-length spans are not emitted.
+// blocked on dependencies or awaits. Zero-length spans are not emitted.
 type Tracer interface {
 	NodeSpan(lane int, kind Kind, phase, label string, start, end sim.Time)
 }
@@ -144,13 +131,11 @@ type Node struct {
 	lane      int32
 	index     int32                                // position within the lane
 	done      int32                                // the node's completion in Graph.done; -1 when no lane waits for it (set by Seal)
-	inline    bool                                 // the action only posts: it runs in the step
-	action    func(*Ctx)                           // may block: runs on the lane's goroutine, unless inline
-	timed     func(*Ctx) sim.Time                  // never blocks: the lane resumes at the time it returns
+	action    func(*Ctx)                           // runs in the step: the lane goes on at once
+	timed     func(*Ctx) sim.Time                  // runs in the step: the lane resumes at the time it returns
 	splice    func(*Ctx) (*Plan, *gpu.Buffer, int) // the fragment to walk in the node's place
 	deps      []*Node                              // the cross-lane nodes this one waits for
-	gates     []int                                // ids of the slots this one waits for
-	awaits    func(*Ctx) []*mpi.Request            // requests the executing rank keeps, waited after the gates
+	awaits    func(*Ctx) []*mpi.Request            // requests the executing rank keeps, waited after the deps
 }
 
 // After adds dependency edges. Same-lane edges to earlier nodes are
@@ -173,39 +158,19 @@ func (n *Node) After(deps ...*Node) *Node {
 	return n
 }
 
-// Gated makes the node wait for every request in the slots before its
-// action runs. Gates use Rank.Wait (which progresses CPU-deferred
-// requests), so they are lane-0 only.
-func (n *Node) Gated(slots ...*Slot) *Node {
-	n.onMain()
-	for _, s := range slots {
-		switch s.p {
-		case nil:
-			s.p, s.id = n.p, n.p.slots
-			n.p.slots++
-		case n.p:
-		default:
-			panic(fmt.Sprintf("sched: node %q gated on a slot of another plan", n.label))
-		}
-		n.gates = append(n.gates, s.id)
-	}
-	return n
-}
-
-// Awaiting makes the node wait, after its gates, for the requests reqs
-// returns — kept by the rank rather than filed in slots, as a fragment's
-// are; nil ones are ignored. Lane-0 only, like gates.
+// Awaiting makes the node wait, after its dependencies and before its
+// action, for the requests reqs returns, in order; nil ones are ignored.
+// The requests are the executing rank's own — kept in its workload or its
+// reducer state by the node that posted them — and each is released as
+// its wait ends, as Rank.Wait releases it. Request waits need the rank's
+// main proc, so only lane 0 awaits.
 func (n *Node) Awaiting(reqs func(*Ctx) []*mpi.Request) *Node {
-	n.onMain()
-	n.awaits = reqs
-	return n
-}
-
-func (n *Node) onMain() {
 	n.p.building(n.label)
 	if n.lane != 0 {
 		panic(fmt.Sprintf("sched: node %q waits for requests on lane %d; request waits need the rank's main proc", n.label, n.lane))
 	}
+	n.awaits = reqs
+	return n
 }
 
 // WaitingIn charges the node's dependency-wait time to a different
@@ -223,7 +188,6 @@ func (n *Node) WaitingIn(phase string) *Node {
 type Plan struct {
 	lanes     [][]*Node
 	laneNames []string
-	slots     int // gated slots
 	waited    int // nodes some lane waits for: completions an instance holds (set by Seal)
 	sealed    bool
 	// slab is the node arena: nodes are carved from chunks, each as large
@@ -259,9 +223,11 @@ func (p *Plan) Lane(name string) int {
 }
 
 // Add appends a node to the lane. The action may be nil (a pure
-// synchronization point); one that is not may block, so the lane hands
-// it to its goroutine. The wait phase defaults to the action phase;
-// override with WaitingIn.
+// synchronization point); one that is not runs in the lane's step and
+// takes no virtual time — it posts, books, computes — and must not park
+// (a park there panics): what it waits for is another node's await, a
+// timed node, a splice, or, for work not ready yet, Again. The wait phase
+// defaults to the action phase; override with WaitingIn.
 func (p *Plan) Add(lane int, kind Kind, phase, label string, action func(*Ctx)) *Node {
 	n := p.add(lane, kind, phase, label)
 	n.action = action
@@ -270,7 +236,7 @@ func (p *Plan) Add(lane int, kind Kind, phase, label string, action func(*Ctx)) 
 
 // AddTimed appends a node that occupies its lane until a time it
 // computes and does nothing else that blocks — a device kernel, a fixed
-// overhead. until runs when the node's dependencies and gates are
+// overhead. until runs when the node's dependencies and awaits are
 // satisfied, does the node's work (launching the kernel, the real
 // arithmetic) and returns when the lane may go on; the lane sleeps
 // until then. It is the blocking action "work; WaitUntil(end)" with the
@@ -282,18 +248,11 @@ func (p *Plan) AddTimed(lane int, kind Kind, phase, label string, until func(*Ct
 	return n
 }
 
-// AddPost appends a node whose action only posts non-blocking operations
-// and takes no virtual time: the lane runs it in its step and goes on.
-func (p *Plan) AddPost(lane int, kind Kind, phase, label string, post func(*Ctx)) *Node {
-	n := p.Add(lane, kind, phase, label, post)
-	n.inline = true
-	return n
-}
-
 // AddSplice appends a lane-0 node that walks in its place the fragment
-// frag names, if any: a sealed single-lane plan without slots, whose
-// nodes see the buffer and tag named with it as Ctx.Buf and Ctx.Tag. They
-// run like the lane's own but emit no spans, and may splice fragments.
+// frag names, if any: a sealed single-lane plan, whose nodes see the
+// buffer and tag named with it as Ctx.Buf and Ctx.Tag. They run like the
+// lane's own but emit no spans, and may splice fragments, their own
+// included. The node's span is the whole walk.
 func (p *Plan) AddSplice(kind Kind, phase, label string, frag func(*Ctx) (*Plan, *gpu.Buffer, int)) *Node {
 	n := p.add(0, kind, phase, label)
 	n.splice = frag
@@ -318,7 +277,7 @@ func (p *Plan) add(lane int, kind Kind, phase, label string) *Node {
 	return n
 }
 
-// Seal ends construction: every later Lane, Add, After, Gated or
+// Seal ends construction: every later Lane, Add, After, Awaiting or
 // WaitingIn panics. The plan now knows which of its nodes cross lanes —
 // the ones another lane's node comes After, and each helper lane's last,
 // which lane 0 joins — and numbers those: they are the only nodes whose
@@ -361,9 +320,8 @@ func (p *Plan) Bind(r *mpi.Rank) *Graph {
 type Graph struct {
 	plan  *Plan
 	r     *mpi.Rank
-	reqs  [][]*mpi.Request // per slot, filled by Ctx.Put; nil until the first Execute
 	done  []sim.Completion // per node another lane waits for, by Node.done
-	lanes []laneRun        // per lane: its walk's state
+	lanes []laneRun        // per lane: its walk's state; nil until the first Execute
 }
 
 // New returns an empty private plan together with rank r's instance of
@@ -396,38 +354,27 @@ func (g *Graph) Add(lane int, kind Kind, phase, label string, action func(*Ctx))
 // a whole iteration on the event loop. A thread that was killed or
 // unwound is replaced by a fresh one.
 //
-// Each Execute starts clean: it empties the gate slots and
-// re-initializes the completions, whose generation bump dissolves
-// any reference left over from an abandoned (Revoked-unwound) previous
-// execution. The helper threads of an abandoned execution must be dead
+// Each Execute starts clean: it re-initializes the completions, whose
+// generation bump dissolves any reference left over from an abandoned
+// (Revoked-unwound) previous execution. The helper threads of an abandoned execution must be dead
 // (mpi.Rank.KillThreads, as recovery does) before the next: a lane's
 // walk state is the instance's, not the thread's.
 func (g *Graph) Execute(tracer Tracer, it int) {
 	pl := g.plan
-	if g.reqs == nil {
+	if g.lanes == nil {
 		// First execution: the plan is complete (Bind demands a sealed
 		// one, a New graph's is sealed here — a shared plan must not be
-		// written), so size the instance. Most slots only ever hold one
-		// request: each starts as a one-element window of a shared array
-		// and gets a list of its own only if it outgrows that.
+		// written), so size the instance.
 		pl.Seal()
-		g.reqs = make([][]*mpi.Request, pl.slots)
-		first := make([]*mpi.Request, pl.slots)
-		for i := range g.reqs {
-			g.reqs[i] = first[i : i : i+1]
-		}
 		g.done = make([]sim.Completion, pl.waited)
 		g.lanes = make([]laneRun, len(pl.lanes))
 		for li := range g.lanes {
 			l := &g.lanes[li]
 			l.g, l.nodes = g, pl.lanes[li]
-			l.ctx = Ctx{R: g.r, g: g}
+			l.ctx = Ctx{R: g.r}
 		}
 	}
 	k := g.r.W.K
-	for i := range g.reqs {
-		g.reqs[i] = g.reqs[i][:0]
-	}
 	for i := range g.done {
 		g.done[i].Init(k)
 	}
@@ -457,8 +404,8 @@ func (s *Steps) Run(r *mpi.Rank, frag *Plan, buf *gpu.Buffer, tag int) {
 
 // start points the walk at the first node of frag, for (buf, tag).
 func (s *Steps) start(r *mpi.Rank, it int, frag *Plan, buf *gpu.Buffer, tag int) {
-	if !frag.sealed || len(frag.lanes) != 1 || frag.slots > 0 {
-		panic("sched: a fragment must be a sealed single-lane plan without slots")
+	if !frag.sealed || len(frag.lanes) != 1 {
+		panic("sched: a fragment must be a sealed single-lane plan")
 	}
 	s.nodes, s.ctx = frag.lanes[0], Ctx{R: r, P: r.Proc, It: it, Buf: buf, Tag: tag}
 	s.i, s.at, s.w = 0, atEnter, mpi.Waiter{}
@@ -466,8 +413,8 @@ func (s *Steps) start(r *mpi.Rank, it int, frag *Plan, buf *gpu.Buffer, tag int)
 
 // laneRun is the state of one lane's walk over its nodes. The walk is a
 // sim.Stepper: Step takes the current node through its dependencies,
-// its gates, its action and its completion, and moves to the next,
-// until a wait has to be armed or an action needs the goroutine.
+// its awaits, its action and its completion, and moves to the next,
+// until a wait has to be armed or a callback hands work back.
 type laneRun struct {
 	g      *Graph // nil for a fragment's walk
 	nodes  []*Node
@@ -478,12 +425,10 @@ type laneRun struct {
 	i    int    // the node being walked
 	at   laneAt // how far into it
 	d    int    // dependencies already satisfied
-	s, q int    // gate slots already drained, and requests of slot s
+	q    int    // awaited requests already complete
 	join int    // lane 0, past its last node: the next helper lane to join
 	w    mpi.Waiter
 	sub  *Steps // the walk of the fragment a splice node runs; kept for the next
-
-	deferred *mpi.Request // a CPU-progressed request at a gate, for the goroutine to Wait
 
 	entered, began sim.Time // when the node was entered / its action began (traced runs)
 }
@@ -491,15 +436,13 @@ type laneRun struct {
 type laneAt uint8
 
 const (
-	atEnter     laneAt = iota // nothing of the node done yet
-	atDeps                    // waiting out its dependencies
-	atGates                   // waiting out its gates
-	atGateWait                // a deferred request's Wait needs the goroutine
-	atAction                  // its action is due
-	atActionRun               // its blocking action needs the goroutine
-	atBack                    // its callback handed work to the goroutine
-	atSplice                  // its fragment is being walked (sub)
-	atFinish                  // its action is over: span, completion, next node
+	atEnter  laneAt = iota // nothing of the node done yet
+	atDeps                 // waiting out its dependencies
+	atAwaits               // waiting out its awaited requests
+	atAction               // its action is due
+	atBack                 // its callback handed work to the goroutine
+	atSplice               // its fragment is being walked (sub)
+	atFinish               // its action is over: span, completion, next node
 )
 
 // reset points the walk at the lane's first node for iteration it.
@@ -525,11 +468,11 @@ func (l *laneRun) runThread(p *sim.Proc) {
 }
 
 // run walks the lane on proc p, the lane's own: the steps on the event
-// loop, and what a step cannot do — a blocking action, the Wait of a
-// CPU-progressed request — here, on the goroutine, for the lane or the
-// fragment it splices. Lane 0 and a fragment's walk return at their end;
-// a helper lane's walk ends idle, parked inside RunSteps, and the next
-// Execute's wake goes on from there.
+// loop, and between them only what a callback handed back (HandBack),
+// here, on the goroutine, for the lane or the fragment it splices. Lane 0
+// and a fragment's walk return at their end; a helper lane's walk ends
+// idle, parked inside RunSteps, and the next Execute's wake goes on from
+// there.
 func (l *laneRun) run(p *sim.Proc) {
 	l.ctx.P = p
 	for {
@@ -538,42 +481,27 @@ func (l *laneRun) run(p *sim.Proc) {
 		for f.at == atSplice {
 			f = &f.sub.laneRun
 		}
-		switch f.at {
-		case atGateWait:
-			f.ctx.R.Wait(f.deferred)
-			f.q++
-			f.at = atGates
-		case atActionRun:
-			f.nodes[f.i].action(&f.ctx)
-			f.at = atFinish
-		case atBack:
-			back := f.ctx.back
-			f.ctx.back = nil
-			back()
-			f.at = atAction
-		default:
+		if f.at != atBack {
 			return
 		}
+		back := f.ctx.back
+		f.ctx.back = nil
+		back()
+		f.at = atAction
 	}
 }
 
-// poll waits out reqs from l.q on: false while a wait is armed, or while
-// a deferred request needs the goroutine (l.at says so).
+// poll waits out reqs from l.q on: false while a wait is armed.
 func (l *laneRun) poll(reqs []*mpi.Request) bool {
 	for ; l.q < len(reqs); l.q++ {
-		switch req := reqs[l.q]; {
-		case req == nil:
-		case req.Deferred():
-			l.deferred, l.at = req, atGateWait
-			return false
-		case !l.ctx.R.PollRequest(&l.w, req):
+		if req := reqs[l.q]; req != nil && !l.ctx.R.PollRequest(&l.w, req) {
 			return false
 		}
 	}
 	return true
 }
 
-// Step waits the node's dependencies and gates, runs its action, emits
+// Step waits the node's dependencies and awaits, runs its action, emits
 // trace spans, fires its completion, and goes on to the next node.
 // Untraced runs skip the timestamp bookkeeping — it exists only to
 // position spans.
@@ -583,7 +511,7 @@ func (l *laneRun) Step(p *sim.Proc) bool {
 		n := l.nodes[l.i]
 		switch l.at {
 		case atEnter:
-			l.d, l.s, l.q = 0, 0, 0
+			l.d, l.q = 0, 0
 			if l.tracer != nil {
 				l.entered = p.Now()
 			}
@@ -599,16 +527,11 @@ func (l *laneRun) Step(p *sim.Proc) bool {
 					}
 				}
 			}
-			l.at = atGates
+			l.at = atAwaits
 			fallthrough
-		case atGates:
-			for ; l.s < len(n.gates); l.s, l.q = l.s+1, 0 {
-				if !l.poll(g.reqs[n.gates[l.s]]) {
-					return l.at == atGateWait
-				}
-			}
+		case atAwaits:
 			if n.awaits != nil && !l.poll(n.awaits(&l.ctx)) {
-				return l.at == atGateWait
+				return false
 			}
 			if l.tracer != nil {
 				l.began = p.Now()
@@ -635,11 +558,12 @@ func (l *laneRun) Step(p *sim.Proc) bool {
 					l.at = atSplice
 					continue
 				}
-			case n.inline:
-				n.action(&l.ctx)
 			case n.action != nil:
-				l.at = atActionRun
-				return true
+				if n.action(&l.ctx); l.ctx.again {
+					l.ctx.again = false
+					l.at = atAction
+					return false
+				}
 			}
 			if l.ctx.back != nil {
 				l.at = atBack

@@ -334,7 +334,7 @@ func (k *Kernel) step(p *Proc) (done bool) {
 			done = true
 		}
 	}()
-	return p.stepper.Step(p)
+	return p.step(p.stepper)
 }
 
 // Run executes the event loop until no events remain, then verifies

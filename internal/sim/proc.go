@@ -21,6 +21,9 @@ type Proc struct {
 	// idle: parked by a step that armed nothing (ArmIdle); only Wake, a
 	// kill, or the end of the run resumes it.
 	idle bool
+	// stepping: one of the proc's steps is running, and parking is a bug
+	// (see Stepper).
+	stepping bool
 
 	// waitSeq/waitArmed guard completion wake-ups: every Wait arms a
 	// fresh sequence number, and a wake event only delivers if the proc
@@ -140,7 +143,14 @@ func (p *Proc) SetGroup(int) {}
 // baton directly to the next proc — one goroutine switch per segment
 // instead of two — or keeps running with no switch at all when the
 // next event resumes this same proc.
+//
+// A proc whose step is running must not park: the step runs on whatever
+// goroutine drives the event loop, which parking would hand to nobody.
+// It panics instead, naming the proc, and RunSteps raises the panic.
 func (p *Proc) park() {
+	if p.stepping {
+		panic(fmt.Sprintf("sim: proc %q parks inside its own step", p.name))
+	}
 	k := p.k
 	p.stepFail = nil // of a step panic the proc recovered from: not the next panic's
 	switch k.loopFrom(p) {
@@ -234,9 +244,10 @@ type Stepper interface {
 	// queue position of the resume it stands for. It may do anything an
 	// event callback may — schedule, fire, spawn — but must not park:
 	// no Wait, WaitUntil, Sleep, Yield, queue, flag or semaphore call,
-	// and no nested RunSteps. Work that needs the proc's stack returns
-	// true and does it after RunSteps. A panic raised in Step surfaces
-	// from RunSteps on the proc's own goroutine.
+	// and no nested RunSteps that would park: a park there panics, naming
+	// the proc. Work that needs the proc's stack returns true and does it
+	// after RunSteps. A panic raised in Step surfaces from RunSteps on the
+	// proc's own goroutine.
 	Step(p *Proc) (done bool)
 }
 
@@ -249,7 +260,7 @@ type Stepper interface {
 // order of events is the one the blocking code produces. A killed proc
 // is not stepped: it unwinds from here like from any park.
 func (p *Proc) RunSteps(s Stepper) {
-	if s.Step(p) {
+	if p.step(s) {
 		return
 	}
 	p.stepper = s
@@ -257,6 +268,16 @@ func (p *Proc) RunSteps(s Stepper) {
 	if f := p.stepFail; f != nil {
 		panic(f.rec) // kept for the failure report until the proc parks again
 	}
+}
+
+// step runs one step of s with p marked as stepping, so that a park in
+// it panics. A step nested in another's (a RunSteps whose first step
+// ends it) leaves the mark as it found it.
+func (p *Proc) step(s Stepper) bool {
+	was := p.stepping
+	p.stepping = true
+	defer func() { p.stepping = was }()
+	return s.Step(p)
 }
 
 // ArmUntil is WaitUntil without the park, for a Step: the proc is

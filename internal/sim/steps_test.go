@@ -323,3 +323,46 @@ func (s *panicker) Step(p *Proc) bool {
 	p.ArmUntil(p.Now() + 2)
 	return false
 }
+
+// TestParkInStepPanics: a step must not park, and one that does — here
+// a WaitUntil in its second step, which runs on the event loop — gets a
+// panic naming its proc from RunSteps instead of hanging the loop. A
+// step that parks the first time, on the proc's own goroutine, gets it
+// too, and RunSteps leaves the proc free to park once its step is over.
+func TestParkInStepPanics(t *testing.T) {
+	k := New()
+	var got [2]any
+	var after Time
+	k.Spawn("stepper", func(p *Proc) {
+		for i, at := range []int{2, 1} {
+			func() {
+				defer func() { got[i] = recover() }()
+				p.RunSteps(&parker{at: at})
+			}()
+		}
+		p.WaitUntil(p.Now() + 5)
+		after = p.Now()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range got {
+		if msg, _ := rec.(string); !strings.Contains(msg, `proc "stepper" parks inside its own step`) {
+			t.Errorf("run %d: RunSteps raised %v, want the park-in-step panic", i, rec)
+		}
+	}
+	if after != 7 {
+		t.Errorf("the proc's own wait after the panics ended at %v, want 7", after)
+	}
+}
+
+// parker arms short waits and parks in step number at.
+type parker struct{ n, at int }
+
+func (s *parker) Step(p *Proc) bool {
+	if s.n++; s.n == s.at {
+		p.WaitUntil(p.Now() + 10)
+	}
+	p.ArmUntil(p.Now() + 2)
+	return false
+}

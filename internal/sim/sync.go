@@ -210,13 +210,26 @@ func (q *Queue) Put(p *Proc, v any) {
 
 // Get removes and returns the oldest item, blocking p while empty.
 func (q *Queue) Get(p *Proc) any {
-	for q.items.len() == 0 {
-		q.getters.push(p)
+	for {
+		if v, ok := q.TryGet(p); ok {
+			return v
+		}
 		p.park()
+	}
+}
+
+// TryGet is Get for a Step: it removes and returns the oldest item, or,
+// with the queue empty, registers p as a getter without parking and
+// reports false. The Put that fills the queue resumes p as it resumes a
+// parked Get, and the step tries again.
+func (q *Queue) TryGet(p *Proc) (any, bool) {
+	if q.items.len() == 0 {
+		q.getters.push(p)
+		return nil, false
 	}
 	v := q.items.pop()
 	q.wakeOne(&q.putters)
-	return v
+	return v, true
 }
 
 // wakeOne wakes the longest-waiting proc of the list. Killed procs leave

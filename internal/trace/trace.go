@@ -53,37 +53,6 @@ func (t *Recorder) AddNode(rank int, phase, label string, start, end sim.Time) {
 	t.events = append(t.events, Event{Rank: rank, Phase: phase, Label: label, Start: start, End: end})
 }
 
-// Span is an open interval created by Begin and closed by End. It
-// exists so call sites that bracket a phase across statements (rather
-// than a closure) keep the lint-checked Begin/End pairing explicit.
-type Span struct {
-	rec   *Recorder
-	rank  int
-	phase string
-	label string
-	start sim.Time
-}
-
-// Begin opens a span at the given virtual time. The returned span must
-// reach End on every path (enforced by scaffe-lint's trace pass); a
-// nil recorder returns a nil span whose End is a no-op, so callers
-// never branch on tracing being enabled.
-func (t *Recorder) Begin(rank int, phase, label string, start sim.Time) *Span {
-	if t == nil {
-		return nil
-	}
-	return &Span{rec: t, rank: rank, phase: phase, label: label, start: start}
-}
-
-// End closes the span at the given virtual time and records it.
-// Zero-length spans are dropped, matching Add.
-func (s *Span) End(end sim.Time) {
-	if s == nil {
-		return
-	}
-	s.rec.AddNode(s.rank, s.phase, s.label, s.start, end)
-}
-
 // Events returns the recorded spans in insertion order.
 func (t *Recorder) Events() []Event {
 	if t == nil {

@@ -26,31 +26,6 @@ func TestNilRecorderSafe(t *testing.T) {
 	}
 }
 
-func TestBeginEndSpan(t *testing.T) {
-	r := New()
-	s := r.Begin(2, "forward", "fwd:conv1", 5)
-	s.End(9)
-	if r.Len() != 1 {
-		t.Fatalf("events = %d, want 1", r.Len())
-	}
-	e := r.Events()[0]
-	want := Event{Rank: 2, Phase: "forward", Label: "fwd:conv1", Start: 5, End: 9}
-	if e != want {
-		t.Errorf("event = %+v, want %+v", e, want)
-	}
-
-	r.Begin(0, "x", "", 10).End(10) // zero-length: dropped like Add
-	if r.Len() != 1 {
-		t.Errorf("zero-length span recorded: %d events", r.Len())
-	}
-
-	var nilRec *Recorder
-	nilRec.Begin(0, "x", "", 0).End(1) // nil recorder: End is a no-op
-	if nilRec.Len() != 0 {
-		t.Error("nil recorder recorded a span")
-	}
-}
-
 func TestAddDropsEmptySpans(t *testing.T) {
 	r := New()
 	r.Add(0, "x", 10, 10)

@@ -23,8 +23,8 @@ go vet ./...
 GOARCH=arm64 go vet ./internal/tensor
 
 echo "== scaffe-lint =="
-# The repo-specific static gate (determinism, MPI request discipline,
-# trace-span balance); cheap, so it runs before the race-instrumented
+# The repo-specific static gate (determinism, MPI request discipline);
+# cheap, so it runs before the race-instrumented
 # test phase. See internal/lint and DESIGN.md §10.
 go run ./cmd/scaffe-lint ./...
 
@@ -84,6 +84,21 @@ for procs in 1 16; do
     GOMAXPROCS=$procs go test -race \
         -run '^TestChainReduceRankKilledMidPipeline$|^TestChainReduceRetransmitMidPipeline$|^TestReduceFamiliesPinned$|^TestEveryReducerRunsAsSteps$' \
         -count=1 ./internal/coll
+done
+
+echo "== plans never park =="
+# Nothing in a plan parks (DESIGN.md §6, §17): every design's blocking
+# call is a post and an await, the data wait and the catch-up's barrier
+# are polls, and only Ctx.HandBack reaches a lane's goroutine. The
+# scheduler goldens (every design's event timing), the per-design switch
+# budget and the park-in-step panics must hold at every GOMAXPROCS,
+# race-instrumented so the detector watches the steps and hand-backs.
+for procs in 1 16; do
+    GOMAXPROCS=$procs go test -race \
+        -run '^TestSchedulerGoldenTimingBaselines$|^TestSteadyStateIterationSwitchBudget$' \
+        -count=1 ./internal/core
+    GOMAXPROCS=$procs go test -race -run '^TestParkInStepPanics$|^TestParkInActionPanics$' \
+        -count=1 ./internal/sim ./internal/sched
 done
 
 echo "== batch fan-out =="
