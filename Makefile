@@ -1,10 +1,10 @@
 # Top-level developer targets. `make check` is the pre-merge gate
-# (formatting, vet, lint, build, race-enabled tests); the rest are the
-# usual shortcuts.
+# (formatting, vet, source rules, build, race-enabled tests); the rest
+# are the usual shortcuts.
 
 GO ?= go
 
-.PHONY: all build test race fmt vet lint check
+.PHONY: all build test race fmt vet check
 
 all: build
 
@@ -22,11 +22,6 @@ fmt:
 
 vet:
 	$(GO) vet ./...
-
-# scaffe-lint enforces the repo-specific invariants (determinism, MPI
-# request discipline); see internal/lint and DESIGN.md §10.
-lint:
-	$(GO) run ./cmd/scaffe-lint ./...
 
 check:
 	sh scripts/check.sh

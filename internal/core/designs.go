@@ -181,7 +181,7 @@ func (st *runState) buildSCOBR(p *sched.Plan, root bool) {
 		for bi, b := range buckets {
 			p.Add(0, sched.Generic, "", st.lbl.gradsReadyB[bi], nil).
 				After(bwd[b.lo]).WaitingIn("backward")
-			st.addReduce(p, st.lbl.reduceB[bi], tagLayerReduce+4*bi, func(w *workload) *gpu.Buffer { return w.buckets[bi].buf })
+			st.addReduce(p, st.lbl.reduceB[bi], layerTag(bi), func(w *workload) *gpu.Buffer { return w.buckets[bi].buf })
 		}
 	} else {
 		for l := len(layers) - 1; l >= 0; l-- {
@@ -190,7 +190,7 @@ func (st *runState) buildSCOBR(p *sched.Plan, root bool) {
 			}
 			p.Add(0, sched.Generic, "", st.lbl.gradsReady[l], nil).
 				After(bwd[l]).WaitingIn("backward")
-			st.addReduce(p, st.lbl.reduce[l], tagLayerReduce+4*l, func(w *workload) *gpu.Buffer { return w.layerGrad[l] })
+			st.addReduce(p, st.lbl.reduce[l], layerTag(l), func(w *workload) *gpu.Buffer { return w.layerGrad[l] })
 		}
 	}
 	p.Add(0, sched.Generic, "", "join-backward", nil).After(bwd[0]).WaitingIn("backward")

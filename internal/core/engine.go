@@ -15,16 +15,22 @@ import (
 	"scaffe/internal/topology"
 )
 
-// Tag bases for the engine's communication (user collectives inside
-// reducers consume tag..tag+1 each).
+// The engine's tags. A reducer call reserves tag..tag+3 (each level of
+// a hierarchical reducer takes the next tag) and the ring tag..tag+2P,
+// so SC-OBR's per-layer (or per-bucket) reduces sit four apart; mpi's
+// barrier takes the tags from mpi.TagBarrier up. TestTagRangesDisjoint
+// checks that the tags one design uses never overlap.
 const (
-	tagPackedReduce = 100
-	tagLayerReduce  = 1000 // + 2*layer
-	tagPS           = 50
-	tagJoinAck      = 60 // join handshake: admitted rank -> root
-	tagMPFwd        = 70 // model parallelism: activations to the next stage
-	tagMPBwd        = 71 // and their gradients back
+	tagPackedReduce = 100  // the packed gradients' reduce, or CNTK-like's ring
+	tagLayerReduce  = 1000 // + 4*layer, or + 4*bucket
+	tagPS           = 50   // parameters to a worker; + 1: its gradients back
+	tagJoinAck      = 60   // join handshake: admitted rank -> root
+	tagMPFwd        = 70   // model parallelism: activations to the next stage
+	tagMPBwd        = 71   // and their gradients back
 )
+
+// layerTag is the tag of SC-OBR's reduce of layer (or bucket) l.
+func layerTag(l int) int { return tagLayerReduce + 4*l }
 
 // runState is the shared state of one Run: everything the per-rank
 // procs touch lives here (the simulator is cooperatively scheduled, so
@@ -228,6 +234,11 @@ func run(cfg Config) (*Result, *runState, error) {
 	}
 	if pl.AliveCount() == 0 {
 		return nil, nil, fmt.Errorf("%w: all %d ranks failed", ErrUnrecovered, cfg.GPUs)
+	}
+	for _, r := range st.world.Ranks {
+		if n := r.LiveRequests(); n != 0 && pl.Alive(r.ID) {
+			return nil, nil, fmt.Errorf("core: rank %d ended the run with %d requests never waited", r.ID, n)
+		}
 	}
 
 	// The run ends when the last rank finishes, not when the kernel

@@ -8,9 +8,9 @@ import (
 	"scaffe/internal/topology"
 )
 
-// tagBarrier is the base of the reserved tag range used by Barrier;
-// user code should keep tags below 1<<20.
-const tagBarrier = 1 << 20
+// TagBarrier is the first of the tags a Barrier uses, one per round
+// (ceil(log2 P) of them); every other tag stays below it.
+const TagBarrier = 1 << 20
 
 // Comm is a communicator: an ordered group of world ranks with a
 // private tag space. Group ranks (0..Size-1) index into the group.
@@ -168,7 +168,7 @@ func (s *barrierStep) Step(*sim.Proc) bool {
 			}
 			to := (s.me + s.dist) % s.size
 			from := (s.me - s.dist + s.size) % s.size
-			tag := tagBarrier + s.round
+			tag := TagBarrier + s.round
 			s.rreq = r.Irecv(s.c, from, tag, barrierBuf)
 			s.sreq = r.Isend(s.c, to, tag, barrierBuf, topology.ModeHost)
 			s.dist <<= 1

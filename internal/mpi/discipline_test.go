@@ -1,0 +1,139 @@
+package mpi
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"scaffe/internal/gpu"
+	"scaffe/internal/sim"
+	"scaffe/internal/topology"
+)
+
+// A kernel hook has no proc to wait what it starts, so a request made in
+// one panics at getRequest, naming the rank; a step the same instant's
+// hook resumed is a proc's, and may post. A request a proc makes and
+// never waits stays live, which the engine checks at the end of a run.
+
+// isendHook is a sim.Runnable whose RunEvent posts a send.
+type isendHook struct {
+	r *Rank
+	c *Comm
+}
+
+func (h *isendHook) RunEvent(*sim.Kernel) {
+	h.r.Isend(h.c, 1, 1, gpu.NewBuffer(4), topology.ModeAuto)
+}
+
+// runHookPanic runs main on w and returns the failure it ends in: the
+// kernel's error, or the panic if it escaped Run.
+func runHookPanic(t *testing.T, w *World, main func(r *Rank)) (msg string) {
+	t.Helper()
+	defer func() {
+		if rec := recover(); rec != nil {
+			msg = fmt.Sprint(rec)
+		}
+	}()
+	if _, err := w.Run(main); err != nil {
+		return err.Error()
+	}
+	return ""
+}
+
+func TestRequestInRunEventPanics(t *testing.T) {
+	w := newWorld(t, 2, 1, 2)
+	c := w.WorldComm()
+	msg := runHookPanic(t, w, func(r *Rank) {
+		if r.ID == 0 {
+			w.K.AtRun(r.Now()+10, &isendHook{r, c})
+		}
+		r.Proc.Sleep(20)
+	})
+	if want := "mpi: rank 0 made a request inside a kernel hook"; !strings.Contains(msg, want) {
+		t.Fatalf("run ended in %q, want a panic containing %q", msg, want)
+	}
+}
+
+func TestRequestInKernelAtPanics(t *testing.T) {
+	w := newWorld(t, 2, 1, 2)
+	c := w.WorldComm()
+	msg := runHookPanic(t, w, func(r *Rank) {
+		if r.ID == 1 {
+			w.K.At(r.Now()+10, func() { r.Irecv(c, 0, 1, gpu.NewBuffer(4)) })
+		}
+		r.Proc.Sleep(20)
+	})
+	if want := "mpi: rank 1 made a request inside a kernel hook"; !strings.Contains(msg, want) {
+		t.Fatalf("run ended in %q, want a panic containing %q", msg, want)
+	}
+}
+
+// sendStep waits for a completion a hook fires, then sends: its Isend
+// runs on the event loop at the hook's instant, but as rank 0's step.
+type sendStep struct {
+	r      *Rank
+	c      *Comm
+	gate   *sim.Completion
+	w      Waiter
+	req    *Request
+	sentAt sim.Time
+}
+
+func (s *sendStep) Step(*sim.Proc) bool {
+	if s.req == nil {
+		if !s.r.PollWait(s.r.Proc, &s.w, s.gate) {
+			return false
+		}
+		s.sentAt = s.r.Now()
+		s.req = s.r.Isend(s.c, 1, 1, gpu.WrapData([]float32{1, 2, 3, 4}), topology.ModeAuto)
+	}
+	return s.r.PollRequest(&s.w, s.req)
+}
+
+func TestStepRequestAfterHookDoesNotPanic(t *testing.T) {
+	w := newWorld(t, 2, 1, 2)
+	c := w.WorldComm()
+	s := &sendStep{c: c, gate: w.K.NewCompletion()}
+	got := gpu.NewDataBuffer(4)
+	_, err := w.Run(func(r *Rank) {
+		if r.ID == 1 {
+			r.Recv(c, 0, 1, got)
+			return
+		}
+		s.r = r
+		w.K.At(r.Now()+10, s.gate.Fire)
+		r.Proc.RunSteps(s)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.sentAt != 10 || got.Data[3] != 4 {
+		t.Fatalf("step sent at %v and rank 1 received %v; want a send at 10 of 1..4", s.sentAt, got.Data)
+	}
+}
+
+func TestLiveRequestsCountsUnwaited(t *testing.T) {
+	w := newWorld(t, 2, 1, 2)
+	c := w.WorldComm()
+	var live []int
+	_, err := w.Run(func(r *Rank) {
+		if r.ID == 1 {
+			r.Recv(c, 0, 1, gpu.NewBuffer(4))
+			r.Recv(c, 0, 2, gpu.NewBuffer(4))
+			return
+		}
+		req := r.Isend(c, 1, 1, gpu.NewBuffer(4), topology.ModeAuto)
+		r.Isend(c, 1, 2, gpu.NewBuffer(4), topology.ModeAuto) // never waited
+		live = append(live, r.LiveRequests())
+		r.Wait(req)
+		live = append(live, r.LiveRequests())
+		w.EpochComm([]int{0, 1}) // a new epoch abandons what is in flight
+		live = append(live, r.LiveRequests())
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{2, 1, 0}; fmt.Sprint(live) != fmt.Sprint(want) || w.Ranks[1].LiveRequests() != 0 {
+		t.Fatalf("rank 0 live requests %v, want %v; rank 1 %d, want 0", live, want, w.Ranks[1].LiveRequests())
+	}
+}

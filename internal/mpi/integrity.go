@@ -61,12 +61,11 @@ type Summed struct {
 }
 
 // RecvSummed is a blocking receive that carries a per-chunk checksum.
-// The returned handle must reach Verify on every path (enforced by
-// scaffe-lint's mpi pass): Verify re-checksums the delivered payload
-// against the wire sum and, in recover mode, retransmits the chunk on
-// mismatch within the world's retry budget before escalating via
-// Revoked. The handle is pooled: Verify settling it releases it, so it
-// must not be used afterwards.
+// The returned handle must reach Verify on every path: Verify
+// re-checksums the delivered payload against the wire sum and, in
+// recover mode, retransmits the chunk on mismatch within the world's
+// retry budget before escalating via Revoked. The handle is pooled:
+// Verify settling it releases it, so it must not be used afterwards.
 func (r *Rank) RecvSummed(c *Comm, from, tag int, buf *gpu.Buffer) *Summed {
 	req, s := r.IrecvSummed(c, from, tag, buf)
 	r.Wait(req)

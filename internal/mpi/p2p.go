@@ -55,8 +55,14 @@ type Request struct {
 }
 
 // getRequest returns a fresh un-fired request from the rank's free
-// list; the cold miss path lives in newRequest.
+// list; the cold miss path lives in newRequest. Every request is made
+// here, so here is where one made inside a kernel hook (a RunEvent, a
+// Kernel.At or OnFire callback) is refused: no proc runs there to wait
+// it, so it would leak.
 func (r *Rank) getRequest(buf *gpu.Buffer) *Request {
+	if r.W.K.InHook() {
+		r.requestInHook()
+	}
 	n := len(r.reqPool)
 	if n == 0 {
 		return r.newRequest(buf)
@@ -88,6 +94,19 @@ func (r *Rank) newRequest(buf *gpu.Buffer) *Request {
 	req.Done = &req.done
 	req.done.Init(r.W.K)
 	return req
+}
+
+//go:noinline
+func (r *Rank) requestInHook() {
+	panic(fmt.Sprintf("mpi: rank %d made a request inside a kernel hook (a RunEvent, Kernel.At or OnFire callback): no proc there can wait it", r.ID))
+}
+
+// LiveRequests returns how many of the rank's requests are made and not
+// yet released by a wait, leaving out those a new membership epoch
+// abandoned (see World.bumpEpoch). A rank that ran to the end of a run
+// has none: a request nobody waits is a leak.
+func (r *Rank) LiveRequests() int {
+	return r.reqsMade - len(r.reqBlock) - len(r.reqPool) - r.reqsAbandoned
 }
 
 // putRequest recycles a settled request. Double releases are absorbed

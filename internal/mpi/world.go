@@ -111,9 +111,14 @@ func (w *World) Size() int { return len(w.Ranks) }
 // pooling their records: in-flight edges (held, delayed, or simply late)
 // may still reference them, and will dissolve against the stale epoch
 // when they land. Leaking a handful of op records per recovery is the
-// price of never recycling one under a live reference.
+// price of never recycling one under a live reference. The requests
+// still live on every rank are abandoned the same way: no wait will come
+// for them, and LiveRequests stops counting them.
 func (w *World) bumpEpoch() {
 	w.epoch++
+	for _, r := range w.Ranks {
+		r.reqsAbandoned += r.LiveRequests()
+	}
 	for k := range w.bcastOps {
 		delete(w.bcastOps, k)
 	}
@@ -168,11 +173,12 @@ type Rank struct {
 	// Free lists for the rank's pooled hot-path records. reqBlock is what
 	// is left of the block new requests are carved from, reqsMade how many
 	// were carved so far.
-	reqPool  []*Request
-	reqBlock []Request
-	reqsMade int
-	psPool   []*pendingSend
-	sumPool  []*Summed
+	reqPool       []*Request
+	reqBlock      []Request
+	reqsMade      int
+	reqsAbandoned int // left live by earlier epochs; see LiveRequests
+	psPool        []*pendingSend
+	sumPool       []*Summed
 
 	// threads tracks live helper procs so a crash (or recovery) can
 	// fail-stop the whole rank, not just its main thread.

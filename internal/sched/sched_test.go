@@ -176,6 +176,27 @@ func TestParkInActionPanics(t *testing.T) {
 	}
 }
 
+// TestParkInHelperActionPanics: a helper lane's action runs in the
+// helper proc's step, where a blocking receive parks the rank's main
+// proc, not the helper. That fails loudly too, naming both procs,
+// instead of hanging the event loop.
+func TestParkInHelperActionPanics(t *testing.T) {
+	w := newWorld(2)
+	comm := w.WorldComm()
+	_, err := w.Run(func(r *mpi.Rank) {
+		if r.ID == 1 {
+			return // never sends
+		}
+		g := New(r)
+		helper := g.Plan().Lane("helper")
+		g.Add(helper, Generic, "", "recv", func(x *Ctx) { x.R.Recv(comm, 1, 0, gpu.NewBuffer(8)) })
+		g.Execute(nil, 0)
+	})
+	if want := `proc "rank0" parks inside a step of proc "rank0.helper"`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("run ended with %v, want an error containing %s", err, want)
+	}
+}
+
 func firstDiff(a, b []spanRec) int {
 	for i := range a {
 		if i >= len(b) || a[i] != b[i] {

@@ -72,6 +72,8 @@ type Kernel struct {
 	spawned  uint64  // procs ever spawned; the newest proc's id
 	maxTime  Time
 	stopped  bool
+	inHook   bool  // running an evFunc or evRun event; see InHook
+	stepping *Proc // the proc whose step is running, if any; see park
 	failure  error
 	compPool []*Completion
 
@@ -117,6 +119,12 @@ func New() *Kernel {
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
+
+// InHook reports whether the kernel is running an event hook — a
+// Kernel.At or Completion.OnFire callback, or a Runnable's RunEvent —
+// rather than a proc or a proc's step. No proc is there to wait on
+// anything a hook starts, so layers above use it to refuse such work.
+func (k *Kernel) InHook() bool { return k.inHook }
 
 // SetDeadline makes Run fail if virtual time would pass t. Useful as a
 // watchdog against runaway simulations.
@@ -259,9 +267,13 @@ func (k *Kernel) loopFrom(self *Proc) loopState {
 				}
 			}
 		case evFunc:
+			k.inHook = true
 			ev.fn()
+			k.inHook = false
 		case evRun:
+			k.inHook = true
 			ev.run.RunEvent(k)
+			k.inHook = false
 		}
 	}
 }

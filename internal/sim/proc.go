@@ -21,9 +21,6 @@ type Proc struct {
 	// idle: parked by a step that armed nothing (ArmIdle); only Wake, a
 	// kill, or the end of the run resumes it.
 	idle bool
-	// stepping: one of the proc's steps is running, and parking is a bug
-	// (see Stepper).
-	stepping bool
 
 	// waitSeq/waitArmed guard completion wake-ups: every Wait arms a
 	// fresh sequence number, and a wake event only delivers if the proc
@@ -144,14 +141,18 @@ func (p *Proc) SetGroup(int) {}
 // instead of two — or keeps running with no switch at all when the
 // next event resumes this same proc.
 //
-// A proc whose step is running must not park: the step runs on whatever
-// goroutine drives the event loop, which parking would hand to nobody.
-// It panics instead, naming the proc, and RunSteps raises the panic.
+// No proc may park while a step is running, its own or another's — a
+// helper's step that calls a blocking wait of its rank's main proc: the
+// step runs on whatever goroutine drives the event loop, which parking
+// would hand to nobody. It panics instead, naming the procs, and the
+// stepping proc's RunSteps raises the panic.
 func (p *Proc) park() {
-	if p.stepping {
-		panic(fmt.Sprintf("sim: proc %q parks inside its own step", p.name))
-	}
 	k := p.k
+	if s := k.stepping; s == p {
+		panic(fmt.Sprintf("sim: proc %q parks inside its own step", p.name))
+	} else if s != nil {
+		panic(fmt.Sprintf("sim: proc %q parks inside a step of proc %q", p.name, s.name))
+	}
 	p.stepFail = nil // of a step panic the proc recovered from: not the next panic's
 	switch k.loopFrom(p) {
 	case loopSelf:
@@ -270,13 +271,14 @@ func (p *Proc) RunSteps(s Stepper) {
 	}
 }
 
-// step runs one step of s with p marked as stepping, so that a park in
-// it panics. A step nested in another's (a RunSteps whose first step
-// ends it) leaves the mark as it found it.
+// step runs one step of s with p marked as the stepping proc, so that a
+// park in it panics. A step nested in another's (a RunSteps whose first
+// step ends it) leaves the mark as it found it.
 func (p *Proc) step(s Stepper) bool {
-	was := p.stepping
-	p.stepping = true
-	defer func() { p.stepping = was }()
+	k := p.k
+	was := k.stepping
+	k.stepping = p
+	defer func() { k.stepping = was }()
 	return s.Step(p)
 }
 

@@ -1,6 +1,6 @@
 #!/bin/sh
-# check.sh — the repository's pre-merge gate: formatting, vet,
-# scaffe-lint, the FMA-free listing, build, the zero-alloc gates, and
+# check.sh — the repository's pre-merge gate: formatting, vet, the
+# source rules, the FMA-free listing, build, the zero-alloc gates, and
 # the full test suite under the race detector.
 # Run from anywhere; it always operates on the repository root.
 set -eu
@@ -22,11 +22,12 @@ go vet ./...
 # non-assembly files an amd64 build leaves out.
 GOARCH=arm64 go vet ./internal/tensor
 
-echo "== scaffe-lint =="
-# The repo-specific static gate (determinism, MPI request discipline);
-# cheap, so it runs before the race-instrumented
-# test phase. See internal/lint and DESIGN.md §10.
-go run ./cmd/scaffe-lint ./...
+echo "== source rules =="
+# The two rules no run-time gate sees (DESIGN.md §10): no wall clock or
+# global randomness in the simulator's packages, and no integer literal
+# passed as an mpi or coll tag. A parse of the tree, so it is cheap and
+# runs before the race-instrumented test phase.
+go test -run '^TestSourceRules$' -count=1 .
 
 echo "== FMA-free products =="
 # Real-mode losses must be the same bits on every GOARCH. arm64 fuses a
@@ -91,13 +92,15 @@ echo "== plans never park =="
 # call is a post and an await, the data wait and the catch-up's barrier
 # are polls, and only Ctx.HandBack reaches a lane's goroutine. The
 # scheduler goldens (every design's event timing), the per-design switch
-# budget and the park-in-step panics must hold at every GOMAXPROCS,
+# budget and the park-in-step panics (a helper's step parking its
+# rank's main proc included) must hold at every GOMAXPROCS,
 # race-instrumented so the detector watches the steps and hand-backs.
 for procs in 1 16; do
     GOMAXPROCS=$procs go test -race \
         -run '^TestSchedulerGoldenTimingBaselines$|^TestSteadyStateIterationSwitchBudget$' \
         -count=1 ./internal/core
-    GOMAXPROCS=$procs go test -race -run '^TestParkInStepPanics$|^TestParkInActionPanics$' \
+    GOMAXPROCS=$procs go test -race \
+        -run '^TestParkInStepPanics$|^TestParkInActionPanics$|^TestParkInHelperActionPanics$' \
         -count=1 ./internal/sim ./internal/sched
 done
 
