@@ -87,9 +87,15 @@ func (s *mpStage) update(x *sched.Ctx) sim.Time {
 // own layer range: activations arrive from the stage above and leave for
 // the stage below with CUDA-aware transfers, gradients come back the
 // same way, and the stage updates the layers it owns — no aggregation.
-// A stage past the last (more ranks than layers) gets no nodes.
+// A stage past the last (more ranks than layers) gets no nodes. The
+// design is timing-only: real compute skips the input gradient of a
+// net's first layer (workload.backwardLayer), which a stage that owned
+// a net of its own would have to send upstream.
 func (st *runState) buildMP(p *sched.Plan, stage int) {
 	cfg := st.cfg
+	if cfg.RealNet != nil {
+		panic("core: model parallelism has no real-compute path")
+	}
 	if stage >= len(st.mpStages) {
 		return
 	}

@@ -233,12 +233,19 @@ func (w *workload) beginBackward() {
 }
 
 // backwardLayer runs layer l's real backward math and packs the
-// layer's gradients into its communication buffer.
+// layer's gradients into its communication buffer. Layer 0 computes no
+// input gradient, as Caffe's data layer does not propagate down. No
+// real rank needs it: model parallelism, whose stage boundaries would,
+// is timing-only (Config.validate rejects a real net, buildMP asserts).
 func (w *workload) backwardLayer(l int) {
 	if !w.real() {
 		return
 	}
-	w.grad = w.net.BackwardLayer(l, w.grad)
+	if l == 0 {
+		w.net.BackwardParams(0, w.grad)
+	} else {
+		w.grad = w.net.BackwardLayer(l, w.grad)
+	}
 	if w.layerGrad[l] == nil {
 		return
 	}

@@ -157,16 +157,38 @@ func (c *Conv) forwardSamples(lo, hi int, col []float32) {
 	}
 }
 
-// Backward implements Layer. The bias gradient is summed serially, in
-// sample order; the weight gradient is split over tensor.ParallelFor by
-// columns of dW and the input gradient by samples, so every output
-// element is written by one worker in the serial order.
+// Backward implements Layer: backwardParams, then the input gradient
+// split over tensor.ParallelFor by samples, so every output element is
+// written by one worker in the serial order.
 func (c *Conv) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	c.backwardParams(gradOut)
+	c.pass = inputGradPass
+	tensor.ParallelFor(c.batch, c.k*c.spatial, c)
+	return c.gradIn
+}
+
+// backwardParams accumulates the weight and bias gradients and computes
+// no input gradient (Net.BackwardParams). One fan-out over the columns
+// of dW does both: each range also sums its share of the output
+// channels' bias gradients, so every element is written by one worker,
+// in sample order.
+func (c *Conv) backwardParams(gradOut *tensor.Tensor) {
 	c.gradOut = gradOut
-	outSz := c.OutC * c.spatial
+	c.pass = weightGradPass
+	tensor.ParallelFor(c.k, c.k*c.spatial, c)
+}
+
+// weightGradCols accumulates columns [lo, hi) of every group's dW: for
+// each sample in order, dW[:, lo:hi] += g·colᵀ, with only rows [lo, hi)
+// of the column matrix lowered. It also accumulates the bias gradient of
+// output channels [lo·OutC/k, hi·OutC/k), which the ranges partition.
+func (c *Conv) weightGradCols(lo, hi int, col []float32) {
+	outCg, grpIn := c.OutC/c.Groups, c.in.Elems()/c.Groups
+	inSz, outSz := c.in.Elems(), c.OutC*c.spatial
+	ocLo, ocHi := lo*c.OutC/c.k, hi*c.OutC/c.k
 	for b := 0; b < c.batch; b++ {
-		gAll := gradOut.Data[b*outSz : (b+1)*outSz]
-		for oc := 0; oc < c.OutC; oc++ {
+		gAll := c.gradOut.Data[b*outSz : (b+1)*outSz]
+		for oc := ocLo; oc < ocHi; oc++ {
 			var s float32
 			for _, v := range gAll[oc*c.spatial : (oc+1)*c.spatial] {
 				s += v
@@ -174,19 +196,6 @@ func (c *Conv) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			c.bGrad.Data[oc] += s
 		}
 	}
-	c.pass = weightGradPass
-	tensor.ParallelFor(c.k, c.k*c.spatial, c)
-	c.pass = inputGradPass
-	tensor.ParallelFor(c.batch, c.k*c.spatial, c)
-	return c.gradIn
-}
-
-// weightGradCols accumulates columns [lo, hi) of every group's dW: for
-// each sample in order, dW[:, lo:hi] += g·colᵀ, with only rows [lo, hi)
-// of the column matrix lowered.
-func (c *Conv) weightGradCols(lo, hi int, col []float32) {
-	outCg, grpIn := c.OutC/c.Groups, c.in.Elems()/c.Groups
-	inSz, outSz := c.in.Elems(), c.OutC*c.spatial
 	for b := 0; b < c.batch; b++ {
 		sample := c.lastIn.Data[b*inSz : (b+1)*inSz]
 		gAll := c.gradOut.Data[b*outSz : (b+1)*outSz]

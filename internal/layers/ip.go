@@ -74,6 +74,16 @@ func (l *InnerProduct) Forward(in *tensor.Tensor) *tensor.Tensor {
 
 // Backward implements Layer.
 func (l *InnerProduct) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	l.backwardParams(gradOut)
+	// dIn (batch×k) = g (batch×OutN) · W (OutN×k)
+	gradIn := l.gradIn
+	tensor.Gemm(false, false, l.batch, l.in.Elems(), l.OutN, 1, gradOut.Data, l.weights.Data, 0, gradIn.Data)
+	return gradIn
+}
+
+// backwardParams accumulates the weight and bias gradients and computes
+// no input gradient (Net.BackwardParams).
+func (l *InnerProduct) backwardParams(gradOut *tensor.Tensor) {
 	k := l.in.Elems()
 	// dW (OutN×k) += g^T (OutN×batch) · in (batch×k)
 	tensor.Gemm(true, false, l.OutN, k, l.batch, 1, gradOut.Data, l.lastIn.Data, 1, l.wGrad.Data)
@@ -84,10 +94,6 @@ func (l *InnerProduct) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			l.bGrad.Data[j] += v
 		}
 	}
-	// dIn (batch×k) = g (batch×OutN) · W (OutN×k)
-	gradIn := l.gradIn
-	tensor.Gemm(false, false, l.batch, k, l.OutN, 1, gradOut.Data, l.weights.Data, 0, gradIn.Data)
-	return gradIn
 }
 
 // Params implements Layer.

@@ -391,3 +391,47 @@ func TestGroupedConvInputValidation(t *testing.T) {
 	}()
 	NewConvGroups("bad", 4, 3, 1, 1, 2).Setup(Shape{C: 3, H: 4, W: 4}, 1, rand.New(rand.NewSource(1)))
 }
+
+// TestBackwardParamsFirstLayerKinds covers the first-layer kinds the zoo
+// does not: an InnerProduct first layer accumulates the gradients
+// BackwardLayer does, and neither it nor a parameter-free first layer
+// writes its input-gradient blob.
+func TestBackwardParamsFirstLayerKinds(t *testing.T) {
+	in := Shape{C: 2, H: 3, W: 3}
+	build := func(first Layer) *Net {
+		return NewNet("t", in, 3, 1, first, NewReLU("r"), NewInnerProduct("ip", 3), NewSoftmaxLoss("loss"))
+	}
+	x := tensor.New(3, in.C, in.H, in.W)
+	rng := rand.New(rand.NewSource(4))
+	for i := range x.Data {
+		x.Data[i] = rng.Float32()*2 - 1
+	}
+	labels := []int{0, 2, 1}
+	backward := func(n *Net, paramsOnly bool) {
+		n.Forward(x, labels)
+		var g *tensor.Tensor
+		for i := len(n.Layers) - 1; i > 0; i-- {
+			g = n.BackwardLayer(i, g)
+		}
+		if paramsOnly {
+			n.BackwardParams(0, g)
+		} else {
+			n.BackwardLayer(0, g)
+		}
+	}
+	full, first := build(NewInnerProduct("ip0", 4)), build(NewInnerProduct("ip0", 4))
+	backward(full, false)
+	backward(first, true)
+	if i := sameBits(first.PackGrads(nil), full.PackGrads(nil)); i >= 0 {
+		t.Fatalf("InnerProduct first layer: packed gradient %d differs", i)
+	}
+	relu := build(NewReLU("r0"))
+	backward(relu, true)
+	for _, b := range []*base{&first.Layers[0].(*InnerProduct).base, &relu.Layers[0].(*ReLU).base} {
+		for i, v := range b.gradIn.Data {
+			if v != 0 {
+				t.Fatalf("%s: BackwardParams wrote input gradient [%d] = %g", b.name, i, v)
+			}
+		}
+	}
+}

@@ -83,88 +83,152 @@ func (p *Pool) Setup(in Shape, batch int, _ *rand.Rand) {
 
 // Range implements tensor.Ranger: it is the body of Pool's fan-outs
 // over samples, run by Forward and Backward.
-func (p *Pool) Range(lo, hi int, _ []float32) {
+func (p *Pool) Range(lo, hi int, scratch []float32) {
 	if p.pass == forwardPass {
-		p.forwardSamples(lo, hi)
+		p.forwardSamples(lo, hi, scratch)
 	} else {
 		p.backwardSamples(lo, hi)
 	}
 }
 
 // Forward implements Layer. The batch is split over tensor.ParallelFor
-// by samples.
+// by samples; max pooling takes one channel of scratch for its keys.
 func (p *Pool) Forward(in *tensor.Tensor) *tensor.Tensor {
 	p.checkIn(in)
 	p.lastIn = in
 	p.pass = forwardPass
-	tensor.ParallelFor(p.batch, 0, p)
+	scratch := 0
+	if p.Method == MaxPool {
+		scratch = p.in.H * p.in.W
+	}
+	tensor.ParallelFor(p.batch, scratch, p)
 	return p.out
 }
 
-// forwardSamples scans the windows of samples [lo, hi).
-func (p *Pool) forwardSamples(lo, hi int) {
+// forwardSamples scans the windows of samples [lo, hi). Max pooling
+// first writes each channel's order keys into keys.
+func (p *Pool) forwardSamples(lo, hi int, keys []float32) {
 	out := p.OutShape(p.in)
-	inSz := p.in.Elems()
-	outSz := out.Elems()
+	inSz, outSz, chSz := p.in.Elems(), out.Elems(), p.in.H*p.in.W
 	for b := lo; b < hi; b++ {
 		src := p.lastIn.Data[b*inSz : (b+1)*inSz]
 		dst := p.out.Data[b*outSz : (b+1)*outSz]
 		am := p.argmax[b*outSz : (b+1)*outSz]
 		for c := 0; c < p.in.C; c++ {
-			chn := src[c*p.in.H*p.in.W:]
+			chn := src[c*chSz : (c+1)*chSz]
+			if p.Method == MaxPool {
+				orderKeys(chn, keys)
+			}
 			o := c * out.H * out.W
 			for oh := 0; oh < out.H; oh++ {
+				hLo, hHi := p.window(oh, p.in.H)
 				for ow := 0; ow < out.W; ow++ {
-					h0, w0 := oh*p.Stride-p.Pad, ow*p.Stride-p.Pad
+					wLo, wHi := p.window(ow, p.in.W)
 					if p.Method == MaxPool {
-						best := int32(-1)
-						var bv float32
-						for kh := 0; kh < p.Kernel; kh++ {
-							ih := h0 + kh
-							if ih < 0 || ih >= p.in.H {
-								continue
-							}
-							for kw := 0; kw < p.Kernel; kw++ {
-								iw := w0 + kw
-								if iw < 0 || iw >= p.in.W {
-									continue
-								}
-								v := chn[ih*p.in.W+iw]
-								if best < 0 || v > bv {
-									best, bv = int32(ih*p.in.W+iw), v
-								}
-							}
-						}
-						dst[o], am[o] = bv, best
+						dst[o], am[o] = maxWindow(chn, keys, p.in.W, hLo, hHi, wLo, wHi)
 					} else {
-						var sum float32
-						n := 0
-						for kh := 0; kh < p.Kernel; kh++ {
-							ih := h0 + kh
-							if ih < 0 || ih >= p.in.H {
-								continue
-							}
-							for kw := 0; kw < p.Kernel; kw++ {
-								iw := w0 + kw
-								if iw < 0 || iw >= p.in.W {
-									continue
-								}
-								sum += chn[ih*p.in.W+iw]
-								n++
-							}
-						}
-						if n > 0 {
-							dst[o] = sum / float32(n)
-						} else {
-							dst[o] = 0 // blob is reused: clear empty windows
-						}
-						am[o] = int32(n)
+						dst[o], am[o] = avgWindow(chn, p.in.W, hLo, hHi, wLo, wHi)
 					}
 					o++
 				}
 			}
 		}
 	}
+}
+
+// window returns the input rows (or columns) [lo, hi) that output
+// position o's window covers, clamped to [0, size); lo ≥ hi when the
+// window lies wholly in the padding.
+func (p *Pool) window(o, size int) (lo, hi int) {
+	lo = o*p.Stride - p.Pad
+	return max(lo, 0), min(lo+p.Kernel, size)
+}
+
+// nanKey is the order key of every NaN, above that of +Inf.
+const nanKey = math.MaxInt32
+
+// orderKeys writes the order key of each value of chn into keys: an
+// int32 with the float's order, so that integer compares, which compile
+// to conditional moves, can pick the maximum. A non-negative float keeps
+// its bits and a negative −x gets −bits(x), so −0 and +0 both map to 0;
+// every NaN maps to nanKey. A key is stored in a float32's bits, since
+// the fan-out's scratch is float32; it is never read as a float.
+func orderKeys(chn, keys []float32) {
+	keys = keys[:len(chn)]
+	for i, v := range chn {
+		u := int32(math.Float32bits(v))
+		neg := u >> 31
+		k := u ^ (neg & 0x7fffffff) - neg
+		nan := (0x7f800000 - u&0x7fffffff) >> 31 // all ones iff NaN
+		keys[i] = math.Float32frombits(uint32(k&^nan | nanKey&nan))
+	}
+}
+
+// maxWindow returns the maximum of a clamped window of a channel of
+// width w and its index: the first maximum in scan order, −0 equal to
+// +0; an empty window gives (0, −1). The scan compares order keys, with
+// no branch on the data. A window holding a NaN takes maxWindowScalar,
+// whose float compares give NaN its IEEE meaning.
+func maxWindow(chn, keys []float32, w, hLo, hHi, wLo, wHi int) (float32, int32) {
+	if hLo >= hHi || wLo >= wHi {
+		return 0, -1
+	}
+	off := hLo*w + wLo
+	best := off + argmaxKey(keys[off:], w, hHi-hLo, wHi-wLo)
+	if int32(math.Float32bits(keys[best])) == nanKey {
+		return maxWindowScalar(chn, w, hLo, hHi, wLo, wHi)
+	}
+	return chn[best], int32(best)
+}
+
+// argmaxKey returns the offset in keys of the first greatest key of a
+// rows × cols window of row width w starting at keys[0]. Its compare
+// compiles to two conditional moves; inlined into maxWindow, it ran out
+// of registers and compiled to a branch, so it stays out of line.
+//
+//go:noinline
+func argmaxKey(keys []float32, w, rows, cols int) int {
+	best, bestKey := 0, int32(math.Float32bits(keys[0]))
+	for r := 0; r < rows; r++ {
+		for c, k := range keys[r*w : r*w+cols] {
+			if k := int32(math.Float32bits(k)); k > bestKey {
+				bestKey, best = k, r*w+c
+			}
+		}
+	}
+	return best
+}
+
+// maxWindowScalar is maxWindow by float compares: the first in-bounds
+// value, replaced by every later one greater than it.
+func maxWindowScalar(chn []float32, w, hLo, hHi, wLo, wHi int) (float32, int32) {
+	best := int32(-1)
+	var bv float32
+	for ih := hLo; ih < hHi; ih++ {
+		for iw := wLo; iw < wHi; iw++ {
+			if v := chn[ih*w+iw]; best < 0 || v > bv {
+				best, bv = int32(ih*w+iw), v
+			}
+		}
+	}
+	return bv, best
+}
+
+// avgWindow returns the mean of a clamped window in scan order and its
+// element count; an empty window gives (0, 0), which clears the reused
+// blob.
+func avgWindow(chn []float32, w, hLo, hHi, wLo, wHi int) (float32, int32) {
+	if hLo >= hHi || wLo >= wHi {
+		return 0, 0
+	}
+	var sum float32
+	for ih := hLo; ih < hHi; ih++ {
+		for _, v := range chn[ih*w+wLo : ih*w+wHi] {
+			sum += v
+		}
+	}
+	n := (hHi - hLo) * (wHi - wLo)
+	return sum / float32(n), int32(n)
 }
 
 // Backward implements Layer. The batch is split over tensor.ParallelFor
@@ -180,17 +244,17 @@ func (p *Pool) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 // the argmax (max) or the whole window (average).
 func (p *Pool) backwardSamples(lo, hi int) {
 	out := p.OutShape(p.in)
-	inSz := p.in.Elems()
-	outSz := out.Elems()
+	inSz, outSz, chSz := p.in.Elems(), out.Elems(), p.in.H*p.in.W
 	for b := lo; b < hi; b++ {
 		g := p.gradOut.Data[b*outSz : (b+1)*outSz]
 		gi := p.gradIn.Data[b*inSz : (b+1)*inSz]
 		clear(gi) // windows overlap, gradients accumulate
 		am := p.argmax[b*outSz : (b+1)*outSz]
 		for c := 0; c < p.in.C; c++ {
-			chGrad := gi[c*p.in.H*p.in.W:]
+			chGrad := gi[c*chSz : (c+1)*chSz]
 			o := c * out.H * out.W
 			for oh := 0; oh < out.H; oh++ {
+				hLo, hHi := p.window(oh, p.in.H)
 				for ow := 0; ow < out.W; ow++ {
 					if p.Method == MaxPool {
 						if am[o] >= 0 {
@@ -198,18 +262,11 @@ func (p *Pool) backwardSamples(lo, hi int) {
 						}
 					} else if am[o] > 0 {
 						share := g[o] / float32(am[o])
-						h0, w0 := oh*p.Stride-p.Pad, ow*p.Stride-p.Pad
-						for kh := 0; kh < p.Kernel; kh++ {
-							ih := h0 + kh
-							if ih < 0 || ih >= p.in.H {
-								continue
-							}
-							for kw := 0; kw < p.Kernel; kw++ {
-								iw := w0 + kw
-								if iw < 0 || iw >= p.in.W {
-									continue
-								}
-								chGrad[ih*p.in.W+iw] += share
+						wLo, wHi := p.window(ow, p.in.W)
+						for ih := hLo; ih < hHi; ih++ {
+							row := chGrad[ih*p.in.W+wLo : ih*p.in.W+wHi]
+							for i := range row {
+								row[i] += share
 							}
 						}
 					}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -430,7 +431,7 @@ func (t *nopTick) RunEvent(*Kernel) { t.n++ }
 func (d *waveDriver) RunEvent(k *Kernel) {
 	switch d.wave {
 	case d.warm:
-		runtime.ReadMemStats(&d.before)
+		readMemStatsQuiet(&d.before)
 	case d.warm + d.measured:
 		runtime.ReadMemStats(&d.after)
 		k.Stop()
@@ -485,6 +486,18 @@ func TestSimKernelMarchingWavesZeroAlloc(t *testing.T) {
 	}
 }
 
+// readMemStatsQuiet reads the allocator's counters after returning every
+// free page to the OS. Memory that earlier tests freed is otherwise
+// returned by the runtime's background scavenger on its own schedule,
+// and each time it sleeps it re-arms a timer in the P's timer heap,
+// whose growth is a heap allocation (16 or 32 bytes) that a measured
+// window would count as its own. With nothing left to scavenge the
+// scavenger parks instead.
+func readMemStatsQuiet(m *runtime.MemStats) {
+	debug.FreeOSMemory()
+	runtime.ReadMemStats(m)
+}
+
 // allocStepper cycles through the three armed waits and reads the
 // allocator's counters before and after its measured steps.
 type allocStepper struct {
@@ -498,7 +511,7 @@ type allocStepper struct {
 func (s *allocStepper) Step(p *Proc) bool {
 	switch s.n {
 	case s.warm:
-		runtime.ReadMemStats(&s.before)
+		readMemStatsQuiet(&s.before)
 	case s.warm + s.measured:
 		runtime.ReadMemStats(&s.after)
 		return true

@@ -10,9 +10,9 @@ import (
 )
 
 // These tests are the allocation gate for the real-compute kernels:
-// GEMM, im2col/col2im, the element-wise ops a layer runs per iteration
-// and the Conv and Pool passes that fan out over tensor.ParallelFor
-// must be allocation-free in steady state (after warm-up spins up the
+// GEMM, im2col/col2im, the element-wise ops a layer runs per iteration,
+// the Conv and Pool passes that fan out over tensor.ParallelFor and the
+// first layer's parameter-only backward must be allocation-free in steady state (after warm-up spins up the
 // persistent worker pool and grows its scratch). Measuring the calls
 // catches whatever makes them allocate — a construct in the body or an
 // escape-analysis decision alike; core.TestSteadyStateIterationAllocBudget
@@ -88,4 +88,16 @@ func TestHotpathKernelsZeroAllocs(t *testing.T) {
 		y := pool.Forward(conv.Forward(x))
 		conv.Backward(pool.Backward(y))
 	})
+
+	// The first layer's parameter-only backward, as a training
+	// iteration runs it.
+	net := layers.NewNet("first", shape, batch, 1,
+		layers.NewConv("conv", 8, 5, 1, 2), layers.NewMaxPool("pool", 3, 2),
+		layers.NewInnerProduct("ip", classes), layers.NewSoftmaxLoss("loss"))
+	net.Forward(x, labels)
+	var dy *tensor.Tensor
+	for i := len(net.Layers) - 1; i > 0; i-- {
+		dy = net.BackwardLayer(i, dy)
+	}
+	requireZeroAllocs(t, "Net.BackwardParams", func() { net.BackwardParams(0, dy) })
 }

@@ -2,27 +2,34 @@ package tensor
 
 import "math"
 
-// ReLUForward writes max(0, in) into out (may alias in).
+// ReLUForward writes max(0, in) into out (may alias in). It is
+// branch-free: an element keeps its bits under the mask of positiveMask
+// and every other one, −0 and NaN included, becomes +0.
 func ReLUForward(in, out []float32) {
+	out = out[:len(in)]
 	for i, v := range in {
-		if v > 0 {
-			out[i] = v
-		} else {
-			out[i] = 0
-		}
+		u := math.Float32bits(v)
+		out[i] = math.Float32frombits(u & positiveMask(u))
 	}
 }
 
 // ReLUBackward writes gradOut gated by the forward input's sign into
-// gradIn (may alias gradOut).
+// gradIn (may alias gradOut): gradOut's bits where in > 0, +0 elsewhere.
 func ReLUBackward(in, gradOut, gradIn []float32) {
-	for i := range gradOut {
-		if in[i] > 0 {
-			gradIn[i] = gradOut[i]
-		} else {
-			gradIn[i] = 0
-		}
+	in, gradIn = in[:len(gradOut)], gradIn[:len(gradOut)]
+	for i, g := range gradOut {
+		gradIn[i] = math.Float32frombits(math.Float32bits(g) & positiveMask(math.Float32bits(in[i])))
 	}
+}
+
+// positiveMask returns all ones if the float32 with bits u is > 0 and
+// zero otherwise. The positive floats, denormals and +Inf included, are
+// exactly the bit patterns 1 ≤ u ≤ 0x7f800000: −0 and the negatives have
+// the sign bit set and NaNs lie above +Inf. u−1 wraps 0 to 0xffffffff,
+// so one unsigned compare, done as a 64-bit subtraction whose sign is
+// the mask, decides.
+func positiveMask(u uint32) uint32 {
+	return uint32((int64(u-1) - 0x7f800000) >> 63)
 }
 
 // SoftmaxRow computes an in-place numerically stable softmax over one

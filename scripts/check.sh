@@ -105,14 +105,18 @@ for procs in 1 16; do
 done
 
 echo "== batch fan-out =="
-# Conv and Pool split the batch, and Conv's weight gradient its columns,
-# over tensor's one worker pool (DESIGN.md §7): every layer output, loss
-# and gradient must be the same bits at any GOMAXPROCS. Race-instrumented
-# at up to 16 workers on any core count, so the detector watches the
+# Conv and Pool split the batch, and Conv's weight gradient its columns
+# (with its bias gradient), over tensor's one worker pool (DESIGN.md §7):
+# every layer output, loss and gradient must be the same bits at any
+# GOMAXPROCS, the first layer's parameter-only backward must leave the
+# gradients a full backward does, and the branch-free pooling, ReLU and
+# one-copy im2col kernels must match their scalar references (the
+# *MatchesReference tests of tensor and layers). Race-instrumented at up
+# to 16 workers on any core count, so the detector watches the
 # disjoint-write partitions with more workers than cores.
 for procs in 1 4 16; do
     GOMAXPROCS=$procs go test -race -count=3 \
-        -run '^TestForwardBackwardBitIdenticalAcrossGOMAXPROCS$' ./internal/models
+        -run '^TestForwardBackwardBitIdenticalAcrossGOMAXPROCS$|^TestBackwardParamsMatchesBackwardLayer$' ./internal/models
     GOMAXPROCS=$procs go test -race -count=3 ./internal/tensor ./internal/layers
 done
 
