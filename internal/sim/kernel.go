@@ -283,7 +283,8 @@ func (k *Kernel) loopFrom(self *Proc) loopState {
 // loop goes on (left false) unless the step reports done. Otherwise —
 // and for a killed proc, which is never stepped — control leaves the
 // loop: back into self when p is the proc driving it, over p's wake
-// channel when it is another.
+// channel when it is another. A proc with no goroutine (SpawnSteps)
+// finishes there instead, and the loop goes on.
 func (k *Kernel) deliver(p, self *Proc) (st loopState, left bool) {
 	if p.stepper != nil {
 		if !p.killed && !k.step(p) {
@@ -291,6 +292,13 @@ func (k *Kernel) deliver(p, self *Proc) (st loopState, left bool) {
 			return 0, false
 		}
 		p.stepper = nil
+		if p.wake == nil {
+			if f := p.stepFail; f != nil {
+				k.fail(p, f.rec, f.stack())
+			}
+			k.finish(p)
+			return 0, false
+		}
 	}
 	if p == self {
 		k.resumes.SelfContinues++
@@ -406,33 +414,22 @@ func (k *Kernel) Stop() { k.stopped = true }
 // start at the current virtual time. It may be called before Run or
 // from within any proc or event callback.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	k.spawned++
-	p := &Proc{
-		k:    k,
-		name: name,
-		wake: make(chan struct{}),
-		id:   k.spawned,
-		slot: len(k.procs),
-	}
-	k.procs = append(k.procs, p)
+	p := k.newProc(name)
+	p.wake = make(chan struct{})
 	go func() {
 		defer func() {
 			// A panicking proc fails the whole simulation rather than
 			// the process: Run surfaces it as an error. The kill
 			// sentinel is the exception — a killed proc is a normal
 			// (if abrupt) exit.
-			rec := recover()
-			if rec != nil && !IsKilled(rec) && k.failure == nil {
-				var stack string
+			if rec := recover(); rec != nil && !IsKilled(rec) {
 				if p.stepFail != nil {
-					stack = p.stepFail.stack() // the panic happened in a step, not here
+					k.fail(p, rec, p.stepFail.stack()) // the panic happened in a step, not here
 				} else {
-					stack = string(debug.Stack())
+					k.fail(p, rec, string(debug.Stack()))
 				}
-				k.failure = fmt.Errorf("sim: proc %q panicked at %v: %v\n%s", p.name, k.now, rec, stack)
 			}
-			p.finished = true
-			k.dropProc(p)
+			k.finish(p)
 			// The finishing proc owns the baton: keep driving the event
 			// loop here, exactly as park does.
 			if k.loopFrom(nil) == loopTerminal {
@@ -447,6 +444,42 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	}()
 	k.atResume(k.now, p)
 	return p
+}
+
+// SpawnSteps creates a proc with no goroutine, whose whole life is s,
+// and schedules its start at the current virtual time, as Spawn does.
+// That resume runs s's first Step, on the event loop like every later
+// one, and the step that reports done finishes the proc where a Spawn
+// proc would return from its function. A kill finishes it at its next
+// resume, without a step; a step's panic fails Run, naming the proc.
+// Nothing may park it — a step's blocking call panics, as in any step —
+// and idling (ArmIdle) and the deadlock report treat it like any proc.
+func (k *Kernel) SpawnSteps(name string, s Stepper) *Proc {
+	p := k.newProc(name)
+	p.stepper = s
+	k.atResume(k.now, p)
+	return p
+}
+
+// newProc adds a proc to the table of live procs.
+func (k *Kernel) newProc(name string) *Proc {
+	k.spawned++
+	p := &Proc{k: k, name: name, id: k.spawned, slot: len(k.procs)}
+	k.procs = append(k.procs, p)
+	return p
+}
+
+// fail records p's panic as the run's failure, unless one came first.
+func (k *Kernel) fail(p *Proc, rec any, stack string) {
+	if k.failure == nil {
+		k.failure = fmt.Errorf("sim: proc %q panicked at %v: %v\n%s", p.name, k.now, rec, stack)
+	}
+}
+
+// finish marks p finished and takes it out of the table of live procs.
+func (k *Kernel) finish(p *Proc) {
+	p.finished = true
+	k.dropProc(p)
 }
 
 // dropProc takes a finished proc out of the table of live procs, which

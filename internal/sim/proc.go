@@ -7,14 +7,15 @@ import (
 )
 
 // Proc is a simulated process: a goroutine scheduled cooperatively by
-// the kernel. At most one proc runs at any instant, so proc code may
-// touch shared simulation state without locks.
+// the kernel, or a Stepper with no goroutine at all (SpawnSteps). At most
+// one proc runs at any instant, so proc code may touch shared simulation
+// state without locks.
 type Proc struct {
 	k    *Kernel
 	name string
-	wake chan struct{}
-	id   uint64 // spawn order, for the deadlock report
-	slot int    // index in Kernel.procs while unfinished
+	wake chan struct{} // nil for a proc with no goroutine
+	id   uint64        // spawn order, for the deadlock report
+	slot int           // index in Kernel.procs while unfinished
 
 	finished bool
 	killed   bool
@@ -145,13 +146,16 @@ func (p *Proc) SetGroup(int) {}
 // helper's step that calls a blocking wait of its rank's main proc: the
 // step runs on whatever goroutine drives the event loop, which parking
 // would hand to nobody. It panics instead, naming the procs, and the
-// stepping proc's RunSteps raises the panic.
+// stepping proc's RunSteps raises the panic. A proc with no goroutine
+// (SpawnSteps) has nothing to park, and panics too.
 func (p *Proc) park() {
 	k := p.k
 	if s := k.stepping; s == p {
 		panic(fmt.Sprintf("sim: proc %q parks inside its own step", p.name))
 	} else if s != nil {
 		panic(fmt.Sprintf("sim: proc %q parks inside a step of proc %q", p.name, s.name))
+	} else if p.wake == nil {
+		panic(fmt.Sprintf("sim: proc %q has no goroutine to park", p.name))
 	}
 	p.stepFail = nil // of a step panic the proc recovered from: not the next panic's
 	switch k.loopFrom(p) {
@@ -232,7 +236,8 @@ type Stepper interface {
 	// after arming exactly one wait with ArmUntil or ArmWaitTimeout: the
 	// proc stays parked and the next resume calls
 	// Step again. It returns true, with no wait armed, to give control
-	// back to the proc's goroutine, which returns from RunSteps.
+	// back to the proc's goroutine, which returns from RunSteps — or, for
+	// a proc with no goroutine (SpawnSteps), to finish the proc.
 	//
 	// The one other return is idle: false after ArmIdle, which arms
 	// nothing. The proc stays parked with its stepper until Wake calls
