@@ -155,10 +155,21 @@ func (w *World) RespawnRank(id int, main func(r *Rank)) {
 // returning the final virtual time.
 func (w *World) Run(main func(r *Rank)) (sim.Time, error) {
 	w.Spawn(main)
-	if err := w.K.Run(); err != nil {
-		return w.K.Now(), err
+	err := w.K.Run()
+	return w.K.Now(), err
+}
+
+// RunSteps is Run for ranks with no goroutine: each rank's main proc is,
+// from birth, the stepper main returns for it (sim.Kernel.SpawnSteps),
+// and finishes when that is done. main runs before the kernel does and
+// before the rank has its proc: it builds the stepper, whose first step
+// starts the rank's work.
+func (w *World) RunSteps(main func(r *Rank) sim.Stepper) (sim.Time, error) {
+	for _, r := range w.Ranks {
+		r.Proc = w.K.SpawnSteps(fmt.Sprintf("rank%d", r.ID), main(r))
 	}
-	return w.K.Now(), nil
+	err := w.K.Run()
+	return w.K.Now(), err
 }
 
 // Rank is one MPI process bound to one GPU.

@@ -381,8 +381,8 @@ func (g *Graph) Execute(tracer Tracer, it int) {
 	for li := 1; li < len(g.lanes); li++ {
 		if l := &g.lanes[li]; len(l.nodes) > 0 {
 			l.reset(tracer, it)
-			if l.proc == nil || !l.proc.Wake() {
-				l.proc = g.r.SpawnThread(pl.laneNames[li], l.runThread)
+			if l.ctx.P == nil || !l.ctx.P.Wake() {
+				l.ctx.P = g.r.SpawnThread(pl.laneNames[li], l.runThread)
 			}
 		}
 	}
@@ -402,6 +402,46 @@ func (s *Steps) Run(r *mpi.Rank, frag *Plan, buf *gpu.Buffer, tag int) {
 	}
 }
 
+// Walk is the walk of a sealed one-lane plan that is a proc's whole
+// life: the stepper of a rank's main proc with no goroutine
+// (mpi.World.RunSteps), which walks the plan over and over, Ctx.It
+// counting the walks, and finishes the proc at the end of the last. With
+// no goroutine to hand work back to, a Ctx.HandBack in it panics. The
+// zero value is ready.
+type Walk struct {
+	Steps
+	times int
+}
+
+// Start points w at times walks (at least one) of plan on rank r, whose
+// nodes see buf and tag as Ctx.Buf and Ctx.Tag, and returns it as the
+// stepper of r's main proc.
+func (w *Walk) Start(r *mpi.Rank, plan *Plan, buf *gpu.Buffer, tag, times int) sim.Stepper {
+	w.start(r, 0, plan, buf, tag)
+	w.times = times
+	return w
+}
+
+// Step walks the plan up to its next wait, and starts it over at its end
+// until the last walk.
+func (w *Walk) Step(p *sim.Proc) bool {
+	w.ctx.P = p // the rank's proc is made after Start
+	for w.laneRun.Step(p) {
+		f := &w.laneRun
+		for f.at == atSplice {
+			f = &f.sub.laneRun
+		}
+		if f.at == atBack {
+			panic(fmt.Sprintf("sched: Ctx.HandBack on proc %q, which has no goroutine", p.Name()))
+		}
+		if w.ctx.It++; w.ctx.It >= w.times {
+			return true
+		}
+		w.i, w.at = 0, atEnter
+	}
+	return false
+}
+
 // start points the walk at the first node of frag, for (buf, tag).
 func (s *Steps) start(r *mpi.Rank, it int, frag *Plan, buf *gpu.Buffer, tag int) {
 	if !frag.sealed || len(frag.lanes) != 1 {
@@ -414,23 +454,24 @@ func (s *Steps) start(r *mpi.Rank, it int, frag *Plan, buf *gpu.Buffer, tag int)
 // laneRun is the state of one lane's walk over its nodes. The walk is a
 // sim.Stepper: Step takes the current node through its dependencies,
 // its awaits, its action and its completion, and moves to the next,
-// until a wait has to be armed or a callback hands work back.
+// until a wait has to be armed or a callback hands work back. Every rank
+// keeps a few of these for as long as it lives, so the counters are
+// int32s: a plan is far from 2^31 nodes.
 type laneRun struct {
 	g      *Graph // nil for a fragment's walk
 	nodes  []*Node
-	proc   *sim.Proc // a helper lane's thread, idle between executions
-	ctx    Ctx
+	ctx    Ctx // P is the lane's proc: a helper lane's thread, idle between executions
 	tracer Tracer
-
-	i    int    // the node being walked
-	at   laneAt // how far into it
-	d    int    // dependencies already satisfied
-	q    int    // awaited requests already complete
-	join int    // lane 0, past its last node: the next helper lane to join
-	w    mpi.Waiter
-	sub  *Steps // the walk of the fragment a splice node runs; kept for the next
+	sub    *Steps // the walk of the fragment a splice node runs; kept for the next
 
 	entered, began sim.Time // when the node was entered / its action began (traced runs)
+
+	i    int32  // the node being walked
+	d    int32  // dependencies already satisfied
+	q    int32  // awaited requests already complete
+	join int32  // lane 0, past its last node: the next helper lane to join
+	at   laneAt // how far into the node
+	w    mpi.Waiter
 }
 
 type laneAt uint8
@@ -493,7 +534,7 @@ func (l *laneRun) run(p *sim.Proc) {
 
 // poll waits out reqs from l.q on: false while a wait is armed.
 func (l *laneRun) poll(reqs []*mpi.Request) bool {
-	for ; l.q < len(reqs); l.q++ {
+	for ; int(l.q) < len(reqs); l.q++ {
 		if req := reqs[l.q]; req != nil && !l.ctx.R.PollRequest(&l.w, req) {
 			return false
 		}
@@ -507,7 +548,7 @@ func (l *laneRun) poll(reqs []*mpi.Request) bool {
 // position spans.
 func (l *laneRun) Step(p *sim.Proc) bool {
 	g, r := l.g, l.ctx.R
-	for l.i < len(l.nodes) {
+	for int(l.i) < len(l.nodes) {
 		n := l.nodes[l.i]
 		switch l.at {
 		case atEnter:
@@ -518,7 +559,7 @@ func (l *laneRun) Step(p *sim.Proc) bool {
 			l.at = atDeps
 			fallthrough
 		case atDeps:
-			for ; l.d < len(n.deps); l.d++ {
+			for ; int(l.d) < len(n.deps); l.d++ {
 				// Lane-0 predecessors have almost always fired already,
 				// and a fired one costs no wait at all.
 				if done := &g.done[n.deps[l.d].done]; l.w.Armed() || !done.Fired() {
@@ -582,7 +623,7 @@ func (l *laneRun) Step(p *sim.Proc) bool {
 			l.i++
 			l.at = atEnter
 		case atSplice: // done before its end is a hand-back: run serves the fragment
-			if done := l.sub.Step(p); !done || l.sub.i < len(l.sub.nodes) {
+			if done := l.sub.Step(p); !done || int(l.sub.i) < len(l.sub.nodes) {
 				return done
 			}
 			l.at = atFinish
@@ -597,7 +638,7 @@ func (l *laneRun) Step(p *sim.Proc) bool {
 	}
 	// Lane 0 outlasts its helpers. A well-formed graph orders it after
 	// them (SC-OBR's join node), making these waits free.
-	for ; l.join < len(g.lanes); l.join++ {
+	for ; int(l.join) < len(g.lanes); l.join++ {
 		if h := g.lanes[l.join].nodes; len(h) > 0 {
 			if !r.PollWait(p, &l.w, &g.done[h[len(h)-1].done]) {
 				return false

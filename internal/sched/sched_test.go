@@ -622,7 +622,7 @@ func TestHelperLaneThreadPersists(t *testing.T) {
 			if unwound := executeUnlessRevoked(g, it); unwound != (it == trip) {
 				t.Fatalf("iteration %d: Execute unwound = %v", it, unwound)
 			}
-			procs = append(procs, g.lanes[helper].proc)
+			procs = append(procs, g.lanes[helper].ctx.P)
 			switches = append(switches, w.K.Resumes().Switches-sw)
 			if it == killIdleAfter {
 				r.KillThreads()
