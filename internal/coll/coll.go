@@ -69,11 +69,14 @@ const (
 var algorithmStrings = [...]string{"binomial", "chain", "CC", "CB", "CCB", "HR(tuned)", "MV2", "OpenMPI", "RSG"}
 
 func (a Algorithm) String() string {
-	if a >= 0 && int(a) < len(algorithmStrings) {
+	if a.known() {
 		return algorithmStrings[a]
 	}
 	return "unknown"
 }
+
+// known reports whether a is one of the algorithms above.
+func (a Algorithm) known() bool { return a >= 0 && int(a) < len(algorithmStrings) }
 
 // algorithmNames is the one table of algorithm spellings: scaffe-train's
 // -reduce, omb-reduce's -algs, the solver prototxt's scaffe_reduce and a

@@ -34,7 +34,7 @@ func (x *reducer) Fragment(r *mpi.Rank, buf *gpu.Buffer) *sched.Plan { return x.
 
 func (x *reducer) Reduce(r *mpi.Rank, buf *gpu.Buffer, tag int) {
 	if frag := x.frag(r, buf); frag != nil {
-		x.tab.acquire(r.W.Size(), r.ID).steps.Run(r, frag, buf, tag)
+		x.tab.acquire(r.W.Size(), r.ID).walk.Run(r, frag, buf, tag)
 	}
 }
 

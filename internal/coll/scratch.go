@@ -51,7 +51,10 @@ type rankState struct {
 	fwds     []*mpi.Request
 	verify   func() // sum.Verify, made at the first mismatch
 
-	steps sched.Steps // Reduce's walk through the rank's fragment
+	// walk is the rank's walk with this reducer: Reduce's through the
+	// rank's fragment, or ReduceLatency's through its driver's plan, which
+	// splices the fragment.
+	walk sched.Walk
 }
 
 // bufViews remembers the views one call after another takes of a buffer,

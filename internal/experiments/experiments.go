@@ -52,12 +52,6 @@ func (t *Table) Markdown() string {
 // Options scales experiment effort: the command-line harness runs Full
 // fidelity; the benchmarks run reduced iteration counts at identical
 // configuration shapes.
-// benchTag tags the synthetic reductions issued by the OSU-style
-// latency harnesses (reduce, skew, allreduce). One shared constant:
-// the harnesses run one collective at a time, and a named tag keeps
-// the mpi tag-discipline invariant repo-wide.
-const benchTag = 10
-
 type Options struct {
 	// Iterations overrides the per-run training iteration count
 	// (0 = experiment default).

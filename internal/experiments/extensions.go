@@ -255,9 +255,9 @@ func syncLatency(ranks int, bytes int64, ring bool) (sim.Duration, error) {
 			start = r.Now()
 		}
 		if ring {
-			ringRed.Allreduce(r, buf, benchTag)
+			ringRed.Allreduce(r, buf, coll.BenchTag)
 		} else {
-			coll.Allreduce(red, comm, r, buf, benchTag, topology.ModeAuto)
+			coll.Allreduce(red, comm, r, buf, coll.BenchTag, topology.ModeAuto)
 		}
 		if r.Now() > done {
 			done = r.Now()

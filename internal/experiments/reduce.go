@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"scaffe/internal/coll"
-	"scaffe/internal/gpu"
 	"scaffe/internal/mpi"
 	"scaffe/internal/sim"
 	"scaffe/internal/topology"
@@ -14,31 +13,12 @@ import (
 // geometry: barrier, reduce, time to the last rank's completion
 // (deterministic, so one warm-up + one timed trial suffice).
 func reduceLatency(ranks int, bytes int64, alg coll.Algorithm, opts coll.Options) (sim.Duration, error) {
-	k := sim.New()
-	nodes := (ranks + 15) / 16
-	cluster := topology.New(k, "omb", nodes, 16, topology.DefaultParams())
-	world := mpi.NewWorld(cluster, ranks)
-	comm := world.WorldComm()
-	red := coll.NewReducer(comm, alg, opts)
-	var start, done sim.Time
-	_, err := world.Run(func(r *mpi.Rank) {
-		buf := gpu.NewBuffer(bytes)
-		for trial := 0; trial < 2; trial++ {
-			comm.Barrier(r)
-			if r.ID == 0 && trial == 1 {
-				start = r.Now()
-			}
-			red.Reduce(r, buf, benchTag)
-			if trial == 1 && r.Now() > done {
-				done = r.Now()
-			}
-			comm.Barrier(r)
-		}
-	})
-	if err != nil {
-		return 0, err
-	}
-	return done - start, nil
+	return coll.ReduceLatency(clusterA(ranks), alg, opts, bytes, 1)
+}
+
+// clusterA is a world of ranks GPUs in Cluster-A geometry: 16 per node.
+func clusterA(ranks int) *mpi.World {
+	return mpi.NewWorld(topology.New(sim.New(), "omb", (ranks+15)/16, 16, topology.DefaultParams()), ranks)
 }
 
 // reduceSizes is the message-size sweep of Figures 11–12 (the paper's

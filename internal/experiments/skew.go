@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"scaffe/internal/coll"
-	"scaffe/internal/gpu"
-	"scaffe/internal/mpi"
 	"scaffe/internal/sim"
-	"scaffe/internal/topology"
 )
 
 // Skew quantifies the skew-tolerance argument of Section 5 (and the D1
@@ -21,7 +18,7 @@ func Skew(o Options) (*Table, error) {
 	if o.MaxGPUs > 0 && o.MaxGPUs < ranks {
 		ranks = o.MaxGPUs
 	}
-	const bytes = 64 << 20
+	const bytes, straggler = 64 << 20, 8
 	t := &Table{
 		ID:      "skew",
 		Title:   fmt.Sprintf("Straggler sensitivity, %d GPUs, 64 MB reduce (straggler = chain leader, rank 8)", ranks),
@@ -31,7 +28,11 @@ func Skew(o Options) (*Table, error) {
 	for _, factor := range []float64{1, 2, 4, 8} {
 		var row [3]sim.Duration
 		for i, alg := range []coll.Algorithm{coll.ChainChain, coll.ChainBinomial, coll.Binomial} {
-			lat, err := stragglerReduce(ranks, bytes, alg, 8, factor)
+			world := clusterA(ranks)
+			if ranks > straggler {
+				world.Ranks[straggler].Dev.SetSlowdown(factor)
+			}
+			lat, err := coll.ReduceLatency(world, alg, coll.DefaultOptions(), bytes, 1)
 			if err != nil {
 				return nil, err
 			}
@@ -47,36 +48,4 @@ func Skew(o Options) (*Table, error) {
 	}
 	t.Note("Extension quantifying Section 5's skew-tolerance argument: every chunk of the upper chain passes through the straggler's reduce kernel, so CC degrades faster than CB as the straggler slows — the effect that made the paper's tuned table prefer CB beyond 64 processes on real (noisy) hardware.")
 	return t, nil
-}
-
-// stragglerReduce is reduceLatency with one slowed-down device.
-func stragglerReduce(ranks int, bytes int64, alg coll.Algorithm, stragglerRank int, factor float64) (sim.Duration, error) {
-	k := sim.New()
-	nodes := (ranks + 15) / 16
-	cluster := topology.New(k, "skew", nodes, 16, topology.DefaultParams())
-	world := mpi.NewWorld(cluster, ranks)
-	if stragglerRank >= 0 && stragglerRank < ranks {
-		world.Ranks[stragglerRank].Dev.SetSlowdown(factor)
-	}
-	comm := world.WorldComm()
-	red := coll.NewReducer(comm, alg, coll.DefaultOptions())
-	var start, done sim.Time
-	_, err := world.Run(func(r *mpi.Rank) {
-		buf := gpu.NewBuffer(bytes)
-		for trial := 0; trial < 2; trial++ {
-			comm.Barrier(r)
-			if r.ID == 0 && trial == 1 {
-				start = r.Now()
-			}
-			red.Reduce(r, buf, benchTag)
-			if trial == 1 && r.Now() > done {
-				done = r.Now()
-			}
-			comm.Barrier(r)
-		}
-	})
-	if err != nil {
-		return 0, err
-	}
-	return done - start, nil
 }

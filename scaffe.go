@@ -33,7 +33,6 @@ import (
 	"scaffe/internal/core"
 	"scaffe/internal/data"
 	"scaffe/internal/fault"
-	"scaffe/internal/gpu"
 	"scaffe/internal/layers"
 	"scaffe/internal/models"
 	"scaffe/internal/mpi"
@@ -288,58 +287,32 @@ type ReduceBenchConfig struct {
 	Trials int
 }
 
-// reduceBenchTag tags ReduceBench's synthetic reductions; a named
-// constant so benchmark traffic can never collide with a training tag.
-const reduceBenchTag = 10
-
 // ReduceBench measures the latency of one reduction configuration: the
 // mean, over trials, of the span from the synchronized start to the
 // last rank's completion. Runs are deterministic.
 func ReduceBench(cfg ReduceBenchConfig) (sim.Duration, error) {
-	if cfg.Ranks < 1 {
-		return 0, fmt.Errorf("scaffe: reduce bench needs at least 1 rank")
-	}
 	if cfg.GPUsPerNode == 0 {
 		cfg.GPUsPerNode = 16
 	}
-	if cfg.Nodes == 0 {
+	if cfg.Nodes == 0 && cfg.GPUsPerNode > 0 {
 		cfg.Nodes = (cfg.Ranks + cfg.GPUsPerNode - 1) / cfg.GPUsPerNode
 	}
 	if cfg.Trials == 0 {
 		cfg.Trials = 3
 	}
+	switch {
+	case cfg.Ranks < 1:
+		return 0, fmt.Errorf("scaffe: reduce bench needs at least 1 rank")
+	case cfg.Nodes < 1 || cfg.GPUsPerNode < 1:
+		return 0, fmt.Errorf("scaffe: reduce bench cluster of %d nodes of %d GPUs", cfg.Nodes, cfg.GPUsPerNode)
+	case cfg.Ranks > cfg.Nodes*cfg.GPUsPerNode:
+		return 0, fmt.Errorf("scaffe: %d ranks on %d nodes of %d GPUs", cfg.Ranks, cfg.Nodes, cfg.GPUsPerNode)
+	}
 	if cfg.Options == (ReduceOptions{}) {
 		cfg.Options = coll.DefaultOptions()
 	}
-	k := sim.New()
-	cluster := topology.New(k, "bench", cfg.Nodes, cfg.GPUsPerNode, topology.DefaultParams())
-	world := mpi.NewWorld(cluster, cfg.Ranks)
-	comm := world.WorldComm()
-	red := coll.NewReducer(comm, cfg.Algorithm, cfg.Options)
-
-	var total sim.Duration
-	var enterBarrier, lastDone sim.Time
-	_, err := world.Run(func(r *mpi.Rank) {
-		buf := gpu.NewBuffer(cfg.Bytes)
-		for trial := 0; trial < cfg.Trials+1; trial++ {
-			comm.Barrier(r)
-			if r.ID == 0 {
-				enterBarrier = r.Now()
-			}
-			red.Reduce(r, buf, reduceBenchTag)
-			if r.Now() > lastDone {
-				lastDone = r.Now()
-			}
-			comm.Barrier(r)
-			if r.ID == 0 && trial > 0 { // skip the warm-up
-				total += lastDone - enterBarrier
-			}
-		}
-	})
-	if err != nil {
-		return 0, err
-	}
-	return total / sim.Duration(cfg.Trials), nil
+	cluster := topology.New(sim.New(), "bench", cfg.Nodes, cfg.GPUsPerNode, topology.DefaultParams())
+	return coll.ReduceLatency(mpi.NewWorld(cluster, cfg.Ranks), cfg.Algorithm, cfg.Options, cfg.Bytes, cfg.Trials)
 }
 
 // OverlapResult reports an Ibcast overlap measurement (the OSU
@@ -362,38 +335,19 @@ type OverlapResult struct {
 // Ibcast engine hides behind compute at the worst-placed (deepest)
 // rank.
 func IbcastOverlapBench(ranks int, bytes int64) (*OverlapResult, error) {
-	if ranks < 2 {
-		return nil, fmt.Errorf("scaffe: overlap bench needs at least 2 ranks")
+	if ranks < 2 || bytes < 0 {
+		return nil, fmt.Errorf("scaffe: overlap bench of %d bytes over %d ranks (needs at least 2)", bytes, ranks)
 	}
-	measure := func(overlap bool, compute sim.Duration) (sim.Duration, error) {
-		k := sim.New()
-		cluster := topology.New(k, "ov", (ranks+15)/16, 16, topology.DefaultParams())
-		world := mpi.NewWorld(cluster, ranks)
-		comm := world.WorldComm()
-		last := ranks - 1
-		var span sim.Duration
-		_, err := world.Run(func(r *mpi.Rank) {
-			buf := gpu.NewBuffer(bytes)
-			comm.Barrier(r)
-			start := r.Now()
-			req := r.Ibcast(comm, 0, buf, topology.ModeAuto)
-			if overlap && r.ID == last {
-				r.Sleep(compute)
-			}
-			r.Wait(req)
-			if r.ID == last {
-				span = r.Now() - start
-			}
-			comm.Barrier(r)
-		})
-		return span, err
+	measure := func(compute sim.Duration) (sim.Duration, error) {
+		cluster := topology.New(sim.New(), "ov", (ranks+15)/16, 16, topology.DefaultParams())
+		return coll.IbcastLatency(mpi.NewWorld(cluster, ranks), bytes, compute)
 	}
-	blocking, err := measure(false, 0)
+	blocking, err := measure(0)
 	if err != nil {
 		return nil, err
 	}
 	res := &OverlapResult{BlockingTime: blocking, ComputeTime: blocking}
-	res.OverlappedTime, err = measure(true, blocking)
+	res.OverlappedTime, err = measure(blocking)
 	if err != nil {
 		return nil, err
 	}

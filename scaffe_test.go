@@ -130,9 +130,35 @@ func TestReduceBenchOrdering(t *testing.T) {
 	}
 }
 
+// TestReduceBenchValidation: a configuration the drivers cannot measure
+// is an error, not a wrong latency or a panic.
 func TestReduceBenchValidation(t *testing.T) {
-	if _, err := ReduceBench(ReduceBenchConfig{Ranks: 0, Bytes: 1024, Algorithm: ReduceHR}); err == nil {
-		t.Error("zero ranks should error")
+	for _, tc := range []struct {
+		name string
+		cfg  ReduceBenchConfig
+	}{
+		{"zero ranks", ReduceBenchConfig{Ranks: 0, Bytes: 1024, Algorithm: ReduceHR}},
+		{"negative trials", ReduceBenchConfig{Ranks: 4, Bytes: 1024, Algorithm: ReduceHR, Trials: -1}},
+		{"negative bytes", ReduceBenchConfig{Ranks: 4, Bytes: -1, Algorithm: ReduceHR}},
+		{"more ranks than GPUs", ReduceBenchConfig{Ranks: 20, Nodes: 1, GPUsPerNode: 16, Bytes: 1024, Algorithm: ReduceHR}},
+		{"negative GPUs per node", ReduceBenchConfig{Ranks: 4, GPUsPerNode: -1, Bytes: 1024, Algorithm: ReduceHR}},
+		{"negative nodes", ReduceBenchConfig{Ranks: 4, Nodes: -1, Bytes: 1024, Algorithm: ReduceHR}},
+		{"unknown algorithm", ReduceBenchConfig{Ranks: 4, Bytes: 1024, Algorithm: 99}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lat, err := ReduceBench(tc.cfg)
+			if err == nil {
+				t.Errorf("ReduceBench(%+v) = %v, want an error", tc.cfg, lat)
+			}
+		})
+	}
+	for _, tc := range []struct {
+		ranks int
+		bytes int64
+	}{{1, 1024}, {4, -5}} {
+		if res, err := IbcastOverlapBench(tc.ranks, tc.bytes); err == nil {
+			t.Errorf("IbcastOverlapBench(%d, %d) = %+v, want an error", tc.ranks, tc.bytes, res)
+		}
 	}
 }
 
@@ -174,6 +200,31 @@ func TestIbcastOverlapBench(t *testing.T) {
 	}
 	if _, err := IbcastOverlapBench(1, 1024); err == nil {
 		t.Error("single-rank overlap bench should error")
+	}
+}
+
+// TestIbcastOverlapBenchPinned holds the overlap driver to its three
+// durations, in virtual nanoseconds, exactly.
+func TestIbcastOverlapBenchPinned(t *testing.T) {
+	for _, pin := range []struct {
+		ranks                         int
+		bytes                         int64
+		blocking, compute, overlapped sim.Duration
+	}{
+		{2, 4 << 10, 5409, 5409, 5409},
+		{16, 8 << 20, 4217300, 4217300, 4217300},
+		{17, 1 << 20, 562499, 562499, 562499},
+		{160, 64 << 20, 67203288, 67203288, 67203288},
+	} {
+		res, err := IbcastOverlapBench(pin.ranks, pin.bytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.BlockingTime != pin.blocking || res.ComputeTime != pin.compute || res.OverlappedTime != pin.overlapped {
+			t.Errorf("%d ranks, %d bytes: blocking %d, compute %d, overlapped %d ns; pinned %d, %d, %d",
+				pin.ranks, pin.bytes, int64(res.BlockingTime), int64(res.ComputeTime), int64(res.OverlappedTime),
+				int64(pin.blocking), int64(pin.compute), int64(pin.overlapped))
+		}
 	}
 }
 
