@@ -240,10 +240,7 @@ func rankSweep(sweep []int, max int) []int {
 
 // syncLatency measures one full parameter-synchronization step.
 func syncLatency(ranks int, bytes int64, ring bool) (sim.Duration, error) {
-	k := sim.New()
-	nodes := (ranks + 15) / 16
-	cluster := topology.New(k, "sync", nodes, 16, topology.DefaultParams())
-	world := mpi.NewWorld(cluster, ranks)
+	world := clusterA(ranks)
 	comm := world.WorldComm()
 	red := coll.NewReducer(comm, coll.Tuned, coll.DefaultOptions())
 	ringRed := coll.NewRing(comm, coll.DefaultOptions())

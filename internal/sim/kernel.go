@@ -1,10 +1,10 @@
 // Package sim implements a deterministic discrete-event simulation
 // kernel. Simulated processes ("procs") are goroutines that run
-// cooperatively: exactly one proc (or the kernel itself) executes at a
-// time, and all blocking operations park the proc on the kernel's
-// event queue. Events are ordered by (virtual time, sequence number),
-// so a simulation with a fixed set of inputs is bit-for-bit
-// reproducible across runs.
+// cooperatively, or steppers with no goroutine (SpawnSteps): exactly one
+// proc (or the kernel itself) executes at a time, and all blocking
+// operations park the proc on the kernel's event queue. Events are
+// ordered by (virtual time, sequence number), so a simulation with a
+// fixed set of inputs is bit-for-bit reproducible across runs.
 //
 // The kernel carries virtual time only; wall-clock time spent in Go
 // code inside a proc is invisible to the simulation. A proc advances
@@ -96,7 +96,8 @@ type Resumes struct {
 	// channel.
 	Switches uint64
 	// Steps are resumes run inline as a Stepper call on whichever
-	// goroutine was driving the loop (see Proc.RunSteps).
+	// goroutine was driving the loop (see Proc.RunSteps). The resume that
+	// finishes a proc with no goroutine (SpawnSteps) is counted nowhere.
 	Steps uint64
 	// SelfContinues are resumes of the proc that was driving the loop
 	// itself: it just keeps running.

@@ -78,13 +78,17 @@ echo "== collective fragments =="
 # Every reducer runs as plan fragments on the event loop (DESIGN.md §6,
 # §17): the two chain drills (a rank killed mid-pipeline, a
 # retransmission mid-pipeline), the event-timing pin of every family and
-# the one-switch-per-call bound must hold at every GOMAXPROCS,
-# race-instrumented so the detector watches the fragment walks and the
-# goroutine hand-backs.
+# the one-switch-per-call bound must hold at every GOMAXPROCS, and so
+# must the latency drivers' pins (ReduceBench over every algorithm, the
+# skew and threelevel tables, the Ibcast overlap) and their run with no
+# goroutine switch, race-instrumented so the detector watches the
+# fragment walks, the goroutine hand-backs and the goroutine-free ranks.
 for procs in 1 16; do
     GOMAXPROCS=$procs go test -race \
-        -run '^TestChainReduceRankKilledMidPipeline$|^TestChainReduceRetransmitMidPipeline$|^TestReduceFamiliesPinned$|^TestEveryReducerRunsAsSteps$' \
+        -run '^TestChainReduceRankKilledMidPipeline$|^TestChainReduceRetransmitMidPipeline$|^TestReduceFamiliesPinned$|^TestEveryReducerRunsAsSteps$|^TestLatencyDriversMakeNoGoroutine$' \
         -count=1 ./internal/coll
+    GOMAXPROCS=$procs go test -race \
+        -run '^TestReduceBenchPinned$|^TestIbcastOverlapBenchPinned$' -count=1 .
 done
 
 echo "== plans never park =="
