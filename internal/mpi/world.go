@@ -155,8 +155,10 @@ func (w *World) RespawnRank(id int, main func(r *Rank)) {
 // returning the final virtual time.
 func (w *World) Run(main func(r *Rank)) (sim.Time, error) {
 	w.Spawn(main)
-	err := w.K.Run()
-	return w.K.Now(), err
+	if err := w.K.Run(); err != nil {
+		return w.K.Now(), err
+	}
+	return w.K.Now(), nil
 }
 
 // RunSteps is Run for ranks with no goroutine: each rank's main proc is,
