@@ -97,14 +97,15 @@ echo "== plans never park =="
 # are polls, and only Ctx.HandBack reaches a lane's goroutine. The
 # scheduler goldens (every design's event timing), the per-design switch
 # budget and the park-in-step panics (a helper's step parking its
-# rank's main proc included) must hold at every GOMAXPROCS,
-# race-instrumented so the detector watches the steps and hand-backs.
+# rank's main proc, and a proc with no goroutine, included) must hold at
+# every GOMAXPROCS, race-instrumented so the detector watches the steps
+# and hand-backs.
 for procs in 1 16; do
     GOMAXPROCS=$procs go test -race \
         -run '^TestSchedulerGoldenTimingBaselines$|^TestSteadyStateIterationSwitchBudget$' \
         -count=1 ./internal/core
     GOMAXPROCS=$procs go test -race \
-        -run '^TestParkInStepPanics$|^TestParkInActionPanics$|^TestParkInHelperActionPanics$' \
+        -run '^TestParkInStepPanics$|^TestParkInActionPanics$|^TestParkInHelperActionPanics$|^TestSpawnStepsBlockingCallPanics$|^TestWalkHandBackPanics$' \
         -count=1 ./internal/sim ./internal/sched
 done
 
