@@ -1,7 +1,13 @@
 package chaos
 
 import (
+	"bufio"
+	"fmt"
+	"hash/fnv"
+	"os"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"scaffe/internal/coll"
@@ -48,13 +54,52 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 	}
 }
 
+// gatePin is what testdata/gate_pins.txt holds of one gate run: its
+// outcome, and for a run that finished its end time, every counter of
+// its fault report and a digest of the recovery and join records.
+func gatePin(r *RunResult) string {
+	if r.Res == nil {
+		return r.Outcome.String()
+	}
+	f := r.Res.Fault
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v %+v", f.Recoveries, f.Joins)
+	return fmt.Sprintf("%s total=%d %s bitflips=%d wire-corruptions=%d wire-revokes=%d join-requeues=%d records=%x",
+		r.Outcome, int64(r.Res.TotalTime), f, f.BitFlips, f.WireCorruptions, f.WireRevokes, f.JoinRequeues, h.Sum64())
+}
+
+// gatePins reads the pinned gate runs, by seed.
+func gatePins(t *testing.T) map[int64]string {
+	t.Helper()
+	f, err := os.Open("testdata/gate_pins.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	pins := map[int64]string{}
+	for sc := bufio.NewScanner(f); sc.Scan(); {
+		seed, pin, _ := strings.Cut(sc.Text(), " ")
+		n, err := strconv.ParseInt(seed, 10, 64)
+		if err != nil {
+			t.Fatalf("gate pin %q: %v", sc.Text(), err)
+		}
+		pins[n] = pin
+	}
+	return pins
+}
+
 // TestChaosGate is the no-wedge gate: 200 seeded schedules across the
 // full event mix must all terminate finished or unrecovered inside the
 // virtual-time ceiling with schedule-consistent counters — and every
-// eighth spec must be bit-identical across GOMAXPROCS {1, 4, 16}.
+// eighth spec must be bit-identical across GOMAXPROCS {1, 4, 16}. Every
+// run must also end exactly as testdata/gate_pins.txt records it: the
+// outcome, the end time, the fault report's counters and its records.
+// The pins were taken while the ranks, helper lanes and readers still
+// ran on goroutines; running them as steps must not move one.
 func TestChaosGate(t *testing.T) {
 	const specs = 200
 	counts := map[Outcome]int{}
+	pins := gatePins(t)
 	for seed := int64(1); seed <= specs; seed++ {
 		s := gateSpec(seed)
 		var (
@@ -71,6 +116,9 @@ func TestChaosGate(t *testing.T) {
 				t.Fatalf("spec %s failed: %v\n%s", s, err, r.Summary())
 			}
 			t.Fatalf("spec %s failed: %v", s, err)
+		}
+		if got, want := gatePin(r), pins[seed]; got != want {
+			t.Errorf("spec %s ended\n\t%s\nwant\n\t%s", s, got, want)
 		}
 		counts[r.Outcome]++
 	}

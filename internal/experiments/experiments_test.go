@@ -170,3 +170,26 @@ func TestSkewShowsChainSensitivity(t *testing.T) {
 		t.Errorf("CC degradation (%v) should be >= CB degradation (%v) under a straggler", ccf, cbf)
 	}
 }
+
+// TestAllreduceSyncPinned holds the allreduce experiment's
+// synchronization step — barrier, HR reduce and root broadcast or the
+// ring, barrier — to its latency in nanoseconds at 8 to 160 ranks, as
+// the blocking per-rank loop it was first written as measured it.
+func TestAllreduceSyncPinned(t *testing.T) {
+	for _, pin := range []struct {
+		ranks int
+		ring  bool
+		ns    int64
+	}{
+		{8, false, 30028718}, {8, true, 13174931}, {32, false, 54543828}, {32, true, 16692291},
+		{64, false, 61907988}, {64, true, 19244909}, {160, false, 104901830}, {160, true, 26339749},
+	} {
+		got, err := syncLatency(pin.ranks, 64<<20, pin.ring)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(got) != pin.ns {
+			t.Errorf("%d ranks, ring %v: %d ns, pinned %d", pin.ranks, pin.ring, int64(got), pin.ns)
+		}
+	}
+}
