@@ -28,6 +28,11 @@ func main() {
 	trials := flag.Int("trials", 3, "timed trials per point")
 	flag.Parse()
 
+	ladder, err := sizes(*minSize, *maxSize)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "omb-reduce:", err)
+		os.Exit(1)
+	}
 	var names []string
 	var selected []scaffe.ReduceAlgorithm
 	for _, name := range strings.Split(*algsFlag, ",") {
@@ -47,7 +52,7 @@ func main() {
 		fmt.Printf("%16s", n)
 	}
 	fmt.Println()
-	for size := *minSize; size <= *maxSize; size *= 2 {
+	for _, size := range ladder {
 		fmt.Printf("%-12d", size)
 		for _, alg := range selected {
 			opts := scaffe.ReduceOptions{ChainSize: *chain, OnGPU: true}
@@ -64,4 +69,20 @@ func main() {
 		fmt.Println()
 	}
 	fmt.Println("# latencies in microseconds (virtual time)")
+}
+
+// sizes is the sweep's message-size ladder: min, doubling, up to max.
+// It stops before a doubling would pass max — or overflow, for a max
+// near math.MaxInt64 — and takes only 1 <= min <= max.
+func sizes(min, max int64) ([]int64, error) {
+	if min < 1 || min > max {
+		return nil, fmt.Errorf("message sizes -min %d -max %d: want 1 <= min <= max", min, max)
+	}
+	var ladder []int64
+	for size := min; ; size *= 2 {
+		ladder = append(ladder, size)
+		if size > max/2 {
+			return ladder, nil
+		}
+	}
 }

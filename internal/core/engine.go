@@ -124,7 +124,9 @@ func Run(cfg Config) (*Result, error) {
 	return res, err
 }
 
-func run(cfg Config) (*Result, *runState, error) {
+// run is Run, returning the run's state too. Each of before is handed
+// the kernel just before it runs: a test schedules its probes there.
+func run(cfg Config, before ...func(*sim.Kernel)) (*Result, *runState, error) {
 	if err := cfg.validateAndDefault(); err != nil {
 		return nil, nil, fmt.Errorf("%w: %w", ErrConfig, err)
 	}
@@ -153,7 +155,7 @@ func run(cfg Config) (*Result, *runState, error) {
 
 	// Every run drives the world's fault plane and the membership state
 	// it keeps, and every rank runs the one loop that listens to it
-	// (ftLoop). A run that cannot trip keeps the plane's quantum at
+	// (rankLoop). A run that cannot trip keeps the plane's quantum at
 	// sim.Never, so its waits carry no deadline and nothing ever consults
 	// the plane.
 	pl := st.world.Fault
@@ -217,15 +219,19 @@ func run(cfg Config) (*Result, *runState, error) {
 
 	// The plane's events must be armed after the ranks spawn and before
 	// time advances, so the run drives the kernel itself.
-	st.world.Spawn(func(r *mpi.Rank) {
+	loops := make([]rankLoop, cfg.GPUs)
+	st.world.SpawnSteps(func(r *mpi.Rank) sim.Stepper {
 		if cfg.DeviceMemory > 0 {
 			r.Dev.SetMemCapacity(cfg.DeviceMemory)
 		}
-		defer st.rankDone()
-		st.ftLoop(r, cfg.StartIteration)
+		loops[r.ID] = rankLoop{st: st, r: r, at: loopNext, it: cfg.StartIteration}
+		return &loops[r.ID]
 	})
 	pl.OnRebuild(st.rebuild)
 	pl.Arm(cfg.Faults, &applier{st})
+	for _, fn := range before {
+		fn(k)
+	}
 	if err := k.Run(); err != nil {
 		return nil, nil, fmt.Errorf("core: simulation failed: %w", err)
 	}
@@ -367,38 +373,33 @@ func (st *runState) buildReaders(k *sim.Kernel, localBatch int, elastic bool) {
 	}
 
 	st.readers = make([]*data.Reader, cfg.GPUs)
-	if elastic {
-		// Runs that can trip use elastic readers: the consumption
-		// count is unknowable up front (rollbacks re-read iterations,
-		// shrinks change the batch size), so readers prefetch forever,
-		// bounded by the queue, until stopped. Config validation
-		// restricts faults to the per-rank-reader designs.
-		st.dataSrc = src
-		for i := 0; i < cfg.GPUs; i++ {
-			st.readers[i] = data.StartReaderLoop(k, fmt.Sprintf("reader%d", i),
-				stalledSource{inner: src, pl: st.ft, rank: i}, localBatch, cfg.Spec.PerSampleBytes, cfg.QueueDepth)
-		}
-		return
-	}
 	iters := cfg.Iterations - cfg.StartIteration
 	if cfg.Design == CaffeMT {
 		// One reader thread feeds every solver through the shared
 		// queue: it loads the whole global batch, then releases one
 		// token per solver.
-		shared := data.StartSharedReader(k, "reader", src, localBatch*cfg.GPUs, cfg.Spec.PerSampleBytes, iters, cfg.GPUs, cfg.QueueDepth*cfg.GPUs)
+		shared := data.StartReader(k, "reader", src, localBatch*cfg.GPUs, cfg.Spec.PerSampleBytes, iters, cfg.GPUs, cfg.QueueDepth*cfg.GPUs)
 		for i := range st.readers {
 			st.readers[i] = shared
 		}
 		return
 	}
+	st.dataSrc = src
 	for i := 0; i < cfg.GPUs; i++ {
-		if cfg.Design == ParamServer && i == 0 {
-			continue // the server does not train
+		rs, batches := src, iters
+		switch {
+		case elastic:
+			// Runs that can trip use elastic readers: the consumption
+			// count is unknowable up front (rollbacks re-read
+			// iterations, shrinks change the batch size), so readers
+			// prefetch forever, bounded by the queue, until stopped.
+			// Config validation restricts faults to the per-rank-reader
+			// designs.
+			rs, batches = stalledSource{inner: src, pl: st.ft, rank: i}, -1
+		case cfg.Design == ParamServer && i == 0, cfg.Design == ModelParallel && i != 0:
+			continue // the server does not train; only the pipeline's first stage reads data
 		}
-		if cfg.Design == ModelParallel && i != 0 {
-			continue // only the pipeline's first stage reads data
-		}
-		st.readers[i] = data.StartReader(k, fmt.Sprintf("reader%d", i), src, localBatch, cfg.Spec.PerSampleBytes, iters, cfg.QueueDepth)
+		st.readers[i] = data.StartReader(k, fmt.Sprintf("reader%d", i), rs, localBatch, cfg.Spec.PerSampleBytes, batches, 1, cfg.QueueDepth)
 	}
 }
 

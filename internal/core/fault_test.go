@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"scaffe/internal/data"
 	"scaffe/internal/fault"
 	"scaffe/internal/models"
 	"scaffe/internal/sim"
@@ -456,5 +457,35 @@ func TestGoogLeNetScaleCrashSurvival(t *testing.T) {
 	}
 	if res.TotalTime <= mid {
 		t.Error("run did not continue past the crash")
+	}
+}
+
+// TestStalledSourceBooksAtTheStallsEnd: a read issued during a reader
+// stall waits the window out and books the backend at its end, so the
+// disk it reserves then is the disk a read issued at that instant
+// reserves; once the window has passed, a read books at once.
+func TestStalledSourceBooksAtTheStallsEnd(t *testing.T) {
+	k := sim.New()
+	pl := fault.NewPlane(k, 2, sim.Never)
+	pl.Arm(fault.Schedule{{At: 0, Kind: fault.ReaderStall, Rank: 1, For: 5 * sim.Millisecond}}, fault.NopApplier{})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	lmdb := data.NewLMDBSource(k, 2)
+	src := stalledSource{inner: lmdb, pl: pl, rank: 1}
+	rd := src.ReadBatch(sim.Millisecond, 16, 3100)
+	if rd.N != 1 || rd.At[0] != 5*sim.Millisecond || rd.Then != lmdb {
+		t.Fatalf("read during the stall = %+v, want a wait to 5ms, then the LMDB read", rd)
+	}
+	if lmdb.Disk.BusyTotal() != 0 {
+		t.Error("a stalled read booked the disk before the stall ended")
+	}
+	want := data.NewLMDBSource(sim.New(), 2).ReadBatch(5*sim.Millisecond, 16, 3100)
+	if got := rd.Then.ReadBatch(5*sim.Millisecond, 16, 3100); got != want {
+		t.Errorf("read at the stall's end = %+v, want %+v", got, want)
+	}
+	late := stalledSource{inner: data.NewLMDBSource(k, 2), pl: pl, rank: 1}
+	if got, want := late.ReadBatch(6*sim.Millisecond, 16, 3100), data.NewLMDBSource(k, 2).ReadBatch(6*sim.Millisecond, 16, 3100); got != want {
+		t.Errorf("read past the stall = %+v, want the LMDB read at once, %+v", got, want)
 	}
 }

@@ -150,15 +150,12 @@ func TestWholeRunAllocBudget(t *testing.T) {
 
 // TestSteadyStateIterationSwitchBudget is the alloc budget's twin for
 // the cost this design optimises: goroutine switches, for every design.
-// An iteration parks each rank dozens to hundreds of times — per-layer
+// An iteration resumes each rank dozens to hundreds of times — per-layer
 // kernels, broadcast waits, every reduction's receives, kernels and
 // forwards, the data queue, a pipeline's boundary transfers, a server's
-// sends and receives — and nothing in a plan parks: every one of those
-// resumes is a step on the event loop. What is left, measured per proc,
-// is two switches a rank-iteration at most: a data reader, a goroutine
-// that wakes to produce the next batch (one per rank, one for all of
-// Caffe's ranks, none on PS's server or past MP's first stage), and lane
-// 0's end, which returns from Execute to the rank's loop. The counts are
+// sends and receives — and its data reader and helper lanes besides, and
+// none of them has a goroutine: every one of those resumes is a step on
+// the event loop, and the budget is no switch at all. The counts are
 // exact and repeat, so the budget is too; and an armed fault plane that
 // never trips must add nothing: its deadline expiries are steps. (Fault
 // injection is validated for the MPI data-parallel designs only, so
@@ -166,16 +163,17 @@ func TestWholeRunAllocBudget(t *testing.T) {
 //
 // Per rank-iteration, when the data wait, SC-B's broadcast, CNTK-like's
 // host exchange, PS's sends and receives and MP's boundary transfers
-// were each a blocking action on the lane's goroutine, and now:
+// were each a blocking action on the lane's goroutine; when only the
+// data readers and each lane 0's end were left on goroutines; and now:
 //
-//	SC-OB, SC-OBR, SC-OBR-F   3.00 → 2.00
-//	SC-B                      3.88 → 2.00
-//	Caffe                     3.88 → 1.12
-//	MP                        5.50 → 1.12
-//	PS                        6.25 → 1.88
-//	CNTK-like                 7.00 → 2.00
+//	SC-OB, SC-OBR, SC-OBR-F   3.00 → 2.00 → 0
+//	SC-B                      3.88 → 2.00 → 0
+//	Caffe                     3.88 → 1.12 → 0
+//	MP                        5.50 → 1.12 → 0
+//	PS                        6.25 → 1.88 → 0
+//	CNTK-like                 7.00 → 2.00 → 0
 func TestSteadyStateIterationSwitchBudget(t *testing.T) {
-	const ranks, n, budget = 8, 8, 2
+	const ranks, n, budget = 8, 8, 0
 	spec, _ := models.ByName("cifar10-quick")
 	for _, row := range []struct {
 		design Design

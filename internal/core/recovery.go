@@ -79,27 +79,25 @@ func (a *applier) FlipBit(rank, word, bit int) {
 func (a *applier) ReviveRank(rank int) {
 	st := a.st
 	st.ranksLive++
-	st.world.RespawnRank(rank, func(r *mpi.Rank) {
-		st.runJoined(r)
+	st.world.RespawnRank(rank, func(r *mpi.Rank) sim.Stepper {
+		return &rankLoop{st: st, r: r, at: loopAdmit}
 	})
 }
 
 // stalledSource wraps a rank's data source with the plane's
 // reader-stall windows: a read issued during a stall waits the window
-// out, then proceeds at the backend's normal cost.
+// out, then books the backend's read at its end.
 type stalledSource struct {
 	inner data.Source
 	pl    *fault.Plane
 	rank  int
 }
 
-func (s stalledSource) Name() string { return s.inner.Name() }
-
-func (s stalledSource) ReadBatch(p *sim.Proc, n int, bytesPer int64) {
-	if until := s.pl.StallUntil(s.rank); until > p.Now() {
-		p.WaitUntil(until)
+func (s stalledSource) ReadBatch(now sim.Time, n int, bytesPer int64) data.Read {
+	if until := s.pl.StallUntil(s.rank); until > now {
+		return data.Read{At: [2]sim.Time{until}, N: 1, Then: s.inner}
 	}
-	s.inner.ReadBatch(p, n, bytesPer)
+	return s.inner.ReadBatch(now, n, bytesPer)
 }
 
 // noteCompleted records global training progress (root's post-update
@@ -111,78 +109,124 @@ func (st *runState) noteCompleted(it int) {
 	}
 }
 
-// runJoined is the main function of a revived rank: wait at the join
-// desk until a grow round admits it, then train like any other member.
-// AwaitAdmission returns false only when nobody is left to admit the
-// joiner (training already ended), in which case the proc just exits.
-func (st *runState) runJoined(r *mpi.Rank) {
-	defer st.rankDone()
-	if !st.ft.AwaitAdmission(r.ID, r.Proc) {
-		return
-	}
-	st.ftLoop(r, st.restartIter)
+// rankLoop is the life of every rank of every design, original or
+// readmitted: the stepper of its main proc, which has no goroutine. It
+// executes the rank's graph for each iteration, and the catch-up
+// protocol's after a grow round. Iterations run speculatively: a
+// revoked communicator ends the execution, the rank arrives at the
+// survivors' rendezvous, and resumes from the rebuilt world's restart
+// point. In a run that cannot trip nothing ever revokes, and the loop
+// is iteration after iteration of the rank's graph. The grow-epoch
+// catch-up check runs before the termination test on purpose: a
+// survivor released with a restart iteration at or past the end must
+// still serve the catch-up protocol, or the joiner's collectives would
+// wait on members that already left. A rank whose loop has ended is
+// finished, not gone: until the root has run its final commit, a round
+// (a watchdog trip in the last iteration, say) still counts it and
+// resumes it from the round's restart point. A revived rank starts at
+// the join desk, and ends there if nobody is left to admit it.
+type rankLoop struct {
+	st     *runState
+	r      *mpi.Rank
+	at     loopAt
+	it     int
+	g      *sched.Graph // in execution (loopRun)
+	update bool         // g is the iteration's, not the catch-up's
+	before sim.Duration // forward + backward time when g started
+	joins  int          // deadlines ridden out at the join desk since the last announce
 }
 
-// ftLoop is the training loop of every rank of every design, original
-// or readmitted, starting at iteration it: it executes the rank's graph
-// for each iteration, and the catch-up protocol's after a grow round.
-// Iterations run speculatively:
-// a revoked communicator unwinds the iteration, gathers the survivors,
-// and resumes from the rebuilt world's restart point. In a run that
-// cannot trip nothing ever revokes, and the loop is a for loop over the
-// rank's graph. The grow-epoch catch-up check runs before the
-// termination test on purpose: a survivor released with a restart
-// iteration at or past the end must still serve the catch-up protocol,
-// or the joiner's collectives would wait on members that already left.
-// A rank whose loop has ended is finished, not gone: until the root has
-// run its final commit, a round (a watchdog trip in the last iteration,
-// say) still counts it and resumes it from the round's restart point.
-func (st *runState) ftLoop(r *mpi.Rank, it int) {
-	cfg := st.cfg
-	ph := &st.phases[r.ID]
-	sink := &nodeSink{st: st, rank: r.ID, ph: ph}
+type loopAt uint8
+
+const (
+	loopAdmit   loopAt = iota // a revived rank at the join desk
+	loopNext                  // between executions
+	loopRun                   // executing g
+	loopRecover               // at the recovery rendezvous
+)
+
+// Step runs the rank up to its next wait.
+func (l *rankLoop) Step(p *sim.Proc) bool {
+	st, r := l.st, l.r
 	for {
-		switch {
-		case st.growEpoch == st.epoch && st.catchupSeen[r.ID] != st.epoch:
-			// The last rebuild admitted joiners, and this rank still owes
-			// that epoch's catch-up protocol.
-			if execute(st.catchupGraph(r), sink, it) {
+		switch l.at {
+		case loopAdmit:
+			done, admitted := st.ft.PollAdmission(r.ID, p, &l.joins)
+			if !done {
+				return false
+			}
+			if !admitted {
+				st.rankDone()
+				return true
+			}
+			l.at, l.it = loopNext, st.restartIter
+		case loopNext:
+			switch {
+			case st.growEpoch == st.epoch && st.catchupSeen[r.ID] != st.epoch:
+				// The last rebuild admitted joiners, and this rank still
+				// owes that epoch's catch-up protocol.
+				l.start(st.catchupGraph(r), false)
+			case l.it >= st.cfg.Iterations:
+				st.ft.Depart(r.ID)
+				st.ft.Arrive(r.ID) // a round Depart released made it a member again
+				l.at = loopRecover
+			default:
+				l.start(st.graph(r), true)
+			}
+		case loopRun:
+			if !l.g.Step(p) {
+				return false
+			}
+			if l.g.Revoked() {
+				// Rendezvous with the survivors: the last arrival
+				// triggers rebuild() and releases everyone.
+				st.ft.Arrive(r.ID)
+				l.at = loopRecover
 				continue
 			}
-		case it >= cfg.Iterations:
-			st.ft.Depart(r.ID)
-		default:
-			before := ph.Forward + ph.Backward
-			if execute(st.graph(r), sink, it) {
-				st.noteIterTime(r.ID, ph.Forward+ph.Backward-before)
-				it++
-				continue
+			if ph := &st.phases[r.ID]; l.update {
+				st.noteIterTime(r.ID, ph.Forward+ph.Backward-l.before)
+				l.it++
 			}
+			l.at = loopNext
+		case loopRecover:
+			// Training resumes from the restart point the round chose; a
+			// finished rank the run is done with leaves instead.
+			done, trainOn := st.ft.PollRecovery(r.ID, p)
+			if !done {
+				return false
+			}
+			if !trainOn {
+				st.rankDone()
+				return true
+			}
+			l.at, l.it = loopNext, st.restartIter
 		}
-		// A revocation unwound the step, or the loop ended: rendezvous
-		// with the survivors. The last arrival triggers rebuild() and
-		// releases everyone; training resumes from the restart point it
-		// chose. A finished rank the run is done with leaves instead.
-		if !st.ft.EnterRecovery(r.ID, r.Proc) {
-			return
-		}
-		it = st.restartIter
 	}
 }
 
-// execute runs g for iteration it and reports whether it ran to its
-// end: a revocation panic (an iteration or a catch-up under fire)
-// unwinds into a false return and the caller enters recovery. Any other
-// panic (including a kill, which must unwind the whole proc) propagates.
-func execute(g *sched.Graph, sink *nodeSink, it int) (ok bool) {
-	defer func() {
-		if rec := recover(); rec != nil && !mpi.IsRevoked(rec) {
-			panic(rec)
-		}
-	}()
-	g.Execute(sink, it)
-	return true
+// start begins the execution of g for the loop's iteration.
+func (l *rankLoop) start(g *sched.Graph, update bool) {
+	l.g, l.update, l.at = g, update, loopRun
+	ph := &l.st.phases[l.r.ID]
+	l.before = ph.Forward + ph.Backward
+	g.Start(l, l.it)
 }
+
+// NodeSpan routes the rank's scheduler spans into the run's accounting:
+// lane-0 spans accumulate into the rank's Phases (preserving the
+// original semantics of "time the main thread spends blocked per
+// phase") and every span lands on the trace recorder with its node
+// label.
+func (l *rankLoop) NodeSpan(lane int, kind sched.Kind, phase, label string, start, end sim.Time) {
+	if lane == 0 {
+		l.st.phases[l.r.ID].add(phase, end-start)
+	}
+	l.st.cfg.Trace.AddNode(l.r.ID, phase, label, start, end)
+}
+
+// Unwind is the rank's end by a kill.
+func (l *rankLoop) Unwind(*sim.Proc) { l.st.rankDone() }
 
 // catchupGraph returns rank r's instance of the catch-up protocol's plan
 // for the role it plays: the root's, or every other member's. The plans
@@ -373,7 +417,7 @@ func (st *runState) evictStraggler(factor float64) {
 	}
 }
 
-// rankDone runs as each rank's proc unwinds (the plane is done with it,
+// rankDone runs as each rank's proc ends (the plane is done with it,
 // or a kill): the last one out stamps the run's end time and stops the
 // readers (elastic ones would prefetch forever).
 func (st *runState) rankDone() {
@@ -400,8 +444,8 @@ func (st *runState) setComm(c *mpi.Comm) {
 }
 
 // regroup is the step both flavors of rebuild start with: fail-stop any
-// helper lanes still unwinding from the revoked iteration (the resumed
-// main lanes spawn fresh ones), then open a membership epoch over the
+// helper lanes still walking the revoked iteration (the resumed main
+// lanes spawn fresh ones), then open a membership epoch over the
 // members. The fresh communicator's id guarantees stale traffic from
 // the abandoned iteration never matches.
 func (st *runState) regroup(members []int) {
@@ -425,7 +469,7 @@ func (st *runState) unrecord(restart int) {
 }
 
 // rebuild is the plane's recovery hook, run exactly once per round
-// with every member of the rebuilt world parked: shrink or grow the
+// with every member of the rebuilt world at the rendezvous: shrink or grow the
 // communicator to the round's members, rebuild their training state at
 // the new batch geometry, restore solver state, restart the data plane,
 // and return the iteration training resumes from and whether the
@@ -518,8 +562,8 @@ func (st *runState) rebuild(round fault.Round) (int, bool) {
 		if rd := st.readers[id]; rd != nil {
 			rd.Stop()
 		}
-		st.readers[id] = data.StartReaderLoop(st.k, fmt.Sprintf("reader%d.e%d", id, st.epoch),
-			stalledSource{inner: st.dataSrc, pl: pl, rank: id}, newLocal, cfg.Spec.PerSampleBytes, cfg.QueueDepth)
+		st.readers[id] = data.StartReader(st.k, fmt.Sprintf("reader%d.e%d", id, st.epoch),
+			stalledSource{inner: st.dataSrc, pl: pl, rank: id}, newLocal, cfg.Spec.PerSampleBytes, -1, 1, cfg.QueueDepth)
 	}
 
 	// Observability: one recovery span per member, one join span per

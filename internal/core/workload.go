@@ -37,7 +37,7 @@ type workload struct {
 
 	// bcast holds each parameter layer's broadcast request from its post
 	// until the node that awaits it (SC-OB and SC-OBR); req holds the
-	// request of the blocking operation in flight (runState.blocking).
+	// request of the blocking operation in flight (runState.addBlocking).
 	bcast []*mpi.Request
 	req   [1]*mpi.Request
 

@@ -71,19 +71,20 @@ func TestBatchTensorWraps(t *testing.T) {
 }
 
 func TestInMemorySourceFree(t *testing.T) {
-	k := sim.New()
-	var took sim.Duration
-	k.Spawn("r", func(p *sim.Proc) {
-		before := p.Now()
-		InMemory{}.ReadBatch(p, 1000, 150000)
-		took = p.Now() - before
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
+	if rd := (InMemory{}).ReadBatch(0, 1000, 150000); rd.N != 0 || rd.Then != nil {
+		t.Errorf("in-memory read waits: %+v", rd)
 	}
-	if took != 0 {
-		t.Errorf("in-memory read cost %v", took)
+}
+
+// finishes returns when each of readers concurrent reads of n samples
+// of bytesPer bytes from src, all issued at time zero, ends last.
+func finishes(src Source, readers, n int, bytesPer int64) sim.Time {
+	var latest sim.Time
+	for i := 0; i < readers; i++ {
+		rd := src.ReadBatch(0, n, bytesPer)
+		latest = max(latest, rd.At[rd.N-1])
 	}
+	return latest
 }
 
 func TestLMDBPenaltyShape(t *testing.T) {
@@ -103,21 +104,7 @@ func TestLMDBSharedDiskSerializes(t *testing.T) {
 	// Readers share the environment's sequential bandwidth: four
 	// concurrent disk-bound batches take ~4x one batch.
 	batchTime := func(readers int) sim.Duration {
-		k := sim.New()
-		src := NewLMDBSource(k, readers)
-		var latest sim.Time
-		for i := 0; i < readers; i++ {
-			k.Spawn("r", func(p *sim.Proc) {
-				src.ReadBatch(p, 256, 1<<20) // 256 MB: disk-dominated
-				if p.Now() > latest {
-					latest = p.Now()
-				}
-			})
-		}
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return latest
+		return finishes(NewLMDBSource(sim.New(), readers), readers, 256, 1<<20) // 256 MB: disk-dominated
 	}
 	one := batchTime(1)
 	four := batchTime(4)
@@ -130,21 +117,7 @@ func TestLMDBCheapBelowSlotLimit(t *testing.T) {
 	// Below the slot limit, small batches cost little more with 32
 	// readers than with 1: LMDB reads are MVCC and nearly lock-free.
 	batchTime := func(readers int) sim.Duration {
-		k := sim.New()
-		src := NewLMDBSource(k, readers)
-		var latest sim.Time
-		for i := 0; i < readers; i++ {
-			k.Spawn("r", func(p *sim.Proc) {
-				src.ReadBatch(p, 16, 3100)
-				if p.Now() > latest {
-					latest = p.Now()
-				}
-			})
-		}
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return latest
+		return finishes(NewLMDBSource(sim.New(), readers), readers, 16, 3100)
 	}
 	one := batchTime(1)
 	many := batchTime(32)
@@ -157,47 +130,45 @@ func TestImageDataSourceScales(t *testing.T) {
 	// Aggregate PFS bandwidth lets N readers finish in much less than
 	// N x single-reader time.
 	batchTime := func(readers int) sim.Duration {
-		k := sim.New()
-		src := NewImageDataSource(pfs.Default(k))
-		var latest sim.Time
-		for i := 0; i < readers; i++ {
-			k.Spawn("r", func(p *sim.Proc) {
-				src.ReadBatch(p, 64, 150000)
-				if p.Now() > latest {
-					latest = p.Now()
-				}
-			})
-		}
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return latest
+		return finishes(NewImageDataSource(pfs.Default(sim.New())), readers, 64, 150000)
 	}
 	one := batchTime(1)
 	sixteen := batchTime(16)
 	if sixteen > 8*one {
 		t.Errorf("16 PFS readers took %v vs single %v; should scale sublinearly", sixteen, one)
 	}
-	if src := NewImageDataSource(pfs.Default(sim.New())); src.Name() != "imagedata" {
-		t.Error("name wrong")
-	}
 }
+
+// stepFunc is a sim.Stepper written as a function.
+type stepFunc func(p *sim.Proc) bool
+
+func (f stepFunc) Step(p *sim.Proc) bool { return f(p) }
 
 func TestReaderPrefetchHidesIO(t *testing.T) {
 	// With queue depth 2, the solver's second read should find data
 	// already buffered when compute is slower than I/O.
 	k := sim.New()
 	src := &fixedCostSource{cost: 10 * sim.Millisecond}
-	r := StartReader(k, "reader", src, 32, 1000, 4, 2)
+	r := StartReader(k, "reader", src, 32, 1000, 4, 1, 2)
 	var waits []sim.Duration
-	k.Spawn("solver", func(p *sim.Proc) {
-		for i := 0; i < 4; i++ {
-			before := p.Now()
-			r.q.Get(p)
+	var before sim.Time
+	computing := false
+	k.SpawnSteps("solver", stepFunc(func(p *sim.Proc) bool {
+		for len(waits) < 4 {
+			if computing {
+				computing = false
+				before = p.Now()
+			}
+			if !r.TryNext(p) {
+				return false
+			}
 			waits = append(waits, p.Now()-before)
-			p.Sleep(50 * sim.Millisecond) // compute longer than I/O
+			computing = true
+			p.ArmUntil(p.Now() + 50*sim.Millisecond) // compute longer than I/O
+			return false
 		}
-	})
+		return true
+	}))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -214,15 +185,19 @@ func TestReaderPrefetchHidesIO(t *testing.T) {
 func TestSharedReaderFeedsAllConsumers(t *testing.T) {
 	k := sim.New()
 	src := &fixedCostSource{cost: sim.Millisecond}
-	r := StartSharedReader(k, "reader", src, 64, 1000, 3, 4, 8)
+	r := StartReader(k, "reader", src, 64, 1000, 3, 4, 8)
 	finished := 0
 	for c := 0; c < 4; c++ {
-		k.Spawn("solver", func(p *sim.Proc) {
-			for i := 0; i < 3; i++ {
-				r.q.Get(p)
+		got := 0
+		k.SpawnSteps("solver", stepFunc(func(p *sim.Proc) bool {
+			for ; got < 3; got++ {
+				if !r.TryNext(p) {
+					return false
+				}
 			}
 			finished++
-		})
+			return true
+		}))
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -232,9 +207,46 @@ func TestSharedReaderFeedsAllConsumers(t *testing.T) {
 	}
 }
 
+// TestStalledReadWaitsThenBooks: a read whose source has it wait before
+// it books anything (Read.Then) books at the end of that wait, and the
+// reader arms every wait of both parts in order.
+func TestStalledReadWaitsThenBooks(t *testing.T) {
+	k := sim.New()
+	lmdb := NewLMDBSource(k, 1)
+	src := stallFor{until: 5 * sim.Millisecond, inner: lmdb}
+	r := StartReader(k, "reader", src, 16, 3100, 1, 1, 1)
+	var got sim.Time
+	k.SpawnSteps("solver", stepFunc(func(p *sim.Proc) bool {
+		if !r.TryNext(p) {
+			return false
+		}
+		got = p.Now()
+		return true
+	}))
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := NewLMDBSource(sim.New(), 1).ReadBatch(5*sim.Millisecond, 16, 3100).At[1]
+	if got != want {
+		t.Errorf("stalled read delivered at %v, want %v", got, want)
+	}
+}
+
+// stallFor is a source that waits until a time before its inner read.
+type stallFor struct {
+	until sim.Time
+	inner Source
+}
+
+func (s stallFor) ReadBatch(now sim.Time, n int, bytesPer int64) Read {
+	if s.until > now {
+		return Read{At: [2]sim.Time{s.until}, N: 1, Then: s.inner}
+	}
+	return s.inner.ReadBatch(now, n, bytesPer)
+}
+
 type fixedCostSource struct{ cost sim.Duration }
 
-func (f *fixedCostSource) Name() string { return "fixed" }
-func (f *fixedCostSource) ReadBatch(p *sim.Proc, n int, bytesPer int64) {
-	p.Sleep(f.cost)
+func (f *fixedCostSource) ReadBatch(now sim.Time, n int, bytesPer int64) Read {
+	return Read{At: [2]sim.Time{now + f.cost}, N: 1}
 }

@@ -6,27 +6,32 @@ import (
 )
 
 // Source models the I/O cost of pulling training batches from a
-// storage backend. Implementations block the calling reader proc for
-// the virtual time the read takes; the actual sample bytes come from
-// the in-memory Dataset (storage contents and storage timing are
-// decoupled, as everywhere else in the simulator).
+// storage backend. A read books the backend's resources and tells the
+// reader what it waits for; the actual sample bytes come from the
+// in-memory Dataset (storage contents and storage timing are decoupled,
+// as everywhere else in the simulator).
 type Source interface {
-	// Name identifies the backend ("lmdb", "imagedata", "memory").
-	Name() string
-	// ReadBatch blocks p for the duration of reading n samples of
-	// bytesPer bytes each.
-	ReadBatch(p *sim.Proc, n int, bytesPer int64)
+	// ReadBatch books reading n samples of bytesPer bytes each, starting
+	// at now, and returns the waits the read takes.
+	ReadBatch(now sim.Time, n int, bytesPer int64) Read
+}
+
+// Read is the waits of one batch read: the reader resumes at each of
+// the first N instants of At in turn, and then, if Then is set, reads on
+// from Then at the last of them. A read that must wait before it can
+// book anything — out a reader stall — is an instant and a Then.
+type Read struct {
+	At   [2]sim.Time
+	N    int
+	Then Source
 }
 
 // InMemory is a zero-cost source (data already resident), used by
 // micro-experiments that isolate communication behaviour.
 type InMemory struct{}
 
-// Name implements Source.
-func (InMemory) Name() string { return "memory" }
-
 // ReadBatch implements Source.
-func (InMemory) ReadBatch(*sim.Proc, int, int64) {}
+func (InMemory) ReadBatch(sim.Time, int, int64) Read { return Read{} }
 
 // LMDBSource models parallel readers over one LMDB environment. Two
 // effects bound its scalability, reproducing the Figure 8 cliff:
@@ -83,22 +88,19 @@ func (s *LMDBSource) Penalty() float64 {
 	return 1 + float64(over*over)
 }
 
-// Name implements Source.
-func (s *LMDBSource) Name() string { return "lmdb" }
-
-// ReadBatch implements Source.
-func (s *LMDBSource) ReadBatch(p *sim.Proc, n int, bytesPer int64) {
+// ReadBatch implements Source: the reader waits out the lock and the
+// disk, then decodes the records.
+func (s *LMDBSource) ReadBatch(now sim.Time, n int, bytesPer int64) Read {
 	// Slot acquisition serializes across every reader of the
 	// environment; below 64 readers it is brief, beyond it inflates.
 	lockHold := sim.Duration(float64(s.TxnCost) * s.Penalty())
-	_, lockEnd := s.Lock.Reserve(p.Now(), lockHold)
+	_, lockEnd := s.Lock.Reserve(now, lockHold)
 	// Page reads share the environment's sequential bandwidth.
 	bytes := int64(n) * bytesPer
 	diskDur := sim.Duration(float64(bytes) / s.DiskBW * float64(sim.Second))
 	_, diskEnd := s.Disk.Reserve(lockEnd, diskDur)
-	p.WaitUntil(diskEnd)
 	// Cursor walking and record decode run on the reader's own thread.
-	p.Sleep(sim.Duration(n) * s.PerRecord)
+	return Read{At: [2]sim.Time{diskEnd, diskEnd + sim.Duration(n)*s.PerRecord}, N: 2}
 }
 
 // ImageDataSource models Caffe's ImageDataLayer reading individual
@@ -111,74 +113,73 @@ type ImageDataSource struct {
 // NewImageDataSource wraps a PFS instance.
 func NewImageDataSource(fs *pfs.FS) *ImageDataSource { return &ImageDataSource{FS: fs} }
 
-// Name implements Source.
-func (s *ImageDataSource) Name() string { return "imagedata" }
-
 // ReadBatch implements Source.
-func (s *ImageDataSource) ReadBatch(p *sim.Proc, n int, bytesPer int64) {
-	s.FS.ReadSpread(p, int64(n)*bytesPer, n)
+func (s *ImageDataSource) ReadBatch(now sim.Time, n int, bytesPer int64) Read {
+	return Read{At: [2]sim.Time{s.FS.ReadSpread(now, int64(n)*bytesPer, n)}, N: 1}
 }
 
 // Reader is one data-reader thread feeding one solver through a
-// bounded distributed queue (Figure 3). The reader prefetches ahead of
-// the solver up to the queue depth, hiding I/O behind compute when the
-// backend can keep up.
+// bounded distributed queue (Figure 3), or, in the original Caffe
+// design, every solver through one shared queue. The reader prefetches
+// ahead of the solver up to the queue depth, hiding I/O behind compute
+// when the backend can keep up. It is a proc with no goroutine: its
+// steps arm the waits its source's reads take and put tokens in the
+// queue.
 type Reader struct {
-	q    *sim.Queue
-	proc *sim.Proc
+	q        *sim.Queue
+	proc     *sim.Proc
+	src      Source
+	n        int
+	bytesPer int64
+	batches  int  // batches to read; < 0 reads until Stop
+	copies   int  // tokens each batch releases
+	i        int  // the batch being read or put
+	put      int  // tokens of batch i put so far
+	read     Read // batch i's read
+	w        int  // waits of it passed
 }
 
-// StartReader spawns the reader proc: it loads `iterations` batches of
-// n samples and enqueues a token per batch.
-func StartReader(k *sim.Kernel, name string, src Source, n int, bytesPer int64, iterations, depth int) *Reader {
-	r := &Reader{q: k.NewQueue(depth)}
-	r.proc = k.Spawn(name, func(p *sim.Proc) {
-		for i := 0; i < iterations; i++ {
-			src.ReadBatch(p, n, bytesPer)
-			r.q.Put(p, i)
-		}
-	})
+// StartReader spawns a reader proc: it reads batches of n samples of
+// bytesPer bytes each from src and puts copies tokens for each in a
+// queue of depth tokens. A reader of batches < 0 reads until Stop —
+// fault-tolerant runs use one, because their consumption count is not
+// known up front (a rollback re-reads iterations and a shrink changes
+// the batch geometry). The original Caffe design's single reader loads
+// each iteration's global batch and releases a token per solver.
+func StartReader(k *sim.Kernel, name string, src Source, n int, bytesPer int64, batches, copies, depth int) *Reader {
+	r := &Reader{q: k.NewQueue(depth), src: src, n: n, bytesPer: bytesPer, batches: batches, copies: copies, i: -1, put: copies}
+	r.proc = k.SpawnSteps(name, r)
 	return r
 }
 
-// StartReaderLoop spawns an elastic reader: it prefetches forever
-// (bounded by the queue depth) until Stop. Fault-tolerant runs use it
-// because their consumption count is not known up front — a rollback
-// re-reads iterations and a shrink changes the batch geometry.
-func StartReaderLoop(k *sim.Kernel, name string, src Source, n int, bytesPer int64, depth int) *Reader {
-	r := &Reader{q: k.NewQueue(depth)}
-	r.proc = k.Spawn(name, func(p *sim.Proc) {
-		for i := 0; ; i++ {
-			src.ReadBatch(p, n, bytesPer)
-			r.q.Put(p, i)
+// Step reads and puts batches up to the reader's next wait: one of its
+// read's, or a full queue.
+func (r *Reader) Step(p *sim.Proc) bool {
+	for {
+		switch {
+		case r.w < r.read.N:
+			p.ArmUntil(r.read.At[r.w])
+			r.w++
+			return false
+		case r.read.Then != nil:
+			r.read, r.w = r.read.Then.ReadBatch(p.Now(), r.n, r.bytesPer), 0
+		case r.put < r.copies:
+			if !r.q.TryPut(p, r.i) {
+				return false
+			}
+			r.put++
+		case r.batches >= 0 && r.i+1 >= r.batches:
+			return true
+		default:
+			r.i, r.put = r.i+1, 0
+			r.read, r.w = r.src.ReadBatch(p.Now(), r.n, r.bytesPer), 0
 		}
-	})
-	return r
+	}
 }
 
 // Stop kills the reader proc (crash injection and elastic recovery).
 // Safe to call more than once.
-func (r *Reader) Stop() {
-	if r.proc != nil {
-		r.proc.Kill()
-	}
-}
-
-// StartSharedReader spawns the original Caffe design: a single reader
-// thread loads each iteration's whole batch, then releases one token
-// per consuming solver through the shared queue.
-func StartSharedReader(k *sim.Kernel, name string, src Source, batchPerIter int, bytesPer int64, iterations, consumers, depth int) *Reader {
-	r := &Reader{q: k.NewQueue(depth)}
-	r.proc = k.Spawn(name, func(p *sim.Proc) {
-		for i := 0; i < iterations; i++ {
-			src.ReadBatch(p, batchPerIter, bytesPer)
-			for c := 0; c < consumers; c++ {
-				r.q.Put(p, i)
-			}
-		}
-	})
-	return r
-}
+func (r *Reader) Stop() { r.proc.Kill() }
 
 // TryNext consumes the next batch if one is buffered and reports true;
 // otherwise it reports false with the solver's proc p registered to be

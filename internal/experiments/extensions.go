@@ -5,11 +5,8 @@ import (
 
 	"scaffe/internal/coll"
 	"scaffe/internal/core"
-	"scaffe/internal/gpu"
 	"scaffe/internal/models"
-	"scaffe/internal/mpi"
 	"scaffe/internal/sim"
-	"scaffe/internal/topology"
 )
 
 // This file holds the extension experiments beyond the paper's
@@ -240,29 +237,5 @@ func rankSweep(sweep []int, max int) []int {
 
 // syncLatency measures one full parameter-synchronization step.
 func syncLatency(ranks int, bytes int64, ring bool) (sim.Duration, error) {
-	world := clusterA(ranks)
-	comm := world.WorldComm()
-	red := coll.NewReducer(comm, coll.Tuned, coll.DefaultOptions())
-	ringRed := coll.NewRing(comm, coll.DefaultOptions())
-	var start, done sim.Time
-	_, err := world.Run(func(r *mpi.Rank) {
-		buf := gpu.NewBuffer(bytes)
-		comm.Barrier(r)
-		if r.ID == 0 {
-			start = r.Now()
-		}
-		if ring {
-			ringRed.Allreduce(r, buf, coll.BenchTag)
-		} else {
-			coll.Allreduce(red, comm, r, buf, coll.BenchTag, topology.ModeAuto)
-		}
-		if r.Now() > done {
-			done = r.Now()
-		}
-		comm.Barrier(r)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return done - start, nil
+	return coll.AllreduceLatency(clusterA(ranks), bytes, ring)
 }

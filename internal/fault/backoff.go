@@ -4,8 +4,8 @@ import "scaffe/internal/sim"
 
 // Backoff is the repository's single capped-exponential deadline
 // ladder. Both consumers of deadline retries — the MPI layer's
-// deadline-sliced waits (waitFT) and the join desk's admission retries
-// (AwaitAdmission) — step the same ladder, so detection latency and
+// deadline-sliced waits (PollWait) and the join desk's admission retries
+// (PollAdmission) — step the same ladder, so detection latency and
 // admission latency are governed by one tested policy instead of two
 // drifting copies.
 //

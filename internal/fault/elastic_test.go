@@ -71,13 +71,43 @@ type elasticApplier struct {
 
 func (a *elasticApplier) ReviveRank(rank int) {
 	a.k.Spawn(fmt.Sprintf("joiner%d", rank), func(p *sim.Proc) {
-		if a.pl.AwaitAdmission(rank, p) {
+		if awaitAdmission(a.pl, rank, p) {
 			a.admitted = append(a.admitted, rank)
 		} else {
 			a.refused = append(a.refused, rank)
 		}
 		a.pl.Depart(rank)
 	})
+}
+
+// pollStep runs a poll form of the plane's as the steps of a goroutine
+// proc, for the tests' procs that sleep between the plane's calls.
+type pollStep func(p *sim.Proc) (done, ok bool)
+
+func (f pollStep) run(p *sim.Proc) (ok bool) {
+	p.RunSteps(stepper(func(p *sim.Proc) (done bool) {
+		done, ok = f(p)
+		return done
+	}))
+	return ok
+}
+
+type stepper func(p *sim.Proc) bool
+
+func (f stepper) Step(p *sim.Proc) bool { return f(p) }
+
+// awaitAdmission waits rank's proc p at the join desk until it is
+// admitted or gives up.
+func awaitAdmission(pl *Plane, rank int, p *sim.Proc) bool {
+	attempt := 0
+	return pollStep(func(p *sim.Proc) (bool, bool) { return pl.PollAdmission(rank, p, &attempt) }).run(p)
+}
+
+// enterRecovery waits rank's proc p out in the recovery rendezvous and
+// reports whether it trains on.
+func enterRecovery(pl *Plane, rank int, p *sim.Proc) bool {
+	pl.Arrive(rank)
+	return pollStep(func(p *sim.Proc) (bool, bool) { return pl.PollRecovery(rank, p) }).run(p)
 }
 
 // runJoinDesk simulates 3 survivors that ignore the join desk until
@@ -103,7 +133,7 @@ func runJoinDesk(t *testing.T, retries int, open sim.Time) (*Report, []int) {
 					pl.BeginGrow()
 				}
 				if pl.Revoked() || pl.OnTimeout(i, 0, p.Now()) {
-					pl.EnterRecovery(i, p)
+					enterRecovery(pl, i, p)
 				}
 			}
 			pl.Depart(i)
@@ -170,7 +200,7 @@ func TestJoinAbandonedWhenNobodyLeft(t *testing.T) {
 	k.Spawn("rank0", func(p *sim.Proc) {
 		p.Sleep(2 * pl.Timeout(0))
 		if pl.OnTimeout(0, 0, p.Now()) {
-			pl.EnterRecovery(0, p)
+			enterRecovery(pl, 0, p)
 		}
 		// Survivor finishes training long before anyone could admit
 		// the joiner.
@@ -200,7 +230,7 @@ func TestEvictIsInstantlyDetected(t *testing.T) {
 			for len(pl.Report().Recoveries) == 0 {
 				p.Sleep(pl.Timeout(0))
 				if pl.Revoked() && pl.Alive(i) {
-					pl.EnterRecovery(i, p)
+					enterRecovery(pl, i, p)
 				}
 			}
 			pl.Depart(i)

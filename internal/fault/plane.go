@@ -47,7 +47,7 @@ type Applier interface {
 	// resident network parameters (BitFlip events).
 	FlipBit(rank, word, bit int)
 	// ReviveRank gives a previously excluded rank a fresh process that
-	// announces itself and waits for admission (AwaitAdmission): the
+	// announces itself and waits for admission (PollAdmission): the
 	// elastic grow path.
 	ReviveRank(rank int)
 }
@@ -195,7 +195,7 @@ type Plane struct {
 	joinRec []JoinRecord
 	revoked bool
 
-	// parked wakes the ranks parked in EnterRecovery, admitDone the
+	// parked wakes the ranks waiting in PollRecovery, admitDone the
 	// joiners a round admits; round is what a release hands the hook.
 	parked     *sim.Completion
 	round      Round
@@ -277,8 +277,8 @@ func (pl *Plane) Arm(sched Schedule, ap Applier) {
 }
 
 // OnRebuild registers the engine's shrink-and-restore hook. It runs
-// exactly once per round, at release, with every member parked in
-// EnterRecovery, and returns the iteration training resumes from and
+// exactly once per round, at release, with every member waiting in
+// PollRecovery, and returns the iteration training resumes from and
 // whether the members rolled back rather than continuing in place.
 func (pl *Plane) OnRebuild(fn func(Round) (restart int, rolledBack bool)) { pl.rebuild = fn }
 
@@ -412,36 +412,41 @@ func (pl *Plane) revive(rank int) {
 	pl.applier.ReviveRank(rank)
 }
 
-// AwaitAdmission parks a revived rank's proc until a grow round admits
-// it, riding out busy admit windows with the same capped exponential
-// backoff as failure detection. A wait that exhausts its retry budget
-// withdraws the announce, cools down, and re-queues it — bounded
-// retries, graceful degradation, and it can never wedge training. An
-// announce locked in by BeginGrow cannot be withdrawn: its admission
-// commits with the round. It reports false (giving up entirely) only
-// when no member is left to admit the joiner.
-func (pl *Plane) AwaitAdmission(rank int, p *sim.Proc) bool {
+// PollAdmission is a revived rank's wait at the join desk, for a
+// sim.Stepper of its proc: it announces the rank and waits until a grow
+// round admits it, riding out busy admit windows with the same capped
+// exponential backoff as failure detection. A wait that exhausts its
+// retry budget withdraws the announce, cools down, and re-queues it —
+// bounded retries, graceful degradation, and it can never wedge
+// training. An announce locked in by BeginGrow cannot be withdrawn: its
+// admission commits with the round. While it reports done false, p is
+// armed to be resumed, and the step must return and call PollAdmission
+// again then, with the same attempt: the deadlines ridden out since the
+// last announce, zero at the first call. Done, it reports whether the
+// rank was admitted: it gives up only when no member is left to admit it.
+func (pl *Plane) PollAdmission(rank int, p *sim.Proc, attempt *int) (done, admitted bool) {
 	rec := &pl.joinRec[rank]
-	attempt := 0
-	for {
-		c := pl.next(&pl.admitDone)
-		pl.m.to(rank, evAnnounce)
-		rec.Attempts++
-		if p.WaitTimeout(c, pl.Timeout(attempt)) {
-			return true
-		}
+	switch pl.m.state[rank].phase {
+	case member: // the round that fired the admit window admitted it
+		return true, true
+	case announced, admitting: // the admit window's deadline
 		if pl.m.live() == 0 {
 			pl.m.to(rank, evAbandon)
-			return false
+			return true, false
 		}
-		attempt++
-		if attempt >= pl.joinBudget && pl.m.to(rank, evWithdraw).phase == announced {
+		if *attempt++; *attempt >= pl.joinBudget && pl.m.to(rank, evWithdraw).phase == announced {
 			rec.Requeues++
 			pl.report.JoinRequeues++
-			attempt = 0
-			p.Sleep(pl.backoff.Ceiling())
+			*attempt = 0
+			p.ArmUntil(pl.k.Now() + pl.backoff.Ceiling())
+			return false, false
 		}
 	}
+	c := pl.next(&pl.admitDone)
+	pl.m.to(rank, evAnnounce)
+	rec.Attempts++
+	fired := p.ArmWaitTimeout(c, pl.Timeout(*attempt))
+	return fired, fired
 }
 
 // JoinPending reports whether any announced joiner is waiting for an
@@ -528,21 +533,31 @@ func (pl *Plane) OnTimeout(rank, attempt int, now sim.Time) bool {
 	return false
 }
 
-// EnterRecovery parks rank's main proc in the recovery rendezvous and
-// reports whether it trains on: a member that observed a revocation
-// arrives and resumes when the round releases; a finished rank (see
-// Depart) resumes if a round releases first, and gets false once the
-// run is done with it.
-func (pl *Plane) EnterRecovery(rank int, p *sim.Proc) bool {
+// Arrive enters rank's main proc into the recovery rendezvous, which
+// PollRecovery then waits out: a member that observed a revocation
+// arrives; a finished rank (see Depart) is there already.
+func (pl *Plane) Arrive(rank int) {
 	if pl.m.state[rank].phase == member {
 		pl.m.to(rank, evArrive)
 	}
+}
+
+// PollRecovery waits out the recovery rendezvous rank's main proc
+// arrived at, for a sim.Stepper of the proc: a member that arrived
+// resumes when the round releases; a finished rank resumes if a round
+// releases first, and leaves once the run is done with it. While it
+// reports done false, p is armed to be resumed, and the step must
+// return and call PollRecovery again then. Done, it reports whether the
+// rank trains on.
+func (pl *Plane) PollRecovery(rank int, p *sim.Proc) (done, trainOn bool) {
 	for s := pl.m.state[rank]; s.phase == arrived || s.phase == finished; s = pl.m.state[rank] {
 		c := pl.next(&pl.parked)
 		pl.checkRelease()
-		p.Wait(c) // returns at once if checkRelease fired it
+		if !p.ArmWaitTimeout(c, sim.Never) { // fired already if checkRelease released the round
+			return false, false
+		}
 	}
-	return pl.m.state[rank].phase == member
+	return true, pl.m.state[rank].phase == member
 }
 
 // Depart reports that rank's training loop has ended: the rank is

@@ -41,7 +41,21 @@ func TestRespawnRankFreshLife(t *testing.T) {
 	grown := w.EpochComm([]int{0, 1})
 	var got float32
 	var secondLife bool
-	w.Spawn(func(r *Rank) {
+	k.At(5, func() { w.Ranks[1].KillAll() })
+	k.At(10, func() {
+		w.RespawnRank(1, func(r *Rank) sim.Stepper {
+			var req *Request
+			var wt Waiter
+			return stepFunc(func(*sim.Proc) bool {
+				if req == nil {
+					secondLife = true
+					req = r.Isend(grown, 0, 9, gpu.WrapData([]float32{7}), topology.ModeAuto)
+				}
+				return r.PollRequest(&wt, req)
+			})
+		})
+	})
+	if _, err := w.Run(func(r *Rank) {
 		switch r.ID {
 		case 0:
 			buf := gpu.NewDataBuffer(1)
@@ -52,15 +66,7 @@ func TestRespawnRankFreshLife(t *testing.T) {
 			r.Sleep(sim.Second)
 			t.Error("first life survived its kill")
 		}
-	})
-	k.At(5, func() { w.Ranks[1].KillAll() })
-	k.At(10, func() {
-		w.RespawnRank(1, func(r *Rank) {
-			secondLife = true
-			r.Send(grown, 0, 9, gpu.WrapData([]float32{7}), topology.ModeAuto)
-		})
-	})
-	if err := k.Run(); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if !secondLife {

@@ -10,7 +10,8 @@ import (
 // (World.Fault), and every wait runs in the deadline slices of its
 // backoff ladder. A deadline that expires without progress consults the
 // plane — if a rank is dead the communicator is revoked and the wait
-// panics with Revoked{}, which the engine catches to enter recovery;
+// panics with Revoked{}, which ends the walk of the lane it waits in
+// (package sched) and sends the rank to the recovery rendezvous;
 // otherwise the wait retries with exponential backoff, riding out
 // transient slowness (stragglers, degraded links). An expiry that finds
 // nothing wrong is a step on the event loop (PollWait), not a resume of
@@ -20,7 +21,7 @@ import (
 
 // Revoked is the panic value thrown by fault-aware MPI operations
 // once the communicator has been revoked. It unwinds the current
-// iteration; the engine recovers it and rendezvouses the survivors.
+// iteration to the top of its lane's walk, and the survivors rendezvous.
 type Revoked struct{}
 
 func (Revoked) Error() string { return "mpi: communicator revoked" }
@@ -107,13 +108,6 @@ type waitStep struct {
 }
 
 func (s *waitStep) Step(p *sim.Proc) bool { return s.r.PollWait(p, &s.w, s.c) }
-
-// wait blocks the rank's main proc until c fires (or the communicator
-// is revoked).
-func (r *Rank) wait(c *sim.Completion) {
-	r.waiting = waitStep{r: r, c: c}
-	r.Proc.RunSteps(&r.waiting)
-}
 
 // KillThreads kills the rank's live helper threads (stale lanes of an
 // abandoned iteration during recovery).

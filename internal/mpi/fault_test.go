@@ -48,7 +48,7 @@ func TestIdlePlaneEscalationNeverCommitsDamage(t *testing.T) {
 		if r.ID == 0 {
 			buf.Fill(1)
 		}
-		r.Bcast(c, 0, buf, topology.ModeAuto)
+		r.Wait(r.Ibcast(c, 0, buf, topology.ModeAuto))
 		left[r.ID] = true
 	})
 	if err == nil {

@@ -150,11 +150,6 @@ func (r *Rank) Ibcast(c *Comm, root int, buf *gpu.Buffer, mode topology.Transfer
 	return req
 }
 
-// Bcast is the blocking broadcast: Ibcast + Wait.
-func (r *Rank) Bcast(c *Comm, root int, buf *gpu.Buffer, mode topology.TransferMode) {
-	r.Wait(r.Ibcast(c, root, buf, mode))
-}
-
 // relative converts a group rank to root-relative order.
 func (op *bcastOp) relative(groupRank int) int {
 	n := op.c.Size()

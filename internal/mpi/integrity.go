@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"scaffe/internal/gpu"
+	"scaffe/internal/sim"
 	"scaffe/internal/topology"
 )
 
@@ -12,8 +13,8 @@ import (
 type IntegrityMode int
 
 const (
-	// IntegrityOff disables checksum bookkeeping entirely; RecvSummed
-	// degrades to a plain Recv with zero extra allocation.
+	// IntegrityOff disables checksum bookkeeping entirely; IrecvSummed
+	// degrades to a plain Irecv with zero extra allocation.
 	IntegrityOff IntegrityMode = iota
 	// IntegrityDetect verifies every checksummed receive and counts
 	// mismatches, but lets the corrupted payload flow on — the
@@ -47,7 +48,7 @@ func (w *World) integrityArmed() bool {
 }
 
 // Summed is the receive-side handle of one checksummed transfer: the
-// delivered payload plus the checksum it carried on the wire. Verify
+// delivered payload plus the checksum it carried on the wire. Settle
 // settles it. A nil Summed (integrity off) is inert, so call sites
 // need no mode branching.
 type Summed struct {
@@ -58,24 +59,20 @@ type Summed struct {
 	mode     topology.TransferMode
 	poisoned bool      // timing-mode corruption marker (no payload to damage)
 	clean    []float32 // pre-corruption payload snapshot for retransmits
+
+	// The retransmission in flight, if any: its landing, the wait for it,
+	// and how many were booked.
+	redo  *sim.Completion
+	w     Waiter
+	tries int
 }
 
-// RecvSummed is a blocking receive that carries a per-chunk checksum.
-// The returned handle must reach Verify on every path: Verify
-// re-checksums the delivered payload against the wire sum and, in
-// recover mode, retransmits the chunk on mismatch within the world's
-// retry budget before escalating via Revoked. The handle is pooled:
-// Verify settling it releases it, so it must not be used afterwards.
-func (r *Rank) RecvSummed(c *Comm, from, tag int, buf *gpu.Buffer) *Summed {
-	req, s := r.IrecvSummed(c, from, tag, buf)
-	r.Wait(req)
-	return s
-}
-
-// IrecvSummed posts RecvSummed's receive and returns its request with
-// the checksum handle: the non-blocking form, for a sim.Stepper that
-// polls the request itself. Once the request has completed the handle
-// must reach Verify (or a TryVerify that reports true).
+// IrecvSummed posts a receive that carries a per-chunk checksum and
+// returns its request with the checksum handle. Once the request has
+// completed the handle must reach Settle, which re-checksums the
+// delivered payload against the wire sum and, in recover mode,
+// retransmits the chunk on mismatch within the world's retry budget
+// before escalating via Revoked.
 func (r *Rank) IrecvSummed(c *Comm, from, tag int, buf *gpu.Buffer) (*Request, *Summed) {
 	var s *Summed
 	if r.W.integrityArmed() {
@@ -106,7 +103,7 @@ func newSummed(r *Rank, buf *gpu.Buffer) *Summed { return &Summed{r: r, buf: buf
 func (s *Summed) release() {
 	r := s.r
 	s.r, s.buf, s.src = nil, nil, nil
-	s.sum, s.mode, s.poisoned = 0, 0, false
+	s.sum, s.mode, s.poisoned, s.tries = 0, 0, false, 0
 	s.clean = s.clean[:0]
 	r.sumPool = append(r.sumPool, s)
 }
@@ -145,52 +142,55 @@ func (s *Summed) corrupt() {
 	s.buf.Data[0] = math.Float32frombits(math.Float32bits(s.buf.Data[0]) ^ 1<<30)
 }
 
-// TryVerify is the part of Verify that never blocks: it settles a
-// receive whose checksum matches (and the inert nil handle) and reports
-// true. It reports false, having counted nothing, on a mismatch, which
-// only Verify can handle — a retransmit waits on the wire. A
-// sim.Stepper calls TryVerify in its Step and falls back to Verify on
-// the proc's goroutine.
-func (s *Summed) TryVerify() bool {
+// Settle settles the checksummed receive, for a sim.Stepper of the
+// receiving rank's main proc: it reports true once the payload's
+// checksum matches, or once a mismatch is counted in detect mode (the
+// corrupted payload flows on), and the handle is released then. On a
+// mismatch in recover mode it books a retransmission of the chunk from
+// its sender and arms the proc to wait for it, as PollWait does, and
+// reports false: the step must return, and call Settle again when
+// resumed. A chunk still corrupted past the retry budget revokes the
+// communicator and panics with Revoked, for the fault plane's recovery
+// rendezvous.
+func (s *Summed) Settle() bool {
 	if s == nil {
 		return true
 	}
-	if s.poisoned || (s.buf.Data != nil && s.buf.Checksum() != s.sum) {
-		return false
-	}
-	s.r.W.Integrity.Verified++
-	s.release()
-	return true
-}
-
-// Verify settles the checksummed receive. On mismatch it counts a
-// detection; detect mode stops there (the corrupted payload flows on),
-// recover mode retransmits the chunk and re-verifies until it is clean
-// or the retry budget is exhausted, at which point the communicator is
-// revoked and the wait unwinds with Revoked for the fault plane's
-// recovery rendezvous.
-func (s *Summed) Verify() {
-	for try := 0; !s.TryVerify(); try++ {
-		w := s.r.W
+	r := s.r
+	w := r.W
+	for {
+		if s.redo != nil {
+			if !r.PollWait(r.Proc, &s.w, s.redo) {
+				return false
+			}
+			w.K.PutCompletion(s.redo)
+			s.redo = nil
+		}
+		if !s.poisoned && (s.buf.Data == nil || s.buf.Checksum() == s.sum) {
+			w.Integrity.Verified++
+			s.release()
+			return true
+		}
 		integ := w.Integrity
 		integ.Detected++
 		if integ.Mode == IntegrityDetect {
 			s.release()
-			return
+			return true
 		}
-		if try >= integ.RetryBudget {
+		if s.tries >= integ.RetryBudget {
 			integ.Escalations++
 			w.Fault.Revoke()
 			panic(Revoked{})
 		}
+		s.tries++
 		integ.Retransmits++
 		s.retransmit()
 	}
 }
 
-// retransmit books a fresh wire transfer of the chunk from its sender
-// and blocks until it lands; the corruption hook is consulted again so
-// a persistently bad link keeps failing toward escalation.
+// retransmit books a fresh wire transfer of the chunk from its sender,
+// landing in s.redo; the corruption hook is consulted again so a
+// persistently bad link keeps failing toward escalation.
 func (s *Summed) retransmit() {
 	r := s.r
 	w := r.W
@@ -207,6 +207,5 @@ func (s *Summed) retransmit() {
 		}
 		done.Fire()
 	})
-	r.wait(done)
-	w.K.PutCompletion(done)
+	s.redo, s.w = done, Waiter{}
 }

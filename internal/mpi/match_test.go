@@ -97,7 +97,7 @@ func TestMatchingAgainstReferenceMatcher(t *testing.T) {
 				if op.on != r.ID {
 					continue
 				}
-				r.Proc.WaitUntil(op.at)
+				r.Sleep(op.at - r.Now())
 				buf := gpu.NewDataBuffer(op.elems)
 				if op.send {
 					buf.Data[0] = float32(op.id)

@@ -253,7 +253,7 @@ func TestBcastDeliversToAll(t *testing.T) {
 		if r.ID == 0 {
 			buf.Fill(3.5)
 		}
-		r.Bcast(c, 0, buf, topology.ModeAuto)
+		r.Wait(r.Ibcast(c, 0, buf, topology.ModeAuto))
 		got[r.ID] = buf.Data[0]
 	})
 	if err != nil {
@@ -275,7 +275,7 @@ func TestBcastNonZeroRoot(t *testing.T) {
 		if r.ID == 2 {
 			buf.Fill(9)
 		}
-		r.Bcast(c, 2, buf, topology.ModeAuto)
+		r.Wait(r.Ibcast(c, 2, buf, topology.ModeAuto))
 		got[r.ID] = buf.Data[0]
 	})
 	if err != nil {
@@ -358,7 +358,7 @@ func TestBcastLargeComm(t *testing.T) {
 		if r.ID == 0 {
 			buf.Fill(7)
 		}
-		r.Bcast(c, 0, buf, topology.ModeAuto)
+		r.Wait(r.Ibcast(c, 0, buf, topology.ModeAuto))
 		for _, v := range buf.Data {
 			if v != 7 {
 				ok = false

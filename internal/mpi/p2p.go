@@ -48,7 +48,7 @@ type Request struct {
 	done sim.Completion
 	buf  *gpu.Buffer
 	// summed, when non-nil, records the delivered payload's checksum
-	// for the integrity plane (see RecvSummed).
+	// for the integrity plane (see IrecvSummed).
 	summed *Summed
 	next   *Request // match-queue link (posted receives)
 	pooled bool
@@ -153,7 +153,8 @@ func (r *Rank) putPendingSend(ps *pendingSend) {
 // recycled. Like every blocking MPI call it belongs to the rank's main
 // proc.
 func (r *Rank) Wait(req *Request) {
-	r.wait(req.Done)
+	r.waiting = waitStep{r: r, c: req.Done}
+	r.Proc.RunSteps(&r.waiting)
 	r.putRequest(req)
 }
 

@@ -16,11 +16,24 @@ import (
 // every reference from a previous life from completing a record's next
 // one.
 
+// settleStep is Summed.Settle as the steps of a proc with a goroutine.
+type settleStep struct{ s *Summed }
+
+func (st settleStep) Step(*sim.Proc) bool { return st.s.Settle() }
+
+// recvSummed is a blocking checksummed receive, settled: the receive's
+// wait, then Settle's steps. A revocation panics on the goroutine.
+func recvSummed(r *Rank, c *Comm, from, tag int, buf *gpu.Buffer) {
+	req, s := r.IrecvSummed(c, from, tag, buf)
+	r.Wait(req)
+	r.Proc.RunSteps(settleStep{s})
+}
+
 // TestRecyclingDrillCorruptionEscalation drives a checksummed receive
 // into the escalation path: the retry budget is exhausted by a
-// persistently corrupted link and Verify unwinds with Revoked. The
-// request the receive used was released by Wait before Verify ran, so
-// it is recycled; the Summed header was still in Verify's hands, so it
+// persistently corrupted link and Settle unwinds with Revoked. The
+// request the receive used was released by Wait before Settle ran, so
+// it is recycled; the Summed header was still in Settle's hands, so it
 // is abandoned. The drill checks both lifecycles and the generation
 // guard on the recycled request.
 func TestRecyclingDrillCorruptionEscalation(t *testing.T) {
@@ -43,8 +56,8 @@ func TestRecyclingDrillCorruptionEscalation(t *testing.T) {
 		buf := gpu.NewDataBuffer(4)
 
 		// Clean round: fills the pools. Wait releases the request before
-		// Verify settles (and releases) the header.
-		r.RecvSummed(c, 1, 1, buf).Verify()
+		// Settle settles (and releases) the header.
+		recvSummed(r, c, 1, 1, buf)
 		if len(r.reqPool) == 0 || len(r.sumPool) == 0 {
 			t.Errorf("clean round left empty pools: %d requests, %d summed", len(r.reqPool), len(r.sumPool))
 			return
@@ -54,7 +67,7 @@ func TestRecyclingDrillCorruptionEscalation(t *testing.T) {
 		staleSum := r.sumPool[len(r.sumPool)-1]
 
 		// Corrupted round: every delivery (including the retransmit) is
-		// damaged, so Verify burns the budget and revokes.
+		// damaged, so Settle burns the budget and revokes.
 		corrupt = true
 		func() {
 			defer func() {
@@ -67,7 +80,7 @@ func TestRecyclingDrillCorruptionEscalation(t *testing.T) {
 				}
 				escaped = true
 			}()
-			r.RecvSummed(c, 1, 2, buf).Verify()
+			recvSummed(r, c, 1, 2, buf)
 		}()
 		corrupt = false
 		if !escaped {

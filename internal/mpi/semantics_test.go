@@ -136,16 +136,27 @@ func TestDeviceAccessor(t *testing.T) {
 	}
 }
 
+// stepFunc is a sim.Stepper written as a function.
+type stepFunc func(p *sim.Proc) bool
+
+func (f stepFunc) Step(p *sim.Proc) bool { return f(p) }
+
 func TestSpawnThreadSharesVirtualTime(t *testing.T) {
 	w := newWorld(t, 1, 1, 1)
 	var mainSaw, helperSaw sim.Time
 	_, err := w.Run(func(r *Rank) {
 		done := r.W.K.NewCompletion()
-		r.SpawnThread("helper", func(p *sim.Proc) {
-			p.Sleep(7 * sim.Millisecond)
+		slept := false
+		r.SpawnThread("helper", stepFunc(func(p *sim.Proc) bool {
+			if !slept {
+				slept = true
+				p.ArmUntil(p.Now() + 7*sim.Millisecond)
+				return false
+			}
 			helperSaw = p.Now()
 			done.Fire()
-		})
+			return true
+		}))
 		r.Proc.Wait(done)
 		mainSaw = r.Now()
 	})

@@ -39,7 +39,7 @@ type World struct {
 	Fault *fault.Plane
 
 	// Integrity, when non-nil with a mode other than IntegrityOff,
-	// arms per-chunk checksums on RecvSummed receives and broadcast
+	// arms per-chunk checksums on IrecvSummed receives and broadcast
 	// edges (see integrity.go). Nil runs the exact seed code paths.
 	Integrity *Integrity
 
@@ -124,52 +124,46 @@ func (w *World) bumpEpoch() {
 	}
 }
 
-// Spawn starts every rank's main function as a simulated process. The
-// caller then drives the kernel with K.Run().
-func (w *World) Spawn(main func(r *Rank)) {
+// SpawnSteps gives every rank a main proc with no goroutine: from birth
+// it is the stepper main returns for it (sim.Kernel.SpawnSteps), and it
+// finishes when that is done. main runs right here, before the rank has
+// its proc: it builds the stepper, whose first step starts the rank's
+// work. The caller then drives the kernel with K.Run().
+func (w *World) SpawnSteps(main func(r *Rank) sim.Stepper) {
 	for _, r := range w.Ranks {
-		rank := r
-		rank.Proc = w.K.Spawn(fmt.Sprintf("rank%d", rank.ID), func(p *sim.Proc) {
-			main(rank)
-		})
+		r.Proc = w.K.SpawnSteps(fmt.Sprintf("rank%d", r.ID), main(r))
 	}
 }
 
-// RespawnRank gives a previously failed rank a fresh main proc running
-// main — the join path's counterpart of Spawn, callable while the
-// kernel runs. The rank's matching state from its previous life is
-// dropped (posted receives, unexpected sends, helper threads): a
-// respawned rank is only addressable through a communicator built
-// after it rejoined, so nothing stale can ever match.
-func (w *World) RespawnRank(id int, main func(r *Rank)) {
+// RespawnRank gives a previously failed rank a fresh main proc, the
+// stepper main returns for it — the join path's counterpart of
+// SpawnSteps, callable while the kernel runs. The rank's matching state
+// from its previous life is dropped (posted receives, unexpected sends,
+// helper threads): a respawned rank is only addressable through a
+// communicator built after it rejoined, so nothing stale can ever match.
+func (w *World) RespawnRank(id int, main func(r *Rank) sim.Stepper) {
 	rank := w.Ranks[id]
 	rank.KillThreads()
 	rank.match = matchTable{}
 	rank.lives++
-	rank.Proc = w.K.Spawn(fmt.Sprintf("rank%d.j%d", rank.ID, rank.lives), func(p *sim.Proc) {
-		main(rank)
-	})
+	rank.Proc = w.K.SpawnSteps(fmt.Sprintf("rank%d.j%d", rank.ID, rank.lives), main(rank))
 }
 
-// Run spawns all ranks on main and runs the simulation to completion,
-// returning the final virtual time.
+// Run starts every rank's main function as a simulated process with a
+// goroutine, and runs the simulation to completion, returning the final
+// virtual time.
 func (w *World) Run(main func(r *Rank)) (sim.Time, error) {
-	w.Spawn(main)
-	if err := w.K.Run(); err != nil {
-		return w.K.Now(), err
+	for _, r := range w.Ranks {
+		rank := r
+		rank.Proc = w.K.Spawn(fmt.Sprintf("rank%d", rank.ID), func(*sim.Proc) { main(rank) })
 	}
-	return w.K.Now(), nil
+	err := w.K.Run()
+	return w.K.Now(), err
 }
 
-// RunSteps is Run for ranks with no goroutine: each rank's main proc is,
-// from birth, the stepper main returns for it (sim.Kernel.SpawnSteps),
-// and finishes when that is done. main runs before the kernel does and
-// before the rank has its proc: it builds the stepper, whose first step
-// starts the rank's work.
+// RunSteps is Run for ranks with no goroutine (SpawnSteps).
 func (w *World) RunSteps(main func(r *Rank) sim.Stepper) (sim.Time, error) {
-	for _, r := range w.Ranks {
-		r.Proc = w.K.SpawnSteps(fmt.Sprintf("rank%d", r.ID), main(r))
-	}
+	w.SpawnSteps(main)
 	err := w.K.Run()
 	return w.K.Now(), err
 }
@@ -215,11 +209,12 @@ func (r *Rank) Now() sim.Time { return r.W.K.Now() }
 func (r *Rank) Sleep(d sim.Duration) { r.Proc.Sleep(d) }
 
 // SpawnThread starts an additional simulated thread inside this rank's
-// process (the helper thread of SC-OBR). The thread shares the rank's
-// state and synchronizes with the main thread through the completions
-// of the iteration graph's cross-lane nodes (sched.Node.After).
-func (r *Rank) SpawnThread(name string, fn func(p *sim.Proc)) *sim.Proc {
-	p := r.W.K.Spawn(fmt.Sprintf("rank%d.%s", r.ID, name), fn)
+// process (the helper thread of SC-OBR), a proc with no goroutine whose
+// life is s. The thread shares the rank's state and synchronizes with
+// the main thread through the completions of the iteration graph's
+// cross-lane nodes (sched.Node.After).
+func (r *Rank) SpawnThread(name string, s sim.Stepper) *sim.Proc {
+	p := r.W.K.SpawnSteps(fmt.Sprintf("rank%d.%s", r.ID, name), s)
 	// Prune finished threads so the tracking list stays bounded however
 	// many the rank's lives spawn.
 	live := r.threads[:0]

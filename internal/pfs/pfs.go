@@ -14,7 +14,6 @@ import (
 
 // FS is one parallel filesystem instance.
 type FS struct {
-	K *sim.Kernel
 	// OSTs are the object storage targets; reads reserve them.
 	OSTs []*sim.Resource
 	// OSTBW is the per-OST bandwidth in bytes/second.
@@ -30,7 +29,7 @@ func New(k *sim.Kernel, numOSTs int, ostBW, clientBW float64) *FS {
 	if numOSTs <= 0 {
 		panic("pfs: need at least one OST")
 	}
-	fs := &FS{K: k, OSTBW: ostBW, ClientBW: clientBW, PerFileLat: 30 * sim.Microsecond}
+	fs := &FS{OSTBW: ostBW, ClientBW: clientBW, PerFileLat: 30 * sim.Microsecond}
 	for i := 0; i < numOSTs; i++ {
 		fs.OSTs = append(fs.OSTs, k.NewResource(fmt.Sprintf("ost%d", i)))
 	}
@@ -41,13 +40,12 @@ func New(k *sim.Kernel, numOSTs int, ostBW, clientBW float64) *FS {
 // experiments: 48 OSTs × 3 GB/s.
 func Default(k *sim.Kernel) *FS { return New(k, 48, 3e9, 10e9) }
 
-// ReadSpread blocks p for the time it takes one client to read `bytes`
-// of data spread uniformly over all OSTs (the steady state of a
-// data-reader thread pulling many image files): each OST serves its
-// share at its own rate, the client is capped at ClientBW, and `files`
-// metadata operations are charged.
-func (f *FS) ReadSpread(p *sim.Proc, bytes int64, files int) {
-	now := p.Now()
+// ReadSpread books the read, starting at now, of `bytes` spread
+// uniformly over all OSTs by one client (the steady state of a
+// data-reader thread pulling many image files) and returns when it ends:
+// each OST serves its share at its own rate, the client is capped at
+// ClientBW, and `files` metadata operations are charged.
+func (f *FS) ReadSpread(now sim.Time, bytes int64, files int) sim.Time {
 	share := bytes / int64(len(f.OSTs))
 	perOST := sim.Duration(float64(share) / f.OSTBW * float64(sim.Second))
 	end := now
@@ -61,15 +59,5 @@ func (f *FS) ReadSpread(p *sim.Proc, bytes int64, files int) {
 	if clientTime > end {
 		end = clientTime
 	}
-	end += sim.Duration(files) * f.PerFileLat
-	p.WaitUntil(end)
-}
-
-// ReadFile blocks p while reading one file of `bytes` striped from a
-// deterministic OST (small files land on a single OST).
-func (f *FS) ReadFile(p *sim.Proc, fileID int64, bytes int64) {
-	ost := f.OSTs[int(fileID)%len(f.OSTs)]
-	dur := f.PerFileLat + sim.Duration(float64(bytes)/f.OSTBW*float64(sim.Second))
-	_, end := ost.Reserve(p.Now(), dur)
-	p.WaitUntil(end)
+	return end + sim.Duration(files)*f.PerFileLat
 }

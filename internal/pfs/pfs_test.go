@@ -7,20 +7,7 @@ import (
 )
 
 func TestReadSpreadScalesWithBytes(t *testing.T) {
-	read := func(bytes int64) sim.Duration {
-		k := sim.New()
-		fs := Default(k)
-		var took sim.Duration
-		k.Spawn("c", func(p *sim.Proc) {
-			before := p.Now()
-			fs.ReadSpread(p, bytes, 1)
-			took = p.Now() - before
-		})
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return took
-	}
+	read := func(bytes int64) sim.Time { return Default(sim.New()).ReadSpread(0, bytes, 1) }
 	small := read(1 << 20)
 	large := read(1 << 30)
 	if large <= small {
@@ -29,19 +16,9 @@ func TestReadSpreadScalesWithBytes(t *testing.T) {
 }
 
 func TestClientBandwidthCap(t *testing.T) {
-	k := sim.New()
-	fs := New(k, 64, 3e9, 1e9) // slow client link
-	var took sim.Duration
-	k.Spawn("c", func(p *sim.Proc) {
-		before := p.Now()
-		fs.ReadSpread(p, 1<<30, 1)
-		took = p.Now() - before
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	fs := New(sim.New(), 64, 3e9, 1e9) // slow client link
 	// 1 GB at 1 GB/s client cap ≈ 1.07s regardless of 192 GB/s of OSTs.
-	if took < 1*sim.Second {
+	if took := fs.ReadSpread(0, 1<<30, 1); took < 1*sim.Second {
 		t.Errorf("client cap ignored: read took %v", took)
 	}
 }
@@ -50,19 +27,10 @@ func TestAggregateBandwidthShared(t *testing.T) {
 	// Many clients reading simultaneously share the OST pool: total
 	// time grows once aggregate bandwidth saturates.
 	finish := func(clients int) sim.Time {
-		k := sim.New()
-		fs := New(k, 4, 1e9, 10e9) // 4 GB/s aggregate
+		fs := New(sim.New(), 4, 1e9, 10e9) // 4 GB/s aggregate
 		var latest sim.Time
 		for i := 0; i < clients; i++ {
-			k.Spawn("c", func(p *sim.Proc) {
-				fs.ReadSpread(p, 1<<28, 1) // 256 MB each
-				if p.Now() > latest {
-					latest = p.Now()
-				}
-			})
-		}
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
+			latest = max(latest, fs.ReadSpread(0, 1<<28, 1)) // 256 MB each
 		}
 		return latest
 	}
@@ -70,32 +38,6 @@ func TestAggregateBandwidthShared(t *testing.T) {
 	eight := finish(8)
 	if eight < 6*one {
 		t.Errorf("8 clients on a saturated pool finished in %v vs single %v", eight, one)
-	}
-}
-
-func TestReadFilePinsOneOST(t *testing.T) {
-	k := sim.New()
-	fs := New(k, 8, 1e9, 10e9)
-	done := false
-	k.Spawn("c", func(p *sim.Proc) {
-		fs.ReadFile(p, 5, 1<<20)
-		fs.ReadFile(p, 5, 1<<20) // same OST: serialized
-		done = true
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !done {
-		t.Fatal("reads did not finish")
-	}
-	busy := 0
-	for _, ost := range fs.OSTs {
-		if ost.BusyTotal() > 0 {
-			busy++
-		}
-	}
-	if busy != 1 {
-		t.Errorf("single-file reads touched %d OSTs, want 1", busy)
 	}
 }
 

@@ -9,8 +9,9 @@
 // A graph is two things. The Plan is the immutable part — nodes,
 // lanes, labels, dependency indices, actions — built once and shared by
 // every rank that plays the same role; the Graph is one rank's small
-// mutable instance of it (node completions, lane walks) and is what
-// Execute runs, iteration after iteration.
+// mutable instance of it (node completions, lane walks) and is what a
+// rank executes, iteration after iteration: Start, then the graph's
+// steps.
 //
 // A plan holds one or more lanes. Lane 0 runs inline on the rank's
 // main proc; every additional lane becomes a simulated thread inside
@@ -24,15 +25,19 @@
 // A lane is not a loop on a goroutine but a walk over the plan's node
 // table done in steps on the simulator's event loop (sim.Stepper): a
 // dependency that fires, a request that completes, a kernel that ends
-// each resume the walk where it stopped, on whichever goroutine is
-// running the loop. Nothing a node does parks — a park inside a step
-// panics — and the one way back to the lane's own goroutine is
-// Ctx.HandBack.
+// each resume the walk where it stopped. Lane 0's walk is the graph's
+// stepper, which the rank's own stepper drives; each helper lane's is a
+// proc with no goroutine. Nothing a node does parks — a park inside a
+// step panics — and work that is not ready yet calls Ctx.Again. A
+// revoked communicator (mpi.Revoked, raised by a node or a fragment it
+// splices) ends the lane's walk where it is raised: the top of the walk
+// is the one place that catches it, and Graph.Revoked tells lane 0's
+// caller.
 //
 // A plan may also be a fragment — a collective's posts, waits and
 // kernels, as package coll compiles them, or any blocking call's post
-// and await — walked by a splice node in its place, or on its own by
-// Steps.
+// and await — walked by a splice node in its place, or on its own by a
+// Walk.
 package sched
 
 import (
@@ -96,20 +101,15 @@ type Ctx struct {
 	Buf *gpu.Buffer
 	Tag int
 
-	back  func() // handed back by the running callback: see HandBack
-	again bool   // the running action armed its own resume: see Again
+	again bool // the running callback armed its own resume: see Again
 }
 
-// HandBack, from an action or a timed node's callback, has the lane run
-// fn — which may park — on its goroutine, then the callback again; a
-// timed callback's time is ignored meanwhile. It is the only way a node
-// reaches the goroutine.
-func (x *Ctx) HandBack(fn func()) { x.back = fn }
-
-// Again, from an action that found its work not ready and armed the
-// proc's resume for when it will be — sim.Queue.TryGet registering a
-// getter, mpi.Rank.PollBarrier arming a round's wait — has the lane run
-// the action again at that resume instead of going on.
+// Again, from an action or a timed node's callback that found its work
+// not ready and armed the proc's resume for when it will be —
+// sim.Queue.TryGet registering a getter, mpi.Rank.PollBarrier arming a
+// round's wait, mpi.Summed.Settle a retransmission's — has the lane run
+// the callback again at that resume instead of going on; a timed
+// callback's time is ignored then.
 func (x *Ctx) Again() { x.again = true }
 
 // Tracer receives one span per node execution: the action span under
@@ -184,7 +184,7 @@ func (n *Node) WaitingIn(phase string) *Node {
 
 // Plan is the immutable description of one iteration: what runs, on
 // which lane, after what. Build it, Seal it, then Bind it to any number
-// of ranks: neither Bind nor Execute writes a sealed plan.
+// of ranks: neither Bind nor an execution writes a sealed plan.
 type Plan struct {
 	lanes     [][]*Node
 	laneNames []string
@@ -239,9 +239,9 @@ func (p *Plan) Add(lane int, kind Kind, phase, label string, action func(*Ctx)) 
 // overhead. until runs when the node's dependencies and awaits are
 // satisfied, does the node's work (launching the kernel, the real
 // arithmetic) and returns when the lane may go on; the lane sleeps
-// until then. It is the blocking action "work; WaitUntil(end)" with the
+// until then. It is the blocking action "work; sleep until end" with the
 // wait left to the scheduler, which takes it as a step on the event
-// loop: until must not park the proc.
+// loop: until must not park the proc (work not ready yet calls Again).
 func (p *Plan) AddTimed(lane int, kind Kind, phase, label string, until func(*Ctx) sim.Time) *Node {
 	n := p.add(lane, kind, phase, label)
 	n.timed = until
@@ -315,18 +315,19 @@ func (p *Plan) Bind(r *mpi.Rank) *Graph {
 }
 
 // Graph is one rank's instance of a plan: the per-rank state an
-// execution writes. It is reused across iterations by calling Execute
-// repeatedly with different iteration numbers.
+// execution writes. It is reused across iterations: Start readies an
+// execution for an iteration, and the graph is then the stepper of the
+// rank's main proc until a step reports done.
 type Graph struct {
 	plan  *Plan
 	r     *mpi.Rank
 	done  []sim.Completion // per node another lane waits for, by Node.done
-	lanes []laneRun        // per lane: its walk's state; nil until the first Execute
+	lanes []laneRun        // per lane: its walk's state; nil until the first Start
 }
 
 // New returns an empty private plan together with rank r's instance of
 // it, with lane 0 (the rank's main proc) ready: build it through Lane
-// and Add. The first Execute seals the plan.
+// and Add. The first Start seals the plan.
 func New(r *mpi.Rank) *Graph {
 	return &Graph{plan: NewPlan(), r: r}
 }
@@ -342,24 +343,25 @@ func (g *Graph) Add(lane int, kind Kind, phase, label string, action func(*Ctx))
 	return g.plan.Add(lane, kind, phase, label, action)
 }
 
-// Execute runs the graph to completion on the rank's procs for
-// iteration it: lane 0 runs on the calling rank's main proc, each helper
-// lane on its own rank thread, and Execute returns only after every
-// lane's last node has finished. tracer may be nil.
+// Start readies the graph's execution for iteration it: each helper
+// lane on its own rank thread, a proc with no goroutine, and lane 0 at
+// its first node, for the steps of the rank's main proc (Step), which
+// the execution ends with once every lane's last node has finished.
+// tracer may be nil.
 //
-// A helper lane's thread is spawned by the first Execute and lives as
-// long as the instance: at the end of its walk it parks idle
-// (sim.Proc.ArmIdle), and the next Execute wakes it with the same resume
+// A helper lane's thread is spawned by the first Start and lives as
+// long as the instance: at the end of its walk it idles
+// (sim.Proc.ArmIdle), and the next Start wakes it with the same resume
 // a spawn would have scheduled, so a lane whose nodes are all steps runs
-// a whole iteration on the event loop. A thread that was killed or
-// unwound is replaced by a fresh one.
+// a whole iteration on the event loop. A thread that was killed or whose
+// walk a revocation ended is replaced by a fresh one.
 //
-// Each Execute starts clean: it re-initializes the completions, whose
-// generation bump dissolves any reference left over from an abandoned
-// (Revoked-unwound) previous execution. The helper threads of an abandoned execution must be dead
-// (mpi.Rank.KillThreads, as recovery does) before the next: a lane's
-// walk state is the instance's, not the thread's.
-func (g *Graph) Execute(tracer Tracer, it int) {
+// Each execution starts clean: Start re-initializes the completions,
+// whose generation bump dissolves any reference left over from an
+// execution a revocation ended. The helper threads of such an execution
+// must be dead (mpi.Rank.KillThreads, as recovery does) before the
+// next: a lane's walk state is the instance's, not the thread's.
+func (g *Graph) Start(tracer Tracer, it int) {
 	pl := g.plan
 	if g.lanes == nil {
 		// First execution: the plan is complete (Bind demands a sealed
@@ -382,35 +384,55 @@ func (g *Graph) Execute(tracer Tracer, it int) {
 		if l := &g.lanes[li]; len(l.nodes) > 0 {
 			l.reset(tracer, it)
 			if l.ctx.P == nil || !l.ctx.P.Wake() {
-				l.ctx.P = g.r.SpawnThread(pl.laneNames[li], l.runThread)
+				l.ctx.P = g.r.SpawnThread(pl.laneNames[li], l)
 			}
 		}
 	}
 	g.lanes[0].reset(tracer, it)
-	g.lanes[0].run(g.r.Proc)
+	g.lanes[0].ctx.P = g.r.Proc
 }
 
-// Steps walks fragments on a rank's main proc, for a splice or on its
-// own. The zero value is ready.
-type Steps struct{ laneRun }
+// Step walks lane 0 of the execution Start readied up to its next wait,
+// as a step of the rank's main proc, and reports done at the end of the
+// execution — or where a revocation ended it (Revoked).
+func (g *Graph) Step(p *sim.Proc) bool { return g.lanes[0].Step(p) }
 
-// Run walks fragment frag, if any, for (buf, tag) on rank r's main proc.
-func (s *Steps) Run(r *mpi.Rank, frag *Plan, buf *gpu.Buffer, tag int) {
-	if frag != nil {
-		s.start(r, 0, frag, buf, tag)
-		s.run(r.Proc)
+// Revoked reports whether a revoked communicator (mpi.Revoked) ended
+// the last execution's lane 0 before its end.
+func (g *Graph) Revoked() bool { return g.lanes[0].revoked }
+
+// Execute runs the graph for iteration it on the rank's main proc,
+// which must have a goroutine, and returns when it is done: Start, then
+// the graph's steps under RunSteps; a revocation panics with
+// mpi.Revoked on the goroutine. Training runs step graphs directly.
+func (g *Graph) Execute(tracer Tracer, it int) {
+	g.Start(tracer, it)
+	g.r.Proc.RunSteps(g)
+	if g.Revoked() {
+		panic(mpi.Revoked{})
 	}
 }
 
 // Walk is the walk of a sealed one-lane plan that is a proc's whole
 // life: the stepper of a rank's main proc with no goroutine
 // (mpi.World.RunSteps), which walks the plan over and over, Ctx.It
-// counting the walks, and finishes the proc at the end of the last. With
-// no goroutine to hand work back to, a Ctx.HandBack in it panics. The
-// zero value is ready.
+// counting the walks, and finishes the proc at the end of the last, or
+// where a revocation ends one. The zero value is ready.
 type Walk struct {
-	Steps
+	laneRun
 	times int
+}
+
+// Run walks fragment frag, if any, once for (buf, tag) on rank r's main
+// proc, which must have a goroutine: its steps run under RunSteps, and a
+// revocation panics with mpi.Revoked on the goroutine.
+func (w *Walk) Run(r *mpi.Rank, frag *Plan, buf *gpu.Buffer, tag int) {
+	if frag != nil {
+		r.Proc.RunSteps(w.Start(r, frag, buf, tag, 1))
+		if w.revoked {
+			panic(mpi.Revoked{})
+		}
+	}
 }
 
 // Start points w at times walks (at least one) of plan on rank r, whose
@@ -427,14 +449,7 @@ func (w *Walk) Start(r *mpi.Rank, plan *Plan, buf *gpu.Buffer, tag, times int) s
 func (w *Walk) Step(p *sim.Proc) bool {
 	w.ctx.P = p // the rank's proc is made after Start
 	for w.laneRun.Step(p) {
-		f := &w.laneRun
-		for f.at == atSplice {
-			f = &f.sub.laneRun
-		}
-		if f.at == atBack {
-			panic(fmt.Sprintf("sched: Ctx.HandBack on proc %q, which has no goroutine", p.Name()))
-		}
-		if w.ctx.It++; w.ctx.It >= w.times {
+		if w.ctx.It++; w.revoked || w.ctx.It >= w.times {
 			return true
 		}
 		w.i, w.at = 0, atEnter
@@ -443,35 +458,36 @@ func (w *Walk) Step(p *sim.Proc) bool {
 }
 
 // start points the walk at the first node of frag, for (buf, tag).
-func (s *Steps) start(r *mpi.Rank, it int, frag *Plan, buf *gpu.Buffer, tag int) {
+func (s *laneRun) start(r *mpi.Rank, it int, frag *Plan, buf *gpu.Buffer, tag int) {
 	if !frag.sealed || len(frag.lanes) != 1 {
 		panic("sched: a fragment must be a sealed single-lane plan")
 	}
 	s.nodes, s.ctx = frag.lanes[0], Ctx{R: r, P: r.Proc, It: it, Buf: buf, Tag: tag}
-	s.i, s.at, s.w = 0, atEnter, mpi.Waiter{}
+	s.i, s.at, s.w, s.revoked = 0, atEnter, mpi.Waiter{}, false
 }
 
 // laneRun is the state of one lane's walk over its nodes. The walk is a
 // sim.Stepper: Step takes the current node through its dependencies,
 // its awaits, its action and its completion, and moves to the next,
-// until a wait has to be armed or a callback hands work back. Every rank
-// keeps a few of these for as long as it lives, so the counters are
-// int32s: a plan is far from 2^31 nodes.
+// until a wait has to be armed. Every rank keeps a few of these for as
+// long as it lives, so the counters are int32s: a plan is far from 2^31
+// nodes.
 type laneRun struct {
 	g      *Graph // nil for a fragment's walk
 	nodes  []*Node
 	ctx    Ctx // P is the lane's proc: a helper lane's thread, idle between executions
 	tracer Tracer
-	sub    *Steps // the walk of the fragment a splice node runs; kept for the next
+	sub    *laneRun // the walk of the fragment a splice node runs; kept for the next
 
 	entered, began sim.Time // when the node was entered / its action began (traced runs)
 
-	i    int32  // the node being walked
-	d    int32  // dependencies already satisfied
-	q    int32  // awaited requests already complete
-	join int32  // lane 0, past its last node: the next helper lane to join
-	at   laneAt // how far into the node
-	w    mpi.Waiter
+	i       int32  // the node being walked
+	d       int32  // dependencies already satisfied
+	q       int32  // awaited requests already complete
+	join    int32  // lane 0, past its last node: the next helper lane to join
+	at      laneAt // how far into the node
+	revoked bool   // a revocation ended the walk
+	w       mpi.Waiter
 }
 
 type laneAt uint8
@@ -481,7 +497,6 @@ const (
 	atDeps                 // waiting out its dependencies
 	atAwaits               // waiting out its awaited requests
 	atAction               // its action is due
-	atBack                 // its callback handed work to the goroutine
 	atSplice               // its fragment is being walked (sub)
 	atFinish               // its action is over: span, completion, next node
 )
@@ -490,46 +505,26 @@ const (
 func (l *laneRun) reset(tracer Tracer, it int) {
 	l.ctx.It = it
 	l.tracer = tracer
-	l.i, l.at, l.join = 0, atEnter, 1
+	l.i, l.at, l.join, l.revoked = 0, atEnter, 1, false
 	l.w = mpi.Waiter{}
 }
 
-// runThread is a helper lane's proc. It walks one iteration after
-// another, idle in between, and ends only by a kill or an unwind.
-func (l *laneRun) runThread(p *sim.Proc) {
-	// A revoked communicator unwinds helper lanes quietly: recovery
-	// belongs to the main lane, which observes the same revocation
-	// through its own waits.
+// Step is a step of the lane's walk as its proc sees it: the walk's top,
+// the one place a revocation is caught. mpi.Revoked raised by any node of
+// the lane or of a fragment it splices ends the walk there, revoked and
+// done — a helper lane's thread finishes with it. Any other panic goes
+// on up, to fail the run.
+func (l *laneRun) Step(p *sim.Proc) (done bool) {
 	defer func() {
-		if rec := recover(); rec != nil && !mpi.IsRevoked(rec) {
-			panic(rec)
+		if rec := recover(); rec != nil {
+			if !mpi.IsRevoked(rec) {
+				panic(rec)
+			}
+			l.revoked = true
+			done = true
 		}
 	}()
-	l.run(p)
-}
-
-// run walks the lane on proc p, the lane's own: the steps on the event
-// loop, and between them only what a callback handed back (HandBack),
-// here, on the goroutine, for the lane or the fragment it splices. Lane 0
-// and a fragment's walk return at their end; a helper lane's walk ends
-// idle, parked inside RunSteps, and the next Execute's wake goes on from
-// there.
-func (l *laneRun) run(p *sim.Proc) {
-	l.ctx.P = p
-	for {
-		p.RunSteps(l)
-		f := l
-		for f.at == atSplice {
-			f = &f.sub.laneRun
-		}
-		if f.at != atBack {
-			return
-		}
-		back := f.ctx.back
-		f.ctx.back = nil
-		back()
-		f.at = atAction
-	}
+	return l.walk(p)
 }
 
 // poll waits out reqs from l.q on: false while a wait is armed.
@@ -542,11 +537,11 @@ func (l *laneRun) poll(reqs []*mpi.Request) bool {
 	return true
 }
 
-// Step waits the node's dependencies and awaits, runs its action, emits
+// walk waits the node's dependencies and awaits, runs its action, emits
 // trace spans, fires its completion, and goes on to the next node.
 // Untraced runs skip the timestamp bookkeeping — it exists only to
 // position spans.
-func (l *laneRun) Step(p *sim.Proc) bool {
+func (l *laneRun) walk(p *sim.Proc) bool {
 	g, r := l.g, l.ctx.R
 	for int(l.i) < len(l.nodes) {
 		n := l.nodes[l.i]
@@ -586,14 +581,18 @@ func (l *laneRun) Step(p *sim.Proc) bool {
 			l.at = atFinish
 			switch {
 			case n.timed != nil:
-				if until := n.timed(&l.ctx); l.ctx.back == nil {
-					p.ArmUntil(until)
+				until := n.timed(&l.ctx)
+				if l.ctx.again {
+					l.ctx.again = false
+					l.at = atAction
 					return false
 				}
+				p.ArmUntil(until)
+				return false
 			case n.splice != nil:
 				if frag, buf, tag := n.splice(&l.ctx); frag != nil {
 					if l.sub == nil {
-						l.sub = &Steps{}
+						l.sub = &laneRun{}
 					}
 					l.sub.start(r, l.ctx.It, frag, buf, tag)
 					l.at = atSplice
@@ -605,10 +604,6 @@ func (l *laneRun) Step(p *sim.Proc) bool {
 					l.at = atAction
 					return false
 				}
-			}
-			if l.ctx.back != nil {
-				l.at = atBack
-				return true
 			}
 			fallthrough
 		case atFinish:
@@ -622,9 +617,9 @@ func (l *laneRun) Step(p *sim.Proc) bool {
 			}
 			l.i++
 			l.at = atEnter
-		case atSplice: // done before its end is a hand-back: run serves the fragment
-			if done := l.sub.Step(p); !done || int(l.sub.i) < len(l.sub.nodes) {
-				return done
+		case atSplice:
+			if !l.sub.walk(p) {
+				return false
 			}
 			l.at = atFinish
 		}
@@ -633,7 +628,7 @@ func (l *laneRun) Step(p *sim.Proc) bool {
 		return true // a fragment's walk: its splice goes on
 	}
 	if l != &g.lanes[0] {
-		p.ArmIdle() // until the next Execute
+		p.ArmIdle() // until the next Start
 		return false
 	}
 	// Lane 0 outlasts its helpers. A well-formed graph orders it after

@@ -84,7 +84,7 @@ func TestLaneZeroRunsInInsertionOrder(t *testing.T) {
 }
 
 // TestTimedNodeMatchesBlockingAction: a node added with AddTimed is the
-// blocking code "work; WaitUntil(end)" — here a rank's main proc and a
+// blocking code "work; Sleep(d)" — here a rank's main proc and a
 // helper thread of its own, joined through a completion — in everything
 // but who waits: same order, same spans, same end time. Its waits are
 // steps, not goroutine switches.
@@ -101,10 +101,10 @@ func TestTimedNodeMatchesBlockingAction(t *testing.T) {
 				joined := w.K.NewCompletion()
 				layer := func(p *sim.Proc, l, lane int) {
 					start := p.Now()
-					p.WaitUntil(start + dur(r, l, lane))
+					p.Sleep(dur(r, l, lane))
 					tr.NodeSpan(lane, ComputeForward, phases[lane], fmt.Sprint(phases[lane], l), start, p.Now())
 				}
-				r.SpawnThread("helper", func(p *sim.Proc) {
+				w.K.Spawn(fmt.Sprintf("rank%d.helper", r.ID), func(p *sim.Proc) {
 					for l := 0; l < layers; l++ {
 						layer(p, l, 1)
 					}
@@ -392,7 +392,7 @@ func runShape(t *testing.T, shared bool, ranks, iters int) [][]spanRec {
 		plan.Seal()
 	}
 	tracers := make([]recTracer, ranks)
-	w.Spawn(func(r *mpi.Rank) {
+	if _, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
 		var g *Graph
 		if shared {
 			g = plan.Bind(r)
@@ -400,11 +400,8 @@ func runShape(t *testing.T, shared bool, ranks, iters int) [][]spanRec {
 			g = New(r)
 			obrShape(g.Plan(), comm, ranks)
 		}
-		for it := 0; it < iters; it++ {
-			g.Execute(&tracers[r.ID], it)
-		}
-	})
-	if err := k.Run(); err != nil {
+		return &executions{g: g, tr: &tracers[r.ID], n: iters}
+	}); err != nil {
 		t.Fatal(err)
 	}
 	spans := make([][]spanRec, ranks)
@@ -412,6 +409,29 @@ func runShape(t *testing.T, shared bool, ranks, iters int) [][]spanRec {
 		spans[i] = tracers[i].spans
 	}
 	return spans
+}
+
+// executions is a rank's main proc that executes a graph n times, as
+// steps: Start, then the graph's steps until it is done.
+type executions struct {
+	g       *Graph
+	tr      Tracer
+	it, n   int
+	started bool
+}
+
+func (e *executions) Step(p *sim.Proc) bool {
+	for ; e.it < e.n; e.it++ {
+		if !e.started {
+			e.started = true
+			e.g.Start(e.tr, e.it)
+		}
+		if !e.g.Step(p) {
+			return false
+		}
+		e.started = false
+	}
+	return true
 }
 
 // TestInstanceHoldsCompletionsOnlyWhereALaneWaits: a sealed plan numbers

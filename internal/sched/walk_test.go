@@ -50,24 +50,45 @@ func TestWalkRepeatsThePlan(t *testing.T) {
 	}
 }
 
-// TestWalkHandBackPanics: a walk with no goroutine has nothing to hand
-// work back to, so a Ctx.HandBack — here in a spliced fragment's node —
-// fails the run, naming the rank.
-func TestWalkHandBackPanics(t *testing.T) {
-	w := newWorld(4)
-	frag := NewPlan()
-	frag.Add(0, Generic, "", "", func(x *Ctx) {
-		if x.R.ID == 2 {
-			x.HandBack(func() {})
+// TestWalkEndsAtARevocation: the top of a lane's walk is the one place
+// a revocation is caught. mpi.Revoked raised by a spliced fragment's
+// node ends that rank's walk — its proc finishes there, and the run goes
+// on — while any other panic fails the run, naming the rank.
+func TestWalkEndsAtARevocation(t *testing.T) {
+	for _, tc := range []struct {
+		raise any
+		fails bool
+	}{{mpi.Revoked{}, false}, {"a bug", true}} {
+		w := newWorld(4)
+		walked := make([]int, w.Size())
+		frag := NewPlan()
+		frag.Add(0, Generic, "", "", func(x *Ctx) {
+			if x.R.ID == 2 && x.It == 1 {
+				panic(tc.raise)
+			}
+			walked[x.R.ID]++
+		})
+		frag.Seal()
+		pl := NewPlan()
+		pl.AddSplice(Generic, "", "", func(x *Ctx) (*Plan, *gpu.Buffer, int) { return frag, x.Buf, x.Tag })
+		pl.AddTimed(0, Generic, "", "", func(x *Ctx) sim.Time { return x.R.Now() + 10 })
+		pl.Seal()
+		walks := make([]Walk, w.Size())
+		_, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper { return walks[r.ID].Start(r, pl, nil, 0, 3) })
+		if tc.fails {
+			if err == nil || !strings.Contains(err.Error(), `proc "rank2" panicked`) || !strings.Contains(err.Error(), "a bug") {
+				t.Errorf("RunSteps returned %v, want rank2's panic", err)
+			}
+			continue
 		}
-	})
-	frag.Seal()
-	pl := NewPlan()
-	pl.AddSplice(Generic, "", "", func(x *Ctx) (*Plan, *gpu.Buffer, int) { return frag, x.Buf, x.Tag })
-	pl.Seal()
-	walks := make([]Walk, w.Size())
-	_, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper { return walks[r.ID].Start(r, pl, nil, 0, 2) })
-	if err == nil || !strings.Contains(err.Error(), `proc "rank2" panicked`) || !strings.Contains(err.Error(), "HandBack") {
-		t.Fatalf("RunSteps returned %v, want rank2's HandBack panic", err)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []int{3, 3, 1, 3}; !reflect.DeepEqual(walked, want) {
+			t.Errorf("walks done per rank %v, want %v", walked, want)
+		}
+		if !walks[2].revoked || walks[0].revoked || !w.Ranks[2].Proc.Finished() {
+			t.Errorf("rank 2's walk revoked %v (rank 0's %v), its proc finished %v", walks[2].revoked, walks[0].revoked, w.Ranks[2].Proc.Finished())
+		}
 	}
 }

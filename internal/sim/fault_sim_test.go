@@ -8,7 +8,7 @@ func TestWaitTimeoutExpires(t *testing.T) {
 	var at Time
 	k.Spawn("waiter", func(p *Proc) {
 		c := k.NewCompletion()
-		fired = p.WaitTimeout(c, 100)
+		fired = waitTimeout(p, c, 100)
 		at = p.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -28,7 +28,7 @@ func TestWaitTimeoutCompletes(t *testing.T) {
 	var fired bool
 	var at Time
 	k.Spawn("waiter", func(p *Proc) {
-		fired = p.WaitTimeout(c, 100)
+		fired = waitTimeout(p, c, 100)
 		at = p.Now()
 	})
 	k.At(40, func() { c.Fire() })
@@ -52,7 +52,7 @@ func TestWaitTimeoutRepeatedThenFire(t *testing.T) {
 	c := k.NewCompletion()
 	attempts := 0
 	k.Spawn("waiter", func(p *Proc) {
-		for !p.WaitTimeout(c, 10) {
+		for !waitTimeout(p, c, 10) {
 			attempts++
 		}
 	})

@@ -1,15 +1,14 @@
 // Package sim implements a deterministic discrete-event simulation
-// kernel. Simulated processes ("procs") are goroutines that run
-// cooperatively, or steppers with no goroutine (SpawnSteps): exactly one
-// proc (or the kernel itself) executes at a time, and all blocking
-// operations park the proc on the kernel's event queue. Events are
+// kernel. Simulated processes ("procs") are steppers with no goroutine
+// (SpawnSteps), or goroutines that run cooperatively (Spawn): exactly
+// one proc (or the kernel itself) executes at a time. Events are
 // ordered by (virtual time, sequence number), so a simulation with a
 // fixed set of inputs is bit-for-bit reproducible across runs.
 //
 // The kernel carries virtual time only; wall-clock time spent in Go
 // code inside a proc is invisible to the simulation. A proc advances
-// virtual time explicitly with Sleep/WaitUntil or implicitly by
-// waiting on Completions fired by scheduled events.
+// virtual time explicitly (ArmUntil, Sleep) or by waiting on
+// Completions fired by scheduled events (ArmWaitTimeout, Wait).
 package sim
 
 import (
@@ -96,9 +95,12 @@ type Resumes struct {
 	// channel.
 	Switches uint64
 	// Steps are resumes run inline as a Stepper call on whichever
-	// goroutine was driving the loop (see Proc.RunSteps). The resume that
-	// finishes a proc with no goroutine (SpawnSteps) is counted nowhere.
+	// goroutine was driving the loop (see Proc.RunSteps), but for the
+	// ones Finishes counts.
 	Steps uint64
+	// Finishes are the resumes that finished a proc with no goroutine
+	// (SpawnSteps): its step reported done, or it was killed.
+	Finishes uint64
 	// SelfContinues are resumes of the proc that was driving the loop
 	// itself: it just keeps running.
 	SelfContinues uint64
@@ -285,18 +287,23 @@ func (k *Kernel) loopFrom(self *Proc) loopState {
 // and for a killed proc, which is never stepped — control leaves the
 // loop: back into self when p is the proc driving it, over p's wake
 // channel when it is another. A proc with no goroutine (SpawnSteps)
-// finishes there instead, and the loop goes on.
+// finishes there instead — a killed one tells its Unwinder first — and
+// the loop goes on.
 func (k *Kernel) deliver(p, self *Proc) (st loopState, left bool) {
 	if p.stepper != nil {
 		if !p.killed && !k.step(p) {
 			k.resumes.Steps++
 			return 0, false
 		}
+		s := p.stepper
 		p.stepper = nil
 		if p.wake == nil {
 			if f := p.stepFail; f != nil {
 				k.fail(p, f.rec, f.stack())
+			} else if u, ok := s.(Unwinder); ok && p.killed {
+				u.Unwind(p)
 			}
+			k.resumes.Finishes++
 			k.finish(p)
 			return 0, false
 		}
@@ -346,8 +353,9 @@ func (k *Kernel) fireTimer(ev event) (expired bool) {
 
 // step runs one step of p's installed stepper. A panic in it must not
 // unwind the loop — it would take down whichever proc happens to be
-// driving it — so it is kept on p, the step counts as done, and
-// RunSteps raises it again on p's own goroutine.
+// driving it — so it is kept on p and the step counts as done: a proc
+// with no goroutine fails the run with it, and a goroutine proc's
+// RunSteps raises it again on that goroutine.
 func (k *Kernel) step(p *Proc) (done bool) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -423,7 +431,7 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 			// the process: Run surfaces it as an error. The kill
 			// sentinel is the exception — a killed proc is a normal
 			// (if abrupt) exit.
-			if rec := recover(); rec != nil && !IsKilled(rec) {
+			if rec := recover(); rec != nil && rec != (procKilled{}) {
 				if p.stepFail != nil {
 					k.fail(p, rec, p.stepFail.stack()) // the panic happened in a step, not here
 				} else {
@@ -452,7 +460,8 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 // That resume runs s's first Step, on the event loop like every later
 // one, and the step that reports done finishes the proc where a Spawn
 // proc would return from its function. A kill finishes it at its next
-// resume, without a step; a step's panic fails Run, naming the proc.
+// resume, without a step (an Unwinder hears of it then); a step's panic
+// fails Run, naming the proc.
 // Nothing may park it — a step's blocking call panics, as in any step —
 // and idling (ArmIdle) and the deadlock report treat it like any proc.
 func (k *Kernel) SpawnSteps(name string, s Stepper) *Proc {
@@ -493,11 +502,6 @@ func (k *Kernel) dropProc(p *Proc) {
 	k.procs[p.slot], moved.slot = moved, p.slot
 	k.procs[last] = nil
 	k.procs = k.procs[:last]
-}
-
-// wakeAt schedules p to be resumed at time t.
-func (k *Kernel) wakeAt(p *Proc, t Time) {
-	k.atResume(t, p)
 }
 
 // SetParallel does nothing and Batches reports none: they armed and

@@ -6,10 +6,10 @@ import (
 	"strings"
 )
 
-// Proc is a simulated process: a goroutine scheduled cooperatively by
-// the kernel, or a Stepper with no goroutine at all (SpawnSteps). At most
-// one proc runs at any instant, so proc code may touch shared simulation
-// state without locks.
+// Proc is a simulated process: a Stepper with no goroutine at all
+// (SpawnSteps), or a goroutine scheduled cooperatively by the kernel
+// (Spawn). At most one proc runs at any instant, so proc code may touch
+// shared simulation state without locks.
 type Proc struct {
 	k    *Kernel
 	name string
@@ -62,10 +62,11 @@ type procTimer struct {
 
 // stepFailure is a panic raised by a step on the event loop: its value,
 // and where it happened, for the failure report should nobody recover
-// it. Almost every one is recovered — mpi.Revoked{} is how a rank leaves
-// a collective — so the place is kept as return addresses and becomes
-// text only in that report. The record hangs off the proc rather than
-// lying in it: few procs ever panic.
+// it. A goroutine proc's RunSteps raises it again, where it may be
+// recovered — mpi.Revoked{} is how a blocking form leaves a collective
+// — so the place is kept as return addresses and becomes text only in
+// that report. The record hangs off the proc rather than lying in it:
+// few procs ever panic.
 type stepFailure struct {
 	rec any
 	pcs [24]uintptr
@@ -97,13 +98,6 @@ func (f *stepFailure) stack() string {
 // recovery treats it as a normal exit.
 type procKilled struct{}
 
-// IsKilled reports whether a recovered panic value is the proc-kill
-// sentinel, for intermediate recover()s that must not swallow it.
-func IsKilled(rec any) bool {
-	_, ok := rec.(procKilled)
-	return ok
-}
-
 // Name returns the name given at Spawn time.
 func (p *Proc) Name() string { return p.name }
 
@@ -121,9 +115,6 @@ func (p *Proc) Kill() {
 	p.killed = true
 	p.k.atResume(p.k.now, p)
 }
-
-// Kernel returns the owning kernel.
-func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
@@ -194,13 +185,6 @@ func (p *Proc) Sleep(d Duration) {
 	p.park()
 }
 
-// WaitUntil blocks until virtual time t (no-op if t is in the past,
-// beyond a yield).
-func (p *Proc) WaitUntil(t Time) {
-	p.k.atResume(t, p)
-	p.park()
-}
-
 // Yield gives other events scheduled for the current instant a chance
 // to run before this proc continues.
 func (p *Proc) Yield() {
@@ -216,45 +200,39 @@ func (p *Proc) Wait(c *Completion) {
 	}
 }
 
-// WaitTimeout blocks until c fires or d virtual time elapses,
-// whichever comes first, and reports whether c has fired. It is the
-// primitive under fault-aware MPI waits: a deadline that expires
-// without progress lets the caller consult the fault plane instead of
-// blocking forever on a dead peer.
-func (p *Proc) WaitTimeout(c *Completion, d Duration) bool {
-	if !p.ArmWaitTimeout(c, d) {
-		p.park()
-	}
-	return c.fired
-}
-
-// Stepper is a run-to-completion continuation of a parked proc: the
+// Stepper is a proc's work as a run-to-completion continuation: the
 // work between two of its waits, written as a function that returns
-// instead of blocking.
+// instead of blocking (see SpawnSteps and RunSteps).
 type Stepper interface {
 	// Step runs the proc's work up to its next wait. It returns false
-	// after arming exactly one wait with ArmUntil or ArmWaitTimeout: the
-	// proc stays parked and the next resume calls
-	// Step again. It returns true, with no wait armed, to give control
-	// back to the proc's goroutine, which returns from RunSteps — or, for
-	// a proc with no goroutine (SpawnSteps), to finish the proc.
+	// after arming exactly one wait with ArmUntil or ArmWaitTimeout, or
+	// registering the proc with a Queue's TryPut or TryGet: the proc
+	// stays parked and the next resume calls Step again. It returns true,
+	// with no wait armed, to finish the proc — or, under RunSteps, to give
+	// control back to the proc's goroutine, which returns from RunSteps.
 	//
 	// The one other return is idle: false after ArmIdle, which arms
 	// nothing. The proc stays parked with its stepper until Wake calls
-	// Step again, and a run whose queue drains while it is idle unwinds it
-	// as if killed instead of reporting a deadlock — the shape of a
-	// long-lived helper that has nothing to do until someone hands it
-	// work.
+	// Step again, and a run whose queue drains while it is idle kills it
+	// instead of reporting a deadlock — the shape of a long-lived helper
+	// that has nothing to do until someone hands it work.
 	//
 	// Step runs on whichever goroutine is driving the event loop, in the
 	// queue position of the resume it stands for. It may do anything an
 	// event callback may — schedule, fire, spawn — but must not park:
-	// no Wait, WaitUntil, Sleep, Yield, queue, flag or semaphore call,
-	// and no nested RunSteps that would park: a park there panics, naming
-	// the proc. Work that needs the proc's stack returns true and does it
-	// after RunSteps. A panic raised in Step surfaces from RunSteps on the
-	// proc's own goroutine.
+	// no Wait, Sleep or Yield, and no nested RunSteps that would park: a
+	// park there panics, naming the proc. A panic raised in Step fails
+	// Run, naming the proc, or, under RunSteps, surfaces from RunSteps on
+	// the proc's own goroutine.
 	Step(p *Proc) (done bool)
+}
+
+// Unwinder is a Stepper with work to do when its proc is killed — what
+// a goroutine proc did in deferred calls as it unwound. A proc spawned
+// with SpawnSteps that is killed calls Unwind at the resume that
+// finishes it, on the event loop.
+type Unwinder interface {
+	Unwind(p *Proc)
 }
 
 // RunSteps runs s until a step reports done. The first step runs right
@@ -287,15 +265,17 @@ func (p *Proc) step(s Stepper) bool {
 	return s.Step(p)
 }
 
-// ArmUntil is WaitUntil without the park, for a Step: the proc is
-// resumed at t (at the current instant, behind everything already
-// scheduled for it, when t is past).
+// ArmUntil arms the proc's resume at t (at the current instant, behind
+// everything already scheduled for it, when t is past), for a Step: a
+// Sleep without the park.
 func (p *Proc) ArmUntil(t Time) { p.k.atResume(t, p) }
 
-// ArmWaitTimeout is WaitTimeout without the park, for a Step. It
-// reports whether c has already fired, in which case nothing is armed;
-// otherwise the proc is resumed when c fires or d from now, whichever
-// is first, and c.Fired tells the two apart. A wait whose d is Never
+// ArmWaitTimeout arms the proc's wait for c, with a deadline d from now,
+// for a Step. It reports whether c has already fired, in which case
+// nothing is armed; otherwise the proc is resumed when c fires or at the
+// deadline, whichever is first, and c.Fired tells the two apart — the
+// primitive under fault-aware MPI waits (mpi.Rank.PollWait), where a
+// deadline that expires without progress consults the fault plane. A wait whose d is Never
 // has no deadline: it reserves no sequence number and makes no timer,
 // so it adds nothing to the event stream but c's wake.
 func (p *Proc) ArmWaitTimeout(c *Completion, d Duration) (fired bool) {

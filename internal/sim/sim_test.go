@@ -204,21 +204,38 @@ func TestDeadline(t *testing.T) {
 	}
 }
 
+// stepFunc is a Stepper written as a function.
+type stepFunc func(p *Proc) bool
+
+func (f stepFunc) Step(p *Proc) bool { return f(p) }
+
 func TestQueueFIFO(t *testing.T) {
 	k := New()
 	q := k.NewQueue(0)
 	var got []int
-	k.Spawn("producer", func(p *Proc) {
-		for i := 1; i <= 3; i++ {
-			p.Sleep(10)
-			q.Put(p, i)
+	i, slept := 1, false
+	k.SpawnSteps("producer", stepFunc(func(p *Proc) bool {
+		for ; i <= 3; i++ {
+			if !slept {
+				slept = true
+				p.ArmUntil(p.Now() + 10)
+				return false
+			}
+			slept = false
+			q.TryPut(p, i)
 		}
-	})
-	k.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			got = append(got, q.Get(p).(int))
+		return true
+	}))
+	k.SpawnSteps("consumer", stepFunc(func(p *Proc) bool {
+		for len(got) < 3 {
+			v, ok := q.TryGet(p)
+			if !ok {
+				return false
+			}
+			got = append(got, v.(int))
 		}
-	})
+		return true
+	}))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -233,21 +250,35 @@ func TestQueueBounded(t *testing.T) {
 	k := New()
 	q := k.NewQueue(1)
 	var putDone Time
-	k.Spawn("producer", func(p *Proc) {
-		q.Put(p, 1)
-		q.Put(p, 2) // blocks until consumer takes item 1
+	n := 1
+	k.SpawnSteps("producer", stepFunc(func(p *Proc) bool {
+		for ; n <= 2; n++ {
+			if !q.TryPut(p, n) { // the second waits until the consumer takes the first
+				return false
+			}
+		}
 		putDone = p.Now()
-	})
-	k.Spawn("consumer", func(p *Proc) {
-		p.Sleep(50)
-		_ = q.Get(p)
-		_ = q.Get(p)
-	})
+		return true
+	}))
+	slept, taken := false, 0
+	k.SpawnSteps("consumer", stepFunc(func(p *Proc) bool {
+		if !slept {
+			slept = true
+			p.ArmUntil(50)
+			return false
+		}
+		for ; taken < 2; taken++ {
+			if _, ok := q.TryGet(p); !ok {
+				return false
+			}
+		}
+		return true
+	}))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if putDone != 50 {
-		t.Errorf("bounded Put completed at %v, want 50", putDone)
+		t.Errorf("bounded TryPut went through at %v, want 50", putDone)
 	}
 }
 
@@ -272,33 +303,60 @@ func TestQueueKeepsItsBacking(t *testing.T) {
 	} {
 		k := New()
 		q := k.NewQueue(tc.capacity)
-		ghost := k.Spawn("ghost", func(p *Proc) { q.Get(p) }) // first in line, on an empty queue
+		ghost := k.SpawnSteps("ghost", stepFunc(func(p *Proc) bool { // first in line, on an empty queue
+			_, ok := q.TryGet(p)
+			return ok
+		}))
 		k.At(2, ghost.Kill)
-		k.Spawn("producer", func(p *Proc) {
-			p.Sleep(5)
-			for i := 0; i < items; i++ {
-				q.Put(p, i%100) // small integers box without allocating
-				if i >= tc.ahead && tc.produce > 0 {
-					p.Sleep(tc.produce)
-				}
+		put, paced := -1, true
+		k.SpawnSteps("producer", stepFunc(func(p *Proc) bool {
+			if put < 0 {
+				put = 0
+				p.ArmUntil(5)
+				return false
 			}
-		})
-		next := 0
+			for ; put < items; put++ {
+				if !paced {
+					paced = true
+					p.ArmUntil(p.Now() + tc.produce)
+					return false
+				}
+				if !q.TryPut(p, put%100) { // small integers box without allocating
+					return false
+				}
+				paced = put < tc.ahead || tc.produce == 0
+			}
+			return true
+		}))
+		next, slept := 0, false
 		var before, after runtime.MemStats
-		k.Spawn("consumer", func(p *Proc) {
-			p.Sleep(1) // in line behind the ghost
+		k.SpawnSteps("consumer", stepFunc(func(p *Proc) bool {
 			for ; next < items; next++ {
+				if !slept {
+					slept = true
+					d := tc.consume
+					if next == 0 {
+						d = 1 // in line behind the ghost
+					}
+					p.ArmUntil(p.Now() + d)
+					return false
+				}
 				if next == 100 {
 					runtime.ReadMemStats(&before)
 				}
-				if v := q.Get(p).(int); v != next%100 {
-					t.Errorf("%s: item %d carries %d", tc.name, next, v)
-					return
+				v, ok := q.TryGet(p)
+				if !ok {
+					return false
 				}
-				p.Sleep(tc.consume)
+				if v.(int) != next%100 {
+					t.Errorf("%s: item %d carries %d", tc.name, next, v)
+					return true
+				}
+				slept = false
 			}
 			runtime.ReadMemStats(&after)
-		})
+			return true
+		}))
 		if err := k.Run(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

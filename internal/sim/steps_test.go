@@ -11,6 +11,20 @@ import (
 // script runs once through the blocking calls and once as a Stepper
 // through their Arm twins; everything the kernel can see of the two
 // runs must be equal.
+// waitUntil and waitTimeout are the blocking waits, for the tests'
+// goroutine procs: the Arm call, then a park.
+func waitUntil(p *Proc, t Time) {
+	p.ArmUntil(t)
+	p.park()
+}
+
+func waitTimeout(p *Proc, c *Completion, d Duration) bool {
+	if !p.ArmWaitTimeout(c, d) {
+		p.park()
+	}
+	return c.fired
+}
+
 type waitKind int
 
 const (
@@ -41,9 +55,9 @@ func runBlocking(p *Proc, ops []waitOp, log *[]outcome) {
 			p.Wait(op.c)
 			fired = true
 		case opUntil:
-			p.WaitUntil(op.t)
+			waitUntil(p, op.t)
 		case opTimeout:
-			fired = p.WaitTimeout(op.c, op.d)
+			fired = waitTimeout(p, op.c, op.d)
 		}
 		*log = append(*log, outcome{p.Now(), fired})
 	}
@@ -165,7 +179,7 @@ func runScript(t *testing.T, stepped bool, kill Time, killEarly bool) scriptRun 
 	})
 	if kill > 0 && !killEarly {
 		k.Spawn("killer", func(p *Proc) {
-			p.WaitUntil(kill)
+			waitUntil(p, kill)
 			subject.Kill()
 		})
 	}
@@ -340,7 +354,7 @@ func TestParkInStepPanics(t *testing.T) {
 				p.RunSteps(&parker{at: at})
 			}()
 		}
-		p.WaitUntil(p.Now() + 5)
+		waitUntil(p, p.Now()+5)
 		after = p.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -361,7 +375,7 @@ type parker struct{ n, at int }
 
 func (s *parker) Step(p *Proc) bool {
 	if s.n++; s.n == s.at {
-		p.WaitUntil(p.Now() + 10)
+		waitUntil(p, p.Now()+10)
 	}
 	p.ArmUntil(p.Now() + 2)
 	return false

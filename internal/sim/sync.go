@@ -150,8 +150,10 @@ func (c *Completion) OnFire(fn func()) {
 }
 
 // Queue is an unbounded-or-bounded FIFO of values passed between
-// procs, the simulation analogue of a buffered channel. A zero cap
-// means unbounded.
+// procs, the simulation analogue of a buffered channel, for steps: a
+// put to a full queue or a get from an empty one registers the proc to
+// be resumed when it can go on, without parking it. A zero cap means
+// unbounded.
 type Queue struct {
 	k       *Kernel
 	items   fifo[any]
@@ -198,30 +200,23 @@ func (k *Kernel) NewQueue(capacity int) *Queue {
 // Len returns the number of queued items.
 func (q *Queue) Len() int { return q.items.len() }
 
-// Put appends v, blocking p while the queue is at capacity.
-func (q *Queue) Put(p *Proc, v any) {
-	for q.cap > 0 && q.items.len() >= q.cap {
+// TryPut appends v and reports true, or, with the queue at capacity,
+// registers p as a putter and reports false: p is resumed when a TryGet
+// makes room, and tries again then. It parks nothing, so a Step may call
+// it.
+func (q *Queue) TryPut(p *Proc, v any) bool {
+	if q.cap > 0 && q.items.len() >= q.cap {
 		q.putters.push(p)
-		p.park()
+		return false
 	}
 	q.items.push(v)
 	q.wakeOne(&q.getters)
+	return true
 }
 
-// Get removes and returns the oldest item, blocking p while empty.
-func (q *Queue) Get(p *Proc) any {
-	for {
-		if v, ok := q.TryGet(p); ok {
-			return v
-		}
-		p.park()
-	}
-}
-
-// TryGet is Get for a Step: it removes and returns the oldest item, or,
-// with the queue empty, registers p as a getter without parking and
-// reports false. The Put that fills the queue resumes p as it resumes a
-// parked Get, and the step tries again.
+// TryGet removes and returns the oldest item and reports true, or, with
+// the queue empty, registers p as a getter and reports false: p is
+// resumed when a TryPut fills the queue, and tries again then.
 func (q *Queue) TryGet(p *Proc) (any, bool) {
 	if q.items.len() == 0 {
 		q.getters.push(p)
@@ -238,7 +233,7 @@ func (q *Queue) TryGet(p *Proc) (any, bool) {
 func (q *Queue) wakeOne(waiting *fifo[*Proc]) {
 	for waiting.len() > 0 {
 		if p := waiting.pop(); !p.finished {
-			q.k.wakeAt(p, q.k.now)
+			q.k.atResume(q.k.now, p)
 			return
 		}
 	}

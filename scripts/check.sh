@@ -82,7 +82,8 @@ echo "== collective fragments =="
 # must the latency drivers' pins (ReduceBench over every algorithm, the
 # skew and threelevel tables, the Ibcast overlap) and their run with no
 # goroutine switch, race-instrumented so the detector watches the
-# fragment walks, the goroutine hand-backs and the goroutine-free ranks.
+# fragment walks, the blocking reduces' goroutines and the goroutine-free
+# ranks.
 for procs in 1 16; do
     GOMAXPROCS=$procs go test -race \
         -run '^TestChainReduceRankKilledMidPipeline$|^TestChainReduceRetransmitMidPipeline$|^TestReduceFamiliesPinned$|^TestEveryReducerRunsAsSteps$|^TestLatencyDriversMakeNoGoroutine$' \
@@ -92,20 +93,25 @@ for procs in 1 16; do
 done
 
 echo "== plans never park =="
-# Nothing in a plan parks (DESIGN.md §6, §17): every design's blocking
-# call is a post and an await, the data wait and the catch-up's barrier
-# are polls, and only Ctx.HandBack reaches a lane's goroutine. The
-# scheduler goldens (every design's event timing), the per-design switch
-# budget and the park-in-step panics (a helper's step parking its
-# rank's main proc, and a proc with no goroutine, included) must hold at
-# every GOMAXPROCS, race-instrumented so the detector watches the steps
-# and hand-backs.
+# Nothing in a plan parks, and a training run has no goroutine
+# (DESIGN.md §6, §17): every design's blocking call is a post and an
+# await, the data wait and the catch-up's barrier are polls, a checksum
+# retransmission is a poll, and every rank's loop, helper lane and data
+# reader is a proc with no goroutine. The scheduler goldens (every
+# design's event timing), the design pins (end time and resume count,
+# fault-free, armed and tripping), the per-design switch budget of zero,
+# a training run that starts no goroutine, the 200-spec chaos gate with
+# every run's pinned outcome, and the park-in-step panics (a helper's
+# step parking its rank's main proc, and a proc with no goroutine,
+# included) must hold at every GOMAXPROCS, race-instrumented so the
+# detector watches the steps.
 for procs in 1 16; do
     GOMAXPROCS=$procs go test -race \
-        -run '^TestSchedulerGoldenTimingBaselines$|^TestSteadyStateIterationSwitchBudget$' \
+        -run '^TestSchedulerGoldenTimingBaselines$|^TestDesignRunsPinned$|^TestSteadyStateIterationSwitchBudget$|^TestTrainingRunMakesNoGoroutine$' \
         -count=1 ./internal/core
+    GOMAXPROCS=$procs go test -race -run '^TestChaosGate$' -count=1 ./internal/chaos
     GOMAXPROCS=$procs go test -race \
-        -run '^TestParkInStepPanics$|^TestParkInActionPanics$|^TestParkInHelperActionPanics$|^TestSpawnStepsBlockingCallPanics$|^TestWalkHandBackPanics$' \
+        -run '^TestParkInStepPanics$|^TestParkInActionPanics$|^TestParkInHelperActionPanics$|^TestSpawnStepsBlockingCallPanics$|^TestWalkEndsAtARevocation$' \
         -count=1 ./internal/sim ./internal/sched
 done
 
