@@ -15,7 +15,9 @@
 //
 // Generation is a pure function of the spec: the same seed always
 // yields the same schedule, so every chaos failure is replayable from
-// its one-line summary.
+// its one-line summary. A schedule is sized by the spec's fault-free
+// run, which depends only on the spec's shape (the fields that shape
+// the training run), so it is calibrated once per shape and process.
 package chaos
 
 import (
@@ -25,7 +27,10 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"scaffe/internal/coll"
 	"scaffe/internal/core"
@@ -87,7 +92,8 @@ func (w Weights) pick(r *rand.Rand) fault.Kind {
 // Spec parameterizes one chaos run. The zero value is not runnable;
 // use Default or fill every field.
 type Spec struct {
-	// Ranks and Iterations size the training run.
+	// Ranks and Iterations size the training run; a chaos run needs a
+	// peer and a link, so Ranks is at least 2.
 	Ranks, Iterations int
 	// Seed drives schedule generation; the schedule is a pure
 	// function of the whole spec.
@@ -112,12 +118,38 @@ func Default(seed int64) Spec {
 	return Spec{Ranks: 8, Iterations: 8, Seed: seed, Events: 6}
 }
 
+// String is the spec as key=value fields, after withDefaults: each
+// field on a line of its own is a spec ParseSpec reads back, so a
+// failure's one-line summary replays it. Weights print only where they
+// differ from DefaultWeights, which ParseSpec starts from.
 func (s Spec) String() string {
+	s = s.withDefaults()
 	mode := "timing"
 	if s.Real {
 		mode = "real"
 	}
-	return fmt.Sprintf("seed=%d ranks=%d iters=%d events=%d mode=%s", s.Seed, s.Ranks, s.Iterations, s.Events, mode)
+	var b strings.Builder
+	fmt.Fprintf(&b, "seed=%d ranks=%d iters=%d events=%d mode=%s design=%s reduce=%s",
+		s.Seed, s.Ranks, s.Iterations, s.Events, mode, s.Design.Name(), s.Reduce.Name())
+	d := DefaultWeights()
+	for _, w := range []struct {
+		name     string
+		got, def float64
+	}{
+		{"crash", s.Weights.Crash, d.Crash},
+		{"hang", s.Weights.Hang, d.Hang},
+		{"straggle", s.Weights.Straggle, d.Straggle},
+		{"drop", s.Weights.Drop, d.Drop},
+		{"dup", s.Weights.Dup, d.Dup},
+		{"reorder", s.Weights.Reorder, d.Reorder},
+		{"delay", s.Weights.Delay, d.Delay},
+		{"partition", s.Weights.Partition, d.Partition},
+	} {
+		if w.got != w.def {
+			fmt.Fprintf(&b, " weight.%s=%s", w.name, strconv.FormatFloat(w.got, 'g', -1, 64))
+		}
+	}
+	return b.String()
 }
 
 // withDefaults fills zero fields.
@@ -137,24 +169,50 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
+// validate rejects a spec no schedule can be drawn for.
+func (s Spec) validate() error {
+	if s.Ranks < 2 {
+		return fmt.Errorf("chaos: %d ranks: a chaos spec needs at least 2 (a peer and a link)", s.Ranks)
+	}
+	return nil
+}
+
+// shape is what of a spec shapes its training run: every field Config
+// reads, after withDefaults. Specs of one shape differ only in their
+// schedules, so they share one fault-free run and its horizon.
+type shape struct {
+	ranks, iterations int
+	real              bool
+	design            core.Design
+	reduce            coll.Algorithm
+}
+
+func (s Spec) shape() shape {
+	s = s.withDefaults()
+	return shape{ranks: s.Ranks, iterations: s.Iterations, real: s.Real, design: s.Design, reduce: s.Reduce}
+}
+
 // Config builds the training config a chaos run fuzzes (without the
 // schedule — Run attaches it after calibrating against the fault-free
 // baseline).
-func (s Spec) Config() core.Config {
-	s = s.withDefaults()
-	if s.Real {
+func (s Spec) Config() core.Config { return s.shape().config() }
+
+// config is the shape's training config. It reads nothing but the
+// shape, so the shape is the whole key of its calibration.
+func (h shape) config() core.Config {
+	if h.real {
 		net := models.BuildTinyNet(1, 1)
 		return core.Config{
 			Spec:        models.SpecFromNet(net),
 			RealNet:     models.BuildTinyNet,
 			Dataset:     data.NewSynthetic("tiny", layers.Shape{C: 3, H: 8, W: 8}, 4, 4096, 11),
-			GPUs:        s.Ranks,
+			GPUs:        h.ranks,
 			Nodes:       2,
-			GPUsPerNode: (s.Ranks + 1) / 2,
-			GlobalBatch: 4 * s.Ranks,
-			Iterations:  s.Iterations,
-			Design:      s.Design,
-			Reduce:      s.Reduce,
+			GPUsPerNode: (h.ranks + 1) / 2,
+			GlobalBatch: 4 * h.ranks,
+			Iterations:  h.iterations,
+			Design:      h.design,
+			Reduce:      h.reduce,
 			Source:      core.MemorySource,
 			Seed:        7,
 			BaseLR:      0.05,
@@ -169,21 +227,64 @@ func (s Spec) Config() core.Config {
 	}
 	return core.Config{
 		Spec:        spec,
-		GPUs:        s.Ranks,
+		GPUs:        h.ranks,
 		Nodes:       2,
-		GPUsPerNode: (s.Ranks + 1) / 2,
-		GlobalBatch: 8 * s.Ranks,
-		Iterations:  s.Iterations,
-		Design:      s.Design,
-		Reduce:      s.Reduce,
+		GPUsPerNode: (h.ranks + 1) / 2,
+		GlobalBatch: 8 * h.ranks,
+		Iterations:  h.iterations,
+		Design:      h.design,
+		Reduce:      h.reduce,
 		Source:      core.MemorySource,
 		Seed:        1,
 	}
 }
 
+// horizons holds each shape's calibration for the life of the process:
+// the fault-free run's length, one sim.Duration per shape ever run.
+var horizons = struct {
+	sync.Mutex
+	of map[shape]sim.Duration
+}{of: map[shape]sim.Duration{}}
+
+// calibrations counts fault-free runs, for the tests.
+var calibrations atomic.Int64
+
+// horizon is the shape's fault-free run length, calibrated on the
+// shape's first use. core.Run is deterministic, so the stored value is
+// the one a fresh calibration computes; two goroutines calibrating one
+// shape at once both run it and store the same value. A failed
+// calibration is returned and not stored.
+func (h shape) horizon() (sim.Duration, error) {
+	horizons.Lock()
+	d, ok := horizons.of[h]
+	horizons.Unlock()
+	if ok {
+		return d, nil
+	}
+	d, err := h.calibrate()
+	if err != nil {
+		return 0, err
+	}
+	horizons.Lock()
+	horizons.of[h] = d
+	horizons.Unlock()
+	return d, nil
+}
+
+// calibrate runs the shape fault-free and returns its length.
+func (h shape) calibrate() (sim.Duration, error) {
+	calibrations.Add(1)
+	base, err := core.Run(h.config())
+	if err != nil {
+		return 0, fmt.Errorf("chaos: baseline run: %w", err)
+	}
+	return sim.Duration(base.TotalTime), nil
+}
+
 // Schedule generates the spec's fault schedule over a run expected to
 // last `horizon` of virtual time. Pure function of (spec, horizon):
-// the generator never consults the clock or global randomness.
+// the generator never consults the clock or global randomness. The
+// spec must have at least 2 ranks.
 func (s Spec) Schedule(horizon sim.Duration) fault.Schedule {
 	s = s.withDefaults()
 	rng := rand.New(rand.NewSource(s.Seed))
@@ -309,9 +410,11 @@ type RunResult struct {
 	Err      error
 }
 
-// Summary is the one-line, machine-greppable record of the run.
+// Summary is the one-line, machine-greppable record of the run: the
+// spec's fields (String), then the outcome, the schedule's length and
+// the fault report.
 func (r *RunResult) Summary() string {
-	s := fmt.Sprintf("chaos %s outcome=%s events=%d", r.Spec.String(), r.Outcome, len(r.Schedule))
+	s := fmt.Sprintf("chaos %s outcome=%s scheduled=%d", r.Spec.String(), r.Outcome, len(r.Schedule))
 	if r.Res != nil && r.Res.Fault != nil {
 		s += " " + r.Res.Fault.String()
 	}
@@ -321,21 +424,24 @@ func (r *RunResult) Summary() string {
 	return s
 }
 
-// Run executes one chaos spec: calibrate a fault-free baseline,
-// generate the schedule over its length, arm a hard virtual-time
-// ceiling, and classify the outcome. The returned error reports
+// Run executes one chaos spec: take its shape's fault-free length
+// (calibrated once per shape), generate the schedule over it, arm a
+// hard virtual-time ceiling, and classify the outcome. The returned error reports
 // harness-level failures (bad spec/config); schedule-induced deaths
 // land in RunResult.Outcome instead.
 func Run(s Spec) (*RunResult, error) {
 	s = s.withDefaults()
-	cfg := s.Config()
-	base, err := core.Run(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: baseline run: %w", err)
+	if err := s.validate(); err != nil {
+		return nil, err
 	}
-	horizon := sim.Duration(base.TotalTime)
+	h := s.shape()
+	horizon, err := h.horizon()
+	if err != nil {
+		return nil, err
+	}
 	sched := s.Schedule(horizon)
 
+	cfg := h.config()
 	cfg.Faults = sched
 	// A detection quantum well under the horizon keeps the loss-aware
 	// escalation (47 quanta) inside the ceiling even when every
@@ -467,13 +573,20 @@ func CheckCounters(r *RunResult) error {
 
 // RunMatrix verifies GOMAXPROCS-invariance: the spec's run must yield
 // a bit-identical virtual-time outcome (total time and full fault
-// report) at every requested parallelism.
+// report) at every requested parallelism. Its shape's calibration is
+// made again at every parallelism after the first and must equal the
+// stored horizon the runs read.
 func RunMatrix(s Spec, procs []int) (*RunResult, error) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 	var first *RunResult
 	for _, p := range procs {
 		runtime.GOMAXPROCS(p)
+		if first != nil {
+			if err := recheck(s); err != nil {
+				return first, fmt.Errorf("GOMAXPROCS=%d: %w", p, err)
+			}
+		}
 		r, err := Verify(s)
 		if err != nil {
 			return r, fmt.Errorf("GOMAXPROCS=%d: %w", p, err)
@@ -500,27 +613,48 @@ func RunMatrix(s Spec, procs []int) (*RunResult, error) {
 	return first, nil
 }
 
+// recheck calibrates the spec's shape afresh and compares the result
+// with its stored horizon.
+func recheck(s Spec) error {
+	h := s.shape()
+	stored, err := h.horizon()
+	if err != nil {
+		return err
+	}
+	fresh, err := h.calibrate()
+	if err != nil {
+		return err
+	}
+	if fresh != stored {
+		return fmt.Errorf("chaos: %s: a fresh fault-free run lasts %v, calibrated at %v", s, fresh, stored)
+	}
+	return nil
+}
+
 // ArmedUntripped verifies the zero-perturbation invariant: the spec's
 // schedule shifted far past the end of the run must leave the
 // virtual-time outcome byte-identical to an armed-but-idle plane.
 func ArmedUntripped(s Spec) error {
 	s = s.withDefaults()
-	cfg := s.Config()
-	base, err := core.Run(cfg)
-	if err != nil {
-		return fmt.Errorf("chaos: baseline run: %w", err)
+	if err := s.validate(); err != nil {
+		return err
 	}
-	far := base.TotalTime * 1000
+	h := s.shape()
+	horizon, err := h.horizon()
+	if err != nil {
+		return err
+	}
+	far := sim.Time(horizon) * 1000
 
-	idle := s.Config()
+	idle := h.config()
 	idle.Faults = fault.Schedule{{At: far, Kind: fault.StragglerOff, Rank: 0}}
 	a, err := core.Run(idle)
 	if err != nil {
 		return fmt.Errorf("chaos: armed-idle run: %w", err)
 	}
 
-	armed := s.Config()
-	sched := s.Schedule(sim.Duration(base.TotalTime))
+	armed := h.config()
+	sched := s.Schedule(horizon)
 	for i := range sched {
 		sched[i].At += far
 	}

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"scaffe/internal/coll"
@@ -187,5 +188,141 @@ func TestChaosCounterCheckRejects(t *testing.T) {
 	r.Res.Fault.Crashes = 99
 	if err := CheckCounters(r); err == nil {
 		t.Error("inflated crash counter passed the check")
+	}
+}
+
+// forgetCalibrations empties the calibration map, as at process start.
+func forgetCalibrations() {
+	horizons.Lock()
+	clear(horizons.of)
+	horizons.Unlock()
+}
+
+// mustVerify verifies a spec and returns its pin and summary, what a
+// calibration must not move.
+func mustVerify(t *testing.T, s Spec) string {
+	t.Helper()
+	r, err := Verify(s)
+	if err != nil {
+		t.Fatalf("spec %s: %v", s, err)
+	}
+	return r.Summary() + "\n" + gatePin(r)
+}
+
+// TestCalibrationOncePerShape: specs that differ only in seed, event
+// count and weights share one fault-free run; a change to any one of the
+// five fields that shape the run calibrates again; and a spec verified
+// with an empty calibration map ends as it does with a filled one.
+func TestCalibrationOncePerShape(t *testing.T) {
+	base := Spec{Ranks: 4, Iterations: 3, Events: 4}
+
+	forgetCalibrations()
+	before := calibrations.Load()
+	for seed := int64(1); seed <= 4; seed++ {
+		s := base
+		s.Seed, s.Events = seed, 2+int(seed)
+		if seed == 4 {
+			s.Weights = DefaultWeights()
+			s.Weights.Drop = 7
+		}
+		mustVerify(t, s)
+	}
+	if got := calibrations.Load() - before; got != 1 {
+		t.Errorf("4 specs of one shape ran %d fault-free calibrations, want 1", got)
+	}
+
+	for _, tc := range []struct {
+		field string
+		vary  func(*Spec)
+	}{
+		{"Ranks", func(s *Spec) { s.Ranks = 5 }},
+		{"Iterations", func(s *Spec) { s.Iterations = 4 }},
+		{"Real", func(s *Spec) { s.Real = true }},
+		{"Design", func(s *Spec) { s.Design = core.SCOB }},
+		{"Reduce", func(s *Spec) { s.Reduce = coll.Chain }},
+	} {
+		s := base
+		tc.vary(&s)
+		before := calibrations.Load()
+		for seed := int64(1); seed <= 2; seed++ {
+			s.Seed = seed
+			mustVerify(t, s)
+		}
+		if got := calibrations.Load() - before; got != 1 {
+			t.Errorf("changing %s: 2 specs ran %d calibrations, want 1", tc.field, got)
+		}
+	}
+
+	for seed := int64(1); seed <= 3; seed++ {
+		s := base
+		s.Seed = seed
+		forgetCalibrations()
+		cold := mustVerify(t, s)
+		if warm := mustVerify(t, s); warm != cold {
+			t.Errorf("seed %d with an empty calibration map:\n\t%s\nwith a filled one:\n\t%s", seed, cold, warm)
+		}
+	}
+}
+
+// TestCalibrationConcurrent verifies specs of two shapes from many
+// goroutines at once, on an empty calibration map: every run must end as
+// it does when the specs run one after another.
+func TestCalibrationConcurrent(t *testing.T) {
+	var specs []Spec
+	for seed := int64(1); seed <= 4; seed++ {
+		a := Spec{Ranks: 4, Iterations: 3, Events: 4, Seed: seed}
+		b := a
+		b.Reduce = coll.Chain
+		specs = append(specs, a, b)
+	}
+	forgetCalibrations()
+	want := make([]string, len(specs))
+	for i, s := range specs {
+		want[i] = mustVerify(t, s)
+	}
+
+	forgetCalibrations()
+	got := make([]string, len(specs))
+	errs := make([]error, len(specs))
+	var wg sync.WaitGroup
+	for i, s := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := Verify(s)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			got[i] = r.Summary() + "\n" + gatePin(r)
+		}()
+	}
+	wg.Wait()
+	for i, s := range specs {
+		if errs[i] != nil {
+			t.Errorf("spec %s: %v", s, errs[i])
+		} else if got[i] != want[i] {
+			t.Errorf("spec %s run concurrently:\n\t%s\nsequentially:\n\t%s", s, got[i], want[i])
+		}
+	}
+}
+
+// TestRunMatrixRechecksCalibration plants a wrong horizon for a shape:
+// RunMatrix must notice at its second GOMAXPROCS that a fresh
+// calibration disagrees with the stored one.
+func TestRunMatrixRechecksCalibration(t *testing.T) {
+	s := Spec{Ranks: 4, Iterations: 3, Events: 4, Seed: 1}
+	forgetCalibrations()
+	defer forgetCalibrations()
+	h := s.shape()
+	d, err := h.horizon()
+	if err != nil {
+		t.Fatal(err)
+	}
+	horizons.Lock()
+	horizons.of[h] = d + 1
+	horizons.Unlock()
+	if _, err := RunMatrix(s, []int{1, 4}); err == nil || !strings.Contains(err.Error(), "calibrated at") {
+		t.Errorf("RunMatrix over a wrong stored horizon: err = %v, want a calibration mismatch", err)
 	}
 }

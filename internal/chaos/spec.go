@@ -15,7 +15,7 @@ import (
 // silently weaken a drill.
 //
 //	seed = 42          # schedule seed (required)
-//	ranks = 8          # world size
+//	ranks = 8          # world size, at least 2
 //	iters = 8          # training iterations
 //	events = 6         # weighted event draws
 //	mode = timing      # timing | real
@@ -59,6 +59,9 @@ func ParseSpec(text string) (Spec, error) {
 			}
 			if n <= 0 {
 				return bad(fmt.Errorf("must be positive, got %d", n))
+			}
+			if key == "ranks" && n < 2 {
+				return bad(fmt.Errorf("must be at least 2, got %d: a chaos spec needs a peer and a link", n))
 			}
 			switch key {
 			case "ranks":

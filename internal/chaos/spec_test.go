@@ -57,6 +57,8 @@ func TestParseSpecRejects(t *testing.T) {
 		{"ranks = 8\n", "must set seed"},
 		{"seed = 1\nbogus = 2\n", "unknown key"},
 		{"seed = 1\nranks = 0\n", "must be positive"},
+		{"seed = 1\nranks = 1\n", "must be at least 2"},
+		{"seed = 3\nranks = 1\niters = 2\n", "a peer and a link"},
 		{"seed = 1\nmode = sideways\n", "want timing or real"},
 		{"seed = 1\ndesign = hybrid\n", "unknown design"},
 		{"seed = 1\nreduce = ring\n", "unknown reduce algorithm"},
@@ -109,6 +111,73 @@ func TestChaosSmoke(t *testing.T) {
 				t.Fatalf("spec failed: %v\n%s", err, r.Summary())
 			}
 			t.Fatalf("spec seed=%d failed: %v", seed, err)
+		}
+	}
+}
+
+// TestSpecNeedsTwoRanks: a spec built in code with fewer than two ranks
+// is an error from every entry point, returned before any calibration
+// runs (the schedule generator would draw a link from an empty range).
+func TestSpecNeedsTwoRanks(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(Spec) error
+	}{
+		{"Run", func(s Spec) error { _, err := Run(s); return err }},
+		{"Verify", func(s Spec) error { _, err := Verify(s); return err }},
+		{"RunMatrix", func(s Spec) error { _, err := RunMatrix(s, []int{1, 4}); return err }},
+		{"ArmedUntripped", ArmedUntripped},
+	} {
+		for _, ranks := range []int{1, -3} {
+			s := Spec{Ranks: ranks, Iterations: 2, Seed: 3}
+			before := calibrations.Load()
+			if err := tc.run(s); err == nil || !strings.Contains(err.Error(), "at least 2") {
+				t.Errorf("%s with %d ranks: err = %v, want a spec error", tc.name, ranks, err)
+			}
+			if n := calibrations.Load() - before; n != 0 {
+				t.Errorf("%s with %d ranks ran %d calibrations before failing", tc.name, ranks, n)
+			}
+		}
+	}
+}
+
+// summarySpec is the spec a run's one-line summary replays: its fields
+// up to the outcome, one per line, read by ParseSpec.
+func summarySpec(t *testing.T, summary string) Spec {
+	t.Helper()
+	head, _, ok := strings.Cut(strings.TrimPrefix(summary, "chaos "), " outcome=")
+	if !ok {
+		t.Fatalf("summary %q has no outcome", summary)
+	}
+	s, err := ParseSpec(strings.Join(strings.Fields(head), "\n"))
+	if err != nil {
+		t.Fatalf("summary %q does not parse: %v", summary, err)
+	}
+	return s
+}
+
+// TestSpecSummaryRoundTrip: the one-line summary of every gate spec, of
+// the benchmark's template and of specs with a non-default mix or real
+// compute names the spec it came from.
+func TestSpecSummaryRoundTrip(t *testing.T) {
+	var specs []Spec
+	for seed := int64(1); seed <= 200; seed++ {
+		specs = append(specs, gateSpec(seed))
+	}
+	bench := Spec{Ranks: 32, Iterations: 16, Events: 8, Design: core.SCOBR, Reduce: coll.Tuned}
+	for _, seed := range []int64{0, 1, 7} {
+		bench.Seed = seed
+		specs = append(specs, bench)
+	}
+	mixed := Default(-5)
+	mixed.Real, mixed.Design, mixed.Reduce = true, core.SCOBRF, coll.ChainChainBinomial
+	mixed.Weights = DefaultWeights()
+	mixed.Weights.Crash, mixed.Weights.Delay, mixed.Weights.Partition = 0, 0.125, 1e-3
+	specs = append(specs, mixed, Spec{Seed: 11, Design: core.ParamServer, Reduce: coll.Rabenseifner})
+	for _, s := range specs {
+		r := &RunResult{Spec: s.withDefaults(), Outcome: Unrecovered}
+		if got := summarySpec(t, r.Summary()); got.withDefaults() != s.withDefaults() {
+			t.Errorf("summary %q replays\n\t%+v\nwant\n\t%+v", r.Summary(), got.withDefaults(), s.withDefaults())
 		}
 	}
 }

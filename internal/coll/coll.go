@@ -96,6 +96,19 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	return 0, fmt.Errorf("unknown reduce algorithm %q (want binomial, chain, cc, cb, ccb, hr or tuned, mv2, openmpi, or rsg or rabenseifner)", s)
 }
 
+// Name is the algorithm's shortest front-end spelling, the one
+// ParseAlgorithm reads back ("hr" for HR(tuned)), or "" for an
+// algorithm with none.
+func (a Algorithm) Name() string {
+	best := ""
+	for name, x := range algorithmNames {
+		if x == a && (best == "" || len(name) < len(best) || len(name) == len(best) && name < best) {
+			best = name
+		}
+	}
+	return best
+}
+
 // Options configures a Reducer.
 type Options struct {
 	// ChainSize is the lower-level communicator size for hierarchical

@@ -114,6 +114,18 @@ func ParseDesign(s string) (Design, error) {
 	return 0, fmt.Errorf("%w: unknown design %q (want scb, scob, scobr, scobrf, caffe, cntk, ps or inspur, or mp)", ErrConfig, s)
 }
 
+// Name is the design's shortest front-end spelling, the one ParseDesign
+// reads back ("scobr" for SC-OBR), or "" for a design with none.
+func (d Design) Name() string {
+	best := ""
+	for name, x := range designNames {
+		if x == d && (best == "" || len(name) < len(best) || len(name) == len(best) && name < best) {
+			best = name
+		}
+	}
+	return best
+}
+
 // SourceKind selects the storage backend for training data.
 type SourceKind int
 

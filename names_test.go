@@ -30,7 +30,8 @@ var (
 
 // TestEveryFrontEndTakesEveryName drives the table through the parsers
 // (in either case) and, in process, through the two front ends that are
-// libraries: the solver prototxt and the chaos spec.
+// libraries: the solver prototxt and the chaos spec. Every design's and
+// algorithm's Name, the spelling a chaos summary prints, parses back.
 func TestEveryFrontEndTakesEveryName(t *testing.T) {
 	solver := func(field, name string) Config {
 		cfg, err := proto.ParseSolver(fmt.Sprintf("net: \"tiny\"\n%s: %q\n", field, name))
@@ -51,11 +52,17 @@ func TestEveryFrontEndTakesEveryName(t *testing.T) {
 		if err != nil || got != want || solver("scaffe_design", name).Design != want || spec("design", name).Design != want {
 			t.Errorf("design %q: parsed %v, %v; want %v from every front end", name, got, err, want)
 		}
+		if back, err := ParseDesign(want.Name()); err != nil || back != want {
+			t.Errorf("design %v: its Name %q parses as %v, %v", want, want.Name(), back, err)
+		}
 	}
 	for name, want := range reduceTable {
 		got, err := ParseReduceAlgorithm(strings.ToUpper(name))
 		if err != nil || got != want || solver("scaffe_reduce", name).Reduce != want || spec("reduce", name).Reduce != want {
 			t.Errorf("reduce %q: parsed %v, %v; want %v from every front end", name, got, err, want)
+		}
+		if back, err := ParseReduceAlgorithm(want.Name()); err != nil || back != want {
+			t.Errorf("reduce %v: its Name %q parses as %v, %v", want, want.Name(), back, err)
 		}
 	}
 	for name, want := range sourceTable {

@@ -137,9 +137,15 @@ echo "== chaos smoke =="
 # must terminate finished-or-unrecovered with schedule-consistent
 # counters at every GOMAXPROCS, race-instrumented so the detector
 # watches the wire perturbation hooks and the quorum/fencing paths.
+# The fault-free horizon is calibrated once per shape: specs of one
+# shape must run one calibration and end as they do with an empty map,
+# specs verified from many goroutines must end as they do one after
+# another (the detector watching the shared calibration map), and every
+# spec's one-line summary must parse back to the spec.
 # The full 200-spec gate (TestChaosGate) runs in the suite below.
 for procs in 1 4 16; do
-    GOMAXPROCS=$procs go test -race -run '^TestChaosSmoke$' \
+    GOMAXPROCS=$procs go test -race \
+        -run '^TestChaosSmoke$|^TestCalibrationOncePerShape$|^TestCalibrationConcurrent$|^TestSpecSummaryRoundTrip$' \
         -count=1 ./internal/chaos
 done
 
