@@ -9,9 +9,9 @@ const gemmParallelThreshold = 64 * 64
 
 const (
 	// gemmMR and gemmNR are the micro-kernel's tile: gemmMR rows of C
-	// (one A panel) by gemmNR columns (one B strip, two 8-float AVX
-	// vectors), which keeps the eight accumulators in registers.
-	gemmMR = 4
+	// (one A panel) by gemmNR columns (one B strip, one 16-float AVX-512
+	// vector), which keeps the eight accumulators in registers.
+	gemmMR = 8
 	gemmNR = 16
 )
 
@@ -21,8 +21,9 @@ const (
 //
 // Determinism contract: every element of C is accumulated by exactly
 // one worker, in ascending-p order, with one rounded multiply and one
-// rounded add per term, regardless of how the output is partitioned or
-// which micro-kernel runs — so results are bit-identical run-to-run,
+// rounded add per term, regardless of how the output is partitioned,
+// which micro-kernel runs, or whether a part of C is computed as a part
+// of Cᵀ (gemmKernel) — so results are bit-identical run-to-run,
 // across any GOMAXPROCS setting and across GOARCH. Above
 // gemmParallelThreshold the output is split over ParallelFor, so
 // steady-state calls do not allocate. A ParallelFor body calls GemmCols
@@ -118,38 +119,65 @@ func scaleCSpan(n int, beta float32, c []float32, ilo, ihi, jlo, jhi int) {
 	}
 }
 
-// gemmKernel accumulates alpha*op(A)*op(B) into C[ilo:ihi, jlo:jhi],
-// one gemmMR×gemmNR tile at a time. Each tile is refGemm's contract for
-// its transpose case: without transB, alpha is folded into A and the
-// terms are added onto C itself; with transB, the dot products start
-// from a zero tile and C += alpha*acc finishes them.
+// view is a strided matrix: element (i, j) is data[i*rs + j*cs].
+type view struct {
+	data   []float32
+	rs, cs int
+}
+
+// gemmKernel accumulates alpha*op(A)*op(B) into C[ilo:ihi, jlo:jhi].
+// Without transB, alpha is folded into A and the terms are added onto C
+// itself; with transB, each dot product starts from +0 and C +=
+// alpha*acc finishes it — refGemm's contract for each transpose case.
 //
-// The micro-kernel takes strides, so it reads full A panels and full,
-// untransposed B strips where they lie. Only what it cannot stream is
-// packed into workspace scratch: A panels that need alpha folded in or
-// run past ihi, B strips that are transposed or run past jhi, and both
-// when k == 0 leaves no element to point at.
+// A transposed-B multiply whose range has fewer rows than columns is
+// computed as Cᵀ = op(B)ᵀ·op(A)ᵀ = B·op(A)ᵀ instead: B's rows, which lie
+// in place, become the A panels, and only op(A) — the smaller operand —
+// is packed into strips. Each element still adds the same products
+// (a·b = b·a in IEEE arithmetic) in the same ascending-p order onto +0,
+// so the path chosen for a sub-rectangle cannot change a bit.
 func gemmKernel(transA, transB bool, m, n, k int, alpha float32, a, b, c []float32, ilo, ihi, jlo, jhi int) {
-	// Element (i, p) of op(A) is a[i*ars + p*aps].
-	ars, aps := k, 1
+	opA := view{a, k, 1}
 	if transA {
-		ars, aps = 1, m
+		opA = view{a, 1, m}
 	}
-	fold := !transB
-	streamed := ilo + (ihi-ilo)/gemmMR*gemmMR // A panels before this row are read in place
+	switch {
+	case !transB:
+		gemmTiles(k, alpha, true, opA, ilo, ihi, view{b, n, 1}, jlo, jhi, view{c, n, 1})
+	case ihi-ilo < jhi-jlo:
+		gemmTiles(k, alpha, false, view{b, k, 1}, jlo, jhi, view{a, opA.cs, opA.rs}, ilo, ihi, view{c, 1, n})
+	default:
+		gemmTiles(k, alpha, false, opA, ilo, ihi, view{b, 1, k}, jlo, jhi, view{c, n, 1})
+	}
+}
+
+// gemmTiles accumulates alpha·X·Y into C[rlo:rhi, qlo:qhi], one
+// gemmMR×gemmNR tile at a time, where X is ·×k and Y is k×·, and C is
+// row-major (cs 1) or, as gemmKernel's Cᵀ, column-major (rs 1). With
+// fold, alpha is folded into X and the terms are added onto C itself,
+// which must be row-major; without it, each tile starts from +0 and
+// C += alpha*acc finishes it.
+//
+// The micro-kernel takes strides, so it reads full X panels and full Y
+// strips with contiguous rows where they lie. Only what it cannot
+// stream is packed into workspace scratch: X panels that need alpha
+// folded in or run past rhi, Y strips that lie transposed or run past
+// qhi, and both when k == 0 leaves no element to point at.
+func gemmTiles(k int, alpha float32, fold bool, x view, rlo, rhi int, y view, qlo, qhi int, c view) {
+	streamed := rlo + (rhi-rlo)/gemmMR*gemmMR // X panels before this row are read in place
 	if (fold && alpha != 1) || k == 0 {
-		streamed = ilo
+		streamed = rlo
 	}
-	packed := (ihi - streamed + gemmMR - 1) / gemmMR * gemmMR
+	packed := (rhi - streamed + gemmMR - 1) / gemmMR * gemmMR
 	buf := GetScratch((packed + gemmNR) * k)
-	ap, bp := (*buf)[:packed*k], (*buf)[packed*k:]
-	for i := streamed; i < ihi; i += gemmMR {
-		panel := ap[(i-streamed)*k : (i-streamed+gemmMR)*k]
+	xp, yp := (*buf)[:packed*k], (*buf)[packed*k:]
+	for i := streamed; i < rhi; i += gemmMR {
+		panel := xp[(i-streamed)*k : (i-streamed+gemmMR)*k]
 		for r := 0; r < gemmMR; r++ {
 			for p := 0; p < k; p++ {
 				var v float32
-				if i+r < ihi {
-					v = a[(i+r)*ars+p*aps]
+				if i+r < rhi {
+					v = x.data[(i+r)*x.rs+p*x.cs]
 					if fold {
 						v = alpha * v
 					}
@@ -160,50 +188,60 @@ func gemmKernel(transA, transB bool, m, n, k int, alpha float32, a, b, c []float
 	}
 
 	var tile [gemmMR * gemmNR]float32
-	for jb := jlo; jb < jhi; jb += gemmNR {
-		w := min(gemmNR, jhi-jb)
-		bsrc, bs := bp, gemmNR
+	for jb := qlo; jb < qhi; jb += gemmNR {
+		w := min(gemmNR, qhi-jb)
+		ysrc, ys := yp, gemmNR
 		switch {
-		case !transB && w == gemmNR && k > 0:
-			bsrc, bs = b[jb:], n
-		case transB:
-			if w < gemmNR {
-				clear(bp)
-			}
-			packTransposed(bp, b[jb*k:], k, w)
-		default:
-			clear(bp)
+		case y.cs == 1 && w == gemmNR && k > 0:
+			ysrc, ys = y.data[jb:], y.rs
+		case y.cs == 1:
+			clear(yp)
 			for p := 0; p < k; p++ {
-				copy(bp[p*gemmNR:p*gemmNR+w], b[p*n+jb:p*n+jb+w])
+				copy(yp[p*gemmNR:p*gemmNR+w], y.data[p*y.rs+jb:p*y.rs+jb+w])
 			}
+		default: // y.rs == 1: Y's columns are the rows of y.data, k long
+			if w < gemmNR {
+				clear(yp)
+			}
+			packTransposed(yp, y.data[jb*k:], k, w)
 		}
-		for i := ilo; i < ihi; i += gemmMR {
-			h := min(gemmMR, ihi-i)
-			asrc, rs, ps := a, ars, aps
+		for i := rlo; i < rhi; i += gemmMR {
+			h := min(gemmMR, rhi-i)
+			xsrc, rs, ps := x.data, x.rs, x.cs
 			if i < streamed {
-				asrc = a[i*ars:]
+				xsrc = x.data[i*x.rs:]
 			} else {
-				asrc, rs, ps = ap[(i-streamed)*k:], 1, gemmMR
+				xsrc, rs, ps = xp[(i-streamed)*k:], 1, gemmMR
 			}
 			if fold && h == gemmMR && w == gemmNR {
-				microKernel(k, asrc, rs, ps, bsrc, bs, c[i*n+jb:], n)
+				microKernel(k, xsrc, rs, ps, ysrc, ys, c.data[i*c.rs+jb:], c.rs)
 				continue
 			}
 			tile = [gemmMR * gemmNR]float32{}
 			if fold {
 				for r := 0; r < h; r++ {
-					copy(tile[r*gemmNR:r*gemmNR+w], c[(i+r)*n+jb:])
+					copy(tile[r*gemmNR:r*gemmNR+w], c.data[(i+r)*c.rs+jb:])
 				}
 			}
-			microKernel(k, asrc, rs, ps, bsrc, bs, tile[:], gemmNR)
-			for r := 0; r < h; r++ {
-				ci := c[(i+r)*n+jb : (i+r)*n+jb+w]
-				if fold {
-					copy(ci, tile[r*gemmNR:])
-					continue
+			microKernel(k, xsrc, rs, ps, ysrc, ys, tile[:], gemmNR)
+			switch {
+			case fold:
+				for r := 0; r < h; r++ {
+					copy(c.data[(i+r)*c.rs+jb:(i+r)*c.rs+jb+w], tile[r*gemmNR:])
 				}
-				for j := range ci {
-					ci[j] += float32(alpha * tile[r*gemmNR+j])
+			case c.cs == 1:
+				for r := 0; r < h; r++ {
+					ci := c.data[(i+r)*c.rs+jb:][:w]
+					for j := range ci {
+						ci[j] += float32(alpha * tile[r*gemmNR+j])
+					}
+				}
+			default: // C is written transposed, a column of the tile at a time
+				for j := 0; j < w; j++ {
+					cj := c.data[(jb+j)*c.cs+i:][:h]
+					for r := range cj {
+						cj[r] += float32(alpha * tile[r*gemmNR+j])
+					}
 				}
 			}
 		}
@@ -242,21 +280,39 @@ func packTransposed(dst, b []float32, k, w int) {
 //
 //	c[r][j] = c[r][j] + float32(a[r][p]*b[p][j])   for p = 0, 1, …, k-1
 //
-// with no fused multiply-add, so all of them agree bit for bit.
+// with no fused multiply-add, so all of them agree bit for bit. The
+// AVX2 and Go kernels are 4 rows tall and run the panel as two halves.
 func microKernel(k int, a []float32, ars, aps int, b []float32, bs int, c []float32, cs int) {
-	if useAVX2 {
-		microKernelAVX2(k, a, ars, aps, b, bs, c, cs)
-		return
+	if k == 0 {
+		return // no term to add, and a packed panel has no second half
 	}
-	microKernelGo(k, a, ars, aps, b, bs, c, cs)
+	switch kernel {
+	case kernelAVX512:
+		microKernelAVX512(k, a, ars, aps, b, bs, c, cs)
+	case kernelAVX2:
+		microKernelAVX2(k, a, ars, aps, b, bs, c, cs)
+		microKernelAVX2(k, a[4*ars:], ars, aps, b, bs, c[4*cs:], cs)
+	default:
+		microKernelGo(k, a, ars, aps, b, bs, c, cs)
+		microKernelGo(k, a[4*ars:], ars, aps, b, bs, c[4*cs:], cs)
+	}
 }
 
-// useAVX2 selects the assembly micro-kernel. It is set once, from what
-// the CPU reports; tests flip it to run both kernels.
-var useAVX2 = cpuHasAVX2()
+// A microKernelID names one micro-kernel.
+type microKernelID int
 
-// microKernelGo is the portable micro-kernel, and the oracle the
-// assembly one is tested against.
+const (
+	kernelGo microKernelID = iota
+	kernelAVX2
+	kernelAVX512
+)
+
+// kernel is the micro-kernel every multiply runs: the widest the CPU
+// has, chosen once at init (cpuKernel). Tests set it to run each one.
+var kernel = cpuKernel()
+
+// microKernelGo is the portable 4×16 micro-kernel, and the oracle the
+// assembly ones are tested against.
 func microKernelGo(k int, a []float32, ars, aps int, b []float32, bs int, c []float32, cs int) {
 	// Four rows by two columns of accumulators stay in registers; each
 	// still sums its terms in ascending p.

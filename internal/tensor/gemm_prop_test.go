@@ -65,20 +65,21 @@ func sameFloat(x, y float32) bool {
 	return math.Float32bits(x) == math.Float32bits(y) || (x != x && y != y)
 }
 
+// kernelNames names each micro-kernel as its subtest does. They are in
+// order of width, and a CPU that has one has every one before it.
+var kernelNames = [...]string{kernelGo: "go", kernelAVX2: "avx2", kernelAVX512: "avx512"}
+
 // forEachKernel runs f once per micro-kernel, selecting it through
-// useAVX2, and restores the CPU's choice afterwards.
+// kernel, and restores the CPU's choice afterwards. A kernel the CPU
+// lacks is skipped.
 func forEachKernel(t *testing.T, f func(t *testing.T)) {
-	defer func(saved bool) { useAVX2 = saved }(useAVX2)
-	for _, avx := range []bool{false, true} {
-		name := "go"
-		if avx {
-			name = "avx2"
-		}
+	defer func(saved microKernelID) { kernel = saved }(kernel)
+	for id, name := range kernelNames {
 		t.Run(name, func(t *testing.T) {
-			if avx && !cpuHasAVX2() {
-				t.Skip("CPU has no AVX2")
+			if microKernelID(id) > cpuKernel() {
+				t.Skip("CPU has no " + name)
 			}
-			useAVX2 = avx
+			kernel = microKernelID(id)
 			f(t)
 		})
 	}
@@ -151,16 +152,36 @@ func TestGemmMatchesReference(t *testing.T) {
 		gemmCase{true, false, 64, 128, 16})
 	cases = append(cases, modelGemmCases()...)
 
-	check := func(t *testing.T, tc gemmCase, alpha float32, a, b []float32, beta float32, c0 []float32) {
+	// Transposed-B multiplies on both sides of the rule that computes
+	// Cᵀ = B·op(A)ᵀ when the range has fewer rows than columns: m < n,
+	// m = n and m > n, with ragged panels and strips either way round.
+	var ntCases []gemmCase
+	for _, sh := range [][3]int{
+		{5, 40, 13}, {13, 37, 9}, {16, 64, 20}, {24, 24, 9}, {17, 17, 70},
+		{40, 5, 13}, {37, 13, 9}, {21, 19, 33}, {32, 800, 64}, {100, 60, 3},
+	} {
+		for _, transA := range []bool{false, true} {
+			ntCases = append(ntCases, gemmCase{transA, true, sh[0], sh[1], sh[2]})
+		}
+	}
+
+	// check runs Gemm, or GemmCols over the column ranges split cuts C
+	// into, against refGemm.
+	check := func(t *testing.T, tc gemmCase, alpha float32, a, b []float32, beta float32, c0 []float32, split ...int) {
 		t.Helper()
 		got := append([]float32(nil), c0...)
 		want := append([]float32(nil), c0...)
-		Gemm(tc.transA, tc.transB, tc.m, tc.n, tc.k, alpha, a, b, beta, got)
+		if split == nil {
+			Gemm(tc.transA, tc.transB, tc.m, tc.n, tc.k, alpha, a, b, beta, got)
+		}
+		for s := 0; s+1 < len(split); s++ {
+			GemmCols(tc.transA, tc.transB, tc.m, tc.n, tc.k, alpha, a, b, beta, got, split[s], split[s+1])
+		}
 		refGemm(tc.transA, tc.transB, tc.m, tc.n, tc.k, alpha, a, b, beta, want)
 		for i := range want {
 			if !sameFloat(got[i], want[i]) {
-				t.Fatalf("Gemm(%+v α=%g β=%g): c[%d] = %g (%#x), reference %g (%#x)",
-					tc, alpha, beta, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+				t.Fatalf("Gemm(%+v α=%g β=%g split=%v): c[%d] = %g (%#x), reference %g (%#x)",
+					tc, alpha, beta, split, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 			}
 		}
 	}
@@ -172,62 +193,97 @@ func TestGemmMatchesReference(t *testing.T) {
 			beta := coeffs[rng.Intn(len(coeffs))]
 			check(t, tc, alpha, randSlice(rng, tc.m*tc.k), randSlice(rng, tc.k*tc.n), beta, randSlice(rng, tc.m*tc.n))
 		}
+		for _, tc := range ntCases {
+			a, b, c0 := randSlice(rng, tc.m*tc.k), randSlice(rng, tc.k*tc.n), randSlice(rng, tc.m*tc.n)
+			// Column ranges as Conv's weight-gradient fan-out passes
+			// them, starting and ending mid-panel: some have fewer
+			// columns than C has rows, some more.
+			third := tc.n / 3
+			for _, alpha := range []float32{1, 0.5, -1.25} {
+				for _, beta := range []float32{0, 1, 0.3} {
+					check(t, tc, alpha, a, b, beta, c0)
+					check(t, tc, alpha, a, b, beta, c0, 0, third, tc.n-third/2-1, tc.n)
+				}
+			}
+		}
 
 		// Zero rows of A times Inf or NaN in B give NaN, and adding a
 		// +0 product turns a −0 in C into +0: a kernel that skips an
 		// all-zero A row leaves both untouched.
 		inf, nan := float32(math.Inf(1)), float32(math.NaN())
 		negZero := float32(math.Copysign(0, -1))
-		for _, transA := range []bool{false, true} {
-			for _, transB := range []bool{false, true} {
-				tc := gemmCase{transA, transB, 6, 19, 5}
-				b := randSlice(rng, tc.k*tc.n)
-				b[0], b[7], b[len(b)-1] = inf, nan, -inf
-				c0 := make([]float32, tc.m*tc.n)
-				for i := range c0 {
-					c0[i] = negZero
-				}
-				for _, alpha := range []float32{1, 0.5} {
-					check(t, tc, alpha, make([]float32, tc.m*tc.k), b, 1, c0)
+		// 6×19 takes the transposed-B path, 19×6 does not.
+		for _, sh := range [][2]int{{6, 19}, {19, 6}} {
+			for _, transA := range []bool{false, true} {
+				for _, transB := range []bool{false, true} {
+					tc := gemmCase{transA, transB, sh[0], sh[1], 5}
+					b := randSlice(rng, tc.k*tc.n)
+					b[0], b[7], b[len(b)-1] = inf, nan, -inf
+					c0 := make([]float32, tc.m*tc.n)
+					for i := range c0 {
+						c0[i] = negZero
+					}
+					for _, alpha := range []float32{1, 0.5} {
+						check(t, tc, alpha, make([]float32, tc.m*tc.k), b, 1, c0)
+					}
 				}
 			}
 		}
 	})
 }
 
-// TestMicroKernelAVX2MatchesGo is the direct differential test of the
-// two micro-kernels: the same tile, strides and k, compared bit for bit.
-func TestMicroKernelAVX2MatchesGo(t *testing.T) {
-	if !cpuHasAVX2() {
-		t.Skip("CPU has no AVX2")
-	}
+// checkMicroKernel compares a rows×gemmNR micro-kernel with 4-row
+// microKernelGo calls, bit for bit, over k ∈ {0, 1, 2, 3, 17, 800} and
+// every operand layout gemmKernel passes: a packed A panel and B strip,
+// A row-major in place (NN/NT), A column-major in place (TN/TT), and B's
+// rows in place as the A panel of a transposed-B multiply, against
+// op(A)ᵀ in place (TT).
+func checkMicroKernel(t *testing.T, rows int, kern func(k int, a []float32, ars, aps int, b []float32, bs int, c []float32, cs int)) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 60; trial++ {
-		k := []int{0, 1, 2, 3, 17, 800}[rng.Intn(6)]
-		// A panels as gemmKernel passes them: packed, row-major in
-		// place (NN/NT) and column-major in place (TN/TT).
-		ars, aps := 1, gemmMR
-		switch rng.Intn(3) {
-		case 1:
-			ars, aps = k+rng.Intn(3), 1
-		case 2:
-			ars, aps = 1, gemmMR+rng.Intn(40)
-		}
-		bs := gemmNR + rng.Intn(3)*rng.Intn(40)
-		cs := gemmNR + rng.Intn(3)*rng.Intn(40)
-		a := randSlice(rng, gemmMR*ars+k*aps)
-		b := randSlice(rng, k*bs+gemmNR)
-		c := randSlice(rng, gemmMR*cs)
-		want := append([]float32(nil), c...)
-		microKernelAVX2(k, a, ars, aps, b, bs, c, cs)
-		microKernelGo(k, a, ars, aps, b, bs, want, cs)
-		for i := range want {
-			if math.Float32bits(c[i]) != math.Float32bits(want[i]) {
-				t.Fatalf("k=%d ars=%d aps=%d bs=%d cs=%d: c[%d] = %#x, Go kernel %#x",
-					k, ars, aps, bs, cs, i, math.Float32bits(c[i]), math.Float32bits(want[i]))
+	for _, k := range []int{0, 1, 2, 3, 17, 800} {
+		for _, st := range [][3]int{
+			{1, gemmMR, gemmNR},
+			{k + rng.Intn(3), 1, gemmNR + rng.Intn(40)},
+			{1, gemmMR + rng.Intn(40), gemmNR},
+			{k, 1, gemmNR + rng.Intn(40)},
+		} {
+			ars, aps, bs := st[0], st[1], st[2]
+			for _, cs := range []int{gemmNR, gemmNR + 1 + rng.Intn(40)} {
+				a := randSlice(rng, rows*ars+k*aps+1)
+				b := randSlice(rng, k*bs+gemmNR)
+				c := randSlice(rng, rows*cs)
+				want := append([]float32(nil), c...)
+				kern(k, a, ars, aps, b, bs, c, cs)
+				for r := 0; r < rows; r += 4 {
+					microKernelGo(k, a[r*ars:], ars, aps, b, bs, want[r*cs:], cs)
+				}
+				for i := range want {
+					if math.Float32bits(c[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("k=%d ars=%d aps=%d bs=%d cs=%d: c[%d] = %#x, Go kernel %#x",
+							k, ars, aps, bs, cs, i, math.Float32bits(c[i]), math.Float32bits(want[i]))
+					}
+				}
 			}
 		}
 	}
+}
+
+// TestMicroKernelAVX2MatchesGo is the direct differential test of the
+// two 4-row micro-kernels.
+func TestMicroKernelAVX2MatchesGo(t *testing.T) {
+	if cpuKernel() < kernelAVX2 {
+		t.Skip("CPU has no AVX2")
+	}
+	checkMicroKernel(t, 4, microKernelAVX2)
+}
+
+// TestMicroKernelAVX512MatchesGo compares the 8-row AVX-512 tile with
+// the Go kernel run as two 4-row halves.
+func TestMicroKernelAVX512MatchesGo(t *testing.T) {
+	if cpuKernel() < kernelAVX512 {
+		t.Skip("CPU has no AVX-512")
+	}
+	checkMicroKernel(t, gemmMR, microKernelAVX512)
 }
 
 // TestGemmDeterministicAcrossGOMAXPROCS pins the determinism contract:
@@ -236,27 +292,27 @@ func TestMicroKernelAVX2MatchesGo(t *testing.T) {
 // in a fixed order.
 func TestGemmDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	const m, n, k = 96, 550, 147 // above the parallel threshold, ragged tiles
-	a := randSlice(rng, m*k)
-	b := randSlice(rng, k*n)
-	for _, transB := range []bool{false, true} {
-		bb := b
-		if transB {
-			bb = randSlice(rng, n*k)
-		}
-		serial := make([]float32, m*n)
+	for _, tc := range []gemmCase{
+		{false, false, 96, 550, 147}, // above the parallel threshold, ragged tiles
+		{false, true, 96, 550, 147},
+		// Serially m > n keeps the transposed-B rule off; split by rows,
+		// each worker's range has fewer rows than columns and takes it.
+		{false, true, 200, 150, 37},
+	} {
+		a, b := randSlice(rng, tc.m*tc.k), randSlice(rng, tc.k*tc.n)
+		serial := make([]float32, tc.m*tc.n)
 		prev := runtime.GOMAXPROCS(1)
-		Gemm(false, transB, m, n, k, 1, a, bb, 0, serial)
+		Gemm(tc.transA, tc.transB, tc.m, tc.n, tc.k, 1, a, b, 0, serial)
 		runtime.GOMAXPROCS(prev)
 		for _, procs := range []int{2, 4, runtime.NumCPU()} {
-			par := make([]float32, m*n)
+			par := make([]float32, tc.m*tc.n)
 			prev := runtime.GOMAXPROCS(procs)
-			Gemm(false, transB, m, n, k, 1, a, bb, 0, par)
+			Gemm(tc.transA, tc.transB, tc.m, tc.n, tc.k, 1, a, b, 0, par)
 			runtime.GOMAXPROCS(prev)
 			for i := range serial {
 				if math.Float32bits(serial[i]) != math.Float32bits(par[i]) {
-					t.Fatalf("transB=%v GOMAXPROCS=%d: c[%d] = %x, serial %x",
-						transB, procs, i, math.Float32bits(par[i]), math.Float32bits(serial[i]))
+					t.Fatalf("%+v GOMAXPROCS=%d: c[%d] = %x, serial %x",
+						tc, procs, i, math.Float32bits(par[i]), math.Float32bits(serial[i]))
 				}
 			}
 		}
@@ -284,6 +340,45 @@ func TestGemmColsSplitMatchesGemm(t *testing.T) {
 			for i := range want {
 				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 					t.Fatalf("%+v α=%g β=%g: c[%d] = %#x, Gemm %#x", tc, alpha, beta, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+				}
+			}
+		}
+	})
+}
+
+// FuzzGemm checks Gemm, and GemmCols over a seeded split of C's
+// columns, against refGemm bit for bit under every micro-kernel the CPU
+// has: fuzzed transposes, m, n and k up to 70, alpha, beta and operand
+// seed. Shapes on both sides of the transposed-B rule and of the
+// parallel threshold (70×70 is above it) come up.
+func FuzzGemm(f *testing.F) {
+	f.Add(false, true, uint8(6), uint8(19), uint8(5), float32(1), float32(0), int64(1))
+	f.Add(true, true, uint8(70), uint8(70), uint8(33), float32(-1.25), float32(0.3), int64(2))
+	f.Add(false, false, uint8(9), uint8(17), uint8(0), float32(0.5), float32(1), int64(3))
+	f.Fuzz(func(t *testing.T, transA, transB bool, m8, n8, k8 uint8, alpha, beta float32, seed int64) {
+		m, n, k := int(m8%71), int(n8%71), int(k8%71)
+		rng := rand.New(rand.NewSource(seed))
+		a, b, c0 := randSlice(rng, m*k), randSlice(rng, k*n), randSlice(rng, m*n)
+		want := append([]float32(nil), c0...)
+		refGemm(transA, transB, m, n, k, alpha, a, b, beta, want)
+		split := []int{0}
+		for split[len(split)-1] < n {
+			split = append(split, split[len(split)-1]+1+rng.Intn(n-split[len(split)-1]))
+		}
+		defer func(saved microKernelID) { kernel = saved }(kernel)
+		for id := kernelGo; id <= cpuKernel(); id++ {
+			kernel = id
+			got := append([]float32(nil), c0...)
+			Gemm(transA, transB, m, n, k, alpha, a, b, beta, got)
+			cols := append([]float32(nil), c0...)
+			for s := 0; s+1 < len(split); s++ {
+				GemmCols(transA, transB, m, n, k, alpha, a, b, beta, cols, split[s], split[s+1])
+			}
+			for i := range want {
+				if !sameFloat(got[i], want[i]) || !sameFloat(cols[i], want[i]) {
+					t.Fatalf("%s kernel, transA=%v transB=%v %d×%d×%d α=%g β=%g split=%v: c[%d] = %#x (Gemm), %#x (GemmCols), reference %#x",
+						kernelNames[id], transA, transB, m, n, k, alpha, beta, split, i,
+						math.Float32bits(got[i]), math.Float32bits(cols[i]), math.Float32bits(want[i]))
 				}
 			}
 		}

@@ -34,13 +34,22 @@ echo "== FMA-free products =="
 # product into the add or subtract it feeds unless an explicit
 # float32(x*y)/float64(x*y) conversion rounds it first; amd64 never
 # fuses. The compiler's listing must therefore show no fused
-# multiply-add anywhere in the simulator.
+# multiply-add anywhere in the simulator. The assembly micro-kernels are
+# not in that listing, and their differential tests skip on a CPU
+# without the instructions, so the source itself must name no fused
+# x86 op (VFMADD…, VFMSUB…, VFNMADD…, VFNMSUB…).
 listing=$(mktemp)
 GOARCH=arm64 go build -gcflags=-S ./internal/... > "$listing" 2>&1
 fused=$(grep -Ew '(FMADD|FMSUB|FNMADD|FNMSUB)[SD]?' "$listing" || true)
 rm -f "$listing"
 if [ -n "$fused" ]; then
     echo "fused multiply-adds in the arm64 build (wrap the product in an explicit conversion):" >&2
+    echo "$fused" >&2
+    exit 1
+fi
+fused=$(grep -En 'VF(N?)M(ADD|SUB)' internal/tensor/*.s || true)
+if [ -n "$fused" ]; then
+    echo "fused multiply-adds in the GEMM assembly (multiply, then add):" >&2
     echo "$fused" >&2
     exit 1
 fi
@@ -155,14 +164,15 @@ echo "== go test -race =="
 go test -race -timeout 45m ./...
 
 echo "== fuzz smoke =="
-# A few seconds per target keeps the parsers and the membership table
-# honest without turning the gate into a fuzzing campaign; run longer
-# sessions by hand with -fuzztime as needed.
+# A few seconds per target keeps the parsers, the membership table and
+# the GEMM paths honest without turning the gate into a fuzzing
+# campaign; run longer sessions by hand with -fuzztime as needed.
 go test -run '^$' -fuzz FuzzSnapshotDecode -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz FuzzParse -fuzztime 5s ./internal/proto
 go test -run '^$' -fuzz FuzzParseSchedule -fuzztime 5s ./internal/fault
 go test -run '^$' -fuzz FuzzMembership -fuzztime 5s ./internal/fault
 go test -run '^$' -fuzz FuzzReduce -fuzztime 5s ./internal/coll
+go test -run '^$' -fuzz FuzzGemm -fuzztime 5s ./internal/tensor
 
 echo "== tracked benchmark =="
 # The one go-test benchmark kept beside bench/run.sh: its 256-4096-rank
