@@ -267,7 +267,9 @@ func run(cfg Config, before ...func(*sim.Kernel)) (*Result, *runState, error) {
 		Resumes:       k.Resumes(),
 	}
 	if canTrip {
-		res.Fault = pl.Report()
+		// A copy: the plane's own would pin the plane, kernel and world.
+		rep := *pl.Report()
+		res.Fault = &rep
 	}
 	if st.integ != nil {
 		if mi := st.world.Integrity; mi != nil {
@@ -385,6 +387,7 @@ func (st *runState) buildReaders(k *sim.Kernel, localBatch int, elastic bool) {
 		return
 	}
 	st.dataSrc = src
+	names := sim.Names("reader", cfg.GPUs, "")
 	for i := 0; i < cfg.GPUs; i++ {
 		rs, batches := src, iters
 		switch {
@@ -399,7 +402,7 @@ func (st *runState) buildReaders(k *sim.Kernel, localBatch int, elastic bool) {
 		case cfg.Design == ParamServer && i == 0, cfg.Design == ModelParallel && i != 0:
 			continue // the server does not train; only the pipeline's first stage reads data
 		}
-		st.readers[i] = data.StartReader(k, fmt.Sprintf("reader%d", i), rs, localBatch, cfg.Spec.PerSampleBytes, batches, 1, cfg.QueueDepth)
+		st.readers[i] = data.StartReader(k, names[i], rs, localBatch, cfg.Spec.PerSampleBytes, batches, 1, cfg.QueueDepth)
 	}
 }
 

@@ -6,7 +6,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"scaffe/internal/data"
 	"scaffe/internal/fault"
@@ -487,5 +489,38 @@ func TestStalledSourceBooksAtTheStallsEnd(t *testing.T) {
 	late := stalledSource{inner: data.NewLMDBSource(k, 2), pl: pl, rank: 1}
 	if got, want := late.ReadBatch(6*sim.Millisecond, 16, 3100), data.NewLMDBSource(k, 2).ReadBatch(6*sim.Millisecond, 16, 3100); got != want {
 		t.Errorf("read past the stall = %+v, want the LMDB read at once, %+v", got, want)
+	}
+}
+
+// TestKeptFaultReportFreesTheRun: Result.Fault is a copy of the plane's
+// report, not a pointer into the plane, so keeping it pins nothing of
+// the run — not the plane, nor through it the run's state, world and
+// kernel. The chaos benchmark keeps one report per spec of every rep;
+// when the report was the plane's own, every rep's worlds stayed live.
+// The probe is a pointer-free array of the run's state: a finalizer
+// runs for it once nothing reaches it, which a finalizer on the kernel
+// (in a cycle with its procs) never would.
+func TestKeptFaultReportFreesTheRun(t *testing.T) {
+	spec, _ := models.ByName("cifar10-quick")
+	cfg := timingConfig(spec, 8, 64, 4)
+	cfg.Design = SCOB
+	cfg.Faults = fault.Schedule{{At: midRun(t, cfg, 0.5), Kind: fault.Crash, Rank: 3}}
+	res, st, err := run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var freed atomic.Bool
+	runtime.SetFinalizer(&st.catchupSeen[0], func(*int) { freed.Store(true) })
+	kept := res.Fault
+	res, st = nil, nil
+	for i := 0; i < 50 && !freed.Load(); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if !freed.Load() {
+		t.Errorf("the run's state is still live while only its fault report is kept")
+	}
+	if len(kept.Recoveries) != 1 || kept.Survivors != 7 {
+		t.Errorf("kept report = %+v, want one recovery and 7 survivors", *kept)
 	}
 }

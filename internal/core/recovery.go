@@ -1,9 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"slices"
+	"strconv"
 
 	"scaffe/internal/coll"
 	"scaffe/internal/data"
@@ -558,11 +558,12 @@ func (st *runState) rebuild(round fault.Round) (int, bool) {
 			st.slowStreak[j.Rank] = 0
 		}
 	}
+	names := sim.Names("reader", len(st.readers), ".e"+strconv.Itoa(st.epoch))
 	for _, id := range members {
 		if rd := st.readers[id]; rd != nil {
 			rd.Stop()
 		}
-		st.readers[id] = data.StartReader(st.k, fmt.Sprintf("reader%d.e%d", id, st.epoch),
+		st.readers[id] = data.StartReader(st.k, names[id],
 			stalledSource{inner: st.dataSrc, pl: pl, rank: id}, newLocal, cfg.Spec.PerSampleBytes, -1, 1, cfg.QueueDepth)
 	}
 

@@ -46,9 +46,9 @@ func (InMemory) ReadBatch(sim.Time, int, int64) Read { return Read{} }
 type LMDBSource struct {
 	// Lock is the shared reader-table lock, held briefly per batch
 	// transaction.
-	Lock *sim.Resource
+	Lock sim.Resource
 	// Disk is the shared page-cache/disk bandwidth.
-	Disk *sim.Resource
+	Disk sim.Resource
 	// DiskBW is the aggregate sequential read bandwidth.
 	DiskBW float64
 	// TxnCost is the reader-slot acquisition cost per batch
@@ -64,11 +64,10 @@ type LMDBSource struct {
 }
 
 // NewLMDBSource builds the shared-environment model for the given
-// configured reader count.
-func NewLMDBSource(k *sim.Kernel, readers int) *LMDBSource {
+// configured reader count. Its resources are plain values, so the kernel
+// argument goes unused.
+func NewLMDBSource(_ *sim.Kernel, readers int) *LMDBSource {
 	return &LMDBSource{
-		Lock:      k.NewResource("lmdb.lock"),
-		Disk:      k.NewResource("lmdb.disk"),
 		DiskBW:    8e9,
 		TxnCost:   10 * sim.Microsecond,
 		PerRecord: 2 * sim.Microsecond,

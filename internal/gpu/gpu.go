@@ -18,10 +18,10 @@ type Device struct {
 	K  *sim.Kernel
 	ID topology.DeviceID
 	// Compute serializes training kernels (forward/backward layers).
-	Compute *sim.Resource
+	Compute sim.Resource
 	// Comm serializes reduction/pack kernels; it runs concurrently
 	// with Compute, as two CUDA streams would.
-	Comm *sim.Resource
+	Comm sim.Resource
 
 	p        topology.Params
 	slowdown float64 // >1 stretches every kernel (straggler modeling)
@@ -33,14 +33,17 @@ type Device struct {
 // NewDevice creates a device of cluster c for topology slot id.
 // K-80-era devices expose 12 GB per GK210.
 func NewDevice(c *topology.Cluster, id topology.DeviceID) *Device {
-	return &Device{
-		K:       c.K,
-		ID:      id,
-		Compute: c.K.NewResource(fmt.Sprintf("%v.compute", id)),
-		Comm:    c.K.NewResource(fmt.Sprintf("%v.comm", id)),
-		p:       c.P,
-		memCap:  12 << 30,
+	return &Device{K: c.K, ID: id, p: c.P, memCap: 12 << 30}
+}
+
+// NewDevices creates the devices of cluster c's first n slots in block
+// placement order (Cluster.DeviceForRank), carved from one block.
+func NewDevices(c *topology.Cluster, n int) []Device {
+	devs := make([]Device, n)
+	for i := range devs {
+		devs[i] = *NewDevice(c, c.DeviceForRank(i))
 	}
+	return devs
 }
 
 // SetMemCapacity overrides the device-memory capacity in bytes.

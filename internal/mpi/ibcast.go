@@ -256,25 +256,23 @@ type bcastEdge struct {
 	replay   bool
 	ghost    bool
 	ghostKey bcastKey
+	next     *bcastEdge // free-list link
 }
 
+// getBcastEdge draws an edge record from the world free list, or carves
+// a new one.
 func (w *World) getBcastEdge() *bcastEdge {
-	n := len(w.edgePool)
-	if n == 0 {
-		return newBcastEdge()
+	e := w.edgeFree
+	if e == nil {
+		return w.edges.next()
 	}
-	e := w.edgePool[n-1]
-	w.edgePool[n-1] = nil
-	w.edgePool = w.edgePool[:n-1]
+	w.edgeFree, e.next = e.next, nil
 	return e
 }
 
-// newBcastEdge is getBcastEdge's pool-miss path.
-func newBcastEdge() *bcastEdge { return &bcastEdge{} }
-
 func (w *World) putBcastEdge(e *bcastEdge) {
-	*e = bcastEdge{}
-	w.edgePool = append(w.edgePool, e)
+	*e = bcastEdge{next: w.edgeFree}
+	w.edgeFree = e
 }
 
 // RunEvent implements sim.Runnable: the edge's transfer has landed.

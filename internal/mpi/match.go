@@ -15,9 +15,13 @@ package mpi
 // as small as the number of keys outstanding at once however many tags a
 // run goes through.
 type matchTable struct {
-	slots []matchSlot // nil until the first message
+	slots []matchSlot // carved by NewWorld; nil after a respawn until the first message
 	used  int
 }
+
+// matchSlots is the size of the table NewWorld carves for each rank. The
+// few ranks that need more (a tree node with many children) grow theirs.
+const matchSlots = 8
 
 // matchSlot is one key's queue; a free slot has both lists empty.
 type matchSlot struct {
@@ -68,7 +72,7 @@ func (t *matchTable) find(comm, src, tag int) int {
 //go:noinline
 func (t *matchTable) grow() {
 	old := t.slots
-	t.slots = make([]matchSlot, max(2*len(old), 8))
+	t.slots = make([]matchSlot, max(2*len(old), matchSlots))
 	for i := range old {
 		if e := &old[i]; !e.free() {
 			j := t.home(e.comm, e.src, e.tag)

@@ -56,10 +56,14 @@ next:
 // message at a time of its own so that either may come first — and
 // requires every receive to get exactly the send the reference matcher
 // pairs it with. Since the reference is FIFO per (communicator, sender,
-// receiver, tag), equal pairing is the non-overtaking rule.
+// receiver, tag), equal pairing is the non-overtaking rule. Seeds past 8
+// post every message's send before its receive, so every message is an
+// unexpected one and passes through a pending-send record, carved or
+// recycled. Every seed ends with no request live on any rank.
 func TestMatchingAgainstReferenceMatcher(t *testing.T) {
 	const ranks, messages = 6, 600
-	for seed := int64(1); seed <= 8; seed++ {
+	for seed := int64(1); seed <= 12; seed++ {
+		sendsFirst := seed > 8
 		rng := rand.New(rand.NewSource(seed))
 		w := newWorld(t, 2, 3, ranks)
 		world := w.WorldComm()
@@ -81,8 +85,12 @@ func TestMatchingAgainstReferenceMatcher(t *testing.T) {
 			}
 			msg := matchOp{comm: ci, src: c.WorldRank(from), dst: c.WorldRank(to), tag: tag, elems: elems}
 			send, recv := msg, msg
-			send.send, send.on, send.peer, send.id, send.at = true, msg.src, to, m, sim.Time(times[2*m]+1)
-			recv.on, recv.peer, recv.id, recv.at = msg.dst, from, recvs, sim.Time(times[2*m+1]+1)
+			sendAt, recvAt := sim.Time(times[2*m]+1), sim.Time(times[2*m+1]+1)
+			if sendsFirst && recvAt < sendAt {
+				sendAt, recvAt = recvAt, sendAt
+			}
+			send.send, send.on, send.peer, send.id, send.at = true, msg.src, to, m, sendAt
+			recv.on, recv.peer, recv.id, recv.at = msg.dst, from, recvs, recvAt
 			recvs++
 			ops = append(ops, send, recv)
 		}
@@ -125,6 +133,9 @@ func TestMatchingAgainstReferenceMatcher(t *testing.T) {
 		for _, r := range w.Ranks {
 			if r.match.used != 0 {
 				t.Errorf("seed %d: rank %d's match table still holds %d keys after every message was matched", seed, r.ID, r.match.used)
+			}
+			if n := r.LiveRequests(); n != 0 {
+				t.Errorf("seed %d: rank %d ended with %d live requests", seed, r.ID, n)
 			}
 		}
 	}

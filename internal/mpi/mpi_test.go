@@ -454,3 +454,24 @@ func TestOnCompleteAfterCompletionRunsImmediately(t *testing.T) {
 		t.Error("hook on an already-completed request never ran")
 	}
 }
+
+// TestNewWorldAllocsPerRank: a world's ranks, devices and match tables
+// are carved from one block each, so building one costs the same dozen
+// allocations at any size — well under one per rank at 16 ranks, and a
+// tenth of that at 160. One allocation per rank anywhere would cross
+// the bound.
+func TestNewWorldAllocsPerRank(t *testing.T) {
+	const budget = 1.0
+	var total [2]float64
+	for i, ranks := range []int{16, 160} {
+		c := topology.New(sim.New(), "test", ranks/16, 16, topology.DefaultParams())
+		total[i] = testing.AllocsPerRun(20, func() { NewWorld(c, ranks) })
+		t.Logf("%d ranks: %.0f allocations", ranks, total[i])
+		if per := total[i] / float64(ranks); per >= budget {
+			t.Errorf("NewWorld of %d ranks made %.0f allocations, %.2f per rank; budget %.0f", ranks, total[i], per, budget)
+		}
+	}
+	if total[0] != total[1] {
+		t.Errorf("NewWorld made %.0f allocations at 16 ranks and %.0f at 160; want the same", total[0], total[1])
+	}
+}

@@ -27,7 +27,7 @@ type pendingSend struct {
 	sentAt sim.Time
 	req    *Request
 	reqGen uint64
-	next   *pendingSend
+	next   *pendingSend // match-queue or free-list link
 }
 
 // Request tracks a non-blocking operation. Done fires when the
@@ -50,7 +50,7 @@ type Request struct {
 	// summed, when non-nil, records the delivered payload's checksum
 	// for the integrity plane (see IrecvSummed).
 	summed *Summed
-	next   *Request // match-queue link (posted receives)
+	next   *Request // match-queue (posted receives) or free-list link
 	pooled bool
 }
 
@@ -63,13 +63,12 @@ func (r *Rank) getRequest(buf *gpu.Buffer) *Request {
 	if r.W.K.InHook() {
 		r.requestInHook()
 	}
-	n := len(r.reqPool)
-	if n == 0 {
+	r.reqsLive++
+	req := r.reqFree
+	if req == nil {
 		return r.newRequest(buf)
 	}
-	req := r.reqPool[n-1]
-	r.reqPool[n-1] = nil
-	r.reqPool = r.reqPool[:n-1]
+	r.reqFree, req.next = req.next, nil
 	req.done.Init(r.W.K)
 	req.buf = buf
 	req.pooled = false
@@ -77,19 +76,10 @@ func (r *Rank) getRequest(buf *gpu.Buffer) *Request {
 }
 
 // newRequest is getRequest's pool-miss path. Records are carved from
-// blocks, each as large as all the rank made before it (within bounds):
-// a rank that posts every layer's broadcast up front takes a handful of
-// allocations to get there, not one per request.
-//
-//go:noinline
+// blocks (carver): a rank that posts every layer's broadcast up front
+// takes a handful of allocations to get there, not one per request.
 func (r *Rank) newRequest(buf *gpu.Buffer) *Request {
-	if len(r.reqBlock) == 0 {
-		n := min(max(r.reqsMade, 4), 16)
-		r.reqsMade += n
-		r.reqBlock = make([]Request, n)
-	}
-	req := &r.reqBlock[0]
-	r.reqBlock = r.reqBlock[1:]
+	req := r.reqs.next()
 	req.buf = buf
 	req.Done = &req.done
 	req.done.Init(r.W.K)
@@ -106,7 +96,7 @@ func (r *Rank) requestInHook() {
 // abandoned (see World.bumpEpoch). A rank that ran to the end of a run
 // has none: a request nobody waits is a leak.
 func (r *Rank) LiveRequests() int {
-	return r.reqsMade - len(r.reqBlock) - len(r.reqPool) - r.reqsAbandoned
+	return r.reqsLive - r.reqsAbandoned
 }
 
 // putRequest recycles a settled request. Double releases are absorbed
@@ -118,29 +108,25 @@ func (r *Rank) putRequest(req *Request) {
 	req.pooled = true
 	req.buf = nil
 	req.summed = nil
-	req.next = nil
-	r.reqPool = append(r.reqPool, req)
+	req.next = r.reqFree
+	r.reqFree = req
+	r.reqsLive--
 }
 
 // getPendingSend draws an unexpected-message record from the rank's
-// free list; the cold miss path allocates.
+// free list, or carves a new one.
 func (r *Rank) getPendingSend() *pendingSend {
-	n := len(r.psPool)
-	if n == 0 {
-		return newPendingSend()
+	ps := r.psFree
+	if ps == nil {
+		return r.pss.next()
 	}
-	ps := r.psPool[n-1]
-	r.psPool[n-1] = nil
-	r.psPool = r.psPool[:n-1]
+	r.psFree, ps.next = ps.next, nil
 	return ps
 }
 
-// newPendingSend is getPendingSend's pool-miss path.
-func newPendingSend() *pendingSend { return &pendingSend{} }
-
 func (r *Rank) putPendingSend(ps *pendingSend) {
-	*ps = pendingSend{}
-	r.psPool = append(r.psPool, ps)
+	*ps = pendingSend{next: r.psFree}
+	r.psFree = ps
 }
 
 // Wait blocks the rank until the request completes, then releases the
@@ -250,6 +236,7 @@ type delivery struct {
 	// never settles the integrity handle.
 	replay bool
 	ghost  bool
+	next   *delivery // free-list link
 }
 
 // RunEvent implements sim.Runnable.

@@ -58,11 +58,11 @@ func TestRecyclingDrillCorruptionEscalation(t *testing.T) {
 		// Clean round: fills the pools. Wait releases the request before
 		// Settle settles (and releases) the header.
 		recvSummed(r, c, 1, 1, buf)
-		if len(r.reqPool) == 0 || len(r.sumPool) == 0 {
-			t.Errorf("clean round left empty pools: %d requests, %d summed", len(r.reqPool), len(r.sumPool))
+		if r.reqFree == nil || len(r.sumPool) == 0 {
+			t.Errorf("clean round left empty pools: request free list %p, %d summed", r.reqFree, len(r.sumPool))
 			return
 		}
-		staleReq := r.reqPool[len(r.reqPool)-1]
+		staleReq := r.reqFree
 		staleGen := staleReq.done.Gen()
 		staleSum := r.sumPool[len(r.sumPool)-1]
 
@@ -189,7 +189,7 @@ func TestRecyclingDrillKillMidFlight(t *testing.T) {
 		if inFlight.pooled {
 			t.Errorf("request abandoned by the revoked wait was returned to the pool")
 		}
-		for _, q := range r.reqPool {
+		for q := r.reqFree; q != nil; q = q.next {
 			if q == inFlight {
 				t.Errorf("abandoned in-flight request found in the free list")
 			}

@@ -17,6 +17,7 @@ package mpi
 
 import (
 	"fmt"
+	"strconv"
 
 	"scaffe/internal/fault"
 	"scaffe/internal/gpu"
@@ -59,48 +60,92 @@ type World struct {
 	// and a failsafe flush bounds how long it can sit.
 	held map[linkKey]heldRec
 
-	// Free lists for pooled hot-path records shared across ranks.
-	delPool   []*delivery
+	// Free lists for pooled hot-path records shared across ranks, linked
+	// through the records' next pointers, and the blocks they are carved
+	// from.
+	delFree   *delivery
+	dels      carver[delivery]
+	edgeFree  *bcastEdge
+	edges     carver[bcastEdge]
 	bcastPool []*bcastOp
-	edgePool  []*bcastEdge
+
+	// names holds every rank's proc name per tag asked for (procName).
+	names map[string][]string
 }
 
 // NewWorld creates an n-rank world on cluster c, one rank per CUDA
-// device in block placement order, with an idle fault plane.
+// device in block placement order, with an idle fault plane. Ranks,
+// devices and match tables are carved from one block each.
 func NewWorld(c *topology.Cluster, n int) *World {
 	if n > c.TotalGPUs() {
 		panic(fmt.Sprintf("mpi: %d ranks requested but cluster has %d GPUs", n, c.TotalGPUs()))
 	}
-	w := &World{K: c.K, Cluster: c, Fault: fault.NewPlane(c.K, n, sim.Never), bcastOps: make(map[bcastKey]*bcastOp)}
-	for i := 0; i < n; i++ {
-		w.Ranks = append(w.Ranks, &Rank{
-			W:   w,
-			ID:  i,
-			Dev: gpu.NewDevice(c, c.DeviceForRank(i)),
-		})
+	w := &World{K: c.K, Cluster: c, Fault: fault.NewPlane(c.K, n, sim.Never), bcastOps: make(map[bcastKey]*bcastOp), names: make(map[string][]string)}
+	ranks := make([]Rank, n)
+	devs := gpu.NewDevices(c, n)
+	slots := make([]matchSlot, n*matchSlots)
+	w.Ranks = make([]*Rank, n)
+	for i := range ranks {
+		r := &ranks[i]
+		r.W, r.ID, r.Dev = w, i, &devs[i]
+		r.match.slots = slots[i*matchSlots : (i+1)*matchSlots : (i+1)*matchSlots]
+		w.Ranks[i] = r
 	}
 	return w
 }
 
 // getDelivery draws a transfer-landing record from the world free
-// list; the cold miss path allocates.
+// list, or carves a new one.
 func (w *World) getDelivery() *delivery {
-	n := len(w.delPool)
-	if n == 0 {
-		return newDelivery()
+	d := w.delFree
+	if d == nil {
+		return w.dels.next()
 	}
-	d := w.delPool[n-1]
-	w.delPool[n-1] = nil
-	w.delPool = w.delPool[:n-1]
+	w.delFree, d.next = d.next, nil
 	return d
 }
 
-// newDelivery is getDelivery's pool-miss path.
-func newDelivery() *delivery { return &delivery{} }
-
 func (w *World) putDelivery(d *delivery) {
-	*d = delivery{}
-	w.delPool = append(w.delPool, d)
+	*d = delivery{next: w.delFree}
+	w.delFree = d
+}
+
+// A carver hands out zeroed records from blocks, each as large as all
+// carved before it, within [4, 16]: a pool that warms up takes a handful
+// of allocations to get there, not one per record, and leaves few
+// records unused.
+type carver[T any] struct {
+	block []T // what is left of the current block
+	made  int // records carved so far
+}
+
+//go:noinline
+func (c *carver[T]) next() *T {
+	if len(c.block) == 0 {
+		n := min(max(c.made, 4), 16)
+		c.made += n
+		c.block = make([]T, n)
+	}
+	t := &c.block[0]
+	c.block = c.block[1:]
+	return t
+}
+
+// procName returns rank id's proc name, "rank3", or with a tag
+// "rank3.helper". The first call for a tag names every rank of the world
+// with it at once (sim.Names), so a proc per rank costs no allocation
+// per proc.
+func (w *World) procName(id int, tag string) string {
+	names, ok := w.names[tag]
+	if !ok {
+		suffix := tag
+		if tag != "" {
+			suffix = "." + tag
+		}
+		names = sim.Names("rank", len(w.Ranks), suffix)
+		w.names[tag] = names
+	}
+	return names[id]
 }
 
 // Size returns the number of ranks.
@@ -131,7 +176,7 @@ func (w *World) bumpEpoch() {
 // work. The caller then drives the kernel with K.Run().
 func (w *World) SpawnSteps(main func(r *Rank) sim.Stepper) {
 	for _, r := range w.Ranks {
-		r.Proc = w.K.SpawnSteps(fmt.Sprintf("rank%d", r.ID), main(r))
+		r.Proc = w.K.SpawnSteps(w.procName(r.ID, ""), main(r))
 	}
 }
 
@@ -146,7 +191,7 @@ func (w *World) RespawnRank(id int, main func(r *Rank) sim.Stepper) {
 	rank.KillThreads()
 	rank.match = matchTable{}
 	rank.lives++
-	rank.Proc = w.K.SpawnSteps(fmt.Sprintf("rank%d.j%d", rank.ID, rank.lives), main(rank))
+	rank.Proc = w.K.SpawnSteps(w.procName(rank.ID, "j"+strconv.Itoa(rank.lives)), main(rank))
 }
 
 // Run starts every rank's main function as a simulated process with a
@@ -155,7 +200,7 @@ func (w *World) RespawnRank(id int, main func(r *Rank) sim.Stepper) {
 func (w *World) Run(main func(r *Rank)) (sim.Time, error) {
 	for _, r := range w.Ranks {
 		rank := r
-		rank.Proc = w.K.Spawn(fmt.Sprintf("rank%d", rank.ID), func(*sim.Proc) { main(rank) })
+		rank.Proc = w.K.Spawn(w.procName(rank.ID, ""), func(*sim.Proc) { main(rank) })
 	}
 	err := w.K.Run()
 	return w.K.Now(), err
@@ -177,14 +222,15 @@ type Rank struct {
 
 	match matchTable // posted receives and unexpected sends, by (comm, sender, tag)
 
-	// Free lists for the rank's pooled hot-path records. reqBlock is what
-	// is left of the block new requests are carved from, reqsMade how many
-	// were carved so far.
-	reqPool       []*Request
-	reqBlock      []Request
-	reqsMade      int
+	// Free lists for the rank's pooled hot-path records; requests and
+	// pending sends are linked through their next pointers and carved
+	// from blocks.
+	reqFree       *Request
+	reqs          carver[Request]
+	reqsLive      int // drawn and not released; see LiveRequests
 	reqsAbandoned int // left live by earlier epochs; see LiveRequests
-	psPool        []*pendingSend
+	psFree        *pendingSend
+	pss           carver[pendingSend]
 	sumPool       []*Summed
 
 	// threads tracks live helper procs so a crash (or recovery) can
@@ -214,7 +260,7 @@ func (r *Rank) Sleep(d sim.Duration) { r.Proc.Sleep(d) }
 // the main thread through the completions of the iteration graph's
 // cross-lane nodes (sched.Node.After).
 func (r *Rank) SpawnThread(name string, s sim.Stepper) *sim.Proc {
-	p := r.W.K.SpawnSteps(fmt.Sprintf("rank%d.%s", r.ID, name), s)
+	p := r.W.K.SpawnSteps(r.W.procName(r.ID, name), s)
 	// Prune finished threads so the tracking list stays bounded however
 	// many the rank's lives spawn.
 	live := r.threads[:0]

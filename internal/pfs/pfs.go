@@ -6,16 +6,12 @@
 // that lets S-Caffe reach 160 GPUs in Figure 8.
 package pfs
 
-import (
-	"fmt"
-
-	"scaffe/internal/sim"
-)
+import "scaffe/internal/sim"
 
 // FS is one parallel filesystem instance.
 type FS struct {
 	// OSTs are the object storage targets; reads reserve them.
-	OSTs []*sim.Resource
+	OSTs []sim.Resource
 	// OSTBW is the per-OST bandwidth in bytes/second.
 	OSTBW float64
 	// ClientBW caps a single client's ingest rate (its network link).
@@ -24,16 +20,13 @@ type FS struct {
 	PerFileLat sim.Duration
 }
 
-// New builds a filesystem with numOSTs targets.
-func New(k *sim.Kernel, numOSTs int, ostBW, clientBW float64) *FS {
+// New builds a filesystem with numOSTs targets. Its OSTs are plain
+// sim.Resources, so the kernel argument goes unused.
+func New(_ *sim.Kernel, numOSTs int, ostBW, clientBW float64) *FS {
 	if numOSTs <= 0 {
 		panic("pfs: need at least one OST")
 	}
-	fs := &FS{OSTBW: ostBW, ClientBW: clientBW, PerFileLat: 30 * sim.Microsecond}
-	for i := 0; i < numOSTs; i++ {
-		fs.OSTs = append(fs.OSTs, k.NewResource(fmt.Sprintf("ost%d", i)))
-	}
-	return fs
+	return &FS{OSTs: make([]sim.Resource, numOSTs), OSTBW: ostBW, ClientBW: clientBW, PerFileLat: 30 * sim.Microsecond}
 }
 
 // Default returns the Lustre configuration used for the Cluster-A
@@ -49,8 +42,8 @@ func (f *FS) ReadSpread(now sim.Time, bytes int64, files int) sim.Time {
 	share := bytes / int64(len(f.OSTs))
 	perOST := sim.Duration(float64(share) / f.OSTBW * float64(sim.Second))
 	end := now
-	for _, ost := range f.OSTs {
-		_, e := ost.Reserve(now, perOST)
+	for i := range f.OSTs {
+		_, e := f.OSTs[i].Reserve(now, perOST)
 		if e > end {
 			end = e
 		}

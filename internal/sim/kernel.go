@@ -69,6 +69,7 @@ type Kernel struct {
 	cal      calendarQueue
 	procs    []*Proc // spawned and not yet finished; see dropProc
 	spawned  uint64  // procs ever spawned; the newest proc's id
+	procPool []Proc  // what is left of the block new procs are carved from
 	maxTime  Time
 	stopped  bool
 	inHook   bool  // running an evFunc or evRun event; see InHook
@@ -471,10 +472,16 @@ func (k *Kernel) SpawnSteps(name string, s Stepper) *Proc {
 	return p
 }
 
-// newProc adds a proc to the table of live procs.
+// newProc adds a proc to the table of live procs, carved from blocks as
+// large as all the kernel spawned before (within bounds), not one a proc.
 func (k *Kernel) newProc(name string) *Proc {
+	if len(k.procPool) == 0 {
+		k.procPool = make([]Proc, min(max(k.spawned, 4), 16))
+	}
+	p := &k.procPool[0]
+	k.procPool = k.procPool[1:]
 	k.spawned++
-	p := &Proc{k: k, name: name, id: k.spawned, slot: len(k.procs)}
+	*p = Proc{k: k, name: name, id: k.spawned, slot: len(k.procs)}
 	k.procs = append(k.procs, p)
 	return p
 }

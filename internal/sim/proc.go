@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 )
 
@@ -100,6 +101,25 @@ type procKilled struct{}
 
 // Name returns the name given at Spawn time.
 func (p *Proc) Name() string { return p.name }
+
+// Names returns prefix+i+suffix for every i in [0, n) — "rank0",
+// "rank1", … — as substrings of one string, for a family of procs whose
+// names are all made at once: two allocations however many procs they
+// name, not one a proc.
+func Names(prefix string, n int, suffix string) []string {
+	var b strings.Builder
+	var digits [20]byte
+	b.Grow(n * (len(prefix) + len(strconv.AppendInt(digits[:0], int64(n), 10)) + len(suffix)))
+	names := make([]string, n)
+	for i := range names {
+		at := b.Len()
+		b.WriteString(prefix)
+		b.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+		b.WriteString(suffix)
+		names[i] = b.String()[at:] // a Builder never rewrites what it holds
+	}
+	return names
+}
 
 // Finished reports whether the proc has returned (or been killed).
 func (p *Proc) Finished() bool { return p.finished }

@@ -370,8 +370,7 @@ func TestQueueKeepsItsBacking(t *testing.T) {
 }
 
 func TestResourceFIFO(t *testing.T) {
-	k := New()
-	r := k.NewResource("link")
+	var r Resource
 	s1, e1 := r.Reserve(0, 10)
 	if s1 != 0 || e1 != 10 {
 		t.Fatalf("first reservation = [%v,%v], want [0,10]", s1, e1)

@@ -212,3 +212,18 @@ func TestSpawnStepsIdleRetired(t *testing.T) {
 		t.Errorf("resumes %+v, want no switch", r)
 	}
 }
+
+// TestNamesShareOneString: a family of proc names is cut from one
+// string, so naming 1,000 procs costs two allocations, and each name
+// reads as if formatted alone.
+func TestNamesShareOneString(t *testing.T) {
+	names := Names("rank", 1000, ".helper")
+	for _, i := range []int{0, 9, 10, 99, 100, 999} {
+		if want := fmt.Sprintf("rank%d.helper", i); names[i] != want {
+			t.Errorf("Names(...)[%d] = %q, want %q", i, names[i], want)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { Names("rank", 1000, "") }); n != 2 {
+		t.Errorf("Names made %.0f allocations for 1,000 names, want 2", n)
+	}
+}

@@ -243,21 +243,12 @@ func (q *Queue) wakeOne(waiting *fifo[*Proc]) {
 // engine, a GPU stream) with a "busy until" horizon. Reservations do
 // not require a proc: callers reserve a span and receive its start and
 // end times; the caller is responsible for waiting if it wants
-// blocking semantics.
+// blocking semantics. The zero value is idle; owners embed it by value,
+// so a cluster's thousands of links and streams cost no allocation.
 type Resource struct {
-	k         *Kernel
 	busyUntil Time
-	name      string
 	busyTotal Duration
 }
-
-// NewResource returns an idle resource.
-func (k *Kernel) NewResource(name string) *Resource {
-	return &Resource{k: k, name: name}
-}
-
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
 
 // Reserve books the resource for d starting no earlier than `from` and
 // no earlier than the end of all previous reservations. It returns the

@@ -142,8 +142,8 @@ func DefaultParams() Params {
 // direction resources (PCIe and InfiniBand both move data in and out
 // simultaneously, which matters for pipeline relays).
 type Link struct {
-	In  *sim.Resource
-	Out *sim.Resource
+	In  sim.Resource
+	Out sim.Resource
 }
 
 // BusyTotal sums both directions' reserved time.
@@ -193,21 +193,19 @@ func (c *Cluster) scaleWire(at sim.Time, srcNode, dstNode int, d sim.Duration) s
 }
 
 // New builds a cluster of `nodes` hosts with `gpusPerNode` CUDA
-// devices each, on kernel k.
+// devices each, on kernel k, its nodes and PCIe links carved from a
+// block each.
 func New(k *sim.Kernel, name string, nodes, gpusPerNode int, p Params) *Cluster {
 	if nodes <= 0 || gpusPerNode <= 0 {
 		panic("topology: cluster dimensions must be positive")
 	}
 	c := &Cluster{K: k, P: p, perNode: gpusPerNode, name: name, linkFault: healthyLink}
-	newLink := func(name string) Link {
-		return Link{In: k.NewResource(name + ".in"), Out: k.NewResource(name + ".out")}
-	}
-	for n := 0; n < nodes; n++ {
-		node := &Node{Index: n, HCA: newLink(fmt.Sprintf("hca%d", n))}
-		for g := 0; g < gpusPerNode; g++ {
-			node.PCIe = append(node.PCIe, newLink(fmt.Sprintf("pcie%d.%d", n, g)))
-		}
-		c.Nodes = append(c.Nodes, node)
+	block := make([]Node, nodes)
+	pcie := make([]Link, nodes*gpusPerNode)
+	c.Nodes = make([]*Node, nodes)
+	for n := range block {
+		block[n] = Node{Index: n, PCIe: pcie[n*gpusPerNode : (n+1)*gpusPerNode : (n+1)*gpusPerNode]}
+		c.Nodes[n] = &block[n]
 	}
 	return c
 }

@@ -224,3 +224,17 @@ func TestTransferModeString(t *testing.T) {
 		}
 	}
 }
+
+// TestNewAllocsIndependentOfSize: a cluster's nodes and links are carved
+// from blocks, so building one costs the same few allocations at 8 GPUs
+// as at 1,024: the cluster, its node block, the node pointers and the
+// PCIe link block.
+func TestNewAllocsIndependentOfSize(t *testing.T) {
+	const budget = 4
+	k := sim.New()
+	small := testing.AllocsPerRun(20, func() { New(k, "t", 2, 4, DefaultParams()) })
+	large := testing.AllocsPerRun(20, func() { New(k, "t", 64, 16, DefaultParams()) })
+	if small != large || large > budget {
+		t.Errorf("New made %.0f allocations for 2x4 and %.0f for 64x16; want the same, at most %d", small, large, budget)
+	}
+}

@@ -89,9 +89,9 @@ func (c *Cluster) intraNode(at sim.Time, from, to DeviceID, bytes int64, mode Tr
 	case from.IsHost() && to.IsHost():
 		return at, at + bwTime(bytes, p.HostMemBW)
 	case from.IsHost():
-		return reserveAll(at, p.PCIeLat+bwTime(bytes, p.PCIeBW), node.PCIe[to.Local].In)
+		return reserveAll(at, p.PCIeLat+bwTime(bytes, p.PCIeBW), &node.PCIe[to.Local].In)
 	case to.IsHost():
-		return reserveAll(at, p.PCIeLat+bwTime(bytes, p.PCIeBW), node.PCIe[from.Local].Out)
+		return reserveAll(at, p.PCIeLat+bwTime(bytes, p.PCIeBW), &node.PCIe[from.Local].Out)
 	}
 	// GPU to GPU on one node.
 	switch mode {
@@ -99,11 +99,11 @@ func (c *Cluster) intraNode(at sim.Time, from, to DeviceID, bytes int64, mode Tr
 		// Peer copy across the PCIe switch: source egress and
 		// destination ingress busy for the copy.
 		d := p.IPCLat + bwTime(bytes, min64f(p.IPCBW, p.PCIeBW))
-		return reserveAll(at, d, node.PCIe[from.Local].Out, node.PCIe[to.Local].In)
+		return reserveAll(at, d, &node.PCIe[from.Local].Out, &node.PCIe[to.Local].In)
 	default: // ModeStaged
 		// D2H then H2D, serialized through host memory.
-		s1, e1 := reserveAll(at, p.PCIeLat+bwTime(bytes, p.PCIeBW), node.PCIe[from.Local].Out)
-		_, e2 := reserveAll(e1+bwTime(bytes, p.HostMemBW), p.PCIeLat+bwTime(bytes, p.PCIeBW), node.PCIe[to.Local].In)
+		s1, e1 := reserveAll(at, p.PCIeLat+bwTime(bytes, p.PCIeBW), &node.PCIe[from.Local].Out)
+		_, e2 := reserveAll(e1+bwTime(bytes, p.HostMemBW), p.PCIeLat+bwTime(bytes, p.PCIeBW), &node.PCIe[to.Local].In)
 		return s1, e2
 	}
 }
@@ -116,13 +116,13 @@ func (c *Cluster) intraNode(at sim.Time, from, to DeviceID, bytes int64, mode Tr
 func reserveWirePath(at sim.Time, d sim.Duration, src, dst *Node, from, to DeviceID) (start, end sim.Time) {
 	switch {
 	case !from.IsHost() && !to.IsHost():
-		return reserveAll(at, d, src.HCA.Out, dst.HCA.In, src.PCIe[from.Local].Out, dst.PCIe[to.Local].In)
+		return reserveAll(at, d, &src.HCA.Out, &dst.HCA.In, &src.PCIe[from.Local].Out, &dst.PCIe[to.Local].In)
 	case !from.IsHost():
-		return reserveAll(at, d, src.HCA.Out, dst.HCA.In, src.PCIe[from.Local].Out)
+		return reserveAll(at, d, &src.HCA.Out, &dst.HCA.In, &src.PCIe[from.Local].Out)
 	case !to.IsHost():
-		return reserveAll(at, d, src.HCA.Out, dst.HCA.In, dst.PCIe[to.Local].In)
+		return reserveAll(at, d, &src.HCA.Out, &dst.HCA.In, &dst.PCIe[to.Local].In)
 	default:
-		return reserveAll(at, d, src.HCA.Out, dst.HCA.In)
+		return reserveAll(at, d, &src.HCA.Out, &dst.HCA.In)
 	}
 }
 
@@ -135,7 +135,7 @@ func (c *Cluster) interNode(at sim.Time, from, to DeviceID, bytes int64, mode Tr
 	switch mode {
 	case ModeHost:
 		d := c.scaleWire(at, from.Node, to.Node, netLat+bwTime(bytes, p.IBBW))
-		return reserveAll(at, d, src.HCA.Out, dst.HCA.In)
+		return reserveAll(at, d, &src.HCA.Out, &dst.HCA.In)
 
 	case ModeGDR:
 		// Cut-through: GPU->HCA peer read, wire, HCA->GPU write. The
@@ -158,19 +158,19 @@ func (c *Cluster) interNode(at sim.Time, from, to DeviceID, bytes int64, mode Tr
 		t := at
 		start = at
 		if !from.IsHost() {
-			s, e := reserveAll(t, p.PCIeLat+bwTime(bytes, p.PCIeBW), src.PCIe[from.Local].Out)
+			s, e := reserveAll(t, p.PCIeLat+bwTime(bytes, p.PCIeBW), &src.PCIe[from.Local].Out)
 			start, t = s, e
 			t += bwTime(bytes, p.HostMemBW) // copy into the MPI bounce buffer
 		}
 		wd := c.scaleWire(at, from.Node, to.Node, netLat+bwTime(bytes, p.IBBW))
-		ws, we := reserveAll(t, wd, src.HCA.Out, dst.HCA.In)
+		ws, we := reserveAll(t, wd, &src.HCA.Out, &dst.HCA.In)
 		if from.IsHost() {
 			start = ws
 		}
 		t = we
 		if !to.IsHost() {
 			t += bwTime(bytes, p.HostMemBW) // copy out of the bounce buffer
-			_, e := reserveAll(t, p.PCIeLat+bwTime(bytes, p.PCIeBW), dst.PCIe[to.Local].In)
+			_, e := reserveAll(t, p.PCIeLat+bwTime(bytes, p.PCIeBW), &dst.PCIe[to.Local].In)
 			t = e
 		}
 		return start, t

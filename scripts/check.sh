@@ -63,11 +63,18 @@ echo "== zero-alloc gate =="
 # loop, and for same-instant waves that march through buckets no wave
 # has used before (capacity belongs to the queue, not to a bucket); and
 # the training iteration of every design on every reducer, armed or
-# not, timing and real mode. Run un-instrumented, since race
-# instrumentation itself allocates and would mask a regression (the
+# not, timing and real mode. Set-up is gated too: a cluster and a world
+# are built in blocks, so topology.TestNewAllocsIndependentOfSize holds
+# New to the same allocations at 2x4 and 64x16, and
+# mpi.TestNewWorldAllocsPerRank holds NewWorld to the same count, under
+# one per rank, at 16 and 160 ranks; core.TestWholeRunAllocBudget bounds
+# a whole run's bytes and objects per rank. Run un-instrumented, since
+# race instrumentation itself allocates and would mask a regression (the
 # iteration budget skips itself under -race).
 go test -run '^TestSimKernel(ZeroAllocSteadyState|MarchingWavesZeroAlloc)$' -count=1 ./internal/sim
-go test -run '^TestSteadyStateIterationAllocBudget$' -count=1 ./internal/core
+go test -run '^(TestSteadyStateIterationAllocBudget|TestWholeRunAllocBudget)$' -count=1 ./internal/core
+go test -run '^TestNewAllocsIndependentOfSize$' -count=1 ./internal/topology
+go test -run '^TestNewWorldAllocsPerRank$' -count=1 ./internal/mpi
 
 echo "== elastic churn drill =="
 # The elastic membership acceptance bar (DESIGN.md §9, §14): the
