@@ -71,11 +71,10 @@ func ReduceLatency(w *mpi.World, alg Algorithm, o Options, bytes int64, trials i
 		comm.StartBarrier(x.R) // the next trial's
 	})
 	pl.Seal()
-	bufs := make([]gpu.Buffer, w.Size())
+	buf := gpu.NewBuffer(bytes) // every rank's: a payload-free buffer is its size
 	_, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
-		bufs[r.ID].Bytes = bytes
 		comm.StartBarrier(r)
-		return tab.acquire(w.Size(), r.ID).walk.Start(r, pl, &bufs[r.ID], BenchTag, trials+1)
+		return tab.acquire(w.Size(), r.ID).walk.Start(r, pl, buf, BenchTag, trials+1)
 	})
 	if err != nil {
 		return 0, err
@@ -116,15 +115,14 @@ func IbcastLatency(w *mpi.World, bytes int64, compute sim.Duration) (sim.Duratio
 		pl.Seal()
 		return pl
 	}
-	others, lasts := plan(false), plan(compute > 0)
+	others, lasts, buf := plan(false), plan(compute > 0), gpu.NewBuffer(bytes)
 	_, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
 		rk, pl := &ranks[r.ID], others
 		if r.ID == last {
 			pl = lasts
 		}
-		rk.buf.Bytes = bytes
 		comm.StartBarrier(r)
-		return rk.walk.Start(r, pl, &rk.buf, BenchTag, 1)
+		return rk.walk.Start(r, pl, buf, BenchTag, 1)
 	})
 	return span, err
 }
@@ -165,20 +163,18 @@ func AllreduceLatency(w *mpi.World, bytes int64, ring bool) (sim.Duration, error
 	})
 	barrier(pl, nil)
 	pl.Seal()
+	buf := gpu.NewBuffer(bytes)
 	_, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
-		rk := &ranks[r.ID]
-		rk.buf.Bytes = bytes
 		comm.StartBarrier(r)
-		return rk.walk.Start(r, pl, &rk.buf, BenchTag, 1)
+		return ranks[r.ID].walk.Start(r, pl, buf, BenchTag, 1)
 	})
 	return done - start, err
 }
 
-// driverRank is a rank of a driver that posts a broadcast: its walk, its
-// payload-free buffer, and the request it awaits.
+// driverRank is a rank of a driver that posts a broadcast: its walk and
+// the request it awaits.
 type driverRank struct {
 	walk sched.Walk
-	buf  gpu.Buffer
 	req  [1]*mpi.Request
 }
 

@@ -1,29 +1,41 @@
 package coll
 
 import (
+	"bytes"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"scaffe/internal/mpi"
 	"scaffe/internal/sim"
 )
 
-// settledGoroutines is the goroutine count once goroutines that earlier
-// tests' runs let go have exited.
-func settledGoroutines() int {
-	n := runtime.NumGoroutine()
-	for i := 0; i < 100; i++ {
-		runtime.Gosched()
-		if m := runtime.NumGoroutine(); m != n {
-			n, i = m, 0
+// goroutineIDs is the set of the process's goroutines, by ID, as
+// runtime.Stack lists them ("goroutine 7 [running]:" heads each).
+func goroutineIDs() map[uint64]bool {
+	buf := make([]byte, 1<<16)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	ids := map[uint64]bool{}
+	for _, line := range bytes.Split(buf, []byte("\n")) {
+		if rest, ok := bytes.CutPrefix(line, []byte("goroutine ")); ok {
+			if id, err := strconv.ParseUint(string(rest[:bytes.IndexByte(rest, ' ')]), 10, 64); err == nil {
+				ids[id] = true
+			}
 		}
 	}
-	return n
+	return ids
 }
 
 // TestLatencyDriversMakeNoGoroutine: the reduce and broadcast latency
 // drivers run a 160-rank world with no goroutine switch at all, and
-// start no goroutine: mid-run there are as many as before the run. They
+// start no goroutine: every goroutine alive mid-run was alive before the
+// run (one that exits meanwhile, an earlier test's, does not count). They
 // end where the blocking drivers they replaced ended, and every resume
 // those made is a step here, but the one that finishes each rank: end and
 // resumes are the blocking drivers' end time and resume count.
@@ -50,10 +62,11 @@ func TestLatencyDriversMakeNoGoroutine(t *testing.T) {
 	for _, tc := range runs {
 		t.Run(tc.name, func(t *testing.T) {
 			w := newWorld(t, 10, 16, 160)
-			// An event mid-run counts them on the event loop, where every
+			// An event mid-run lists them on the event loop, where every
 			// node action runs.
-			before, during := settledGoroutines(), -1
-			w.K.At(1, func() { during = runtime.NumGoroutine() })
+			var during map[uint64]bool
+			before := goroutineIDs()
+			w.K.At(1, func() { during = goroutineIDs() })
 			lat, err := tc.run(w)
 			if err != nil || lat <= 0 {
 				t.Fatalf("latency %v, error %v", lat, err)
@@ -64,8 +77,13 @@ func TestLatencyDriversMakeNoGoroutine(t *testing.T) {
 			if end := w.K.Now(); end != tc.end {
 				t.Errorf("run ended at %d ns, want %d", int64(end), int64(tc.end))
 			}
-			if during != before {
-				t.Errorf("%d goroutines during the run, %d before it", during, before)
+			if during == nil {
+				t.Fatal("the mid-run event never ran")
+			}
+			for id := range during {
+				if !before[id] {
+					t.Errorf("goroutine %d started during the run", id)
+				}
 			}
 		})
 	}

@@ -15,22 +15,27 @@ import (
 // destinations (fully overwritten by the delivery copy before they are
 // read), and views are immutable headers over the caller's buffer.
 //
-// Nothing here is found by hashing. A collective asks for the same
-// views of a buffer in the same order every time it is called on it —
-// the chain's chunk 0, 1, 2, … of n; a ring's segments step by step — so
-// a buffer's views are remembered in the order the first call asked for
-// them and a later call reads them off by position, checking the
-// extents; the few buffers a rank reduces are told apart by pointer, and
-// the one or two scratch shapes a call uses by looking at the free
-// buffers themselves.
+// A payload-free buffer is its size (gpu.Buffer), so a payload-free view
+// or scratch buffer is the table's one descriptor of that size, whichever
+// rank asks. Views of a payload alias the rank's data, and are the
+// rank's. Nothing here is found by hashing but a change of size. A
+// collective asks for the same views of a buffer in the same order every
+// time it is called on it — the chain's chunk 0, 1, 2, … of n; a ring's
+// segments step by step — so a buffer's views are remembered in the order
+// the first call asked for them and a later call reads them off by
+// position, checking the extents; the few buffers a rank reduces are told
+// apart by pointer, and the one or two scratch shapes a call uses by
+// looking at the free buffers themselves.
 
 // rankState is one rank's reusable per-call resources for one reducer.
 // Procs of different ranks interleave inside a reducer, so state is held
 // per rank; within a rank, calls — and a call's levels — are sequential.
 type rankState struct {
-	scratch []*gpu.Buffer // free scratch buffers, the last released on top
+	tab     *stateTable
+	sized   *gpu.Buffer   // the payload-free descriptor handed out last
+	scratch []*gpu.Buffer // free payload scratch buffers, the last released on top
 
-	bufs   []bufViews   // the views of every buffer the rank has reduced here
+	bufs   []bufViews   // the views of every payload the rank has reduced here
 	cur    *bufViews    // the buffer the call in progress takes views of; nil before its first
 	k      int          // views of it the call has taken
 	next   int          // where the search for a call's buffer starts: after the last one's
@@ -68,10 +73,12 @@ type memoView struct {
 	v      *gpu.Buffer
 }
 
-// stateTable lazily holds one rankState per rank, and the fragments the
-// reducer has compiled and what compiles them.
+// stateTable lazily holds one rankState per rank, the payload-free
+// descriptors its ranks share, and the fragments the reducer has
+// compiled and what compiles them.
 type stateTable struct {
 	sts   []rankState
+	sizes map[int64]*gpu.Buffer // the one payload-free descriptor of each size
 	frags map[role]*sched.Plan
 	b     *builder // what compiles them
 }
@@ -80,10 +87,10 @@ type stateTable struct {
 // call's views and walk starting over.
 func (t *stateTable) acquire(size, me int) *rankState {
 	if t.sts == nil {
-		t.sts, t.frags = newStates(size), map[role]*sched.Plan{}
+		t.sts, t.sizes, t.frags = newStates(size), map[int64]*gpu.Buffer{}, map[role]*sched.Plan{}
 	}
 	st := &t.sts[me]
-	st.cur, st.j, st.req, st.fwds = nil, 0, [2]*mpi.Request{}, st.fwds[:0]
+	st.tab, st.cur, st.j, st.req, st.fwds = t, nil, 0, [2]*mpi.Request{}, st.fwds[:0]
 	return st
 }
 
@@ -115,36 +122,59 @@ func (st *rankState) settled(x *sched.Ctx) bool {
 	return true
 }
 
-// getScratch returns a scratch buffer shaped like `like` (payload
-// present iff it has one) from the free ones, or allocates on miss. A
-// call asks for one or two shapes over and over, so the fit is almost
-// always the buffer released last.
+// getScratch returns a scratch buffer shaped like `like`: the table's
+// descriptor if it is payload-free, else a free payload buffer of its
+// size, allocated on miss. A call asks for one or two sizes over and
+// over, so the fit is almost always the buffer released last.
 func (st *rankState) getScratch(like *gpu.Buffer) *gpu.Buffer {
+	if like.Data == nil {
+		return st.size(like.Bytes)
+	}
 	free := st.scratch
 	for i := len(free) - 1; i >= 0; i-- {
-		if b := free[i]; b.Bytes == like.Bytes && (b.Data != nil) == (like.Data != nil) {
+		if b := free[i]; b.Bytes == like.Bytes {
 			last := len(free) - 1
 			free[i], free[last] = free[last], nil
 			st.scratch = free[:last]
 			return b
 		}
 	}
-	if like.Data != nil {
-		return gpu.NewDataBuffer(like.Elems())
-	}
-	return gpu.NewBuffer(like.Bytes)
+	return gpu.NewDataBuffer(like.Elems())
 }
 
-// putScratch returns a scratch buffer to the free ones. The buffer
-// must not be a receive destination of any still-in-flight operation.
+// putScratch returns a payload scratch buffer to the free ones; a
+// payload-free one is the table's and stays so. The buffer must not be
+// a receive destination of any still-in-flight operation.
 func (st *rankState) putScratch(b *gpu.Buffer) {
-	st.scratch = append(st.scratch, b)
+	if b.Data != nil {
+		st.scratch = append(st.scratch, b)
+	}
 }
 
-// view returns the immutable view of buf[lo:hi): the one an earlier call
-// took at this point of its walk over buf, or a new one that later calls
-// will find here. Views are shared freely: the header is never mutated.
+// size returns the table's payload-free descriptor of the given size.
+// The rank asks for the size it asked for last nearly every time — a
+// chunk's view, then its scratch — so only a change of size looks it up.
+func (st *rankState) size(bytes int64) *gpu.Buffer {
+	if b := st.sized; b != nil && b.Bytes == bytes {
+		return b
+	}
+	b := st.tab.sizes[bytes]
+	if b == nil {
+		b = gpu.NewBuffer(bytes)
+		st.tab.sizes[bytes] = b
+	}
+	st.sized = b
+	return b
+}
+
+// view returns the immutable view of buf[lo:hi): for a payload-free buf
+// the table's descriptor of its size, else the one an earlier call took
+// at this point of its walk over buf, or a new one that later calls will
+// find here. Views are shared freely: the header is never mutated.
 func (st *rankState) view(buf *gpu.Buffer, lo, hi int) *gpu.Buffer {
+	if buf.Data == nil {
+		return st.size(int64(hi-lo) * 4)
+	}
 	if st.cur == nil || st.cur.buf != buf {
 		st.open(buf)
 	}

@@ -6,15 +6,15 @@ import (
 	"scaffe/internal/gpu"
 )
 
-// TestViewsAreReadOffByPosition pins the view memo: a call that asks for
-// the views an earlier call on the same buffer asked for, in the same
-// order, gets the same views back without making any; buffers are told
-// apart by identity whatever order calls come in; and a call that asks
-// for something else at some point gets a correct fresh view there, the
-// old one left as it was.
+// TestViewsAreReadOffByPosition pins the view memo of payload buffers: a
+// call that asks for the views an earlier call on the same buffer asked
+// for, in the same order, gets the same views back without making any;
+// buffers are told apart by identity whatever order calls come in; and a
+// call that asks for something else at some point gets a correct fresh
+// view there, the old one left as it was.
 func TestViewsAreReadOffByPosition(t *testing.T) {
 	var tab stateTable
-	a, b := gpu.NewDataBuffer(25), gpu.NewBuffer(100)
+	a, b := gpu.NewDataBuffer(25), gpu.NewDataBuffer(25)
 	for i := range a.Data {
 		a.Data[i] = float32(i)
 	}
@@ -35,8 +35,8 @@ func TestViewsAreReadOffByPosition(t *testing.T) {
 		}
 	}
 	onB := call(b, extents)
-	if onB[0] == first[0] || onB[1].Bytes != 40 || onB[1].Data != nil {
-		t.Fatalf("views of the payload-free buffer b: %+v", onB[1])
+	if onB[0] == first[0] || onB[1].Bytes != 40 || &onB[1].Data[0] != &b.Data[10] {
+		t.Fatalf("views of the other buffer b: %+v", onB[1])
 	}
 	st := &tab.sts[2]
 	made := st.carved - len(st.block)
@@ -69,29 +69,75 @@ func TestViewsAreReadOffByPosition(t *testing.T) {
 	}
 }
 
-// TestScratchIsFoundByShape: a released scratch buffer serves the next
-// request of its shape — size and payload both — and no other.
+// TestScratchIsFoundByShape: a released payload scratch buffer serves the
+// next request of its size and no other.
 func TestScratchIsFoundByShape(t *testing.T) {
 	var tab stateTable
 	st := tab.acquire(1, 0)
-	data, plain, small := gpu.NewDataBuffer(64), gpu.NewBuffer(256), gpu.NewBuffer(16)
-	s1, s2, s3 := st.getScratch(data), st.getScratch(plain), st.getScratch(small)
-	if s1.Data == nil || len(s1.Data) != 64 || s2.Data != nil || s2.Bytes != 256 || s3.Bytes != 16 {
+	data, other, small := gpu.NewDataBuffer(64), gpu.NewDataBuffer(32), gpu.NewDataBuffer(4)
+	s1, s2, s3 := st.getScratch(data), st.getScratch(other), st.getScratch(small)
+	if len(s1.Data) != 64 || len(s2.Data) != 32 || s2.Bytes != 128 || s3.Bytes != 16 {
 		t.Fatalf("fresh scratch has the wrong shape: %+v %+v %+v", s1, s2, s3)
 	}
 	st.putScratch(s1)
 	st.putScratch(s2)
 	st.putScratch(s3)
-	if got := st.getScratch(plain); got != s2 {
-		t.Error("a payload-free request of 256 bytes did not get the free buffer of that shape")
+	if got := st.getScratch(other); got != s2 {
+		t.Error("a request of 128 bytes did not get the free buffer of that size")
 	}
 	if got := st.getScratch(data); got != s1 {
-		t.Error("a payload request of 256 bytes did not get the free payload buffer")
+		t.Error("a request of 256 bytes did not get the free buffer of that size")
 	}
-	if got := st.getScratch(gpu.NewBuffer(32)); got == s3 || got.Bytes != 32 {
+	if got := st.getScratch(gpu.NewDataBuffer(8)); got == s3 || len(got.Data) != 8 {
 		t.Error("a request no free buffer fits must allocate")
 	}
 	if len(st.scratch) != 1 || st.scratch[0] != s3 {
 		t.Errorf("free list holds %d buffers, want only the 16-byte one", len(st.scratch))
+	}
+}
+
+// TestPayloadFreeBuffersAreSharedBySize: a payload-free view or scratch
+// buffer is the table's one descriptor of its size — the same object for
+// every rank and every call, whatever buffer it is of, views and scratch
+// alike — and it never goes on a free list.
+func TestPayloadFreeBuffersAreSharedBySize(t *testing.T) {
+	var tab stateTable
+	const ranks = 4
+	bufs := []*gpu.Buffer{gpu.NewBuffer(100), gpu.NewBuffer(100), gpu.NewBuffer(40)}
+	want := map[int64]*gpu.Buffer{}
+	check := func(got *gpu.Buffer, bytes int64) {
+		t.Helper()
+		if got.Bytes != bytes || got.Data != nil {
+			t.Fatalf("descriptor %+v, want %d payload-free bytes", got, bytes)
+		}
+		if w := want[bytes]; w == nil {
+			want[bytes] = got
+		} else if got != w {
+			t.Fatalf("a second descriptor of %d bytes", bytes)
+		}
+	}
+	for call := 0; call < 3; call++ {
+		for r := 0; r < ranks; r++ {
+			st := tab.acquire(ranks, r)
+			for _, buf := range bufs {
+				for _, e := range [][2]int{{0, 10}, {10, 20}, {20, 25}, {0, buf.Elems()}} {
+					if e[1] > buf.Elems() {
+						continue
+					}
+					v := st.view(buf, e[0], e[1])
+					check(v, int64(e[1]-e[0])*4)
+					s := st.getScratch(v)
+					check(s, v.Bytes)
+					st.putScratch(s)
+					check(st.getScratch(buf), buf.Bytes)
+				}
+				if len(st.scratch) != 0 || len(st.bufs) != 0 {
+					t.Fatalf("rank %d keeps %d free scratch buffers and views of %d buffers, want none", r, len(st.scratch), len(st.bufs))
+				}
+			}
+		}
+	}
+	if len(tab.sizes) != len(want) {
+		t.Errorf("the table holds %d descriptors, %d sizes were asked for", len(tab.sizes), len(want))
 	}
 }

@@ -447,7 +447,7 @@ func TestBucketCoverage(t *testing.T) {
 	// cover the full parameter range.
 	spec := models.GoogLeNet()
 	cfg := timingConfig(spec, 2, 2, 1)
-	w := newWorkload(&cfg, 1)
+	w := newLayout(&cfg, false)
 	w.buildBuckets(spec, 8<<20)
 	if len(w.buckets) < 2 {
 		t.Fatalf("expected multiple buckets, got %d", len(w.buckets))

@@ -44,6 +44,7 @@ type runState struct {
 	ring    *coll.Ring // CNTKLike's host-side allreduce; nil otherwise
 	readers []*data.Reader
 	wl      []*workload
+	layout  *layout // what every rank's workload points at in timing mode; nil in real mode
 	phases  []Phases
 	losses  []float32
 	sgds    []*solver.SGD
@@ -186,12 +187,15 @@ func run(cfg Config, before ...func(*sim.Kernel)) (*Result, *runState, error) {
 		}
 	}
 	st.phases = make([]Phases, cfg.GPUs)
+	if cfg.RealNet == nil {
+		st.layout = newLayout(&cfg, false)
+	}
 	for i := 0; i < cfg.GPUs; i++ {
 		if cfg.Design == ParamServer && i == 0 {
-			st.wl = append(st.wl, newWorkload(&cfg, 0)) // server holds buffers only
+			st.wl = append(st.wl, st.newWorkload(0)) // server holds buffers only
 			continue
 		}
-		st.wl = append(st.wl, newWorkload(&cfg, localBatch))
+		st.wl = append(st.wl, st.newWorkload(localBatch))
 	}
 	if cfg.Design == ParamServer {
 		st.psScratch = gpu.NewBuffer(st.wl[0].packedGrads.Bytes)
@@ -288,7 +292,7 @@ func run(cfg Config, before ...func(*sim.Kernel)) (*Result, *runState, error) {
 	if cfg.RealNet != nil && cfg.CaptureFinalParams {
 		root := st.wl[st.rootRank()]
 		root.packParams()
-		res.FinalParams = append([]float32(nil), root.paramData...)
+		res.FinalParams = append([]float32(nil), root.packedParams.Data...)
 	}
 	return res, st, nil
 }

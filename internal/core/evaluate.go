@@ -91,7 +91,7 @@ func (st *runState) maybeSnapshot(r *mpi.Rank, w *workload, iter int) {
 		}
 		w.packParams()
 		path := snapshotPath(cfg.SnapshotPrefix, iter)
-		snap := &Snapshot{Model: cfg.Spec.Name, Iteration: iter, Params: append([]float32(nil), w.paramData...)}
+		snap := &Snapshot{Model: cfg.Spec.Name, Iteration: iter, Params: append([]float32(nil), w.packedParams.Data...)}
 		snap.History = st.sgds[r.ID].PackHistory(w.net, nil)
 		if err := WriteSnapshot(path, snap); err != nil {
 			if st.fileErr == nil {

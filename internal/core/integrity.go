@@ -114,7 +114,7 @@ const paramLimit = 1e30
 func (st *runState) initLastGood() {
 	root := st.rootRank()
 	w := st.wl[root]
-	st.lastGoodParams = make([]float32, len(w.paramData))
+	st.lastGoodParams = make([]float32, len(w.packedParams.Data))
 	w.net.PackParams(st.lastGoodParams)
 	st.lastGoodHistory = st.sgds[root].PackHistory(w.net, nil)
 	st.integTries = make(map[int]int)
@@ -136,7 +136,7 @@ func (st *runState) integrityCheck(w *workload, it int) bool {
 	}
 	loss := float64(w.loss())
 	var norm2 float64
-	for _, g := range w.gradData {
+	for _, g := range w.packedGrads.Data {
 		norm2 += float64(float64(g) * float64(g))
 	}
 	healthy := !math.IsNaN(loss) && !math.IsInf(loss, 0) &&

@@ -136,9 +136,13 @@ func TestSteadyStateIterationAllocBudget(t *testing.T) {
 // event-queue buckets regrown as time moved on and a completion per plan
 // node. Building the world in blocks (carved ranks, devices, links,
 // procs and MPI records, names cut from one string) took the objects
-// from 132 to 90 per rank; their budget is that plus about 10 %.
+// from 132 to 90 per rank. One payload-free layout for the whole run,
+// reducer views and scratch shared by size, a broadcast's per-rank
+// records in one slice and sub-walks carved with their walks took them
+// to 67 and the bytes from 38.7 KB to 26.4 KB; both budgets are that
+// plus about 10 %.
 func TestWholeRunAllocBudget(t *testing.T) {
-	const ranks, budget, objBudget = 64, 48 << 10, 100 // measured: 38.7 KB, 90 objects
+	const ranks, budget, objBudget = 64, 29000, 74 // measured: 26.4 KB, 67 objects
 	spec, _ := models.ByName("googlenet")
 	cfg := timingConfig(spec, ranks, 256, 2)
 	cfg.Design = SCOB

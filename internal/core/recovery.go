@@ -312,7 +312,7 @@ func (st *runState) buildCatchup() {
 		if role != roleRoot {
 			f.Add(0, sched.Generic, "", "", func(x *sched.Ctx) {
 				if w := st.wl[x.R.ID]; w.real() {
-					w.net.UnpackParams(st.wl[st.rootRank()].paramData)
+					w.net.UnpackParams(st.wl[st.rootRank()].packedParams.Data)
 					st.sgds[x.R.ID].Reset()
 					if len(st.catchupHist) > 0 {
 						st.sgds[x.R.ID].LoadHistory(w.net, st.catchupHist)
@@ -496,7 +496,7 @@ func (st *runState) rebuild(round fault.Round) (int, bool) {
 	// Re-shard: the global batch redistributes over the members.
 	newLocal := cfg.localBatch(len(members))
 	for _, id := range members {
-		st.wl[id] = newWorkload(cfg, newLocal)
+		st.wl[id] = st.newWorkload(newLocal)
 	}
 
 	// Restore. Real mode rolls back to the latest on-disk snapshot

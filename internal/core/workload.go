@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"scaffe/internal/data"
 	"scaffe/internal/gpu"
 	"scaffe/internal/layers"
@@ -10,30 +12,13 @@ import (
 )
 
 // workload is one solver's training state: the communication buffers
-// (packed and per-layer views) plus, in real-compute mode, the actual
-// network and activations. In timing mode the buffers are payload-free
-// and the math hooks are no-ops; virtual time is identical either way.
+// (its layout) plus, in real-compute mode, the actual network and
+// activations. In timing mode the buffers are payload-free and the math
+// hooks are no-ops; virtual time is identical either way.
 type workload struct {
-	spec       *models.Spec
+	*layout
 	net        *layers.Net // nil in timing mode
 	localBatch int
-
-	// paramData/gradData back the packed buffers in real mode.
-	paramData []float32
-	gradData  []float32
-	// packedParams/packedGrads are the whole-model buffers
-	// (packed_comm_buffer / packed_reduction_buffer of Figure 1).
-	packedParams *gpu.Buffer
-	packedGrads  *gpu.Buffer
-	// layerParam/layerGrad are per-spec-layer views (nil for
-	// parameter-free layers), the units of multi-stage communication.
-	layerParam []*gpu.Buffer
-	layerGrad  []*gpu.Buffer
-	// buckets optionally coalesce consecutive layers' gradients into
-	// fused reduction units (Config.BucketBytes).
-	buckets []gradBucket
-	// bufs is the arena the timing-mode buffers above are carved from.
-	bufs []gpu.Buffer
 
 	// bcast holds each parameter layer's broadcast request from its post
 	// until the node that awaits it (SC-OB and SC-OBR); req holds the
@@ -49,71 +34,63 @@ type workload struct {
 	labels []int
 }
 
-// newWorkload builds the buffers (and, in real mode, the network) for
-// one rank, gradient buckets included when the design fuses reductions.
-// All ranks use the same seed so replicas start identical, as Caffe's
-// root-broadcast initialization guarantees.
-func newWorkload(cfg *Config, localBatch int) *workload {
-	layers := cfg.Spec.Layers
-	w := &workload{
-		spec: cfg.Spec, localBatch: localBatch,
-		layerParam: make([]*gpu.Buffer, len(layers)),
-		layerGrad:  make([]*gpu.Buffer, len(layers)),
+// layout is a model's communication buffers: the whole-model packed
+// buffers (packed_comm_buffer / packed_reduction_buffer of Figure 1),
+// their per-layer views and the gradient buckets. A timing run builds
+// one, payload-free, that every rank's workload points at: a
+// payload-free buffer is an immutable size descriptor (gpu.Buffer). A
+// real run builds one per replica over the replica's own payloads.
+type layout struct {
+	packedParams *gpu.Buffer
+	packedGrads  *gpu.Buffer
+	// layerParam/layerGrad are per-spec-layer views (nil for
+	// parameter-free layers), the units of multi-stage communication.
+	layerParam []*gpu.Buffer
+	layerGrad  []*gpu.Buffer
+	// buckets optionally coalesce consecutive layers' gradients into
+	// fused reduction units (Config.BucketBytes).
+	buckets []gradBucket
+}
+
+// newLayout builds cfg's layout, carrying payloads iff real, gradient
+// buckets included when the design fuses reductions.
+func newLayout(cfg *Config, real bool) *layout {
+	total, n := cfg.Spec.TotalParams(), len(cfg.Spec.Layers)
+	lay := &layout{layerParam: make([]*gpu.Buffer, n), layerGrad: make([]*gpu.Buffer, n)}
+	if real {
+		lay.packedParams, lay.packedGrads = gpu.NewDataBuffer(total), gpu.NewDataBuffer(total)
+	} else {
+		lay.packedParams, lay.packedGrads = gpu.NewBuffer(int64(total)*4), gpu.NewBuffer(int64(total)*4)
 	}
-	total := cfg.Spec.TotalParams()
-	bucketed := cfg.BucketBytes > 0 && (cfg.Design == SCOBR || cfg.Design == SCOBRF)
+	off := 0
+	for i, l := range cfg.Spec.Layers {
+		if l.ParamElems != 0 {
+			lay.layerParam[i] = lay.packedParams.Slice(off, off+l.ParamElems)
+			lay.layerGrad[i] = lay.packedGrads.Slice(off, off+l.ParamElems)
+			off += l.ParamElems
+		}
+	}
+	if cfg.BucketBytes > 0 && (cfg.Design == SCOBR || cfg.Design == SCOBRF) {
+		lay.buildBuckets(cfg.Spec, cfg.BucketBytes)
+	}
+	return lay
+}
+
+// newWorkload builds one rank's training state over the run's timing
+// layout, or, in real mode, over a layout and network of its own. All
+// ranks use the same seed so replicas start identical, as Caffe's
+// root-broadcast initialization guarantees.
+func (st *runState) newWorkload(localBatch int) *workload {
+	cfg := st.cfg
+	w := &workload{layout: st.layout, localBatch: localBatch}
 	if cfg.Design == SCOB || cfg.Design == SCOBR || cfg.Design == SCOBRF {
-		w.bcast = make([]*mpi.Request, len(layers))
+		w.bcast = make([]*mpi.Request, len(cfg.Spec.Layers))
 	}
 	if cfg.RealNet != nil {
 		w.net = cfg.RealNet(localBatch, cfg.Seed)
-		w.paramData = make([]float32, total)
-		w.gradData = make([]float32, total)
-		w.packedParams = gpu.WrapData(w.paramData)
-		w.packedGrads = gpu.WrapData(w.gradData)
-	} else {
-		// Two packed buffers, two per parameter layer, and at most one
-		// bucket per parameter layer.
-		n, perLayer := 2, 2
-		if bucketed {
-			perLayer = 3
-		}
-		for _, l := range layers {
-			if l.ParamElems != 0 {
-				n += perLayer
-			}
-		}
-		w.bufs = make([]gpu.Buffer, 0, n)
-		w.packedParams = w.carve(total)
-		w.packedGrads = w.carve(total)
-	}
-	off := 0
-	for i, l := range layers {
-		if l.ParamElems == 0 {
-			continue
-		}
-		if w.real() {
-			w.layerParam[i] = w.packedParams.Slice(off, off+l.ParamElems)
-			w.layerGrad[i] = w.packedGrads.Slice(off, off+l.ParamElems)
-		} else {
-			w.layerParam[i] = w.carve(l.ParamElems)
-			w.layerGrad[i] = w.carve(l.ParamElems)
-		}
-		off += l.ParamElems
-	}
-	if bucketed {
-		w.buildBuckets(cfg.Spec, cfg.BucketBytes)
+		w.layout = newLayout(cfg, true)
 	}
 	return w
-}
-
-// carve returns a payload-free buffer of the given element count from
-// the rank's arena (timing mode), so a rank's buffers cost one
-// allocation instead of one each. Buffers are immutable descriptors, so
-// an arena that outgrows its capacity merely costs one more allocation.
-func (w *workload) carve(elems int) *gpu.Buffer {
-	w.bufs = append(w.bufs, gpu.Buffer{Bytes: int64(elems) * 4})
-	return &w.bufs[len(w.bufs)-1]
 }
 
 // gradBucket is one fused reduction unit: the gradients of layers
@@ -124,11 +101,10 @@ type gradBucket struct {
 }
 
 // buildBuckets groups consecutive parameter layers until each bucket
-// holds at least bucketBytes of gradients. Real-mode buckets are views
-// into the contiguous packed gradient buffer; timing-mode buckets are
-// logical buffers of the combined size.
-func (w *workload) buildBuckets(spec *models.Spec, bucketBytes int64) {
-	w.buckets = nil
+// holds at least bucketBytes of gradients: views of the packed gradient
+// buffer, payload-free or not as it is.
+func (lay *layout) buildBuckets(spec *models.Spec, bucketBytes int64) {
+	lay.buckets = nil
 	offsets := make([]int, len(spec.Layers)+1)
 	for i, l := range spec.Layers {
 		offsets[i+1] = offsets[i] + l.ParamElems
@@ -139,13 +115,7 @@ func (w *workload) buildBuckets(spec *models.Spec, bucketBytes int64) {
 		if lo < 0 {
 			return
 		}
-		b := gradBucket{lo: lo, hi: hi}
-		if w.real() {
-			b.buf = w.packedGrads.Slice(offsets[lo], offsets[hi+1])
-		} else {
-			b.buf = w.carve(elems)
-		}
-		w.buckets = append(w.buckets, b)
+		lay.buckets = append(lay.buckets, gradBucket{lo, hi, lay.packedGrads.Slice(offsets[lo], offsets[hi+1])})
 		lo, elems = -1, 0
 	}
 	for i, l := range spec.Layers {
@@ -162,9 +132,7 @@ func (w *workload) buildBuckets(spec *models.Spec, bucketBytes int64) {
 	}
 	flush(len(spec.Layers) - 1)
 	// Reverse into backward-pass order (the order buckets complete).
-	for i, j := 0, len(w.buckets)-1; i < j; i, j = i+1, j-1 {
-		w.buckets[i], w.buckets[j] = w.buckets[j], w.buckets[i]
-	}
+	slices.Reverse(lay.buckets)
 }
 
 // real reports whether this workload performs actual math.
@@ -176,7 +144,7 @@ func (w *workload) packParams() {
 	if !w.real() {
 		return
 	}
-	w.net.PackParams(w.paramData)
+	w.net.PackParams(w.packedParams.Data)
 }
 
 // unpackParams writes broadcast parameters back into the net
@@ -185,7 +153,7 @@ func (w *workload) unpackParams() {
 	if !w.real() {
 		return
 	}
-	w.net.UnpackParams(w.paramData)
+	w.net.UnpackParams(w.packedParams.Data)
 }
 
 // loadBatch assembles this rank's slice of the global batch for the
@@ -277,7 +245,7 @@ func (w *workload) unpackGrads() {
 	if !w.real() {
 		return
 	}
-	w.net.UnpackGrads(w.gradData)
+	w.net.UnpackGrads(w.packedGrads.Data)
 }
 
 // loss returns the last forward pass's loss (0 in timing mode).

@@ -8,6 +8,13 @@ import "fmt"
 // verified numerically. Figure-scale sweeps run payload-free buffers
 // (Data == nil) to keep wall-clock cost bounded while virtual timing
 // is unchanged.
+//
+// A payload-free buffer is its size: an immutable descriptor that any
+// number of ranks, requests and operations may share, as source and
+// destination at once. Nothing writes one after it is made — a timing
+// run's corruption is marked on the receive (mpi.Summed), never on the
+// buffer — so a run builds one timing layout for every rank, and a
+// reducer one view or scratch descriptor per size.
 type Buffer struct {
 	// Bytes is the logical size of the buffer.
 	Bytes int64

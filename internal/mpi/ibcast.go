@@ -17,7 +17,7 @@ import (
 // the i-th Ibcast call on a communicator at every rank belongs to the
 // same operation.
 //
-// Operation records and their per-rank slices are pooled on the world,
+// Operation records and their per-rank records are pooled on the world,
 // and tree edges are scheduled as pooled sim.Runnable records, so a
 // steady-state broadcast allocates nothing. Completion is tracked by
 // posted/fired counters instead of scanning requests: a rank's request
@@ -36,11 +36,7 @@ type bcastOp struct {
 	bytes int64
 	mode  topology.TransferMode
 
-	posted  []bool
-	postBuf []*gpu.Buffer
-	ready   []bool
-	readyAt []sim.Time
-	reqs    []*Request
+	ranks []bcastRank // by group rank
 
 	postedCount int // ranks that have posted their call
 	firedCount  int // requests fired (each rank's exactly once)
@@ -54,8 +50,8 @@ type bcastOp struct {
 }
 
 // getBcastOp draws an n-rank operation record from the world free
-// list, clearing recycled per-rank state; the miss/regrow path lives
-// in growBcastOp.
+// list, clearing recycled per-rank state, or makes one: the record and
+// its per-rank records, two objects.
 func (w *World) getBcastOp(n int) *bcastOp {
 	var op *bcastOp
 	if m := len(w.bcastPool); m > 0 {
@@ -63,36 +59,28 @@ func (w *World) getBcastOp(n int) *bcastOp {
 		w.bcastPool[m-1] = nil
 		w.bcastPool = w.bcastPool[:m-1]
 	}
-	if op == nil || cap(op.posted) < n {
-		op = growBcastOp(op, n)
+	if op == nil {
+		op = &bcastOp{}
+	}
+	if cap(op.ranks) < n {
+		op.ranks = make([]bcastRank, n)
 	} else {
-		op.posted = op.posted[:n]
-		op.postBuf = op.postBuf[:n]
-		op.ready = op.ready[:n]
-		op.readyAt = op.readyAt[:n]
-		op.reqs = op.reqs[:n]
-		for i := 0; i < n; i++ {
-			op.posted[i], op.ready[i] = false, false
-			op.postBuf[i], op.reqs[i] = nil, nil
-			op.readyAt[i] = 0
-		}
+		op.ranks = op.ranks[:n]
+		clear(op.ranks)
 	}
 	op.postedCount, op.firedCount = 0, 0
 	op.rootSends, op.rootCompleted = 0, false
 	return op
 }
 
-// growBcastOp allocates the per-rank slices for an n-rank op.
-func growBcastOp(op *bcastOp, n int) *bcastOp {
-	if op == nil {
-		op = &bcastOp{}
-	}
-	op.posted = make([]bool, n)
-	op.postBuf = make([]*gpu.Buffer, n)
-	op.ready = make([]bool, n)
-	op.readyAt = make([]sim.Time, n)
-	op.reqs = make([]*Request, n)
-	return op
+// bcastRank is one rank's part of a broadcast: whether it has posted its
+// call and with what buffer and request, and whether and since when its
+// buffer holds the data.
+type bcastRank struct {
+	posted, ready bool
+	buf           *gpu.Buffer
+	readyAt       sim.Time
+	req           *Request
 }
 
 func (w *World) putBcastOp(op *bcastOp) {
@@ -127,10 +115,8 @@ func (r *Rank) Ibcast(c *Comm, root int, buf *gpu.Buffer, mode topology.Transfer
 	}
 
 	req := r.getRequest(buf)
-	op.posted[me] = true
+	op.ranks[me] = bcastRank{posted: true, buf: buf, req: req}
 	op.postedCount++
-	op.postBuf[me] = buf
-	op.reqs[me] = req
 
 	if me == root {
 		op.rootSends = op.countChildren(root)
@@ -142,7 +128,7 @@ func (r *Rank) Ibcast(c *Comm, root int, buf *gpu.Buffer, mode topology.Transfer
 	} else {
 		// A newly posted child may unblock a ready parent's edge.
 		parent := op.parent(me)
-		if op.ready[parent] {
+		if op.ranks[parent].ready {
 			op.scheduleEdge(r.W, parent, me)
 		}
 	}
@@ -204,11 +190,11 @@ func (op *bcastOp) countChildren(groupRank int) int {
 // reference: the request belongs to its rank, which may recycle it the
 // moment its waiter resumes, so the op must never touch it again.
 func (op *bcastOp) fireReq(i int) {
-	req := op.reqs[i]
+	req := op.ranks[i].req
 	if req == nil {
 		return
 	}
-	op.reqs[i] = nil
+	op.ranks[i].req = nil
 	op.firedCount++
 	req.Done.Fire()
 }
@@ -216,7 +202,7 @@ func (op *bcastOp) fireReq(i int) {
 // maybeComplete reclaims the op record once every rank has posted and
 // every request has fired.
 func (op *bcastOp) maybeComplete(w *World) {
-	if op.postedCount == len(op.posted) && op.firedCount == len(op.posted) {
+	if op.postedCount == len(op.ranks) && op.firedCount == len(op.ranks) {
 		delete(w.bcastOps, op.key)
 		w.putBcastOp(op)
 	}
@@ -226,14 +212,14 @@ func (op *bcastOp) maybeComplete(w *World) {
 // and schedules edges to every already-posted child, largest subtree
 // first (the send order MPI uses).
 func (op *bcastOp) markReady(w *World, groupRank int, t sim.Time) {
-	op.ready[groupRank] = true
-	op.readyAt[groupRank] = t
+	op.ranks[groupRank].ready = true
+	op.ranks[groupRank].readyAt = t
 	n := op.c.Size()
 	rel := op.relative(groupRank)
 	for m := op.childMask(groupRank) >> 1; m > 0; m >>= 1 {
 		if rel+m < n {
 			child := op.absolute(rel + m)
-			if op.posted[child] {
+			if op.ranks[child].posted {
 				op.scheduleEdge(w, groupRank, child)
 			}
 		}
@@ -285,7 +271,7 @@ func (e *bcastEdge) RunEvent(k *sim.Kernel) {
 		// while the op is still live under its key, and never commit —
 		// the original already did.
 		if op := w.bcastOps[e.ghostKey]; op == e.op {
-			if src, dst := op.postBuf[e.parent], op.postBuf[e.child]; src != nil && dst != nil {
+			if src, dst := op.ranks[e.parent].buf, op.ranks[e.child].buf; src != nil && dst != nil {
 				dst.CopyFrom(src)
 			}
 		}
@@ -302,7 +288,7 @@ func (e *bcastEdge) RunEvent(k *sim.Kernel) {
 	}
 	op, parent, child, try, isRootEdge := e.op, e.parent, e.child, e.try, e.isRootEdge
 	w.putBcastEdge(e)
-	if src, dst := op.postBuf[parent], op.postBuf[child]; src != nil && dst != nil {
+	if src, dst := op.ranks[parent].buf, op.ranks[child].buf; src != nil && dst != nil {
 		dst.CopyFrom(src)
 	}
 	if w.integrityArmed() {
@@ -317,7 +303,7 @@ func (e *bcastEdge) RunEvent(k *sim.Kernel) {
 func (op *bcastOp) scheduleEdge(w *World, parent, child int) {
 	from := op.c.rankAt(parent)
 	to := op.c.rankAt(child)
-	at := op.readyAt[parent]
+	at := op.ranks[parent].readyAt
 	if pt := w.K.Now(); pt > at {
 		at = pt
 	}
@@ -353,7 +339,7 @@ func (op *bcastOp) commitEdge(w *World, child int, isRootEdge bool) {
 func (op *bcastOp) verifyEdge(w *World, parent, child, try int, isRootEdge bool) {
 	integ := w.Integrity
 	from, to := op.c.rankAt(parent), op.c.rankAt(child)
-	dst := op.postBuf[child]
+	dst := op.ranks[child].buf
 	detected := false
 	if integ.WireCorrupt != nil && integ.WireCorrupt(from.ID, to.ID) {
 		detected = true // timing mode: poison marker only
@@ -362,7 +348,7 @@ func (op *bcastOp) verifyEdge(w *World, parent, child, try int, isRootEdge bool)
 		}
 	}
 	if dst != nil && dst.Data != nil {
-		if src := op.postBuf[parent]; src != nil && src.Data != nil {
+		if src := op.ranks[parent].buf; src != nil && src.Data != nil {
 			detected = src.Checksum() != dst.Checksum()
 		}
 	}

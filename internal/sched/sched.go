@@ -369,7 +369,9 @@ func (g *Graph) Start(tracer Tracer, it int) {
 		// written), so size the instance.
 		pl.Seal()
 		g.done = make([]sim.Completion, pl.waited)
-		g.lanes = make([]laneRun, len(pl.lanes))
+		lanes := make([]laneRun, len(pl.lanes)+1) // and lane 0's splice walk
+		g.lanes = lanes[:len(pl.lanes)]
+		g.lanes[0].sub = &lanes[len(pl.lanes)]
 		for li := range g.lanes {
 			l := &g.lanes[li]
 			l.g, l.nodes = g, pl.lanes[li]
@@ -417,9 +419,11 @@ func (g *Graph) Execute(tracer Tracer, it int) {
 // life: the stepper of a rank's main proc with no goroutine
 // (mpi.World.RunSteps), which walks the plan over and over, Ctx.It
 // counting the walks, and finishes the proc at the end of the last, or
-// where a revocation ends one. The zero value is ready.
+// where a revocation ends one. The zero value is ready. The walk of the
+// fragment its plan splices is carved with it.
 type Walk struct {
 	laneRun
+	sub   laneRun
 	times int
 }
 
@@ -440,7 +444,7 @@ func (w *Walk) Run(r *mpi.Rank, frag *Plan, buf *gpu.Buffer, tag int) {
 // stepper of r's main proc.
 func (w *Walk) Start(r *mpi.Rank, plan *Plan, buf *gpu.Buffer, tag, times int) sim.Stepper {
 	w.start(r, 0, plan, buf, tag)
-	w.times = times
+	w.laneRun.sub, w.times = &w.sub, times
 	return w
 }
 

@@ -68,11 +68,17 @@ echo "== zero-alloc gate =="
 # New to the same allocations at 2x4 and 64x16, and
 # mpi.TestNewWorldAllocsPerRank holds NewWorld to the same count, under
 # one per rank, at 16 and 160 ranks; core.TestWholeRunAllocBudget bounds
-# a whole run's bytes and objects per rank. Run un-instrumented, since
-# race instrumentation itself allocates and would mask a regression (the
-# iteration budget skips itself under -race).
+# a whole run's bytes and objects per rank. What keeps set-up per rank
+# small is gated by name: a payload-free buffer is one descriptor shared
+# by every rank, so core.TestTimingRanksShareOneLayout holds every rank of
+# a timing run (a rejoined one included) to the run's one layout, and
+# coll.TestPayloadFreeBuffersAreSharedBySize holds a reducer to one view
+# or scratch descriptor per size, on no free list. Run un-instrumented,
+# since race instrumentation itself allocates and would mask a regression
+# (the iteration budget skips itself under -race).
 go test -run '^TestSimKernel(ZeroAllocSteadyState|MarchingWavesZeroAlloc)$' -count=1 ./internal/sim
-go test -run '^(TestSteadyStateIterationAllocBudget|TestWholeRunAllocBudget)$' -count=1 ./internal/core
+go test -run '^(TestSteadyStateIterationAllocBudget|TestWholeRunAllocBudget|TestTimingRanksShareOneLayout)$' -count=1 ./internal/core
+go test -run '^TestPayloadFreeBuffersAreSharedBySize$' -count=1 ./internal/coll
 go test -run '^TestNewAllocsIndependentOfSize$' -count=1 ./internal/topology
 go test -run '^TestNewWorldAllocsPerRank$' -count=1 ./internal/mpi
 
