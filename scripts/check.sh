@@ -102,13 +102,14 @@ echo "== collective fragments =="
 # retransmission mid-pipeline), the event-timing pin of every family and
 # the one-switch-per-call bound must hold at every GOMAXPROCS, and so
 # must the latency drivers' pins (ReduceBench over every algorithm, the
-# skew and threelevel tables, the Ibcast overlap) and their run with no
-# goroutine switch, race-instrumented so the detector watches the
-# fragment walks, the blocking reduces' goroutines and the goroutine-free
-# ranks.
+# skew and threelevel tables, the Ibcast overlap, the offloaded
+# broadcast's event timing and its checksummed edges' retransmits and
+# escalation) and their run with no goroutine switch, race-instrumented
+# so the detector watches the fragment walks, the blocking reduces'
+# goroutines and the goroutine-free ranks.
 for procs in 1 16; do
     GOMAXPROCS=$procs go test -race \
-        -run '^TestChainReduceRankKilledMidPipeline$|^TestChainReduceRetransmitMidPipeline$|^TestReduceFamiliesPinned$|^TestEveryReducerRunsAsSteps$|^TestLatencyDriversMakeNoGoroutine$' \
+        -run '^TestChainReduceRankKilledMidPipeline$|^TestChainReduceRetransmitMidPipeline$|^TestReduceFamiliesPinned$|^TestEveryReducerRunsAsSteps$|^TestLatencyDriversMakeNoGoroutine$|^TestIbcastLatencyPinned$|^TestIbcastIntegrityPinned$' \
         -count=1 ./internal/coll
     GOMAXPROCS=$procs go test -race \
         -run '^TestReduceBenchPinned$|^TestIbcastOverlapBenchPinned$' -count=1 .
