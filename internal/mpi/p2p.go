@@ -216,7 +216,9 @@ func (r *Rank) irecv(c *Comm, from, tag int, buf *gpu.Buffer, s *Summed) *Reques
 // event: at the wire end time it copies the payload, settles the
 // integrity handle, and fires both sides through their snapshotted
 // generations (the send side of an eager transfer may have been
-// recycled in the meantime).
+// recycled in the meantime). A broadcast tree edge is a delivery too:
+// op is set, the requests are not, and the landing goes to the op
+// (bcastOp.land).
 type delivery struct {
 	sender  *Rank
 	recv    *Rank
@@ -232,16 +234,34 @@ type delivery struct {
 	epoch int
 	// replay marks a landing already perturbed once (held or stashed):
 	// it lands without consulting the wire plane again. ghost marks a
-	// duplicate landing, which re-copies under generation guards but
-	// never settles the integrity handle.
+	// duplicate landing, which re-copies under generation guards (a
+	// broadcast edge's: while its op is live under its key) but never
+	// settles the integrity handle or commits the edge.
 	replay bool
 	ghost  bool
-	next   *delivery // free-list link
+	// The broadcast tree edge this delivery lands, if op is set: its op
+	// and the key the op had when the edge was sent, the edge's parent
+	// and child group ranks, and which retransmission it is.
+	op            *bcastOp
+	key           bcastKey
+	parent, child int
+	try           int
+	next          *delivery // free-list link
 }
 
 // RunEvent implements sim.Runnable.
 func (d *delivery) RunEvent(k *sim.Kernel) {
 	w := d.sender.W
+	if d.ghost && d.op != nil {
+		// A duplicate edge after the original committed: re-copy only
+		// while the op is still live under its key, and never commit —
+		// committing twice would corrupt rootSends and re-mark readiness.
+		if w.bcastOps[d.key] == d.op {
+			d.op.ranks[d.child].buf.CopyFrom(d.src)
+		}
+		w.putDelivery(d)
+		return
+	}
 	if d.epoch != w.epoch {
 		w.Fault.NoteStaleDissolved()
 		w.putDelivery(d)
@@ -262,6 +282,10 @@ func (d *delivery) RunEvent(k *sim.Kernel) {
 		return
 	}
 	if w.Fault.WireArmed() && !d.replay && !w.perturbDelivery(d, k.Now()) {
+		return
+	}
+	if d.op != nil {
+		d.op.land(w, d)
 		return
 	}
 	d.recvReq.buf.CopyFrom(d.src)
