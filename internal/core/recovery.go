@@ -217,12 +217,18 @@ func (l *rankLoop) start(g *sched.Graph, update bool) {
 // lane-0 spans accumulate into the rank's Phases (preserving the
 // original semantics of "time the main thread spends blocked per
 // phase") and every span lands on the trace recorder with its node
-// label.
-func (l *rankLoop) NodeSpan(lane int, kind sched.Kind, phase, label string, start, end sim.Time) {
+// label, a wait span's as "<label>/wait" (built only when a recorder is
+// present).
+func (l *rankLoop) NodeSpan(lane int, kind sched.Kind, phase, label string, wait bool, start, end sim.Time) {
 	if lane == 0 {
 		l.st.phases[l.r.ID].add(phase, end-start)
 	}
-	l.st.cfg.Trace.AddNode(l.r.ID, phase, label, start, end)
+	if tr := l.st.cfg.Trace; tr != nil {
+		if wait {
+			label += "/wait"
+		}
+		tr.AddNode(l.r.ID, phase, label, start, end)
+	}
 }
 
 // Unwind is the rank's end by a kill.

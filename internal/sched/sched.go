@@ -113,10 +113,11 @@ type Ctx struct {
 func (x *Ctx) Again() { x.again = true }
 
 // Tracer receives one span per node execution: the action span under
-// the node's phase, and a separate "<label>/wait" span for time spent
-// blocked on dependencies or awaits. Zero-length spans are not emitted.
+// the node's phase, and a separate wait span (wait set) for time spent
+// blocked on dependencies or awaits, which a trace labels
+// "<label>/wait". Zero-length spans are not emitted.
 type Tracer interface {
-	NodeSpan(lane int, kind Kind, phase, label string, start, end sim.Time)
+	NodeSpan(lane int, kind Kind, phase, label string, wait bool, start, end sim.Time)
 }
 
 // Node is one step of a plan. Nodes are written only while the plan is
@@ -125,7 +126,6 @@ type Node struct {
 	p         *Plan
 	kind      Kind
 	label     string
-	waitLabel string // label + "/wait"
 	phase     string // phase charged for action time; "" = untraced
 	waitPhase string // phase charged for dependency-wait time
 	lane      int32
@@ -269,7 +269,7 @@ func (p *Plan) add(lane int, kind Kind, phase, label string) *Node {
 		p.lanes[lane] = slices.Grow(p.lanes[lane], cap(p.slab))
 	}
 	p.slab = append(p.slab, Node{
-		p: p, kind: kind, label: label, waitLabel: label + "/wait", phase: phase, waitPhase: phase,
+		p: p, kind: kind, label: label, phase: phase, waitPhase: phase,
 		lane: int32(lane), index: int32(len(p.lanes[lane])), done: -1,
 	})
 	n := &p.slab[len(p.slab)-1]
@@ -576,7 +576,7 @@ func (l *laneRun) walk(p *sim.Proc) bool {
 			if l.tracer != nil {
 				l.began = p.Now()
 				if l.began > l.entered && n.waitPhase != "" {
-					l.tracer.NodeSpan(int(n.lane), n.kind, n.waitPhase, n.waitLabel, l.entered, l.began)
+					l.tracer.NodeSpan(int(n.lane), n.kind, n.waitPhase, n.label, true, l.entered, l.began)
 				}
 			}
 			l.at = atAction
@@ -613,7 +613,7 @@ func (l *laneRun) walk(p *sim.Proc) bool {
 		case atFinish:
 			if l.tracer != nil {
 				if end := p.Now(); end > l.began && n.phase != "" {
-					l.tracer.NodeSpan(int(n.lane), n.kind, n.phase, n.label, l.began, end)
+					l.tracer.NodeSpan(int(n.lane), n.kind, n.phase, n.label, false, l.began, end)
 				}
 			}
 			if n.done >= 0 {

@@ -24,7 +24,10 @@ type spanRec struct {
 
 type recTracer struct{ spans []spanRec }
 
-func (t *recTracer) NodeSpan(lane int, kind Kind, phase, label string, start, end sim.Time) {
+func (t *recTracer) NodeSpan(lane int, kind Kind, phase, label string, wait bool, start, end sim.Time) {
+	if wait {
+		label += "/wait"
+	}
 	t.spans = append(t.spans, spanRec{lane, kind, phase, label, start, end})
 }
 
@@ -102,7 +105,7 @@ func TestTimedNodeMatchesBlockingAction(t *testing.T) {
 				layer := func(p *sim.Proc, l, lane int) {
 					start := p.Now()
 					p.Sleep(dur(r, l, lane))
-					tr.NodeSpan(lane, ComputeForward, phases[lane], fmt.Sprint(phases[lane], l), start, p.Now())
+					tr.NodeSpan(lane, ComputeForward, phases[lane], fmt.Sprint(phases[lane], l), false, start, p.Now())
 				}
 				w.K.Spawn(fmt.Sprintf("rank%d.helper", r.ID), func(p *sim.Proc) {
 					for l := 0; l < layers; l++ {
@@ -115,7 +118,7 @@ func TestTimedNodeMatchesBlockingAction(t *testing.T) {
 				}
 				if start := r.Now(); !joined.Fired() {
 					r.Proc.Wait(joined)
-					tr.NodeSpan(0, Generic, "backward", "join/wait", start, r.Now())
+					tr.NodeSpan(0, Generic, "backward", "join", true, start, r.Now())
 				}
 				return
 			}
