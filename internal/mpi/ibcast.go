@@ -196,7 +196,7 @@ func (op *bcastOp) send(w *World, parent, child, try int) {
 	_, end := w.Cluster.Transfer(w.K.Now(), from.Dev.ID, to.Dev.ID, op.bytes, op.mode)
 	d := w.getDelivery()
 	d.sender, d.recv, d.src, d.mode = from, to, op.ranks[parent].buf, op.mode
-	d.op, d.key, d.parent, d.child, d.try = op, op.key, parent, child, try
+	d.op, d.key, d.parent, d.child, d.try = op, op.key, int32(parent), int32(child), int32(try)
 	d.epoch = w.epoch
 	w.K.AtRun(end, d)
 }
@@ -206,7 +206,7 @@ func (op *bcastOp) send(w *World, parent, child, try int) {
 // armed. The delivery is released first, so the first edge the commit
 // sends on reuses it.
 func (op *bcastOp) land(w *World, d *delivery) {
-	parent, child, try := d.parent, d.child, d.try
+	parent, child, try := int(d.parent), int(d.child), int(d.try)
 	op.ranks[child].buf.CopyFrom(d.src)
 	w.putDelivery(d)
 	if w.integrityArmed() {

@@ -232,6 +232,15 @@ type delivery struct {
 	// epoch stamps the membership epoch of the sending instant; a
 	// landing against a later epoch dissolves (see World.bumpEpoch).
 	epoch int
+	// The broadcast tree edge this delivery lands, if op is set: its op
+	// and the key the op had when the edge was sent, the edge's parent
+	// and child group ranks, and which retransmission it is. The three
+	// are 32-bit and share a word with the flags below, so a delivery is
+	// two cache lines (TestDeliverySize).
+	op            *bcastOp
+	key           bcastKey
+	parent, child int32
+	try           int32
 	// replay marks a landing already perturbed once (held or stashed):
 	// it lands without consulting the wire plane again. ghost marks a
 	// duplicate landing, which re-copies under generation guards (a
@@ -239,14 +248,7 @@ type delivery struct {
 	// settles the integrity handle or commits the edge.
 	replay bool
 	ghost  bool
-	// The broadcast tree edge this delivery lands, if op is set: its op
-	// and the key the op had when the edge was sent, the edge's parent
-	// and child group ranks, and which retransmission it is.
-	op            *bcastOp
-	key           bcastKey
-	parent, child int
-	try           int
-	next          *delivery // free-list link
+	next   *delivery // free-list link
 }
 
 // RunEvent implements sim.Runnable.

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"testing"
+	"unsafe"
 
 	"scaffe/internal/fault"
 	"scaffe/internal/gpu"
@@ -203,5 +204,15 @@ func TestRecyclingDrillKillMidFlight(t *testing.T) {
 	}
 	if rep := pl.Report(); rep.Crashes != 1 {
 		t.Fatalf("report crashes = %d, want 1", rep.Crashes)
+	}
+}
+
+// TestDeliverySize bounds the pooled landing record: every transfer in
+// flight holds one, point-to-point and broadcast edge alike, so the
+// broadcast edge's fields must not grow a point-to-point landing past
+// two cache lines.
+func TestDeliverySize(t *testing.T) {
+	if size := unsafe.Sizeof(delivery{}); size > 128 {
+		t.Errorf("a delivery is %d bytes, want at most 128", size)
 	}
 }
