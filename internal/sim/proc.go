@@ -103,9 +103,9 @@ type procKilled struct{}
 func (p *Proc) Name() string { return p.name }
 
 // Names returns prefix+i+suffix for every i in [0, n) — "rank0",
-// "rank1", … — as substrings of one string, for a family of procs whose
-// names are all made at once: two allocations however many procs they
-// name, not one a proc.
+// "rank1", … — as substrings of one string, for a family of names made
+// all at once (a world's procs, a model's per-layer node labels): two
+// allocations however many names there are, not one a name.
 func Names(prefix string, n int, suffix string) []string {
 	var b strings.Builder
 	var digits [20]byte
