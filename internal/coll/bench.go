@@ -42,13 +42,7 @@ func ReduceLatency(w *mpi.World, alg Algorithm, o Options, bytes int64, trials i
 	}
 	comm := w.WorldComm()
 	red := NewReducer(comm, alg, o)
-	var tab *stateTable
-	switch x := red.(type) {
-	case *reducer:
-		tab = x.tab
-	case *tunedReducer:
-		tab = x.tab
-	}
+	tab := red.(*reducer).tab
 	var start, last sim.Time
 	var total sim.Duration
 	pl := sched.NewPlan()

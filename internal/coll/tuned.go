@@ -1,35 +1,24 @@
 package coll
 
-import (
-	"scaffe/internal/gpu"
-	"scaffe/internal/mpi"
-	"scaffe/internal/sched"
-)
+import "scaffe/internal/mpi"
 
-// tunedReducer is HR (Tuned): it carries the full set of candidate
-// configurations and hands each call the fragment of the combination
-// the tuning table selects for (message size, process count). This
-// mirrors the MVAPICH2-GDR 2.2 tuning infrastructure described in
-// Section 5. The candidates share a state table.
+// tunedReducer is HR (Tuned): the full set of candidate configurations,
+// of which each call gets the fragment of the one the tuning table
+// selects for (message size, process count). This mirrors the
+// MVAPICH2-GDR 2.2 tuning infrastructure described in Section 5. The
+// candidates share a state table.
 type tunedReducer struct {
-	*reducer
-	c        *mpi.Comm
-	binomial Reducer
-	chain    Reducer
-	cc       Reducer
-	cb       Reducer
+	c                       *mpi.Comm
+	binomial, chain, cc, cb *reducer
 }
 
 func newTuned(c *mpi.Comm, o Options) *tunedReducer {
-	tab := &stateTable{}
-	t := &tunedReducer{c: c, binomial: flat(Binomial, o, tab, c), chain: flat(Chain, o, tab, c)}
+	tab := &stateTable{o: o}
+	t := &tunedReducer{c: c, binomial: flat(Binomial.String(), binomial, tab, c), chain: flat(Chain.String(), chain, tab, c)}
 	if c.Size() > o.ChainSize {
 		t.cc = newHierarchical(c, o, ChainChain, tab)
 		t.cb = newHierarchical(c, o, ChainBinomial, tab)
 	}
-	t.reducer = &reducer{Tuned.String(), tab, func(r *mpi.Rank, buf *gpu.Buffer) *sched.Plan {
-		return t.Select(buf.Bytes).Fragment(r, buf)
-	}}
 	return t
 }
 
