@@ -99,8 +99,10 @@ done
 echo "== collective fragments =="
 # Every reducer runs as plan fragments on the event loop (DESIGN.md §6,
 # §17): the two chain drills (a rank killed mid-pipeline, a
-# retransmission mid-pipeline), the event-timing pin of every family and
-# the one-switch-per-call bound must hold at every GOMAXPROCS, and so
+# retransmission mid-pipeline), the event-timing pin of every family,
+# the pairing of every rank's step list (TestStepListsPair: each send
+# meets one receive) and the one-switch-per-call bound must hold at
+# every GOMAXPROCS, and so
 # must the latency drivers' pins (ReduceBench over every algorithm, the
 # skew and threelevel tables, the Ibcast overlap, the offloaded
 # broadcast's event timing and its checksummed edges' retransmits and
@@ -109,7 +111,7 @@ echo "== collective fragments =="
 # goroutines and the goroutine-free ranks.
 for procs in 1 16; do
     GOMAXPROCS=$procs go test -race \
-        -run '^TestChainReduceRankKilledMidPipeline$|^TestChainReduceRetransmitMidPipeline$|^TestReduceFamiliesPinned$|^TestEveryReducerRunsAsSteps$|^TestLatencyDriversMakeNoGoroutine$|^TestIbcastLatencyPinned$|^TestIbcastIntegrityPinned$' \
+        -run '^TestChainReduceRankKilledMidPipeline$|^TestChainReduceRetransmitMidPipeline$|^TestReduceFamiliesPinned$|^TestStepListsPair$|^TestEveryReducerRunsAsSteps$|^TestLatencyDriversMakeNoGoroutine$|^TestIbcastLatencyPinned$|^TestIbcastIntegrityPinned$' \
         -count=1 ./internal/coll
     GOMAXPROCS=$procs go test -race \
         -run '^TestReduceBenchPinned$|^TestIbcastOverlapBenchPinned$' -count=1 .
