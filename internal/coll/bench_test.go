@@ -95,3 +95,30 @@ func TestLatencyDriversMakeNoGoroutine(t *testing.T) {
 		})
 	}
 }
+
+// TestChainReleasesSendsAsTheyComplete bounds the heap a fresh 160-rank
+// chain reduce of 64 MiB (64 chunks) takes, reducer and all: an interior
+// rank releases each forwarded chunk's send once it has completed
+// (mpi.Rank.Reap), so it holds a chunk or two of sends, not one request
+// per chunk until the join. Measured: 0.44 MB; 2.14 MB when every send
+// was kept to the join. The budget is 4 KiB per rank.
+func TestChainReleasesSendsAsTheyComplete(t *testing.T) {
+	const ranks, budget = 160, 160 * 4096
+	w := newWorld(t, 10, 16, ranks)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReduceLatency(w, Chain, DefaultOptions(), 64<<20, 5); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d bytes, %d objects", bytes, after.Mallocs-before.Mallocs)
+	if bytes > budget {
+		t.Errorf("a 64 MiB chain reduce over %d ranks took %d bytes, budget %d: sends are kept past their completion again", ranks, bytes, budget)
+	}
+	for _, r := range w.Ranks {
+		if n := r.LiveRequests(); n != 0 {
+			t.Errorf("rank %d ended with %d live requests", r.ID, n)
+		}
+	}
+}

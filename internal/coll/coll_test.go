@@ -515,6 +515,51 @@ func TestRabenseifnerReduceCorrect(t *testing.T) {
 	}
 }
 
+// TestRabenseifnerFewerElemsThanRanks: with fewer elements than ranks
+// some gathered parts are empty, and neither side posts one, so a later
+// call with the same tag matches only its own messages: a call on 3
+// elements, then one on 64, both sum exactly and leave no request live.
+// When the sender still sent its empty part, the second call's receive
+// matched that stale 0-byte message and the run panicked with a size
+// mismatch.
+func TestRabenseifnerFewerElemsThanRanks(t *testing.T) {
+	for _, ranks := range []int{8, 16} {
+		w := newWorld(t, ranks/4, 4, ranks)
+		c := w.WorldComm()
+		red := NewReducer(c, Rabenseifner, DefaultOptions())
+		got := map[int][]float32{}
+		_, err := w.Run(func(r *mpi.Rank) {
+			for _, elems := range []int{3, 64} {
+				buf := gpu.NewDataBuffer(elems)
+				buf.Fill(float32(c.Rank(r) + 1))
+				red.Reduce(r, buf, 40)
+				if c.Rank(r) == 0 {
+					got[elems] = buf.Data
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("ranks=%d: %v", ranks, err)
+		}
+		want := float32(ranks * (ranks + 1) / 2)
+		for _, elems := range []int{3, 64} {
+			if len(got[elems]) != elems {
+				t.Fatalf("ranks=%d: the root reduced %d elements, want %d", ranks, len(got[elems]), elems)
+			}
+			for i, v := range got[elems] {
+				if v != want {
+					t.Fatalf("ranks=%d elems=%d elem %d = %v, want %v", ranks, elems, i, v, want)
+				}
+			}
+		}
+		for _, r := range w.Ranks {
+			if n := r.LiveRequests(); n != 0 {
+				t.Errorf("ranks=%d: rank %d ended with %d live requests", ranks, r.ID, n)
+			}
+		}
+	}
+}
+
 func TestRabenseifnerNonPowerOfTwoFallsBack(t *testing.T) {
 	const ranks = 6
 	w := newWorld(t, 2, 4, ranks)

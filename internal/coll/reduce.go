@@ -37,7 +37,7 @@ const (
 	send                 // send the part; a later join waits for it
 	forward              // send on the part the last receive-and-reduce reduced into (a chain's partial sum)
 	upload               // copy the host-reduced buffer back to the device
-	join                 // wait for every send since the last join
+	join                 // wait for every send since the last join not already released
 )
 
 // reduceAt is where a receive-and-reduce step reduces.
@@ -56,7 +56,7 @@ const (
 	whole    part = iota
 	chunk         // chain chunk step.chunk of the call's pipeline
 	half          // Rabenseifner: the segments of the aligned group of step.width ranks holding rank pos+step.seg
-	gathered      // the same in the gather, where a receive of an empty one posts nothing (its sender still sends it)
+	gathered      // the same in the gather, where an empty one is neither sent nor received
 	ringSeg       // the ring segment of rank pos+step.seg, modulo the size
 )
 
@@ -166,7 +166,6 @@ func resolve(s []step, levels []level, o Options, id int, buf *gpu.Buffer, me *[
 type compiled struct {
 	steps []step
 	plan  *sched.Plan
-	sends int       // its sends: room for all of them, if a rank needs room for more than one
 	next  *compiled // the table's next list of the same hash
 }
 
@@ -214,10 +213,12 @@ type nodes struct {
 
 // compile builds the fragment of f's steps: each step is the node that
 // takes it and posts what it sends or receives, then the nodes that wait
-// for what it posted and do what follows.
+// for what it posted and do what follows. The plan carves its nodes in
+// one chunk of exactly their number (nodeCount).
 func (t *stateTable) compile(f *compiled) {
 	n := t.nodes
 	f.plan = sched.NewPlan()
+	f.plan.Grow(0, nodeCount(f.steps))
 	add := func(fn func(*sched.Ctx)) *sched.Node { return f.plan.Add(0, sched.Reduce, "", "", fn) }
 	timed := func(fn func(*sched.Ctx) sim.Time) *sched.Node { return f.plan.AddTimed(0, sched.Reduce, "", "", fn) }
 	posting := false // the last node posts, and a post after a send joins it
@@ -234,8 +235,6 @@ func (t *stateTable) compile(f *compiled) {
 				timed(n.stage).Awaiting(n.received)
 			}
 			timed(n.reduce).Awaiting(n.received)
-		case send, forward:
-			f.sends++
 		case upload:
 			timed(n.upload)
 		case join:
@@ -243,6 +242,26 @@ func (t *stateTable) compile(f *compiled) {
 		}
 	}
 	f.plan.Seal()
+}
+
+// nodeCount is how many nodes compile makes of steps: a begin before the
+// first of a run of posts, as many as a receive's wait and what follows
+// it take, and one for an upload and for a join.
+func nodeCount(steps []step) int {
+	n, posting := 0, false
+	for _, s := range steps {
+		if s.op <= forward && !posting {
+			n++
+		}
+		posting = s.op == send || s.op == forward
+		switch {
+		case s.op == recvReduce && s.at == onHostStaged:
+			n += 2
+		case s.op == recv, s.op == recvReduce, s.op == upload, s.op == join:
+			n++
+		}
+	}
+	return n
 }
 
 // begin takes the rank's next steps and posts what they receive and
@@ -274,7 +293,7 @@ func (st *rankState) start(x *sched.Ctx, s *step, o Options) {
 	into := st.acc // a forward's
 	if s.op != forward {
 		lo, hi := s.extent(at.pos, at.size, x.Buf.Elems(), defaultChunks(x.Buf.Bytes, o.Chunks))
-		if s.op == recv && s.part == gathered && lo >= hi {
+		if s.part == gathered && lo >= hi { // both sides see it empty, and neither posts
 			st.req[0], st.sum = nil, nil
 			return
 		}
@@ -293,7 +312,7 @@ func (st *rankState) start(x *sched.Ctx, s *step, o Options) {
 			st.req[0] = x.R.Irecv(c, peer, tag, st.op)
 		}
 	default: // send, forward
-		st.post(x.R.Isend(c, peer, tag, into, s.mode))
+		st.post(x.R, x.R.Isend(c, peer, tag, into, s.mode))
 	}
 }
 

@@ -45,9 +45,9 @@ type rankState struct {
 	// The call in progress: the rank's step list and the cursor in it,
 	// its group rank at each level, the step's accumulator,
 	// received operand and checksum, and the requests nodes await: the
-	// step's receive, req[0], and the sends since the last join, held in
-	// req[1] while there is one and in a slice made for the list's sends
-	// once there are more.
+	// step's receive, req[0], and the sends since the last join not yet
+	// released, held in req[1] while there is one and in a slice grown
+	// to the most in flight at once when there are more.
 	levels  []level // the levels and bytes the rank's list is of
 	bytes   int64
 	frag    *compiled
@@ -109,12 +109,19 @@ func (t *stateTable) acquire(size, me int) *rankState {
 //go:noinline
 func newStates(size int) []rankState { return make([]rankState, size) }
 
-// post keeps a send for the next join.
-func (st *rankState) post(req *mpi.Request) {
-	if len(st.sends) == cap(st.sends) {
-		st.sends = append(make([]*mpi.Request, 0, st.frag.sends), st.sends...)
+// post keeps rank r's send req for the next join, having released the
+// sends kept before it that have completed (mpi.Rank.Reap), so a chain
+// rank holds the chunk or two still in flight, not one request a chunk.
+// A completed request's wait would cost the join no event, and the new
+// send is always kept, so the join's events stay what they were.
+func (st *rankState) post(r *mpi.Rank, req *mpi.Request) {
+	live := st.sends[:0]
+	for _, s := range st.sends {
+		if !r.Reap(s) {
+			live = append(live, s)
+		}
 	}
-	st.sends = append(st.sends, req)
+	st.sends = append(live, req)
 }
 
 // settled reports whether the step's receive checksum is settled. A

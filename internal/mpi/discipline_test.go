@@ -137,3 +137,73 @@ func TestLiveRequestsCountsUnwaited(t *testing.T) {
 		t.Fatalf("rank 0 live requests %v, want %v; rank 1 %d, want 0", live, want, w.Ranks[1].LiveRequests())
 	}
 }
+
+// TestReapReleasesCompleted: Reap on a completed request releases it, as
+// a wait would: the rank's live count drops, the next request reuses its
+// record, and a run whose only release of a send was a reap ends with
+// nothing live.
+func TestReapReleasesCompleted(t *testing.T) {
+	w := newWorld(t, 2, 1, 2)
+	c := w.WorldComm()
+	var live []int
+	reaped, reused := false, false
+	_, err := w.Run(func(r *Rank) {
+		if r.ID == 1 {
+			r.Recv(c, 0, 1, gpu.NewBuffer(4))
+			r.Send(c, 0, 2, gpu.NewBuffer(4), topology.ModeAuto)
+			return
+		}
+		req := r.Isend(c, 1, 1, gpu.NewBuffer(4), topology.ModeAuto) // eager: complete at once
+		live = append(live, r.LiveRequests())
+		reaped = r.Reap(req)
+		live = append(live, r.LiveRequests())
+		recv := r.Irecv(c, 1, 2, gpu.NewBuffer(4))
+		reused = recv == req
+		r.Wait(recv)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reaped || fmt.Sprint(live) != "[1 0]" || !reused {
+		t.Fatalf("reap of a completed send reported %v, live requests %v (want [1 0]), record reused %v", reaped, live, reused)
+	}
+	for _, r := range w.Ranks {
+		if n := r.LiveRequests(); n != 0 {
+			t.Errorf("rank %d ended with %d live requests", r.ID, n)
+		}
+	}
+}
+
+// TestReapLeavesPendingAlone: Reap on a request still in flight reports
+// false, keeps it live, and arms and schedules nothing: a run that reaps a
+// pending rendezvous send before waiting it ends at the same time with the
+// same resumes as one that only waits it.
+func TestReapLeavesPendingAlone(t *testing.T) {
+	run := func(reap bool) (sim.Time, sim.Resumes) {
+		w := newWorld(t, 2, 1, 2)
+		c := w.WorldComm()
+		end, err := w.Run(func(r *Rank) {
+			if r.ID == 1 {
+				r.Sleep(100)
+				r.Recv(c, 0, 1, gpu.NewBuffer(2*EagerLimit))
+				return
+			}
+			req := r.Isend(c, 1, 1, gpu.NewBuffer(2*EagerLimit), topology.ModeAuto)
+			if reap {
+				if r.Reap(req) || req.Test() || r.LiveRequests() != 1 {
+					t.Errorf("reap of a pending send released it: test %v, %d live requests", req.Test(), r.LiveRequests())
+				}
+			}
+			r.Wait(req)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return end, w.K.Resumes()
+	}
+	waitEnd, waitResumes := run(false)
+	reapEnd, reapResumes := run(true)
+	if reapEnd != waitEnd || reapResumes != waitResumes {
+		t.Fatalf("with a reap the run ended at %v with resumes %+v; without, at %v with %+v", reapEnd, reapResumes, waitEnd, waitResumes)
+	}
+}

@@ -34,13 +34,13 @@ type pendingSend struct {
 // operation completes (buffer reusable for sends, data delivered for
 // receives).
 //
-// Requests are pooled per rank with a release-on-Wait lifecycle
-// mirroring MPI_Wait semantics: when Wait returns, the handle is dead
-// and its record returns to the owner's free list. The completion is
-// embedded by value — recycling the request recycles the completion,
-// and the generation bump makes any stale reference (an eager send's
-// queued delivery, a scheduled FireAt) dissolve instead of completing
-// the record's next life.
+// Requests are pooled per rank with the lifecycle of MPI_Wait and
+// MPI_Test: when Wait returns, or Reap reports the request complete, the
+// handle is dead and its record returns to the owner's free list. The
+// completion is embedded by value — recycling the request recycles the
+// completion, and the generation bump makes any stale reference (an
+// eager send's queued delivery, a scheduled FireAt) dissolve instead of
+// completing the record's next life.
 type Request struct {
 	// Done fires when the operation completes; it always points at the
 	// embedded completion.
@@ -92,9 +92,9 @@ func (r *Rank) requestInHook() {
 }
 
 // LiveRequests returns how many of the rank's requests are made and not
-// yet released by a wait, leaving out those a new membership epoch
-// abandoned (see World.bumpEpoch). A rank that ran to the end of a run
-// has none: a request nobody waits is a leak.
+// yet released by a wait or a reap, leaving out those a new membership
+// epoch abandoned (see World.bumpEpoch). A rank that ran to the end of a
+// run has none: a request nobody waits or reaps is a leak.
 func (r *Rank) LiveRequests() int {
 	return r.reqsLive - r.reqsAbandoned
 }
@@ -144,7 +144,21 @@ func (r *Rank) Wait(req *Request) {
 	r.putRequest(req)
 }
 
-// Test reports whether the request has completed without blocking.
+// Reap is MPI_Test on a request the rank holds: if the request has
+// completed, Reap releases it, as Wait does, and reports true; the
+// handle must not be used again. Otherwise it reports false. Either way
+// it arms no wait and schedules no event, so reaping what has completed
+// moves no other event. Request.Test, by contrast, only reads.
+func (r *Rank) Reap(req *Request) bool {
+	if !req.Done.Fired() {
+		return false
+	}
+	r.putRequest(req)
+	return true
+}
+
+// Test reports whether the request has completed without blocking. It
+// releases nothing: see Rank.Reap.
 func (req *Request) Test() bool { return req.Done.Fired() }
 
 // OnComplete registers fn to run (in kernel context) when the request

@@ -191,8 +191,8 @@ type Plan struct {
 	waited    int // nodes some lane waits for: completions an instance holds (set by Seal)
 	sealed    bool
 	// slab is the node arena: nodes are carved from chunks, each as large
-	// as all before it up to nodeSlab, so a built plan is a handful of
-	// contiguous blocks laid out in execution order.
+	// as all before it up to nodeSlab, or as Grow asks, so a built plan is
+	// a handful of contiguous blocks laid out in execution order.
 	slab []Node
 }
 
@@ -211,6 +211,19 @@ func (p *Plan) building(what string) {
 	if p.sealed {
 		panic(fmt.Sprintf("sched: %q changes a sealed plan", what))
 	}
+}
+
+// Grow makes room for n more nodes on lane in one arena chunk, so a plan
+// whose size is known before its first Add — a fragment compiled from a
+// step list — carves exactly the nodes it adds, not chunks doubling up to
+// nodeSlab. Whatever the current chunk has left is dropped if it is
+// fewer than n.
+func (p *Plan) Grow(lane, n int) {
+	p.building("Grow")
+	if cap(p.slab)-len(p.slab) < n {
+		p.slab = make([]Node, 0, n)
+	}
+	p.lanes[lane] = slices.Grow(p.lanes[lane], n)
 }
 
 // Lane allocates an additional lane, executed as a simulated thread

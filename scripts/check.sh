@@ -101,8 +101,11 @@ echo "== collective fragments =="
 # §17): the two chain drills (a rank killed mid-pipeline, a
 # retransmission mid-pipeline), the event-timing pin of every family,
 # the pairing of every rank's step list (TestStepListsPair: each send
-# meets one receive) and the one-switch-per-call bound must hold at
-# every GOMAXPROCS, and so
+# meets one receive), Rabenseifner on fewer elements than ranks posting
+# no empty gathered part (TestRabenseifnerFewerElemsThanRanks), the heap
+# bound of a 160-rank chain that releases its sends as they complete
+# (TestChainReleasesSendsAsTheyComplete) and the one-switch-per-call
+# bound must hold at every GOMAXPROCS, and so
 # must the latency drivers' pins (ReduceBench over every algorithm, the
 # skew and threelevel tables, the Ibcast overlap, the offloaded
 # broadcast's event timing and its checksummed edges' retransmits and
@@ -111,7 +114,7 @@ echo "== collective fragments =="
 # goroutines and the goroutine-free ranks.
 for procs in 1 16; do
     GOMAXPROCS=$procs go test -race \
-        -run '^TestChainReduceRankKilledMidPipeline$|^TestChainReduceRetransmitMidPipeline$|^TestReduceFamiliesPinned$|^TestStepListsPair$|^TestEveryReducerRunsAsSteps$|^TestLatencyDriversMakeNoGoroutine$|^TestIbcastLatencyPinned$|^TestIbcastIntegrityPinned$' \
+        -run '^TestChainReduceRankKilledMidPipeline$|^TestChainReduceRetransmitMidPipeline$|^TestReduceFamiliesPinned$|^TestStepListsPair$|^TestRabenseifnerFewerElemsThanRanks$|^TestChainReleasesSendsAsTheyComplete$|^TestEveryReducerRunsAsSteps$|^TestLatencyDriversMakeNoGoroutine$|^TestIbcastLatencyPinned$|^TestIbcastIntegrityPinned$' \
         -count=1 ./internal/coll
     GOMAXPROCS=$procs go test -race \
         -run '^TestReduceBenchPinned$|^TestIbcastOverlapBenchPinned$' -count=1 .
