@@ -71,7 +71,6 @@ func main() {
 	summary := flag.Bool("summary", false, "print the per-rank phase totals and compute/communication overlap table")
 	faultsFile := flag.String("faults", "", "inject faults from a schedule file (one event per line, e.g. `100ms crash rank=3`)")
 	integrity := flag.String("integrity", "off", "silent-corruption plane: off, detect (observe only; exit 4 on corruption), recover (retransmit + micro-rollback)")
-	flag.Int("sim-parallel", -1, "accepted and ignored: it sized the parallel event-kernel mode, which was measured slower and removed; every run uses the one sequential kernel")
 	chaosFile := flag.String("chaos", "", "run the seeded chaos harness from a spec file (see configs/chaos_demo.txt) instead of a training run; prints one invariant summary line")
 	chaosSeed := flag.Int64("chaos-seed", 0, "run the chaos harness on the default spec with this seed (shorthand for a -chaos file setting only seed)")
 	profiles := prof.Register(flag.CommandLine)

@@ -126,16 +126,3 @@ func TestChainBinomialLocalityAlignment(t *testing.T) {
 		t.Error("leader phase should have crossed nodes")
 	}
 }
-
-func TestHierarchicalTimeAnalytic(t *testing.T) {
-	p := CostParams{Alpha: 1e-5, Beta: 1e10}
-	ch := HierarchicalTime(p, 64, 8, 8, 64e6, true)
-	cb := HierarchicalTime(p, 64, 8, 8, 64e6, false)
-	if ch <= 0 || cb <= 0 {
-		t.Fatal("hierarchical times must be positive")
-	}
-	// Degenerate chain size clamps.
-	if HierarchicalTime(p, 8, 0, 8, 1e6, false) <= 0 {
-		t.Error("chainSize 0 should clamp, not blow up")
-	}
-}

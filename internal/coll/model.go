@@ -48,39 +48,6 @@ func ChainTime(p CostParams, procs, chunks int, bytes float64) float64 {
 	return float64(chunks+procs-2) * p.T(bytes/float64(chunks))
 }
 
-// BestChunks returns the chunk count n ≥ 1 minimizing Eq. (2); the
-// optimum of the continuous relaxation is n* = sqrt(b/Beta ·
-// (P−2)/Alpha)... evaluated discretely over a search range for
-// robustness.
-func BestChunks(p CostParams, procs int, bytes float64) int {
-	best, bestT := 1, ChainTime(p, procs, 1, bytes)
-	for n := 2; n <= 1024; n++ {
-		if t := ChainTime(p, procs, n, bytes); t < bestT {
-			best, bestT = n, t
-		}
-	}
-	return best
-}
-
-// HierarchicalTime evaluates the two-level design: lower-level chains
-// of size chainSize run concurrently, then the upper level reduces
-// among ceil(P/chainSize) leaders with a chain (upperChain=true) or a
-// binomial tree.
-func HierarchicalTime(p CostParams, procs, chainSize, chunks int, bytes float64, upperChain bool) float64 {
-	if chainSize < 1 {
-		chainSize = 1
-	}
-	leaders := (procs + chainSize - 1) / chainSize
-	lower := ChainTime(p, min(chainSize, procs), chunks, bytes)
-	var upper float64
-	if upperChain {
-		upper = ChainTime(p, leaders, chunks, bytes)
-	} else {
-		upper = BinomialTime(p, leaders, bytes)
-	}
-	return lower + upper
-}
-
 // CrossoverProcs returns the process count beyond which the binomial
 // tree beats the flat chain for good (the chain's (P−2)·t(c) term
 // outgrows log2(P)·t(b)) — the boundary that motivates the two-level

@@ -271,10 +271,6 @@ type Config struct {
 	// EvictWindow is the number of consecutive over-threshold
 	// iterations before an eviction fires (default 3).
 	EvictWindow int
-	// JoinRetries caps admission-wait deadlines per announce before a
-	// joiner withdraws, cools down, and re-queues (default
-	// fault.DefaultJoinRetries).
-	JoinRetries int
 
 	// Integrity arms the silent-data-corruption plane: per-chunk
 	// checksums on collective receives and broadcast edges, plus (in
@@ -289,11 +285,6 @@ type Config struct {
 	// corrupted transfer escalates to a communicator revocation
 	// (default 2).
 	RetransmitBudget int
-	// DivergeFactor is the watchdog's divergence trip ratio: a loss
-	// (or squared gradient norm) more than this factor above its
-	// running EWMA is treated as corruption (default 1e6 — far above
-	// any healthy excursion).
-	DivergeFactor float64
 
 	// Trace, when non-nil, records every phase span of every rank for
 	// timeline export (see internal/trace).
@@ -314,10 +305,6 @@ type Config struct {
 
 	// Seed makes parameter init and data order deterministic.
 	Seed int64
-	// QueueDepth is the per-reader prefetch depth (default 2).
-	QueueDepth int
-	// DeviceMemory overrides per-GPU memory in bytes (default 12 GB).
-	DeviceMemory int64
 }
 
 func (c *Config) validate() error {
@@ -422,17 +409,15 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// normalize fills defaulted fields in place: reader queue depth,
-// cluster geometry (Cluster-A: 16-GPU nodes, as many as the ranks
-// need), SC-OBR-F's bucket size, and the reducer options. Nonsense
+// normalize fills defaulted fields in place: cluster geometry
+// (Cluster-A: 16-GPU nodes, as many as the ranks need), SC-OBR-F's
+// bucket size, and the reducer options. Nonsense
 // values — fields that zero-defaulting would otherwise silently accept
 // and that panic or hang far downstream — are rejected with descriptive
 // errors. Every entry point goes through validateAndDefault, so code
 // after it sees only concrete, sane values.
 func (c *Config) normalize() error {
 	switch {
-	case c.QueueDepth < 0:
-		return fmt.Errorf("core: reader queue depth must be positive, got %d", c.QueueDepth)
 	case c.Nodes < 0:
 		return fmt.Errorf("core: node count must be positive, got %d", c.Nodes)
 	case c.GPUsPerNode < 0:
@@ -445,8 +430,6 @@ func (c *Config) normalize() error {
 		return fmt.Errorf("core: test batch count must be positive, got %d", c.TestBatches)
 	case c.SnapshotEvery < 0:
 		return fmt.Errorf("core: snapshot interval must be positive, got %d", c.SnapshotEvery)
-	case c.DeviceMemory < 0:
-		return fmt.Errorf("core: device memory must be positive, got %d bytes", c.DeviceMemory)
 	case c.FaultTimeout < 0:
 		return fmt.Errorf("core: fault-detection timeout must be positive, got %v", c.FaultTimeout)
 	case c.MaxVirtualTime < 0:
@@ -455,26 +438,16 @@ func (c *Config) normalize() error {
 		return fmt.Errorf("core: base learning rate must be positive, got %g", c.BaseLR)
 	case c.RetransmitBudget < 0:
 		return fmt.Errorf("core: chunk retransmit budget must be positive, got %d", c.RetransmitBudget)
-	case c.DivergeFactor < 0:
-		return fmt.Errorf("core: divergence factor must be positive, got %g", c.DivergeFactor)
 	case c.SimParallel < 0:
 		return fmt.Errorf("core: simulation worker count must be non-negative, got %d", c.SimParallel)
 	case c.EvictWindow < 0:
 		return fmt.Errorf("core: eviction window must be positive, got %d", c.EvictWindow)
-	case c.JoinRetries < 0:
-		return fmt.Errorf("core: join retry budget must be positive, got %d", c.JoinRetries)
-	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 2
 	}
 	if c.IntegrityRetries == 0 {
 		c.IntegrityRetries = 2
 	}
 	if c.RetransmitBudget == 0 {
 		c.RetransmitBudget = 2
-	}
-	if c.DivergeFactor == 0 {
-		c.DivergeFactor = 1e6
 	}
 	if c.GPUsPerNode == 0 {
 		c.GPUsPerNode = 16
@@ -487,9 +460,6 @@ func (c *Config) normalize() error {
 	}
 	if c.EvictFactor > 0 && c.EvictWindow == 0 {
 		c.EvictWindow = 3
-	}
-	if c.JoinRetries == 0 {
-		c.JoinRetries = fault.DefaultJoinRetries
 	}
 	if c.ReduceOpts == (coll.Options{}) {
 		c.ReduceOpts = coll.DefaultOptions()

@@ -7,6 +7,7 @@ import (
 
 	"scaffe/internal/coll"
 	"scaffe/internal/data"
+	"scaffe/internal/gpu"
 	"scaffe/internal/layers"
 	"scaffe/internal/models"
 	"scaffe/internal/tensor"
@@ -312,6 +313,37 @@ func TestOOMDetection(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "out of memory") {
 		t.Errorf("error %q does not mention memory", err)
+	}
+}
+
+// TestMemoryCheckEdge walks GoogLeNet's local batch across one GPU's
+// 12 GiB: 159 samples fit (12,855,620,800 bytes), 160 do not
+// (12,935,800,640). checkMemory must fail exactly when perRankMemory
+// exceeds deviceMemory, with an ErrOutOfMemory naming both.
+func TestMemoryCheckEdge(t *testing.T) {
+	cfg := timingConfig(models.GoogLeNet(), 2, 2048, 1)
+	for _, tc := range []struct {
+		local int
+		fits  bool
+	}{{1, true}, {128, true}, {159, true}, {160, false}, {161, false}, {1024, false}} {
+		need := perRankMemory(&cfg, tc.local)
+		if fits := need <= deviceMemory; fits != tc.fits {
+			t.Fatalf("local batch %d needs %d bytes: fits=%v, want %v", tc.local, need, fits, tc.fits)
+		}
+		err := checkMemory(cfg, tc.local)
+		if tc.fits {
+			if err != nil {
+				t.Errorf("local batch %d (%d bytes): %v", tc.local, need, err)
+			}
+			continue
+		}
+		var oom *gpu.ErrOutOfMemory
+		if !errors.As(err, &oom) {
+			t.Fatalf("local batch %d (%d bytes): error %v (%T), want *gpu.ErrOutOfMemory", tc.local, need, err, err)
+		}
+		if oom.Requested != need || oom.Free != deviceMemory {
+			t.Errorf("local batch %d: Requested=%d Free=%d, want %d and %d", tc.local, oom.Requested, oom.Free, need, int64(deviceMemory))
+		}
 	}
 }
 

@@ -341,7 +341,6 @@ func TestElasticConfigValidation(t *testing.T) {
 	}{
 		{"fractional evict factor", func(c *Config) { c.EvictFactor = 0.5 }},
 		{"negative evict window", func(c *Config) { c.EvictFactor = 2; c.EvictWindow = -1 }},
-		{"negative join retries", func(c *Config) { c.JoinRetries = -2 }},
 		{"eviction on unsupported design", func(c *Config) {
 			c.Design = ParamServer
 			c.GlobalBatch = 3

@@ -160,7 +160,6 @@ func run(cfg Config, before ...func(*sim.Kernel)) (*Result, *runState, error) {
 	// sim.Never, so its waits carry no deadline and nothing ever consults
 	// the plane.
 	pl := st.world.Fault
-	pl.SetJoinRetries(cfg.JoinRetries)
 	st.ft = pl
 	st.ranksLive = cfg.GPUs
 	st.lastGoodIter = cfg.StartIteration - 1
@@ -225,9 +224,6 @@ func run(cfg Config, before ...func(*sim.Kernel)) (*Result, *runState, error) {
 	// time advances, so the run drives the kernel itself.
 	loops := make([]rankLoop, cfg.GPUs)
 	st.world.SpawnSteps(func(r *mpi.Rank) sim.Stepper {
-		if cfg.DeviceMemory > 0 {
-			r.Dev.SetMemCapacity(cfg.DeviceMemory)
-		}
 		loops[r.ID] = rankLoop{st: st, r: r, at: loopNext, it: cfg.StartIteration}
 		return &loops[r.ID]
 	})
@@ -333,15 +329,14 @@ func linkUtilization(cluster *topology.Cluster, ranks int, total sim.Time) (hca,
 	return hca, pcie
 }
 
+// deviceMemory is one GPU's memory: a K-80-era GK210 exposes 12 GB.
+const deviceMemory = 12 << 30
+
 // checkMemory validates the per-GPU footprint against device memory.
 func checkMemory(cfg Config, localBatch int) error {
-	capacity := cfg.DeviceMemory
-	if capacity == 0 {
-		capacity = 12 << 30
-	}
 	need := perRankMemory(&cfg, localBatch)
-	if need > capacity {
-		return &gpu.ErrOutOfMemory{Dev: topology.DeviceID{}, Requested: need, Free: capacity}
+	if need > deviceMemory {
+		return &gpu.ErrOutOfMemory{Dev: topology.DeviceID{}, Requested: need, Free: deviceMemory}
 	}
 	return nil
 }
@@ -358,6 +353,10 @@ func perRankMemory(cfg *Config, localBatch int) int64 {
 	}
 	return 2*params + acts + input
 }
+
+// readerQueueDepth is each solver's prefetch depth: the batches a
+// reader may load ahead of its solver.
+const readerQueueDepth = 2
 
 // buildReaders wires the data plane: one reader per solver (Figure 3)
 // for the distributed designs, one shared reader for multi-threaded
@@ -384,7 +383,7 @@ func (st *runState) buildReaders(k *sim.Kernel, localBatch int, elastic bool) {
 		// One reader thread feeds every solver through the shared
 		// queue: it loads the whole global batch, then releases one
 		// token per solver.
-		shared := data.StartReader(k, "reader", src, localBatch*cfg.GPUs, cfg.Spec.PerSampleBytes, iters, cfg.GPUs, cfg.QueueDepth*cfg.GPUs)
+		shared := data.StartReader(k, "reader", src, localBatch*cfg.GPUs, cfg.Spec.PerSampleBytes, iters, cfg.GPUs, readerQueueDepth*cfg.GPUs)
 		for i := range st.readers {
 			st.readers[i] = shared
 		}
@@ -406,7 +405,7 @@ func (st *runState) buildReaders(k *sim.Kernel, localBatch int, elastic bool) {
 		case cfg.Design == ParamServer && i == 0, cfg.Design == ModelParallel && i != 0:
 			continue // the server does not train; only the pipeline's first stage reads data
 		}
-		st.readers[i] = data.StartReader(k, names[i], rs, localBatch, cfg.Spec.PerSampleBytes, batches, 1, cfg.QueueDepth)
+		st.readers[i] = data.StartReader(k, names[i], rs, localBatch, cfg.Spec.PerSampleBytes, batches, 1, readerQueueDepth)
 	}
 }
 

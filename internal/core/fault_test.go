@@ -34,12 +34,10 @@ func TestConfigNormalizeRejectsNonsense(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"negative queue depth", func(c *Config) { c.QueueDepth = -2 }},
 		{"negative nodes", func(c *Config) { c.Nodes = -1 }},
 		{"negative gpus/node", func(c *Config) { c.GPUsPerNode = -4 }},
 		{"negative bucket bytes", func(c *Config) { c.BucketBytes = -1 }},
 		{"negative snapshot interval", func(c *Config) { c.SnapshotEvery = -3 }},
-		{"negative device memory", func(c *Config) { c.DeviceMemory = -1 }},
 		{"negative fault timeout", func(c *Config) { c.FaultTimeout = -sim.Millisecond }},
 		{"negative start iteration", func(c *Config) { c.StartIteration = -1 }},
 		{"start beyond end", func(c *Config) { c.StartIteration = 99 }},

@@ -127,6 +127,11 @@ func (st *runState) initLastGood() {
 // revokes the communicator and unwinds with Revoked, so the params are
 // never stepped with poisoned gradients — micro-rollback only ever has
 // to heal the parameter copy itself.
+// divergeFactor is the watchdog's divergence trip ratio: a loss (or
+// squared gradient norm) more than this factor above its running EWMA
+// is treated as corruption — far above any healthy excursion.
+const divergeFactor = 1e6
+
 func (st *runState) integrityCheck(w *workload, it int) bool {
 	if st.integ == nil || !w.real() {
 		return true
@@ -142,10 +147,10 @@ func (st *runState) integrityCheck(w *workload, it int) bool {
 	healthy := !math.IsNaN(loss) && !math.IsInf(loss, 0) &&
 		!math.IsNaN(norm2) && !math.IsInf(norm2, 0) &&
 		st.paramsHealthy(w)
-	if healthy && st.lossEWMA > 0 && loss > st.lossEWMA*st.cfg.DivergeFactor {
+	if healthy && st.lossEWMA > 0 && loss > st.lossEWMA*divergeFactor {
 		healthy = false
 	}
-	if healthy && st.normEWMA > 0 && norm2 > st.normEWMA*st.cfg.DivergeFactor {
+	if healthy && st.normEWMA > 0 && norm2 > st.normEWMA*divergeFactor {
 		healthy = false
 	}
 	if healthy {

@@ -37,7 +37,6 @@ func TestIntegrityValidation(t *testing.T) {
 			c.Integrity = IntegrityDetect
 		}},
 		{"negative retransmit budget", func(c *Config) { c.RetransmitBudget = -1 }},
-		{"negative diverge factor", func(c *Config) { c.DivergeFactor = -2 }},
 	}
 	for _, tc := range cases {
 		cfg := timingConfig(spec, 4, 16, 2)

@@ -276,7 +276,7 @@ func (st *runState) buildCatchup() {
 		for st.acked < len(st.lastAdmitted) {
 			id := st.lastAdmitted[st.acked]
 			if st.acked++; id != x.R.ID {
-				return x.R.IjoinAckRecv(st.comm, st.comm.GroupRank(id), tagJoinAck, ack)
+				return x.R.Irecv(st.comm, st.comm.GroupRank(id), tagJoinAck, ack)
 			}
 		}
 		return nil
@@ -305,7 +305,7 @@ func (st *runState) buildCatchup() {
 		} else {
 			st.postAwait(f, func(x *sched.Ctx) *mpi.Request {
 				if slices.Contains(st.lastAdmitted, x.R.ID) {
-					return x.R.IjoinAck(st.comm, tagJoinAck, ack)
+					return x.R.Isend(st.comm, 0, tagJoinAck, ack, topology.ModeAuto)
 				}
 				return nil
 			})
@@ -570,7 +570,7 @@ func (st *runState) rebuild(round fault.Round) (int, bool) {
 			rd.Stop()
 		}
 		st.readers[id] = data.StartReader(st.k, names[id],
-			stalledSource{inner: st.dataSrc, pl: pl, rank: id}, newLocal, cfg.Spec.PerSampleBytes, -1, 1, cfg.QueueDepth)
+			stalledSource{inner: st.dataSrc, pl: pl, rank: id}, newLocal, cfg.Spec.PerSampleBytes, -1, 1, readerQueueDepth)
 	}
 
 	// Observability: one recovery span per member, one join span per

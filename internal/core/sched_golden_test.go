@@ -167,9 +167,6 @@ func TestNormalizeDefaults(t *testing.T) {
 	if err := cfg.validateAndDefault(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.QueueDepth != 2 {
-		t.Errorf("QueueDepth = %d, want default 2", cfg.QueueDepth)
-	}
 	if cfg.GPUsPerNode != 16 || cfg.Nodes != 2 {
 		t.Errorf("cluster = %dx%d, want 2x16", cfg.Nodes, cfg.GPUsPerNode)
 	}
@@ -186,11 +183,11 @@ func TestNormalizeDefaults(t *testing.T) {
 	}
 
 	// Explicit values survive normalization.
-	cfg2 := Config{Spec: spec, GPUs: 4, GlobalBatch: 8, Iterations: 1, QueueDepth: 7, Nodes: 1, GPUsPerNode: 8}
+	cfg2 := Config{Spec: spec, GPUs: 4, GlobalBatch: 8, Iterations: 1, Nodes: 1, GPUsPerNode: 8}
 	if err := cfg2.validateAndDefault(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg2.QueueDepth != 7 || cfg2.Nodes != 1 || cfg2.GPUsPerNode != 8 {
+	if cfg2.Nodes != 1 || cfg2.GPUsPerNode != 8 {
 		t.Errorf("explicit fields changed: %+v", cfg2)
 	}
 

@@ -41,14 +41,3 @@ func (b Backoff) Step(attempt int) sim.Duration {
 // longest single wait the ladder ever issues, and the cool-down the
 // join desk sleeps after an exhausted retry budget.
 func (b Backoff) Ceiling() sim.Duration { return b.Step(b.MaxShift) }
-
-// Elapsed returns the total virtual time a waiter has ridden out after
-// `attempts` consecutive expired deadlines — the horizon the wire
-// plane's loss escalation is calibrated against.
-func (b Backoff) Elapsed(attempts int) sim.Duration {
-	var total sim.Duration
-	for a := 0; a < attempts; a++ {
-		total += b.Step(a)
-	}
-	return total
-}

@@ -32,19 +32,6 @@ func TestBackoffSteps(t *testing.T) {
 	}
 }
 
-// TestBackoffElapsed pins the cumulative ride-out horizon the wire
-// plane's loss escalation threshold is derived from.
-func TestBackoffElapsed(t *testing.T) {
-	b := Backoff{Quantum: 10 * sim.Millisecond, MaxShift: 4}
-	if got := b.Elapsed(0); got != 0 {
-		t.Errorf("Elapsed(0) = %v, want 0", got)
-	}
-	// 10+20+40+80+160+160 = 470ms after six expired deadlines.
-	if got := b.Elapsed(6); got != 470*sim.Millisecond {
-		t.Errorf("Elapsed(6) = %v, want 470ms", got)
-	}
-}
-
 // TestPlaneTimeoutUsesBackoff pins the plane's deadline ladder to the
 // shared helper: mpi's waitFT and the join desk call pl.Timeout, so
 // this is the single policy both step.

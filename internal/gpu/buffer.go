@@ -39,15 +39,6 @@ func WrapData(data []float32) *Buffer {
 // Elems returns the element count of the buffer.
 func (b *Buffer) Elems() int { return int(b.Bytes / 4) }
 
-// Clone returns a deep copy of the buffer.
-func (b *Buffer) Clone() *Buffer {
-	c := &Buffer{Bytes: b.Bytes}
-	if b.Data != nil {
-		c.Data = append([]float32(nil), b.Data...)
-	}
-	return c
-}
-
 // Slice returns a view of elements [lo, hi) of the buffer. Views share
 // payload storage with the parent.
 func (b *Buffer) Slice(lo, hi int) *Buffer {
@@ -91,13 +82,6 @@ func (b *Buffer) Accumulate(src *Buffer) {
 	}
 	for i, v := range src.Data {
 		b.Data[i] += v
-	}
-}
-
-// Scale multiplies every element by s (used to average gradients).
-func (b *Buffer) Scale(s float32) {
-	for i := range b.Data {
-		b.Data[i] *= s
 	}
 }
 

@@ -2,28 +2,17 @@ package gpu
 
 import "math"
 
-// Incremental FNV-1a over 32-bit words. The integrity plane checksums
-// float payloads wordwise (each float32's bit pattern is one word), so
-// a region sum can be built up chunk by chunk with ChecksumWord and
-// compared against a whole-buffer Checksum without ever materializing
-// a byte view of the data.
+// FNV-1a over 32-bit words. The integrity plane checksums float
+// payloads wordwise (each float32's bit pattern is one word), without
+// ever materializing a byte view of the data.
 const (
 	fnvOffset64 uint64 = 14695981039346656037
 	fnvPrime64  uint64 = 1099511628211
 )
 
-// ChecksumSeed returns the initial hash state (the FNV-1a offset
-// basis). A payload-free region checksums to exactly this value.
-func ChecksumSeed() uint64 { return fnvOffset64 }
-
-// ChecksumWord folds one 32-bit word into the running hash.
-func ChecksumWord(h uint64, w uint32) uint64 {
-	return (h ^ uint64(w)) * fnvPrime64
-}
-
 // Checksum hashes the buffer's whole payload. Buffers without backing
 // data (timing-mode transfers model bytes, not values) return the
-// seed, so checksum bookkeeping stays mode-agnostic.
+// FNV-1a offset basis, so checksum bookkeeping stays mode-agnostic.
 func (b *Buffer) Checksum() uint64 {
 	return b.RegionChecksum(0, len(b.Data))
 }

@@ -5,28 +5,30 @@ import (
 	"testing"
 )
 
+// fnvFold is a word-at-a-time FNV-1a fold written out independently of
+// RegionChecksum, the oracle the checksums are compared against.
+func fnvFold(h uint64, words []float32) uint64 {
+	for _, v := range words {
+		h = (h ^ uint64(math.Float32bits(v))) * 1099511628211
+	}
+	return h
+}
+
 func TestChecksumIncrementalMatchesRegion(t *testing.T) {
 	b := NewDataBuffer(64)
 	for i := range b.Data {
 		b.Data[i] = float32(i)*0.25 - 3
 	}
-	h := ChecksumSeed()
-	for _, v := range b.Data {
-		h = ChecksumWord(h, math.Float32bits(v))
-	}
+	h := fnvFold(fnvOffset64, b.Data)
 	if got := b.Checksum(); got != h {
 		t.Fatalf("Checksum = %#x, incremental fold = %#x", got, h)
 	}
-	// A split region fold continues from the prefix's state.
-	mid := ChecksumSeed()
-	for _, v := range b.Data[:20] {
-		mid = ChecksumWord(mid, math.Float32bits(v))
-	}
-	for _, v := range b.Data[20:] {
-		mid = ChecksumWord(mid, math.Float32bits(v))
-	}
-	if mid != h {
+	// A split fold continues from the prefix's state.
+	if mid := fnvFold(fnvFold(fnvOffset64, b.Data[:20]), b.Data[20:]); mid != h {
 		t.Fatalf("split fold = %#x, want %#x", mid, h)
+	}
+	if got, want := b.RegionChecksum(20, 50), fnvFold(fnvOffset64, b.Data[20:50]); got != want {
+		t.Fatalf("RegionChecksum(20,50) = %#x, fold = %#x", got, want)
 	}
 }
 
@@ -53,11 +55,11 @@ func TestChecksumDetectsSingleBitFlips(t *testing.T) {
 
 func TestChecksumPayloadFreeBufferIsSeed(t *testing.T) {
 	b := NewBuffer(1 << 20) // timing-mode buffer: bytes, no values
-	if got := b.Checksum(); got != ChecksumSeed() {
-		t.Fatalf("payload-free checksum = %#x, want seed %#x", got, ChecksumSeed())
+	if got := b.Checksum(); got != fnvOffset64 {
+		t.Fatalf("payload-free checksum = %#x, want seed %#x", got, fnvOffset64)
 	}
-	if got := NewDataBuffer(0).Checksum(); got != ChecksumSeed() {
-		t.Fatalf("empty checksum = %#x, want seed %#x", got, ChecksumSeed())
+	if got := NewDataBuffer(0).Checksum(); got != fnvOffset64 {
+		t.Fatalf("empty checksum = %#x, want seed %#x", got, fnvOffset64)
 	}
 }
 

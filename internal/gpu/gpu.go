@@ -1,9 +1,8 @@
 // Package gpu models a CUDA device at the fidelity the S-Caffe
-// co-designs require: device-memory accounting, a compute stream and a
-// communication/reduction stream that run concurrently, a kernel cost
-// model driven by FLOP counts, and device buffers that optionally
-// carry real float32 payloads so reductions can be verified
-// numerically.
+// co-designs require: a compute stream and a communication/reduction
+// stream that run concurrently, a kernel cost model driven by FLOP
+// counts, and device buffers that optionally carry real float32
+// payloads so reductions can be verified numerically.
 package gpu
 
 import (
@@ -25,15 +24,11 @@ type Device struct {
 
 	p        topology.Params
 	slowdown float64 // >1 stretches every kernel (straggler modeling)
-	memUsed  int64
-	memCap   int64
-	launches int64
 }
 
 // NewDevice creates a device of cluster c for topology slot id.
-// K-80-era devices expose 12 GB per GK210.
 func NewDevice(c *topology.Cluster, id topology.DeviceID) *Device {
-	return &Device{K: c.K, ID: id, p: c.P, memCap: 12 << 30}
+	return &Device{K: c.K, ID: id, p: c.P}
 }
 
 // NewDevices creates the devices of cluster c's first n slots in block
@@ -45,9 +40,6 @@ func NewDevices(c *topology.Cluster, n int) []Device {
 	}
 	return devs
 }
-
-// SetMemCapacity overrides the device-memory capacity in bytes.
-func (d *Device) SetMemCapacity(bytes int64) { d.memCap = bytes }
 
 // SetSlowdown stretches every kernel on this device by factor ≥ 1,
 // modeling a persistent straggler (thermal throttling, a shared K-80
@@ -66,15 +58,8 @@ func (d *Device) scale(t sim.Duration) sim.Duration {
 	return t
 }
 
-// MemUsed returns the bytes currently allocated on the device.
-func (d *Device) MemUsed() int64 { return d.memUsed }
-
-// Launches returns the number of kernels launched so far (for tests
-// and utilization reports).
-func (d *Device) Launches() int64 { return d.launches }
-
-// ErrOutOfMemory is returned by Alloc when a buffer does not fit. It
-// reproduces the "solver ran out of memory" missing data points of
+// ErrOutOfMemory reports a solver whose device footprint does not fit.
+// It reproduces the "solver ran out of memory" missing data points of
 // Figure 8.
 type ErrOutOfMemory struct {
 	Dev       topology.DeviceID
@@ -84,23 +69,6 @@ type ErrOutOfMemory struct {
 
 func (e *ErrOutOfMemory) Error() string {
 	return fmt.Sprintf("gpu %v: out of memory: requested %d bytes, %d free", e.Dev, e.Requested, e.Free)
-}
-
-// Alloc reserves bytes of device memory.
-func (d *Device) Alloc(bytes int64) error {
-	if d.memUsed+bytes > d.memCap {
-		return &ErrOutOfMemory{Dev: d.ID, Requested: bytes, Free: d.memCap - d.memUsed}
-	}
-	d.memUsed += bytes
-	return nil
-}
-
-// Free releases bytes of device memory.
-func (d *Device) Free(bytes int64) {
-	d.memUsed -= bytes
-	if d.memUsed < 0 {
-		d.memUsed = 0
-	}
 }
 
 // KernelTime converts a FLOP count into a kernel duration using the
@@ -115,14 +83,12 @@ func (d *Device) KernelTime(flops float64) sim.Duration {
 // LaunchCompute enqueues a kernel of the given FLOP cost on the
 // compute stream no earlier than `at`, returning its span.
 func (d *Device) LaunchCompute(at sim.Time, flops float64) (start, end sim.Time) {
-	d.launches++
 	return d.Compute.Reserve(at, d.scale(d.KernelTime(flops)))
 }
 
 // LaunchReduce enqueues a reduction kernel combining `bytes` of one
 // operand on the comm stream, returning its span.
 func (d *Device) LaunchReduce(at sim.Time, bytes int64) (start, end sim.Time) {
-	d.launches++
 	dur := d.p.KernelLaunch + sim.Duration(float64(bytes)/d.p.GPUReduceBW*float64(sim.Second))
 	return d.Comm.Reserve(at, d.scale(dur))
 }

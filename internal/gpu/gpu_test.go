@@ -1,7 +1,6 @@
 package gpu
 
 import (
-	"errors"
 	"testing"
 	"testing/quick"
 
@@ -13,36 +12,6 @@ func testDevice() (*sim.Kernel, *Device) {
 	k := sim.New()
 	c := topology.New(k, "t", 1, 1, topology.DefaultParams())
 	return k, NewDevice(c, topology.DeviceID{Node: 0, Local: 0})
-}
-
-func TestAllocFree(t *testing.T) {
-	_, d := testDevice()
-	d.SetMemCapacity(100)
-	if err := d.Alloc(60); err != nil {
-		t.Fatal(err)
-	}
-	if d.MemUsed() != 60 {
-		t.Errorf("MemUsed = %d, want 60", d.MemUsed())
-	}
-	err := d.Alloc(50)
-	if err == nil {
-		t.Fatal("expected out-of-memory error")
-	}
-	var oom *ErrOutOfMemory
-	if !errors.As(err, &oom) {
-		t.Fatalf("error type = %T, want *ErrOutOfMemory", err)
-	}
-	if oom.Requested != 50 || oom.Free != 40 {
-		t.Errorf("oom = %+v, want requested=50 free=40", oom)
-	}
-	d.Free(60)
-	if d.MemUsed() != 0 {
-		t.Errorf("MemUsed after free = %d, want 0", d.MemUsed())
-	}
-	d.Free(10) // over-free clamps to zero
-	if d.MemUsed() != 0 {
-		t.Errorf("MemUsed after over-free = %d, want 0", d.MemUsed())
-	}
 }
 
 func TestKernelTimeMonotonic(t *testing.T) {
@@ -62,9 +31,6 @@ func TestComputeStreamSerializes(t *testing.T) {
 	if s2 != e1 {
 		t.Errorf("second kernel started at %v, want back-to-back at %v", s2, e1)
 	}
-	if d.Launches() != 2 {
-		t.Errorf("Launches = %d, want 2", d.Launches())
-	}
 }
 
 func TestCommStreamConcurrentWithCompute(t *testing.T) {
@@ -82,14 +48,8 @@ func TestBufferBasics(t *testing.T) {
 		t.Errorf("buffer geometry: bytes=%d elems=%d", b.Bytes, b.Elems())
 	}
 	b.Fill(2)
-	c := b.Clone()
-	c.Data[0] = 99
-	if b.Data[0] != 2 {
-		t.Error("Clone should not alias the original")
-	}
-	b.Scale(0.5)
-	if b.Data[3] != 1 {
-		t.Errorf("Scale result = %v, want 1", b.Data[3])
+	if b.Data[3] != 2 {
+		t.Errorf("Fill result = %v, want 2", b.Data[3])
 	}
 }
 

@@ -80,9 +80,9 @@ func TestRespawnRankFreshLife(t *testing.T) {
 	}
 }
 
-// TestJoinAckHandshake pins the join handshake pair: the joiner's
-// IjoinAck must match the root's IjoinAckRecv, and both requests reach
-// Wait.
+// TestJoinAckHandshake pins the join handshake pair core's catch-up
+// posts: the joiner's Isend to group rank 0 must match the root's Irecv
+// from the joiner, and both requests reach Wait.
 func TestJoinAckHandshake(t *testing.T) {
 	w := newWorld(t, 2, 1, 2)
 	c := w.WorldComm()
@@ -90,10 +90,10 @@ func TestJoinAckHandshake(t *testing.T) {
 	_, err := w.Run(func(r *Rank) {
 		if r.ID == 0 {
 			buf := gpu.NewDataBuffer(1)
-			r.Wait(r.IjoinAckRecv(c, 1, 42, buf))
+			r.Wait(r.Irecv(c, 1, 42, buf))
 			rootSaw = buf.Data[0]
 		} else {
-			r.Wait(r.IjoinAck(c, 42, gpu.WrapData([]float32{3})))
+			r.Wait(r.Isend(c, 0, 42, gpu.WrapData([]float32{3}), topology.ModeAuto))
 		}
 	})
 	if err != nil {

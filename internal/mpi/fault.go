@@ -1,10 +1,6 @@
 package mpi
 
-import (
-	"scaffe/internal/gpu"
-	"scaffe/internal/sim"
-	"scaffe/internal/topology"
-)
+import "scaffe/internal/sim"
 
 // ULFM-style fault tolerance: every world carries a fault plane
 // (World.Fault), and every wait runs in the deadline slices of its
@@ -136,20 +132,4 @@ func (r *Rank) KillAll() {
 func (w *World) EpochComm(members []int) *Comm {
 	w.bumpEpoch()
 	return w.newComm(append([]int(nil), members...))
-}
-
-// IjoinAck is the joining rank's half of the post-admission handshake:
-// a non-blocking send of its greeting to the root of the grown
-// communicator, confirming the joiner reached the new epoch before the
-// catch-up broadcast starts. Like every non-blocking operation the
-// returned request must reach Wait.
-func (r *Rank) IjoinAck(c *Comm, tag int, buf *gpu.Buffer) *Request {
-	return r.Isend(c, 0, tag, buf, topology.ModeAuto)
-}
-
-// IjoinAckRecv is the root's half of the post-admission handshake: the
-// matching non-blocking receive for one admitted rank's IjoinAck. The
-// returned request must reach Wait.
-func (r *Rank) IjoinAckRecv(c *Comm, from, tag int, buf *gpu.Buffer) *Request {
-	return r.Irecv(c, from, tag, buf)
 }

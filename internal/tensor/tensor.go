@@ -52,18 +52,6 @@ func (t *Tensor) Len() int {
 	return n
 }
 
-// Dim returns the i-th dimension.
-func (t *Tensor) Dim(i int) int { return t.Dims[i] }
-
-// Reshape returns a view with a new shape of equal length.
-func (t *Tensor) Reshape(dims ...int) *Tensor {
-	v := &Tensor{Dims: append([]int(nil), dims...), Data: t.Data}
-	if v.Len() != t.Len() {
-		panic(fmt.Sprintf("tensor: reshape %v -> %v changes length", t.Dims, dims))
-	}
-	return v
-}
-
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
 	return &Tensor{Dims: append([]int(nil), t.Dims...), Data: append([]float32(nil), t.Data...)}
@@ -91,36 +79,6 @@ func (t *Tensor) CopyFrom(src *Tensor) {
 	copy(t.Data, src.Data)
 }
 
-// SameShape reports whether two tensors have identical dims.
-func (t *Tensor) SameShape(o *Tensor) bool {
-	if len(t.Dims) != len(o.Dims) {
-		return false
-	}
-	for i := range t.Dims {
-		if t.Dims[i] != o.Dims[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Axpy computes t += alpha * x.
-func (t *Tensor) Axpy(alpha float32, x *Tensor) {
-	if len(t.Data) != len(x.Data) {
-		panic("tensor: Axpy length mismatch")
-	}
-	for i, v := range x.Data {
-		t.Data[i] += float32(alpha * v)
-	}
-}
-
-// Scale multiplies all elements by alpha.
-func (t *Tensor) Scale(alpha float32) {
-	for i := range t.Data {
-		t.Data[i] *= alpha
-	}
-}
-
 // MaxAbsDiff returns the largest absolute element-wise difference
 // between two equal-length tensors (test helper for numerics).
 func MaxAbsDiff(a, b *Tensor) float64 {
@@ -134,13 +92,6 @@ func MaxAbsDiff(a, b *Tensor) float64 {
 		}
 	}
 	return m
-}
-
-// GaussianInit fills t with N(0, std) samples from rng.
-func (t *Tensor) GaussianInit(rng *rand.Rand, std float64) {
-	for i := range t.Data {
-		t.Data[i] = float32(rng.NormFloat64() * std)
-	}
 }
 
 // XavierInit fills t with the Caffe "xavier" filler: uniform in

@@ -7,22 +7,11 @@ import (
 	"testing/quick"
 )
 
-func TestNewAndReshape(t *testing.T) {
+func TestNewGeometry(t *testing.T) {
 	a := New(2, 3, 4)
-	if a.Len() != 24 || a.Dim(1) != 3 {
-		t.Fatalf("bad geometry: len=%d dim1=%d", a.Len(), a.Dim(1))
+	if a.Len() != 24 || len(a.Data) != 24 || a.Dims[1] != 3 {
+		t.Fatalf("bad geometry: len=%d data=%d dims=%v", a.Len(), len(a.Data), a.Dims)
 	}
-	b := a.Reshape(6, 4)
-	b.Data[0] = 5
-	if a.Data[0] != 5 {
-		t.Error("Reshape must alias data")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("reshape to wrong length must panic")
-		}
-	}()
-	a.Reshape(5, 5)
 }
 
 func TestCloneZeroFill(t *testing.T) {
@@ -32,28 +21,6 @@ func TestCloneZeroFill(t *testing.T) {
 	a.Zero()
 	if c.Data[2] != 3 || a.Data[2] != 0 {
 		t.Error("Clone/Zero interaction wrong")
-	}
-}
-
-func TestAxpyScale(t *testing.T) {
-	a := FromSlice([]float32{1, 2}, 2)
-	b := FromSlice([]float32{10, 20}, 2)
-	a.Axpy(0.5, b)
-	if a.Data[0] != 6 || a.Data[1] != 12 {
-		t.Errorf("Axpy = %v", a.Data)
-	}
-	a.Scale(2)
-	if a.Data[0] != 12 {
-		t.Errorf("Scale = %v", a.Data)
-	}
-}
-
-func TestSameShape(t *testing.T) {
-	if !New(2, 3).SameShape(New(2, 3)) {
-		t.Error("equal shapes reported different")
-	}
-	if New(2, 3).SameShape(New(3, 2)) || New(2).SameShape(New(2, 1)) {
-		t.Error("different shapes reported equal")
 	}
 }
 
@@ -335,18 +302,6 @@ func TestMaxAbsDiff(t *testing.T) {
 
 func TestInitializers(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	a := New(10000)
-	a.GaussianInit(rng, 0.1)
-	var mean, sq float64
-	for _, v := range a.Data {
-		mean += float64(v)
-		sq += float64(v) * float64(v)
-	}
-	mean /= float64(a.Len())
-	std := math.Sqrt(sq/float64(a.Len()) - mean*mean)
-	if math.Abs(mean) > 0.01 || math.Abs(std-0.1) > 0.01 {
-		t.Errorf("gaussian init: mean=%v std=%v", mean, std)
-	}
 	b := New(10000)
 	b.XavierInit(rng, 300)
 	lim := math.Sqrt(3.0 / 300)
@@ -369,7 +324,6 @@ func TestConstructorPanics(t *testing.T) {
 	check("New with zero dim", func() { New(3, 0) })
 	check("FromSlice length mismatch", func() { FromSlice([]float32{1, 2}, 3) })
 	check("CopyFrom mismatch", func() { New(2).CopyFrom(New(3)) })
-	check("Axpy mismatch", func() { New(2).Axpy(1, New(3)) })
 	check("MaxAbsDiff mismatch", func() { MaxAbsDiff(New(2), New(3)) })
 	check("Gemm small C", func() {
 		Gemm(false, false, 2, 2, 2, 1, make([]float32, 4), make([]float32, 4), 0, make([]float32, 3))

@@ -213,9 +213,6 @@ func New(k *sim.Kernel, name string, nodes, gpusPerNode int, p Params) *Cluster 
 // Name returns the cluster's configured name.
 func (c *Cluster) Name() string { return c.name }
 
-// NumNodes returns the number of hosts.
-func (c *Cluster) NumNodes() int { return len(c.Nodes) }
-
 // GPUsPerNode returns the number of CUDA devices per host.
 func (c *Cluster) GPUsPerNode() int { return c.perNode }
 
@@ -231,22 +228,4 @@ func (c *Cluster) DeviceForRank(rank int) DeviceID {
 		panic(fmt.Sprintf("topology: rank %d out of range (cluster has %d GPUs)", rank, c.TotalGPUs()))
 	}
 	return DeviceID{Node: rank / c.perNode, Local: rank % c.perNode}
-}
-
-// SameNode reports whether two devices share a host.
-func (c *Cluster) SameNode(a, b DeviceID) bool { return a.Node == b.Node }
-
-// KeschClusterA returns the paper's Cluster-A model: a Cray CS-Storm
-// style dense system, 12 nodes × 16 CUDA devices (8 dual-GPU K-80
-// cards), Connect-IB.
-func KeschClusterA(k *sim.Kernel) *Cluster {
-	return New(k, "Cluster-A (CS-Storm, 12x16 K-80, Connect-IB)", 12, 16, DefaultParams())
-}
-
-// ClusterB returns the paper's Cluster-B model: 20 nodes with one K-80
-// card (2 CUDA devices) each, EDR InfiniBand.
-func ClusterB(k *sim.Kernel) *Cluster {
-	p := DefaultParams()
-	p.IBBW = 11e9 // single EDR port
-	return New(k, "Cluster-B (20x2 K-80, EDR)", 20, 2, p)
 }

@@ -8,15 +8,17 @@ import (
 
 func TestClusterPresets(t *testing.T) {
 	k := sim.New()
-	a := KeschClusterA(k)
-	if a.NumNodes() != 12 || a.GPUsPerNode() != 16 || a.TotalGPUs() != 192 {
+	// Cluster-A: 12 CS-Storm nodes of 16 K-80 devices.
+	a := New(k, "Cluster-A", 12, 16, DefaultParams())
+	if len(a.Nodes) != 12 || a.GPUsPerNode() != 16 || a.TotalGPUs() != 192 {
 		t.Errorf("Cluster-A dims = %d nodes x %d GPUs (%d total), want 12x16=192",
-			a.NumNodes(), a.GPUsPerNode(), a.TotalGPUs())
+			len(a.Nodes), a.GPUsPerNode(), a.TotalGPUs())
 	}
-	b := ClusterB(k)
-	if b.NumNodes() != 20 || b.GPUsPerNode() != 2 || b.TotalGPUs() != 40 {
+	// Cluster-B: 20 nodes of one K-80 card (2 devices).
+	b := New(k, "Cluster-B", 20, 2, DefaultParams())
+	if len(b.Nodes) != 20 || b.GPUsPerNode() != 2 || b.TotalGPUs() != 40 {
 		t.Errorf("Cluster-B dims = %d nodes x %d GPUs (%d total), want 20x2=40",
-			b.NumNodes(), b.GPUsPerNode(), b.TotalGPUs())
+			len(b.Nodes), b.GPUsPerNode(), b.TotalGPUs())
 	}
 }
 
@@ -45,17 +47,6 @@ func TestDeviceForRankOutOfRange(t *testing.T) {
 	}()
 	k := sim.New()
 	New(k, "t", 1, 2, DefaultParams()).DeviceForRank(2)
-}
-
-func TestSameNode(t *testing.T) {
-	k := sim.New()
-	c := New(k, "t", 2, 2, DefaultParams())
-	if !c.SameNode(DeviceID{0, 0}, DeviceID{0, 1}) {
-		t.Error("devices on node 0 should be same-node")
-	}
-	if c.SameNode(DeviceID{0, 0}, DeviceID{1, 0}) {
-		t.Error("devices on different nodes should not be same-node")
-	}
 }
 
 func TestTransferScalesWithSize(t *testing.T) {

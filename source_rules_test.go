@@ -118,7 +118,7 @@ func TestSourceRules(t *testing.T) {
 			}
 		}
 	}
-	for _, name := range []string{"Isend", "Irecv", "IjoinAck", "IrecvSummed", "Reduce", "Allreduce", "addReduce"} {
+	for _, name := range []string{"Isend", "Irecv", "IrecvSummed", "Reduce", "Allreduce", "addReduce"} {
 		if len(tagParams[name]) == 0 {
 			t.Errorf("found no tag parameter of %s", name)
 		}
