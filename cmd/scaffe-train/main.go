@@ -227,8 +227,8 @@ func main() {
 				row.Phases["aggregation"], row.Comm, row.OverlapPct)
 		}
 		rs := res.Resumes
-		fmt.Printf("kernel resumes: %d goroutine switches, %d inline steps, %d finishes, %d self-continues, %d stale wakes\n",
-			rs.Switches, rs.Steps, rs.Finishes, rs.SelfContinues, rs.StaleWakes)
+		fmt.Printf("kernel resumes: %d goroutine switches, %d inline steps, %d finishes, %d stale wakes\n",
+			rs.Switches, rs.Steps, rs.Finishes, rs.StaleWakes)
 		fmt.Printf("host cost: %.1f MB allocated in %d objects, %d GC cycles\n",
 			float64(after.TotalAlloc-before.TotalAlloc)/1e6, after.Mallocs-before.Mallocs, after.NumGC-before.NumGC)
 	}

@@ -72,7 +72,7 @@ func TestLatencyDriversMakeNoGoroutine(t *testing.T) {
 			if err != nil || lat <= 0 {
 				t.Fatalf("latency %v, error %v", lat, err)
 			}
-			if r := w.K.Resumes(); r.Switches != 0 || r.SelfContinues != 0 || r.Steps != tc.resumes-160 {
+			if r := w.K.Resumes(); r.Switches != 0 || r.Steps != tc.resumes-160 {
 				t.Errorf("resumes %+v, want %d steps and no switch", r, tc.resumes-160)
 			}
 			if end := w.K.Now(); end != tc.end {

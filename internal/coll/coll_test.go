@@ -7,6 +7,7 @@ import (
 
 	"scaffe/internal/gpu"
 	"scaffe/internal/mpi"
+	"scaffe/internal/sched"
 	"scaffe/internal/sim"
 	"scaffe/internal/topology"
 )
@@ -570,35 +571,46 @@ func TestRabenseifnerBandwidthAdvantage(t *testing.T) {
 	}
 }
 
-// TestEveryReducerRunsAsSteps: every family's waits are steps on the
-// event loop, so a rank's call costs at most one goroutine switch — its
-// return from RunSteps — at any size, checksums armed or not (a
-// mismatch's retransmission would add one more). A return finds the rank
-// driving the loop itself now and then, a self-continue rather than a
-// switch, so the two are counted together.
+// fragmenter is a reducer family as the fragment it splices for a rank.
+type fragmenter interface {
+	Fragment(r *mpi.Rank, buf *gpu.Buffer) *sched.Plan
+}
+
+// TestEveryReducerRunsAsSteps: every family's fragment, spliced into a
+// plan that a rank with no goroutine walks (mpi.World.RunSteps,
+// sched.Walk.Start), makes no coroutine switch at any size, checksums
+// armed or not: each of its waits is a step on the event loop.
 func TestEveryReducerRunsAsSteps(t *testing.T) {
-	for _, f := range families() {
+	type family struct {
+		name  string
+		build func(c *mpi.Comm) fragmenter
+	}
+	fams := []family{{"ring", func(c *mpi.Comm) fragmenter { return NewRing(c, DefaultOptions()) }}}
+	for a := Algorithm(0); a.String() != "unknown"; a++ {
+		fams = append(fams, family{a.String(), func(c *mpi.Comm) fragmenter { return NewReducer(c, a, DefaultOptions()) }})
+	}
+	const calls = 4
+	for _, f := range fams {
 		for _, p := range []int{2, 13, 160} {
 			for _, armed := range []bool{false, true} {
-				switches := func(calls int) uint64 {
-					w := newWorld(t, (p+3)/4, 4, p)
-					if armed {
-						w.Integrity = &mpi.Integrity{Mode: mpi.IntegrityRecover, RetryBudget: 2}
-					}
-					call := f.call(w.WorldComm(), DefaultOptions())
-					if _, err := w.Run(func(r *mpi.Rank) {
-						buf := gpu.NewDataBuffer(1 << 12)
-						for i := 0; i < calls; i++ {
-							call(r, buf)
-						}
-					}); err != nil {
-						t.Fatal(err)
-					}
-					res := w.K.Resumes()
-					return res.Switches + res.SelfContinues
+				w := newWorld(t, (p+3)/4, 4, p)
+				if armed {
+					w.Integrity = &mpi.Integrity{Mode: mpi.IntegrityRecover, RetryBudget: 2}
 				}
-				if per := float64(switches(4)-switches(2)) / float64(2*p); per > 1 {
-					t.Errorf("%s P=%d armed=%v: %.2f goroutine switches per rank per call, want at most 1", f.name, p, armed, per)
+				red := f.build(w.WorldComm())
+				pl := sched.NewPlan()
+				pl.AddSplice(sched.Reduce, "", "", func(x *sched.Ctx) (*sched.Plan, *gpu.Buffer, int) {
+					return red.Fragment(x.R, x.Buf), x.Buf, x.Tag
+				})
+				pl.Seal()
+				walks := make([]sched.Walk, p)
+				if _, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
+					return walks[r.ID].Start(r, pl, gpu.NewDataBuffer(1<<12), 10, calls)
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if r := w.K.Resumes(); r.Switches != 0 || r.Steps < calls {
+					t.Errorf("%s P=%d armed=%v: resumes %+v, want steps and no switch", f.name, p, armed, r)
 				}
 			}
 		}

@@ -603,9 +603,11 @@ type Result struct {
 	PCIeUtilization float64
 
 	// Resumes counts how the event kernel delivered the run's proc
-	// resumes: only Switches cost a goroutine switch. It describes the
-	// simulation's host-side work, not its virtual outcome: an armed
-	// fault plane's deadline expiries show up here and nowhere else.
+	// resumes: a training run's procs have no goroutine, so each is a
+	// step or a finish, and Switches (into a Spawn proc's coroutine)
+	// reads 0. It describes the simulation's host-side work, not its
+	// virtual outcome: an armed fault plane's deadline expiries show up
+	// here and nowhere else.
 	Resumes sim.Resumes
 }
 

@@ -51,7 +51,7 @@ func TestTrainingRunMakesNoGoroutine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", pr.name, err)
 		}
-		if rs := res.Resumes; rs.Switches != 0 || rs.SelfContinues != 0 || rs.Steps == 0 {
+		if rs := res.Resumes; rs.Switches != 0 || rs.Steps == 0 {
 			t.Errorf("%s: resumes %+v, want every one a step or a finish", pr.name, rs)
 		}
 		if cfg.RealNet == nil && during != before {

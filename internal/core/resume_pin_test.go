@@ -79,9 +79,8 @@ func pinRuns(t *testing.T) []pinRun {
 }
 
 // designPins are the pinned runs' end times and the resumes their procs
-// took, Result.Resumes' Steps + Switches + SelfContinues, recorded while
-// every rank, helper lane and data reader of a run still had a
-// goroutine.
+// took (resumed), recorded while every rank, helper lane and data reader
+// of a run still had a goroutine.
 var designPins = []struct {
 	total   sim.Time
 	resumes uint64
@@ -107,7 +106,7 @@ var designPins = []struct {
 // resumed is the resume count a run is pinned by. With no goroutine a
 // proc's last resume — its step reporting done, or its kill — is no step
 // but a finish, so the steps are the pinned count less the procs.
-func resumed(r sim.Resumes) uint64 { return r.Steps + r.Switches + r.SelfContinues + r.Finishes }
+func resumed(r sim.Resumes) uint64 { return r.Steps + r.Switches + r.Finishes }
 
 // TestDesignRunsPinned holds every design's small run, fault-free and
 // armed-untripped, and three tripping schedules, to the end time and

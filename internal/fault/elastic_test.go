@@ -117,7 +117,7 @@ func runJoinDesk(t *testing.T, retries int, open sim.Time) (*Report, []int) {
 	t.Helper()
 	k := sim.New()
 	pl := NewPlane(k, 4, sim.Millisecond)
-	pl.SetJoinRetries(retries)
+	pl.joinBudget = retries
 	pl.OnRebuild(func(Round) (int, bool) { return 0, false })
 	ap := &elasticApplier{k: k, pl: pl}
 	pl.Arm(Schedule{

@@ -197,6 +197,7 @@ type Plane struct {
 
 	// parked wakes the ranks waiting in PollRecovery, admitDone the
 	// joiners a round admits; round is what a release hands the hook.
+	// joinBudget is DefaultJoinRetries; the join desk's tests set others.
 	parked     *sim.Completion
 	round      Round
 	admitDone  *sim.Completion
@@ -257,14 +258,6 @@ func (pl *Plane) SetQuantum(quantum sim.Duration) {
 // final commit, after which finished ranks depart. Re-set after every
 // rebuild — the root can move when the world shrinks.
 func (pl *Plane) SetRoot(rank int) { pl.rootRank = rank }
-
-// SetJoinRetries overrides the per-announce admission-wait budget
-// (zero or negative keeps DefaultJoinRetries).
-func (pl *Plane) SetJoinRetries(n int) {
-	if n > 0 {
-		pl.joinBudget = n
-	}
-}
 
 // Arm schedules every event of the script on the kernel. Call it
 // after the world's ranks are spawned and before the kernel runs.

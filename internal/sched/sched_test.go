@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"scaffe/internal/gpu"
 	"scaffe/internal/mpi"
@@ -89,13 +88,12 @@ func TestLaneZeroRunsInInsertionOrder(t *testing.T) {
 // TestTimedNodeMatchesBlockingAction: a node added with AddTimed is the
 // blocking code "work; Sleep(d)" — here a rank's main proc and a
 // helper thread of its own, joined through a completion — in everything
-// but who waits: same order, same spans, same end time. Its waits are
-// steps, not goroutine switches.
+// but who waits: same order, same spans, same end time.
 func TestTimedNodeMatchesBlockingAction(t *testing.T) {
 	const layers = 20
 	phases := []string{"forward", "backward"} // lane 0, then the helper
 	dur := func(r *mpi.Rank, l, lane int) sim.Duration { return sim.Duration(3*l + lane + r.ID + 1) }
-	run := func(timed bool) ([]spanRec, sim.Time, sim.Resumes) {
+	run := func(timed bool) ([]spanRec, sim.Time) {
 		w := newWorld(2)
 		tracers := make([]recTracer, 2)
 		_, err := w.Run(func(r *mpi.Rank) {
@@ -138,19 +136,16 @@ func TestTimedNodeMatchesBlockingAction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return append(tracers[0].spans, tracers[1].spans...), w.K.Now(), w.K.Resumes()
+		return append(tracers[0].spans, tracers[1].spans...), w.K.Now()
 	}
-	wantSpans, wantEnd, blocking := run(false)
-	gotSpans, gotEnd, stepped := run(true)
+	wantSpans, wantEnd := run(false)
+	gotSpans, gotEnd := run(true)
 	if len(wantSpans) < 4*layers {
 		t.Fatalf("blocking graphs emitted %d spans", len(wantSpans))
 	}
 	if gotEnd != wantEnd || !reflect.DeepEqual(gotSpans, wantSpans) {
 		t.Errorf("timed nodes ended at %v with %d spans, blocking actions at %v with %d; first difference at span %d",
 			gotEnd, len(gotSpans), wantEnd, len(wantSpans), firstDiff(gotSpans, wantSpans))
-	}
-	if blocking.Switches < 4*layers || stepped.Switches > 12 {
-		t.Errorf("switches: blocking %+v, timed %+v; want one per layer and lane against a handful", blocking, stepped)
 	}
 }
 
@@ -610,8 +605,7 @@ func TestExecuteAfterRevokedUnwindStartsClean(t *testing.T) {
 }
 
 // TestHelperLaneThreadPersists: a helper lane runs on one proc for the
-// life of its instance, idle between executions and woken by the next,
-// so an iteration whose nodes are all steps takes no goroutine switch.
+// life of its instance, idle between executions and woken by the next.
 // A proc killed while idle, or unwound mid-lane by a revocation, is
 // replaced by a fresh one at the next Execute. A run that ends with the
 // lane idle retires it: no deadlock, and no goroutine outlives Run.
@@ -620,7 +614,6 @@ func TestHelperLaneThreadPersists(t *testing.T) {
 	before := runtime.NumGoroutine()
 	w := newWorld(1)
 	var procs []*sim.Proc
-	var switches []uint64
 	_, err := w.Run(func(r *mpi.Rank) {
 		g := New(r)
 		helper := g.Lane("helper")
@@ -641,12 +634,10 @@ func TestHelperLaneThreadPersists(t *testing.T) {
 		})
 		g.plan.AddTimed(0, Update, "update", "update", func(x *Ctx) sim.Time { return x.P.Now() + 1 }).After(bwd)
 		for it := 0; it < iters; it++ {
-			sw := w.K.Resumes().Switches
 			if unwound := executeUnlessRevoked(g, it); unwound != (it == trip) {
 				t.Fatalf("iteration %d: Execute unwound = %v", it, unwound)
 			}
 			procs = append(procs, g.lanes[helper].ctx.P)
-			switches = append(switches, w.K.Resumes().Switches-sw)
 			if it == killIdleAfter {
 				r.KillThreads()
 			}
@@ -655,27 +646,16 @@ func TestHelperLaneThreadPersists(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	t.Logf("goroutine switches per iteration: %v", switches)
 	for it := 1; it < iters; it++ {
 		fresh := it == killIdleAfter+1 || it == trip+1
 		if (procs[it] != procs[it-1]) != fresh {
 			t.Errorf("iteration %d ran the helper lane on proc %p, the one before on %p; want a fresh proc: %v", it, procs[it], procs[it-1], fresh)
 		}
 	}
-	for _, it := range []int{1, 2, killIdleAfter + 2, iters - 1} {
-		if switches[it] != 0 {
-			t.Errorf("iteration %d took %d goroutine switches, want none (all switches: %v)", it, switches[it], switches)
-		}
-	}
 	for _, p := range procs {
 		if !p.Finished() {
 			t.Errorf("helper proc %q outlived the run", p.Name())
 		}
-	}
-	// A finished proc's goroutine returns right after handing the baton
-	// on; give the last ones a moment to exit.
-	for i := 0; runtime.NumGoroutine() > before && i < 100; i++ {
-		time.Sleep(time.Millisecond)
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("%d goroutines after Run, %d before", n, before)

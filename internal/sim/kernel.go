@@ -1,9 +1,11 @@
 // Package sim implements a deterministic discrete-event simulation
 // kernel. Simulated processes ("procs") are steppers with no goroutine
-// (SpawnSteps), or goroutines that run cooperatively (Spawn): exactly
-// one proc (or the kernel itself) executes at a time. Events are
-// ordered by (virtual time, sequence number), so a simulation with a
-// fixed set of inputs is bit-for-bit reproducible across runs.
+// (SpawnSteps), or coroutines (Spawn) that the event loop switches into
+// and that switch back when they wait: the loop runs on the goroutine
+// that called Run, and exactly one proc (or the kernel itself) executes
+// at a time. Events are ordered by (virtual time, sequence number), so a
+// simulation with a fixed set of inputs is bit-for-bit reproducible
+// across runs.
 //
 // The kernel carries virtual time only; wall-clock time spent in Go
 // code inside a proc is invisible to the simulation. A proc advances
@@ -13,7 +15,7 @@ package sim
 
 import (
 	"fmt"
-	"runtime/debug"
+	"iter"
 	"sort"
 )
 
@@ -77,11 +79,6 @@ type Kernel struct {
 	failure  error
 	compPool []*Completion
 
-	// home returns the baton to the Run goroutine when the event loop —
-	// which migrates across proc goroutines (see loopFrom) — reaches a
-	// terminal state on one of them.
-	home chan struct{}
-
 	resumes Resumes
 
 	// tracePop, when set (tests), sees every event the loop pops.
@@ -89,22 +86,19 @@ type Kernel struct {
 }
 
 // Resumes counts how the event loop delivered proc resumes, by kind. It
-// is the scoreboard of the handoff cost: only Switches pay for a
-// goroutine switch.
+// is the scoreboard of the handoff cost: only Switches leave the event
+// loop's stack.
 type Resumes struct {
-	// Switches are resumes handed to another goroutine over its wake
-	// channel.
+	// Switches are resumes of a Spawn proc: a switch into its coroutine,
+	// which runs until it waits again (a step under RunSteps included)
+	// or returns.
 	Switches uint64
-	// Steps are resumes run inline as a Stepper call on whichever
-	// goroutine was driving the loop (see Proc.RunSteps), but for the
-	// ones Finishes counts.
+	// Steps are resumes run inline on the event loop as a step of a proc
+	// with no goroutine (SpawnSteps), but for the ones Finishes counts.
 	Steps uint64
-	// Finishes are the resumes that finished a proc with no goroutine
-	// (SpawnSteps): its step reported done, or it was killed.
+	// Finishes are the resumes that finished a proc with no goroutine:
+	// its step reported done, or it was killed.
 	Finishes uint64
-	// SelfContinues are resumes of the proc that was driving the loop
-	// itself: it just keeps running.
-	SelfContinues uint64
 	// StaleWakes are resumes that dissolved: a completion's wake for a
 	// wait the proc had timed out of, and deadline timers that found
 	// their proc no longer in a wait with a deadline, or finished, or
@@ -195,52 +189,17 @@ func (k *Kernel) popEvent() event {
 // pending returns the number of queued events.
 func (k *Kernel) pending() int { return k.nowQ.len() + k.cal.count }
 
-// loopState is loopFrom's verdict on where control went.
-type loopState int
-
-const (
-	// loopHanded: the baton was handed to another proc via its wake
-	// channel; the caller must block (or, for a finishing proc, exit).
-	loopHanded loopState = iota
-	// loopSelf: the next event resumes the calling proc itself; no
-	// channel round-trip is needed — the caller just keeps running.
-	loopSelf
-	// loopTerminal: no events remain, Stop was called, the deadline
-	// passed, or a failure was recorded. The caller must return the
-	// baton to the Run goroutine (k.home) unless it is the Run
-	// goroutine.
-	loopTerminal
-)
-
-// loopFrom runs the event loop on the current goroutine until control
-// is handed off or the simulation terminates. The loop migrates: when
-// an event resumes a proc, the loop stops here and continues inside
-// that proc's goroutine the next time it parks — a parking proc calls
-// loopFrom itself instead of yielding to a central scheduler, halving
-// the goroutine switches per segment. self is the calling proc (nil
-// when called from Run or a finishing proc) and enables the zero-switch
-// fast path when the next event resumes the caller.
-//
-// A resume of a proc parked in RunSteps does not leave the loop at all:
-// its step runs right here, and only a step that reports done hands the
-// baton to the proc's goroutine.
-//
-// Exactly one goroutine executes loopFrom at any moment — control
-// passes through an unbroken chain of channel operations — so kernel
-// state needs no locking and event order is identical to the classic
-// central loop.
-func (k *Kernel) loopFrom(self *Proc) loopState {
-	for {
-		if k.stopped || k.failure != nil {
-			return loopTerminal
-		}
-		if k.nowQ.len() == 0 && k.cal.count == 0 {
-			return loopTerminal
-		}
+// loop runs events until none remain, Stop is called, the deadline
+// passes, or a failure is recorded. It runs on the goroutine that called
+// Run: a resume of a Spawn proc switches into the proc's coroutine, which
+// switches back here when it waits again or returns, so exactly one stack
+// runs at any moment and kernel state needs no locking.
+func (k *Kernel) loop() {
+	for !k.stopped && k.failure == nil && k.pending() > 0 {
 		ev := k.popEvent()
 		if ev.at > k.maxTime {
 			k.failure = fmt.Errorf("sim: deadline exceeded at %v (deadline %v)", ev.at, k.maxTime)
-			return loopTerminal
+			return
 		}
 		k.now = ev.at
 		if k.tracePop != nil {
@@ -248,11 +207,8 @@ func (k *Kernel) loopFrom(self *Proc) loopState {
 		}
 		switch ev.kind {
 		case evResume:
-			if ev.p.finished {
-				continue
-			}
-			if st, left := k.deliver(ev.p, self); left {
-				return st
+			if !ev.p.finished {
+				k.deliver(ev.p)
 			}
 		case evResumeIf:
 			p := ev.p
@@ -261,14 +217,10 @@ func (k *Kernel) loopFrom(self *Proc) loopState {
 				continue // stale wake: the proc timed out or moved on
 			}
 			p.waitArmed = false
-			if st, left := k.deliver(p, self); left {
-				return st
-			}
+			k.deliver(p)
 		case evTimer:
 			if k.fireTimer(ev) {
-				if st, left := k.deliver(ev.p, self); left {
-					return st
-				}
+				k.deliver(ev.p)
 			}
 		case evFunc:
 			k.inHook = true
@@ -282,40 +234,29 @@ func (k *Kernel) loopFrom(self *Proc) loopState {
 	}
 }
 
-// deliver resumes the live parked proc p. While p has a stepper
-// installed the resume is a call to its Step on this goroutine, and the
-// loop goes on (left false) unless the step reports done. Otherwise —
-// and for a killed proc, which is never stepped — control leaves the
-// loop: back into self when p is the proc driving it, over p's wake
-// channel when it is another. A proc with no goroutine (SpawnSteps)
-// finishes there instead — a killed one tells its Unwinder first — and
-// the loop goes on.
-func (k *Kernel) deliver(p, self *Proc) (st loopState, left bool) {
-	if p.stepper != nil {
-		if !p.killed && !k.step(p) {
-			k.resumes.Steps++
-			return 0, false
+// deliver resumes the live parked proc p. A Spawn proc's resume is a
+// switch into its coroutine, which runs until it parks again or returns.
+// A proc with no goroutine (SpawnSteps) runs its next step right here;
+// the step that reports done finishes it, and so does a kill, without a
+// step (an Unwinder hears of it first).
+func (k *Kernel) deliver(p *Proc) {
+	if p.resume != nil {
+		k.resumes.Switches++
+		if _, parked := p.resume(); !parked {
+			p.resume = nil // the proc has returned
 		}
-		s := p.stepper
-		p.stepper = nil
-		if p.wake == nil {
-			if f := p.stepFail; f != nil {
-				k.fail(p, f.rec, f.stack())
-			} else if u, ok := s.(Unwinder); ok && p.killed {
-				u.Unwind(p)
-			}
-			k.resumes.Finishes++
-			k.finish(p)
-			return 0, false
-		}
+		return
 	}
-	if p == self {
-		k.resumes.SelfContinues++
-		return loopSelf, true
+	if !p.killed && !k.step(p) {
+		k.resumes.Steps++
+		return
 	}
-	k.resumes.Switches++
-	p.wake <- struct{}{}
-	return loopHanded, true
+	if u, ok := p.stepper.(Unwinder); ok && p.killed {
+		u.Unwind(p)
+	}
+	p.stepper = nil
+	k.resumes.Finishes++
+	k.finish(p)
 }
 
 // fireTimer handles a popped deadline timer and reports whether it
@@ -352,15 +293,13 @@ func (k *Kernel) fireTimer(ev event) (expired bool) {
 	return false
 }
 
-// step runs one step of p's installed stepper. A panic in it must not
-// unwind the loop — it would take down whichever proc happens to be
-// driving it — so it is kept on p and the step counts as done: a proc
-// with no goroutine fails the run with it, and a goroutine proc's
-// RunSteps raises it again on that goroutine.
+// step runs one step of p's stepper on the event loop. A panic in it
+// must not unwind the loop, and p has no stack of its own for it to go
+// up: it fails the run, naming p, and the step counts as done.
 func (k *Kernel) step(p *Proc) (done bool) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			p.failStep(rec)
+			k.fail(p, rec, panicStack())
 			done = true
 		}
 	}()
@@ -374,15 +313,8 @@ func (k *Kernel) step(p *Proc) (done bool) {
 // It returns an error on deadlock (procs remain parked in a wait with no
 // pending events) or if the deadline set by SetDeadline is exceeded.
 func (k *Kernel) Run() error {
-	if k.home == nil {
-		k.home = make(chan struct{})
-	}
 	for {
-		if k.loopFrom(nil) == loopHanded {
-			// The loop migrated onto proc goroutines; whichever one
-			// reaches a terminal state sends the baton home.
-			<-k.home
-		}
+		k.loop()
 		if k.failure != nil {
 			return k.failure
 		}
@@ -422,36 +354,28 @@ func (k *Kernel) Stop() { k.stopped = true }
 
 // Spawn creates a new simulated process running fn and schedules it to
 // start at the current virtual time. It may be called before Run or
-// from within any proc or event callback.
+// from within any proc or event callback. The proc is a coroutine:
+// every resume switches into it from the event loop, and it switches
+// back when it waits (park) or returns.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := k.newProc(name)
-	p.wake = make(chan struct{})
-	go func() {
+	p.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
 		defer func() {
 			// A panicking proc fails the whole simulation rather than
 			// the process: Run surfaces it as an error. The kill
 			// sentinel is the exception — a killed proc is a normal
 			// (if abrupt) exit.
 			if rec := recover(); rec != nil && rec != (procKilled{}) {
-				if p.stepFail != nil {
-					k.fail(p, rec, p.stepFail.stack()) // the panic happened in a step, not here
-				} else {
-					k.fail(p, rec, string(debug.Stack()))
-				}
+				k.fail(p, rec, panicStack())
 			}
+			p.yield = nil
 			k.finish(p)
-			// The finishing proc owns the baton: keep driving the event
-			// loop here, exactly as park does.
-			if k.loopFrom(nil) == loopTerminal {
-				k.home <- struct{}{}
-			}
 		}()
-		<-p.wake // wait for the kernel to hand us the baton
-		if p.killed {
-			panic(procKilled{})
+		if !p.killed { // killed before its first resume: it never starts
+			p.yield = yield
+			fn(p)
 		}
-		fn(p)
-	}()
+	})
 	k.atResume(k.now, p)
 	return p
 }
@@ -487,6 +411,7 @@ func (k *Kernel) newProc(name string) *Proc {
 }
 
 // fail records p's panic as the run's failure, unless one came first.
+// stack is where it was raised (panicStack).
 func (k *Kernel) fail(p *Proc, rec any, stack string) {
 	if k.failure == nil {
 		k.failure = fmt.Errorf("sim: proc %q panicked at %v: %v\n%s", p.name, k.now, rec, stack)

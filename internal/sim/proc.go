@@ -8,15 +8,21 @@ import (
 )
 
 // Proc is a simulated process: a Stepper with no goroutine at all
-// (SpawnSteps), or a goroutine scheduled cooperatively by the kernel
+// (SpawnSteps), or a coroutine that the event loop switches into
 // (Spawn). At most one proc runs at any instant, so proc code may touch
 // shared simulation state without locks.
 type Proc struct {
 	k    *Kernel
 	name string
-	wake chan struct{} // nil for a proc with no goroutine
-	id   uint64        // spawn order, for the deadlock report
-	slot int           // index in Kernel.procs while unfinished
+	id   uint64 // spawn order, for the deadlock report
+	slot int    // index in Kernel.procs while unfinished
+
+	// resume switches from the event loop into a Spawn proc's coroutine
+	// until the proc parks (true) or returns (false); yield, while the
+	// proc runs, is park's switch back. Both are nil for a proc with no
+	// goroutine, and once a Spawn proc has returned.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
 
 	finished bool
 	killed   bool
@@ -28,8 +34,7 @@ type Proc struct {
 	// fresh sequence number, and a wake event only delivers if the proc
 	// is still parked on that same wait. This lets a completion and a
 	// timeout race for the same parked proc without ever resuming it
-	// twice (a double resume would block the kernel goroutine). The
-	// event loop disarms the guard when it delivers the wake.
+	// twice. The event loop disarms the guard when it delivers the wake.
 	waitArmed bool
 	waitSeq   uint64
 
@@ -37,12 +42,9 @@ type Proc struct {
 	// ArmWaitTimeout: most procs never arm one.
 	timer *procTimer
 
-	// stepper, while non-nil, receives the proc's resumes as Step calls
-	// on the event loop instead of goroutine handoffs (see RunSteps).
-	// stepFail is a panic a step raised there, kept until RunSteps raises
-	// it again on this proc's own goroutine.
-	stepper  Stepper
-	stepFail *stepFailure
+	// stepper is the whole life of a proc with no goroutine: its resumes
+	// are Step calls on the event loop.
+	stepper Stepper
 }
 
 // procTimer is one proc's deadline: the wait it is parked on may have
@@ -61,32 +63,16 @@ type procTimer struct {
 	liveSeq uint64
 }
 
-// stepFailure is a panic raised by a step on the event loop: its value,
-// and where it happened, for the failure report should nobody recover
-// it. A goroutine proc's RunSteps raises it again, where it may be
-// recovered — mpi.Revoked{} is how a blocking form leaves a collective
-// — so the place is kept as return addresses and becomes text only in
-// that report. The record hangs off the proc rather than lying in it:
-// few procs ever panic.
-type stepFailure struct {
-	rec any
-	pcs [24]uintptr
-	n   int
-}
-
-// failStep keeps a panic that p's step raised on the event loop.
+// panicStack renders where the panic being recovered was raised,
+// innermost frame first, one function and its file:line per frame. It
+// must be called by the deferred function that recovered it.
 //
 //go:noinline
-func (p *Proc) failStep(rec any) {
-	f := &stepFailure{rec: rec}
-	f.n = runtime.Callers(3, f.pcs[:]) // from the frame under Kernel.step's recover: the panic, then who raised it
-	p.stepFail = f
-}
-
-// stack renders where the step panicked, innermost frame first.
-func (f *stepFailure) stack() string {
+func panicStack() string {
+	var pcs [32]uintptr
+	n := runtime.Callers(3, pcs[:]) // past the deferred function: the panic, then who raised it
 	var b strings.Builder
-	for frames := runtime.CallersFrames(f.pcs[:f.n]); ; {
+	for frames := runtime.CallersFrames(pcs[:n]); ; {
 		fr, more := frames.Next()
 		fmt.Fprintf(&b, "%s\n\t%s:%d\n", fr.Function, fr.File, fr.Line)
 		if !more {
@@ -145,39 +131,26 @@ func (p *Proc) Now() Time { return p.k.now }
 // still calls it; it goes with that rung.
 func (p *Proc) SetGroup(int) {}
 
-// park yields control to the kernel and blocks until some event
-// resumes this proc. A killed proc unwinds here instead of returning.
-//
-// The parking proc runs the event loop itself (loopFrom) and hands the
-// baton directly to the next proc — one goroutine switch per segment
-// instead of two — or keeps running with no switch at all when the
-// next event resumes this same proc.
+// park switches from the proc's coroutine back to the event loop, which
+// switches in again when some event resumes this proc. A killed proc
+// unwinds here instead of returning.
 //
 // No proc may park while a step is running, its own or another's — a
 // helper's step that calls a blocking wait of its rank's main proc: the
-// step runs on whatever goroutine drives the event loop, which parking
-// would hand to nobody. It panics instead, naming the procs, and the
-// stepping proc's RunSteps raises the panic. A proc with no goroutine
-// (SpawnSteps) has nothing to park, and panics too.
+// step runs within a resume the loop is delivering, and a park would
+// leave it half done. It panics instead, naming the procs; the panic
+// goes up the stepping proc's stack, or fails the run if that proc has
+// no goroutine. Such a proc (SpawnSteps) has nothing to park, and
+// panics too.
 func (p *Proc) park() {
-	k := p.k
-	if s := k.stepping; s == p {
+	if s := p.k.stepping; s == p {
 		panic(fmt.Sprintf("sim: proc %q parks inside its own step", p.name))
 	} else if s != nil {
 		panic(fmt.Sprintf("sim: proc %q parks inside a step of proc %q", p.name, s.name))
-	} else if p.wake == nil {
+	} else if p.yield == nil {
 		panic(fmt.Sprintf("sim: proc %q has no goroutine to park", p.name))
 	}
-	p.stepFail = nil // of a step panic the proc recovered from: not the next panic's
-	switch k.loopFrom(p) {
-	case loopSelf:
-		// The next event resumes this proc: keep running.
-	case loopTerminal:
-		k.home <- struct{}{}
-		<-p.wake
-	case loopHanded:
-		<-p.wake
-	}
+	p.yield(struct{}{})
 	if p.killed {
 		panic(procKilled{})
 	}
@@ -228,8 +201,8 @@ type Stepper interface {
 	// after arming exactly one wait with ArmUntil or ArmWaitTimeout, or
 	// registering the proc with a Queue's TryPut or TryGet: the proc
 	// stays parked and the next resume calls Step again. It returns true,
-	// with no wait armed, to finish the proc — or, under RunSteps, to give
-	// control back to the proc's goroutine, which returns from RunSteps.
+	// with no wait armed, to finish the proc — or, under RunSteps, to
+	// return from RunSteps.
 	//
 	// The one other return is idle: false after ArmIdle, which arms
 	// nothing. The proc stays parked with its stepper until Wake calls
@@ -237,40 +210,34 @@ type Stepper interface {
 	// instead of reporting a deadlock — the shape of a long-lived helper
 	// that has nothing to do until someone hands it work.
 	//
-	// Step runs on whichever goroutine is driving the event loop, in the
-	// queue position of the resume it stands for. It may do anything an
-	// event callback may — schedule, fire, spawn — but must not park:
-	// no Wait, Sleep or Yield, and no nested RunSteps that would park: a
-	// park there panics, naming the proc. A panic raised in Step fails
-	// Run, naming the proc, or, under RunSteps, surfaces from RunSteps on
-	// the proc's own goroutine.
+	// Step runs in the queue position of the resume it stands for: on
+	// the event loop for a proc with no goroutine, on the proc's own
+	// stack under RunSteps. It may do anything an event callback may —
+	// schedule, fire, spawn — but must not park: no Wait, Sleep or
+	// Yield, and no nested RunSteps that would park: a park there
+	// panics, naming the proc. A panic raised in Step fails Run, naming
+	// the proc, or, under RunSteps, goes up the proc's stack from
+	// RunSteps, where its caller may recover it.
 	Step(p *Proc) (done bool)
 }
 
 // Unwinder is a Stepper with work to do when its proc is killed — what
-// a goroutine proc did in deferred calls as it unwound. A proc spawned
+// a Spawn proc does in deferred calls as it unwinds. A proc spawned
 // with SpawnSteps that is killed calls Unwind at the resume that
 // finishes it, on the event loop.
 type Unwinder interface {
 	Unwind(p *Proc)
 }
 
-// RunSteps runs s until a step reports done. The first step runs right
-// here; if it arms a wait the proc parks with s installed, and from
-// then on every event that would have resumed the proc calls s.Step on
-// the event loop's goroutine instead of switching to this one. Because
-// a step takes the queue position of the resume it replaces and arms
-// its next wait with the same kernel calls the blocking forms make, the
-// order of events is the one the blocking code produces. A killed proc
-// is not stepped: it unwinds from here like from any park.
+// RunSteps runs s until a step reports done, each step right here on the
+// proc's own stack, parking between them. Because a step arms its next
+// wait with the same kernel calls the blocking forms make, the order of
+// events is the one the blocking code produces, and the one s makes as
+// the stepper of a proc with no goroutine (SpawnSteps). A killed proc is
+// not stepped: it unwinds from here like from any park.
 func (p *Proc) RunSteps(s Stepper) {
-	if p.step(s) {
-		return
-	}
-	p.stepper = s
-	p.park()
-	if f := p.stepFail; f != nil {
-		panic(f.rec) // kept for the failure report until the proc parks again
+	for !p.step(s) {
+		p.park()
 	}
 }
 

@@ -392,18 +392,28 @@ func TestSimKernelZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("event kernel steady state allocates %.2f allocs per 1024-event round; want 0", avg)
 	}
 
-	// The same for a stepping proc: once parked in RunSteps, a round of
-	// its waits of every kind — a sleep, a completion another event
-	// fires, a deadline that expires — through deliver, step and the Arm
-	// calls must allocate nothing either.
+	// The same for a stepping proc: a round of its waits of every kind —
+	// a sleep, a completion another event fires, a deadline that expires
+	// — through deliver, step and the Arm calls must allocate nothing
+	// either, whether its steps run on the event loop (a proc with no
+	// goroutine) or on its coroutine, each resume a switch into it
+	// (RunSteps).
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	s := &allocStepper{c: k.GetCompletion(), warm: 64, measured: 1024}
-	k.Spawn("stepper", func(p *Proc) { p.RunSteps(s) })
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.after.Mallocs - s.before.Mallocs; n != 0 || k.Resumes().Steps < uint64(s.measured) {
-		t.Fatalf("a stepping proc allocates %d objects over %d steps (%+v); want 0", n, s.measured, k.Resumes())
+	for _, free := range []bool{true, false} {
+		k := New()
+		s := &allocStepper{c: k.GetCompletion(), warm: 64, measured: 1024}
+		if free {
+			k.SpawnSteps("stepper", s)
+		} else {
+			k.Spawn("stepper", func(p *Proc) { p.RunSteps(s) })
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		r := k.Resumes()
+		if n := s.after.Mallocs - s.before.Mallocs; n != 0 || r.Steps+r.Switches < uint64(s.measured) {
+			t.Fatalf("a stepping proc (no goroutine: %v) allocates %d objects over %d steps (%+v); want 0", free, n, s.measured, r)
+		}
 	}
 }
 

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"bytes"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -534,6 +537,67 @@ func TestProcPanicSurfacesAsError(t *testing.T) {
 	err := k.Run()
 	if err == nil {
 		t.Fatal("proc panic should fail Run")
+	}
+}
+
+// goroutineIDs is the set of the process's goroutines, by ID, as
+// runtime.Stack lists them ("goroutine 7 [running]:" heads each).
+func goroutineIDs() map[uint64]bool {
+	buf := make([]byte, 1<<16)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	ids := map[uint64]bool{}
+	for _, line := range bytes.Split(buf, []byte("\n")) {
+		if rest, ok := bytes.CutPrefix(line, []byte("goroutine ")); ok {
+			if id, err := strconv.ParseUint(string(rest[:bytes.IndexByte(rest, ' ')]), 10, 64); err == nil {
+				ids[id] = true
+			}
+		}
+	}
+	return ids
+}
+
+// TestNoCoroutineOutlivesRun: a Spawn proc's coroutine ends with the
+// proc, whether it returns, is killed while parked, is killed before its
+// first resume, or panics. Every goroutine alive after Run was alive
+// before it; one that exits meanwhile, an earlier test's, does not count.
+func TestNoCoroutineOutlivesRun(t *testing.T) {
+	before := goroutineIDs()
+	k := New()
+	never := k.NewCompletion()
+	var started []uint64
+	k.Spawn("returns", func(p *Proc) { p.Sleep(5) })
+	parked := k.Spawn("killed parked", func(p *Proc) { p.Wait(never) })
+	early := k.Spawn("killed early", func(p *Proc) { t.Error("a proc killed before its first resume ran") })
+	early.Kill()
+	k.Spawn("panics", func(p *Proc) {
+		p.Sleep(20)
+		panic("boom")
+	})
+	k.At(1, func() {
+		for id := range goroutineIDs() {
+			if !before[id] {
+				started = append(started, id)
+			}
+		}
+	})
+	k.At(10, func() { parked.Kill() })
+	err := k.Run()
+	if err == nil || !strings.Contains(err.Error(), `proc "panics" panicked at 20ns: boom`) {
+		t.Fatalf("Run returned %v, want the panic", err)
+	}
+	if len(started) < 3 {
+		t.Fatalf("%d goroutines started by 1ns, want the three live procs' coroutines", len(started))
+	}
+	for id := range goroutineIDs() {
+		if !before[id] {
+			t.Errorf("goroutine %d started during the run and outlived it", id)
+		}
 	}
 }
 

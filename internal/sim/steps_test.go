@@ -170,8 +170,7 @@ func runScript(t *testing.T, stepped bool, kill Time, killEarly bool) scriptRun 
 			runBlocking(p, ops, &out.log)
 		}
 	})
-	// A bystander whose parks move the event loop between goroutines, so
-	// the subject's steps run on someone else's.
+	// A bystander whose resumes interleave with the subject's.
 	k.Spawn("bystander", func(p *Proc) {
 		for i := 0; i < 40; i++ {
 			p.Sleep(2)
@@ -246,39 +245,6 @@ func TestStepsMatchBlockingWaits(t *testing.T) {
 	}
 }
 
-// TestStepsResumeWithoutSwitching pins what steps are for: a proc that
-// waits as a Stepper costs no goroutine switch per wait.
-func TestStepsResumeWithoutSwitching(t *testing.T) {
-	const waits = 100
-	run := func(stepped bool) Resumes {
-		k := New()
-		for i := 0; i < 2; i++ {
-			k.Spawn(fmt.Sprint("p", i), func(p *Proc) {
-				if stepped {
-					p.RunSteps(&sleeper{left: waits})
-					return
-				}
-				for j := 0; j < waits; j++ {
-					p.Sleep(3)
-				}
-			})
-		}
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return k.Resumes()
-	}
-	blocking, stepped := run(false), run(true)
-	if blocking.Switches < 2*waits || blocking.Steps != 0 {
-		t.Errorf("blocking procs: %+v, want a switch per wait and no steps", blocking)
-	}
-	// Each proc is switched to twice: to start, and to return from
-	// RunSteps.
-	if stepped.Switches > 4 || stepped.Steps < 2*(waits-1) {
-		t.Errorf("stepping procs: %+v, want a step per wait and at most 4 switches", stepped)
-	}
-}
-
 // sleeper is a Stepper that sleeps left times.
 type sleeper struct{ left int }
 
@@ -291,14 +257,14 @@ func (s *sleeper) Step(p *Proc) bool {
 	return false
 }
 
-// TestStepPanicFailsTheSteppingProc: a panic in a Step that runs on
-// another proc's goroutine fails the run in the stepping proc's name
-// and takes nobody else down.
+// TestStepPanicFailsTheSteppingProc: a panic in a Step under RunSteps
+// that nobody recovers fails the run in the stepping proc's name, with
+// the step's stack, and takes nobody else down.
 func TestStepPanicFailsTheSteppingProc(t *testing.T) {
 	k := New()
 	bystander := k.Spawn("bystander", func(p *Proc) {
 		for i := 0; i < 10; i++ {
-			p.Sleep(1) // its parks drive the loop that runs the steps
+			p.Sleep(1) // its resumes interleave with the steps
 		}
 		p.Sleep(1000)
 	})
@@ -311,8 +277,7 @@ func TestStepPanicFailsTheSteppingProc(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `proc "stepper" panicked`) || !strings.Contains(err.Error(), "boom at step 3") {
 		t.Fatalf("Run returned %v, want the stepper's panic", err)
 	}
-	// The place is rendered from recorded return addresses only here:
-	// it must still name the step that panicked, and where.
+	// The place must name the step that panicked, and where.
 	if !strings.Contains(err.Error(), "panicker).Step\n") || !strings.Contains(err.Error(), "steps_test.go:") {
 		t.Errorf("the failure lost the step's stack:\n%v", err)
 	}
@@ -339,10 +304,10 @@ func (s *panicker) Step(p *Proc) bool {
 }
 
 // TestParkInStepPanics: a step must not park, and one that does — here
-// a WaitUntil in its second step, which runs on the event loop — gets a
-// panic naming its proc from RunSteps instead of hanging the loop. A
-// step that parks the first time, on the proc's own goroutine, gets it
-// too, and RunSteps leaves the proc free to park once its step is over.
+// a WaitUntil in its second step, after a park — gets a panic naming its
+// proc from RunSteps instead of leaving the step half done. A step that
+// parks the first time gets it too, and RunSteps leaves the proc free to
+// park once its step is over.
 func TestParkInStepPanics(t *testing.T) {
 	k := New()
 	var got [2]any

@@ -59,8 +59,8 @@ go build ./...
 
 echo "== zero-alloc gate =="
 # Steady state allocates nothing (DESIGN.md §10, §12): the pooled event
-# kernel for plain events, for a proc that waits as steps on the event
-# loop, and for same-instant waves that march through buckets no wave
+# kernel for plain events, for a proc that waits as steps (on the event
+# loop, and on a coroutine under RunSteps), and for same-instant waves that march through buckets no wave
 # has used before (capacity belongs to the queue, not to a bucket); and
 # the training iteration of every design on every reducer, armed or
 # not, timing and real mode. Set-up is gated too: a cluster and a world
@@ -104,14 +104,15 @@ echo "== collective fragments =="
 # meets one receive), Rabenseifner on fewer elements than ranks posting
 # no empty gathered part (TestRabenseifnerFewerElemsThanRanks), the heap
 # bound of a 160-rank chain that releases its sends as they complete
-# (TestChainReleasesSendsAsTheyComplete) and the one-switch-per-call
-# bound must hold at every GOMAXPROCS, and so
+# (TestChainReleasesSendsAsTheyComplete) and every family's walk by a
+# rank with no goroutine making no switch (TestEveryReducerRunsAsSteps)
+# must hold at every GOMAXPROCS, and so
 # must the latency drivers' pins (ReduceBench over every algorithm, the
 # skew and threelevel tables, the Ibcast overlap, the offloaded
 # broadcast's event timing and its checksummed edges' retransmits and
 # escalation) and their run with no goroutine switch, race-instrumented
 # so the detector watches the fragment walks, the blocking reduces'
-# goroutines and the goroutine-free ranks.
+# coroutines and the goroutine-free ranks.
 for procs in 1 16; do
     GOMAXPROCS=$procs go test -race \
         -run '^TestChainReduceRankKilledMidPipeline$|^TestChainReduceRetransmitMidPipeline$|^TestReduceFamiliesPinned$|^TestStepListsPair$|^TestRabenseifnerFewerElemsThanRanks$|^TestChainReleasesSendsAsTheyComplete$|^TestEveryReducerRunsAsSteps$|^TestLatencyDriversMakeNoGoroutine$|^TestIbcastLatencyPinned$|^TestIbcastIntegrityPinned$' \
@@ -131,8 +132,9 @@ echo "== plans never park =="
 # a training run that starts no goroutine, the 200-spec chaos gate with
 # every run's pinned outcome, and the park-in-step panics (a helper's
 # step parking its rank's main proc, and a proc with no goroutine,
-# included) must hold at every GOMAXPROCS, race-instrumented so the
-# detector watches the steps.
+# included; each goes up the stepping proc's own stack, or fails the
+# run for a proc with no goroutine) must hold at every GOMAXPROCS,
+# race-instrumented so the detector watches the steps.
 for procs in 1 16; do
     GOMAXPROCS=$procs go test -race \
         -run '^TestSchedulerGoldenTimingBaselines$|^TestDesignRunsPinned$|^TestSteadyStateIterationSwitchBudget$|^TestTrainingRunMakesNoGoroutine$' \
