@@ -444,6 +444,42 @@ func TestCrossoverProcs(t *testing.T) {
 	}
 }
 
+// TestCrossoverProcsBoundary checks CrossoverProcs against the model
+// it scans: the chain is strictly faster one rank below the returned
+// count (when that count is above 2, the value meaning the chain never
+// wins), and the binomial tree is no slower at every count from the
+// returned one up to maxProcs.
+func TestCrossoverProcsBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		p        CostParams
+		chunks   int
+		bytes    float64
+		maxProcs int
+	}{
+		{CostParams{Alpha: 10e-6, Beta: 10e9}, 8, 4e6, 256},
+		{CostParams{Alpha: 10e-6, Beta: 10e9}, 8, 256e6, 256},
+		{CostParams{Alpha: 10e-6, Beta: 10e9}, 8, 64, 256},
+		{CostParams{Alpha: 2e-6, Beta: 6e9}, 16, 1 << 20, 1024},
+		{CostParams{Alpha: 2e-6, Beta: 6e9}, 4, 1 << 16, 128},
+		{CostParams{Alpha: 2e-6, Beta: 6e9}, 32, 64 << 20, 16}, // the chain wins throughout
+	} {
+		x := CrossoverProcs(tc.p, tc.chunks, tc.bytes, tc.maxProcs)
+		if x < 2 || x > tc.maxProcs+1 {
+			t.Errorf("%+v: crossover %d outside [2, %d]", tc, x, tc.maxProcs+1)
+			continue
+		}
+		if below := x - 1; x > 2 && ChainTime(tc.p, below, tc.chunks, tc.bytes) >= BinomialTime(tc.p, below, tc.bytes) {
+			t.Errorf("%+v: crossover %d, but the chain does not win at P = %d", tc, x, below)
+		}
+		for procs := x; procs <= tc.maxProcs; procs++ {
+			if BinomialTime(tc.p, procs, tc.bytes) > ChainTime(tc.p, procs, tc.chunks, tc.bytes) {
+				t.Errorf("%+v: crossover %d, but the chain still wins at P = %d", tc, x, procs)
+				break
+			}
+		}
+	}
+}
+
 func TestReduceDeterministicTiming(t *testing.T) {
 	_, t1 := runReduce(t, ChainBinomial, DefaultOptions(), 16, 1<<18)
 	_, t2 := runReduce(t, ChainBinomial, DefaultOptions(), 16, 1<<18)

@@ -88,7 +88,7 @@ func (r *Rank) PollWait(p *sim.Proc, w *Waiter, c *sim.Completion) (done bool) {
 // PollRequest is PollWait for Wait(req): when the request completes it
 // is released, as Wait releases it, and must not be used again.
 func (r *Rank) PollRequest(w *Waiter, req *Request) (done bool) {
-	if !r.PollWait(r.Proc, w, req.Done) {
+	if !r.PollWait(r.Proc, w, &req.done) {
 		return false
 	}
 	r.putRequest(req)

@@ -165,7 +165,7 @@ func (op *bcastOp) fireReq(i int) {
 	}
 	op.ranks[i].req = nil
 	op.firedCount++
-	req.Done.Fire()
+	req.done.Fire()
 }
 
 // maybeComplete reclaims the op record once every rank has posted and

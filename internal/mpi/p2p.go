@@ -30,9 +30,9 @@ type pendingSend struct {
 	next   *pendingSend // match-queue or free-list link
 }
 
-// Request tracks a non-blocking operation. Done fires when the
-// operation completes (buffer reusable for sends, data delivered for
-// receives).
+// Request tracks a non-blocking operation. Its embedded completion
+// fires when the operation completes (buffer reusable for sends, data
+// delivered for receives).
 //
 // Requests are pooled per rank with the lifecycle of MPI_Wait and
 // MPI_Test: when Wait returns, or Reap reports the request complete, the
@@ -42,9 +42,6 @@ type pendingSend struct {
 // eager send's queued delivery, a scheduled FireAt) dissolve instead of
 // completing the record's next life.
 type Request struct {
-	// Done fires when the operation completes; it always points at the
-	// embedded completion.
-	Done *sim.Completion
 	done sim.Completion
 	buf  *gpu.Buffer
 	// summed, when non-nil, records the delivered payload's checksum
@@ -76,12 +73,12 @@ func (r *Rank) getRequest(buf *gpu.Buffer) *Request {
 }
 
 // newRequest is getRequest's pool-miss path. Records are carved from
-// blocks (carver): a rank that posts every layer's broadcast up front
-// takes a handful of allocations to get there, not one per request.
+// the world's blocks (carver): ranks that post every layer's broadcast
+// up front take a handful of allocations between them to get there, not
+// one per request or a block per rank.
 func (r *Rank) newRequest(buf *gpu.Buffer) *Request {
-	req := r.reqs.next()
+	req := r.W.reqs.next()
 	req.buf = buf
-	req.Done = &req.done
 	req.done.Init(r.W.K)
 	return req
 }
@@ -114,11 +111,11 @@ func (r *Rank) putRequest(req *Request) {
 }
 
 // getPendingSend draws an unexpected-message record from the rank's
-// free list, or carves a new one.
+// free list, or carves a new one from the world's blocks.
 func (r *Rank) getPendingSend() *pendingSend {
 	ps := r.psFree
 	if ps == nil {
-		return r.pss.next()
+		return r.W.pss.next()
 	}
 	r.psFree, ps.next = ps.next, nil
 	return ps
@@ -139,7 +136,7 @@ func (r *Rank) putPendingSend(ps *pendingSend) {
 // recycled. Like every blocking MPI call it belongs to the rank's main
 // proc.
 func (r *Rank) Wait(req *Request) {
-	r.waiting = waitStep{r: r, c: req.Done}
+	r.waiting = waitStep{r: r, c: &req.done}
 	r.Proc.RunSteps(&r.waiting)
 	r.putRequest(req)
 }
@@ -150,7 +147,7 @@ func (r *Rank) Wait(req *Request) {
 // it arms no wait and schedules no event, so reaping what has completed
 // moves no other event. Request.Test, by contrast, only reads.
 func (r *Rank) Reap(req *Request) bool {
-	if !req.Done.Fired() {
+	if !req.done.Fired() {
 		return false
 	}
 	r.putRequest(req)
@@ -159,7 +156,7 @@ func (r *Rank) Reap(req *Request) bool {
 
 // Test reports whether the request has completed without blocking. It
 // releases nothing: see Rank.Reap.
-func (req *Request) Test() bool { return req.Done.Fired() }
+func (req *Request) Test() bool { return req.done.Fired() }
 
 // OnComplete registers fn to run (in kernel context) when the request
 // completes; if it already completed, fn is scheduled immediately.
@@ -167,11 +164,11 @@ func (req *Request) Test() bool { return req.Done.Fired() }
 // offloaded operations. The hook runs at
 // the completion instant but possibly after the waiter has released
 // the request, so it must not touch the request handle.
-func (req *Request) OnComplete(fn func()) { req.Done.OnFire(fn) }
+func (req *Request) OnComplete(fn func()) { req.done.OnFire(fn) }
 
 // CompletedAt returns the virtual time at which the request completed;
 // only meaningful once Test (or a hook) reports completion.
-func (req *Request) CompletedAt() sim.Time { return req.Done.FiredAt() }
+func (req *Request) CompletedAt() sim.Time { return req.done.FiredAt() }
 
 // Isend starts a non-blocking send of buf to group rank `to` of comm c
 // with the given tag.
@@ -194,7 +191,7 @@ func (r *Rank) Isend(c *Comm, to, tag int, buf *gpu.Buffer, mode topology.Transf
 	if buf.Bytes <= EagerLimit {
 		// Eager: the payload leaves the sender immediately; the send
 		// buffer is reusable right away.
-		req.Done.Fire()
+		req.done.Fire()
 	}
 	return req
 }
@@ -292,8 +289,8 @@ func (d *delivery) RunEvent(k *sim.Kernel) {
 		if d.recvReq.done.Gen() == d.recvGen {
 			d.recvReq.buf.CopyFrom(d.src)
 		}
-		d.recvReq.Done.FireIf(d.recvGen)
-		d.sendReq.Done.FireIf(d.sendGen)
+		d.recvReq.done.FireIf(d.recvGen)
+		d.sendReq.done.FireIf(d.sendGen)
 		w.putDelivery(d)
 		return
 	}
@@ -308,8 +305,8 @@ func (d *delivery) RunEvent(k *sim.Kernel) {
 	if s := d.summed; s != nil {
 		s.deliver(d.sender, d.mode)
 	}
-	d.recvReq.Done.FireIf(d.recvGen)
-	d.sendReq.Done.FireIf(d.sendGen)
+	d.recvReq.done.FireIf(d.recvGen)
+	d.sendReq.done.FireIf(d.sendGen)
 	w.putDelivery(d)
 }
 

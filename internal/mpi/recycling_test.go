@@ -115,12 +115,12 @@ func TestRecyclingDrillCorruptionEscalation(t *testing.T) {
 		if req != staleReq {
 			t.Errorf("pool did not hand back the recycled request")
 		}
-		req.Done.FireIf(staleGen)
-		if req.Done.Fired() {
+		req.done.FireIf(staleGen)
+		if req.done.Fired() {
 			t.Errorf("FireIf with a generation from a previous life completed the recycled request")
 		}
-		req.Done.FireIf(req.Done.Gen())
-		if !req.Done.Fired() {
+		req.done.FireIf(req.done.Gen())
+		if !req.done.Fired() {
 			t.Errorf("FireIf with the current generation did not fire")
 		}
 		r.putRequest(req)
@@ -214,5 +214,18 @@ func TestRecyclingDrillKillMidFlight(t *testing.T) {
 func TestDeliverySize(t *testing.T) {
 	if size := unsafe.Sizeof(delivery{}); size > 128 {
 		t.Errorf("a delivery is %d bytes, want at most 128", size)
+	}
+}
+
+// TestRequestSize pins the request record and the unexpected-send
+// record: SC-OB posts every layer's broadcast up front, so each GoogLeNet
+// rank holds 64 requests at once, and a world carves both by the
+// thousand.
+func TestRequestSize(t *testing.T) {
+	if size := unsafe.Sizeof(Request{}); size > 104 {
+		t.Errorf("a Request is %d bytes, want at most 104", size)
+	}
+	if size := unsafe.Sizeof(pendingSend{}); size > 56 {
+		t.Errorf("a pendingSend is %d bytes, want at most 56", size)
 	}
 }

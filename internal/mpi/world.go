@@ -68,9 +68,13 @@ type World struct {
 
 	// Free lists for pooled hot-path records shared across ranks, linked
 	// through the records' next pointers, and the blocks they are carved
-	// from.
+	// from. Requests and unexpected sends are pooled per rank but carved
+	// here: records are interchangeable and never ordered by address, so
+	// which rank's miss carved one changes no event.
 	delFree   *delivery
 	dels      carver[delivery]
+	reqs      carver[Request]
+	pss       carver[pendingSend]
 	bcastPool []*bcastOp
 
 	// names holds every rank's proc name per tag asked for (procName).
@@ -115,9 +119,9 @@ func (w *World) putDelivery(d *delivery) {
 }
 
 // A carver hands out zeroed records from blocks, each as large as all
-// carved before it, within [4, 16]: a pool that warms up takes a handful
-// of allocations to get there, not one per record, and leaves few
-// records unused.
+// carved before it, within [16, 256]: a world's pool that warms up takes
+// a handful of allocations to get there, not one per record, and leaves
+// few records unused.
 type carver[T any] struct {
 	block []T // what is left of the current block
 	made  int // records carved so far
@@ -126,7 +130,7 @@ type carver[T any] struct {
 //go:noinline
 func (c *carver[T]) next() *T {
 	if len(c.block) == 0 {
-		n := min(max(c.made, 4), 16)
+		n := min(max(c.made, 16), 256)
 		c.made += n
 		c.block = make([]T, n)
 	}
@@ -228,13 +232,11 @@ type Rank struct {
 
 	// Free lists for the rank's pooled hot-path records; requests and
 	// pending sends are linked through their next pointers and carved
-	// from blocks.
+	// from the world's blocks (World.reqs, World.pss).
 	reqFree       *Request
-	reqs          carver[Request]
 	reqsLive      int // drawn and not released; see LiveRequests
 	reqsAbandoned int // left live by earlier epochs; see LiveRequests
 	psFree        *pendingSend
-	pss           carver[pendingSend]
 	sumPool       []*Summed
 
 	// threads tracks live helper procs so a crash (or recovery) can

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestTimeString(t *testing.T) {
@@ -181,6 +182,66 @@ func TestCompletionOnFireAfterFired(t *testing.T) {
 	}
 	if !ran {
 		t.Error("OnFire registered after firing never ran")
+	}
+}
+
+// TestCompletionSize pins the record every simulated wait goes
+// through: an MPI request and a sched.Graph node embed one, and GoogLeNet
+// holds 64 requests per rank at once, so a field added here multiplies.
+func TestCompletionSize(t *testing.T) {
+	if size := unsafe.Sizeof(Completion{}); size > 72 {
+		t.Errorf("a Completion is %d bytes, want at most 72", size)
+	}
+}
+
+// TestCompletionSpillOrder gives one completion two inline waiters,
+// three spilled ones and two callbacks: they resume in insertion order,
+// the callbacks after every waiter. After Init a stale FireIf
+// dissolves, and a second life of five waiters and two callbacks reuses
+// the first life's spill record, allocating nothing.
+func TestCompletionSpillOrder(t *testing.T) {
+	k := New()
+	c := k.NewCompletion()
+	var order []string
+	procs := make([]*Proc, 5)
+	for i := range procs {
+		name := "w" + strconv.Itoa(i)
+		procs[i] = k.Spawn(name, func(p *Proc) {
+			p.Wait(c)
+			order = append(order, name)
+		})
+	}
+	cbs := []func(){
+		func() { order = append(order, "cb0") },
+		func() { order = append(order, "cb1") },
+	}
+	for _, fn := range cbs {
+		c.OnFire(fn)
+	}
+	k.At(10, c.Fire)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(order, " "), "w0 w1 w2 w3 w4 cb0 cb1"; got != want {
+		t.Fatalf("fire order %q, want %q", got, want)
+	}
+
+	stale := c.Gen()
+	c.Init(k)
+	c.FireIf(stale)
+	if c.Fired() {
+		t.Fatal("FireIf with the previous life's generation fired the completion")
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		c.Init(k)
+		for i, p := range procs {
+			c.addWaiter(waiter{p, uint64(i)})
+		}
+		for _, fn := range cbs {
+			c.OnFire(fn)
+		}
+	}); n != 0 {
+		t.Errorf("a second life of five waiters and two callbacks made %v allocations, want 0", n)
 	}
 }
 

@@ -17,27 +17,65 @@ type waiter struct {
 // generation counter, so references taken against an earlier life
 // (FireIf callers) dissolve instead of acting on the reused object. Together with the proc-side
 // waitSeq guard this makes reuse safe under kills and timeouts.
+//
+// Every simulated wait goes through one, and an MPI request embeds
+// one, so the record is kept to 72 bytes (TestCompletionSize): the
+// first two waiters sit inline, counted by n, and everything rarer —
+// waiters past two and OnFire callbacks — sits behind one pointer.
 type Completion struct {
 	k       *Kernel
-	fired   bool
 	firedAt Time
 	gen     uint64
-	waiters []waiter
-	cbs     []func()
-
-	// w0 is the inline backing array for waiters: almost every
-	// completion has exactly one waiting proc, so the common case never
-	// touches the heap even for completions that are not pooled.
-	w0 [2]waiter
+	fired   bool
+	n       uint8 // waiters held in w0
+	w0      [2]waiter
+	more    *spill
 }
 
-// addWaiter parks w on the completion, pointing the waiter list at the
-// inline backing array on first use.
-func (c *Completion) addWaiter(w waiter) {
-	if c.waiters == nil {
-		c.waiters = c.w0[:0]
+// spill holds a completion's waiters past the inline two, in insertion
+// order, and its OnFire callbacks. It is made on the completion's first
+// need and kept across its lives, which clear only its lengths; its own
+// inline room for four more waiters and one callback (a traced request's
+// hook) makes a first spill one allocation.
+type spill struct {
+	waiters []waiter // backed by w until it outgrows it
+	cbs     []func() // backed by cb until it outgrows it
+	w       [4]waiter
+	cb      [1]func()
+}
+
+// spilled returns c's spill record, making it on first need.
+func (c *Completion) spilled() *spill {
+	if c.more == nil {
+		s := &spill{}
+		s.waiters, s.cbs = s.w[:0], s.cb[:0]
+		c.more = s
 	}
-	c.waiters = append(c.waiters, w)
+	return c.more
+}
+
+// drop forgets c's waiters and callbacks, keeping the spill record's
+// capacity for the next life.
+func (c *Completion) drop() {
+	clear(c.w0[:c.n])
+	c.n = 0
+	if s := c.more; s != nil {
+		clear(s.waiters)
+		clear(s.cbs)
+		s.waiters, s.cbs = s.waiters[:0], s.cbs[:0]
+	}
+}
+
+// addWaiter parks w on the completion: inline while there is room, in
+// the spill record past that.
+func (c *Completion) addWaiter(w waiter) {
+	if int(c.n) < len(c.w0) {
+		c.w0[c.n] = w
+		c.n++
+		return
+	}
+	s := c.spilled()
+	s.waiters = append(s.waiters, w)
 }
 
 // NewCompletion returns an un-fired completion bound to k.
@@ -80,14 +118,7 @@ func (c *Completion) reset(k *Kernel) {
 	c.gen++
 	c.fired = false
 	c.firedAt = 0
-	for i := range c.waiters {
-		c.waiters[i] = waiter{}
-	}
-	c.waiters = c.waiters[:0]
-	for i := range c.cbs {
-		c.cbs[i] = nil
-	}
-	c.cbs = c.cbs[:0]
+	c.drop()
 }
 
 // Fired reports whether the completion has fired.
@@ -110,18 +141,18 @@ func (c *Completion) Fire() {
 	}
 	c.fired = true
 	c.firedAt = c.k.now
-	waiters := c.waiters
-	for i, w := range waiters {
+	for _, w := range c.w0[:c.n] {
 		c.k.atResumeIf(c.k.now, w.p, w.seq)
-		waiters[i] = waiter{}
 	}
-	c.waiters = waiters[:0]
-	cbs := c.cbs
-	for i, fn := range cbs {
-		c.k.At(c.k.now, fn)
-		cbs[i] = nil
+	if s := c.more; s != nil {
+		for _, w := range s.waiters {
+			c.k.atResumeIf(c.k.now, w.p, w.seq)
+		}
+		for _, fn := range s.cbs {
+			c.k.At(c.k.now, fn)
+		}
 	}
-	c.cbs = cbs[:0]
+	c.drop()
 }
 
 // FireFrom is Fire: the acting proc mattered only to the
@@ -146,7 +177,8 @@ func (c *Completion) OnFire(fn func()) {
 		c.k.At(c.k.now, fn)
 		return
 	}
-	c.cbs = append(c.cbs, fn)
+	s := c.spilled()
+	s.cbs = append(s.cbs, fn)
 }
 
 // Queue is an unbounded-or-bounded FIFO of values passed between

@@ -22,6 +22,33 @@ func TestClusterPresets(t *testing.T) {
 	}
 }
 
+// TestNewRejectsEmptyDimensions: a cluster with no nodes, or nodes with
+// no GPUs, is a caller's bug, and New says so instead of building it.
+func TestNewRejectsEmptyDimensions(t *testing.T) {
+	for _, dims := range [][2]int{{0, 4}, {4, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%d nodes, %d GPUs per node) did not panic", dims[0], dims[1])
+				}
+			}()
+			New(sim.New(), "t", dims[0], dims[1], DefaultParams())
+		}()
+	}
+}
+
+// TestLinkBusyTotalSumsBothDirections: utilization reports read a link's
+// busy time as its inbound plus its outbound reservations.
+func TestLinkBusyTotalSumsBothDirections(t *testing.T) {
+	var l Link
+	l.In.Reserve(0, 300)
+	l.Out.Reserve(0, 200)
+	l.Out.Reserve(0, 50)
+	if got := l.BusyTotal(); got != 550 {
+		t.Errorf("BusyTotal = %v, want 550 (300 in + 250 out)", got)
+	}
+}
+
 func TestDeviceForRankBlockPlacement(t *testing.T) {
 	k := sim.New()
 	c := New(k, "t", 3, 4, DefaultParams())

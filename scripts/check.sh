@@ -73,14 +73,17 @@ echo "== zero-alloc gate =="
 # by every rank, so core.TestTimingRanksShareOneLayout holds every rank of
 # a timing run (a rejoined one included) to the run's one layout, and
 # coll.TestPayloadFreeBuffersAreSharedBySize holds a reducer to one view
-# or scratch descriptor per size, on no free list. Run un-instrumented,
-# since race instrumentation itself allocates and would mask a regression
-# (the iteration budget skips itself under -race).
-go test -run '^TestSimKernel(ZeroAllocSteadyState|MarchingWavesZeroAlloc)$' -count=1 ./internal/sim
+# or scratch descriptor per size, on no free list. The records every
+# wait goes through are pinned by size, so neither silently regrows:
+# sim.TestCompletionSize holds a Completion to 72 bytes, and
+# mpi.TestRequestSize a Request to 104 and a pendingSend to 56. Run
+# un-instrumented, since race instrumentation itself allocates and would
+# mask a regression (the iteration budget skips itself under -race).
+go test -run '^(TestSimKernel(ZeroAllocSteadyState|MarchingWavesZeroAlloc)|TestCompletionSize)$' -count=1 ./internal/sim
 go test -run '^(TestSteadyStateIterationAllocBudget|TestWholeRunAllocBudget|TestTimingRanksShareOneLayout)$' -count=1 ./internal/core
 go test -run '^TestPayloadFreeBuffersAreSharedBySize$' -count=1 ./internal/coll
 go test -run '^TestNewAllocsIndependentOfSize$' -count=1 ./internal/topology
-go test -run '^TestNewWorldAllocsPerRank$' -count=1 ./internal/mpi
+go test -run '^(TestNewWorldAllocsPerRank|TestRequestSize)$' -count=1 ./internal/mpi
 
 echo "== elastic churn drill =="
 # The elastic membership acceptance bar (DESIGN.md §9, §14): the
