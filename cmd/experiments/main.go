@@ -20,7 +20,11 @@ import (
 )
 
 func main() {
-	runID := flag.String("run", "", "experiment id (table1, figure8..figure13, table2, scobr, costmodel); empty = all")
+	var ids []string
+	for _, r := range experiments.All() {
+		ids = append(ids, r.ID)
+	}
+	runID := flag.String("run", "", "experiment id ("+strings.Join(ids, ", ")+"; -list describes each); empty = all")
 	iters := flag.Int("iters", 0, "override training iterations per run (0 = experiment defaults)")
 	maxGPUs := flag.Int("maxgpus", 0, "cap the GPU sweep (0 = paper scale, 160)")
 	out := flag.String("o", "", "write the markdown report to this file as well as stdout")

@@ -20,7 +20,7 @@ import (
 //	events = 6         # weighted event draws
 //	mode = timing      # timing | real
 //	design = scb       # as scaffe-train -design; a fault schedule
-//	                   # runs on scb | scob | scobr | scobrf | cntk
+//	                   # runs on scb | scob | scobr | cntk
 //	reduce = binomial  # as scaffe-train -reduce
 //	weight.drop = 2    # per-family mix weight (crash, hang, straggle,
 //	                   # drop, dup, reorder, delay, partition)

@@ -75,8 +75,8 @@ func TestParseSpecRejects(t *testing.T) {
 
 // TestSpecDesignIsConfigValidationsDecision: the spec parser reads the
 // design and reducer names every front end reads, so `reduce = hr` is a
-// spec (it used to be rejected) and so is `design = mp`; that no fault
-// schedule runs on a model-parallel pipeline is what Config validation
+// spec (it used to be rejected) and so is `design = caffe`; that no
+// fault schedule runs on single-node Caffe is what Config validation
 // says when the harness arms one.
 func TestSpecDesignIsConfigValidationsDecision(t *testing.T) {
 	s, err := ParseSpec("seed = 3\nranks = 4\niters = 2\nreduce = hr\n")
@@ -89,12 +89,12 @@ func TestSpecDesignIsConfigValidationsDecision(t *testing.T) {
 	if _, err := Verify(s); err != nil {
 		t.Errorf("reduce = hr: %v", err)
 	}
-	s, err = ParseSpec("seed = 3\nranks = 4\niters = 2\ndesign = mp\n")
+	s, err = ParseSpec("seed = 3\nranks = 4\niters = 2\ndesign = caffe\n")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r, err := Run(s); !errors.Is(err, core.ErrConfig) {
-		t.Errorf("design = mp under a fault schedule: result %v, err %v; want a configuration error", r, err)
+		t.Errorf("design = caffe under a fault schedule: result %v, err %v; want a configuration error", r, err)
 	}
 }
 
@@ -170,7 +170,7 @@ func TestSpecSummaryRoundTrip(t *testing.T) {
 		specs = append(specs, bench)
 	}
 	mixed := Default(-5)
-	mixed.Real, mixed.Design, mixed.Reduce = true, core.SCOBRF, coll.ChainChainBinomial
+	mixed.Real, mixed.Design, mixed.Reduce = true, core.SCOBR, coll.ChainChainBinomial
 	mixed.Weights = DefaultWeights()
 	mixed.Weights.Crash, mixed.Weights.Delay, mixed.Weights.Partition = 0, 0.125, 1e-3
 	specs = append(specs, mixed, Spec{Seed: 11, Design: core.ParamServer, Reduce: coll.Rabenseifner})

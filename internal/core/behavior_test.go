@@ -199,103 +199,3 @@ func TestRingAllreduceTrainingDesignEquivalence(t *testing.T) {
 		t.Errorf("AlexNet's 244MB allreduce (%v) should dwarf CIFAR's 582KB (%v)", agg(big), agg(small))
 	}
 }
-
-func TestModelParallelRuns(t *testing.T) {
-	spec := models.AlexNet()
-	cfg := timingConfig(spec, 4, 128, 3)
-	cfg.Design = ModelParallel
-	cfg.Nodes, cfg.GPUsPerNode = 1, 16
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Design != "ModelParallel" || res.SamplesPerSec <= 0 {
-		t.Errorf("MP result = %+v", res)
-	}
-	if res.LocalBatch != 128 {
-		t.Errorf("MP local batch = %d; every stage sees the full batch", res.LocalBatch)
-	}
-}
-
-func TestModelParallelRejectsRealMode(t *testing.T) {
-	cfg := tinyRealConfig(4, 16, 2)
-	cfg.Design = ModelParallel
-	if _, err := Run(cfg); err == nil {
-		t.Error("MP + RealNet should error")
-	}
-}
-
-func TestDataParallelBeatsModelParallel(t *testing.T) {
-	// Section 3.1: for these convolutional networks the pipeline's
-	// sequential dependency makes model parallelism the slower way to
-	// use 8 GPUs.
-	spec := models.AlexNet()
-	mk := func(d Design) Config {
-		cfg := timingConfig(spec, 8, 256, 3)
-		cfg.Design = d
-		cfg.Nodes, cfg.GPUsPerNode = 1, 16
-		if d == SCOBR {
-			cfg.Reduce = coll.Tuned
-		}
-		return cfg
-	}
-	dp, err := Run(mk(SCOBR))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mp, err := Run(mk(ModelParallel))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dp.SamplesPerSec <= mp.SamplesPerSec {
-		t.Errorf("data parallel (%.0f SPS) should beat model parallel (%.0f SPS) for AlexNet",
-			dp.SamplesPerSec, mp.SamplesPerSec)
-	}
-}
-
-func TestMPPartitionBalancedAndComplete(t *testing.T) {
-	spec := models.GoogLeNet()
-	cfg := timingConfig(spec, 8, 8, 1)
-	parts := mpPartition(&cfg, 8)
-	if len(parts) != 8 {
-		t.Fatalf("got %d stages, want 8", len(parts))
-	}
-	if parts[0][0] != 0 || parts[len(parts)-1][1] != len(spec.Layers)-1 {
-		t.Fatal("partition does not cover the layer range")
-	}
-	var flops []float64
-	for i, p := range parts {
-		if p[0] > p[1] {
-			t.Fatalf("stage %d empty: %v", i, p)
-		}
-		if i > 0 && p[0] != parts[i-1][1]+1 {
-			t.Fatalf("stage %d not contiguous: %v after %v", i, p, parts[i-1])
-		}
-		var f float64
-		for l := p[0]; l <= p[1]; l++ {
-			f += spec.Layers[l].FwdFLOPs + spec.Layers[l].BwdFLOPs
-		}
-		flops = append(flops, f)
-	}
-	// Rough balance: no stage more than 4x the mean.
-	var total float64
-	for _, f := range flops {
-		total += f
-	}
-	mean := total / float64(len(flops))
-	for i, f := range flops {
-		if f > 4*mean {
-			t.Errorf("stage %d holds %.1fx the mean FLOPs", i, f/mean)
-		}
-	}
-}
-
-func TestMPMoreRanksThanLayers(t *testing.T) {
-	spec, _ := models.ByName("tiny") // 7 layers
-	cfg := timingConfig(spec, 12, 24, 2)
-	cfg.Design = ModelParallel
-	cfg.Nodes, cfg.GPUsPerNode = 1, 16
-	if _, err := Run(cfg); err != nil {
-		t.Fatalf("surplus ranks should idle gracefully: %v", err)
-	}
-}

@@ -17,17 +17,14 @@ import (
 // await, spliced in as a fragment so the node's span is the call's.
 
 // A design has one plan per role: the ranks of a role run the same
-// nodes in the same order. The data-parallel designs have the two roles
-// below; ModelParallel has one per pipeline stage and, when there are
-// more ranks than layers, one more for the ranks left idle (see
-// runState.role).
+// nodes in the same order. Every design has the two roles below.
 const (
 	roleRoot   = iota // the updating solver (the PS design's server)
 	roleWorker        // everyone else
 )
 
-// buildPlans constructs the run's iteration plans, one per role under
-// the configured design, and the table of per-rank instances. run()
+// buildPlans constructs the run's two iteration plans, one per role
+// under the configured design, and the table of per-rank instances. run()
 // calls it once, before the ranks spawn; every rank of a role then
 // executes the same plan through its own sched.Graph. A plan therefore
 // captures only the role: the actions find the rank's workload, reader
@@ -37,58 +34,38 @@ const (
 func (st *runState) buildPlans() {
 	cfg := st.cfg
 	st.lbl = newLabelTable(len(cfg.Spec.Layers), len(st.wl[0].buckets))
-	roles := 2
-	if cfg.Design == ModelParallel {
-		st.mpStages = mpPartition(cfg, cfg.GPUs)
-		roles = len(st.mpStages)
-		if cfg.GPUs > roles {
-			roles++ // more ranks than layers: the surplus ranks idle
-		}
-	}
 	if cfg.RealNet != nil && cfg.TestInterval > 0 {
 		st.testPass = st.buildTestPass()
 	}
-	st.plans = make([]*sched.Plan, roles)
 	for role := range st.plans {
-		st.plans[role] = st.buildPlan(role)
+		st.plans[role] = st.buildPlan(role == roleRoot)
 	}
-	bound := make([]*sched.Graph, cfg.GPUs*roles)
-	st.graphs = make([][]*sched.Graph, cfg.GPUs)
-	for i := range st.graphs {
-		st.graphs[i] = bound[i*roles : (i+1)*roles]
-	}
+	st.graphs = make([][2]*sched.Graph, cfg.GPUs)
 }
 
 // buildPlan builds and seals the plan of one role.
-func (st *runState) buildPlan(role int) *sched.Plan {
+func (st *runState) buildPlan(root bool) *sched.Plan {
 	p := sched.NewPlan()
-	root := role == roleRoot
 	switch st.cfg.Design {
 	case SCB, CaffeMT:
 		st.buildSCB(p, root)
 	case SCOB:
 		st.buildSCOB(p, root)
-	case SCOBR, SCOBRF:
+	case SCOBR:
 		st.buildSCOBR(p, root)
 	case CNTKLike:
 		st.buildCNTK(p, root)
 	case ParamServer:
 		st.buildPS(p, root)
-	case ModelParallel:
-		st.buildMP(p, role)
 	}
 	p.Seal()
 	return p
 }
 
-// role is the role rank r plays this iteration. A data-parallel rank's
-// changes only when a shrink moves the root to it (or a grow moves it
-// away); a pipeline stage is a rank's for the whole run.
+// role is the role rank r plays this iteration. It changes only when a
+// shrink moves the root to r (or a grow moves it away).
 func (st *runState) role(r *mpi.Rank) int {
-	switch {
-	case st.cfg.Design == ModelParallel:
-		return min(r.ID, len(st.plans)-1)
-	case st.isRoot(r):
+	if st.isRoot(r) {
 		return roleRoot
 	}
 	return roleWorker
@@ -155,8 +132,8 @@ func (st *runState) buildSCOB(p *sched.Plan, root bool) {
 // propagation plus helper-lane gradient aggregation. The backward
 // kernels run on a helper lane; each layer's (or bucket's) reduce node
 // depends on the helper node that produced its gradients, so layer n's
-// reduce overlaps layer n−1's backward compute. SC-OBR-F shares this
-// builder — normalization guarantees it always has buckets.
+// reduce overlaps layer n−1's backward compute. With Config.BucketBytes
+// set, the reduces are per bucket of consecutive layers instead.
 func (st *runState) buildSCOBR(p *sched.Plan, root bool) {
 	layers := st.cfg.Spec.Layers
 	st.addDataWait(p)

@@ -25,8 +25,6 @@ const (
 	tagLayerReduce  = 1000 // + 4*layer, or + 4*bucket
 	tagPS           = 50   // parameters to a worker; + 1: its gradients back
 	tagJoinAck      = 60   // join handshake: admitted rank -> root
-	tagMPFwd        = 70   // model parallelism: activations to the next stage
-	tagMPBwd        = 71   // and their gradients back
 )
 
 // layerTag is the tag of SC-OBR's reduce of layer (or bucket) l.
@@ -53,16 +51,15 @@ type runState struct {
 	// allocated once for the whole run.
 	psScratch *gpu.Buffer
 
-	// plans holds the run's iteration plans, one per role (see
-	// buildPlans), built once before the ranks spawn and never rebuilt;
+	// plans holds the run's iteration plans by role (see buildPlans),
+	// built once before the ranks spawn and never rebuilt;
 	// graphs[rank][role] is the rank's instance of a plan, bound the first
 	// time the rank plays the role and kept across iterations and across
 	// rebuild() (see runState.graph). lbl interns the node labels the
 	// plans share.
-	plans    []*sched.Plan
-	graphs   [][]*sched.Graph
-	lbl      *labelTable
-	mpStages [][2]int // ModelParallel: each stage's first and last layer
+	plans  [2]*sched.Plan
+	graphs [][2]*sched.Graph
+	lbl    *labelTable
 
 	accuracies  []float64
 	testPass    *sched.Plan // the root's testing phase (real mode)
@@ -347,10 +344,6 @@ func perRankMemory(cfg *Config, localBatch int) int64 {
 	params := cfg.Spec.ParamBytes()
 	acts := int64(cfg.Spec.ActivationElems()) * 4 * 2 * int64(localBatch)
 	input := int64(cfg.Spec.Input.Elems()) * 4 * int64(localBatch)
-	if cfg.Design == ModelParallel {
-		// Each rank holds only its layer slice.
-		return (2*params + acts) / int64(cfg.GPUs)
-	}
 	return 2*params + acts + input
 }
 
@@ -402,8 +395,8 @@ func (st *runState) buildReaders(k *sim.Kernel, localBatch int, elastic bool) {
 			// Config validation restricts faults to the per-rank-reader
 			// designs.
 			rs, batches = stalledSource{inner: src, pl: st.ft, rank: i}, -1
-		case cfg.Design == ParamServer && i == 0, cfg.Design == ModelParallel && i != 0:
-			continue // the server does not train; only the pipeline's first stage reads data
+		case cfg.Design == ParamServer && i == 0:
+			continue // the server does not train
 		}
 		st.readers[i] = data.StartReader(k, names[i], rs, localBatch, cfg.Spec.PerSampleBytes, batches, 1, readerQueueDepth)
 	}

@@ -37,6 +37,10 @@ func TestConfigNormalizeRejectsNonsense(t *testing.T) {
 		{"negative nodes", func(c *Config) { c.Nodes = -1 }},
 		{"negative gpus/node", func(c *Config) { c.GPUsPerNode = -4 }},
 		{"negative bucket bytes", func(c *Config) { c.BucketBytes = -1 }},
+		{"bucket bytes where nothing buckets", func(c *Config) {
+			c.Design = SCOB
+			c.BucketBytes = 4 << 20
+		}},
 		{"negative snapshot interval", func(c *Config) { c.SnapshotEvery = -3 }},
 		{"negative fault timeout", func(c *Config) { c.FaultTimeout = -sim.Millisecond }},
 		{"negative start iteration", func(c *Config) { c.StartIteration = -1 }},

@@ -32,8 +32,8 @@ func TestIntegrityValidation(t *testing.T) {
 		{"corrupt-wire without integrity", func(c *Config) {
 			c.Faults = fault.Schedule{{Kind: fault.CorruptWire, Src: 0, Dst: 1, N: 1}}
 		}},
-		{"integrity on model parallel", func(c *Config) {
-			c.Design = ModelParallel
+		{"integrity on Caffe", func(c *Config) {
+			c.Design = CaffeMT
 			c.Integrity = IntegrityDetect
 		}},
 		{"negative retransmit budget", func(c *Config) { c.RetransmitBudget = -1 }},

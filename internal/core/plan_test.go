@@ -47,7 +47,10 @@ func runCost(t *testing.T, cfg Config) (objects, bytes float64) {
 // design that aggregates through cfg.Reduce runs every reducer
 // fault-free, with a fault plane armed but never tripped, and with the
 // integrity plane recovering; every other design runs once; and every
-// design real-compute mode accepts runs the tiny net.
+// design real-compute mode accepts runs the tiny net. SC-OBR runs all of
+// that a second time at FireCaffe's 4 MiB gradient buckets, under the
+// label "SC-OBR-F" its rows had while the bucketed configuration was a
+// design of its own.
 func TestSteadyStateIterationAllocBudget(t *testing.T) {
 	if raceEnabled {
 		// Instrumented, the noise reaches 0.26 objects per rank-iteration
@@ -64,27 +67,31 @@ func TestSteadyStateIterationAllocBudget(t *testing.T) {
 		ranks int
 		mk    func(iters int) Config
 	}
+	const fused = 4 << 20 // the "SC-OBR-F" rows' bucket size
 	var rows []row
+	reducing := func(name string, d Design, bucket int64) {
+		for a := coll.Algorithm(0); a.String() != "unknown"; a++ {
+			for _, plane := range []string{"fault-free", "armed", "integrity"} {
+				rows = append(rows, row{name + "/" + a.String() + "/" + plane, 8, func(iters int) Config {
+					cfg := timingConfig(spec, 8, 64, iters)
+					cfg.Nodes, cfg.GPUsPerNode = 2, 4 // two levels for the hierarchical reducers
+					cfg.Design, cfg.Reduce, cfg.BucketBytes = d, a, bucket
+					switch plane {
+					case "armed":
+						// Armed but never tripped: the event lies far past the end.
+						cfg.Faults = fault.Schedule{{At: 3600 * sim.Second, Kind: fault.StragglerOff, Rank: 0}}
+					case "integrity":
+						cfg.Integrity = IntegrityRecover
+					}
+					return cfg
+				}})
+			}
+		}
+	}
 	for d := Design(0); d.String() != "unknown"; d++ {
 		switch d {
-		case SCB, SCOB, SCOBR, SCOBRF:
-			for a := coll.Algorithm(0); a.String() != "unknown"; a++ {
-				for _, plane := range []string{"fault-free", "armed", "integrity"} {
-					rows = append(rows, row{d.String() + "/" + a.String() + "/" + plane, 8, func(iters int) Config {
-						cfg := timingConfig(spec, 8, 64, iters)
-						cfg.Nodes, cfg.GPUsPerNode = 2, 4 // two levels for the hierarchical reducers
-						cfg.Design, cfg.Reduce = d, a
-						switch plane {
-						case "armed":
-							// Armed but never tripped: the event lies far past the end.
-							cfg.Faults = fault.Schedule{{At: 3600 * sim.Second, Kind: fault.StragglerOff, Rank: 0}}
-						case "integrity":
-							cfg.Integrity = IntegrityRecover
-						}
-						return cfg
-					}})
-				}
-			}
+		case SCB, SCOB, SCOBR:
+			reducing(d.String(), d, 0)
 		default:
 			rows = append(rows, row{d.String(), 8, func(iters int) Config {
 				cfg := timingConfig(spec, 8, 0, iters)
@@ -94,18 +101,23 @@ func TestSteadyStateIterationAllocBudget(t *testing.T) {
 			}})
 		}
 	}
-	for d := Design(0); d.String() != "unknown"; d++ {
+	reducing("SC-OBR-F", SCOBR, fused)
+	realRow := func(name string, d Design, bucket int64) {
 		cfg := tinyRealConfig(4, 16, 1)
-		cfg.Design = d
+		cfg.Design, cfg.BucketBytes = d, bucket
 		if cfg.validateAndDefault() != nil {
-			continue // a timing-only design
+			return // a timing-only design
 		}
-		rows = append(rows, row{"real/" + d.String(), 4, func(iters int) Config {
+		rows = append(rows, row{"real/" + name, 4, func(iters int) Config {
 			cfg := tinyRealConfig(4, 16, iters)
-			cfg.Design = d
+			cfg.Design, cfg.BucketBytes = d, bucket
 			return cfg
 		}})
 	}
+	for d := Design(0); d.String() != "unknown"; d++ {
+		realRow(d.String(), d, 0)
+	}
+	realRow("SC-OBR-F", SCOBR, fused)
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
 			runCost(t, r.mk(n)) // warm the runtime's own pools
@@ -171,39 +183,39 @@ func TestWholeRunAllocBudget(t *testing.T) {
 // exact and repeat, so the budget is too; and an armed fault plane that
 // never trips must add nothing: its deadline expiries are steps. (Fault
 // injection is validated for the MPI data-parallel designs only, so
-// Caffe, PS and MP run fault-free alone.)
+// Caffe and PS run fault-free alone.) SC-OBR runs a second time at 4 MiB
+// gradient buckets, as the alloc budget's "SC-OBR-F" rows do.
 //
 // Per rank-iteration, when the data wait, SC-B's broadcast, CNTK-like's
-// host exchange, PS's sends and receives and MP's boundary transfers
-// were each a blocking action on the lane's goroutine; when only the
-// data readers and each lane 0's end were left on goroutines; and now:
+// host exchange and PS's sends and receives were each a blocking action
+// on the lane's goroutine; when only the data readers and each lane 0's
+// end were left on goroutines; and now:
 //
 //	SC-OB, SC-OBR, SC-OBR-F   3.00 → 2.00 → 0
 //	SC-B                      3.88 → 2.00 → 0
 //	Caffe                     3.88 → 1.12 → 0
-//	MP                        5.50 → 1.12 → 0
 //	PS                        6.25 → 1.88 → 0
 //	CNTK-like                 7.00 → 2.00 → 0
 func TestSteadyStateIterationSwitchBudget(t *testing.T) {
 	const ranks, n, budget = 8, 8, 0
 	spec, _ := models.ByName("cifar10-quick")
 	for _, row := range []struct {
+		name   string
 		design Design
+		bucket int64
 		batch  int
 		armed  bool // fault injection validates for this design
 	}{
-		{SCB, 64, true}, {SCOB, 64, true}, {SCOBR, 64, true}, {SCOBRF, 64, true},
-		{CaffeMT, 64, false}, {CNTKLike, 64, true}, {ParamServer, 56, false}, {ModelParallel, 64, false},
+		{"SC-B", SCB, 0, 64, true}, {"SC-OB", SCOB, 0, 64, true}, {"SC-OBR", SCOBR, 0, 64, true},
+		{"SC-OBR-F", SCOBR, 4 << 20, 64, true}, {"Caffe", CaffeMT, 0, 64, false},
+		{"CNTK-like", CNTKLike, 0, 64, true}, {"ParamServer", ParamServer, 0, 56, false},
 	} {
-		t.Run(row.design.String(), func(t *testing.T) {
+		t.Run(row.name, func(t *testing.T) {
 			perRankIter := func(armed bool) float64 {
 				var res [2]*Result
 				for i, iters := range []int{n, 2 * n} {
 					cfg := timingConfig(spec, ranks, row.batch, iters)
-					cfg.Design = row.design
-					if row.design == ModelParallel {
-						cfg.Nodes, cfg.GPUsPerNode = 1, 16
-					}
+					cfg.Design, cfg.BucketBytes = row.design, row.bucket
 					if armed {
 						cfg.Faults = fault.Schedule{{At: 3600 * sim.Second, Kind: fault.StragglerOff, Rank: 0}}
 					}
@@ -233,40 +245,5 @@ func TestSteadyStateIterationSwitchBudget(t *testing.T) {
 				t.Errorf("armed-untripped run switches %.2f times per rank-iteration, fault-free %.2f: an untripped deadline must cost a step, not a switch", armed, free)
 			}
 		})
-	}
-}
-
-// TestModelParallelPhasesWithinTotal: a pipeline stage's phase spans
-// come from the scheduler like every other design's, so per rank they
-// are disjoint intervals of the run — their sum cannot exceed it — and
-// every stage that has layers accounts compute.
-func TestModelParallelPhasesWithinTotal(t *testing.T) {
-	tiny, _ := models.ByName("tiny") // 7 layers: five of twelve ranks idle
-	for _, tc := range []struct {
-		spec   *models.Spec
-		gpus   int
-		stages int
-	}{{models.AlexNet(), 8, 8}, {tiny, 12, 7}} {
-		cfg := timingConfig(tc.spec, tc.gpus, 2*tc.gpus, 3)
-		cfg.Design = ModelParallel
-		cfg.Nodes, cfg.GPUsPerNode = 1, 16
-		res, st, err := run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(st.mpStages) != tc.stages {
-			t.Fatalf("%s: %d stages, want %d", tc.spec.Name, len(st.mpStages), tc.stages)
-		}
-		for rank, ph := range st.phases {
-			if ph.Total() > res.TotalTime {
-				t.Errorf("%s rank %d: phases sum to %v, the run took %v", tc.spec.Name, rank, ph.Total(), res.TotalTime)
-			}
-			if staged := rank < tc.stages; (ph.Forward > 0 && ph.Backward > 0 && ph.Update > 0) != staged {
-				t.Errorf("%s rank %d: phases %+v, stage = %v", tc.spec.Name, rank, ph, staged)
-			}
-			if ph.Propagation != 0 || ph.Aggregation != 0 || (ph.DataWait > 0 && rank != 0) {
-				t.Errorf("%s rank %d: a pipeline stage broadcasts and reduces nothing and only stage 0 reads data: %+v", tc.spec.Name, rank, ph)
-			}
-		}
 	}
 }

@@ -242,7 +242,7 @@ func (st *runState) catchupGraph(r *mpi.Rank) *sched.Graph {
 	if st.catchups == nil {
 		st.buildCatchup()
 	}
-	role := st.role(r) // a data-parallel design's: root or worker
+	role := st.role(r)
 	g := &st.catchups[r.ID][role]
 	if *g == nil {
 		*g = st.catchupPlans[role].Bind(r)

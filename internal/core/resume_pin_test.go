@@ -24,17 +24,14 @@ func pinRuns(t *testing.T) []pinRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	design := func(d Design, armed bool) func() Config {
+	design := func(d Design, bucket int64, armed bool) func() Config {
 		return func() Config {
 			batch := 64
 			if d == ParamServer {
 				batch = 56
 			}
 			cfg := timingConfig(spec, 8, batch, 8)
-			cfg.Design = d
-			if d == ModelParallel {
-				cfg.Nodes, cfg.GPUsPerNode = 1, 16
-			}
+			cfg.Design, cfg.BucketBytes = d, bucket
 			if armed {
 				cfg.Faults = fault.Schedule{{At: 3600 * sim.Second, Kind: fault.StragglerOff, Rank: 0}}
 			}
@@ -42,16 +39,18 @@ func pinRuns(t *testing.T) []pinRun {
 		}
 	}
 	var runs []pinRun
-	for _, d := range []Design{SCB, SCOB, SCOBR, SCOBRF, CaffeMT, CNTKLike, ParamServer, ModelParallel} {
-		runs = append(runs, pinRun{d.String(), design(d, false)})
+	for _, d := range designRuns {
+		runs = append(runs, pinRun{d.name, design(d.design, d.bucket, false)})
 	}
-	for _, d := range []Design{SCB, SCOB, SCOBR, SCOBRF, CNTKLike} {
-		runs = append(runs, pinRun{d.String() + "/armed", design(d, true)})
+	for _, d := range designRuns {
+		if d.design != CaffeMT && d.design != ParamServer { // fault injection validates for it
+			runs = append(runs, pinRun{d.name + "/armed", design(d.design, d.bucket, true)})
+		}
 	}
 	const ms = sim.Millisecond
 	runs = append(runs,
 		pinRun{"crash-rejoin", func() Config {
-			cfg := design(SCOBR, false)()
+			cfg := design(SCOBR, 0, false)()
 			cfg.Faults = fault.Schedule{
 				{At: 12 * ms, Kind: fault.Crash, Rank: 3},
 				{At: 24 * ms, Kind: fault.Join, Rank: 3},
@@ -59,7 +58,7 @@ func pinRuns(t *testing.T) []pinRun {
 			return cfg
 		}},
 		pinRun{"retransmit", func() Config {
-			cfg := design(SCOB, false)()
+			cfg := design(SCOB, 0, false)()
 			cfg.Reduce = coll.Binomial
 			cfg.Integrity = IntegrityRecover
 			cfg.Faults = fault.Schedule{
@@ -88,15 +87,14 @@ var designPins = []struct {
 	{49635054, 2031}, // SC-B
 	{48284834, 2023}, // SC-OB
 	{45515906, 2897}, // SC-OBR
-	{48284834, 2223}, // SC-OBR-F
+	{48284834, 2223}, // SC-OBR/4MiB
 	{49635054, 2017}, // Caffe
 	{46700656, 3262}, // CNTK-like
 	{46364463, 1752}, // ParamServer
-	{89002184, 510},  // ModelParallel
 	{49635054, 2055}, // SC-B/armed
 	{48284834, 2047}, // SC-OB/armed
 	{45515906, 2921}, // SC-OBR/armed
-	{48284834, 2247}, // SC-OBR-F/armed
+	{48284834, 2247}, // SC-OBR/4MiB/armed
 	{46700656, 3286}, // CNTK-like/armed
 	{66728549, 3225}, // crash-rejoin
 	{47317960, 1929}, // retransmit

@@ -53,7 +53,7 @@ type layout struct {
 }
 
 // newLayout builds cfg's layout, carrying payloads iff real, gradient
-// buckets included when the design fuses reductions.
+// buckets included when cfg sets a bucket size (SC-OBR only).
 func newLayout(cfg *Config, real bool) *layout {
 	total, n := cfg.Spec.TotalParams(), len(cfg.Spec.Layers)
 	lay := &layout{layerParam: make([]*gpu.Buffer, n), layerGrad: make([]*gpu.Buffer, n)}
@@ -70,7 +70,7 @@ func newLayout(cfg *Config, real bool) *layout {
 			off += l.ParamElems
 		}
 	}
-	if cfg.BucketBytes > 0 && (cfg.Design == SCOBR || cfg.Design == SCOBRF) {
+	if cfg.BucketBytes > 0 {
 		lay.buildBuckets(cfg.Spec, cfg.BucketBytes)
 	}
 	return lay
@@ -83,7 +83,7 @@ func newLayout(cfg *Config, real bool) *layout {
 func (st *runState) newWorkload(localBatch int) *workload {
 	cfg := st.cfg
 	w := &workload{layout: st.layout, localBatch: localBatch}
-	if cfg.Design == SCOB || cfg.Design == SCOBR || cfg.Design == SCOBRF {
+	if cfg.Design == SCOB || cfg.Design == SCOBR {
 		w.bcast = make([]*mpi.Request, len(cfg.Spec.Layers))
 	}
 	if cfg.RealNet != nil {
@@ -202,9 +202,8 @@ func (w *workload) beginBackward() {
 
 // backwardLayer runs layer l's real backward math and packs the
 // layer's gradients into its communication buffer. Layer 0 computes no
-// input gradient, as Caffe's data layer does not propagate down. No
-// real rank needs it: model parallelism, whose stage boundaries would,
-// is timing-only (Config.validate rejects a real net, buildMP asserts).
+// input gradient, as Caffe's data layer does not propagate down, and
+// no rank needs it.
 func (w *workload) backwardLayer(l int) {
 	if !w.real() {
 		return

@@ -105,41 +105,6 @@ func AllreduceRetrospective(o Options) (*Table, error) {
 	return t, nil
 }
 
-// MPvsDP completes the Table 1 design space: the MPI-Caffe-style
-// model-parallel pipeline against S-Caffe's data-parallel approach on
-// the same GPUs — Section 3.1's argument quantified.
-func MPvsDP(o Options) (*Table, error) {
-	spec := models.AlexNet()
-	iters := o.iters(5)
-	t := &Table{
-		ID:      "mpdp",
-		Title:   "Data parallel (S-Caffe) vs model parallel (MPI-Caffe style), AlexNet",
-		Columns: []string{"GPUs", "DP SPS", "MP SPS", "DP advantage"},
-	}
-	for _, g := range o.cap([]int{2, 4, 8, 16}) {
-		mk := func(d core.Design) core.Config {
-			cfg := scaffeConfig(spec, g, 64*g, iters)
-			cfg.Design = d
-			cfg.Source = core.MemorySource
-			cfg.Nodes, cfg.GPUsPerNode = 1, 16
-			return cfg
-		}
-		dp, err := core.Run(mk(core.SCOBR))
-		if err != nil {
-			return nil, err
-		}
-		mp, err := core.Run(mk(core.ModelParallel))
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprint(g), fmt.Sprintf("%.0f", dp.SamplesPerSec),
-			fmt.Sprintf("%.0f", mp.SamplesPerSec),
-			fmt.Sprintf("%.1fx", dp.SamplesPerSec/mp.SamplesPerSec))
-	}
-	t.Note("Extension quantifying Section 3.1: the model-parallel pipeline's sequential stage dependency wastes most of the GPUs, which is why S-Caffe (and this paper's whole design space) is data-parallel.")
-	return t, nil
-}
-
 // Bucketing sweeps SC-OBR's aggregation granularity from the paper's
 // strict per-layer reduces to whole-model fusion — the trade-off that
 // later frameworks resolved with fixed-size gradient buckets.
@@ -176,47 +141,6 @@ func Bucketing(o Options) (*Table, error) {
 			res.Phases.Aggregation.String(), res.Phases.Backward.String())
 	}
 	t.Note("Extension: per-layer reduces (the paper's design) pay a per-collective latency on every small layer; megabyte buckets amortize it; whole-model fusion forfeits the backward overlap — the U-shape behind later frameworks' fixed bucket sizes.")
-	return t, nil
-}
-
-// SCOBRF pits the paper's per-layer SC-OBR against the new SC-OBR-F
-// design (FireCaffe-style fixed-size gradient buckets) across scales.
-// It is the bucketing sweep promoted to a first-class pipeline: the
-// scheduler builds the same overlapped-backward graph but reduces a
-// fused bucket as soon as its last (in backward order) layer finishes.
-func SCOBRF(o Options) (*Table, error) {
-	spec := models.GoogLeNet()
-	iters := o.iters(5)
-	max := 160
-	if o.MaxGPUs > 0 && o.MaxGPUs < max {
-		max = o.MaxGPUs
-	}
-	t := &Table{
-		ID:      "scobrf",
-		Title:   "SC-OBR vs SC-OBR-F (fused buckets), GoogLeNet",
-		Columns: []string{"GPUs", "SC-OBR time/iter", "SC-OBR-F time/iter", "SC-OBR agg", "SC-OBR-F agg", "speedup"},
-	}
-	for _, gpus := range rankSweep([]int{32, 64, 160}, max) {
-		run := func(d core.Design) (*core.Result, error) {
-			cfg := scaffeConfig(spec, gpus, 8*gpus, iters)
-			cfg.Source = core.MemorySource
-			cfg.Design = d
-			return core.Run(cfg)
-		}
-		base, err := run(core.SCOBR)
-		if err != nil {
-			return nil, fmt.Errorf("scobrf base @%d: %w", gpus, err)
-		}
-		fused, err := run(core.SCOBRF)
-		if err != nil {
-			return nil, fmt.Errorf("scobrf fused @%d: %w", gpus, err)
-		}
-		t.AddRow(fmt.Sprint(gpus),
-			base.TimePerIter().String(), fused.TimePerIter().String(),
-			base.Phases.Aggregation.String(), fused.Phases.Aggregation.String(),
-			fmt.Sprintf("%.2fx", float64(base.TotalTime)/float64(fused.TotalTime)))
-	}
-	t.Note("Extension: SC-OBR-F keeps SC-OBR's helper-thread overlap but fuses GoogLeNet's ~58 small per-layer reduces into few-MB buckets (4 MB default), amortizing the per-collective latency that dominates aggregation at scale.")
 	return t, nil
 }
 

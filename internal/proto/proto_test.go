@@ -208,25 +208,24 @@ scaffe_reduce: "binomial"
 
 func TestParseSolverBucketedDesign(t *testing.T) {
 	cfg, err := ParseSolver(`net: "googlenet"
-scaffe_design: "scobrf"
+scaffe_design: "scobr"
 scaffe_bucket_bytes: 2097152`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Design != core.SCOBRF {
-		t.Errorf("design = %v, want SCOBRF", cfg.Design)
+	if cfg.Design != core.SCOBR {
+		t.Errorf("design = %v, want SCOBR", cfg.Design)
 	}
 	if cfg.BucketBytes != 2<<20 {
 		t.Errorf("bucket bytes = %d, want 2MiB", cfg.BucketBytes)
 	}
-	// Without the field the knob stays zero; core's normalization
-	// supplies SC-OBR-F's 4MiB default at run time.
+	// Without the field the knob stays zero: SC-OBR reduces per layer.
 	plain, err := ParseSolver(`net: "googlenet"
-scaffe_design: "scobrf"`)
+scaffe_design: "scobr"`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.BucketBytes != 0 {
-		t.Errorf("bucket bytes = %d, want 0 before normalization", plain.BucketBytes)
+		t.Errorf("bucket bytes = %d, want 0", plain.BucketBytes)
 	}
 }

@@ -30,10 +30,10 @@ import (
 //	snapshot: 50
 //	snapshot_prefix: "snap/run"
 //	# --- S-Caffe extensions ---
-//	scaffe_design: "scobr"      # scb | scob | scobr | scobrf | caffe | cntk | ps | mp
+//	scaffe_design: "scobr"      # scb | scob | scobr | caffe | cntk | ps (or inspur)
 //	scaffe_reduce: "hr"         # binomial | chain | cc | cb | ccb | hr | mv2 | openmpi | rsg
 //	scaffe_chain_size: 8
-//	scaffe_bucket_bytes: 4194304  # gradient fusion bucket (scobr/scobrf)
+//	scaffe_bucket_bytes: 4194304  # gradient fusion bucket (scobr only)
 //	scaffe_data: "imagedata"    # memory | lmdb | imagedata
 //	scaffe_gpus: 160
 //	scaffe_nodes: 12

@@ -17,8 +17,8 @@ import (
 // a chaos spec none of rsg, hr, ccb, mv2 and openmpi.
 var (
 	designTable = map[string]Design{
-		"scb": SCB, "scob": SCOB, "scobr": SCOBR, "scobrf": SCOBRF, "caffe": Caffe,
-		"cntk": CNTK, "ps": InspurPS, "inspur": InspurPS, "mp": MPICaffe,
+		"scb": SCB, "scob": SCOB, "scobr": SCOBR, "caffe": Caffe,
+		"cntk": CNTK, "ps": InspurPS, "inspur": InspurPS,
 	}
 	reduceTable = map[string]ReduceAlgorithm{
 		"binomial": ReduceBinomial, "chain": ReduceChain, "cc": ReduceCC, "cb": ReduceCB, "ccb": ReduceCCB,

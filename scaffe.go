@@ -64,18 +64,12 @@ const (
 	SCOB = core.SCOB
 	// SCOBR adds helper-thread overlapped gradient aggregation (4.3).
 	SCOBR = core.SCOBR
-	// SCOBRF is SC-OBR with FireCaffe-style bucketed aggregation
-	// (Config.BucketBytes, default 4 MiB).
-	SCOBRF = core.SCOBRF
 	// Caffe is the single-node multi-threaded baseline.
 	Caffe = core.CaffeMT
 	// CNTK is the host-staged MPI allreduce baseline.
 	CNTK = core.CNTKLike
 	// InspurPS is the parameter-server baseline (2–16 GPUs only).
 	InspurPS = core.ParamServer
-	// MPICaffe is the model-parallel baseline of Table 1: layers
-	// partitioned across ranks, activations pipelined rank-to-rank.
-	MPICaffe = core.ModelParallel
 )
 
 // SourceKind selects the training-data backend.
