@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the repository's pre-merge gate: formatting, vet, the
-# source rules, the FMA-free listing, build, the zero-alloc gates, and
-# the full test suite under the race detector.
+# source rules, the FMA-free listing, build, the full-fidelity report's
+# digest, the zero-alloc gates, and the full test suite under the race
+# detector.
 # Run from anywhere; it always operates on the repository root.
 set -eu
 
@@ -56,6 +57,23 @@ fi
 
 echo "== go build =="
 go build ./...
+
+echo "== full-fidelity report =="
+# Every experiment table at paper scale, as `go run ./cmd/experiments`
+# prints it (about 7 s on two cores), must be the report whose SHA-256
+# is checked in beside the quick-fidelity table digests that tier-1
+# holds (internal/experiments/testdata). The simulator is deterministic,
+# so a table that moves, notes included, fails here; a deliberate change
+# re-records both after comparing the tables by hand.
+report=$(mktemp)
+go run ./cmd/experiments > "$report" 2>/dev/null
+want=$(cut -d' ' -f1 internal/experiments/testdata/full_report.sha256)
+got=$(sha256sum "$report" | cut -d' ' -f1)
+rm -f "$report"
+if [ "$got" != "$want" ]; then
+    echo "full-fidelity report digest $got, checked in $want (internal/experiments/testdata/full_report.sha256)" >&2
+    exit 1
+fi
 
 echo "== zero-alloc gate =="
 # Steady state allocates nothing (DESIGN.md §10, §12): the pooled event
