@@ -17,6 +17,12 @@
 // -cpuprofile and -memprofile write runtime/pprof profiles of the run
 // (training or chaos); they observe only.
 //
+// -solver loads the run's shape from a Caffe-style solver prototxt
+// (configs/*.prototxt). The file replaces -model, -gpus, -nodes,
+// -gpus-per-node, -batch, -scal, -iters, -design, -reduce, -chain and
+// -data, so setting any of them beside it exits 2 naming them; -seed and
+// -bucket-bytes override the file, and -real trains the file's net.
+//
 // Exit codes: 0 success, 1 runtime failure, 2 invalid configuration,
 // 3 unrecovered failure (every rank lost to injected faults),
 // 4 corruption detected while -integrity detect (observe-only) was set.
@@ -35,6 +41,8 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
+	"strings"
 
 	"scaffe"
 	"scaffe/internal/chaos"
@@ -51,7 +59,8 @@ const (
 )
 
 func main() {
-	solverFile := flag.String("solver", "", "load the configuration from a Caffe-style solver prototxt (model/design/reduce/data flags are ignored when set)")
+	solverFile := flag.String("solver", "", "load the run's shape from a Caffe-style solver prototxt; "+
+		"setting "+strings.Join(runShapingFlags, ", ")+" beside it is an error, -seed and -bucket-bytes override it")
 	model := flag.String("model", "googlenet", "model: lenet, cifar10-quick, alexnet, caffenet, googlenet, vgg16, nin, tiny")
 	gpus := flag.Int("gpus", 16, "number of GPUs (MPI ranks)")
 	nodes := flag.Int("nodes", 0, "cluster nodes (0 = auto from -gpus-per-node)")
@@ -75,6 +84,9 @@ func main() {
 	chaosSeed := flag.Int64("chaos-seed", 0, "run the chaos harness on the default spec with this seed (shorthand for a -chaos file setting only seed)")
 	profiles := prof.Register(flag.CommandLine)
 	flag.Parse()
+	if err := checkSolverFlags(flag.CommandLine); err != nil {
+		fatalConfig(err)
+	}
 
 	stopProfiles, err := profiles.Start()
 	if err != nil {
@@ -124,11 +136,11 @@ func main() {
 		cfg.BucketBytes = *bucketBytes
 	}
 	if *real {
-		builder, err := scaffe.RealNetBuilder(*model)
+		builder, err := scaffe.RealNetBuilder(cfg.Spec.Name)
 		if err != nil {
 			fatalConfig(err)
 		}
-		ds, err := scaffe.SyntheticDataset(*model, 1<<16, *seed)
+		ds, err := scaffe.SyntheticDataset(cfg.Spec.Name, 1<<16, *seed)
 		if err != nil {
 			fatalConfig(err)
 		}
@@ -290,6 +302,31 @@ func runChaos(file string, seed int64, stopProfiles func() error) {
 		os.Exit(exitFailure)
 	}
 	fmt.Printf("invariants: pass (outcome=%s, %d scheduled events)\n", r.Outcome, len(r.Schedule))
+}
+
+// runShapingFlags are the flags a -solver file replaces.
+var runShapingFlags = []string{
+	"-model", "-gpus", "-nodes", "-gpus-per-node", "-batch", "-scal",
+	"-iters", "-design", "-reduce", "-chain", "-data",
+}
+
+// checkSolverFlags returns an error naming every run-shaping flag set
+// on fs beside -solver, which the file would otherwise override without
+// a word; nil when -solver is unset or none is.
+func checkSolverFlags(fs *flag.FlagSet) error {
+	if fs.Lookup("solver").Value.String() == "" {
+		return nil
+	}
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(runShapingFlags, "-"+f.Name) {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	if len(set) == 0 {
+		return nil
+	}
+	return fmt.Errorf("-solver's file sets the run's shape; drop %s", strings.Join(set, ", "))
 }
 
 func fatal(err error) {

@@ -162,9 +162,10 @@ func (c *Conv) forwardSamples(lo, hi int, col []float32) {
 // written by one worker in the serial order.
 func (c *Conv) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	c.backwardParams(gradOut)
+	gradIn := c.gradInBlob()
 	c.pass = inputGradPass
 	tensor.ParallelFor(c.batch, c.k*c.spatial, c)
-	return c.gradIn
+	return gradIn
 }
 
 // backwardParams accumulates the weight and bias gradients and computes

@@ -76,7 +76,7 @@ func (l *InnerProduct) Forward(in *tensor.Tensor) *tensor.Tensor {
 func (l *InnerProduct) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	l.backwardParams(gradOut)
 	// dIn (batch×k) = g (batch×OutN) · W (OutN×k)
-	gradIn := l.gradIn
+	gradIn := l.gradInBlob()
 	tensor.Gemm(false, false, l.batch, l.in.Elems(), l.OutN, 1, gradOut.Data, l.weights.Data, 0, gradIn.Data)
 	return gradIn
 }

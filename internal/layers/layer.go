@@ -45,18 +45,25 @@ type Layer interface {
 
 	// Setup binds the layer to an input shape and batch size,
 	// allocating parameters (initialized from rng) and buffers —
-	// including the output and grad-input blobs that Forward/Backward
-	// reuse, so steady-state iterations allocate nothing.
+	// including the output blob that Forward reuses, so steady-state
+	// iterations allocate nothing. An element-wise layer (ReLU,
+	// Dropout) works in place and allocates no blob.
 	Setup(in Shape, batch int, rng *rand.Rand)
 	// Forward computes the layer output for a batch input of shape
 	// (batch, in.C, in.H, in.W). The returned tensor is the layer's
-	// preallocated output blob: it is overwritten by the next Forward
-	// call, so callers must not retain it across iterations.
+	// preallocated output blob, or, for an in-place layer, in itself
+	// overwritten: either way it is overwritten by the next Forward
+	// call, so callers must not retain it across iterations. An in-place
+	// first layer overwrites the batch it is given, as a Caffe in-place
+	// layer on the data blob does; no zoo net has one.
 	Forward(in *tensor.Tensor) *tensor.Tensor
 	// Backward consumes dLoss/dOut and returns dLoss/dIn, accumulating
-	// parameter gradients. It must be called after Forward. Like
-	// Forward, the result is a reused blob overwritten by the next
-	// Backward call.
+	// parameter gradients. It must be called after Forward. The result
+	// is a reused blob, made by the first Backward, or, for an in-place
+	// layer, gradOut itself overwritten. Backward reads the layer's
+	// input and its own state, not its output, which an in-place layer
+	// after it may have overwritten; ReLU, whose output is its input,
+	// is the one exception, argued on its Backward.
 	Backward(gradOut *tensor.Tensor) *tensor.Tensor
 	// Params returns the learnable tensors (possibly empty).
 	Params() []*tensor.Tensor
@@ -65,16 +72,18 @@ type Layer interface {
 }
 
 // base carries the bookkeeping every layer shares, including the
-// preallocated blobs Forward/Backward hand out. Caffe sizes every blob
-// once at net-setup time and reuses it for the life of the net; doing
-// the same keeps the training hot path allocation-free.
+// reused blobs Forward/Backward hand out. Caffe sizes every blob once
+// and reuses it for the life of the net; doing the same keeps the
+// training hot path allocation-free. Like Caffe, it makes no gradient
+// blob for a layer that never propagates down: the first layer's is
+// made only if something calls its Backward.
 type base struct {
 	name  string
 	in    Shape
 	batch int
 
 	out    *tensor.Tensor // reused Forward result
-	gradIn *tensor.Tensor // reused Backward result
+	gradIn *tensor.Tensor // reused Backward result, made by gradInBlob
 }
 
 func (b *base) Name() string { return b.name }
@@ -84,11 +93,19 @@ func (b *base) setup(in Shape, batch int) {
 	b.batch = batch
 }
 
-// allocBlobs sizes the reusable output and grad-input blobs; layers
-// call it from Setup once the output shape is known.
+// allocBlobs sizes the reusable output blob; layers that do not work
+// in place call it from Setup once the output shape is known.
 func (b *base) allocBlobs(out Shape) {
 	b.out = tensor.New(b.batch, out.C, out.H, out.W)
-	b.gradIn = tensor.New(b.batch, b.in.C, b.in.H, b.in.W)
+}
+
+// gradInBlob returns the reusable input-gradient blob, making it the
+// first time a Backward needs it.
+func (b *base) gradInBlob() *tensor.Tensor {
+	if b.gradIn == nil {
+		b.gradIn = tensor.New(b.batch, b.in.C, b.in.H, b.in.W)
+	}
+	return b.gradIn
 }
 
 func (b *base) checkIn(t *tensor.Tensor) {

@@ -9,7 +9,9 @@ import (
 )
 
 // gradCheck verifies a layer's input gradient against central finite
-// differences, using L = Σ w_i·out_i as the scalar loss (w random).
+// differences, using L = Σ w_i·out_i as the scalar loss (w random). An
+// in-place layer overwrites what it is given, so every Forward gets a
+// fresh copy of the input and Backward a copy of w.
 func gradCheck(t *testing.T, l Layer, in Shape, batch int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
@@ -18,7 +20,8 @@ func gradCheck(t *testing.T, l Layer, in Shape, batch int) {
 	for i := range x.Data {
 		x.Data[i] = rng.Float32()*2 - 1
 	}
-	out := l.Forward(x)
+	forward := func() *tensor.Tensor { return l.Forward(x.Clone()) }
+	out := forward()
 	w := make([]float32, out.Len())
 	for i := range w {
 		w[i] = rng.Float32()*2 - 1
@@ -30,7 +33,7 @@ func gradCheck(t *testing.T, l Layer, in Shape, batch int) {
 		}
 		return s
 	}
-	gradOut := tensor.FromSlice(w, out.Dims...)
+	gradOut := tensor.FromSlice(append([]float32(nil), w...), out.Dims...)
 	gradIn := l.Backward(gradOut)
 
 	const eps = 1e-2
@@ -38,9 +41,9 @@ func gradCheck(t *testing.T, l Layer, in Shape, batch int) {
 	for i := 0; i < x.Len(); i += 1 + x.Len()/64 { // sample positions
 		orig := x.Data[i]
 		x.Data[i] = orig + eps
-		lp := loss(l.Forward(x))
+		lp := loss(forward())
 		x.Data[i] = orig - eps
-		lm := loss(l.Forward(x))
+		lm := loss(forward())
 		x.Data[i] = orig
 		num := (lp - lm) / (2 * eps)
 		ana := float64(gradIn.Data[i])
@@ -53,10 +56,11 @@ func gradCheck(t *testing.T, l Layer, in Shape, batch int) {
 		t.Fatal("gradient check sampled no positions")
 	}
 	// Restore forward state for callers that also check params.
-	l.Forward(x)
+	forward()
 }
 
-// paramGradCheck verifies parameter gradients similarly.
+// paramGradCheck verifies parameter gradients similarly, with the same
+// copies as gradCheck.
 func paramGradCheck(t *testing.T, l Layer, in Shape, batch int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(43))
@@ -65,13 +69,14 @@ func paramGradCheck(t *testing.T, l Layer, in Shape, batch int) {
 	for i := range x.Data {
 		x.Data[i] = rng.Float32()*2 - 1
 	}
-	out := l.Forward(x)
+	forward := func() *tensor.Tensor { return l.Forward(x.Clone()) }
+	out := forward()
 	w := make([]float32, out.Len())
 	for i := range w {
 		w[i] = rng.Float32()*2 - 1
 	}
 	loss := func() float64 {
-		o := l.Forward(x)
+		o := forward()
 		var s float64
 		for i, v := range o.Data {
 			s += float64(w[i]) * float64(v)
@@ -81,8 +86,8 @@ func paramGradCheck(t *testing.T, l Layer, in Shape, batch int) {
 	for _, g := range l.Grads() {
 		g.Zero()
 	}
-	l.Forward(x)
-	l.Backward(tensor.FromSlice(w, out.Dims...))
+	forward()
+	l.Backward(tensor.FromSlice(append([]float32(nil), w...), out.Dims...))
 
 	const eps = 1e-2
 	for pi, p := range l.Params() {
@@ -394,8 +399,9 @@ func TestGroupedConvInputValidation(t *testing.T) {
 
 // TestBackwardParamsFirstLayerKinds covers the first-layer kinds the zoo
 // does not: an InnerProduct first layer accumulates the gradients
-// BackwardLayer does, and neither it nor a parameter-free first layer
-// writes its input-gradient blob.
+// BackwardLayer does, and after Net.Backward neither it nor an in-place
+// ReLU first layer has an input-gradient blob. BackwardLayer(0) then
+// makes the InnerProduct's; the ReLU returns its gradOut, overwritten.
 func TestBackwardParamsFirstLayerKinds(t *testing.T) {
 	in := Shape{C: 2, H: 3, W: 3}
 	build := func(first Layer) *Net {
@@ -407,31 +413,147 @@ func TestBackwardParamsFirstLayerKinds(t *testing.T) {
 		x.Data[i] = rng.Float32()*2 - 1
 	}
 	labels := []int{0, 2, 1}
-	backward := func(n *Net, paramsOnly bool) {
-		n.Forward(x, labels)
+	// An in-place first layer overwrites the batch it is given, so
+	// every pass gets a copy.
+	backwardTo1 := func(n *Net) *tensor.Tensor {
+		n.Forward(x.Clone(), labels)
 		var g *tensor.Tensor
 		for i := len(n.Layers) - 1; i > 0; i-- {
 			g = n.BackwardLayer(i, g)
 		}
-		if paramsOnly {
-			n.BackwardParams(0, g)
-		} else {
-			n.BackwardLayer(0, g)
-		}
+		return g
 	}
 	full, first := build(NewInnerProduct("ip0", 4)), build(NewInnerProduct("ip0", 4))
-	backward(full, false)
-	backward(first, true)
+	full.BackwardLayer(0, backwardTo1(full))
+	first.Forward(x.Clone(), labels)
+	first.Backward()
 	if i := sameBits(first.PackGrads(nil), full.PackGrads(nil)); i >= 0 {
 		t.Fatalf("InnerProduct first layer: packed gradient %d differs", i)
 	}
 	relu := build(NewReLU("r0"))
-	backward(relu, true)
-	for _, b := range []*base{&first.Layers[0].(*InnerProduct).base, &relu.Layers[0].(*ReLU).base} {
-		for i, v := range b.gradIn.Data {
-			if v != 0 {
-				t.Fatalf("%s: BackwardParams wrote input gradient [%d] = %g", b.name, i, v)
-			}
+	relu.Forward(x.Clone(), labels)
+	relu.Backward()
+	ipBase, reluBase := &first.Layers[0].(*InnerProduct).base, &relu.Layers[0].(*ReLU).base
+	for _, b := range []*base{ipBase, reluBase} {
+		if b.gradIn != nil {
+			t.Fatalf("%s: Net.Backward made an input-gradient blob", b.name)
 		}
+	}
+
+	if got := first.BackwardLayer(0, backwardTo1(first)); got == nil || got != ipBase.gradIn {
+		t.Fatalf("InnerProduct first layer: BackwardLayer(0) returned %p, its blob is %p", got, ipBase.gradIn)
+	}
+	g := backwardTo1(relu)
+	if got := relu.BackwardLayer(0, g); got != g || reluBase.gradIn != nil {
+		t.Fatal("ReLU first layer: BackwardLayer(0) did not overwrite its gradOut in place")
+	}
+}
+
+// outOfPlace runs an in-place layer out of place: Forward and Backward
+// hand it private copies of their arguments, so it overwrites neither
+// the layer before's output nor the layer after's input gradient.
+type outOfPlace struct {
+	Layer
+	in, gradOut *tensor.Tensor
+}
+
+func (l *outOfPlace) Forward(in *tensor.Tensor) *tensor.Tensor {
+	if l.in == nil {
+		l.in = tensor.New(in.Dims...)
+	}
+	l.in.CopyFrom(in)
+	return l.Layer.Forward(l.in)
+}
+
+func (l *outOfPlace) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	if l.gradOut == nil {
+		l.gradOut = tensor.New(gradOut.Dims...)
+	}
+	l.gradOut.CopyFrom(gradOut)
+	return l.Layer.Backward(l.gradOut)
+}
+
+// TestInPlaceLayersMatchOutOfPlace holds in-place ReLU and Dropout to
+// the same layers run out of place, bit for bit, after every kind that
+// can feed them and in AlexNet's ReLU→Dropout order. Each net trains two
+// SGD iterations; the losses, every layer's input gradient and every
+// parameter gradient must agree. A layer whose Backward read its own
+// output fails here: the Dropout after it rescales that output where
+// the gradient is not zero. (The ReLU after it changes the output only
+// where the gradient is zero, so it catches fewer such reads.)
+func TestInPlaceLayersMatchOutOfPlace(t *testing.T) {
+	in := Shape{C: 4, H: 6, W: 6}
+	const batch = 3
+	type testCase struct {
+		name  string
+		build func() []Layer
+	}
+	cases := []testCase{{"InnerProduct/ReLU/Dropout", func() []Layer {
+		return []Layer{NewInnerProduct("k", 8), NewReLU("r"), NewDropout("d", 0.5)}
+	}}}
+	for _, kind := range []struct {
+		name string
+		make func() Layer
+	}{
+		{"Conv", func() Layer { return NewConv("k", 4, 3, 1, 1) }},
+		{"GroupedConv", func() Layer { return NewConvGroups("k", 4, 3, 1, 1, 2) }},
+		{"InnerProduct", func() Layer { return NewInnerProduct("k", 8) }},
+		{"MaxPool", func() Layer { return NewMaxPool("k", 3, 2) }},
+		{"AvgPool", func() Layer { return NewAvgPool("k", 3, 2) }},
+		{"LRN", func() Layer { return NewLRN("k", 3, 0.5, 0.75) }},
+		{"Dropout", func() Layer { return NewDropout("k", 0.5) }},
+	} {
+		cases = append(cases,
+			testCase{kind.name + "/ReLU", func() []Layer { return []Layer{kind.make(), NewReLU("r")} }},
+			testCase{kind.name + "/Dropout", func() []Layer { return []Layer{kind.make(), NewDropout("d", 0.5)} }})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			net := func(inPlace bool) *Net {
+				ls := append(tc.build(), NewInnerProduct("ip", 3), NewSoftmaxLoss("loss"))
+				if !inPlace {
+					for i, l := range ls {
+						switch l.(type) {
+						case *ReLU, *Dropout:
+							ls[i] = &outOfPlace{Layer: l}
+						}
+					}
+				}
+				return NewNet(tc.name, in, batch, 1, ls...)
+			}
+			nets := [2]*Net{net(true), net(false)}
+			rng := rand.New(rand.NewSource(6))
+			x := tensor.New(batch, in.C, in.H, in.W)
+			for i := range x.Data {
+				x.Data[i] = rng.Float32()*2 - 1
+			}
+			labels := []int{2, 0, 1}
+			for iter := 0; iter < 2; iter++ {
+				var got [2][][]float32 // per net: the loss, then each gradient
+				for k, n := range nets {
+					n.ZeroGrads()
+					got[k] = append(got[k], []float32{n.Forward(x.Clone(), labels)})
+					var g *tensor.Tensor
+					for i := len(n.Layers) - 1; i >= 0; i-- {
+						g = n.BackwardLayer(i, g)
+						got[k] = append(got[k], append([]float32(nil), g.Data...))
+					}
+					for _, l := range n.Layers {
+						for j, p := range l.Params() {
+							got[k] = append(got[k], append([]float32(nil), l.Grads()[j].Data...))
+							for e, v := range l.Grads()[j].Data {
+								p.Data[e] -= float32(0.1 * v)
+							}
+						}
+					}
+				}
+				for i := range got[1] {
+					if e := sameBits(got[0][i], got[1][i]); e >= 0 {
+						t.Fatalf("iter %d: value %d (0 = loss, then input gradients from the last layer, then parameter gradients) differs at [%d]: %#x in place, %#x out of place",
+							iter, i, e, math.Float32bits(got[0][i][e]), math.Float32bits(got[1][i][e]))
+					}
+				}
+			}
+		})
 	}
 }

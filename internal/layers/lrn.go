@@ -16,9 +16,8 @@ type LRN struct {
 	Alpha, Beta float64
 	K           float64
 
-	lastIn  *tensor.Tensor
-	lastOut *tensor.Tensor
-	scale   []float32 // (k + α/n·Σ in²) per element
+	lastIn *tensor.Tensor
+	scale  []float32 // (k + α/n·Σ in²) per element
 }
 
 // NewLRN creates an LRN layer with AlexNet's defaults for unset
@@ -83,13 +82,12 @@ func (l *LRN) Forward(in *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	l.lastOut = out
 	return out
 }
 
 // Backward implements Layer.
 func (l *LRN) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	gradIn := l.gradIn
+	gradIn := l.gradInBlob()
 	gradIn.Zero() // direct and cross terms accumulate below
 	hw := l.in.H * l.in.W
 	an := float32(l.Alpha / float64(l.Size))

@@ -74,7 +74,7 @@ func (n *Net) ForwardLayer(i int, act *tensor.Tensor, labels []int) *tensor.Tens
 // Backward runs the full backward pass, accumulating parameter
 // gradients. Like Caffe, whose data layer does not propagate down, it
 // computes no gradient with respect to the net's input: the first layer
-// runs BackwardParams.
+// runs BackwardParams, so it never makes an input-gradient blob.
 func (n *Net) Backward() {
 	var grad *tensor.Tensor
 	for i := len(n.Layers) - 1; i > 0; i-- {
@@ -84,7 +84,8 @@ func (n *Net) Backward() {
 }
 
 // BackwardLayer runs a single layer's backward pass, threading the
-// gradient.
+// gradient. On the first layer it computes the net's input gradient,
+// making that layer's gradient blob the first time.
 func (n *Net) BackwardLayer(i int, grad *tensor.Tensor) *tensor.Tensor {
 	return n.Layers[i].Backward(grad)
 }
@@ -96,9 +97,9 @@ type paramBackwarder interface {
 }
 
 // BackwardParams accumulates layer i's parameter gradients exactly as
-// BackwardLayer does but computes no input gradient, so the layer's
-// gradient blob is left as it was: the backward pass of a layer whose
-// input is the data (Caffe's propagate_down = false). A layer without
+// BackwardLayer does but computes no input gradient, and makes no blob
+// for one: the backward pass of a layer whose input is the data (Caffe's
+// propagate_down = false). A layer without
 // parameters does nothing; one with parameters must implement
 // backwardParams, or BackwardParams panics.
 func (n *Net) BackwardParams(i int, grad *tensor.Tensor) {

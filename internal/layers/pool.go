@@ -27,7 +27,7 @@ type Pool struct {
 	Kernel, Stride int
 	Pad            int
 
-	argmax  []int32 // winner index per output element (max pooling)
+	argmax  []int32 // winner index per output element (max pooling only)
 	lastIn  *tensor.Tensor
 	gradOut *tensor.Tensor
 	pass    pass // what Range computes
@@ -77,7 +77,9 @@ func (p *Pool) BwdFLOPs(in Shape) float64 { return p.FwdFLOPs(in) }
 func (p *Pool) Setup(in Shape, batch int, _ *rand.Rand) {
 	p.setup(in, batch)
 	out := p.OutShape(in)
-	p.argmax = make([]int32, batch*out.Elems())
+	if p.Method == MaxPool {
+		p.argmax = make([]int32, batch*out.Elems())
+	}
 	p.allocBlobs(out)
 }
 
@@ -113,7 +115,10 @@ func (p *Pool) forwardSamples(lo, hi int, keys []float32) {
 	for b := lo; b < hi; b++ {
 		src := p.lastIn.Data[b*inSz : (b+1)*inSz]
 		dst := p.out.Data[b*outSz : (b+1)*outSz]
-		am := p.argmax[b*outSz : (b+1)*outSz]
+		var am []int32
+		if p.Method == MaxPool {
+			am = p.argmax[b*outSz : (b+1)*outSz]
+		}
 		for c := 0; c < p.in.C; c++ {
 			chn := src[c*chSz : (c+1)*chSz]
 			if p.Method == MaxPool {
@@ -127,7 +132,7 @@ func (p *Pool) forwardSamples(lo, hi int, keys []float32) {
 					if p.Method == MaxPool {
 						dst[o], am[o] = maxWindow(chn, keys, p.in.W, hLo, hHi, wLo, wHi)
 					} else {
-						dst[o], am[o] = avgWindow(chn, p.in.W, hLo, hHi, wLo, wHi)
+						dst[o] = avgWindow(chn, p.in.W, hLo, hHi, wLo, wHi)
 					}
 					o++
 				}
@@ -214,12 +219,11 @@ func maxWindowScalar(chn []float32, w, hLo, hHi, wLo, wHi int) (float32, int32) 
 	return bv, best
 }
 
-// avgWindow returns the mean of a clamped window in scan order and its
-// element count; an empty window gives (0, 0), which clears the reused
-// blob.
-func avgWindow(chn []float32, w, hLo, hHi, wLo, wHi int) (float32, int32) {
+// avgWindow returns the mean of a clamped window in scan order; an
+// empty window gives 0, which clears the reused blob.
+func avgWindow(chn []float32, w, hLo, hHi, wLo, wHi int) float32 {
 	if hLo >= hHi || wLo >= wHi {
-		return 0, 0
+		return 0
 	}
 	var sum float32
 	for ih := hLo; ih < hHi; ih++ {
@@ -227,21 +231,22 @@ func avgWindow(chn []float32, w, hLo, hHi, wLo, wHi int) (float32, int32) {
 			sum += v
 		}
 	}
-	n := (hHi - hLo) * (wHi - wLo)
-	return sum / float32(n), int32(n)
+	return sum / float32((hHi-hLo)*(wHi-wLo))
 }
 
 // Backward implements Layer. The batch is split over tensor.ParallelFor
 // by samples; a sample's gradient stays inside its own region.
 func (p *Pool) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	p.gradOut = gradOut
+	gradIn := p.gradInBlob()
 	p.pass = inputGradPass
 	tensor.ParallelFor(p.batch, 0, p)
-	return p.gradIn
+	return gradIn
 }
 
 // backwardSamples scatters the gradient of samples [lo, hi) back onto
-// the argmax (max) or the whole window (average).
+// the argmax (max) or the whole window (average), whose element count,
+// like the one forward divided by, depends only on its position.
 func (p *Pool) backwardSamples(lo, hi int) {
 	out := p.OutShape(p.in)
 	inSz, outSz, chSz := p.in.Elems(), out.Elems(), p.in.H*p.in.W
@@ -249,7 +254,10 @@ func (p *Pool) backwardSamples(lo, hi int) {
 		g := p.gradOut.Data[b*outSz : (b+1)*outSz]
 		gi := p.gradIn.Data[b*inSz : (b+1)*inSz]
 		clear(gi) // windows overlap, gradients accumulate
-		am := p.argmax[b*outSz : (b+1)*outSz]
+		var am []int32
+		if p.Method == MaxPool {
+			am = p.argmax[b*outSz : (b+1)*outSz]
+		}
 		for c := 0; c < p.in.C; c++ {
 			chGrad := gi[c*chSz : (c+1)*chSz]
 			o := c * out.H * out.W
@@ -260,9 +268,8 @@ func (p *Pool) backwardSamples(lo, hi int) {
 						if am[o] >= 0 {
 							chGrad[am[o]] += g[o]
 						}
-					} else if am[o] > 0 {
-						share := g[o] / float32(am[o])
-						wLo, wHi := p.window(ow, p.in.W)
+					} else if wLo, wHi := p.window(ow, p.in.W); hLo < hHi && wLo < wHi {
+						share := g[o] / float32((hHi-hLo)*(wHi-wLo))
 						for ih := hLo; ih < hHi; ih++ {
 							row := chGrad[ih*p.in.W+wLo : ih*p.in.W+wHi]
 							for i := range row {

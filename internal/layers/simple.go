@@ -6,13 +6,13 @@ import (
 	"scaffe/internal/tensor"
 )
 
-// ReLU is the rectified-linear activation, computed out-of-place so
-// the input activations stay available for other layers' backward
-// passes.
+// ReLU is the rectified-linear activation, computed in place as Caffe's
+// reference nets declare it (top == bottom): Forward overwrites its
+// input and Backward its gradOut. The backward mask reads the output,
+// which is > 0 exactly where the input was.
 type ReLU struct {
 	base
 	noParams
-	lastIn *tensor.Tensor
 }
 
 // NewReLU creates a ReLU layer.
@@ -30,29 +30,30 @@ func (l *ReLU) FwdFLOPs(in Shape) float64 { return float64(in.Elems()) }
 // BwdFLOPs implements Layer.
 func (l *ReLU) BwdFLOPs(in Shape) float64 { return float64(in.Elems()) }
 
-// Setup implements Layer.
-func (l *ReLU) Setup(in Shape, batch int, _ *rand.Rand) {
-	l.setup(in, batch)
-	l.allocBlobs(in)
-}
+// Setup implements Layer; an in-place layer allocates nothing.
+func (l *ReLU) Setup(in Shape, batch int, _ *rand.Rand) { l.setup(in, batch) }
 
-// Forward implements Layer.
+// Forward implements Layer: it overwrites in with max(0, in).
 func (l *ReLU) Forward(in *tensor.Tensor) *tensor.Tensor {
 	l.checkIn(in)
-	l.lastIn = in
-	tensor.ReLUForward(in.Data, l.out.Data)
-	return l.out
+	tensor.ReLUForward(in.Data, in.Data)
+	l.out = in
+	return in
 }
 
-// Backward implements Layer.
+// Backward implements Layer: it gates gradOut in place by the output's
+// sign. A Dropout after this layer may since have zeroed or scaled the
+// output in place, but only where its own Backward zeroed gradOut or by
+// a positive factor, so the mask is unchanged where it matters.
 func (l *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	tensor.ReLUBackward(l.lastIn.Data, gradOut.Data, l.gradIn.Data)
-	return l.gradIn
+	tensor.ReLUBackward(l.out.Data, gradOut.Data, gradOut.Data)
+	return gradOut
 }
 
 // Dropout zeroes a random fraction of activations during training and
 // scales the survivors by 1/(1-ratio) (inverted dropout, as Caffe
-// does).
+// does). Like ReLU it works in place: Forward overwrites its input and
+// Backward its gradOut.
 type Dropout struct {
 	base
 	noParams
@@ -79,41 +80,39 @@ func (l *Dropout) FwdFLOPs(in Shape) float64 { return float64(in.Elems()) }
 // BwdFLOPs implements Layer.
 func (l *Dropout) BwdFLOPs(in Shape) float64 { return float64(in.Elems()) }
 
-// Setup implements Layer.
+// Setup implements Layer; besides its mask, an in-place layer
+// allocates nothing.
 func (l *Dropout) Setup(in Shape, batch int, rng *rand.Rand) {
 	l.setup(in, batch)
 	l.rng = rng
 	l.mask = make([]bool, batch*in.Elems())
-	l.allocBlobs(in)
 }
 
 // Forward implements Layer.
 func (l *Dropout) Forward(in *tensor.Tensor) *tensor.Tensor {
 	l.checkIn(in)
-	out := l.out
 	scale := float32(1 / (1 - l.Ratio))
 	for i, v := range in.Data {
 		if l.rng.Float64() < l.Ratio {
 			l.mask[i] = true
-			out.Data[i] = 0
+			in.Data[i] = 0
 		} else {
 			l.mask[i] = false
-			out.Data[i] = v * scale
+			in.Data[i] = v * scale
 		}
 	}
-	return out
+	return in
 }
 
 // Backward implements Layer.
 func (l *Dropout) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	gradIn := l.gradIn
 	scale := float32(1 / (1 - l.Ratio))
 	for i, v := range gradOut.Data {
 		if l.mask[i] {
-			gradIn.Data[i] = 0 // blob is reused: clear dropped lanes explicitly
+			gradOut.Data[i] = 0
 		} else {
-			gradIn.Data[i] = v * scale
+			gradOut.Data[i] = v * scale
 		}
 	}
-	return gradIn
+	return gradOut
 }

@@ -68,7 +68,7 @@ func (l *SoftmaxLoss) Forward(in *tensor.Tensor) *tensor.Tensor {
 // gradient of the mean cross-entropy loss. The incoming gradient is
 // ignored (this is the terminal layer).
 func (l *SoftmaxLoss) Backward(_ *tensor.Tensor) *tensor.Tensor {
-	out := l.gradIn
+	out := l.gradInBlob()
 	inv := 1 / float32(l.batch)
 	for i, v := range l.grad.Data {
 		out.Data[i] = v * inv

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"runtime"
 	"testing"
 
 	"scaffe/internal/data"
@@ -75,5 +76,37 @@ func TestBatchLoadZeroSteadyStateAllocs(t *testing.T) {
 	load() // warm up the dataset's cached generator
 	if allocs := testing.AllocsPerRun(5, load); allocs != 0 {
 		t.Errorf("BatchTensorInto allocates %.1f times per batch in steady state, want 0", allocs)
+	}
+}
+
+// netSetupBytes returns the heap bytes that building cifar10-quick at
+// batch 16 and training it one iteration allocate: the net's parameters
+// and blobs, the input-gradient blobs its first Backward makes included.
+// A warm-up net grows the worker pool's scratch first, so that is not
+// counted.
+func netSetupBytes() uint64 {
+	ds := data.SyntheticCIFAR10(16, 1)
+	newIterationNet(BuildCIFAR10Quick, ds, 16).step()
+	input, labels := tensor.New(16, 3, 32, 32), make([]int, 16)
+	data.BatchTensorInto(ds, 0, 16, input.Data, labels)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	net := BuildCIFAR10Quick(16, 1)
+	net.Forward(input, labels)
+	net.Backward()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(net)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestNetSetupBytes bounds what one cifar10-quick rank allocates for
+// its net at batch 16 (netSetupBytes) to the 8,928,704 bytes measured
+// with in-place ReLUs, no input-gradient blob for the first layer and no
+// window counts for the average pools, plus 2 %. Each blob out of place
+// again, or conv1's gradient blob, costs more than that.
+func TestNetSetupBytes(t *testing.T) {
+	const budget = 8_928_704 * 102 / 100
+	if got := netSetupBytes(); got > budget {
+		t.Errorf("building cifar10-quick at batch 16 and training it one iteration allocated %d bytes, budget %d", got, budget)
 	}
 }

@@ -86,7 +86,9 @@ echo "== zero-alloc gate =="
 # New to the same allocations at 2x4 and 64x16, and
 # mpi.TestNewWorldAllocsPerRank holds NewWorld to the same count, under
 # one per rank, at 16 and 160 ranks; core.TestWholeRunAllocBudget bounds
-# a whole run's bytes and objects per rank. What keeps set-up per rank
+# a whole run's bytes and objects per rank, and models.TestNetSetupBytes
+# what one cifar10-quick rank's real net allocates (in-place ReLUs, no
+# gradient blob for the data). What keeps set-up per rank
 # small is gated by name: a payload-free buffer is one descriptor shared
 # by every rank, so core.TestTimingRanksShareOneLayout holds every rank of
 # a timing run (a rejoined one included) to the run's one layout, and
@@ -100,6 +102,7 @@ echo "== zero-alloc gate =="
 go test -run '^(TestSimKernel(ZeroAllocSteadyState|MarchingWavesZeroAlloc)|TestCompletionSize)$' -count=1 ./internal/sim
 go test -run '^(TestSteadyStateIterationAllocBudget|TestWholeRunAllocBudget|TestTimingRanksShareOneLayout)$' -count=1 ./internal/core
 go test -run '^TestPayloadFreeBuffersAreSharedBySize$' -count=1 ./internal/coll
+go test -run '^TestNetSetupBytes$' -count=1 ./internal/models
 go test -run '^TestNewAllocsIndependentOfSize$' -count=1 ./internal/topology
 go test -run '^(TestNewWorldAllocsPerRank|TestRequestSize)$' -count=1 ./internal/mpi
 
