@@ -331,12 +331,14 @@ func (st *runState) addPostPropagation(p *sched.Plan, root bool) {
 		if root {
 			w.packParams()
 		}
+		slot := 0
 		for l, buf := range w.layerParam {
 			if buf == nil {
 				continue
 			}
 			req := x.R.Ibcast(st.comm, 0, buf, topology.ModeAuto)
-			w.bcast[l] = req
+			w.bcast[slot] = req
+			slot++
 			if st.cfg.Trace != nil {
 				post, label, r := x.P.Now(), st.lbl.bcastWire[l], x.R
 				req.OnComplete(func() {
@@ -358,11 +360,16 @@ func (st *runState) addPostPropagation(p *sched.Plan, root bool) {
 func (st *runState) addOverlappedForward(p *sched.Plan, root bool) {
 	layers := st.cfg.Spec.Layers
 	p.Add(0, sched.Generic, "", "begin-forward", func(x *sched.Ctx) { st.wl[x.R.ID].beginForward() })
+	slot := 0 // the layer's workload.bcast slot
 	for l := range layers {
-		if layers[l].ParamElems != 0 && !root {
-			p.Add(0, sched.WaitBcast, "propagation", st.lbl.waitBcast[l], func(x *sched.Ctx) {
-				st.wl[x.R.ID].unpackLayerParams(l)
-			}).Awaiting(func(x *sched.Ctx) []*mpi.Request { return st.wl[x.R.ID].bcast[l : l+1] })
+		if layers[l].ParamElems != 0 {
+			if !root {
+				s := slot
+				p.Add(0, sched.WaitBcast, "propagation", st.lbl.waitBcast[l], func(x *sched.Ctx) {
+					st.wl[x.R.ID].unpackLayerParams(l)
+				}).Awaiting(func(x *sched.Ctx) []*mpi.Request { return st.wl[x.R.ID].bcast[s : s+1] })
+			}
+			slot++
 		}
 		st.addForwardLayer(p, l)
 	}

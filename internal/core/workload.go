@@ -20,9 +20,10 @@ type workload struct {
 	net        *layers.Net // nil in timing mode
 	localBatch int
 
-	// bcast holds each parameter layer's broadcast request from its post
-	// until the node that awaits it (SC-OB and SC-OBR); req holds the
-	// request of the blocking operation in flight (runState.addBlocking).
+	// bcast holds each parameter layer's broadcast request, one slot per
+	// parameter layer in spec order, from its post until the node that
+	// awaits it (SC-OB and SC-OBR); req holds the request of the blocking
+	// operation in flight (runState.addBlocking).
 	bcast []*mpi.Request
 	req   [1]*mpi.Request
 
@@ -84,7 +85,13 @@ func (st *runState) newWorkload(localBatch int) *workload {
 	cfg := st.cfg
 	w := &workload{layout: st.layout, localBatch: localBatch}
 	if cfg.Design == SCOB || cfg.Design == SCOBR {
-		w.bcast = make([]*mpi.Request, len(cfg.Spec.Layers))
+		n := 0
+		for _, l := range cfg.Spec.Layers {
+			if l.ParamElems != 0 {
+				n++
+			}
+		}
+		w.bcast = make([]*mpi.Request, n)
 	}
 	if cfg.RealNet != nil {
 		w.net = cfg.RealNet(localBatch, cfg.Seed)

@@ -142,6 +142,55 @@ func TestLRNGradients(t *testing.T) {
 	gradCheck(t, NewLRN("lrn", 5, 1e-2, 0.75), Shape{C: 8, H: 3, W: 3}, 2)
 }
 
+// TestLRNBackwardBitIdentical holds LRN.Backward, which computes each
+// scale^−β once per (sample, pixel, channel), bit for bit to the
+// channel-major formula that recomputed it for the direct term and again
+// for every cross term, on AlexNet's norm1 shape at batch 2.
+func TestLRNBackwardBitIdentical(t *testing.T) {
+	const batch = 2
+	in := Shape{C: 96, H: 55, W: 55}
+	l := NewLRN("norm1", 5, 1e-4, 0.75)
+	rng := rand.New(rand.NewSource(11))
+	l.Setup(in, batch, rng)
+	x := tensor.New(batch, in.C, in.H, in.W)
+	gradOut := tensor.New(batch, in.C, in.H, in.W)
+	for i := range x.Data {
+		x.Data[i] = float32(rng.NormFloat64() * 20)
+		gradOut.Data[i] = float32(rng.NormFloat64())
+	}
+	l.Forward(x)
+	want := make([]float32, len(x.Data))
+	hw := in.H * in.W
+	an := float32(l.Alpha / float64(l.Size))
+	beta := float32(l.Beta)
+	for b := 0; b < batch; b++ {
+		off := b * in.Elems()
+		for c := 0; c < in.C; c++ {
+			lo, hi := l.window(c)
+			for i := 0; i < hw; i++ {
+				idx := off + c*hw + i
+				s := l.scale[idx]
+				pw := float32(math.Pow(float64(s), -l.Beta))
+				want[idx] += float32(gradOut.Data[idx] * pw)
+				for cc := lo; cc <= hi; cc++ {
+					kdx := off + cc*hw + i
+					scc := l.scale[kdx]
+					pwc := float32(math.Pow(float64(scc), -l.Beta))
+					want[idx] += float32(gradOut.Data[kdx] *
+						(-2 * beta * an * x.Data[kdx] * x.Data[idx] * pwc / scc))
+				}
+			}
+		}
+	}
+	got := l.Backward(gradOut)
+	for i, v := range want {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(v) {
+			t.Fatalf("gradIn[%d] = %v (%#x), the channel-major formula gives %v (%#x)",
+				i, got.Data[i], math.Float32bits(got.Data[i]), v, math.Float32bits(v))
+		}
+	}
+}
+
 func TestConvShapeAndParams(t *testing.T) {
 	c := NewConv("conv1", 96, 11, 4, 0)
 	in := Shape{C: 3, H: 227, W: 227}

@@ -18,6 +18,7 @@ type LRN struct {
 
 	lastIn *tensor.Tensor
 	scale  []float32 // (k + α/n·Σ in²) per element
+	pw     []float32 // Backward's scale^−β for one pixel's channels
 }
 
 // NewLRN creates an LRN layer with AlexNet's defaults for unset
@@ -42,6 +43,7 @@ func (l *LRN) BwdFLOPs(in Shape) float64 { return float64(in.Elems() * (l.Size +
 func (l *LRN) Setup(in Shape, batch int, _ *rand.Rand) {
 	l.setup(in, batch)
 	l.scale = make([]float32, batch*in.Elems())
+	l.pw = make([]float32, in.C)
 	l.allocBlobs(in)
 }
 
@@ -85,33 +87,37 @@ func (l *LRN) Forward(in *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. It walks pixel-major: each (sample, pixel)
+// computes scale^−β once per channel into pw, and each channel's input
+// gradient then sums its direct term and its window's cross terms in
+// channel order, so every element is written once, in its own step.
 func (l *LRN) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	gradIn := l.gradInBlob()
-	gradIn.Zero() // direct and cross terms accumulate below
 	hw := l.in.H * l.in.W
 	an := float32(l.Alpha / float64(l.Size))
 	beta := float32(l.Beta)
+	pw := l.pw
 	for b := 0; b < l.batch; b++ {
 		off := b * l.in.Elems()
-		for c := 0; c < l.in.C; c++ {
-			lo, hi := l.window(c)
-			for i := 0; i < hw; i++ {
-				idx := off + c*hw + i
-				s := l.scale[idx]
-				pw := float32(math.Pow(float64(s), -l.Beta))
-				// Direct term.
-				gradIn.Data[idx] += float32(gradOut.Data[idx] * pw)
+		for i := 0; i < hw; i++ {
+			for c := range pw {
+				pw[c] = float32(math.Pow(float64(l.scale[off+c*hw+i]), -l.Beta))
+			}
+			for c := range pw {
+				lo, hi := l.window(c)
+				jdx := off + c*hw + i
+				// Direct term, added to zero as into a zeroed blob, so a
+				// −0 term still reads +0.
+				g := float32(0)
+				g += float32(gradOut.Data[jdx] * pw[c])
 				// Cross terms: d out[c'] / d in[c] for c in the window
 				// of c'. Iterate the symmetric window.
 				for cc := lo; cc <= hi; cc++ {
-					jdx := off + c*hw + i
 					kdx := off + cc*hw + i
-					scc := l.scale[kdx]
-					pwc := float32(math.Pow(float64(scc), -l.Beta))
-					gradIn.Data[jdx] += float32(gradOut.Data[kdx] *
-						(-2 * beta * an * l.lastIn.Data[kdx] * l.lastIn.Data[jdx] * pwc / scc))
+					g += float32(gradOut.Data[kdx] *
+						(-2 * beta * an * l.lastIn.Data[kdx] * l.lastIn.Data[jdx] * pw[cc] / l.scale[kdx]))
 				}
+				gradIn.Data[jdx] = g
 			}
 		}
 	}

@@ -17,14 +17,17 @@ import (
 // the i-th Ibcast call on a communicator at every rank belongs to the
 // same operation.
 //
-// Operation records and their per-rank records are pooled on the world,
-// and each tree edge is an ordinary delivery (p2p.go) from the parent's
-// rank to the child's, so a steady-state broadcast allocates nothing and
-// its edges meet the same wire faults and epoch fence as every other
-// landing. Completion is tracked by posted/fired counters instead of
-// scanning requests: a rank's request may be waited, released, and
-// recycled long before the op's other subtrees drain, so the op must
-// never read a request after firing it.
+// Operation records are pooled on the world, and each tree edge is an
+// ordinary delivery (p2p.go) from the parent's rank to the child's, so a
+// steady-state broadcast allocates nothing and its edges meet the same
+// wire faults and epoch fence as every other landing. An op keeps one
+// pointer per rank, its request slot (bcastOp.reqs), and one buffer
+// descriptor for the whole tree unless some rank's buffer carries a
+// payload: a payload-free buffer is its size (gpu.Buffer), so at 1,024
+// ranks an op is 8 bytes a rank. Completion is tracked by posted/fired
+// counters instead of scanning requests: a rank's request may be waited,
+// released, and recycled long before the op's other subtrees drain, so
+// the op must never read a request after firing it.
 
 type bcastKey struct {
 	comm int
@@ -38,7 +41,17 @@ type bcastOp struct {
 	bytes int64
 	mode  topology.TransferMode
 
-	ranks []bcastRank // by group rank
+	// reqs is each group rank's slot: nil until the rank posts, its
+	// request until that fires, then fired. A rank is posted iff its
+	// slot is set, and ready (its buffer holds the data) iff it has
+	// fired or is the root and has posted.
+	reqs []*Request
+	// buf is the first buffer posted. bufs holds every posted rank's
+	// buffer, by group rank, but only once some rank posts a buffer that
+	// carries a payload; until then every rank's buffer reads as buf
+	// (bufOf).
+	buf  *gpu.Buffer
+	bufs []*gpu.Buffer
 
 	postedCount int // ranks that have posted their call
 	firedCount  int // requests fired (each rank's exactly once)
@@ -46,9 +59,14 @@ type bcastOp struct {
 	rootSends int // the root's child edges not yet landed
 }
 
+// fired fills a rank's request slot once its request has fired: the
+// request belongs to its rank again, and the slot still reads posted.
+var fired = new(Request)
+
 // getBcastOp draws an n-rank operation record from the world free
 // list, clearing recycled per-rank state, or makes one: the record and
-// its per-rank records, two objects.
+// its request slots, two objects. A payload-carrying broadcast adds its
+// buffer slice the first time the record carries one.
 func (w *World) getBcastOp(n int) *bcastOp {
 	var op *bcastOp
 	if m := len(w.bcastPool); m > 0 {
@@ -59,23 +77,61 @@ func (w *World) getBcastOp(n int) *bcastOp {
 	if op == nil {
 		op = &bcastOp{}
 	}
-	if cap(op.ranks) < n {
-		op.ranks = make([]bcastRank, n)
+	if cap(op.reqs) < n {
+		op.reqs = make([]*Request, n)
 	} else {
-		op.ranks = op.ranks[:n]
-		clear(op.ranks)
+		op.reqs = op.reqs[:n]
+		clear(op.reqs)
 	}
+	op.buf, op.bufs = nil, op.bufs[:0]
 	op.postedCount, op.firedCount, op.rootSends = 0, 0, 0
 	return op
 }
 
-// bcastRank is one rank's part of a broadcast: whether it has posted its
-// call and with what buffer and request, and whether its buffer holds
-// the data.
-type bcastRank struct {
-	posted, ready bool
-	buf           *gpu.Buffer
-	req           *Request
+// posted reports whether group rank i has posted its call.
+func (op *bcastOp) posted(i int) bool { return op.reqs[i] != nil }
+
+// ready reports whether group rank i's buffer holds the data: the root's
+// from its post, any other rank's from the instant its edge commits and
+// fires its request.
+func (op *bcastOp) ready(i int) bool {
+	return op.reqs[i] == fired || i == op.root && op.reqs[i] != nil
+}
+
+// bufOf returns the buffer group rank i posted.
+func (op *bcastOp) bufOf(i int) *gpu.Buffer {
+	if len(op.bufs) > 0 {
+		return op.bufs[i]
+	}
+	return op.buf
+}
+
+// setBuf records the buffer group rank i posts. Payload-free buffers of
+// the op's size are interchangeable, so they need no record past the
+// first; the first payload makes the per-rank slice, filling in the
+// shared descriptor for the ranks already posted.
+func (op *bcastOp) setBuf(i int, buf *gpu.Buffer) {
+	if op.buf == nil {
+		op.buf = buf
+	}
+	if len(op.bufs) == 0 {
+		if buf.Data == nil {
+			return
+		}
+		n := len(op.reqs)
+		if cap(op.bufs) < n {
+			op.bufs = make([]*gpu.Buffer, n)
+		} else {
+			op.bufs = op.bufs[:n]
+		}
+		for j := range op.bufs {
+			op.bufs[j] = nil
+			if op.posted(j) {
+				op.bufs[j] = op.buf
+			}
+		}
+	}
+	op.bufs[i] = buf
 }
 
 func (w *World) putBcastOp(op *bcastOp) {
@@ -109,19 +165,20 @@ func (r *Rank) Ibcast(c *Comm, root int, buf *gpu.Buffer, mode topology.Transfer
 	}
 
 	req := r.getRequest(buf)
-	op.ranks[me] = bcastRank{posted: true, buf: buf, req: req}
+	op.setBuf(me, buf)
+	op.reqs[me] = req
 	op.postedCount++
 
 	if me == root {
 		op.children(root, func(int) { op.rootSends++ })
-		op.markReady(r.W, me)
+		op.sendDown(r.W, me)
 		if op.rootSends == 0 {
 			op.fireReq(root)
 		}
 	} else {
 		// A newly posted child may unblock a ready parent's edge.
 		parent := op.parent(me)
-		if op.ranks[parent].ready {
+		if op.ready(parent) {
 			op.send(r.W, parent, me, 0)
 		}
 	}
@@ -132,7 +189,7 @@ func (r *Rank) Ibcast(c *Comm, root int, buf *gpu.Buffer, mode topology.Transfer
 // parent returns the binomial-tree parent of a non-root group rank: its
 // root-relative rank with the lowest set bit cleared.
 func (op *bcastOp) parent(me int) int {
-	n := len(op.ranks)
+	n := len(op.reqs)
 	rel := (me - op.root + n) % n
 	return (rel&(rel-1) + op.root) % n
 }
@@ -142,7 +199,7 @@ func (op *bcastOp) parent(me int) int {
 // rel's children are rel+m for each power of two m below rel's lowest
 // set bit, or below the tree's size for the root, that stays in it.
 func (op *bcastOp) children(me int, fn func(child int)) {
-	n := len(op.ranks)
+	n := len(op.reqs)
 	rel := (me - op.root + n) % n
 	low := rel & -rel
 	if rel == 0 {
@@ -156,14 +213,15 @@ func (op *bcastOp) children(me int, fn func(child int)) {
 }
 
 // fireReq fires group rank i's request exactly once and drops the
-// reference: the request belongs to its rank, which may recycle it the
-// moment its waiter resumes, so the op must never touch it again.
+// reference for the fired sentinel: the request belongs to its rank,
+// which may recycle it the moment its waiter resumes, so the op must
+// never touch it again.
 func (op *bcastOp) fireReq(i int) {
-	req := op.ranks[i].req
-	if req == nil {
+	req := op.reqs[i]
+	if req == nil || req == fired {
 		return
 	}
-	op.ranks[i].req = nil
+	op.reqs[i] = fired
 	op.firedCount++
 	req.done.Fire()
 }
@@ -171,18 +229,16 @@ func (op *bcastOp) fireReq(i int) {
 // maybeComplete reclaims the op record once every rank has posted and
 // every request has fired.
 func (op *bcastOp) maybeComplete(w *World) {
-	if op.postedCount == len(op.ranks) && op.firedCount == len(op.ranks) {
+	if op.postedCount == len(op.reqs) && op.firedCount == len(op.reqs) {
 		delete(w.bcastOps, op.key)
 		w.putBcastOp(op)
 	}
 }
 
-// markReady records that a rank's buffer holds the data and sends it
-// to every already-posted child.
-func (op *bcastOp) markReady(w *World, me int) {
-	op.ranks[me].ready = true
+// sendDown sends a ready rank's data to every already-posted child.
+func (op *bcastOp) sendDown(w *World, me int) {
 	op.children(me, func(child int) {
-		if op.ranks[child].posted {
+		if op.posted(child) {
 			op.send(w, me, child, 0)
 		}
 	})
@@ -195,7 +251,7 @@ func (op *bcastOp) send(w *World, parent, child, try int) {
 	from, to := op.c.rankAt(parent), op.c.rankAt(child)
 	_, end := w.Cluster.Transfer(w.K.Now(), from.Dev.ID, to.Dev.ID, op.bytes, op.mode)
 	d := w.getDelivery()
-	d.sender, d.recv, d.src, d.mode = from, to, op.ranks[parent].buf, op.mode
+	d.sender, d.recv, d.src, d.mode = from, to, op.bufOf(parent), op.mode
 	d.op, d.key, d.parent, d.child, d.try = op, op.key, int32(parent), int32(child), int32(try)
 	d.epoch = w.epoch
 	w.K.AtRun(end, d)
@@ -207,7 +263,7 @@ func (op *bcastOp) send(w *World, parent, child, try int) {
 // sends on reuses it.
 func (op *bcastOp) land(w *World, d *delivery) {
 	parent, child, try := int(d.parent), int(d.child), int(d.try)
-	op.ranks[child].buf.CopyFrom(d.src)
+	op.bufOf(child).CopyFrom(d.src)
 	w.putDelivery(d)
 	if w.integrityArmed() {
 		op.verifyEdge(w, parent, child, try)
@@ -217,11 +273,11 @@ func (op *bcastOp) land(w *World, d *delivery) {
 }
 
 // commitEdge records a delivered parent->child edge: the child's
-// request fires, its buffer becomes a source for its own children, and
-// the root's request fires once its last child edge lands.
+// request fires, which makes its buffer a source for its own children,
+// and the root's request fires once its last child edge lands.
 func (op *bcastOp) commitEdge(w *World, parent, child int) {
 	op.fireReq(child)
-	op.markReady(w, child)
+	op.sendDown(w, child)
 	if parent == op.root {
 		op.rootSends--
 		if op.rootSends == 0 {
@@ -240,7 +296,7 @@ func (op *bcastOp) commitEdge(w *World, parent, child int) {
 func (op *bcastOp) verifyEdge(w *World, parent, child, try int) {
 	integ := w.Integrity
 	from, to := op.c.rankAt(parent), op.c.rankAt(child)
-	dst := op.ranks[child].buf
+	dst := op.bufOf(child)
 	detected := false
 	if integ.WireCorrupt != nil && integ.WireCorrupt(from.ID, to.ID) {
 		detected = true // timing mode: poison marker only
@@ -248,7 +304,7 @@ func (op *bcastOp) verifyEdge(w *World, parent, child, try int) {
 			dst.Data[0] = math.Float32frombits(math.Float32bits(dst.Data[0]) ^ 1<<30)
 		}
 	}
-	if src := op.ranks[parent].buf; dst.Data != nil && src.Data != nil {
+	if src := op.bufOf(parent); dst.Data != nil && src.Data != nil {
 		detected = src.Checksum() != dst.Checksum()
 	}
 	if !detected {

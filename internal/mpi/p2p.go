@@ -43,22 +43,27 @@ type pendingSend struct {
 // completing the record's next life.
 type Request struct {
 	done sim.Completion
-	buf  *gpu.Buffer
+	// buf is the operation's buffer; nil while the record is on its
+	// rank's free list.
+	buf *gpu.Buffer
 	// summed, when non-nil, records the delivered payload's checksum
 	// for the integrity plane (see IrecvSummed).
 	summed *Summed
 	next   *Request // match-queue (posted receives) or free-list link
-	pooled bool
 }
 
 // getRequest returns a fresh un-fired request from the rank's free
 // list; the cold miss path lives in newRequest. Every request is made
 // here, so here is where one made inside a kernel hook (a RunEvent, a
 // Kernel.At or OnFire callback) is refused: no proc runs there to wait
-// it, so it would leak.
+// it, so it would leak. A request needs a buffer: a nil one would
+// read as released.
 func (r *Rank) getRequest(buf *gpu.Buffer) *Request {
 	if r.W.K.InHook() {
 		r.requestInHook()
+	}
+	if buf == nil {
+		r.requestWithoutBuffer()
 	}
 	r.reqsLive++
 	req := r.reqFree
@@ -68,7 +73,6 @@ func (r *Rank) getRequest(buf *gpu.Buffer) *Request {
 	r.reqFree, req.next = req.next, nil
 	req.done.Init(r.W.K)
 	req.buf = buf
-	req.pooled = false
 	return req
 }
 
@@ -84,6 +88,11 @@ func (r *Rank) newRequest(buf *gpu.Buffer) *Request {
 }
 
 //go:noinline
+func (r *Rank) requestWithoutBuffer() {
+	panic(fmt.Sprintf("mpi: rank %d made a request with a nil buffer", r.ID))
+}
+
+//go:noinline
 func (r *Rank) requestInHook() {
 	panic(fmt.Sprintf("mpi: rank %d made a request inside a kernel hook (a RunEvent, Kernel.At or OnFire callback): no proc there can wait it", r.ID))
 }
@@ -96,13 +105,13 @@ func (r *Rank) LiveRequests() int {
 	return r.reqsLive - r.reqsAbandoned
 }
 
-// putRequest recycles a settled request. Double releases are absorbed
-// (a request waited twice settles once).
+// putRequest recycles a settled request; clearing its buffer marks it
+// released. Double releases are absorbed (a request waited twice
+// settles once).
 func (r *Rank) putRequest(req *Request) {
-	if req.pooled {
+	if req.buf == nil {
 		return
 	}
-	req.pooled = true
 	req.buf = nil
 	req.summed = nil
 	req.next = r.reqFree
@@ -270,7 +279,7 @@ func (d *delivery) RunEvent(k *sim.Kernel) {
 		// while the op is still live under its key, and never commit —
 		// committing twice would corrupt rootSends and re-mark readiness.
 		if w.bcastOps[d.key] == d.op {
-			d.op.ranks[d.child].buf.CopyFrom(d.src)
+			d.op.bufOf(int(d.child)).CopyFrom(d.src)
 		}
 		w.putDelivery(d)
 		return

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -91,7 +92,7 @@ func TestRecyclingDrillCorruptionEscalation(t *testing.T) {
 
 		// The request was recycled for the corrupted receive (a new
 		// generation) and released again before the escalation.
-		if !staleReq.pooled {
+		if staleReq.buf != nil {
 			t.Errorf("request used by the escalated receive was not released back to the pool")
 		}
 		if staleReq.done.Gen() == staleGen {
@@ -111,7 +112,7 @@ func TestRecyclingDrillCorruptionEscalation(t *testing.T) {
 		// (LIFO gives back the same record) and fire it through the
 		// generation snapshotted two lives ago — the stale fire must
 		// dissolve; the current generation must fire.
-		req := r.getRequest(nil)
+		req := r.getRequest(buf)
 		if req != staleReq {
 			t.Errorf("pool did not hand back the recycled request")
 		}
@@ -187,7 +188,7 @@ func TestRecyclingDrillKillMidFlight(t *testing.T) {
 		// The unwound request is abandoned, not recycled: it never
 		// reaches the free list, so no later operation can be handed a
 		// record with a live posted-queue reference.
-		if inFlight.pooled {
+		if inFlight.buf == nil {
 			t.Errorf("request abandoned by the revoked wait was returned to the pool")
 		}
 		for q := r.reqFree; q != nil; q = q.next {
@@ -222,10 +223,47 @@ func TestDeliverySize(t *testing.T) {
 // rank holds 64 requests at once, and a world carves both by the
 // thousand.
 func TestRequestSize(t *testing.T) {
-	if size := unsafe.Sizeof(Request{}); size > 104 {
-		t.Errorf("a Request is %d bytes, want at most 104", size)
+	if size := unsafe.Sizeof(Request{}); size > 96 {
+		t.Errorf("a Request is %d bytes, want at most 96", size)
 	}
 	if size := unsafe.Sizeof(pendingSend{}); size > 56 {
 		t.Errorf("a pendingSend is %d bytes, want at most 56", size)
+	}
+}
+
+// TestRequestBufferMarksRelease: a released request is one whose buffer
+// is nil, so a request made without a buffer fails the run naming its
+// rank, and a second release of the same request is absorbed rather
+// than linking it into the free list twice.
+func TestRequestBufferMarksRelease(t *testing.T) {
+	w := newWorld(t, 2, 1, 2)
+	c := w.WorldComm()
+	_, err := w.Run(func(r *Rank) {
+		if r.ID == 1 {
+			r.Irecv(c, 0, 1, nil)
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "rank 1 made a request with a nil buffer") {
+		t.Errorf("a request with a nil buffer: err = %v, want one naming rank 1", err)
+	}
+
+	w = newWorld(t, 2, 1, 2)
+	c = w.WorldComm()
+	_, err = w.Run(func(r *Rank) {
+		buf := gpu.NewBuffer(4)
+		if r.ID == 0 {
+			r.Send(c, 1, 1, buf, topology.ModeAuto)
+			return
+		}
+		req := r.Irecv(c, 0, 1, buf)
+		r.Wait(req)
+		r.putRequest(req)
+		if r.LiveRequests() != 0 || r.reqFree != req || req.next != nil {
+			t.Errorf("a second release: %d live, free list head %p next %p; want 0, the request, nil",
+				r.LiveRequests(), r.reqFree, req.next)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -119,9 +119,12 @@ func (w *World) putDelivery(d *delivery) {
 }
 
 // A carver hands out zeroed records from blocks, each as large as all
-// carved before it, within [16, 256]: a world's pool that warms up takes
+// carved before it, within [16, 255]: a world's pool that warms up takes
 // a handful of allocations to get there, not one per record, and leaves
-// few records unused.
+// few records unused. The cap is 255, not 256: a block of records that
+// hold pointers carries the allocator's 8-byte header, so 256 records
+// whose bytes fill a size class exactly (96-byte requests: 24,576)
+// would spill into the next one (27,264).
 type carver[T any] struct {
 	block []T // what is left of the current block
 	made  int // records carved so far
@@ -130,7 +133,7 @@ type carver[T any] struct {
 //go:noinline
 func (c *carver[T]) next() *T {
 	if len(c.block) == 0 {
-		n := min(max(c.made, 16), 256)
+		n := min(max(c.made, 16), 255)
 		c.made += n
 		c.block = make([]T, n)
 	}

@@ -96,7 +96,11 @@ echo "== zero-alloc gate =="
 # or scratch descriptor per size, on no free list. The records every
 # wait goes through are pinned by size, so neither silently regrows:
 # sim.TestCompletionSize holds a Completion to 72 bytes, and
-# mpi.TestRequestSize a Request to 104 and a pendingSend to 56. Run
+# mpi.TestRequestSize a Request to 96 and a pendingSend to 56. A
+# broadcast op keeps one request pointer per rank and shares one
+# payload-free buffer: mpi.TestBcastOpBytesPerRank holds a pool-miss op
+# over 1,024 ranks to 8 bytes a rank plus a constant, with no per-rank
+# buffer slice unless a rank posts a payload. Run
 # un-instrumented, since race instrumentation itself allocates and would
 # mask a regression (the iteration budget skips itself under -race).
 go test -run '^(TestSimKernel(ZeroAllocSteadyState|MarchingWavesZeroAlloc)|TestCompletionSize)$' -count=1 ./internal/sim
@@ -104,7 +108,7 @@ go test -run '^(TestSteadyStateIterationAllocBudget|TestWholeRunAllocBudget|Test
 go test -run '^TestPayloadFreeBuffersAreSharedBySize$' -count=1 ./internal/coll
 go test -run '^TestNetSetupBytes$' -count=1 ./internal/models
 go test -run '^TestNewAllocsIndependentOfSize$' -count=1 ./internal/topology
-go test -run '^(TestNewWorldAllocsPerRank|TestRequestSize)$' -count=1 ./internal/mpi
+go test -run '^(TestNewWorldAllocsPerRank|TestRequestSize|TestBcastOpBytesPerRank)$' -count=1 ./internal/mpi
 
 echo "== elastic churn drill =="
 # The elastic membership acceptance bar (DESIGN.md §9, §14): the
