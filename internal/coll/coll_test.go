@@ -27,20 +27,69 @@ func runReduce(t testing.TB, alg Algorithm, o Options, ranks, n int) ([]float32,
 	nodes := (ranks + 3) / 4
 	w := newWorld(t, nodes, 4, ranks)
 	c := w.WorldComm()
-	red := NewReducer(c, alg, o)
+	plan := reducePlan(NewReducer(c, alg, o), nil)
 	var result []float32
-	end, err := w.Run(func(r *mpi.Rank) {
+	end, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
 		buf := gpu.NewDataBuffer(n)
 		buf.Fill(float32(r.ID + 1))
-		red.Reduce(r, buf, 10)
-		if r.ID == 0 {
-			result = append([]float32(nil), buf.Data...)
-		}
+		return &reduceCalls{r: r, plan: plan, bufs: []*gpu.Buffer{buf}, tag: 10, ended: func(int) {
+			if r.ID == 0 {
+				result = append([]float32(nil), buf.Data...)
+			}
+		}}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return result, end
+}
+
+// reducePlan is a collective of red as a training run's reduce node makes
+// it: a one-lane plan whose splice is red's fragment for the walk's
+// buffer and tag. then, if set, is a node after it, which a revocation
+// skips.
+func reducePlan(red Reducer, then func(x *sched.Ctx)) *sched.Plan {
+	pl := sched.NewPlan()
+	pl.AddSplice(sched.Reduce, "", "", func(x *sched.Ctx) (*sched.Plan, *gpu.Buffer, int) {
+		return red.Fragment(x.R, x.Buf), x.Buf, x.Tag
+	})
+	if then != nil {
+		pl.Add(0, sched.Generic, "", "", then)
+	}
+	pl.Seal()
+	return pl
+}
+
+// reduceCalls is rank r's part of collectives of plan, one per buffer of
+// bufs in order, as its main proc's stepper: a walk of the plan
+// (sched.Walk) per buffer. ended, if set, runs as each walk ends, with
+// its index.
+type reduceCalls struct {
+	r       *mpi.Rank
+	plan    *sched.Plan
+	bufs    []*gpu.Buffer
+	tag     int
+	ended   func(i int)
+	walk    sched.Walk
+	i       int
+	started bool
+}
+
+func (s *reduceCalls) Step(p *sim.Proc) bool {
+	for ; s.i < len(s.bufs); s.i++ {
+		if !s.started {
+			s.started = true
+			s.walk.Start(s.r, s.plan, s.bufs[s.i], s.tag, 1)
+		}
+		if !s.walk.Step(p) {
+			return false
+		}
+		s.started = false
+		if s.ended != nil {
+			s.ended(s.i)
+		}
+	}
+	return true
 }
 
 func expectSum(t *testing.T, got []float32, ranks int) {
@@ -167,20 +216,19 @@ func checkReduce(t *testing.T, f family, p, holes, elems int, o Options, seed in
 	run := func(payload bool) (sim.Time, [][]float32) {
 		world := newWorld(t, (w+3)/4, 4, w)
 		c := world.EpochComm(members)
-		call := f.call(c, o)
+		plan := reducePlan(f.build(c, o), nil)
 		got := make([][]float32, p)
-		end, err := world.Run(func(r *mpi.Rank) {
+		end, err := world.RunSteps(func(r *mpi.Rank) sim.Stepper {
 			me := c.GroupRank(r.ID)
 			if me < 0 {
-				return
+				return &reduceCalls{}
 			}
 			buf := gpu.NewBuffer(int64(4 * elems))
 			if payload {
 				buf = gpu.NewDataBuffer(elems)
 				buf.Fill(float32(me + 1))
 			}
-			call(r, buf)
-			got[me] = buf.Data
+			return &reduceCalls{r: r, plan: plan, bufs: []*gpu.Buffer{buf}, tag: f.tag, ended: func(int) { got[me] = buf.Data }}
 		})
 		if err != nil {
 			t.Fatalf("%s P=%d holes=%d elems=%d %+v: %v", f.name, p, holes, elems, o, err)
@@ -284,12 +332,24 @@ func TestAllreduceCorrect(t *testing.T) {
 	c := w.WorldComm()
 	red := NewReducer(c, Binomial, DefaultOptions())
 	results := make([][]float32, ranks)
-	_, err := w.Run(func(r *mpi.Rank) {
+	bcast := make([][]*mpi.Request, ranks)
+	// Reduce to the root, then its broadcast.
+	pl := sched.NewPlan()
+	pl.AddSplice(sched.Reduce, "", "", func(x *sched.Ctx) (*sched.Plan, *gpu.Buffer, int) {
+		return red.Fragment(x.R, x.Buf), x.Buf, x.Tag
+	})
+	pl.Add(0, sched.PostBcast, "", "", func(x *sched.Ctx) {
+		bcast[x.R.ID] = []*mpi.Request{x.R.Ibcast(c, 0, x.Buf, topology.ModeAuto)}
+	})
+	pl.Add(0, sched.WaitBcast, "", "", func(x *sched.Ctx) {
+		results[x.R.ID] = append([]float32(nil), x.Buf.Data...)
+	}).Awaiting(func(x *sched.Ctx) []*mpi.Request { return bcast[x.R.ID] })
+	pl.Seal()
+	walks := make([]sched.Walk, ranks)
+	_, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
 		buf := gpu.NewDataBuffer(17)
 		buf.Fill(float32(r.ID + 1))
-		red.Reduce(r, buf, 50) // reduce to the root, then its broadcast
-		r.Wait(r.Ibcast(c, 0, buf, topology.ModeAuto))
-		results[r.ID] = append([]float32(nil), buf.Data...)
+		return walks[r.ID].Start(r, pl, buf, 50, 1)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -309,12 +369,13 @@ func TestRingAllreduceCorrect(t *testing.T) {
 		w := newWorld(t, 2, 4, ranks)
 		c := w.WorldComm()
 		results := make([][]float32, ranks)
-		ring := NewRing(c, DefaultOptions())
-		_, err := w.Run(func(r *mpi.Rank) {
+		plan := reducePlan(NewRing(c, DefaultOptions()), nil)
+		_, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
 			buf := gpu.NewDataBuffer(53)
 			buf.Fill(float32(c.Rank(r) + 1))
-			ring.Allreduce(r, buf, 100)
-			results[c.Rank(r)] = append([]float32(nil), buf.Data...)
+			return &reduceCalls{r: r, plan: plan, bufs: []*gpu.Buffer{buf}, tag: 100, ended: func(int) {
+				results[c.Rank(r)] = append([]float32(nil), buf.Data...)
+			}}
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -502,14 +563,15 @@ func TestRabenseifnerReduceCorrect(t *testing.T) {
 			w := newWorld(t, (ranks+3)/4, 4, ranks)
 			c := w.WorldComm()
 			var got []float32
-			red := NewReducer(c, Rabenseifner, DefaultOptions())
-			_, err := w.Run(func(r *mpi.Rank) {
+			plan := reducePlan(NewReducer(c, Rabenseifner, DefaultOptions()), nil)
+			_, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
 				buf := gpu.NewDataBuffer(elems)
 				buf.Fill(float32(c.Rank(r) + 1))
-				red.Reduce(r, buf, 40)
-				if c.Rank(r) == 0 {
-					got = append([]float32(nil), buf.Data...)
-				}
+				return &reduceCalls{r: r, plan: plan, bufs: []*gpu.Buffer{buf}, tag: 40, ended: func(int) {
+					if c.Rank(r) == 0 {
+						got = append([]float32(nil), buf.Data...)
+					}
+				}}
 			})
 			if err != nil {
 				t.Fatalf("ranks=%d elems=%d: %v", ranks, elems, err)
@@ -535,17 +597,20 @@ func TestRabenseifnerFewerElemsThanRanks(t *testing.T) {
 	for _, ranks := range []int{8, 16} {
 		w := newWorld(t, ranks/4, 4, ranks)
 		c := w.WorldComm()
-		red := NewReducer(c, Rabenseifner, DefaultOptions())
+		plan := reducePlan(NewReducer(c, Rabenseifner, DefaultOptions()), nil)
 		got := map[int][]float32{}
-		_, err := w.Run(func(r *mpi.Rank) {
+		_, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
+			var bufs []*gpu.Buffer
 			for _, elems := range []int{3, 64} {
 				buf := gpu.NewDataBuffer(elems)
 				buf.Fill(float32(c.Rank(r) + 1))
-				red.Reduce(r, buf, 40)
-				if c.Rank(r) == 0 {
-					got[elems] = buf.Data
-				}
+				bufs = append(bufs, buf)
 			}
+			return &reduceCalls{r: r, plan: plan, bufs: bufs, tag: 40, ended: func(i int) {
+				if c.Rank(r) == 0 {
+					got[len(bufs[i].Data)] = bufs[i].Data
+				}
+			}}
 		})
 		if err != nil {
 			t.Fatalf("ranks=%d: %v", ranks, err)
@@ -574,14 +639,15 @@ func TestRabenseifnerNonPowerOfTwoFallsBack(t *testing.T) {
 	w := newWorld(t, 2, 4, ranks)
 	c := w.WorldComm()
 	var got []float32
-	red := NewReducer(c, Rabenseifner, DefaultOptions())
-	_, err := w.Run(func(r *mpi.Rank) {
+	plan := reducePlan(NewReducer(c, Rabenseifner, DefaultOptions()), nil)
+	_, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
 		buf := gpu.NewDataBuffer(19)
 		buf.Fill(float32(c.Rank(r) + 1))
-		red.Reduce(r, buf, 40)
-		if c.Rank(r) == 0 {
-			got = append([]float32(nil), buf.Data...)
-		}
+		return &reduceCalls{r: r, plan: plan, bufs: []*gpu.Buffer{buf}, tag: 40, ended: func(int) {
+			if c.Rank(r) == 0 {
+				got = append([]float32(nil), buf.Data...)
+			}
+		}}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -594,9 +660,9 @@ func TestRabenseifnerBandwidthAdvantage(t *testing.T) {
 	// b·log2(P) for large buffers.
 	const ranks, elems = 16, 32 << 20 / 4
 	w := newWorld(t, 4, 4, ranks)
-	red := NewReducer(w.WorldComm(), Rabenseifner, DefaultOptions())
-	rsg, err := w.Run(func(r *mpi.Rank) {
-		red.Reduce(r, gpu.NewBuffer(elems*4), 40)
+	plan := reducePlan(NewReducer(w.WorldComm(), Rabenseifner, DefaultOptions()), nil)
+	rsg, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
+		return &reduceCalls{r: r, plan: plan, bufs: []*gpu.Buffer{gpu.NewBuffer(elems * 4)}, tag: 40}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -607,38 +673,20 @@ func TestRabenseifnerBandwidthAdvantage(t *testing.T) {
 	}
 }
 
-// fragmenter is a reducer family as the fragment it splices for a rank.
-type fragmenter interface {
-	Fragment(r *mpi.Rank, buf *gpu.Buffer) *sched.Plan
-}
-
 // TestEveryReducerRunsAsSteps: every family's fragment, spliced into a
 // plan that a rank with no goroutine walks (mpi.World.RunSteps,
 // sched.Walk.Start), makes no coroutine switch at any size, checksums
 // armed or not: each of its waits is a step on the event loop.
 func TestEveryReducerRunsAsSteps(t *testing.T) {
-	type family struct {
-		name  string
-		build func(c *mpi.Comm) fragmenter
-	}
-	fams := []family{{"ring", func(c *mpi.Comm) fragmenter { return NewRing(c, DefaultOptions()) }}}
-	for a := Algorithm(0); a.String() != "unknown"; a++ {
-		fams = append(fams, family{a.String(), func(c *mpi.Comm) fragmenter { return NewReducer(c, a, DefaultOptions()) }})
-	}
 	const calls = 4
-	for _, f := range fams {
+	for _, f := range families() {
 		for _, p := range []int{2, 13, 160} {
 			for _, armed := range []bool{false, true} {
 				w := newWorld(t, (p+3)/4, 4, p)
 				if armed {
 					w.Integrity = &mpi.Integrity{Mode: mpi.IntegrityRecover, RetryBudget: 2}
 				}
-				red := f.build(w.WorldComm())
-				pl := sched.NewPlan()
-				pl.AddSplice(sched.Reduce, "", "", func(x *sched.Ctx) (*sched.Plan, *gpu.Buffer, int) {
-					return red.Fragment(x.R, x.Buf), x.Buf, x.Tag
-				})
-				pl.Seal()
+				pl := reducePlan(f.build(w.WorldComm(), DefaultOptions()), nil)
 				walks := make([]sched.Walk, p)
 				if _, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
 					return walks[r.ID].Start(r, pl, gpu.NewDataBuffer(1<<12), 10, calls)

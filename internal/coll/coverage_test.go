@@ -50,9 +50,9 @@ func TestHostReduceBWOption(t *testing.T) {
 		w := newWorld(t, 2, 4, 8)
 		c := w.WorldComm()
 		o := Options{ChainSize: 8, OnGPU: false, HostReduceBW: bw, Mode: topology.ModeHost}
-		red := NewReducer(c, Binomial, o)
-		end, err := w.Run(func(r *mpi.Rank) {
-			red.Reduce(r, gpu.NewBuffer(64<<20), 10)
+		plan := reducePlan(NewReducer(c, Binomial, o), nil)
+		end, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
+			return &reduceCalls{r: r, plan: plan, bufs: []*gpu.Buffer{gpu.NewBuffer(64 << 20)}, tag: 10}
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -70,14 +70,15 @@ func TestSingleRankReducesAreFree(t *testing.T) {
 	for _, alg := range []Algorithm{Binomial, Chain, Tuned, MV2Baseline, OpenMPIBaseline, Rabenseifner} {
 		w := newWorld(t, 1, 4, 1)
 		c := w.WorldComm()
-		red := NewReducer(c, alg, DefaultOptions())
-		end, err := w.Run(func(r *mpi.Rank) {
+		plan := reducePlan(NewReducer(c, alg, DefaultOptions()), nil)
+		end, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
 			buf := gpu.NewDataBuffer(16)
 			buf.Fill(3)
-			red.Reduce(r, buf, 10)
-			if buf.Data[0] != 3 {
-				t.Errorf("%v: single-rank reduce modified the buffer", alg)
-			}
+			return &reduceCalls{r: r, plan: plan, bufs: []*gpu.Buffer{buf}, tag: 10, ended: func(int) {
+				if buf.Data[0] != 3 {
+					t.Errorf("%v: single-rank reduce modified the buffer", alg)
+				}
+			}}
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
@@ -99,9 +100,9 @@ func TestChainBinomialLocalityAlignment(t *testing.T) {
 	c := w.WorldComm()
 	o := DefaultOptions()
 	o.ChainSize = 4 // == GPUs per node
-	red := NewReducer(c, ChainBinomial, o)
-	_, err := w.Run(func(r *mpi.Rank) {
-		red.Reduce(r, gpu.NewBuffer(8<<20), 10)
+	plan := reducePlan(NewReducer(c, ChainBinomial, o), nil)
+	_, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
+		return &reduceCalls{r: r, plan: plan, bufs: []*gpu.Buffer{gpu.NewBuffer(8 << 20)}, tag: 10}
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,13 +7,14 @@ import (
 	"scaffe/internal/fault"
 	"scaffe/internal/gpu"
 	"scaffe/internal/mpi"
+	"scaffe/internal/sched"
 	"scaffe/internal/sim"
 )
 
-// The two drills below take a 32-rank chunked chain through what its
-// steps cannot do on the event loop: unwind with Revoked, and wait out a
+// The two drills below take a 32-rank chunked chain's walk through the
+// two hard cases of its steps: unwinding with Revoked, and waiting out a
 // retransmission. Their expected values were recorded from the blocking
-// chain they replace.
+// chain the steps replaced.
 
 type killApplier struct {
 	fault.NopApplier
@@ -24,9 +25,9 @@ func (a killApplier) KillRank(rank int, _ fault.Kind) { a.w.Ranks[rank].KillAll(
 
 // TestChainReduceRankKilledMidPipeline crashes rank 17 of a 32-rank
 // chain while chunks are in flight on both sides of it. Every survivor's
-// Reduce must unwind with Revoked on its own goroutine — downstream
-// ranks out of a receive that never completes, upstream ranks out of a
-// forward nobody takes — at the virtual times the deadline ladder gives.
+// walk of its fragment must end with Revoked — downstream ranks out of a
+// receive that never completes, upstream ranks out of a forward nobody
+// takes — at the virtual times the deadline ladder gives.
 func TestChainReduceRankKilledMidPipeline(t *testing.T) {
 	const ranks, victim = 32, 17
 	w := newWorld(t, 8, 4, ranks)
@@ -36,24 +37,20 @@ func TestChainReduceRankKilledMidPipeline(t *testing.T) {
 	pl.Arm(fault.Schedule{{At: 2 * sim.Millisecond, Kind: fault.Crash, Rank: victim}}, killApplier{w: w})
 	o := DefaultOptions()
 	o.Chunks = 16
-	red := NewReducer(c, Chain, o)
+	reduced := make([]bool, ranks)
+	plan := reducePlan(NewReducer(c, Chain, o), func(x *sched.Ctx) { reduced[x.R.ID] = true })
 
 	outcome := make([]string, ranks)
-	end, err := w.Run(func(r *mpi.Rank) {
-		defer func() {
-			rec := recover()
-			if rec != nil && !mpi.IsRevoked(rec) {
-				panic(rec)
-			}
-			outcome[r.ID] = fmt.Sprint(rec != nil, "@", r.Now())
-		}()
-		red.Reduce(r, gpu.NewBuffer(8<<20), 10)
+	end, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
+		return &reduceCalls{r: r, plan: plan, bufs: []*gpu.Buffer{gpu.NewBuffer(8 << 20)}, tag: 10, ended: func(int) {
+			outcome[r.ID] = fmt.Sprint(!reduced[r.ID], "@", r.Now())
+		}}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if outcome[victim] != "" {
-		t.Errorf("the killed rank ran its recover: %s", outcome[victim])
+		t.Errorf("the killed rank's walk ended: %s", outcome[victim])
 	}
 	got := fmt.Sprint(end, " ", pl.Report().Retries, " ", outcome)
 	// Ranks 23..31 had drained their part of the pipeline before the
@@ -66,9 +63,9 @@ func TestChainReduceRankKilledMidPipeline(t *testing.T) {
 
 // TestChainReduceRetransmitMidPipeline corrupts the wire once on two
 // links of a 32-rank chain with the integrity plane in recover mode.
-// Each hit hands its stage back to the rank's goroutine for the
-// retransmission and the pipeline resumes: the root still holds the
-// exact sum, at the time the blocking chain produced it.
+// Each hit holds its stage for the retransmission and the pipeline
+// resumes: the root still holds the exact sum, at the time the blocking
+// chain produced it.
 func TestChainReduceRetransmitMidPipeline(t *testing.T) {
 	const ranks, elems = 32, 1 << 16
 	w := newWorld(t, 8, 4, ranks)
@@ -88,15 +85,16 @@ func TestChainReduceRetransmitMidPipeline(t *testing.T) {
 	}
 	o := DefaultOptions()
 	o.Chunks = 8
-	red := NewReducer(c, Chain, o)
+	plan := reducePlan(NewReducer(c, Chain, o), nil)
 	var result []float32
-	end, err := w.Run(func(r *mpi.Rank) {
+	end, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
 		buf := gpu.NewDataBuffer(elems)
 		buf.Fill(float32(r.ID + 1))
-		red.Reduce(r, buf, 10)
-		if r.ID == 0 {
-			result = buf.Data
-		}
+		return &reduceCalls{r: r, plan: plan, bufs: []*gpu.Buffer{buf}, tag: 10, ended: func(int) {
+			if r.ID == 0 {
+				result = buf.Data
+			}
+		}}
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,29 +13,24 @@ import (
 
 // family is one reducer family: an Algorithm, or the ring allreduce.
 type family struct {
-	name string
-	// call builds the family over c and returns one rank's part of it.
-	call func(c *mpi.Comm, o Options) func(r *mpi.Rank, buf *gpu.Buffer)
+	name  string
+	tag   int // the tag of its calls
+	build func(c *mpi.Comm, o Options) Reducer
 }
 
 // families lists every reducer family.
 func families() []family {
 	var fams []family
 	for a := Algorithm(0); a.String() != "unknown"; a++ {
-		fams = append(fams, family{a.String(), func(c *mpi.Comm, o Options) func(*mpi.Rank, *gpu.Buffer) {
-			red := NewReducer(c, a, o)
-			return func(r *mpi.Rank, buf *gpu.Buffer) { red.Reduce(r, buf, 10) }
-		}})
+		fams = append(fams, family{a.String(), 10, func(c *mpi.Comm, o Options) Reducer { return NewReducer(c, a, o) }})
 	}
-	return append(fams, family{"ring", func(c *mpi.Comm, o Options) func(*mpi.Rank, *gpu.Buffer) {
-		ring := NewRing(c, o)
-		return func(r *mpi.Rank, buf *gpu.Buffer) { ring.Allreduce(r, buf, 100) }
-	}})
+	return append(fams, family{"ring", 100, func(c *mpi.Comm, o Options) Reducer { return NewRing(c, o) }})
 }
 
 // pinRun runs one payload-free collective of family f over p ranks (4
-// GPUs a node) and renders its timing: the run's end, then the virtual
-// time at which each rank's call returned, in ns. With a quantum the
+// GPUs a node), each rank's part a walk of its fragment, and renders its
+// timing: the run's end, then the virtual time at which each rank's walk
+// ended, in ns. With a quantum the
 // world's plane is armed with it and never trips, and the line ends with
 // the plane's deadline expiries.
 func pinRun(t *testing.T, f family, p int, bytes int64, quantum sim.Duration) string {
@@ -47,11 +42,11 @@ func pinRun(t *testing.T, f family, p int, bytes int64, quantum sim.Duration) st
 		w.Fault = pl
 		pl.Arm(nil, fault.NopApplier{})
 	}
-	call := f.call(w.WorldComm(), DefaultOptions())
+	plan := reducePlan(f.build(w.WorldComm(), DefaultOptions()), nil)
 	returned := make([]sim.Time, p)
-	end, err := w.Run(func(r *mpi.Rank) {
-		call(r, gpu.NewBuffer(bytes))
-		returned[r.ID] = r.Now()
+	end, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
+		return &reduceCalls{r: r, plan: plan, bufs: []*gpu.Buffer{gpu.NewBuffer(bytes)}, tag: f.tag,
+			ended: func(int) { returned[r.ID] = r.Now() }}
 	})
 	if err != nil {
 		t.Fatalf("%s P=%d %d B: %v", f.name, p, bytes, err)
@@ -71,8 +66,9 @@ func pinRun(t *testing.T, f family, p int, bytes int64, quantum sim.Duration) st
 // over communicator sizes that are powers of two and not, one to a node
 // and many, and messages that go eager, pipelined and chunked: the run's
 // end and every rank's return, recorded from the goroutine-blocking
-// reducers before any of them ran as steps. One armed row per family
-// adds the deadline expiries an armed plane counts.
+// reducers before any of them ran as steps, and held since by the walks
+// of their fragments. One armed row per family adds the deadline expiries
+// an armed plane counts.
 func TestReduceFamiliesPinned(t *testing.T) {
 	check := func(key, got string) {
 		t.Helper()

@@ -344,9 +344,8 @@ func (st *runState) addPostPropagation(p *sched.Plan, root bool) {
 				req.OnComplete(func() {
 					// The hook runs in kernel context at completion
 					// time, so the current virtual time IS the
-					// completion time — and unlike req.CompletedAt()
-					// it stays correct after the pooled request is
-					// recycled by a later operation.
+					// completion time, read before the pooled request
+					// can be recycled by a later operation.
 					st.cfg.Trace.AddNode(r.ID, "bcast-wire", label, post, r.Now())
 				})
 			}

@@ -70,44 +70,64 @@ type elasticApplier struct {
 }
 
 func (a *elasticApplier) ReviveRank(rank int) {
-	a.k.Spawn(fmt.Sprintf("joiner%d", rank), func(p *sim.Proc) {
-		if awaitAdmission(a.pl, rank, p) {
+	attempt := 0
+	a.k.SpawnSteps(fmt.Sprintf("joiner%d", rank), stepper(func(p *sim.Proc) bool {
+		done, ok := a.pl.PollAdmission(rank, p, &attempt)
+		if !done {
+			return false
+		}
+		if ok {
 			a.admitted = append(a.admitted, rank)
 		} else {
 			a.refused = append(a.refused, rank)
 		}
 		a.pl.Depart(rank)
-	})
-}
-
-// pollStep runs a poll form of the plane's as the steps of a goroutine
-// proc, for the tests' procs that sleep between the plane's calls.
-type pollStep func(p *sim.Proc) (done, ok bool)
-
-func (f pollStep) run(p *sim.Proc) (ok bool) {
-	p.RunSteps(stepper(func(p *sim.Proc) (done bool) {
-		done, ok = f(p)
-		return done
+		return true
 	}))
-	return ok
 }
 
 type stepper func(p *sim.Proc) bool
 
 func (f stepper) Step(p *sim.Proc) bool { return f(p) }
 
-// awaitAdmission waits rank's proc p at the join desk until it is
-// admitted or gives up.
-func awaitAdmission(pl *Plane, rank int, p *sim.Proc) bool {
-	attempt := 0
-	return pollStep(func(p *sim.Proc) (bool, bool) { return pl.PollAdmission(rank, p, &attempt) }).run(p)
+// survivor is a surviving rank of the plane tests as its proc's steps:
+// while more reports true, it sleeps for sleep, and then tick, on waking,
+// says whether the rank goes into the recovery rendezvous (Arrive, then
+// PollRecovery until it is over). Then it departs.
+type survivor struct {
+	pl    *Plane
+	rank  int
+	sleep sim.Duration
+	more  func() bool
+	tick  func(p *sim.Proc) bool
+
+	slept, recovering bool
 }
 
-// enterRecovery waits rank's proc p out in the recovery rendezvous and
-// reports whether it trains on.
-func enterRecovery(pl *Plane, rank int, p *sim.Proc) bool {
-	pl.Arrive(rank)
-	return pollStep(func(p *sim.Proc) (bool, bool) { return pl.PollRecovery(rank, p) }).run(p)
+func (s *survivor) Step(p *sim.Proc) bool {
+	for {
+		switch {
+		case s.recovering:
+			if done, _ := s.pl.PollRecovery(s.rank, p); !done {
+				return false
+			}
+			s.recovering = false
+		case s.slept:
+			s.slept = false
+			if s.tick(p) {
+				s.pl.Arrive(s.rank)
+				s.recovering = true
+				continue
+			}
+		}
+		if !s.more() {
+			s.pl.Depart(s.rank)
+			return true
+		}
+		s.slept = true
+		p.ArmUntil(p.Now() + s.sleep)
+		return false
+	}
 }
 
 // runJoinDesk simulates 3 survivors that ignore the join desk until
@@ -125,19 +145,14 @@ func runJoinDesk(t *testing.T, retries int, open sim.Time) (*Report, []int) {
 		{At: 10 * sim.Time(sim.Millisecond), Kind: Join, Rank: 3},
 	}, ap)
 	for i := 0; i < 3; i++ {
-		i := i
-		k.Spawn(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
-			for len(pl.Report().Joins) == 0 {
-				p.Sleep(pl.Timeout(0))
+		k.SpawnSteps(fmt.Sprintf("rank%d", i), &survivor{pl: pl, rank: i, sleep: pl.Timeout(0),
+			more: func() bool { return len(pl.Report().Joins) == 0 },
+			tick: func(p *sim.Proc) bool {
 				if p.Now() > open && pl.JoinPending() && !pl.Revoked() {
 					pl.BeginGrow()
 				}
-				if pl.Revoked() || pl.OnTimeout(i, 0, p.Now()) {
-					enterRecovery(pl, i, p)
-				}
-			}
-			pl.Depart(i)
-		})
+				return pl.Revoked() || pl.OnTimeout(i, 0, p.Now())
+			}})
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -197,15 +212,15 @@ func TestJoinAbandonedWhenNobodyLeft(t *testing.T) {
 		{At: sim.Time(sim.Millisecond), Kind: Crash, Rank: 1},
 		{At: 20 * sim.Time(sim.Millisecond), Kind: Join, Rank: 1},
 	}, ap)
-	k.Spawn("rank0", func(p *sim.Proc) {
-		p.Sleep(2 * pl.Timeout(0))
-		if pl.OnTimeout(0, 0, p.Now()) {
-			enterRecovery(pl, 0, p)
-		}
-		// Survivor finishes training long before anyone could admit
-		// the joiner.
-		pl.Depart(0)
-	})
+	// Survivor finishes training long before anyone could admit the
+	// joiner.
+	woke := false
+	k.SpawnSteps("rank0", &survivor{pl: pl, rank: 0, sleep: 2 * pl.Timeout(0),
+		more: func() bool { return !woke },
+		tick: func(p *sim.Proc) bool {
+			woke = true
+			return pl.OnTimeout(0, 0, p.Now())
+		}})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -225,16 +240,9 @@ func TestEvictIsInstantlyDetected(t *testing.T) {
 	at := 5 * sim.Time(sim.Millisecond)
 	pl.Arm(Schedule{{At: at, Kind: Evict, Rank: 2}}, ap)
 	for i := 0; i < 4; i++ {
-		i := i
-		k.Spawn(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
-			for len(pl.Report().Recoveries) == 0 {
-				p.Sleep(pl.Timeout(0))
-				if pl.Revoked() && pl.Alive(i) {
-					enterRecovery(pl, i, p)
-				}
-			}
-			pl.Depart(i)
-		})
+		k.SpawnSteps(fmt.Sprintf("rank%d", i), &survivor{pl: pl, rank: i, sleep: pl.Timeout(0),
+			more: func() bool { return len(pl.Report().Recoveries) == 0 },
+			tick: func(*sim.Proc) bool { return pl.Revoked() && pl.Alive(i) }})
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

@@ -27,14 +27,14 @@ func (h *isendHook) RunEvent(*sim.Kernel) {
 
 // runHookPanic runs main on w and returns the failure it ends in: the
 // kernel's error, or the panic if it escaped Run.
-func runHookPanic(t *testing.T, w *World, main func(r *Rank)) (msg string) {
+func runHookPanic(t *testing.T, w *World, main func(r *Rank) sim.Stepper) (msg string) {
 	t.Helper()
 	defer func() {
 		if rec := recover(); rec != nil {
 			msg = fmt.Sprint(rec)
 		}
 	}()
-	if _, err := w.Run(main); err != nil {
+	if _, err := w.RunSteps(main); err != nil {
 		return err.Error()
 	}
 	return ""
@@ -43,11 +43,14 @@ func runHookPanic(t *testing.T, w *World, main func(r *Rank)) (msg string) {
 func TestRequestInRunEventPanics(t *testing.T) {
 	w := newWorld(t, 2, 1, 2)
 	c := w.WorldComm()
-	msg := runHookPanic(t, w, func(r *Rank) {
-		if r.ID == 0 {
-			w.K.AtRun(r.Now()+10, &isendHook{r, c})
-		}
-		r.Proc.Sleep(20)
+	msg := runHookPanic(t, w, func(r *Rank) sim.Stepper {
+		return script(r,
+			do(func() {
+				if r.ID == 0 {
+					w.K.AtRun(r.Now()+10, &isendHook{r, c})
+				}
+			}),
+			sleep(20))
 	})
 	if want := "mpi: rank 0 made a request inside a kernel hook"; !strings.Contains(msg, want) {
 		t.Fatalf("run ended in %q, want a panic containing %q", msg, want)
@@ -57,11 +60,14 @@ func TestRequestInRunEventPanics(t *testing.T) {
 func TestRequestInKernelAtPanics(t *testing.T) {
 	w := newWorld(t, 2, 1, 2)
 	c := w.WorldComm()
-	msg := runHookPanic(t, w, func(r *Rank) {
-		if r.ID == 1 {
-			w.K.At(r.Now()+10, func() { r.Irecv(c, 0, 1, gpu.NewBuffer(4)) })
-		}
-		r.Proc.Sleep(20)
+	msg := runHookPanic(t, w, func(r *Rank) sim.Stepper {
+		return script(r,
+			do(func() {
+				if r.ID == 1 {
+					w.K.At(r.Now()+10, func() { r.Irecv(c, 0, 1, gpu.NewBuffer(4)) })
+				}
+			}),
+			sleep(20))
 	})
 	if want := "mpi: rank 1 made a request inside a kernel hook"; !strings.Contains(msg, want) {
 		t.Fatalf("run ended in %q, want a panic containing %q", msg, want)
@@ -95,14 +101,13 @@ func TestStepRequestAfterHookDoesNotPanic(t *testing.T) {
 	c := w.WorldComm()
 	s := &sendStep{c: c, gate: w.K.NewCompletion()}
 	got := gpu.NewDataBuffer(4)
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 		if r.ID == 1 {
-			r.Recv(c, 0, 1, got)
-			return
+			return script(r, recv(c, 0, 1, got))
 		}
 		s.r = r
 		w.K.At(r.Now()+10, s.gate.Fire)
-		r.Proc.RunSteps(s)
+		return s
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,19 +121,23 @@ func TestLiveRequestsCountsUnwaited(t *testing.T) {
 	w := newWorld(t, 2, 1, 2)
 	c := w.WorldComm()
 	var live []int
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 		if r.ID == 1 {
-			r.Recv(c, 0, 1, gpu.NewBuffer(4))
-			r.Recv(c, 0, 2, gpu.NewBuffer(4))
-			return
+			return script(r, recv(c, 0, 1, gpu.NewBuffer(4)), recv(c, 0, 2, gpu.NewBuffer(4)))
 		}
-		req := r.Isend(c, 1, 1, gpu.NewBuffer(4), topology.ModeAuto)
-		r.Isend(c, 1, 2, gpu.NewBuffer(4), topology.ModeAuto) // never waited
-		live = append(live, r.LiveRequests())
-		r.Wait(req)
-		live = append(live, r.LiveRequests())
-		w.EpochComm([]int{0, 1}) // a new epoch abandons what is in flight
-		live = append(live, r.LiveRequests())
+		var req *Request
+		return script(r,
+			do(func() {
+				req = r.Isend(c, 1, 1, gpu.NewBuffer(4), topology.ModeAuto)
+				r.Isend(c, 1, 2, gpu.NewBuffer(4), topology.ModeAuto) // never waited
+				live = append(live, r.LiveRequests())
+			}),
+			await(&req),
+			do(func() {
+				live = append(live, r.LiveRequests())
+				w.EpochComm([]int{0, 1}) // a new epoch abandons what is in flight
+				live = append(live, r.LiveRequests())
+			}))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,19 +156,21 @@ func TestReapReleasesCompleted(t *testing.T) {
 	c := w.WorldComm()
 	var live []int
 	reaped, reused := false, false
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 		if r.ID == 1 {
-			r.Recv(c, 0, 1, gpu.NewBuffer(4))
-			r.Send(c, 0, 2, gpu.NewBuffer(4), topology.ModeAuto)
-			return
+			return script(r, recv(c, 0, 1, gpu.NewBuffer(4)), send(c, 0, 2, gpu.NewBuffer(4), topology.ModeAuto))
 		}
-		req := r.Isend(c, 1, 1, gpu.NewBuffer(4), topology.ModeAuto) // eager: complete at once
-		live = append(live, r.LiveRequests())
-		reaped = r.Reap(req)
-		live = append(live, r.LiveRequests())
-		recv := r.Irecv(c, 1, 2, gpu.NewBuffer(4))
-		reused = recv == req
-		r.Wait(recv)
+		var rreq *Request
+		return script(r,
+			do(func() {
+				req := r.Isend(c, 1, 1, gpu.NewBuffer(4), topology.ModeAuto) // eager: complete at once
+				live = append(live, r.LiveRequests())
+				reaped = r.Reap(req)
+				live = append(live, r.LiveRequests())
+				rreq = r.Irecv(c, 1, 2, gpu.NewBuffer(4))
+				reused = rreq == req
+			}),
+			await(&rreq))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -182,19 +193,21 @@ func TestReapLeavesPendingAlone(t *testing.T) {
 	run := func(reap bool) (sim.Time, sim.Resumes) {
 		w := newWorld(t, 2, 1, 2)
 		c := w.WorldComm()
-		end, err := w.Run(func(r *Rank) {
+		end, err := w.RunSteps(func(r *Rank) sim.Stepper {
 			if r.ID == 1 {
-				r.Sleep(100)
-				r.Recv(c, 0, 1, gpu.NewBuffer(2*EagerLimit))
-				return
+				return script(r, sleep(100), recv(c, 0, 1, gpu.NewBuffer(2*EagerLimit)))
 			}
-			req := r.Isend(c, 1, 1, gpu.NewBuffer(2*EagerLimit), topology.ModeAuto)
-			if reap {
-				if r.Reap(req) || req.Test() || r.LiveRequests() != 1 {
-					t.Errorf("reap of a pending send released it: test %v, %d live requests", req.Test(), r.LiveRequests())
-				}
-			}
-			r.Wait(req)
+			var req *Request
+			return script(r,
+				do(func() {
+					req = r.Isend(c, 1, 1, gpu.NewBuffer(2*EagerLimit), topology.ModeAuto)
+					if reap {
+						if r.Reap(req) || req.done.Fired() || r.LiveRequests() != 1 {
+							t.Errorf("reap of a pending send released it: fired %v, %d live requests", req.done.Fired(), r.LiveRequests())
+						}
+					}
+				}),
+				await(&req))
 		})
 		if err != nil {
 			t.Fatal(err)

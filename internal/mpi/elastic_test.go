@@ -55,17 +55,13 @@ func TestRespawnRankFreshLife(t *testing.T) {
 			})
 		})
 	})
-	if _, err := w.Run(func(r *Rank) {
-		switch r.ID {
-		case 0:
+	if _, err := w.RunSteps(func(r *Rank) sim.Stepper {
+		if r.ID == 0 {
 			buf := gpu.NewDataBuffer(1)
-			r.Recv(grown, 1, 9, buf)
-			got = buf.Data[0]
-		case 1:
-			// First life: killed mid-sleep, long before it would wake.
-			r.Sleep(sim.Second)
-			t.Error("first life survived its kill")
+			return script(r, recv(grown, 1, 9, buf), do(func() { got = buf.Data[0] }))
 		}
+		// First life: killed mid-sleep, long before it would wake.
+		return script(r, sleep(sim.Second), do(func() { t.Error("first life survived its kill") }))
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +83,12 @@ func TestJoinAckHandshake(t *testing.T) {
 	w := newWorld(t, 2, 1, 2)
 	c := w.WorldComm()
 	var rootSaw float32
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 		if r.ID == 0 {
 			buf := gpu.NewDataBuffer(1)
-			r.Wait(r.Irecv(c, 1, 42, buf))
-			rootSaw = buf.Data[0]
-		} else {
-			r.Wait(r.Isend(c, 0, 42, gpu.WrapData([]float32{3}), topology.ModeAuto))
+			return script(r, recv(c, 1, 42, buf), do(func() { rootSaw = buf.Data[0] }))
 		}
+		return script(r, send(c, 0, 42, gpu.WrapData([]float32{3}), topology.ModeAuto))
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"scaffe/internal/gpu"
+	"scaffe/internal/sim"
 	"scaffe/internal/topology"
 )
 
@@ -19,10 +20,11 @@ import (
 func TestIdlePlaneReportsDeadlock(t *testing.T) {
 	w := newWorld(t, 2, 1, 2)
 	c := w.WorldComm()
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 		if r.ID == 0 {
-			r.Recv(c, 1, 7, gpu.NewDataBuffer(1))
+			return script(r, recv(c, 1, 7, gpu.NewDataBuffer(1)))
 		}
+		return script(r)
 	})
 	if err == nil || !strings.Contains(err.Error(), "sim: deadlock") {
 		t.Fatalf("unmatched receive: err = %v, want a sim: deadlock error", err)
@@ -43,13 +45,12 @@ func TestIdlePlaneEscalationNeverCommitsDamage(t *testing.T) {
 		WireCorrupt: func(src, dst int) bool { return true },
 	}
 	var left [2]bool
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 		buf := gpu.NewDataBuffer(4)
 		if r.ID == 0 {
 			buf.Fill(1)
 		}
-		r.Wait(r.Ibcast(c, 0, buf, topology.ModeAuto))
-		left[r.ID] = true
+		return script(r, bcast(c, 0, buf, topology.ModeAuto), do(func() { left[r.ID] = true }))
 	})
 	if err == nil {
 		t.Fatal("a broadcast whose only edge exhausted its retry budget ran to completion")

@@ -111,7 +111,7 @@ func TestIbcastPerRankPayloadBuffers(t *testing.T) {
 		}
 		got := make([]*gpu.Buffer, n)
 		parentReady := false
-		_, err := w.Run(func(r *Rank) {
+		_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 			buf := gpu.NewBuffer(4 * elems)
 			if payload && r.ID != leaf {
 				buf = gpu.NewDataBuffer(elems)
@@ -122,14 +122,17 @@ func TestIbcastPerRankPayloadBuffers(t *testing.T) {
 					}
 				}
 			}
-			r.Sleep(delay[r.ID])
-			if r.ID == late {
-				for _, op := range w.bcastOps {
-					parentReady = op.ready(op.parent(late))
-				}
-			}
-			r.Wait(r.Ibcast(c, root, buf, topology.ModeAuto))
-			got[r.ID] = buf
+			return script(r,
+				sleep(delay[r.ID]),
+				do(func() {
+					if r.ID == late {
+						for _, op := range w.bcastOps {
+							parentReady = op.ready(op.parent(late))
+						}
+					}
+				}),
+				bcast(c, root, buf, topology.ModeAuto),
+				do(func() { got[r.ID] = buf }))
 		})
 		if err != nil {
 			t.Fatal(err)

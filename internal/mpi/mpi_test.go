@@ -19,15 +19,13 @@ func TestSendRecvDeliversPayload(t *testing.T) {
 	w := newWorld(t, 2, 1, 2)
 	c := w.WorldComm()
 	var got []float32
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 		if r.ID == 0 {
 			buf := gpu.WrapData([]float32{1, 2, 3})
-			r.Send(c, 1, 7, buf, topology.ModeAuto)
-		} else {
-			buf := gpu.NewDataBuffer(3)
-			r.Recv(c, 0, 7, buf)
-			got = append([]float32(nil), buf.Data...)
+			return script(r, send(c, 1, 7, buf, topology.ModeAuto))
 		}
+		buf := gpu.NewDataBuffer(3)
+		return script(r, recv(c, 0, 7, buf), do(func() { got = append([]float32(nil), buf.Data...) }))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,20 +44,24 @@ func TestSendBeforeRecvEager(t *testing.T) {
 	w := newWorld(t, 2, 1, 2)
 	c := w.WorldComm()
 	var sendDone, recvDone sim.Time
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 		if r.ID == 0 {
-			req := r.Isend(c, 1, 1, gpu.WrapData([]float32{42}), topology.ModeAuto)
-			r.Wait(req)
-			sendDone = r.Now()
-		} else {
-			r.Sleep(sim.Second) // receiver is late
-			buf := gpu.NewDataBuffer(1)
-			r.Recv(c, 0, 1, buf)
-			recvDone = r.Now()
-			if buf.Data[0] != 42 {
-				t.Errorf("payload = %v, want 42", buf.Data[0])
-			}
+			var req *Request
+			return script(r,
+				do(func() { req = r.Isend(c, 1, 1, gpu.WrapData([]float32{42}), topology.ModeAuto) }),
+				await(&req),
+				do(func() { sendDone = r.Now() }))
 		}
+		buf := gpu.NewDataBuffer(1)
+		return script(r,
+			sleep(sim.Second), // receiver is late
+			recv(c, 0, 1, buf),
+			do(func() {
+				recvDone = r.Now()
+				if buf.Data[0] != 42 {
+					t.Errorf("payload = %v, want 42", buf.Data[0])
+				}
+			}))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,15 +79,12 @@ func TestRendezvousSenderWaits(t *testing.T) {
 	w := newWorld(t, 2, 1, 2)
 	c := w.WorldComm()
 	var sendDone sim.Time
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 		if r.ID == 0 {
 			buf := gpu.NewBuffer(8 << 20)
-			r.Send(c, 1, 1, buf, topology.ModeAuto)
-			sendDone = r.Now()
-		} else {
-			r.Sleep(sim.Second)
-			r.Recv(c, 0, 1, gpu.NewBuffer(8<<20))
+			return script(r, send(c, 1, 1, buf, topology.ModeAuto), do(func() { sendDone = r.Now() }))
 		}
+		return script(r, sleep(sim.Second), recv(c, 0, 1, gpu.NewBuffer(8<<20)))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,15 +98,12 @@ func TestRecvBeforeSend(t *testing.T) {
 	w := newWorld(t, 2, 1, 2)
 	c := w.WorldComm()
 	var got float32
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 		if r.ID == 1 {
 			buf := gpu.NewDataBuffer(1)
-			r.Recv(c, 0, 3, buf)
-			got = buf.Data[0]
-		} else {
-			r.Sleep(10 * sim.Millisecond)
-			r.Send(c, 1, 3, gpu.WrapData([]float32{5}), topology.ModeAuto)
+			return script(r, recv(c, 0, 3, buf), do(func() { got = buf.Data[0] }))
 		}
+		return script(r, sleep(10*sim.Millisecond), send(c, 1, 3, gpu.WrapData([]float32{5}), topology.ModeAuto))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,17 +119,18 @@ func TestTagMatching(t *testing.T) {
 	w := newWorld(t, 2, 1, 2)
 	c := w.WorldComm()
 	var a, b float32
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 		if r.ID == 0 {
-			r.Send(c, 1, 100, gpu.WrapData([]float32{100}), topology.ModeAuto)
-			r.Send(c, 1, 200, gpu.WrapData([]float32{200}), topology.ModeAuto)
-		} else {
-			bufB := gpu.NewDataBuffer(1)
-			bufA := gpu.NewDataBuffer(1)
-			r.Recv(c, 0, 200, bufB) // posted in reverse tag order
-			r.Recv(c, 0, 100, bufA)
-			a, b = bufA.Data[0], bufB.Data[0]
+			return script(r,
+				send(c, 1, 100, gpu.WrapData([]float32{100}), topology.ModeAuto),
+				send(c, 1, 200, gpu.WrapData([]float32{200}), topology.ModeAuto))
 		}
+		bufB := gpu.NewDataBuffer(1)
+		bufA := gpu.NewDataBuffer(1)
+		return script(r,
+			recv(c, 0, 200, bufB), // posted in reverse tag order
+			recv(c, 0, 100, bufA),
+			do(func() { a, b = bufA.Data[0], bufB.Data[0] }))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,18 +144,19 @@ func TestMessageOrderPreservedPerTag(t *testing.T) {
 	w := newWorld(t, 2, 1, 2)
 	c := w.WorldComm()
 	var got []float32
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
+		var ops []scriptOp
 		if r.ID == 0 {
 			for i := 1; i <= 3; i++ {
-				r.Send(c, 1, 9, gpu.WrapData([]float32{float32(i)}), topology.ModeAuto)
+				ops = append(ops, send(c, 1, 9, gpu.WrapData([]float32{float32(i)}), topology.ModeAuto))
 			}
 		} else {
 			for i := 0; i < 3; i++ {
 				buf := gpu.NewDataBuffer(1)
-				r.Recv(c, 0, 9, buf)
-				got = append(got, buf.Data[0])
+				ops = append(ops, recv(c, 0, 9, buf), do(func() { got = append(got, buf.Data[0]) }))
 			}
 		}
+		return script(r, ops...)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -173,12 +171,11 @@ func TestMessageOrderPreservedPerTag(t *testing.T) {
 func TestSizeMismatchFailsRun(t *testing.T) {
 	w := newWorld(t, 2, 1, 2)
 	c := w.WorldComm()
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 		if r.ID == 0 {
-			r.Send(c, 1, 1, gpu.NewDataBuffer(2), topology.ModeAuto)
-		} else {
-			r.Recv(c, 0, 1, gpu.NewDataBuffer(3))
+			return script(r, send(c, 1, 1, gpu.NewDataBuffer(2), topology.ModeAuto))
 		}
+		return script(r, recv(c, 0, 1, gpu.NewDataBuffer(3)))
 	})
 	if err == nil {
 		t.Fatal("expected error on message size mismatch")
@@ -228,10 +225,11 @@ func TestBarrierSynchronizes(t *testing.T) {
 	w := newWorld(t, 2, 2, 4)
 	c := w.WorldComm()
 	var after [4]sim.Time
-	_, err := w.Run(func(r *Rank) {
-		r.Sleep(sim.Duration(r.ID) * sim.Millisecond) // skewed arrival
-		c.Barrier(r)
-		after[r.ID] = r.Now()
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
+		return script(r,
+			sleep(sim.Duration(r.ID)*sim.Millisecond), // skewed arrival
+			barrier(c),
+			do(func() { after[r.ID] = r.Now() }))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -248,13 +246,12 @@ func TestBcastDeliversToAll(t *testing.T) {
 	w := newWorld(t, 2, 2, 4)
 	c := w.WorldComm()
 	var got [4]float32
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 		buf := gpu.NewDataBuffer(4)
 		if r.ID == 0 {
 			buf.Fill(3.5)
 		}
-		r.Wait(r.Ibcast(c, 0, buf, topology.ModeAuto))
-		got[r.ID] = buf.Data[0]
+		return script(r, bcast(c, 0, buf, topology.ModeAuto), do(func() { got[r.ID] = buf.Data[0] }))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -270,13 +267,12 @@ func TestBcastNonZeroRoot(t *testing.T) {
 	w := newWorld(t, 2, 2, 4)
 	c := w.WorldComm()
 	var got [4]float32
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 		buf := gpu.NewDataBuffer(1)
 		if r.ID == 2 {
 			buf.Fill(9)
 		}
-		r.Wait(r.Ibcast(c, 2, buf, topology.ModeAuto))
-		got[r.ID] = buf.Data[0]
+		return script(r, bcast(c, 2, buf, topology.ModeAuto), do(func() { got[r.ID] = buf.Data[0] }))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -295,18 +291,20 @@ func TestIbcastOverlapsCompute(t *testing.T) {
 	w := newWorld(t, 2, 1, 2)
 	c := w.WorldComm()
 	var waitCost sim.Duration
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 		buf := gpu.NewDataBuffer(1 << 20 / 4)
 		if r.ID == 0 {
 			buf.Fill(1)
-			r.Wait(r.Ibcast(c, 0, buf, topology.ModeAuto))
-		} else {
-			req := r.Ibcast(c, 0, buf, topology.ModeAuto)
-			r.Sleep(100 * sim.Millisecond) // long compute
-			before := r.Now()
-			r.Wait(req)
-			waitCost = r.Now() - before
+			return script(r, bcast(c, 0, buf, topology.ModeAuto))
 		}
+		var req *Request
+		var before sim.Time
+		return script(r,
+			do(func() { req = r.Ibcast(c, 0, buf, topology.ModeAuto) }),
+			sleep(100*sim.Millisecond), // long compute
+			do(func() { before = r.Now() }),
+			await(&req),
+			do(func() { waitCost = r.Now() - before }))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -322,24 +320,23 @@ func TestIbcastMatchingBySequence(t *testing.T) {
 	w := newWorld(t, 2, 1, 2)
 	c := w.WorldComm()
 	var first, second float32
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 		b1 := gpu.NewDataBuffer(1)
 		b2 := gpu.NewDataBuffer(1)
+		var q1, q2 *Request
+		post := do(func() {
+			q1 = r.Ibcast(c, 0, b1, topology.ModeAuto)
+			q2 = r.Ibcast(c, 0, b2, topology.ModeAuto)
+		})
 		if r.ID == 0 {
 			b1.Fill(1)
 			b2.Fill(2)
-			q1 := r.Ibcast(c, 0, b1, topology.ModeAuto)
-			q2 := r.Ibcast(c, 0, b2, topology.ModeAuto)
-			r.Wait(q1)
-			r.Wait(q2)
-		} else {
-			r.Sleep(5 * sim.Millisecond)
-			q1 := r.Ibcast(c, 0, b1, topology.ModeAuto)
-			q2 := r.Ibcast(c, 0, b2, topology.ModeAuto)
-			r.Wait(q1)
-			r.Wait(q2)
-			first, second = b1.Data[0], b2.Data[0]
+			return script(r, post, await(&q1), await(&q2))
 		}
+		return script(r,
+			sleep(5*sim.Millisecond),
+			post, await(&q1), await(&q2),
+			do(func() { first, second = b1.Data[0], b2.Data[0] }))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -353,17 +350,18 @@ func TestBcastLargeComm(t *testing.T) {
 	w := newWorld(t, 4, 4, 13) // non-power-of-two
 	c := w.WorldComm()
 	ok := true
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 		buf := gpu.NewDataBuffer(64)
 		if r.ID == 0 {
 			buf.Fill(7)
 		}
-		r.Wait(r.Ibcast(c, 0, buf, topology.ModeAuto))
-		for _, v := range buf.Data {
-			if v != 7 {
-				ok = false
+		return script(r, bcast(c, 0, buf, topology.ModeAuto), do(func() {
+			for _, v := range buf.Data {
+				if v != 7 {
+					ok = false
+				}
 			}
-		}
+		}))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -376,10 +374,11 @@ func TestBcastLargeComm(t *testing.T) {
 func TestSendToSelfFailsRun(t *testing.T) {
 	w := newWorld(t, 1, 2, 2)
 	c := w.WorldComm()
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 		if r.ID == 0 {
-			r.Send(c, 0, 1, gpu.NewBuffer(4), topology.ModeAuto)
+			return script(r, send(c, 0, 1, gpu.NewBuffer(4), topology.ModeAuto))
 		}
+		return script(r)
 	})
 	if err == nil {
 		t.Fatal("expected error on self-send")
@@ -399,24 +398,26 @@ func TestWorldTooManyRanksPanics(t *testing.T) {
 
 func TestOnCompleteFiresAtCompletionTime(t *testing.T) {
 	// Rendezvous-sized Isend: the hook must fire when the transfer
-	// finishes (after the late receiver arrives), and CompletedAt must
-	// report that instant.
+	// finishes (after the late receiver arrives), the instant the wait
+	// for the request ends.
 	w := newWorld(t, 2, 1, 2)
 	c := w.WorldComm()
 	var hookAt, completedAt sim.Time
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 		if r.ID == 0 {
-			req := r.Isend(c, 1, 7, gpu.NewBuffer(1<<20), topology.ModeAuto)
-			req.OnComplete(func() { hookAt = r.Now() })
-			if req.Test() {
-				t.Error("rendezvous send completed before the receiver posted")
-			}
-			r.Wait(req)
-			completedAt = req.CompletedAt()
-		} else {
-			r.Sleep(500)
-			r.Recv(c, 0, 7, gpu.NewBuffer(1<<20))
+			var req *Request
+			return script(r,
+				do(func() {
+					req = r.Isend(c, 1, 7, gpu.NewBuffer(1<<20), topology.ModeAuto)
+					req.OnComplete(func() { hookAt = r.Now() })
+					if req.done.Fired() {
+						t.Error("rendezvous send completed before the receiver posted")
+					}
+				}),
+				await(&req),
+				do(func() { completedAt = r.Now() }))
 		}
+		return script(r, sleep(500), recv(c, 0, 7, gpu.NewBuffer(1<<20)))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -425,7 +426,7 @@ func TestOnCompleteFiresAtCompletionTime(t *testing.T) {
 		t.Errorf("hook fired at %v, before the receiver arrived at 500", hookAt)
 	}
 	if hookAt != completedAt {
-		t.Errorf("hook time %v != CompletedAt %v", hookAt, completedAt)
+		t.Errorf("hook time %v != completion time %v", hookAt, completedAt)
 	}
 }
 
@@ -435,17 +436,20 @@ func TestOnCompleteAfterCompletionRunsImmediately(t *testing.T) {
 	w := newWorld(t, 1, 2, 2)
 	c := w.WorldComm()
 	fired := false
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 		if r.ID == 0 {
-			req := r.Isend(c, 1, 7, gpu.NewBuffer(64), topology.ModeAuto)
-			if !req.Test() {
-				t.Error("eager send should complete immediately")
-			}
-			req.OnComplete(func() { fired = true })
-			r.Wait(req)
-		} else {
-			r.Recv(c, 0, 7, gpu.NewBuffer(64))
+			var req *Request
+			return script(r,
+				do(func() {
+					req = r.Isend(c, 1, 7, gpu.NewBuffer(64), topology.ModeAuto)
+					if !req.done.Fired() {
+						t.Error("eager send should complete immediately")
+					}
+					req.OnComplete(func() { fired = true })
+				}),
+				await(&req))
 		}
+		return script(r, recv(c, 0, 7, gpu.NewBuffer(64)))
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -137,8 +137,7 @@ func (r *Rank) putPendingSend(ps *pendingSend) {
 
 // Wait blocks the rank until the request completes, then releases the
 // request record back to the rank's free list: as in MPI_Wait, the
-// handle must not be used after Wait returns (Test/CompletedAt remain
-// readable only until the rank issues its next operation). With a
+// handle must not be used after Wait returns. With a
 // fault plane armed the wait is deadline-sliced and
 // may panic with Revoked{} if a rank failure is detected (see
 // fault.go) — an unwound request is abandoned to the collector, never
@@ -154,7 +153,7 @@ func (r *Rank) Wait(req *Request) {
 // completed, Reap releases it, as Wait does, and reports true; the
 // handle must not be used again. Otherwise it reports false. Either way
 // it arms no wait and schedules no event, so reaping what has completed
-// moves no other event. Request.Test, by contrast, only reads.
+// moves no other event.
 func (r *Rank) Reap(req *Request) bool {
 	if !req.done.Fired() {
 		return false
@@ -163,10 +162,6 @@ func (r *Rank) Reap(req *Request) bool {
 	return true
 }
 
-// Test reports whether the request has completed without blocking. It
-// releases nothing: see Rank.Reap.
-func (req *Request) Test() bool { return req.done.Fired() }
-
 // OnComplete registers fn to run (in kernel context) when the request
 // completes; if it already completed, fn is scheduled immediately.
 // The engine uses these hooks for recording wire-level spans of
@@ -174,10 +169,6 @@ func (req *Request) Test() bool { return req.done.Fired() }
 // the completion instant but possibly after the waiter has released
 // the request, so it must not touch the request handle.
 func (req *Request) OnComplete(fn func()) { req.done.OnFire(fn) }
-
-// CompletedAt returns the virtual time at which the request completed;
-// only meaningful once Test (or a hook) reports completion.
-func (req *Request) CompletedAt() sim.Time { return req.done.FiredAt() }
 
 // Isend starts a non-blocking send of buf to group rank `to` of comm c
 // with the given tag.

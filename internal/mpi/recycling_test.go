@@ -18,17 +18,24 @@ import (
 // every reference from a previous life from completing a record's next
 // one.
 
-// settleStep is Summed.Settle as the steps of a proc with a goroutine.
-type settleStep struct{ s *Summed }
-
-func (st settleStep) Step(*sim.Proc) bool { return st.s.Settle() }
-
-// recvSummed is a blocking checksummed receive, settled: the receive's
-// wait, then Settle's steps. A revocation panics on the goroutine.
-func recvSummed(r *Rank, c *Comm, from, tag int, buf *gpu.Buffer) {
-	req, s := r.IrecvSummed(c, from, tag, buf)
-	r.Wait(req)
-	r.Proc.RunSteps(settleStep{s})
+// recvSummed is a checksummed receive, settled: the receive's wait, then
+// Settle's steps. A revocation panics out of the op.
+func recvSummed(c *Comm, from, tag int, buf *gpu.Buffer) scriptOp {
+	var req *Request
+	var sum *Summed
+	waited := false
+	return func(s *rankScript) bool {
+		if req == nil {
+			req, sum = s.r.IrecvSummed(c, from, tag, buf)
+		}
+		if !waited {
+			if !s.r.PollRequest(&s.w, req) {
+				return false
+			}
+			waited = true
+		}
+		return sum.Settle()
+	}
 }
 
 // TestRecyclingDrillCorruptionEscalation drives a checksummed receive
@@ -49,82 +56,41 @@ func TestRecyclingDrillCorruptionEscalation(t *testing.T) {
 	}
 
 	escaped := false
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 		if r.ID == 1 {
-			r.Send(c, 0, 1, gpu.WrapData([]float32{1, 2, 3, 4}), topology.ModeAuto)
-			r.Send(c, 0, 2, gpu.WrapData([]float32{5, 6, 7, 8}), topology.ModeAuto)
-			return
+			return script(r,
+				send(c, 0, 1, gpu.WrapData([]float32{1, 2, 3, 4}), topology.ModeAuto),
+				send(c, 0, 2, gpu.WrapData([]float32{5, 6, 7, 8}), topology.ModeAuto))
 		}
 		buf := gpu.NewDataBuffer(4)
-
-		// Clean round: fills the pools. Wait releases the request before
-		// Settle settles (and releases) the header.
-		recvSummed(r, c, 1, 1, buf)
-		if r.reqFree == nil || len(r.sumPool) == 0 {
-			t.Errorf("clean round left empty pools: request free list %p, %d summed", r.reqFree, len(r.sumPool))
-			return
-		}
-		staleReq := r.reqFree
-		staleGen := staleReq.done.Gen()
-		staleSum := r.sumPool[len(r.sumPool)-1]
-
-		// Corrupted round: every delivery (including the retransmit) is
-		// damaged, so Settle burns the budget and revokes.
-		corrupt = true
-		func() {
-			defer func() {
-				rec := recover()
-				if rec == nil {
-					return
+		var staleReq *Request
+		var staleGen uint64
+		var staleSum *Summed
+		return script(r,
+			// Clean round: fills the pools. The wait releases the request
+			// before Settle settles (and releases) the header.
+			recvSummed(c, 1, 1, buf),
+			do(func() {
+				if r.reqFree == nil || len(r.sumPool) == 0 {
+					t.Fatalf("clean round left empty pools: request free list %p, %d summed", r.reqFree, len(r.sumPool))
 				}
-				if !IsRevoked(rec) {
-					panic(rec)
+				staleReq = r.reqFree
+				staleGen = staleReq.done.Gen()
+				staleSum = r.sumPool[len(r.sumPool)-1]
+
+				// Corrupted round: every delivery (including the
+				// retransmit) is damaged, so Settle burns the budget and
+				// revokes.
+				corrupt = true
+			}),
+			revocable(recvSummed(c, 1, 2, buf), &escaped),
+			do(func() {
+				corrupt = false
+				if !escaped {
+					t.Fatalf("exhausted retry budget did not unwind with Revoked")
 				}
-				escaped = true
-			}()
-			recvSummed(r, c, 1, 2, buf)
-		}()
-		corrupt = false
-		if !escaped {
-			t.Errorf("exhausted retry budget did not unwind with Revoked")
-			return
-		}
-
-		// The request was recycled for the corrupted receive (a new
-		// generation) and released again before the escalation.
-		if staleReq.buf != nil {
-			t.Errorf("request used by the escalated receive was not released back to the pool")
-		}
-		if staleReq.done.Gen() == staleGen {
-			t.Errorf("recycling the request did not bump its completion generation")
-		}
-
-		// The abandoned Summed header must never return to the pool: the
-		// next checksummed receive gets a fresh record, not the one the
-		// escalation left mid-verify.
-		for _, s := range r.sumPool {
-			if s == staleSum {
-				t.Errorf("escalated Summed header returned to the pool; it must be abandoned")
-			}
-		}
-
-		// The generation guard on the recycled record: draw it again
-		// (LIFO gives back the same record) and fire it through the
-		// generation snapshotted two lives ago — the stale fire must
-		// dissolve; the current generation must fire.
-		req := r.getRequest(buf)
-		if req != staleReq {
-			t.Errorf("pool did not hand back the recycled request")
-		}
-		req.done.FireIf(staleGen)
-		if req.done.Fired() {
-			t.Errorf("FireIf with a generation from a previous life completed the recycled request")
-		}
-		req.done.FireIf(req.done.Gen())
-		if !req.done.Fired() {
-			t.Errorf("FireIf with the current generation did not fire")
-		}
-		r.putRequest(req)
+				checkRecycled(t, r, buf, staleReq, staleGen, staleSum)
+			}))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,6 +100,47 @@ func TestRecyclingDrillCorruptionEscalation(t *testing.T) {
 		t.Fatalf("integrity counters = verified %d detected %d retransmits %d escalations %d; want 1/2/1/1",
 			integ.Verified, integ.Detected, integ.Retransmits, integ.Escalations)
 	}
+}
+
+// checkRecycled checks the corruption drill's records after the
+// escalation: the request recycled, the header abandoned, and the
+// generation guard on the request's next life.
+func checkRecycled(t *testing.T, r *Rank, buf *gpu.Buffer, staleReq *Request, staleGen uint64, staleSum *Summed) {
+	// The request was recycled for the corrupted receive (a new
+	// generation) and released again before the escalation.
+	if staleReq.buf != nil {
+		t.Errorf("request used by the escalated receive was not released back to the pool")
+	}
+	if staleReq.done.Gen() == staleGen {
+		t.Errorf("recycling the request did not bump its completion generation")
+	}
+
+	// The abandoned Summed header must never return to the pool: the
+	// next checksummed receive gets a fresh record, not the one the
+	// escalation left mid-verify.
+	for _, s := range r.sumPool {
+		if s == staleSum {
+			t.Errorf("escalated Summed header returned to the pool; it must be abandoned")
+		}
+	}
+
+	// The generation guard on the recycled record: draw it again
+	// (LIFO gives back the same record) and fire it through the
+	// generation snapshotted two lives ago — the stale fire must
+	// dissolve; the current generation must fire.
+	req := r.getRequest(buf)
+	if req != staleReq {
+		t.Errorf("pool did not hand back the recycled request")
+	}
+	req.done.FireIf(staleGen)
+	if req.done.Fired() {
+		t.Errorf("FireIf with a generation from a previous life completed the recycled request")
+	}
+	req.done.FireIf(req.done.Gen())
+	if !req.done.Fired() {
+		t.Errorf("FireIf with the current generation did not fire")
+	}
+	r.putRequest(req)
 }
 
 // drillApplier is the minimal physical side of the fault plane for the
@@ -160,42 +167,31 @@ func TestRecyclingDrillKillMidFlight(t *testing.T) {
 
 	var inFlight *Request
 	revoked := false
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 		if r.ID == 1 {
 			// Never sends; dies mid-nap at 3ms.
-			r.Sleep(sim.Second)
-			return
+			return script(r, sleep(sim.Second))
 		}
 		buf := gpu.NewDataBuffer(4)
-		func() {
-			defer func() {
-				rec := recover()
-				if rec == nil {
-					return
+		return script(r,
+			do(func() { inFlight = r.Irecv(c, 1, 9, buf) }),
+			revocable(await(&inFlight), &revoked),
+			do(func() {
+				if !revoked {
+					t.Fatalf("wait on a dead sender did not unwind with Revoked")
 				}
-				if !IsRevoked(rec) {
-					panic(rec)
+				// The unwound request is abandoned, not recycled: it never
+				// reaches the free list, so no later operation can be handed a
+				// record with a live posted-queue reference.
+				if inFlight.buf == nil {
+					t.Errorf("request abandoned by the revoked wait was returned to the pool")
 				}
-				revoked = true
-			}()
-			inFlight = r.Irecv(c, 1, 9, buf)
-			r.Wait(inFlight)
-		}()
-		if !revoked {
-			t.Errorf("wait on a dead sender did not unwind with Revoked")
-			return
-		}
-		// The unwound request is abandoned, not recycled: it never
-		// reaches the free list, so no later operation can be handed a
-		// record with a live posted-queue reference.
-		if inFlight.buf == nil {
-			t.Errorf("request abandoned by the revoked wait was returned to the pool")
-		}
-		for q := r.reqFree; q != nil; q = q.next {
-			if q == inFlight {
-				t.Errorf("abandoned in-flight request found in the free list")
-			}
-		}
+				for q := r.reqFree; q != nil; q = q.next {
+					if q == inFlight {
+						t.Errorf("abandoned in-flight request found in the free list")
+					}
+				}
+			}))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -223,8 +219,8 @@ func TestDeliverySize(t *testing.T) {
 // rank holds 64 requests at once, and a world carves both by the
 // thousand.
 func TestRequestSize(t *testing.T) {
-	if size := unsafe.Sizeof(Request{}); size > 96 {
-		t.Errorf("a Request is %d bytes, want at most 96", size)
+	if size := unsafe.Sizeof(Request{}); size > 88 {
+		t.Errorf("a Request is %d bytes, want at most 88", size)
 	}
 	if size := unsafe.Sizeof(pendingSend{}); size > 56 {
 		t.Errorf("a pendingSend is %d bytes, want at most 56", size)
@@ -238,10 +234,11 @@ func TestRequestSize(t *testing.T) {
 func TestRequestBufferMarksRelease(t *testing.T) {
 	w := newWorld(t, 2, 1, 2)
 	c := w.WorldComm()
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 		if r.ID == 1 {
-			r.Irecv(c, 0, 1, nil)
+			return script(r, do(func() { r.Irecv(c, 0, 1, nil) }))
 		}
+		return script(r)
 	})
 	if err == nil || !strings.Contains(err.Error(), "rank 1 made a request with a nil buffer") {
 		t.Errorf("a request with a nil buffer: err = %v, want one naming rank 1", err)
@@ -249,19 +246,22 @@ func TestRequestBufferMarksRelease(t *testing.T) {
 
 	w = newWorld(t, 2, 1, 2)
 	c = w.WorldComm()
-	_, err = w.Run(func(r *Rank) {
+	_, err = w.RunSteps(func(r *Rank) sim.Stepper {
 		buf := gpu.NewBuffer(4)
 		if r.ID == 0 {
-			r.Send(c, 1, 1, buf, topology.ModeAuto)
-			return
+			return script(r, send(c, 1, 1, buf, topology.ModeAuto))
 		}
-		req := r.Irecv(c, 0, 1, buf)
-		r.Wait(req)
-		r.putRequest(req)
-		if r.LiveRequests() != 0 || r.reqFree != req || req.next != nil {
-			t.Errorf("a second release: %d live, free list head %p next %p; want 0, the request, nil",
-				r.LiveRequests(), r.reqFree, req.next)
-		}
+		var req *Request
+		return script(r,
+			do(func() { req = r.Irecv(c, 0, 1, buf) }),
+			await(&req),
+			do(func() {
+				r.putRequest(req)
+				if r.LiveRequests() != 0 || r.reqFree != req || req.next != nil {
+					t.Errorf("a second release: %d live, free list head %p next %p; want 0, the request, nil",
+						r.LiveRequests(), r.reqFree, req.next)
+				}
+			}))
 	})
 	if err != nil {
 		t.Fatal(err)

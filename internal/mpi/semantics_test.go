@@ -18,16 +18,22 @@ func TestIbcastRootCompletesAfterItsSends(t *testing.T) {
 	w := newWorld(t, 4, 1, 4)
 	c := w.WorldComm()
 	var rootDone, posted sim.Time
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 		buf := gpu.NewBuffer(32 << 20)
-		req := r.Ibcast(c, 0, buf, topology.ModeAuto)
-		if r.ID == 0 {
-			posted = r.Now()
-		}
-		r.Wait(req)
-		if r.ID == 0 {
-			rootDone = r.Now()
-		}
+		var req *Request
+		return script(r,
+			do(func() {
+				req = r.Ibcast(c, 0, buf, topology.ModeAuto)
+				if r.ID == 0 {
+					posted = r.Now()
+				}
+			}),
+			await(&req),
+			do(func() {
+				if r.ID == 0 {
+					rootDone = r.Now()
+				}
+			}))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,10 +49,9 @@ func TestIbcastLeafLatencyGrowsWithDepth(t *testing.T) {
 	w := newWorld(t, 8, 1, 8)
 	c := w.WorldComm()
 	arrivals := make([]sim.Time, 8)
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 		buf := gpu.NewBuffer(8 << 20)
-		r.Wait(r.Ibcast(c, 0, buf, topology.ModeAuto))
-		arrivals[r.ID] = r.Now()
+		return script(r, bcast(c, 0, buf, topology.ModeAuto), do(func() { arrivals[r.ID] = r.Now() }))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -64,20 +69,17 @@ func TestTwoCommsAreIndependentTagSpaces(t *testing.T) {
 	sub1 := world.Sub([]int{0, 1})
 	sub2 := world.Sub([]int{2, 3})
 	var got1, got2 float32
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
+		buf := gpu.NewDataBuffer(1)
 		switch r.ID {
 		case 0:
-			r.Send(sub1, 1, 5, gpu.WrapData([]float32{10}), topology.ModeAuto)
+			return script(r, send(sub1, 1, 5, gpu.WrapData([]float32{10}), topology.ModeAuto))
 		case 1:
-			buf := gpu.NewDataBuffer(1)
-			r.Recv(sub1, 0, 5, buf)
-			got1 = buf.Data[0]
+			return script(r, recv(sub1, 0, 5, buf), do(func() { got1 = buf.Data[0] }))
 		case 2:
-			r.Send(sub2, 1, 5, gpu.WrapData([]float32{20}), topology.ModeAuto)
-		case 3:
-			buf := gpu.NewDataBuffer(1)
-			r.Recv(sub2, 0, 5, buf)
-			got2 = buf.Data[0]
+			return script(r, send(sub2, 1, 5, gpu.WrapData([]float32{20}), topology.ModeAuto))
+		default:
+			return script(r, recv(sub2, 0, 5, buf), do(func() { got2 = buf.Data[0] }))
 		}
 	})
 	if err != nil {
@@ -95,14 +97,15 @@ func TestIntraNodeFasterThanInterNodeMessage(t *testing.T) {
 		w, from, to := ranks()
 		c := w.WorldComm()
 		var done sim.Time
-		_, err := w.Run(func(r *Rank) {
+		_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 			buf := gpu.NewBuffer(16 << 20)
-			if r.ID == from {
-				r.Send(c, to, 1, buf, topology.ModeAuto)
-			} else if r.ID == to {
-				r.Recv(c, from, 1, gpu.NewBuffer(16<<20))
-				done = r.Now()
+			switch r.ID {
+			case from:
+				return script(r, send(c, to, 1, buf, topology.ModeAuto))
+			case to:
+				return script(r, recv(c, from, 1, gpu.NewBuffer(16<<20)), do(func() { done = r.Now() }))
 			}
+			return script(r)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -119,8 +122,8 @@ func TestIntraNodeFasterThanInterNodeMessage(t *testing.T) {
 func TestBarrierSingleRank(t *testing.T) {
 	w := newWorld(t, 1, 1, 1)
 	c := w.WorldComm()
-	_, err := w.Run(func(r *Rank) {
-		c.Barrier(r) // must not deadlock
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
+		return script(r, barrier(c)) // must not deadlock
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,21 +147,24 @@ func (f stepFunc) Step(p *sim.Proc) bool { return f(p) }
 func TestSpawnThreadSharesVirtualTime(t *testing.T) {
 	w := newWorld(t, 1, 1, 1)
 	var mainSaw, helperSaw sim.Time
-	_, err := w.Run(func(r *Rank) {
+	_, err := w.RunSteps(func(r *Rank) sim.Stepper {
 		done := r.W.K.NewCompletion()
 		slept := false
-		r.SpawnThread("helper", stepFunc(func(p *sim.Proc) bool {
-			if !slept {
-				slept = true
-				p.ArmUntil(p.Now() + 7*sim.Millisecond)
-				return false
-			}
-			helperSaw = p.Now()
-			done.Fire()
-			return true
-		}))
-		r.Proc.Wait(done)
-		mainSaw = r.Now()
+		return script(r,
+			do(func() {
+				r.SpawnThread("helper", stepFunc(func(p *sim.Proc) bool {
+					if !slept {
+						slept = true
+						p.ArmUntil(p.Now() + 7*sim.Millisecond)
+						return false
+					}
+					helperSaw = p.Now()
+					done.Fire()
+					return true
+				}))
+			}),
+			awaitFire(done),
+			do(func() { mainSaw = r.Now() }))
 	})
 	if err != nil {
 		t.Fatal(err)

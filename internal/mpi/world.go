@@ -123,8 +123,8 @@ func (w *World) putDelivery(d *delivery) {
 // a handful of allocations to get there, not one per record, and leaves
 // few records unused. The cap is 255, not 256: a block of records that
 // hold pointers carries the allocator's 8-byte header, so 256 records
-// whose bytes fill a size class exactly (96-byte requests: 24,576)
-// would spill into the next one (27,264).
+// whose bytes fill a size class exactly (56-byte pending sends: 14,336)
+// would spill into the next one (16,384).
 type carver[T any] struct {
 	block []T // what is left of the current block
 	made  int // records carved so far

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 
 	"scaffe/internal/gpu"
@@ -49,7 +48,7 @@ func TestLaneZeroRunsInInsertionOrder(t *testing.T) {
 	w := newWorld(1)
 	tr := &recTracer{}
 	var order []string
-	_, err := w.Run(func(r *mpi.Rank) {
+	_, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
 		g := New(r)
 		g.Plan().AddTimed(0, ComputeForward, "forward", "a", func(x *Ctx) sim.Time {
 			order = append(order, "a")
@@ -60,7 +59,7 @@ func TestLaneZeroRunsInInsertionOrder(t *testing.T) {
 			order = append(order, "b")
 			return x.P.Now() + 5
 		})
-		g.Execute(tr, 0)
+		return &executions{g: g, tr: tr, n: 1}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,129 +84,10 @@ func TestLaneZeroRunsInInsertionOrder(t *testing.T) {
 	}
 }
 
-// TestTimedNodeMatchesBlockingAction: a node added with AddTimed is the
-// blocking code "work; Sleep(d)" — here a rank's main proc and a
-// helper thread of its own, joined through a completion — in everything
-// but who waits: same order, same spans, same end time.
-func TestTimedNodeMatchesBlockingAction(t *testing.T) {
-	const layers = 20
-	phases := []string{"forward", "backward"} // lane 0, then the helper
-	dur := func(r *mpi.Rank, l, lane int) sim.Duration { return sim.Duration(3*l + lane + r.ID + 1) }
-	run := func(timed bool) ([]spanRec, sim.Time) {
-		w := newWorld(2)
-		tracers := make([]recTracer, 2)
-		_, err := w.Run(func(r *mpi.Rank) {
-			tr := &tracers[r.ID]
-			if !timed {
-				joined := w.K.NewCompletion()
-				layer := func(p *sim.Proc, l, lane int) {
-					start := p.Now()
-					p.Sleep(dur(r, l, lane))
-					tr.NodeSpan(lane, ComputeForward, phases[lane], fmt.Sprint(phases[lane], l), false, start, p.Now())
-				}
-				w.K.Spawn(fmt.Sprintf("rank%d.helper", r.ID), func(p *sim.Proc) {
-					for l := 0; l < layers; l++ {
-						layer(p, l, 1)
-					}
-					joined.Fire()
-				})
-				for l := 0; l < layers; l++ {
-					layer(r.Proc, l, 0)
-				}
-				if start := r.Now(); !joined.Fired() {
-					r.Proc.Wait(joined)
-					tr.NodeSpan(0, Generic, "backward", "join", true, start, r.Now())
-				}
-				return
-			}
-			g := New(r)
-			g.Lane("helper")
-			var last *Node
-			for l := 0; l < layers; l++ {
-				for lane, phase := range phases {
-					last = g.Plan().AddTimed(lane, ComputeForward, phase, fmt.Sprint(phase, l), func(x *Ctx) sim.Time {
-						return x.P.Now() + dur(x.R, l, lane)
-					})
-				}
-			}
-			g.Add(0, Generic, "", "join", nil).After(last).WaitingIn("backward")
-			g.Execute(tr, 0)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append(tracers[0].spans, tracers[1].spans...), w.K.Now()
-	}
-	wantSpans, wantEnd := run(false)
-	gotSpans, gotEnd := run(true)
-	if len(wantSpans) < 4*layers {
-		t.Fatalf("blocking graphs emitted %d spans", len(wantSpans))
-	}
-	if gotEnd != wantEnd || !reflect.DeepEqual(gotSpans, wantSpans) {
-		t.Errorf("timed nodes ended at %v with %d spans, blocking actions at %v with %d; first difference at span %d",
-			gotEnd, len(gotSpans), wantEnd, len(wantSpans), firstDiff(gotSpans, wantSpans))
-	}
-}
-
-// TestParkInActionPanics: an action runs in its lane's step, so one that
-// parks — a blocking receive — fails loudly with the proc's name instead
-// of hanging the event loop.
-func TestParkInActionPanics(t *testing.T) {
-	w := newWorld(2)
-	comm := w.WorldComm()
-	var got any
-	_, err := w.Run(func(r *mpi.Rank) {
-		if r.ID == 1 {
-			return // never sends
-		}
-		defer func() { got = recover() }()
-		g := New(r)
-		g.Plan().AddTimed(0, Generic, "", "first", func(x *Ctx) sim.Time { return x.P.Now() + 5 })
-		g.Add(0, Generic, "", "recv", func(x *Ctx) { x.R.Recv(comm, 1, 0, gpu.NewBuffer(8)) })
-		g.Execute(nil, 0)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg, _ := got.(string); !strings.Contains(msg, `proc "rank0" parks inside its own step`) {
-		t.Errorf("Execute ended with %v, want the park-in-step panic", got)
-	}
-}
-
-// TestParkInHelperActionPanics: a helper lane's action runs in the
-// helper proc's step, where a blocking receive parks the rank's main
-// proc, not the helper. That fails loudly too, naming both procs,
-// instead of hanging the event loop.
-func TestParkInHelperActionPanics(t *testing.T) {
-	w := newWorld(2)
-	comm := w.WorldComm()
-	_, err := w.Run(func(r *mpi.Rank) {
-		if r.ID == 1 {
-			return // never sends
-		}
-		g := New(r)
-		helper := g.Plan().Lane("helper")
-		g.Add(helper, Generic, "", "recv", func(x *Ctx) { x.R.Recv(comm, 1, 0, gpu.NewBuffer(8)) })
-		g.Execute(nil, 0)
-	})
-	if want := `proc "rank0" parks inside a step of proc "rank0.helper"`; err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("run ended with %v, want an error containing %s", err, want)
-	}
-}
-
-func firstDiff(a, b []spanRec) int {
-	for i := range a {
-		if i >= len(b) || a[i] != b[i] {
-			return i
-		}
-	}
-	return len(a)
-}
-
 func TestCrossLaneDependencyAndWaitPhase(t *testing.T) {
 	w := newWorld(1)
 	tr := &recTracer{}
-	_, err := w.Run(func(r *mpi.Rank) {
+	_, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
 		g := New(r)
 		helper := g.Lane("helper")
 		begin := g.Add(0, Generic, "", "begin", nil)
@@ -217,7 +97,7 @@ func TestCrossLaneDependencyAndWaitPhase(t *testing.T) {
 		g.Plan().AddTimed(0, Reduce, "aggregation", "reduce", func(x *Ctx) sim.Time {
 			return x.P.Now() + 7
 		}).After(hw).WaitingIn("backward")
-		g.Execute(tr, 0)
+		return &executions{g: g, tr: tr, n: 1}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -241,16 +121,17 @@ func TestCrossLaneDependencyAndWaitPhase(t *testing.T) {
 
 func TestExecuteJoinsUnreferencedHelperLane(t *testing.T) {
 	w := newWorld(1)
-	_, err := w.Run(func(r *mpi.Rank) {
+	_, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
 		g := New(r)
 		helper := g.Lane("helper")
 		g.Plan().AddTimed(helper, Generic, "", "slow", func(x *Ctx) sim.Time { return x.P.Now() + 100 })
 		g.Plan().AddTimed(0, Generic, "", "fast", func(x *Ctx) sim.Time { return x.P.Now() + 1 })
-		g.Execute(nil, 0)
-		// Execute must not return before the helper lane finishes.
-		if r.Now() != 100 {
-			t.Errorf("Execute returned at %v, want 100", r.Now())
-		}
+		// The execution must not end before the helper lane finishes.
+		return &executions{g: g, n: 1, then: func(int) {
+			if r.Now() != 100 {
+				t.Errorf("the execution ended at %v, want 100", r.Now())
+			}
+		}}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -264,19 +145,19 @@ func TestRequestGateWaitsTransfer(t *testing.T) {
 	// Rendezvous-sized message so the send completes only when the
 	// receiver shows up.
 	const bytes = 1 << 20
-	_, err := w.Run(func(r *mpi.Rank) {
-		if r.ID == 1 {
-			r.Sleep(1000)
-			r.Recv(comm, 0, 9, gpu.NewBuffer(bytes))
-			return
-		}
+	_, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
 		g := New(r)
+		if r.ID == 1 {
+			g.Plan().AddTimed(0, Generic, "", "late", func(x *Ctx) sim.Time { return x.P.Now() + 1000 })
+			addRecv(g, comm, 0, 9, gpu.NewBuffer(bytes))
+			return &executions{g: g, n: 1}
+		}
 		var reqs []*mpi.Request
 		g.Add(0, PostBcast, "", "post", func(x *Ctx) {
 			reqs = append(reqs[:0], nil, x.R.Isend(comm, 1, 9, gpu.NewBuffer(bytes), topology.ModeAuto))
 		})
 		g.Add(0, DrainSends, "propagation", "drain", nil).Awaiting(func(*Ctx) []*mpi.Request { return reqs })
-		g.Execute(tr, 0)
+		return &executions{g: g, tr: tr, n: 1}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -292,16 +173,19 @@ func TestRequestGateWaitsTransfer(t *testing.T) {
 
 func TestForwardSameLaneDependencyPanics(t *testing.T) {
 	w := newWorld(1)
-	_, err := w.Run(func(r *mpi.Rank) {
+	_, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
 		g := New(r)
 		a := g.Add(0, Generic, "", "a", nil)
 		b := g.Add(0, Generic, "", "b", nil)
-		defer func() {
-			if recover() == nil {
-				t.Error("forward same-lane dependency should panic")
-			}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("forward same-lane dependency should panic")
+				}
+			}()
+			a.After(b)
 		}()
-		a.After(b)
+		return &executions{}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -310,16 +194,19 @@ func TestForwardSameLaneDependencyPanics(t *testing.T) {
 
 func TestGateOffMainLanePanics(t *testing.T) {
 	w := newWorld(1)
-	_, err := w.Run(func(r *mpi.Rank) {
+	_, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
 		g := New(r)
 		helper := g.Lane("helper")
 		n := g.Add(helper, Generic, "", "h", nil)
-		defer func() {
-			if recover() == nil {
-				t.Error("a helper-lane node awaiting requests should panic")
-			}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("a helper-lane node awaiting requests should panic")
+				}
+			}()
+			n.Awaiting(func(*Ctx) []*mpi.Request { return nil })
 		}()
-		n.Awaiting(func(*Ctx) []*mpi.Request { return nil })
+		return &executions{}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -409,13 +296,15 @@ func runShape(t *testing.T, shared bool, ranks, iters int) [][]spanRec {
 	return spans
 }
 
-// executions is a rank's main proc that executes a graph n times, as
-// steps: Start, then the graph's steps until it is done.
+// executions is a rank's main proc that executes a graph for iterations
+// it to n-1, as steps: Start, then the graph's steps until it is done,
+// then then, if set, with the iteration.
 type executions struct {
 	g       *Graph
 	tr      Tracer
 	it, n   int
 	started bool
+	then    func(it int)
 }
 
 func (e *executions) Step(p *sim.Proc) bool {
@@ -428,8 +317,39 @@ func (e *executions) Step(p *sim.Proc) bool {
 			return false
 		}
 		e.started = false
+		if e.then != nil {
+			e.then(e.it)
+		}
 	}
 	return true
+}
+
+// stepSeq is steppers run one after another as one proc's steps.
+type stepSeq struct {
+	list []sim.Stepper
+	i    int
+}
+
+func (s *stepSeq) Step(p *sim.Proc) bool {
+	for ; s.i < len(s.list); s.i++ {
+		if !s.list[s.i].Step(p) {
+			return false
+		}
+	}
+	return true
+}
+
+// do is a stepper that runs fn in one step.
+type do func()
+
+func (fn do) Step(*sim.Proc) bool { fn(); return true }
+
+// addRecv adds a blocking receive to lane 0 of g as a plan has it: a node
+// that posts the receive, and one that awaits it.
+func addRecv(g *Graph, comm *mpi.Comm, from, tag int, buf *gpu.Buffer) {
+	var reqs []*mpi.Request
+	g.Add(0, Generic, "", "recv", func(x *Ctx) { reqs = append(reqs[:0], x.R.Irecv(comm, from, tag, buf)) })
+	g.Add(0, Generic, "", "recv/await", nil).Awaiting(func(*Ctx) []*mpi.Request { return reqs })
 }
 
 // TestInstanceHoldsCompletionsOnlyWhereALaneWaits: a sealed plan numbers
@@ -444,20 +364,8 @@ func TestInstanceHoldsCompletionsOnlyWhereALaneWaits(t *testing.T) {
 	obrShape(two, w.WorldComm(), 2)
 	two.Seal()
 	nodes := len(two.lanes[0]) + len(two.lanes[1])
-	_, err := w.Run(func(r *mpi.Rank) {
+	_, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
 		g := two.Bind(r)
-		g.Execute(nil, 0)
-		if nodes != 9 || two.waited != 4 || len(g.done) != 4 {
-			t.Errorf("two-lane plan of %d nodes: %d waited, instance holds %d completions; want 9, 4, 4", nodes, two.waited, len(g.done))
-		}
-		for li, lane := range two.lanes {
-			for _, n := range lane {
-				waited := n.label == "begin" || li == 1
-				if (n.done >= 0) != waited {
-					t.Errorf("node %q: completion index %d, waited by another lane: %v", n.label, n.done, waited)
-				}
-			}
-		}
 
 		// A helper lane nobody depends on still ends in a completion: lane 0
 		// joins it.
@@ -466,18 +374,39 @@ func TestInstanceHoldsCompletionsOnlyWhereALaneWaits(t *testing.T) {
 		tail.Add(helper, Generic, "", "a", nil)
 		tail.Add(helper, Generic, "", "b", nil)
 		tail.Add(0, Generic, "", "c", nil)
-		tail.Execute(nil, 0)
-		if len(tail.done) != 1 {
-			t.Errorf("unreferenced helper lane: instance holds %d completions, want 1 (its tail)", len(tail.done))
-		}
 
 		one := New(r)
 		one.Add(0, Generic, "", "a", nil)
 		one.Add(0, Generic, "", "b", nil).After(one.Plan().lanes[0][0])
-		one.Execute(nil, 0)
-		if len(one.done) != 0 {
-			t.Errorf("single-lane plan: instance holds %d completions, want 0", len(one.done))
-		}
+
+		return &stepSeq{list: []sim.Stepper{
+			&executions{g: g, n: 1},
+			do(func() {
+				if nodes != 9 || two.waited != 4 || len(g.done) != 4 {
+					t.Errorf("two-lane plan of %d nodes: %d waited, instance holds %d completions; want 9, 4, 4", nodes, two.waited, len(g.done))
+				}
+				for li, lane := range two.lanes {
+					for _, n := range lane {
+						waited := n.label == "begin" || li == 1
+						if (n.done >= 0) != waited {
+							t.Errorf("node %q: completion index %d, waited by another lane: %v", n.label, n.done, waited)
+						}
+					}
+				}
+			}),
+			&executions{g: tail, n: 1},
+			do(func() {
+				if len(tail.done) != 1 {
+					t.Errorf("unreferenced helper lane: instance holds %d completions, want 1 (its tail)", len(tail.done))
+				}
+			}),
+			&executions{g: one, n: 1},
+			do(func() {
+				if len(one.done) != 0 {
+					t.Errorf("single-lane plan: instance holds %d completions, want 0", len(one.done))
+				}
+			}),
+		}}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -512,7 +441,7 @@ func TestSealedPlanRejectsChanges(t *testing.T) {
 		fn()
 	}
 	w := newWorld(1)
-	_, err := w.Run(func(r *mpi.Rank) {
+	_, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
 		p := NewPlan()
 		n := p.Add(0, Generic, "", "a", nil)
 		mustPanic("Bind on an open plan", func() { p.Bind(r) })
@@ -528,11 +457,12 @@ func TestSealedPlanRejectsChanges(t *testing.T) {
 		mustPanic("Awaiting", func() { n.Awaiting(func(*Ctx) []*mpi.Request { return nil }) })
 		mustPanic("WaitingIn", func() { n.WaitingIn("backward") })
 
-		// A private graph is open until its first Execute.
+		// A private graph is open until its first execution.
 		own := New(r)
 		own.Add(0, Generic, "", "a", nil)
-		own.Execute(nil, 0)
-		mustPanic("Add after Execute", func() { own.Add(0, Generic, "", "b", nil) })
+		return &executions{g: own, n: 1, then: func(int) {
+			mustPanic("Add after an execution", func() { own.Add(0, Generic, "", "b", nil) })
+		}}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -548,14 +478,14 @@ func TestExecuteAfterRevokedUnwindStartsClean(t *testing.T) {
 	w := newWorld(2)
 	comm := w.WorldComm()
 	tr := &recTracer{}
-	_, err := w.Run(func(r *mpi.Rank) {
+	_, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
+		g := New(r)
 		if r.ID == 1 {
 			for it := 0; it < 2; it++ {
-				r.Recv(comm, 0, it, gpu.NewBuffer(8))
+				addRecv(g, comm, 0, it, gpu.NewBuffer(8))
 			}
-			return
+			return &executions{g: g, n: 1}
 		}
-		g := New(r)
 		var sends []*mpi.Request
 		helper := g.Lane("helper")
 		g.Add(0, PostBcast, "", "post", func(x *Ctx) {
@@ -577,21 +507,20 @@ func TestExecuteAfterRevokedUnwindStartsClean(t *testing.T) {
 		g.Add(helper, Generic, "", "parked", nil).After(late)
 		g.Add(0, DrainSends, "propagation", "drain", nil).Awaiting(func(x *Ctx) []*mpi.Request { return sends[x.It:] })
 
-		func() {
-			defer func() {
-				if rec := recover(); !mpi.IsRevoked(rec) {
-					t.Errorf("first Execute unwound with %v, want Revoked", rec)
-				}
-			}()
-			g.Execute(tr, 0)
-		}()
-		if !g.done[h.done].Fired() || len(sends) != 1 {
-			t.Fatalf("abandoned execution left fired=%v, %d sends; the drill needs both stale",
-				g.done[h.done].Fired(), len(sends))
-		}
-		r.KillThreads() // what recovery does to lanes of the abandoned iteration
-		tr.spans = nil
-		g.Execute(tr, 1)
+		return &executions{g: g, tr: tr, n: 2, then: func(it int) {
+			if it != 0 {
+				return
+			}
+			if !g.Revoked() {
+				t.Errorf("the first execution ended unrevoked, want a revocation")
+			}
+			if !g.done[h.done].Fired() || len(sends) != 1 {
+				t.Fatalf("abandoned execution left fired=%v, %d sends; the drill needs both stale",
+					g.done[h.done].Fired(), len(sends))
+			}
+			r.KillThreads() // what recovery does to lanes of the abandoned iteration
+			tr.spans = nil
+		}}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -607,14 +536,14 @@ func TestExecuteAfterRevokedUnwindStartsClean(t *testing.T) {
 // TestHelperLaneThreadPersists: a helper lane runs on one proc for the
 // life of its instance, idle between executions and woken by the next.
 // A proc killed while idle, or unwound mid-lane by a revocation, is
-// replaced by a fresh one at the next Execute. A run that ends with the
+// replaced by a fresh one at the next execution. A run that ends with the
 // lane idle retires it: no deadlock, and no goroutine outlives Run.
 func TestHelperLaneThreadPersists(t *testing.T) {
 	const killIdleAfter, trip, iters = 2, 5, 8
 	before := runtime.NumGoroutine()
 	w := newWorld(1)
 	var procs []*sim.Proc
-	_, err := w.Run(func(r *mpi.Rank) {
+	_, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
 		g := New(r)
 		helper := g.Lane("helper")
 		begin := g.Add(0, Generic, "", "begin", nil)
@@ -633,15 +562,15 @@ func TestHelperLaneThreadPersists(t *testing.T) {
 			return x.P.Now()
 		})
 		g.plan.AddTimed(0, Update, "update", "update", func(x *Ctx) sim.Time { return x.P.Now() + 1 }).After(bwd)
-		for it := 0; it < iters; it++ {
-			if unwound := executeUnlessRevoked(g, it); unwound != (it == trip) {
-				t.Fatalf("iteration %d: Execute unwound = %v", it, unwound)
+		return &executions{g: g, n: iters, then: func(it int) {
+			if unwound := g.Revoked(); unwound != (it == trip) {
+				t.Fatalf("iteration %d: execution revoked = %v", it, unwound)
 			}
 			procs = append(procs, g.lanes[helper].ctx.P)
 			if it == killIdleAfter {
 				r.KillThreads()
 			}
-		}
+		}}
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -660,19 +589,4 @@ func TestHelperLaneThreadPersists(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("%d goroutines after Run, %d before", n, before)
 	}
-}
-
-// executeUnlessRevoked runs one iteration and reports whether a
-// revocation unwound it.
-func executeUnlessRevoked(g *Graph, it int) (unwound bool) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			if !mpi.IsRevoked(rec) {
-				panic(rec)
-			}
-			unwound = true
-		}
-	}()
-	g.Execute(nil, it)
-	return false
 }

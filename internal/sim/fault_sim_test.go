@@ -4,20 +4,15 @@ import "testing"
 
 func TestWaitTimeoutExpires(t *testing.T) {
 	k := New()
-	var fired bool
-	var at Time
-	k.Spawn("waiter", func(p *Proc) {
-		c := k.NewCompletion()
-		fired = waitTimeout(p, c, 100)
-		at = p.Now()
-	})
+	var log []outcome
+	k.SpawnSteps("waiter", &scriptStepper{ops: []waitOp{{kind: opTimeout, c: k.NewCompletion(), d: 100}}, log: &log})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if fired {
+	if log[0].fired {
 		t.Error("WaitTimeout reported fired on a completion nobody fired")
 	}
-	if at != 100 {
+	if at := log[0].at; at != 100 {
 		t.Errorf("woke at %v, want 100", at)
 	}
 }
@@ -25,20 +20,16 @@ func TestWaitTimeoutExpires(t *testing.T) {
 func TestWaitTimeoutCompletes(t *testing.T) {
 	k := New()
 	c := k.NewCompletion()
-	var fired bool
-	var at Time
-	k.Spawn("waiter", func(p *Proc) {
-		fired = waitTimeout(p, c, 100)
-		at = p.Now()
-	})
+	var log []outcome
+	k.SpawnSteps("waiter", &scriptStepper{ops: []waitOp{{kind: opTimeout, c: c, d: 100}}, log: &log})
 	k.At(40, func() { c.Fire() })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !fired {
+	if !log[0].fired {
 		t.Error("WaitTimeout missed the completion")
 	}
-	if at != 40 {
+	if at := log[0].at; at != 40 {
 		t.Errorf("woke at %v, want 40", at)
 	}
 	// The stale timeout event at t=100 must not disturb anything.
@@ -50,12 +41,17 @@ func TestWaitTimeoutCompletes(t *testing.T) {
 func TestWaitTimeoutRepeatedThenFire(t *testing.T) {
 	k := New()
 	c := k.NewCompletion()
-	attempts := 0
-	k.Spawn("waiter", func(p *Proc) {
-		for !waitTimeout(p, c, 10) {
+	attempts, armed := 0, false
+	k.SpawnSteps("waiter", stepFunc(func(p *Proc) bool {
+		if armed {
+			if c.Fired() {
+				return true
+			}
 			attempts++
 		}
-	})
+		armed = true
+		return p.ArmWaitTimeout(c, 10)
+	}))
 	k.At(35, func() { c.Fire() })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -68,11 +64,9 @@ func TestWaitTimeoutRepeatedThenFire(t *testing.T) {
 func TestKillSleepingProc(t *testing.T) {
 	k := New()
 	reached := false
-	var p *Proc
-	p = k.Spawn("victim", func(p *Proc) {
-		p.Sleep(1000)
-		reached = true
-	})
+	p := k.SpawnSteps("victim", &scriptStepper{ops: []waitOp{
+		{kind: opSleep, d: 1000, then: func() { reached = true }},
+	}})
 	k.At(10, func() { p.Kill() })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -91,29 +85,11 @@ func TestKillSleepingProc(t *testing.T) {
 func TestKillWaitingProcAvoidsDeadlock(t *testing.T) {
 	k := New()
 	c := k.NewCompletion()
-	var p *Proc
-	p = k.Spawn("victim", func(p *Proc) {
-		p.Wait(c) // nobody will fire this
-	})
+	p := k.SpawnSteps("victim", &scriptStepper{ops: []waitOp{
+		{kind: opWait, c: c}, // nobody will fire this
+	}})
 	k.At(5, func() { p.Kill() })
 	if err := k.Run(); err != nil {
 		t.Fatalf("kill of a blocked proc should resolve the deadlock: %v", err)
-	}
-}
-
-func TestKillRunsDefers(t *testing.T) {
-	k := New()
-	cleaned := false
-	var p *Proc
-	p = k.Spawn("victim", func(p *Proc) {
-		defer func() { cleaned = true }()
-		p.Sleep(1000)
-	})
-	k.At(10, func() { p.Kill() })
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !cleaned {
-		t.Error("kill skipped the proc's defers")
 	}
 }

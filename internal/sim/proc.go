@@ -168,20 +168,10 @@ func (p *Proc) armWait() uint64 {
 }
 
 // Sleep advances this proc's virtual time by d, allowing other events
-// to run in between.
+// to run in between. A d ≤ 0 yields: the other events scheduled for the
+// current instant run before this proc continues.
 func (p *Proc) Sleep(d Duration) {
-	if d <= 0 {
-		p.Yield()
-		return
-	}
-	p.k.atResume(p.k.now+d, p)
-	p.park()
-}
-
-// Yield gives other events scheduled for the current instant a chance
-// to run before this proc continues.
-func (p *Proc) Yield() {
-	p.k.atResume(p.k.now, p)
+	p.k.atResume(p.k.now+max(d, 0), p)
 	p.park()
 }
 
@@ -213,8 +203,8 @@ type Stepper interface {
 	// Step runs in the queue position of the resume it stands for: on
 	// the event loop for a proc with no goroutine, on the proc's own
 	// stack under RunSteps. It may do anything an event callback may —
-	// schedule, fire, spawn — but must not park: no Wait, Sleep or
-	// Yield, and no nested RunSteps that would park: a park there
+	// schedule, fire, spawn — but must not park: no Wait or Sleep,
+	// and no nested RunSteps that would park: a park there
 	// panics, naming the proc. A panic raised in Step fails Run, naming
 	// the proc, or, under RunSteps, goes up the proc's stack from
 	// RunSteps, where its caller may recover it.

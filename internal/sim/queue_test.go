@@ -315,12 +315,9 @@ func TestPooledCompletionStaleFireDissolves(t *testing.T) {
 		t.Fatalf("recycle did not bump the generation")
 	}
 	fired := false
-	k.Spawn("waiter", func(p *Proc) {
-		p.Sleep(200) // outlive the stale fire's due time
-		if c2.Fired() {
-			fired = true
-		}
-	})
+	k.SpawnSteps("waiter", &scriptStepper{ops: []waitOp{
+		{kind: opSleep, d: 200, then: func() { fired = c2.Fired() }}, // outlive the stale fire's due time
+	}})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -395,25 +392,16 @@ func TestSimKernelZeroAllocSteadyState(t *testing.T) {
 	// The same for a stepping proc: a round of its waits of every kind —
 	// a sleep, a completion another event fires, a deadline that expires
 	// — through deliver, step and the Arm calls must allocate nothing
-	// either, whether its steps run on the event loop (a proc with no
-	// goroutine) or on its coroutine, each resume a switch into it
-	// (RunSteps).
+	// either.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for _, free := range []bool{true, false} {
-		k := New()
-		s := &allocStepper{c: k.GetCompletion(), warm: 64, measured: 1024}
-		if free {
-			k.SpawnSteps("stepper", s)
-		} else {
-			k.Spawn("stepper", func(p *Proc) { p.RunSteps(s) })
-		}
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
-		r := k.Resumes()
-		if n := s.after.Mallocs - s.before.Mallocs; n != 0 || r.Steps+r.Switches < uint64(s.measured) {
-			t.Fatalf("a stepping proc (no goroutine: %v) allocates %d objects over %d steps (%+v); want 0", free, n, s.measured, r)
-		}
+	k = New()
+	s := &allocStepper{c: k.GetCompletion(), warm: 64, measured: 1024}
+	k.SpawnSteps("stepper", s)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n, r := s.after.Mallocs-s.before.Mallocs, k.Resumes(); n != 0 || r.Steps < uint64(s.measured) {
+		t.Fatalf("a stepping proc allocates %d objects over %d steps (%+v); want 0", n, s.measured, r)
 	}
 }
 

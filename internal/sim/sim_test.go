@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"runtime"
 	"strconv"
 	"strings"
@@ -76,10 +75,9 @@ func TestPastEventRunsNow(t *testing.T) {
 func TestProcSleep(t *testing.T) {
 	k := New()
 	var wake Time
-	k.Spawn("sleeper", func(p *Proc) {
-		p.Sleep(5 * Millisecond)
-		wake = p.Now()
-	})
+	k.SpawnSteps("sleeper", &scriptStepper{ops: []waitOp{
+		{kind: opSleep, d: 5 * Millisecond, then: func() { wake = k.Now() }},
+	}})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -91,16 +89,13 @@ func TestProcSleep(t *testing.T) {
 func TestProcInterleaving(t *testing.T) {
 	k := New()
 	var order []string
-	k.Spawn("a", func(p *Proc) {
-		p.Sleep(10)
-		order = append(order, "a10")
-		p.Sleep(20)
-		order = append(order, "a30")
-	})
-	k.Spawn("b", func(p *Proc) {
-		p.Sleep(20)
-		order = append(order, "b20")
-	})
+	k.SpawnSteps("a", &scriptStepper{ops: []waitOp{
+		{kind: opSleep, d: 10, then: func() { order = append(order, "a10") }},
+		{kind: opSleep, d: 20, then: func() { order = append(order, "a30") }},
+	}})
+	k.SpawnSteps("b", &scriptStepper{ops: []waitOp{
+		{kind: opSleep, d: 20, then: func() { order = append(order, "b20") }},
+	}})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +113,11 @@ func TestProcInterleaving(t *testing.T) {
 func TestCompletionWaitBeforeFire(t *testing.T) {
 	k := New()
 	c := k.NewCompletion()
-	var at Time = -1
-	k.Spawn("waiter", func(p *Proc) {
-		p.Wait(c)
-		at = p.Now()
-	})
+	var at, firedAt Time = -1, -1
+	k.SpawnSteps("waiter", &scriptStepper{ops: []waitOp{
+		{kind: opWait, c: c, then: func() { at = k.Now() }},
+	}})
+	c.OnFire(func() { firedAt = k.Now() })
 	k.At(42, c.Fire)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -130,8 +125,8 @@ func TestCompletionWaitBeforeFire(t *testing.T) {
 	if at != 42 {
 		t.Errorf("waiter resumed at %v, want 42", at)
 	}
-	if !c.Fired() || c.FiredAt() != 42 {
-		t.Errorf("completion fired=%v at=%v, want true/42", c.Fired(), c.FiredAt())
+	if !c.Fired() || firedAt != 42 {
+		t.Errorf("completion fired=%v at=%v, want true/42", c.Fired(), firedAt)
 	}
 }
 
@@ -139,11 +134,10 @@ func TestCompletionWaitAfterFire(t *testing.T) {
 	k := New()
 	c := k.NewCompletion()
 	var at Time = -1
-	k.Spawn("waiter", func(p *Proc) {
-		p.Sleep(100)
-		p.Wait(c) // already fired: no block
-		at = p.Now()
-	})
+	k.SpawnSteps("waiter", &scriptStepper{ops: []waitOp{
+		{kind: opSleep, d: 100},
+		{kind: opWait, c: c, then: func() { at = k.Now() }}, // already fired: no block
+	}})
 	k.At(10, c.Fire)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -157,7 +151,8 @@ func TestCompletionDoubleFire(t *testing.T) {
 	k := New()
 	c := k.NewCompletion()
 	fired := 0
-	c.OnFire(func() { fired++ })
+	var firedAt Time
+	c.OnFire(func() { fired, firedAt = fired+1, k.Now() })
 	k.At(5, c.Fire)
 	k.At(9, c.Fire)
 	if err := k.Run(); err != nil {
@@ -166,8 +161,8 @@ func TestCompletionDoubleFire(t *testing.T) {
 	if fired != 1 {
 		t.Errorf("OnFire ran %d times, want 1", fired)
 	}
-	if c.FiredAt() != 5 {
-		t.Errorf("FiredAt = %v, want 5", c.FiredAt())
+	if firedAt != 5 {
+		t.Errorf("fired at %v, want 5", firedAt)
 	}
 }
 
@@ -189,8 +184,8 @@ func TestCompletionOnFireAfterFired(t *testing.T) {
 // through: an MPI request and a sched.Graph node embed one, and GoogLeNet
 // holds 64 requests per rank at once, so a field added here multiplies.
 func TestCompletionSize(t *testing.T) {
-	if size := unsafe.Sizeof(Completion{}); size > 72 {
-		t.Errorf("a Completion is %d bytes, want at most 72", size)
+	if size := unsafe.Sizeof(Completion{}); size > 64 {
+		t.Errorf("a Completion is %d bytes, want at most 64", size)
 	}
 }
 
@@ -206,10 +201,9 @@ func TestCompletionSpillOrder(t *testing.T) {
 	procs := make([]*Proc, 5)
 	for i := range procs {
 		name := "w" + strconv.Itoa(i)
-		procs[i] = k.Spawn(name, func(p *Proc) {
-			p.Wait(c)
-			order = append(order, name)
-		})
+		procs[i] = k.SpawnSteps(name, &scriptStepper{ops: []waitOp{
+			{kind: opWait, c: c, then: func() { order = append(order, name) }},
+		}})
 	}
 	cbs := []func(){
 		func() { order = append(order, "cb0") },
@@ -248,7 +242,7 @@ func TestCompletionSpillOrder(t *testing.T) {
 func TestDeadlockDetection(t *testing.T) {
 	k := New()
 	c := k.NewCompletion()
-	k.Spawn("stuck", func(p *Proc) { p.Wait(c) })
+	k.SpawnSteps("stuck", &scriptStepper{ops: []waitOp{{kind: opWait, c: c}}})
 	err := k.Run()
 	if err == nil {
 		t.Fatal("expected deadlock error, got nil")
@@ -258,11 +252,15 @@ func TestDeadlockDetection(t *testing.T) {
 func TestDeadline(t *testing.T) {
 	k := New()
 	k.SetDeadline(100)
-	k.Spawn("runaway", func(p *Proc) {
-		for i := 0; i < 1000; i++ {
-			p.Sleep(10)
+	sleeps := 0
+	k.SpawnSteps("runaway", stepFunc(func(p *Proc) bool {
+		if sleeps == 1000 {
+			return true
 		}
-	})
+		sleeps++
+		p.ArmUntil(p.Now() + 10)
+		return false
+	}))
 	if err := k.Run(); err == nil {
 		t.Fatal("expected deadline error, got nil")
 	}
@@ -272,6 +270,14 @@ func TestDeadline(t *testing.T) {
 type stepFunc func(p *Proc) bool
 
 func (f stepFunc) Step(p *Proc) bool { return f(p) }
+
+// unwinding is a Stepper with an Unwind.
+type unwinding struct {
+	Stepper
+	unwind func(p *Proc)
+}
+
+func (u unwinding) Unwind(p *Proc) { u.unwind(p) }
 
 func TestQueueFIFO(t *testing.T) {
 	k := New()
@@ -463,13 +469,11 @@ func TestDeterminism(t *testing.T) {
 		k := New()
 		var log []Time
 		for i := 0; i < 4; i++ {
-			d := Duration(i*7 + 3)
-			k.Spawn("p", func(p *Proc) {
-				for j := 0; j < 5; j++ {
-					p.Sleep(d)
-					log = append(log, p.Now())
-				}
-			})
+			ops := make([]waitOp, 5)
+			for j := range ops {
+				ops[j] = waitOp{kind: opSleep, d: Duration(i*7 + 3), then: func() { log = append(log, k.Now()) }}
+			}
+			k.SpawnSteps("p", &scriptStepper{ops: ops})
 		}
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
@@ -490,14 +494,14 @@ func TestDeterminism(t *testing.T) {
 func TestSpawnFromProc(t *testing.T) {
 	k := New()
 	var childAt Time
-	k.Spawn("parent", func(p *Proc) {
-		p.Sleep(10)
-		k.Spawn("child", func(c *Proc) {
-			c.Sleep(5)
-			childAt = c.Now()
-		})
-		p.Sleep(100)
-	})
+	k.SpawnSteps("parent", &scriptStepper{ops: []waitOp{
+		{kind: opSleep, d: 10, then: func() {
+			k.SpawnSteps("child", &scriptStepper{ops: []waitOp{
+				{kind: opSleep, d: 5, then: func() { childAt = k.Now() }},
+			}})
+		}},
+		{kind: opSleep, d: 100},
+	}})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -512,17 +516,16 @@ func TestSpawnFromProc(t *testing.T) {
 func TestSpawnFromEventCallback(t *testing.T) {
 	k := New()
 	var childAt, killedAt Time
-	k.Spawn("anchor", func(p *Proc) { p.Sleep(40) })
-	victim := k.Spawn("victim", func(p *Proc) {
-		defer func() { killedAt = p.Now() }()
-		p.Sleep(1000)
+	k.SpawnSteps("anchor", &scriptStepper{ops: []waitOp{{kind: opSleep, d: 40}}})
+	victim := k.SpawnSteps("victim", unwinding{
+		Stepper: &scriptStepper{ops: []waitOp{{kind: opSleep, d: 1000}}},
+		unwind:  func(p *Proc) { killedAt = p.Now() },
 	})
 	k.At(5, victim.Kill)
 	k.At(10, func() {
-		k.Spawn("respawned", func(p *Proc) {
-			p.Sleep(5)
-			childAt = p.Now()
-		})
+		k.SpawnSteps("respawned", &scriptStepper{ops: []waitOp{
+			{kind: opSleep, d: 5, then: func() { childAt = k.Now() }},
+		}})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -531,21 +534,30 @@ func TestSpawnFromEventCallback(t *testing.T) {
 		t.Errorf("respawned proc finished at %v, want 15", childAt)
 	}
 	if killedAt != 5 {
-		t.Errorf("victim's deferred cleanup ran at %v, want 5 (kill must unwind defers)", killedAt)
+		t.Errorf("victim's unwind ran at %v, want 5 (a kill must unwind it)", killedAt)
 	}
 }
 
+// TestYield: a step that arms its resume at the current instant lets the
+// other events of the instant run first.
 func TestYield(t *testing.T) {
 	k := New()
 	var order []string
-	k.Spawn("a", func(p *Proc) {
-		order = append(order, "a1")
-		p.Yield()
+	yielded := false
+	k.SpawnSteps("a", stepFunc(func(p *Proc) bool {
+		if !yielded {
+			yielded = true
+			order = append(order, "a1")
+			p.ArmUntil(p.Now())
+			return false
+		}
 		order = append(order, "a2")
-	})
-	k.Spawn("b", func(p *Proc) {
+		return true
+	}))
+	k.SpawnSteps("b", stepFunc(func(p *Proc) bool {
 		order = append(order, "b1")
-	})
+		return true
+	}))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -559,16 +571,21 @@ func TestYield(t *testing.T) {
 
 func TestStopHaltsLoop(t *testing.T) {
 	k := New()
-	count := 0
-	k.Spawn("worker", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			p.Sleep(10)
+	count, slept := 0, false
+	k.SpawnSteps("worker", stepFunc(func(p *Proc) bool {
+		if slept {
 			count++
 			if count == 5 {
 				k.Stop()
 			}
 		}
-	})
+		if count == 100 {
+			return true
+		}
+		slept = true
+		p.ArmUntil(p.Now() + 10)
+		return false
+	}))
 	_ = k.Run() // stopping mid-run leaves the proc parked; no panic
 	if count < 5 || count > 6 {
 		t.Errorf("Stop did not halt promptly: count = %d", count)
@@ -589,86 +606,12 @@ func TestAfterSchedulesRelative(t *testing.T) {
 	}
 }
 
-func TestProcPanicSurfacesAsError(t *testing.T) {
-	k := New()
-	k.Spawn("bomb", func(p *Proc) {
-		p.Sleep(5)
-		panic("boom")
-	})
-	err := k.Run()
-	if err == nil {
-		t.Fatal("proc panic should fail Run")
-	}
-}
-
-// goroutineIDs is the set of the process's goroutines, by ID, as
-// runtime.Stack lists them ("goroutine 7 [running]:" heads each).
-func goroutineIDs() map[uint64]bool {
-	buf := make([]byte, 1<<16)
-	for {
-		if n := runtime.Stack(buf, true); n < len(buf) {
-			buf = buf[:n]
-			break
-		}
-		buf = make([]byte, 2*len(buf))
-	}
-	ids := map[uint64]bool{}
-	for _, line := range bytes.Split(buf, []byte("\n")) {
-		if rest, ok := bytes.CutPrefix(line, []byte("goroutine ")); ok {
-			if id, err := strconv.ParseUint(string(rest[:bytes.IndexByte(rest, ' ')]), 10, 64); err == nil {
-				ids[id] = true
-			}
-		}
-	}
-	return ids
-}
-
-// TestNoCoroutineOutlivesRun: a Spawn proc's coroutine ends with the
-// proc, whether it returns, is killed while parked, is killed before its
-// first resume, or panics. Every goroutine alive after Run was alive
-// before it; one that exits meanwhile, an earlier test's, does not count.
-func TestNoCoroutineOutlivesRun(t *testing.T) {
-	before := goroutineIDs()
-	k := New()
-	never := k.NewCompletion()
-	var started []uint64
-	k.Spawn("returns", func(p *Proc) { p.Sleep(5) })
-	parked := k.Spawn("killed parked", func(p *Proc) { p.Wait(never) })
-	early := k.Spawn("killed early", func(p *Proc) { t.Error("a proc killed before its first resume ran") })
-	early.Kill()
-	k.Spawn("panics", func(p *Proc) {
-		p.Sleep(20)
-		panic("boom")
-	})
-	k.At(1, func() {
-		for id := range goroutineIDs() {
-			if !before[id] {
-				started = append(started, id)
-			}
-		}
-	})
-	k.At(10, func() { parked.Kill() })
-	err := k.Run()
-	if err == nil || !strings.Contains(err.Error(), `proc "panics" panicked at 20ns: boom`) {
-		t.Fatalf("Run returned %v, want the panic", err)
-	}
-	if len(started) < 3 {
-		t.Fatalf("%d goroutines started by 1ns, want the three live procs' coroutines", len(started))
-	}
-	for id := range goroutineIDs() {
-		if !before[id] {
-			t.Errorf("goroutine %d started during the run and outlived it", id)
-		}
-	}
-}
-
 func TestNegativeSleepYields(t *testing.T) {
 	k := New()
 	done := false
-	k.Spawn("p", func(p *Proc) {
-		p.Sleep(-5) // treated as a yield
-		done = true
-	})
+	k.SpawnSteps("p", &scriptStepper{ops: []waitOp{
+		{kind: opSleep, d: -5, then: func() { done = true }}, // treated as a yield
+	}})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -19,17 +19,16 @@ type waiter struct {
 // waitSeq guard this makes reuse safe under kills and timeouts.
 //
 // Every simulated wait goes through one, and an MPI request embeds
-// one, so the record is kept to 72 bytes (TestCompletionSize): the
+// one, so the record is kept to 64 bytes (TestCompletionSize): the
 // first two waiters sit inline, counted by n, and everything rarer —
 // waiters past two and OnFire callbacks — sits behind one pointer.
 type Completion struct {
-	k       *Kernel
-	firedAt Time
-	gen     uint64
-	fired   bool
-	n       uint8 // waiters held in w0
-	w0      [2]waiter
-	more    *spill
+	k     *Kernel
+	gen   uint64
+	fired bool
+	n     uint8 // waiters held in w0
+	w0    [2]waiter
+	more  *spill
 }
 
 // spill holds a completion's waiters past the inline two, in insertion
@@ -117,22 +116,17 @@ func (c *Completion) reset(k *Kernel) {
 	c.k = k
 	c.gen++
 	c.fired = false
-	c.firedAt = 0
 	c.drop()
 }
 
 // Fired reports whether the completion has fired.
 func (c *Completion) Fired() bool { return c.fired }
 
-// FiredAt returns the virtual time at which the completion fired; it
-// is only meaningful when Fired is true.
-func (c *Completion) FiredAt() Time { return c.firedAt }
-
 // Gen returns the completion's current generation. Callers that stash
 // a reference across a possible recycle pair it with FireIf.
 func (c *Completion) Gen() uint64 { return c.gen }
 
-// Fire marks the completion done at the current virtual time, wakes
+// Fire marks the completion done, wakes
 // all waiters, and runs registered callbacks in kernel context. Firing
 // twice is a no-op.
 func (c *Completion) Fire() {
@@ -140,7 +134,6 @@ func (c *Completion) Fire() {
 		return
 	}
 	c.fired = true
-	c.firedAt = c.k.now
 	for _, w := range c.w0[:c.n] {
 		c.k.atResumeIf(c.k.now, w.p, w.seq)
 	}

@@ -60,12 +60,11 @@ type tOp struct {
 	late bool
 }
 
-// tPlan is the whole script: each proc's waits, which procs run as
-// steppers, and kernel events that kill a proc.
+// tPlan is the whole script: each proc's waits, and kernel events that
+// kill a proc.
 type tPlan struct {
-	procs   [][]tOp
-	stepped []bool
-	kills   []tKill
+	procs [][]tOp
+	kills []tKill
 }
 
 type tKill struct {
@@ -113,7 +112,7 @@ func (r *timerRun) wait(proc, op int) waitRec {
 	return waitRec{}
 }
 
-// tProc runs one proc's script, blocking or as a Stepper.
+// tProc runs one proc's script as its Stepper.
 type tProc struct {
 	run    *timerRun
 	id     int
@@ -178,15 +177,6 @@ func (s *tProc) finish(p *Proc, resumed bool) {
 	s.i++
 }
 
-func (s *tProc) blocking(p *Proc) {
-	for s.i < len(s.ops) {
-		if s.begin(p) {
-			p.park()
-			s.finish(p, true)
-		}
-	}
-}
-
 func (s *tProc) Step(p *Proc) bool {
 	if s.parked {
 		s.parked = false
@@ -235,15 +225,7 @@ func runPlan(plan *tPlan, arm func(p *Proc, c *Completion, d Duration) bool) *ti
 		run.last = ev
 	}
 	for i, ops := range plan.procs {
-		s := &tProc{run: run, id: i, ops: ops}
-		stepped := plan.stepped[i]
-		procs[i] = k.Spawn(fmt.Sprint("p", i), func(p *Proc) {
-			if stepped {
-				p.RunSteps(s)
-			} else {
-				s.blocking(p)
-			}
-		})
+		procs[i] = k.SpawnSteps(fmt.Sprint("p", i), &tProc{run: run, id: i, ops: ops})
 	}
 	for _, kl := range plan.kills {
 		victim := kl.proc
@@ -326,7 +308,7 @@ func checkTimerPlan(t *testing.T, plan *tPlan) (want, got *timerRun) {
 }
 
 // TestTimerMatchesPerWaitDeadlines is the differential over random
-// scripts: several procs, blocking and stepped, arming deadlines on a
+// scripts: several procs arming deadlines on a
 // coarse grid of times so that fires, deadlines and other procs' events
 // share instants, with completions that fire before the wait, during it
 // (scheduled ahead of the deadline or behind it) or never, plain waits
@@ -352,7 +334,6 @@ func TestTimerMatchesPerWaitDeadlines(t *testing.T) {
 				}
 			}
 			plan.procs = append(plan.procs, ops)
-			plan.stepped = append(plan.stepped, g.next()%2 == 0)
 		}
 		for n := g.next() % 3; n > 0; n-- {
 			plan.kills = append(plan.kills, tKill{proc: int(g.next() % uint64(procs)), at: Time(g.next() % 600)})
@@ -386,7 +367,7 @@ func TestTimerScenarios(t *testing.T) {
 			{kind: tTimeout, d: 40, fire: 4},
 			{kind: tTimeout, d: 8, fire: fireNever},
 			{kind: tSleep, d: 50},
-		}}, stepped: []bool{false}},
+		}}},
 		check: func(got *timerRun) bool { return got.shorter == 1 && got.wait(0, 1).doneAt == 12 },
 	}, {
 		// A's timer at 10 finds A in a later wait whose deadline is 20 and
@@ -396,7 +377,7 @@ func TestTimerScenarios(t *testing.T) {
 		plan: tPlan{procs: [][]tOp{
 			{{kind: tTimeout, d: 10, fire: 2}, {kind: tTimeout, d: 18, fire: fireNever}},
 			{{kind: tSleep, d: 3}, {kind: tSleep, d: 17}},
-		}, stepped: []bool{true, false}},
+		}},
 		check: func(got *timerRun) bool { return got.carried == 1 && got.inFront == 1 },
 	}, {
 		// The same, with the new deadline on the live timer's own instant:
@@ -405,24 +386,24 @@ func TestTimerScenarios(t *testing.T) {
 		plan: tPlan{procs: [][]tOp{
 			{{kind: tTimeout, d: 10, fire: 2}, {kind: tTimeout, d: 8, fire: fireNever}},
 			{{kind: tSleep, d: 3}, {kind: tSleep, d: 7}},
-		}, stepped: []bool{false, true}},
+		}},
 		check: func(got *timerRun) bool { return got.carried == 1 && got.inFront == 1 && got.wait(0, 1).doneAt == 10 },
 	}, {
 		name: "fire and deadline on one instant, fire first",
-		plan: tPlan{procs: [][]tOp{{{kind: tTimeout, d: 8, fire: 8}}}, stepped: []bool{true}},
+		plan: tPlan{procs: [][]tOp{{{kind: tTimeout, d: 8, fire: 8}}}},
 		check: func(got *timerRun) bool {
 			return got.collideFD == 1 && got.waits[0].fired
 		},
 	}, {
 		name: "fire and deadline on one instant, deadline first",
-		plan: tPlan{procs: [][]tOp{{{kind: tTimeout, d: 8, fire: 8, late: true}}}, stepped: []bool{false}},
+		plan: tPlan{procs: [][]tOp{{{kind: tTimeout, d: 8, fire: 8, late: true}}}},
 		check: func(got *timerRun) bool {
 			return got.collideDF == 1 && !got.waits[0].fired
 		},
 	}, {
 		// Killed while its deadline is live: the timer lapses.
 		name: "killed under a live timer",
-		plan: tPlan{procs: [][]tOp{{{kind: tSleep, d: 5}, {kind: tTimeout, d: 50, fire: fireNever}}}, stepped: []bool{true},
+		plan: tPlan{procs: [][]tOp{{{kind: tSleep, d: 5}, {kind: tTimeout, d: 50, fire: fireNever}}},
 			kills: []tKill{{0, 20}}},
 		check: func(got *timerRun) bool { return got.done[0] && len(got.waits) == 1 },
 	}}

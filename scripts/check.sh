@@ -78,7 +78,8 @@ fi
 echo "== zero-alloc gate =="
 # Steady state allocates nothing (DESIGN.md §10, §12): the pooled event
 # kernel for plain events, for a proc that waits as steps (on the event
-# loop, and on a coroutine under RunSteps), and for same-instant waves that march through buckets no wave
+# loop, and on a coroutine under RunSteps:
+# sim.TestRunStepsZeroAllocSteadyState), and for same-instant waves that march through buckets no wave
 # has used before (capacity belongs to the queue, not to a bucket); and
 # the training iteration of every design on every reducer, armed or
 # not, timing and real mode. Set-up is gated too: a cluster and a world
@@ -95,15 +96,15 @@ echo "== zero-alloc gate =="
 # coll.TestPayloadFreeBuffersAreSharedBySize holds a reducer to one view
 # or scratch descriptor per size, on no free list. The records every
 # wait goes through are pinned by size, so neither silently regrows:
-# sim.TestCompletionSize holds a Completion to 72 bytes, and
-# mpi.TestRequestSize a Request to 96 and a pendingSend to 56. A
+# sim.TestCompletionSize holds a Completion to 64 bytes, and
+# mpi.TestRequestSize a Request to 88 and a pendingSend to 56. A
 # broadcast op keeps one request pointer per rank and shares one
 # payload-free buffer: mpi.TestBcastOpBytesPerRank holds a pool-miss op
 # over 1,024 ranks to 8 bytes a rank plus a constant, with no per-rank
 # buffer slice unless a rank posts a payload. Run
 # un-instrumented, since race instrumentation itself allocates and would
 # mask a regression (the iteration budget skips itself under -race).
-go test -run '^(TestSimKernel(ZeroAllocSteadyState|MarchingWavesZeroAlloc)|TestCompletionSize)$' -count=1 ./internal/sim
+go test -run '^(TestSimKernel(ZeroAllocSteadyState|MarchingWavesZeroAlloc)|TestRunStepsZeroAllocSteadyState|TestCompletionSize)$' -count=1 ./internal/sim
 go test -run '^(TestSteadyStateIterationAllocBudget|TestWholeRunAllocBudget|TestTimingRanksShareOneLayout)$' -count=1 ./internal/core
 go test -run '^TestPayloadFreeBuffersAreSharedBySize$' -count=1 ./internal/coll
 go test -run '^TestNetSetupBytes$' -count=1 ./internal/models
@@ -139,8 +140,9 @@ echo "== collective fragments =="
 # skew and threelevel tables, the Ibcast overlap, the offloaded
 # broadcast's event timing and its checksummed edges' retransmits and
 # escalation) and their run with no goroutine switch, race-instrumented
-# so the detector watches the fragment walks, the blocking reduces'
-# coroutines and the goroutine-free ranks.
+# so the detector watches the fragment walks, spliced into the one-lane
+# plans the tests' ranks walk as goroutine-free steppers as a training
+# run's reduce nodes do.
 for procs in 1 16; do
     GOMAXPROCS=$procs go test -race \
         -run '^TestChainReduceRankKilledMidPipeline$|^TestChainReduceRetransmitMidPipeline$|^TestReduceFamiliesPinned$|^TestStepListsPair$|^TestRabenseifnerFewerElemsThanRanks$|^TestChainReleasesSendsAsTheyComplete$|^TestEveryReducerRunsAsSteps$|^TestLatencyDriversMakeNoGoroutine$|^TestIbcastLatencyPinned$|^TestIbcastIntegrityPinned$' \

@@ -24,17 +24,32 @@ var randAllowed = map[string]bool{
 	"Rand": true, "Source": true, "Source64": true, "Zipf": true, "PCG": true, "ChaCha8": true,
 }
 
-// TestSourceRules checks the two rules about the source that no run-time
+// blockingForms are the blocking calls of the proc coroutine's runtime,
+// by method name and argument count: Proc.Wait/Sleep, Completion.FireFrom,
+// Kernel.Spawn, mpi's Rank.Send/Recv/Wait/Sleep and Comm.Barrier,
+// Reducer.Reduce, Ring.Allreduce, Graph.Execute, and World.Run (one
+// func) and Walk.Run (four arguments). Every run drives its procs as
+// steppers instead (DESIGN.md §17).
+var blockingForms = map[string][]int{
+	"Spawn": {2}, "FireFrom": {1}, "Sleep": {1}, "Wait": {1},
+	"Send": {5}, "Recv": {4}, "Barrier": {1}, "Reduce": {3}, "Allreduce": {3},
+	"Execute": {2}, "Run": {1, 4},
+}
+
+// TestSourceRules checks the rules about the source that no run-time
 // gate sees (DESIGN.md §10). A wall-clock read or a global random draw
 // in the replay scope would make runs differ only on some hosts or some
 // days. An integer literal passed as a message tag may collide with
 // another site's tag, and then two messages cross their matches only when
-// both are in flight. It parses the module's non-test files, resolving
-// package names through each file's imports, so a renamed import is
-// caught too.
+// both are in flight. A test that drives its ranks through a blocking
+// form keeps alive a second runtime that no run uses: only bench/ and
+// each package's blocking_test.go, the mechanism's own tests, may call
+// one. It parses the module's files, resolving package names through
+// each file's imports, so a renamed import is caught too.
 func TestSourceRules(t *testing.T) {
 	fset := token.NewFileSet()
 	files := map[string]*ast.File{}
+	tests := map[string]*ast.File{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -45,11 +60,15 @@ func TestSourceRules(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, 0)
-		files[filepath.ToSlash(path)] = f
+		if strings.HasSuffix(path, "_test.go") {
+			tests[filepath.ToSlash(path)] = f
+		} else {
+			files[filepath.ToSlash(path)] = f
+		}
 		return err
 	})
 	if err != nil {
@@ -141,6 +160,38 @@ func TestSourceRules(t *testing.T) {
 					t.Errorf("%s: integer literal passed as the tag of %s; name it as a constant beside the others", fset.Position(call.Args[i].Pos()), name)
 				}
 			}
+			return true
+		})
+	}
+
+	// Blocking forms in tests.
+	for path, f := range tests {
+		if strings.HasPrefix(path, "bench/") || filepath.Base(path) == "blocking_test.go" {
+			continue
+		}
+		pkgs := importNames(f)
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if id, ok := sel.X.(*ast.Ident); ok && pkgs[id.Name] != "" {
+				return true // a package's function, not a method
+			}
+			name := sel.Sel.Name
+			if !slices.Contains(blockingForms[name], len(call.Args)) {
+				return true
+			}
+			if name == "Run" && len(call.Args) == 1 {
+				if _, ok := call.Args[0].(*ast.FuncLit); !ok {
+					return true
+				}
+			}
+			t.Errorf("%s: %s is a blocking form; drive the ranks as steppers (SpawnSteps, World.RunSteps), or move a test of the mechanism itself to blocking_test.go", fset.Position(call.Pos()), name)
 			return true
 		})
 	}
