@@ -384,7 +384,9 @@ func (st *runState) buildReaders(k *sim.Kernel, localBatch int, elastic bool) {
 	}
 	st.dataSrc = src
 	names := sim.Names("reader", cfg.GPUs, "")
-	for i := 0; i < cfg.GPUs; i++ {
+	block := make([]rankReader, cfg.GPUs)
+	for i := range block {
+		b := &block[i]
 		rs, batches := src, iters
 		switch {
 		case elastic:
@@ -394,12 +396,23 @@ func (st *runState) buildReaders(k *sim.Kernel, localBatch int, elastic bool) {
 			// prefetch forever, bounded by the queue, until stopped.
 			// Config validation restricts faults to the per-rank-reader
 			// designs.
-			rs, batches = stalledSource{inner: src, pl: st.ft, rank: i}, -1
+			b.stalled = stalledSource{inner: src, pl: st.ft, rank: i}
+			rs, batches = &b.stalled, -1
 		case cfg.Design == ParamServer && i == 0:
 			continue // the server does not train
 		}
-		st.readers[i] = data.StartReader(k, names[i], rs, localBatch, cfg.Spec.PerSampleBytes, batches, 1, readerQueueDepth)
+		b.Start(k, names[i], rs, localBatch, cfg.Spec.PerSampleBytes, batches, 1, readerQueueDepth)
+		st.readers[i] = &b.Reader
 	}
+}
+
+// rankReader is one solver's data reader beside the stall-aware source
+// it reads through in a run that can trip: a run's readers, and each
+// elastic rebuild's, are made as one block of these, not two objects a
+// rank.
+type rankReader struct {
+	data.Reader
+	stalled stalledSource
 }
 
 // workerIndex returns this rank's position among training workers —

@@ -565,12 +565,15 @@ func (st *runState) rebuild(round fault.Round) (int, bool) {
 		}
 	}
 	names := sim.Names("reader", len(st.readers), ".e"+strconv.Itoa(st.epoch))
-	for _, id := range members {
+	block := make([]rankReader, len(members))
+	for j, id := range members {
 		if rd := st.readers[id]; rd != nil {
 			rd.Stop()
 		}
-		st.readers[id] = data.StartReader(st.k, names[id],
-			stalledSource{inner: st.dataSrc, pl: pl, rank: id}, newLocal, cfg.Spec.PerSampleBytes, -1, 1, readerQueueDepth)
+		b := &block[j]
+		b.stalled = stalledSource{inner: st.dataSrc, pl: pl, rank: id}
+		b.Start(st.k, names[id], &b.stalled, newLocal, cfg.Spec.PerSampleBytes, -1, 1, readerQueueDepth)
+		st.readers[id] = &b.Reader
 	}
 
 	// Observability: one recovery span per member, one join span per

@@ -1,6 +1,7 @@
 package data
 
 import (
+	"runtime"
 	"testing"
 
 	"scaffe/internal/layers"
@@ -204,6 +205,52 @@ func TestSharedReaderFeedsAllConsumers(t *testing.T) {
 	}
 	if finished != 4 {
 		t.Errorf("%d consumers finished, want 4", finished)
+	}
+}
+
+// TestReaderHeapObjects: a started reader is one heap object — its
+// queue is a count of tokens inside it, and the queue's one getter and
+// one putter wait inline — and feeding its solver batch after batch,
+// through an empty queue and a full one, allocates nothing more. The
+// bound is per reader over many, so the kernel's carving of their procs
+// in blocks averages out; a queue that boxed its tokens or kept its
+// waiters in slices made six objects a reader.
+func TestReaderHeapObjects(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const readers, batches, budget = 64, 50, 1.5 // measured: 1.19
+	k := sim.New()
+	src := &fixedCostSource{cost: sim.Millisecond}
+	rds := make([]*Reader, readers)
+	for i := range rds {
+		got, computing := 0, false
+		k.SpawnSteps("solver", stepFunc(func(p *sim.Proc) bool {
+			for ; got < batches; got++ {
+				if !computing {
+					if !rds[i].TryNext(p) { // the first waits for its reader
+						return false
+					}
+					computing = true
+					p.ArmUntil(p.Now() + 5*sim.Millisecond) // slower than the reads: the queue fills
+					return false
+				}
+				computing = false
+			}
+			return true
+		}))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range rds {
+		rds[i] = StartReader(k, "reader", src, 32, 1000, batches, 1, 2)
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.Mallocs-before.Mallocs) / readers
+	t.Logf("%.2f heap objects per reader", per)
+	if per > budget {
+		t.Errorf("%.2f heap objects per reader over %d batches, budget %.2f: the reader's queue allocates again", per, batches, budget)
 	}
 }
 

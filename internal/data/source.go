@@ -123,9 +123,9 @@ func (s *ImageDataSource) ReadBatch(now sim.Time, n int, bytesPer int64) Read {
 // ahead of the solver up to the queue depth, hiding I/O behind compute
 // when the backend can keep up. It is a proc with no goroutine: its
 // steps arm the waits its source's reads take and put tokens in the
-// queue.
+// queue, which it holds by value.
 type Reader struct {
-	q        *sim.Queue
+	q        sim.Queue
 	proc     *sim.Proc
 	src      Source
 	n        int
@@ -146,9 +146,17 @@ type Reader struct {
 // the batch geometry). The original Caffe design's single reader loads
 // each iteration's global batch and releases a token per solver.
 func StartReader(k *sim.Kernel, name string, src Source, n int, bytesPer int64, batches, copies, depth int) *Reader {
-	r := &Reader{q: k.NewQueue(depth), src: src, n: n, bytesPer: bytesPer, batches: batches, copies: copies, i: -1, put: copies}
-	r.proc = k.SpawnSteps(name, r)
+	r := new(Reader)
+	r.Start(k, name, src, n, bytesPer, batches, copies, depth)
 	return r
+}
+
+// Start is StartReader on a Reader the caller owns, so that a set of
+// readers can be made as one block. r must not be running.
+func (r *Reader) Start(k *sim.Kernel, name string, src Source, n int, bytesPer int64, batches, copies, depth int) {
+	*r = Reader{src: src, n: n, bytesPer: bytesPer, batches: batches, copies: copies, i: -1, put: copies}
+	r.q.Init(k, depth)
+	r.proc = k.SpawnSteps(name, r)
 }
 
 // Step reads and puts batches up to the reader's next wait: one of its
@@ -163,7 +171,7 @@ func (r *Reader) Step(p *sim.Proc) bool {
 		case r.read.Then != nil:
 			r.read, r.w = r.read.Then.ReadBatch(p.Now(), r.n, r.bytesPer), 0
 		case r.put < r.copies:
-			if !r.q.TryPut(p, r.i) {
+			if !r.q.TryPut(p) {
 				return false
 			}
 			r.put++
@@ -185,6 +193,5 @@ func (r *Reader) Stop() { r.proc.Kill() }
 // resumed when the reader buffers one, without parking it: the solver
 // waits as a step (sim.Stepper) and tries again then.
 func (r *Reader) TryNext(p *sim.Proc) bool {
-	_, ok := r.q.TryGet(p)
-	return ok
+	return r.q.TryGet(p)
 }

@@ -106,7 +106,8 @@ type Ctx struct {
 
 // Again, from an action or a timed node's callback that found its work
 // not ready and armed the proc's resume for when it will be —
-// sim.Queue.TryGet registering a getter, mpi.Rank.PollBarrier arming a
+// data.Reader.TryNext finding its queue without a token and registering
+// the proc as a getter, mpi.Rank.PollBarrier arming a
 // round's wait, mpi.Summed.Settle a retransmission's — has the lane run
 // the callback again at that resume instead of going on; a timed
 // callback's time is ignored then.
@@ -410,7 +411,11 @@ func (g *Graph) Start(tracer Tracer, it int) {
 // Step walks lane 0 of the execution Start readied up to its next wait,
 // as a step of the rank's main proc, and reports done at the end of the
 // execution — or where a revocation ended it (Revoked).
-func (g *Graph) Step(p *sim.Proc) bool { return g.lanes[0].Step(p) }
+func (g *Graph) Step(p *sim.Proc) bool {
+	l := &g.lanes[0]
+	l.ctx.P = p // a graph started in mpi.World.RunSteps's builder has no proc at Start
+	return l.Step(p)
+}
 
 // Revoked reports whether a revoked communicator (mpi.Revoked) ended
 // the last execution's lane 0 before its end.

@@ -84,6 +84,32 @@ func TestLaneZeroRunsInInsertionOrder(t *testing.T) {
 	}
 }
 
+// TestGraphStartedBeforeItsProc: a graph started in the builder
+// mpi.World.RunSteps calls, before the rank's proc is made, walks lane 0
+// with the proc that steps it.
+func TestGraphStartedBeforeItsProc(t *testing.T) {
+	w := newWorld(1)
+	var walked *sim.Proc
+	_, err := w.RunSteps(func(r *mpi.Rank) sim.Stepper {
+		g := New(r)
+		g.Plan().AddTimed(0, ComputeForward, "forward", "a", func(x *Ctx) sim.Time {
+			walked = x.P
+			return x.P.Now() + 10
+		})
+		g.Start(nil, 0)
+		return g
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if walked == nil || walked != w.Ranks[0].Proc {
+		t.Errorf("lane 0 walked with proc %v, want the rank's", walked)
+	}
+	if w.K.Now() != 10 {
+		t.Errorf("final time = %v, want 10", w.K.Now())
+	}
+}
+
 func TestCrossLaneDependencyAndWaitPhase(t *testing.T) {
 	w := newWorld(1)
 	tr := &recTracer{}

@@ -78,6 +78,9 @@ type Kernel struct {
 	stepping *Proc // the proc whose step is running, if any; see park
 	failure  error
 	compPool []*Completion
+	// timerPool is what is left of the block deadline states are carved
+	// from (Proc.newTimer).
+	timerPool []procTimer
 
 	resumes Resumes
 
@@ -100,10 +103,13 @@ type Resumes struct {
 	// its step reported done, or it was killed.
 	Finishes uint64
 	// StaleWakes are resumes that dissolved: a completion's wake for a
-	// wait the proc had timed out of, and deadline timers that found
-	// their proc no longer in a wait with a deadline, or finished, or
-	// were overtaken by a shorter deadline. A timer that finds the
-	// deadline moved later and carries itself there is not one.
+	// wait the proc left between the fire and the pop (a deadline due at
+	// the same instant went first), and deadline timers that found their
+	// proc no longer in a wait with a deadline, or finished, or were
+	// overtaken by a shorter deadline. A timer that finds the deadline
+	// moved later and carries itself there is not one. A waiter already
+	// stale when its completion fires is given no event (Completion.Fire)
+	// and is not counted.
 	StaleWakes uint64
 }
 
@@ -212,7 +218,7 @@ func (k *Kernel) loop() {
 			}
 		case evResumeIf:
 			p := ev.p
-			if p.finished || !p.waitArmed || p.waitSeq != ev.aux {
+			if !(waiter{p, ev.aux}).live() {
 				k.resumes.StaleWakes++
 				continue // stale wake: the proc timed out or moved on
 			}

@@ -38,8 +38,8 @@ type Proc struct {
 	waitArmed bool
 	waitSeq   uint64
 
-	// timer is the proc's deadline state, made by its first
-	// ArmWaitTimeout: most procs never arm one.
+	// timer is the proc's deadline state, carved by its first
+	// ArmWaitTimeout with a deadline: most procs never arm one.
 	timer *procTimer
 
 	// stepper is the whole life of a proc with no goroutine: its resumes
@@ -295,11 +295,17 @@ func (p *Proc) armDeadline(t Time) {
 	k.cal.insert(event{at: t, seq: k.seq, kind: evTimer, p: p})
 }
 
-// newTimer gives the proc its deadline state.
+// newTimer gives the proc its deadline state, carved from the kernel's
+// block the way newProc carves procs.
 //
 //go:noinline
 func (p *Proc) newTimer() *procTimer {
-	p.timer = &procTimer{}
+	k := p.k
+	if len(k.timerPool) == 0 {
+		k.timerPool = make([]procTimer, min(max(k.spawned, 4), 16))
+	}
+	p.timer = &k.timerPool[0]
+	k.timerPool = k.timerPool[1:]
 	return p.timer
 }
 

@@ -79,21 +79,22 @@ type event struct {
 	kind evKind
 }
 
-// nowRing is a FIFO ring of events due at the current instant.
+// nowRing is a FIFO ring of events due at the current instant. Its
+// indices are int32s — a ring of 2^31 events would be a 128 GiB one — so
+// that the Kernel holding it stays in its size class (TestKernelSize).
 type nowRing struct {
-	buf  []event // power-of-two length
-	head int
-	n    int
+	buf     []event // power-of-two length
+	head, n int32
 }
 
-func (r *nowRing) len() int { return r.n }
+func (r *nowRing) len() int { return int(r.n) }
 
 // push appends e; steady state touches only an existing slot.
 func (r *nowRing) push(e event) {
-	if r.n == len(r.buf) {
+	if int(r.n) == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = e
+	r.buf[int(r.head+r.n)&(len(r.buf)-1)] = e
 	r.n++
 }
 
@@ -102,7 +103,7 @@ func (r *nowRing) push(e event) {
 func (r *nowRing) pop() event {
 	e := r.buf[r.head]
 	r.buf[r.head] = event{}
-	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.head = (r.head + 1) & int32(len(r.buf)-1)
 	r.n--
 	return e
 }
@@ -114,8 +115,8 @@ func (r *nowRing) grow() {
 		size = 64
 	}
 	nb := make([]event, size)
-	for i := 0; i < r.n; i++ {
-		nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+	for i := range int(r.n) {
+		nb[i] = r.buf[(int(r.head)+i)&(len(r.buf)-1)]
 	}
 	r.buf = nb
 	r.head = 0

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -189,6 +190,15 @@ func TestCompletionSize(t *testing.T) {
 	}
 }
 
+// TestKernelSize: a Kernel stays in the 352-byte size class. A reduce
+// sweep makes one per grid point, so a field that tips it into the next
+// class costs every point 32 bytes.
+func TestKernelSize(t *testing.T) {
+	if size := unsafe.Sizeof(Kernel{}); size > 352 {
+		t.Errorf("a Kernel is %d bytes, want at most 352", size)
+	}
+}
+
 // TestCompletionSpillOrder gives one completion two inline waiters,
 // three spilled ones and two callbacks: they resume in insertion order,
 // the callbacks after every waiter. After Init a stale FireIf
@@ -279,51 +289,66 @@ type unwinding struct {
 
 func (u unwinding) Unwind(p *Proc) { u.unwind(p) }
 
+// TestQueueFIFO: getters that find the queue empty are resumed in the
+// order they came, one per token put, each at the instant of its put —
+// past the first, which waits inline, where the rest line up, and a
+// getter that comes back for a second token goes behind them all.
 func TestQueueFIFO(t *testing.T) {
 	k := New()
-	q := k.NewQueue(0)
-	var got []int
-	i, slept := 1, false
-	k.SpawnSteps("producer", stepFunc(func(p *Proc) bool {
-		for ; i <= 3; i++ {
-			if !slept {
-				slept = true
-				p.ArmUntil(p.Now() + 10)
-				return false
+	var q Queue
+	q.Init(k, 0)
+	type take struct {
+		who string
+		at  Time
+	}
+	var got []take
+	for _, name := range []string{"a", "b", "c", "d"} {
+		taken := 0
+		k.SpawnSteps(name, stepFunc(func(p *Proc) bool {
+			for ; taken < 2; taken++ {
+				if !q.TryGet(p) {
+					return false
+				}
+				got = append(got, take{name, p.Now()})
 			}
-			slept = false
-			q.TryPut(p, i)
-		}
-		return true
-	}))
-	k.SpawnSteps("consumer", stepFunc(func(p *Proc) bool {
-		for len(got) < 3 {
-			v, ok := q.TryGet(p)
-			if !ok {
-				return false
+			return true
+		}))
+	}
+	put := 0
+	k.SpawnSteps("producer", stepFunc(func(p *Proc) bool { // a token every 10ns
+		if p.Now() > 0 {
+			if !q.TryPut(p) {
+				t.Fatal("TryPut on an unbounded queue reported full")
 			}
-			got = append(got, v.(int))
+			put++
 		}
-		return true
+		if put == 8 {
+			return true
+		}
+		p.ArmUntil(p.Now() + 10)
+		return false
 	}))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range []int{1, 2, 3} {
-		if got[i] != v {
-			t.Fatalf("queue order = %v", got)
-		}
+	want := []take{{"a", 10}, {"b", 20}, {"c", 30}, {"d", 40}, {"a", 50}, {"b", 60}, {"c", 70}, {"d", 80}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("getters took tokens as %v, want %v", got, want)
+	}
+	if q.Len() != 0 {
+		t.Errorf("%d tokens left, want 0", q.Len())
 	}
 }
 
 func TestQueueBounded(t *testing.T) {
 	k := New()
-	q := k.NewQueue(1)
+	var q Queue
+	q.Init(k, 1)
 	var putDone Time
 	n := 1
 	k.SpawnSteps("producer", stepFunc(func(p *Proc) bool {
 		for ; n <= 2; n++ {
-			if !q.TryPut(p, n) { // the second waits until the consumer takes the first
+			if !q.TryPut(p) { // the second waits until the consumer takes the first
 				return false
 			}
 		}
@@ -338,7 +363,7 @@ func TestQueueBounded(t *testing.T) {
 			return false
 		}
 		for ; taken < 2; taken++ {
-			if _, ok := q.TryGet(p); !ok {
+			if !q.TryGet(p) {
 				return false
 			}
 		}
@@ -352,19 +377,19 @@ func TestQueueBounded(t *testing.T) {
 	}
 }
 
-// TestQueueKeepsItsBacking: a queue's lists are consumed through a head
-// index, so a long exchange runs on the arrays its first few items sized
-// and allocates next to nothing — whether the queue drains between items
-// (the waiting-getter list churns), stays full (the waiting-putter list
-// does) or holds a steady backlog and never empties — in FIFO order, and
-// a waiter killed while it waited is still skipped, not woken in a live
-// one's place.
+// TestQueueKeepsItsBacking: a queue is a count of tokens and its
+// waiting lines are consumed through a head index, so a long exchange
+// allocates next to nothing — whether the queue drains between tokens
+// (the waiting-getter line churns), stays full (the waiting-putter line
+// does) or holds a steady backlog and never empties — and a waiter
+// killed while it waited is still skipped, not woken in a live one's
+// place: the consumer behind it takes the first token at its put.
 func TestQueueKeepsItsBacking(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const items = 2000
 	for _, tc := range []struct {
 		name             string
-		capacity, ahead  int // ahead: items put back to back before the producer paces itself
+		capacity, ahead  int // ahead: tokens put back to back before the producer paces itself
 		produce, consume Duration
 	}{
 		{"drains", 0, 0, 3, 2},
@@ -372,10 +397,10 @@ func TestQueueKeepsItsBacking(t *testing.T) {
 		{"never-empties", 0, 3, 3, 3},
 	} {
 		k := New()
-		q := k.NewQueue(tc.capacity)
+		var q Queue
+		q.Init(k, tc.capacity)
 		ghost := k.SpawnSteps("ghost", stepFunc(func(p *Proc) bool { // first in line, on an empty queue
-			_, ok := q.TryGet(p)
-			return ok
+			return q.TryGet(p)
 		}))
 		k.At(2, ghost.Kill)
 		put, paced := -1, true
@@ -391,14 +416,14 @@ func TestQueueKeepsItsBacking(t *testing.T) {
 					p.ArmUntil(p.Now() + tc.produce)
 					return false
 				}
-				if !q.TryPut(p, put%100) { // small integers box without allocating
+				if !q.TryPut(p) {
 					return false
 				}
 				paced = put < tc.ahead || tc.produce == 0
 			}
 			return true
 		}))
-		next, slept := 0, false
+		next, slept, firstAt := 0, false, Time(-1)
 		var before, after runtime.MemStats
 		k.SpawnSteps("consumer", stepFunc(func(p *Proc) bool {
 			for ; next < items; next++ {
@@ -414,13 +439,11 @@ func TestQueueKeepsItsBacking(t *testing.T) {
 				if next == 100 {
 					runtime.ReadMemStats(&before)
 				}
-				v, ok := q.TryGet(p)
-				if !ok {
+				if !q.TryGet(p) {
 					return false
 				}
-				if v.(int) != next%100 {
-					t.Errorf("%s: item %d carries %d", tc.name, next, v)
-					return true
+				if next == 0 {
+					firstAt = p.Now()
 				}
 				slept = false
 			}
@@ -431,10 +454,13 @@ func TestQueueKeepsItsBacking(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if next != items {
-			t.Fatalf("%s: consumer stopped at item %d", tc.name, next)
+			t.Fatalf("%s: consumer stopped at token %d", tc.name, next)
+		}
+		if firstAt != 5 {
+			t.Errorf("%s: the first token, put at 5, was taken at %v: the killed ghost was woken in the consumer's place", tc.name, firstAt)
 		}
 		if n := after.Mallocs - before.Mallocs; n > 8 {
-			t.Errorf("%s: %d objects allocated over the last %d items; the lists should be running in place", tc.name, n, items-100)
+			t.Errorf("%s: %d objects allocated over the last %d tokens; the lines should be running in place", tc.name, n, items-100)
 		}
 	}
 }

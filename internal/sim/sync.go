@@ -65,9 +65,30 @@ func (c *Completion) drop() {
 	}
 }
 
+// live reports whether w's proc is still parked on the wait w armed:
+// unfinished, and armed on w.seq. Fire applies it to each waiter and
+// the event loop to each popped evResumeIf; a waiter that fails it stays
+// failed, since waitSeq only grows.
+func (w waiter) live() bool {
+	return !w.p.finished && w.p.waitArmed && w.p.waitSeq == w.seq
+}
+
 // addWaiter parks w on the completion: inline while there is room, in
-// the spill record past that.
+// the spill record past that. A waiter that would be the first to spill
+// first drops the stale waiters of the inline pair, the live ones keeping
+// their order, so a wait that re-arms on the same completion slice after
+// slice (a deadline-sliced wait) holds one waiter and never spills.
 func (c *Completion) addWaiter(w waiter) {
+	if int(c.n) == len(c.w0) && (c.more == nil || len(c.more.waiters) == 0) {
+		c.n = 0
+		for _, x := range c.w0 {
+			if x.live() {
+				c.w0[c.n] = x
+				c.n++
+			}
+		}
+		clear(c.w0[c.n:])
+	}
 	if int(c.n) < len(c.w0) {
 		c.w0[c.n] = w
 		c.n++
@@ -126,26 +147,34 @@ func (c *Completion) Fired() bool { return c.fired }
 // a reference across a possible recycle pair it with FireIf.
 func (c *Completion) Gen() uint64 { return c.gen }
 
-// Fire marks the completion done, wakes
-// all waiters, and runs registered callbacks in kernel context. Firing
-// twice is a no-op.
+// Fire marks the completion done, wakes every waiter still parked on
+// it, and runs registered callbacks in kernel context. Firing twice is
+// a no-op.
 func (c *Completion) Fire() {
 	if c.fired {
 		return
 	}
 	c.fired = true
 	for _, w := range c.w0[:c.n] {
-		c.k.atResumeIf(c.k.now, w.p, w.seq)
+		c.wake(w)
 	}
 	if s := c.more; s != nil {
 		for _, w := range s.waiters {
-			c.k.atResumeIf(c.k.now, w.p, w.seq)
+			c.wake(w)
 		}
 		for _, fn := range s.cbs {
 			c.k.At(c.k.now, fn)
 		}
 	}
 	c.drop()
+}
+
+// wake schedules w's resume if w is live. A stale waiter would dissolve
+// when its event popped, so it is given none.
+func (c *Completion) wake(w waiter) {
+	if w.live() {
+		c.k.atResumeIf(c.k.now, w.p, w.seq)
+	}
 }
 
 // FireFrom is Fire: the acting proc mattered only to the
@@ -174,17 +203,48 @@ func (c *Completion) OnFire(fn func()) {
 	s.cbs = append(s.cbs, fn)
 }
 
-// Queue is an unbounded-or-bounded FIFO of values passed between
-// procs, the simulation analogue of a buffered channel, for steps: a
-// put to a full queue or a get from an empty one registers the proc to
-// be resumed when it can go on, without parking it. A zero cap means
-// unbounded.
+// Queue is a bounded-or-unbounded count of tokens passed between
+// procs, the simulation analogue of a buffered channel of struct{}, for
+// steps: a put to a full queue or a get from an empty one registers the
+// proc to be resumed when it can go on, without parking it. A zero cap
+// means unbounded. A token carries nothing — a data reader's batch is
+// known to its consumer by its place in line — so the queue holds a
+// count, and an owner embeds it by value, readied by Init.
 type Queue struct {
 	k       *Kernel
-	items   fifo[any]
+	tokens  int
 	cap     int
-	getters fifo[*Proc]
-	putters fifo[*Proc]
+	getters procLine
+	putters procLine
+}
+
+// procLine is a FIFO of waiting procs. The first sits inline, so a
+// queue between one producer and one consumer — a rank's data reader
+// and its solver — never allocates for its waiters; the rest line up
+// behind it in a fifo.
+type procLine struct {
+	first *Proc
+	rest  fifo[*Proc]
+}
+
+func (l *procLine) push(p *Proc) {
+	if l.first == nil && l.rest.len() == 0 {
+		l.first = p
+		return
+	}
+	l.rest.push(p)
+}
+
+// pop removes and returns the longest-waiting proc, or nil.
+func (l *procLine) pop() *Proc {
+	if p := l.first; p != nil {
+		l.first = nil
+		return p
+	}
+	if l.rest.len() > 0 {
+		return l.rest.pop()
+	}
+	return nil
 }
 
 // fifo is a slice consumed through a head index, so that popping keeps
@@ -217,47 +277,48 @@ func (f *fifo[T]) pop() T {
 	return v
 }
 
-// NewQueue returns a queue with the given capacity (0 = unbounded).
-func (k *Kernel) NewQueue(capacity int) *Queue {
-	return &Queue{k: k, cap: capacity}
+// Init readies q on kernel k as an empty queue with the given capacity
+// (0 = unbounded), with no waiters.
+func (q *Queue) Init(k *Kernel, capacity int) {
+	*q = Queue{k: k, cap: capacity}
 }
 
-// Len returns the number of queued items.
-func (q *Queue) Len() int { return q.items.len() }
+// Len returns the number of queued tokens.
+func (q *Queue) Len() int { return q.tokens }
 
-// TryPut appends v and reports true, or, with the queue at capacity,
+// TryPut adds a token and reports true, or, with the queue at capacity,
 // registers p as a putter and reports false: p is resumed when a TryGet
 // makes room, and tries again then. It parks nothing, so a Step may call
 // it.
-func (q *Queue) TryPut(p *Proc, v any) bool {
-	if q.cap > 0 && q.items.len() >= q.cap {
+func (q *Queue) TryPut(p *Proc) bool {
+	if q.cap > 0 && q.tokens >= q.cap {
 		q.putters.push(p)
 		return false
 	}
-	q.items.push(v)
+	q.tokens++
 	q.wakeOne(&q.getters)
 	return true
 }
 
-// TryGet removes and returns the oldest item and reports true, or, with
-// the queue empty, registers p as a getter and reports false: p is
-// resumed when a TryPut fills the queue, and tries again then.
-func (q *Queue) TryGet(p *Proc) (any, bool) {
-	if q.items.len() == 0 {
+// TryGet takes a token and reports true, or, with the queue empty,
+// registers p as a getter and reports false: p is resumed when a TryPut
+// fills the queue, and tries again then.
+func (q *Queue) TryGet(p *Proc) bool {
+	if q.tokens == 0 {
 		q.getters.push(p)
-		return nil, false
+		return false
 	}
-	v := q.items.pop()
+	q.tokens--
 	q.wakeOne(&q.putters)
-	return v, true
+	return true
 }
 
-// wakeOne wakes the longest-waiting proc of the list. Killed procs leave
+// wakeOne wakes the longest-waiting proc of the line. Killed procs leave
 // stale entries behind; they are skipped so a real waiter is not starved
 // of its wake-up.
-func (q *Queue) wakeOne(waiting *fifo[*Proc]) {
-	for waiting.len() > 0 {
-		if p := waiting.pop(); !p.finished {
+func (q *Queue) wakeOne(line *procLine) {
+	for p := line.pop(); p != nil; p = line.pop() {
+		if !p.finished {
 			q.k.atResume(q.k.now, p)
 			return
 		}

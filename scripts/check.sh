@@ -87,7 +87,9 @@ echo "== zero-alloc gate =="
 # New to the same allocations at 2x4 and 64x16, and
 # mpi.TestNewWorldAllocsPerRank holds NewWorld to the same count, under
 # one per rank, at 16 and 160 ranks; core.TestWholeRunAllocBudget bounds
-# a whole run's bytes and objects per rank, and models.TestNetSetupBytes
+# a whole run's bytes and objects per rank, data.TestReaderHeapObjects a
+# started data reader's heap objects (its token queue and the queue's
+# waiting lines live inside it), and models.TestNetSetupBytes
 # what one cifar10-quick rank's real net allocates (in-place ReLUs, no
 # gradient blob for the data). What keeps set-up per rank
 # small is gated by name: a payload-free buffer is one descriptor shared
@@ -95,8 +97,11 @@ echo "== zero-alloc gate =="
 # a timing run (a rejoined one included) to the run's one layout, and
 # coll.TestPayloadFreeBuffersAreSharedBySize holds a reducer to one view
 # or scratch descriptor per size, on no free list. The records every
-# wait goes through are pinned by size, so neither silently regrows:
-# sim.TestCompletionSize holds a Completion to 64 bytes, and
+# wait goes through, and the kernel, are pinned by size, so none silently
+# regrows:
+# sim.TestCompletionSize holds a Completion to 64 bytes,
+# sim.TestKernelSize a Kernel to its 352-byte size class (a reduce sweep
+# makes one per point), and
 # mpi.TestRequestSize a Request to 88 and a pendingSend to 56. A
 # broadcast op keeps one request pointer per rank and shares one
 # payload-free buffer: mpi.TestBcastOpBytesPerRank holds a pool-miss op
@@ -104,10 +109,11 @@ echo "== zero-alloc gate =="
 # buffer slice unless a rank posts a payload. Run
 # un-instrumented, since race instrumentation itself allocates and would
 # mask a regression (the iteration budget skips itself under -race).
-go test -run '^(TestSimKernel(ZeroAllocSteadyState|MarchingWavesZeroAlloc)|TestRunStepsZeroAllocSteadyState|TestCompletionSize)$' -count=1 ./internal/sim
+go test -run '^(TestSimKernel(ZeroAllocSteadyState|MarchingWavesZeroAlloc)|TestRunStepsZeroAllocSteadyState|TestCompletionSize|TestKernelSize)$' -count=1 ./internal/sim
 go test -run '^(TestSteadyStateIterationAllocBudget|TestWholeRunAllocBudget|TestTimingRanksShareOneLayout)$' -count=1 ./internal/core
 go test -run '^TestPayloadFreeBuffersAreSharedBySize$' -count=1 ./internal/coll
 go test -run '^TestNetSetupBytes$' -count=1 ./internal/models
+go test -run '^TestReaderHeapObjects$' -count=1 ./internal/data
 go test -run '^TestNewAllocsIndependentOfSize$' -count=1 ./internal/topology
 go test -run '^(TestNewWorldAllocsPerRank|TestRequestSize|TestBcastOpBytesPerRank)$' -count=1 ./internal/mpi
 
